@@ -19,6 +19,7 @@ SELECT id FROM review WHERE brand = 'no;such;brand';
 DELETE FROM review WHERE stars <= 2;
 SELECT id, brand FROM review ORDER BY score DESC LIMIT 3;
 EXPLAIN SELECT id FROM review WHERE brand = 'acme';
+EXPLAIN UPDATE review SET stars = 5 WHERE brand = 'acme' AND stars < 5;
 BEGIN;
 INSERT INTO review VALUES (6,'hooli',1,1.0);
 ROLLBACK;

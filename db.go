@@ -849,14 +849,7 @@ func (db *DB) PlanSelect(sel *sqlparse.Select) (plan.Node, error) {
 	mode := db.cfg.Optimizer
 	learned := db.learnedQO
 	db.mu.Unlock()
-	switch mode {
-	case StaleCostMode:
-		o := &optimizer.Optimizer{Stats: db.StaleStatsView(), CardScale: 1}
-		return o.Plan(q)
-	case LearnedMode:
-		if learned == nil {
-			return optimizer.New().Plan(q)
-		}
+	if mode == LearnedMode && learned != nil {
 		cands, err := optimizer.EnumerateCandidates(q, nil, []float64{0.1, 10})
 		if err != nil {
 			return nil, err
@@ -868,9 +861,19 @@ func (db *DB) PlanSelect(sel *sqlparse.Select) (plan.Node, error) {
 		cond := learnedopt.BuildConditions(db.cat.All(), db.pool)
 		pick := learned.Choose(learnedopt.EncodeCandidates(nodes), cond)
 		return nodes[pick], nil
-	default:
-		return optimizer.New().Plan(q)
 	}
+	return db.costOptimizer(mode).Plan(q)
+}
+
+// costOptimizer returns the cost-based optimizer mode calls for: the last
+// ANALYZE's statistics under StaleCostMode, live statistics otherwise (the
+// learned mode ranks whole SELECT plans; where there is nothing to rank — no
+// model yet, or a write statement's single access path — it falls back here).
+func (db *DB) costOptimizer(mode OptimizerMode) *optimizer.Optimizer {
+	if mode == StaleCostMode {
+		return &optimizer.Optimizer{Stats: db.StaleStatsView(), CardScale: 1}
+	}
+	return optimizer.New()
 }
 
 // StaleStatsView returns a StatsView serving the snapshots captured at the
@@ -894,16 +897,32 @@ func (s *Session) execSelect(sel *sqlparse.Select, args []rel.Value) (*Result, e
 	return rows.drain()
 }
 
+// dmlTarget resolves a single-table write statement's table and binds its
+// WHERE clause against it.
+func (s *Session) dmlTarget(table string, where sqlparse.Expr) (*catalog.Table, rel.Expr, error) {
+	tbl, err := s.db.cat.Get(table)
+	if err != nil {
+		return nil, nil, err
+	}
+	bound, err := bindTableExpr(tbl, where)
+	return tbl, bound, err
+}
+
+// dmlAccessPath asks the optimizer's access-path entry point — the decision
+// a SELECT's base table gets — how to find the rows a write statement
+// changes. Executions pass the predicate with their arguments already
+// substituted, so the estimate reads the real histogram; planning costs
+// microseconds, so write statements plan per execution and cache nothing.
+func (db *DB) dmlAccessPath(tbl *catalog.Table, where rel.Expr) plan.Node {
+	return db.costOptimizer(db.OptimizerModeNow()).AccessPath(tbl, where)
+}
+
 func (s *Session) execUpdate(up *sqlparse.Update, args []rel.Value) (*Result, error) {
-	tbl, err := s.db.cat.Get(up.Table)
+	tbl, where, err := s.dmlTarget(up.Table, up.Where)
 	if err != nil {
 		return nil, err
 	}
-	where, err := bindTableExpr(tbl, up.Where)
-	if err != nil {
-		return nil, err
-	}
-	where = rel.SubstParams(where, args)
+	src := s.db.dmlAccessPath(tbl, rel.SubstParams(where, args))
 	set := make(map[int]rel.Expr, len(up.Set))
 	for name, e := range up.Set {
 		ci := tbl.Schema.ColIndex(name)
@@ -918,7 +937,7 @@ func (s *Session) execUpdate(up *sqlparse.Update, args []rel.Value) (*Result, er
 	}
 	tx, done := s.begin(false)
 	ctx := &executor.Ctx{Mgr: s.db.mgr, Txn: tx, Cat: s.db.cat, Workers: s.effectiveWorkers()}
-	n, execErr := executor.UpdateWhere(ctx, tbl, set, where)
+	n, execErr := executor.UpdateWhere(ctx, src, set)
 	if err := done(execErr); err != nil {
 		return nil, err
 	}
@@ -927,18 +946,14 @@ func (s *Session) execUpdate(up *sqlparse.Update, args []rel.Value) (*Result, er
 }
 
 func (s *Session) execDelete(del *sqlparse.Delete, args []rel.Value) (*Result, error) {
-	tbl, err := s.db.cat.Get(del.Table)
+	tbl, where, err := s.dmlTarget(del.Table, del.Where)
 	if err != nil {
 		return nil, err
 	}
-	where, err := bindTableExpr(tbl, del.Where)
-	if err != nil {
-		return nil, err
-	}
-	where = rel.SubstParams(where, args)
+	src := s.db.dmlAccessPath(tbl, rel.SubstParams(where, args))
 	tx, done := s.begin(false)
 	ctx := &executor.Ctx{Mgr: s.db.mgr, Txn: tx, Cat: s.db.cat, Workers: s.effectiveWorkers()}
-	n, execErr := executor.DeleteWhere(ctx, tbl, where)
+	n, execErr := executor.DeleteWhere(ctx, src)
 	if err := done(execErr); err != nil {
 		return nil, err
 	}
@@ -1035,12 +1050,22 @@ func (s *Session) execAnalyze(a *sqlparse.Analyze) (*Result, error) {
 	return &Result{Message: fmt.Sprintf("ANALYZE %d tables", len(tables))}, nil
 }
 
+// execExplain prints the plan of a SELECT, or the access node an UPDATE or
+// DELETE would find its rows with (parameters left in place: the generic
+// shape; an execution plans with its arguments inlined).
 func (s *Session) execExplain(e *sqlparse.Explain) (*Result, error) {
-	sel, ok := e.Inner.(*sqlparse.Select)
-	if !ok {
-		return nil, fmt.Errorf("neurdb: EXPLAIN supports SELECT only")
+	var p plan.Node
+	var err error
+	switch t := e.Inner.(type) {
+	case *sqlparse.Select:
+		p, err = s.db.PlanSelect(t)
+	case *sqlparse.Update:
+		p, err = s.explainDML(t.Table, t.Where)
+	case *sqlparse.Delete:
+		p, err = s.explainDML(t.Table, t.Where)
+	default:
+		err = fmt.Errorf("neurdb: EXPLAIN supports SELECT, UPDATE and DELETE only")
 	}
-	p, err := s.db.PlanSelect(sel)
 	if err != nil {
 		return nil, err
 	}
@@ -1050,6 +1075,14 @@ func (s *Session) execExplain(e *sqlparse.Explain) (*Result, error) {
 		rows = append(rows, rel.Row{rel.Text(line)})
 	}
 	return &Result{Columns: []string{"plan"}, Rows: rows}, nil
+}
+
+func (s *Session) explainDML(table string, whereAST sqlparse.Expr) (plan.Node, error) {
+	tbl, where, err := s.dmlTarget(table, whereAST)
+	if err != nil {
+		return nil, err
+	}
+	return s.db.dmlAccessPath(tbl, where), nil
 }
 
 func (s *Session) execSet(st *sqlparse.SetStmt) (*Result, error) {

@@ -296,48 +296,7 @@ func TestBackgroundCheckpointer(t *testing.T) {
 // attempted, and each writer's recovered rows form a prefix of its attempt
 // sequence (serial per-writer inserts admit at most one in-flight row).
 func TestCrashRecoveryStorm(t *testing.T) {
-	if os.Getenv("NEURDB_CRASH_CHILD") != "" {
-		t.Skip("child entrypoint")
-	}
-	if testing.Short() {
-		t.Skip("crash storm needs a subprocess")
-	}
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "journal.txt")
-
-	cmd := exec.Command(os.Args[0], "-test.run", "TestCrashChild$", "-test.v")
-	cmd.Env = append(os.Environ(),
-		"NEURDB_CRASH_CHILD=1",
-		"NEURDB_CRASH_DIR="+dir,
-		"NEURDB_CRASH_JOURNAL="+journal,
-	)
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cmd.Process.Kill()
-
-	// Let the storm run until a healthy number of commits were acknowledged.
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		if acks := countJournal(journal, "ack "); acks >= 200 {
-			break
-		}
-		if time.Now().After(deadline) {
-			cmd.Process.Kill()
-			cmd.Wait()
-			t.Fatalf("child never reached 200 acks (journal: %d lines)", countJournal(journal, ""))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
-		t.Fatal(err)
-	}
-	cmd.Wait() // reap; exit status is meaningless after SIGKILL
-
-	tried, acked := readJournal(t, journal)
-	if len(acked) == 0 {
-		t.Fatal("no acknowledged commits to verify")
-	}
+	dir, tried, acked := crashStorm(t, "insert")
 
 	db, err := OpenDB(durableConfig(dir))
 	if err != nil {
@@ -383,7 +342,108 @@ func TestCrashRecoveryStorm(t *testing.T) {
 	t.Logf("storm verified: %d tried, %d acked, %d recovered", len(tried), len(acked), len(recovered))
 }
 
-// TestCrashChild is the subprocess body for TestCrashRecoveryStorm; it runs
+// crashStorm re-execs the test binary as TestCrashChild in the given mode
+// against a fresh data directory, SIGKILLs it once 200 commits were
+// acknowledged, and returns the directory with the journal's tried and acked
+// sets.
+func crashStorm(t *testing.T, mode string) (dir string, tried, acked map[int64]bool) {
+	t.Helper()
+	if os.Getenv("NEURDB_CRASH_CHILD") != "" {
+		t.Skip("child entrypoint")
+	}
+	if testing.Short() {
+		t.Skip("crash storm needs a subprocess")
+	}
+	dir = t.TempDir()
+	journal := filepath.Join(dir, "journal.txt")
+
+	cmd := exec.Command(os.Args[0], "-test.run", "TestCrashChild$", "-test.v")
+	cmd.Env = append(os.Environ(),
+		"NEURDB_CRASH_CHILD="+mode,
+		"NEURDB_CRASH_DIR="+dir,
+		"NEURDB_CRASH_JOURNAL="+journal,
+	)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+
+	// Let the storm run until a healthy number of commits were acknowledged.
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		if acks := countJournal(journal, "ack "); acks >= 200 {
+			break
+		}
+		if time.Now().After(deadline) {
+			cmd.Process.Kill()
+			cmd.Wait()
+			t.Fatalf("child never reached 200 acks (journal: %d lines)", countJournal(journal, ""))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	cmd.Wait() // reap; exit status is meaningless after SIGKILL
+
+	tried, acked = readJournal(t, journal)
+	if len(acked) == 0 {
+		t.Fatal("no acknowledged commits to verify")
+	}
+	return dir, tried, acked
+}
+
+// TestCrashRecoveryIndexedUpdates is the storm with point updates in place
+// of inserts: each writer owns one pre-loaded row and sets its counter to 1,
+// 2, 3, ... through UPDATE ... WHERE id = ?, which finds the row through the
+// primary-key index. After the SIGKILL every writer's recovered counter must
+// be at least its last acknowledged value and at most its last attempted
+// one, and the recovered index must still lead to exactly one row per key.
+func TestCrashRecoveryIndexedUpdates(t *testing.T) {
+	dir, tried, acked := crashStorm(t, "update")
+
+	db, err := OpenDB(durableConfig(dir))
+	if err != nil {
+		t.Fatalf("recovery after SIGKILL: %v", err)
+	}
+	defer db.Close()
+	last := func(set map[int64]bool, w int64) int64 {
+		var m int64
+		for id := range set {
+			if id/1_000_000 == w && id%1_000_000 > m {
+				m = id % 1_000_000
+			}
+		}
+		return m
+	}
+	if plan := explainText(t, db, `SELECT n FROM counters WHERE id = 3`); !strings.Contains(plan, "IndexScan") {
+		t.Fatalf("recovered point read does not use the index:\n%s", plan)
+	}
+	for w := int64(0); w < crashWriters; w++ {
+		got := queryInts(t, db, fmt.Sprintf(`SELECT n FROM counters WHERE id = %d`, crashRowOf(w)))
+		if len(got) != 1 {
+			t.Fatalf("writer %d: recovered index returns %v for its row", w, got)
+		}
+		if lo, hi := last(acked, w), last(tried, w); got[0] < lo || got[0] > hi {
+			t.Fatalf("writer %d: recovered counter %d outside [last acked %d, last tried %d]", w, got[0], lo, hi)
+		}
+	}
+	if n := queryInts(t, db, `SELECT COUNT(*) FROM counters`); n[0] != crashCounterRows {
+		t.Fatalf("counters holds %d rows, want %d", n[0], crashCounterRows)
+	}
+	t.Logf("update storm verified: %d tried, %d acked", len(tried), len(acked))
+}
+
+// The update storm's table: enough rows that the optimizer prefers the
+// index, with each writer's row on a different heap page.
+const (
+	crashWriters     = 4
+	crashCounterRows = 2000
+)
+
+func crashRowOf(w int64) int64 { return w*400 + 3 }
+
+// TestCrashChild is the subprocess body for the crash storms; it runs
 // only when re-execed with the environment set, and is killed by the parent.
 func TestCrashChild(t *testing.T) {
 	if os.Getenv("NEURDB_CRASH_CHILD") == "" {
@@ -395,8 +455,6 @@ func TestCrashChild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("child open: %v", err)
 	}
-	mustExec(t, db, `CREATE TABLE storm (id INT PRIMARY KEY, payload TEXT)`)
-
 	jf, err := os.OpenFile(jpath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -412,14 +470,44 @@ func TestCrashChild(t *testing.T) {
 		jmu <- struct{}{}
 	}
 
-	const writers = 4
-	for w := 0; w < writers; w++ {
-		go func(w int) {
+	// stmt runs writer w's seq-th statement; journal ids are w*1e6+seq.
+	var stmt func(s *Session, w, seq int64) error
+	firstSeq := int64(0)
+	if os.Getenv("NEURDB_CRASH_CHILD") == "update" {
+		mustExec(t, db, `CREATE TABLE counters (id INT PRIMARY KEY, n INT)`)
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO counters VALUES ")
+		for i := 0; i < crashCounterRows; i++ {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, "(%d, 0)", i)
+		}
+		mustExec(t, db, sb.String())
+		mustExec(t, db, `ANALYZE counters`)
+		firstSeq = 1 // the loaded counters hold 0
+		stmt = func(s *Session, w, seq int64) error {
+			res, err := s.Exec(`UPDATE counters SET n = ? WHERE id = ?`, seq, crashRowOf(w))
+			if err == nil && res.Affected != 1 {
+				err = fmt.Errorf("update affected %d rows", res.Affected)
+			}
+			return err
+		}
+	} else {
+		mustExec(t, db, `CREATE TABLE storm (id INT PRIMARY KEY, payload TEXT)`)
+		stmt = func(s *Session, w, seq int64) error {
+			_, err := s.Exec(`INSERT INTO storm VALUES (?, ?)`, w*1_000_000+seq, strings.Repeat("x", 64))
+			return err
+		}
+	}
+
+	for w := int64(0); w < crashWriters; w++ {
+		go func(w int64) {
 			s := db.NewSession()
-			for seq := 0; ; seq++ {
-				id := int64(w)*1_000_000 + int64(seq)
+			for seq := firstSeq; ; seq++ {
+				id := w*1_000_000 + seq
 				journal(fmt.Sprintf("try %d\n", id))
-				if _, err := s.Exec(`INSERT INTO storm VALUES (?, ?)`, id, strings.Repeat("x", 64)); err != nil {
+				if err := stmt(s, w, seq); err != nil {
 					return
 				}
 				journal(fmt.Sprintf("ack %d\n", id))

@@ -290,14 +290,17 @@ func (s *seqScanBatch) NextBatch(dst *rel.Batch) (int, error) {
 
 func (s *seqScanBatch) Close() error { return nil }
 
-// indexScanBatch drains an index-posting list batch-at-a-time. Lookups stay
-// per-row (point reads through Heap.Head), but downstream operators get the
-// dispatch amortization.
+// indexScanBatch drains an index-posting list batch-at-a-time: each batch
+// resolves up to BatchSize postings through one indexFetch call, so a range
+// over clustered keys pays page-granular heap access like the sequential
+// scan, and downstream operators get the dispatch amortization.
 type indexScanBatch struct {
-	ctx  *Ctx
-	node *plan.IndexScan
-	ids  []storage.RowID
-	pos  int
+	ctx   *Ctx
+	node  *plan.IndexScan
+	ids   []storage.RowID
+	pos   int
+	heads []*storage.Version // indexFetch scratch
+	kept  []storage.RowID    // indexFetch scratch (row identity is unused here)
 }
 
 func (s *indexScanBatch) Open() error {
@@ -309,16 +312,9 @@ func (s *indexScanBatch) Open() error {
 func (s *indexScanBatch) NextBatch(dst *rel.Batch) (int, error) {
 	dst.Reset()
 	for dst.Len() < BatchSize && s.pos < len(s.ids) {
-		id := s.ids[s.pos]
-		s.pos++
-		row, visible := s.ctx.Mgr.Read(s.node.Table.Heap, id, s.ctx.Txn)
-		if !visible || !indexRecheck(s.node, row) {
-			continue
-		}
-		if s.node.Filter != nil && !s.node.Filter.Eval(row).AsBool() {
-			continue
-		}
-		dst.Append(row)
+		end := min(s.pos+BatchSize-dst.Len(), len(s.ids))
+		s.heads, s.kept, dst.Rows = indexFetch(s.ctx, s.node, s.ids[s.pos:end], s.heads, s.kept[:0], dst.Rows)
+		s.pos = end
 	}
 	return dst.Len(), nil
 }

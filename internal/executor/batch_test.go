@@ -101,12 +101,12 @@ func TestBatchEngineMatchesScalarEngine(t *testing.T) {
 	// Mutate: version chains and dead slots must not confuse batch scans.
 	mctx := db.ctx()
 	where := &rel.BinOp{Kind: rel.OpLt, L: &rel.ColRef{Idx: 0}, R: &rel.Const{Val: rel.Int(200)}}
-	if _, err := DeleteWhere(mctx, items, where); err != nil {
+	if _, err := DeleteWhere(mctx, seqSrc(items, where)); err != nil {
 		t.Fatal(err)
 	}
 	set := map[int]rel.Expr{2: &rel.Const{Val: rel.Float(1)}}
 	whereUpd := &rel.BinOp{Kind: rel.OpGt, L: &rel.ColRef{Idx: 0}, R: &rel.Const{Val: rel.Int(2800)}}
-	if _, err := UpdateWhere(mctx, items, set, whereUpd); err != nil {
+	if _, err := UpdateWhere(mctx, seqSrc(items, whereUpd), set); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.mgr.Commit(mctx.Txn); err != nil {
@@ -317,10 +317,10 @@ func TestSerializableBatchScanRegistersReads(t *testing.T) {
 	// ...then each updates the row the other read (write skew).
 	w1 := &rel.BinOp{Kind: rel.OpEq, L: &rel.ColRef{Idx: 0}, R: &rel.Const{Val: rel.Int(1)}}
 	w2 := &rel.BinOp{Kind: rel.OpEq, L: &rel.ColRef{Idx: 0}, R: &rel.Const{Val: rel.Int(2)}}
-	if _, err := UpdateWhere(c1, tbl, map[int]rel.Expr{1: &rel.Const{Val: rel.Int(0)}}, w1); err != nil {
+	if _, err := UpdateWhere(c1, seqSrc(tbl, w1), map[int]rel.Expr{1: &rel.Const{Val: rel.Int(0)}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UpdateWhere(c2, tbl, map[int]rel.Expr{1: &rel.Const{Val: rel.Int(0)}}, w2); err != nil {
+	if _, err := UpdateWhere(c2, seqSrc(tbl, w2), map[int]rel.Expr{1: &rel.Const{Val: rel.Int(0)}}); err != nil {
 		t.Fatal(err)
 	}
 	err1 := db.mgr.Commit(t1)

@@ -254,7 +254,7 @@ func BenchmarkAggBatch(b *testing.B) {
 
 // --- batch DML ---
 
-const dmlRows = 100_000
+const dmlBenchRows = 100_000
 
 func dmlWhere() rel.Expr {
 	return &rel.BinOp{Kind: rel.OpEq, L: &rel.ColRef{Idx: 1}, R: &rel.Const{Val: rel.Int(7)}}
@@ -269,7 +269,7 @@ func dmlSet() map[int]rel.Expr {
 // aborting outside the timer so every iteration sees identical data.
 func benchDML(b *testing.B, run func(ctx *Ctx, tbl *catalog.Table) (int, error)) {
 	e := newBenchEnv(b)
-	tbl := e.fill(b, "t", dmlRows, 16)
+	tbl := e.fill(b, "t", dmlBenchRows, 16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -285,7 +285,7 @@ func benchDML(b *testing.B, run func(ctx *Ctx, tbl *catalog.Table) (int, error))
 		e.mgr.Abort(ctx.Txn)
 		b.StartTimer()
 	}
-	b.ReportMetric(float64(dmlRows)*float64(b.N)/b.Elapsed().Seconds(), "scanned_rows/s")
+	b.ReportMetric(float64(dmlBenchRows)*float64(b.N)/b.Elapsed().Seconds(), "scanned_rows/s")
 }
 
 // BenchmarkUpdateWhereRowCursor is the legacy row-at-a-time UPDATE: one
@@ -302,7 +302,7 @@ func BenchmarkUpdateWhereRowCursor(b *testing.B) {
 func BenchmarkUpdateWhereBatch(b *testing.B) {
 	set, where := dmlSet(), dmlWhere()
 	benchDML(b, func(ctx *Ctx, tbl *catalog.Table) (int, error) {
-		return UpdateWhere(ctx, tbl, set, where)
+		return UpdateWhere(ctx, seqSrc(tbl, where), set)
 	})
 }
 
@@ -318,7 +318,7 @@ func BenchmarkDeleteWhereRowCursor(b *testing.B) {
 func BenchmarkDeleteWhereBatch(b *testing.B) {
 	where := dmlWhere()
 	benchDML(b, func(ctx *Ctx, tbl *catalog.Table) (int, error) {
-		return DeleteWhere(ctx, tbl, where)
+		return DeleteWhere(ctx, seqSrc(tbl, where))
 	})
 }
 
@@ -329,7 +329,7 @@ func BenchmarkDeleteWhereBatch(b *testing.B) {
 // by construction).
 func benchParallelDML(b *testing.B, run func(ctx *Ctx, tbl *catalog.Table) (int, error)) {
 	e := newBenchEnv(b)
-	tbl := e.fill(b, "t", dmlRows, 16)
+	tbl := e.fill(b, "t", dmlBenchRows, 16)
 	workers := runtime.GOMAXPROCS(0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -346,7 +346,7 @@ func benchParallelDML(b *testing.B, run func(ctx *Ctx, tbl *catalog.Table) (int,
 		e.mgr.Abort(ctx.Txn)
 		b.StartTimer()
 	}
-	b.ReportMetric(float64(dmlRows)*float64(b.N)/b.Elapsed().Seconds(), "scanned_rows/s")
+	b.ReportMetric(float64(dmlBenchRows)*float64(b.N)/b.Elapsed().Seconds(), "scanned_rows/s")
 }
 
 // BenchmarkParallelDMLUpdate is the morsel-parallel UPDATE (page-batched
@@ -354,7 +354,7 @@ func benchParallelDML(b *testing.B, run func(ctx *Ctx, tbl *catalog.Table) (int,
 func BenchmarkParallelDMLUpdate(b *testing.B) {
 	set, where := dmlSet(), dmlWhere()
 	benchParallelDML(b, func(ctx *Ctx, tbl *catalog.Table) (int, error) {
-		return UpdateWhere(ctx, tbl, set, where)
+		return UpdateWhere(ctx, seqSrc(tbl, where), set)
 	})
 }
 
@@ -362,7 +362,7 @@ func BenchmarkParallelDMLUpdate(b *testing.B) {
 func BenchmarkParallelDMLDelete(b *testing.B) {
 	where := dmlWhere()
 	benchParallelDML(b, func(ctx *Ctx, tbl *catalog.Table) (int, error) {
-		return DeleteWhere(ctx, tbl, where)
+		return DeleteWhere(ctx, seqSrc(tbl, where))
 	})
 }
 

@@ -98,19 +98,81 @@ func dmlScan(ctx *Ctx, t *catalog.Table, where rel.Expr, apply func(ids []storag
 	}
 }
 
-// UpdateWhere updates rows matching the (possibly nil) predicate, setting
-// columns via the given expressions (evaluated against the old row). The
-// heap is scanned page-at-a-time and writes, index maintenance, and
-// statistics are applied per page batch. When ctx.Workers allows it the
-// pages are dispatched through the morsel-parallel write path instead (see
-// dmlParallel); results are identical either way. It returns the number of
-// rows updated.
-func UpdateWhere(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, where rel.Expr) (int, error) {
-	if w := pipelineWorkers(ctx, &scanPipeline{table: t}); w > 1 {
-		return dmlParallel(ctx, t, set, where, w)
+// dmlIndexScan is dmlScan's index-driven counterpart: the rows come from an
+// index probe instead of a pass over the heap. The posting list is
+// materialized before the first write, so the statement never chases its
+// own index insertions (the Halloween problem: "SET k = k + 10 WHERE k >= 5"
+// would otherwise meet every row again under its new key). Rows are then
+// fetched and handed to apply one heap page at a time, in heap order — the
+// same sequence of apply calls dmlScan makes for the rows it selects, so
+// writes, index postings and statistics notes land identically.
+func dmlIndexScan(ctx *Ctx, n *plan.IndexScan, apply func(ids []storage.RowID, rows []rel.Row) error) (int, error) {
+	all, err := indexScanIDs(n)
+	if err != nil {
+		return 0, err
 	}
+	total := 0
+	var heads []*storage.Version
+	var ids []storage.RowID
+	var rows []rel.Row
+	for start := 0; start < len(all); {
+		end := start + 1
+		for end < len(all) && all[end].Page == all[start].Page {
+			end++
+		}
+		heads, ids, rows = indexFetch(ctx, n, all[start:end], heads, ids[:0], rows[:0])
+		start = end
+		if len(ids) == 0 {
+			continue
+		}
+		if err := apply(ids, rows); err != nil {
+			return 0, err
+		}
+		total += len(ids)
+	}
+	return total, nil
+}
+
+// dmlRows runs apply over the rows the access node src selects, a page
+// batch at a time. src is what optimizer.AccessPath returns: a SeqScan or an
+// IndexScan over the target table. A large-enough SeqScan is dispatched
+// through the morsel-parallel write path instead (see dmlParallel; set is
+// nil for DELETE); results are identical either way.
+func dmlRows(ctx *Ctx, src plan.Node, set map[int]rel.Expr, apply func(ids []storage.RowID, rows []rel.Row) error) (int, error) {
+	switch s := src.(type) {
+	case *plan.SeqScan:
+		if w := pipelineWorkers(ctx, &scanPipeline{table: s.Table}); w > 1 {
+			return dmlParallel(ctx, s.Table, set, s.Filter, w)
+		}
+		return dmlScan(ctx, s.Table, s.Filter, apply)
+	case *plan.IndexScan:
+		return dmlIndexScan(ctx, s, apply)
+	default:
+		return 0, fmt.Errorf("executor: DML row source must be a table scan, got %T", src)
+	}
+}
+
+// scanTable returns the table an access node reads (nil for any other node;
+// dmlRows rejects those before a row is touched).
+func scanTable(src plan.Node) *catalog.Table {
+	switch s := src.(type) {
+	case *plan.SeqScan:
+		return s.Table
+	case *plan.IndexScan:
+		return s.Table
+	default:
+		return nil
+	}
+}
+
+// UpdateWhere updates the rows the access node src selects, setting columns
+// via the given expressions (evaluated against the old row). Writes, index
+// maintenance, and statistics are applied per page batch. It returns the
+// number of rows updated.
+func UpdateWhere(ctx *Ctx, src plan.Node, set map[int]rel.Expr) (int, error) {
+	t := scanTable(src)
 	news := make([]rel.Row, 0, storage.RowsPerPage)
-	return dmlScan(ctx, t, where, func(ids []storage.RowID, olds []rel.Row) error {
+	return dmlRows(ctx, src, set, func(ids []storage.RowID, olds []rel.Row) error {
 		news = news[:0]
 		for _, row := range olds {
 			newRow := row.Clone()
@@ -137,15 +199,11 @@ func UpdateWhere(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, where rel.Exp
 	})
 }
 
-// DeleteWhere deletes rows matching the (possibly nil) predicate, scanning
-// page-at-a-time and batching statistics maintenance per page. Like
-// UpdateWhere it rides the morsel-parallel write path when ctx.Workers
-// allows. It returns the number of rows deleted.
-func DeleteWhere(ctx *Ctx, t *catalog.Table, where rel.Expr) (int, error) {
-	if w := pipelineWorkers(ctx, &scanPipeline{table: t}); w > 1 {
-		return dmlParallel(ctx, t, nil, where, w)
-	}
-	return dmlScan(ctx, t, where, func(ids []storage.RowID, rows []rel.Row) error {
+// DeleteWhere deletes the rows the access node src selects, batching
+// statistics maintenance per page. It returns the number of rows deleted.
+func DeleteWhere(ctx *Ctx, src plan.Node) (int, error) {
+	t := scanTable(src)
+	return dmlRows(ctx, src, nil, func(ids []storage.RowID, rows []rel.Row) error {
 		if err := ctx.Mgr.DeleteBatch(t.Heap, ids, ctx.Txn); err != nil {
 			return err
 		}

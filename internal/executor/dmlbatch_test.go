@@ -144,31 +144,31 @@ func TestBatchDMLMatchesRowCursorDML(t *testing.T) {
 	steps := []step{
 		{"update grp=3", func(ctx *Ctx, tbl *catalog.Table, batch bool) (int, error) {
 			if batch {
-				return UpdateWhere(ctx, tbl, bump, grpEq(3))
+				return UpdateWhere(ctx, seqSrc(tbl, grpEq(3)), bump)
 			}
 			return updateWhereRowCursor(ctx, tbl, bump, grpEq(3))
 		}},
 		{"delete id<200", func(ctx *Ctx, tbl *catalog.Table, batch bool) (int, error) {
 			if batch {
-				return DeleteWhere(ctx, tbl, idLt(200))
+				return DeleteWhere(ctx, seqSrc(tbl, idLt(200)))
 			}
 			return deleteWhereRowCursor(ctx, tbl, idLt(200))
 		}},
 		{"update all (nil where)", func(ctx *Ctx, tbl *catalog.Table, batch bool) (int, error) {
 			if batch {
-				return UpdateWhere(ctx, tbl, bump, nil)
+				return UpdateWhere(ctx, seqSrc(tbl, nil), bump)
 			}
 			return updateWhereRowCursor(ctx, tbl, bump, nil)
 		}},
 		{"delete none (grp=99)", func(ctx *Ctx, tbl *catalog.Table, batch bool) (int, error) {
 			if batch {
-				return DeleteWhere(ctx, tbl, grpEq(99))
+				return DeleteWhere(ctx, seqSrc(tbl, grpEq(99)))
 			}
 			return deleteWhereRowCursor(ctx, tbl, grpEq(99))
 		}},
 		{"delete all", func(ctx *Ctx, tbl *catalog.Table, batch bool) (int, error) {
 			if batch {
-				return DeleteWhere(ctx, tbl, nil)
+				return DeleteWhere(ctx, seqSrc(tbl, nil))
 			}
 			return deleteWhereRowCursor(ctx, tbl, nil)
 		}},
@@ -220,10 +220,10 @@ func TestBatchDMLOnEmptyTable(t *testing.T) {
 	db := newTestDB(t)
 	tbl := db.mustCreate("e", rel.Column{Name: "x", Typ: rel.TypeInt})
 	ctx := db.ctx()
-	if n, err := UpdateWhere(ctx, tbl, map[int]rel.Expr{0: &rel.Const{Val: rel.Int(1)}}, nil); err != nil || n != 0 {
+	if n, err := UpdateWhere(ctx, seqSrc(tbl, nil), map[int]rel.Expr{0: &rel.Const{Val: rel.Int(1)}}); err != nil || n != 0 {
 		t.Fatalf("update empty: n=%d err=%v", n, err)
 	}
-	if n, err := DeleteWhere(ctx, tbl, nil); err != nil || n != 0 {
+	if n, err := DeleteWhere(ctx, seqSrc(tbl, nil)); err != nil || n != 0 {
 		t.Fatalf("delete empty: n=%d err=%v", n, err)
 	}
 	if err := db.mgr.Commit(ctx.Txn); err != nil {
@@ -241,10 +241,10 @@ func TestBatchDMLWriteConflict(t *testing.T) {
 
 	c1 := db.ctx()
 	c2 := db.ctx()
-	if _, err := UpdateWhere(c1, tbl, set, nil); err != nil {
+	if _, err := UpdateWhere(c1, seqSrc(tbl, nil), set); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UpdateWhere(c2, tbl, set, nil); !errors.Is(err, txn.ErrWriteConflict) {
+	if _, err := UpdateWhere(c2, seqSrc(tbl, nil), set); !errors.Is(err, txn.ErrWriteConflict) {
 		t.Fatalf("expected write conflict, got %v", err)
 	}
 	db.mgr.Abort(c2.Txn)

@@ -47,19 +47,19 @@ func TestParallelDMLMatchesSerialDML(t *testing.T) {
 		run  func(ctx *Ctx, tbl *catalog.Table) (int, error)
 	}{
 		{"update val grp=3", func(ctx *Ctx, tbl *catalog.Table) (int, error) {
-			return UpdateWhere(ctx, tbl, setVal, grpEq(3))
+			return UpdateWhere(ctx, seqSrc(tbl, grpEq(3)), setVal)
 		}},
 		{"update indexed grp", func(ctx *Ctx, tbl *catalog.Table) (int, error) {
-			return UpdateWhere(ctx, tbl, setGrp, grpEq(5))
+			return UpdateWhere(ctx, seqSrc(tbl, grpEq(5)), setGrp)
 		}},
 		{"delete id>=5000", func(ctx *Ctx, tbl *catalog.Table) (int, error) {
-			return DeleteWhere(ctx, tbl, idGe(5000))
+			return DeleteWhere(ctx, seqSrc(tbl, idGe(5000)))
 		}},
 		{"update all", func(ctx *Ctx, tbl *catalog.Table) (int, error) {
-			return UpdateWhere(ctx, tbl, setVal, nil)
+			return UpdateWhere(ctx, seqSrc(tbl, nil), setVal)
 		}},
 		{"delete none", func(ctx *Ctx, tbl *catalog.Table) (int, error) {
-			return DeleteWhere(ctx, tbl, grpEq(99))
+			return DeleteWhere(ctx, seqSrc(tbl, grpEq(99)))
 		}},
 	}
 	for _, st := range steps {
@@ -136,11 +136,11 @@ func TestParallelDMLConflictAborts(t *testing.T) {
 
 	c1 := db.pctx(1)
 	one := &rel.BinOp{Kind: rel.OpEq, L: &rel.ColRef{Idx: 0}, R: &rel.Const{Val: rel.Int(3000)}}
-	if _, err := UpdateWhere(c1, tbl, set, one); err != nil {
+	if _, err := UpdateWhere(c1, seqSrc(tbl, one), set); err != nil {
 		t.Fatal(err)
 	}
 	c2 := db.pctx(4)
-	if _, err := UpdateWhere(c2, tbl, set, nil); !errors.Is(err, txn.ErrWriteConflict) {
+	if _, err := UpdateWhere(c2, seqSrc(tbl, nil), set); !errors.Is(err, txn.ErrWriteConflict) {
 		t.Fatalf("expected write conflict, got %v", err)
 	}
 	db.mgr.Abort(c2.Txn)
@@ -149,7 +149,7 @@ func TestParallelDMLConflictAborts(t *testing.T) {
 	}
 	// All claims released: a fresh parallel statement touches every row.
 	c3 := db.pctx(4)
-	n, err := UpdateWhere(c3, tbl, set, nil)
+	n, err := UpdateWhere(c3, seqSrc(tbl, nil), set)
 	if err != nil {
 		t.Fatalf("claims not released after parallel abort: %v", err)
 	}
@@ -167,7 +167,7 @@ func TestParallelDMLSmallTableStaysSerial(t *testing.T) {
 	db := newTestDB(t)
 	tbl := seedDMLTable(t, db, "t", 500) // ~4 pages, below the gate
 	ctx := db.pctx(8)
-	n, err := UpdateWhere(ctx, tbl, map[int]rel.Expr{2: &rel.Const{Val: rel.Float(1)}}, nil)
+	n, err := UpdateWhere(ctx, seqSrc(tbl, nil), map[int]rel.Expr{2: &rel.Const{Val: rel.Float(1)}})
 	if err != nil || n != 500 {
 		t.Fatalf("n=%d err=%v", n, err)
 	}

@@ -5,7 +5,9 @@
 package executor
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"neurdb/internal/catalog"
@@ -201,31 +203,68 @@ type indexScanIter struct {
 	pos  int
 }
 
-// indexScanIDs materializes the posting list an index scan will visit.
+// indexScanIDs materializes the rows an index scan will visit: the probe's
+// postings, in heap order, each RowID once.
+//
+// Index maintenance is lazy — an update that changes a row's key adds a
+// posting under the new key and leaves the old one behind — so one row can
+// sit under several keys of a probed range (or twice under one key it left
+// and came back to). Visiting a RowID once, and accepting the row only if
+// its current key satisfies the probe (indexRecheck), is what makes a scan
+// return each row at most once. Heap order also lets the fetch pay one heap
+// lock and one buffer-pool touch per run of postings on the same page, and
+// gives index-driven DML the page-by-page order of the heap scan it
+// replaces.
 func indexScanIDs(n *plan.IndexScan) ([]storage.RowID, error) {
 	if n.EqArg != 0 || n.LoArg != 0 || n.HiArg != 0 {
 		return nil, fmt.Errorf("executor: index scan on %q has unbound parameters (apply plan.BindParams first)", n.Index.Name)
 	}
+	for _, b := range []*rel.Value{n.Eq, n.Lo, n.Hi} {
+		if b != nil && b.IsNull() {
+			return nil, nil // a comparison with NULL matches no row
+		}
+	}
+	var ids []storage.RowID
 	switch {
 	case n.Eq != nil:
-		return n.Index.Lookup(*n.Eq), nil
+		ids = n.Index.Lookup(*n.Eq)
 	case n.Index.BT != nil:
-		var ids []storage.RowID
 		n.Index.BT.Range(n.Lo, n.Hi, func(_ rel.Value, got []storage.RowID) bool {
 			ids = append(ids, got...)
 			return true
 		})
-		return ids, nil
 	default:
 		return nil, fmt.Errorf("executor: range scan over hash index %q", n.Index.Name)
 	}
+	order := func(a, b storage.RowID) int {
+		if c := cmp.Compare(a.Page, b.Page); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Slot, b.Slot)
+	}
+	ascending := true
+	for i := 1; i < len(ids) && ascending; i++ {
+		ascending = order(ids[i-1], ids[i]) < 0
+	}
+	if ascending {
+		return ids, nil // the common case: keys loaded in heap order, no stale postings
+	}
+	if n.Eq != nil {
+		ids = slices.Clone(ids) // Lookup's slice belongs to the index
+	}
+	slices.SortFunc(ids, order)
+	return slices.Compact(ids), nil
 }
 
-// indexRecheck verifies the index condition against the fetched row:
-// postings can be stale when an update changed the key (lazy index
-// maintenance).
+// indexRecheck verifies the index condition against the fetched row: a
+// posting can be stale when an update changed the key (lazy index
+// maintenance) or vacuum handed the slot to another row. A NULL key fails
+// every comparison, so it never matches.
 func indexRecheck(n *plan.IndexScan, row rel.Row) bool {
 	v := row[n.Index.Col]
+	if v.IsNull() {
+		return false
+	}
 	if n.Eq != nil {
 		return rel.Equal(v, *n.Eq)
 	}
@@ -236,6 +275,28 @@ func indexRecheck(n *plan.IndexScan, row rel.Row) bool {
 		return false
 	}
 	return true
+}
+
+// indexFetch reads the rows at ids (heap order, as indexScanIDs returns
+// them) that are visible to the context transaction and satisfy the scan's
+// probe and residual filter, appending them to rows and their RowIDs to
+// keep (aligned). Chain heads are resolved in one batched heap call: one
+// heap lock, and one buffer-pool touch per run of ids on the same page;
+// heads is scratch.
+func indexFetch(ctx *Ctx, n *plan.IndexScan, ids []storage.RowID, heads []*storage.Version, keep []storage.RowID, rows []rel.Row) ([]*storage.Version, []storage.RowID, []rel.Row) {
+	heads = n.Table.Heap.Heads(ids, heads[:0])
+	for i, id := range ids {
+		row, visible := ctx.Mgr.ReadHead(n.Table.ID, id, heads[i], ctx.Txn)
+		if !visible || !indexRecheck(n, row) {
+			continue
+		}
+		if n.Filter != nil && !n.Filter.Eval(row).AsBool() {
+			continue
+		}
+		keep = append(keep, id)
+		rows = append(rows, row)
+	}
+	return heads, keep, rows
 }
 
 func (it *indexScanIter) Open() error {

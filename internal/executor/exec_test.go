@@ -44,6 +44,11 @@ func (db *testDB) mustCreate(name string, cols ...rel.Column) *catalog.Table {
 	return t
 }
 
+// seqSrc is the heap-scan access node for DML over tbl (where may be nil).
+func seqSrc(tbl *catalog.Table, where rel.Expr) plan.Node {
+	return &plan.SeqScan{Table: tbl, Filter: where}
+}
+
 func (db *testDB) insert(tbl *catalog.Table, rows ...rel.Row) {
 	db.t.Helper()
 	ctx := db.ctx()
@@ -345,7 +350,7 @@ func TestUpdateAndDelete(t *testing.T) {
 
 	ctx := db.ctx()
 	where := &rel.BinOp{Kind: rel.OpEq, L: &rel.ColRef{Idx: 0}, R: &rel.Const{Val: rel.Int(1)}}
-	n, err := UpdateWhere(ctx, users, map[int]rel.Expr{2: &rel.Const{Val: rel.Int(99)}}, where)
+	n, err := UpdateWhere(ctx, seqSrc(users, where), map[int]rel.Expr{2: &rel.Const{Val: rel.Int(99)}})
 	if err != nil || n != 1 {
 		t.Fatalf("update n=%d err=%v", n, err)
 	}
@@ -358,7 +363,7 @@ func TestUpdateAndDelete(t *testing.T) {
 	}
 
 	dctx := db.ctx()
-	n, err = DeleteWhere(dctx, users, where)
+	n, err = DeleteWhere(dctx, seqSrc(users, where))
 	if err != nil || n != 1 {
 		t.Fatalf("delete n=%d err=%v", n, err)
 	}

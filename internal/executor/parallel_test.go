@@ -91,12 +91,12 @@ func loadParallelFixture(t *testing.T, db *testDB) {
 	// Version chains and vacated slots must not confuse morsel scans.
 	mctx := db.ctx()
 	del := &rel.BinOp{Kind: rel.OpLt, L: &rel.ColRef{Idx: 0}, R: &rel.Const{Val: rel.Int(700)}}
-	if _, err := DeleteWhere(mctx, items, del); err != nil {
+	if _, err := DeleteWhere(mctx, seqSrc(items, del)); err != nil {
 		t.Fatal(err)
 	}
 	set := map[int]rel.Expr{2: &rel.Const{Val: rel.Float(2.5)}}
 	upd := &rel.BinOp{Kind: rel.OpGt, L: &rel.ColRef{Idx: 0}, R: &rel.Const{Val: rel.Int(11000)}}
-	if _, err := UpdateWhere(mctx, items, set, upd); err != nil {
+	if _, err := UpdateWhere(mctx, seqSrc(items, upd), set); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.mgr.Commit(mctx.Txn); err != nil {

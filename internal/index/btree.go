@@ -221,13 +221,19 @@ func (t *BTree) Delete(key rel.Value, id storage.RowID) bool {
 }
 
 // Range visits postings for keys in [lo, hi]. Nil bounds are open. The
-// visitor returns false to stop.
+// visitor returns false to stop. The scan seeks to lo inside its first leaf
+// by binary search, so a short range costs one descent plus the keys it
+// visits.
 func (t *BTree) Range(lo, hi *rel.Value, visit func(rel.Value, []storage.RowID) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var leaf *btLeaf
+	start := 0
 	if lo != nil {
+		// Every key in the leaves before findLeaf(lo) is below lo; the
+		// first key >= lo is in this leaf or opens the next one.
 		leaf = t.findLeaf(*lo)
+		start = lowerBound(leaf.keys, *lo)
 	} else {
 		n := t.root
 		for {
@@ -238,11 +244,9 @@ func (t *BTree) Range(lo, hi *rel.Value, visit func(rel.Value, []storage.RowID) 
 			n = n.(*btInternal).children[0]
 		}
 	}
-	for ; leaf != nil; leaf = leaf.next {
-		for i, k := range leaf.keys {
-			if lo != nil && rel.Compare(k, *lo) < 0 {
-				continue
-			}
+	for ; leaf != nil; leaf, start = leaf.next, 0 {
+		for i := start; i < len(leaf.keys); i++ {
+			k := leaf.keys[i]
 			if hi != nil && rel.Compare(k, *hi) > 0 {
 				return
 			}

@@ -122,6 +122,45 @@ func TestBTreeRange(t *testing.T) {
 	}
 }
 
+// TestBTreeRangeSeekMatchesFilter checks the in-leaf seek against the
+// definition — every key with lo <= key <= hi, in order — for bounds that
+// fall on keys, between keys, on leaf boundaries, before the first key and
+// past the last, over a tree whose leaves were thinned by deletes.
+func TestBTreeRangeSeekMatchesFilter(t *testing.T) {
+	bt := NewBTree()
+	r := rand.New(rand.NewSource(5))
+	for _, i := range r.Perm(3000) {
+		bt.Insert(rel.Int(int64(i*3)), rid(i)) // keys 0, 3, ..., 8997
+	}
+	for i := 0; i < 3000; i += 1 + r.Intn(4) {
+		bt.Delete(rel.Int(int64(i*3)), rid(i))
+	}
+	keys := bt.Keys()
+	for trial := 0; trial < 2000; trial++ {
+		lo := rel.Int(int64(r.Intn(9200) - 100))
+		hi := rel.Int(lo.I + int64(r.Intn(400)) - 20) // sometimes below lo: empty
+		var want []int64
+		for _, k := range keys {
+			if k.I >= lo.I && k.I <= hi.I {
+				want = append(want, k.I)
+			}
+		}
+		var got []int64
+		bt.Range(&lo, &hi, func(k rel.Value, _ []storage.RowID) bool {
+			got = append(got, k.I)
+			return true
+		})
+		if len(got) != len(want) {
+			t.Fatalf("[%d,%d]: got %v, want %v", lo.I, hi.I, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("[%d,%d]: got %v, want %v", lo.I, hi.I, got, want)
+			}
+		}
+	}
+}
+
 func TestBTreeDelete(t *testing.T) {
 	bt := NewBTree()
 	for i := 0; i < 100; i++ {

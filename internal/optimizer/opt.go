@@ -128,93 +128,94 @@ func (o *Optimizer) Plan(q *Query) (plan.Node, error) {
 	return o.finish(q, best)
 }
 
-// bestAccessPath picks SeqScan or IndexScan for one base table.
+// Generic selectivities for comparisons against a parameter, whose value is
+// unknown when the plan is built. Both are PostgreSQL's planner defaults
+// (selfuncs.h): DEFAULT_INEQ_SEL for a single inequality, and
+// DEFAULT_RANGE_INEQ_SEL for a lower and an upper bound on one column, which
+// together almost always describe a narrow window, not a third of a third.
+const (
+	genericIneqSel  = 0.33
+	genericRangeSel = 0.005
+)
+
+// AccessPath picks the row source for a single-table statement whose
+// predicate is already bound to t's schema (nil selects every row): the
+// same SeqScan-or-IndexScan decision Plan makes for each base table of a
+// SELECT, exported so UPDATE and DELETE find their rows the way reads do.
+func (o *Optimizer) AccessPath(t *catalog.Table, where rel.Expr) plan.Node {
+	if o.Stats == nil {
+		o.Stats = LiveStats
+	}
+	q := SingleTableQuery(t)
+	q.Local[0] = rel.SplitConjuncts(where)
+	return o.bestAccessPath(q, 0).node
+}
+
+// bestAccessPath picks SeqScan or IndexScan for one base table. It is the
+// only place an access path is chosen: the table's local conjuncts are
+// merged into one probe per column (mergeProbes), each probe is priced once,
+// and that price feeds both the row estimate every candidate shares and the
+// cost of scanning an index on the probe's column.
 func (o *Optimizer) bestAccessPath(q *Query, ti int) subPlan {
 	t := q.Tables[ti]
 	ts := o.Stats(t)
 	rows := float64(ts.Rows())
 	conjs := q.Local[ti]
+	probes, merged := mergeProbes(conjs)
 	sel := 1.0
-	for _, c := range conjs {
-		sel *= selOf(ts, c)
+	for ci, c := range conjs {
+		if !merged[ci] {
+			sel *= selOf(ts, c)
+		}
+	}
+	for i := range probes {
+		probes[i].sel = probes[i].selectivity(ts)
+		sel *= probes[i].sel
 	}
 	outRows := math.Max(rows*sel, 0.5)
+	out := layoutSchema(q, []int{ti})
 	pages := float64(t.Heap.NumPages())
 	seqCost := pages*seqPageCost + rows*cpuTupleCost*(1+0.25*float64(len(conjs)))
 	bestNode := plan.Node(&plan.SeqScan{
-		Base:   plan.Base{Out: layoutSchema(q, []int{ti}), EstRows: outRows, EstCost: seqCost},
+		Base:   plan.Base{Out: out, EstRows: outRows, EstCost: seqCost},
 		Table:  t,
 		Filter: rel.CombineConjuncts(conjs),
 	})
 	bestCost := seqCost
 
 	if !o.Hints.NoIndexScan {
-		for ci, conj := range conjs {
-			col, eq, lo, hi, ok := indexableConjunct(conj)
-			if !ok {
+		for _, p := range probes {
+			ix := t.IndexOn(p.col)
+			if ix == nil || (!p.eq.set() && !ix.Ordered()) {
 				continue
 			}
-			ix := t.IndexOn(col)
-			if ix == nil || (!eq.set() && !ix.Ordered()) {
-				continue
-			}
-			var matchSel float64
-			switch {
-			case eq.Val != nil:
-				matchSel = ts.SelectivityEq(col, eq.Val.AsFloat())
-			case eq.Arg != 0:
-				// Parameterized probe: the value is unknown until
-				// execution, so assume a uniform equality match over the
-				// column's distinct values (a generic plan), with the same
-				// no-statistics fallback SelectivityEq uses.
-				if d := ts.Col(col).Distinct; d > 0 {
-					matchSel = 1 / float64(d)
-				} else {
-					matchSel = 0.1
-				}
-			case lo.Arg != 0 || hi.Arg != 0:
-				matchSel = 0.33 // generic range estimate
-			default:
-				loF, hiF := math.Inf(-1), math.Inf(1)
-				if lo.Val != nil {
-					loF = lo.Val.AsFloat()
-				}
-				if hi.Val != nil {
-					hiF = hi.Val.AsFloat()
-				}
-				matchSel = ts.SelectivityRange(col, loF, hiF)
-			}
-			matched := math.Max(rows*matchSel, 0.5)
+			matched := math.Max(rows*p.sel, 0.5)
 			cost := math.Log2(rows+2)*cpuOpCost + matched*(randPageCost*0.25+cpuTupleCost)
-			if cost < bestCost {
-				residual := make([]rel.Expr, 0, len(conjs))
-				residual = append(residual, conjs[:ci]...)
-				residual = append(residual, conjs[ci+1:]...)
-				// Row estimate: matchSel already accounts for the probed
-				// conjunct, so resSel covers only the others.
-				resSel := 1.0
-				for _, c := range residual {
-					resSel *= selOf(ts, c)
+			if cost >= bestCost {
+				continue
+			}
+			eq, lo, hi := p.eq, p.lo, p.hi
+			if eq.set() {
+				// Range bounds beside an equality add nothing to the probe;
+				// they stay behind as filters.
+				lo, hi = indexBound{}, indexBound{}
+			}
+			// Every conjunct the probe does not answer exactly — a strict
+			// bound included: the B-tree range scan is inclusive at both
+			// ends — stays in the residual filter.
+			residual := make([]rel.Expr, 0, len(conjs))
+			for ci, c := range conjs {
+				if !eq.answers(ci) && !lo.answers(ci) && !hi.answers(ci) {
+					residual = append(residual, c)
 				}
-				if lo.Strict || hi.Strict {
-					// Inclusive probe of a strict bound: re-check the
-					// original conjunct so the boundary key is excluded
-					// (a boundary-only filter; selectivity ~1, already
-					// counted in matchSel).
-					residual = append(residual, conj)
-				}
-				bestCost = cost
-				bestNode = &plan.IndexScan{
-					Base: plan.Base{
-						Out:     layoutSchema(q, []int{ti}),
-						EstRows: math.Max(matched*resSel, 0.5),
-						EstCost: cost,
-					},
-					Table: t, Index: ix,
-					Eq: eq.Val, Lo: lo.Val, Hi: hi.Val,
-					EqArg: eq.Arg, LoArg: lo.Arg, HiArg: hi.Arg,
-					Filter: rel.CombineConjuncts(residual),
-				}
+			}
+			bestCost = cost
+			bestNode = &plan.IndexScan{
+				Base:  plan.Base{Out: out, EstRows: outRows, EstCost: cost},
+				Table: t, Index: ix,
+				Eq: eq.Val, Lo: lo.Val, Hi: hi.Val,
+				EqArg: eq.Arg, LoArg: lo.Arg, HiArg: hi.Arg,
+				Filter: rel.CombineConjuncts(residual),
 			}
 		}
 	}
@@ -222,36 +223,77 @@ func (o *Optimizer) bestAccessPath(q *Query, ti int) subPlan {
 	return subPlan{node: bestNode, layout: []int{ti}, rows: r, cost: c}
 }
 
-// indexBound is one probe bound of an indexable conjunct: either a literal
-// value known at plan time or a query parameter resolved at execution time
-// (Arg is the 1-based parameter ordinal; 0 means Val is set).
+// indexBound is one probe bound: either a literal value known at plan time
+// or a query parameter resolved at execution time (Arg is the 1-based
+// parameter ordinal; 0 means Val is set).
 type indexBound struct {
 	Val *rel.Value
 	Arg int
-	// Strict marks a '<'/'>' bound: the index probe itself is inclusive,
-	// so the original conjunct must stay in the residual filter.
+	// Strict marks a '<'/'>' bound.
 	Strict bool
+	// conj is the position, in the table's conjunct list, of the conjunct
+	// this bound came from.
+	conj int
 }
 
-// indexableConjunct recognizes "col op const" and "col op param" patterns
-// usable by an index. Parameter bounds let prepared statements keep their
-// index scans across executions (the PostgreSQL generic-plan shape); the
-// concrete probe value is filled in by plan.BindParams.
-func indexableConjunct(e rel.Expr) (col int, eq, lo, hi indexBound, ok bool) {
+// set reports whether the bound is present (value or parameter).
+func (b indexBound) set() bool { return b.Val != nil || b.Arg != 0 }
+
+// answers reports whether probing with b makes conjunct ci redundant: b came
+// from it and is inclusive, as the probe is.
+func (b indexBound) answers(ci int) bool { return b.set() && !b.Strict && b.conj == ci }
+
+// tighter reports whether b should replace cur as the probe bound on its
+// side (upper: the smaller value wins; lower: the larger). A literal beats a
+// parameter, because only a literal can be priced from the histogram; among
+// literals the tighter value wins; among parameters the first one stays. The
+// losing conjunct is kept as a residual filter, so the choice affects cost,
+// never the result.
+func (b indexBound) tighter(cur indexBound, upper bool) bool {
+	switch {
+	case !cur.set():
+		return true
+	case b.Val == nil:
+		return false
+	case cur.Val == nil:
+		return true
+	}
+	c := rel.Compare(*b.Val, *cur.Val)
+	if upper {
+		c = -c
+	}
+	return c > 0
+}
+
+// colProbe is everything the conjunct list says about one column that an
+// index on it could answer: an equality, or a lower and/or an upper bound.
+// Parameter bounds let prepared statements keep their index scans across
+// executions (the PostgreSQL generic-plan shape); plan.BindParams fills in
+// the concrete values.
+type colProbe struct {
+	col        int
+	eq, lo, hi indexBound
+	sel        float64 // fraction of the table the probe matches
+}
+
+// comparison recognizes "col op const" and "col op param" for the six
+// comparison operators, in either operand order, and returns the column, the
+// operator normalized to column-on-the-left, and the other operand as a
+// bound.
+func comparison(e rel.Expr) (col int, kind rel.BinOpKind, bound indexBound, ok bool) {
 	b, isBin := e.(*rel.BinOp)
 	if !isBin {
-		return 0, eq, lo, hi, false
+		return 0, 0, bound, false
 	}
 	cr, crOK := b.L.(*rel.ColRef)
 	rhs := b.R
-	kind := b.Kind
+	kind = b.Kind
 	if !crOK {
 		// try reversed: const/param op col
-		cr2, r2ok := b.R.(*rel.ColRef)
-		if !r2ok {
-			return 0, eq, lo, hi, false
+		if cr, crOK = b.R.(*rel.ColRef); !crOK {
+			return 0, 0, bound, false
 		}
-		cr, rhs = cr2, b.L
+		rhs = b.L
 		switch kind {
 		case rel.OpLt:
 			kind = rel.OpGt
@@ -263,7 +305,6 @@ func indexableConjunct(e rel.Expr) (col int, eq, lo, hi indexBound, ok bool) {
 			kind = rel.OpLe
 		}
 	}
-	var bound indexBound
 	switch t := rhs.(type) {
 	case *rel.Const:
 		v := t.Val
@@ -271,28 +312,99 @@ func indexableConjunct(e rel.Expr) (col int, eq, lo, hi indexBound, ok bool) {
 	case *rel.Param:
 		bound.Arg = t.Idx + 1
 	default:
-		return 0, eq, lo, hi, false
+		return 0, 0, bound, false
 	}
-	// Strict bounds ('<', '>') are probed inclusively by the B-tree range
-	// scan, so the caller must keep the original conjunct as a filter.
 	switch kind {
-	case rel.OpEq:
-		return cr.Idx, bound, lo, hi, true
-	case rel.OpLt, rel.OpLe:
-		bound.Strict = kind == rel.OpLt
-		return cr.Idx, eq, lo, bound, true
-	case rel.OpGt, rel.OpGe:
-		bound.Strict = kind == rel.OpGt
-		return cr.Idx, eq, bound, hi, true
+	case rel.OpEq, rel.OpNe, rel.OpLe, rel.OpGe:
+	case rel.OpLt, rel.OpGt:
+		bound.Strict = true
 	default:
-		return 0, eq, lo, hi, false
+		return 0, 0, bound, false
+	}
+	return cr.Idx, kind, bound, true
+}
+
+// side returns the probe slot a comparison of this kind fills.
+func (p *colProbe) side(kind rel.BinOpKind) *indexBound {
+	switch kind {
+	case rel.OpLt, rel.OpLe:
+		return &p.hi
+	case rel.OpGt, rel.OpGe:
+		return &p.lo
+	default:
+		return &p.eq
 	}
 }
 
-// set reports whether the bound is present (value or parameter).
-func (b indexBound) set() bool { return b.Val != nil || b.Arg != 0 }
+// mergeProbes groups a table's conjuncts by column into one probe each, in
+// order of first appearance, so that "k >= a AND k < b" becomes the closed
+// range [a, b] instead of two half-open ones. merged[i] reports that
+// conjunct i supplied one of its probe's bounds (and so is priced with the
+// probe); conjuncts that lost to a tighter bound on the same side, and
+// everything that is not such a comparison, are not.
+func mergeProbes(conjs []rel.Expr) (probes []colProbe, merged []bool) {
+	merged = make([]bool, len(conjs))
+	for ci, c := range conjs {
+		col, kind, b, ok := comparison(c)
+		if !ok || kind == rel.OpNe {
+			continue
+		}
+		b.conj = ci
+		pi := 0
+		for pi < len(probes) && probes[pi].col != col {
+			pi++
+		}
+		if pi == len(probes) {
+			probes = append(probes, colProbe{col: col})
+		}
+		p := &probes[pi]
+		side := p.side(kind)
+		if !b.tighter(*side, side == &p.hi) {
+			continue
+		}
+		if side.set() {
+			merged[side.conj] = false
+		}
+		*side, merged[ci] = b, true
+	}
+	return probes, merged
+}
 
-// selOf estimates the selectivity of a bound single-table conjunct.
+// selectivity prices the probe. An equality is priced alone (range bounds
+// beside it cannot widen it). Literal bounds read the histogram — one
+// SelectivityRange call over [lo, hi] for a closed range; a parameter falls
+// back to the generic constants, or to 1/NDV for an equality (a uniform match
+// over the column's distinct values, with SelectivityEq's no-statistics
+// fallback).
+func (p colProbe) selectivity(ts *stats.TableStats) float64 {
+	switch {
+	case p.eq.Val != nil:
+		return ts.SelectivityEq(p.col, p.eq.Val.AsFloat())
+	case p.eq.Arg != 0:
+		if d := ts.Col(p.col).Distinct; d > 0 {
+			return 1 / float64(d)
+		}
+		return 0.1
+	case p.lo.Arg != 0 || p.hi.Arg != 0:
+		if p.lo.set() && p.hi.set() {
+			return genericRangeSel
+		}
+		return genericIneqSel
+	}
+	loF, hiF := math.Inf(-1), math.Inf(1)
+	if p.lo.Val != nil {
+		loF = p.lo.Val.AsFloat()
+	}
+	if p.hi.Val != nil {
+		hiF = p.hi.Val.AsFloat()
+	}
+	return ts.SelectivityRange(p.col, loF, hiF)
+}
+
+// selOf estimates the selectivity of one bound single-table conjunct taken
+// on its own. A sargable comparison is priced as the one-bound probe it is,
+// so a conjunct costs the same whether it ends up in an index probe or in a
+// filter.
 func selOf(ts *stats.TableStats, e rel.Expr) float64 {
 	switch t := e.(type) {
 	case *rel.BinOp:
@@ -306,44 +418,17 @@ func selOf(ts *stats.TableStats, e rel.Expr) float64 {
 			}
 			return s
 		}
-		cr, crOK := t.L.(*rel.ColRef)
-		cn, cnOK := t.R.(*rel.Const)
-		if !crOK || !cnOK {
-			cn2, c2ok := t.L.(*rel.Const)
-			cr2, r2ok := t.R.(*rel.ColRef)
-			if !c2ok || !r2ok {
-				return 0.33
-			}
-			// reverse the comparison
-			cr, cn = cr2, cn2
-			switch t.Kind {
-			case rel.OpLt:
-				return ts.SelectivityRange(cr.Idx, cn.Val.AsFloat(), math.Inf(1))
-			case rel.OpLe:
-				return ts.SelectivityRange(cr.Idx, cn.Val.AsFloat(), math.Inf(1))
-			case rel.OpGt:
-				return ts.SelectivityRange(cr.Idx, math.Inf(-1), cn.Val.AsFloat())
-			case rel.OpGe:
-				return ts.SelectivityRange(cr.Idx, math.Inf(-1), cn.Val.AsFloat())
-			case rel.OpEq:
-				return ts.SelectivityEq(cr.Idx, cn.Val.AsFloat())
-			case rel.OpNe:
-				return 1 - ts.SelectivityEq(cr.Idx, cn.Val.AsFloat())
-			}
-			return 0.33
+		col, kind, b, ok := comparison(t)
+		if !ok {
+			return genericIneqSel
 		}
-		v := cn.Val.AsFloat()
-		switch t.Kind {
-		case rel.OpEq:
-			return ts.SelectivityEq(cr.Idx, v)
-		case rel.OpNe:
-			return 1 - ts.SelectivityEq(cr.Idx, v)
-		case rel.OpLt, rel.OpLe:
-			return ts.SelectivityRange(cr.Idx, math.Inf(-1), v)
-		case rel.OpGt, rel.OpGe:
-			return ts.SelectivityRange(cr.Idx, v, math.Inf(1))
+		p := colProbe{col: col}
+		*p.side(kind) = b
+		s := p.selectivity(ts)
+		if kind == rel.OpNe {
+			return 1 - s
 		}
-		return 0.33
+		return s
 	case *rel.InList:
 		if cr, ok := t.E.(*rel.ColRef); ok {
 			s := 0.0
@@ -357,10 +442,11 @@ func selOf(ts *stats.TableStats, e rel.Expr) float64 {
 		}
 		return 0.2
 	case *rel.IsNullExpr:
-		c := ts.Col(0)
 		frac := 0.05
-		if c.Count > 0 {
-			frac = float64(c.NullCount) / float64(c.Count)
+		if cr, ok := t.E.(*rel.ColRef); ok {
+			if c := ts.Col(cr.Idx); c.Count > 0 {
+				frac = float64(c.NullCount) / float64(c.Count)
+			}
 		}
 		if t.Negate {
 			return 1 - frac
@@ -369,7 +455,7 @@ func selOf(ts *stats.TableStats, e rel.Expr) float64 {
 	case *rel.Not:
 		return 1 - selOf(ts, t.E)
 	default:
-		return 0.33
+		return genericIneqSel
 	}
 }
 

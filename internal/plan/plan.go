@@ -61,13 +61,18 @@ func (s *SeqScan) Label() string {
 // IndexScan reads rows matching a key or range on an indexed column.
 type IndexScan struct {
 	Base
-	Table  *catalog.Table
-	Index  *catalog.Index
-	Eq     *rel.Value // equality probe (nil for range)
-	Lo, Hi *rel.Value // range bounds (either may be nil)
+	Table *catalog.Table
+	Index *catalog.Index
+	Eq    *rel.Value // equality probe (nil for range)
+	// Lo and Hi bound a range probe, inclusive at both ends. Either may be
+	// absent (a half-open range); with both set the scan reads only the keys
+	// in [Lo, Hi]. A strict SQL bound is probed inclusively and re-checked
+	// by Filter.
+	Lo, Hi *rel.Value
 	// EqArg/LoArg/HiArg are 1-based parameter ordinals for probe bounds
 	// supplied at execution time (0 = that bound is not a parameter), so a
-	// prepared point lookup keeps its index scan across executions.
+	// prepared point or range lookup keeps its index scan across
+	// executions. Each bound is independently a literal or a parameter.
 	// BindParams resolves them into Eq/Lo/Hi on the per-execution copy; the
 	// executor rejects plans where they are still unresolved.
 	EqArg, LoArg, HiArg int
@@ -77,25 +82,25 @@ type IndexScan struct {
 // Children implements Node.
 func (*IndexScan) Children() []Node { return nil }
 
-// Label implements Node.
+// Label implements Node. An absent range bound prints as -inf or +inf.
 func (s *IndexScan) Label() string {
-	var cond string
 	col := s.Table.Schema.Col(s.Index.Col).Name
-	bound := func(v *rel.Value, arg int) string {
+	bound := func(v *rel.Value, arg int, open string) string {
 		switch {
 		case v != nil:
 			return v.String()
 		case arg != 0:
 			return fmt.Sprintf("$%d", arg)
 		default:
-			return "<nil>"
+			return open
 		}
 	}
-	switch {
-	case s.Eq != nil || s.EqArg != 0:
-		cond = fmt.Sprintf("%s=%s", col, bound(s.Eq, s.EqArg))
-	default:
-		cond = fmt.Sprintf("%s in [%s,%s]", col, bound(s.Lo, s.LoArg), bound(s.Hi, s.HiArg))
+	cond := fmt.Sprintf("%s in [%s,%s]", col, bound(s.Lo, s.LoArg, "-inf"), bound(s.Hi, s.HiArg, "+inf"))
+	if s.Eq != nil || s.EqArg != 0 {
+		cond = fmt.Sprintf("%s=%s", col, bound(s.Eq, s.EqArg, ""))
+	}
+	if s.Filter != nil {
+		return fmt.Sprintf("IndexScan(%s, %s, %s)", s.Table.Name, cond, s.Filter)
 	}
 	return fmt.Sprintf("IndexScan(%s, %s)", s.Table.Name, cond)
 }
