@@ -86,31 +86,54 @@ func TestRangeIndexScanReturnsMovedRowOnce(t *testing.T) {
 	}
 }
 
-// TestExplainDML: EXPLAIN UPDATE/DELETE print the access node the write
-// would use, with parameters left in place.
-func TestExplainDML(t *testing.T) {
+// TestExplainPlannedKinds: EXPLAIN of every planned statement kind prints the
+// node an execution of the same text runs — it compiles through the same
+// plan-cache entry — with parameters left in place.
+func TestExplainPlannedKinds(t *testing.T) {
 	db := openTest(t)
 	seedMoved(t, db, 2000)
 	for _, c := range []struct {
 		sql  string
 		args []any
-		want string
+		want []string // one prefix per plan line
 	}{
-		{`UPDATE t SET k = k + 1 WHERE id = ?`, []any{3}, "IndexScan(t, id=$1)"},
-		{`UPDATE t SET k = 0 WHERE id = 12`, nil, "IndexScan(t, id=12)"},
-		{`DELETE FROM t WHERE k >= 100 AND k < 110`, nil, "IndexScan(t, k in [100,110], (k < 110))"},
-		{`DELETE FROM t WHERE k >= ?`, []any{3}, "SeqScan(t, (k >= $1))"},
-		{`UPDATE t SET k = 0`, nil, "SeqScan(t)"},
+		{`SELECT k FROM t WHERE id = ?`, []any{3}, []string{"Project(t.k)", "  IndexScan(t, id=$1)"}},
+		{`UPDATE t SET k = k + 1 WHERE id = ?`, []any{3}, []string{"Update(t, k = (k + 1))", "  IndexScan(t, id=$1)"}},
+		{`UPDATE t SET k = 0 WHERE id = 12`, nil, []string{"Update(t, k = 0)", "  IndexScan(t, id=12)"}},
+		{`DELETE FROM t WHERE k >= 100 AND k < 110`, nil, []string{"Delete(t)", "  IndexScan(t, k in [100,110], (k < 110))"}},
+		{`DELETE FROM t WHERE k >= ?`, []any{3}, []string{"Delete(t)", "  SeqScan(t, (k >= $1))"}},
+		{`UPDATE t SET k = 0`, nil, []string{"Update(t, k = 0)", "  SeqScan(t)  (rows="}},
+		{`INSERT INTO t VALUES (?, 1), (9001, 2)`, []any{9000}, []string{"Insert(t, rows=2)"}},
+		{`INSERT INTO t VALUES (9002, 2)`, nil, []string{"Insert(t, rows=1)"}},
+		{`PREDICT VALUE OF k FROM t TRAIN ON id VALUES (?)`, []any{5}, []string{"Predict(VALUE OF t.k, features=1)"}},
 	} {
-		if got := explainText(t, db, c.sql, c.args...); !strings.HasPrefix(got, c.want+"  (rows=") {
-			t.Errorf("EXPLAIN %s:\n%s\nwant %s", c.sql, got, c.want)
+		_, m0 := db.PlanCacheStats()
+		got := strings.Split(explainText(t, db, c.sql, c.args...), "\n")
+		if len(got) != len(c.want) {
+			t.Errorf("EXPLAIN %s:\n%s\nwant %q", c.sql, strings.Join(got, "\n"), c.want)
+			continue
+		}
+		for i, line := range got {
+			if !strings.HasPrefix(line, c.want[i]) || !strings.Contains(line, "  (rows=") {
+				t.Errorf("EXPLAIN %s line %d: %q, want prefix %q", c.sql, i, line, c.want[i])
+			}
+		}
+		// EXPLAIN left the plan in the cache under the inner text, and the
+		// execution that follows runs that entry instead of compiling again.
+		_, m1 := db.PlanCacheStats()
+		mustExecArgs(t, db, c.sql, c.args...)
+		if _, m2 := db.PlanCacheStats(); m2 != m1 || (m1 != m0+1 && len(c.args) > 0) {
+			t.Errorf("%s: misses %d -> %d (EXPLAIN) -> %d (execution)", c.sql, m0, m1, m2)
 		}
 	}
-	if _, err := db.Exec(`EXPLAIN UPDATE t SET k = 0 WHERE nope = 1`); err == nil {
-		t.Error("EXPLAIN UPDATE with an unknown column did not fail")
-	}
-	if _, err := db.Exec(`EXPLAIN INSERT INTO t VALUES (1, 1)`); err == nil {
-		t.Error("EXPLAIN INSERT did not fail")
+	for _, bad := range []string{
+		`EXPLAIN UPDATE t SET k = 0 WHERE nope = 1`,
+		`EXPLAIN INSERT INTO t VALUES (1)`,
+		`EXPLAIN ANALYZE t`,
+	} {
+		if _, err := db.Exec(bad); err == nil {
+			t.Errorf("%s did not fail", bad)
+		}
 	}
 }
 

@@ -20,6 +20,11 @@ DELETE FROM review WHERE stars <= 2;
 SELECT id, brand FROM review ORDER BY score DESC LIMIT 3;
 EXPLAIN SELECT id FROM review WHERE brand = 'acme';
 EXPLAIN UPDATE review SET stars = 5 WHERE brand = 'acme' AND stars < 5;
+EXPLAIN DELETE FROM review WHERE id = 4;
+-- the same write twice: the second execution runs the first one's cached plan
+UPDATE review SET stars = stars + 1 WHERE id = 3;
+UPDATE review SET stars = stars + 1 WHERE id = 3;
+SELECT id, stars FROM review WHERE id = 3;
 BEGIN;
 INSERT INTO review VALUES (6,'hooli',1,1.0);
 ROLLBACK;

@@ -70,7 +70,7 @@ var ErrReadOnly = txn.ErrReadOnly
 // was stopped at a batch boundary.
 var ErrStatementTimeout = errors.New("statement timeout exceeded")
 
-// OptimizerMode selects how SELECT plans are chosen.
+// OptimizerMode selects how plans are chosen.
 type OptimizerMode string
 
 // Optimizer modes. CostMode plans with current statistics; StaleCostMode
@@ -158,9 +158,9 @@ type DB struct {
 	// learned optimizer state (lazily trained by callers via LearnedQO).
 	learnedQO *learnedopt.Model
 
-	// plans caches compiled SELECT plans, shared across sessions and
-	// invalidated by the catalog version. Prepared statements and ad-hoc
-	// Session.Exec/Query SELECTs share the same (mode, SQL) key space.
+	// plans caches compiled statements (every planned kind), shared across
+	// sessions and invalidated by the catalog version. Prepared statements
+	// and ad-hoc Session.Exec/Query share the same (mode, SQL) key space.
 	plans *planCache
 
 	// stripeWaitSeen tracks the last txn.stripe_wait counter observed by
@@ -213,7 +213,7 @@ func OpenDB(cfg Config) (*DB, error) {
 		engine:     aiengine.NewEngine(store),
 		tracker:    monitor.NewTracker(),
 		staleStats: make(map[int]*stats.TableStats),
-		plans:      newPlanCache(DefaultPlanCacheSize),
+		plans:      newPlanCache(),
 	}
 	if cfg.DataDir != "" {
 		if err := db.openDurable(); err != nil {
@@ -338,19 +338,24 @@ func (db *DB) Query(sql string, args ...any) (*Rows, error) {
 }
 
 // ExecScript runs a semicolon-separated script, returning the last result.
-// Scripts take no parameters.
+// The script is parsed whole before anything runs, and takes no parameters.
 func (db *DB) ExecScript(sql string) (*Result, error) {
-	stmts, err := sqlparse.ParseScript(sql)
+	texts, err := sqlparse.SplitScript(sql)
 	if err != nil {
 		return nil, err
 	}
-	var last *Result
-	for _, stmt := range stmts {
-		if n := sqlparse.ParamCount(stmt); n > 0 {
+	stmts := make([]*Stmt, len(texts))
+	for i, text := range texts {
+		if stmts[i], err = db.session.parse(text); err != nil {
+			return nil, err
+		}
+		if n := stmts[i].nParams; n > 0 {
 			return nil, fmt.Errorf("neurdb: script statement takes %d parameters; use Prepare/Exec with arguments", n)
 		}
-		last, err = db.session.execStmt(stmt, nil)
-		if err != nil {
+	}
+	var last *Result
+	for _, st := range stmts {
+		if last, err = st.Exec(); err != nil {
 			return nil, err
 		}
 	}
@@ -448,87 +453,21 @@ func (s *Session) effectiveWorkers() int {
 // Exec parses and executes one statement in this session, materializing the
 // full result. Optional args bind '?' or '$n' placeholders.
 func (s *Session) Exec(sql string, args ...any) (*Result, error) {
-	stmt, err := sqlparse.Parse(sql)
+	st, err := s.parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	vals, err := convertArgs(sqlparse.ParamCount(stmt), args)
-	if err != nil {
-		return nil, err
-	}
-	return s.execStmt(stmt, vals)
+	return st.Exec(args...)
 }
 
 // Query executes one statement in this session and returns a streaming
 // cursor (see Rows). Optional args bind '?' or '$n' placeholders.
 func (s *Session) Query(sql string, args ...any) (*Rows, error) {
-	stmt, err := sqlparse.Parse(sql)
+	st, err := s.parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	vals, err := convertArgs(sqlparse.ParamCount(stmt), args)
-	if err != nil {
-		return nil, err
-	}
-	return s.queryStmt(stmt, vals)
-}
-
-// queryStmt routes a parsed statement to the streaming path: SELECTs stream
-// from the executor; everything else executes eagerly and is wrapped as a
-// materialized cursor.
-func (s *Session) queryStmt(stmt sqlparse.Stmt, args []rel.Value) (*Rows, error) {
-	if sel, ok := stmt.(*sqlparse.Select); ok {
-		return s.querySelect(sel, args)
-	}
-	res, err := s.execStmt(stmt, args)
-	if err != nil {
-		return nil, err
-	}
-	return newStaticRows(res), nil
-}
-
-// querySelect resolves a SELECT through the shared plan cache — ad-hoc
-// Session.Exec/Query statements hit the same (optimizer mode, SQL text)
-// entries prepared statements populate, so a repeated ad-hoc statement pays
-// binding and planning once per catalog version — and opens a streaming
-// cursor over the compiled plan.
-func (s *Session) querySelect(sel *sqlparse.Select, args []rel.Value) (*Rows, error) {
-	if sel.Text == "" {
-		// Programmatically built AST with no source text: plan uncached.
-		p, err := s.db.PlanSelect(sel)
-		if err != nil {
-			return nil, err
-		}
-		return s.streamPlan(p, p.Schema().Names(), len(args) > 0, args)
-	}
-	e, err := s.db.cachedPlan(sel.Text, sel)
-	if err != nil {
-		return nil, err
-	}
-	return s.streamPlan(e.node, e.columns, e.hasParams, args)
-}
-
-// streamPlan begins (or joins) the session's read transaction, binds
-// parameters into the plan, and opens the batch iterator as a Rows cursor.
-// The transaction is finalized by Rows.Close / end of stream.
-func (s *Session) streamPlan(p plan.Node, cols []string, hasParams bool, args []rel.Value) (*Rows, error) {
-	if hasParams {
-		p = plan.BindParams(p, args)
-	}
-	tx, done := s.begin(true)
-	ctx := &executor.Ctx{Mgr: s.db.mgr, Txn: tx, Cat: s.db.cat, Workers: s.effectiveWorkers()}
-	it, err := executor.BuildBatch(p, ctx)
-	if err != nil {
-		return nil, done(err)
-	}
-	rows, err := newStreamingRows(cols, p.Schema(), it, done)
-	if err != nil {
-		return nil, err
-	}
-	if d := s.effectiveStatementTimeout(); d > 0 {
-		rows.deadline = time.Now().Add(d)
-	}
-	return rows, nil
+	return st.Query(args...)
 }
 
 // level returns the configured isolation level.
@@ -558,49 +497,91 @@ func (s *Session) begin(readOnly bool) (*txn.Txn, func(error) error) {
 	}
 }
 
-func (s *Session) execStmt(stmt sqlparse.Stmt, args []rel.Value) (*Result, error) {
-	switch stmt.(type) {
-	case *sqlparse.CreateTable, *sqlparse.CreateIndex, *sqlparse.DropTable,
-		*sqlparse.Insert, *sqlparse.Update, *sqlparse.Delete:
-		// Fail-stop before doing any work: a poisoned WAL means the write
-		// could never be made durable. The commit path re-checks (the poison
-		// can land mid-statement), but rejecting here gives writers a clean
-		// ErrReadOnly instead of work that is doomed to abort at commit.
+// execStmt is the one statement-kind dispatch, reached by every entry point
+// (Exec, Query, Stmt.Exec, Stmt.Query, ExecScript, the wire server's Query
+// and Execute). Planned statements all take one road: compile (or revalidate
+// the cached plan), bind, run; utility statements act directly. No default:
+// neurdb-lint fails a statement kind of the closed set with no arm here.
+func (s *Session) execStmt(st *Stmt, args []rel.Value) (*Rows, error) {
+	var res *Result
+	var err error
+	switch t := st.ast.(type) {
+	case *sqlparse.Select, *sqlparse.Insert, *sqlparse.Update, *sqlparse.Delete, *sqlparse.Predict:
+		e, err := st.plan()
+		if err != nil {
+			return nil, err
+		}
+		return s.run(e, args)
+	case *sqlparse.CreateTable:
+		res, err = s.execCreateTable(t)
+	case *sqlparse.CreateIndex:
+		res, err = s.execCreateIndex(t)
+	case *sqlparse.DropTable:
+		res, err = s.execDropTable(t)
+	case *sqlparse.TxnStmt:
+		res, err = s.execTxnStmt(t)
+	case *sqlparse.Analyze:
+		res, err = s.execAnalyze(t)
+	case *sqlparse.Explain:
+		res, err = s.execExplain(st.sql, t)
+	case *sqlparse.SetStmt:
+		res, err = s.execSet(t)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return newStaticRows(res), nil
+}
+
+// run executes a compiled statement in the session's open transaction, or in
+// an autocommit one of its own. A row-producing plan streams: the cursor
+// holds the transaction until it is drained or closed. A write or a PREDICT
+// runs to completion here. A write is refused up front on a poisoned WAL — a
+// clean ErrReadOnly instead of work doomed to abort at commit, which
+// re-checks because the poison can land mid-statement.
+func (s *Session) run(e *planEntry, args []rel.Value) (*Rows, error) {
+	node := e.node
+	if e.hasParams {
+		node = plan.BindParams(node, args)
+	}
+	if e.writes {
 		if err := s.db.writeErr(); err != nil {
 			return nil, err
 		}
 	}
-	switch t := stmt.(type) {
-	case *sqlparse.CreateTable:
-		return s.execCreateTable(t)
-	case *sqlparse.CreateIndex:
-		return s.execCreateIndex(t)
-	case *sqlparse.DropTable:
-		return s.execDropTable(t)
-	case *sqlparse.Insert:
-		return s.execInsert(t, args)
-	case *sqlparse.Select:
-		return s.execSelect(t, args)
-	case *sqlparse.Update:
-		return s.execUpdate(t, args)
-	case *sqlparse.Delete:
-		return s.execDelete(t, args)
-	case *sqlparse.TxnStmt:
-		return s.execTxnStmt(t)
-	case *sqlparse.Analyze:
-		return s.execAnalyze(t)
-	case *sqlparse.Explain:
-		return s.execExplain(t)
-	case *sqlparse.SetStmt:
-		return s.execSet(t)
-	case *sqlparse.Predict:
-		return s.execPredict(t, args)
-	default:
-		return nil, fmt.Errorf("neurdb: unsupported statement %T", stmt)
+	tx, done := s.begin(!e.writes)
+	ctx := &executor.Ctx{Mgr: s.db.mgr, Txn: tx, Cat: s.db.cat, Workers: s.effectiveWorkers()}
+	if e.streams {
+		it, err := executor.BuildBatch(node, ctx)
+		if err != nil {
+			return nil, done(err)
+		}
+		rows, err := newStreamingRows(e.columns, node.Schema(), it, done)
+		if err != nil {
+			return nil, err
+		}
+		if d := s.effectiveStatementTimeout(); d > 0 {
+			rows.deadline = time.Now().Add(d)
+		}
+		return rows, nil
 	}
+	out, err := executor.Execute(node, ctx, s.db.engine)
+	if err := done(err); err != nil {
+		return nil, err
+	}
+	if e.writes {
+		s.observeWrite(ctx)
+	}
+	if out.Predict != nil {
+		return newStaticRows(s.predictResult(node.(*plan.Predict), out.Predict)), nil
+	}
+	return newStaticRows(&Result{Affected: out.Affected, Message: fmt.Sprintf("%s %d", out.Tag, out.Affected)}), nil
 }
 
 func (s *Session) execCreateTable(ct *sqlparse.CreateTable) (*Result, error) {
+	if err := s.db.writeErr(); err != nil {
+		return nil, err
+	}
 	cols := make([]rel.Column, len(ct.Cols))
 	for i, c := range ct.Cols {
 		cols[i] = rel.Column{Name: strings.ToLower(c.Name), Typ: c.Typ, Unique: c.Unique, NotNull: c.NotNull}
@@ -648,6 +629,9 @@ func (s *Session) execCreateTable(ct *sqlparse.CreateTable) (*Result, error) {
 }
 
 func (s *Session) execDropTable(dt *sqlparse.DropTable) (*Result, error) {
+	if err := s.db.writeErr(); err != nil {
+		return nil, err
+	}
 	// Same gate discipline as CREATE TABLE: while the gate is held
 	// exclusively no commit is mid-flight, so every commit record on the
 	// table precedes the drop record in the log.
@@ -682,6 +666,9 @@ func (s *Session) execDropTable(dt *sqlparse.DropTable) (*Result, error) {
 }
 
 func (s *Session) execCreateIndex(ci *sqlparse.CreateIndex) (*Result, error) {
+	if err := s.db.writeErr(); err != nil {
+		return nil, err
+	}
 	tbl, err := s.db.cat.Get(ci.Table)
 	if err != nil {
 		return nil, err
@@ -730,150 +717,27 @@ func (s *Session) execCreateIndex(ci *sqlparse.CreateIndex) (*Result, error) {
 	return &Result{Message: "CREATE INDEX"}, nil
 }
 
-func (s *Session) execInsert(ins *sqlparse.Insert, args []rel.Value) (*Result, error) {
-	tbl, err := s.db.cat.Get(ins.Table)
-	if err != nil {
-		return nil, err
-	}
-	// Map column list (or positional) to schema positions.
-	positions := make([]int, 0, tbl.Schema.Arity())
-	if len(ins.Cols) == 0 {
-		for i := 0; i < tbl.Schema.Arity(); i++ {
-			positions = append(positions, i)
-		}
-	} else {
-		for _, name := range ins.Cols {
-			ci := tbl.Schema.ColIndex(name)
-			if ci < 0 {
-				return nil, fmt.Errorf("neurdb: no column %q in %q", name, ins.Table)
-			}
-			positions = append(positions, ci)
-		}
-	}
-	// Evaluate every VALUES tuple before touching the heap, so a bad tuple
-	// inserts nothing; the materialized rows then ride the page-batched
-	// insert path in one transaction-manager call.
-	rows := make([]rel.Row, 0, len(ins.Rows))
-	for _, exprRow := range ins.Rows {
-		if len(exprRow) != len(positions) {
-			return nil, fmt.Errorf("neurdb: INSERT arity mismatch: %d values for %d columns", len(exprRow), len(positions))
-		}
-		row := make(rel.Row, tbl.Schema.Arity())
-		for i := range row {
-			row[i] = rel.Null()
-		}
-		for i, e := range exprRow {
-			v, err := evalConstExpr(e, args)
-			if err != nil {
-				return nil, err
-			}
-			row[positions[i]] = v
-		}
-		rows = append(rows, row)
-	}
-	tx, done := s.begin(false)
-	ctx := &executor.Ctx{Mgr: s.db.mgr, Txn: tx, Cat: s.db.cat}
-	_, execErr := executor.InsertBatch(ctx, tbl, rows)
-	if err := done(execErr); err != nil {
-		return nil, err
-	}
-	s.observeWrite(ctx)
-	return &Result{Affected: len(rows), Message: fmt.Sprintf("INSERT %d", len(rows))}, nil
-}
-
-// evalConstExpr evaluates a parsed expression with no column references;
-// parameters resolve against args.
-func evalConstExpr(e sqlparse.Expr, args []rel.Value) (rel.Value, error) {
-	switch t := e.(type) {
-	case *sqlparse.Lit:
-		return t.Val, nil
-	case *sqlparse.Param:
-		if t.Idx < 0 || t.Idx >= len(args) {
-			return rel.Value{}, fmt.Errorf("neurdb: parameter $%d out of range (%d bound)", t.Idx+1, len(args))
-		}
-		return args[t.Idx], nil
-	case *sqlparse.Unary:
-		if t.Op == "-" {
-			v, err := evalConstExpr(t.E, args)
-			if err != nil {
-				return rel.Value{}, err
-			}
-			switch v.Typ {
-			case rel.TypeInt:
-				return rel.Int(-v.I), nil
-			case rel.TypeFloat:
-				return rel.Float(-v.F), nil
-			default:
-				// Non-numeric: fall through to the error below.
-			}
-		}
-		return rel.Value{}, fmt.Errorf("neurdb: unsupported constant expression")
-	case *sqlparse.Binary:
-		l, err := evalConstExpr(t.L, args)
-		if err != nil {
-			return rel.Value{}, err
-		}
-		r, err := evalConstExpr(t.R, args)
-		if err != nil {
-			return rel.Value{}, err
-		}
-		be := &rel.BinOp{L: &rel.Const{Val: l}, R: &rel.Const{Val: r}}
-		switch t.Op {
-		case "+":
-			be.Kind = rel.OpAdd
-		case "-":
-			be.Kind = rel.OpSub
-		case "*":
-			be.Kind = rel.OpMul
-		case "/":
-			be.Kind = rel.OpDiv
-		case "%":
-			be.Kind = rel.OpMod
-		default:
-			return rel.Value{}, fmt.Errorf("neurdb: unsupported constant operator %q", t.Op)
-		}
-		return be.Eval(nil), nil
-	default:
-		return rel.Value{}, fmt.Errorf("neurdb: INSERT values must be constants, got %T", e)
-	}
-}
-
 // PlanSelect builds the physical plan for a SELECT under the active
-// optimizer mode (exported for benchmarks and EXPLAIN).
+// optimizer mode, bypassing the plan cache (exported for benchmarks).
 func (db *DB) PlanSelect(sel *sqlparse.Select) (plan.Node, error) {
-	q, err := optimizer.Bind(sel, db.cat)
-	if err != nil {
-		return nil, err
-	}
-	db.mu.Lock()
-	mode := db.cfg.Optimizer
-	learned := db.learnedQO
-	db.mu.Unlock()
-	if mode == LearnedMode && learned != nil {
-		cands, err := optimizer.EnumerateCandidates(q, nil, []float64{0.1, 10})
-		if err != nil {
-			return nil, err
-		}
-		nodes := make([]plan.Node, len(cands))
-		for i, c := range cands {
-			nodes[i] = c.Plan
-		}
-		cond := learnedopt.BuildConditions(db.cat.All(), db.pool)
-		pick := learned.Choose(learnedopt.EncodeCandidates(nodes), cond)
-		return nodes[pick], nil
-	}
-	return db.costOptimizer(mode).Plan(q)
+	return db.optimizerFor(db.OptimizerModeNow()).PlanStmt(sel, db.cat)
 }
 
-// costOptimizer returns the cost-based optimizer mode calls for: the last
-// ANALYZE's statistics under StaleCostMode, live statistics otherwise (the
-// learned mode ranks whole SELECT plans; where there is nothing to rank — no
-// model yet, or a write statement's single access path — it falls back here).
-func (db *DB) costOptimizer(mode OptimizerMode) *optimizer.Optimizer {
+// optimizerFor returns the optimizer a mode calls for: the last ANALYZE's
+// statistics under StaleCostMode, live ones otherwise, plus — under
+// LearnedMode with a model installed — the learned ranking of SELECT plans.
+func (db *DB) optimizerFor(mode OptimizerMode) *optimizer.Optimizer {
+	o := optimizer.New()
 	if mode == StaleCostMode {
-		return &optimizer.Optimizer{Stats: db.StaleStatsView(), CardScale: 1}
+		o.Stats = db.StaleStatsView()
 	}
-	return optimizer.New()
+	if learned := db.LearnedQO(); mode == LearnedMode && learned != nil {
+		o.Rank = func(cands []plan.Node) int {
+			cond := learnedopt.BuildConditions(db.cat.All(), db.pool)
+			return learned.Choose(learnedopt.EncodeCandidates(cands), cond)
+		}
+	}
+	return o
 }
 
 // StaleStatsView returns a StatsView serving the snapshots captured at the
@@ -887,78 +751,6 @@ func (db *DB) StaleStatsView() optimizer.StatsView {
 		}
 		return t.Stats
 	}
-}
-
-func (s *Session) execSelect(sel *sqlparse.Select, args []rel.Value) (*Result, error) {
-	rows, err := s.querySelect(sel, args)
-	if err != nil {
-		return nil, err
-	}
-	return rows.drain()
-}
-
-// dmlTarget resolves a single-table write statement's table and binds its
-// WHERE clause against it.
-func (s *Session) dmlTarget(table string, where sqlparse.Expr) (*catalog.Table, rel.Expr, error) {
-	tbl, err := s.db.cat.Get(table)
-	if err != nil {
-		return nil, nil, err
-	}
-	bound, err := bindTableExpr(tbl, where)
-	return tbl, bound, err
-}
-
-// dmlAccessPath asks the optimizer's access-path entry point — the decision
-// a SELECT's base table gets — how to find the rows a write statement
-// changes. Executions pass the predicate with their arguments already
-// substituted, so the estimate reads the real histogram; planning costs
-// microseconds, so write statements plan per execution and cache nothing.
-func (db *DB) dmlAccessPath(tbl *catalog.Table, where rel.Expr) plan.Node {
-	return db.costOptimizer(db.OptimizerModeNow()).AccessPath(tbl, where)
-}
-
-func (s *Session) execUpdate(up *sqlparse.Update, args []rel.Value) (*Result, error) {
-	tbl, where, err := s.dmlTarget(up.Table, up.Where)
-	if err != nil {
-		return nil, err
-	}
-	src := s.db.dmlAccessPath(tbl, rel.SubstParams(where, args))
-	set := make(map[int]rel.Expr, len(up.Set))
-	for name, e := range up.Set {
-		ci := tbl.Schema.ColIndex(name)
-		if ci < 0 {
-			return nil, fmt.Errorf("neurdb: no column %q in %q", name, up.Table)
-		}
-		bound, err := bindTableExpr(tbl, e)
-		if err != nil {
-			return nil, err
-		}
-		set[ci] = rel.SubstParams(bound, args)
-	}
-	tx, done := s.begin(false)
-	ctx := &executor.Ctx{Mgr: s.db.mgr, Txn: tx, Cat: s.db.cat, Workers: s.effectiveWorkers()}
-	n, execErr := executor.UpdateWhere(ctx, src, set)
-	if err := done(execErr); err != nil {
-		return nil, err
-	}
-	s.observeWrite(ctx)
-	return &Result{Affected: n, Message: fmt.Sprintf("UPDATE %d", n)}, nil
-}
-
-func (s *Session) execDelete(del *sqlparse.Delete, args []rel.Value) (*Result, error) {
-	tbl, where, err := s.dmlTarget(del.Table, del.Where)
-	if err != nil {
-		return nil, err
-	}
-	src := s.db.dmlAccessPath(tbl, rel.SubstParams(where, args))
-	tx, done := s.begin(false)
-	ctx := &executor.Ctx{Mgr: s.db.mgr, Txn: tx, Cat: s.db.cat, Workers: s.effectiveWorkers()}
-	n, execErr := executor.DeleteWhere(ctx, src)
-	if err := done(execErr); err != nil {
-		return nil, err
-	}
-	s.observeWrite(ctx)
-	return &Result{Affected: n, Message: fmt.Sprintf("DELETE %d", n)}, nil
 }
 
 // observeWrite feeds the monitor after a write statement: the buffer pool's
@@ -977,21 +769,6 @@ func (s *Session) observeWrite(ctx *executor.Ctx) {
 	if ctx.DMLParallelPages > 0 {
 		s.db.tracker.Count("dml.parallel_pages", float64(ctx.DMLParallelPages))
 	}
-}
-
-// bindTableExpr binds a parsed expression against a single table's schema
-// via a synthetic single-table query.
-func bindTableExpr(tbl *catalog.Table, e sqlparse.Expr) (rel.Expr, error) {
-	if e == nil {
-		return nil, nil
-	}
-	q := syntheticQuery(tbl)
-	return q.BindExprPublic(e)
-}
-
-// syntheticQuery builds a one-table binding context.
-func syntheticQuery(tbl *catalog.Table) *optimizer.Query {
-	return optimizer.SingleTableQuery(tbl)
 }
 
 func (s *Session) execTxnStmt(t *sqlparse.TxnStmt) (*Result, error) {
@@ -1050,39 +827,19 @@ func (s *Session) execAnalyze(a *sqlparse.Analyze) (*Result, error) {
 	return &Result{Message: fmt.Sprintf("ANALYZE %d tables", len(tables))}, nil
 }
 
-// execExplain prints the plan of a SELECT, or the access node an UPDATE or
-// DELETE would find its rows with (parameters left in place: the generic
-// shape; an execution plans with its arguments inlined).
-func (s *Session) execExplain(e *sqlparse.Explain) (*Result, error) {
-	var p plan.Node
-	var err error
-	switch t := e.Inner.(type) {
-	case *sqlparse.Select:
-		p, err = s.db.PlanSelect(t)
-	case *sqlparse.Update:
-		p, err = s.explainDML(t.Table, t.Where)
-	case *sqlparse.Delete:
-		p, err = s.explainDML(t.Table, t.Where)
-	default:
-		err = fmt.Errorf("neurdb: EXPLAIN supports SELECT, UPDATE and DELETE only")
-	}
+// execExplain compiles the inner statement the way executing it would —
+// through the plan cache, under its own text — and prints that node.
+func (s *Session) execExplain(sql string, ex *sqlparse.Explain) (*Result, error) {
+	inner := &Stmt{s: s, sql: strings.TrimSpace(sql[ex.InnerPos:]), ast: ex.Inner}
+	e, err := inner.plan()
 	if err != nil {
 		return nil, err
 	}
-	text := plan.Explain(p)
-	var rows []rel.Row
-	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-		rows = append(rows, rel.Row{rel.Text(line)})
+	res := &Result{Columns: []string{"plan"}}
+	for _, line := range strings.Split(strings.TrimRight(plan.Explain(e.node), "\n"), "\n") {
+		res.Rows = append(res.Rows, rel.Row{rel.Text(line)})
 	}
-	return &Result{Columns: []string{"plan"}, Rows: rows}, nil
-}
-
-func (s *Session) explainDML(table string, whereAST sqlparse.Expr) (plan.Node, error) {
-	tbl, where, err := s.dmlTarget(table, whereAST)
-	if err != nil {
-		return nil, err
-	}
-	return s.db.dmlAccessPath(tbl, where), nil
+	return res, nil
 }
 
 func (s *Session) execSet(st *sqlparse.SetStmt) (*Result, error) {
@@ -1134,96 +891,20 @@ func parseTimeoutValue(v string) (time.Duration, error) {
 	return d, nil
 }
 
-func (s *Session) execPredict(pr *sqlparse.Predict, args []rel.Value) (*Result, error) {
-	tbl, err := s.db.cat.Get(pr.Table)
-	if err != nil {
-		return nil, err
-	}
-	targetIdx := tbl.Schema.ColIndex(pr.Target)
-	if targetIdx < 0 {
-		return nil, fmt.Errorf("neurdb: no column %q in %q", pr.Target, pr.Table)
-	}
-	// Feature columns: explicit list, or * = everything except the target
-	// and unique-constrained columns (paper §2.3).
-	var featureIdxs []int
-	if pr.TrainAll {
-		for i, c := range tbl.Schema.Cols {
-			if i == targetIdx || c.Unique {
-				continue
-			}
-			featureIdxs = append(featureIdxs, i)
-		}
-	} else {
-		for _, name := range pr.TrainCols {
-			ci := tbl.Schema.ColIndex(name)
-			if ci < 0 {
-				return nil, fmt.Errorf("neurdb: no column %q in %q", name, pr.Table)
-			}
-			if ci == targetIdx {
-				continue
-			}
-			featureIdxs = append(featureIdxs, ci)
-		}
-	}
-	trainFilter, err := bindTableExpr(tbl, pr.With)
-	if err != nil {
-		return nil, err
-	}
-	trainFilter = rel.SubstParams(trainFilter, args)
-	predictFilter, err := bindTableExpr(tbl, pr.Where)
-	if err != nil {
-		return nil, err
-	}
-	predictFilter = rel.SubstParams(predictFilter, args)
-	var inline []rel.Row
-	for ri, exprRow := range pr.Values {
-		// Inline rows are positional over the feature columns; verify the
-		// arity here, where the statement context is known, instead of
-		// failing (or silently misaligning) deep in the featurizer.
-		if len(exprRow) != len(featureIdxs) {
-			return nil, fmt.Errorf("neurdb: PREDICT VALUES row %d has %d values for %d feature columns",
-				ri+1, len(exprRow), len(featureIdxs))
-		}
-		row := make(rel.Row, len(exprRow))
-		for i, e := range exprRow {
-			v, err := evalConstExpr(e, args)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		inline = append(inline, row)
-	}
-
-	task := executor.PredictTask{
-		Table:          tbl,
-		TargetIdx:      targetIdx,
-		FeatureIdxs:    featureIdxs,
-		Classification: pr.Kind == sqlparse.PredictClass,
-		TrainFilter:    trainFilter,
-		PredictFilter:  predictFilter,
-		InlineRows:     inline,
-		ModelName:      tbl.Name + "." + strings.ToLower(pr.Target),
-	}
-	tx := s.db.mgr.Begin(txn.Snapshot, true)
-	ctx := &executor.Ctx{Mgr: s.db.mgr, Txn: tx, Cat: s.db.cat, Workers: s.effectiveWorkers()}
-	res, err := executor.RunPredict(ctx, s.db.engine, task)
-	s.db.mgr.Abort(tx)
-	if err != nil {
-		return nil, err
-	}
-	// Track training loss in the monitor (accuracy-drift detection input).
+// predictResult shapes a PREDICT outcome: one prediction per row (a class is
+// thresholded at 0.5); the final training loss goes to the monitor.
+func (s *Session) predictResult(n *plan.Predict, res *executor.PredictResult) *Result {
 	if res.Train != nil && len(res.Train.Losses) > 0 {
-		s.db.tracker.Observe("predict."+task.ModelName+".loss", res.Train.Losses[len(res.Train.Losses)-1])
+		s.db.tracker.Observe("predict."+n.ModelName+".loss", res.Train.Losses[len(res.Train.Losses)-1])
 	}
 	out := &Result{
-		Columns:     []string{"prediction"},
+		Columns:     n.Schema().Names(),
 		Predictions: res.Predictions,
-		Message:     fmt.Sprintf("PREDICT %s OF %s: %d predictions (model MID=%d reused=%v)", pr.Kind, pr.Target, len(res.Predictions), res.MID, res.Reused),
+		Message: fmt.Sprintf("PREDICT %s OF %s: %d predictions (model MID=%d reused=%v)",
+			n.Kind(), n.Table.Schema.Col(n.TargetIdx).Name, len(res.Predictions), res.MID, res.Reused),
 	}
-	for _, p := range res.Predictions {
-		v := p
-		if task.Classification {
+	for _, v := range res.Predictions {
+		if n.Classification {
 			if v >= 0.5 {
 				v = 1
 			} else {
@@ -1232,5 +913,5 @@ func (s *Session) execPredict(pr *sqlparse.Predict, args []rel.Value) (*Result, 
 		}
 		out.Rows = append(out.Rows, rel.Row{rel.Float(v)})
 	}
-	return out, nil
+	return out
 }

@@ -355,7 +355,8 @@ func TestExecScriptAndErrors(t *testing.T) {
 		`DROP TABLE missing`,
 		`PREDICT VALUE OF zzz FROM t TRAIN ON *`,
 		`PREDICT VALUE OF a FROM missing TRAIN ON *`,
-		`EXPLAIN INSERT INTO t VALUES (1)`,
+		`EXPLAIN INSERT INTO t VALUES (1, 2)`,
+		`EXPLAIN BEGIN`,
 		`CREATE TABLE t (a INT)`, // duplicate
 	}
 	for _, sql := range bad {

@@ -9,29 +9,9 @@ import (
 	"neurdb/internal/catalog"
 	"neurdb/internal/models"
 	"neurdb/internal/nn"
+	"neurdb/internal/plan"
 	"neurdb/internal/rel"
 )
-
-// PredictTask is a bound PREDICT statement: the executor's AI operators
-// (train / inference / fine-tune, Fig. 1) run it against the AI engine.
-type PredictTask struct {
-	Table          *catalog.Table
-	TargetIdx      int
-	FeatureIdxs    []int
-	Classification bool
-	TrainFilter    rel.Expr  // WITH clause; nil = all rows with non-null target
-	PredictFilter  rel.Expr  // WHERE clause; nil with no VALUES = rows with null target
-	InlineRows     []rel.Row // VALUES rows, in FeatureIdxs order
-	ModelName      string
-	BatchSize      int
-	Window         int
-	LR             float64
-	// Epochs repeats the training data with per-epoch reshuffling; 0 picks
-	// an adaptive count targeting a fixed optimization-step budget.
-	Epochs          int
-	BucketsPerField int
-	EmbDim, Hidden  int
-}
 
 // PredictResult reports a completed PREDICT.
 type PredictResult struct {
@@ -123,34 +103,29 @@ func (c *chunkSource) Next() ([]rel.Row, bool) {
 	return chunk, true
 }
 
-// RunPredict executes a PREDICT task end to end: retrieve training data,
+// PREDICT's training and model shape: constants, not options — no statement
+// or setting ever chose them, and stored models assume exactly these values.
+const (
+	predictBatchSize = 128  // rows per training and inference batch
+	predictWindow    = 8    // streaming-loader window, in batches
+	predictLR        = 0.02 // learning rate, training and fine-tuning
+	predictBuckets   = 32   // featurization buckets per field
+	predictEmbDim    = 8
+	predictHidden    = 32
+	predictSteps     = 60 // optimization-step budget the epoch count targets
+	predictMaxEpochs = 40 // its cap, for tiny tables
+)
+
+// RunPredict executes a PREDICT node end to end: retrieve training data,
 // train (or fine-tune an existing model view), then run inference and
 // return predictions.
-func RunPredict(ctx *Ctx, eng *aiengine.Engine, task PredictTask) (*PredictResult, error) {
-	if task.BatchSize <= 0 {
-		task.BatchSize = 128
-	}
-	if task.Window <= 0 {
-		task.Window = 8
-	}
-	if task.LR <= 0 {
-		task.LR = 0.02
-	}
-	if task.BucketsPerField <= 0 {
-		task.BucketsPerField = 32
-	}
-	if task.EmbDim <= 0 {
-		task.EmbDim = 8
-	}
-	if task.Hidden <= 0 {
-		task.Hidden = 32
-	}
+func RunPredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) (*PredictResult, error) {
 	if len(task.FeatureIdxs) == 0 {
 		return nil, fmt.Errorf("executor: predict with no feature columns")
 	}
 	// Inline rows are positional over FeatureIdxs; a short or long row would
 	// misalign every feature after the mismatch, so reject it up front.
-	for i, row := range task.InlineRows {
+	for i, row := range task.Rows {
 		if len(row) != len(task.FeatureIdxs) {
 			return nil, fmt.Errorf("executor: inline predict row %d has %d values for %d feature columns",
 				i+1, len(row), len(task.FeatureIdxs))
@@ -164,7 +139,7 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task PredictTask) (*PredictResul
 	// Only the two filtered subsets are materialized; the full row slice
 	// never is (paper Fig. 6a: extraction cost bounds adaptive training).
 	var trainRows, inferRows []rel.Row
-	collectInfer := len(task.InlineRows) == 0
+	collectInfer := len(task.Rows) == 0
 	err := ScanBatches(ctx, task.Table, func(b *rel.Batch) error {
 		for _, row := range b.Rows {
 			if !row[task.TargetIdx].IsNull() &&
@@ -192,15 +167,15 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task PredictTask) (*PredictResul
 		return nil, fmt.Errorf("executor: predict has no training rows in %s", task.Table.Name)
 	}
 
-	codecs := buildCodecs(task.Table, task.FeatureIdxs, task.BucketsPerField)
+	codecs := buildCodecs(task.Table, task.FeatureIdxs, predictBuckets)
 	fields := len(task.FeatureIdxs)
-	vocab := fields * task.BucketsPerField
+	vocab := fields * predictBuckets
 	featurize := func(rows []rel.Row) (*nn.Matrix, *nn.Matrix) {
 		x := nn.NewMatrix(len(rows), fields)
 		y := nn.NewMatrix(len(rows), 1)
 		for i, row := range rows {
 			for f, col := range task.FeatureIdxs {
-				x.Set(i, f, float64(f*task.BucketsPerField+codecs[f].encode(row[col])))
+				x.Set(i, f, float64(f*predictBuckets+codecs[f].encode(row[col])))
 			}
 			tv := row[task.TargetIdx].AsFloat()
 			if task.Classification && tv > 0.5 {
@@ -217,7 +192,7 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task PredictTask) (*PredictResul
 		x := nn.NewMatrix(len(rows), fields)
 		for i, row := range rows {
 			for f := range task.FeatureIdxs {
-				x.Set(i, f, float64(f*task.BucketsPerField+codecs[f].encode(row[f])))
+				x.Set(i, f, float64(f*predictBuckets+codecs[f].encode(row[f])))
 			}
 		}
 		return x
@@ -225,29 +200,24 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task PredictTask) (*PredictResul
 
 	spec := models.Spec{
 		Arch: "armnet", Fields: fields, Vocab: vocab,
-		EmbDim: task.EmbDim, Hidden: task.Hidden,
+		EmbDim: predictEmbDim, Hidden: predictHidden,
 		Classification: task.Classification, Seed: 42,
 	}
 
-	epochs := task.Epochs
-	if epochs <= 0 {
-		// Target ~60 optimization steps for small datasets.
-		stepsPerEpoch := (len(trainRows) + task.BatchSize - 1) / task.BatchSize
-		epochs = 60/max(stepsPerEpoch, 1) + 1
-		if epochs > 40 {
-			epochs = 40
-		}
-	}
+	// Repeat the training data (reshuffled per epoch) until the step budget
+	// is spent: a small table gets many epochs, a large one a single pass.
+	stepsPerEpoch := (len(trainRows) + predictBatchSize - 1) / predictBatchSize
+	epochs := min(predictSteps/max(stepsPerEpoch, 1)+1, predictMaxEpochs)
 	res := &PredictResult{}
 	// trainRows is freshly collected above and not used for anything else,
 	// so the per-epoch reshuffle can permute it in place.
 	loader := aiengine.NewStreamingLoader(&chunkSource{
-		rows: trainRows, size: task.BatchSize, epochs: epochs,
+		rows: trainRows, size: predictBatchSize, epochs: epochs,
 		rng: rand.New(rand.NewSource(7)),
-	}, featurize, task.Window)
+	}, featurize, predictWindow)
 	if view, ok := eng.Store.FindViewByName(task.ModelName); ok && task.ModelName != "" {
 		// Incremental path: fine-tune the existing model on fresh data.
-		out, err := eng.FineTune(view.MID, 0, armnet.FreezePrefixLayers, task.LR, loader)
+		out, err := eng.FineTune(view.MID, 0, armnet.FreezePrefixLayers, predictLR, loader)
 		if err != nil {
 			return nil, err
 		}
@@ -256,8 +226,8 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task PredictTask) (*PredictResul
 		res.Reused = true
 	} else {
 		out, err := eng.Train(spec, aiengine.TrainConfig{
-			Name: task.ModelName, BatchSize: task.BatchSize,
-			Window: task.Window, LR: task.LR,
+			Name: task.ModelName, BatchSize: predictBatchSize,
+			Window: predictWindow, LR: predictLR,
 		}, loader)
 		if err != nil {
 			return nil, err
@@ -268,9 +238,9 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task PredictTask) (*PredictResul
 
 	// 2. Inference inputs (collected during the extraction pass).
 	var inferX *nn.Matrix
-	if len(task.InlineRows) > 0 {
-		res.Inputs = task.InlineRows
-		inferX = featurizeInline(task.InlineRows)
+	if len(task.Rows) > 0 {
+		res.Inputs = task.Rows
+		inferX = featurizeInline(task.Rows)
 	} else {
 		res.Inputs = inferRows
 		if len(res.Inputs) == 0 {
@@ -280,9 +250,9 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task PredictTask) (*PredictResul
 		x, _ := featurize(res.Inputs)
 		inferX = x
 	}
-	batches := make([]*aiengine.Batch, 0, inferX.Rows/task.BatchSize+1)
-	for start := 0; start < inferX.Rows; start += task.BatchSize {
-		end := start + task.BatchSize
+	batches := make([]*aiengine.Batch, 0, inferX.Rows/predictBatchSize+1)
+	for start := 0; start < inferX.Rows; start += predictBatchSize {
+		end := start + predictBatchSize
 		if end > inferX.Rows {
 			end = inferX.Rows
 		}

@@ -1,6 +1,8 @@
 package executor
 
 import (
+	"fmt"
+
 	"neurdb/internal/plan"
 	"neurdb/internal/rel"
 	"neurdb/internal/storage"
@@ -117,11 +119,8 @@ func BuildBatch(n plan.Node, ctx *Ctx) (BatchIter, error) {
 		}
 		return &limitBatch{n: t.N, child: c}, nil
 	default:
-		it, err := Build(n, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return NewBatchIter(it), nil
+		// The write nodes and Predict do not stream: see Execute.
+		return nil, fmt.Errorf("executor: unsupported plan node %T", n)
 	}
 }
 
@@ -177,12 +176,10 @@ func buildHashJoinBatch(t *plan.HashJoin, ctx *Ctx) (BatchIter, error) {
 	return j, nil
 }
 
-// --- adapters ---
+// --- adapter ---
 
 // rowIter adapts a BatchIter to the scalar Iter interface, letting
-// row-oriented callers consume batch-producing subtrees unchanged. Since
-// PR 4 no relational operator needs it — every plan node has a native batch
-// implementation.
+// row-oriented callers consume batch-producing subtrees unchanged.
 type rowIter struct {
 	b    BatchIter
 	buf  *rel.Batch
@@ -220,34 +217,6 @@ func (it *rowIter) Next() (rel.Row, error) {
 }
 
 func (it *rowIter) Close() error { return it.b.Close() }
-
-// batchIter adapts a scalar Iter to the BatchIter interface for operators
-// with no native batch implementation yet.
-type batchIter struct {
-	it Iter
-}
-
-// NewBatchIter wraps a row iterator as a batch iterator.
-func NewBatchIter(it Iter) BatchIter { return &batchIter{it: it} }
-
-func (a *batchIter) Open() error { return a.it.Open() }
-
-func (a *batchIter) NextBatch(dst *rel.Batch) (int, error) {
-	dst.Reset()
-	for dst.Len() < BatchSize {
-		row, err := a.it.Next()
-		if err != nil {
-			return 0, err
-		}
-		if row == nil {
-			break
-		}
-		dst.Append(row)
-	}
-	return dst.Len(), nil
-}
-
-func (a *batchIter) Close() error { return a.it.Close() }
 
 // --- scans ---
 

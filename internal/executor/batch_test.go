@@ -241,8 +241,8 @@ func TestHashJoinBatchOverflow(t *testing.T) {
 	}
 }
 
-// TestRowIterAdapterRoundTrip: wrapping a batch iterator as rows and back
-// as batches must preserve the stream.
+// TestRowIterAdapterRoundTrip: reading a batch iterator through the row
+// adapter must preserve the stream.
 func TestRowIterAdapterRoundTrip(t *testing.T) {
 	db := newTestDB(t)
 	tbl := db.mustCreate("t", rel.Column{Name: "x", Typ: rel.TypeInt})
@@ -266,22 +266,21 @@ func TestRowIterAdapterRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := NewBatchIter(NewRowIter(b))
+	it := NewRowIter(b)
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
 	total := 0
-	batch := rel.NewBatch(BatchSize)
 	for {
-		n, err := it.NextBatch(batch)
+		row, err := it.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n == 0 {
+		if row == nil {
 			break
 		}
-		total += n
+		total++
 	}
 	if total != 700 {
 		t.Fatalf("round trip lost rows: %d", total)

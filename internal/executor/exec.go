@@ -42,94 +42,78 @@ type Iter interface {
 	Close() error
 }
 
-// Build compiles a plan into an iterator tree. Every relational operator
-// has a native vectorized implementation (scans, filter, project, all three
-// joins, aggregation, sort, limit); they execute batch-at-a-time internally
-// (morsel-parallel when ctx.Workers allows) and surface rows through an
-// adapter, so row-oriented callers transparently ride the batch engine.
+// Build compiles a row-producing plan for a row-at-a-time consumer: the
+// batch engine (BuildBatch) behind the row adapter.
 func Build(n plan.Node, ctx *Ctx) (Iter, error) {
-	switch n.(type) {
-	case *plan.SeqScan, *plan.IndexScan, *plan.HashJoin, *plan.NLJoin,
-		*plan.IndexJoin, *plan.Filter, *plan.Project, *plan.Agg, *plan.Sort,
-		*plan.Limit:
-		b, err := BuildBatch(n, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return NewRowIter(b), nil
+	b, err := BuildBatch(n, ctx)
+	if err != nil {
+		return nil, err
 	}
-	return buildWith(n, ctx, Build)
+	return NewRowIter(b), nil
 }
 
 // buildScalar compiles a plan into the legacy row-at-a-time iterator tree,
-// with no batch operators anywhere. The batch engine replaced it on the hot
-// path; it remains the reference implementation for differential tests and
-// the baseline for the vectorization benchmarks.
+// with no batch operators anywhere. The batch engine (BuildBatch) replaced it
+// on the hot path; it remains the reference implementation for differential
+// tests and the baseline for the vectorization benchmarks.
 func buildScalar(n plan.Node, ctx *Ctx) (Iter, error) {
-	return buildWith(n, ctx, buildScalar)
-}
-
-// buildWith constructs the row operator for n, building child subtrees with
-// the given builder (Build for batch-backed children, buildScalar for pure
-// row trees).
-func buildWith(n plan.Node, ctx *Ctx, child func(plan.Node, *Ctx) (Iter, error)) (Iter, error) {
 	switch t := n.(type) {
 	case *plan.SeqScan:
 		return &seqScanIter{ctx: ctx, node: t}, nil
 	case *plan.IndexScan:
 		return &indexScanIter{ctx: ctx, node: t}, nil
 	case *plan.HashJoin:
-		l, err := child(t.L, ctx)
+		l, err := buildScalar(t.L, ctx)
 		if err != nil {
 			return nil, err
 		}
-		r, err := child(t.R, ctx)
+		r, err := buildScalar(t.R, ctx)
 		if err != nil {
 			return nil, err
 		}
 		return &hashJoinIter{node: t, left: l, right: r}, nil
 	case *plan.NLJoin:
-		l, err := child(t.L, ctx)
+		l, err := buildScalar(t.L, ctx)
 		if err != nil {
 			return nil, err
 		}
-		r, err := child(t.R, ctx)
+		r, err := buildScalar(t.R, ctx)
 		if err != nil {
 			return nil, err
 		}
 		return &nlJoinIter{node: t, left: l, right: r}, nil
 	case *plan.IndexJoin:
-		l, err := child(t.L, ctx)
+		l, err := buildScalar(t.L, ctx)
 		if err != nil {
 			return nil, err
 		}
 		return &indexJoinIter{ctx: ctx, node: t, left: l}, nil
 	case *plan.Filter:
-		c, err := child(t.Child, ctx)
+		c, err := buildScalar(t.Child, ctx)
 		if err != nil {
 			return nil, err
 		}
 		return &filterIter{pred: t.Pred, child: c}, nil
 	case *plan.Project:
-		c, err := child(t.Child, ctx)
+		c, err := buildScalar(t.Child, ctx)
 		if err != nil {
 			return nil, err
 		}
 		return &projectIter{exprs: t.Exprs, child: c}, nil
 	case *plan.Agg:
-		c, err := child(t.Child, ctx)
+		c, err := buildScalar(t.Child, ctx)
 		if err != nil {
 			return nil, err
 		}
 		return &aggIter{node: t, child: c}, nil
 	case *plan.Sort:
-		c, err := child(t.Child, ctx)
+		c, err := buildScalar(t.Child, ctx)
 		if err != nil {
 			return nil, err
 		}
 		return &sortIter{keys: t.Keys, child: c}, nil
 	case *plan.Limit:
-		c, err := child(t.Child, ctx)
+		c, err := buildScalar(t.Child, ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -139,8 +123,8 @@ func buildWith(n plan.Node, ctx *Ctx, child func(plan.Node, *Ctx) (Iter, error))
 	}
 }
 
-// Run executes a plan to completion and returns all rows. The plan runs on
-// the batch engine; operators without a batch implementation are adapted.
+// Run executes a row-producing plan to completion on the batch engine and
+// returns all rows.
 func Run(n plan.Node, ctx *Ctx) ([]rel.Row, error) {
 	it, err := BuildBatch(n, ctx)
 	if err != nil {
@@ -236,6 +220,16 @@ func indexScanIDs(n *plan.IndexScan) ([]storage.RowID, error) {
 	default:
 		return nil, fmt.Errorf("executor: range scan over hash index %q", n.Index.Name)
 	}
+	// Lookup's slice belongs to the index; Range appended into ours.
+	return heapOrder(ids, n.Eq == nil), nil
+}
+
+// heapOrder returns ids in heap order with each RowID once — the form every
+// index consumer (scan, DML, join probe) visits postings in. The common case
+// (keys loaded in heap order, no stale postings) is already ascending and is
+// returned as is; otherwise the slice is sorted and compacted, in place when
+// the caller owns it and on a copy when it belongs to the index.
+func heapOrder(ids []storage.RowID, owned bool) []storage.RowID {
 	order := func(a, b storage.RowID) int {
 		if c := cmp.Compare(a.Page, b.Page); c != 0 {
 			return c
@@ -247,13 +241,13 @@ func indexScanIDs(n *plan.IndexScan) ([]storage.RowID, error) {
 		ascending = order(ids[i-1], ids[i]) < 0
 	}
 	if ascending {
-		return ids, nil // the common case: keys loaded in heap order, no stale postings
+		return ids
 	}
-	if n.Eq != nil {
-		ids = slices.Clone(ids) // Lookup's slice belongs to the index
+	if !owned {
+		ids = slices.Clone(ids)
 	}
 	slices.SortFunc(ids, order)
-	return slices.Compact(ids), nil
+	return slices.Compact(ids)
 }
 
 // indexRecheck verifies the index condition against the fetched row: a
@@ -487,7 +481,9 @@ func (it *indexJoinIter) Next() (rel.Row, error) {
 		}
 		it.leftRow = l
 		it.matches = it.matches[:0]
-		for _, id := range it.node.Index.Lookup(key) {
+		// Each RowID once per probe key: a row whose key moved away and back
+		// has two postings under it, and both would pass the recheck.
+		for _, id := range heapOrder(it.node.Index.Lookup(key), false) {
 			row, visible := it.ctx.Mgr.Read(it.node.Table.Heap, id, it.ctx.Txn)
 			if !visible {
 				continue

@@ -96,8 +96,8 @@ func (j *nlJoinBatch) Close() error { return j.left.Close() }
 
 // indexJoinBatch probes the inner table's index for each outer batch in one
 // catalog.Index.LookupBatch call — one index-lock acquisition per batch
-// instead of per row — then resolves visibility per posting and emits joined
-// rows through the shared slab/pending path.
+// instead of per row — then resolves visibility once per RowID of each key's
+// posting list and emits joined rows through the shared slab/pending path.
 type indexJoinBatch struct {
 	ctx  *Ctx
 	node *plan.IndexJoin
@@ -151,7 +151,10 @@ func (j *indexJoinBatch) NextBatch(dst *rel.Batch) (int, error) {
 		start := 0
 		for k, key := range j.keys {
 			l := j.in.Rows[j.keyRows[k]]
-			for _, id := range j.ids[start:j.offs[k]] {
+			// Each RowID once per probe key (see indexScanIDs): a row whose
+			// key moved away and back has two postings under it, and both
+			// would pass the recheck. The segment is ours to sort in place.
+			for _, id := range heapOrder(j.ids[start:j.offs[k]], true) {
 				row, visible := j.ctx.Mgr.Read(j.node.Table.Heap, id, j.ctx.Txn)
 				if !visible {
 					continue

@@ -160,36 +160,13 @@ func TestAccessPathShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", c.sql, err)
 		}
-		var table string
-		var whereAST sqlparse.Expr
-		switch s := stmt.(type) {
-		case *sqlparse.Select:
-			q, err := Bind(s, cat)
-			if err != nil {
-				t.Fatalf("bind %q: %v", c.sql, err)
-			}
-			p, err := New().Plan(q)
-			if err != nil {
-				t.Fatalf("plan %q: %v", c.sql, err)
-			}
-			checkProbe(t, c.sql, scanOf(t, p), c.want)
-			continue
-		case *sqlparse.Update:
-			table, whereAST = s.Table, s.Where
-		case *sqlparse.Delete:
-			table, whereAST = s.Table, s.Where
-		}
-		tbl, err := cat.Get(table)
+		// One entry point for every statement kind: a SELECT's base table and
+		// a write's target get their access node from the same decision.
+		p, err := New().PlanStmt(stmt, cat)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("plan %q: %v", c.sql, err)
 		}
-		var where rel.Expr
-		if whereAST != nil {
-			if where, err = SingleTableQuery(tbl).BindExprPublic(whereAST); err != nil {
-				t.Fatalf("bind %q: %v", c.sql, err)
-			}
-		}
-		checkProbe(t, c.sql, New().AccessPath(tbl, where), c.want)
+		checkProbe(t, c.sql, scanOf(t, p), c.want)
 	}
 }
 

@@ -1,5 +1,5 @@
-// Package optimizer turns parsed SELECT statements into physical plans. It
-// provides name binding, a histogram-driven cardinality model, a
+// Package optimizer turns parsed statements into physical plans (PlanStmt is
+// the entry point for every planned statement kind). It provides name binding, a histogram-driven cardinality model, a
 // PostgreSQL-style cost model, dynamic-programming join enumeration, and
 // hint-set candidate generation. The learned optimizers (internal/learnedopt)
 // consume its candidate plans; the cost-based path with (possibly stale)
@@ -175,9 +175,6 @@ func Bind(sel *sqlparse.Select, cat *catalog.Catalog) (*Query, error) {
 		}
 		q.OrderBy = append(q.OrderBy, boundOrder{E: bound, Desc: o.Desc})
 	}
-	if q.HasAgg && len(q.GroupBy) == 0 {
-		// Scalar aggregate: fine.
-	}
 	return q, nil
 }
 
@@ -221,9 +218,11 @@ func (q *Query) resolveColumn(c *sqlparse.ColName) (int, error) {
 }
 
 // bindExpr converts a parsed expression into a bound one over the global
-// schema.
+// schema (an absent clause, nil, stays nil).
 func (q *Query) bindExpr(e sqlparse.Expr) (rel.Expr, error) {
 	switch t := e.(type) {
+	case nil:
+		return nil, nil
 	case *sqlparse.ColName:
 		idx, err := q.resolveColumn(t)
 		if err != nil {
@@ -360,8 +359,8 @@ func (q *Query) classify(e rel.Expr) {
 	}
 }
 
-// SingleTableQuery builds a binding context over one table, used to bind
-// UPDATE/DELETE predicates and PREDICT clauses.
+// SingleTableQuery builds a binding context over one table: the scope of
+// UPDATE, DELETE and PREDICT clauses, whose columns need no qualifier.
 func SingleTableQuery(t *catalog.Table) *Query {
 	global := &rel.Schema{}
 	for _, c := range t.Schema.Cols {
@@ -377,10 +376,4 @@ func SingleTableQuery(t *catalog.Table) *Query {
 		Local:   make([][]rel.Expr, 1),
 		Limit:   -1,
 	}
-}
-
-// BindExprPublic binds a parsed expression against this query's schema
-// (exported for the facade's single-table statements).
-func (q *Query) BindExprPublic(e sqlparse.Expr) (rel.Expr, error) {
-	return q.bindExpr(e)
 }

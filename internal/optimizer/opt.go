@@ -57,6 +57,11 @@ type Optimizer struct {
 	// CardScale perturbs join selectivity estimates; the Lero baseline
 	// generates candidates by sweeping it (e.g. 0.1, 1, 10).
 	CardScale float64
+	// Rank, when set, replaces the cost-based choice for SELECTs: PlanStmt
+	// enumerates candidate plans (hint sets and cardinality sweeps) and runs
+	// the one Rank picks — the learned optimizer's hook. Writes and PREDICT
+	// have a single access path and nothing to rank.
+	Rank func(cands []plan.Node) int
 }
 
 // New creates an optimizer with live statistics and default hints.
@@ -141,13 +146,15 @@ const (
 // AccessPath picks the row source for a single-table statement whose
 // predicate is already bound to t's schema (nil selects every row): the
 // same SeqScan-or-IndexScan decision Plan makes for each base table of a
-// SELECT, exported so UPDATE and DELETE find their rows the way reads do.
+// SELECT, which is how UPDATE and DELETE find their rows the way reads do.
 func (o *Optimizer) AccessPath(t *catalog.Table, where rel.Expr) plan.Node {
 	if o.Stats == nil {
 		o.Stats = LiveStats
 	}
 	q := SingleTableQuery(t)
-	q.Local[0] = rel.SplitConjuncts(where)
+	if where != nil {
+		q.Local[0] = rel.SplitConjuncts(where)
+	}
 	return o.bestAccessPath(q, 0).node
 }
 

@@ -171,7 +171,7 @@ func TestSingleTableQueryBinding(t *testing.T) {
 	q := SingleTableQuery(users)
 	stmt, _ := sqlparse.Parse("SELECT id FROM users WHERE rep > 10 AND id IN (1,2)")
 	where := stmt.(*sqlparse.Select).Where
-	bound, err := q.BindExprPublic(where)
+	bound, err := q.bindExpr(where)
 	if err != nil {
 		t.Fatal(err)
 	}

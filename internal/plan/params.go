@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"fmt"
+
 	"neurdb/internal/rel"
 )
 
@@ -47,8 +49,17 @@ func HasParams(n Node) bool {
 					break
 				}
 			}
-		case *Limit:
-			// N is a parsed literal; LIMIT has no parameter slot.
+		case *Limit, *Delete:
+			// LIMIT's N is a parsed literal and DELETE's predicate lives in
+			// its access node: neither has a parameter slot of its own.
+		case *Insert:
+			found = len(t.Holes) > 0
+		case *Update:
+			for _, e := range t.Set {
+				found = found || rel.HasParams(e)
+			}
+		case *Predict:
+			found = len(t.Holes) > 0 || rel.HasParams(t.TrainFilter) || rel.HasParams(t.PredictFilter)
 		}
 	})
 	return found
@@ -66,9 +77,12 @@ func anyParam(es []rel.Expr) bool {
 // BindParams returns a copy of the plan with every parameter reference
 // replaced by the corresponding argument value: expression Params become
 // Consts and parameter-bound index probes become concrete Eq/Lo/Hi values.
-// Subtrees without parameters are shared, not copied, so re-executing a
-// cached plan allocates only along parameterized paths; the cached plan
-// itself is never mutated.
+// Row-producing subtrees without parameters are shared, not copied, so
+// re-executing a cached plan allocates only along parameterized paths (a
+// write or PREDICT node, the root of its plan, is simply copied); the cached
+// plan itself is never mutated. No default, on purpose: neurdb-lint fails a
+// new node kind with no arm here instead of letting it run with unbound
+// parameters.
 func BindParams(n Node, args []rel.Value) Node {
 	switch t := n.(type) {
 	case *SeqScan:
@@ -213,9 +227,29 @@ func BindParams(n Node, args []rel.Value) Node {
 		cp := *t
 		cp.Child = c
 		return &cp
-	default:
-		return n
+	case *Insert:
+		cp := *t
+		cp.Values = t.Values.bind(args)
+		return &cp
+	case *Update:
+		cp := *t
+		cp.Child = BindParams(t.Child, args)
+		cp.Set = make(map[int]rel.Expr, len(t.Set))
+		for col, e := range t.Set {
+			cp.Set[col] = rel.SubstParams(e, args)
+		}
+		return &cp
+	case *Delete:
+		cp := *t
+		cp.Child = BindParams(t.Child, args)
+		return &cp
+	case *Predict:
+		cp := *t
+		cp.TrainFilter, cp.PredictFilter = rel.SubstParams(t.TrainFilter, args), rel.SubstParams(t.PredictFilter, args)
+		cp.Values = t.Values.bind(args)
+		return &cp
 	}
+	panic(fmt.Sprintf("plan: BindParams has no arm for %T", n))
 }
 
 // substAll substitutes params across an expression slice, copying the slice

@@ -11,8 +11,10 @@ import (
 	"neurdb/client"
 	"neurdb/internal/executor"
 	"neurdb/internal/optimizer"
+	"neurdb/internal/rel"
 	"neurdb/internal/server"
 	"neurdb/internal/sqlparse"
+	"neurdb/internal/storage"
 	"neurdb/internal/txn"
 )
 
@@ -180,5 +182,278 @@ func TestIndexAndHeapScansAgreeOnEveryRoute(t *testing.T) {
 	}
 	if indexScans < 100 {
 		t.Fatalf("only %d of 200 predicates planned as index scans; the test is not exercising them", indexScans)
+	}
+}
+
+// route is one way a statement reaches the engine. run executes sql (written
+// with '?' placeholders) with args and reports what the statement returned:
+// the affected-row count, or a PREDICT's predictions.
+type route struct {
+	name string
+	db   *neurdb.DB
+	run  func(sql string, args []any) (string, error)
+}
+
+// inline substitutes args into sql's placeholders, for the routes that take
+// no parameters.
+func inline(sql string, args []any) string {
+	for _, v := range args {
+		sql = strings.Replace(sql, "?", fmt.Sprint(v), 1)
+	}
+	return sql
+}
+
+// embeddedOutcome and wireOutcome render a statement's result the same way
+// from both sides of the wire.
+func embeddedOutcome(res *neurdb.Result, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	vals := make([]float64, len(res.Rows))
+	for i, row := range res.Rows {
+		vals[i] = row[0].AsFloat()
+	}
+	return fmt.Sprint(res.Affected, vals), nil
+}
+
+func wireOutcome(rows *client.Rows, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	defer rows.Close()
+	vals := []float64{}
+	for rows.Next() {
+		var v float64
+		if err := rows.Scan(&v); err != nil {
+			return "", err
+		}
+		vals = append(vals, v)
+	}
+	if err := rows.Err(); err != nil {
+		return "", err
+	}
+	affected := rows.Affected()
+	if len(vals) > 0 {
+		affected = 0 // the wire reports rows returned where the engine reports none affected
+	}
+	return fmt.Sprint(affected, vals), nil
+}
+
+// writeRoutes opens every entry point, each on a database of its own:
+// Session.Exec, Prepare+Exec, ExecScript, and the wire's simple and extended
+// protocols.
+func writeRoutes(t *testing.T) []route {
+	t.Helper()
+	embedded := func() *neurdb.DB { return neurdb.Open(neurdb.DefaultConfig()) }
+	wire := func() (*neurdb.DB, *client.Conn) {
+		db, addr := startServer(t, server.Config{})
+		c, err := client.Connect(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return db, c
+	}
+	execDB, prepDB, scriptDB := embedded(), embedded(), embedded()
+	simpleDB, simple := wire()
+	extDB, ext := wire()
+	prepared := map[string]*neurdb.Stmt{}
+	wirePrepared := map[string]*client.Stmt{}
+	return []route{
+		{"Session.Exec", execDB, func(sql string, args []any) (string, error) {
+			return embeddedOutcome(execDB.NewSession().Exec(inline(sql, args)))
+		}},
+		{"Prepare+Exec", prepDB, func(sql string, args []any) (string, error) {
+			st, ok := prepared[sql]
+			if !ok {
+				var err error
+				if st, err = prepDB.Prepare(sql); err != nil {
+					return "", err
+				}
+				prepared[sql] = st
+			}
+			return embeddedOutcome(st.Exec(args...))
+		}},
+		{"ExecScript", scriptDB, func(sql string, args []any) (string, error) {
+			return embeddedOutcome(scriptDB.ExecScript("SET statement_timeout = 0; " + inline(sql, args) + ";"))
+		}},
+		{"wire simple", simpleDB, func(sql string, args []any) (string, error) {
+			return wireOutcome(simple.Query(inline(sql, args)))
+		}},
+		{"wire extended", extDB, func(sql string, args []any) (string, error) {
+			st, ok := wirePrepared[sql]
+			if !ok {
+				var err error
+				if st, err = ext.Prepare(sql); err != nil {
+					return "", err
+				}
+				wirePrepared[sql] = st
+			}
+			return wireOutcome(st.Query(args...))
+		}},
+	}
+}
+
+// tableState renders everything a write leaves behind in table t: every heap
+// slot (RowID, visibility, row), every index posting list, the statistics.
+func tableState(t *testing.T, db *neurdb.DB) string {
+	t.Helper()
+	tbl, err := db.Catalog().Get("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := db.TxnManager()
+	tx := mgr.Begin(txn.Snapshot, true)
+	defer mgr.Abort(tx)
+	var sb strings.Builder
+	tbl.Heap.Scan(func(id storage.RowID, head *storage.Version) bool {
+		row, ok := mgr.ReadHead(tbl.ID, id, head, tx)
+		fmt.Fprintf(&sb, "%v %v %v\n", id, ok, row)
+		return true
+	})
+	for _, ix := range tbl.Indexes() {
+		ix.BT.Range(nil, nil, func(k rel.Value, ids []storage.RowID) bool {
+			fmt.Fprintf(&sb, "%s %v %v\n", ix.Name, k, ids)
+			return true
+		})
+	}
+	snap := tbl.Stats.Snapshot()
+	fmt.Fprintf(&sb, "%v %v\n", snap.RowCount, snap.Cols)
+	return sb.String()
+}
+
+// TestWritesAgreeOnEveryRoute: one seeded sequence of INSERT, UPDATE, DELETE
+// and PREDICT statements, run through every entry point on a database of its
+// own, returns the same counts and predictions statement by statement and
+// leaves byte-identical heaps, index postings and statistics — there is one
+// statement pipeline, whichever door a statement comes in by.
+func TestWritesAgreeOnEveryRoute(t *testing.T) {
+	type step struct {
+		sql  string
+		args []any
+	}
+	const n = 1500
+	steps := []step{
+		{`CREATE TABLE t (id INT PRIMARY KEY, k INT, v DOUBLE)`, nil},
+		{`CREATE INDEX t_k ON t (k)`, nil},
+	}
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO t VALUES ")
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, "(%d, %d, %g)", i, i%50, float64(i%50)/4)
+	}
+	steps = append(steps, step{sb.String(), nil}, step{`ANALYZE t`, nil})
+	r := rand.New(rand.NewSource(13))
+	next := n
+	for i := 0; i < 80; i++ {
+		id, k := r.Intn(n), r.Intn(50)
+		switch i % 8 {
+		case 0:
+			steps = append(steps, step{`INSERT INTO t VALUES (?, ?, ?), (?, ? + 1, NULL)`, []any{next, k, float64(k) / 4, next + 1, k}})
+			next += 2
+		case 1:
+			steps = append(steps, step{`UPDATE t SET k = ? WHERE id = ?`, []any{k, id}})
+		case 2:
+			steps = append(steps, step{`UPDATE t SET k = k + ?, v = v + 0.25 WHERE k >= ? AND k < ?`, []any{r.Intn(3), k, k + 2}})
+		case 3:
+			steps = append(steps, step{`DELETE FROM t WHERE id = ?`, []any{id}})
+		case 4:
+			steps = append(steps, step{`UPDATE t SET k = ? WHERE id = ?`, []any{k, id}}, step{`UPDATE t SET k = ? WHERE id = ?`, []any{id % 50, id}})
+		case 5:
+			steps = append(steps, step{`DELETE FROM t WHERE k = ? AND id >= ?`, []any{k, n - 100}})
+		case 6:
+			steps = append(steps, step{`UPDATE t SET v = ? WHERE k >= ?`, []any{float64(k) / 4, 48}})
+		default:
+			if i%16 == 7 {
+				steps = append(steps, step{`PREDICT VALUE OF v FROM t TRAIN ON k`, nil})
+			} else {
+				steps = append(steps, step{`PREDICT VALUE OF v FROM t TRAIN ON k VALUES (?), (? + 1)`, []any{k, k}})
+			}
+		}
+	}
+
+	var want []string
+	var wantState string
+	for ri, rt := range writeRoutes(t) {
+		var got []string
+		for _, s := range steps {
+			out, err := rt.run(s.sql, s.args)
+			if err != nil {
+				t.Fatalf("%s: %s %v: %v", rt.name, s.sql, s.args, err)
+			}
+			got = append(got, out)
+		}
+		state := tableState(t, rt.db)
+		if ri == 0 {
+			want, wantState = got, state
+			predictions := 0
+			for i, s := range steps {
+				if strings.HasPrefix(s.sql, "PREDICT") && got[i] != "0 []" {
+					predictions++
+				}
+			}
+			if predictions < 6 {
+				t.Fatalf("only %d PREDICT statements returned predictions; the test is not exercising them", predictions)
+			}
+			continue
+		}
+		for i := range steps {
+			if got[i] != want[i] {
+				t.Fatalf("%s: statement %d (%s %v) returned %s, Session.Exec returned %s", rt.name, i, steps[i].sql, steps[i].args, got[i], want[i])
+			}
+		}
+		if state != wantState {
+			t.Fatalf("%s left a different table than Session.Exec:\n%s", rt.name, firstDiff(state, wantState))
+		}
+	}
+}
+
+// firstDiff shows the first line two table states disagree on.
+func firstDiff(a, b string) string {
+	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(la) && i < len(lb); i++ {
+		if la[i] != lb[i] {
+			return fmt.Sprintf("line %d:\n got %s\nwant %s", i, la[i], lb[i])
+		}
+	}
+	return fmt.Sprintf("%d lines, want %d", len(la), len(lb))
+}
+
+// TestPredictInTransactionOverWire: PREDICT over the wire runs in the
+// connection's open transaction and sees its uncommitted rows.
+func TestPredictInTransactionOverWire(t *testing.T) {
+	_, addr := startServer(t, server.Config{})
+	c, err := client.Connect(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	mustExec(t, c, `CREATE TABLE r (id INT PRIMARY KEY, a INT, score DOUBLE)`)
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO r VALUES (1000, 0, 0.0)")
+	for i := 1; i < 200; i++ {
+		fmt.Fprintf(&sb, ",(%d,%d,%g)", 1000+i, i%10, float64(i%10)/2)
+	}
+	mustExec(t, c, sb.String())
+	mustExec(t, c, `ANALYZE r`)
+	const predict = `PREDICT VALUE OF score FROM r TRAIN ON a`
+	mustExec(t, c, `BEGIN`)
+	mustExec(t, c, `INSERT INTO r VALUES (10, 4, NULL), (11, 5, NULL)`)
+	if res := mustExec(t, c, predict); res.Affected != 2 {
+		t.Fatalf("simple protocol: %d predictions inside the transaction, want 2", res.Affected)
+	}
+	st, err := c.Prepare(predict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := st.Exec(); err != nil || res.Affected != 2 {
+		t.Fatalf("extended protocol: %+v, %v, want 2 predictions", res, err)
+	}
+	mustExec(t, c, `ROLLBACK`)
+	if res := mustExec(t, c, predict); res.Affected != 0 {
+		t.Fatalf("%d predictions after ROLLBACK, want 0", res.Affected)
 	}
 }

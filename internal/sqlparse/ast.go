@@ -6,7 +6,11 @@ import (
 	"neurdb/internal/rel"
 )
 
-// Stmt is any parsed SQL statement.
+// Stmt is any parsed SQL statement: a planned one (Select, Insert, Update,
+// Delete, Predict), which the optimizer compiles to a plan, or a utility one,
+// which the session executes directly.
+//
+//lint:closedenum
 type Stmt interface{ stmt() }
 
 // Expr is an unbound (name-based) expression tree. The planner binds column
@@ -149,6 +153,8 @@ func WalkExprs(s Stmt, f func(Expr)) {
 		}
 	case *Explain:
 		WalkExprs(t.Inner, f)
+	case *CreateTable, *CreateIndex, *DropTable, *TxnStmt, *Analyze, *SetStmt:
+		// No expressions.
 	}
 }
 
@@ -250,10 +256,6 @@ type Select struct {
 	GroupBy []Expr
 	OrderBy []OrderItem
 	Limit   int64 // -1 = none
-	// Text is the statement's source text, stamped by Parse/ParseScript.
-	// The session layer keys the shared plan cache on it; empty (for ASTs
-	// built programmatically) means "don't cache".
-	Text string
 }
 
 func (*Select) stmt() {}
@@ -290,9 +292,12 @@ type Analyze struct {
 
 func (*Analyze) stmt() {}
 
-// Explain wraps a statement for plan display.
+// Explain wraps a statement for plan display. InnerPos is the byte offset of
+// the inner statement in the text given to Parse: EXPLAIN compiles it under
+// its own text, so it shares the plan-cache entry executing it would use.
 type Explain struct {
-	Inner Stmt
+	Inner    Stmt
+	InnerPos int
 }
 
 func (*Explain) stmt() {}

@@ -83,14 +83,20 @@ func TestMixedPlaceholderStylesRejected(t *testing.T) {
 			t.Fatalf("Parse(%q) err = %v, want mixed-placeholder error", sql, err)
 		}
 	}
-	// Style state resets between script statements.
-	stmts, err := ParseScript(`SELECT a FROM t WHERE a = ?; SELECT b FROM t WHERE b = $1`)
-	if err != nil || len(stmts) != 2 {
-		t.Fatalf("per-statement styles in a script: %v (%d stmts)", err, len(stmts))
+	// Style state is per statement: a script's pieces may differ.
+	texts, err := SplitScript(`SELECT a FROM t WHERE a = ?; SELECT b FROM t WHERE b = $1`)
+	if err != nil || len(texts) != 2 {
+		t.Fatalf("per-statement styles in a script: %v (%d stmts)", err, len(texts))
 	}
-	// '?' numbering also restarts per statement.
-	if p := stmts[0].(*Select).Where.(*Binary).R.(*Param); p.Idx != 0 {
-		t.Fatalf("first statement ? ordinal = %d", p.Idx)
+	for _, text := range texts {
+		stmt, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", text, err)
+		}
+		// '?' numbering also restarts per statement.
+		if p := stmt.(*Select).Where.(*Binary).R.(*Param); p.Idx != 0 {
+			t.Fatalf("%q parameter ordinal = %d", text, p.Idx)
+		}
 	}
 }
 

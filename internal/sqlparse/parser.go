@@ -32,9 +32,6 @@ func Parse(src string) (Stmt, error) {
 	if !p.atEOF() {
 		return nil, fmt.Errorf("sql: trailing input at %q", p.peek().Text)
 	}
-	if sel, ok := stmt.(*Select); ok {
-		sel.Text = strings.TrimSpace(src)
-	}
 	return stmt, nil
 }
 
@@ -42,7 +39,7 @@ func Parse(src string) (Stmt, error) {
 // strings using the lexer, so semicolons inside string literals or comments
 // never split a statement. Empty segments are dropped. Callers that want to
 // execute statements one at a time (e.g. a streaming shell) use this and
-// feed each piece to Query/Exec.
+// feed each piece to Query/Exec (DB.ExecScript parses every piece first).
 func SplitScript(src string) ([]string, error) {
 	toks, err := Tokenize(src)
 	if err != nil {
@@ -65,36 +62,6 @@ func SplitScript(src string) ([]string, error) {
 			if start < 0 {
 				start = t.Pos
 			}
-		}
-	}
-	return out, nil
-}
-
-// ParseScript parses a semicolon-separated list of statements.
-func ParseScript(src string) ([]Stmt, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
-	var out []Stmt
-	for !p.atEOF() {
-		if p.accept(";") {
-			continue
-		}
-		start := p.peek().Pos
-		stmt, err := p.parseStmt()
-		if err != nil {
-			return nil, err
-		}
-		if sel, ok := stmt.(*Select); ok {
-			// The next token is the ';' separator or EOF: everything in
-			// between is this statement's text.
-			sel.Text = strings.TrimSpace(src[start:p.peek().Pos])
-		}
-		out = append(out, stmt)
-		if !p.accept(";") && !p.atEOF() {
-			return nil, fmt.Errorf("sql: expected ';' between statements, got %q", p.peek().Text)
 		}
 	}
 	return out, nil
@@ -180,11 +147,12 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		return &Analyze{}, nil
 	case t.keyword("EXPLAIN"):
 		p.next()
+		pos := p.peek().Pos
 		inner, err := p.parseStmt()
 		if err != nil {
 			return nil, err
 		}
-		return &Explain{Inner: inner}, nil
+		return &Explain{Inner: inner, InnerPos: pos}, nil
 	case t.keyword("SET"):
 		p.next()
 		key, err := p.ident()

@@ -317,19 +317,29 @@ func exprString(e Expr) string {
 	return "?"
 }
 
-func TestParseScript(t *testing.T) {
-	stmts, err := ParseScript(`
+func TestSplitScriptPiecesParse(t *testing.T) {
+	texts, err := SplitScript(`
 		CREATE TABLE t (a INT);
 		INSERT INTO t VALUES (1);
-		SELECT * FROM t;
+		EXPLAIN SELECT * FROM t;
 	`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stmts) != 3 {
-		t.Fatalf("script stmt count = %d", len(stmts))
+	if len(texts) != 3 {
+		t.Fatalf("script stmt count = %d", len(texts))
 	}
-	if _, err := ParseScript("SELECT * FROM t SELECT"); err == nil {
+	for _, text := range texts {
+		if _, err := Parse(text); err != nil {
+			t.Fatalf("Parse(%q): %v", text, err)
+		}
+	}
+	// EXPLAIN records where its inner statement starts.
+	ex, _ := Parse(texts[2])
+	if got := texts[2][ex.(*Explain).InnerPos:]; got != "SELECT * FROM t" {
+		t.Fatalf("inner statement text = %q", got)
+	}
+	if _, err := Parse("SELECT * FROM t SELECT"); err == nil {
 		t.Fatal("missing semicolon should fail")
 	}
 }

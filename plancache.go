@@ -11,16 +11,15 @@ import (
 // DefaultPlanCacheSize bounds the shared plan cache (entries).
 const DefaultPlanCacheSize = 256
 
-// planCache is a size-bounded LRU of compiled SELECT plans shared by every
-// session's prepared statements. Entries are keyed by (optimizer mode, SQL
-// text) and stamped with the catalog version they were planned under; a
-// lookup whose stamp no longer matches the live version counts as a miss
-// and is evicted, so DDL and ANALYZE (which bump the version) invalidate
-// stale plans without scanning the cache.
+// planCache is a size-bounded LRU of compiled statements shared by every
+// session. Entries are keyed by (optimizer mode, SQL text) and stamped with
+// the catalog version they were planned under; a lookup whose stamp no longer
+// matches the live version evicts the entry, so DDL and ANALYZE (which bump
+// the version) invalidate stale plans without scanning the cache. A hit is a
+// lookup answered from the cache; a miss is a plan compiled into it.
 type planCache struct {
 	mu      sync.Mutex
-	max     int
-	entries map[string]*list.Element
+	entries map[planKey]*list.Element
 	lru     list.List // front = most recently used
 
 	hits   atomic.Uint64
@@ -31,30 +30,29 @@ type planCache struct {
 // statements may hold onto one and revalidate it with a lock-free catalog
 // version (and mode) compare instead of re-entering the cache.
 type planEntry struct {
-	key       string
-	mode      OptimizerMode
+	key       planKey
 	node      plan.Node
 	columns   []string
 	hasParams bool // plan contains parameter references needing BindParams
+	writes    bool // INSERT/UPDATE/DELETE: needs a read-write transaction
+	streams   bool // a row-producing tree the batch engine streams (SELECT)
 	catVer    uint64
 }
 
-func newPlanCache(max int) *planCache {
-	if max <= 0 {
-		max = DefaultPlanCacheSize
-	}
-	return &planCache{max: max, entries: make(map[string]*list.Element)}
+func newPlanCache() *planCache {
+	return &planCache{entries: make(map[planKey]*list.Element)}
 }
 
-// planKey builds the cache key: plans depend on the optimizer mode as well
-// as the statement text.
-func planKey(mode OptimizerMode, sql string) string {
-	return string(mode) + "\x00" + sql
+// planKey is the cache key: plans depend on the optimizer mode as well as
+// the statement text.
+type planKey struct {
+	mode OptimizerMode
+	sql  string
 }
 
 // get returns the cached entry for key if it was planned at catVer,
-// counting a hit; otherwise it counts a miss (evicting a stale entry).
-func (c *planCache) get(key string, catVer uint64) (*planEntry, bool) {
+// counting a hit; a stale entry is evicted.
+func (c *planCache) get(key planKey, catVer uint64) (*planEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -68,13 +66,13 @@ func (c *planCache) get(key string, catVer uint64) (*planEntry, bool) {
 		c.lru.Remove(el)
 		delete(c.entries, key)
 	}
-	c.misses.Add(1)
 	return nil, false
 }
 
-// put installs (or replaces) an entry, evicting the least recently used
-// entry when the cache is full.
+// put installs (or replaces) an entry, counting the miss that made it and
+// evicting the least recently used entry when the cache is full.
 func (c *planCache) put(e *planEntry) {
+	c.misses.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[e.key]; ok {
@@ -83,7 +81,7 @@ func (c *planCache) put(e *planEntry) {
 		return
 	}
 	c.entries[e.key] = c.lru.PushFront(e)
-	for len(c.entries) > c.max {
+	for len(c.entries) > DefaultPlanCacheSize {
 		oldest := c.lru.Back()
 		if oldest == nil {
 			break
@@ -91,11 +89,6 @@ func (c *planCache) put(e *planEntry) {
 		c.lru.Remove(oldest)
 		delete(c.entries, oldest.Value.(*planEntry).key)
 	}
-}
-
-// stats returns the cumulative hit/miss counters.
-func (c *planCache) stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
 }
 
 // len returns the current entry count.

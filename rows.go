@@ -40,10 +40,9 @@ type Rows struct {
 	batch *rel.Batch
 	pos   int
 
-	// Materialized state (non-SELECT statements executed through Query).
-	static   []rel.Row
-	msg      string
-	affected int
+	// res is the whole outcome of a statement that does not stream (nil for
+	// a streamed SELECT): the cursor iterates its Rows.
+	res *Result
 
 	// deadline bounds the stream (Config.StatementTimeout / SET
 	// statement_timeout): enforced before each batch pull, the same
@@ -70,7 +69,7 @@ func newStreamingRows(cols []string, schema *rel.Schema, it executor.BatchIter, 
 
 // newStaticRows wraps a materialized result as a cursor.
 func newStaticRows(res *Result) *Rows {
-	return &Rows{cols: res.Columns, static: res.Rows, msg: res.Message, affected: res.Affected}
+	return &Rows{cols: res.Columns, res: res}
 }
 
 // Columns returns the result column names.
@@ -84,10 +83,20 @@ func (r *Rows) Schema() *rel.Schema { return r.schema }
 
 // Message returns the statement message for non-streaming statements
 // ("INSERT 3", "CREATE TABLE", ...); empty for streamed SELECTs.
-func (r *Rows) Message() string { return r.msg }
+func (r *Rows) Message() string {
+	if r.res == nil {
+		return ""
+	}
+	return r.res.Message
+}
 
 // Affected returns the affected-row count for DML executed through Query.
-func (r *Rows) Affected() int { return r.affected }
+func (r *Rows) Affected() int {
+	if r.res == nil {
+		return 0
+	}
+	return r.res.Affected
+}
 
 // Next advances to the next row, pulling the next batch from the executor
 // when the current one is drained. It returns false at end of stream or on
@@ -97,12 +106,12 @@ func (r *Rows) Next() bool {
 	if r.closed || r.err != nil {
 		return false
 	}
-	if r.batch == nil { // materialized result
-		if r.pos >= len(r.static) {
+	if r.res != nil { // materialized result
+		if r.pos >= len(r.res.Rows) {
 			r.cur = nil
 			return false
 		}
-		r.cur = r.static[r.pos]
+		r.cur = r.res.Rows[r.pos]
 		r.pos++
 		return true
 	}
@@ -155,7 +164,7 @@ func (r *Rows) Scan(dest ...any) error {
 		return fmt.Errorf("neurdb: Scan has %d targets for %d columns", len(dest), len(r.cur))
 	}
 	for i, d := range dest {
-		if err := assignValue(d, r.cur[i]); err != nil {
+		if err := rel.Assign(d, r.cur[i]); err != nil {
 			return fmt.Errorf("neurdb: Scan column %d: %w", i, err)
 		}
 	}
@@ -200,6 +209,10 @@ func (r *Rows) finish(err error) error {
 // drain consumes the remaining rows into a Result and closes the cursor —
 // the compatibility bridge Exec uses on top of the streaming path.
 func (r *Rows) drain() (*Result, error) {
+	if r.res != nil {
+		r.closed = true
+		return r.res, nil
+	}
 	var rows []rel.Row
 	for r.Next() {
 		rows = append(rows, r.cur)
@@ -210,28 +223,13 @@ func (r *Rows) drain() (*Result, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	return &Result{Columns: r.cols, Rows: rows, Affected: r.affected, Message: r.msg}, nil
-}
-
-// assignValue converts one column value into a Scan target through the
-// conversion table shared with the wire client (rel.Assign).
-func assignValue(dest any, v rel.Value) error {
-	return rel.Assign(dest, v)
-}
-
-// toValue converts a Go value into an engine value for parameter binding.
-// The conversion table (rel.FromGo) is shared with the wire client so the
-// same arguments bind identically embedded and remote.
-func toValue(a any) (rel.Value, error) {
-	v, err := rel.FromGo(a)
-	if err != nil {
-		return rel.Value{}, fmt.Errorf("neurdb: %w", err)
-	}
-	return v, nil
+	return &Result{Columns: r.cols, Rows: rows}, nil
 }
 
 // convertArgs validates the argument count against the statement's
-// parameter count and converts each argument.
+// parameter count and converts each argument through the table shared with
+// the wire client (rel.FromGo), so arguments bind identically embedded and
+// remote.
 func convertArgs(nParams int, args []any) ([]rel.Value, error) {
 	if len(args) != nParams {
 		return nil, fmt.Errorf("neurdb: statement takes %d parameters, got %d arguments", nParams, len(args))
@@ -241,9 +239,9 @@ func convertArgs(nParams int, args []any) ([]rel.Value, error) {
 	}
 	out := make([]rel.Value, nParams)
 	for i, a := range args {
-		v, err := toValue(a)
+		v, err := rel.FromGo(a)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("neurdb: %w", err)
 		}
 		out[i] = v
 	}

@@ -1,53 +1,60 @@
 package neurdb
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 
+	"neurdb/internal/optimizer"
 	"neurdb/internal/plan"
 	"neurdb/internal/rel"
 	"neurdb/internal/sqlparse"
 )
 
-// Stmt is a prepared statement: lexed, parsed, and — for SELECT — bound and
-// planned once, then executed many times with per-call parameter values
-// ('?' or '$n' placeholders). SELECT plans live in the DB-wide plan cache,
-// keyed by statement text and optimizer mode and invalidated by catalog
-// version (DDL and ANALYZE bump it), so re-execution pays only parameter
-// binding and execution. A Stmt is safe for concurrent use.
+// Stmt is a statement parsed once and executed many times with per-call
+// parameter values ('?' or '$n' placeholders). A planned statement (SELECT,
+// INSERT, UPDATE, DELETE, PREDICT) is also bound and planned once: its plan
+// lives in the DB-wide plan cache, keyed by statement text and optimizer mode
+// and invalidated by catalog version (DDL and ANALYZE bump it). Session.Exec
+// and Query run through a throwaway Stmt, so there is one execution path. A
+// Stmt is safe for concurrent use.
 type Stmt struct {
 	s       *Session
 	sql     string
 	ast     sqlparse.Stmt
-	sel     *sqlparse.Select // non-nil when the statement is a SELECT
 	nParams int
 	closed  atomic.Bool
 	// entry is the statement-local view of the cached plan, revalidated on
 	// every execution against the catalog version and optimizer mode
-	// without taking the shared cache's lock.
+	// without taking the shared cache's lock (nil for utility statements).
 	entry atomic.Pointer[planEntry]
 }
 
-// Prepare parses and (for SELECT) plans a statement on the implicit
-// session.
-func (db *DB) Prepare(sql string) (*Stmt, error) { return db.session.Prepare(sql) }
-
-// Prepare parses and (for SELECT) plans a statement for this session. The
-// compiled plan is shared through the DB plan cache, so preparing the same
-// text on many sessions plans it once per catalog version.
-func (s *Session) Prepare(sql string) (*Stmt, error) {
+// parse builds the Stmt every execution goes through.
+func (s *Session) parse(sql string) (*Stmt, error) {
+	sql = strings.TrimSpace(sql)
 	ast, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	st := &Stmt{s: s, sql: sql, ast: ast, nParams: sqlparse.ParamCount(ast)}
-	if sel, ok := ast.(*sqlparse.Select); ok {
-		st.sel = sel
-		e, err := s.db.cachedPlan(sql, sel)
-		if err != nil {
-			return nil, err
-		}
-		st.entry.Store(e)
+	return &Stmt{s: s, sql: sql, ast: ast, nParams: sqlparse.ParamCount(ast)}, nil
+}
+
+// Prepare parses and plans a statement on the implicit session.
+func (db *DB) Prepare(sql string) (*Stmt, error) { return db.session.Prepare(sql) }
+
+// Prepare parses a statement for this session and compiles a planned one, so
+// an unknown table or column fails here rather than at the first execution.
+// The plan is shared through the DB plan cache: preparing the same text on
+// many sessions plans it once per catalog version.
+func (s *Session) Prepare(sql string) (*Stmt, error) {
+	st, err := s.parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := st.plan(); err != nil && !errors.Is(err, optimizer.ErrNotPlanned) {
+		return nil, err
 	}
 	return st, nil
 }
@@ -55,16 +62,19 @@ func (s *Session) Prepare(sql string) (*Stmt, error) {
 // NumParams returns the number of parameters the statement takes.
 func (st *Stmt) NumParams() int { return st.nParams }
 
-// IsSelect reports whether the statement streams result rows (a SELECT).
-func (st *Stmt) IsSelect() bool { return st.sel != nil }
+// IsSelect reports whether the prepared statement streams result rows (a
+// SELECT); replanning never changes that, so the plan Prepare compiled tells.
+func (st *Stmt) IsSelect() bool {
+	e := st.entry.Load()
+	return e != nil && e.streams
+}
 
 // ResultSchema returns the typed result schema of a prepared SELECT,
 // revalidating the cached plan against the catalog first (DDL can change
-// the shape). Non-SELECT statements return nil: their result metadata is
-// not known until execution. The wire server's Describe message is backed
-// by this.
+// the shape), and nil for other statements, whose shape the wire server
+// announces when they execute. It backs the server's Describe message.
 func (st *Stmt) ResultSchema() (*rel.Schema, error) {
-	if st.sel == nil {
+	if !st.IsSelect() {
 		return nil, nil
 	}
 	e, err := st.plan()
@@ -74,79 +84,28 @@ func (st *Stmt) ResultSchema() (*rel.Schema, error) {
 	return e.node.Schema(), nil
 }
 
-// Columns returns the result column names of a prepared SELECT (nil for
-// non-SELECT statements).
-func (st *Stmt) Columns() ([]string, error) {
-	if st.sel == nil {
-		return nil, nil
-	}
-	e, err := st.plan()
-	if err != nil {
-		return nil, err
-	}
-	return e.columns, nil
-}
-
-// Query executes the statement with the given arguments and returns a
-// streaming cursor (see Rows). Non-SELECT statements execute eagerly and
-// come back as a materialized cursor carrying Message/Affected.
+// Query executes the statement with the given arguments and returns a cursor
+// (see Rows): streaming for a SELECT, materialized — carrying Message and
+// Affected — for everything else.
 func (st *Stmt) Query(args ...any) (*Rows, error) {
-	vals, err := st.bind(args)
+	if st.closed.Load() {
+		return nil, fmt.Errorf("neurdb: statement is closed")
+	}
+	vals, err := convertArgs(st.nParams, args)
 	if err != nil {
 		return nil, err
 	}
-	if st.sel != nil {
-		e, err := st.plan()
-		if err != nil {
-			return nil, err
-		}
-		return st.s.streamPlan(e.node, e.columns, e.hasParams, vals)
-	}
-	return st.s.queryStmt(st.ast, vals)
-}
-
-// plan returns the compiled plan for the SELECT. The fast path revalidates
-// the statement-local entry with a lock-free catalog-version and mode
-// compare (counting a cache hit), so concurrent prepared executions do not
-// serialize on the shared cache's mutex; invalidation falls back to the
-// shared cache, which replans as needed.
-func (st *Stmt) plan() (*planEntry, error) {
-	db := st.s.db
-	if e := st.entry.Load(); e != nil && e.catVer == db.cat.Version() && e.mode == db.OptimizerModeNow() {
-		db.plans.hits.Add(1)
-		return e, nil
-	}
-	e, err := db.cachedPlan(st.sql, st.sel)
-	if err != nil {
-		return nil, err
-	}
-	st.entry.Store(e)
-	return e, nil
+	return st.s.execStmt(st, vals)
 }
 
 // Exec executes the statement with the given arguments and materializes the
 // outcome, draining the cursor for SELECTs.
 func (st *Stmt) Exec(args ...any) (*Result, error) {
-	if st.sel != nil {
-		rows, err := st.Query(args...)
-		if err != nil {
-			return nil, err
-		}
-		return rows.drain()
-	}
-	vals, err := st.bind(args)
+	rows, err := st.Query(args...)
 	if err != nil {
 		return nil, err
 	}
-	return st.s.execStmt(st.ast, vals)
-}
-
-// bind validates the closed flag and converts arguments.
-func (st *Stmt) bind(args []any) ([]rel.Value, error) {
-	if st.closed.Load() {
-		return nil, fmt.Errorf("neurdb: statement is closed")
-	}
-	return convertArgs(st.nParams, args)
+	return rows.drain()
 }
 
 // Close marks the statement unusable. The cached plan stays in the shared
@@ -156,34 +115,63 @@ func (st *Stmt) Close() error {
 	return nil
 }
 
-// cachedPlan returns the compiled plan for a SELECT, planning and caching
-// it on miss or when DDL/ANALYZE invalidated the cached entry. Shared-cache
-// lookups feed the monitor ("plancache.hit" series); PlanCacheStats counts
-// those plus the statements' lock-free local revalidations.
-func (db *DB) cachedPlan(sql string, sel *sqlparse.Select) (*planEntry, error) {
-	mode := db.OptimizerModeNow()
+// plan returns the statement's compiled plan. The fast path revalidates the
+// statement-local entry with a lock-free catalog-version and mode compare
+// (counting a cache hit), so concurrent prepared executions do not serialize
+// on the shared cache's mutex; invalidation falls back to the shared cache,
+// which replans as needed.
+func (st *Stmt) plan() (*planEntry, error) {
+	db := st.s.db
+	if e := st.entry.Load(); e != nil && e.catVer == db.cat.Version() && e.key.mode == db.OptimizerModeNow() {
+		db.plans.hits.Add(1)
+		return e, nil
+	}
+	e, err := db.compile(st.sql, st.ast)
+	if err != nil {
+		return nil, err
+	}
+	st.entry.Store(e)
+	return e, nil
+}
+
+// compile is the single place a statement becomes a plan: the shared cache's
+// entry for (optimizer mode, SQL text) while the catalog version it was
+// planned under still stands, a fresh plan — cached — otherwise. Cache
+// traffic feeds the monitor ("plancache.hit"); PlanCacheStats counts it plus
+// the statements' lock-free local revalidations.
+func (db *DB) compile(sql string, stmt sqlparse.Stmt) (*planEntry, error) {
+	key := planKey{mode: db.OptimizerModeNow(), sql: sql}
 	ver := db.cat.Version()
-	key := planKey(mode, sql)
 	if e, ok := db.plans.get(key, ver); ok {
 		db.tracker.Observe("plancache.hit", 1)
 		return e, nil
 	}
-	db.tracker.Observe("plancache.hit", 0)
-	p, err := db.PlanSelect(sel)
+	node, err := db.optimizerFor(key.mode).PlanStmt(stmt, db.cat)
 	if err != nil {
 		return nil, err
 	}
 	e := &planEntry{
 		key:       key,
-		mode:      mode,
-		node:      p,
-		columns:   p.Schema().Names(),
-		hasParams: plan.HasParams(p),
+		node:      node,
+		columns:   node.Schema().Names(),
+		hasParams: plan.HasParams(node),
 		catVer:    ver,
 	}
-	db.plans.put(e)
+	switch node.(type) {
+	case *plan.Insert, *plan.Update, *plan.Delete:
+		e.writes = true
+	case *plan.Predict: // runs to completion, reading
+	default:
+		e.streams = true
+	}
+	// Admission: an INSERT without parameters is compiled to its rows (a bulk
+	// load: megabytes under a text that never repeats), so it is not cached.
+	if _, insert := node.(*plan.Insert); !insert || e.hasParams {
+		db.plans.put(e)
+		db.tracker.Observe("plancache.hit", 0)
+	}
 	return e, nil
 }
 
 // PlanCacheStats returns the cumulative plan-cache hit/miss counters.
-func (db *DB) PlanCacheStats() (hits, misses uint64) { return db.plans.stats() }
+func (db *DB) PlanCacheStats() (uint64, uint64) { return db.plans.hits.Load(), db.plans.misses.Load() }
