@@ -3,9 +3,11 @@ package neurdb
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"neurdb/internal/nn"
 	"neurdb/internal/txn"
 )
 
@@ -98,6 +100,12 @@ func TestExplainPlannedKinds(t *testing.T) {
 		want []string // one prefix per plan line
 	}{
 		{`SELECT k FROM t WHERE id = ?`, []any{3}, []string{"Project(t.k)", "  IndexScan(t, id=$1)"}},
+		// PREDICT's children: the access node of its WITH clause (the rows
+		// to train on), then that of its WHERE clause (the rows to predict).
+		{`PREDICT VALUE OF k FROM t WHERE id >= ? AND id < ? TRAIN ON id WITH id >= ? AND id < ?`, []any{1000, 1010, 0, 1000},
+			[]string{"Predict(VALUE OF t.k, features=1)", "  IndexScan(t, id in [$3,$4], (id < $4))", "  IndexScan(t, id in [$1,$2], (id < $2))"}},
+		{`PREDICT VALUE OF k FROM t TRAIN ON id WITH k >= 5`, nil,
+			[]string{"Predict(VALUE OF t.k, features=1)", "  SeqScan(t, (k >= 5))", "  SeqScan(t)  (rows="}},
 		{`UPDATE t SET k = k + 1 WHERE id = ?`, []any{3}, []string{"Update(t, k = (k + 1))", "  IndexScan(t, id=$1)"}},
 		{`UPDATE t SET k = 0 WHERE id = 12`, nil, []string{"Update(t, k = 0)", "  IndexScan(t, id=12)"}},
 		{`DELETE FROM t WHERE k >= 100 AND k < 110`, nil, []string{"Delete(t)", "  IndexScan(t, k in [100,110], (k < 110))"}},
@@ -105,7 +113,7 @@ func TestExplainPlannedKinds(t *testing.T) {
 		{`UPDATE t SET k = 0`, nil, []string{"Update(t, k = 0)", "  SeqScan(t)  (rows="}},
 		{`INSERT INTO t VALUES (?, 1), (9001, 2)`, []any{9000}, []string{"Insert(t, rows=2)"}},
 		{`INSERT INTO t VALUES (9002, 2)`, nil, []string{"Insert(t, rows=1)"}},
-		{`PREDICT VALUE OF k FROM t TRAIN ON id VALUES (?)`, []any{5}, []string{"Predict(VALUE OF t.k, features=1)"}},
+		{`PREDICT VALUE OF k FROM t TRAIN ON id VALUES (?)`, []any{5}, []string{"Predict(VALUE OF t.k, features=1)", "  SeqScan(t)  (rows="}},
 	} {
 		_, m0 := db.PlanCacheStats()
 		got := strings.Split(explainText(t, db, c.sql, c.args...), "\n")
@@ -235,4 +243,122 @@ func TestIndexDrivenDMLConflicts(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestPredictAccessChildrenAgree: PREDICT finds its training rows and its
+// rows to predict through access nodes, so the same statements on a table
+// with an index on the filtered column (two IndexScan children) and without
+// one (two SeqScan children) must return the same predictions in the same
+// order and store the same model bytes — after updates that left stale
+// postings in the index, inside a transaction that inserted the rows to
+// predict, with inline VALUES, with neither clause, under snapshot isolation
+// and under SSI.
+func TestPredictAccessChildrenAgree(t *testing.T) {
+	const windowed = `PREDICT VALUE OF score FROM r WHERE k >= ? AND k < ? TRAIN ON a, b WITH k >= ? AND k < ?`
+	run := func(t *testing.T, serializable, indexed bool) string {
+		cfg := DefaultConfig()
+		cfg.Serializable = serializable
+		db := Open(cfg)
+		mustExec(t, db, `CREATE TABLE r (id INT PRIMARY KEY, k INT, a INT, b INT, score DOUBLE)`)
+		if indexed {
+			mustExec(t, db, `CREATE INDEX r_k ON r (k)`)
+		}
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO r VALUES ")
+		for i := 0; i < 3000; i++ {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			a, b := i%10, (i/10)%7
+			fmt.Fprintf(&sb, "(%d, %d, %d, %d, %g)", i, i, a, b, float64(a)/4+float64(b*b)/16)
+		}
+		mustExec(t, db, sb.String())
+		mustExec(t, db, `ANALYZE r`)
+		// Key-changing churn: rows leave the window and some come back, so an
+		// index holds postings under keys the rows no longer have, and two
+		// postings for the rows that returned.
+		mustExec(t, db, `UPDATE r SET k = k + 5000 WHERE id >= 100 AND id < 140`)
+		mustExec(t, db, `UPDATE r SET k = k - 5000 WHERE id >= 100 AND id < 120`)
+		mustExec(t, db, `DELETE FROM r WHERE id >= 200 AND id < 210`)
+
+		scan := "SeqScan(r, "
+		if indexed {
+			scan = "IndexScan(r, k in ["
+		}
+		if plan := explainText(t, db, windowed, 2000, 2100, 0, 2000); strings.Count(plan, scan) != 2 {
+			t.Fatalf("indexed=%v: want two %s...) children, got:\n%s", indexed, scan, plan)
+		}
+
+		var out strings.Builder
+		record := func(what string, res *Result, want int) {
+			t.Helper()
+			if len(res.Predictions) != want {
+				t.Fatalf("indexed=%v %s: %d predictions, want %d", indexed, what, len(res.Predictions), want)
+			}
+			fmt.Fprintf(&out, "%s:", what)
+			for _, p := range res.Predictions {
+				fmt.Fprintf(&out, " %x", math.Float64bits(p))
+			}
+			out.WriteByte('\n')
+		}
+		s := db.NewSession()
+		exec := func(sql string, args ...any) *Result {
+			t.Helper()
+			res, err := s.Exec(sql, args...)
+			if err != nil {
+				t.Fatalf("indexed=%v %s: %v", indexed, sql, err)
+			}
+			return res
+		}
+		record("train", exec(windowed, 2000, 2100, 0, 2000), 100)
+		record("fine-tune", exec(windowed, 2100, 2200, 100, 2100), 100)
+		record("moved rows", exec(windowed, 5100, 5200, 0, 2000), 20) // the 20 that did not come back
+		exec(`BEGIN`)
+		exec(`INSERT INTO r VALUES (9000, 9000, 3, 4, NULL), (9001, 9001, 5, 6, NULL), (9002, 9002, 7, 1, 1.5)`)
+		record("own inserts", exec(windowed, 9000, 9010, 0, 2000), 3)
+		record("null targets in txn", exec(`PREDICT VALUE OF score FROM r TRAIN ON a, b`), 2)
+		exec(`ROLLBACK`)
+		record("after rollback", exec(windowed, 9000, 9010, 0, 2000), 0)
+		record("inline values", exec(`PREDICT VALUE OF score FROM r TRAIN ON a, b WITH k >= ? AND k < ? VALUES (1, 2), (?, 4)`, 500, 2500, 9), 2)
+		exec(`INSERT INTO r VALUES (9100, 9100, 2, 2, NULL)`)
+		record("neither clause", exec(`PREDICT VALUE OF score FROM r TRAIN ON a, b`), 1)
+
+		view, ok := db.ModelStore().FindViewByName("r.score")
+		if !ok {
+			t.Fatal("no model bound to r.score")
+		}
+		for _, ts := range db.ModelStore().Versions(view.MID) {
+			layers, _, err := db.ModelStore().Load(view.MID, ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range layers {
+				blob, err := nn.EncodeWeights(l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&out, "model@%d %x\n", ts, blob)
+			}
+		}
+		return out.String()
+	}
+	for _, serializable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("serializable=%v", serializable), func(t *testing.T) {
+			indexed, scanned := run(t, serializable, true), run(t, serializable, false)
+			if indexed != scanned {
+				t.Fatalf("index-driven and scan-driven PREDICT disagree:\n%s", firstDiffLine(indexed, scanned))
+			}
+		})
+	}
+}
+
+// firstDiffLine shows the first line two outputs disagree on.
+func firstDiffLine(a, b string) string {
+	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(la) && i < len(lb); i++ {
+		if la[i] != lb[i] {
+			return fmt.Sprintf("line %d:\n index %.200s\n  scan %.200s", i, la[i], lb[i])
+		}
+	}
+	return fmt.Sprintf("%d lines vs %d", len(la), len(lb))
 }

@@ -21,6 +21,8 @@ SELECT id, brand FROM review ORDER BY score DESC LIMIT 3;
 EXPLAIN SELECT id FROM review WHERE brand = 'acme';
 EXPLAIN UPDATE review SET stars = 5 WHERE brand = 'acme' AND stars < 5;
 EXPLAIN DELETE FROM review WHERE id = 4;
+-- PREDICT's two row sources are access nodes: WITH's (train), then WHERE's (predict)
+EXPLAIN PREDICT VALUE OF score FROM review WHERE id >= 4 TRAIN ON stars WITH id >= 1 AND id < 4;
 -- the same write twice: the second execution runs the first one's cached plan
 UPDATE review SET stars = stars + 1 WHERE id = 3;
 UPDATE review SET stars = stars + 1 WHERE id = 3;

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"neurdb/internal/armnet"
 	"neurdb/internal/models"
 	"neurdb/internal/nn"
 	"neurdb/internal/rel"
@@ -38,15 +39,20 @@ type Featurizer func([]rel.Row) (x, y *nn.Matrix)
 // preparation overlaps model computation. Window controls the number of
 // prepared batches buffered ahead.
 type StreamingLoader struct {
-	ch chan *Batch
+	ch   chan *Batch
+	done chan struct{}
+	stop sync.Once
 }
 
-// NewStreamingLoader starts the prefetch pipeline.
+// NewStreamingLoader starts the prefetch pipeline. Its goroutine ends when
+// src is exhausted or at Close, whichever comes first: a consumer that may
+// stop before draining the loader (a failed task) must call Close.
 func NewStreamingLoader(src RowBatchSource, feat Featurizer, window int) *StreamingLoader {
 	if window < 1 {
 		window = 1
 	}
-	l := &StreamingLoader{ch: make(chan *Batch, window)}
+	// The buffer is the prefetch window: the batches prepared ahead of the consumer.
+	l := &StreamingLoader{ch: make(chan *Batch, window), done: make(chan struct{})}
 	go func() {
 		defer close(l.ch)
 		for {
@@ -55,7 +61,11 @@ func NewStreamingLoader(src RowBatchSource, feat Featurizer, window int) *Stream
 				return
 			}
 			x, y := feat(rows)
-			l.ch <- &Batch{X: x, Y: y}
+			select {
+			case l.ch <- &Batch{X: x, Y: y}:
+			case <-l.done:
+				return
+			}
 		}
 	}()
 	return l
@@ -65,6 +75,15 @@ func NewStreamingLoader(src RowBatchSource, feat Featurizer, window int) *Stream
 func (l *StreamingLoader) Next() (*Batch, bool) {
 	b, ok := <-l.ch
 	return b, ok
+}
+
+// Close stops the prefetch goroutine and returns once it has exited, dropping
+// whatever it had prepared. It may be called more than once, and after the
+// loader is drained.
+func (l *StreamingLoader) Close() {
+	l.stop.Do(func() { close(l.done) })
+	for range l.ch {
+	}
 }
 
 // SliceSource adapts a pre-materialized batch list to DataSource.
@@ -92,13 +111,17 @@ type Engine struct {
 	mu    sync.Mutex
 	addrs []string
 	rr    int
+
+	// memo is the frozen-prefix memo of the in-process runtime; an external
+	// runtime node has its own.
+	memo *armnet.PrefixMemo
 }
 
 // NewEngine creates an engine backed by the given model store. With no
 // registered runtimes, tasks run on in-process runtime goroutines connected
 // through synchronous pipes.
 func NewEngine(store *models.Store) *Engine {
-	return &Engine{Store: store}
+	return &Engine{Store: store, memo: armnet.NewPrefixMemo(armnet.PrefixMemoBytes)}
 }
 
 // AddRuntime registers an external runtime address (round-robin dispatch).
@@ -127,13 +150,16 @@ func (e *Engine) connect() (io.ReadWriteCloser, error) {
 	local, remote := net.Pipe()
 	go func() {
 		defer remote.Close()
-		ServeTask(remote)
+		ServeTask(remote, e.memo)
 	}()
 	return local, nil
 }
 
 // RunTask executes one task over a connection: handshake, windowed batch
-// streaming with credit-based flow control, finish, result.
+// streaming with credit-based flow control, finish, result. It starts a
+// sender and a reader goroutine; on every return path the sender is released
+// at once and the reader as soon as the caller closes conn, which a caller
+// does whether the task succeeded or not.
 func RunTask(conn io.ReadWriter, spec TaskSpec, src DataSource) (*TaskResult, error) {
 	payload, err := gobEncode(spec)
 	if err != nil {
@@ -167,17 +193,24 @@ func RunTask(conn io.ReadWriter, spec TaskSpec, src DataSource) (*TaskResult, er
 	for i := 0; i < window; i++ {
 		credits <- struct{}{}
 	}
+	returned := make(chan struct{})
+	defer close(returned)
 	var sent atomic.Int64
 	senderDone := make(chan error, 1)
 	go func() {
+		var frame []byte // writeFrame is done with it when it returns
 		for {
 			b, ok := src.Next()
 			if !ok {
 				senderDone <- nil
 				return
 			}
-			<-credits
-			frame := encodeBatch(b.X, b.Y)
+			select {
+			case <-credits:
+			case <-returned:
+				return
+			}
+			frame = appendBatch(frame[:0], b.X, b.Y)
 			if err := writeFrame(conn, msgBatch, frame); err != nil {
 				senderDone <- err
 				return
@@ -193,11 +226,15 @@ func RunTask(conn io.ReadWriter, spec TaskSpec, src DataSource) (*TaskResult, er
 		payload []byte
 		err     error
 	}
-	frames := make(chan inFrame, 8)
+	frames := make(chan inFrame, 8) // decouples frame reads from ack handling; any size works
 	go func() {
 		for {
 			typ, payload, err := readFrame(conn)
-			frames <- inFrame{typ, payload, err}
+			select {
+			case frames <- inFrame{typ, payload, err}:
+			case <-returned:
+				return
+			}
 			if err != nil {
 				return
 			}
@@ -220,9 +257,9 @@ func RunTask(conn io.ReadWriter, spec TaskSpec, src DataSource) (*TaskResult, er
 			}
 			switch f.typ {
 			case msgBatchAck:
-				var ba BatchAck
-				if err := gobDecode(f.payload, &ba); err != nil {
-					return nil, fmt.Errorf("aiengine: decode batch ack: %w", err)
+				ba, err := decodeBatchAck(f.payload)
+				if err != nil {
+					return nil, err
 				}
 				if len(ba.Preds) == 0 {
 					result.Losses = append(result.Losses, ba.Loss)

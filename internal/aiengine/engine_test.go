@@ -1,10 +1,17 @@
 package aiengine
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
 	"net"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
+	"neurdb/internal/armnet"
 	"neurdb/internal/models"
 	"neurdb/internal/nn"
 	"neurdb/internal/rel"
@@ -329,7 +336,7 @@ func TestProtocolErrors(t *testing.T) {
 	local, remote := net.Pipe()
 	go func() {
 		defer remote.Close()
-		ServeTask(remote)
+		ServeTask(remote, nil)
 	}()
 	spec := TaskSpec{Kind: TaskTrain, Model: models.Spec{Arch: "nope"}}
 	_, err := RunTask(local, spec, &SliceSource{})
@@ -342,20 +349,34 @@ func TestProtocolErrors(t *testing.T) {
 	local2, remote2 := net.Pipe()
 	go func() {
 		defer remote2.Close()
-		ServeTask(remote2)
+		ServeTask(remote2, nil)
 	}()
 	_, err = RunTask(local2, TaskSpec{Kind: "bogus", Model: testSpec(false)}, &SliceSource{})
 	if err == nil {
 		t.Fatal("bogus kind should error")
 	}
 	local2.Close()
+
+	// A batch of another width than the model's is an error, not a panic
+	// inside a matrix product.
+	local3, remote3 := net.Pipe()
+	go func() {
+		defer remote3.Close()
+		ServeTask(remote3, nil)
+	}()
+	narrow := &SliceSource{Batches: []*Batch{{X: nn.NewMatrix(8, 2), Y: nn.NewMatrix(8, 1)}}}
+	_, err = RunTask(local3, TaskSpec{Kind: TaskTrain, Model: testSpec(false)}, narrow)
+	if err == nil || !strings.Contains(err.Error(), "fields") {
+		t.Fatalf("a 2-field batch for a 4-field model: %v", err)
+	}
+	local3.Close()
 }
 
 func TestBatchCodecRoundTrip(t *testing.T) {
 	x := nn.FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	y := nn.FromRows([][]float64{{9}, {8}})
-	buf := encodeBatch(x, y)
-	x2, y2, err := decodeBatch(buf)
+	buf := appendBatch(nil, x, y)
+	x2, y2, err := decodeBatch(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,18 +391,270 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// No labels.
-	buf = encodeBatch(x, nil)
-	_, y3, err := decodeBatch(buf)
+	buf = appendBatch(nil, x, nil)
+	_, y3, err := decodeBatch(buf, nil)
 	if err != nil || y3 != nil {
 		t.Fatalf("no-label decode: %v %v", y3, err)
 	}
 	// Corrupt.
-	if _, _, err := decodeBatch(buf[:5]); err == nil {
+	if _, _, err := decodeBatch(buf[:5], nil); err == nil {
 		t.Fatal("short frame should error")
 	}
-	if _, _, err := decodeBatch(append(buf, 1, 2, 3)); err == nil {
+	if _, _, err := decodeBatch(append(buf, 1, 2, 3), nil); err == nil {
 		t.Fatal("oversized frame should error")
 	}
+}
+
+func TestBatchAckCodecRoundTrip(t *testing.T) {
+	for _, ack := range []BatchAck{
+		{Seq: 7, Loss: 0.125},
+		{Seq: 1 << 20, Preds: []float64{1.5, -2.25, 0}},
+	} {
+		buf := appendBatchAck(nil, ack)
+		got, err := decodeBatchAck(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Seq != ack.Seq || got.Loss != ack.Loss || fmt.Sprint(got.Preds) != fmt.Sprint(ack.Preds) {
+			t.Fatalf("round trip: %+v, want %+v", got, ack)
+		}
+		if _, err := decodeBatchAck(buf[:len(buf)-1]); err == nil {
+			t.Fatal("truncated ack should error")
+		}
+		if _, err := decodeBatchAck(append(buf, 0)); err == nil {
+			t.Fatal("oversized ack should error")
+		}
+	}
+	if _, err := decodeBatchAck(nil); err == nil {
+		t.Fatal("empty ack should error")
+	}
+}
+
+// memoTrace runs one seeded sequence of tasks — train, then rounds of
+// fine-tune + inference, a full retrain, and more rounds on the new weights —
+// and returns everything a task can leave behind: losses, predictions and
+// the bytes of every stored layer version. before runs ahead of each task.
+func memoTrace(t *testing.T, e *Engine, before func()) string {
+	t.Helper()
+	var out bytes.Buffer
+	src := func(seed int64, batches int) *synthSource {
+		// A small vocabulary makes rows repeat across tasks, as a sliding
+		// window's do.
+		return &synthSource{r: rand.New(rand.NewSource(seed)), batches: batches, size: 32, fields: 4, vocab: 3}
+	}
+	inferX := func(seed int64) *SliceSource {
+		s, ss := src(seed, 3), &SliceSource{}
+		for b, ok := s.Next(); ok; b, ok = s.Next() {
+			ss.Batches = append(ss.Batches, &Batch{X: b.X})
+		}
+		return ss
+	}
+	dump := func(mid int) {
+		for _, ts := range e.Store.Versions(mid) {
+			layers, _, err := e.Store.Load(mid, ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range layers {
+				blob, err := nn.EncodeWeights(l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&out, "%d@%d %x\n", mid, ts, blob)
+			}
+		}
+	}
+	seed := int64(100)
+	for retrain := 0; retrain < 2; retrain++ {
+		before()
+		spec := testSpec(false)
+		spec.Vocab, spec.Seed = 3, int64(7+retrain)
+		tr, err := e.Train(spec, TrainConfig{BatchSize: 32, Window: 4, LR: 0.01}, src(seed, 12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&out, "train %x\n", tr.Losses)
+		for round := 0; round < 4; round++ {
+			seed++
+			before()
+			ft, err := e.FineTune(tr.MID, 0, armnet.FreezePrefixLayers, 0.02, src(seed, 8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before()
+			preds, err := e.Infer(tr.MID, 0, inferX(seed+1000))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&out, "finetune %x\ninfer %x\n", ft.Losses, preds)
+		}
+		dump(tr.MID)
+	}
+	return out.String()
+}
+
+// TestMemoIsAPureCache: the same task sequence leaves bit-identical losses,
+// predictions and stored layers whether the prefix memo persists across
+// tasks, is thrown away before every task, is too small to survive a task,
+// or is absent. The sequence retrains in the middle: fine-tunes of the new
+// weights must not read the old weights' entries, or they would differ from
+// the memo-less run.
+func TestMemoIsAPureCache(t *testing.T) {
+	run := func(limit int, fresh bool) (string, *Engine) {
+		e := NewEngine(models.NewStore())
+		e.memo = nil
+		if limit > 0 {
+			e.memo = armnet.NewPrefixMemo(limit)
+		}
+		return memoTrace(t, e, func() {
+			if fresh {
+				e.memo = armnet.NewPrefixMemo(limit)
+			}
+		}), e
+	}
+	want, _ := run(0, false)
+	got, e := run(armnet.PrefixMemoBytes, false)
+	if got != want {
+		t.Fatal("a persistent memo changed a task's result")
+	}
+	hits, misses := e.memo.Stats()
+	if hits < 4*misses {
+		t.Fatalf("persistent memo: %d hits, %d misses — tasks are not sharing entries", hits, misses)
+	}
+	if got, _ := run(armnet.PrefixMemoBytes, true); got != want {
+		t.Fatal("a memo emptied before every task changed a task's result")
+	}
+	// Room for ~8 entries of 16 outputs: every batch overflows it.
+	if got, _ := run(2<<10, false); got != want {
+		t.Fatal("a memo that resets mid-task changed a task's result")
+	}
+}
+
+// TestMemoSharedByConcurrentTasks: inference tasks of two models run at once
+// against one engine — one memo, retargeted back and forth between the two
+// prefixes — and every task still gets the predictions a memo-less run gets.
+func TestMemoSharedByConcurrentTasks(t *testing.T) {
+	e := NewEngine(models.NewStore())
+	input := func(seed int64) *SliceSource {
+		s, ss := &synthSource{r: rand.New(rand.NewSource(seed)), batches: 4, size: 32, fields: 4, vocab: 3}, &SliceSource{}
+		for b, ok := s.Next(); ok; b, ok = s.Next() {
+			ss.Batches = append(ss.Batches, &Batch{X: b.X})
+		}
+		return ss
+	}
+	var mids [2]int
+	var want [2][]float64
+	for i := range mids {
+		spec := testSpec(false)
+		spec.Vocab, spec.Seed = 3, int64(20+i)
+		out, err := e.Train(spec, TrainConfig{BatchSize: 32, Window: 4, LR: 0.01},
+			&synthSource{r: rand.New(rand.NewSource(int64(i))), batches: 6, size: 32, fields: 4, vocab: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mids[i] = out.MID
+		plain := &Engine{Store: e.Store} // no memo
+		if want[i], err = plain.Infer(out.MID, 0, input(50)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make(chan error, 8)
+	for g := 0; g < cap(errs); g++ {
+		go func(m int) {
+			for round := 0; round < 5; round++ {
+				got, err := e.Infer(mids[m], 0, input(50))
+				if err == nil && fmt.Sprint(got) != fmt.Sprint(want[m]) {
+					err = fmt.Errorf("model %d round %d: predictions differ from the memo-less run", m, round)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(g % 2)
+	}
+	for g := 0; g < cap(errs); g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// waitGoroutines waits for the goroutine count to come back to base.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before the failed task:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// failingRuntime acknowledges the handshake, takes in a full window of
+// batches — as a transport with buffers would — and answers the first with
+// msgError, like a runtime whose step failed. The sender is then out of
+// credits with no acknowledgement ever coming.
+func failingRuntime(conn io.ReadWriteCloser) {
+	defer conn.Close()
+	const window = 2
+	if _, _, err := readFrame(conn); err != nil {
+		return
+	}
+	ack, _ := gobEncode(HandshakeAck{Window: window})
+	_ = writeFrame(conn, msgHandshakeAck, ack)
+	for i := 0; i < window; i++ {
+		if _, _, err := readFrame(conn); err != nil {
+			return
+		}
+	}
+	msg, _ := gobEncode("step failed")
+	_ = writeFrame(conn, msgError, msg)
+}
+
+// TestFailedTaskLeaksNoGoroutine is the regression test for two leaks: a
+// task that fails mid-stream left RunTask's sender waiting for a credit for
+// ever, and a task that fails before streaming (an unknown model) left the
+// streaming loader's producer waiting on its channel, holding every
+// training row.
+func TestFailedTaskLeaksNoGoroutine(t *testing.T) {
+	rows := make([]rel.Row, 4096)
+	for i := range rows {
+		rows[i] = rel.Row{rel.Int(int64(i % 32)), rel.Float(0.5)}
+	}
+	feat := func(rs []rel.Row) (*nn.Matrix, *nn.Matrix) {
+		return nn.NewMatrix(len(rs), 1), nn.NewMatrix(len(rs), 1)
+	}
+	t.Run("runtime error mid-stream", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		loader := NewStreamingLoader(&rowChunks{rows: rows, size: 64}, feat, 4)
+		local, remote := net.Pipe()
+		go failingRuntime(remote)
+		_, err := RunTask(local, TaskSpec{Kind: TaskTrain, Model: testSpec(false), Window: 2}, loader)
+		if err == nil {
+			t.Fatal("the runtime's error did not fail the task")
+		}
+		local.Close()
+		loader.Close()
+		waitGoroutines(t, base)
+	})
+	t.Run("unknown model", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		e := NewEngine(models.NewStore())
+		loader := NewStreamingLoader(&rowChunks{rows: rows, size: 64}, feat, 4)
+		if _, err := e.FineTune(99, 0, armnet.FreezePrefixLayers, 0.02, loader); err == nil {
+			t.Fatal("fine-tuning an unknown model did not fail")
+		}
+		loader.Close()
+		loader.Close() // idempotent
+		if _, ok := loader.Next(); ok {
+			t.Fatal("a closed loader still yields batches")
+		}
+		waitGoroutines(t, base)
+	})
 }
 
 func avg(xs []float64) float64 {

@@ -13,6 +13,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 
 	"neurdb/internal/models"
 	"neurdb/internal/nn"
@@ -61,7 +62,9 @@ type HandshakeAck struct {
 }
 
 // BatchAck acknowledges one processed batch, returning credit plus the
-// batch's training loss or predictions.
+// batch's training loss or predictions. Like a batch it travels as a fixed
+// little-endian frame (a task sends one per batch); handshake and result,
+// one per task, are gob.
 type BatchAck struct {
 	Seq   int
 	Loss  float64
@@ -91,8 +94,12 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame.
-func readFrame(r io.Reader) (byte, []byte, error) {
+// readFrame reads one frame into a payload of its own.
+func readFrame(r io.Reader) (byte, []byte, error) { return readFrameInto(r, nil) }
+
+// readFrameInto reads one frame, reusing buf's memory for the payload when it
+// is large enough: for a reader that is done with a frame before the next.
+func readFrameInto(r io.Reader, buf []byte) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -101,7 +108,11 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	if n > 1<<30 {
 		return 0, nil, fmt.Errorf("aiengine: frame too large (%d bytes)", n)
 	}
-	payload := make([]byte, n)
+	payload := buf[:0]
+	if uint32(cap(buf)) < n {
+		payload = make([]byte, n)
+	}
+	payload = payload[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
@@ -120,37 +131,30 @@ func gobDecode(data []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }
 
-// encodeBatch packs x (and optional y) matrices into the wire format:
-// rows, xcols, ycols as uint32, then row-major float64 payloads.
-func encodeBatch(x, y *nn.Matrix) []byte {
+// appendBatch appends the wire format of x (and optional y) to buf: rows,
+// xcols, ycols as uint32, then row-major float64 payloads.
+func appendBatch(buf []byte, x, y *nn.Matrix) []byte {
 	ycols := 0
 	if y != nil {
 		ycols = y.Cols
 	}
-	size := 12 + 8*len(x.Data)
-	if y != nil {
-		size += 8 * len(y.Data)
-	}
-	buf := make([]byte, size)
-	binary.LittleEndian.PutUint32(buf[0:], uint32(x.Rows))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(x.Cols))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(ycols))
-	off := 12
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(x.Rows))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(x.Cols))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(ycols))
 	for _, v := range x.Data {
-		binary.LittleEndian.PutUint64(buf[off:], mathFloat64bits(v))
-		off += 8
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
 	if y != nil {
 		for _, v := range y.Data {
-			binary.LittleEndian.PutUint64(buf[off:], mathFloat64bits(v))
-			off += 8
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
 	}
 	return buf
 }
 
-// decodeBatch unpacks a batch frame.
-func decodeBatch(buf []byte) (x, y *nn.Matrix, err error) {
+// decodeBatch unpacks a batch frame into matrices taken from ws (nil
+// allocates them).
+func decodeBatch(buf []byte, ws *nn.Workspace) (x, y *nn.Matrix, err error) {
 	if len(buf) < 12 {
 		return nil, nil, fmt.Errorf("aiengine: short batch frame")
 	}
@@ -161,18 +165,52 @@ func decodeBatch(buf []byte) (x, y *nn.Matrix, err error) {
 	if len(buf) != need {
 		return nil, nil, fmt.Errorf("aiengine: batch frame size %d, want %d", len(buf), need)
 	}
-	x = nn.NewMatrix(rows, xcols)
+	x = ws.Get(rows, xcols)
 	off := 12
 	for i := range x.Data {
-		x.Data[i] = mathFloat64frombits(binary.LittleEndian.Uint64(buf[off:]))
+		x.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 		off += 8
 	}
 	if ycols > 0 {
-		y = nn.NewMatrix(rows, ycols)
+		y = ws.Get(rows, ycols)
 		for i := range y.Data {
-			y.Data[i] = mathFloat64frombits(binary.LittleEndian.Uint64(buf[off:]))
+			y.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 			off += 8
 		}
 	}
 	return x, y, nil
+}
+
+// appendBatchAck appends the ack's wire format to buf: seq and prediction
+// count as uint32, then the loss and the predictions as float64.
+func appendBatchAck(buf []byte, ack BatchAck) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(ack.Seq))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ack.Preds)))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ack.Loss))
+	for _, v := range ack.Preds {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	return buf
+}
+
+// decodeBatchAck unpacks an ack frame.
+func decodeBatchAck(buf []byte) (BatchAck, error) {
+	if len(buf) < 16 {
+		return BatchAck{}, fmt.Errorf("aiengine: short batch ack frame")
+	}
+	ack := BatchAck{
+		Seq:  int(binary.LittleEndian.Uint32(buf[0:])),
+		Loss: math.Float64frombits(binary.LittleEndian.Uint64(buf[8:])),
+	}
+	n := int(binary.LittleEndian.Uint32(buf[4:]))
+	if len(buf) != 16+8*n {
+		return BatchAck{}, fmt.Errorf("aiengine: batch ack frame size %d, want %d", len(buf), 16+8*n)
+	}
+	if n > 0 {
+		ack.Preds = make([]float64, n)
+		for i := range ack.Preds {
+			ack.Preds[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[16+8*i:]))
+		}
+	}
+	return ack, nil
 }

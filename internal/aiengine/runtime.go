@@ -3,7 +3,6 @@ package aiengine
 import (
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 
@@ -11,9 +10,6 @@ import (
 	"neurdb/internal/models"
 	"neurdb/internal/nn"
 )
-
-func mathFloat64bits(f float64) uint64     { return math.Float64bits(f) }
-func mathFloat64frombits(b uint64) float64 { return math.Float64frombits(b) }
 
 // Runtime is an AI runtime node: it accepts task connections from
 // dispatchers and executes train / inference / fine-tune operators. In the
@@ -23,6 +19,7 @@ type Runtime struct {
 	ln     net.Listener
 	wg     sync.WaitGroup
 	closed chan struct{}
+	memo   *armnet.PrefixMemo // shared by every task this node serves
 }
 
 // StartRuntime listens on a localhost TCP port and serves tasks until Stop.
@@ -31,7 +28,7 @@ func StartRuntime() (*Runtime, string, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("aiengine: runtime listen: %w", err)
 	}
-	rt := &Runtime{ln: ln, closed: make(chan struct{})}
+	rt := &Runtime{ln: ln, closed: make(chan struct{}), memo: armnet.NewPrefixMemo(armnet.PrefixMemoBytes)}
 	rt.wg.Add(1)
 	go rt.acceptLoop()
 	return rt, ln.Addr().String(), nil
@@ -53,7 +50,7 @@ func (rt *Runtime) acceptLoop() {
 		go func() {
 			defer rt.wg.Done()
 			defer conn.Close()
-			ServeTask(conn)
+			ServeTask(conn, rt.memo)
 		}()
 	}
 }
@@ -76,15 +73,16 @@ func buildModel(spec models.Spec) (*armnet.Model, error) {
 }
 
 // ServeTask handles one task connection end-to-end (exported so in-process
-// transports can drive it over a net.Pipe).
-func ServeTask(conn io.ReadWriter) {
-	if err := serveTask(conn); err != nil {
+// transports can drive it over a net.Pipe). memo is the node's frozen-prefix
+// memo, shared by its tasks; nil computes every prefix.
+func ServeTask(conn io.ReadWriter, memo *armnet.PrefixMemo) {
+	if err := serveTask(conn, memo); err != nil {
 		payload, _ := gobEncode(err.Error())
 		_ = writeFrame(conn, msgError, payload)
 	}
 }
 
-func serveTask(conn io.ReadWriter) error {
+func serveTask(conn io.ReadWriter, memo *armnet.PrefixMemo) error {
 	typ, payload, err := readFrame(conn)
 	if err != nil {
 		return fmt.Errorf("read handshake: %w", err)
@@ -121,13 +119,20 @@ func serveTask(conn io.ReadWriter) error {
 			return fmt.Errorf("restore weights: %w", err)
 		}
 	}
+	// The model runs as frozen prefix → head. A full training run has no
+	// prefix. An inference trains nothing, so any split is right: it takes
+	// the one fine-tunes use, which lets the two kinds of task share memo
+	// entries.
 	switch spec.Kind {
+	case TaskTrain:
 	case TaskFineTune:
-		model.Net.FreezeUpTo(spec.FreezeUpTo)
-	case TaskTrain, TaskInfer:
+		model.Freeze(spec.FreezeUpTo)
+	case TaskInfer:
+		model.FreezeForIncrementalUpdate()
 	default:
 		return fmt.Errorf("unknown task kind %q", spec.Kind)
 	}
+	model.UseMemo(memo)
 	lr := spec.LR
 	if lr == 0 {
 		lr = 0.01
@@ -136,16 +141,25 @@ func serveTask(conn io.ReadWriter) error {
 
 	result := TaskResult{}
 	seq := 0
+	// A batch is consumed before the next frame is read, so frame, matrices
+	// and acknowledgement live in buffers the task reuses.
+	var frameBuf, ackBuf []byte
+	var batchWS nn.Workspace
 	for {
-		typ, payload, err := readFrame(conn)
+		typ, payload, err := readFrameInto(conn, frameBuf)
 		if err != nil {
 			return fmt.Errorf("read batch: %w", err)
 		}
+		frameBuf = payload
 		switch typ {
 		case msgBatch:
-			x, y, err := decodeBatch(payload)
+			batchWS.Reset()
+			x, y, err := decodeBatch(payload, &batchWS)
 			if err != nil {
 				return err
+			}
+			if x.Cols != model.Fields {
+				return fmt.Errorf("batch has %d fields, the model %d", x.Cols, model.Fields)
 			}
 			ack := BatchAck{Seq: seq}
 			seq++
@@ -157,16 +171,12 @@ func serveTask(conn io.ReadWriter) error {
 				ack.Loss = model.TrainBatch(x, y, opt)
 				result.Losses = append(result.Losses, ack.Loss)
 			case TaskInfer:
-				preds := model.Predict(x)
-				ack.Preds = append([]float64(nil), preds.Data...)
+				ack.Preds = model.Predict(x).Data // the model's scratch: encoded below, before its next call
 				result.Preds = append(result.Preds, ack.Preds...)
 			}
 			result.Batches++
-			ackPayload, err := gobEncode(ack)
-			if err != nil {
-				return err
-			}
-			if err := writeFrame(conn, msgBatchAck, ackPayload); err != nil {
+			ackBuf = appendBatchAck(ackBuf[:0], ack)
+			if err := writeFrame(conn, msgBatchAck, ackBuf); err != nil {
 				return err
 			}
 		case msgFinish:

@@ -9,6 +9,8 @@
 package armnet
 
 import (
+	"crypto/sha256"
+	"math"
 	"math/rand"
 
 	"neurdb/internal/nn"
@@ -21,6 +23,7 @@ type GatedInteraction struct {
 	Gate, Transform *nn.Linear
 
 	lastG, lastT *nn.Matrix
+	ws           *nn.Workspace
 }
 
 // NewGatedInteraction creates the block mapping in → out features.
@@ -31,45 +34,61 @@ func NewGatedInteraction(in, out int, r *rand.Rand) *GatedInteraction {
 	}
 }
 
+// SetWorkspace implements nn.WorkspaceUser.
+func (g *GatedInteraction) SetWorkspace(ws *nn.Workspace) {
+	g.ws = ws
+	g.Gate.SetWorkspace(ws)
+	g.Transform.SetWorkspace(ws)
+}
+
 // Forward implements nn.Module.
 func (g *GatedInteraction) Forward(x *nn.Matrix) *nn.Matrix {
 	gateLin := g.Gate.Forward(x)
 	transLin := g.Transform.Forward(x)
-	gate := nn.NewMatrix(gateLin.Rows, gateLin.Cols)
+	gate := g.ws.Get(gateLin.Rows, gateLin.Cols)
+	tr := g.ws.Get(gateLin.Rows, gateLin.Cols)
+	out := g.ws.Get(gateLin.Rows, gateLin.Cols)
 	for i, v := range gateLin.Data {
-		gate.Data[i] = 1 / (1 + exp(-v))
-	}
-	tr := nn.NewMatrix(transLin.Rows, transLin.Cols)
-	for i, v := range transLin.Data {
-		tr.Data[i] = tanh(v)
+		gate.Data[i] = 1 / (1 + math.Exp(-v))
+		tr.Data[i] = math.Tanh(transLin.Data[i])
+		out.Data[i] = gate.Data[i] * tr.Data[i]
 	}
 	g.lastG, g.lastT = gate, tr
-	return nn.Hadamard(gate, tr)
+	return out
 }
 
 // Backward implements nn.Module.
 func (g *GatedInteraction) Backward(dy *nn.Matrix) *nn.Matrix {
-	// d/dgateLin = dy ⊙ t ⊙ g(1-g);  d/dtransLin = dy ⊙ g ⊙ (1-t²)
-	dGate := nn.NewMatrix(dy.Rows, dy.Cols)
-	dTrans := nn.NewMatrix(dy.Rows, dy.Cols)
-	for i := range dy.Data {
-		gv, tv := g.lastG.Data[i], g.lastT.Data[i]
-		dGate.Data[i] = dy.Data[i] * tv * gv * (1 - gv)
-		dTrans.Data[i] = dy.Data[i] * gv * (1 - tv*tv)
-	}
+	dGate, dTrans := g.preActivationGrads(dy)
 	dx := g.Gate.Backward(dGate)
 	nn.AddInPlace(dx, g.Transform.Backward(dTrans))
 	return dx
 }
 
+// BackwardParams implements nn.ParamBackward.
+func (g *GatedInteraction) BackwardParams(dy *nn.Matrix) {
+	dGate, dTrans := g.preActivationGrads(dy)
+	g.Gate.BackwardParams(dGate)
+	g.Transform.BackwardParams(dTrans)
+}
+
+// preActivationGrads turns the output gradient into the gradients of the two
+// linear maps' outputs:
+// d/dgateLin = dy ⊙ t ⊙ g(1-g);  d/dtransLin = dy ⊙ g ⊙ (1-t²).
+func (g *GatedInteraction) preActivationGrads(dy *nn.Matrix) (dGate, dTrans *nn.Matrix) {
+	dGate = g.ws.Get(dy.Rows, dy.Cols)
+	dTrans = g.ws.Get(dy.Rows, dy.Cols)
+	for i := range dy.Data {
+		gv, tv := g.lastG.Data[i], g.lastT.Data[i]
+		dGate.Data[i] = dy.Data[i] * tv * gv * (1 - gv)
+		dTrans.Data[i] = dy.Data[i] * gv * (1 - tv*tv)
+	}
+	return dGate, dTrans
+}
+
 // Params implements nn.Module.
 func (g *GatedInteraction) Params() []*nn.Param {
 	return append(g.Gate.Params(), g.Transform.Params()...)
-}
-
-func exp(x float64) float64 {
-	// branchless-enough wrapper to keep math import localized
-	return mathExp(x)
 }
 
 // Model is ARM-Net-lite. The Sequential layout is
@@ -86,6 +105,19 @@ type Model struct {
 	Net            *nn.Sequential
 	Fields         int
 	Classification bool
+
+	params []*nn.Param // Net.Params(), listed once
+	// ws is the scratch every forward and backward pass runs on: a step
+	// allocates nothing once its buffers have grown, and a matrix a method
+	// returns is valid until the model's next call.
+	ws nn.Workspace
+
+	// memo, when set, supplies the frozen prefix's output for rows it has
+	// seen under these weights (UseMemo); miss is lookup scratch.
+	memo       *PrefixMemo
+	weights    [sha256.Size]byte
+	prefixCols int
+	miss       []int
 }
 
 // FreezePrefixLayers is the number of leading layers frozen by incremental
@@ -102,77 +134,129 @@ func New(fields, vocab, embDim, hidden int, classification bool, seed int64) *Mo
 		&nn.ReLU{},
 		nn.NewLinear(hidden, 1, r),
 	)
-	return &Model{Net: net, Fields: fields, Classification: classification}
+	m := &Model{Net: net, Fields: fields, Classification: classification, params: net.Params()}
+	net.SetWorkspace(&m.ws)
+	return m
 }
 
 // Forward computes raw outputs (logits for classification, values for
 // regression) for a batch of field-id rows [n, Fields].
-func (m *Model) Forward(x *nn.Matrix) *nn.Matrix { return m.Net.Forward(x) }
-
-// LossAndGrad computes the task loss and seeds backprop, returning the loss.
-func (m *Model) LossAndGrad(x, y *nn.Matrix) float64 {
-	out := m.Net.Forward(x)
-	var loss float64
-	var grad *nn.Matrix
-	if m.Classification {
-		loss, grad = nn.BCEWithLogitsLoss(out, y)
-	} else {
-		loss, grad = nn.MSELoss(out, y)
-	}
-	m.Net.Backward(grad)
-	return loss
+func (m *Model) Forward(x *nn.Matrix) *nn.Matrix {
+	m.ws.Reset()
+	return m.forward(x)
 }
 
-// TrainBatch runs one optimization step and returns the batch loss.
+// forward runs the model as frozen prefix → head. With nothing frozen the
+// prefix is empty and the head is the whole network.
+func (m *Model) forward(x *nn.Matrix) *nn.Matrix { return m.Net.ForwardHead(m.prefix(x)) }
+
+// prefix returns the frozen prefix's output for the rows of x: memoized rows
+// are copied, the rest go through the prefix in one batched pass.
+func (m *Model) prefix(x *nn.Matrix) *nn.Matrix {
+	if m.memo == nil {
+		return m.Net.ForwardPrefix(x)
+	}
+	h := m.ws.Get(x.Rows, m.prefixCols)
+	m.miss = m.memo.lookup(m.weights, x, h, m.miss[:0])
+	if len(m.miss) == 0 {
+		return h
+	}
+	xm := m.ws.Get(len(m.miss), x.Cols)
+	for i, r := range m.miss {
+		copy(xm.Row(i), x.Row(r))
+	}
+	hm := m.Net.ForwardPrefix(xm)
+	for i, r := range m.miss {
+		copy(h.Row(r), hm.Row(i))
+	}
+	m.memo.store(m.weights, xm, hm)
+	return h
+}
+
+// loss computes the task loss of out against y and its gradient w.r.t. out.
+func (m *Model) loss(out, y *nn.Matrix) (float64, *nn.Matrix) {
+	grad := m.ws.Get(out.Rows, out.Cols)
+	if m.Classification {
+		return nn.BCEWithLogitsLossInto(grad, out, y), grad
+	}
+	return nn.MSELossInto(grad, out, y), grad
+}
+
+// TrainBatch runs one optimization step and returns the batch loss. It is the
+// one training step: a full training run takes it with an empty frozen prefix,
+// a fine-tune with the prefix Freeze set — and then pays for the head only:
+// backward stops at the lowest trainable layer, and the prefix is computed
+// only for rows the memo does not hold.
 func (m *Model) TrainBatch(x, y *nn.Matrix, opt nn.Optimizer) float64 {
-	opt.ZeroGrad(m.Net.Params())
-	loss := m.LossAndGrad(x, y)
-	nn.ClipGradNorm(m.Net.Params(), 5)
-	opt.Step(m.Net.Params())
+	m.ws.Reset()
+	opt.ZeroGrad(m.params)
+	loss, grad := m.loss(m.forward(x), y)
+	m.Net.Backward(grad)
+	nn.ClipGradNorm(m.params, 5)
+	opt.Step(m.params)
 	return loss
 }
 
 // EvalLoss computes the loss without updating parameters.
 func (m *Model) EvalLoss(x, y *nn.Matrix) float64 {
-	out := m.Net.Forward(x)
-	var loss float64
-	if m.Classification {
-		loss, _ = nn.BCEWithLogitsLoss(out, y)
-	} else {
-		loss, _ = nn.MSELoss(out, y)
-	}
+	m.ws.Reset()
+	loss, _ := m.loss(m.forward(x), y)
 	return loss
 }
 
 // Predict returns predictions: probabilities for classification, values for
 // regression.
 func (m *Model) Predict(x *nn.Matrix) *nn.Matrix {
-	out := m.Net.Forward(x)
+	m.ws.Reset()
+	out := m.forward(x)
 	if !m.Classification {
 		return out
 	}
-	probs := nn.NewMatrix(out.Rows, out.Cols)
+	probs := m.ws.Get(out.Rows, out.Cols)
 	for i, v := range out.Data {
-		probs.Data[i] = 1 / (1 + exp(-v))
+		probs.Data[i] = 1 / (1 + math.Exp(-v))
 	}
 	return probs
 }
 
-// FreezeForIncrementalUpdate freezes the representation prefix so only the
-// head layers train — the model manager then persists only those layers.
-func (m *Model) FreezeForIncrementalUpdate() {
-	m.Net.FreezeUpTo(FreezePrefixLayers)
+// Freeze splits the model into a frozen prefix, layers [0, n), and the head
+// that trains; 0 makes every layer trainable. It drops the memo: its entries
+// belong to the previous prefix.
+func (m *Model) Freeze(n int) {
+	m.Net.FreezeUpTo(n)
+	m.memo = nil
 }
 
+// FreezeForIncrementalUpdate freezes the representation prefix so only the
+// head layers train — the model manager then persists only those layers.
+func (m *Model) FreezeForIncrementalUpdate() { m.Freeze(FreezePrefixLayers) }
+
 // Unfreeze makes all layers trainable again.
-func (m *Model) Unfreeze() { m.Net.FreezeUpTo(0) }
+func (m *Model) Unfreeze() { m.Freeze(0) }
+
+// UseMemo lets the model take the frozen prefix's output from memo, under a
+// key made of the content hash of the frozen layers' weights as they are now:
+// call it after Restore and Freeze. The hash is what makes an entry
+// impossible to serve stale — other weights are another key — and a frozen
+// layer's weights do not change while the split stands. With nothing frozen
+// there is nothing to memoize.
+func (m *Model) UseMemo(memo *PrefixMemo) {
+	m.memo = nil
+	if memo == nil || m.Net.Frozen() == 0 {
+		return
+	}
+	m.weights = hashLayers(m.Net.Layers[:m.Net.Frozen()])
+	m.prefixCols = m.Net.ForwardPrefix(nn.NewMatrix(1, m.Fields)).Cols
+	m.memo = memo
+}
 
 // Snapshot returns per-layer weight snapshots aligned with the store's LID
 // space.
 func (m *Model) Snapshot() []nn.LayerWeights { return nn.SnapshotSequential(m.Net) }
 
-// Restore loads per-layer snapshots.
+// Restore loads per-layer snapshots. Like Freeze it drops the memo.
 func (m *Model) Restore(layers []nn.LayerWeights) error {
+	m.memo = nil
 	return nn.RestoreSequential(m.Net, layers)
 }
 

@@ -207,3 +207,169 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("restore mismatch: %v vs %v", before, after)
 	}
 }
+
+// gradsAfter runs forward, loss and backward (no optimizer step) on a model
+// built by New with the given freeze boundary and returns the model.
+func gradsAfter(t *testing.T, freeze int, memo *PrefixMemo, x, y *nn.Matrix) *Model {
+	t.Helper()
+	m := New(3, 24, 4, 16, false, 9)
+	m.Freeze(freeze)
+	m.UseMemo(memo)
+	for pass := 0; pass < 2; pass++ { // the second pass reads the memo the first filled
+		m.ws.Reset()
+		for _, p := range m.params {
+			p.Grad.Zero()
+		}
+		_, grad := m.loss(m.forward(x), y)
+		m.Net.Backward(grad)
+	}
+	return m
+}
+
+// TestFreezeAwareBackwardMatchesFull: for every freeze boundary of an
+// ARM-Net, with and without the memo, the layers that train get the
+// gradients of the full backward pass bit for bit and the frozen ones none.
+func TestFreezeAwareBackwardMatchesFull(t *testing.T) {
+	x, y := synthBatch(rand.New(rand.NewSource(10)), 48, 3, 24, false)
+	full := gradsAfter(t, 0, nil, x, y)
+	for freeze := 0; freeze <= full.NumLayers(); freeze++ {
+		for _, memo := range []*PrefixMemo{nil, NewPrefixMemo(PrefixMemoBytes)} {
+			m := gradsAfter(t, freeze, memo, x, y)
+			if memo != nil && freeze > 0 {
+				if hits, _ := memo.Stats(); hits < uint64(x.Rows) {
+					t.Fatalf("freeze %d: the second pass hit the memo %d times, want at least %d", freeze, hits, x.Rows)
+				}
+			}
+			for li, l := range m.Net.Layers {
+				for pi, p := range l.Params() {
+					want := full.Net.Layers[li].Params()[pi].Grad.Data
+					for i, g := range p.Grad.Data {
+						if li < freeze && g != 0 {
+							t.Fatalf("freeze %d: frozen layer %d accumulated a gradient", freeze, li)
+						}
+						if li >= freeze && g != want[i] {
+							t.Fatalf("freeze %d memo %v: layer %d param %d elem %d: %v, full backward %v", freeze, memo != nil, li, pi, i, g, want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMemoIsDroppedWhenThePrefixChanges: Restore and Freeze detach the memo,
+// and a model whose frozen weights differ never reads another's entries.
+func TestMemoIsDroppedWhenThePrefixChanges(t *testing.T) {
+	memo := NewPrefixMemo(PrefixMemoBytes)
+	x, _ := synthBatch(rand.New(rand.NewSource(11)), 32, 3, 24, false)
+	a := New(3, 24, 4, 16, false, 1)
+	a.FreezeForIncrementalUpdate()
+	a.UseMemo(memo)
+	want := append([]float64(nil), a.Predict(x).Data...)
+	b := New(3, 24, 4, 16, false, 2) // other weights, same shapes
+	b.FreezeForIncrementalUpdate()
+	plain := append([]float64(nil), b.Predict(x).Data...)
+	b.UseMemo(memo)
+	for i, v := range b.Predict(x).Data {
+		if v != plain[i] {
+			t.Fatalf("row %d: %v with the memo, %v without: served another model's activations", i, v, plain[i])
+		}
+	}
+	a.UseMemo(memo)
+	for i, v := range a.Predict(x).Data {
+		if v != want[i] {
+			t.Fatalf("row %d changed after the memo was retargeted and back", i)
+		}
+	}
+	if err := a.Restore(b.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if a.memo != nil {
+		t.Fatal("Restore must drop the memo: its key was the old weights' hash")
+	}
+	a.UseMemo(memo)
+	a.Unfreeze()
+	if a.memo != nil {
+		t.Fatal("Freeze must drop the memo")
+	}
+}
+
+// TestPrefixMemoBound: the memo never holds more than its bound, empties
+// wholesale when it would, and keeps serving correct rows throughout.
+func TestPrefixMemoBound(t *testing.T) {
+	const limit = 8 << 10
+	memo := NewPrefixMemo(limit)
+	m := New(3, 96, 8, 32, false, 3)
+	m.FreezeForIncrementalUpdate()
+	plain := New(3, 96, 8, 32, false, 3)
+	m.UseMemo(memo)
+	r := rand.New(rand.NewSource(12))
+	emptied := false
+	last := 0
+	for i := 0; i < 40; i++ {
+		x, _ := synthBatch(r, 16, 3, 96, false)
+		got, want := m.Predict(x), plain.Predict(x)
+		for j := range want.Data {
+			if got.Data[j] != want.Data[j] {
+				t.Fatalf("batch %d row %d: %v, want %v", i, j, got.Data[j], want.Data[j])
+			}
+		}
+		if memo.size > limit {
+			t.Fatalf("memo holds %d bytes, bound %d", memo.size, limit)
+		}
+		emptied = emptied || len(memo.rows) < last
+		last = len(memo.rows)
+	}
+	if !emptied {
+		t.Fatal("the bound never forced a reset: the test is not exercising it")
+	}
+}
+
+// fineTuneStep prepares a model, memo and batch shaped like one PREDICT
+// fine-tune step: 128 rows, three fields of 32 buckets, 32 hidden units.
+func fineTuneStep() (*Model, *PrefixMemo, *nn.Matrix, *nn.Matrix, nn.Optimizer) {
+	m := New(3, 96, 8, 32, false, 42)
+	m.FreezeForIncrementalUpdate()
+	memo := NewPrefixMemo(PrefixMemoBytes)
+	m.UseMemo(memo)
+	x, y := synthBatch(rand.New(rand.NewSource(13)), 128, 3, 96, false)
+	return m, memo, x, y, nn.NewAdam(0.02)
+}
+
+// TestHeadStepAllocatesNothing: once the workspace has grown and the memo
+// holds the batch's rows, a fine-tune step allocates nothing.
+func TestHeadStepAllocatesNothing(t *testing.T) {
+	m, _, x, y, opt := fineTuneStep()
+	m.TrainBatch(x, y, opt)
+	if allocs := testing.AllocsPerRun(20, func() { m.TrainBatch(x, y, opt) }); allocs != 0 {
+		t.Fatalf("steady-state head step allocates %v times", allocs)
+	}
+}
+
+var sinkLoss float64
+
+// BenchmarkFineTuneStep times one 128-row fine-tune step: on memo hits it is
+// the head alone; on misses the frozen prefix is computed first.
+func BenchmarkFineTuneStep(b *testing.B) {
+	b.Run("memo=hit", func(b *testing.B) {
+		m, _, x, y, opt := fineTuneStep()
+		m.TrainBatch(x, y, opt)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkLoss = m.TrainBatch(x, y, opt)
+		}
+	})
+	b.Run("memo=miss", func(b *testing.B) {
+		m, memo, x, y, opt := fineTuneStep()
+		m.TrainBatch(x, y, opt)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			memo.mu.Lock()
+			memo.empty()
+			memo.mu.Unlock()
+			sinkLoss = m.TrainBatch(x, y, opt)
+		}
+	})
+}

@@ -132,39 +132,27 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) (*PredictRes
 		}
 	}
 
-	// 1. Extraction: a single streaming pass over the table collects the
-	// training rows (non-null target passing the WITH filter) and — when
-	// there are no inline VALUES — the inference inputs, batch-at-a-time
-	// straight off the scan pipeline (morsel-parallel under ctx.Workers).
-	// Only the two filtered subsets are materialized; the full row slice
-	// never is (paper Fig. 6a: extraction cost bounds adaptive training).
-	var trainRows, inferRows []rel.Row
-	collectInfer := len(task.Rows) == 0
-	err := ScanBatches(ctx, task.Table, func(b *rel.Batch) error {
-		for _, row := range b.Rows {
-			if !row[task.TargetIdx].IsNull() &&
-				(task.TrainFilter == nil || task.TrainFilter.Eval(row).AsBool()) {
-				trainRows = append(trainRows, row)
-			}
-			if collectInfer {
-				match := false
-				if task.PredictFilter != nil {
-					match = task.PredictFilter.Eval(row).AsBool()
-				} else {
-					match = row[task.TargetIdx].IsNull()
-				}
-				if match {
-					inferRows = append(inferRows, row)
-				}
-			}
-		}
-		return nil
-	})
+	// 1. Extraction: each row source is an access node (index or heap scan,
+	// chosen at plan time like a SELECT's) run through the batch engine, so a
+	// windowed PREDICT reads its window, not the table (paper Fig. 6a:
+	// extraction cost bounds adaptive training). What no clause spells stays
+	// here: a row trains only if it has a target, and with neither WHERE nor
+	// VALUES the rows to predict are the ones without.
+	trainRows, err := runKeeping(ctx, task.Train, func(row rel.Row) bool { return !row[task.TargetIdx].IsNull() })
 	if err != nil {
 		return nil, err
 	}
 	if len(trainRows) == 0 {
 		return nil, fmt.Errorf("executor: predict has no training rows in %s", task.Table.Name)
+	}
+	var inferRows []rel.Row
+	if task.Infer != nil {
+		inferRows, err = runKeeping(ctx, task.Infer, func(row rel.Row) bool {
+			return !task.NullTargets || row[task.TargetIdx].IsNull()
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	codecs := buildCodecs(task.Table, task.FeatureIdxs, predictBuckets)
@@ -215,6 +203,9 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) (*PredictRes
 		rows: trainRows, size: predictBatchSize, epochs: epochs,
 		rng: rand.New(rand.NewSource(7)),
 	}, featurize, predictWindow)
+	// A task that fails stops reading: without this the prefetch goroutine
+	// would wait on its channel for ever, holding trainRows.
+	defer loader.Close()
 	if view, ok := eng.Store.FindViewByName(task.ModelName); ok && task.ModelName != "" {
 		// Incremental path: fine-tune the existing model on fresh data.
 		out, err := eng.FineTune(view.MID, 0, armnet.FreezePrefixLayers, predictLR, loader)
@@ -236,7 +227,7 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) (*PredictRes
 		res.MID, res.TS = out.MID, out.TS
 	}
 
-	// 2. Inference inputs (collected during the extraction pass).
+	// 2. Inference inputs: inline VALUES, or the rows extracted above.
 	var inferX *nn.Matrix
 	if len(task.Rows) > 0 {
 		res.Inputs = task.Rows
@@ -266,4 +257,17 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) (*PredictRes
 	}
 	res.Predictions = preds
 	return res, nil
+}
+
+// runKeeping runs a row-producing plan to completion and returns the rows
+// keep accepts.
+func runKeeping(ctx *Ctx, n plan.Node, keep func(rel.Row) bool) ([]rel.Row, error) {
+	rows, err := Run(n, ctx)
+	kept := rows[:0]
+	for _, row := range rows {
+		if keep(row) {
+			kept = append(kept, row)
+		}
+	}
+	return kept, err
 }

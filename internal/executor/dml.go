@@ -232,7 +232,7 @@ func ScanAll(ctx *Ctx, t *catalog.Table) []rel.Row {
 // ctx.Workers allows it the batches are produced by the morsel-parallel
 // pipeline (in heap order); otherwise by the serial page cursor. The batch
 // passed to visit is reused between calls — visit must copy what it keeps.
-// AI training-data extraction consumes tables through this (paper Fig. 6a).
+// The benchmark referee's extraction probe streams a table through this.
 func ScanBatches(ctx *Ctx, t *catalog.Table, visit func(*rel.Batch) error) error {
 	pipe := &scanPipeline{table: t}
 	var it BatchIter

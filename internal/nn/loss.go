@@ -8,11 +8,17 @@ import (
 // MSELoss returns the mean-squared-error loss over all elements and the
 // gradient w.r.t. pred. Used by PREDICT VALUE OF (regression) tasks.
 func MSELoss(pred, target *Matrix) (float64, *Matrix) {
-	checkSameShape("MSELoss", pred, target)
 	grad := NewMatrix(pred.Rows, pred.Cols)
+	return MSELossInto(grad, pred, target), grad
+}
+
+// MSELossInto is MSELoss writing the gradient into grad (pred's shape).
+func MSELossInto(grad, pred, target *Matrix) float64 {
+	checkSameShape("MSELoss", pred, target)
+	checkSameShape("MSELoss", pred, grad)
 	n := float64(len(pred.Data))
 	if n == 0 {
-		return 0, grad
+		return 0
 	}
 	var loss float64
 	for i := range pred.Data {
@@ -20,18 +26,25 @@ func MSELoss(pred, target *Matrix) (float64, *Matrix) {
 		loss += d * d
 		grad.Data[i] = 2 * d / n
 	}
-	return loss / n, grad
+	return loss / n
 }
 
 // BCEWithLogitsLoss returns the mean binary-cross-entropy loss computed from
 // raw logits (numerically stable) and its gradient w.r.t. the logits. Used
 // by PREDICT CLASS OF (binary classification) tasks.
 func BCEWithLogitsLoss(logits, target *Matrix) (float64, *Matrix) {
-	checkSameShape("BCEWithLogitsLoss", logits, target)
 	grad := NewMatrix(logits.Rows, logits.Cols)
+	return BCEWithLogitsLossInto(grad, logits, target), grad
+}
+
+// BCEWithLogitsLossInto is BCEWithLogitsLoss writing the gradient into grad
+// (logits' shape).
+func BCEWithLogitsLossInto(grad, logits, target *Matrix) float64 {
+	checkSameShape("BCEWithLogitsLoss", logits, target)
+	checkSameShape("BCEWithLogitsLoss", logits, grad)
 	n := float64(len(logits.Data))
 	if n == 0 {
-		return 0, grad
+		return 0
 	}
 	var loss float64
 	for i := range logits.Data {
@@ -41,7 +54,7 @@ func BCEWithLogitsLoss(logits, target *Matrix) (float64, *Matrix) {
 		p := 1 / (1 + math.Exp(-z))
 		grad.Data[i] = (p - y) / n
 	}
-	return loss / n, grad
+	return loss / n
 }
 
 // SoftmaxCELoss computes softmax cross-entropy per row given integer class

@@ -82,66 +82,132 @@ func (m *Matrix) Zero() {
 
 // MatMul returns a×b.
 func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("nn: MatMul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
 	out := NewMatrix(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*b.Cols : (i+1)*b.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
+	MatMulBiasInto(out, a, b, nil)
 	return out
 }
 
 // MatMulBT returns a×bᵀ.
 func MatMulBT(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("nn: MatMulBT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
 	out := NewMatrix(a.Rows, b.Rows)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
-			var s float64
-			for k := range arow {
-				s += arow[k] * brow[k]
-			}
-			out.Data[i*out.Cols+j] = s
-		}
-	}
+	MatMulBTInto(out, a, b)
 	return out
 }
 
 // MatMulAT returns aᵀ×b.
 func MatMulAT(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Cols, b.Cols)
+	MatMulATAcc(out, a, b)
+	return out
+}
+
+// The kernels below write into a destination the caller owns, so a training
+// step can run on preallocated scratch (Workspace). dst must have the
+// result's shape and must not alias an operand. The allocating forms above
+// are wrappers over them: there is one implementation of each product.
+
+// MatMulBiasInto sets dst = a×b, plus bias (length b.Cols, may be nil) added
+// to every row — a Linear layer's forward in one pass over dst. The bias is
+// added after the products are summed, as AddRowVec(MatMul(a, b), bias) does.
+func MatMulBiasInto(dst, a, b *Matrix, bias []float64) {
+	if a.Cols != b.Rows {
+		panic(fmt.Sprintf("nn: MatMul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	checkDst("MatMul", dst, a.Rows, b.Cols)
+	if bias != nil && len(bias) != b.Cols {
+		panic("nn: MatMulBiasInto bias length mismatch")
+	}
+	n := b.Cols
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
+		orow := dst.Data[i*n : (i+1)*n]
+		clear(orow)
+		for k, av := range arow {
+			if av != 0 {
+				axpy(orow, av, b.Data[k*n:(k+1)*n])
+			}
+		}
+		for j, bv := range bias {
+			orow[j] += bv
+		}
+	}
+}
+
+// MatMulBTInto sets dst = a×bᵀ.
+func MatMulBTInto(dst, a, b *Matrix) {
+	if a.Cols != b.Cols {
+		panic(fmt.Sprintf("nn: MatMulBT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	checkDst("MatMulBT", dst, a.Rows, b.Rows)
+	n := a.Cols
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Data[i*n : (i+1)*n]
+		orow := dst.Data[i*b.Rows : (i+1)*b.Rows]
+		for j := range orow {
+			orow[j] = dot(arow, b.Data[j*n:(j+1)*n])
+		}
+	}
+}
+
+// MatMulATAcc adds aᵀ×b into dst: a layer's weight gradient dW += Xᵀ·dy
+// without the intermediate product matrix.
+func MatMulATAcc(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("nn: MatMulAT shape mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := NewMatrix(a.Cols, b.Cols)
+	checkDst("MatMulAT", dst, a.Cols, b.Cols)
+	n := b.Cols
 	for k := 0; k < a.Rows; k++ {
 		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
-		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+		brow := b.Data[k*n : (k+1)*n]
 		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
+			if av != 0 {
+				axpy(dst.Data[i*n:(i+1)*n], av, brow)
 			}
 		}
 	}
-	return out
+}
+
+// axpy adds a·x into y (same length). Each y[j] receives exactly one product
+// per call, so unrolling does not change any sum's order.
+func axpy(y []float64, a float64, x []float64) {
+	y = y[:len(x)]
+	j := 0
+	for ; j+4 <= len(x); j += 4 {
+		xs, ys := x[j:j+4:j+4], y[j:j+4:j+4]
+		ys[0] += a * xs[0]
+		ys[1] += a * xs[1]
+		ys[2] += a * xs[2]
+		ys[3] += a * xs[3]
+	}
+	for ; j < len(x); j++ {
+		y[j] += a * x[j]
+	}
+}
+
+// dot returns x·y (same length) summed in four interleaved partial sums, so
+// consecutive multiply-adds do not wait on each other.
+func dot(x, y []float64) float64 {
+	y = y[:len(x)]
+	var s0, s1, s2, s3 float64
+	k := 0
+	for ; k+4 <= len(x); k += 4 {
+		xs, ys := x[k:k+4:k+4], y[k:k+4:k+4]
+		s0 += xs[0] * ys[0]
+		s1 += xs[1] * ys[1]
+		s2 += xs[2] * ys[2]
+		s3 += xs[3] * ys[3]
+	}
+	for ; k < len(x); k++ {
+		s0 += x[k] * y[k]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+func checkDst(op string, dst *Matrix, rows, cols int) {
+	if dst.Rows != rows || dst.Cols != cols {
+		panic(fmt.Sprintf("nn: %s destination is %dx%d, want %dx%d", op, dst.Rows, dst.Cols, rows, cols))
+	}
 }
 
 // Add returns a+b elementwise.

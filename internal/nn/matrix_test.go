@@ -177,3 +177,106 @@ func TestShapePanics(t *testing.T) {
 	expectPanic("FromRows", func() { FromRows([][]float64{{1, 2}, {3}}) })
 	expectPanic("AddRowVec", func() { AddRowVec(a, []float64{1}) })
 }
+
+// TestIntoKernelsMatchWrappers: the destination-passing kernels produce,
+// into a destination full of garbage, exactly what the allocating wrappers
+// return; the accumulating form adds exactly that to what dst held; and the
+// two products whose summation order is the textbook one agree with the
+// naive triple loop bit for bit. Shapes include 0-row and 1-column operands.
+func TestIntoKernelsMatchWrappers(t *testing.T) {
+	r := rand.New(rand.NewSource(77))
+	dirty := func(rows, cols int) *Matrix {
+		m := NewMatrix(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = 1e9 * r.NormFloat64()
+		}
+		return m
+	}
+	same := func(what string, got, want *Matrix) {
+		t.Helper()
+		if got.Rows != want.Rows || got.Cols != want.Cols {
+			t.Fatalf("%s: %dx%d, want %dx%d", what, got.Rows, got.Cols, want.Rows, want.Cols)
+		}
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("%s: element %d is %v, want %v", what, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+	dims := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 33}
+	for trial := 0; trial < 200; trial++ {
+		m, k, n := dims[r.Intn(len(dims))], dims[r.Intn(len(dims))], dims[r.Intn(len(dims))]
+		a, b := Randn(m, k, 1, r), Randn(k, n, 1, r)
+		if k > 0 && m > 0 {
+			a.Data[r.Intn(len(a.Data))] = 0 // the kernels skip zero multipliers
+		}
+		bias := Randn(1, n, 1, r).Data
+
+		dst := dirty(m, n)
+		MatMulBiasInto(dst, a, b, nil)
+		same("MatMulBiasInto(nil)", dst, MatMul(a, b))
+		same("MatMul vs naive", dst, naiveMatMul(a, b))
+		dst = dirty(m, n)
+		MatMulBiasInto(dst, a, b, bias)
+		same("MatMulBiasInto", dst, AddRowVec(MatMul(a, b), bias))
+
+		bt := Randn(n, k, 1, r)
+		dst = dirty(m, n)
+		MatMulBTInto(dst, a, bt)
+		same("MatMulBTInto", dst, MatMulBT(a, bt))
+
+		c := Randn(m, n, 1, r)
+		acc := dirty(k, n)
+		want := Add(acc, MatMulAT(a, c))
+		if m == 1 { // one product per element: adding it to acc is the same sum either way
+			MatMulATAcc(acc, a, c)
+			same("MatMulATAcc", acc, want)
+		}
+		zero := NewMatrix(k, n)
+		MatMulATAcc(zero, a, c)
+		same("MatMulATAcc from zero", zero, MatMulAT(a, c))
+		aT := NewMatrix(k, m)
+		for i := 0; i < m; i++ {
+			for j := 0; j < k; j++ {
+				aT.Set(j, i, a.At(i, j))
+			}
+		}
+		same("MatMulAT vs naive", zero, naiveMatMul(aT, c))
+	}
+	expectPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	expectPanic("wrong destination", func() { MatMulBiasInto(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(3, 3), nil) })
+	expectPanic("wrong bias", func() { MatMulBiasInto(NewMatrix(2, 3), NewMatrix(2, 3), NewMatrix(3, 3), []float64{1}) })
+}
+
+// TestWorkspaceReusesBuffers: after Reset a workspace serves the same
+// requests from the same memory, and a nil workspace allocates.
+func TestWorkspaceReusesBuffers(t *testing.T) {
+	var ws Workspace
+	a, b := ws.Get(4, 8), ws.Get(2, 2)
+	ws.Reset()
+	if a2 := ws.Get(2, 8); a2 != a || a2.Rows != 2 || len(a2.Data) != 16 {
+		t.Fatalf("first buffer not reused: %p vs %p, %dx%d", a2, a, a2.Rows, a2.Cols)
+	}
+	if b2 := ws.Get(3, 3); b2 != b || len(b2.Data) != 9 {
+		t.Fatal("second buffer not reused (grown in place)")
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		ws.Reset()
+		ws.Get(4, 8)
+		ws.Get(3, 3)
+	}); allocs != 0 {
+		t.Fatalf("steady-state workspace allocates %v times per pass", allocs)
+	}
+	var none *Workspace
+	if m := none.Get(2, 3); m.Rows != 2 || m.Cols != 3 || m.Data[5] != 0 {
+		t.Fatal("nil workspace must allocate a zeroed matrix")
+	}
+}

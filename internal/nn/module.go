@@ -22,11 +22,26 @@ func NewParam(name string, w *Matrix) *Param {
 
 // Module is a differentiable layer. Forward caches whatever Backward needs;
 // Backward consumes the gradient w.r.t. the output and returns the gradient
-// w.r.t. the input, accumulating parameter gradients along the way.
+// w.r.t. the input (nil from a layer with no differentiable input),
+// accumulating the gradients of its trainable parameters along the way: a
+// frozen parameter's Grad is never touched.
 type Module interface {
 	Forward(x *Matrix) *Matrix
 	Backward(dy *Matrix) *Matrix
 	Params() []*Param
+}
+
+// ParamBackward is implemented by layers that can accumulate their parameter
+// gradients without computing the gradient w.r.t. their input — what the
+// lowest trainable layer above a frozen prefix needs (Sequential.Backward).
+type ParamBackward interface {
+	BackwardParams(dy *Matrix)
+}
+
+// WorkspaceUser is implemented by layers that can take their output and
+// gradient matrices from a Workspace instead of allocating them.
+type WorkspaceUser interface {
+	SetWorkspace(*Workspace)
 }
 
 // TrainAware is implemented by modules whose behaviour differs between
@@ -39,6 +54,7 @@ type TrainAware interface {
 type Linear struct {
 	WP, BP *Param
 	lastX  *Matrix
+	ws     *Workspace
 }
 
 // NewLinear creates a Linear layer with Xavier-style initialization.
@@ -50,37 +66,60 @@ func NewLinear(in, out int, r *rand.Rand) *Linear {
 	}
 }
 
+// SetWorkspace implements WorkspaceUser.
+func (l *Linear) SetWorkspace(ws *Workspace) { l.ws = ws }
+
 // Forward implements Module.
 func (l *Linear) Forward(x *Matrix) *Matrix {
 	l.lastX = x
-	return AddRowVec(MatMul(x, l.WP.W), l.BP.W.Data)
+	out := l.ws.Get(x.Rows, l.WP.W.Cols)
+	MatMulBiasInto(out, x, l.WP.W, l.BP.W.Data)
+	return out
 }
 
 // Backward implements Module.
 func (l *Linear) Backward(dy *Matrix) *Matrix {
-	AddInPlace(l.WP.Grad, MatMulAT(l.lastX, dy))
-	for i := 0; i < dy.Rows; i++ {
-		row := dy.Row(i)
-		for j, v := range row {
-			l.BP.Grad.Data[j] += v
+	l.BackwardParams(dy)
+	dx := l.ws.Get(dy.Rows, l.WP.W.Rows)
+	MatMulBTInto(dx, dy, l.WP.W)
+	return dx
+}
+
+// BackwardParams implements ParamBackward.
+func (l *Linear) BackwardParams(dy *Matrix) {
+	if !l.WP.Frozen {
+		MatMulATAcc(l.WP.Grad, l.lastX, dy)
+	}
+	if !l.BP.Frozen {
+		for i := 0; i < dy.Rows; i++ {
+			for j, v := range dy.Row(i) {
+				l.BP.Grad.Data[j] += v
+			}
 		}
 	}
-	return MatMulBT(dy, l.WP.W)
 }
 
 // Params implements Module.
 func (l *Linear) Params() []*Param { return []*Param{l.WP, l.BP} }
 
 // ReLU is the rectified linear activation.
-type ReLU struct{ lastX *Matrix }
+type ReLU struct {
+	lastX *Matrix
+	ws    *Workspace
+}
+
+// SetWorkspace implements WorkspaceUser.
+func (l *ReLU) SetWorkspace(ws *Workspace) { l.ws = ws }
 
 // Forward implements Module.
 func (l *ReLU) Forward(x *Matrix) *Matrix {
 	l.lastX = x
-	out := NewMatrix(x.Rows, x.Cols)
+	out := l.ws.Get(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		if v > 0 {
 			out.Data[i] = v
+		} else {
+			out.Data[i] = 0
 		}
 	}
 	return out
@@ -88,10 +127,12 @@ func (l *ReLU) Forward(x *Matrix) *Matrix {
 
 // Backward implements Module.
 func (l *ReLU) Backward(dy *Matrix) *Matrix {
-	out := NewMatrix(dy.Rows, dy.Cols)
+	out := l.ws.Get(dy.Rows, dy.Cols)
 	for i, v := range l.lastX.Data {
 		if v > 0 {
 			out.Data[i] = dy.Data[i]
+		} else {
+			out.Data[i] = 0
 		}
 	}
 	return out
@@ -282,6 +323,7 @@ type Embedding struct {
 	Table *Param
 	Dim   int
 	lastX *Matrix
+	ws    *Workspace
 }
 
 // NewEmbedding creates an embedding table with vocab rows of width dim.
@@ -289,10 +331,13 @@ func NewEmbedding(vocab, dim int, r *rand.Rand) *Embedding {
 	return &Embedding{Table: NewParam("emb", Randn(vocab, dim, 0.1, r)), Dim: dim}
 }
 
+// SetWorkspace implements WorkspaceUser.
+func (e *Embedding) SetWorkspace(ws *Workspace) { e.ws = ws }
+
 // Forward implements Module.
 func (e *Embedding) Forward(x *Matrix) *Matrix {
 	e.lastX = x
-	out := NewMatrix(x.Rows, x.Cols*e.Dim)
+	out := e.ws.Get(x.Rows, x.Cols*e.Dim)
 	for i := 0; i < x.Rows; i++ {
 		for j := 0; j < x.Cols; j++ {
 			id := e.clampID(x.At(i, j))
@@ -302,9 +347,12 @@ func (e *Embedding) Forward(x *Matrix) *Matrix {
 	return out
 }
 
-// Backward implements Module. Embeddings sit at the bottom of the network,
-// so the returned input gradient is nil-like (zero matrix).
+// Backward implements Module. Embeddings sit at the bottom of the network:
+// ids have no gradient, so there is none to return.
 func (e *Embedding) Backward(dy *Matrix) *Matrix {
+	if e.Table.Frozen {
+		return nil
+	}
 	for i := 0; i < e.lastX.Rows; i++ {
 		for j := 0; j < e.lastX.Cols; j++ {
 			id := e.clampID(e.lastX.At(i, j))
@@ -315,7 +363,7 @@ func (e *Embedding) Backward(dy *Matrix) *Matrix {
 			}
 		}
 	}
-	return NewMatrix(e.lastX.Rows, e.lastX.Cols)
+	return nil
 }
 
 func (e *Embedding) clampID(v float64) int {
@@ -335,25 +383,57 @@ func (e *Embedding) Params() []*Param { return []*Param{e.Table} }
 // Sequential chains modules; the fundamental composite used for MLP heads.
 type Sequential struct {
 	Layers []Module
+	// FreezeUpTo's boundary: layers [0, frozen) are the frozen prefix, the
+	// rest the head, and bottom is the lowest head layer with a parameter.
+	frozen, bottom int
 }
 
 // NewSequential chains the given modules.
 func NewSequential(layers ...Module) *Sequential { return &Sequential{Layers: layers} }
 
 // Forward implements Module.
-func (s *Sequential) Forward(x *Matrix) *Matrix {
-	for _, l := range s.Layers {
+func (s *Sequential) Forward(x *Matrix) *Matrix { return s.ForwardHead(s.ForwardPrefix(x)) }
+
+// ForwardPrefix runs the frozen prefix: a function of x and of weights no
+// training step changes, so its output for a given row can be kept. With
+// nothing frozen it returns x.
+func (s *Sequential) ForwardPrefix(x *Matrix) *Matrix {
+	for _, l := range s.Layers[:s.frozen] {
 		x = l.Forward(x)
 	}
 	return x
 }
 
-// Backward implements Module.
+// ForwardHead runs the layers above the frozen prefix on the prefix's output.
+func (s *Sequential) ForwardHead(h *Matrix) *Matrix {
+	for _, l := range s.Layers[s.frozen:] {
+		h = l.Forward(h)
+	}
+	return h
+}
+
+// Backward implements Module. Above a frozen prefix it goes no deeper than
+// the lowest trainable layer, which accumulates its parameter gradients only
+// — nothing below it can learn, so the input gradient would be computed for
+// nobody — and returns nil: the prefix is the bottom of the network.
 func (s *Sequential) Backward(dy *Matrix) *Matrix {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
+	if s.frozen == 0 {
+		for i := len(s.Layers) - 1; i >= 0; i-- {
+			dy = s.Layers[i].Backward(dy)
+		}
+		return dy
+	}
+	for i := len(s.Layers) - 1; i > s.bottom; i-- {
 		dy = s.Layers[i].Backward(dy)
 	}
-	return dy
+	if s.bottom < len(s.Layers) {
+		if pb, ok := s.Layers[s.bottom].(ParamBackward); ok {
+			pb.BackwardParams(dy)
+		} else {
+			s.Layers[s.bottom].Backward(dy)
+		}
+	}
+	return nil
 }
 
 // Params implements Module.
@@ -374,14 +454,31 @@ func (s *Sequential) SetTraining(b bool) {
 	}
 }
 
-// FreezeUpTo freezes the parameters of layers [0, n) — the incremental
-// update primitive: the first n layers keep their weights while the tail is
-// fine-tuned.
-func (s *Sequential) FreezeUpTo(n int) {
-	for i, l := range s.Layers {
-		frozen := i < n
-		for _, p := range l.Params() {
-			p.Frozen = frozen
+// SetWorkspace implements WorkspaceUser for the layers that are one.
+func (s *Sequential) SetWorkspace(ws *Workspace) {
+	for _, l := range s.Layers {
+		if wu, ok := l.(WorkspaceUser); ok {
+			wu.SetWorkspace(ws)
 		}
 	}
 }
+
+// FreezeUpTo freezes the parameters of layers [0, n) — the incremental
+// update primitive: the first n layers keep their weights while the tail is
+// fine-tuned. n is clamped to the layer count; 0 unfreezes everything.
+func (s *Sequential) FreezeUpTo(n int) {
+	s.frozen = min(max(n, 0), len(s.Layers))
+	s.bottom = len(s.Layers)
+	for i, l := range s.Layers {
+		frozen := i < s.frozen
+		for _, p := range l.Params() {
+			p.Frozen = frozen
+		}
+		if !frozen && len(l.Params()) > 0 {
+			s.bottom = min(s.bottom, i)
+		}
+	}
+}
+
+// Frozen returns FreezeUpTo's boundary: the length of the frozen prefix.
+func (s *Sequential) Frozen() int { return s.frozen }

@@ -105,11 +105,16 @@ func zeroGrads(params []*Param) {
 	}
 }
 
-// ClipGradNorm rescales gradients so their global L2 norm is at most max.
-// Returns the pre-clip norm.
+// ClipGradNorm rescales the gradients of the trainable parameters so their
+// global L2 norm is at most max, and returns the pre-clip norm. Frozen
+// parameters are left out of both: a gradient no step applies must not
+// shrink the step of the parameters that do move.
 func ClipGradNorm(params []*Param, max float64) float64 {
 	var total float64
 	for _, p := range params {
+		if p.Frozen {
+			continue
+		}
 		for _, g := range p.Grad.Data {
 			total += g * g
 		}
@@ -118,6 +123,9 @@ func ClipGradNorm(params []*Param, max float64) float64 {
 	if norm > max && norm > 0 {
 		s := max / norm
 		for _, p := range params {
+			if p.Frozen {
+				continue
+			}
 			for i := range p.Grad.Data {
 				p.Grad.Data[i] *= s
 			}

@@ -243,3 +243,66 @@ func TestSerializeRoundTrip(t *testing.T) {
 		t.Fatal("garbage decode should error")
 	}
 }
+
+// TestClipGradNormIgnoresFrozen is the regression test for frozen gradients
+// throttling a fine-tune: a frozen parameter's gradient is never applied, so
+// it must neither count towards the norm nor be rescaled.
+func TestClipGradNormIgnoresFrozen(t *testing.T) {
+	frozen := NewParam("frozen", NewMatrix(1, 2))
+	frozen.Frozen = true
+	frozen.Grad.Data[0], frozen.Grad.Data[1] = 300, 400 // norm 500 ≫ 5
+	live := NewParam("live", NewMatrix(1, 2))
+	live.Grad.Data[0], live.Grad.Data[1] = 0.3, 0.4 // norm 0.5 < 5
+	norm := ClipGradNorm([]*Param{frozen, live}, 5)
+	if math.Abs(norm-0.5) > 1e-12 {
+		t.Fatalf("norm = %v, want the trainable parameters' 0.5", norm)
+	}
+	if live.Grad.Data[0] != 0.3 || live.Grad.Data[1] != 0.4 {
+		t.Fatalf("trainable gradient rescaled to %v by a frozen parameter's norm", live.Grad.Data)
+	}
+	if frozen.Grad.Data[0] != 300 {
+		t.Fatal("frozen gradient must be left alone")
+	}
+}
+
+// TestSequentialBackwardStopsAtFrozenPrefix: for every freeze boundary, the
+// gradients of the layers that still train are bit-identical to those of the
+// full backward pass, frozen layers accumulate nothing, and backward above a
+// frozen prefix returns no input gradient.
+func TestSequentialBackwardStopsAtFrozenPrefix(t *testing.T) {
+	build := func() *Sequential {
+		r := rand.New(rand.NewSource(31))
+		return NewSequential(NewLinear(3, 6, r), &ReLU{}, NewLinear(6, 5, r), &ReLU{}, NewLinear(5, 2, r))
+	}
+	r := rand.New(rand.NewSource(32))
+	x, dy := Randn(7, 3, 1, r), Randn(7, 2, 1, r)
+	full := build()
+	full.Forward(x)
+	if dx := full.Backward(dy); dx == nil || dx.Rows != 7 || dx.Cols != 3 {
+		t.Fatal("unfrozen backward must return the input gradient")
+	}
+	for n := 1; n <= len(full.Layers)+1; n++ {
+		seq := build()
+		seq.FreezeUpTo(n)
+		if want := min(n, len(seq.Layers)); seq.Frozen() != want {
+			t.Fatalf("FreezeUpTo(%d): Frozen() = %d, want %d", n, seq.Frozen(), want)
+		}
+		seq.Forward(x)
+		if dx := seq.Backward(dy); dx != nil {
+			t.Fatalf("freeze %d: backward returned an input gradient", n)
+		}
+		for li, l := range seq.Layers {
+			for pi, p := range l.Params() {
+				want := full.Layers[li].Params()[pi].Grad.Data
+				for i, g := range p.Grad.Data {
+					if li < n && g != 0 {
+						t.Fatalf("freeze %d: frozen layer %d accumulated a gradient", n, li)
+					}
+					if li >= n && g != want[i] {
+						t.Fatalf("freeze %d: layer %d param %d elem %d: %v, full backward %v", n, li, pi, i, g, want[i])
+					}
+				}
+			}
+		}
+	}
+}

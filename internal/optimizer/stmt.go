@@ -64,7 +64,7 @@ func (o *Optimizer) PlanStmt(stmt sqlparse.Stmt, cat *catalog.Catalog) (plan.Nod
 		}
 		return &plan.Delete{Base: base, Table: q.Tables[0], Child: src}, nil
 	case *sqlparse.Predict:
-		return planPredict(t, cat)
+		return o.planPredict(t, cat)
 	default:
 		return nil, fmt.Errorf("%w: %T", ErrNotPlanned, stmt)
 	}
@@ -170,7 +170,7 @@ func planInsert(ins *sqlparse.Insert, cat *catalog.Catalog) (plan.Node, error) {
 	}, err
 }
 
-func planPredict(pr *sqlparse.Predict, cat *catalog.Catalog) (plan.Node, error) {
+func (o *Optimizer) planPredict(pr *sqlparse.Predict, cat *catalog.Catalog) (plan.Node, error) {
 	t, err := cat.Get(pr.Table)
 	if err != nil {
 		return nil, err
@@ -198,31 +198,43 @@ func planPredict(pr *sqlparse.Predict, cat *catalog.Catalog) (plan.Node, error) 
 			features = append(features, ci)
 		}
 	}
-	rows := float64(t.Stats.Rows())
 	n := &plan.Predict{
-		Base: plan.Base{
-			Out:     rel.NewSchema(rel.Column{Name: "prediction", Typ: rel.TypeFloat}),
-			EstRows: rows,
-			EstCost: float64(t.Heap.NumPages())*seqPageCost + rows*cpuTupleCost,
-		},
 		Table:          t,
 		TargetIdx:      target,
 		FeatureIdxs:    features,
 		Classification: pr.Kind == sqlparse.PredictClass,
 		ModelName:      t.Name + "." + strings.ToLower(pr.Target),
 	}
+	// Both row sources are access paths chosen the way a SELECT's are: a
+	// sliding-window PREDICT reads its window through the index, not the
+	// table.
 	q := SingleTableQuery(t)
-	if n.TrainFilter, err = q.bindExpr(pr.With); err != nil {
+	with, err := q.bindExpr(pr.With)
+	if err != nil {
 		return nil, err
 	}
-	if n.PredictFilter, err = q.bindExpr(pr.Where); err != nil {
+	where, err := q.bindExpr(pr.Where)
+	if err != nil {
 		return nil, err
 	}
+	n.Train = o.AccessPath(t, with)
+	_, cost := n.Train.Estimates()
 	// Inline rows are positional over the feature columns; checking the arity
 	// here, where the statement is known, beats misaligning features deep in
 	// the featurizer.
 	n.Values, err = bindValues(pr.Values, len(features), positions(len(features)), func(row, got int) error {
 		return fmt.Errorf("optimizer: PREDICT VALUES row %d has %d values for %d feature columns", row, got, len(features))
 	})
+	predicted := float64(len(n.Rows))
+	if len(pr.Values) == 0 {
+		n.Infer, n.NullTargets = o.AccessPath(t, where), pr.Where == nil
+		inferRows, inferCost := n.Infer.Estimates()
+		predicted, cost = inferRows, cost+inferCost
+	}
+	n.Base = plan.Base{
+		Out:     rel.NewSchema(rel.Column{Name: "prediction", Typ: rel.TypeFloat}),
+		EstRows: predicted,
+		EstCost: cost,
+	}
 	return n, err
 }

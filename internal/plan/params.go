@@ -59,7 +59,7 @@ func HasParams(n Node) bool {
 				found = found || rel.HasParams(e)
 			}
 		case *Predict:
-			found = len(t.Holes) > 0 || rel.HasParams(t.TrainFilter) || rel.HasParams(t.PredictFilter)
+			found = len(t.Holes) > 0
 		}
 	})
 	return found
@@ -245,7 +245,10 @@ func BindParams(n Node, args []rel.Value) Node {
 		return &cp
 	case *Predict:
 		cp := *t
-		cp.TrainFilter, cp.PredictFilter = rel.SubstParams(t.TrainFilter, args), rel.SubstParams(t.PredictFilter, args)
+		cp.Train = BindParams(t.Train, args)
+		if t.Infer != nil {
+			cp.Infer = BindParams(t.Infer, args)
+		}
 		cp.Values = t.Values.bind(args)
 		return &cp
 	}

@@ -96,22 +96,32 @@ func (n *Delete) Children() []Node { return []Node{n.Child} }
 func (n *Delete) Label() string { return fmt.Sprintf("Delete(%s)", n.Table.Name) }
 
 // Predict is a bound PREDICT statement: the executor's AI operators (train /
-// inference / fine-tune, paper Fig. 1) run it against the AI engine. It has
-// no child: extraction is one pass over Table inside the operator.
+// inference / fine-tune, paper Fig. 1) run it against the AI engine. Its rows
+// come from two access nodes over Table, chosen like a SELECT's: Train for
+// the WITH clause, Infer for the WHERE clause. Two conditions no clause
+// spells stay with the operator as residuals: a training row needs a
+// non-NULL target, and with neither WHERE nor VALUES the rows to predict are
+// those whose target is NULL (NullTargets).
 type Predict struct {
 	Base
 	Table          *catalog.Table
 	TargetIdx      int
 	FeatureIdxs    []int
 	Classification bool
-	TrainFilter    rel.Expr // WITH clause; nil = all rows with non-null target
-	PredictFilter  rel.Expr // WHERE clause; nil with no VALUES = rows with null target
-	Values                  // inline rows to predict, in FeatureIdxs order
+	Train          Node // rows to train on
+	Infer          Node // rows to predict; nil when Values supplies them
+	NullTargets    bool // no WHERE, no VALUES: predict Infer's rows with a NULL target
+	Values              // inline rows to predict, in FeatureIdxs order
 	ModelName      string
 }
 
-// Children implements Node.
-func (*Predict) Children() []Node { return nil }
+// Children implements Node: Train, then Infer when there is one.
+func (n *Predict) Children() []Node {
+	if n.Infer == nil {
+		return []Node{n.Train}
+	}
+	return []Node{n.Train, n.Infer}
+}
 
 // Kind is the task's SQL spelling: VALUE (regression) or CLASS.
 func (n *Predict) Kind() string {

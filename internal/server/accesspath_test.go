@@ -367,10 +367,16 @@ func TestWritesAgreeOnEveryRoute(t *testing.T) {
 		case 6:
 			steps = append(steps, step{`UPDATE t SET v = ? WHERE k >= ?`, []any{float64(k) / 4, 48}})
 		default:
-			if i%16 == 7 {
+			// PREDICT in its three shapes: rows with a NULL target, inline
+			// rows, and both row sources chosen by parameterized clauses
+			// (an index probe on id to train on, one on k to predict).
+			switch (i / 8) % 3 {
+			case 0:
 				steps = append(steps, step{`PREDICT VALUE OF v FROM t TRAIN ON k`, nil})
-			} else {
+			case 1:
 				steps = append(steps, step{`PREDICT VALUE OF v FROM t TRAIN ON k VALUES (?), (? + 1)`, []any{k, k}})
+			default:
+				steps = append(steps, step{`PREDICT VALUE OF v FROM t WHERE k >= ? AND k < ? TRAIN ON k WITH id >= ? AND id < ?`, []any{k, k + 2, id / 2, id/2 + n/2}})
 			}
 		}
 	}
