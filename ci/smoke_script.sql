@@ -31,3 +31,13 @@ BEGIN;
 INSERT INTO review VALUES (6,'hooli',1,1.0);
 ROLLBACK;
 SELECT id FROM review ORDER BY id;
+-- PREDICT, executed: the first statement trains the model of churn.left_us, the
+-- second fine-tunes it (reused=true) — each as one AI task. The classes are
+-- cleanly separable, so the thresholded output does not depend on the platform.
+CREATE TABLE churn (id INT PRIMARY KEY, plan INT, tickets INT, left_us INT);
+INSERT INTO churn VALUES
+  (1,0,0,0),(2,0,1,0),(3,0,0,0),(4,0,1,0),(5,1,8,1),(6,1,9,1),(7,1,8,1),(8,1,9,1),
+  (9,0,0,0),(10,0,1,0),(11,1,9,1),(12,1,8,1),(13,0,1,0),(14,1,9,1),(15,0,0,0),(16,1,8,1);
+ANALYZE churn;
+PREDICT CLASS OF left_us FROM churn TRAIN ON plan, tickets VALUES (0, 0), (1, 9);
+PREDICT CLASS OF left_us FROM churn WHERE id >= 15 TRAIN ON plan, tickets WITH id < 15;

@@ -56,28 +56,6 @@ func BaselineTrain(spec models.Spec, cfg TrainConfig, src RowBatchSource, feat F
 	return out, nil
 }
 
-// BaselineInfer is the inference counterpart of BaselineTrain: batch-wise
-// text round trip, synchronous predict.
-func BaselineInfer(model interface {
-	Predict(*nn.Matrix) *nn.Matrix
-}, src RowBatchSource, feat Featurizer) ([]float64, error) {
-	var preds []float64
-	for {
-		rows, ok := src.Next()
-		if !ok {
-			return preds, nil
-		}
-		text := encodeRowsText(rows)
-		parsed, err := decodeRowsText(text, len(rows[0]))
-		if err != nil {
-			return nil, err
-		}
-		x, _ := feat(parsed)
-		p := model.Predict(x)
-		preds = append(preds, p.Data...)
-	}
-}
-
 // encodeRowsText renders rows in a psql-like text format.
 func encodeRowsText(rows []rel.Row) string {
 	var sb strings.Builder

@@ -1,6 +1,7 @@
 package aiengine
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -156,30 +157,34 @@ func (e *Engine) connect() (io.ReadWriteCloser, error) {
 }
 
 // RunTask executes one task over a connection: handshake, windowed batch
-// streaming with credit-based flow control, finish, result. It starts a
+// streaming with credit-based flow control, finish, result. It returns what
+// the acks delivered — the loss of every labelled batch and the predictions
+// for every other, in stream order, as the outcome's Losses and Preds — and
+// the weights of the result frame, nil if no batch trained. It starts a
 // sender and a reader goroutine; on every return path the sender is released
 // at once and the reader as soon as the caller closes conn, which a caller
 // does whether the task succeeded or not.
-func RunTask(conn io.ReadWriter, spec TaskSpec, src DataSource) (*TaskResult, error) {
+func RunTask(conn io.ReadWriter, spec TaskSpec, src DataSource) (*TrainOutcome, []nn.LayerWeights, error) {
+	fail := func(what string, err error) (*TrainOutcome, []nn.LayerWeights, error) {
+		return nil, nil, fmt.Errorf("aiengine: %s: %w", what, err)
+	}
 	payload, err := gobEncode(spec)
 	if err != nil {
-		return nil, err
+		return fail("encode handshake", err)
 	}
 	if err := writeFrame(conn, msgHandshake, payload); err != nil {
-		return nil, fmt.Errorf("aiengine: send handshake: %w", err)
+		return fail("send handshake", err)
 	}
 	typ, payload, err := readFrame(conn)
 	if err != nil {
-		return nil, fmt.Errorf("aiengine: read handshake ack: %w", err)
+		return fail("read handshake ack", err)
 	}
 	if typ == msgError {
-		var msg string
-		_ = gobDecode(payload, &msg)
-		return nil, fmt.Errorf("aiengine: runtime error: %s", msg)
+		return fail("runtime error", runtimeError(payload))
 	}
 	var ack HandshakeAck
 	if err := gobDecode(payload, &ack); err != nil {
-		return nil, fmt.Errorf("aiengine: decode handshake ack: %w", err)
+		return fail("decode handshake ack", err)
 	}
 	window := ack.Window
 	if window < 1 {
@@ -241,68 +246,64 @@ func RunTask(conn io.ReadWriter, spec TaskSpec, src DataSource) (*TaskResult, er
 		}
 	}()
 
-	result := &TaskResult{}
+	out := &TrainOutcome{}
 	acked := int64(0)
 	total := int64(-1) // unknown until the sender finishes
 	for total < 0 || acked < total {
 		select {
 		case err := <-senderDone:
 			if err != nil {
-				return nil, fmt.Errorf("aiengine: stream batches: %w", err)
+				return fail("stream batches", err)
 			}
 			total = sent.Load()
 		case f := <-frames:
 			if f.err != nil {
-				return nil, fmt.Errorf("aiengine: read ack: %w", f.err)
+				return fail("read ack", f.err)
 			}
 			switch f.typ {
 			case msgBatchAck:
 				ba, err := decodeBatchAck(f.payload)
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				if len(ba.Preds) == 0 {
-					result.Losses = append(result.Losses, ba.Loss)
+					out.Losses = append(out.Losses, ba.Loss)
 				}
-				result.Preds = append(result.Preds, ba.Preds...)
+				out.Preds = append(out.Preds, ba.Preds...)
 				acked++
 				credits <- struct{}{}
 			case msgError:
-				var msg string
-				_ = gobDecode(f.payload, &msg)
-				return nil, fmt.Errorf("aiengine: runtime error: %s", msg)
+				return fail("runtime error", runtimeError(f.payload))
 			default:
-				return nil, fmt.Errorf("aiengine: unexpected frame %d", f.typ)
+				return nil, nil, fmt.Errorf("aiengine: unexpected frame %d", f.typ)
 			}
 		}
 	}
 	if err := writeFrame(conn, msgFinish, nil); err != nil {
-		return nil, fmt.Errorf("aiengine: send finish: %w", err)
+		return fail("send finish", err)
 	}
-	for f := range frames {
-		if f.err != nil {
-			return nil, fmt.Errorf("aiengine: read result: %w", f.err)
-		}
-		switch f.typ {
-		case msgResult:
-			final := &TaskResult{}
-			if err := gobDecode(f.payload, final); err != nil {
-				return nil, err
-			}
-			final.Losses = append(result.Losses[:0:0], result.Losses...)
-			if len(final.Preds) == 0 {
-				final.Preds = result.Preds
-			}
-			return final, nil
-		case msgError:
-			var msg string
-			_ = gobDecode(f.payload, &msg)
-			return nil, fmt.Errorf("aiengine: runtime error: %s", msg)
-		default:
-			return nil, fmt.Errorf("aiengine: unexpected final frame %d", f.typ)
-		}
+	f := <-frames
+	switch {
+	case f.err != nil:
+		return fail("read result", f.err)
+	case f.typ == msgError:
+		return fail("runtime error", runtimeError(f.payload))
+	case f.typ != msgResult:
+		return nil, nil, fmt.Errorf("aiengine: unexpected final frame %d", f.typ)
 	}
-	return nil, fmt.Errorf("aiengine: connection closed before result")
+	var res TaskResult
+	if err := gobDecode(f.payload, &res); err != nil {
+		return fail("decode result", err)
+	}
+	out.Batches = res.Batches
+	return out, res.Weights, nil
+}
+
+// runtimeError is the error a msgError frame carries.
+func runtimeError(payload []byte) error {
+	var msg string
+	_ = gobDecode(payload, &msg)
+	return errors.New(msg)
 }
 
 // TrainConfig parameterizes a training task.
@@ -313,13 +314,16 @@ type TrainConfig struct {
 	LR        float64
 }
 
-// TrainOutcome reports a completed training task.
+// TrainOutcome reports a completed task: the version it stored, the loss of
+// every batch it trained on and the predictions for every batch that carried
+// no labels.
 type TrainOutcome struct {
 	MID        int
 	TS         uint64
 	Batches    int
 	Losses     []float64
-	Samples    int
+	Preds      []float64
+	Samples    int // rows trained on
 	Duration   time.Duration
 	Throughput float64 // samples/sec
 }
@@ -327,84 +331,72 @@ type TrainOutcome struct {
 // Train runs a training task end to end: dispatch, stream, store the model,
 // optionally bind a view.
 func (e *Engine) Train(spec models.Spec, cfg TrainConfig, src DataSource) (*TrainOutcome, error) {
-	conn, err := e.connect()
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	start := time.Now()
-	counter := &countingSource{inner: src}
-	res, err := RunTask(conn, TaskSpec{
-		Kind:      TaskTrain,
-		Model:     spec,
-		BatchSize: cfg.BatchSize,
-		Window:    cfg.Window,
-		LR:        cfg.LR,
-	}, counter)
-	if err != nil {
-		return nil, err
-	}
-	dur := time.Since(start)
-	mid := e.Store.Register(cfg.Name, spec, len(res.Weights))
-	ts, err := e.Store.SaveFull(mid, res.Weights)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Name != "" {
-		if err := e.Store.CreateView(cfg.Name, mid, 0); err != nil {
-			return nil, err
+	task := TaskSpec{Model: spec, Window: cfg.Window, LR: cfg.LR}
+	return e.run(task, src, func(weights []nn.LayerWeights) (int, uint64, error) {
+		mid := e.Store.Register(cfg.Name, spec, len(weights))
+		ts, err := e.Store.SaveFull(mid, weights)
+		if err == nil && cfg.Name != "" {
+			err = e.Store.CreateView(cfg.Name, mid, 0)
 		}
-	}
-	tp := 0.0
-	if dur > 0 {
-		tp = float64(counter.samples) / dur.Seconds()
-	}
-	return &TrainOutcome{
-		MID: mid, TS: ts,
-		Batches: res.Batches, Losses: res.Losses,
-		Samples: counter.samples, Duration: dur, Throughput: tp,
-	}, nil
+		return mid, ts, err
+	})
 }
 
-// Infer runs inference with model version (mid, ts); ts = 0 means latest.
+// Infer runs inference with model version (mid, ts); ts = 0 means latest. It
+// predicts every batch of src, labelled or not, and stores nothing.
 func (e *Engine) Infer(mid int, ts uint64, src DataSource) ([]float64, error) {
-	weights, _, err := e.Store.Load(mid, ts)
+	// An inference trains nothing, so any split is right: it takes the one
+	// fine-tunes use, which lets the two share memo entries.
+	task, err := e.storedTask(mid, ts, armnet.FreezePrefixLayers, 0)
 	if err != nil {
 		return nil, err
 	}
-	spec, err := e.Store.Spec(mid)
+	out, err := e.run(task, unlabelled{src}, nil)
 	if err != nil {
 		return nil, err
 	}
-	conn, err := e.connect()
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	res, err := RunTask(conn, TaskSpec{
-		Kind:        TaskInfer,
-		Model:       spec,
-		InitWeights: weights,
-		Window:      8,
-	}, src)
-	if err != nil {
-		return nil, err
-	}
-	return res.Preds, nil
+	return out.Preds, nil
 }
 
 // FineTune incrementally updates model (mid, ts): layers [0, freezeUpTo)
 // stay frozen, the tail trains on the stream, and only the updated layers
 // are persisted (models.SavePartial) as a new version.
 func (e *Engine) FineTune(mid int, ts uint64, freezeUpTo int, lr float64, src DataSource) (*TrainOutcome, error) {
-	weights, _, err := e.Store.Load(mid, ts)
+	task, err := e.storedTask(mid, ts, freezeUpTo, lr)
 	if err != nil {
 		return nil, err
+	}
+	return e.run(task, src, func(weights []nn.LayerWeights) (int, uint64, error) {
+		updated := make(map[int]nn.LayerWeights)
+		for lid := freezeUpTo; lid < len(weights); lid++ {
+			if len(weights[lid].Shapes) > 0 {
+				updated[lid] = weights[lid]
+			}
+		}
+		newTS, err := e.Store.SavePartial(mid, updated)
+		return mid, newTS, err
+	})
+}
+
+// storedTask is the task that resumes stored model version (mid, ts).
+func (e *Engine) storedTask(mid int, ts uint64, freezeUpTo int, lr float64) (TaskSpec, error) {
+	weights, _, err := e.Store.Load(mid, ts)
+	if err != nil {
+		return TaskSpec{}, err
 	}
 	spec, err := e.Store.Spec(mid)
 	if err != nil {
-		return nil, err
+		return TaskSpec{}, err
 	}
+	return TaskSpec{Model: spec, InitWeights: weights, FreezeUpTo: freezeUpTo, LR: lr, Window: 8}, nil
+}
+
+// run is the one way a task executes: connect to a runtime, stream src — its
+// labelled batches train, the others come back as predictions — and hand the
+// trained weights to save, which stores them and returns the version. The
+// save comes last: a task that fails anywhere in its stream, predictions
+// included, stores nothing. A nil save is for a task that trains nothing.
+func (e *Engine) run(task TaskSpec, src DataSource, save func([]nn.LayerWeights) (mid int, ts uint64, err error)) (*TrainOutcome, error) {
 	conn, err := e.connect()
 	if err != nil {
 		return nil, err
@@ -412,39 +404,27 @@ func (e *Engine) FineTune(mid int, ts uint64, freezeUpTo int, lr float64, src Da
 	defer conn.Close()
 	start := time.Now()
 	counter := &countingSource{inner: src}
-	res, err := RunTask(conn, TaskSpec{
-		Kind:        TaskFineTune,
-		Model:       spec,
-		InitWeights: weights,
-		FreezeUpTo:  freezeUpTo,
-		LR:          lr,
-		Window:      8,
-	}, counter)
+	out, weights, err := RunTask(conn, task, counter)
 	if err != nil {
 		return nil, err
 	}
-	updated := make(map[int]nn.LayerWeights)
-	for lid := freezeUpTo; lid < len(res.Weights); lid++ {
-		if len(res.Weights[lid].Shapes) > 0 {
-			updated[lid] = res.Weights[lid]
-		}
+	out.Samples, out.Duration = counter.samples, time.Since(start)
+	if out.Duration > 0 {
+		out.Throughput = float64(out.Samples) / out.Duration.Seconds()
 	}
-	newTS, err := e.Store.SavePartial(mid, updated)
-	if err != nil {
+	if save == nil {
+		return out, nil
+	}
+	if weights == nil {
+		return nil, fmt.Errorf("aiengine: the task's stream has no labelled batch to train on")
+	}
+	if out.MID, out.TS, err = save(weights); err != nil {
 		return nil, err
 	}
-	dur := time.Since(start)
-	tp := 0.0
-	if dur > 0 {
-		tp = float64(counter.samples) / dur.Seconds()
-	}
-	return &TrainOutcome{
-		MID: mid, TS: newTS,
-		Batches: res.Batches, Losses: res.Losses,
-		Samples: counter.samples, Duration: dur, Throughput: tp,
-	}, nil
+	return out, nil
 }
 
+// countingSource counts the rows of the labelled batches that pass through.
 type countingSource struct {
 	inner   DataSource
 	samples int
@@ -452,50 +432,20 @@ type countingSource struct {
 
 func (c *countingSource) Next() (*Batch, bool) {
 	b, ok := c.inner.Next()
-	if ok {
+	if ok && b.Y != nil {
 		c.samples += b.X.Rows
 	}
 	return b, ok
 }
 
-// TaskManager queues AI tasks and dispatches them to worker goroutines —
-// the coordination component of Fig. 2. Each submitted task gets its own
-// dispatcher (connection) when executed.
-type TaskManager struct {
-	tasks chan func()
-	wg    sync.WaitGroup
-}
+// unlabelled strips the labels off a source's batches, which makes every one
+// of them a request for predictions.
+type unlabelled struct{ DataSource }
 
-// NewTaskManager starts `workers` dispatcher workers.
-func NewTaskManager(workers int) *TaskManager {
-	if workers < 1 {
-		workers = 1
+func (u unlabelled) Next() (*Batch, bool) {
+	b, ok := u.DataSource.Next()
+	if ok && b.Y != nil {
+		b = &Batch{X: b.X}
 	}
-	tm := &TaskManager{tasks: make(chan func(), 64)}
-	tm.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer tm.wg.Done()
-			for f := range tm.tasks {
-				f()
-			}
-		}()
-	}
-	return tm
-}
-
-// Submit enqueues a task and returns a completion channel.
-func (tm *TaskManager) Submit(f func()) <-chan struct{} {
-	done := make(chan struct{})
-	tm.tasks <- func() {
-		defer close(done)
-		f()
-	}
-	return done
-}
-
-// Close drains and stops the workers.
-func (tm *TaskManager) Close() {
-	close(tm.tasks)
-	tm.wg.Wait()
+	return b, ok
 }

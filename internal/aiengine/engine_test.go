@@ -82,8 +82,8 @@ func TestTrainInProcessLossDecreases(t *testing.T) {
 	if store.LatestTS(out.MID) != out.TS {
 		t.Fatal("stored version mismatch")
 	}
-	if _, err := store.ResolveView("m1"); err != nil {
-		t.Fatal(err)
+	if v, ok := store.FindViewByName("m1"); !ok || v.MID != out.MID {
+		t.Fatalf("view m1 = %+v, %v", v, ok)
 	}
 }
 
@@ -312,25 +312,6 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTaskManagerRunsTasks(t *testing.T) {
-	tm := NewTaskManager(4)
-	defer tm.Close()
-	results := make([]int, 8)
-	var dones []<-chan struct{}
-	for i := 0; i < 8; i++ {
-		i := i
-		dones = append(dones, tm.Submit(func() { results[i] = i + 1 }))
-	}
-	for _, d := range dones {
-		<-d
-	}
-	for i, v := range results {
-		if v != i+1 {
-			t.Fatalf("task %d did not run", i)
-		}
-	}
-}
-
 func TestProtocolErrors(t *testing.T) {
 	// Runtime rejects unknown architecture via msgError.
 	local, remote := net.Pipe()
@@ -338,24 +319,33 @@ func TestProtocolErrors(t *testing.T) {
 		defer remote.Close()
 		ServeTask(remote, nil)
 	}()
-	spec := TaskSpec{Kind: TaskTrain, Model: models.Spec{Arch: "nope"}}
-	_, err := RunTask(local, spec, &SliceSource{})
+	spec := TaskSpec{Model: models.Spec{Arch: "nope"}}
+	_, _, err := RunTask(local, spec, &SliceSource{})
 	if err == nil {
 		t.Fatal("unknown arch should error")
 	}
 	local.Close()
 
-	// Unknown task kind.
+	// A stream without a labelled batch trains nothing: the runtime returns
+	// no weights, and an operator that was to store a model refuses.
 	local2, remote2 := net.Pipe()
 	go func() {
 		defer remote2.Close()
 		ServeTask(remote2, nil)
 	}()
-	_, err = RunTask(local2, TaskSpec{Kind: "bogus", Model: testSpec(false)}, &SliceSource{})
-	if err == nil {
-		t.Fatal("bogus kind should error")
+	unlabelledOnly := func() *SliceSource { return &SliceSource{Batches: []*Batch{{X: nn.NewMatrix(8, 4)}}} }
+	out, weights, err := RunTask(local2, TaskSpec{Model: testSpec(false)}, unlabelledOnly())
+	if err != nil || weights != nil || len(out.Preds) != 8 || len(out.Losses) != 0 || out.Batches != 1 {
+		t.Fatalf("unlabelled stream: %+v, %d weight layers, %v", out, len(weights), err)
 	}
 	local2.Close()
+	e := NewEngine(models.NewStore())
+	if _, err := e.Train(testSpec(false), TrainConfig{Name: "empty"}, unlabelledOnly()); err == nil || !strings.Contains(err.Error(), "no labelled batch") {
+		t.Fatalf("training on an unlabelled stream: %v", err)
+	}
+	if _, ok := e.Store.FindViewByName("empty"); ok {
+		t.Fatal("a task that trained nothing bound a model view")
+	}
 
 	// A batch of another width than the model's is an error, not a panic
 	// inside a matrix product.
@@ -365,7 +355,7 @@ func TestProtocolErrors(t *testing.T) {
 		ServeTask(remote3, nil)
 	}()
 	narrow := &SliceSource{Batches: []*Batch{{X: nn.NewMatrix(8, 2), Y: nn.NewMatrix(8, 1)}}}
-	_, err = RunTask(local3, TaskSpec{Kind: TaskTrain, Model: testSpec(false)}, narrow)
+	_, _, err = RunTask(local3, TaskSpec{Model: testSpec(false)}, narrow)
 	if err == nil || !strings.Contains(err.Error(), "fields") {
 		t.Fatalf("a 2-field batch for a 4-field model: %v", err)
 	}
@@ -619,7 +609,8 @@ func failingRuntime(conn io.ReadWriteCloser) {
 // task that fails mid-stream left RunTask's sender waiting for a credit for
 // ever, and a task that fails before streaming (an unknown model) left the
 // streaming loader's producer waiting on its channel, holding every
-// training row.
+// training row. A task that trains and then fails while predicting is the
+// third way to stop early; it must also store nothing.
 func TestFailedTaskLeaksNoGoroutine(t *testing.T) {
 	rows := make([]rel.Row, 4096)
 	for i := range rows {
@@ -633,7 +624,7 @@ func TestFailedTaskLeaksNoGoroutine(t *testing.T) {
 		loader := NewStreamingLoader(&rowChunks{rows: rows, size: 64}, feat, 4)
 		local, remote := net.Pipe()
 		go failingRuntime(remote)
-		_, err := RunTask(local, TaskSpec{Kind: TaskTrain, Model: testSpec(false), Window: 2}, loader)
+		_, _, err := RunTask(local, TaskSpec{Model: testSpec(false), Window: 2}, loader)
 		if err == nil {
 			t.Fatal("the runtime's error did not fail the task")
 		}
@@ -655,6 +646,93 @@ func TestFailedTaskLeaksNoGoroutine(t *testing.T) {
 		}
 		waitGoroutines(t, base)
 	})
+	t.Run("prediction phase, after training", func(t *testing.T) {
+		e := NewEngine(models.NewStore())
+		spec := testSpec(false)
+		spec.Fields = 1
+		first, err := e.Train(spec, TrainConfig{Window: 2},
+			NewStreamingLoader(&rowChunks{rows: rows[:256], size: 64}, feat, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := runtime.NumGoroutine()
+		// Eight labelled batches train; the rest arrive without labels and one
+		// field too wide, which fails the runtime's first prediction with more
+		// batches still queued behind it.
+		stream := func() *StreamingLoader {
+			calls := 0
+			return NewStreamingLoader(&rowChunks{rows: rows, size: 64}, func(rs []rel.Row) (*nn.Matrix, *nn.Matrix) {
+				if calls++; calls > 8 {
+					return nn.NewMatrix(len(rs), 2), nil
+				}
+				return feat(rs)
+			}, 4)
+		}
+		loader := stream()
+		if _, err := e.Train(spec, TrainConfig{Name: "m", Window: 2}, loader); err == nil || !strings.Contains(err.Error(), "fields") {
+			t.Fatalf("a training task whose predictions fail: %v", err)
+		}
+		loader.Close()
+		if _, ok := e.Store.FindViewByName("m"); ok {
+			t.Fatal("a task that failed while predicting bound a model view")
+		}
+		loader = stream()
+		if _, err := e.FineTune(first.MID, 0, armnet.FreezePrefixLayers, 0.02, loader); err == nil || !strings.Contains(err.Error(), "fields") {
+			t.Fatalf("a fine-tune whose predictions fail: %v", err)
+		}
+		loader.Close()
+		if v := e.Store.Versions(first.MID); len(v) != 1 {
+			t.Fatalf("a fine-tune that failed while predicting stored a version: %v", v)
+		}
+		waitGoroutines(t, base)
+	})
+}
+
+// TestInferPredictsLabelledBatches: Infer answers every batch with
+// predictions whether or not it carries labels — a caller may hand it the
+// batches it trained on — and an inference stores nothing.
+func TestInferPredictsLabelledBatches(t *testing.T) {
+	e := NewEngine(models.NewStore())
+	src := func(seed int64, n int) *synthSource {
+		return &synthSource{r: rand.New(rand.NewSource(seed)), batches: n, size: 32, fields: 4, vocab: 32}
+	}
+	out, err := e.Train(testSpec(false), TrainConfig{Window: 4}, src(1, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.FineTune(out.MID, 0, armnet.FreezePrefixLayers, 0.02, src(2, 4)); err != nil {
+		t.Fatal(err)
+	}
+	stored := func() string {
+		var sb strings.Builder
+		for _, ts := range e.Store.Versions(out.MID) {
+			layers, _, err := e.Store.Load(out.MID, ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&sb, "%d %v\n", ts, layers)
+		}
+		return sb.String()
+	}
+	before := stored()
+	s, stripped := src(3, 3), &SliceSource{}
+	for b, ok := s.Next(); ok; b, ok = s.Next() {
+		stripped.Batches = append(stripped.Batches, &Batch{X: b.X})
+	}
+	want, err := e.Infer(out.MID, 0, stripped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Infer(out.MID, 0, src(3, 3)) // the same rows, labels attached
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3*32 || fmt.Sprintf("%x", got) != fmt.Sprintf("%x", want) {
+		t.Fatalf("labelled batches: %d predictions, differing from the %d of the same rows without labels", len(got), len(want))
+	}
+	if stored() != before {
+		t.Fatal("an inference on labelled batches changed the stored model")
+	}
 }
 
 func avg(xs []float64) float64 {

@@ -1,10 +1,12 @@
 // Package aiengine implements the paper's in-database AI ecosystem (§4.1):
-// a task manager that creates per-task dispatchers, AI runtimes reachable
-// over real TCP (or in-process pipes), a binary data streaming protocol with
-// a handshake that negotiates model and streaming parameters and
-// window-based flow control, a streaming data loader that overlaps data
+// an engine that opens one dispatcher connection per task, AI runtimes
+// reachable over real TCP (or in-process pipes), a binary data streaming
+// protocol with a handshake that negotiates model and streaming parameters
+// and window-based flow control, a streaming data loader that overlaps data
 // preparation with training, and the model-manager operations (train /
-// inference / fine-tune) backed by the layered model store.
+// inference / fine-tune) backed by the layered model store. A task is a
+// stream, not a kind: the runtime takes an optimization step on every batch
+// that carries labels and answers every batch that does not with predictions.
 package aiengine
 
 import (
@@ -30,35 +32,24 @@ const (
 	msgError
 )
 
-// TaskKind selects the AI operator the runtime executes.
-type TaskKind string
-
-// Task kinds (the paper's AI operators).
-const (
-	TaskTrain    TaskKind = "train"
-	TaskInfer    TaskKind = "inference"
-	TaskFineTune TaskKind = "finetune"
-)
-
-// TaskSpec is the handshake payload: model parameters (structure,
-// arguments, batch size) and streaming parameters (window size), exactly
-// the two parameter groups the paper's handshake negotiates.
+// TaskSpec is the handshake payload: model parameters (structure, arguments)
+// and streaming parameters (window size), the two parameter groups the
+// paper's handshake negotiates.
 type TaskSpec struct {
-	Kind      TaskKind
-	Model     models.Spec
-	BatchSize int
-	Window    int // requested batches in flight
-	LR        float64
-	// FreezeUpTo freezes layers [0, n) for fine-tuning.
+	Model  models.Spec
+	Window int // requested batches in flight
+	LR     float64
+	// FreezeUpTo splits the model: layers [0, n) are a frozen prefix no step
+	// changes (and whose output the runtime memoizes), the rest train. 0
+	// trains everything.
 	FreezeUpTo int
-	// InitWeights carries the model for inference / fine-tuning.
+	// InitWeights carries a stored model; empty starts from the spec's seed.
 	InitWeights []nn.LayerWeights
 }
 
 // HandshakeAck returns the negotiated streaming parameters.
 type HandshakeAck struct {
-	Window    int
-	BatchSize int
+	Window int
 }
 
 // BatchAck acknowledges one processed batch, returning credit plus the
@@ -71,12 +62,11 @@ type BatchAck struct {
 	Preds []float64
 }
 
-// TaskResult is the final payload for a completed task.
+// TaskResult is the final payload for a completed task. Losses and
+// predictions are not in it: the acks delivered them batch by batch.
 type TaskResult struct {
 	Batches int
-	Losses  []float64
-	Preds   []float64
-	Weights []nn.LayerWeights
+	Weights []nn.LayerWeights // nil unless a batch carried labels
 }
 
 // writeFrame writes a [type, len, payload] frame.

@@ -12,14 +12,14 @@ import (
 )
 
 // Runtime is an AI runtime node: it accepts task connections from
-// dispatchers and executes train / inference / fine-tune operators. In the
+// dispatchers and executes their tasks — train, fine-tune, inference, or a
+// PREDICT's fine-tune-then-answer, all one loop over the batch stream. In the
 // paper's architecture these run on external (GPU) nodes; here they run as
 // goroutines behind real TCP sockets on localhost, or in-process pipes.
 type Runtime struct {
-	ln     net.Listener
-	wg     sync.WaitGroup
-	closed chan struct{}
-	memo   *armnet.PrefixMemo // shared by every task this node serves
+	ln   net.Listener
+	wg   sync.WaitGroup
+	memo *armnet.PrefixMemo // shared by every task this node serves
 }
 
 // StartRuntime listens on a localhost TCP port and serves tasks until Stop.
@@ -28,7 +28,7 @@ func StartRuntime() (*Runtime, string, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("aiengine: runtime listen: %w", err)
 	}
-	rt := &Runtime{ln: ln, closed: make(chan struct{}), memo: armnet.NewPrefixMemo(armnet.PrefixMemoBytes)}
+	rt := &Runtime{ln: ln, memo: armnet.NewPrefixMemo(armnet.PrefixMemoBytes)}
 	rt.wg.Add(1)
 	go rt.acceptLoop()
 	return rt, ln.Addr().String(), nil
@@ -39,12 +39,7 @@ func (rt *Runtime) acceptLoop() {
 	for {
 		conn, err := rt.ln.Accept()
 		if err != nil {
-			select {
-			case <-rt.closed:
-				return
-			default:
-				return
-			}
+			return // Stop closed the listener
 		}
 		rt.wg.Add(1)
 		go func() {
@@ -57,7 +52,6 @@ func (rt *Runtime) acceptLoop() {
 
 // Stop shuts the runtime down.
 func (rt *Runtime) Stop() {
-	close(rt.closed)
 	rt.ln.Close()
 	rt.wg.Wait()
 }
@@ -102,7 +96,7 @@ func serveTask(conn io.ReadWriter, memo *armnet.PrefixMemo) error {
 	if window > 1024 {
 		window = 1024
 	}
-	ackPayload, err := gobEncode(HandshakeAck{Window: window, BatchSize: spec.BatchSize})
+	ackPayload, err := gobEncode(HandshakeAck{Window: window})
 	if err != nil {
 		return err
 	}
@@ -119,19 +113,11 @@ func serveTask(conn io.ReadWriter, memo *armnet.PrefixMemo) error {
 			return fmt.Errorf("restore weights: %w", err)
 		}
 	}
-	// The model runs as frozen prefix → head. A full training run has no
-	// prefix. An inference trains nothing, so any split is right: it takes
-	// the one fine-tunes use, which lets the two kinds of task share memo
+	// The model runs as frozen prefix → head, split where the dispatcher
+	// says. Tasks that freeze the same prefix of the same weights — the
+	// fine-tunes of one model, and the inferences between them — share memo
 	// entries.
-	switch spec.Kind {
-	case TaskTrain:
-	case TaskFineTune:
-		model.Freeze(spec.FreezeUpTo)
-	case TaskInfer:
-		model.FreezeForIncrementalUpdate()
-	default:
-		return fmt.Errorf("unknown task kind %q", spec.Kind)
-	}
+	model.Freeze(spec.FreezeUpTo)
 	model.UseMemo(memo)
 	lr := spec.LR
 	if lr == 0 {
@@ -139,8 +125,8 @@ func serveTask(conn io.ReadWriter, memo *armnet.PrefixMemo) error {
 	}
 	opt := nn.NewAdam(lr)
 
-	result := TaskResult{}
-	seq := 0
+	var result TaskResult
+	trained := false
 	// A batch is consumed before the next frame is read, so frame, matrices
 	// and acknowledgement live in buffers the task reuses.
 	var frameBuf, ackBuf []byte
@@ -161,18 +147,13 @@ func serveTask(conn io.ReadWriter, memo *armnet.PrefixMemo) error {
 			if x.Cols != model.Fields {
 				return fmt.Errorf("batch has %d fields, the model %d", x.Cols, model.Fields)
 			}
-			ack := BatchAck{Seq: seq}
-			seq++
-			switch spec.Kind {
-			case TaskTrain, TaskFineTune:
-				if y == nil {
-					return fmt.Errorf("training batch without labels")
-				}
+			// The batch says what it is for: labels train, none predict.
+			ack := BatchAck{Seq: result.Batches}
+			if y != nil {
 				ack.Loss = model.TrainBatch(x, y, opt)
-				result.Losses = append(result.Losses, ack.Loss)
-			case TaskInfer:
+				trained = true
+			} else {
 				ack.Preds = model.Predict(x).Data // the model's scratch: encoded below, before its next call
-				result.Preds = append(result.Preds, ack.Preds...)
 			}
 			result.Batches++
 			ackBuf = appendBatchAck(ackBuf[:0], ack)
@@ -180,7 +161,7 @@ func serveTask(conn io.ReadWriter, memo *armnet.PrefixMemo) error {
 				return err
 			}
 		case msgFinish:
-			if spec.Kind != TaskInfer {
+			if trained {
 				result.Weights = model.Snapshot()
 			}
 			payload, err := gobEncode(result)

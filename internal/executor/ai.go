@@ -3,6 +3,8 @@ package executor
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 
 	"neurdb/internal/aiengine"
 	"neurdb/internal/armnet"
@@ -16,10 +18,8 @@ import (
 // PredictResult reports a completed PREDICT.
 type PredictResult struct {
 	Predictions []float64
-	Inputs      []rel.Row
 	Train       *aiengine.TrainOutcome
 	MID         int
-	TS          uint64
 	Reused      bool // true when an existing model view was fine-tuned
 }
 
@@ -71,27 +71,34 @@ func buildCodecs(t *catalog.Table, featureIdxs []int, buckets int) []fieldCodec 
 }
 
 // chunkSource yields fixed-size row batches from a slice for a number of
-// epochs, reshuffling between epochs.
+// epochs, reshuffling between epochs, and then — once, in order — the rows
+// to predict.
 type chunkSource struct {
 	rows   []rel.Row
 	size   int
 	pos    int
 	epochs int
 	rng    *rand.Rand
+	then   []rel.Row // rows to predict, chunked after the last epoch
+	// predicting is set once Next hands out chunks of then: the loader calls
+	// Next and the featurizer from one goroutine, so the featurizer reads it.
+	predicting bool
 }
 
 // Next implements aiengine.RowBatchSource.
 func (c *chunkSource) Next() ([]rel.Row, bool) {
 	if c.pos >= len(c.rows) {
-		if c.epochs <= 1 {
-			return nil, false
-		}
-		c.epochs--
-		c.pos = 0
-		if c.rng != nil {
+		switch {
+		case c.epochs > 1:
+			c.epochs--
+			c.pos = 0
 			c.rng.Shuffle(len(c.rows), func(i, j int) {
 				c.rows[i], c.rows[j] = c.rows[j], c.rows[i]
 			})
+		case len(c.then) > 0:
+			c.rows, c.then, c.pos, c.predicting = c.then, nil, 0, true
+		default:
+			return nil, false
 		}
 	}
 	end := c.pos + c.size
@@ -116,23 +123,44 @@ const (
 	predictMaxEpochs = 40 // its cap, for tiny tables
 )
 
-// RunPredict executes a PREDICT node end to end: retrieve training data,
-// train (or fine-tune an existing model view), then run inference and
-// return predictions.
+// RunPredict executes a PREDICT node end to end as one AI task: the rows to
+// train on stream to the runtime with their labels and train a new model (or
+// fine-tune the one bound to the target), the rows to predict follow without
+// labels and come back as predictions, and the model version is stored once
+// all of it succeeded.
 func RunPredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) (*PredictResult, error) {
-	if len(task.FeatureIdxs) == 0 {
+	fields := len(task.FeatureIdxs)
+	if fields == 0 {
 		return nil, fmt.Errorf("executor: predict with no feature columns")
 	}
 	// Inline rows are positional over FeatureIdxs; a short or long row would
 	// misalign every feature after the mismatch, so reject it up front.
 	for i, row := range task.Rows {
-		if len(row) != len(task.FeatureIdxs) {
+		if len(row) != fields {
 			return nil, fmt.Errorf("executor: inline predict row %d has %d values for %d feature columns",
-				i+1, len(row), len(task.FeatureIdxs))
+				i+1, len(row), fields)
+		}
+	}
+	// The model is bound by table.target, and answers only for the feature
+	// columns it was trained on, in that order: another list would feed it
+	// other columns' buckets, or batches of another width.
+	features := make([]string, fields)
+	for f, col := range task.FeatureIdxs {
+		features[f] = task.Table.Schema.Col(col).Name
+	}
+	view, reuse := eng.Store.FindViewByName(task.ModelName)
+	if reuse {
+		spec, err := eng.Store.Spec(view.MID)
+		if err != nil {
+			return nil, err
+		}
+		if !slices.Equal(spec.Features, features) {
+			return nil, fmt.Errorf("executor: model %s is trained on (%s), this statement trains on (%s)",
+				task.ModelName, strings.Join(spec.Features, ", "), strings.Join(features, ", "))
 		}
 	}
 
-	// 1. Extraction: each row source is an access node (index or heap scan,
+	// Extraction: each row source is an access node (index or heap scan,
 	// chosen at plan time like a SELECT's) run through the batch engine, so a
 	// windowed PREDICT reads its window, not the table (paper Fig. 6a:
 	// extraction cost bounds adaptive training). What no clause spells stays
@@ -145,9 +173,27 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) (*PredictRes
 	if len(trainRows) == 0 {
 		return nil, fmt.Errorf("executor: predict has no training rows in %s", task.Table.Name)
 	}
-	var inferRows []rel.Row
-	if task.Infer != nil {
-		inferRows, err = runKeeping(ctx, task.Infer, func(row rel.Row) bool {
+	// Repeat the training data (reshuffled per epoch) until the step budget
+	// is spent: a small table gets many epochs, a large one a single pass.
+	// trainRows is freshly collected and not used for anything else, so the
+	// per-epoch reshuffle can permute it in place.
+	stepsPerEpoch := (len(trainRows) + predictBatchSize - 1) / predictBatchSize
+	src := &chunkSource{
+		rows: trainRows, size: predictBatchSize,
+		epochs: min(predictSteps/max(stepsPerEpoch, 1)+1, predictMaxEpochs),
+		rng:    rand.New(rand.NewSource(7)),
+	}
+	// The rows to predict: extracted like the training rows, or inline VALUES,
+	// which are already in feature order (arity checked above). With neither,
+	// the task degenerates to model training.
+	predictCols := task.FeatureIdxs
+	if len(task.Rows) > 0 {
+		src.then, predictCols = task.Rows, make([]int, fields)
+		for f := range predictCols {
+			predictCols[f] = f
+		}
+	} else if task.Infer != nil {
+		src.then, err = runKeeping(ctx, task.Infer, func(row rel.Row) bool {
 			return !task.NullTargets || row[task.TargetIdx].IsNull()
 		})
 		if err != nil {
@@ -156,15 +202,22 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) (*PredictRes
 	}
 
 	codecs := buildCodecs(task.Table, task.FeatureIdxs, predictBuckets)
-	fields := len(task.FeatureIdxs)
-	vocab := fields * predictBuckets
-	featurize := func(rows []rel.Row) (*nn.Matrix, *nn.Matrix) {
-		x := nn.NewMatrix(len(rows), fields)
-		y := nn.NewMatrix(len(rows), 1)
+	featurize := func(rows []rel.Row) (x, y *nn.Matrix) {
+		cols := task.FeatureIdxs
+		if src.predicting {
+			cols = predictCols
+		}
+		x = nn.NewMatrix(len(rows), fields)
 		for i, row := range rows {
-			for f, col := range task.FeatureIdxs {
+			for f, col := range cols {
 				x.Set(i, f, float64(f*predictBuckets+codecs[f].encode(row[col])))
 			}
+		}
+		if src.predicting {
+			return x, nil // no labels: the runtime answers with predictions
+		}
+		y = nn.NewMatrix(len(rows), 1)
+		for i, row := range rows {
 			tv := row[task.TargetIdx].AsFloat()
 			if task.Classification && tv > 0.5 {
 				tv = 1
@@ -175,88 +228,29 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) (*PredictRes
 		}
 		return x, y
 	}
-	// Inline VALUES rows are already in feature order (arity checked above).
-	featurizeInline := func(rows []rel.Row) *nn.Matrix {
-		x := nn.NewMatrix(len(rows), fields)
-		for i, row := range rows {
-			for f := range task.FeatureIdxs {
-				x.Set(i, f, float64(f*predictBuckets+codecs[f].encode(row[f])))
-			}
-		}
-		return x
-	}
-
-	spec := models.Spec{
-		Arch: "armnet", Fields: fields, Vocab: vocab,
-		EmbDim: predictEmbDim, Hidden: predictHidden,
-		Classification: task.Classification, Seed: 42,
-	}
-
-	// Repeat the training data (reshuffled per epoch) until the step budget
-	// is spent: a small table gets many epochs, a large one a single pass.
-	stepsPerEpoch := (len(trainRows) + predictBatchSize - 1) / predictBatchSize
-	epochs := min(predictSteps/max(stepsPerEpoch, 1)+1, predictMaxEpochs)
-	res := &PredictResult{}
-	// trainRows is freshly collected above and not used for anything else,
-	// so the per-epoch reshuffle can permute it in place.
-	loader := aiengine.NewStreamingLoader(&chunkSource{
-		rows: trainRows, size: predictBatchSize, epochs: epochs,
-		rng: rand.New(rand.NewSource(7)),
-	}, featurize, predictWindow)
+	loader := aiengine.NewStreamingLoader(src, featurize, predictWindow)
 	// A task that fails stops reading: without this the prefetch goroutine
 	// would wait on its channel for ever, holding trainRows.
 	defer loader.Close()
-	if view, ok := eng.Store.FindViewByName(task.ModelName); ok && task.ModelName != "" {
+
+	var out *aiengine.TrainOutcome
+	if reuse {
 		// Incremental path: fine-tune the existing model on fresh data.
-		out, err := eng.FineTune(view.MID, 0, armnet.FreezePrefixLayers, predictLR, loader)
-		if err != nil {
-			return nil, err
-		}
-		res.Train = out
-		res.MID, res.TS = out.MID, out.TS
-		res.Reused = true
+		out, err = eng.FineTune(view.MID, 0, armnet.FreezePrefixLayers, predictLR, loader)
 	} else {
-		out, err := eng.Train(spec, aiengine.TrainConfig{
+		out, err = eng.Train(models.Spec{
+			Arch: "armnet", Fields: fields, Vocab: fields * predictBuckets,
+			EmbDim: predictEmbDim, Hidden: predictHidden,
+			Classification: task.Classification, Seed: 42, Features: features,
+		}, aiengine.TrainConfig{
 			Name: task.ModelName, BatchSize: predictBatchSize,
 			Window: predictWindow, LR: predictLR,
 		}, loader)
-		if err != nil {
-			return nil, err
-		}
-		res.Train = out
-		res.MID, res.TS = out.MID, out.TS
 	}
-
-	// 2. Inference inputs: inline VALUES, or the rows extracted above.
-	var inferX *nn.Matrix
-	if len(task.Rows) > 0 {
-		res.Inputs = task.Rows
-		inferX = featurizeInline(task.Rows)
-	} else {
-		res.Inputs = inferRows
-		if len(res.Inputs) == 0 {
-			// Nothing to predict: the task degenerates to model training.
-			return res, nil
-		}
-		x, _ := featurize(res.Inputs)
-		inferX = x
-	}
-	batches := make([]*aiengine.Batch, 0, inferX.Rows/predictBatchSize+1)
-	for start := 0; start < inferX.Rows; start += predictBatchSize {
-		end := start + predictBatchSize
-		if end > inferX.Rows {
-			end = inferX.Rows
-		}
-		sub := nn.NewMatrix(end-start, inferX.Cols)
-		copy(sub.Data, inferX.Data[start*inferX.Cols:end*inferX.Cols])
-		batches = append(batches, &aiengine.Batch{X: sub})
-	}
-	preds, err := eng.Infer(res.MID, 0, &aiengine.SliceSource{Batches: batches})
 	if err != nil {
 		return nil, err
 	}
-	res.Predictions = preds
-	return res, nil
+	return &PredictResult{Predictions: out.Preds, Train: out, MID: out.MID, Reused: reuse}, nil
 }
 
 // runKeeping runs a row-producing plan to completion and returns the rows

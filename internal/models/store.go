@@ -25,6 +25,10 @@ type Spec struct {
 	Hidden         int
 	Classification bool
 	Seed           int64
+	// Features names the table columns behind the fields, in field order, of
+	// a model bound to a table (PREDICT's): what a later statement must list
+	// to reuse the model.
+	Features []string
 }
 
 // layerVersion is one stored snapshot of one layer.
@@ -220,17 +224,6 @@ func (s *Store) CreateView(name string, mid int, ts uint64) error {
 	}
 	s.views[name] = View{Name: name, MID: mid, TS: ts}
 	return nil
-}
-
-// ResolveView returns the view binding.
-func (s *Store) ResolveView(name string) (View, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.views[name]
-	if !ok {
-		return View{}, fmt.Errorf("models: unknown model view %q", name)
-	}
-	return v, nil
 }
 
 // FindViewByName reports whether a view exists (used by PREDICT to decide

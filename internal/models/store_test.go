@@ -148,15 +148,8 @@ func TestViews(t *testing.T) {
 	if err := s.CreateView("v", mid, 0); err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.ResolveView("v")
-	if err != nil || v.MID != mid {
-		t.Fatal("resolve failed")
-	}
-	if _, err := s.ResolveView("nope"); err == nil {
-		t.Fatal("unknown view should error")
-	}
-	if _, ok := s.FindViewByName("v"); !ok {
-		t.Fatal("find failed")
+	if v, ok := s.FindViewByName("v"); !ok || v.MID != mid || v.Name != "v" {
+		t.Fatalf("find failed: %+v %v", v, ok)
 	}
 	if _, ok := s.FindViewByName("nope"); ok {
 		t.Fatal("phantom view")

@@ -463,3 +463,63 @@ func TestPredictInTransactionOverWire(t *testing.T) {
 		t.Fatalf("%d predictions after ROLLBACK, want 0", res.Affected)
 	}
 }
+
+// TestPredictFeatureListRefusedOverWire: a PREDICT that lists other feature
+// columns than the ones its model was trained on fails with an error naming
+// both lists — fewer columns or as many, simple protocol or prepared — stores
+// no model version, and leaves the connection and the original statement
+// working.
+func TestPredictFeatureListRefusedOverWire(t *testing.T) {
+	db, addr := startServer(t, server.Config{})
+	c, err := client.Connect(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	mustExec(t, c, `CREATE TABLE r (id INT PRIMARY KEY, a INT, b INT, c INT, score DOUBLE)`)
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO r VALUES (0, 0, 0, 0, 0.0)")
+	for i := 1; i < 300; i++ {
+		fmt.Fprintf(&sb, ",(%d,%d,%d,%d,%g)", i, i%10, i%7, i%3, float64(i%10)/2+float64(i%7)/7)
+	}
+	mustExec(t, c, sb.String())
+	mustExec(t, c, `ANALYZE r`)
+
+	original, err := c.Prepare(`PREDICT VALUE OF score FROM r TRAIN ON a, b VALUES ($1, $2)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := original.Exec(3, 4); err != nil || res.Affected != 1 {
+		t.Fatalf("original statement: %+v, %v", res, err)
+	}
+	refused := func(err error, listed string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "trained on (a, b)") || !strings.Contains(err.Error(), listed) {
+			t.Fatalf("error %v, want one naming (a, b) and %s", err, listed)
+		}
+	}
+	_, err = c.Exec(`PREDICT VALUE OF score FROM r TRAIN ON b, c VALUES (1, 2)`)
+	refused(err, "(b, c)")
+	_, err = c.Exec(`PREDICT VALUE OF score FROM r TRAIN ON a VALUES (1)`)
+	refused(err, "(a)")
+	narrower, err := c.Prepare(`PREDICT VALUE OF score FROM r WHERE id < $1 TRAIN ON a`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = narrower.Exec(10)
+	refused(err, "(a)")
+
+	view, ok := db.ModelStore().FindViewByName("r.score")
+	if !ok {
+		t.Fatal("no model bound to r.score")
+	}
+	if n := len(db.ModelStore().Versions(view.MID)); n != 1 {
+		t.Fatalf("refused statements stored versions: %d, want 1", n)
+	}
+	if res, err := original.Exec(5, 6); err != nil || res.Affected != 1 {
+		t.Fatalf("original statement after the refusals: %+v, %v", res, err)
+	}
+	if n := len(db.ModelStore().Versions(view.MID)); n != 2 {
+		t.Fatalf("%d versions after the original statement ran again, want 2", n)
+	}
+}

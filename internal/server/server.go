@@ -36,14 +36,6 @@ type Config struct {
 	// An oversized frame is answered with a clean TOO_LARGE Error and the
 	// connection stays usable.
 	MaxFrame int
-	// BatchRows caps rows per DataBatch message (default executor.BatchSize,
-	// matching the engine's batch granularity).
-	BatchRows int
-	// BatchBytes soft-caps the encoded payload per DataBatch message
-	// (default 1 MiB), so batches of wide rows split instead of producing a
-	// frame beyond a client's ceiling. A single row larger than the cap
-	// still travels alone in an oversized frame.
-	BatchBytes int
 	// MaxConns caps concurrent client connections (0 = unlimited). A
 	// connection beyond the cap gets a clean TOO_MANY_CONNS Error in
 	// response to its Startup and is closed — clients can retry with
@@ -76,12 +68,6 @@ type Server struct {
 func New(db *neurdb.DB, cfg Config) *Server {
 	if cfg.MaxFrame <= 0 {
 		cfg.MaxFrame = wire.DefaultMaxFrame
-	}
-	if cfg.BatchRows <= 0 {
-		cfg.BatchRows = executor.BatchSize
-	}
-	if cfg.BatchBytes <= 0 {
-		cfg.BatchBytes = 1 << 20
 	}
 	return &Server{db: db, cfg: cfg, conns: make(map[uint64]*conn)}
 }
@@ -515,16 +501,26 @@ func (c *conn) execute(m *wire.Execute) error {
 	return c.stream(p, m.Portal, m.MaxRows)
 }
 
+// A DataBatch message carries at most batchRows rows — the engine's batch
+// granularity — and its encoded payload is soft-capped at batchBytes, so
+// batches of wide rows split instead of producing a frame beyond a client's
+// ceiling; a single row larger than the cap still travels alone in an
+// oversized frame.
+const (
+	batchRows  = executor.BatchSize
+	batchBytes = 1 << 20
+)
+
 // stream pushes rows from a portal's cursor: up to maxRows (0 = all),
-// framed in DataBatch messages of at most cfg.BatchRows rows each. Full
+// framed in DataBatch messages of at most batchRows rows each. Full
 // mid-stream batches are flushed eagerly so the client sees the first rows
 // before the last are produced; the final partial batch and the trailing
 // CommandComplete/Suspended stay buffered and ride the Ready flush at Sync
 // — one socket write per round trip on the point-query hot path.
 func (c *conn) stream(p *portal, name string, maxRows uint32) error {
 	ncols := len(p.rows.Columns())
-	batch := make([]rel.Row, 0, c.srv.cfg.BatchRows)
-	batchBytes := 0
+	batch := make([]rel.Row, 0, batchRows)
+	size := 0 // encoded bytes of batch
 	// sendBatch frames the buffered rows; flush pushes mid-stream batches.
 	sendBatch := func(flush bool) error {
 		if len(batch) == 0 {
@@ -533,7 +529,7 @@ func (c *conn) stream(p *portal, name string, maxRows uint32) error {
 		if err := c.send(&wire.DataBatch{NumCols: ncols, Rows: batch}); err != nil {
 			return err
 		}
-		batch, batchBytes = batch[:0], 0
+		batch, size = batch[:0], 0
 		if !flush {
 			return nil
 		}
@@ -561,10 +557,10 @@ func (c *conn) stream(p *portal, name string, maxRows uint32) error {
 			return c.finishPortal(name, p)
 		}
 		batch = append(batch, row)
-		batchBytes += wire.RowSize(row)
+		size += wire.RowSize(row)
 		p.sent++
 		n++
-		if len(batch) >= c.srv.cfg.BatchRows || batchBytes >= c.srv.cfg.BatchBytes {
+		if len(batch) >= batchRows || size >= batchBytes {
 			if err := sendBatch(true); err != nil {
 				c.closePortalNamed(name, p)
 				return err
