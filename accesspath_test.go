@@ -88,6 +88,44 @@ func TestRangeIndexScanReturnsMovedRowOnce(t *testing.T) {
 	}
 }
 
+// TestNotOverNullComparison: a comparison with NULL is NULL, so negating it
+// keeps the row out, exactly as the un-negated spelling does — on a heap scan
+// and as the residual filter of an index scan.
+func TestNotOverNullComparison(t *testing.T) {
+	db := openTest(t)
+	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, x INT, y INT)`)
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO t VALUES (0, NULL, 9), (1, 1, 9), (2, 2, 9), (3, NULL, 1)")
+	for i := 4; i < 3000; i++ {
+		fmt.Fprintf(&sb, ", (%d, 1, 9)", i)
+	}
+	mustExec(t, db, sb.String())
+	mustExec(t, db, `ANALYZE t`)
+	for _, c := range []struct {
+		pred string
+		want []int64
+	}{
+		{"NOT (x = 1)", []int64{2}}, // as x <> 1
+		{"x <> 1", []int64{2}},
+		{"NOT (x IN (1))", []int64{2}},
+		{"NOT (x = 1 OR y > 4)", nil},            // row 3: NULL OR false is NULL
+		{"NOT (x = 1 AND y > 4)", []int64{2, 3}}, // row 3: NULL AND false is false
+	} {
+		for _, access := range []struct{ where, plan string }{
+			{c.pred, "SeqScan(t"},
+			{"id < 10 AND " + c.pred, "IndexScan(t, id in [-inf,10]"},
+		} {
+			q := "SELECT id FROM t WHERE " + access.where
+			if plan := explainText(t, db, q); !strings.Contains(plan, access.plan) {
+				t.Fatalf("%s: want a %s...) plan, got:\n%s", q, access.plan, plan)
+			}
+			if got := queryInts(t, db, q); fmt.Sprint(got) != fmt.Sprint(c.want) {
+				t.Errorf("%s: ids %v, want %v", q, got, c.want)
+			}
+		}
+	}
+}
+
 // TestExplainPlannedKinds: EXPLAIN of every planned statement kind prints the
 // node an execution of the same text runs — it compiles through the same
 // plan-cache entry — with parameters left in place.

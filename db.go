@@ -119,10 +119,6 @@ type Config struct {
 	// CheckpointWalMB additionally triggers a checkpoint whenever the WAL
 	// has grown this many MiB since the last one (0 = no size trigger).
 	CheckpointWalMB int
-	// NoGroupCommit defeats leader/follower fsync batching so every commit
-	// pays its own fsync — the baseline the durability benchmark compares
-	// group commit against. Never set it in production.
-	NoGroupCommit bool
 	// FS is the filesystem the durability layer writes through (default
 	// vfs.OS). Tests inject a vfs.FaultFS here to script disk faults.
 	FS vfs.FS

@@ -75,7 +75,6 @@ func (db *DB) openDurable() error {
 		Dir:      dir,
 		Mode:     mode,
 		Interval: db.cfg.WalSyncInterval,
-		NoGroup:  db.cfg.NoGroupCommit,
 		Metrics:  db.tracker,
 		FS:       fs,
 	})

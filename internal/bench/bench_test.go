@@ -139,8 +139,8 @@ func TestRunDurability(t *testing.T) {
 		t.Fatalf("points: %d", len(res.Points))
 	}
 	for _, p := range res.Points {
-		if p.GroupTps <= 0 || p.NoGroupTps <= 0 {
-			t.Fatalf("throughput missing: %+v", p)
+		if p.GroupTps <= 0 || p.GroupSize < 1 {
+			t.Fatalf("throughput or group size missing: %+v", p)
 		}
 	}
 	if res.FsyncUs <= 0 || res.WalOffTps <= 0 || res.IntervalTps <= 0 {

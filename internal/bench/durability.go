@@ -13,23 +13,24 @@ import (
 )
 
 // DurabilityPoint is one writer-count measurement of the group-commit
-// experiment: the same insert storm with leader/follower fsync batching on
-// (the default) versus defeated (one fsync per commit).
+// experiment: the insert storm's acknowledged commits per second and how
+// many commits one fsync made durable, as the log itself reports it (the
+// monitor's wal.group_size series, sliding mean at the end of the storm).
 type DurabilityPoint struct {
-	Writers    int
-	GroupTps   float64
-	NoGroupTps float64
+	Writers   int
+	GroupTps  float64
+	GroupSize float64
 }
 
 // DurabilityResult reports the WAL's commit-path economics: what a durable
-// ack costs at different concurrency levels, how much group commit claws
-// back, and what the always-durable mode costs relative to running with no
-// WAL at all.
+// ack costs at different concurrency levels, how many commits share an fsync,
+// and what the always-durable mode costs relative to running with no WAL at
+// all.
 type DurabilityResult struct {
 	// FsyncUs is the measured raw fsync latency on the bench host's temp
 	// filesystem. It calibrates the gate: when fsync is nearly free (tmpfs,
-	// battery-backed cache), batching fsyncs cannot produce a speedup and
-	// the group-commit floor self-disables.
+	// battery-backed cache), a leader is done before followers arrive and
+	// the group-size floor self-disables.
 	FsyncUs float64
 	// WalOffTps is the insert storm with no data directory (pure in-memory
 	// engine) at the middle writer count — the zero-durability ceiling.
@@ -38,9 +39,9 @@ type DurabilityResult struct {
 	// within the sync window) at the middle writer count.
 	IntervalTps float64
 	Points      []DurabilityPoint
-	// GroupSpeedup32 is GroupTps/NoGroupTps at the top writer count: how
-	// much leader/follower batching amortizes the fsync under contention.
-	GroupSpeedup32 float64
+	// GroupSize32 is GroupSize at the top writer count: how many concurrent
+	// committers leader/follower batching puts behind one fsync.
+	GroupSize32 float64
 	// IntervalOverhead is WalOffTps/IntervalTps: the multiplicative cost of
 	// WAL append + background fsync over no logging at all.
 	IntervalOverhead float64
@@ -75,15 +76,16 @@ func measureFsync() (float64, error) {
 
 // durabilityStorm opens a fresh database under cfg, loads the storm table,
 // and runs writers concurrent sessions each committing single-row inserts
-// serially for dur. Returns acknowledged commits per second.
-func durabilityStorm(cfg neurdb.Config, writers int, dur time.Duration) (float64, error) {
+// serially for dur. Returns acknowledged commits per second and the mean
+// commits per fsync over the storm's last groups (0 without a WAL).
+func durabilityStorm(cfg neurdb.Config, writers int, dur time.Duration) (tps, groupSize float64, err error) {
 	db, err := neurdb.OpenDB(cfg)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	defer db.Close()
 	if _, err := db.Exec(`CREATE TABLE storm (id INT PRIMARY KEY, payload TEXT)`); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 
 	payload := strings.Repeat("x", 64)
@@ -108,20 +110,21 @@ func durabilityStorm(cfg neurdb.Config, writers int, dur time.Duration) (float64
 		}(w)
 	}
 	time.Sleep(dur)
+	groupSize = db.Monitor().Mean("wal.group_size") // while every writer is still committing
 	stop.Store(true)
 	wg.Wait()
 	elapsed := time.Since(start)
 	select {
 	case err := <-errCh:
-		return 0, err
+		return 0, 0, err
 	default:
 	}
-	return float64(commits.Load()) / elapsed.Seconds(), nil
+	return float64(commits.Load()) / elapsed.Seconds(), groupSize, nil
 }
 
-// RunDurability measures the WAL commit path: group commit versus
-// fsync-per-commit at 1/8/32 writers, plus the wal-off and interval-sync
-// reference points, each on a fresh data directory.
+// RunDurability measures the WAL commit path: group commit at 1/8/32
+// writers, plus the wal-off and interval-sync reference points, each on a
+// fresh data directory.
 func RunDurability(sc Scale) (*DurabilityResult, error) {
 	res := &DurabilityResult{}
 	var err error
@@ -135,11 +138,10 @@ func RunDurability(sc Scale) (*DurabilityResult, error) {
 	}
 	defer os.RemoveAll(base)
 
-	durable := func(name string, noGroup bool, mode string) neurdb.Config {
+	durable := func(name, mode string) neurdb.Config {
 		cfg := neurdb.DefaultConfig()
 		cfg.DataDir = filepath.Join(base, name)
 		cfg.WalSync = mode
-		cfg.NoGroupCommit = noGroup
 		// No background checkpoints: the storm measures the commit path only.
 		cfg.CheckpointInterval = 0
 		cfg.CheckpointWalMB = 0
@@ -147,29 +149,22 @@ func RunDurability(sc Scale) (*DurabilityResult, error) {
 	}
 
 	for _, w := range durabilityWriters {
-		group, err := durabilityStorm(durable(fmt.Sprintf("group-%d", w), false, "commit"), w, sc.DurabilityDuration)
+		tps, size, err := durabilityStorm(durable(fmt.Sprintf("group-%d", w), "commit"), w, sc.DurabilityDuration)
 		if err != nil {
 			return nil, err
 		}
-		noGroup, err := durabilityStorm(durable(fmt.Sprintf("nogroup-%d", w), true, "commit"), w, sc.DurabilityDuration)
-		if err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, DurabilityPoint{Writers: w, GroupTps: group, NoGroupTps: noGroup})
+		res.Points = append(res.Points, DurabilityPoint{Writers: w, GroupTps: tps, GroupSize: size})
 	}
 
 	mid := durabilityWriters[1]
-	if res.WalOffTps, err = durabilityStorm(neurdb.DefaultConfig(), mid, sc.DurabilityDuration); err != nil {
+	if res.WalOffTps, _, err = durabilityStorm(neurdb.DefaultConfig(), mid, sc.DurabilityDuration); err != nil {
 		return nil, err
 	}
-	if res.IntervalTps, err = durabilityStorm(durable("interval", false, "interval"), mid, sc.DurabilityDuration); err != nil {
+	if res.IntervalTps, _, err = durabilityStorm(durable("interval", "interval"), mid, sc.DurabilityDuration); err != nil {
 		return nil, err
 	}
 
-	top := res.Points[len(res.Points)-1]
-	if top.NoGroupTps > 0 {
-		res.GroupSpeedup32 = top.GroupTps / top.NoGroupTps
-	}
+	res.GroupSize32 = res.Points[len(res.Points)-1].GroupSize
 	if res.IntervalTps > 0 {
 		res.IntervalOverhead = res.WalOffTps / res.IntervalTps
 	}
@@ -180,13 +175,9 @@ func RunDurability(sc Scale) (*DurabilityResult, error) {
 func RenderDurability(r *DurabilityResult) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "WAL commit path (raw fsync %.0f us)\n", r.FsyncUs)
-	fmt.Fprintf(&sb, "  %-8s %16s %16s %9s\n", "writers", "group tps", "fsync/commit tps", "speedup")
+	fmt.Fprintf(&sb, "  %-8s %16s %16s\n", "writers", "group tps", "commits/fsync")
 	for _, p := range r.Points {
-		speedup := 0.0
-		if p.NoGroupTps > 0 {
-			speedup = p.GroupTps / p.NoGroupTps
-		}
-		fmt.Fprintf(&sb, "  %-8d %16.0f %16.0f %8.2fx\n", p.Writers, p.GroupTps, p.NoGroupTps, speedup)
+		fmt.Fprintf(&sb, "  %-8d %16.0f %16.1f\n", p.Writers, p.GroupTps, p.GroupSize)
 	}
 	fmt.Fprintf(&sb, "  wal off:        %10.0f tps (%d writers)\n", r.WalOffTps, durabilityWriters[1])
 	fmt.Fprintf(&sb, "  interval sync:  %10.0f tps (%d writers, %.2fx overhead vs wal off)\n",

@@ -105,8 +105,8 @@ func newAggAcc(node *plan.Agg) *aggAcc {
 }
 
 // slot returns the accumulator slot for the row's group, creating it on
-// first sight. Group keys are the same self-delimiting encoding the scalar
-// engine uses, so NULLs and mixed types group identically on both paths.
+// first sight. Group keys are rel.EncodeValue's self-delimiting encoding, so
+// NULLs form a group and values of different types never collide.
 func (a *aggAcc) slot(row rel.Row, seq uint64) int {
 	a.keyBuf = a.keyBuf[:0]
 	for k, g := range a.node.GroupBy {

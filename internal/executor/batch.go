@@ -13,8 +13,8 @@ import (
 // overhead, small enough to stay cache-resident.
 const BatchSize = 2 * storage.RowsPerPage
 
-// BatchIter is the vectorized counterpart of Iter: operators exchange
-// batches of rows instead of one row per virtual call.
+// BatchIter is the operator interface: operators exchange batches of rows
+// instead of one row per virtual call.
 //
 // Contract: NextBatch resets dst, refills it, and returns the row count;
 // 0 with a nil error means end of stream (and repeats on further calls).
@@ -175,48 +175,6 @@ func buildHashJoinBatch(t *plan.HashJoin, ctx *Ctx) (BatchIter, error) {
 	}
 	return j, nil
 }
-
-// --- adapter ---
-
-// rowIter adapts a BatchIter to the scalar Iter interface, letting
-// row-oriented callers consume batch-producing subtrees unchanged.
-type rowIter struct {
-	b    BatchIter
-	buf  *rel.Batch
-	pos  int
-	done bool
-}
-
-// NewRowIter wraps a batch iterator as a row iterator.
-func NewRowIter(b BatchIter) Iter {
-	return &rowIter{b: b, buf: rel.NewBatch(BatchSize)}
-}
-
-func (it *rowIter) Open() error { return it.b.Open() }
-
-func (it *rowIter) Next() (rel.Row, error) {
-	for {
-		if it.pos < it.buf.Len() {
-			row := it.buf.Rows[it.pos]
-			it.pos++
-			return row, nil
-		}
-		if it.done {
-			return nil, nil
-		}
-		n, err := it.b.NextBatch(it.buf)
-		if err != nil {
-			return nil, err
-		}
-		it.pos = 0
-		if n == 0 {
-			it.done = true
-			return nil, nil
-		}
-	}
-}
-
-func (it *rowIter) Close() error { return it.b.Close() }
 
 // --- scans ---
 

@@ -13,42 +13,6 @@ import (
 	"neurdb/internal/txn"
 )
 
-// runScalar executes a plan on the legacy row-at-a-time engine.
-func (db *testDB) runScalar(sql string) ([]rel.Row, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	q, err := optimizer.Bind(stmt.(*sqlparse.Select), db.cat)
-	if err != nil {
-		return nil, err
-	}
-	p, err := optimizer.New().Plan(q)
-	if err != nil {
-		return nil, err
-	}
-	ctx := &Ctx{Mgr: db.mgr, Txn: db.mgr.Begin(txn.Snapshot, true), Cat: db.cat}
-	it, err := buildScalar(p, ctx)
-	if err != nil {
-		return nil, err
-	}
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	var out []rel.Row
-	for {
-		row, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if row == nil {
-			return out, nil
-		}
-		out = append(out, row)
-	}
-}
-
 func canonical(rows []rel.Row) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
@@ -58,13 +22,12 @@ func canonical(rows []rel.Row) []string {
 	return out
 }
 
-// TestBatchEngineMatchesScalarEngine is the differential check for the
-// vectorized executor: every query shape must return exactly the same
-// multiset of rows on the batch engine (Run) and the legacy scalar engine.
-// The table spans multiple heap pages and includes updated and deleted rows
-// so visibility, filters, joins, and aggregation all cross batch
-// boundaries.
-func TestBatchEngineMatchesScalarEngine(t *testing.T) {
+// TestBatchEngineMatchesOracle is the differential check for the executor:
+// every query shape must return exactly the same multiset of rows from Run
+// and from the reference interpreter. The table spans multiple heap pages
+// and includes updated and deleted rows so visibility, filters, joins, and
+// aggregation all cross batch boundaries.
+func TestBatchEngineMatchesOracle(t *testing.T) {
 	db := newTestDB(t)
 	items := db.mustCreate("items",
 		rel.Column{Name: "id", Typ: rel.TypeInt, Unique: true},
@@ -135,31 +98,24 @@ func TestBatchEngineMatchesScalarEngine(t *testing.T) {
 		"SELECT id FROM items ORDER BY cat, price DESC LIMIT 512",
 	}
 	for _, sql := range queries {
-		batched, err := db.tryQuery(sql) // Run → batch engine
-		if err != nil {
-			t.Fatalf("batch %q: %v", sql, err)
-		}
-		scalar, err := db.runScalar(sql)
-		if err != nil {
-			t.Fatalf("scalar %q: %v", sql, err)
-		}
-		bc, sc := canonical(batched), canonical(scalar)
-		if len(bc) != len(sc) {
-			t.Fatalf("%q: batch %d rows, scalar %d rows", sql, len(bc), len(sc))
+		p := planFor(t, db, sql)
+		bc, oc := canonical(db.engineRows(p, 1)), canonical(db.oracleRows(p))
+		if len(bc) != len(oc) {
+			t.Fatalf("%q: engine %d rows, oracle %d rows", sql, len(bc), len(oc))
 		}
 		for i := range bc {
-			if bc[i] != sc[i] {
-				t.Fatalf("%q: row %d differs: batch %q scalar %q", sql, i, bc[i], sc[i])
+			if bc[i] != oc[i] {
+				t.Fatalf("%q: row %d differs: engine %q oracle %q", sql, i, bc[i], oc[i])
 			}
 		}
 	}
 }
 
-// TestBatchSortOrderMatchesScalar pins the *sequence* the batch sort emits
+// TestBatchSortOrderMatchesOracle pins the *sequence* the batch sort emits
 // (the multiset check above sorts rows canonically, so it cannot see
-// ordering bugs). Both engines use a stable sort over the same heap order,
-// so ties must come out identically too.
-func TestBatchSortOrderMatchesScalar(t *testing.T) {
+// ordering bugs). Engine and oracle both sort stably over the same heap
+// order, so ties must come out identically too.
+func TestBatchSortOrderMatchesOracle(t *testing.T) {
 	db := newTestDB(t)
 	tbl := db.mustCreate("s",
 		rel.Column{Name: "id", Typ: rel.TypeInt},
@@ -181,21 +137,9 @@ func TestBatchSortOrderMatchesScalar(t *testing.T) {
 		"SELECT id, k FROM s ORDER BY k, id DESC",
 		"SELECT id, k FROM s ORDER BY k DESC LIMIT 300",
 	} {
-		batched, err := db.tryQuery(sql)
-		if err != nil {
-			t.Fatalf("batch %q: %v", sql, err)
-		}
-		scalar, err := db.runScalar(sql)
-		if err != nil {
-			t.Fatalf("scalar %q: %v", sql, err)
-		}
-		if len(batched) != len(scalar) {
-			t.Fatalf("%q: batch %d rows, scalar %d", sql, len(batched), len(scalar))
-		}
-		for i := range batched {
-			if batched[i].String() != scalar[i].String() {
-				t.Fatalf("%q: position %d differs: batch %v scalar %v", sql, i, batched[i], scalar[i])
-			}
+		p := planFor(t, db, sql)
+		if d := diffRows(db.engineRows(p, 1), db.oracleRows(p)); d != "" {
+			t.Fatalf("%q: engine vs oracle: %s", sql, d)
 		}
 	}
 }
@@ -241,9 +185,10 @@ func TestHashJoinBatchOverflow(t *testing.T) {
 	}
 }
 
-// TestRowIterAdapterRoundTrip: reading a batch iterator through the row
-// adapter must preserve the stream.
-func TestRowIterAdapterRoundTrip(t *testing.T) {
+// TestRunCrossesBatchBoundaries: a row count that is not a multiple of
+// BatchSize comes out of Run whole — the short last batch is neither lost
+// nor repeated.
+func TestRunCrossesBatchBoundaries(t *testing.T) {
 	db := newTestDB(t)
 	tbl := db.mustCreate("t", rel.Column{Name: "x", Typ: rel.TypeInt})
 	var rows []rel.Row
@@ -251,39 +196,9 @@ func TestRowIterAdapterRoundTrip(t *testing.T) {
 		rows = append(rows, rel.Row{rel.Int(int64(i))})
 	}
 	db.insert(tbl, rows...)
-
-	stmt, _ := sqlparse.Parse("SELECT x FROM t")
-	q, err := optimizer.Bind(stmt.(*sqlparse.Select), db.cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := optimizer.New().Plan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := &Ctx{Mgr: db.mgr, Txn: db.mgr.Begin(txn.Snapshot, true), Cat: db.cat}
-	b, err := BuildBatch(p, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it := NewRowIter(b)
-	if err := it.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	total := 0
-	for {
-		row, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if row == nil {
-			break
-		}
-		total++
-	}
-	if total != 700 {
-		t.Fatalf("round trip lost rows: %d", total)
+	got := db.query("SELECT x FROM t")
+	if d := diffRows(got, rows); d != "" {
+		t.Fatalf("SELECT x FROM t over 700 rows: %s", d)
 	}
 }
 

@@ -56,25 +56,6 @@ func (e *benchEnv) readCtx() *Ctx {
 
 const scanRows = 50_000
 
-// drainScalar pulls a row iterator dry, returning the row count.
-func drainScalar(b *testing.B, it Iter) int {
-	if err := it.Open(); err != nil {
-		b.Fatal(err)
-	}
-	defer it.Close()
-	n := 0
-	for {
-		row, err := it.Next()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if row == nil {
-			return n
-		}
-		n++
-	}
-}
-
 // drainBatch pulls a batch iterator dry, returning the row count.
 func drainBatch(b *testing.B, it BatchIter, batch *rel.Batch) int {
 	if err := it.Open(); err != nil {
@@ -94,30 +75,10 @@ func drainBatch(b *testing.B, it BatchIter, batch *rel.Batch) int {
 	}
 }
 
-// BenchmarkSeqScanRow is the row-at-a-time baseline: the legacy Volcano
-// iterator over a 50k-row heap, one virtual call and one visibility check
-// per row.
-func BenchmarkSeqScanRow(b *testing.B) {
-	e := newBenchEnv(b)
-	tbl := e.fill(b, "t", scanRows, 16)
-	node := &plan.SeqScan{Base: plan.Base{Out: tbl.Schema}, Table: tbl}
-	ctx := e.readCtx()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it, err := buildScalar(node, ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got := drainScalar(b, it); got != scanRows {
-			b.Fatalf("scan saw %d rows", got)
-		}
-	}
-	b.ReportMetric(float64(scanRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-}
-
-// BenchmarkSeqScanBatch is the vectorized scan over the same heap: one lock
-// acquisition, one buffer-pool touch, and one visibility call per page.
+// BenchmarkSeqScanBatch is the heap scan over 50k rows: one lock
+// acquisition, one buffer-pool touch, and one visibility call per page. (The
+// row-at-a-time baselines these Batch benchmarks were measured against are
+// on record in BENCH_PR1.json and BENCH_PR2.json.)
 func BenchmarkSeqScanBatch(b *testing.B) {
 	e := newBenchEnv(b)
 	tbl := e.fill(b, "t", scanRows, 16)
@@ -147,27 +108,7 @@ func joinPlan(l, r *catalog.Table) *plan.HashJoin {
 	}
 }
 
-// BenchmarkHashJoinRow: row-at-a-time hash join, 20k probe x 2k build.
-func BenchmarkHashJoinRow(b *testing.B) {
-	e := newBenchEnv(b)
-	probe := e.fill(b, "probe", 20_000, 2000)
-	build := e.fill(b, "build", 2000, 2000)
-	node := joinPlan(probe, build)
-	ctx := e.readCtx()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it, err := buildScalar(node, ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got := drainScalar(b, it); got == 0 {
-			b.Fatal("empty join")
-		}
-	}
-}
-
-// BenchmarkHashJoinBatch: the batched build+probe join over the same data.
+// BenchmarkHashJoinBatch: the batched build+probe join, 20k probe x 2k build.
 func BenchmarkHashJoinBatch(b *testing.B) {
 	e := newBenchEnv(b)
 	probe := e.fill(b, "probe", 20_000, 2000)
@@ -206,30 +147,7 @@ func aggPlanNode(tbl *catalog.Table) *plan.Agg {
 	}
 }
 
-// BenchmarkAggRowAdapter is the pre-PR-2 production aggregation path: the
-// scalar aggIter pulling rows one at a time through the batch-scan adapter,
-// re-encoding the group key into a fresh allocation per row.
-func BenchmarkAggRowAdapter(b *testing.B) {
-	e := newBenchEnv(b)
-	tbl := e.fill(b, "t", scanRows, 16)
-	node := aggPlanNode(tbl)
-	ctx := e.readCtx()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scan, err := BuildBatch(node.Child, ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		it := &aggIter{node: node, child: NewRowIter(scan)}
-		if got := drainScalar(b, it); got != 16 {
-			b.Fatalf("agg produced %d groups", got)
-		}
-	}
-	b.ReportMetric(float64(scanRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-}
-
-// BenchmarkAggBatch is the native vectorized aggregation: grouped hash
+// BenchmarkAggBatch is the grouped aggregation: a hash
 // table with a reused key buffer and columnar accumulators, fed directly by
 // the batch scan.
 func BenchmarkAggBatch(b *testing.B) {

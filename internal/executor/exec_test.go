@@ -1,7 +1,9 @@
 package executor
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -87,6 +89,40 @@ func (db *testDB) tryQuery(sql string) ([]rel.Row, error) {
 	}
 	ctx := &Ctx{Mgr: db.mgr, Txn: db.mgr.Begin(txn.Snapshot, true), Cat: db.cat}
 	return Run(p, ctx)
+}
+
+// oracleRows evaluates the plan on the reference interpreter (oracle_test.go)
+// under a fresh read-only snapshot.
+func (db *testDB) oracleRows(p plan.Node) []rel.Row {
+	ctx := &Ctx{Mgr: db.mgr, Txn: db.mgr.Begin(txn.Snapshot, true), Cat: db.cat}
+	defer db.mgr.Abort(ctx.Txn)
+	return oracle(p, ctx)
+}
+
+// engineRows runs the plan on the executor under a fresh read-only snapshot.
+func (db *testDB) engineRows(p plan.Node, workers int) []rel.Row {
+	db.t.Helper()
+	ctx := &Ctx{Mgr: db.mgr, Txn: db.mgr.Begin(txn.Snapshot, true), Cat: db.cat, Workers: workers}
+	defer db.mgr.Abort(ctx.Txn)
+	rows, err := Run(p, ctx)
+	if err != nil {
+		db.t.Fatalf("workers=%d: %v\n%s", workers, err, plan.Explain(p))
+	}
+	return rows
+}
+
+// diffRows reports the first difference between two row sequences ("" when
+// they are the same sequence). Equality is typed: an INT 1 is not a TEXT '1'.
+func diffRows(got, want []rel.Row) string {
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			return fmt.Sprintf("position %d: got %v, want %v", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("got %d rows, want %d", len(got), len(want))
+	}
+	return ""
 }
 
 func seedUsersPosts(db *testDB) (*catalog.Table, *catalog.Table) {

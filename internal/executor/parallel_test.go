@@ -36,14 +36,7 @@ func planFor(t *testing.T, db *testDB, sql string) plan.Node {
 // runWorkers executes sql on the batch engine with the given parallelism.
 func runWorkers(t *testing.T, db *testDB, sql string, workers int) []rel.Row {
 	t.Helper()
-	p := planFor(t, db, sql)
-	ctx := &Ctx{Mgr: db.mgr, Txn: db.mgr.Begin(txn.Snapshot, true), Cat: db.cat, Workers: workers}
-	rows, err := Run(p, ctx)
-	if err != nil {
-		t.Fatalf("%q workers=%d: %v", sql, workers, err)
-	}
-	db.mgr.Abort(ctx.Txn)
-	return rows
+	return db.engineRows(planFor(t, db, sql), workers)
 }
 
 // loadParallelFixture builds two committed tables spanning many heap pages
@@ -270,10 +263,9 @@ func TestScanBatchesParallelMatchesScanAll(t *testing.T) {
 	}
 }
 
-// TestBatchJoinsMatchScalar: the native batch nested-loop and index joins
-// must reproduce the scalar row-iterator joins exactly, including inner
-// order.
-func TestBatchJoinsMatchScalar(t *testing.T) {
+// TestBatchJoinsMatchOracle: the batch nested-loop and index joins must
+// reproduce the oracle's nested loop exactly, including inner order.
+func TestBatchJoinsMatchOracle(t *testing.T) {
 	db := newTestDB(t)
 	left := db.mustCreate("l",
 		rel.Column{Name: "k", Typ: rel.TypeInt},
@@ -349,38 +341,8 @@ func TestBatchJoinsMatchScalar(t *testing.T) {
 			t.Fatalf("%q (%+v): plan does not contain %s:\n%s", tc.sql, tc.hints, tc.shape, plan.Explain(p))
 		}
 
-		run := func(build func(plan.Node, *Ctx) (Iter, error)) []rel.Row {
-			ctx := &Ctx{Mgr: db.mgr, Txn: db.mgr.Begin(txn.Snapshot, true), Cat: db.cat}
-			defer db.mgr.Abort(ctx.Txn)
-			it, err := build(p, ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := it.Open(); err != nil {
-				t.Fatal(err)
-			}
-			defer it.Close()
-			var out []rel.Row
-			for {
-				row, err := it.Next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if row == nil {
-					return out
-				}
-				out = append(out, row)
-			}
-		}
-		batched := run(Build)      // batch engine (nlJoinBatch/indexJoinBatch)
-		scalar := run(buildScalar) // legacy row tree
-		if len(batched) != len(scalar) {
-			t.Fatalf("%q [%s]: batch %d rows, scalar %d rows", tc.sql, tc.shape, len(batched), len(scalar))
-		}
-		for i := range batched {
-			if batched[i].String() != scalar[i].String() {
-				t.Fatalf("%q [%s]: position %d differs: batch %v scalar %v", tc.sql, tc.shape, i, batched[i], scalar[i])
-			}
+		if d := diffRows(db.engineRows(p, 1), db.oracleRows(p)); d != "" {
+			t.Fatalf("%q [%s]: engine vs oracle: %s", tc.sql, tc.shape, d)
 		}
 	}
 }

@@ -85,36 +85,6 @@ func SoftmaxCELoss(logits *Matrix, labels []int) (float64, *Matrix) {
 	return loss / n, grad
 }
 
-// PairwiseRankLoss is a logistic ranking loss over score pairs: it pushes
-// score(better) above score(worse). Returns the loss and gradients w.r.t.
-// the two scores. Used by the Lero-style pairwise plan comparator.
-func PairwiseRankLoss(better, worse float64) (loss, gBetter, gWorse float64) {
-	d := better - worse
-	loss = math.Log1p(math.Exp(-d))
-	s := 1 / (1 + math.Exp(d)) // sigmoid(-d)
-	return loss, -s, s
-}
-
-// Accuracy computes the fraction of rows whose sigmoid(logit) rounds to the
-// binary target.
-func Accuracy(logits, target *Matrix) float64 {
-	if logits.Rows == 0 {
-		return 0
-	}
-	var correct int
-	for i := range logits.Data {
-		p := 1 / (1 + math.Exp(-logits.Data[i]))
-		pred := 0.0
-		if p >= 0.5 {
-			pred = 1
-		}
-		if pred == target.Data[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(logits.Data))
-}
-
 // AUC computes the area under the ROC curve for binary targets given scores.
 // It is the paper's accuracy metric for CTR-style tasks.
 func AUC(scores []float64, labels []float64) float64 {

@@ -363,15 +363,6 @@ func VStack(a, b *Matrix) *Matrix {
 	return out
 }
 
-// Norm2 returns the Frobenius norm.
-func (m *Matrix) Norm2() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 func checkSameShape(op string, a, b *Matrix) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: %s shape mismatch %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))

@@ -153,8 +153,10 @@ func TestAddRowVecAndAccessors(t *testing.T) {
 		t.Fatal("Row should be a view")
 	}
 	a.Zero()
-	if a.Norm2() != 0 {
-		t.Fatal("Zero/Norm2 wrong")
+	for _, v := range a.Data {
+		if v != 0 {
+			t.Fatal("Zero wrong")
+		}
 	}
 }
 

@@ -44,12 +44,6 @@ type WorkspaceUser interface {
 	SetWorkspace(*Workspace)
 }
 
-// TrainAware is implemented by modules whose behaviour differs between
-// training and inference (e.g. Dropout).
-type TrainAware interface {
-	SetTraining(bool)
-}
-
 // Linear is a fully connected layer: y = xW + b.
 type Linear struct {
 	WP, BP *Param
@@ -191,131 +185,6 @@ func (l *Tanh) Backward(dy *Matrix) *Matrix {
 // Params implements Module.
 func (l *Tanh) Params() []*Param { return nil }
 
-// LayerNorm normalizes each row to zero mean / unit variance and applies a
-// learned affine transform.
-type LayerNorm struct {
-	Gamma, Beta *Param
-	eps         float64
-	lastXHat    *Matrix
-	lastInvStd  []float64
-}
-
-// NewLayerNorm creates a LayerNorm over rows of width dim.
-func NewLayerNorm(dim int) *LayerNorm {
-	g := NewMatrix(1, dim)
-	for i := range g.Data {
-		g.Data[i] = 1
-	}
-	return &LayerNorm{
-		Gamma: NewParam("gamma", g),
-		Beta:  NewParam("beta", NewMatrix(1, dim)),
-		eps:   1e-5,
-	}
-}
-
-// Forward implements Module.
-func (l *LayerNorm) Forward(x *Matrix) *Matrix {
-	out := NewMatrix(x.Rows, x.Cols)
-	l.lastXHat = NewMatrix(x.Rows, x.Cols)
-	l.lastInvStd = make([]float64, x.Rows)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		var mean float64
-		for _, v := range row {
-			mean += v
-		}
-		mean /= float64(len(row))
-		var varsum float64
-		for _, v := range row {
-			d := v - mean
-			varsum += d * d
-		}
-		invStd := 1 / math.Sqrt(varsum/float64(len(row))+l.eps)
-		l.lastInvStd[i] = invStd
-		xhat := l.lastXHat.Row(i)
-		orow := out.Row(i)
-		for j, v := range row {
-			xhat[j] = (v - mean) * invStd
-			orow[j] = xhat[j]*l.Gamma.W.Data[j] + l.Beta.W.Data[j]
-		}
-	}
-	return out
-}
-
-// Backward implements Module.
-func (l *LayerNorm) Backward(dy *Matrix) *Matrix {
-	out := NewMatrix(dy.Rows, dy.Cols)
-	n := float64(dy.Cols)
-	for i := 0; i < dy.Rows; i++ {
-		dyr := dy.Row(i)
-		xhat := l.lastXHat.Row(i)
-		invStd := l.lastInvStd[i]
-		var sumDxhat, sumDxhatXhat float64
-		dxhat := make([]float64, dy.Cols)
-		for j, g := range dyr {
-			l.Gamma.Grad.Data[j] += g * xhat[j]
-			l.Beta.Grad.Data[j] += g
-			dxhat[j] = g * l.Gamma.W.Data[j]
-			sumDxhat += dxhat[j]
-			sumDxhatXhat += dxhat[j] * xhat[j]
-		}
-		orow := out.Row(i)
-		for j := range dyr {
-			orow[j] = invStd / n * (n*dxhat[j] - sumDxhat - xhat[j]*sumDxhatXhat)
-		}
-	}
-	return out
-}
-
-// Params implements Module.
-func (l *LayerNorm) Params() []*Param { return []*Param{l.Gamma, l.Beta} }
-
-// Dropout zeroes activations with probability p during training and scales
-// the survivors by 1/(1-p).
-type Dropout struct {
-	P        float64
-	rng      *rand.Rand
-	training bool
-	lastMask *Matrix
-}
-
-// NewDropout creates a dropout layer with drop probability p.
-func NewDropout(p float64, r *rand.Rand) *Dropout {
-	return &Dropout{P: p, rng: r, training: true}
-}
-
-// SetTraining implements TrainAware.
-func (l *Dropout) SetTraining(b bool) { l.training = b }
-
-// Forward implements Module.
-func (l *Dropout) Forward(x *Matrix) *Matrix {
-	if !l.training || l.P <= 0 {
-		l.lastMask = nil
-		return x
-	}
-	out := NewMatrix(x.Rows, x.Cols)
-	l.lastMask = NewMatrix(x.Rows, x.Cols)
-	keep := 1 - l.P
-	for i, v := range x.Data {
-		if l.rng.Float64() < keep {
-			l.lastMask.Data[i] = 1 / keep
-			out.Data[i] = v / keep
-		}
-	}
-	return out
-}
-
-// Backward implements Module.
-func (l *Dropout) Backward(dy *Matrix) *Matrix {
-	if l.lastMask == nil {
-		return dy
-	}
-	return Hadamard(dy, l.lastMask)
-}
-
-// Params implements Module.
-func (l *Dropout) Params() []*Param { return nil }
-
 // Embedding maps integer ids (provided as float64 entries of the input) to
 // dense vectors. An input of shape n×k (k categorical fields) produces an
 // output of shape n×(k·Dim), the concatenation of the field embeddings.
@@ -443,15 +312,6 @@ func (s *Sequential) Params() []*Param {
 		out = append(out, l.Params()...)
 	}
 	return out
-}
-
-// SetTraining propagates the training flag to train-aware layers.
-func (s *Sequential) SetTraining(b bool) {
-	for _, l := range s.Layers {
-		if ta, ok := l.(TrainAware); ok {
-			ta.SetTraining(b)
-		}
-	}
 }
 
 // SetWorkspace implements WorkspaceUser for the layers that are one.

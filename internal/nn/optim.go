@@ -9,47 +9,6 @@ type Optimizer interface {
 	ZeroGrad(params []*Param)
 }
 
-// SGD is stochastic gradient descent with optional momentum and weight decay.
-type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-	velocity    map[*Param]*Matrix
-}
-
-// NewSGD creates an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param]*Matrix)}
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if p.Frozen {
-			continue
-		}
-		v := o.velocity[p]
-		if o.Momentum != 0 && v == nil {
-			v = NewMatrix(p.W.Rows, p.W.Cols)
-			o.velocity[p] = v
-		}
-		for i := range p.W.Data {
-			g := p.Grad.Data[i]
-			if o.WeightDecay != 0 {
-				g += o.WeightDecay * p.W.Data[i]
-			}
-			if o.Momentum != 0 {
-				v.Data[i] = o.Momentum*v.Data[i] + g
-				g = v.Data[i]
-			}
-			p.W.Data[i] -= o.LR * g
-		}
-	}
-}
-
-// ZeroGrad implements Optimizer.
-func (o *SGD) ZeroGrad(params []*Param) { zeroGrads(params) }
-
 // Adam is the Adam optimizer (Kingma & Ba).
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -10,38 +11,6 @@ import (
 func quadGrad(p *Param, target []float64) {
 	for i := range p.W.Data {
 		p.Grad.Data[i] = p.W.Data[i] - target[i]
-	}
-}
-
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	p := NewParam("w", FromSlice(1, 3, []float64{5, -4, 2}))
-	target := []float64{1, 2, 3}
-	opt := NewSGD(0.2, 0.0)
-	for i := 0; i < 200; i++ {
-		opt.ZeroGrad([]*Param{p})
-		quadGrad(p, target)
-		opt.Step([]*Param{p})
-	}
-	for i, want := range target {
-		if math.Abs(p.W.Data[i]-want) > 1e-6 {
-			t.Fatalf("SGD did not converge: got %v", p.W.Data)
-		}
-	}
-}
-
-func TestSGDMomentumFasterThanPlain(t *testing.T) {
-	run := func(momentum float64) float64 {
-		p := NewParam("w", FromSlice(1, 1, []float64{10}))
-		opt := NewSGD(0.01, momentum)
-		for i := 0; i < 50; i++ {
-			opt.ZeroGrad([]*Param{p})
-			quadGrad(p, []float64{0})
-			opt.Step([]*Param{p})
-		}
-		return math.Abs(p.W.Data[0])
-	}
-	if run(0.9) >= run(0) {
-		t.Fatal("momentum should accelerate convergence on this quadratic")
 	}
 }
 
@@ -65,37 +34,27 @@ func TestFrozenParamsDoNotMove(t *testing.T) {
 	p1 := NewParam("w1", FromSlice(1, 1, []float64{5}))
 	p2 := NewParam("w2", FromSlice(1, 1, []float64{5}))
 	p2.Frozen = true
-	for _, opt := range []Optimizer{NewSGD(0.1, 0.9), NewAdam(0.1)} {
-		p1.W.Data[0], p2.W.Data[0] = 5, 5
-		for i := 0; i < 10; i++ {
-			opt.ZeroGrad([]*Param{p1, p2})
-			quadGrad(p1, []float64{0})
-			quadGrad(p2, []float64{0})
-			opt.Step([]*Param{p1, p2})
-		}
-		if p1.W.Data[0] == 5 {
-			t.Fatal("unfrozen parameter should move")
-		}
-		if p2.W.Data[0] != 5 {
-			t.Fatal("frozen parameter must not move")
-		}
+	opt := NewAdam(0.1)
+	for i := 0; i < 10; i++ {
+		opt.ZeroGrad([]*Param{p1, p2})
+		quadGrad(p1, []float64{0})
+		quadGrad(p2, []float64{0})
+		opt.Step([]*Param{p1, p2})
+	}
+	if p1.W.Data[0] == 5 {
+		t.Fatal("unfrozen parameter should move")
+	}
+	if p2.W.Data[0] != 5 {
+		t.Fatal("frozen parameter must not move")
 	}
 }
 
 func TestWeightDecayShrinksWeights(t *testing.T) {
-	p := NewParam("w", FromSlice(1, 1, []float64{10}))
-	opt := NewSGD(0.1, 0)
-	opt.WeightDecay = 0.5
-	opt.ZeroGrad([]*Param{p})
-	// zero task gradient: only decay applies
-	opt.Step([]*Param{p})
-	if p.W.Data[0] >= 10 {
-		t.Fatal("weight decay should shrink the weight")
-	}
 	a := NewAdam(0.1)
 	a.WeightDecay = 0.5
 	q := NewParam("w", FromSlice(1, 1, []float64{10}))
 	a.ZeroGrad([]*Param{q})
+	// zero task gradient: only decay applies
 	a.Step([]*Param{q})
 	if q.W.Data[0] >= 10 {
 		t.Fatal("adam weight decay should shrink the weight")
@@ -162,8 +121,10 @@ func TestXORTrainingEndToEnd(t *testing.T) {
 	if loss > 0.1 {
 		t.Fatalf("XOR training did not converge: loss=%v", loss)
 	}
-	if acc := Accuracy(model.Forward(x), y); acc != 1 {
-		t.Fatalf("XOR accuracy = %v, want 1", acc)
+	for i, logit := range model.Forward(x).Data {
+		if (logit >= 0) != (y.Data[i] == 1) {
+			t.Fatalf("XOR input %d: logit %v for target %v", i, logit, y.Data[i])
+		}
 	}
 }
 
@@ -186,17 +147,6 @@ func TestAUC(t *testing.T) {
 	}
 }
 
-func TestPairwiseRankLoss(t *testing.T) {
-	l1, gb, gw := PairwiseRankLoss(2, 0)
-	if l1 <= 0 || gb >= 0 || gw <= 0 {
-		t.Fatal("rank loss signs wrong")
-	}
-	l2, _, _ := PairwiseRankLoss(0, 2)
-	if l2 <= l1 {
-		t.Fatal("mis-ordered pair must have higher loss")
-	}
-}
-
 func TestSerializeRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(30))
 	seq := NewSequential(NewLinear(3, 5, r), &ReLU{}, NewLinear(5, 2, r))
@@ -213,8 +163,8 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.SizeBytes() != snap[0].SizeBytes() || back.SizeBytes() == 0 {
-		t.Fatal("size mismatch after roundtrip")
+	if !reflect.DeepEqual(back, snap[0]) || len(back.Datas) == 0 {
+		t.Fatal("layer snapshot changed in the round trip")
 	}
 	// Mutate, restore, compare.
 	orig := seq.Layers[0].Params()[0].W.Clone()

@@ -61,17 +61,6 @@ func DecodeWeights(data []byte) (LayerWeights, error) {
 	return lw, nil
 }
 
-// SizeBytes reports the approximate in-memory footprint of the snapshot,
-// used to measure the storage saving of incremental updates.
-func (lw LayerWeights) SizeBytes() int {
-	n := len(lw.Name)
-	for _, d := range lw.Datas {
-		n += 8 * len(d)
-	}
-	n += 16 * len(lw.Shapes)
-	return n
-}
-
 // SnapshotSequential snapshots every layer of a Sequential, one LayerWeights
 // per layer (including parameter-free layers, which snapshot empty — keeping
 // layer indexes aligned with the model store's LID space).

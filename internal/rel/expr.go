@@ -170,24 +170,37 @@ type BinOp struct {
 	L, R Expr
 }
 
-// Eval implements Expr with SQL three-valued-ish semantics: comparisons with
-// NULL yield false, arithmetic with NULL yields NULL.
+// Eval implements Expr with SQL three-valued logic: a comparison or
+// arithmetic with a NULL operand yields NULL, and AND/OR are Kleene's (false
+// AND NULL is false, true OR NULL is true, otherwise NULL wins). Consumers
+// that need a decision — filters, join conditions — keep a row only when the
+// result AsBool(), which NULL is not.
 func (b *BinOp) Eval(r Row) Value {
 	l := b.L.Eval(r)
 	rv := b.R.Eval(r)
 	switch b.Kind {
 	case OpAnd:
-		return Bool(l.AsBool() && rv.AsBool())
+		lt, rt := l.AsBool(), rv.AsBool()
+		switch {
+		case lt && rt:
+			return Bool(true)
+		case !lt && !l.IsNull(), !rt && !rv.IsNull():
+			return Bool(false)
+		default:
+			return Null()
+		}
 	case OpOr:
-		return Bool(l.AsBool() || rv.AsBool())
-	}
-	if l.IsNull() || rv.IsNull() {
-		switch b.Kind {
-		case OpAdd, OpSub, OpMul, OpDiv, OpMod:
+		switch {
+		case l.AsBool() || rv.AsBool():
+			return Bool(true)
+		case l.IsNull() || rv.IsNull():
 			return Null()
 		default:
 			return Bool(false)
 		}
+	}
+	if l.IsNull() || rv.IsNull() {
+		return Null()
 	}
 	switch b.Kind {
 	case OpEq:
@@ -260,8 +273,14 @@ func (b *BinOp) String() string {
 // Not negates a boolean sub-expression.
 type Not struct{ E Expr }
 
-// Eval implements Expr.
-func (n *Not) Eval(r Row) Value { return Bool(!n.E.Eval(r).AsBool()) }
+// Eval implements Expr. NOT NULL is NULL.
+func (n *Not) Eval(r Row) Value {
+	v := n.E.Eval(r)
+	if v.IsNull() {
+		return v
+	}
+	return Bool(!v.AsBool())
+}
 
 // String implements Expr.
 func (n *Not) String() string { return "NOT " + n.E.String() }
@@ -295,15 +314,22 @@ type InList struct {
 	List []Value
 }
 
-// Eval implements Expr.
+// Eval implements Expr as the OR of its equalities: NULL when the operand is
+// NULL, or when nothing matches and the list holds a NULL.
 func (e *InList) Eval(r Row) Value {
 	v := e.E.Eval(r)
+	if v.IsNull() {
+		return v
+	}
+	miss := Bool(false)
 	for _, item := range e.List {
-		if Equal(v, item) {
+		if item.IsNull() {
+			miss = Null()
+		} else if Compare(v, item) == 0 {
 			return Bool(true)
 		}
 	}
-	return Bool(false)
+	return miss
 }
 
 // String implements Expr.

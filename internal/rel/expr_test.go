@@ -85,6 +85,50 @@ func TestNotIsNullInList(t *testing.T) {
 	}
 }
 
+// TestThreeValuedLogic is the truth table of =, <>, <, IN, AND, OR and NOT
+// over {true, false, NULL}: a comparison with a NULL operand is NULL, AND/OR
+// are Kleene's, NOT NULL is NULL.
+func TestThreeValuedLogic(t *testing.T) {
+	T, F, N := Bool(true), Bool(false), Null()
+	same := func(a, b Value) bool { return a.Typ == b.Typ && a.B == b.B }
+	one, two, null := lit(Int(1)), lit(Int(2)), lit(Null())
+	in := func(e Expr, list ...Value) Expr { return &InList{E: e, List: list} }
+	for _, c := range []struct {
+		e    Expr
+		want Value
+	}{
+		{bin(OpEq, one, one), T}, {bin(OpEq, one, two), F},
+		{bin(OpEq, one, null), N}, {bin(OpEq, null, one), N}, {bin(OpEq, null, null), N},
+		{bin(OpNe, one, two), T}, {bin(OpNe, one, one), F},
+		{bin(OpNe, one, null), N}, {bin(OpNe, null, one), N}, {bin(OpNe, null, null), N},
+		{bin(OpLt, one, two), T}, {bin(OpLt, two, one), F},
+		{bin(OpLt, one, null), N}, {bin(OpLt, null, one), N}, {bin(OpLt, null, null), N},
+		{in(one, Int(1), Int(2)), T}, {in(one, Int(2)), F}, {in(null, Int(1)), N},
+		{in(one, Int(2), Null()), N}, {in(one, Null(), Int(1)), T},
+	} {
+		if got := c.e.Eval(nil); !same(got, c.want) {
+			t.Errorf("%s = %v, want %v", c.e, got, c.want)
+		}
+	}
+	vals := []Value{T, F, N}
+	and := [3][3]Value{{T, F, N}, {F, F, F}, {N, F, N}}
+	or := [3][3]Value{{T, T, T}, {T, F, N}, {T, N, N}}
+	not := [3]Value{F, T, N}
+	for i, l := range vals {
+		if got := (&Not{E: lit(l)}).Eval(nil); !same(got, not[i]) {
+			t.Errorf("NOT %v = %v, want %v", l, got, not[i])
+		}
+		for j, r := range vals {
+			if got := bin(OpAnd, lit(l), lit(r)).Eval(nil); !same(got, and[i][j]) {
+				t.Errorf("%v AND %v = %v, want %v", l, r, got, and[i][j])
+			}
+			if got := bin(OpOr, lit(l), lit(r)).Eval(nil); !same(got, or[i][j]) {
+				t.Errorf("%v OR %v = %v, want %v", l, r, got, or[i][j])
+			}
+		}
+	}
+}
+
 func TestSplitCombineConjuncts(t *testing.T) {
 	a := bin(OpEq, col(0), lit(Int(1)))
 	b := bin(OpGt, col(1), lit(Int(2)))

@@ -63,10 +63,6 @@ type Options struct {
 	Mode SyncMode
 	// Interval is the background fsync period for SyncInterval (default 2ms).
 	Interval time.Duration
-	// NoGroup defeats leader/follower batching so every Sync performs its
-	// own fsync — the per-commit-fsync baseline the durability benchmark
-	// compares group commit against. Ignored outside SyncCommit.
-	NoGroup bool
 	// Metrics, when set, receives wal.bytes / wal.fsyncs / wal.group_size.
 	Metrics Metrics
 	// FS is the filesystem the log writes through (default vfs.OS). Tests
@@ -95,7 +91,6 @@ type Log struct {
 	dir     string
 	fs      vfs.FS
 	mode    SyncMode
-	noGroup bool
 	metrics Metrics
 
 	// gate spans each commit's append-to-publish window (readers) and the
@@ -125,10 +120,8 @@ type Log struct {
 	// contend with group-commit waiters on syncMu.
 	poison atomic.Pointer[error]
 
-	// ioMu serializes non-leader fsync paths (NoGroup mode, the interval
-	// ticker, rotation, Close). NoGroup needs it for honesty: without it,
-	// concurrent per-commit fsyncs batch inside the kernel and the
-	// "fsync-per-commit" benchmark baseline silently becomes group commit.
+	// ioMu serializes the non-leader fsync paths (the interval ticker,
+	// rotation, Close).
 	ioMu sync.Mutex
 
 	closed   atomic.Bool
@@ -160,7 +153,6 @@ func Open(opts Options) (*Log, error) {
 		dir:     opts.Dir,
 		fs:      fs,
 		mode:    opts.Mode,
-		noGroup: opts.NoGroup,
 		metrics: opts.Metrics,
 	}
 	l.syncCond = sync.NewCond(&l.syncMu)
@@ -356,9 +348,6 @@ func (l *Log) Sync(lsn uint64) error {
 		// user-space buffer stays bounded.
 		return nil
 	}
-	if l.noGroup {
-		return l.syncNow()
-	}
 	l.syncMu.Lock()
 	for {
 		if l.syncErr != nil {
@@ -409,8 +398,7 @@ func (l *Log) Sync(lsn uint64) error {
 	return l.Sync(lsn)
 }
 
-// syncNow flushes and fsyncs immediately (interval ticker, NoGroup mode,
-// rotation, Close).
+// syncNow flushes and fsyncs immediately (interval ticker, rotation, Close).
 func (l *Log) syncNow() error {
 	l.syncMu.Lock()
 	if l.syncErr != nil {

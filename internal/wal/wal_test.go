@@ -265,29 +265,6 @@ func TestSyncIntervalEventuallyFsyncs(t *testing.T) {
 	l.Close()
 }
 
-func TestNoGroupFsyncPerCommit(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Mode: SyncCommit, NoGroup: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		l.GateRLock()
-		lsn, err := l.AppendCommit(uint64(i+1), testOps(1))
-		l.GateRUnlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Sync(lsn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, _, fsyncs := l.Stats(); fsyncs < 5 {
-		t.Fatalf("NoGroup must fsync per commit, got %d fsyncs for 5 commits", fsyncs)
-	}
-	l.Close()
-}
-
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	schema := rel.NewSchema(
