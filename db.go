@@ -4,10 +4,10 @@
 //
 // The engine combines a relational core (MVCC snapshot isolation + SSI,
 // heap storage with a buffer pool, B-tree/hash indexes, a cost-based
-// optimizer and a Volcano executor) with the paper's in-database AI
-// ecosystem: AI operators in the executor (train / inference / fine-tune),
-// an AI engine with a streaming data protocol, a layered model store with
-// incremental updates, a monitor that triggers adaptation, and
+// optimizer and a vectorized, morsel-parallel executor) with the paper's
+// in-database AI ecosystem: AI operators in the executor (train / inference
+// / fine-tune), an AI engine with a streaming data protocol, a layered model
+// store with incremental updates, a monitor that triggers adaptation, and
 // fast-adaptive learned components (learned concurrency control and a
 // learned query optimizer).
 //
@@ -64,6 +64,10 @@ import (
 // until the process is restarted and recovery replays the durable prefix.
 // It aliases txn.ErrReadOnly so errors.Is matches across layers.
 var ErrReadOnly = txn.ErrReadOnly
+
+// errTxnAborted answers every statement but ROLLBACK once a failed write or
+// PREDICT has rolled the session's open transaction back.
+var errTxnAborted = errors.New("neurdb: current transaction is aborted")
 
 // ErrStatementTimeout reports that a statement exceeded the configured
 // statement timeout (Config.StatementTimeout / SET statement_timeout) and
@@ -475,13 +479,17 @@ func (s *Session) level() txn.IsolationLevel {
 }
 
 // begin returns the session transaction, or a fresh autocommit one plus a
-// finalizer.
-func (s *Session) begin(readOnly bool) (*txn.Txn, func(error) error) {
+// finalizer. An open transaction that a failed statement rolled back (see
+// run) takes no further statement.
+func (s *Session) begin(readOnly bool) (*txn.Txn, func(error) error, error) {
 	s.mu.Lock()
 	cur := s.txn
 	s.mu.Unlock()
 	if cur != nil {
-		return cur, func(err error) error { return err } // caller-managed
+		if cur.Status() == txn.StatusAborted {
+			return nil, nil, fmt.Errorf("%w, commands ignored until ROLLBACK", errTxnAborted)
+		}
+		return cur, func(err error) error { return err }, nil // caller-managed
 	}
 	t := s.db.mgr.Begin(s.level(), readOnly)
 	return t, func(err error) error {
@@ -490,7 +498,7 @@ func (s *Session) begin(readOnly bool) (*txn.Txn, func(error) error) {
 			return err
 		}
 		return s.db.mgr.Commit(t)
-	}
+	}, nil
 }
 
 // execStmt is the one statement-kind dispatch, reached by every entry point
@@ -532,7 +540,10 @@ func (s *Session) execStmt(st *Stmt, args []rel.Value) (*Rows, error) {
 // run executes a compiled statement in the session's open transaction, or in
 // an autocommit one of its own. A row-producing plan streams: the cursor
 // holds the transaction until it is drained or closed. A write or a PREDICT
-// runs to completion here. A write is refused up front on a poisoned WAL — a
+// runs to completion here; one that fails has left claims and rows behind,
+// so its transaction is rolled back at once — the session's open one too,
+// which then refuses every statement until ROLLBACK (COMMIT ends it with an
+// error, see execTxnStmt). A write is refused up front on a poisoned WAL — a
 // clean ErrReadOnly instead of work doomed to abort at commit, which
 // re-checks because the poison can land mid-statement.
 func (s *Session) run(e *planEntry, args []rel.Value) (*Rows, error) {
@@ -545,7 +556,10 @@ func (s *Session) run(e *planEntry, args []rel.Value) (*Rows, error) {
 			return nil, err
 		}
 	}
-	tx, done := s.begin(!e.writes)
+	tx, done, err := s.begin(!e.writes)
+	if err != nil {
+		return nil, err
+	}
 	ctx := &executor.Ctx{Mgr: s.db.mgr, Txn: tx, Cat: s.db.cat, Workers: s.effectiveWorkers()}
 	if e.streams {
 		it, err := executor.BuildBatch(node, ctx)
@@ -562,6 +576,9 @@ func (s *Session) run(e *planEntry, args []rel.Value) (*Rows, error) {
 		return rows, nil
 	}
 	out, err := executor.Execute(node, ctx, s.db.engine)
+	if err != nil {
+		s.db.mgr.Abort(tx)
+	}
 	if err := done(err); err != nil {
 		return nil, err
 	}
@@ -613,7 +630,8 @@ func (s *Session) execCreateTable(ct *sqlparse.CreateTable) (*Result, error) {
 	// replay recreates them from the schema's Unique flags.
 	for i, c := range cols {
 		if c.Unique {
-			tbl.AddIndex(&catalog.Index{Name: tbl.Name + "_" + c.Name, Col: i, BT: index.NewBTree()})
+			// The table is new and the column names distinct, so is the name.
+			_ = tbl.AddIndex(&catalog.Index{Name: tbl.Name + "_" + c.Name, Col: i, BT: index.NewBTree()}, nil)
 		}
 	}
 	if w != nil {
@@ -679,21 +697,25 @@ func (s *Session) execCreateIndex(ci *sqlparse.CreateIndex) (*Result, error) {
 	} else {
 		ix.BT = index.NewBTree()
 	}
-	// Backfill from committed data.
-	tx := s.db.mgr.Begin(txn.Snapshot, true)
-	cursor := tbl.Heap.NewCursor()
-	for {
-		id, head, ok := cursor.Next()
-		if !ok {
-			break
-		}
-		row, visible := s.db.mgr.ReadHead(tbl.ID, id, head, tx)
-		if visible {
-			ix.Insert(row[col], id)
-		}
+	// Registered first, filled second, planned on last: see Table.AddIndex.
+	// The fill posts every version of every chain — whatever snapshot later
+	// probes the index finds its row, committed or still in flight when the
+	// index was built — under the rule writers follow, one posting per key a
+	// chain has held. Postings are hints: visibility and the recheck decide.
+	err = tbl.AddIndex(ix, func() {
+		eachChain(tbl.Heap, func(id storage.RowID, head *storage.Version) {
+			for v := head; v != nil; {
+				next := v.Next()
+				if next == nil || !rel.Equal(v.Data[col], next.Data[col]) {
+					ix.Insert(v.Data[col], id)
+				}
+				v = next
+			}
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
-	s.db.mgr.Abort(tx)
-	tbl.AddIndex(ix)
 	// New access path: invalidate cached plans.
 	s.db.cat.BumpVersion()
 	// The WAL record is metadata-only (replay rebuilds index contents from
@@ -781,9 +803,12 @@ func (s *Session) execTxnStmt(t *sqlparse.TxnStmt) (*Result, error) {
 		if s.txn == nil {
 			return nil, fmt.Errorf("neurdb: no open transaction")
 		}
-		err := s.db.mgr.Commit(s.txn)
+		t := s.txn
 		s.txn = nil
-		if err != nil {
+		if t.Status() == txn.StatusAborted {
+			return nil, fmt.Errorf("%w: COMMIT rolled it back", errTxnAborted)
+		}
+		if err := s.db.mgr.Commit(t); err != nil {
 			return nil, err
 		}
 		return &Result{Message: "COMMIT"}, nil
@@ -809,15 +834,18 @@ func (s *Session) execAnalyze(a *sqlparse.Analyze) (*Result, error) {
 		tables = s.db.cat.All()
 	}
 	tx := s.db.mgr.Begin(txn.Snapshot, true)
+	defer s.db.mgr.Abort(tx)
 	ctx := &executor.Ctx{Mgr: s.db.mgr, Txn: tx, Cat: s.db.cat}
 	for _, t := range tables {
-		rows := executor.ScanAll(ctx, t)
+		rows, err := executor.Run(&plan.SeqScan{Table: t}, ctx)
+		if err != nil {
+			return nil, err
+		}
 		t.Stats.Rebuild(rows)
 		s.db.mu.Lock()
 		s.db.staleStats[t.ID] = t.Stats.Snapshot()
 		s.db.mu.Unlock()
 	}
-	s.db.mgr.Abort(tx)
 	// Fresh statistics change plan choice: invalidate cached plans.
 	s.db.cat.BumpVersion()
 	return &Result{Message: fmt.Sprintf("ANALYZE %d tables", len(tables))}, nil

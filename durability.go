@@ -140,24 +140,33 @@ func (db *DB) applyRecord(rec *wal.Record) error {
 	return nil
 }
 
-// addIndexDef registers an empty index definition during recovery if the
-// table does not already have one by that name. Contents are rebuilt from
-// heap data after replay (rebuildDerivedState), so only the definition
-// matters here — and both the checkpoint and a replayed create record may
-// describe the same index.
+// addIndexDef registers an empty index definition during recovery. Contents
+// are rebuilt from heap data after replay (rebuildDerivedState), so only the
+// definition matters here — and both the checkpoint and a replayed create
+// record may describe the same index: the second registration is refused by
+// name, which is the outcome wanted.
 func addIndexDef(tbl *catalog.Table, name string, col int, hash bool) {
-	for _, ix := range tbl.Indexes() {
-		if ix.Name == name {
-			return
-		}
-	}
 	ix := &catalog.Index{Name: name, Col: col}
 	if hash {
 		ix.Hash = index.NewHashIndex()
 	} else {
 		ix.BT = index.NewBTree()
 	}
-	tbl.AddIndex(ix)
+	_ = tbl.AddIndex(ix, nil)
+}
+
+// eachChain visits every version chain of h, head first, in heap order — the
+// walk recovery, the checkpointer and the CREATE INDEX fill share. It reads a
+// page at a time through the heap's one walker, so it may run beside writers.
+func eachChain(h *storage.Heap, visit func(id storage.RowID, head *storage.Version)) {
+	h.ScanBatch(func(pageID uint32, heads []*storage.Version) bool {
+		for slot, head := range heads {
+			if head != nil {
+				visit(storage.RowID{Page: pageID, Slot: uint32(slot)}, head)
+			}
+		}
+		return true
+	})
 }
 
 // rebuildDerivedState reconstructs everything replay does not maintain
@@ -170,18 +179,12 @@ func (db *DB) rebuildDerivedState() {
 		tbl.Heap.RebuildFree()
 		indexes := tbl.Indexes()
 		var rows []rel.Row
-		cursor := tbl.Heap.NewCursor()
-		for {
-			id, head, ok := cursor.Next()
-			if !ok {
-				break
-			}
-			row := head.Data
+		eachChain(tbl.Heap, func(id storage.RowID, head *storage.Version) {
 			for _, ix := range indexes {
-				ix.Insert(row[ix.Col], id)
+				ix.Insert(head.Data[ix.Col], id)
 			}
-			rows = append(rows, row)
-		}
+			rows = append(rows, head.Data)
+		})
 		tbl.Stats.Rebuild(rows)
 	}
 }
@@ -224,16 +227,11 @@ func (db *DB) Checkpoint() error {
 		for _, ix := range tbl.Indexes() {
 			ct.Indexes = append(ct.Indexes, wal.IndexMeta{Name: ix.Name, Col: ix.Col, Hash: ix.Hash != nil})
 		}
-		cursor := tbl.Heap.NewCursor()
-		for {
-			id, head, ok := cursor.Next()
-			if !ok {
-				break
-			}
+		eachChain(tbl.Heap, func(id storage.RowID, head *storage.Version) {
 			if row, vis := visibleAt(head, snap); vis {
 				ct.Rows = append(ct.Rows, wal.CkptRow{ID: id, Row: row})
 			}
-		}
+		})
 		ck.Tables = append(ck.Tables, ct)
 	}
 

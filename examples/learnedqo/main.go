@@ -34,10 +34,8 @@ func main() {
 		mgr := db.TxnManager()
 		tx := mgr.Begin(txn.Snapshot, false)
 		ctx := &executor.Ctx{Mgr: mgr, Txn: tx, Cat: db.Catalog()}
-		for _, row := range sw.Rows(def.Name) {
-			if _, err := executor.InsertRow(ctx, tbl, row); err != nil {
-				log.Fatal(err)
-			}
+		if _, err := executor.InsertBatch(ctx, tbl, sw.Rows(def.Name)); err != nil {
+			log.Fatal(err)
 		}
 		if err := mgr.Commit(tx); err != nil {
 			log.Fatal(err)
@@ -72,10 +70,8 @@ func main() {
 		tbl, _ := db.Catalog().Get(def.Name)
 		tx := mgr.Begin(txn.Snapshot, false)
 		ctx := &executor.Ctx{Mgr: mgr, Txn: tx, Cat: db.Catalog()}
-		for _, row := range rows {
-			if _, err := executor.InsertRow(ctx, tbl, row); err != nil {
-				log.Fatal(err)
-			}
+		if _, err := executor.InsertBatch(ctx, tbl, rows); err != nil {
+			log.Fatal(err)
 		}
 		if err := mgr.Commit(tx); err != nil {
 			log.Fatal(err)

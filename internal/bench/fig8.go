@@ -188,11 +188,9 @@ func (env *fig8Env) load() error {
 		rows := env.sw.Rows(def.Name)
 		tx := mgr.Begin(txn.Snapshot, false)
 		ctx := &executor.Ctx{Mgr: mgr, Txn: tx, Cat: cat}
-		for _, row := range rows {
-			if _, err := executor.InsertRow(ctx, tbl, row); err != nil {
-				mgr.Abort(tx)
-				return err
-			}
+		if _, err := executor.InsertBatch(ctx, tbl, rows); err != nil {
+			mgr.Abort(tx)
+			return err
 		}
 		if err := mgr.Commit(tx); err != nil {
 			return err
@@ -216,11 +214,9 @@ func (env *fig8Env) applyInserts(level workload.DriftLevel, from, to float64) er
 		tbl, _ := cat.Get(def.Name)
 		tx := mgr.Begin(txn.Snapshot, false)
 		ctx := &executor.Ctx{Mgr: mgr, Txn: tx, Cat: cat}
-		for _, row := range rows[lo:hi] {
-			if _, err := executor.InsertRow(ctx, tbl, row); err != nil {
-				mgr.Abort(tx)
-				return err
-			}
+		if _, err := executor.InsertBatch(ctx, tbl, rows[lo:hi]); err != nil {
+			mgr.Abort(tx)
+			return err
 		}
 		if err := mgr.Commit(tx); err != nil {
 			return err

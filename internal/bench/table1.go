@@ -96,11 +96,9 @@ func bulkInsert(db *neurdb.DB, table string, rows []rel.Row) error {
 	mgr := db.TxnManager()
 	tx := mgr.Begin(txn.Snapshot, false)
 	ctx := &executor.Ctx{Mgr: mgr, Txn: tx, Cat: db.Catalog()}
-	for _, row := range rows {
-		if _, err := executor.InsertRow(ctx, tbl, row); err != nil {
-			mgr.Abort(tx)
-			return err
-		}
+	if _, err := executor.InsertBatch(ctx, tbl, rows); err != nil {
+		mgr.Abort(tx)
+		return err
 	}
 	return mgr.Commit(tx)
 }

@@ -21,6 +21,10 @@ type Index struct {
 	Col  int
 	BT   *index.BTree
 	Hash *index.HashIndex
+
+	// building is set while AddIndex runs the caller's backfill: writers
+	// maintain the index, the planner does not see it. Guarded by Table.mu.
+	building bool
 }
 
 // Ordered reports whether the index supports range scans.
@@ -91,7 +95,7 @@ func (t *Table) IndexOn(col int) *Index {
 	defer t.mu.RUnlock()
 	var hash *Index
 	for _, ix := range t.indexes {
-		if ix.Col != col {
+		if ix.Col != col || ix.building {
 			continue
 		}
 		if ix.BT != nil {
@@ -102,11 +106,31 @@ func (t *Table) IndexOn(col int) *Index {
 	return hash
 }
 
-// AddIndex registers a new index (already populated by the caller).
-func (t *Table) AddIndex(ix *Index) {
+// AddIndex registers ix under a name no other index of the table carries.
+// From the registration on, every write statement maintains ix (Indexes);
+// the planner sees it (IndexOn) only after fill has returned. fill is the
+// caller's backfill from the heap — nil for an index that is complete as
+// handed in. A writer posts its rows after it has put them in the heap, so a
+// row is either posted by its writer, which found ix registered, or was in
+// the heap before fill started reading it.
+func (t *Table) AddIndex(ix *Index, fill func()) error {
 	t.mu.Lock()
+	for _, have := range t.indexes {
+		if have.Name == ix.Name {
+			t.mu.Unlock()
+			return fmt.Errorf("catalog: index %q already exists on %q", ix.Name, t.Name)
+		}
+	}
+	ix.building = fill != nil
 	t.indexes = append(t.indexes, ix)
 	t.mu.Unlock()
+	if fill != nil {
+		fill()
+		t.mu.Lock()
+		ix.building = false
+		t.mu.Unlock()
+	}
+	return nil
 }
 
 // Catalog is the table registry.
@@ -134,9 +158,15 @@ func New(pool *storage.BufferPool) *Catalog {
 	return &Catalog{tables: make(map[string]*Table), Pool: pool}
 }
 
-// Create registers a new table.
+// Create registers a new table under a name no table carries, with column
+// names that are distinct.
 func (c *Catalog) Create(name string, schema *rel.Schema) (*Table, error) {
 	key := strings.ToLower(name)
+	for i, col := range schema.Cols {
+		if schema.ColIndex(col.Name) != i {
+			return nil, fmt.Errorf("catalog: column %q specified more than once in table %q", col.Name, name)
+		}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, exists := c.tables[key]; exists {

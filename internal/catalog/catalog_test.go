@@ -36,6 +36,14 @@ func TestCreateGetDrop(t *testing.T) {
 	if _, err := c.Create("t1", schema()); err == nil {
 		t.Fatal("duplicate create should fail")
 	}
+	// Duplicate column, whatever its case; nothing is registered.
+	twice := rel.NewSchema(rel.Column{Name: "a", Typ: rel.TypeInt}, rel.Column{Name: "A", Typ: rel.TypeFloat})
+	if _, err := c.Create("t2", twice); err == nil {
+		t.Fatal("a column named twice should fail")
+	}
+	if _, err := c.Get("t2"); err == nil {
+		t.Fatal("refused create registered the table")
+	}
 	// Drop.
 	if err := c.Drop("t1"); err != nil {
 		t.Fatal(err)
@@ -73,7 +81,7 @@ func TestIndexManagement(t *testing.T) {
 		t.Fatal("no index expected")
 	}
 	hash := &Index{Name: "h", Col: 0, Hash: index.NewHashIndex()}
-	tbl.AddIndex(hash)
+	tbl.AddIndex(hash, nil)
 	if got := tbl.IndexOn(0); got != hash {
 		t.Fatal("hash index not found")
 	}
@@ -82,7 +90,7 @@ func TestIndexManagement(t *testing.T) {
 	}
 	// Ordered index on the same column takes precedence.
 	bt := &Index{Name: "b", Col: 0, BT: index.NewBTree()}
-	tbl.AddIndex(bt)
+	tbl.AddIndex(bt, nil)
 	if got := tbl.IndexOn(0); got != bt {
 		t.Fatal("btree should win over hash")
 	}
@@ -91,6 +99,27 @@ func TestIndexManagement(t *testing.T) {
 	}
 	if len(tbl.Indexes()) != 2 {
 		t.Fatal("index list wrong")
+	}
+	// A name the table already has is refused, on any column.
+	if err := tbl.AddIndex(&Index{Name: "b", Col: 1, BT: index.NewBTree()}, nil); err == nil {
+		t.Fatal("duplicate index name should fail")
+	}
+	if len(tbl.Indexes()) != 2 {
+		t.Fatal("refused index was registered")
+	}
+	// While its fill runs an index is maintained by writers (Indexes) and
+	// hidden from the planner (IndexOn); afterwards it is both.
+	late := &Index{Name: "late", Col: 1, BT: index.NewBTree()}
+	err := tbl.AddIndex(late, func() {
+		if n := len(tbl.Indexes()); n != 3 {
+			t.Errorf("during fill: %d indexes to maintain, want 3", n)
+		}
+		if tbl.IndexOn(1) != nil {
+			t.Error("during fill: the planner sees the half-built index")
+		}
+	})
+	if err != nil || tbl.IndexOn(1) != late {
+		t.Fatalf("after fill: err %v, IndexOn(1) = %v", err, tbl.IndexOn(1))
 	}
 	// Insert/lookup/delete through the unified interface.
 	id := storage.RowID{Page: 1, Slot: 2}

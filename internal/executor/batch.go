@@ -178,39 +178,28 @@ func buildHashJoinBatch(t *plan.HashJoin, ctx *Ctx) (BatchIter, error) {
 
 // --- scans ---
 
-// seqScanBatch is the vectorized heap scan: one page cursor step yields up
-// to RowsPerPage chain heads under a single lock acquisition and a single
-// buffer-pool touch, and one Manager.ReadPage call resolves the whole
-// page's visibility.
+// seqScanBatch is the vectorized heap scan: each page costs one heap lock,
+// one buffer-pool touch and one visibility call (see pageRows).
 type seqScanBatch struct {
-	ctx    *Ctx
-	node   *plan.SeqScan
-	cursor *storage.BatchCursor
+	ctx  *Ctx
+	node *plan.SeqScan
+	page uint32             // next heap page to read
+	buf  []*storage.Version // chain-head scratch
+	done bool
 }
 
 func (s *seqScanBatch) Open() error {
-	s.cursor = s.node.Table.Heap.NewBatchCursor()
+	s.buf = make([]*storage.Version, storage.RowsPerPage)
 	return nil
 }
 
 func (s *seqScanBatch) NextBatch(dst *rel.Batch) (int, error) {
 	dst.Reset()
-	for dst.Len() < BatchSize {
-		pageID, heads, ok := s.cursor.NextPage()
-		if !ok {
-			break
-		}
-		start := dst.Len()
-		dst.Rows = s.ctx.Mgr.ReadPage(s.node.Table.ID, pageID, heads, s.ctx.Txn, dst.Rows)
-		if s.node.Filter != nil {
-			kept := dst.Rows[:start]
-			for _, row := range dst.Rows[start:] {
-				if s.node.Filter.Eval(row).AsBool() {
-					kept = append(kept, row)
-				}
-			}
-			dst.Rows = kept
-		}
+	for !s.done && dst.Len() < BatchSize {
+		var ok bool
+		dst.Rows, ok = pageRows(s.ctx, s.node.Table, s.page, s.node.Filter, s.buf, dst.Rows, nil)
+		s.page++
+		s.done = !ok
 	}
 	return dst.Len(), nil
 }

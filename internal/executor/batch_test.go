@@ -49,12 +49,12 @@ func TestBatchEngineMatchesOracle(t *testing.T) {
 		if i%31 == 0 {
 			price = rel.Null() // NULL aggregate inputs
 		}
-		if _, err := InsertRow(ctx, items, rel.Row{rel.Int(int64(i)), cat, price}); err != nil {
+		if _, err := insertRow(ctx, items, rel.Row{rel.Int(int64(i)), cat, price}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for c := 0; c < 10; c++ {
-		if _, err := InsertRow(ctx, cats, rel.Row{rel.Int(int64(c)), rel.Text(fmt.Sprintf("c%d", c))}); err != nil {
+		if _, err := insertRow(ctx, cats, rel.Row{rel.Int(int64(c)), rel.Text(fmt.Sprintf("c%d", c))}); err != nil {
 			t.Fatal(err)
 		}
 	}

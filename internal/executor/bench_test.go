@@ -38,7 +38,7 @@ func (e *benchEnv) fill(b *testing.B, name string, n, groups int) *catalog.Table
 	r := rand.New(rand.NewSource(1))
 	ctx := &Ctx{Mgr: e.mgr, Txn: e.mgr.Begin(txn.Snapshot, false), Cat: e.cat}
 	for i := 0; i < n; i++ {
-		if _, err := InsertRow(ctx, tbl, rel.Row{
+		if _, err := insertRow(ctx, tbl, rel.Row{
 			rel.Int(int64(i)), rel.Int(int64(r.Intn(groups))), rel.Float(r.Float64()),
 		}); err != nil {
 			b.Fatal(err)
@@ -206,29 +206,12 @@ func benchDML(b *testing.B, run func(ctx *Ctx, tbl *catalog.Table) (int, error))
 	b.ReportMetric(float64(dmlBenchRows)*float64(b.N)/b.Elapsed().Seconds(), "scanned_rows/s")
 }
 
-// BenchmarkUpdateWhereRowCursor is the legacy row-at-a-time UPDATE: one
-// cursor step, one visibility call, and one writeMu acquisition per row.
-func BenchmarkUpdateWhereRowCursor(b *testing.B) {
-	set, where := dmlSet(), dmlWhere()
-	benchDML(b, func(ctx *Ctx, tbl *catalog.Table) (int, error) {
-		return updateWhereRowCursor(ctx, tbl, set, where)
-	})
-}
-
 // BenchmarkUpdateWhereBatch is the page-batched UPDATE: per-page visibility,
 // claims, index and statistics maintenance.
 func BenchmarkUpdateWhereBatch(b *testing.B) {
 	set, where := dmlSet(), dmlWhere()
 	benchDML(b, func(ctx *Ctx, tbl *catalog.Table) (int, error) {
 		return UpdateWhere(ctx, seqSrc(tbl, where), set)
-	})
-}
-
-// BenchmarkDeleteWhereRowCursor is the legacy row-at-a-time DELETE.
-func BenchmarkDeleteWhereRowCursor(b *testing.B) {
-	where := dmlWhere()
-	benchDML(b, func(ctx *Ctx, tbl *catalog.Table) (int, error) {
-		return deleteWhereRowCursor(ctx, tbl, where)
 	})
 }
 

@@ -9,43 +9,30 @@ import (
 	"neurdb/internal/storage"
 )
 
-// InsertRow inserts one row into a table within the context transaction,
-// maintaining indexes and statistics.
-func InsertRow(ctx *Ctx, t *catalog.Table, row rel.Row) (storage.RowID, error) {
+// checkRow is the one check every row passes before it enters a heap,
+// whether an INSERT supplied it or an UPDATE computed it: the table's arity
+// and its NOT NULL columns.
+func checkRow(t *catalog.Table, row rel.Row) error {
 	if len(row) != t.Schema.Arity() {
-		return storage.RowID{}, fmt.Errorf("executor: insert arity %d into %s%s", len(row), t.Name, t.Schema)
+		return fmt.Errorf("executor: insert arity %d into %s%s", len(row), t.Name, t.Schema)
 	}
 	for i, col := range t.Schema.Cols {
 		if col.NotNull && row[i].IsNull() {
-			return storage.RowID{}, fmt.Errorf("executor: null value in NOT NULL column %s.%s", t.Name, col.Name)
+			return fmt.Errorf("executor: null value in NOT NULL column %s.%s", t.Name, col.Name)
 		}
 	}
-	id, err := ctx.Mgr.Insert(t.Heap, row, ctx.Txn)
-	if err != nil {
-		return storage.RowID{}, err
-	}
-	for _, ix := range t.Indexes() {
-		ix.Insert(row[ix.Col], id)
-	}
-	t.Stats.NoteInsert(row)
-	return id, nil
+	return nil
 }
 
 // InsertBatch inserts rows into a table within the context transaction with
 // one transaction-manager call for the whole batch, per-batch index
-// maintenance, and a single statistics note — the insert-side counterpart of
-// the page-batched UpdateWhere/DeleteWhere path. Every row is validated up
-// front, so a constraint violation inserts nothing. It returns the assigned
-// RowIDs in row order.
+// maintenance, and a single statistics note. Every row is checked up front,
+// so a constraint violation inserts nothing. It returns the assigned RowIDs
+// in row order.
 func InsertBatch(ctx *Ctx, t *catalog.Table, rows []rel.Row) ([]storage.RowID, error) {
 	for _, row := range rows {
-		if len(row) != t.Schema.Arity() {
-			return nil, fmt.Errorf("executor: insert arity %d into %s%s", len(row), t.Name, t.Schema)
-		}
-		for i, col := range t.Schema.Cols {
-			if col.NotNull && row[i].IsNull() {
-				return nil, fmt.Errorf("executor: null value in NOT NULL column %s.%s", t.Name, col.Name)
-			}
+		if err := checkRow(t, row); err != nil {
+			return nil, err
 		}
 	}
 	ids, err := ctx.Mgr.InsertBatch(t.Heap, rows, ctx.Txn)
@@ -61,37 +48,116 @@ func InsertBatch(ctx *Ctx, t *catalog.Table, rows []rel.Row) ([]storage.RowID, e
 	return ids, nil
 }
 
-// dmlScan drives the shared page-batched DML loop: each heap page is read
-// through Manager.ReadPageVisible (one visibility call per page), filtered
-// by the predicate, and handed to apply as aligned id/row slices. apply runs
-// before the scan moves to the next page; updates only replace chain heads
-// on the page just visited (deletes free no slots mid-transaction), so the
-// page-snapshot scan never re-observes the statement's own writes.
-func dmlScan(ctx *Ctx, t *catalog.Table, where rel.Expr, apply func(ids []storage.RowID, rows []rel.Row) error) (int, error) {
+// pageRows reads heap page pg of t: the rows visible to the context
+// transaction that pass filter (nil keeps all) are appended to rows and,
+// when ids is non-nil, their RowIDs to *ids (aligned with the appended
+// rows). It reports false past the last page. buf is the caller's chain-head
+// scratch, RowsPerPage long. Every heap scan — serial or morsel worker,
+// reading or about to write — takes a page through here: one heap lock, one
+// buffer-pool touch and one visibility call per page.
+func pageRows(ctx *Ctx, t *catalog.Table, pg uint32, filter rel.Expr, buf []*storage.Version, rows []rel.Row, ids *[]storage.RowID) ([]rel.Row, bool) {
+	n, ok := t.Heap.PageHeads(pg, buf)
+	if !ok {
+		return rows, false
+	}
+	// (*ids)[idStart+i] is the id of rows[i] for the rows this call appends.
+	start, idStart := len(rows), 0
+	if ids != nil {
+		idStart = len(*ids) - start
+	}
+	rows = ctx.Mgr.ReadPage(t.ID, pg, buf[:n], ctx.Txn, rows, ids)
+	if filter == nil {
+		return rows, true
+	}
+	k := start
+	for i := start; i < len(rows); i++ {
+		if !filter.Eval(rows[i]).AsBool() {
+			continue
+		}
+		rows[k] = rows[i]
+		if ids != nil {
+			(*ids)[idStart+k] = (*ids)[idStart+i]
+		}
+		k++
+	}
+	if ids != nil {
+		*ids = (*ids)[:idStart+k]
+	}
+	return rows[:k], true
+}
+
+// claimPage writes the rows one page of a DML scan selected. DELETE (set is
+// nil) claims them; UPDATE computes each replacement from its old row — the
+// SET expressions see the old values — passes it through checkRow like any
+// row entering the heap, and claims the replacements, which it returns.
+func claimPage(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, ids []storage.RowID, olds []rel.Row) ([]rel.Row, error) {
+	if set == nil {
+		return nil, ctx.Mgr.DeleteBatch(t.Heap, ids, ctx.Txn)
+	}
+	news := make([]rel.Row, len(olds))
+	for i, old := range olds {
+		row := old.Clone()
+		for col, e := range set {
+			row[col] = e.Eval(old)
+		}
+		if err := checkRow(t, row); err != nil {
+			return nil, err
+		}
+		news[i] = row
+	}
+	return news, ctx.Mgr.UpdateBatch(t.Heap, ids, news, ctx.Txn)
+}
+
+// noteWritten follows a claimed page with what depends on it: index postings
+// and the statistics note (news is nil after a DELETE). Index maintenance is
+// lazy: an UPDATE posts a changed key and leaves the old posting behind,
+// a DELETE removes none — visibility and the recheck filter them on scan.
+func noteWritten(t *catalog.Table, ids []storage.RowID, olds, news []rel.Row) {
+	if news == nil {
+		t.Stats.NoteDeleteBatch(olds)
+		return
+	}
+	for _, ix := range t.Indexes() {
+		for i, old := range olds {
+			if !rel.Equal(old[ix.Col], news[i][ix.Col]) {
+				ix.Insert(news[i][ix.Col], ids[i])
+			}
+		}
+	}
+	t.Stats.NoteUpdateBatch(olds, news)
+}
+
+// writePage is the serial step the two DML row sources share: claim the
+// rows one page contributed, then post and note them.
+func writePage(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, ids []storage.RowID, olds []rel.Row) error {
+	news, err := claimPage(ctx, t, set, ids, olds)
+	if err != nil {
+		return err
+	}
+	noteWritten(t, ids, olds, news)
+	return nil
+}
+
+// dmlScan drives the page-at-a-time DML loop over the heap. A page's rows
+// are written before the scan moves to the next page; updates only replace
+// chain heads on the page just visited (deletes free no slots
+// mid-transaction), so the page-snapshot scan never re-observes the
+// statement's own writes.
+func dmlScan(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, where rel.Expr) (int, error) {
 	total := 0
+	buf := make([]*storage.Version, storage.RowsPerPage)
 	ids := make([]storage.RowID, 0, storage.RowsPerPage)
 	rows := make([]rel.Row, 0, storage.RowsPerPage)
-	cursor := t.Heap.NewBatchCursor()
-	for {
-		pageID, heads, ok := cursor.NextPage()
-		if !ok {
+	for pg := uint32(0); ; pg++ {
+		var ok bool
+		ids = ids[:0]
+		if rows, ok = pageRows(ctx, t, pg, where, buf, rows[:0], &ids); !ok {
 			return total, nil
-		}
-		ids, rows = ctx.Mgr.ReadPageVisible(t.ID, pageID, heads, ctx.Txn, ids[:0], rows[:0])
-		if where != nil {
-			k := 0
-			for i, row := range rows {
-				if where.Eval(row).AsBool() {
-					ids[k], rows[k] = ids[i], rows[i]
-					k++
-				}
-			}
-			ids, rows = ids[:k], rows[:k]
 		}
 		if len(ids) == 0 {
 			continue
 		}
-		if err := apply(ids, rows); err != nil {
+		if err := writePage(ctx, t, set, ids, rows); err != nil {
 			return 0, err
 		}
 		total += len(ids)
@@ -103,10 +169,10 @@ func dmlScan(ctx *Ctx, t *catalog.Table, where rel.Expr, apply func(ids []storag
 // materialized before the first write, so the statement never chases its
 // own index insertions (the Halloween problem: "SET k = k + 10 WHERE k >= 5"
 // would otherwise meet every row again under its new key). Rows are then
-// fetched and handed to apply one heap page at a time, in heap order — the
-// same sequence of apply calls dmlScan makes for the rows it selects, so
+// fetched and written one heap page at a time, in heap order — the same
+// sequence of writePage calls dmlScan makes for the rows it selects, so
 // writes, index postings and statistics notes land identically.
-func dmlIndexScan(ctx *Ctx, n *plan.IndexScan, apply func(ids []storage.RowID, rows []rel.Row) error) (int, error) {
+func dmlIndexScan(ctx *Ctx, n *plan.IndexScan, set map[int]rel.Expr) (int, error) {
 	all, err := indexScanIDs(n)
 	if err != nil {
 		return 0, err
@@ -125,7 +191,7 @@ func dmlIndexScan(ctx *Ctx, n *plan.IndexScan, apply func(ids []storage.RowID, r
 		if len(ids) == 0 {
 			continue
 		}
-		if err := apply(ids, rows); err != nil {
+		if err := writePage(ctx, n.Table, set, ids, rows); err != nil {
 			return 0, err
 		}
 		total += len(ids)
@@ -133,104 +199,42 @@ func dmlIndexScan(ctx *Ctx, n *plan.IndexScan, apply func(ids []storage.RowID, r
 	return total, nil
 }
 
-// dmlRows runs apply over the rows the access node src selects, a page
-// batch at a time. src is what optimizer.AccessPath returns: a SeqScan or an
-// IndexScan over the target table. A large-enough SeqScan is dispatched
-// through the morsel-parallel write path instead (see dmlParallel; set is
-// nil for DELETE); results are identical either way.
-func dmlRows(ctx *Ctx, src plan.Node, set map[int]rel.Expr, apply func(ids []storage.RowID, rows []rel.Row) error) (int, error) {
+// dmlRows writes the rows the access node src selects, a page at a time. set
+// holds UPDATE's assignments and is nil for DELETE. src is what
+// optimizer.AccessPath returns: a SeqScan or an IndexScan over the target
+// table. A large-enough SeqScan is dispatched through the morsel-parallel
+// write path instead (see dmlParallel); results are identical either way. It
+// returns the number of rows written.
+func dmlRows(ctx *Ctx, src plan.Node, set map[int]rel.Expr) (int, error) {
 	switch s := src.(type) {
 	case *plan.SeqScan:
 		if w := pipelineWorkers(ctx, &scanPipeline{table: s.Table}); w > 1 {
 			return dmlParallel(ctx, s.Table, set, s.Filter, w)
 		}
-		return dmlScan(ctx, s.Table, s.Filter, apply)
+		return dmlScan(ctx, s.Table, set, s.Filter)
 	case *plan.IndexScan:
-		return dmlIndexScan(ctx, s, apply)
+		return dmlIndexScan(ctx, s, set)
 	default:
 		return 0, fmt.Errorf("executor: DML row source must be a table scan, got %T", src)
 	}
 }
 
-// scanTable returns the table an access node reads (nil for any other node;
-// dmlRows rejects those before a row is touched).
-func scanTable(src plan.Node) *catalog.Table {
-	switch s := src.(type) {
-	case *plan.SeqScan:
-		return s.Table
-	case *plan.IndexScan:
-		return s.Table
-	default:
-		return nil
-	}
-}
-
 // UpdateWhere updates the rows the access node src selects, setting columns
-// via the given expressions (evaluated against the old row). Writes, index
-// maintenance, and statistics are applied per page batch. It returns the
-// number of rows updated.
+// via the given expressions, and returns the number of rows updated.
 func UpdateWhere(ctx *Ctx, src plan.Node, set map[int]rel.Expr) (int, error) {
-	t := scanTable(src)
-	news := make([]rel.Row, 0, storage.RowsPerPage)
-	return dmlRows(ctx, src, set, func(ids []storage.RowID, olds []rel.Row) error {
-		news = news[:0]
-		for _, row := range olds {
-			newRow := row.Clone()
-			for col, e := range set {
-				newRow[col] = e.Eval(row)
-			}
-			news = append(news, newRow)
-		}
-		if err := ctx.Mgr.UpdateBatch(t.Heap, ids, news, ctx.Txn); err != nil {
-			return err
-		}
-		for _, ix := range t.Indexes() {
-			for i, old := range olds {
-				if !rel.Equal(old[ix.Col], news[i][ix.Col]) {
-					// Lazy maintenance: add the new key; stale postings for
-					// the old key are filtered by visibility + recheck on
-					// scan.
-					ix.Insert(news[i][ix.Col], ids[i])
-				}
-			}
-		}
-		t.Stats.NoteUpdateBatch(olds, news)
-		return nil
-	})
+	return dmlRows(ctx, src, set)
 }
 
-// DeleteWhere deletes the rows the access node src selects, batching
-// statistics maintenance per page. It returns the number of rows deleted.
+// DeleteWhere deletes the rows the access node src selects and returns their
+// number.
 func DeleteWhere(ctx *Ctx, src plan.Node) (int, error) {
-	t := scanTable(src)
-	return dmlRows(ctx, src, nil, func(ids []storage.RowID, rows []rel.Row) error {
-		if err := ctx.Mgr.DeleteBatch(t.Heap, ids, ctx.Txn); err != nil {
-			return err
-		}
-		t.Stats.NoteDeleteBatch(rows)
-		return nil
-	})
-}
-
-// ScanAll returns every row visible to the context transaction (ANALYZE
-// uses this). It rides the page-batched read path: one heap lock, one
-// buffer-pool touch, and one visibility call per page.
-func ScanAll(ctx *Ctx, t *catalog.Table) []rel.Row {
-	out := make([]rel.Row, 0, t.Heap.LiveRows())
-	cursor := t.Heap.NewBatchCursor()
-	for {
-		pageID, heads, ok := cursor.NextPage()
-		if !ok {
-			return out
-		}
-		out = ctx.Mgr.ReadPage(t.ID, pageID, heads, ctx.Txn, out)
-	}
+	return dmlRows(ctx, src, nil)
 }
 
 // ScanBatches streams every row visible to the context transaction through
 // visit, batch-at-a-time, without ever materializing the full table. When
 // ctx.Workers allows it the batches are produced by the morsel-parallel
-// pipeline (in heap order); otherwise by the serial page cursor. The batch
+// pipeline (in heap order); otherwise by the serial page scan. The batch
 // passed to visit is reused between calls — visit must copy what it keeps.
 // The benchmark referee's extraction probe streams a table through this.
 func ScanBatches(ctx *Ctx, t *catalog.Table, visit func(*rel.Batch) error) error {

@@ -11,81 +11,55 @@ import (
 	"neurdb/internal/txn"
 )
 
-// --- legacy row-cursor DML, preserved as the reference implementation ---
+// --- one-claim-at-a-time DML, the reference implementation ---
 //
-// These are verbatim copies of the pre-batching UpdateWhere/DeleteWhere:
-// one cursor step, one visibility check, one manager write, and one
-// index/stats maintenance call per row. The differential tests pin the
-// page-batched implementations against them, and the benchmarks use them
-// as the before side of the before/after numbers.
+// The shape of the pre-batching UpdateWhere/DeleteWhere, on the API that
+// survives: one visibility check per chain head, then — per selected row — a
+// one-id claim, its index postings and a one-row statistics note. The
+// differential tests pin the page-run claims of the real path against it:
+// page-run claims ≡ one claim at a time.
+
+// selectRows is the reference scan: the rows visible to the context
+// transaction that pass where, with their ids, in heap order.
+func selectRows(ctx *Ctx, t *catalog.Table, where rel.Expr) (ids []storage.RowID, rows []rel.Row) {
+	eachHead(t, func(id storage.RowID, head *storage.Version) {
+		row, visible := ctx.Mgr.ReadHead(t.ID, id, head, ctx.Txn)
+		if visible && (where == nil || where.Eval(row).AsBool()) {
+			ids, rows = append(ids, id), append(rows, row)
+		}
+	})
+	return ids, rows
+}
 
 func updateWhereRowCursor(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, where rel.Expr) (int, error) {
-	type pending struct {
-		id       storage.RowID
-		old, new rel.Row
-	}
-	var todo []pending
-	cursor := t.Heap.NewCursor()
-	for {
-		id, head, ok := cursor.Next()
-		if !ok {
-			break
-		}
-		row, visible := ctx.Mgr.ReadHead(t.ID, id, head, ctx.Txn)
-		if !visible {
-			continue
-		}
-		if where != nil && !where.Eval(row).AsBool() {
-			continue
-		}
-		newRow := row.Clone()
+	ids, olds := selectRows(ctx, t, where)
+	for i, old := range olds {
+		newRow := old.Clone()
 		for col, e := range set {
-			newRow[col] = e.Eval(row)
+			newRow[col] = e.Eval(old)
 		}
-		todo = append(todo, pending{id: id, old: row, new: newRow})
-	}
-	for _, p := range todo {
-		if err := ctx.Mgr.Update(t.Heap, p.id, p.new, ctx.Txn); err != nil {
+		if err := ctx.Mgr.UpdateBatch(t.Heap, ids[i:i+1], []rel.Row{newRow}, ctx.Txn); err != nil {
 			return 0, err
 		}
 		for _, ix := range t.Indexes() {
-			if !rel.Equal(p.old[ix.Col], p.new[ix.Col]) {
-				ix.Insert(p.new[ix.Col], p.id)
+			if !rel.Equal(old[ix.Col], newRow[ix.Col]) {
+				ix.Insert(newRow[ix.Col], ids[i])
 			}
 		}
-		t.Stats.NoteUpdate(p.old, p.new)
+		t.Stats.NoteUpdateBatch([]rel.Row{old}, []rel.Row{newRow})
 	}
-	return len(todo), nil
+	return len(ids), nil
 }
 
 func deleteWhereRowCursor(ctx *Ctx, t *catalog.Table, where rel.Expr) (int, error) {
-	type pending struct {
-		id  storage.RowID
-		row rel.Row
-	}
-	var todo []pending
-	cursor := t.Heap.NewCursor()
-	for {
-		id, head, ok := cursor.Next()
-		if !ok {
-			break
-		}
-		row, visible := ctx.Mgr.ReadHead(t.ID, id, head, ctx.Txn)
-		if !visible {
-			continue
-		}
-		if where != nil && !where.Eval(row).AsBool() {
-			continue
-		}
-		todo = append(todo, pending{id: id, row: row})
-	}
-	for _, p := range todo {
-		if err := ctx.Mgr.Delete(t.Heap, p.id, ctx.Txn); err != nil {
+	ids, rows := selectRows(ctx, t, where)
+	for i := range ids {
+		if err := ctx.Mgr.DeleteBatch(t.Heap, ids[i:i+1], ctx.Txn); err != nil {
 			return 0, err
 		}
-		t.Stats.NoteDelete(p.row)
+		t.Stats.NoteDeleteBatch(rows[i : i+1])
 	}
-	return len(todo), nil
+	return len(ids), nil
 }
 
 // seedDMLTable fills a multi-page table (id, grp, val) with deterministic
@@ -107,7 +81,7 @@ func seedDMLTable(t *testing.T, db *testDB, name string, n int) *catalog.Table {
 		if i%17 == 0 {
 			val = rel.Null()
 		}
-		if _, err := InsertRow(ctx, tbl, rel.Row{rel.Int(int64(i)), grp, val}); err != nil {
+		if _, err := insertRow(ctx, tbl, rel.Row{rel.Int(int64(i)), grp, val}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +92,7 @@ func seedDMLTable(t *testing.T, db *testDB, name string, n int) *catalog.Table {
 }
 
 // TestBatchDMLMatchesRowCursorDML runs the same UPDATE/DELETE sequence
-// through the page-batched DML and the legacy row-cursor reference on
+// through the page-batched DML and the one-claim-at-a-time reference on
 // identically-seeded tables, then compares affected counts, final visible
 // contents, live-row accounting, and statistics row counts.
 func TestBatchDMLMatchesRowCursorDML(t *testing.T) {
@@ -193,8 +167,8 @@ func TestBatchDMLMatchesRowCursorDML(t *testing.T) {
 			t.Fatal(err)
 		}
 		sb, sr := dbBatch.ctx(), dbRow.ctx()
-		gotB := canonical(ScanAll(sb, tb))
-		gotR := canonical(ScanAll(sr, tr))
+		gotB := canonical(scanAll(sb, tb))
+		gotR := canonical(scanAll(sr, tr))
 		dbBatch.mgr.Abort(sb.Txn)
 		dbRow.mgr.Abort(sr.Txn)
 		if len(gotB) != len(gotR) {

@@ -68,21 +68,8 @@ func dmlParallel(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, where rel.Exp
 				}
 				var pages []dmlPageRes
 				for pg := lo; pg < hi && !stopped.Load(); pg++ {
-					n := t.Heap.PageHeads(pg, buf)
-					if n == 0 {
-						continue
-					}
-					ids, rows = ctx.Mgr.ReadPageVisible(t.ID, pg, buf[:n], ctx.Txn, ids[:0], rows[:0])
-					if where != nil {
-						k := 0
-						for i, row := range rows {
-							if where.Eval(row).AsBool() {
-								ids[k], rows[k] = ids[i], rows[i]
-								k++
-							}
-						}
-						ids, rows = ids[:k], rows[:k]
-					}
+					ids = ids[:0]
+					rows, _ = pageRows(ctx, t, pg, where, buf, rows[:0], &ids)
 					if len(ids) == 0 {
 						continue
 					}
@@ -91,20 +78,7 @@ func dmlParallel(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, where rel.Exp
 						olds: append([]rel.Row(nil), rows...),
 					}
 					var err error
-					if set != nil {
-						res.news = make([]rel.Row, 0, len(res.olds))
-						for _, row := range res.olds {
-							newRow := row.Clone()
-							for col, e := range set {
-								newRow[col] = e.Eval(row)
-							}
-							res.news = append(res.news, newRow)
-						}
-						err = ctx.Mgr.UpdateBatch(t.Heap, res.ids, res.news, ctx.Txn)
-					} else {
-						err = ctx.Mgr.DeleteBatch(t.Heap, res.ids, ctx.Txn)
-					}
-					if err != nil {
+					if res.news, err = claimPage(ctx, t, set, res.ids, res.olds); err != nil {
 						fail(err)
 						return
 					}
@@ -125,18 +99,7 @@ func dmlParallel(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, where rel.Exp
 	total := 0
 	for _, pages := range results {
 		for _, p := range pages {
-			if p.news != nil {
-				for _, ix := range t.Indexes() {
-					for i, old := range p.olds {
-						if !rel.Equal(old[ix.Col], p.news[i][ix.Col]) {
-							ix.Insert(p.news[i][ix.Col], p.ids[i])
-						}
-					}
-				}
-				t.Stats.NoteUpdateBatch(p.olds, p.news)
-			} else {
-				t.Stats.NoteDeleteBatch(p.olds)
-			}
+			noteWritten(t, p.ids, p.olds, p.news)
 			total += len(p.ids)
 		}
 	}

@@ -28,7 +28,7 @@ func TestParallelDMLMatchesSerialDML(t *testing.T) {
 	ts := seedDMLTable(t, dbS, "t", n)
 	tp := seedDMLTable(t, dbP, "t", n)
 	for _, tbl := range []*catalog.Table{ts, tp} {
-		tbl.AddIndex(&catalog.Index{Name: "t_grp", Col: 1, BT: index.NewBTree()})
+		tbl.AddIndex(&catalog.Index{Name: "t_grp", Col: 1, BT: index.NewBTree()}, nil)
 	}
 
 	grpEq := func(v int64) rel.Expr {
@@ -89,7 +89,7 @@ func TestParallelDMLMatchesSerialDML(t *testing.T) {
 		}
 
 		ss, sp := dbS.ctx(), dbP.ctx()
-		rowsS, rowsP := ScanAll(ss, ts), ScanAll(sp, tp)
+		rowsS, rowsP := scanAll(ss, ts), scanAll(sp, tp)
 		dbS.mgr.Abort(ss.Txn)
 		dbP.mgr.Abort(sp.Txn)
 		if len(rowsS) != len(rowsP) {

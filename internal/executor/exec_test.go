@@ -51,11 +51,44 @@ func seqSrc(tbl *catalog.Table, where rel.Expr) plan.Node {
 	return &plan.SeqScan{Table: tbl, Filter: where}
 }
 
+// insertRow inserts one row as a batch of its own — the row-at-a-time loader
+// these suites were written against, on the path INSERT runs.
+func insertRow(ctx *Ctx, t *catalog.Table, row rel.Row) (storage.RowID, error) {
+	ids, err := InsertBatch(ctx, t, []rel.Row{row})
+	if err != nil {
+		return storage.RowID{}, err
+	}
+	return ids[0], nil
+}
+
+// scanAll returns every row visible to the context transaction, in heap
+// order, through the serial scan whatever ctx.Workers says (what ANALYZE
+// reads).
+func scanAll(ctx *Ctx, t *catalog.Table) []rel.Row {
+	rows, err := Run(&plan.SeqScan{Table: t}, ctx.serialized())
+	if err != nil {
+		panic(err)
+	}
+	return rows
+}
+
+// eachHead visits every chain head of t in heap order.
+func eachHead(t *catalog.Table, visit func(storage.RowID, *storage.Version)) {
+	t.Heap.ScanBatch(func(pageID uint32, heads []*storage.Version) bool {
+		for slot, head := range heads {
+			if head != nil {
+				visit(storage.RowID{Page: pageID, Slot: uint32(slot)}, head)
+			}
+		}
+		return true
+	})
+}
+
 func (db *testDB) insert(tbl *catalog.Table, rows ...rel.Row) {
 	db.t.Helper()
 	ctx := db.ctx()
 	for _, r := range rows {
-		if _, err := InsertRow(ctx, tbl, r); err != nil {
+		if _, err := insertRow(ctx, tbl, r); err != nil {
 			db.t.Fatal(err)
 		}
 	}
@@ -272,21 +305,9 @@ func TestIndexScanPath(t *testing.T) {
 	// Build an index on users.id and make the table big enough that the
 	// optimizer prefers the index.
 	bt := index.NewBTree()
-	ctxScan := db.ctx()
-	for _, row := range ScanAll(ctxScan, users) {
-		// RowIDs needed: re-scan via cursor for ids.
-		_ = row
-	}
-	db.mgr.Abort(ctxScan.Txn)
-	cursor := users.Heap.NewCursor()
-	for {
-		id, head, ok := cursor.Next()
-		if !ok {
-			break
-		}
-		bt.Insert(head.Data[0], id)
-	}
-	users.AddIndex(&catalog.Index{Name: "users_id", Col: 0, BT: bt})
+	users.AddIndex(&catalog.Index{Name: "users_id", Col: 0, BT: bt}, func() {
+		eachHead(users, func(id storage.RowID, head *storage.Version) { bt.Insert(head.Data[0], id) })
+	})
 	r := rand.New(rand.NewSource(1))
 	var bulk []rel.Row
 	for i := 10; i < 2000; i++ {
@@ -294,7 +315,7 @@ func TestIndexScanPath(t *testing.T) {
 	}
 	ctx := db.ctx()
 	for _, row := range bulk {
-		id, err := InsertRow(ctx, users, row)
+		id, err := insertRow(ctx, users, row)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +326,7 @@ func TestIndexScanPath(t *testing.T) {
 	}
 	// ANALYZE equivalent.
 	sctx := db.ctx()
-	users.Stats.Rebuild(ScanAll(sctx, users))
+	users.Stats.Rebuild(scanAll(sctx, users))
 	db.mgr.Abort(sctx.Txn)
 
 	// Verify plan uses the index.
@@ -337,18 +358,12 @@ func TestHintSetsProduceDifferentPlans(t *testing.T) {
 	users, posts := seedUsersPosts(db)
 	// index on posts.owner enables index joins
 	bt := index.NewBTree()
-	cursor := posts.Heap.NewCursor()
-	for {
-		id, head, ok := cursor.Next()
-		if !ok {
-			break
-		}
-		bt.Insert(head.Data[1], id)
-	}
-	posts.AddIndex(&catalog.Index{Name: "posts_owner", Col: 1, BT: bt})
+	posts.AddIndex(&catalog.Index{Name: "posts_owner", Col: 1, BT: bt}, func() {
+		eachHead(posts, func(id storage.RowID, head *storage.Version) { bt.Insert(head.Data[1], id) })
+	})
 	ctx := db.ctx()
-	users.Stats.Rebuild(ScanAll(ctx, users))
-	posts.Stats.Rebuild(ScanAll(ctx, posts))
+	users.Stats.Rebuild(scanAll(ctx, users))
+	posts.Stats.Rebuild(scanAll(ctx, posts))
 	db.mgr.Abort(ctx.Txn)
 
 	stmt, _ := sqlparse.Parse("SELECT u.name FROM users u JOIN posts p ON u.id = p.owner")
@@ -418,10 +433,10 @@ func TestInsertValidation(t *testing.T) {
 		rel.Column{Name: "b", Typ: rel.TypeText},
 	)
 	ctx := db.ctx()
-	if _, err := InsertRow(ctx, tbl, rel.Row{rel.Null(), rel.Text("x")}); err == nil {
+	if _, err := insertRow(ctx, tbl, rel.Row{rel.Null(), rel.Text("x")}); err == nil {
 		t.Fatal("null into NOT NULL should fail")
 	}
-	if _, err := InsertRow(ctx, tbl, rel.Row{rel.Int(1)}); err == nil {
+	if _, err := insertRow(ctx, tbl, rel.Row{rel.Int(1)}); err == nil {
 		t.Fatal("arity mismatch should fail")
 	}
 	db.mgr.Abort(ctx.Txn)
@@ -454,7 +469,7 @@ func TestSnapshotQueriesDontSeeLaterWrites(t *testing.T) {
 	// Start a read txn, then modify in another txn.
 	readCtx := &Ctx{Mgr: db.mgr, Txn: db.mgr.Begin(txn.Snapshot, true), Cat: db.cat}
 	ctx := db.ctx()
-	if _, err := InsertRow(ctx, users, rel.Row{rel.Int(50), rel.Text("new"), rel.Int(1)}); err != nil {
+	if _, err := insertRow(ctx, users, rel.Row{rel.Int(50), rel.Text("new"), rel.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.mgr.Commit(ctx.Txn); err != nil {

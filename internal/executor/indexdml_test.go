@@ -25,8 +25,8 @@ func seedIndexedTable(t *testing.T, db *testDB, name string, n int) *catalog.Tab
 		rel.Column{Name: "k", Typ: rel.TypeInt},
 		rel.Column{Name: "v", Typ: rel.TypeInt},
 	)
-	tbl.AddIndex(&catalog.Index{Name: name + "_pkey", Col: 0, BT: index.NewBTree()})
-	tbl.AddIndex(&catalog.Index{Name: name + "_k", Col: 1, BT: index.NewBTree()})
+	tbl.AddIndex(&catalog.Index{Name: name + "_pkey", Col: 0, BT: index.NewBTree()}, nil)
+	tbl.AddIndex(&catalog.Index{Name: name + "_k", Col: 1, BT: index.NewBTree()}, nil)
 	rows := make([]rel.Row, n)
 	for i := range rows {
 		rows[i] = rel.Row{rel.Int(int64(i)), rel.Int(int64(i)), rel.Int(int64(i % 7))}
@@ -54,10 +54,9 @@ func and(es ...rel.Expr) rel.Expr { return rel.CombineConjuncts(es) }
 func dumpTable(db *testDB, tbl *catalog.Table) (heap, postings []string, st any) {
 	ctx := db.ctx()
 	defer db.mgr.Abort(ctx.Txn)
-	tbl.Heap.Scan(func(id storage.RowID, head *storage.Version) bool {
+	eachHead(tbl, func(id storage.RowID, head *storage.Version) {
 		row, ok := db.mgr.ReadHead(tbl.ID, id, head, ctx.Txn)
 		heap = append(heap, fmt.Sprintf("%v %v %v", id, ok, row))
-		return true
 	})
 	for _, ix := range tbl.Indexes() {
 		ix.BT.Range(nil, nil, func(k rel.Value, ids []storage.RowID) bool {

@@ -13,7 +13,7 @@ func seedInsertTable(db *testDB) *catalog.Table {
 		rel.Column{Name: "id", Typ: rel.TypeInt, NotNull: true},
 		rel.Column{Name: "val", Typ: rel.TypeFloat},
 	)
-	tbl.AddIndex(&catalog.Index{Name: "ib_id", Col: 0, BT: index.NewBTree()})
+	tbl.AddIndex(&catalog.Index{Name: "ib_id", Col: 0, BT: index.NewBTree()}, nil)
 	return tbl
 }
 
@@ -25,10 +25,10 @@ func batchRows(n, base int) []rel.Row {
 	return rows
 }
 
-// TestInsertBatchMatchesInsertRow inserts the same rows through InsertBatch
-// and the per-row InsertRow path and compares visible contents, index
-// postings, live-row accounting, and statistics row counts.
-func TestInsertBatchMatchesInsertRow(t *testing.T) {
+// TestInsertBatchMatchesOneRowBatches inserts the same rows as one batch and
+// as one batch per row and compares visible contents, index postings,
+// live-row accounting, and statistics row counts.
+func TestInsertBatchMatchesOneRowBatches(t *testing.T) {
 	const n = 300 // spans multiple heap pages
 	dbBatch, dbRow := newTestDB(t), newTestDB(t)
 	tb, tr := seedInsertTable(dbBatch), seedInsertTable(dbRow)

@@ -108,6 +108,7 @@ type indexJoinBatch struct {
 	keyRows []int       // aligned index into in.Rows for each key
 	ids     []storage.RowID
 	offs    []int
+	heads   []*storage.Version // chain heads of one key's postings
 
 	pending   []rel.Row
 	pendPos   int
@@ -154,8 +155,10 @@ func (j *indexJoinBatch) NextBatch(dst *rel.Batch) (int, error) {
 			// Each RowID once per probe key (see indexScanIDs): a row whose
 			// key moved away and back has two postings under it, and both
 			// would pass the recheck. The segment is ours to sort in place.
-			for _, id := range heapOrder(j.ids[start:j.offs[k]], true) {
-				row, visible := j.ctx.Mgr.Read(j.node.Table.Heap, id, j.ctx.Txn)
+			ids := heapOrder(j.ids[start:j.offs[k]], true)
+			j.heads = j.node.Table.Heap.Heads(ids, j.heads[:0])
+			for i, id := range ids {
+				row, visible := j.ctx.Mgr.ReadHead(j.node.Table.ID, id, j.heads[i], j.ctx.Txn)
 				if !visible {
 					continue
 				}

@@ -8,13 +8,14 @@ import (
 	"neurdb/internal/catalog"
 	"neurdb/internal/plan"
 	"neurdb/internal/rel"
+	"neurdb/internal/storage"
 )
 
 // oracle is the reference every differential test compares the engine
 // against: a naive interpreter of a row-producing plan.Node over materialized
-// rows. It takes from the engine only what a plan *means*: storage's row
-// cursor plus the transaction manager's visibility answer give a table's
-// visible rows in heap order, and rel evaluates expressions and compares
+// rows. It takes from the engine only what a plan *means*: storage's page
+// walk plus the transaction manager's per-row visibility answer give a
+// table's visible rows in heap order, and rel evaluates expressions and compares
 // values. It shares no operator, no index and no helper with the executor: an
 // IndexScan is "the visible rows whose key lies in the probe bounds and that
 // pass the filter, in heap order" whatever postings the index holds; every
@@ -74,15 +75,12 @@ func oracle(n plan.Node, ctx *Ctx) []rel.Row {
 // oracleVisible is the table's rows visible to ctx.Txn, in heap order.
 func oracleVisible(ctx *Ctx, t *catalog.Table) []rel.Row {
 	var out []rel.Row
-	for cur := t.Heap.NewCursor(); ; {
-		id, head, ok := cur.Next()
-		if !ok {
-			return out
-		}
+	eachHead(t, func(id storage.RowID, head *storage.Version) {
 		if row, visible := ctx.Mgr.ReadHead(t.ID, id, head, ctx.Txn); visible {
 			out = append(out, row)
 		}
-	}
+	})
+	return out
 }
 
 // oracleKeep is the rows for which pred is true (a nil pred keeps all); NULL

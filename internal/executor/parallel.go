@@ -123,21 +123,7 @@ func (p *scanPipeline) morselRows(ctx *Ctx, ms *storage.MorselSource, buf []*sto
 	}
 	rows := make([]rel.Row, 0, int(hi-lo)*storage.RowsPerPage)
 	for pg := lo; pg < hi; pg++ {
-		n := p.table.Heap.PageHeads(pg, buf)
-		if n == 0 {
-			continue
-		}
-		start := len(rows)
-		rows = ctx.Mgr.ReadPage(p.table.ID, pg, buf[:n], ctx.Txn, rows)
-		if p.filter != nil {
-			kept := rows[:start]
-			for _, row := range rows[start:] {
-				if p.filter.Eval(row).AsBool() {
-					kept = append(kept, row)
-				}
-			}
-			rows = kept
-		}
+		rows, _ = pageRows(ctx, p.table, pg, p.filter, buf, rows, nil)
 	}
 	for si := range p.stages {
 		st := &p.stages[si]

@@ -74,7 +74,7 @@ func loadParallelFixture(t *testing.T, db *testDB) {
 		t.Fatal(err)
 	}
 	for c := 0; c < 7; c++ {
-		if _, err := InsertRow(ctx, cats, rel.Row{rel.Int(int64(c)), rel.Text(fmt.Sprintf("c%d", c))}); err != nil {
+		if _, err := insertRow(ctx, cats, rel.Row{rel.Int(int64(c)), rel.Text(fmt.Sprintf("c%d", c))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,10 +231,10 @@ func TestParallelScanCancellation(t *testing.T) {
 	}
 }
 
-// TestScanBatchesParallelMatchesScanAll: the streaming extraction path (AI
-// featurization) must deliver exactly the rows and order of the materialized
-// ScanAll, serial and parallel alike.
-func TestScanBatchesParallelMatchesScanAll(t *testing.T) {
+// TestScanBatchesParallelMatchesSerialScan: the streaming extraction path
+// (AI featurization) must deliver exactly the rows and order of the
+// materialized serial scan, serial and parallel alike.
+func TestScanBatchesParallelMatchesSerialScan(t *testing.T) {
 	db := newTestDB(t)
 	loadParallelFixture(t, db)
 	items, err := db.cat.Get("items")
@@ -243,7 +243,7 @@ func TestScanBatchesParallelMatchesScanAll(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		ctx := &Ctx{Mgr: db.mgr, Txn: db.mgr.Begin(txn.Snapshot, true), Cat: db.cat, Workers: workers}
-		want := ScanAll(ctx, items)
+		want := scanAll(ctx, items)
 		var got []rel.Row
 		if err := ScanBatches(ctx, items, func(b *rel.Batch) error {
 			got = append(got, b.Rows...)
@@ -253,7 +253,7 @@ func TestScanBatchesParallelMatchesScanAll(t *testing.T) {
 		}
 		db.mgr.Abort(ctx.Txn)
 		if len(got) != len(want) {
-			t.Fatalf("workers=%d: ScanBatches %d rows, ScanAll %d", workers, len(got), len(want))
+			t.Fatalf("workers=%d: ScanBatches %d rows, serial scan %d", workers, len(got), len(want))
 		}
 		for i := range got {
 			if got[i].String() != want[i].String() {
@@ -276,8 +276,8 @@ func TestBatchJoinsMatchOracle(t *testing.T) {
 		rel.Column{Name: "w", Typ: rel.TypeInt},
 	)
 	// An index on the inner join column makes the plan index-join eligible
-	// (postings are backfilled by the insert helper's InsertRow calls).
-	right.AddIndex(&catalog.Index{Name: "r_k", Col: 0, BT: index.NewBTree()})
+	// (the insert helper posts each row as it loads it).
+	right.AddIndex(&catalog.Index{Name: "r_k", Col: 0, BT: index.NewBTree()}, nil)
 	rng := rand.New(rand.NewSource(3))
 	var lrows, rrows []rel.Row
 	for i := 0; i < 900; i++ {

@@ -138,8 +138,8 @@ func seedChurnedTable(t *testing.T, db *testDB, r *rand.Rand, name string, n int
 	if hashID {
 		pkey = &catalog.Index{Name: name + "_pkey", Col: 0, Hash: index.NewHashIndex()}
 	}
-	tbl.AddIndex(pkey)
-	tbl.AddIndex(&catalog.Index{Name: name + "_k", Col: 1, BT: index.NewBTree()})
+	tbl.AddIndex(pkey, nil)
+	tbl.AddIndex(&catalog.Index{Name: name + "_k", Col: 1, BT: index.NewBTree()}, nil)
 	rows := make([]rel.Row, n)
 	for i := range rows {
 		g, v := rel.Int(int64(r.Intn(6))), rel.Float(float64(r.Intn(400))*0.5)
@@ -198,7 +198,7 @@ func churn(t *testing.T, ctx *Ctx, r *rand.Rand, tbl *catalog.Table, n, ops int)
 				}
 			}
 		case 4:
-			_, err = InsertRow(ctx, tbl, rel.Row{rel.Int(int64(10*n + r.Intn(n))), randKey(r), rel.Int(int64(r.Intn(6))), rel.Float(1.5)})
+			_, err = insertRow(ctx, tbl, rel.Row{rel.Int(int64(10*n + r.Intn(n))), randKey(r), rel.Int(int64(r.Intn(6))), rel.Float(1.5)})
 		default:
 			err = set(1, randKey(r))
 		}

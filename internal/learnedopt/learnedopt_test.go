@@ -105,8 +105,8 @@ func buildTestTable(t *testing.T, pool *storage.BufferPool) *catalog.Table {
 	rows := make([]rel.Row, 500)
 	for i := range rows {
 		rows[i] = rel.Row{rel.Int(int64(i)), rel.Float(float64(i) * 0.5)}
-		tbl.Heap.Insert(rows[i], 1)
 	}
+	tbl.Heap.InsertBatch(rows, 1, nil, nil)
 	tbl.Stats.Rebuild(rows)
 	return tbl
 }
@@ -126,7 +126,7 @@ func TestBuildConditions(t *testing.T) {
 	}
 	// Conditions change when the data changes — the adaptivity signal.
 	for i := 0; i < 2000; i++ {
-		tbl.Stats.NoteInsert(rel.Row{rel.Int(int64(10000 + i)), rel.Float(9999)})
+		tbl.Stats.NoteInsertBatch([]rel.Row{{rel.Int(int64(10000 + i)), rel.Float(9999)}})
 	}
 	cond2 := BuildConditions([]*catalog.Table{tbl}, pool)
 	if cond2.At(1, 1) <= cond.At(1, 1) {

@@ -7,19 +7,20 @@ import (
 )
 
 // BatchAlias enforces the scratch-batch reuse contract (PR 3, rel.Batch):
-// executor batches and page-head slices are recycled across iterations, so
-// retaining the batch pointer, its Rows slice, or a BatchCursor.NextPage
-// head slice past the iteration that produced it silently corrupts results
-// once the producer refills the buffer. The analyzer flags escapes of those
-// values into struct fields, package-level variables, or goroutine closures
-// unless the value is explicitly cloned (append/copy/Clone/New*).
+// executor batches are recycled across iterations, so retaining the batch
+// pointer or its Rows slice past the iteration that produced it silently
+// corrupts results once the producer refills the buffer. The analyzer flags
+// escapes of those values into struct fields, package-level variables, or
+// goroutine closures unless the value is explicitly cloned
+// (append/copy/Clone/New*). (Page heads need no such rule: storage copies
+// them into a buffer the caller owns.)
 //
 // Retaining individual rel.Row elements is allowed: the batch contract
 // guarantees rows placed in a batch stay valid after refills (producers
 // pass storage-owned rows or allocate fresh ones).
 var BatchAlias = &Analyzer{
 	Name: "batchalias",
-	Doc:  "flag rel.Batch Rows slices or page-head slices escaping the iteration that produced them without a clone",
+	Doc:  "flag rel.Batch Rows slices escaping the iteration that produced them without a clone",
 	Packages: []string{
 		"neurdb",
 		"neurdb/internal/executor",
@@ -65,17 +66,6 @@ func isBatchRowsSel(info *types.Info, e ast.Expr) bool {
 		t = p.Elem()
 	}
 	return t.String() == batchType
-}
-
-// isHeadSliceCall reports whether e is a direct NextPage() call — the
-// page-head slice a storage.BatchCursor recycles every page.
-func isHeadSliceCall(e ast.Expr) bool {
-	call, ok := unwrap(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	name, _ := selName(call)
-	return name == "NextPage"
 }
 
 // allowedClone reports whether the RHS makes its own copy: the append and
@@ -169,12 +159,6 @@ func checkAliasRHS(pass *Pass, target string, lhs, rhs ast.Expr) {
 		pass.Reportf(lhs.Pos(), "%s retains a rel.Batch Rows slice past the iteration that produced it; the batch is recycled on the next fill — clone with append([]rel.Row(nil), b.Rows...) or copy", target)
 	case isBatchPtr(info.TypeOf(rhs)):
 		pass.Reportf(lhs.Pos(), "%s retains a *rel.Batch produced elsewhere; the producer recycles it on the next iteration — store a clone or own the batch", target)
-	case isHeadSliceCall(rhs):
-		// Multi-value assignments pair each LHS with the whole call;
-		// only the slice-typed target retains the recycled heads.
-		if _, ok := info.TypeOf(lhs).(*types.Slice); ok {
-			pass.Reportf(lhs.Pos(), "%s retains the page-head slice returned by NextPage; the cursor recycles it every page — copy the heads you need", target)
-		}
 	}
 }
 

@@ -7,28 +7,21 @@ import (
 	"strings"
 )
 
-// Lifecycle enforces the resource-lifecycle contracts of the client surface
-// and the batch read path with a flow-sensitive dataflow analysis over the
-// lint IR (ir.go):
+// Lifecycle enforces the resource-lifecycle contract of the client surface
+// with a flow-sensitive dataflow analysis over the lint IR (ir.go): a Rows,
+// Stmt, Session, or Conn must not be used after Close. The read transaction
+// is finalized at Rows.Close, the server portal is gone after client Close,
+// and a Session's snapshot is dead — a post-Close Next/Scan/Exec silently
+// reads a finalized cursor. Close and Err stay callable by contract
+// (database/sql parity).
 //
-//   - a Rows, Stmt, Session, or Conn must not be used after Close: the read
-//     transaction is finalized at Rows.Close, the server portal is gone
-//     after client Close, and a Session's snapshot is dead — a post-Close
-//     Next/Scan/Exec silently reads a finalized cursor. Close and Err stay
-//     callable by contract (database/sql parity).
-//   - the page-head slice returned by BatchCursor.NextPage is recycled on
-//     the following NextPage call; reading a previous page's heads after
-//     advancing the cursor observes the *new* page's versions. This is the
-//     dataflow upgrade of batchalias's syntactic escape heuristic: it
-//     catches reuse that never escapes the function.
-//
-// Both are must-analyses — a use is reported only when the kill dominates
-// it (it happened on every path) — so the analyzer cannot cry wolf on
+// It is a must-analysis — a use is reported only when the kill dominates it
+// (it happened on every path) — so the analyzer cannot cry wolf on
 // conditional closes. Helper functions that close a parameter are seen
 // through via the summaries pass (CloseParams), cross-package included.
 var Lifecycle = &Analyzer{
 	Name: "lifecycle",
-	Doc:  "flag Rows/Stmt/Session/Conn used after Close and page-head slices reused across NextPage (dataflow)",
+	Doc:  "flag Rows/Stmt/Session/Conn used after Close (dataflow)",
 	Packages: []string{
 		"neurdb",
 		"neurdb/client",
@@ -55,26 +48,17 @@ type lcState uint8
 const (
 	lcLive   lcState = iota // usable (or unknown — treated as usable)
 	lcClosed                // closed on every path reaching here
-	lcStale                 // page-head slice invalidated by a later NextPage
 )
 
-// lcFacts is a block-entry/exit environment: variable states plus, for
-// page-head slices, which cursor variable each one came from.
+// lcFacts is a block-entry/exit environment: the state of each variable.
 type lcFacts struct {
 	state map[*types.Var]lcState
-	heads map[*types.Var]*types.Var // head slice -> producing cursor
 }
 
 func (e lcFacts) clone() lcFacts {
-	n := lcFacts{
-		state: make(map[*types.Var]lcState, len(e.state)),
-		heads: make(map[*types.Var]*types.Var, len(e.heads)),
-	}
+	n := lcFacts{state: make(map[*types.Var]lcState, len(e.state))}
 	for k, v := range e.state {
 		n.state[k] = v
-	}
-	for k, v := range e.heads {
-		n.heads[k] = v
 	}
 	return n
 }
@@ -83,31 +67,21 @@ func (e lcFacts) clone() lcFacts {
 // state only when every predecessor agrees; disagreement decays to live
 // (never report from a path-dependent state).
 func lcJoin(a, b lcFacts) lcFacts {
-	out := lcFacts{state: make(map[*types.Var]lcState), heads: make(map[*types.Var]*types.Var)}
+	out := lcFacts{state: make(map[*types.Var]lcState)}
 	for v, s := range a.state {
 		if b.state[v] == s {
 			out.state[v] = s
-		}
-	}
-	for v, c := range a.heads {
-		if b.heads[v] == c {
-			out.heads[v] = c
 		}
 	}
 	return out
 }
 
 func lcEqual(a, b lcFacts) bool {
-	if len(a.state) != len(b.state) || len(a.heads) != len(b.heads) {
+	if len(a.state) != len(b.state) {
 		return false
 	}
 	for v, s := range a.state {
 		if b.state[v] != s {
-			return false
-		}
-	}
-	for v, c := range a.heads {
-		if b.heads[v] != c {
 			return false
 		}
 	}
@@ -187,7 +161,7 @@ func (s *lifecycleScan) analyze(body *ast.BlockStmt) {
 	entry := make([]lcFacts, len(blocks))
 	exit := make([]lcFacts, len(blocks))
 	for i := range blocks {
-		entry[i] = lcFacts{state: map[*types.Var]lcState{}, heads: map[*types.Var]*types.Var{}}
+		entry[i] = lcFacts{state: map[*types.Var]lcState{}}
 		exit[i] = entry[i]
 	}
 
@@ -196,7 +170,7 @@ func (s *lifecycleScan) analyze(body *ast.BlockStmt) {
 	for changed := true; changed; {
 		changed = false
 		for i, b := range blocks {
-			in := lcFacts{state: map[*types.Var]lcState{}, heads: map[*types.Var]*types.Var{}}
+			in := lcFacts{state: map[*types.Var]lcState{}}
 			for k, p := range preds[i] {
 				if k == 0 {
 					in = exit[p].clone()
@@ -272,7 +246,6 @@ func (s *lifecycleScan) transfer(env *lcFacts, node ast.Node, report func(token.
 		for _, e := range []ast.Expr{n.Key, n.Value} {
 			if v := s.localVar(e); v != nil {
 				delete(env.state, v)
-				delete(env.heads, v)
 			}
 		}
 		return
@@ -290,8 +263,6 @@ func (s *lifecycleScan) transfer(env *lcFacts, node ast.Node, report func(token.
 			case *ast.CallExpr:
 				s.transferCall(env, m, report, walk)
 				return false
-			case *ast.Ident:
-				s.checkIdentUse(env, m, report)
 			}
 			return true
 		})
@@ -301,27 +272,6 @@ func (s *lifecycleScan) transfer(env *lcFacts, node ast.Node, report func(token.
 
 // transferAssign evaluates RHS effects/uses, then rebinds the LHS.
 func (s *lifecycleScan) transferAssign(env *lcFacts, as *ast.AssignStmt, report func(token.Pos, string, ...any), walk func(ast.Node)) {
-	// NextPage binding: `id, heads, ok := cur.NextPage()` — invalidate the
-	// cursor's previous heads, then bind the new slice vars to the cursor.
-	if len(as.Rhs) == 1 {
-		if call, ok := as.Rhs[0].(*ast.CallExpr); ok {
-			if cur := s.nextPageCursor(call); cur != nil {
-				s.invalidateHeads(env, cur)
-				for _, lhs := range as.Lhs {
-					v := s.localVar(lhs)
-					if v == nil {
-						continue
-					}
-					delete(env.state, v)
-					delete(env.heads, v)
-					if _, ok := v.Type().Underlying().(*types.Slice); ok {
-						env.heads[v] = cur
-					}
-				}
-				return
-			}
-		}
-	}
 	for _, rhs := range as.Rhs {
 		walk(rhs)
 	}
@@ -335,14 +285,10 @@ func (s *lifecycleScan) transferAssign(env *lcFacts, as *ast.AssignStmt, report 
 			continue
 		}
 		// Rebinding kills any previous state; aliasing another tracked
-		// var copies its binding (heads aliases stay invalidatable).
+		// var copies its state.
 		delete(env.state, v)
-		delete(env.heads, v)
 		if len(as.Rhs) == len(as.Lhs) {
 			if w := s.localVar(as.Rhs[i]); w != nil {
-				if cur, ok := env.heads[w]; ok {
-					env.heads[v] = cur
-				}
 				if st, ok := env.state[w]; ok {
 					env.state[v] = st
 				}
@@ -351,36 +297,9 @@ func (s *lifecycleScan) transferAssign(env *lcFacts, as *ast.AssignStmt, report 
 	}
 }
 
-// nextPageCursor returns the cursor variable of a `cur.NextPage()` call.
-func (s *lifecycleScan) nextPageCursor(call *ast.CallExpr) *types.Var {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "NextPage" {
-		return nil
-	}
-	if fn := calleeFunc(s.info, call); fn == nil || !inModulePkg(fn.Pkg()) {
-		return nil
-	}
-	return s.localVar(sel.X)
-}
-
-func (s *lifecycleScan) invalidateHeads(env *lcFacts, cur *types.Var) {
-	for h, c := range env.heads {
-		if c == cur {
-			env.state[h] = lcStale
-		}
-	}
-}
-
-// transferCall handles close/finalize kills and NextPage invalidation, and
-// checks receiver/argument uses.
+// transferCall handles close/finalize kills and checks receiver/argument
+// uses.
 func (s *lifecycleScan) transferCall(env *lcFacts, call *ast.CallExpr, report func(token.Pos, string, ...any), walk func(ast.Node)) {
-	// Standalone NextPage (result discarded or used inline) still
-	// invalidates previously bound heads.
-	if cur := s.nextPageCursor(call); cur != nil {
-		s.invalidateHeads(env, cur)
-		return
-	}
-
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if v := s.localVar(sel.X); v != nil && closableVar(v) {
 			switch sel.Sel.Name {
@@ -429,22 +348,5 @@ func (s *lifecycleScan) transferCall(env *lcFacts, call *ast.CallExpr, report fu
 	}
 	for _, arg := range call.Args {
 		walk(arg)
-	}
-}
-
-// checkIdentUse reports reads of dead values: any read of a stale page-head
-// slice, and closable values passed onward after Close (method calls are
-// reported at the call site by transferCall).
-func (s *lifecycleScan) checkIdentUse(env *lcFacts, id *ast.Ident, report func(token.Pos, string, ...any)) {
-	if report == nil {
-		return
-	}
-	v, _ := s.info.Uses[id].(*types.Var)
-	if v == nil {
-		return
-	}
-	switch env.state[v] {
-	case lcStale:
-		report(id.Pos(), "page-head slice %s is reused after a later NextPage on its cursor recycled it; copy the heads you need before advancing", id.Name)
 	}
 }

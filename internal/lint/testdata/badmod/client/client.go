@@ -1,6 +1,6 @@
 // Package client seeds lifecycle violations for the neurdb-lint fixture
-// module: finalizable values used after Close, and page-head slices reused
-// across NextPage, alongside the clean idioms that must stay silent.
+// module: finalizable values used after Close, alongside the clean idioms
+// that must stay silent.
 package client
 
 // Rows is a miniature result cursor.
@@ -40,22 +40,6 @@ func Drain(r *Rows) {
 
 // finish is the package-local helper whose summary closes its parameter.
 func finish(r *Rows) error { return r.Close() }
-
-// BatchCursor pages through head slices, recycling the backing array on
-// every NextPage like the real storage cursor.
-type BatchCursor struct {
-	heads []uint64
-	pages int
-}
-
-// NextPage returns the next recycled page-head slice.
-func (c *BatchCursor) NextPage() ([]uint64, bool) {
-	if c.pages == 0 {
-		return nil, false
-	}
-	c.pages--
-	return c.heads, true
-}
 
 // useAfterClose reads the cursor after finalizing it.
 func useAfterClose(r *Rows) bool {
@@ -99,49 +83,4 @@ func branchMerge(r *Rows, done bool) bool {
 func deferClose(r *Rows) bool {
 	defer r.Close()
 	return r.Next()
-}
-
-// staleHeads reads the first page's heads after the cursor recycled them.
-func staleHeads(c *BatchCursor) uint64 {
-	heads, ok := c.NextPage()
-	if !ok {
-		return 0
-	}
-	first := heads[0]
-	c.NextPage()
-	return first + heads[0] // want lifecycle:"page-head slice heads is reused"
-}
-
-// staleAlias reaches the recycled array through an alias of the heads.
-func staleAlias(c *BatchCursor) uint64 {
-	heads, ok := c.NextPage()
-	if !ok {
-		return 0
-	}
-	kept := heads
-	c.NextPage()
-	return kept[0] // want lifecycle:"page-head slice kept is reused"
-}
-
-// pagedSum rebinds heads every iteration before reading — clean.
-func pagedSum(c *BatchCursor) uint64 {
-	var total uint64
-	for {
-		heads, ok := c.NextPage()
-		if !ok {
-			return total
-		}
-		total += heads[0]
-	}
-}
-
-// copiedHeads snapshots what it needs before advancing — clean.
-func copiedHeads(c *BatchCursor) uint64 {
-	heads, ok := c.NextPage()
-	if !ok {
-		return 0
-	}
-	first := append([]uint64(nil), heads...)
-	c.NextPage()
-	return first[0]
 }

@@ -1,19 +1,12 @@
 // Package executor seeds batchalias violations for the neurdb-lint fixture
-// module: scratch batches and page-head slices must not escape the
-// iteration that produced them.
+// module: scratch batches must not escape the iteration that produced them.
 package executor
 
-import (
-	"neurdb/internal/rel"
-	"neurdb/internal/storage"
-)
+import "neurdb/internal/rel"
 
 type op struct {
 	saved []rel.Row
 	batch *rel.Batch
-	heads []*storage.Version
-	page  uint32
-	ok    bool
 }
 
 var globalRows []rel.Row
@@ -40,11 +33,6 @@ func leakGlobal(b *rel.Batch) {
 	globalRows = b.Rows // want batchalias:"retains a rel.Batch Rows slice"
 }
 
-// captureHeads retains the cursor's recycled page-head slice.
-func (o *op) captureHeads(cur *storage.BatchCursor) {
-	o.page, o.heads, o.ok = cur.NextPage() // want batchalias:"retains the page-head slice returned by NextPage"
-}
-
 // spawnCapture reads the batch from a goroutine while the caller refills it.
 func spawnCapture(b *rel.Batch) {
 	go func() {
@@ -55,15 +43,6 @@ func spawnCapture(b *rel.Batch) {
 // captureClone copies before retaining — clean.
 func (o *op) captureClone(b *rel.Batch) {
 	o.saved = append([]rel.Row(nil), b.Rows...)
-}
-
-// captureHeadsClone copies the heads it needs — clean.
-func (o *op) captureHeadsClone(cur *storage.BatchCursor) {
-	_, heads, ok := cur.NextPage()
-	if ok {
-		o.heads = append([]*storage.Version(nil), heads...)
-	}
-	o.ok = ok
 }
 
 // localUse keeps everything inside the iteration — clean.

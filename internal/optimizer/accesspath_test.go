@@ -31,12 +31,14 @@ func addIndexedTable(t *testing.T, cat *catalog.Catalog, name string, n int) *ca
 	rows := make([]rel.Row, n)
 	for i := range rows {
 		rows[i] = rel.Row{rel.Int(int64(i)), rel.Int(int64(i)), rel.Int(int64(i % 50))}
-		id := tbl.Heap.Insert(rows[i], 1)
+	}
+	ids, _ := tbl.Heap.InsertBatch(rows, 1, nil, nil)
+	for i, id := range ids {
 		byID.Insert(rows[i][0], id)
 		byK.Insert(rows[i][1], id)
 	}
-	tbl.AddIndex(&catalog.Index{Name: name + "_pkey", Col: 0, BT: byID})
-	tbl.AddIndex(&catalog.Index{Name: name + "_k", Col: 1, BT: byK})
+	tbl.AddIndex(&catalog.Index{Name: name + "_pkey", Col: 0, BT: byID}, nil)
+	tbl.AddIndex(&catalog.Index{Name: name + "_k", Col: 1, BT: byK}, nil)
 	tbl.Stats.Rebuild(rows)
 	return tbl
 }

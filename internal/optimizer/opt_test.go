@@ -39,15 +39,17 @@ func buildCat(t *testing.T) (*catalog.Catalog, *catalog.Table, *catalog.Table) {
 	for i := 0; i < 1000; i++ {
 		row := rel.Row{rel.Int(int64(i)), rel.Int(int64(r.Intn(5000)))}
 		uRows = append(uRows, row)
-		users.Heap.Insert(row, 1)
 	}
+	users.Heap.InsertBatch(uRows, 1, nil, nil)
 	for i := 0; i < 3000; i++ {
 		row := rel.Row{rel.Int(int64(i)), rel.Int(int64(r.Intn(1000))), rel.Int(int64(r.Intn(100)))}
 		pRows = append(pRows, row)
-		id := posts.Heap.Insert(row, 1)
-		ownerIdx.Insert(row[1], id)
 	}
-	posts.AddIndex(&catalog.Index{Name: "posts_owner", Col: 1, BT: ownerIdx})
+	pIDs, _ := posts.Heap.InsertBatch(pRows, 1, nil, nil)
+	for i, id := range pIDs {
+		ownerIdx.Insert(pRows[i][1], id)
+	}
+	posts.AddIndex(&catalog.Index{Name: "posts_owner", Col: 1, BT: ownerIdx}, nil)
 	users.Stats.Rebuild(uRows)
 	posts.Stats.Rebuild(pRows)
 	return cat, users, posts
@@ -127,7 +129,7 @@ func TestStaleStatsChangePlans(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < 30000; i++ {
 		row := rel.Row{rel.Int(int64(10000 + i)), rel.Int(int64(r.Intn(1000))), rel.Int(95)}
-		posts.Stats.NoteInsert(row)
+		posts.Stats.NoteInsertBatch([]rel.Row{row})
 	}
 	liveOpt := &Optimizer{Stats: LiveStats}
 	staleOpt := &Optimizer{Stats: staleView}

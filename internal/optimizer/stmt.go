@@ -3,6 +3,7 @@ package optimizer
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"neurdb/internal/catalog"
@@ -155,6 +156,9 @@ func planInsert(ins *sqlparse.Insert, cat *catalog.Catalog) (plan.Node, error) {
 			ci, err := columnOf(t, name)
 			if err != nil {
 				return nil, err
+			}
+			if slices.Contains(at, ci) {
+				return nil, fmt.Errorf("optimizer: column %q specified more than once", name)
 			}
 			at = append(at, ci)
 		}

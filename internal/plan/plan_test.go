@@ -18,9 +18,11 @@ func testTable(t *testing.T) *catalog.Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		tbl.Heap.Insert(rel.Row{rel.Int(int64(i)), rel.Int(int64(i % 7))}, 1)
+	rows := make([]rel.Row, 100)
+	for i := range rows {
+		rows[i] = rel.Row{rel.Int(int64(i)), rel.Int(int64(i % 7))}
 	}
+	tbl.Heap.InsertBatch(rows, 1, nil, nil)
 	tbl.Stats.Rebuild([]rel.Row{{rel.Int(1), rel.Int(2)}})
 	return tbl
 }

@@ -255,13 +255,14 @@ func writeRoutes(t *testing.T) []route {
 		return db, c
 	}
 	execDB, prepDB, scriptDB := embedded(), embedded(), embedded()
+	execSession := execDB.NewSession() // one session: a sequence may span BEGIN … COMMIT
 	simpleDB, simple := wire()
 	extDB, ext := wire()
 	prepared := map[string]*neurdb.Stmt{}
 	wirePrepared := map[string]*client.Stmt{}
 	return []route{
 		{"Session.Exec", execDB, func(sql string, args []any) (string, error) {
-			return embeddedOutcome(execDB.NewSession().Exec(inline(sql, args)))
+			return embeddedOutcome(execSession.Exec(inline(sql, args)))
 		}},
 		{"Prepare+Exec", prepDB, func(sql string, args []any) (string, error) {
 			st, ok := prepared[sql]
@@ -306,9 +307,14 @@ func tableState(t *testing.T, db *neurdb.DB) string {
 	tx := mgr.Begin(txn.Snapshot, true)
 	defer mgr.Abort(tx)
 	var sb strings.Builder
-	tbl.Heap.Scan(func(id storage.RowID, head *storage.Version) bool {
-		row, ok := mgr.ReadHead(tbl.ID, id, head, tx)
-		fmt.Fprintf(&sb, "%v %v %v\n", id, ok, row)
+	tbl.Heap.ScanBatch(func(pageID uint32, heads []*storage.Version) bool {
+		for slot, head := range heads {
+			if head != nil {
+				id := storage.RowID{Page: pageID, Slot: uint32(slot)}
+				row, ok := mgr.ReadHead(tbl.ID, id, head, tx)
+				fmt.Fprintf(&sb, "%v %v %v\n", id, ok, row)
+			}
+		}
 		return true
 	})
 	for _, ix := range tbl.Indexes() {
@@ -326,16 +332,19 @@ func tableState(t *testing.T, db *neurdb.DB) string {
 // and PREDICT statements, run through every entry point on a database of its
 // own, returns the same counts and predictions statement by statement and
 // leaves byte-identical heaps, index postings and statistics — there is one
-// statement pipeline, whichever door a statement comes in by.
+// statement pipeline, whichever door a statement comes in by. Refused
+// statements are part of the sequence: an UPDATE that would store NULL in the
+// primary key, alone and inside a transaction, which it takes down with it.
 func TestWritesAgreeOnEveryRoute(t *testing.T) {
 	type step struct {
 		sql  string
 		args []any
+		fail string // the statement must fail with an error containing this
 	}
 	const n = 1500
 	steps := []step{
-		{`CREATE TABLE t (id INT PRIMARY KEY, k INT, v DOUBLE)`, nil},
-		{`CREATE INDEX t_k ON t (k)`, nil},
+		{sql: `CREATE TABLE t (id INT PRIMARY KEY, k INT, v DOUBLE)`},
+		{sql: `CREATE INDEX t_k ON t (k)`},
 	}
 	var sb strings.Builder
 	sb.WriteString("INSERT INTO t VALUES ")
@@ -345,39 +354,55 @@ func TestWritesAgreeOnEveryRoute(t *testing.T) {
 		}
 		fmt.Fprintf(&sb, "(%d, %d, %g)", i, i%50, float64(i%50)/4)
 	}
-	steps = append(steps, step{sb.String(), nil}, step{`ANALYZE t`, nil})
+	steps = append(steps, step{sql: sb.String()}, step{sql: `ANALYZE t`})
+	const (
+		notNull = "null value in NOT NULL column t.id"
+		aborted = "current transaction is aborted"
+	)
 	r := rand.New(rand.NewSource(13))
 	next := n
 	for i := 0; i < 80; i++ {
 		id, k := r.Intn(n), r.Intn(50)
 		switch i % 8 {
 		case 0:
-			steps = append(steps, step{`INSERT INTO t VALUES (?, ?, ?), (?, ? + 1, NULL)`, []any{next, k, float64(k) / 4, next + 1, k}})
+			steps = append(steps, step{sql: `INSERT INTO t VALUES (?, ?, ?), (?, ? + 1, NULL)`, args: []any{next, k, float64(k) / 4, next + 1, k}})
 			next += 2
 		case 1:
-			steps = append(steps, step{`UPDATE t SET k = ? WHERE id = ?`, []any{k, id}})
+			steps = append(steps, step{sql: `UPDATE t SET k = ? WHERE id = ?`, args: []any{k, id}})
 		case 2:
-			steps = append(steps, step{`UPDATE t SET k = k + ?, v = v + 0.25 WHERE k >= ? AND k < ?`, []any{r.Intn(3), k, k + 2}})
+			steps = append(steps, step{sql: `UPDATE t SET k = k + ?, v = v + 0.25 WHERE k >= ? AND k < ?`, args: []any{r.Intn(3), k, k + 2}})
 		case 3:
-			steps = append(steps, step{`DELETE FROM t WHERE id = ?`, []any{id}})
+			steps = append(steps, step{sql: `DELETE FROM t WHERE id = ?`, args: []any{id}})
 		case 4:
-			steps = append(steps, step{`UPDATE t SET k = ? WHERE id = ?`, []any{k, id}}, step{`UPDATE t SET k = ? WHERE id = ?`, []any{id % 50, id}})
+			steps = append(steps, step{sql: `UPDATE t SET k = ? WHERE id = ?`, args: []any{k, id}}, step{sql: `UPDATE t SET k = ? WHERE id = ?`, args: []any{id % 50, id}})
 		case 5:
-			steps = append(steps, step{`DELETE FROM t WHERE k = ? AND id >= ?`, []any{k, n - 100}})
+			steps = append(steps, step{sql: `DELETE FROM t WHERE k = ? AND id >= ?`, args: []any{k, n - 100}})
 		case 6:
-			steps = append(steps, step{`UPDATE t SET v = ? WHERE k >= ?`, []any{float64(k) / 4, 48}})
+			steps = append(steps, step{sql: `UPDATE t SET v = ? WHERE k >= ?`, args: []any{float64(k) / 4, 48}})
 		default:
 			// PREDICT in its three shapes: rows with a NULL target, inline
 			// rows, and both row sources chosen by parameterized clauses
 			// (an index probe on id to train on, one on k to predict).
 			switch (i / 8) % 3 {
 			case 0:
-				steps = append(steps, step{`PREDICT VALUE OF v FROM t TRAIN ON k`, nil})
+				steps = append(steps, step{sql: `PREDICT VALUE OF v FROM t TRAIN ON k`})
 			case 1:
-				steps = append(steps, step{`PREDICT VALUE OF v FROM t TRAIN ON k VALUES (?), (? + 1)`, []any{k, k}})
+				steps = append(steps, step{sql: `PREDICT VALUE OF v FROM t TRAIN ON k VALUES (?), (? + 1)`, args: []any{k, k}})
 			default:
-				steps = append(steps, step{`PREDICT VALUE OF v FROM t WHERE k >= ? AND k < ? TRAIN ON k WITH id >= ? AND id < ?`, []any{k, k + 2, id / 2, id/2 + n/2}})
+				steps = append(steps, step{sql: `PREDICT VALUE OF v FROM t WHERE k >= ? AND k < ? TRAIN ON k WITH id >= ? AND id < ?`, args: []any{k, k + 2, id / 2, id/2 + n/2}})
 			}
+		}
+		switch i {
+		case 20: // refused on its own: the autocommit transaction rolls back
+			steps = append(steps, step{sql: `UPDATE t SET id = NULL, v = 7777 WHERE k = ?`, args: []any{k}, fail: notNull})
+		case 40: // refused after a write in the same transaction: both are undone
+			steps = append(steps,
+				step{sql: `BEGIN`},
+				step{sql: `UPDATE t SET v = 7777 WHERE k >= ? AND k < ?`, args: []any{k, k + 5}},
+				step{sql: `UPDATE t SET id = NULL WHERE id = ?`, args: []any{id}, fail: notNull},
+				step{sql: `DELETE FROM t WHERE id = ?`, args: []any{id}, fail: aborted},
+				step{sql: `COMMIT`, fail: aborted},
+				step{sql: `DELETE FROM t WHERE v = 7777`}) // finds nothing
 		}
 	}
 
@@ -387,7 +412,12 @@ func TestWritesAgreeOnEveryRoute(t *testing.T) {
 		var got []string
 		for _, s := range steps {
 			out, err := rt.run(s.sql, s.args)
-			if err != nil {
+			if s.fail != "" {
+				if err == nil || !strings.Contains(err.Error(), s.fail) {
+					t.Fatalf("%s: %s %v: error %v, want %q", rt.name, s.sql, s.args, err, s.fail)
+				}
+				out = "refused"
+			} else if err != nil {
 				t.Fatalf("%s: %s %v: %v", rt.name, s.sql, s.args, err)
 			}
 			got = append(got, out)
@@ -403,6 +433,11 @@ func TestWritesAgreeOnEveryRoute(t *testing.T) {
 			}
 			if predictions < 6 {
 				t.Fatalf("only %d PREDICT statements returned predictions; the test is not exercising them", predictions)
+			}
+			for i, s := range steps {
+				if s.sql == `DELETE FROM t WHERE v = 7777` && got[i] != "0 []" {
+					t.Fatalf("rows written before the refused UPDATE survived its transaction: DELETE returned %s", got[i])
+				}
 			}
 			continue
 		}

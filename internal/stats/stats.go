@@ -128,14 +128,6 @@ func equiDepthBounds(sorted []float64, buckets int) []float64 {
 	return bounds
 }
 
-// NoteInsert incrementally folds one row into the statistics.
-func (ts *TableStats) NoteInsert(row rel.Row) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	ts.Version++
-	ts.noteInsertLocked(row)
-}
-
 // NoteInsertBatch folds a batch of inserted rows into the statistics under
 // one lock acquisition and one Version bump (a Version tick marks a change
 // batch, not a row).
@@ -176,18 +168,9 @@ func (ts *TableStats) noteInsertLocked(row rel.Row) {
 	}
 }
 
-// NoteDelete incrementally removes one row's contribution (approximate: min,
-// max and histogram are not shrunk — matching real systems, which only fix
-// them on ANALYZE).
-func (ts *TableStats) NoteDelete(row rel.Row) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	ts.Version++
-	ts.noteDeleteLocked(row)
-}
-
 // NoteDeleteBatch removes a batch of deleted rows' contributions under one
-// lock acquisition and one Version bump.
+// lock acquisition and one Version bump (approximate: min, max and histogram
+// are not shrunk — matching real systems, which only fix them on ANALYZE).
 func (ts *TableStats) NoteDeleteBatch(rows []rel.Row) {
 	if len(rows) == 0 {
 		return
@@ -219,14 +202,8 @@ func (ts *TableStats) noteDeleteLocked(row rel.Row) {
 	}
 }
 
-// NoteUpdate folds an update as delete+insert on the changed columns.
-func (ts *TableStats) NoteUpdate(oldRow, newRow rel.Row) {
-	ts.NoteDelete(oldRow)
-	ts.NoteInsert(newRow)
-}
-
-// NoteUpdateBatch folds a batch of updates (aligned old/new slices) under
-// one lock acquisition and one Version bump.
+// NoteUpdateBatch folds a batch of updates (aligned old/new slices), each a
+// delete plus an insert, under one lock acquisition and one Version bump.
 func (ts *TableStats) NoteUpdateBatch(oldRows, newRows []rel.Row) {
 	if len(oldRows) == 0 {
 		return

@@ -140,7 +140,7 @@ func TestSelectivityRangeSkewed(t *testing.T) {
 func TestIncrementalMaintenance(t *testing.T) {
 	ts := NewTableStats(1)
 	ts.Rebuild([]rel.Row{{rel.Int(10)}, {rel.Int(20)}})
-	ts.NoteInsert(rel.Row{rel.Int(30)})
+	ts.NoteInsertBatch([]rel.Row{{rel.Int(30)}})
 	if ts.Rows() != 3 {
 		t.Fatalf("rows after insert = %d", ts.Rows())
 	}
@@ -148,31 +148,31 @@ func TestIncrementalMaintenance(t *testing.T) {
 	if c.Max != 30 || c.Min != 10 {
 		t.Fatalf("minmax after insert: %v %v", c.Min, c.Max)
 	}
-	ts.NoteInsert(rel.Row{rel.Int(5)})
+	ts.NoteInsertBatch([]rel.Row{{rel.Int(5)}})
 	if ts.Col(0).Min != 5 {
 		t.Fatal("min not updated")
 	}
-	ts.NoteDelete(rel.Row{rel.Int(30)})
+	ts.NoteDeleteBatch([]rel.Row{{rel.Int(30)}})
 	if ts.Rows() != 3 {
 		t.Fatalf("rows after delete = %d", ts.Rows())
 	}
-	ts.NoteUpdate(rel.Row{rel.Int(5)}, rel.Row{rel.Int(50)})
+	ts.NoteUpdateBatch([]rel.Row{{rel.Int(5)}}, []rel.Row{{rel.Int(50)}})
 	if ts.Col(0).Max != 50 {
 		t.Fatal("update not folded")
 	}
 	// Null insert/delete paths.
-	ts.NoteInsert(rel.Row{rel.Null()})
+	ts.NoteInsertBatch([]rel.Row{{rel.Null()}})
 	if ts.Col(0).NullCount != 1 {
 		t.Fatal("null insert not counted")
 	}
-	ts.NoteDelete(rel.Row{rel.Null()})
+	ts.NoteDeleteBatch([]rel.Row{{rel.Null()}})
 	if ts.Col(0).NullCount != 0 {
 		t.Fatal("null delete not counted")
 	}
 	// First non-null insert into an empty stats object initializes min/max.
 	ts2 := NewTableStats(1)
-	ts2.NoteInsert(rel.Row{rel.Null()})
-	ts2.NoteInsert(rel.Row{rel.Int(-7)})
+	ts2.NoteInsertBatch([]rel.Row{{rel.Null()}})
+	ts2.NoteInsertBatch([]rel.Row{{rel.Int(-7)}})
 	if c := ts2.Col(0); c.Min != -7 || c.Max != -7 {
 		t.Fatalf("first value minmax: %+v", c)
 	}
@@ -182,7 +182,7 @@ func TestVersionIncrements(t *testing.T) {
 	ts := NewTableStats(1)
 	v0 := ts.Version
 	ts.Rebuild([]rel.Row{{rel.Int(1)}})
-	ts.NoteInsert(rel.Row{rel.Int(2)})
+	ts.NoteInsertBatch([]rel.Row{{rel.Int(2)}})
 	if ts.Version <= v0+1 {
 		t.Fatal("version not incrementing")
 	}
@@ -192,7 +192,7 @@ func TestSnapshotIsIsolated(t *testing.T) {
 	ts := NewTableStats(1)
 	ts.Rebuild([]rel.Row{{rel.Int(1)}, {rel.Int(2)}})
 	snap := ts.Snapshot()
-	ts.NoteInsert(rel.Row{rel.Int(100)})
+	ts.NoteInsertBatch([]rel.Row{{rel.Int(100)}})
 	if snap.Rows() != 2 {
 		t.Fatal("snapshot affected by later insert")
 	}
@@ -212,7 +212,7 @@ func TestDivergenceGrowsWithDrift(t *testing.T) {
 	}
 	// Mild drift: insert a few shifted rows.
 	for i := 0; i < 500; i++ {
-		ts.NoteInsert(rel.Row{rel.Float(200 + r.Float64()*10), rel.Float(50)})
+		ts.NoteInsertBatch([]rel.Row{{rel.Float(200 + r.Float64()*10), rel.Float(50)}})
 	}
 	mild := Divergence(ts, snap)
 	if mild <= 0 {
@@ -220,7 +220,7 @@ func TestDivergenceGrowsWithDrift(t *testing.T) {
 	}
 	// Severe drift: shift the distribution far away.
 	for i := 0; i < 5000; i++ {
-		ts.NoteInsert(rel.Row{rel.Float(10_000 + r.Float64()*100), rel.Float(-500)})
+		ts.NoteInsertBatch([]rel.Row{{rel.Float(10_000 + r.Float64()*100), rel.Float(-500)}})
 	}
 	severe := Divergence(ts, snap)
 	if severe <= mild {
@@ -291,9 +291,9 @@ func TestConstantColumn(t *testing.T) {
 	}
 }
 
-// TestBatchNotesMatchPerRowNotes: the batched DML-maintenance entry points
-// must leave statistics identical to the per-row ones (modulo Version,
-// which ticks once per batch instead of once per row).
+// TestBatchNotesMatchPerRowNotes: a page-sized note must leave statistics
+// identical to the same rows noted one per batch (modulo Version, which
+// ticks once per batch).
 func TestBatchNotesMatchPerRowNotes(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	mkRow := func(i int) rel.Row {
@@ -316,15 +316,15 @@ func TestBatchNotesMatchPerRowNotes(t *testing.T) {
 	a, b := NewTableStats(2), NewTableStats(2)
 	a.NoteInsertBatch(ins)
 	for _, row := range ins {
-		b.NoteInsert(row)
+		b.NoteInsertBatch([]rel.Row{row})
 	}
 	a.NoteUpdateBatch(olds, news)
 	for i := range olds {
-		b.NoteUpdate(olds[i], news[i])
+		b.NoteUpdateBatch([]rel.Row{olds[i]}, []rel.Row{news[i]})
 	}
 	a.NoteDeleteBatch(ins[300:400])
 	for _, row := range ins[300:400] {
-		b.NoteDelete(row)
+		b.NoteDeleteBatch([]rel.Row{row})
 	}
 
 	if a.Rows() != b.Rows() {
@@ -337,7 +337,7 @@ func TestBatchNotesMatchPerRowNotes(t *testing.T) {
 			t.Fatalf("col %d diverges: batch %+v per-row %+v", i, ca, cb)
 		}
 	}
-	// One Version tick per batch: 3 batches on a, 800 per-row ticks on b.
+	// One Version tick per batch: 3 batches on a, 800 one-row batches on b.
 	if a.Version != 3 {
 		t.Fatalf("batch Version = %d, want 3", a.Version)
 	}

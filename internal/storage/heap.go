@@ -64,30 +64,6 @@ func (h *Heap) LiveRows() int64 {
 	return h.live
 }
 
-// Insert appends a new version chain with the given creator txn and returns
-// its RowID. BeginTS stays 0 until the creator commits.
-func (h *Heap) Insert(row rel.Row, xmin uint64) RowID {
-	v := NewVersion(row, xmin, nil)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.live++
-	if n := len(h.free); n > 0 {
-		id := h.free[n-1]
-		h.free = h.free[:n-1]
-		h.pages[id.Page].chains[id.Slot] = v
-		h.touch(id.Page, true)
-		return id
-	}
-	if len(h.pages) == 0 || len(h.pages[len(h.pages)-1].chains) >= RowsPerPage {
-		h.pages = append(h.pages, &page{id: uint32(len(h.pages))})
-	}
-	p := h.pages[len(h.pages)-1]
-	p.chains = append(p.chains, v)
-	id := RowID{Page: p.id, Slot: uint32(len(p.chains) - 1)}
-	h.touch(p.id, true)
-	return id
-}
-
 // InsertBatch appends new version chains for all rows under one lock
 // acquisition, appending the assigned RowIDs to ids and the created chain
 // heads to heads (aligned). The buffer pool is touched once per distinct
@@ -121,21 +97,6 @@ func (h *Heap) InsertBatch(rows []rel.Row, xmin uint64, ids []RowID, heads []*Ve
 		heads = append(heads, v)
 	}
 	return ids, heads
-}
-
-// Head returns the newest version at id, or nil.
-func (h *Heap) Head(id RowID) *Version {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	if int(id.Page) >= len(h.pages) {
-		return nil
-	}
-	p := h.pages[id.Page]
-	if int(id.Slot) >= len(p.chains) {
-		return nil
-	}
-	h.touch(id.Page, false)
-	return p.chains[id.Slot]
 }
 
 // Heads resolves the chain heads at ids in one pass, appending to dst (nil
@@ -175,63 +136,42 @@ func (h *Heap) SetHead(id RowID, v *Version) {
 	h.touch(id.Page, true)
 }
 
-// NoteDelete decrements the live-row estimate after a committed delete.
-func (h *Heap) NoteDelete() {
-	h.mu.Lock()
-	h.live--
-	h.mu.Unlock()
-}
-
-// NoteDeleteN decrements the live-row estimate by n in one acquisition —
-// the batched form commit and abort use after tallying a run of deletes
-// against the same heap.
+// NoteDeleteN decrements the live-row estimate by n in one acquisition:
+// commit and abort call it after tallying a run of deletes against the same
+// heap.
 func (h *Heap) NoteDeleteN(n int) {
 	h.mu.Lock()
 	h.live -= int64(n)
 	h.mu.Unlock()
 }
 
-// Scan visits every version-chain head in heap order. The visitor receives
-// the RowID and chain head; returning false stops the scan. Page touches are
-// recorded against the buffer pool. Each page's heads are copied out under
-// the lock, so the visitor runs lock-free and concurrent Vacuum/SetHead
-// cannot race with it.
-func (h *Heap) Scan(visit func(RowID, *Version) bool) {
-	var buf [RowsPerPage]*Version
-	for pageNo := 0; ; pageNo++ {
-		h.mu.RLock()
-		if pageNo >= len(h.pages) {
-			h.mu.RUnlock()
-			return
-		}
-		h.touch(uint32(pageNo), false)
-		n := copy(buf[:], h.pages[pageNo].chains)
-		h.mu.RUnlock()
-		for slot := 0; slot < n; slot++ {
-			head := buf[slot]
-			if head == nil {
-				continue
-			}
-			if !visit(RowID{Page: uint32(pageNo), Slot: uint32(slot)}, head) {
-				return
-			}
-		}
+// PageHeads copies one page's chain heads into buf (entries may be nil for
+// vacuumed slots; the index is the slot) and returns the head count, or
+// ok=false past the last page (a page recovery left empty is ok with no
+// heads). It is the one place chain heads leave the heap: one RLock
+// acquisition and one buffer-pool touch per page, and because the heads are
+// copied out under the lock, concurrent Vacuum/SetHead slot writes cannot
+// race with the caller. buf belongs to the caller, so concurrent readers
+// (morsel workers) share nothing.
+func (h *Heap) PageHeads(pageID uint32, buf []*Version) (n int, ok bool) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	if int(pageID) >= len(h.pages) {
+		return 0, false
 	}
+	h.touch(pageID, false)
+	return copy(buf, h.pages[pageID].chains), true
 }
 
-// ScanBatch visits the heap page-at-a-time: the visitor receives a page id
-// and that page's chain heads (entries may be nil for vacuumed slots; the
-// slice index is the slot). Heap.mu is acquired once and the buffer pool
-// touched once per page, not per row. Returning false stops the scan. The
-// heads slice is only valid during the visit.
+// ScanBatch visits the heap page-at-a-time in page order: the visitor
+// receives a page id and that page's chain heads, as PageHeads yields them.
+// Pages appended while the scan runs are visited too. Returning false stops
+// the scan. The heads slice is only valid during the visit.
 func (h *Heap) ScanBatch(visit func(pageID uint32, heads []*Version) bool) {
-	c := h.NewBatchCursor()
-	for {
-		id, heads, ok := c.NextPage()
-		if !ok {
-			return
-		}
-		if !visit(id, heads) {
+	var buf [RowsPerPage]*Version
+	for pg := uint32(0); ; pg++ {
+		n, ok := h.PageHeads(pg, buf[:])
+		if !ok || !visit(pg, buf[:n]) {
 			return
 		}
 	}
@@ -277,64 +217,6 @@ func (h *Heap) String() string {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return fmt.Sprintf("heap{table=%d pages=%d live=%d}", h.TableID, len(h.pages), h.live)
-}
-
-// Cursor iterates version-chain heads in heap order without holding locks
-// across calls. Each page's heads are copied into the cursor under RLock,
-// so iteration cannot race with concurrent Vacuum/SetHead slot writes.
-type Cursor struct {
-	h    *Heap
-	page int
-	slot int
-	n    int
-	buf  [RowsPerPage]*Version
-}
-
-// NewCursor returns a cursor positioned before the first row.
-func (h *Heap) NewCursor() *Cursor { return &Cursor{h: h, page: -1} }
-
-// Next advances and returns the next chain head, or ok=false at the end.
-func (c *Cursor) Next() (RowID, *Version, bool) {
-	for {
-		if c.slot >= c.n {
-			c.page++
-			c.slot = 0
-			c.h.mu.RLock()
-			if c.page >= len(c.h.pages) {
-				c.h.mu.RUnlock()
-				return RowID{}, nil, false
-			}
-			c.h.touch(uint32(c.page), false)
-			c.n = copy(c.buf[:], c.h.pages[c.page].chains)
-			c.h.mu.RUnlock()
-			continue
-		}
-		head := c.buf[c.slot]
-		id := RowID{Page: uint32(c.page), Slot: uint32(c.slot)}
-		c.slot++
-		if head != nil {
-			return id, head, true
-		}
-	}
-}
-
-// PageHeads copies one page's chain heads into buf (entries may be nil for
-// vacuumed slots; the index is the slot) and returns the head count, or 0
-// for an out-of-range page. It is the random-access counterpart of
-// BatchCursor.NextPage for parallel workers reading morsel page ranges: one
-// RLock acquisition and one buffer-pool touch per call, and because the
-// heads are copied out under the lock, concurrent Vacuum/SetHead slot writes
-// cannot race with the caller.
-func (h *Heap) PageHeads(pageID uint32, buf []*Version) int {
-	h.mu.RLock()
-	if int(pageID) >= len(h.pages) {
-		h.mu.RUnlock()
-		return 0
-	}
-	h.touch(pageID, false)
-	n := copy(buf, h.pages[pageID].chains)
-	h.mu.RUnlock()
-	return n
 }
 
 // MorselSource hands out disjoint page ranges ("morsels") of a heap to
@@ -384,32 +266,4 @@ func (ms *MorselSource) Next() (idx int, lo, hi uint32, ok bool) {
 		hi = ms.pages
 	}
 	return int(i), lo, hi, true
-}
-
-// BatchCursor iterates the heap one page at a time, the storage half of the
-// executor's vectorized scan: one lock acquisition and one buffer-pool touch
-// buy up to RowsPerPage chain heads.
-type BatchCursor struct {
-	h    *Heap
-	page int
-	buf  [RowsPerPage]*Version
-}
-
-// NewBatchCursor returns a batch cursor positioned before the first page.
-func (h *Heap) NewBatchCursor() *BatchCursor { return &BatchCursor{h: h, page: -1} }
-
-// NextPage advances to the next page and returns its id and a snapshot of
-// its chain heads (index = slot; entries may be nil for vacuumed chains), or
-// ok=false at the end. The slice is valid until the next NextPage call.
-func (c *BatchCursor) NextPage() (uint32, []*Version, bool) {
-	c.page++
-	c.h.mu.RLock()
-	if c.page >= len(c.h.pages) {
-		c.h.mu.RUnlock()
-		return 0, nil, false
-	}
-	c.h.touch(uint32(c.page), false)
-	n := copy(c.buf[:], c.h.pages[c.page].chains)
-	c.h.mu.RUnlock()
-	return uint32(c.page), c.buf[:n], true
 }

@@ -13,7 +13,7 @@ func TestMorselSourceCoversAllPagesOnce(t *testing.T) {
 	h := NewHeap(1, nil)
 	const rows = 70*RowsPerPage + 13 // 71 pages, last one partial
 	for i := 0; i < rows; i++ {
-		h.Insert(rel.Row{rel.Int(int64(i))}, 1)
+		insertRow(h, rel.Row{rel.Int(int64(i))}, 1)
 	}
 	ms := h.NewMorselSource(16)
 	wantMorsels := (71 + 15) / 16
@@ -60,37 +60,55 @@ func TestMorselSourceCoversAllPagesOnce(t *testing.T) {
 	}
 }
 
-// TestPageHeadsMatchesBatchCursor: random-access page reads must see exactly
-// what the sequential batch cursor sees.
-func TestPageHeadsMatchesBatchCursor(t *testing.T) {
+// TestPageHeadsMatchesScanBatch: random-access page reads must see exactly
+// what the sequential page scan sees, and report the end of the heap.
+func TestPageHeadsMatchesScanBatch(t *testing.T) {
 	h := NewHeap(1, nil)
 	for i := 0; i < 5*RowsPerPage+7; i++ {
-		h.Insert(rel.Row{rel.Int(int64(i))}, 1)
+		insertRow(h, rel.Row{rel.Int(int64(i))}, 1)
 	}
 	buf := make([]*Version, RowsPerPage)
-	c := h.NewBatchCursor()
 	pages := 0
-	for {
-		id, heads, ok := c.NextPage()
-		if !ok {
-			break
-		}
+	h.ScanBatch(func(id uint32, heads []*Version) bool {
 		pages++
-		n := h.PageHeads(id, buf)
-		if n != len(heads) {
-			t.Fatalf("page %d: PageHeads n=%d, cursor %d heads", id, n, len(heads))
+		n, ok := h.PageHeads(id, buf)
+		if !ok || n != len(heads) {
+			t.Fatalf("page %d: PageHeads n=%d ok=%v, scan %d heads", id, n, ok, len(heads))
 		}
 		for s := 0; s < n; s++ {
 			if buf[s] != heads[s] {
 				t.Fatalf("page %d slot %d: heads differ", id, s)
 			}
 		}
-	}
+		return true
+	})
 	if pages != 6 {
-		t.Fatalf("cursor visited %d pages, want 6", pages)
+		t.Fatalf("scan visited %d pages, want 6", pages)
 	}
-	if n := h.PageHeads(uint32(pages), buf); n != 0 {
-		t.Fatalf("out-of-range PageHeads returned %d heads", n)
+	if n, ok := h.PageHeads(uint32(pages), buf); ok || n != 0 {
+		t.Fatalf("out-of-range PageHeads returned %d heads, ok=%v", n, ok)
+	}
+}
+
+// TestScanBatchCrossesEmptyPages: recovery can leave a page with no slots
+// (every row it held was deleted before the checkpoint); the scan must not
+// take it for the end of the heap.
+func TestScanBatchCrossesEmptyPages(t *testing.T) {
+	h := NewHeap(1, nil)
+	h.InstallAt(RowID{Page: 2, Slot: 3}, rel.Row{rel.Int(7)}, 1)
+	var pages []uint32
+	rows := 0
+	h.ScanBatch(func(id uint32, heads []*Version) bool {
+		pages = append(pages, id)
+		for _, head := range heads {
+			if head != nil {
+				rows++
+			}
+		}
+		return true
+	})
+	if len(pages) != 3 || rows != 1 {
+		t.Fatalf("scan visited pages %v and %d rows, want 3 pages and 1 row", pages, rows)
 	}
 }
 
@@ -100,11 +118,11 @@ func TestPageHeadsMatchesBatchCursor(t *testing.T) {
 func TestMorselSourceSnapshotsPageCount(t *testing.T) {
 	h := NewHeap(1, nil)
 	for i := 0; i < 2*RowsPerPage; i++ {
-		h.Insert(rel.Row{rel.Int(int64(i))}, 1)
+		insertRow(h, rel.Row{rel.Int(int64(i))}, 1)
 	}
 	ms := h.NewMorselSource(1)
 	for i := 0; i < 3*RowsPerPage; i++ {
-		h.Insert(rel.Row{rel.Int(int64(i))}, 2)
+		insertRow(h, rel.Row{rel.Int(int64(i))}, 2)
 	}
 	total := 0
 	for {

@@ -141,7 +141,7 @@ func TestScanBatchVisitsAllRows(t *testing.T) {
 	pool := NewBufferPool(64)
 	h := NewHeap(1, pool)
 	for i := 0; i < 300; i++ {
-		h.Insert(rel.Row{rel.Int(int64(i))}, 1)
+		insertRow(h, rel.Row{rel.Int(int64(i))}, 1)
 	}
 	seen := map[int64]bool{}
 	pages := 0
@@ -177,36 +177,26 @@ func TestScanBatchVisitsAllRows(t *testing.T) {
 	}
 }
 
-func TestBatchCursorSlotIdentity(t *testing.T) {
+func TestScanBatchSlotIdentity(t *testing.T) {
 	h := NewHeap(1, nil)
 	var ids []RowID
 	for i := 0; i < 200; i++ {
-		ids = append(ids, h.Insert(rel.Row{rel.Int(int64(i))}, 1))
+		ids = append(ids, insertRow(h, rel.Row{rel.Int(int64(i))}, 1))
 	}
-	c := h.NewBatchCursor()
 	i := 0
-	for {
-		pageID, heads, ok := c.NextPage()
-		if !ok {
-			break
+	scanRows(h, func(got RowID, _ *Version) bool {
+		if got != ids[i] {
+			t.Fatalf("row %d: id %v want %v", i, got, ids[i])
 		}
-		for slot, head := range heads {
-			if head == nil {
-				continue
-			}
-			got := RowID{Page: pageID, Slot: uint32(slot)}
-			if got != ids[i] {
-				t.Fatalf("row %d: id %v want %v", i, got, ids[i])
-			}
-			i++
-		}
-	}
+		i++
+		return true
+	})
 	if i != 200 {
 		t.Fatalf("visited %d rows", i)
 	}
 }
 
-// TestHeapConcurrentBatchScanStress runs parallel Insert / Head / ScanBatch
+// TestHeapConcurrentBatchScanStress runs parallel InsertBatch / Heads / ScanBatch
 // / Vacuum against one heap attached to a sharded pool. Run under -race it
 // verifies that page snapshots taken by scans cannot race with Vacuum's
 // slot writes, and that the sharded pool tolerates concurrent touches.
@@ -222,13 +212,13 @@ func TestHeapConcurrentBatchScanStress(t *testing.T) {
 		go func(g int) {
 			defer writerWG.Done()
 			for i := 0; i < 500; i++ {
-				id := h.Insert(rel.Row{rel.Int(int64(g*1000 + i))}, uint64(g+1))
-				v := h.Head(id)
+				id := insertRow(h, rel.Row{rel.Int(int64(g*1000 + i))}, uint64(g+1))
+				v := headAt(h, id)
 				v.SetBeginTS(1)
 				if i%3 == 0 {
 					// Committed delete: eligible for vacuum.
 					v.SetEndTS(2)
-					h.NoteDelete()
+					h.NoteDeleteN(1)
 				}
 			}
 		}(g)
@@ -258,7 +248,7 @@ func TestHeapConcurrentBatchScanStress(t *testing.T) {
 		r := rand.New(rand.NewSource(3))
 		for !stop.Load() {
 			id := RowID{Page: uint32(r.Intn(16)), Slot: uint32(r.Intn(RowsPerPage))}
-			if v := h.Head(id); v != nil {
+			if v := headAt(h, id); v != nil {
 				_ = v.Data[0].I
 			}
 		}

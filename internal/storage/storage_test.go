@@ -8,11 +8,36 @@ import (
 	"neurdb/internal/rel"
 )
 
+// The three helpers below are how these suites reach the heap one row at a
+// time: the heap itself is entered a batch (InsertBatch, Heads) or a page
+// (ScanBatch over PageHeads) at a time.
+
+// insertRow appends one row as its own batch.
+func insertRow(h *Heap, row rel.Row, xmin uint64) RowID {
+	ids, _ := h.InsertBatch([]rel.Row{row}, xmin, nil, nil)
+	return ids[0]
+}
+
+// headAt returns the chain head at id, or nil.
+func headAt(h *Heap, id RowID) *Version { return h.Heads([]RowID{id}, nil)[0] }
+
+// scanRows visits every chain head in heap order until visit returns false.
+func scanRows(h *Heap, visit func(RowID, *Version) bool) {
+	h.ScanBatch(func(pageID uint32, heads []*Version) bool {
+		for slot, head := range heads {
+			if head != nil && !visit(RowID{Page: pageID, Slot: uint32(slot)}, head) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 func TestHeapInsertScan(t *testing.T) {
 	h := NewHeap(1, nil)
 	var ids []RowID
 	for i := 0; i < 300; i++ {
-		ids = append(ids, h.Insert(rel.Row{rel.Int(int64(i))}, 1))
+		ids = append(ids, insertRow(h, rel.Row{rel.Int(int64(i))}, 1))
 	}
 	if h.LiveRows() != 300 {
 		t.Fatalf("live rows = %d", h.LiveRows())
@@ -21,7 +46,7 @@ func TestHeapInsertScan(t *testing.T) {
 		t.Fatalf("pages = %d, want 3", h.NumPages())
 	}
 	seen := map[int64]bool{}
-	h.Scan(func(id RowID, v *Version) bool {
+	scanRows(h, func(id RowID, v *Version) bool {
 		seen[v.Data[0].I] = true
 		return true
 	})
@@ -29,12 +54,12 @@ func TestHeapInsertScan(t *testing.T) {
 		t.Fatalf("scan saw %d rows", len(seen))
 	}
 	// Head returns the inserted version.
-	v := h.Head(ids[42])
+	v := headAt(h, ids[42])
 	if v == nil || v.Data[0].I != 42 {
 		t.Fatal("Head wrong")
 	}
 	// Out-of-range Head is nil.
-	if h.Head(RowID{Page: 99, Slot: 0}) != nil || h.Head(RowID{Page: 0, Slot: 999}) != nil {
+	if headAt(h, RowID{Page: 99, Slot: 0}) != nil || headAt(h, RowID{Page: 0, Slot: 999}) != nil {
 		t.Fatal("out-of-range Head should be nil")
 	}
 }
@@ -42,10 +67,10 @@ func TestHeapInsertScan(t *testing.T) {
 func TestHeapScanEarlyStop(t *testing.T) {
 	h := NewHeap(1, nil)
 	for i := 0; i < 10; i++ {
-		h.Insert(rel.Row{rel.Int(int64(i))}, 1)
+		insertRow(h, rel.Row{rel.Int(int64(i))}, 1)
 	}
 	count := 0
-	h.Scan(func(RowID, *Version) bool {
+	scanRows(h, func(RowID, *Version) bool {
 		count++
 		return count < 3
 	})
@@ -56,15 +81,15 @@ func TestHeapScanEarlyStop(t *testing.T) {
 
 func TestHeapSetHeadAndVersionChain(t *testing.T) {
 	h := NewHeap(1, nil)
-	id := h.Insert(rel.Row{rel.Int(1)}, 1)
-	old := h.Head(id)
+	id := insertRow(h, rel.Row{rel.Int(1)}, 1)
+	old := headAt(h, id)
 	old.SetBeginTS(5)
 	old.SetEndTS(10)
 	old.SetXMax(2)
 	newer := NewVersion(rel.Row{rel.Int(2)}, 2, old)
 	newer.SetBeginTS(10)
 	h.SetHead(id, newer)
-	got := h.Head(id)
+	got := headAt(h, id)
 	if got.Data[0].I != 2 || got.Next() != old {
 		t.Fatal("SetHead chain wrong")
 	}
@@ -72,28 +97,28 @@ func TestHeapSetHeadAndVersionChain(t *testing.T) {
 
 func TestHeapVacuumAndSlotReuse(t *testing.T) {
 	h := NewHeap(1, nil)
-	id := h.Insert(rel.Row{rel.Int(1)}, 1)
-	v := h.Head(id)
+	id := insertRow(h, rel.Row{rel.Int(1)}, 1)
+	v := headAt(h, id)
 	v.SetBeginTS(1)
 	v.SetEndTS(5) // deleted at ts 5
-	h.NoteDelete()
+	h.NoteDeleteN(1)
 	if n := h.Vacuum(10); n != 1 {
 		t.Fatalf("vacuum reclaimed %d, want 1", n)
 	}
 	// Chain should be gone from scans.
 	count := 0
-	h.Scan(func(RowID, *Version) bool { count++; return true })
+	scanRows(h, func(RowID, *Version) bool { count++; return true })
 	if count != 0 {
 		t.Fatalf("scan after vacuum saw %d", count)
 	}
 	// Next insert reuses the freed slot.
-	id2 := h.Insert(rel.Row{rel.Int(2)}, 2)
+	id2 := insertRow(h, rel.Row{rel.Int(2)}, 2)
 	if id2 != id {
 		t.Fatalf("slot not reused: %v vs %v", id2, id)
 	}
 	// Vacuum trims dead middle versions but keeps the live head.
-	id3 := h.Insert(rel.Row{rel.Int(3)}, 3)
-	head := h.Head(id3)
+	id3 := insertRow(h, rel.Row{rel.Int(3)}, 3)
+	head := headAt(h, id3)
 	head.SetBeginTS(3)
 	dead := NewVersion(rel.Row{rel.Int(0)}, 1, nil)
 	dead.SetBeginTS(1)
@@ -102,7 +127,7 @@ func TestHeapVacuumAndSlotReuse(t *testing.T) {
 	if n := h.Vacuum(10); n != 1 {
 		t.Fatalf("vacuum middle reclaimed %d, want 1", n)
 	}
-	if h.Head(id3).Next() != nil {
+	if headAt(h, id3).Next() != nil {
 		t.Fatal("dead tail not trimmed")
 	}
 	if h.String() == "" {
@@ -118,14 +143,14 @@ func TestHeapConcurrentInsertScan(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				h.Insert(rel.Row{rel.Int(int64(g*1000 + i))}, uint64(g))
+				insertRow(h, rel.Row{rel.Int(int64(g*1000 + i))}, uint64(g))
 			}
 		}(g)
 	}
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 50; i++ {
-			h.Scan(func(RowID, *Version) bool { return true })
+			scanRows(h, func(RowID, *Version) bool { return true })
 		}
 		close(done)
 	}()
@@ -204,9 +229,9 @@ func TestHeapWithPoolAccounting(t *testing.T) {
 	pool := NewBufferPool(100)
 	h := NewHeap(3, pool)
 	for i := 0; i < 200; i++ {
-		h.Insert(rel.Row{rel.Int(int64(i))}, 1)
+		insertRow(h, rel.Row{rel.Int(int64(i))}, 1)
 	}
-	h.Scan(func(RowID, *Version) bool { return true })
+	scanRows(h, func(RowID, *Version) bool { return true })
 	if pool.ResidentPages(3) != h.NumPages() {
 		t.Fatalf("resident=%d pages=%d", pool.ResidentPages(3), h.NumPages())
 	}

@@ -375,34 +375,6 @@ func (m *Manager) versionVisible(v *storage.Version, t *Txn) bool {
 	return end > t.StartTS
 }
 
-// Read returns the row visible to t at id, or ok=false.
-func (m *Manager) Read(h *storage.Heap, id storage.RowID, t *Txn) (rel.Row, bool) {
-	head := h.Head(id)
-	if head == nil {
-		return nil, false
-	}
-	v, skipped := m.visibleVersion(head, t)
-	if t.Level == Serializable && !t.ReadOnly {
-		m.registerRead(h.TableID, id, t)
-		if skipped != nil {
-			// We read under a snapshot that excludes a committed newer
-			// version: rw-antidependency t -> writer(skipped).
-			m.flagConflict(t, skipped.XMin)
-		}
-		// Also if the visible version carries an uncommitted deleter, the
-		// write already claimed it; reading still creates t -> deleter.
-		if v != nil {
-			if xmax := v.XMax(); xmax != 0 && xmax != t.ID {
-				m.flagConflict(t, xmax)
-			}
-		}
-	}
-	if v == nil {
-		return nil, false
-	}
-	return v.Data, true
-}
-
 // registerRead adds an SIREAD entry for the row.
 func (m *Manager) registerRead(table int, id storage.RowID, t *Txn) {
 	rk := rowKey{table, id}
@@ -439,23 +411,9 @@ func (m *Manager) flagConflict(reader *Txn, writerID uint64) {
 	}
 }
 
-// Insert adds a row as part of t.
-func (m *Manager) Insert(h *storage.Heap, row rel.Row, t *Txn) (storage.RowID, error) {
-	if t.Status() != StatusActive {
-		return storage.RowID{}, ErrTxnFinished
-	}
-	id := h.Insert(row, t.ID)
-	created := h.Head(id)
-	t.mu.Lock()
-	t.writes = append(t.writes, writeRec{heap: h, id: id, created: created, kind: 'i'})
-	t.mu.Unlock()
-	return id, nil
-}
-
 // InsertBatch adds rows as part of t with one heap lock acquisition and one
-// write-set append for the whole batch — the insert-side counterpart of
-// UpdateBatch/DeleteBatch for multi-VALUES INSERT and prepared-statement
-// bulk loads. It returns the assigned RowIDs in row order.
+// write-set append for the whole batch, and returns the assigned RowIDs in
+// row order. It is the only way a row enters a heap outside recovery.
 func (m *Manager) InsertBatch(h *storage.Heap, rows []rel.Row, t *Txn) ([]storage.RowID, error) {
 	if len(rows) == 0 {
 		return nil, nil
@@ -473,33 +431,6 @@ func (m *Manager) InsertBatch(h *storage.Heap, rows []rel.Row, t *Txn) ([]storag
 	t.writes = append(t.writes, recs...)
 	t.mu.Unlock()
 	return ids, nil
-}
-
-// Update replaces the visible version of a row with newRow.
-func (m *Manager) Update(h *storage.Heap, id storage.RowID, newRow rel.Row, t *Txn) error {
-	return m.modify(h, id, newRow, t, 'u')
-}
-
-// Delete removes the visible version of a row.
-func (m *Manager) Delete(h *storage.Heap, id storage.RowID, t *Txn) error {
-	return m.modify(h, id, nil, t, 'd')
-}
-
-func (m *Manager) modify(h *storage.Heap, id storage.RowID, newRow rel.Row, t *Txn, kind byte) error {
-	if t.Status() != StatusActive {
-		return ErrTxnFinished
-	}
-	si := stripeIndex(h.TableID, id.Page)
-	m.lockStripe(si)
-	rec, err := m.claimLocked(h, id, h.Head(id), newRow, t, kind)
-	m.unlockStripe(si)
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	t.writes = append(t.writes, rec)
-	t.mu.Unlock()
-	return nil
 }
 
 // claimLocked validates and claims the version of head visible to t,
@@ -540,8 +471,8 @@ func (m *Manager) claimLocked(h *storage.Heap, id storage.RowID, head *storage.V
 }
 
 // UpdateBatch replaces the visible versions of ids with newRows (aligned
-// slices). It is the write-side counterpart of ReadPage: one claim-stripe
-// acquisition and one batched head lookup cover each page run of the batch,
+// slices). One claim-stripe acquisition and one batched head lookup cover
+// each page run of the batch,
 // so page-clustered DML pays per-page instead of per-row locking — and
 // because the stripes partition by page, concurrent batch writers on
 // disjoint pages proceed in parallel. On the first conflicting row the
@@ -860,89 +791,54 @@ func (m *Manager) unregisterReads(t *Txn) {
 	m.readersMu.Unlock()
 }
 
-// ReadPage applies snapshot visibility to one heap page's chain heads,
-// appending each visible row to dst and returning it. heads[slot] must be
-// the chain head at (pageID, slot) — the slice a storage.BatchCursor yields —
-// and nil entries (vacuumed chains) are skipped. Per-row semantics match
-// ReadHead; the batch form exists so sequential scans pay one manager call
-// per page instead of one per row, with an inlined fast path for the common
-// single-version committed-and-live case.
-func (m *Manager) ReadPage(table int, pageID uint32, heads []*storage.Version, t *Txn, dst []rel.Row) []rel.Row {
+// ReadPage applies t's snapshot to one heap page's chain heads — the slice
+// storage.Heap.PageHeads yields: heads[slot] is the chain head at (pageID,
+// slot), nil entries (vacuumed chains) are skipped. Each visible row is
+// appended to dst and, when ids is non-nil, its RowID to *ids (aligned), so
+// DML can locate the versions it must claim without a second heap pass.
+// Per-row semantics are ReadHead's: a serializable read-write transaction
+// goes through it row by row (SIREAD registration, conflict flagging); every
+// other reader pays one manager call per page, with the common
+// single-version committed-and-live case decided inline.
+func (m *Manager) ReadPage(table int, pageID uint32, heads []*storage.Version, t *Txn, dst []rel.Row, ids *[]storage.RowID) []rel.Row {
 	if t.Level == Serializable && !t.ReadOnly {
-		// Serializable scans need per-row SIREAD registration and conflict
-		// flagging; take the full path.
 		for slot, head := range heads {
-			if head == nil {
-				continue
-			}
 			id := storage.RowID{Page: pageID, Slot: uint32(slot)}
 			if row, ok := m.ReadHead(table, id, head, t); ok {
 				dst = append(dst, row)
+				if ids != nil {
+					*ids = append(*ids, id)
+				}
 			}
 		}
 		return dst
-	}
-	start := t.StartTS
-	for _, head := range heads {
-		if head == nil {
-			continue
-		}
-		if head.XMin != t.ID {
-			// Fast path: creator committed within our snapshot, no deleter.
-			if bts := head.BeginTS(); bts != 0 && bts <= start && head.XMax() == 0 {
-				dst = append(dst, head.Data)
-				continue
-			}
-		}
-		if v, _ := m.visibleVersion(head, t); v != nil {
-			dst = append(dst, v.Data)
-		}
-	}
-	return dst
-}
-
-// ReadPageVisible is ReadPage for callers that also need row identity: it
-// appends each visible row to rows and its RowID to ids (aligned), so batch
-// DML can locate the versions it must claim without a second heap pass.
-// Visibility semantics, the serializable slow path, and the committed-live
-// fast path match ReadPage exactly.
-func (m *Manager) ReadPageVisible(table int, pageID uint32, heads []*storage.Version, t *Txn, ids []storage.RowID, rows []rel.Row) ([]storage.RowID, []rel.Row) {
-	if t.Level == Serializable && !t.ReadOnly {
-		for slot, head := range heads {
-			if head == nil {
-				continue
-			}
-			id := storage.RowID{Page: pageID, Slot: uint32(slot)}
-			if row, ok := m.ReadHead(table, id, head, t); ok {
-				ids = append(ids, id)
-				rows = append(rows, row)
-			}
-		}
-		return ids, rows
 	}
 	start := t.StartTS
 	for slot, head := range heads {
 		if head == nil {
 			continue
 		}
-		if head.XMin != t.ID {
-			// Fast path: creator committed within our snapshot, no deleter.
-			if bts := head.BeginTS(); bts != 0 && bts <= start && head.XMax() == 0 {
-				ids = append(ids, storage.RowID{Page: pageID, Slot: uint32(slot)})
-				rows = append(rows, head.Data)
+		row := head.Data
+		// Fast path: creator committed within our snapshot, no deleter.
+		if bts := head.BeginTS(); head.XMin == t.ID || bts == 0 || bts > start || head.XMax() != 0 {
+			v, _ := m.visibleVersion(head, t)
+			if v == nil {
 				continue
 			}
+			row = v.Data
 		}
-		if v, _ := m.visibleVersion(head, t); v != nil {
-			ids = append(ids, storage.RowID{Page: pageID, Slot: uint32(slot)})
-			rows = append(rows, v.Data)
+		dst = append(dst, row)
+		if ids != nil {
+			*ids = append(*ids, storage.RowID{Page: pageID, Slot: uint32(slot)})
 		}
 	}
-	return ids, rows
+	return dst
 }
 
-// ReadHead is Read for callers that already hold the chain head (scans),
-// avoiding a second heap lookup. Semantics match Read.
+// ReadHead returns the row of the chain under head that is visible to t, or
+// ok=false. id names the chain: under Serializable it is what the SIREAD
+// entry is registered on. Callers hold the head already — a scan from
+// PageHeads, an index fetch from Heads — so a read costs no heap lookup.
 func (m *Manager) ReadHead(table int, id storage.RowID, head *storage.Version, t *Txn) (rel.Row, bool) {
 	if head == nil {
 		return nil, false
@@ -951,8 +847,12 @@ func (m *Manager) ReadHead(table int, id storage.RowID, head *storage.Version, t
 	if t.Level == Serializable && !t.ReadOnly {
 		m.registerRead(table, id, t)
 		if skipped != nil {
+			// We read under a snapshot that excludes a committed newer
+			// version: rw-antidependency t -> writer(skipped).
 			m.flagConflict(t, skipped.XMin)
 		}
+		// Also if the visible version carries an uncommitted deleter, the
+		// write already claimed it; reading still creates t -> deleter.
 		if v != nil {
 			if xmax := v.XMax(); xmax != 0 && xmax != t.ID {
 				m.flagConflict(t, xmax)

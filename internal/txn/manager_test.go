@@ -12,34 +12,62 @@ import (
 
 func newHeap() *storage.Heap { return storage.NewHeap(1, nil) }
 
+// The suites below work one row at a time; the manager is entered a head, a
+// page or a batch at a time. These three helpers are the whole adapter, and
+// each lands on the code a statement runs: an index fetch's Heads + ReadHead,
+// the page-run claim of UPDATE and DELETE, INSERT's batch.
+
+// readRow reads the row visible to t at id.
+func readRow(m *Manager, h *storage.Heap, id storage.RowID, t *Txn) (rel.Row, bool) {
+	return m.ReadHead(h.TableID, id, h.Heads([]storage.RowID{id}, nil)[0], t)
+}
+
+// writeRow replaces the row visible to t at id with row, or deletes it when
+// row is nil.
+func writeRow(m *Manager, h *storage.Heap, id storage.RowID, row rel.Row, t *Txn) error {
+	if row == nil {
+		return m.DeleteBatch(h, []storage.RowID{id}, t)
+	}
+	return m.UpdateBatch(h, []storage.RowID{id}, []rel.Row{row}, t)
+}
+
+// insertRow adds one row as part of t.
+func insertRow(m *Manager, h *storage.Heap, row rel.Row, t *Txn) (storage.RowID, error) {
+	ids, err := m.InsertBatch(h, []rel.Row{row}, t)
+	if err != nil {
+		return storage.RowID{}, err
+	}
+	return ids[0], nil
+}
+
 func TestInsertVisibleAfterCommit(t *testing.T) {
 	m := NewManager()
 	h := newHeap()
 
 	t1 := m.Begin(Snapshot, false)
-	id, err := m.Insert(h, rel.Row{rel.Int(1)}, t1)
+	id, err := insertRow(m, h, rel.Row{rel.Int(1)}, t1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Own insert visible to self.
-	if _, ok := m.Read(h, id, t1); !ok {
+	if _, ok := readRow(m, h, id, t1); !ok {
 		t.Fatal("own insert invisible")
 	}
 	// Invisible to a concurrent snapshot.
 	t2 := m.Begin(Snapshot, true)
-	if _, ok := m.Read(h, id, t2); ok {
+	if _, ok := readRow(m, h, id, t2); ok {
 		t.Fatal("uncommitted insert visible to other txn")
 	}
 	if err := m.Commit(t1); err != nil {
 		t.Fatal(err)
 	}
 	// Still invisible to t2 (snapshot taken before commit).
-	if _, ok := m.Read(h, id, t2); ok {
+	if _, ok := readRow(m, h, id, t2); ok {
 		t.Fatal("insert visible to pre-commit snapshot")
 	}
 	// Visible to a new txn.
 	t3 := m.Begin(Snapshot, true)
-	row, ok := m.Read(h, id, t3)
+	row, ok := readRow(m, h, id, t3)
 	if !ok || row[0].I != 1 {
 		t.Fatal("committed insert invisible to new txn")
 	}
@@ -50,32 +78,32 @@ func TestUpdatePreservesOldSnapshot(t *testing.T) {
 	h := newHeap()
 
 	setup := m.Begin(Snapshot, false)
-	id, _ := m.Insert(h, rel.Row{rel.Int(10)}, setup)
+	id, _ := insertRow(m, h, rel.Row{rel.Int(10)}, setup)
 	if err := m.Commit(setup); err != nil {
 		t.Fatal(err)
 	}
 
 	reader := m.Begin(Snapshot, true) // snapshot before update
 	writer := m.Begin(Snapshot, false)
-	if err := m.Update(h, id, rel.Row{rel.Int(20)}, writer); err != nil {
+	if err := writeRow(m, h, id, rel.Row{rel.Int(20)}, writer); err != nil {
 		t.Fatal(err)
 	}
 	// Writer sees own new value.
-	if row, ok := m.Read(h, id, writer); !ok || row[0].I != 20 {
+	if row, ok := readRow(m, h, id, writer); !ok || row[0].I != 20 {
 		t.Fatal("writer does not see own update")
 	}
 	// Reader still sees the old value, before and after the commit.
-	if row, ok := m.Read(h, id, reader); !ok || row[0].I != 10 {
+	if row, ok := readRow(m, h, id, reader); !ok || row[0].I != 10 {
 		t.Fatal("reader snapshot broken before commit")
 	}
 	if err := m.Commit(writer); err != nil {
 		t.Fatal(err)
 	}
-	if row, ok := m.Read(h, id, reader); !ok || row[0].I != 10 {
+	if row, ok := readRow(m, h, id, reader); !ok || row[0].I != 10 {
 		t.Fatal("reader snapshot broken after commit")
 	}
 	after := m.Begin(Snapshot, true)
-	if row, ok := m.Read(h, id, after); !ok || row[0].I != 20 {
+	if row, ok := readRow(m, h, id, after); !ok || row[0].I != 20 {
 		t.Fatal("new txn does not see update")
 	}
 }
@@ -84,26 +112,26 @@ func TestDeleteVisibility(t *testing.T) {
 	m := NewManager()
 	h := newHeap()
 	setup := m.Begin(Snapshot, false)
-	id, _ := m.Insert(h, rel.Row{rel.Int(1)}, setup)
+	id, _ := insertRow(m, h, rel.Row{rel.Int(1)}, setup)
 	m.Commit(setup)
 
 	before := m.Begin(Snapshot, true)
 	deleter := m.Begin(Snapshot, false)
-	if err := m.Delete(h, id, deleter); err != nil {
+	if err := writeRow(m, h, id, nil, deleter); err != nil {
 		t.Fatal(err)
 	}
 	// Deleter no longer sees the row.
-	if _, ok := m.Read(h, id, deleter); ok {
+	if _, ok := readRow(m, h, id, deleter); ok {
 		t.Fatal("deleter still sees deleted row")
 	}
 	m.Commit(deleter)
 	// Pre-delete snapshot still sees it.
-	if _, ok := m.Read(h, id, before); !ok {
+	if _, ok := readRow(m, h, id, before); !ok {
 		t.Fatal("old snapshot lost deleted row")
 	}
 	// New txns don't.
 	after := m.Begin(Snapshot, true)
-	if _, ok := m.Read(h, id, after); ok {
+	if _, ok := readRow(m, h, id, after); ok {
 		t.Fatal("deleted row visible to new txn")
 	}
 	if h.LiveRows() != 0 {
@@ -115,27 +143,27 @@ func TestWriteWriteConflict(t *testing.T) {
 	m := NewManager()
 	h := newHeap()
 	setup := m.Begin(Snapshot, false)
-	id, _ := m.Insert(h, rel.Row{rel.Int(1)}, setup)
+	id, _ := insertRow(m, h, rel.Row{rel.Int(1)}, setup)
 	m.Commit(setup)
 
 	t1 := m.Begin(Snapshot, false)
 	t2 := m.Begin(Snapshot, false)
-	if err := m.Update(h, id, rel.Row{rel.Int(2)}, t1); err != nil {
+	if err := writeRow(m, h, id, rel.Row{rel.Int(2)}, t1); err != nil {
 		t.Fatal(err)
 	}
 	// Concurrent writer must fail (first-updater-wins, no-wait).
-	if err := m.Update(h, id, rel.Row{rel.Int(3)}, t2); !errors.Is(err, ErrWriteConflict) {
+	if err := writeRow(m, h, id, rel.Row{rel.Int(3)}, t2); !errors.Is(err, ErrWriteConflict) {
 		t.Fatalf("expected write conflict, got %v", err)
 	}
 	m.Commit(t1)
 	// t2's snapshot predates t1's commit: still a conflict.
-	if err := m.Update(h, id, rel.Row{rel.Int(3)}, t2); !errors.Is(err, ErrWriteConflict) {
+	if err := writeRow(m, h, id, rel.Row{rel.Int(3)}, t2); !errors.Is(err, ErrWriteConflict) {
 		t.Fatalf("expected post-commit conflict, got %v", err)
 	}
 	m.Abort(t2)
 	// A fresh txn can update.
 	t3 := m.Begin(Snapshot, false)
-	if err := m.Update(h, id, rel.Row{rel.Int(4)}, t3); err != nil {
+	if err := writeRow(m, h, id, rel.Row{rel.Int(4)}, t3); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Commit(t3); err != nil {
@@ -147,38 +175,38 @@ func TestAbortRollsBack(t *testing.T) {
 	m := NewManager()
 	h := newHeap()
 	setup := m.Begin(Snapshot, false)
-	id, _ := m.Insert(h, rel.Row{rel.Int(1)}, setup)
+	id, _ := insertRow(m, h, rel.Row{rel.Int(1)}, setup)
 	m.Commit(setup)
 
 	t1 := m.Begin(Snapshot, false)
-	m.Update(h, id, rel.Row{rel.Int(99)}, t1)
-	insID, _ := m.Insert(h, rel.Row{rel.Int(777)}, t1)
+	writeRow(m, h, id, rel.Row{rel.Int(99)}, t1)
+	insID, _ := insertRow(m, h, rel.Row{rel.Int(777)}, t1)
 	m.Abort(t1)
 
 	t2 := m.Begin(Snapshot, true)
-	if row, ok := m.Read(h, id, t2); !ok || row[0].I != 1 {
+	if row, ok := readRow(m, h, id, t2); !ok || row[0].I != 1 {
 		t.Fatal("update not rolled back")
 	}
-	if _, ok := m.Read(h, insID, t2); ok {
+	if _, ok := readRow(m, h, insID, t2); ok {
 		t.Fatal("aborted insert visible")
 	}
 	// After abort, the row is writable again.
 	t3 := m.Begin(Snapshot, false)
-	if err := m.Update(h, id, rel.Row{rel.Int(2)}, t3); err != nil {
+	if err := writeRow(m, h, id, rel.Row{rel.Int(2)}, t3); err != nil {
 		t.Fatal(err)
 	}
 	m.Commit(t3)
 	// Abort of delete restores writability too.
 	t4 := m.Begin(Snapshot, false)
-	if err := m.Delete(h, id, t4); err != nil {
+	if err := writeRow(m, h, id, nil, t4); err != nil {
 		t.Fatal(err)
 	}
 	m.Abort(t4)
 	t5 := m.Begin(Snapshot, false)
-	if row, ok := m.Read(h, id, t5); !ok || row[0].I != 2 {
+	if row, ok := readRow(m, h, id, t5); !ok || row[0].I != 2 {
 		t.Fatal("aborted delete lost row")
 	}
-	if err := m.Delete(h, id, t5); err != nil {
+	if err := writeRow(m, h, id, nil, t5); err != nil {
 		t.Fatal(err)
 	}
 	m.Commit(t5)
@@ -188,22 +216,22 @@ func TestDoubleUpdateSameTxn(t *testing.T) {
 	m := NewManager()
 	h := newHeap()
 	setup := m.Begin(Snapshot, false)
-	id, _ := m.Insert(h, rel.Row{rel.Int(1)}, setup)
+	id, _ := insertRow(m, h, rel.Row{rel.Int(1)}, setup)
 	m.Commit(setup)
 
 	t1 := m.Begin(Snapshot, false)
-	if err := m.Update(h, id, rel.Row{rel.Int(2)}, t1); err != nil {
+	if err := writeRow(m, h, id, rel.Row{rel.Int(2)}, t1); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Update(h, id, rel.Row{rel.Int(3)}, t1); err != nil {
+	if err := writeRow(m, h, id, rel.Row{rel.Int(3)}, t1); err != nil {
 		t.Fatal(err)
 	}
-	if row, ok := m.Read(h, id, t1); !ok || row[0].I != 3 {
+	if row, ok := readRow(m, h, id, t1); !ok || row[0].I != 3 {
 		t.Fatal("second update not visible to self")
 	}
 	m.Commit(t1)
 	t2 := m.Begin(Snapshot, true)
-	if row, ok := m.Read(h, id, t2); !ok || row[0].I != 3 {
+	if row, ok := readRow(m, h, id, t2); !ok || row[0].I != 3 {
 		t.Fatal("final value wrong")
 	}
 }
@@ -213,7 +241,7 @@ func TestFinishedTxnErrors(t *testing.T) {
 	h := newHeap()
 	t1 := m.Begin(Snapshot, false)
 	m.Commit(t1)
-	if _, err := m.Insert(h, rel.Row{rel.Int(1)}, t1); !errors.Is(err, ErrTxnFinished) {
+	if _, err := insertRow(m, h, rel.Row{rel.Int(1)}, t1); !errors.Is(err, ErrTxnFinished) {
 		t.Fatal("insert on finished txn should fail")
 	}
 	if err := m.Commit(t1); !errors.Is(err, ErrTxnFinished) {
@@ -235,22 +263,22 @@ func TestSSIWriteSkewPrevented(t *testing.T) {
 	m := NewManager()
 	h := newHeap()
 	setup := m.Begin(Serializable, false)
-	idA, _ := m.Insert(h, rel.Row{rel.Int(50)}, setup)
-	idB, _ := m.Insert(h, rel.Row{rel.Int(50)}, setup)
+	idA, _ := insertRow(m, h, rel.Row{rel.Int(50)}, setup)
+	idB, _ := insertRow(m, h, rel.Row{rel.Int(50)}, setup)
 	if err := m.Commit(setup); err != nil {
 		t.Fatal(err)
 	}
 
 	t1 := m.Begin(Serializable, false)
 	t2 := m.Begin(Serializable, false)
-	m.Read(h, idA, t1)
-	m.Read(h, idB, t1)
-	m.Read(h, idA, t2)
-	m.Read(h, idB, t2)
-	if err := m.Update(h, idA, rel.Row{rel.Int(-10)}, t1); err != nil {
+	readRow(m, h, idA, t1)
+	readRow(m, h, idB, t1)
+	readRow(m, h, idA, t2)
+	readRow(m, h, idB, t2)
+	if err := writeRow(m, h, idA, rel.Row{rel.Int(-10)}, t1); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Update(h, idB, rel.Row{rel.Int(-10)}, t2); err != nil {
+	if err := writeRow(m, h, idB, rel.Row{rel.Int(-10)}, t2); err != nil {
 		t.Fatal(err)
 	}
 	err1 := m.Commit(t1)
@@ -273,20 +301,20 @@ func TestSSIReadAfterCommittedWriteConflict(t *testing.T) {
 	m := NewManager()
 	h := newHeap()
 	setup := m.Begin(Serializable, false)
-	id, _ := m.Insert(h, rel.Row{rel.Int(1)}, setup)
-	other, _ := m.Insert(h, rel.Row{rel.Int(5)}, setup)
+	id, _ := insertRow(m, h, rel.Row{rel.Int(1)}, setup)
+	other, _ := insertRow(m, h, rel.Row{rel.Int(5)}, setup)
 	m.Commit(setup)
 
 	t1 := m.Begin(Serializable, false) // snapshot now
 	w := m.Begin(Serializable, false)
-	if err := m.Update(h, id, rel.Row{rel.Int(2)}, w); err != nil {
+	if err := writeRow(m, h, id, rel.Row{rel.Int(2)}, w); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Commit(w); err != nil {
 		t.Fatal(err)
 	}
 	// t1 reads the row: its snapshot excludes w's committed version.
-	if row, ok := m.Read(h, id, t1); !ok || row[0].I != 1 {
+	if row, ok := readRow(m, h, id, t1); !ok || row[0].I != 1 {
 		t.Fatal("t1 should read old version")
 	}
 	t1.mu.Lock()
@@ -297,8 +325,8 @@ func TestSSIReadAfterCommittedWriteConflict(t *testing.T) {
 	}
 	// Now give t1 an in-conflict too: t3 reads a row t1 then writes.
 	t3 := m.Begin(Serializable, false)
-	m.Read(h, other, t3)
-	if err := m.Update(h, other, rel.Row{rel.Int(6)}, t1); err != nil {
+	readRow(m, h, other, t3)
+	if err := writeRow(m, h, other, rel.Row{rel.Int(6)}, t1); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Commit(t1); !errors.Is(err, ErrSerializationFailure) {
@@ -313,18 +341,18 @@ func TestSnapshotLevelAllowsWriteSkew(t *testing.T) {
 	m := NewManager()
 	h := newHeap()
 	setup := m.Begin(Snapshot, false)
-	idA, _ := m.Insert(h, rel.Row{rel.Int(50)}, setup)
-	idB, _ := m.Insert(h, rel.Row{rel.Int(50)}, setup)
+	idA, _ := insertRow(m, h, rel.Row{rel.Int(50)}, setup)
+	idB, _ := insertRow(m, h, rel.Row{rel.Int(50)}, setup)
 	m.Commit(setup)
 
 	t1 := m.Begin(Snapshot, false)
 	t2 := m.Begin(Snapshot, false)
-	m.Read(h, idA, t1)
-	m.Read(h, idB, t1)
-	m.Read(h, idA, t2)
-	m.Read(h, idB, t2)
-	m.Update(h, idA, rel.Row{rel.Int(-10)}, t1)
-	m.Update(h, idB, rel.Row{rel.Int(-10)}, t2)
+	readRow(m, h, idA, t1)
+	readRow(m, h, idB, t1)
+	readRow(m, h, idA, t2)
+	readRow(m, h, idB, t2)
+	writeRow(m, h, idA, rel.Row{rel.Int(-10)}, t1)
+	writeRow(m, h, idB, rel.Row{rel.Int(-10)}, t2)
 	if err := m.Commit(t1); err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +371,7 @@ func TestConcurrentTransfersConserveTotal(t *testing.T) {
 	ids := make([]storage.RowID, accounts)
 	setup := m.Begin(Snapshot, false)
 	for i := range ids {
-		ids[i], _ = m.Insert(h, rel.Row{rel.Int(100)}, setup)
+		ids[i], _ = insertRow(m, h, rel.Row{rel.Int(100)}, setup)
 	}
 	m.Commit(setup)
 
@@ -360,17 +388,17 @@ func TestConcurrentTransfersConserveTotal(t *testing.T) {
 				}
 				amt := int64(r.Intn(10))
 				tx := m.Begin(Snapshot, false)
-				rf, ok1 := m.Read(h, ids[from], tx)
-				rt, ok2 := m.Read(h, ids[to], tx)
+				rf, ok1 := readRow(m, h, ids[from], tx)
+				rt, ok2 := readRow(m, h, ids[to], tx)
 				if !ok1 || !ok2 {
 					m.Abort(tx)
 					continue
 				}
-				if m.Update(h, ids[from], rel.Row{rel.Int(rf[0].I - amt)}, tx) != nil {
+				if writeRow(m, h, ids[from], rel.Row{rel.Int(rf[0].I - amt)}, tx) != nil {
 					m.Abort(tx)
 					continue
 				}
-				if m.Update(h, ids[to], rel.Row{rel.Int(rt[0].I + amt)}, tx) != nil {
+				if writeRow(m, h, ids[to], rel.Row{rel.Int(rt[0].I + amt)}, tx) != nil {
 					m.Abort(tx)
 					continue
 				}
@@ -383,7 +411,7 @@ func TestConcurrentTransfersConserveTotal(t *testing.T) {
 	check := m.Begin(Snapshot, true)
 	var sum int64
 	for _, id := range ids {
-		row, ok := m.Read(h, id, check)
+		row, ok := readRow(m, h, id, check)
 		if !ok {
 			t.Fatal("account disappeared")
 		}
@@ -403,18 +431,18 @@ func TestVacuumIntegration(t *testing.T) {
 	m := NewManager()
 	h := newHeap()
 	setup := m.Begin(Snapshot, false)
-	id, _ := m.Insert(h, rel.Row{rel.Int(1)}, setup)
+	id, _ := insertRow(m, h, rel.Row{rel.Int(1)}, setup)
 	m.Commit(setup)
 	for i := 0; i < 5; i++ {
 		tx := m.Begin(Snapshot, false)
-		if err := m.Update(h, id, rel.Row{rel.Int(int64(i))}, tx); err != nil {
+		if err := writeRow(m, h, id, rel.Row{rel.Int(int64(i))}, tx); err != nil {
 			t.Fatal(err)
 		}
 		m.Commit(tx)
 	}
 	// Version chain should have 6 versions before vacuum.
 	depth := 0
-	for v := h.Head(id); v != nil; v = v.Next() {
+	for v := h.Heads([]storage.RowID{id}, nil)[0]; v != nil; v = v.Next() {
 		depth++
 	}
 	if depth != 6 {
@@ -425,7 +453,7 @@ func TestVacuumIntegration(t *testing.T) {
 		t.Fatalf("vacuum reclaimed %d, want 5", reclaimed)
 	}
 	tx := m.Begin(Snapshot, true)
-	if row, ok := m.Read(h, id, tx); !ok || row[0].I != 4 {
+	if row, ok := readRow(m, h, id, tx); !ok || row[0].I != 4 {
 		t.Fatal("live version lost by vacuum")
 	}
 }
@@ -434,10 +462,10 @@ func TestReadMissingRow(t *testing.T) {
 	m := NewManager()
 	h := newHeap()
 	tx := m.Begin(Snapshot, true)
-	if _, ok := m.Read(h, storage.RowID{Page: 9, Slot: 9}, tx); ok {
+	if _, ok := readRow(m, h, storage.RowID{Page: 9, Slot: 9}, tx); ok {
 		t.Fatal("missing row should not be readable")
 	}
-	if err := m.Update(h, storage.RowID{Page: 9, Slot: 9}, rel.Row{}, m.Begin(Snapshot, false)); err == nil {
+	if err := writeRow(m, h, storage.RowID{Page: 9, Slot: 9}, rel.Row{}, m.Begin(Snapshot, false)); err == nil {
 		t.Fatal("updating missing row should error")
 	}
 }
@@ -450,7 +478,7 @@ func seedBatchHeap(t *testing.T, m *Manager, h *storage.Heap, n int) []storage.R
 	setup := m.Begin(Snapshot, false)
 	ids := make([]storage.RowID, n)
 	for i := 0; i < n; i++ {
-		id, err := m.Insert(h, rel.Row{rel.Int(int64(i))}, setup)
+		id, err := insertRow(m, h, rel.Row{rel.Int(int64(i))}, setup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -480,7 +508,7 @@ func TestUpdateBatchCommitAndAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	check := m.Begin(Snapshot, true)
-	if row, ok := m.Read(h, ids[299], check); !ok || row[0].I != -299 {
+	if row, ok := readRow(m, h, ids[299], check); !ok || row[0].I != -299 {
 		t.Fatalf("batch update lost: %v", row)
 	}
 
@@ -510,7 +538,7 @@ func TestUpdateBatchConflictRollsBackPartialClaims(t *testing.T) {
 	// and aborting t2 must release the rows it claimed before the
 	// conflict.
 	t1 := m.Begin(Snapshot, false)
-	if err := m.Update(h, ids[5], rel.Row{rel.Int(7)}, t1); err != nil {
+	if err := writeRow(m, h, ids[5], rel.Row{rel.Int(7)}, t1); err != nil {
 		t.Fatal(err)
 	}
 	t2 := m.Begin(Snapshot, false)
@@ -547,15 +575,15 @@ func TestDeleteBatch(t *testing.T) {
 		t.Fatalf("live rows after batch delete = %d, want 50", live)
 	}
 	check := m.Begin(Snapshot, true)
-	if _, ok := m.Read(h, ids[0], check); ok {
+	if _, ok := readRow(m, h, ids[0], check); ok {
 		t.Fatal("deleted row still visible")
 	}
-	if _, ok := m.Read(h, ids[199], check); !ok {
+	if _, ok := readRow(m, h, ids[199], check); !ok {
 		t.Fatal("surviving row lost")
 	}
 }
 
-func TestReadPageVisibleAlignsIDsAndRows(t *testing.T) {
+func TestReadPageAlignsIDsAndRows(t *testing.T) {
 	m := NewManager()
 	h := newHeap()
 	ids := seedBatchHeap(t, m, h, 200)
@@ -572,40 +600,41 @@ func TestReadPageVisibleAlignsIDsAndRows(t *testing.T) {
 	tx := m.Begin(Snapshot, true)
 	var gotIDs []storage.RowID
 	var gotRows []rel.Row
-	cursor := h.NewBatchCursor()
-	for {
-		pageID, heads, ok := cursor.NextPage()
-		if !ok {
-			break
-		}
-		gotIDs, gotRows = m.ReadPageVisible(1, pageID, heads, tx, gotIDs, gotRows)
-	}
+	h.ScanBatch(func(pageID uint32, heads []*storage.Version) bool {
+		gotRows = m.ReadPage(1, pageID, heads, tx, gotRows, &gotIDs)
+		return true
+	})
 	if len(gotIDs) != 197 || len(gotRows) != 197 {
 		t.Fatalf("got %d ids, %d rows, want 197", len(gotIDs), len(gotRows))
 	}
 	for i, id := range gotIDs {
 		// Row payload must match what a point read at that id returns.
-		row, ok := m.Read(h, id, tx)
+		row, ok := readRow(m, h, id, tx)
 		if !ok || row[0].I != gotRows[i][0].I {
 			t.Fatalf("id %v misaligned: point read %v, batch %v", id, row, gotRows[i])
 		}
 	}
 }
 
-func TestHeapHeadsMatchesHead(t *testing.T) {
+// TestHeapHeadsResolvesChainsAndGaps: Heads yields each id's chain head in
+// argument order and nil for an id outside the heap.
+func TestHeapHeadsResolvesChainsAndGaps(t *testing.T) {
 	m := NewManager()
 	h := newHeap()
 	ids := seedBatchHeap(t, m, h, 300)
-	// Include out-of-range ids: Heads must yield nil, same as Head.
-	probe := append(append([]storage.RowID{}, ids...), storage.RowID{Page: 99, Slot: 0})
+	probe := append(append([]storage.RowID{}, ids...),
+		storage.RowID{Page: 99, Slot: 0}, storage.RowID{Page: 0, Slot: 999})
 	heads := h.Heads(probe, nil)
 	if len(heads) != len(probe) {
 		t.Fatalf("got %d heads, want %d", len(heads), len(probe))
 	}
-	for i, id := range probe {
-		if heads[i] != h.Head(id) {
-			t.Fatalf("heads[%d] mismatch for %v", i, id)
+	for i := range ids {
+		if heads[i] == nil || heads[i].Data[0].I != int64(i) {
+			t.Fatalf("heads[%d] is not row %d's chain: %v", i, i, heads[i])
 		}
+	}
+	if heads[300] != nil || heads[301] != nil {
+		t.Fatal("out-of-range ids must resolve to nil")
 	}
 }
 
@@ -622,7 +651,7 @@ func TestConcurrentPageReadsDuringWrites(t *testing.T) {
 	const seedRows = 4 * storage.RowsPerPage
 	seed := m.Begin(Snapshot, false)
 	for i := 0; i < seedRows; i++ {
-		if _, err := m.Insert(h, rel.Row{rel.Int(int64(i)), rel.Int(0)}, seed); err != nil {
+		if _, err := insertRow(m, h, rel.Row{rel.Int(int64(i)), rel.Int(0)}, seed); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -644,10 +673,9 @@ func TestConcurrentPageReadsDuringWrites(t *testing.T) {
 			default:
 			}
 			w := m.Begin(Snapshot, false)
-			_, err := m.Insert(h, rel.Row{rel.Int(int64(seedRows + i)), rel.Int(1)}, w)
+			_, err := insertRow(m, h, rel.Row{rel.Int(int64(seedRows + i)), rel.Int(1)}, w)
 			if err == nil {
-				err = m.Update(h, storage.RowID{Page: 0, Slot: uint32(i % storage.RowsPerPage)},
-					rel.Row{rel.Int(int64(i % storage.RowsPerPage)), rel.Int(int64(i))}, w)
+				err = writeRow(m, h, storage.RowID{Page: 0, Slot: uint32(i % storage.RowsPerPage)}, rel.Row{rel.Int(int64(i % storage.RowsPerPage)), rel.Int(int64(i))}, w)
 			}
 			if err != nil && !errors.Is(err, ErrWriteConflict) {
 				writerMu.Lock()
@@ -682,15 +710,15 @@ func TestConcurrentPageReadsDuringWrites(t *testing.T) {
 				var rows []rel.Row
 				pages := h.NumPages()
 				for pg := 0; pg < pages; pg++ {
-					n := h.PageHeads(uint32(pg), buf)
-					rows = m.ReadPage(1, uint32(pg), buf[:n], tx, rows)
+					n, _ := h.PageHeads(uint32(pg), buf)
+					rows = m.ReadPage(1, uint32(pg), buf[:n], tx, rows, nil)
 				}
 				first := len(rows)
 				// A second full pass under the same snapshot must agree.
 				rows = rows[:0]
 				for pg := 0; pg < pages; pg++ {
-					n := h.PageHeads(uint32(pg), buf)
-					rows = m.ReadPage(1, uint32(pg), buf[:n], tx, rows)
+					n, _ := h.PageHeads(uint32(pg), buf)
+					rows = m.ReadPage(1, uint32(pg), buf[:n], tx, rows, nil)
 				}
 				if len(rows) != first {
 					t.Errorf("snapshot drifted: first pass %d rows, second %d", first, len(rows))

@@ -1,0 +1,165 @@
+package txn
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"neurdb/internal/rel"
+	"neurdb/internal/storage"
+)
+
+// readPageScenario builds, from seed alone, a heap whose pages hold every
+// kind of slot a scan can meet — and a reader to scan them with:
+//
+//   - plain committed rows, and rows with a committed older version below;
+//   - slots vacuum emptied, some of them handed to later inserts;
+//   - rows deleted before the reader began, and after (still visible to it);
+//   - rows updated by a commit after the reader began (it skips the head);
+//   - an open writer's update, delete and inserts; an aborted writer's;
+//   - unless the reader is read-only, its own update, delete and inserts.
+//
+// Two calls with the same arguments build identical states, transaction ids
+// included, so what one read registers can be compared with another's.
+func readPageScenario(t *testing.T, seed int64, level IsolationLevel, readOnly bool) (*Manager, *storage.Heap, *Txn) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	m := NewManager()
+	h := newHeap()
+	const n = 3*storage.RowsPerPage + 40
+	ids := seedBatchHeap(t, m, h, n)
+
+	// Disjoint groups of rows, one per fate, each in heap order.
+	perm := r.Perm(n)
+	group := func(k int) []storage.RowID {
+		g := make([]storage.RowID, k)
+		for i := range g {
+			g[i] = ids[perm[i]]
+		}
+		perm = perm[k:]
+		slices.SortFunc(g, func(a, b storage.RowID) int {
+			return int(a.Page)*storage.RowsPerPage + int(a.Slot) - int(b.Page)*storage.RowsPerPage - int(b.Slot)
+		})
+		return g
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tag := int64(1000)
+	fresh := func(k int) []rel.Row {
+		rows := make([]rel.Row, k)
+		for i := range rows {
+			tag++
+			rows[i] = rel.Row{rel.Int(tag)}
+		}
+		return rows
+	}
+	// write updates upd, deletes del and inserts ins rows as part of tx.
+	write := func(tx *Txn, upd, del []storage.RowID, ins int) {
+		must(m.UpdateBatch(h, upd, fresh(len(upd)), tx))
+		must(m.DeleteBatch(h, del, tx))
+		_, err := m.InsertBatch(h, fresh(ins), tx)
+		must(err)
+	}
+	committed := func(upd, del []storage.RowID, ins int) {
+		tx := m.Begin(Snapshot, false)
+		write(tx, upd, del, ins)
+		must(m.Commit(tx))
+	}
+
+	committed(nil, group(16), 0)
+	if got := h.Vacuum(m.OldestActiveTS()); got != 16 {
+		t.Fatalf("vacuum reclaimed %d versions, want the 16 deleted rows", got)
+	}
+	committed(group(12), group(12), 2) // chains, dead rows, two reused slots
+
+	reader := m.Begin(level, readOnly)
+
+	committed(group(12), group(12), 3)
+	open := m.Begin(level, false)
+	write(open, group(8), group(8), 3)
+	aborted := m.Begin(level, false)
+	write(aborted, group(8), group(8), 3)
+	m.Abort(aborted)
+	if !readOnly {
+		write(reader, group(8), group(8), 3)
+	}
+	return m, h, reader
+}
+
+// TestReadPageAgreesWithReadHead is the property the folded ReadPage stands
+// on: for any page, under snapshot isolation and SSI, asking for RowIDs or
+// not changes nothing else, and both equal reading the page's heads one by
+// one through ReadHead — in rows, in order, and in what the read leaves
+// behind in the manager (SIREAD entries and rw-antidependency edges).
+func TestReadPageAgreesWithReadHead(t *testing.T) {
+	type outcome struct {
+		rows   []rel.Row
+		ids    []storage.RowID
+		reads  []rowKey
+		outTo  int
+		outOld bool
+	}
+	// read scans the whole heap with one of the three readers.
+	read := func(seed int64, level IsolationLevel, readOnly bool, how string) outcome {
+		m, h, tx := readPageScenario(t, seed, level, readOnly)
+		var o outcome
+		h.ScanBatch(func(pageID uint32, heads []*storage.Version) bool {
+			switch how {
+			case "page+ids":
+				o.rows = m.ReadPage(h.TableID, pageID, heads, tx, o.rows, &o.ids)
+			case "page":
+				o.rows = m.ReadPage(h.TableID, pageID, heads, tx, o.rows, nil)
+			case "heads":
+				for slot, head := range heads {
+					id := storage.RowID{Page: pageID, Slot: uint32(slot)}
+					if row, ok := m.ReadHead(h.TableID, id, head, tx); ok {
+						o.rows = append(o.rows, row)
+						o.ids = append(o.ids, id)
+					}
+				}
+			}
+			return true
+		})
+		tx.mu.Lock()
+		o.reads, o.outTo, o.outOld = slices.Clone(tx.reads), len(tx.outTo), tx.outToOld
+		tx.mu.Unlock()
+		return o
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, mode := range []struct {
+			level    IsolationLevel
+			readOnly bool
+		}{{Snapshot, false}, {Snapshot, true}, {Serializable, false}, {Serializable, true}} {
+			name := fmt.Sprintf("seed=%d/level=%d/readOnly=%v", seed, mode.level, mode.readOnly)
+			withIDs := read(seed, mode.level, mode.readOnly, "page+ids")
+			without := read(seed, mode.level, mode.readOnly, "page")
+			perHead := read(seed, mode.level, mode.readOnly, "heads")
+
+			if len(perHead.rows) < 3*storage.RowsPerPage-40 || len(perHead.ids) != len(perHead.rows) {
+				t.Fatalf("%s: reference read %d rows, %d ids", name, len(perHead.rows), len(perHead.ids))
+			}
+			ssi := mode.level == Serializable && !mode.readOnly
+			if ssi != (len(perHead.reads) > 0) || ssi != (perHead.outTo > 0) || ssi != perHead.outOld {
+				t.Fatalf("%s: reference registered %d reads, %d out-edges, outToOld=%v",
+					name, len(perHead.reads), perHead.outTo, perHead.outOld)
+			}
+			if !reflect.DeepEqual(withIDs.ids, perHead.ids) {
+				t.Fatalf("%s: ReadPage ids differ from ReadHead's", name)
+			}
+			without.ids = perHead.ids // not asked for; everything else must match
+			for how, got := range map[string]outcome{"with ids": withIDs, "without ids": without} {
+				if !reflect.DeepEqual(got, perHead) {
+					t.Fatalf("%s: ReadPage %s differs from per-row ReadHead:\n got %d rows, %d reads, %d out-edges, outToOld=%v\nwant %d rows, %d reads, %d out-edges, outToOld=%v",
+						name, how, len(got.rows), len(got.reads), got.outTo, got.outOld,
+						len(perHead.rows), len(perHead.reads), perHead.outTo, perHead.outOld)
+				}
+			}
+		}
+	}
+}

@@ -35,14 +35,14 @@ func TestSSIWriteSkewAcrossStripes(t *testing.T) {
 
 	t1 := m.Begin(Serializable, false)
 	t2 := m.Begin(Serializable, false)
-	m.Read(h, idA, t1)
-	m.Read(h, idB, t1)
-	m.Read(h, idA, t2)
-	m.Read(h, idB, t2)
-	if err := m.Update(h, idA, rel.Row{rel.Int(-10)}, t1); err != nil {
+	readRow(m, h, idA, t1)
+	readRow(m, h, idB, t1)
+	readRow(m, h, idA, t2)
+	readRow(m, h, idB, t2)
+	if err := writeRow(m, h, idA, rel.Row{rel.Int(-10)}, t1); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Update(h, idB, rel.Row{rel.Int(-10)}, t2); err != nil {
+	if err := writeRow(m, h, idB, rel.Row{rel.Int(-10)}, t2); err != nil {
 		t.Fatal(err)
 	}
 	err1 := m.Commit(t1)
@@ -112,7 +112,7 @@ func TestConcurrentBatchWritersDisjointPages(t *testing.T) {
 	}
 	check := m.Begin(Snapshot, true)
 	for i, id := range ids {
-		row, ok := m.Read(h, id, check)
+		row, ok := readRow(m, h, id, check)
 		if !ok || row[0].I != int64(1000+i) {
 			t.Fatalf("row %d lost or wrong after concurrent batch commit: %v", i, row)
 		}
@@ -163,12 +163,12 @@ func TestConcurrentWritersSamePageConflict(t *testing.T) {
 	// All surviving rows carry one winner's value per committed batch —
 	// each full-page batch is atomic, so every row matches some winner.
 	check := m.Begin(Snapshot, true)
-	first, ok := m.Read(h, ids[0], check)
+	first, ok := readRow(m, h, ids[0], check)
 	if !ok {
 		t.Fatal("row lost")
 	}
 	for _, id := range ids[1:] {
-		row, ok := m.Read(h, id, check)
+		row, ok := readRow(m, h, id, check)
 		if !ok || row[0].I != first[0].I {
 			t.Fatalf("torn batch: row %v = %v, first = %v", id, row, first)
 		}
@@ -186,7 +186,7 @@ func TestCommitClockMonotonic(t *testing.T) {
 		if tx.StartTS > last {
 			t.Fatalf("begin ts %d ran ahead of last commit ts %d", tx.StartTS, last)
 		}
-		if _, err := m.Insert(h, rel.Row{rel.Int(int64(i))}, tx); err != nil {
+		if _, err := insertRow(m, h, rel.Row{rel.Int(int64(i))}, tx); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Commit(tx); err != nil {

@@ -212,6 +212,7 @@ func TestBinderStatementErrors(t *testing.T) {
 		{`INSERT INTO r VALUES (1, 2)`, nil, "INSERT arity mismatch: 2 values for 3 columns"},
 		{`INSERT INTO r (id, a) VALUES (1, 2, 3)`, nil, "INSERT arity mismatch: 3 values for 2 columns"},
 		{`INSERT INTO r (id, nope) VALUES (1, 2)`, nil, `no column "nope" in "r"`},
+		{`INSERT INTO r (id, a, ID) VALUES (1, 2, 3)`, nil, `column "ID" specified more than once`},
 		{`INSERT INTO r VALUES (1, a, 3.0)`, nil, `unknown column "a"`},
 		{`INSERT INTO r VALUES (?, ?, ?)`, []any{1, 2}, "statement takes 3 parameters, got 2 arguments"},
 		{`INSERT INTO r VALUES ($3, 1, 1.0)`, []any{1}, "statement takes 3 parameters, got 1 arguments"},
