@@ -106,7 +106,10 @@ func newAggAcc(node *plan.Agg) *aggAcc {
 
 // slot returns the accumulator slot for the row's group, creating it on
 // first sight. Group keys are rel.EncodeValue's self-delimiting encoding, so
-// NULLs form a group and values of different types never collide.
+// NULLs form a group and values of different types never collide; -0 is
+// encoded as 0, because = and the hash join treat them as equal. A new
+// group keeps a copy of its first row: callers may reuse row's backing
+// array (the fused join aggregation does).
 func (a *aggAcc) slot(row rel.Row, seq uint64) int {
 	a.keyBuf = a.keyBuf[:0]
 	for k, g := range a.node.GroupBy {
@@ -115,6 +118,9 @@ func (a *aggAcc) slot(row rel.Row, seq uint64) int {
 			v = row[col]
 		} else {
 			v = g.Eval(row)
+		}
+		if v.Typ == rel.TypeFloat && v.F == 0 {
+			v.F = 0
 		}
 		a.keyBuf = rel.EncodeValue(a.keyBuf, v)
 	}
@@ -125,7 +131,7 @@ func (a *aggAcc) slot(row rel.Row, seq uint64) int {
 	s := len(a.firsts)
 	a.slots[key] = s
 	a.keys = append(a.keys, key)
-	a.firsts = append(a.firsts, row)
+	a.firsts = append(a.firsts, row.Clone())
 	a.firstSeen = append(a.firstSeen, seq)
 	a.cnts = append(a.cnts, make([]int64, a.nAgg)...)
 	a.sums = append(a.sums, make([]float64, a.nAgg)...)

@@ -83,9 +83,18 @@ func BuildBatch(n plan.Node, ctx *Ctx) (BatchIter, error) {
 		}
 		return &indexJoinBatch{ctx: ctx, node: t, left: l, in: rel.NewBatch(0)}, nil
 	case *plan.Agg:
-		if pipe, ok := extractPipeline(t.Child); ok {
-			if w := pipelineWorkers(ctx, pipe); w > 1 {
-				return &parallelAgg{ctx: ctx, node: t, pipe: pipe, workers: w}, nil
+		if pipe, w := parallelPipeline(t.Child, ctx); pipe != nil {
+			return &parallelAgg{ctx: ctx, node: t, pipe: pipe, workers: w}, nil
+		}
+		if j, ok := t.Child.(*plan.HashJoin); ok {
+			// Aggregation below the join: the probe workers fold their
+			// matches straight into per-worker partials.
+			if pipe, w := parallelPipeline(j.L, ctx); pipe != nil {
+				jp, err := newJoinProbe(j, ctx)
+				if err != nil {
+					return nil, err
+				}
+				return &parallelAgg{ctx: ctx, node: t, pipe: pipe, workers: w, probe: jp}, nil
 			}
 		}
 		c, err := BuildBatch(t.Child, ctx)
@@ -94,10 +103,8 @@ func BuildBatch(n plan.Node, ctx *Ctx) (BatchIter, error) {
 		}
 		return &aggBatch{node: t, child: c}, nil
 	case *plan.Sort:
-		if pipe, ok := extractPipeline(t.Child); ok {
-			if w := pipelineWorkers(ctx, pipe); w > 1 {
-				return &parallelSort{ctx: ctx, keys: t.Keys, pipe: pipe, workers: w}, nil
-			}
+		if pipe, w := parallelPipeline(t.Child, ctx); pipe != nil {
+			return &parallelSort{ctx: ctx, keys: t.Keys, pipe: pipe, workers: w}, nil
 		}
 		c, err := BuildBatch(t.Child, ctx)
 		if err != nil {
@@ -125,55 +132,22 @@ func BuildBatch(n plan.Node, ctx *Ctx) (BatchIter, error) {
 }
 
 // buildHashJoinBatch picks the hash-join shape: parallel probe when the
-// probe (left) side is a large-enough pipeline, parallel build when the
-// build (right) side is, serial batch join otherwise — each side degrades
-// independently.
+// probe (left) side is a large-enough pipeline, serial batch join otherwise;
+// the build side degrades independently (see newJoinProbe).
 func buildHashJoinBatch(t *plan.HashJoin, ctx *Ctx) (BatchIter, error) {
-	var probePipe, buildPipe *scanPipeline
-	pw, bw := 0, 0
-	if p, ok := extractPipeline(t.L); ok {
-		if w := pipelineWorkers(ctx, p); w > 1 {
-			probePipe, pw = p, w
-		}
+	jp, err := newJoinProbe(t, ctx)
+	if err != nil {
+		return nil, err
 	}
-	if p, ok := extractPipeline(t.R); ok {
-		if w := pipelineWorkers(ctx, p); w > 1 {
-			buildPipe, bw = p, w
-		}
-	}
-	if pw > 1 {
-		jp := &joinProbe{node: t}
-		probePipe.stages = append(probePipe.stages, pipeStage{probe: jp})
-		j := &parallelHashJoin{
-			parallelScan: parallelScan{ctx: ctx, pipe: probePipe, workers: pw},
-			probe:        jp,
-		}
-		if bw > 1 {
-			j.buildPipe, j.buildWorkers = buildPipe, bw
-		} else {
-			r, err := BuildBatch(t.R, ctx)
-			if err != nil {
-				return nil, err
-			}
-			j.right = r
-		}
-		return j, nil
+	if pipe, w := parallelPipeline(t.L, ctx); pipe != nil {
+		pipe.stages = append(pipe.stages, pipeStage{probe: jp})
+		return &parallelHashJoin{parallelScan: parallelScan{ctx: ctx, pipe: pipe, workers: w}, probe: jp}, nil
 	}
 	l, err := BuildBatch(t.L, ctx)
 	if err != nil {
 		return nil, err
 	}
-	j := &hashJoinBatch{node: t, left: l, in: rel.NewBatch(0)}
-	if bw > 1 {
-		j.ctx, j.buildPipe, j.buildWorkers = ctx, buildPipe, bw
-	} else {
-		r, err := BuildBatch(t.R, ctx)
-		if err != nil {
-			return nil, err
-		}
-		j.right = r
-	}
-	return j, nil
+	return &hashJoinBatch{probe: jp, left: l, in: rel.NewBatch(0)}, nil
 }
 
 // --- scans ---
@@ -300,27 +274,18 @@ func (p *projectBatch) Close() error { return p.child.Close() }
 
 // --- joins ---
 
-// hashJoinBatch is the batched equi-join: Open drains the build (right)
-// side batch-at-a-time into the hash table, then each probe batch from the
-// left produces its joined rows in one pass. Joined rows overflowing the
-// output batch are carried in pending across calls. When the planner found
-// the build side morsel-parallelizable but not the probe side, buildPipe is
-// set and Open builds the table with a worker pool instead of draining
-// right.
+// hashJoinBatch is the batched equi-join: Open builds the table (see
+// joinProbe.open), then each probe batch from the left produces its joined
+// rows in one pass. Joined rows overflowing the output batch are carried in
+// pending across calls.
 type hashJoinBatch struct {
-	node        *plan.HashJoin
-	left, right BatchIter
-	table       map[uint64][]rel.Row
-	in          *rel.Batch // probe-side input scratch
-	pending     []rel.Row  // joined rows awaiting emission
-	pendPos     int
-	slab        []rel.Value // arena joined rows are carved from
-	exhausted   bool
-
-	// Parallel-build configuration (nil/0 = serial build from right).
-	ctx          *Ctx
-	buildPipe    *scanPipeline
-	buildWorkers int
+	probe     *joinProbe
+	left      BatchIter
+	in        *rel.Batch // probe-side input scratch
+	pending   []rel.Row  // joined rows awaiting emission
+	pendPos   int
+	slab      []rel.Value // arena joined rows are carved from
+	exhausted bool
 }
 
 // joinSlabValues sizes the output-row arena: joined rows are carved from a
@@ -329,44 +294,10 @@ type hashJoinBatch struct {
 // alive for exactly as long as some consumer holds one of their rows.
 const joinSlabValues = 4096
 
-// drainJoinBuild materializes a hash-join build side from a batch iterator
-// into a probe table; bucket order is the input (heap) order.
-func drainJoinBuild(right BatchIter, rkey int) (map[uint64][]rel.Row, error) {
-	table := make(map[uint64][]rel.Row)
-	build := rel.NewBatch(BatchSize)
-	for {
-		n, err := right.NextBatch(build)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return table, nil
-		}
-		for _, row := range build.Rows {
-			key := row[rkey]
-			if key.IsNull() {
-				continue
-			}
-			hash := key.Hash()
-			table[hash] = append(table[hash], row)
-		}
-	}
-}
-
 func (h *hashJoinBatch) Open() error {
-	if h.buildPipe != nil {
-		h.table = buildJoinTableParallel(h.ctx, h.buildPipe, h.node.RKey, h.buildWorkers)
-		return h.left.Open()
-	}
-	if err := h.right.Open(); err != nil {
+	if err := h.probe.open(); err != nil {
 		return err
 	}
-	defer h.right.Close()
-	table, err := drainJoinBuild(h.right, h.node.RKey)
-	if err != nil {
-		return err
-	}
-	h.table = table
 	return h.left.Open()
 }
 
@@ -392,32 +323,7 @@ func (h *hashJoinBatch) NextBatch(dst *rel.Batch) (int, error) {
 		h.pending = h.pending[:0]
 		h.pendPos = 0
 		for _, l := range h.in.Rows {
-			key := l[h.node.LKey]
-			if key.IsNull() {
-				continue
-			}
-			for _, r := range h.table[key.Hash()] {
-				if !rel.Equal(r[h.node.RKey], key) {
-					continue
-				}
-				width := len(l) + len(r)
-				if cap(h.slab)-len(h.slab) < width {
-					n := joinSlabValues
-					if n < width {
-						n = width
-					}
-					h.slab = make([]rel.Value, 0, n)
-				}
-				start := len(h.slab)
-				h.slab = append(h.slab, l...)
-				h.slab = append(h.slab, r...)
-				joined := rel.Row(h.slab[start:len(h.slab):len(h.slab)])
-				if h.node.Residual != nil && !h.node.Residual.Eval(joined).AsBool() {
-					h.slab = h.slab[:start]
-					continue
-				}
-				h.pending = append(h.pending, joined)
-			}
+			h.pending, h.slab = h.probe.joinRow(h.pending, h.slab, l)
 		}
 	}
 	return dst.Len(), nil

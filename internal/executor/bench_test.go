@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -126,6 +127,43 @@ func BenchmarkHashJoinBatch(b *testing.B) {
 		if got := drainBatch(b, it, batch); got == 0 {
 			b.Fatal("empty join")
 		}
+	}
+}
+
+// BenchmarkHashJoinAggBatch: GROUP BY a build-side column over the 20k x 2k
+// join, serially (aggBatch over hashJoinBatch) and with two workers (the
+// aggregation below the join: per-worker partials fed by the probe).
+func BenchmarkHashJoinAggBatch(b *testing.B) {
+	e := newBenchEnv(b)
+	probe := e.fill(b, "probe", 20_000, 2000)
+	build := e.fill(b, "build", 2000, 2000)
+	grp := &rel.ColRef{Idx: 4} // build.grp
+	node := &plan.Agg{
+		Child:   joinPlan(probe, build),
+		GroupBy: []rel.Expr{grp},
+		Items: []plan.AggItem{
+			{Key: grp},
+			{Agg: &plan.AggSpec{Kind: plan.AggCount}},
+			{Agg: &plan.AggSpec{Kind: plan.AggSum, Arg: &rel.ColRef{Idx: 2}}},
+		},
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			ctx := e.readCtx()
+			ctx.Workers = workers
+			batch := rel.NewBatch(BatchSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				it, err := BuildBatch(node, ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := drainBatch(b, it, batch); got == 0 {
+					b.Fatal("empty join aggregate")
+				}
+			}
+		})
 	}
 }
 

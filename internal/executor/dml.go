@@ -2,6 +2,7 @@ package executor
 
 import (
 	"fmt"
+	"slices"
 
 	"neurdb/internal/catalog"
 	"neurdb/internal/plan"
@@ -89,13 +90,16 @@ func pageRows(ctx *Ctx, t *catalog.Table, pg uint32, filter rel.Expr, buf []*sto
 // claimPage writes the rows one page of a DML scan selected. DELETE (set is
 // nil) claims them; UPDATE computes each replacement from its old row — the
 // SET expressions see the old values — passes it through checkRow like any
-// row entering the heap, and claims the replacements, which it returns.
-func claimPage(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, ids []storage.RowID, olds []rel.Row) ([]rel.Row, error) {
+// row entering the heap, and claims the replacements, which it returns
+// appended to news[:0]. Neither UpdateBatch nor the write records it leaves
+// in the transaction keep that slice, only its rows, so a serial caller
+// passes the returned slice back in as scratch for the next page.
+func claimPage(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, ids []storage.RowID, olds, news []rel.Row) ([]rel.Row, error) {
 	if set == nil {
 		return nil, ctx.Mgr.DeleteBatch(t.Heap, ids, ctx.Txn)
 	}
-	news := make([]rel.Row, len(olds))
-	for i, old := range olds {
+	news = slices.Grow(news[:0], len(olds))
+	for _, old := range olds {
 		row := old.Clone()
 		for col, e := range set {
 			row[col] = e.Eval(old)
@@ -103,7 +107,7 @@ func claimPage(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, ids []storage.R
 		if err := checkRow(t, row); err != nil {
 			return nil, err
 		}
-		news[i] = row
+		news = append(news, row)
 	}
 	return news, ctx.Mgr.UpdateBatch(t.Heap, ids, news, ctx.Txn)
 }
@@ -128,14 +132,15 @@ func noteWritten(t *catalog.Table, ids []storage.RowID, olds, news []rel.Row) {
 }
 
 // writePage is the serial step the two DML row sources share: claim the
-// rows one page contributed, then post and note them.
-func writePage(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, ids []storage.RowID, olds []rel.Row) error {
-	news, err := claimPage(ctx, t, set, ids, olds)
+// rows one page contributed, then post and note them. news is claimPage's
+// scratch, returned for the next page.
+func writePage(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, ids []storage.RowID, olds, news []rel.Row) ([]rel.Row, error) {
+	news, err := claimPage(ctx, t, set, ids, olds, news)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	noteWritten(t, ids, olds, news)
-	return nil
+	return news, nil
 }
 
 // dmlScan drives the page-at-a-time DML loop over the heap. A page's rows
@@ -148,6 +153,7 @@ func dmlScan(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, where rel.Expr) (
 	buf := make([]*storage.Version, storage.RowsPerPage)
 	ids := make([]storage.RowID, 0, storage.RowsPerPage)
 	rows := make([]rel.Row, 0, storage.RowsPerPage)
+	news := make([]rel.Row, 0, storage.RowsPerPage)
 	for pg := uint32(0); ; pg++ {
 		var ok bool
 		ids = ids[:0]
@@ -157,7 +163,8 @@ func dmlScan(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, where rel.Expr) (
 		if len(ids) == 0 {
 			continue
 		}
-		if err := writePage(ctx, t, set, ids, rows); err != nil {
+		var err error
+		if news, err = writePage(ctx, t, set, ids, rows, news); err != nil {
 			return 0, err
 		}
 		total += len(ids)
@@ -180,7 +187,7 @@ func dmlIndexScan(ctx *Ctx, n *plan.IndexScan, set map[int]rel.Expr) (int, error
 	total := 0
 	var heads []*storage.Version
 	var ids []storage.RowID
-	var rows []rel.Row
+	var rows, news []rel.Row
 	for start := 0; start < len(all); {
 		end := start + 1
 		for end < len(all) && all[end].Page == all[start].Page {
@@ -191,7 +198,7 @@ func dmlIndexScan(ctx *Ctx, n *plan.IndexScan, set map[int]rel.Expr) (int, error
 		if len(ids) == 0 {
 			continue
 		}
-		if err := writePage(ctx, n.Table, set, ids, rows); err != nil {
+		if news, err = writePage(ctx, n.Table, set, ids, rows, news); err != nil {
 			return 0, err
 		}
 		total += len(ids)

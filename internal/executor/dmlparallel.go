@@ -78,7 +78,7 @@ func dmlParallel(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, where rel.Exp
 						olds: append([]rel.Row(nil), rows...),
 					}
 					var err error
-					if res.news, err = claimPage(ctx, t, set, res.ids, res.olds); err != nil {
+					if res.news, err = claimPage(ctx, t, set, res.ids, res.olds, nil); err != nil {
 						fail(err)
 						return
 					}

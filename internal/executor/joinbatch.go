@@ -42,7 +42,7 @@ func (j *nlJoinBatch) Open() error {
 }
 
 // emitJoined appends l⋈r to pending via the slab, applying cond (which sees
-// the concatenated row). It is shared by the nested-loop and index joins.
+// the concatenated row). Every join emits its rows through it.
 func emitJoined(pending []rel.Row, slab []rel.Value, l, r rel.Row, cond rel.Expr) ([]rel.Row, []rel.Value) {
 	width := len(l) + len(r)
 	if cap(slab)-len(slab) < width {

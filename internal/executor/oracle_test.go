@@ -141,6 +141,9 @@ func oracleAgg(n *plan.Agg, in []rel.Row) []rel.Row {
 		key := ""
 		for _, g := range n.GroupBy {
 			v := g.Eval(row)
+			if v.Typ == rel.TypeFloat && v.F == 0 {
+				v.F = 0 // -0 groups with 0, as = has it
+			}
 			key += fmt.Sprintf("%d/%d/%v/%q/%t;", v.Typ, v.I, v.F, v.S, v.B)
 		}
 		if _, seen := groups[key]; !seen {

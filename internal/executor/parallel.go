@@ -2,13 +2,17 @@
 // dispatcher over the heap feeds a worker pool that runs fused
 // scan→filter→project pipelines, with parallel implementations of
 // aggregation (per-worker partial accumulators merged in heap first-seen
-// order), sort (per-worker sorted runs + k-way merge with a heap-order tie
-// break), and hash join (lock-striped parallel build, parallel probe). All
-// parallel operators emit exactly the row sequence their serial counterparts
-// produce: morsels are re-sequenced in heap order by a bounded ring of
-// rendezvous slots, so downstream operators — and differential tests —
-// cannot tell the paths apart (float SUM/AVG excepted: addition order over
-// partials is not associative, see docs/ARCHITECTURE.md).
+// order), sort (per-worker sorted runs + pairwise merge with a heap-order
+// tie break), and hash join (lock-striped parallel build, parallel probe).
+// An aggregate over a hash join with a parallel probe side aggregates below
+// the join: the probe is the last stage of the aggregation's pipeline and
+// each worker folds its matches into its partial, so no joined row is
+// materialized. All parallel operators emit exactly the row sequence their
+// serial counterparts produce: morsels are re-sequenced in heap order by a
+// bounded ring of rendezvous slots, and partials carry heap-order sequence
+// numbers, so downstream operators — and differential tests — cannot tell
+// the paths apart (float SUM/AVG excepted: addition order over partials is
+// not associative, see docs/ARCHITECTURE.md).
 package executor
 
 import (
@@ -104,6 +108,16 @@ func pipelineWorkers(ctx *Ctx, p *scanPipeline) int {
 	return w
 }
 
+// parallelPipeline returns the scan pipeline n compiles to and its worker
+// count when it runs morsel-parallel under ctx, else (nil, 0).
+func parallelPipeline(n plan.Node, ctx *Ctx) (*scanPipeline, int) {
+	p, _ := extractPipeline(n)
+	if w := pipelineWorkers(ctx, p); w > 1 {
+		return p, w
+	}
+	return nil, 0
+}
+
 // serialized returns a context copy that forces serial execution below it
 // (the LIMIT-dominated fallback).
 func (ctx *Ctx) serialized() *Ctx {
@@ -195,12 +209,8 @@ func newParallelScan(ctx *Ctx, pipe *scanPipeline, workers int) *parallelScan {
 // tryParallelScan returns a morsel-parallel iterator when n is a pure
 // scan→filter→project pipeline over a heap large enough to split.
 func tryParallelScan(n plan.Node, ctx *Ctx) (BatchIter, bool) {
-	pipe, ok := extractPipeline(n)
-	if !ok {
-		return nil, false
-	}
-	w := pipelineWorkers(ctx, pipe)
-	if w <= 1 {
+	pipe, w := parallelPipeline(n, ctx)
+	if pipe == nil {
 		return nil, false
 	}
 	return newParallelScan(ctx, pipe, w), true
@@ -291,17 +301,33 @@ func (s *parallelScan) Close() error {
 // accumulators merged in a final step. Groups come out in global first-seen
 // heap order (each partial tracks the smallest row sequence per group), so
 // the output row order matches the serial aggBatch exactly.
+//
+// When probe is set the pipeline is the probe side of a hash join and the
+// aggregate sits on the join: Open builds the table before any worker
+// starts, and each worker joins its morsel's rows a probe row at a time into
+// a reused scratch slab and folds every match into its partial — no joined
+// row is kept (aggAcc.slot clones a group's first one), re-sequenced or
+// aggregated on one goroutine. A match's sequence is morsel<<32 plus the
+// count of matches before it in the morsel; matches come in probe-row order,
+// then bucket (build) order, so the sequences order the joined rows exactly
+// as the serial join emits them and first-seen group order is the serial one.
 type parallelAgg struct {
 	ctx     *Ctx
 	node    *plan.Agg
 	pipe    *scanPipeline
 	workers int
+	probe   *joinProbe // nil: aggregate the pipeline's rows
 
 	out []rel.Row
 	pos int
 }
 
 func (a *parallelAgg) Open() error {
+	if a.probe != nil {
+		if err := a.probe.open(); err != nil {
+			return err
+		}
+	}
 	ms := a.pipe.table.Heap.NewMorselSource(MorselPages)
 	partials := make([]*aggAcc, a.workers)
 	var wg sync.WaitGroup
@@ -313,15 +339,27 @@ func (a *parallelAgg) Open() error {
 			defer wg.Done()
 			acc := newAggAcc(a.node)
 			buf := make([]*storage.Version, storage.RowsPerPage)
+			var joined []rel.Row
+			var slab []rel.Value
 			for {
 				idx, rows := a.pipe.morselRows(a.ctx, ms, buf)
 				if idx < 0 {
 					break
 				}
 				seq := uint64(idx) << 32
-				for _, row := range rows {
-					acc.add(row, seq)
-					seq++
+				if a.probe == nil {
+					for _, row := range rows {
+						acc.add(row, seq)
+						seq++
+					}
+					continue
+				}
+				for _, l := range rows {
+					joined, slab = a.probe.joinRow(joined[:0], slab[:0], l)
+					for _, row := range joined {
+						acc.add(row, seq)
+						seq++
+					}
 				}
 			}
 			partials[w] = acc
@@ -518,29 +556,83 @@ func (s *parallelSort) Close() error { return nil }
 
 // --- parallel hash join ---
 
-// joinProbe is the hash-probe pipeline stage: each worker probes the shared
-// read-only table for its morsel's rows, carving joined rows from a
-// morsel-local value slab. table is installed before workers start and never
-// mutated afterwards.
+// joinProbe is a hash join's build side and match logic, shared by the
+// three operators that probe it: the serial hashJoinBatch, the pipeline
+// stage of parallelHashJoin and the fused parallelAgg. open builds the table
+// — with a worker pool when the build side is a large-enough pipeline
+// (buildPipe), serially from the batch iterator right otherwise — before any
+// probe runs; afterwards it is read-only, so workers share it.
 type joinProbe struct {
-	node  *plan.HashJoin
-	table map[uint64][]rel.Row
+	ctx          *Ctx
+	node         *plan.HashJoin
+	buildPipe    *scanPipeline
+	buildWorkers int
+	right        BatchIter // serial build input; nil when buildPipe is set
+	table        map[uint64][]rel.Row
 }
 
+func newJoinProbe(t *plan.HashJoin, ctx *Ctx) (*joinProbe, error) {
+	jp := &joinProbe{ctx: ctx, node: t}
+	if jp.buildPipe, jp.buildWorkers = parallelPipeline(t.R, ctx); jp.buildPipe == nil {
+		r, err := BuildBatch(t.R, ctx)
+		if err != nil {
+			return nil, err
+		}
+		jp.right = r
+	}
+	return jp, nil
+}
+
+// open builds the probe table. Either way every bucket is in build (heap)
+// order, so probe match order does not depend on how the table was built.
+func (jp *joinProbe) open() error {
+	if jp.buildPipe != nil {
+		jp.table = buildJoinTableParallel(jp.ctx, jp.buildPipe, jp.node.RKey, jp.buildWorkers)
+		return nil
+	}
+	if err := jp.right.Open(); err != nil {
+		return err
+	}
+	defer jp.right.Close()
+	jp.table = make(map[uint64][]rel.Row)
+	build := rel.NewBatch(BatchSize)
+	for {
+		n, err := jp.right.NextBatch(build)
+		if err != nil || n == 0 {
+			return err
+		}
+		for _, row := range build.Rows {
+			if key := row[jp.node.RKey]; !key.IsNull() {
+				h := key.Hash()
+				jp.table[h] = append(jp.table[h], row)
+			}
+		}
+	}
+}
+
+// joinRow appends to out, via emitJoined's slab, l⋈r for every build row r
+// that joins the probe row l: a NULL key joins nothing, the hash bucket is
+// rechecked with rel.Equal, and the residual must hold on the joined row.
+func (jp *joinProbe) joinRow(out []rel.Row, slab []rel.Value, l rel.Row) ([]rel.Row, []rel.Value) {
+	key := l[jp.node.LKey]
+	if key.IsNull() {
+		return out, slab
+	}
+	for _, r := range jp.table[key.Hash()] {
+		if rel.Equal(r[jp.node.RKey], key) {
+			out, slab = emitJoined(out, slab, l, r, jp.node.Residual)
+		}
+	}
+	return out, slab
+}
+
+// apply is the pipeline stage: a morsel's joined rows, carved from a
+// morsel-local slab whose ownership goes with them.
 func (jp *joinProbe) apply(in []rel.Row) []rel.Row {
 	out := make([]rel.Row, 0, len(in))
 	var slab []rel.Value
 	for _, l := range in {
-		key := l[jp.node.LKey]
-		if key.IsNull() {
-			continue
-		}
-		for _, r := range jp.table[key.Hash()] {
-			if !rel.Equal(r[jp.node.RKey], key) {
-				continue
-			}
-			out, slab = emitJoined(out, slab, l, r, jp.node.Residual)
-		}
+		out, slab = jp.joinRow(out, slab, l)
 	}
 	return out
 }
@@ -660,31 +752,17 @@ func buildJoinTableParallel(ctx *Ctx, pipe *scanPipeline, rkey, workers int) map
 	return table
 }
 
-// parallelHashJoin is a hash join whose probe side is a morsel pipeline:
-// Open builds the table (in parallel when the build side is a pipeline too,
-// serially from a batch iterator otherwise), installs it in the probe stage,
-// and then streams joined rows through the embedded ordered exchange.
+// parallelHashJoin is a hash join whose probe side is a morsel pipeline
+// ending in the probe stage: Open builds the table, then streams joined rows
+// through the embedded ordered exchange.
 type parallelHashJoin struct {
 	parallelScan
-	probe        *joinProbe
-	right        BatchIter // serial build input; nil when buildPipe is set
-	buildPipe    *scanPipeline
-	buildWorkers int
+	probe *joinProbe
 }
 
 func (j *parallelHashJoin) Open() error {
-	if j.buildPipe != nil {
-		j.probe.table = buildJoinTableParallel(j.ctx, j.buildPipe, j.probe.node.RKey, j.buildWorkers)
-	} else {
-		if err := j.right.Open(); err != nil {
-			return err
-		}
-		defer j.right.Close()
-		table, err := drainJoinBuild(j.right, j.probe.node.RKey)
-		if err != nil {
-			return err
-		}
-		j.probe.table = table
+	if err := j.probe.open(); err != nil {
+		return err
 	}
 	j.start()
 	return nil

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -78,6 +79,15 @@ func loadParallelFixture(t *testing.T, db *testDB) {
 			t.Fatal(err)
 		}
 	}
+	// Duplicate and NULL build keys: a probe row can match several cats rows
+	// (in build order), or none.
+	for _, row := range []rel.Row{
+		{rel.Int(3), rel.Text("c3b")}, {rel.Null(), rel.Text("cnull")}, {rel.Int(5), rel.Text("a5")},
+	} {
+		if _, err := insertRow(ctx, cats, row); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := db.mgr.Commit(ctx.Txn); err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +105,28 @@ func loadParallelFixture(t *testing.T, db *testDB) {
 	if err := db.mgr.Commit(mctx.Txn); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fusedJoinAggQueries are aggregates over a hash join whose probe side
+// (items) is large enough to run morsel-parallel: with Workers > 1 they run as
+// a parallelAgg that aggregates below the join. items.cat holds NULLs, cats
+// holds duplicate and NULL keys.
+var fusedJoinAggQueries = []string{
+	// Grouped on a build-side text column: a group's first row must not be
+	// the probe's reused scratch.
+	"SELECT c.label, COUNT(*), SUM(i.price), MIN(i.id) FROM items i JOIN cats c ON i.cat = c.cid GROUP BY c.label",
+	// A second equi-predicate is the join's residual.
+	"SELECT c.label, COUNT(*), AVG(i.price) FROM items i JOIN cats c ON i.cat = c.cid AND i.price = c.cid GROUP BY c.label",
+	// Grouped on the probe key: NULL keys join nothing, duplicate build keys twice.
+	"SELECT i.cat, COUNT(*), COUNT(i.price) FROM items i JOIN cats c ON i.cat = c.cid WHERE i.id > 5000 GROUP BY i.cat",
+	// MIN/MAX over text.
+	"SELECT i.cat, MIN(c.label), MAX(c.label) FROM items i JOIN cats c ON i.cat = c.cid GROUP BY i.cat",
+	// An empty build side, grouped and scalar.
+	"SELECT c.label, COUNT(*) FROM items i JOIN cats c ON i.cat = c.cid WHERE c.label > 'zz' GROUP BY c.label",
+	"SELECT COUNT(*), SUM(i.price) FROM items i JOIN cats c ON i.cat = c.cid WHERE c.label > 'zz'",
+	// Scalar aggregates over the join.
+	"SELECT COUNT(*), SUM(i.price), MIN(i.price), MAX(c.label) FROM items i JOIN cats c ON i.cat = c.cid",
+	"SELECT COUNT(*) FROM items i JOIN cats c ON i.cat = c.cid WHERE i.price * 2 > 1000",
 }
 
 // TestParallelMatchesSerialExact is the parallel differential: every query
@@ -122,7 +154,11 @@ func TestParallelMatchesSerialExact(t *testing.T) {
 		"SELECT i.id, c.label FROM items i JOIN cats c ON i.cat = c.cid WHERE i.price > 90",
 		"SELECT i.id, c.label FROM items i, cats c WHERE i.cat = c.cid AND c.label = 'c5'",
 		"SELECT c.label, i.id FROM cats c JOIN items i ON c.cid = i.cat WHERE c.cid = 2",
+		// A cross-table WHERE predicate is a Filter between the aggregate and
+		// the join: aggBatch over the parallel join.
+		"SELECT c.label, COUNT(*), AVG(i.price) FROM items i JOIN cats c ON i.cat = c.cid WHERE i.price > c.cid * 20 GROUP BY c.label",
 	}
+	queries = append(queries, fusedJoinAggQueries...)
 	for _, sql := range queries {
 		serial := runWorkers(t, db, sql, 1)
 		par := runWorkers(t, db, sql, 4)
@@ -172,6 +208,25 @@ func TestParallelOperatorSelection(t *testing.T) {
 	}
 	if _, ok := build("SELECT x FROM small").(*parallelScan); ok {
 		t.Fatal("two-row table went parallel; small tables must stay serial")
+	}
+	// An aggregate over a hash join with a parallel probe side aggregates
+	// below the join; a small probe side or one worker keeps aggBatch over
+	// the join.
+	for _, sql := range fusedJoinAggQueries {
+		if a, ok := build(sql).(*parallelAgg); !ok || a.probe == nil {
+			t.Fatalf("%q did not build a parallelAgg below the join:\n%s", sql, plan.Explain(planFor(t, db, sql)))
+		}
+	}
+	if _, ok := build("SELECT c.label, COUNT(*) FROM cats c JOIN small s ON c.cid = s.x GROUP BY c.label").(*aggBatch); !ok {
+		t.Fatal("aggregate over a join of two small tables went parallel")
+	}
+	serial := &Ctx{Mgr: db.mgr, Txn: ctx.Txn, Cat: db.cat, Workers: 1}
+	if it, err := BuildBatch(planFor(t, db, fusedJoinAggQueries[0]), serial); err != nil {
+		t.Fatal(err)
+	} else if a, ok := it.(*aggBatch); !ok {
+		t.Fatalf("Workers 1 built %T, want aggBatch", it)
+	} else if _, ok := a.child.(*hashJoinBatch); !ok {
+		t.Fatalf("Workers 1 built aggBatch over %T, want hashJoinBatch", a.child)
 	}
 	// LIMIT directly over a streaming pipeline: the child must be the
 	// serial scan so the limit can short-circuit.
@@ -228,6 +283,46 @@ func TestParallelScanCancellation(t *testing.T) {
 	}
 	if n := ParallelWorkers(); n != 0 {
 		t.Fatalf("%d morsel workers still running after Close", n)
+	}
+}
+
+// failingBuild is a hash-join build input that fails on its first batch,
+// noting how many morsel workers were running at that moment.
+type failingBuild struct{ workersAtFailure int64 }
+
+func (f *failingBuild) Open() error { return nil }
+func (f *failingBuild) NextBatch(*rel.Batch) (int, error) {
+	f.workersAtFailure = ParallelWorkers()
+	return 0, errors.New("build failed")
+}
+func (f *failingBuild) Close() error { return nil }
+
+// TestFusedJoinAggBuildError: a build error of an aggregate below the join
+// comes back from Open before any probe worker has started, and leaves no
+// worker running.
+func TestFusedJoinAggBuildError(t *testing.T) {
+	db := newTestDB(t)
+	loadParallelFixture(t, db)
+	ctx := &Ctx{Mgr: db.mgr, Txn: db.mgr.Begin(txn.Snapshot, true), Cat: db.cat, Workers: 4}
+	defer db.mgr.Abort(ctx.Txn)
+	it, err := BuildBatch(planFor(t, db, fusedJoinAggQueries[0]), ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, ok := it.(*parallelAgg)
+	if !ok || agg.probe == nil || agg.probe.right == nil {
+		t.Fatalf("want a parallelAgg below a serially built join, got %T", it)
+	}
+	fail := &failingBuild{workersAtFailure: -1}
+	agg.probe.right = fail
+	if err := it.Open(); err == nil || err.Error() != "build failed" {
+		t.Fatalf("Open: got %v, want the build error", err)
+	}
+	if fail.workersAtFailure != 0 {
+		t.Fatalf("%d morsel workers were running when the build failed", fail.workersAtFailure)
+	}
+	if n := ParallelWorkers(); n != 0 {
+		t.Fatalf("%d morsel workers running after a failed Open", n)
 	}
 }
 

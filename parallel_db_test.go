@@ -85,6 +85,43 @@ func TestSessionWorkersDifferential(t *testing.T) {
 	}
 }
 
+// TestGroupByNegativeZero: 0.0 and -0.0 are one group, as they are one value
+// to = and to the hash join — serially and with the zeros in different
+// morsels of a parallel aggregation (5000 rows, past 32 heap pages).
+func TestGroupByNegativeZero(t *testing.T) {
+	db := Open(DefaultConfig())
+	mustExec(t, db, `CREATE TABLE z (id INT, x DOUBLE)`)
+	zeros := map[int]string{0: "0.0", 2500: "-0.0", 4900: "0.0 * -1.0"}
+	for base := 0; base < 5000; base += 500 {
+		vals := make([]string, 0, 500)
+		for i := base; i < base+500; i++ {
+			x, ok := zeros[i]
+			if !ok {
+				x = "1.5"
+			}
+			vals = append(vals, fmt.Sprintf("(%d, %s)", i, x))
+		}
+		mustExec(t, db, "INSERT INTO z VALUES "+strings.Join(vals, ", "))
+	}
+	for _, workers := range []int{1, 4} {
+		s := db.NewSession()
+		s.SetWorkers(workers)
+		for sql, want := range map[string]string{
+			`SELECT x, COUNT(*) FROM z GROUP BY x`:  "[0, 3 1.5, 4997]",
+			`SELECT COUNT(*) FROM z WHERE x = 0.0`:  "[3]",
+			`SELECT COUNT(*) FROM z WHERE x = -0.0`: "[3]",
+		} {
+			res, err := s.Exec(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(res.Rows); got != want {
+				t.Errorf("workers=%d %q: got %s, want %s", workers, sql, got, want)
+			}
+		}
+	}
+}
+
 // TestRowsCloseStopsParallelWorkers: closing a streaming cursor mid-stream
 // must terminate the morsel workers and release the read transaction (the
 // vacuum horizon advances past its snapshot).
