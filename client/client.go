@@ -698,8 +698,10 @@ func (r *Rows) setErr(err error) {
 
 // Close releases the cursor. A cursor abandoned mid-stream drains the
 // current chunk; a suspended portal is closed server-side without
-// transferring its remaining rows. Close is idempotent.
+// transferring its remaining rows. Close is idempotent; after it, Next is
+// false and Scan has no current row.
 func (r *Rows) Close() error {
+	r.cur = nil
 	if r.done && !r.suspended {
 		return r.errOrNil()
 	}

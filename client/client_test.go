@@ -421,3 +421,133 @@ func TestConnBusyGuard(t *testing.T) {
 		t.Fatalf("exec after Close: %v", err)
 	}
 }
+
+// TestUseAfterClose pins the use-after-Close contract of every closable
+// handle, embedded and over the wire: once closed, Next is false, Scan,
+// Exec, Query and Prepare return an error, Err and a second Close stay
+// callable, and nothing panics.
+func TestUseAfterClose(t *testing.T) {
+	db, addr := startServer(t)
+	if _, err := db.Exec(`CREATE TABLE uac (id INT PRIMARY KEY)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(`INSERT INTO uac VALUES (1), (2), (3)`); err != nil {
+		t.Fatal(err)
+	}
+
+	// closed is one handle's surface after Close: next and err are nil for
+	// handles without them, and every fail entry must return an error.
+	type closed struct {
+		close func() error
+		next  func() bool
+		err   func() error
+		fail  map[string]func() error
+	}
+	connect := func(t *testing.T) *client.Conn {
+		c, err := client.ConnectOptions(addr, client.Options{FetchSize: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	var id int
+	cases := []struct {
+		name string
+		open func(t *testing.T) closed
+	}{
+		{"embedded Rows", func(t *testing.T) closed {
+			rows, err := db.Query(`SELECT id FROM uac`)
+			if err != nil || !rows.Next() {
+				t.Fatalf("query: %v", err)
+			}
+			return closed{close: rows.Close, next: rows.Next, err: rows.Err,
+				fail: map[string]func() error{"Scan": func() error { return rows.Scan(&id) }}}
+		}},
+		{"embedded Stmt", func(t *testing.T) closed {
+			st, err := db.Prepare(`SELECT id FROM uac WHERE id = ?`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return closed{close: st.Close, fail: map[string]func() error{
+				"Exec":  func() error { _, err := st.Exec(1); return err },
+				"Query": func() error { _, err := st.Query(1); return err },
+			}}
+		}},
+		{"client Conn", func(t *testing.T) closed {
+			c := connect(t)
+			return closed{close: c.Close, fail: map[string]func() error{
+				"Exec":    func() error { _, err := c.Exec(`SELECT id FROM uac`); return err },
+				"Query":   func() error { _, err := c.Query(`SELECT id FROM uac WHERE id = ?`, 1); return err },
+				"Prepare": func() error { _, err := c.Prepare(`SELECT id FROM uac`); return err },
+			}}
+		}},
+		{"client Stmt", func(t *testing.T) closed {
+			st, err := connect(t).Prepare(`SELECT id FROM uac WHERE id = ?`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return closed{close: st.Close, fail: map[string]func() error{
+				"Exec":  func() error { _, err := st.Exec(1); return err },
+				"Query": func() error { _, err := st.Query(1); return err },
+			}}
+		}},
+		{"client Rows", func(t *testing.T) closed {
+			rows, err := connect(t).Query(`SELECT id FROM uac WHERE id > ?`, 0)
+			if err != nil || !rows.Next() {
+				t.Fatalf("query: %v", err)
+			}
+			return closed{close: rows.Close, next: rows.Next, err: rows.Err,
+				fail: map[string]func() error{"Scan": func() error { return rows.Scan(&id) }}}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := tc.open(t)
+			if err := h.close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			for name, use := range h.fail {
+				if use() == nil {
+					t.Errorf("%s succeeded after Close", name)
+				}
+			}
+			if h.next != nil && h.next() {
+				t.Error("Next returned true after Close")
+			}
+			if h.err != nil {
+				_ = h.err()
+			}
+			if err := h.close(); err != nil {
+				t.Errorf("second Close: %v", err)
+			}
+		})
+	}
+
+	// A Session used after Close rolls its transaction back and runs in
+	// autocommit: its writes are visible at once and no snapshot stays
+	// pinned, so the horizon advances past the closed transaction's.
+	t.Run("embedded Session", func(t *testing.T) {
+		s := db.NewSession()
+		if _, err := s.Exec(`BEGIN`); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Exec(`SELECT id FROM uac`); err != nil {
+			t.Fatal(err)
+		}
+		pinned := db.TxnManager().OldestActiveTS()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Exec(`INSERT INTO uac VALUES (4)`); err != nil {
+			t.Fatalf("Exec after Close: %v", err)
+		}
+		res, err := db.Exec(`SELECT id FROM uac WHERE id = 4`)
+		if err != nil || len(res.Rows) != 1 {
+			t.Fatalf("autocommit write after Close not visible: %v %v", res, err)
+		}
+		if after := db.TxnManager().OldestActiveTS(); after <= pinned {
+			t.Fatalf("snapshot horizon did not advance after Close: pinned=%d after=%d", pinned, after)
+		}
+	})
+}

@@ -1,30 +1,20 @@
-// Command neurdb-lint runs the neurdb-lint analyzer suite (internal/lint):
-// static checks that mechanically enforce the engine's concurrency,
-// determinism, and durability invariants.
+// Command neurdb-lint runs the neurdb-lint analyzer suite (internal/lint)
+// over the module containing the working directory:
 //
-// It runs in two modes:
+//	neurdb-lint [-json] [package ...]   (packages default to ./...)
 //
-//	neurdb-lint [./...]                     standalone over the module in cwd
-//	go vet -vettool=$(which neurdb-lint)    as a vet tool (unitchecker protocol)
-//
-// The vet mode speaks the protocol "go vet" expects of a -vettool:
-// -V=full describes the executable, -flags describes the flags, and a
-// single foo.cfg argument names a JSON compilation-unit description to
-// analyze. Diagnostics go to stderr as file:line:col: message and the exit
-// status is 1 when any are reported.
+// Every package is loaded from source; analyzers marked IncludeTests also
+// run over its _test.go files (the in-package test variant and the external
+// _test package). Diagnostics go to stderr as file:line:col: analyzer:
+// message — or to stdout as a JSON array with -json — and the exit status is
+// 1 when any are reported.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/build"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
 	"io"
 	"log"
 	"os"
@@ -35,39 +25,11 @@ import (
 	"neurdb/internal/lint"
 )
 
-// vetConfig mirrors the JSON compilation-unit description "go vet" writes
-// for a -vettool (golang.org/x/tools/go/analysis/unitchecker.Config).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// moduleName scopes fact generation under the vet protocol: only units of
-// this module (which both the real tree and the lint fixture modules are
-// named after) carry neurdb facts; stdlib units get an empty vetx file and
-// are never typechecked.
-const moduleName = "neurdb"
-
 func usage() {
-	fmt.Fprintf(os.Stderr, `neurdb-lint enforces neurdb's concurrency, determinism, and durability invariants.
+	fmt.Fprintf(os.Stderr, `neurdb-lint enforces the neurdb invariants that no type or runtime assertion holds.
 
 Usage:
-  neurdb-lint [-NAME...] [-json] [package ...]  standalone (packages default to ./...)
-  neurdb-lint -suppressions [package ...]       audit every lint:ignore directive
-  go vet -vettool=$(which neurdb-lint) ./...    under go vet
+  neurdb-lint [-json] [package ...]   (packages default to ./...)
 
 Analyzers:
 `)
@@ -77,292 +39,35 @@ Analyzers:
 	os.Exit(1)
 }
 
-// versionFlag implements the -V=full handshake of the vet tool protocol.
-type versionFlag struct{}
-
-func (versionFlag) IsBoolFlag() bool { return true }
-func (versionFlag) String() string   { return "" }
-func (versionFlag) Set(s string) error {
-	if s != "full" {
-		log.Fatalf("unsupported flag value: -V=%s (use -V=full)", s)
-	}
-	progname, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	f, err := os.Open(progname)
-	if err != nil {
-		log.Fatal(err)
-	}
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		log.Fatal(err)
-	}
-	f.Close()
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n",
-		progname, string(h.Sum(nil)))
-	os.Exit(0)
-	return nil
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("neurdb-lint: ")
 	flag.Usage = usage
-
-	printflags := flag.Bool("flags", false, "print analyzer flags in JSON")
-	flag.Var(versionFlag{}, "V", "print version and exit")
-	jsonOut := flag.Bool("json", false, "standalone: print diagnostics as JSON on stdout")
-	suppressions := flag.Bool("suppressions", false, "audit lint:ignore directives instead of running analyzers")
-	_ = flag.Int("c", -1, "no effect (accepted for vet compatibility)")
-
-	suite := lint.All()
-	selected := make(map[string]*bool, len(suite))
-	for _, a := range suite {
-		selected[a.Name] = flag.Bool(a.Name, false, "enable only the "+a.Name+" analyzer (and other -NAME flags)")
-	}
+	jsonOut := flag.Bool("json", false, "print diagnostics as JSON on stdout")
 	flag.Parse()
 
-	if *printflags {
-		printFlags()
-		return
-	}
-
-	// Honor explicit -NAME analyzer selection the way go vet does: any
-	// flag set true narrows the suite to the true set; otherwise flags
-	// set false subtract from it.
-	setTrue, setFalse := map[string]bool{}, map[string]bool{}
-	flag.Visit(func(f *flag.Flag) {
-		if on, ok := selected[f.Name]; ok {
-			if *on {
-				setTrue[f.Name] = true
-			} else {
-				setFalse[f.Name] = true
-			}
-		}
-	})
-	var analyzers []*lint.Analyzer
-	for _, a := range suite {
-		switch {
-		case len(setTrue) > 0:
-			if setTrue[a.Name] {
-				analyzers = append(analyzers, a)
-			}
-		case setFalse[a.Name]:
-		default:
-			analyzers = append(analyzers, a)
-		}
-	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runVetUnit(args[0], analyzers)
-		return
-	}
-	if *suppressions {
-		runSuppressionAudit(suite)
-		return
-	}
-	runStandalone(args, analyzers, *jsonOut)
-}
-
-func printFlags() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var flags []jsonFlag
-	flag.VisitAll(func(f *flag.Flag) {
-		b, ok := f.Value.(interface{ IsBoolFlag() bool })
-		flags = append(flags, jsonFlag{f.Name, ok && b.IsBoolFlag(), f.Usage})
-	})
-	data, err := json.MarshalIndent(flags, "", "\t")
-	if err != nil {
-		log.Fatal(err)
-	}
-	os.Stdout.Write(data)
-}
-
-// runVetUnit analyzes one compilation unit described by a go vet .cfg file.
-func runVetUnit(configFile string, analyzers []*lint.Analyzer) {
-	data, err := os.ReadFile(configFile)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := new(vetConfig)
-	if err := json.Unmarshal(data, cfg); err != nil {
-		log.Fatalf("cannot decode JSON config file %s: %v", configFile, err)
-	}
-
-	// The go command runs the tool over every dependency (stdlib included)
-	// before the packages under test, threading fact files through
-	// PackageVetx/VetxOutput. The protocol requires the output file to
-	// exist even for units that carry no facts.
-	writeVetx := func(facts lint.PackageFacts) {
-		if cfg.VetxOutput == "" {
-			return
-		}
-		var data []byte
-		if len(facts) > 0 {
-			data = facts.Encode()
-		}
-		if err := os.WriteFile(cfg.VetxOutput, data, 0o666); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	// Only module units are analyzed: stdlib and synthesized test-main
-	// units (.test) have no neurdb invariants and no neurdb facts, and
-	// skipping their typechecking keeps `go vet -vettool` fast. Module
-	// units are always analyzed in full — even under VetxOnly, and even
-	// when no analyzer is pinned to them — because the fact-generating
-	// passes (summaries, exhaustive, atomicmix) must see every in-module
-	// package for downstream importers.
-	unitPath := unitImportPath(cfg)
-	if !inModuleUnit(unitPath) {
-		writeVetx(nil)
-		return
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				writeVetx(nil)
-				return
-			}
-			log.Fatal(err)
-		}
-		files = append(files, f)
-	}
-
-	compilerImporter := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		// path is a resolved package path, not an import path.
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no package file for %q", path)
-		}
-		return os.Open(file)
-	})
-	imp := importerFunc(func(importPath string) (*types.Package, error) {
-		path, ok := cfg.ImportMap[importPath]
-		if !ok {
-			return nil, fmt.Errorf("can't resolve import %q", importPath)
-		}
-		return compilerImporter.Import(path)
-	})
-	tc := &types.Config{
-		Importer:  imp,
-		Sizes:     types.SizesFor("gc", build.Default.GOARCH),
-		GoVersion: cfg.GoVersion,
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	// Typecheck under the unit's clean import path (the test variant of a
-	// package arrives as "path [path.test]"), so package pinning and fact
-	// keys see the real path.
-	tpkg, err := tc.Check(unitPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			writeVetx(nil)
-			return
-		}
-		log.Fatal(err)
-	}
-
-	// Dependencies analyzed before us left their facts in vetx files; the
-	// runner resolves cross-package fact imports from this preloaded store
-	// (LoadDep stays nil — the go command already scheduled deps first).
-	runner := lint.NewRunner(analyzers)
-	for dep, vetxFile := range cfg.PackageVetx {
-		data, err := os.ReadFile(vetxFile)
-		if err != nil {
-			continue // degraded precision, never a failure
-		}
-		runner.SetFacts(dep, lint.DecodeFacts(data))
-	}
-	diags, facts, err := runner.Run(&lint.Package{Fset: fset, Files: files, Pkg: tpkg, Info: info})
-	if err != nil {
-		log.Fatal(err)
-	}
-	writeVetx(facts)
-	if len(diags) > 0 && !cfg.VetxOnly {
-		printDiags(os.Stderr, fset, diags)
-		os.Exit(1)
-	}
-}
-
-// unitImportPath strips the test-variant suffix from a vet unit's import
-// path: "neurdb/internal/txn [neurdb/internal/txn.test]" analyzes as
-// "neurdb/internal/txn".
-func unitImportPath(cfg *vetConfig) string {
-	p := cfg.ImportPath
-	if i := strings.Index(p, " ["); i >= 0 {
-		p = p[:i]
-	}
-	return p
-}
-
-// inModuleUnit reports whether a vet unit belongs to the neurdb module:
-// the module path, its subtree, or an external test package of either.
-// Synthesized test mains (".test") are excluded.
-func inModuleUnit(path string) bool {
-	if strings.HasSuffix(path, ".test") {
-		return false
-	}
-	return path == moduleName ||
-		path == moduleName+"_test" ||
-		strings.HasPrefix(path, moduleName+"/")
-}
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// runStandalone loads the module containing the working directory from
-// source and runs the suite over the requested packages (default ./...).
-func runStandalone(args []string, analyzers []*lint.Analyzer, jsonOut bool) {
-	_, loader, paths := resolveTargets(args)
-
-	// One runner across all packages: facts generated while analyzing one
-	// package (or lazily, for a dependency outside the requested set) feed
-	// every later package's interprocedural analyzers.
-	runner := lint.NewRunner(analyzers)
-	runner.Module = loader.Module
-	runner.LoadDep = loader.Load
-
+	loader, paths := resolveTargets(flag.Args())
+	suite := lint.All()
 	var all []lint.Diagnostic
 	for _, path := range paths {
-		applies := false
-		for _, a := range analyzers {
-			if a.AppliesTo(path) || a.Facts {
-				applies = true
-				break
-			}
-		}
-		if !applies {
-			continue
-		}
 		pkg, err := loader.Load(path)
 		if err != nil {
 			log.Fatal(err)
 		}
-		diags, _, err := runner.Run(pkg)
+		tests, err := loader.LoadTests(path)
 		if err != nil {
 			log.Fatal(err)
 		}
-		all = append(all, diags...)
+		for _, p := range append([]*lint.Package{pkg}, tests...) {
+			diags, err := lint.Run(p, suite)
+			if err != nil {
+				log.Fatal(err)
+			}
+			all = append(all, diags...)
+		}
 	}
 
-	if jsonOut {
+	if *jsonOut {
 		printJSON(loader.Fset(), all)
 	} else {
 		printDiags(os.Stderr, loader.Fset(), all)
@@ -374,7 +79,7 @@ func runStandalone(args []string, analyzers []*lint.Analyzer, jsonOut bool) {
 }
 
 // resolveTargets maps the command line to module import paths.
-func resolveTargets(args []string) (string, *lint.Loader, []string) {
+func resolveTargets(args []string) (*lint.Loader, []string) {
 	root, err := findModuleRoot()
 	if err != nil {
 		log.Fatal(err)
@@ -404,7 +109,7 @@ func resolveTargets(args []string) (string, *lint.Loader, []string) {
 			paths = append(paths, resolvePath(loader, root, cwd, a))
 		}
 	}
-	return root, loader, paths
+	return loader, paths
 }
 
 // printSummary appends a per-analyzer finding count so a long run ends with
@@ -449,90 +154,6 @@ func printJSON(fset *token.FileSet, diags []lint.Diagnostic) {
 		log.Fatal(err)
 	}
 	os.Stdout.Write(append(data, '\n'))
-}
-
-// runSuppressionAudit lists every `//lint:ignore` directive in the module —
-// test files included — and fails on directives that name an unknown
-// analyzer or carry no rationale. A suppression is a signed waiver of an
-// invariant; an unsigned one is a finding.
-func runSuppressionAudit(suite []*lint.Analyzer) {
-	root, err := findModuleRoot()
-	if err != nil {
-		log.Fatal(err)
-	}
-	known := map[string]bool{"all": true}
-	for _, a := range suite {
-		known[a.Name] = true
-	}
-
-	type suppression struct {
-		pos      token.Position
-		analyzer string
-		reason   string
-		bad      string // non-empty: why this directive fails the audit
-	}
-	var found []suppression
-	fset := token.NewFileSet()
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				rest, ok := strings.CutPrefix(text, "lint:ignore")
-				if !ok {
-					continue
-				}
-				s := suppression{pos: fset.Position(c.Pos())}
-				fields := strings.Fields(rest)
-				switch {
-				case len(fields) == 0:
-					s.bad = "missing analyzer name and rationale"
-				case !known[fields[0]]:
-					s.analyzer = fields[0]
-					s.bad = "unknown analyzer"
-				case len(fields) < 2:
-					s.analyzer = fields[0]
-					s.bad = "missing rationale"
-				default:
-					s.analyzer = fields[0]
-					s.reason = strings.Join(fields[1:], " ")
-				}
-				found = append(found, s)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	exit := 0
-	for _, s := range found {
-		if s.bad != "" {
-			fmt.Fprintf(os.Stderr, "%s: BAD (%s): lint:ignore %s\n", s.pos, s.bad, s.analyzer)
-			exit = 1
-		} else {
-			fmt.Fprintf(os.Stdout, "%s: %s: %s\n", s.pos, s.analyzer, s.reason)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "%d suppression(s) audited\n", len(found))
-	os.Exit(exit)
 }
 
 // resolvePath turns a ./relative package argument into a module import path.

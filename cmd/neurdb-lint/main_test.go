@@ -1,8 +1,8 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -12,15 +12,13 @@ import (
 	"testing"
 )
 
-// TestVettoolSmoke builds the neurdb-lint binary and runs it under the real
-// `go vet -vettool` driver over the known-bad fixture module, asserting that
-// the diagnostic set matches the fixture's `// want analyzer:"regexp"`
-// annotations exactly — the same expectations the in-process analyzer tests
-// check, now proven through the vet unitchecker protocol (-V=full, -flags,
-// .cfg units, vetx fact files).
-func TestVettoolSmoke(t *testing.T) {
+// TestBinarySmoke builds the neurdb-lint binary and runs it, the way CI
+// does, over the known-bad fixture module, asserting that the diagnostic set
+// matches the fixture's `// want analyzer:"regexp"` annotations exactly —
+// the _test.go files' included.
+func TestBinarySmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds a binary and shells out to go vet")
+		t.Skip("builds a binary")
 	}
 	bin := filepath.Join(t.TempDir(), "neurdb-lint")
 	build := exec.Command("go", "build", "-o", bin, ".")
@@ -33,51 +31,33 @@ func TestVettoolSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	vet := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	vet.Dir = badmod
-	var stderr bytes.Buffer
-	vet.Stderr = &stderr
-	err = vet.Run()
-	if err == nil {
-		t.Fatalf("go vet succeeded over the known-bad fixture module; stderr:\n%s", stderr.String())
-	}
+	run := exec.Command(bin, "-json", "./...")
+	run.Dir = badmod
+	var stdout, stderr bytes.Buffer
+	run.Stdout, run.Stderr = &stdout, &stderr
+	err = run.Run()
 	var exitErr *exec.ExitError
-	if !errors.As(err, &exitErr) {
-		t.Fatalf("go vet did not run: %v\n%s", err, stderr.String())
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+		t.Fatalf("neurdb-lint over the known-bad fixture module: %v (want exit status 1)\n%s", err, stderr.String())
 	}
-
-	type diag struct {
-		file, analyzer, message string
-		line                    int
-	}
-	var got []diag
-	diagRe := regexp.MustCompile(`^(.*\.go):(\d+):\d+: ([a-z]+): (.*)$`)
-	sc := bufio.NewScanner(&stderr)
-	for sc.Scan() {
-		line := sc.Text()
-		if m := diagRe.FindStringSubmatch(line); m != nil {
-			n := 0
-			for _, c := range m[2] {
-				n = n*10 + int(c-'0')
-			}
-			got = append(got, diag{file: filepath.Base(m[1]), analyzer: m[3], message: m[4], line: n})
-		} else if line != "" && !strings.HasPrefix(line, "#") {
-			t.Errorf("unparseable go vet output line: %q", line)
-		}
+	var got []jsonDiag
+	if err := json.Unmarshal(stdout.Bytes(), &got); err != nil {
+		t.Fatalf("decoding -json output: %v\n%s", err, stdout.String())
 	}
 
 	wants := collectWants(t, badmod)
 	for _, d := range got {
+		file := filepath.Base(d.File)
 		matched := false
 		for _, w := range wants {
-			if !w.matched && w.file == d.file && w.line == d.line && w.analyzer == d.analyzer && w.re.MatchString(d.message) {
+			if !w.matched && w.file == file && w.line == d.Line && w.analyzer == d.Analyzer && w.re.MatchString(d.Message) {
 				w.matched = true
 				matched = true
 				break
 			}
 		}
 		if !matched {
-			t.Errorf("unexpected diagnostic %s:%d: %s: %s", d.file, d.line, d.analyzer, d.message)
+			t.Errorf("unexpected diagnostic %s:%d: %s: %s", file, d.Line, d.Analyzer, d.Message)
 		}
 	}
 	for _, w := range wants {

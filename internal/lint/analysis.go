@@ -1,12 +1,13 @@
-// Package lint implements neurdb-lint: a suite of static analyzers that
-// mechanically enforce the engine's concurrency, determinism, and durability
-// invariants (docs/ARCHITECTURE.md "Static analysis & enforced invariants").
+// Package lint implements neurdb-lint: a suite of syntactic, package-local
+// analyzers for the engine invariants that neither an API shape nor a
+// -tags=invariants runtime assertion can hold (docs/ARCHITECTURE.md
+// "Enforced invariants").
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis — an
 // Analyzer owns a Run function over a typed, parsed package — but is built
 // on the standard library alone so the module stays dependency-free. The
-// cmd/neurdb-lint binary drives these analyzers either standalone or under
-// `go vet -vettool` (it speaks the vet unitchecker protocol).
+// cmd/neurdb-lint binary loads the module from source (Loader) and runs the
+// suite over every package (Run).
 //
 // Each analyzer guards one invariant and is pinned to the package(s) whose
 // layer owns that invariant; outside its packages it reports nothing, so
@@ -14,27 +15,23 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 )
 
 // Analyzer is one named invariant check.
 type Analyzer struct {
 	Name string
-	// Doc is a one-line description shown by `neurdb-lint help`.
+	// Doc is a one-line description shown by `neurdb-lint -h`.
 	Doc string
 	// Packages pins the analyzer to import paths. An entry matches the
 	// package with exactly that path; a trailing "/..." matches the
 	// subtree. Empty means every package.
 	Packages []string
-	// Facts marks an analyzer that exports cross-package facts: it runs on
-	// every in-module package (reporting only where it AppliesTo) so its
-	// facts exist for downstream importers.
-	Facts bool
 	// IncludeTests extends the analysis to _test.go files. Most invariants
 	// are production-code contracts, but some (error-comparison hygiene)
 	// matter exactly as much in tests.
@@ -75,65 +72,12 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
+	loader      *Loader
 	diagnostics []Diagnostic
-	ignores     map[string]map[int]map[string]bool // file -> line -> analyzer set
-	// report is false when the analyzer runs purely to generate facts on a
-	// package outside its pin set; Reportf is then a no-op.
-	report bool
-	runner *Runner
-	// exports is the current package's accumulating fact set, shared by
-	// every pass over the package so later analyzers see facts exported by
-	// earlier ones (the summaries pass runs first; see All).
-	exports PackageFacts
 }
 
-// ExportFact publishes a fact under the given object key for downstream
-// packages (and for this package's own later ImportFact calls). The value
-// must be JSON-serializable.
-func (p *Pass) ExportFact(key string, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("lint: %s: fact %q not serializable: %v", p.Analyzer.Name, key, err))
-	}
-	m := p.exports[p.Analyzer.Name]
-	if m == nil {
-		m = make(map[string]json.RawMessage)
-		p.exports[p.Analyzer.Name] = m
-	}
-	m[key] = data
-}
-
-// ImportFact looks up a fact exported under this analyzer's name by the
-// named package and decodes it into out, reporting whether it existed.
-func (p *Pass) ImportFact(pkgPath, key string, out any) bool {
-	return p.ImportAnalyzerFact(p.Analyzer.Name, pkgPath, key, out)
-}
-
-// ImportAnalyzerFact looks up a fact exported by any analyzer — the
-// summaries pass publishes interprocedural function summaries that several
-// analyzers consume. The named package may be the package currently under
-// analysis; its own exports are visible immediately.
-func (p *Pass) ImportAnalyzerFact(analyzer, pkgPath, key string, out any) bool {
-	var raw json.RawMessage
-	if pkgPath == p.Pkg.Path() {
-		raw = p.exports[analyzer][key]
-	} else if p.runner != nil {
-		if facts := p.runner.FactsOf(pkgPath); facts != nil {
-			raw = facts[analyzer][key]
-		}
-	}
-	if raw == nil {
-		return false
-	}
-	return json.Unmarshal(raw, out) == nil
-}
-
-// Reportf records a diagnostic unless a `//lint:ignore <name> <reason>`
-// directive on the same line or the line above suppresses it.
+// Reportf records a diagnostic.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	if !p.report || p.ignored(pos) {
-		return
-	}
 	p.diagnostics = append(p.diagnostics, Diagnostic{
 		Pos:      pos,
 		Analyzer: p.Analyzer.Name,
@@ -141,90 +85,52 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-func (p *Pass) ignored(pos token.Pos) bool {
-	position := p.Fset.Position(pos)
-	lines := p.ignores[position.Filename]
-	for _, line := range []int{position.Line, position.Line - 1} {
-		if names, ok := lines[line]; ok {
-			if names[p.Analyzer.Name] || names["all"] {
-				return true
-			}
+// Run runs every analyzer that applies to the loaded package and returns
+// their diagnostics in position order. An external test package (path
+// "p_test") counts as p for pinning. Analyzers without IncludeTests see only
+// the package's non-test files — none at all in a test variant from
+// LoadTests.
+func Run(p *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	path := strings.TrimSuffix(p.Pkg.Path(), "_test")
+	var prod []*ast.File
+	for _, f := range p.Files {
+		if !strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go") {
+			prod = append(prod, f)
 		}
 	}
-	return false
-}
-
-// buildIgnores indexes `//lint:ignore <name> <reason>` directives. A
-// directive suppresses the named analyzer (or every analyzer, for "all") on
-// its own line and on the line directly below it, so both trailing and
-// leading comment placement work.
-func buildIgnores(fset *token.FileSet, files []*ast.File) map[string]map[int]map[string]bool {
-	out := make(map[string]map[int]map[string]bool)
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				rest, ok := strings.CutPrefix(text, "lint:ignore")
-				if !ok {
-					continue
-				}
-				fields := strings.Fields(rest)
-				if len(fields) == 0 {
-					continue
-				}
-				position := fset.Position(c.Pos())
-				lines := out[position.Filename]
-				if lines == nil {
-					lines = make(map[int]map[string]bool)
-					out[position.Filename] = lines
-				}
-				names := lines[position.Line]
-				if names == nil {
-					names = make(map[string]bool)
-					lines[position.Line] = names
-				}
-				names[fields[0]] = true
-			}
+	var out []Diagnostic
+	for _, a := range analyzers {
+		files := p.Files
+		if !a.IncludeTests {
+			files = prod
 		}
+		if !a.AppliesTo(path) || len(files) == 0 {
+			continue
+		}
+		pass := &Pass{Analyzer: a, Fset: p.Fset, Files: files, Pkg: p.Pkg, TypesInfo: p.Info, loader: p.loader}
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("%s: %s: %w", p.Pkg.Path(), a.Name, err)
+		}
+		out = append(out, pass.diagnostics...)
 	}
-	return out
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Pos != out[j].Pos {
+			return out[i].Pos < out[j].Pos
+		}
+		return out[i].Analyzer < out[j].Analyzer
+	})
+	return out, nil
 }
 
-// Package bundles everything needed to analyze one package.
-type Package struct {
-	Fset  *token.FileSet
-	Files []*ast.File
-	Pkg   *types.Package
-	Info  *types.Info
-}
-
-// RunAnalyzers runs every applicable analyzer over one package in
-// isolation: a convenience wrapper over a single-package Runner with no
-// cross-package fact sources. Analyzers degrade gracefully to package-local
-// precision when a dependency's facts are unavailable, so this remains
-// correct — multi-package drivers use a Runner directly.
-func RunAnalyzers(p *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := NewRunner(analyzers).Run(p)
-	return diags, err
-}
-
-// All returns the full neurdb-lint analyzer suite. Summaries runs first by
-// construction: passes execute in slice order and share one fact store per
-// package, so its interprocedural function summaries are already exported
-// when the same package's gateorder and lifecycle passes import them.
+// All returns the full neurdb-lint analyzer suite.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Summaries,
-		StripeLock,
 		CommitGate,
 		BatchAlias,
 		DetOrder,
 		IOErr,
-		Lifecycle,
 		AtomicMix,
 		ErrCmp,
 		Exhaustive,
-		GateOrder,
 	}
 }

@@ -5,163 +5,39 @@ import (
 	"go/types"
 )
 
-// AtomicMix flags struct fields that are accessed both through sync/atomic
-// operations and through plain loads/stores. A field is either always
-// atomic or never atomic: one plain write racing an atomic.Load is exactly
-// the torn-read class the engine's counters (commit clock, WAL offsets,
-// overload gauges) must never hit, and the mix typically appears one
-// refactor after a field migrates to atomic access.
-//
-// It also flags the non-atomic read-modify-write idiom on typed atomics —
-// v.Store(v.Load()+1) — which is atomic per-operation but loses updates
-// between the two; Add or a CompareAndSwap loop is the correct form.
-//
-// Atomically-accessed fields are exported as facts keyed "Type.field", so
-// a plain access in an importing package is caught even when the atomic
-// discipline lives entirely in the defining package.
+// AtomicMix keeps atomics typed. A sync/atomic package function
+// (atomic.AddUint64(&s.n, 1)) leaves s.n a plain field other lines can read
+// plainly — a torn read — while a typed atomic (atomic.Uint64, ...) has no
+// plain access that compiles. It also flags v.Store(...v.Load()...) on a
+// typed atomic: two atomic operations are not a read-modify-write.
 var AtomicMix = &Analyzer{
 	Name:     "atomicmix",
-	Doc:      "flag fields accessed both atomically and plainly, and Store(Load()) read-modify-writes on typed atomics",
+	Doc:      "flag sync/atomic package functions (use typed atomics) and Store(Load()) read-modify-writes",
 	Packages: []string{"neurdb", "neurdb/..."},
-	Facts:    true,
 	Run:      runAtomicMix,
 }
 
-// atomicFieldFact marks a field as participating in the atomic access
-// discipline of its defining package.
-type atomicFieldFact struct {
-	Atomic bool
-}
-
-// fieldOf resolves a selector expression to the struct field it denotes and
-// the named type owning it; ok is false for anything that is not a direct
-// field selection on a (possibly embedded, possibly pointer) named struct.
-func fieldOf(info *types.Info, sel *ast.SelectorExpr) (*types.Var, *types.Named, bool) {
-	v, _ := info.Uses[sel.Sel].(*types.Var)
-	if v == nil || !v.IsField() {
-		return nil, nil, false
-	}
-	s, ok := info.Selections[sel]
-	if !ok {
-		return nil, nil, false
-	}
-	t := s.Recv()
-	// Walk the implicit field path of an embedded selection to the struct
-	// that actually declares the field.
-	for _, idx := range s.Index()[:len(s.Index())-1] {
-		if p, ok := t.Underlying().(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		st, ok := t.Underlying().(*types.Struct)
-		if !ok {
-			return nil, nil, false
-		}
-		t = st.Field(idx).Type()
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return v, nil, true
-	}
-	return v, n, true
-}
-
-// atomicPkgCall reports whether call is a sync/atomic package function.
-func atomicPkgCall(info *types.Info, call *ast.CallExpr) bool {
-	fn := calleeFunc(info, call)
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
-}
-
-// typedAtomic reports whether t (possibly behind a pointer) is one of the
-// sync/atomic value types (atomic.Int64, atomic.Pointer[T], ...).
-func typedAtomic(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync/atomic"
-}
-
 func runAtomicMix(pass *Pass) error {
-	info := pass.TypesInfo
-
-	// Pass 1: collect every field reached through &f inside a sync/atomic
-	// call, keyed by its defining type.
-	type fieldID struct {
-		v *types.Var
-		n *types.Named
-	}
-	atomicFields := make(map[*types.Var]fieldID)
-	// inAtomicArg marks the selector nodes that ARE the atomic access, so
-	// pass 2 does not count them as plain.
-	inAtomicArg := make(map[*ast.SelectorExpr]bool)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(node ast.Node) bool {
 			call, ok := node.(*ast.CallExpr)
-			if !ok || !atomicPkgCall(info, call) {
+			if !ok {
 				return true
 			}
-			for _, arg := range call.Args {
-				un, ok := arg.(*ast.UnaryExpr)
-				if !ok {
-					continue
-				}
-				sel, ok := un.X.(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				if v, n, ok := fieldOf(info, sel); ok {
-					atomicFields[v] = fieldID{v, n}
-					inAtomicArg[sel] = true
-				}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
 			}
-			return true
-		})
-	}
-
-	// Export facts for fields this package both defines and accesses
-	// atomically.
-	for _, id := range atomicFields {
-		if id.n != nil && id.n.Obj().Pkg() == pass.Pkg {
-			pass.ExportFact(FieldKey(id.n.Obj().Name(), id.v.Name()), atomicFieldFact{Atomic: true})
-		}
-	}
-
-	// isAtomicField consults local knowledge first, then the defining
-	// package's exported facts (cross-package discipline).
-	isAtomicField := func(v *types.Var, n *types.Named) bool {
-		if _, ok := atomicFields[v]; ok {
-			return true
-		}
-		if n == nil || n.Obj().Pkg() == nil || !inModulePkg(n.Obj().Pkg()) {
-			return false
-		}
-		var fact atomicFieldFact
-		return pass.ImportFact(n.Obj().Pkg().Path(), FieldKey(n.Obj().Name(), v.Name()), &fact) && fact.Atomic
-	}
-
-	// Pass 2: plain accesses of atomic fields, and Store(Load()) RMWs.
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(node ast.Node) bool {
-			switch node := node.(type) {
-			case *ast.SelectorExpr:
-				if inAtomicArg[node] {
-					return false
-				}
-				v, n, ok := fieldOf(info, node)
-				if !ok {
-					return true
-				}
-				if isAtomicField(v, n) {
-					pass.Reportf(node.Sel.Pos(), "field %s is accessed atomically elsewhere but plainly here; every access must go through sync/atomic or the atomicity is void", node.Sel.Name)
-				}
-			case *ast.CallExpr:
-				checkAtomicRMW(pass, node)
+			fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+				return true
+			}
+			target := types.ExprString(sel.X)
+			switch {
+			case fn.Type().(*types.Signature).Recv() == nil:
+				pass.Reportf(call.Pos(), "sync/atomic.%s on a plain value; declare it as a typed atomic (atomic.Uint64, atomic.Pointer[T], ...) so no access can bypass the atomic", fn.Name())
+			case fn.Name() == "Store" && len(call.Args) == 1 && loads(call.Args[0], target):
+				pass.Reportf(call.Pos(), "%s.Store(...%s.Load()...) is not an atomic read-modify-write; use Add or a CompareAndSwap loop", target, target)
 			}
 			return true
 		})
@@ -169,32 +45,16 @@ func runAtomicMix(pass *Pass) error {
 	return nil
 }
 
-// checkAtomicRMW flags v.Store(f(v.Load())) on a typed atomic: two atomic
-// operations do not make an atomic read-modify-write.
-func checkAtomicRMW(pass *Pass, call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Store" || len(call.Args) != 1 {
-		return
-	}
-	recvT := pass.TypesInfo.TypeOf(sel.X)
-	if recvT == nil || !typedAtomic(recvT) {
-		return
-	}
-	target := types.ExprString(sel.X)
+// loads reports whether e calls target.Load().
+func loads(e ast.Expr, target string) bool {
 	found := false
-	ast.Inspect(call.Args[0], func(n ast.Node) bool {
-		inner, ok := n.(*ast.CallExpr)
-		if !ok || found {
-			return !found
+	ast.Inspect(e, func(n ast.Node) bool {
+		if c, ok := n.(*ast.CallExpr); ok {
+			if s, ok := c.Fun.(*ast.SelectorExpr); ok && s.Sel.Name == "Load" && types.ExprString(s.X) == target {
+				found = true
+			}
 		}
-		isel, ok := inner.Fun.(*ast.SelectorExpr)
-		if ok && isel.Sel.Name == "Load" && types.ExprString(isel.X) == target {
-			found = true
-			return false
-		}
-		return true
+		return !found
 	})
-	if found {
-		pass.Reportf(call.Pos(), "%s.Store(...%s.Load()...) is not an atomic read-modify-write; use Add or a CompareAndSwap loop", target, target)
-	}
+	return found
 }

@@ -18,24 +18,21 @@ import (
 //   - a function that appends a commit record also calls Sync: the commit
 //     may only be acknowledged after the record is durable;
 //   - publishing StatusCommitted in a function that never appends at all
-//     bypasses the log entirely;
-//   - in internal/wal, os.Rename is preceded by a Sync call in the same
-//     function: renaming a file into its final name publishes it, and
-//     publishing before fsync is a torn-checkpoint hole.
+//     bypasses the log entirely.
 //
 // The checks are linear over each function's call/assignment events in
 // source order — exact for the straight-line commit paths they guard.
 var CommitGate = &Analyzer{
 	Name:     "commitgate",
-	Doc:      "flag commit paths that stamp/publish before the gated WAL append, ack before Sync, or rename before fsync",
-	Packages: []string{"neurdb/internal/txn", "neurdb/internal/wal"},
+	Doc:      "flag commit paths that stamp/publish before the gated WAL append or ack before Sync",
+	Packages: []string{"neurdb/internal/txn"},
 	Run:      runCommitGate,
 }
 
 // gateEvent is one protocol-relevant occurrence inside a function body, in
 // source order.
 type gateEvent struct {
-	kind string // "rlock", "runlock", "append", "sync", "stamp", "publish", "rename"
+	kind string // "rlock", "runlock", "append", "sync", "stamp", "publish"
 	pos  token.Pos
 }
 
@@ -64,7 +61,7 @@ func collectGateEvents(body *ast.BlockStmt) []gateEvent {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			name, recv := selName(n)
+			name, _ := selName(n)
 			switch name {
 			case "GateRLock":
 				events = append(events, gateEvent{"rlock", n.Pos()})
@@ -76,10 +73,6 @@ func collectGateEvents(body *ast.BlockStmt) []gateEvent {
 				events = append(events, gateEvent{"sync", n.Pos()})
 			case "SetBeginTS", "SetEndTS":
 				events = append(events, gateEvent{"stamp", n.Pos()})
-			case "Rename":
-				if isPkgSel(recv, "os") {
-					events = append(events, gateEvent{"rename", n.Pos()})
-				}
 			}
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
@@ -118,7 +111,6 @@ func committedIdent(e ast.Expr) bool {
 }
 
 func runCommitGate(pass *Pass) error {
-	inWal := pass.Pkg.Path() == "neurdb/internal/wal"
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -126,22 +118,6 @@ func runCommitGate(pass *Pass) error {
 				continue
 			}
 			events := collectGateEvents(fd.Body)
-			if inWal {
-				// Rule: publish-by-rename only after fsync.
-				synced := false
-				for _, e := range events {
-					switch e.kind {
-					case "sync":
-						synced = true
-					case "rename":
-						if !synced {
-							pass.Reportf(e.pos, "os.Rename publishes a file without a preceding Sync in this function; rename-before-fsync is a torn-file hole on crash")
-						}
-					}
-				}
-				continue
-			}
-
 			var appendPos []token.Pos
 			for _, e := range events {
 				if e.kind == "append" {

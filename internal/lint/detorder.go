@@ -26,9 +26,7 @@ import (
 // commutatively are order-insensitive and not reported, and so is the fix
 // idiom itself: a loop that collects into a slice which is then sorted later
 // in the same function. For everything else the fix is to collect the keys,
-// sort them, and range over the slice — or, for a loop that is
-// order-insensitive for a subtler reason, a `//lint:ignore detorder <reason>`
-// directive with the reason on record.
+// sort them, and range over the slice.
 var DetOrder = &Analyzer{
 	Name: "detorder",
 	Doc:  "flag map iteration feeding order-sensitive sinks in determinism-critical packages",
@@ -73,7 +71,7 @@ func runDetOrder(pass *Pass) error {
 				if accum != "" && sortedAfter(body, rng.End(), accum) {
 					return true
 				}
-				pass.Reportf(rng.Pos(), "map iteration order is randomized but this loop %s; sort the keys first (or document order-insensitivity with //lint:ignore detorder <reason>)", sink)
+				pass.Reportf(rng.Pos(), "map iteration order is randomized but this loop %s; sort the keys first", sink)
 				return true
 			})
 		}

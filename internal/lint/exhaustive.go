@@ -9,12 +9,12 @@ import (
 )
 
 // Exhaustive enforces closed-set switch coverage. A type opts in with a
-// `//lint:closedenum` directive on its declaration; the analyzer then
-// exports the type's member set as a fact from its defining package — every
-// package-level constant of the type, or for an interface every
-// implementing named type declared alongside it — and flags any switch
-// without a default clause that fails to cover every member, wherever in
-// the module the switch lives.
+// `//lint:closedenum` directive on its declaration; its member set is every
+// package-level constant of the type, or for an interface every implementing
+// named type declared alongside it. The analyzer flags any switch without a
+// default clause that fails to cover every member, wherever in the module
+// the switch lives: the directive is read from the defining package's
+// source, which the loader already parsed when it resolved the import.
 //
 // This is what keeps a new wire opcode, plan-node kind, or rel value tag
 // from silently falling through a dispatch switch three packages away: the
@@ -23,12 +23,11 @@ var Exhaustive = &Analyzer{
 	Name:     "exhaustive",
 	Doc:      "flag default-less switches over //lint:closedenum types that miss members",
 	Packages: []string{"neurdb", "neurdb/..."},
-	Facts:    true,
 	Run:      runExhaustive,
 }
 
-// enumFact is the closed member set of one marked type.
-type enumFact struct {
+// closedEnum is the member set of one marked type.
+type closedEnum struct {
 	// Members is sorted; const names for value enums, implementing type
 	// names for interfaces.
 	Members   []string
@@ -37,7 +36,7 @@ type enumFact struct {
 
 const closedEnumDirective = "lint:closedenum"
 
-// closedEnumDecls returns the names of types in this package marked with
+// closedEnumDecls returns the names of types in files marked with
 // //lint:closedenum.
 func closedEnumDecls(files []*ast.File) map[string]bool {
 	marked := make(map[string]bool)
@@ -74,23 +73,20 @@ func closedEnumDecls(files []*ast.File) map[string]bool {
 	return marked
 }
 
-// enumMembers computes the closed set for a marked type in its defining
-// package: constants of the type, or named types implementing the
-// interface (by value or pointer). The blank identifier never counts.
-func enumMembers(pkg *types.Package, name string) (enumFact, bool) {
-	obj, ok := pkg.Scope().Lookup(name).(*types.TypeName)
-	if !ok {
-		return enumFact{}, false
-	}
+// enumMembers computes the closed set of a marked type from its package:
+// constants of the type, or named types implementing the interface (by
+// value or pointer). The blank identifier never counts.
+func enumMembers(obj *types.TypeName) closedEnum {
+	var enum closedEnum
+	scope := obj.Pkg().Scope()
 	named, ok := obj.Type().(*types.Named)
 	if !ok {
-		return enumFact{}, false
+		return enum
 	}
-	var fact enumFact
 	if iface, ok := named.Underlying().(*types.Interface); ok {
-		fact.Interface = true
-		for _, n := range pkg.Scope().Names() {
-			tn, ok := pkg.Scope().Lookup(n).(*types.TypeName)
+		enum.Interface = true
+		for _, n := range scope.Names() {
+			tn, ok := scope.Lookup(n).(*types.TypeName)
 			if !ok || tn == obj || tn.IsAlias() {
 				continue
 			}
@@ -99,52 +95,60 @@ func enumMembers(pkg *types.Package, name string) (enumFact, bool) {
 				continue
 			}
 			if types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface) {
-				fact.Members = append(fact.Members, tn.Name())
+				enum.Members = append(enum.Members, tn.Name())
 			}
 		}
 	} else {
-		for _, n := range pkg.Scope().Names() {
-			c, ok := pkg.Scope().Lookup(n).(*types.Const)
+		for _, n := range scope.Names() {
+			c, ok := scope.Lookup(n).(*types.Const)
 			if !ok || c.Name() == "_" {
 				continue
 			}
 			if types.Identical(c.Type(), named) {
-				fact.Members = append(fact.Members, c.Name())
+				enum.Members = append(enum.Members, c.Name())
 			}
 		}
 	}
-	sort.Strings(fact.Members)
-	return fact, len(fact.Members) > 0
+	sort.Strings(enum.Members)
+	return enum
 }
 
 func runExhaustive(pass *Pass) error {
 	info := pass.TypesInfo
 
-	// Export facts for this package's marked types.
-	for name := range closedEnumDecls(pass.Files) {
-		if fact, ok := enumMembers(pass.Pkg, name); ok {
-			pass.ExportFact(name, fact)
-		}
-	}
-
-	// enumOf resolves a type to its closed-enum fact, local or imported.
-	enumOf := func(t types.Type) (string, enumFact, bool) {
+	// marked memoizes each defining package's //lint:closedenum set, read
+	// from the source the loader parsed (stdlib packages have none).
+	marked := make(map[string]map[string]bool)
+	// enumOf resolves a type to its closed member set, local or imported.
+	enumOf := func(t types.Type) (string, closedEnum, bool) {
 		if p, ok := t.(*types.Pointer); ok {
 			t = p.Elem()
 		}
 		named, ok := t.(*types.Named)
-		if !ok || named.Obj().Pkg() == nil || !inModulePkg(named.Obj().Pkg()) {
-			return "", enumFact{}, false
+		if !ok || named.Obj().Pkg() == nil {
+			return "", closedEnum{}, false
 		}
-		var fact enumFact
-		if pass.ImportFact(named.Obj().Pkg().Path(), named.Obj().Name(), &fact) {
-			qual := named.Obj().Name()
-			if named.Obj().Pkg() != pass.Pkg {
-				qual = named.Obj().Pkg().Name() + "." + qual
+		obj := named.Obj()
+		path := obj.Pkg().Path()
+		names, seen := marked[path]
+		if !seen {
+			if src := pass.loader.cache[path]; src != nil {
+				names = closedEnumDecls(src.Files)
 			}
-			return qual, fact, true
+			marked[path] = names
 		}
-		return "", enumFact{}, false
+		if !names[obj.Name()] {
+			return "", closedEnum{}, false
+		}
+		enum := enumMembers(obj)
+		if len(enum.Members) == 0 {
+			return "", closedEnum{}, false
+		}
+		qual := obj.Name()
+		if obj.Pkg() != pass.Pkg {
+			qual = obj.Pkg().Name() + "." + qual
+		}
+		return qual, enum, true
 	}
 
 	for _, f := range pass.Files {
@@ -158,8 +162,8 @@ func runExhaustive(pass *Pass) error {
 				if t == nil {
 					return true
 				}
-				name, fact, ok := enumOf(t)
-				if !ok || fact.Interface {
+				name, enum, ok := enumOf(t)
+				if !ok || enum.Interface {
 					return true
 				}
 				covered := make(map[string]bool)
@@ -174,7 +178,7 @@ func runExhaustive(pass *Pass) error {
 						}
 					}
 				}
-				reportMissing(pass, n.Pos(), name, fact.Members, covered)
+				reportMissing(pass, n.Pos(), name, enum.Members, covered)
 			case *ast.TypeSwitchStmt:
 				x := typeSwitchSubject(n)
 				if x == nil {
@@ -184,8 +188,8 @@ func runExhaustive(pass *Pass) error {
 				if t == nil {
 					return true
 				}
-				name, fact, ok := enumOf(t)
-				if !ok || !fact.Interface {
+				name, enum, ok := enumOf(t)
+				if !ok || !enum.Interface {
 					return true
 				}
 				covered := make(map[string]bool)
@@ -207,7 +211,7 @@ func runExhaustive(pass *Pass) error {
 						}
 					}
 				}
-				reportMissing(pass, n.Pos(), name, fact.Members, covered)
+				reportMissing(pass, n.Pos(), name, enum.Members, covered)
 			}
 			return true
 		})

@@ -6,7 +6,6 @@
 package linttest
 
 import (
-	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -25,15 +24,10 @@ type expectation struct {
 	matched bool
 }
 
-// Run loads pkgPath from the fixture module at moduleDir, runs the analyzer,
-// and reports a test error for every diagnostic without a matching
-// expectation and every expectation without a matching diagnostic.
-//
-// The whole suite executes under one Runner — fact-generating passes
-// included, with dependencies of the fixture package analyzed lazily — so
-// interprocedural expectations (callee summaries, closed-enum facts from a
-// sibling fixture package) resolve exactly as they do in the real drivers.
-// Only the named analyzer's diagnostics are checked.
+// Run loads pkgPath and its test variants from the fixture module at
+// moduleDir, runs the analyzer over them as the neurdb-lint driver does, and
+// reports a test error for every diagnostic without a matching expectation
+// and every expectation without a matching diagnostic.
 func Run(t *testing.T, moduleDir string, a *lint.Analyzer, pkgPath string) {
 	t.Helper()
 	loader, err := lint.NewLoader(moduleDir)
@@ -44,34 +38,24 @@ func Run(t *testing.T, moduleDir string, a *lint.Analyzer, pkgPath string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	suite := lint.All()
-	present := false
-	for _, s := range suite {
-		if s == a {
-			present = true
-			break
-		}
-	}
-	if !present {
-		suite = append(suite, a)
-	}
-	runner := lint.NewRunner(suite)
-	runner.Module = loader.Module
-	runner.LoadDep = loader.Load
-	allDiags, _, err := runner.Run(pkg)
+	tests, err := loader.LoadTests(pkgPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var diags []lint.Diagnostic
-	for _, d := range allDiags {
-		if d.Analyzer == a.Name {
-			diags = append(diags, d)
+	var wants []*expectation
+	for _, p := range append([]*lint.Package{pkg}, tests...) {
+		d, err := lint.Run(p, []*lint.Analyzer{a})
+		if err != nil {
+			t.Fatal(err)
 		}
+		diags = append(diags, d...)
+		wants = append(wants, collect(t, a.Name, p)...)
 	}
 
-	wants := collect(t, a.Name, pkg)
+	fset := loader.Fset()
 	for _, d := range diags {
-		pos := pkg.Fset.Position(d.Pos)
+		pos := fset.Position(d.Pos)
 		matched := false
 		for _, w := range wants {
 			if w.file == pos.Filename && w.line == pos.Line && w.pattern.MatchString(d.Message) {
@@ -119,30 +103,4 @@ func collect(t *testing.T, analyzer string, pkg *lint.Package) []*expectation {
 		}
 	}
 	return wants
-}
-
-// Diagnostics returns the analyzer suite's formatted diagnostics for
-// pkgPath in the fixture module — used by tests that assert on exact
-// rendered output.
-func Diagnostics(moduleDir, pkgPath string) ([]string, error) {
-	loader, err := lint.NewLoader(moduleDir)
-	if err != nil {
-		return nil, err
-	}
-	pkg, err := loader.Load(pkgPath)
-	if err != nil {
-		return nil, err
-	}
-	runner := lint.NewRunner(lint.All())
-	runner.Module = loader.Module
-	runner.LoadDep = loader.Load
-	diags, _, err := runner.Run(pkg)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, d := range diags {
-		out = append(out, fmt.Sprintf("%s: %s: %s", pkg.Fset.Position(d.Pos), d.Analyzer, d.Message))
-	}
-	return out, nil
 }

@@ -14,12 +14,22 @@ import (
 	"strings"
 )
 
+// Package bundles everything needed to analyze one package.
+type Package struct {
+	Fset  *token.FileSet
+	Files []*ast.File
+	Pkg   *types.Package
+	Info  *types.Info
+
+	loader *Loader
+}
+
 // Loader typechecks packages of a single Go module from source, resolving
 // module-internal imports by directory and standard-library imports through
-// the compiler's source importer. It exists so neurdb-lint can run standalone
-// (`neurdb-lint ./...`) and so analyzer tests can load fixture modules —
-// without golang.org/x/tools/go/packages, which this module deliberately does
-// not depend on.
+// the compiler's source importer. It exists so neurdb-lint can run over the
+// module (`neurdb-lint ./...`) and so analyzer tests can load fixture modules
+// — without golang.org/x/tools/go/packages, which this module deliberately
+// does not depend on.
 type Loader struct {
 	// Root is the module root directory (the one containing go.mod).
 	Root string
@@ -73,10 +83,11 @@ func (l *Loader) dirFor(path string) string {
 	return filepath.Join(l.Root, filepath.FromSlash(rel))
 }
 
-// goFiles lists the non-test .go files of dir that match the current build
-// context (so files behind build tags like `invariants` are filtered the
-// same way `go build` filters them).
-func (l *Loader) goFiles(dir string) ([]string, error) {
+// goFiles lists the .go files of dir that match the current build context
+// (so files behind build tags like `invariants` are filtered the same way
+// `go build` filters them): the _test.go files when tests is set, the
+// others otherwise.
+func (l *Loader) goFiles(dir string, tests bool) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -85,7 +96,7 @@ func (l *Loader) goFiles(dir string) ([]string, error) {
 	var files []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") != tests {
 			continue
 		}
 		match, err := ctx.MatchFile(dir, name)
@@ -98,6 +109,41 @@ func (l *Loader) goFiles(dir string) ([]string, error) {
 	}
 	sort.Strings(files)
 	return files, nil
+}
+
+// parseFiles parses the named files with comments (analyzers read
+// directives and `// want` annotations from them).
+func (l *Loader) parseFiles(names []string) ([]*ast.File, error) {
+	var asts []*ast.File
+	for _, name := range names {
+		af, err := parser.ParseFile(l.fset, name, nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		asts = append(asts, af)
+	}
+	return asts, nil
+}
+
+// check typechecks files as the package at path, resolving imports through
+// imp.
+func (l *Loader) check(path string, files []*ast.File, imp types.Importer) (*Package, error) {
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Implicits:  make(map[ast.Node]types.Object),
+	}
+	conf := types.Config{
+		Importer: imp,
+		Sizes:    types.SizesFor("gc", build.Default.GOARCH),
+	}
+	tpkg, err := conf.Check(path, l.fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("lint: typecheck %s: %w", path, err)
+	}
+	return &Package{Fset: l.fset, Files: files, Pkg: tpkg, Info: info, loader: l}, nil
 }
 
 // Import implements types.Importer: stdlib paths go to the source importer,
@@ -113,8 +159,8 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.stdlib.Import(path)
 }
 
-// Load parses and typechecks the package at the given module-internal import
-// path, memoized.
+// Load parses and typechecks the non-test files of the package at the given
+// module-internal import path, memoized.
 func (l *Loader) Load(path string) (*Package, error) {
 	if p, ok := l.cache[path]; ok {
 		return p, nil
@@ -126,44 +172,85 @@ func (l *Loader) Load(path string) (*Package, error) {
 	defer delete(l.loading, path)
 
 	dir := l.dirFor(path)
-	files, err := l.goFiles(dir)
+	names, err := l.goFiles(dir, false)
 	if err != nil {
 		return nil, fmt.Errorf("lint: %s: %w", path, err)
 	}
-	if len(files) == 0 {
+	if len(names) == 0 {
 		return nil, fmt.Errorf("lint: %s: no Go files in %s", path, dir)
 	}
-	var asts []*ast.File
-	for _, f := range files {
-		af, err := parser.ParseFile(l.fset, f, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		asts = append(asts, af)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
-	conf := types.Config{
-		Importer: l,
-		Sizes:    types.SizesFor("gc", build.Default.GOARCH),
-	}
-	tpkg, err := conf.Check(path, l.fset, asts, info)
+	files, err := l.parseFiles(names)
 	if err != nil {
-		return nil, fmt.Errorf("lint: typecheck %s: %w", path, err)
+		return nil, err
 	}
-	p := &Package{Fset: l.fset, Files: asts, Pkg: tpkg, Info: info}
+	p, err := l.check(path, files, l)
+	if err != nil {
+		return nil, err
+	}
 	l.cache[path] = p
 	return p, nil
 }
 
+// LoadTests typechecks the test variants of the package at path, as `go
+// test` builds them: the package together with its in-package _test.go
+// files, and the external "path_test" package, which imports that variant
+// as path. Each returned Package's Files are only its _test.go files — the
+// production files are typechecked alongside but analyzed through Load's
+// package. A package without test files has no variants.
+func (l *Loader) LoadTests(path string) ([]*Package, error) {
+	pkg, err := l.Load(path)
+	if err != nil {
+		return nil, err
+	}
+	names, err := l.goFiles(l.dirFor(path), true)
+	if err != nil {
+		return nil, fmt.Errorf("lint: %s: %w", path, err)
+	}
+	files, err := l.parseFiles(names)
+	if err != nil {
+		return nil, err
+	}
+	var internal, external []*ast.File
+	for _, f := range files {
+		if strings.HasSuffix(f.Name.Name, "_test") {
+			external = append(external, f)
+		} else {
+			internal = append(internal, f)
+		}
+	}
+	var out []*Package
+	variant := pkg
+	if len(internal) > 0 {
+		all := append(append([]*ast.File(nil), pkg.Files...), internal...)
+		if variant, err = l.check(path, all, l); err != nil {
+			return nil, err
+		}
+		variant.Files = internal
+		out = append(out, variant)
+	}
+	if len(external) > 0 {
+		imp := importerFunc(func(p string) (*types.Package, error) {
+			if p == path {
+				return variant.Pkg, nil
+			}
+			return l.Import(p)
+		})
+		x, err := l.check(path+"_test", external, imp)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, x)
+	}
+	return out, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
 // Walk returns the import paths of every package under the module root, in
 // lexical order, skipping testdata, hidden directories, and directories with
-// no buildable Go files.
+// no buildable non-test Go files.
 func (l *Loader) Walk() ([]string, error) {
 	var paths []string
 	err := filepath.WalkDir(l.Root, func(path string, d os.DirEntry, err error) error {
@@ -177,7 +264,7 @@ func (l *Loader) Walk() ([]string, error) {
 		if path != l.Root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
-		files, err := l.goFiles(path)
+		files, err := l.goFiles(path, false)
 		if err != nil || len(files) == 0 {
 			return nil
 		}

@@ -30,10 +30,10 @@ func writeModule(t *testing.T, files map[string]string) string {
 // TestLoaderBuildTagFiltering: the loader must filter files through the
 // build context exactly like `go build` — a file behind `//go:build
 // invariants` is invisible by default and visible when the tag is set.
-// The invariants tag is the one that matters in this repo: the runtime
-// assertion counterparts of the analyzers live behind it, and the loader
-// picking up the wrong half (or both halves, a redeclaration error) would
-// make standalone lint runs diverge from the vet driver.
+// The invariants tag is the one that matters in this repo: runtime
+// assertions live behind it, and the loader picking up the wrong half (or
+// both halves, a redeclaration error) would make lint runs diverge from the
+// build.
 func TestLoaderBuildTagFiltering(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod":  "module tagmod\n\ngo 1.22\n",
@@ -80,9 +80,9 @@ func TestLoaderBuildTagFiltering(t *testing.T) {
 }
 
 // TestLoaderTestFileExclusion: _test.go files are never part of the
-// package the loader builds — the analyzers enforce production-code
-// contracts, and a test file referencing undefined symbols (legal for a
-// file the loader must skip) must not break typechecking.
+// package Load builds — LoadTests typechecks them separately, for the
+// analyzers that opt in — so a broken test file must not break loading the
+// production package.
 func TestLoaderTestFileExclusion(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod":      "module exmod\n\ngo 1.22\n",
@@ -143,25 +143,31 @@ func TestLoaderWalkSkips(t *testing.T) {
 // FuzzLoadPackage: the loader must be panic-free on malformed Go source —
 // it runs over whatever a contributor's working tree contains, and a parse
 // or typecheck problem must surface as an error, never a crash. Errors are
-// expected and ignored; only panics fail.
+// expected and ignored; only panics fail. testSrc, when non-empty, becomes
+// a _test.go file loaded through LoadTests.
 func FuzzLoadPackage(f *testing.F) {
-	f.Add("package p\n\nfunc F() int { return 1 }\n")
-	f.Add("package p\n\nfunc broken( {\n")
-	f.Add("package p\n\nvar x = undefinedName\n")
-	f.Add("pack age p\n")
-	f.Add("")
-	f.Add("//go:build invariants\n\npackage p\n")
-	f.Add("package p\n\nimport \"no/such/pkg\"\n\nvar _ = pkg.X\n")
-	f.Add("package p\n\ntype T struct { T }\n")
-	f.Add("package p\n\x00\xff\xfe\n")
-	f.Add("package p\n//lint:ignore\n//lint:closedenum\nfunc F() {}\n")
-	f.Fuzz(func(t *testing.T, src string) {
+	f.Add("package p\n\nfunc F() int { return 1 }\n", "")
+	f.Add("package p\n\nfunc broken( {\n", "")
+	f.Add("package p\n\nvar x = undefinedName\n", "")
+	f.Add("pack age p\n", "")
+	f.Add("", "")
+	f.Add("//go:build invariants\n\npackage p\n", "")
+	f.Add("package p\n\nimport \"no/such/pkg\"\n\nvar _ = pkg.X\n", "")
+	f.Add("package p\n\ntype T struct { T }\n", "")
+	f.Add("package p\n\x00\xff\xfe\n", "")
+	f.Add("package p\n//lint:ignore\n//lint:closedenum\nfunc F() {}\n", "")
+	f.Add("package p\n\nfunc F() int { return 1 }\n", "package p\n\nvar _ = F()\n")
+	f.Add("package p\n\nfunc F() int { return 1 }\n", "package p_test\n\nimport \"fuzzmod\"\n\nvar _ = p.F()\n")
+	f.Fuzz(func(t *testing.T, src, testSrc string) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module fuzzmod\n\ngo 1.22\n"), 0o644); err != nil {
-			t.Fatal(err)
+		files := map[string]string{"go.mod": "module fuzzmod\n\ngo 1.22\n", "fuzzed.go": src}
+		if testSrc != "" {
+			files["fuzzed_test.go"] = testSrc
 		}
-		if err := os.WriteFile(filepath.Join(dir, "fuzzed.go"), []byte(src), 0o644); err != nil {
-			t.Fatal(err)
+		for name, data := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 		l, err := lint.NewLoader(dir)
 		if err != nil {
@@ -170,5 +176,6 @@ func FuzzLoadPackage(f *testing.F) {
 		// Parse/typecheck errors are the expected outcome for most inputs;
 		// the property under test is the absence of panics.
 		_, _ = l.Load("fuzzmod")
+		_, _ = l.LoadTests("fuzzmod")
 	})
 }

@@ -73,10 +73,3 @@ func typeSwitchConcrete(err error) int64 {
 	}
 	return -1
 }
-
-// suppressed keeps an identity comparison behind a reviewed waiver: this
-// function constructs the error itself, so no wrapping can intervene.
-func suppressed(err error) bool {
-	//lint:ignore errcmp fixture: proving the suppression path
-	return err == ErrTorn
-}

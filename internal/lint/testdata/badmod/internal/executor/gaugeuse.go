@@ -1,16 +1,19 @@
-// Cross-package atomicmix fixture: storage.Gauge.N is atomic in its
-// defining package; the plain write here is only catchable through the
-// imported field fact.
+// Cross-package atomicmix fixture: the rule holds module-wide, not only in
+// the package that declares the counter.
 package executor
 
-import "neurdb/internal/storage"
+import (
+	"sync/atomic"
 
-// resetGauge writes the gauge without the atomic.
-func resetGauge(g *storage.Gauge) {
-	g.N = 0 // want atomicmix:"accessed atomically elsewhere but plainly here"
+	"neurdb/internal/storage"
+)
+
+// resetPlain zeroes a caller's plain counter through a package function.
+func resetPlain(n *uint64) {
+	atomic.StoreUint64(n, 0) // want atomicmix:"sync/atomic.StoreUint64 on a plain value"
 }
 
-// readGauge goes through the accessor — clean.
+// readGauge goes through the typed atomic — clean.
 func readGauge(g *storage.Gauge) uint64 {
 	return g.Load()
 }

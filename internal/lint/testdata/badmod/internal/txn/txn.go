@@ -1,8 +1,6 @@
-// Package txn seeds stripelock and commitgate violations (and their clean
-// counterparts) for the neurdb-lint fixture module.
+// Package txn seeds commitgate violations (and their clean counterparts)
+// for the neurdb-lint fixture module.
 package txn
-
-import "sync"
 
 // Status mirrors the real transaction status enum.
 type Status uint8
@@ -13,10 +11,6 @@ const (
 	StatusCommitted
 	StatusAborted
 )
-
-type writeStripe struct {
-	mu sync.Mutex
-}
 
 // Txn is a miniature transaction.
 type Txn struct {
@@ -40,72 +34,10 @@ type CommitLog interface {
 	Sync(lsn uint64) error
 }
 
-// Manager is a miniature transaction manager with striped write claims.
+// Manager is a miniature transaction manager.
 type Manager struct {
-	stripes  [8]writeStripe
 	log      CommitLog
 	statusOf map[uint64]Status
-}
-
-// lockStripe is the real engine's TryLock fast path: the acquire in the if
-// condition returns on success, so the fall-through Lock is the first
-// acquisition on that path — clean.
-func (m *Manager) lockStripe(i int) {
-	if m.stripes[i].mu.TryLock() {
-		return
-	}
-	m.stripes[i].mu.Lock()
-}
-
-func (m *Manager) unlockStripe(i int) {
-	m.stripes[i].mu.Unlock()
-}
-
-// singleStripe is the disciplined shape: one stripe at a time — clean.
-func (m *Manager) singleStripe(i, j int) {
-	m.lockStripe(i)
-	m.stripes[i].mu.Unlock()
-	m.lockStripe(j)
-	m.stripes[j].mu.Unlock()
-}
-
-// doubleDirect acquires a second stripe while holding the first.
-func (m *Manager) doubleDirect(i, j int) {
-	m.lockStripe(i)
-	m.lockStripe(j) // want stripelock:"acquires a write stripe while another stripe is held"
-	m.stripes[j].mu.Unlock()
-	m.stripes[i].mu.Unlock()
-}
-
-// helperAcquire acquires a stripe; callers holding one must not call it.
-func (m *Manager) helperAcquire(i int) {
-	m.lockStripe(i)
-	m.stripes[i].mu.Unlock()
-}
-
-// indirect nests through the package-local call graph.
-func (m *Manager) indirect(i, j int) {
-	m.lockStripe(i)
-	m.helperAcquire(j) // want stripelock:"calls helperAcquire, which acquires a write stripe"
-	m.stripes[i].mu.Unlock()
-}
-
-// loopLeak never releases inside the loop, so the second iteration acquires
-// while the first iteration's stripe is held.
-func (m *Manager) loopLeak(n int) {
-	for i := 0; i < n; i++ {
-		m.lockStripe(i) // want stripelock:"acquires a write stripe while another stripe is held"
-	}
-}
-
-// suppressed shows the escape hatch: the directive names the analyzer and a
-// reason, and the diagnostic is withheld.
-func (m *Manager) suppressed(i, j int) {
-	m.lockStripe(i)
-	//lint:ignore stripelock fixture: proving the suppression path
-	m.lockStripe(j)
-	m.stripes[j].mu.Unlock()
-	m.stripes[i].mu.Unlock()
 }
 
 // commitClean is the blessed protocol: gated append, then stamps, then

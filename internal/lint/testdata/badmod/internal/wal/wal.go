@@ -1,5 +1,4 @@
-// Package wal seeds ioerr and commitgate (rename-before-fsync) violations
-// for the neurdb-lint fixture module.
+// Package wal seeds ioerr violations for the neurdb-lint fixture module.
 package wal
 
 import "os"
@@ -28,17 +27,4 @@ func explicitDrop(f *os.File) {
 // handled consumes the error — clean.
 func handled(f *os.File) error {
 	return f.Sync()
-}
-
-// publishTorn renames a file into its final name with no fsync first.
-func publishTorn(tmp, final string) error {
-	return os.Rename(tmp, final) // want commitgate:"rename-before-fsync is a torn-file hole"
-}
-
-// publishSafe syncs before the rename — clean.
-func publishSafe(f *os.File, tmp, final string) error {
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, final)
 }

@@ -52,16 +52,6 @@ func buildIndex(opts map[string]string) map[string]int {
 	return idx
 }
 
-// concatIgnored is order-sensitive but carries a reviewed suppression.
-func concatIgnored(opts map[string]string) string {
-	s := ""
-	//lint:ignore detorder fixture: proving the suppression path
-	for k := range opts {
-		s += k
-	}
-	return s
-}
-
 // concatUnsorted builds a string in random order.
 func concatUnsorted(opts map[string]string) string {
 	s := ""

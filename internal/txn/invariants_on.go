@@ -7,15 +7,17 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+
+	"neurdb/internal/wal"
 )
 
 // Built with -tags=invariants, the engine carries cheap runtime assertions
-// for the invariants neurdb-lint enforces statically: here, the stripe
-// discipline — a goroutine holds at most one write-claim stripe at a time.
-// The static analyzer (internal/lint, stripelock) proves this for the code
-// it can see; the runtime counter catches what escapes analysis (calls
-// through interfaces, future code paths) the moment it happens, with a
-// panic naming the invariant instead of a silent deadlock.
+// for the stripe discipline that Manager.withStripe holds by shape: a
+// goroutine holds at most one write-claim stripe at a time, and takes none
+// while it holds the WAL commit gate (the checkpointer's exclusive gate
+// would otherwise wait on a claimer that waits on the gate). A nested
+// withStripe, or a claim or abort run under GateRLock/GateLock, panics the
+// moment it happens, naming the invariant, instead of deadlocking later.
 
 // stripeHeld maps goroutine id -> held-stripe count (0 entries are removed).
 var stripeHeld sync.Map
@@ -35,6 +37,9 @@ func goid() uint64 {
 }
 
 func stripeEnter() {
+	if wal.GateHeld() {
+		panic("txn: invariant violated: write stripe taken while this goroutine holds the WAL commit gate (lock order: stripe first, gate second)")
+	}
 	id := goid()
 	if held, ok := stripeHeld.Load(id); ok && held.(int) > 0 {
 		panic("txn: invariant violated: goroutine acquired a second write stripe while holding one (stripe discipline: at most one stripe per txn at a time)")

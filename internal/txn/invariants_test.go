@@ -2,29 +2,86 @@
 
 package txn
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
 
-// TestStripeNestingPanics proves the -tags=invariants runtime assertion
-// fires on the exact violation neurdb-lint's stripelock analyzer flags
-// statically: acquiring a second write stripe while one is held.
-func TestStripeNestingPanics(t *testing.T) {
-	stripeEnter()
-	defer stripeExit()
+	"neurdb/internal/rel"
+	"neurdb/internal/wal"
+)
+
+// mustPanic runs fn and fails the test unless fn panics with a message
+// containing want.
+func mustPanic(t *testing.T, what, want string, fn func()) {
+	t.Helper()
 	defer func() {
-		if recover() == nil {
-			t.Fatal("nested stripe acquire did not panic under -tags=invariants")
+		r := recover()
+		if r == nil {
+			t.Fatalf("%s did not panic under -tags=invariants", what)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Fatalf("%s panicked with %q, want %q", what, msg, want)
 		}
 	}()
-	stripeEnter()
+	fn()
+}
+
+// TestStripeNestingPanics: withStripe called from inside withStripe takes a
+// second stripe while holding one, which the stripe discipline forbids.
+func TestStripeNestingPanics(t *testing.T) {
+	m := NewManager()
+	mustPanic(t, "nested withStripe", "second write stripe", func() {
+		m.withStripe(0, func() { m.withStripe(1, func() {}) })
+	})
 }
 
 // TestStripeReleaseUnheldPanics covers the other direction: releasing a
 // stripe this goroutine does not hold.
 func TestStripeReleaseUnheldPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unheld stripe release did not panic under -tags=invariants")
-		}
-	}()
-	stripeExit()
+	mustPanic(t, "unheld stripe release", "holds none", stripeExit)
+}
+
+// TestStripeUnderGatePanics: a claim (UpdateBatch) or an abort's undo taken
+// while this goroutine holds the WAL commit gate, in either mode, inverts
+// the stripe-then-gate lock order against the checkpointer.
+func TestStripeUnderGatePanics(t *testing.T) {
+	l, err := wal.Open(wal.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	modes := []struct {
+		name         string
+		lock, unlock func()
+	}{
+		{"GateRLock", l.GateRLock, l.GateRUnlock},
+		{"GateLock", l.GateLock, l.GateUnlock},
+	}
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			m := NewManager()
+			h := newHeap()
+			ids := seedBatchHeap(t, m, h, 2)
+			row := []rel.Row{{rel.Int(7)}}
+
+			underGate := func(fn func()) func() {
+				return func() {
+					mode.lock()
+					defer mode.unlock()
+					fn()
+				}
+			}
+
+			tx := m.Begin(Snapshot, false)
+			mustPanic(t, "UpdateBatch under "+mode.name, "commit gate",
+				underGate(func() { _ = m.UpdateBatch(h, ids[:1], row, tx) }))
+
+			tx = m.Begin(Snapshot, false)
+			if err := m.UpdateBatch(h, ids[1:], row, tx); err != nil {
+				t.Fatal(err)
+			}
+			mustPanic(t, "Abort under "+mode.name, "commit gate", underGate(func() { m.Abort(tx) }))
+		})
+	}
 }

@@ -248,22 +248,21 @@ func stripeIndex(table int, page uint32) uint32 {
 	return (h ^ h>>16) % WriteStripeCount
 }
 
-// lockStripe acquires one claim stripe, counting contention for the
-// txn.stripe_wait series.
-func (m *Manager) lockStripe(i uint32) {
+// withStripe runs fn holding claim stripe si, counting contention for the
+// txn.stripe_wait series. It is the only code that touches a stripe's lock,
+// so every claim is taken here — one stripe per call, released before it
+// returns. Calling withStripe from inside fn (a second stripe) or while the
+// WAL commit gate is held panics under -tags=invariants.
+func (m *Manager) withStripe(si uint32, fn func()) {
 	stripeEnter()
 	m.stripeClaims.Add(1)
-	if m.stripes[i].mu.TryLock() {
-		return
+	if !m.stripes[si].mu.TryLock() {
+		m.stripeWaits.Add(1)
+		m.stripes[si].mu.Lock()
 	}
-	m.stripeWaits.Add(1)
-	m.stripes[i].mu.Lock()
-}
-
-// unlockStripe releases one claim stripe.
-func (m *Manager) unlockStripe(i uint32) {
+	fn()
+	m.stripes[si].mu.Unlock()
 	stripeExit()
-	m.stripes[i].mu.Unlock()
 }
 
 // StripeStats reports cumulative claim-stripe acquisitions and how many of
@@ -509,22 +508,21 @@ func (m *Manager) modifyBatch(h *storage.Heap, ids []storage.RowID, newRows []re
 		for end < len(ids) && ids[end].Page == ids[start].Page {
 			end++
 		}
-		si := stripeIndex(h.TableID, ids[start].Page)
-		m.lockStripe(si)
-		heads = h.Heads(ids[start:end], heads[:0])
-		for i := start; i < end; i++ {
-			var newRow rel.Row
-			if kind == 'u' {
-				newRow = newRows[i]
+		m.withStripe(stripeIndex(h.TableID, ids[start].Page), func() {
+			heads = h.Heads(ids[start:end], heads[:0])
+			for i := start; i < end; i++ {
+				var newRow rel.Row
+				if kind == 'u' {
+					newRow = newRows[i]
+				}
+				rec, err := m.claimLocked(h, ids[i], heads[i-start], newRow, t, kind)
+				if err != nil {
+					firstErr = err
+					return
+				}
+				recs = append(recs, rec)
 			}
-			rec, err := m.claimLocked(h, ids[i], heads[i-start], newRow, t, kind)
-			if err != nil {
-				firstErr = err
-				break
-			}
-			recs = append(recs, rec)
-		}
-		m.unlockStripe(si)
+		})
 		start = end
 	}
 	if len(recs) > 0 {
@@ -718,33 +716,33 @@ func (m *Manager) abortInternal(t *Txn, ssi bool) {
 	delN := 0
 	for i := len(writes) - 1; i >= 0; {
 		si := stripeIndex(writes[i].heap.TableID, writes[i].id.Page)
-		m.lockStripe(si)
-		for i >= 0 && stripeIndex(writes[i].heap.TableID, writes[i].id.Page) == si {
-			w := writes[i]
-			switch w.kind {
-			case 'i':
-				// Mark the inserted version dead-before-birth so no snapshot
-				// sees it and vacuum can reclaim the slot.
-				w.created.SetXMax(t.ID)
-				w.created.SetBeginTS(1)
-				w.created.SetEndTS(0)
-				if w.heap != delHeap {
-					if delN > 0 {
-						delHeap.NoteDeleteN(delN)
+		m.withStripe(si, func() {
+			for i >= 0 && stripeIndex(writes[i].heap.TableID, writes[i].id.Page) == si {
+				w := writes[i]
+				switch w.kind {
+				case 'i':
+					// Mark the inserted version dead-before-birth so no
+					// snapshot sees it and vacuum can reclaim the slot.
+					w.created.SetXMax(t.ID)
+					w.created.SetBeginTS(1)
+					w.created.SetEndTS(0)
+					if w.heap != delHeap {
+						if delN > 0 {
+							delHeap.NoteDeleteN(delN)
+						}
+						delHeap, delN = w.heap, 0
 					}
-					delHeap, delN = w.heap, 0
+					delN++
+				case 'u':
+					// Restore old head, clear claim.
+					w.heap.SetHead(w.id, w.old)
+					w.old.SetXMax(0)
+				case 'd':
+					w.old.SetXMax(0)
 				}
-				delN++
-			case 'u':
-				// Restore old head, clear claim.
-				w.heap.SetHead(w.id, w.old)
-				w.old.SetXMax(0)
-			case 'd':
-				w.old.SetXMax(0)
+				i--
 			}
-			i--
-		}
-		m.unlockStripe(si)
+		})
 	}
 	if delN > 0 {
 		delHeap.NoteDeleteN(delN)

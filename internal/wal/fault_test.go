@@ -317,6 +317,41 @@ func TestFaultCheckpointPublicationAtomic(t *testing.T) {
 	})
 }
 
+// TestFaultCheckpointPublicationOrder pins the order WriteCheckpoint's
+// filesystem operations reach the disk: the temp file is written, fsynced
+// and closed before the rename publishes it under the final name, and the
+// directory is fsynced after the rename. A rename ahead of the file's fsync
+// would publish an image a crash can leave torn under the final name.
+func TestFaultCheckpointPublicationOrder(t *testing.T) {
+	dir := t.TempDir()
+	ffs := vfs.NewFaultFS(nil)
+	if err := WriteCheckpoint(ffs, dir, testCheckpoint(1)); err != nil {
+		t.Fatal(err)
+	}
+	final := checkpointPath(dir, 1)
+	tmp := final + ".tmp"
+	want := []vfs.OpRecord{
+		{Op: vfs.OpOpenFile, Path: tmp},
+		{Op: vfs.OpWrite, Path: tmp},
+		{Op: vfs.OpSync, Path: tmp},
+		{Op: vfs.OpClose, Path: tmp},
+		{Op: vfs.OpRename, Path: final}, // journaled under the destination
+		{Op: vfs.OpOpen, Path: dir},
+		{Op: vfs.OpSync, Path: dir},
+		{Op: vfs.OpClose, Path: dir},
+	}
+	got := ffs.Journal()
+	if len(got) != len(want) {
+		t.Fatalf("journal has %d ops, want %d: %+v", len(got), len(want), got)
+	}
+	for i, w := range want {
+		if got[i].Op != w.Op || got[i].Path != w.Path || got[i].Err != nil {
+			t.Fatalf("op %d = %s %s (err %v), want %s %s; journal %+v",
+				i, got[i].Op, got[i].Path, got[i].Err, w.Op, w.Path, got)
+		}
+	}
+}
+
 func TestFaultLoadCheckpointReadFails(t *testing.T) {
 	dir := t.TempDir()
 	if err := WriteCheckpoint(nil, dir, testCheckpoint(1)); err != nil {

@@ -2,9 +2,8 @@
 
 package wal
 
-// In normal builds the gate-protocol hooks compile to nothing; the
-// invariant is enforced statically by neurdb-lint (commitgate) and, under
-// -tags=invariants, by the runtime assertions in invariants_on.go.
+// In normal builds the gate-protocol hooks compile to nothing; under
+// -tags=invariants they are the runtime assertions in invariants_on.go.
 
 func gateEnter() {}
 
