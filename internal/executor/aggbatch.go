@@ -1,21 +1,23 @@
 package executor
 
 import (
+	"math"
 	"sort"
 
 	"neurdb/internal/plan"
 	"neurdb/internal/rel"
 )
 
-// aggAcc is a grouped-aggregation workspace: a hash table keyed on the
-// encoded group-by columns with columnar accumulator arrays (one flat slice
-// per accumulator kind, indexed slot*nAgg+item) instead of per-group state
-// objects. The aggregate argument expressions are precompiled so plain
-// column references skip interface dispatch, numeric min/max comparisons run
-// on cached float mirrors instead of rel.Compare, the group-key buffer is
-// reused across rows, and the hash table is probed with an allocation-free
-// string conversion — steady-state accumulation allocates only when a new
-// group appears.
+// aggAcc is a grouped-aggregation workspace: one slot table — columnar
+// accumulator arrays (one flat slice per accumulator kind, indexed
+// slot*nAgg+item) instead of per-group state objects — indexed by two hash
+// tables: a single numeric group-by value is keyed by its float64 bits,
+// everything else by the encoded group-by values. The aggregate argument
+// expressions are precompiled so plain column references skip interface
+// dispatch, numeric min/max comparisons run on cached float mirrors instead
+// of rel.Compare, the group-key buffer is reused across rows, and the string
+// table is probed with an allocation-free conversion — steady-state
+// accumulation allocates only when a new group appears.
 //
 // The serial aggBatch operator owns one aggAcc; the morsel-parallel
 // aggregation gives each worker its own partial aggAcc and merges them with
@@ -31,7 +33,8 @@ type aggAcc struct {
 	keyCols []int        // group-by column fast path (-1 = general expr)
 
 	slots     map[string]int // encoded group key -> slot
-	keys      []string       // encoded key per slot (merge lookups)
+	numSlots  map[uint64]int // single numeric group key's float64 bits -> slot
+	keys      []groupKey     // key per slot (merge lookups)
 	firsts    []rel.Row      // first row seen per slot (key-expression source)
 	firstSeen []uint64       // smallest sequence number seen per slot
 	// Columnar accumulators, all indexed slot*nAgg + item.
@@ -45,6 +48,13 @@ type aggAcc struct {
 	maxF []float64
 
 	keyBuf []byte
+}
+
+// groupKey is a slot's key in whichever table holds it.
+type groupKey struct {
+	str   string // encoded group-by values
+	num   uint64 // isNum: the single numeric value's float64 bits
+	isNum bool
 }
 
 // aggArgSpec is one precompiled aggregate item.
@@ -87,7 +97,7 @@ func fastFloat(v rel.Value) float64 {
 // newAggAcc precompiles the aggregate items and group-by columns of node
 // into an empty accumulator.
 func newAggAcc(node *plan.Agg) *aggAcc {
-	a := &aggAcc{node: node, nAgg: len(node.Items), slots: make(map[string]int)}
+	a := &aggAcc{node: node, nAgg: len(node.Items), slots: make(map[string]int), numSlots: make(map[uint64]int)}
 	for i, item := range node.Items {
 		if item.Agg == nil {
 			continue
@@ -105,11 +115,13 @@ func newAggAcc(node *plan.Agg) *aggAcc {
 }
 
 // slot returns the accumulator slot for the row's group, creating it on
-// first sight. Group keys are rel.EncodeValue's self-delimiting encoding, so
-// NULLs form a group and values of different types never collide; -0 is
-// encoded as 0, because = and the hash join treat them as equal. A new
-// group keeps a copy of its first row: callers may reuse row's backing
-// array (the fused join aggregation does).
+// first sight. A numeric (INT, FLOAT, BOOL) value is keyed by its float
+// value with -0 as 0, because = and the hash join treat numerically equal
+// values as equal: a lone one by its float64 bits in numSlots, one of
+// several as a FLOAT inside the encoded key. Encoded keys are
+// rel.EncodeValue's self-delimiting encoding, so NULLs form a group and TEXT
+// never collides with a number. A new group keeps a copy of its first row:
+// callers may reuse row's backing array (the fused join aggregation does).
 func (a *aggAcc) slot(row rel.Row, seq uint64) int {
 	a.keyBuf = a.keyBuf[:0]
 	for k, g := range a.node.GroupBy {
@@ -119,19 +131,39 @@ func (a *aggAcc) slot(row rel.Row, seq uint64) int {
 		} else {
 			v = g.Eval(row)
 		}
-		if v.Typ == rel.TypeFloat && v.F == 0 {
-			v.F = 0
+		if numericType(v.Typ) {
+			f := fastFloat(v)
+			if f == 0 {
+				f = 0 // -0
+			}
+			if len(a.keyCols) == 1 {
+				bits := math.Float64bits(f)
+				if s, ok := a.numSlots[bits]; ok {
+					return s
+				}
+				return a.addSlot(groupKey{num: bits, isNum: true}, row.Clone(), seq)
+			}
+			v = rel.Float(f)
 		}
 		a.keyBuf = rel.EncodeValue(a.keyBuf, v)
 	}
 	if s, ok := a.slots[string(a.keyBuf)]; ok {
 		return s
 	}
-	key := string(a.keyBuf)
+	return a.addSlot(groupKey{str: string(a.keyBuf)}, row.Clone(), seq)
+}
+
+// addSlot appends an empty slot for key, whose earliest row so far is first
+// at sequence seq.
+func (a *aggAcc) addSlot(key groupKey, first rel.Row, seq uint64) int {
 	s := len(a.firsts)
-	a.slots[key] = s
+	if key.isNum {
+		a.numSlots[key.num] = s
+	} else {
+		a.slots[key.str] = s
+	}
 	a.keys = append(a.keys, key)
-	a.firsts = append(a.firsts, row.Clone())
+	a.firsts = append(a.firsts, first)
 	a.firstSeen = append(a.firstSeen, seq)
 	a.cnts = append(a.cnts, make([]int64, a.nAgg)...)
 	a.sums = append(a.sums, make([]float64, a.nAgg)...)
@@ -196,22 +228,17 @@ func (a *aggAcc) add(row rel.Row, seq uint64) {
 func (a *aggAcc) mergeFrom(src *aggAcc) {
 	nAgg := a.nAgg
 	for s, key := range src.keys {
-		d, ok := a.slots[key]
-		if !ok {
-			d = len(a.keys)
-			a.slots[key] = d
-			a.keys = append(a.keys, key)
-			a.firsts = append(a.firsts, src.firsts[s])
-			a.firstSeen = append(a.firstSeen, src.firstSeen[s])
-			a.cnts = append(a.cnts, src.cnts[s*nAgg:(s+1)*nAgg]...)
-			a.sums = append(a.sums, src.sums[s*nAgg:(s+1)*nAgg]...)
-			a.mins = append(a.mins, src.mins[s*nAgg:(s+1)*nAgg]...)
-			a.maxs = append(a.maxs, src.maxs[s*nAgg:(s+1)*nAgg]...)
-			a.minF = append(a.minF, src.minF[s*nAgg:(s+1)*nAgg]...)
-			a.maxF = append(a.maxF, src.maxF[s*nAgg:(s+1)*nAgg]...)
-			continue
+		var d int
+		var ok bool
+		if key.isNum {
+			d, ok = a.numSlots[key.num]
+		} else {
+			d, ok = a.slots[key.str]
 		}
-		if src.firstSeen[s] < a.firstSeen[d] {
+		switch {
+		case !ok: // its accumulators start empty and take src's below
+			d = a.addSlot(key, src.firsts[s], src.firstSeen[s])
+		case src.firstSeen[s] < a.firstSeen[d]:
 			a.firstSeen[d] = src.firstSeen[s]
 			a.firsts[d] = src.firsts[s]
 		}

@@ -40,9 +40,9 @@ func BuildBatch(n plan.Node, ctx *Ctx) (BatchIter, error) {
 		if it, ok := tryParallelScan(n, ctx); ok {
 			return it, nil
 		}
-		return &seqScanBatch{ctx: ctx, node: t}, nil
+		return &seqScanBatch{ctx: ctx, node: t, filter: compilePred(t.Filter)}, nil
 	case *plan.IndexScan:
-		return &indexScanBatch{ctx: ctx, node: t}, nil
+		return &indexScanBatch{ctx: ctx, node: t, filter: compilePred(t.Filter)}, nil
 	case *plan.Filter:
 		if it, ok := tryParallelScan(n, ctx); ok {
 			return it, nil
@@ -51,7 +51,7 @@ func BuildBatch(n plan.Node, ctx *Ctx) (BatchIter, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &filterBatch{pred: t.Pred, child: c}, nil
+		return &filterBatch{pred: compilePred(t.Pred), child: c}, nil
 	case *plan.Project:
 		if it, ok := tryParallelScan(n, ctx); ok {
 			return it, nil
@@ -75,13 +75,14 @@ func BuildBatch(n plan.Node, ctx *Ctx) (BatchIter, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &nlJoinBatch{node: t, left: l, right: r, in: rel.NewBatch(0)}, nil
+		return &nlJoinBatch{on: compilePred(t.On), left: l, right: r, in: rel.NewBatch(0)}, nil
 	case *plan.IndexJoin:
 		l, err := BuildBatch(t.L, ctx)
 		if err != nil {
 			return nil, err
 		}
-		return &indexJoinBatch{ctx: ctx, node: t, left: l, in: rel.NewBatch(0)}, nil
+		return &indexJoinBatch{ctx: ctx, node: t, filter: compilePred(t.Filter), residual: compilePred(t.Residual),
+			left: l, in: rel.NewBatch(0)}, nil
 	case *plan.Agg:
 		if pipe, w := parallelPipeline(t.Child, ctx); pipe != nil {
 			return &parallelAgg{ctx: ctx, node: t, pipe: pipe, workers: w}, nil
@@ -155,11 +156,12 @@ func buildHashJoinBatch(t *plan.HashJoin, ctx *Ctx) (BatchIter, error) {
 // seqScanBatch is the vectorized heap scan: each page costs one heap lock,
 // one buffer-pool touch and one visibility call (see pageRows).
 type seqScanBatch struct {
-	ctx  *Ctx
-	node *plan.SeqScan
-	page uint32             // next heap page to read
-	buf  []*storage.Version // chain-head scratch
-	done bool
+	ctx    *Ctx
+	node   *plan.SeqScan
+	filter pred
+	page   uint32             // next heap page to read
+	buf    []*storage.Version // chain-head scratch
+	done   bool
 }
 
 func (s *seqScanBatch) Open() error {
@@ -171,7 +173,7 @@ func (s *seqScanBatch) NextBatch(dst *rel.Batch) (int, error) {
 	dst.Reset()
 	for !s.done && dst.Len() < BatchSize {
 		var ok bool
-		dst.Rows, ok = pageRows(s.ctx, s.node.Table, s.page, s.node.Filter, s.buf, dst.Rows, nil)
+		dst.Rows, ok = pageRows(s.ctx, s.node.Table, s.page, &s.filter, s.buf, dst.Rows, nil)
 		s.page++
 		s.done = !ok
 	}
@@ -185,12 +187,13 @@ func (s *seqScanBatch) Close() error { return nil }
 // over clustered keys pays page-granular heap access like the sequential
 // scan, and downstream operators get the dispatch amortization.
 type indexScanBatch struct {
-	ctx   *Ctx
-	node  *plan.IndexScan
-	ids   []storage.RowID
-	pos   int
-	heads []*storage.Version // indexFetch scratch
-	kept  []storage.RowID    // indexFetch scratch (row identity is unused here)
+	ctx    *Ctx
+	node   *plan.IndexScan
+	filter pred
+	ids    []storage.RowID
+	pos    int
+	heads  []*storage.Version // indexFetch scratch
+	kept   []storage.RowID    // indexFetch scratch (row identity is unused here)
 }
 
 func (s *indexScanBatch) Open() error {
@@ -203,7 +206,7 @@ func (s *indexScanBatch) NextBatch(dst *rel.Batch) (int, error) {
 	dst.Reset()
 	for dst.Len() < BatchSize && s.pos < len(s.ids) {
 		end := min(s.pos+BatchSize-dst.Len(), len(s.ids))
-		s.heads, s.kept, dst.Rows = indexFetch(s.ctx, s.node, s.ids[s.pos:end], s.heads, s.kept[:0], dst.Rows)
+		s.heads, s.kept, dst.Rows = indexFetch(s.ctx, s.node, &s.filter, s.ids[s.pos:end], s.heads, s.kept[:0], dst.Rows)
 		s.pos = end
 	}
 	return dst.Len(), nil
@@ -216,7 +219,7 @@ func (s *indexScanBatch) Close() error { return nil }
 // filterBatch compacts each child batch in place, pulling more batches until
 // at least one row survives or the input ends (so 0 still means EOF).
 type filterBatch struct {
-	pred  rel.Expr
+	pred  pred
 	child BatchIter
 }
 
@@ -233,7 +236,7 @@ func (f *filterBatch) NextBatch(dst *rel.Batch) (int, error) {
 		}
 		kept := dst.Rows[:0]
 		for _, row := range dst.Rows {
-			if f.pred.Eval(row).AsBool() {
+			if f.pred.keep(row) {
 				kept = append(kept, row)
 			}
 		}

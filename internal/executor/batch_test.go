@@ -42,8 +42,11 @@ func TestBatchEngineMatchesOracle(t *testing.T) {
 	ctx := db.ctx()
 	for i := 0; i < 3000; i++ {
 		cat := rel.Int(int64(r.Intn(10)))
-		if i%23 == 0 {
+		switch {
+		case i%23 == 0:
 			cat = rel.Null() // NULL group keys
+		case i%19 == 0: // what an unchecked write can leave in an INT column
+			cat = []rel.Value{rel.Float(float64(cat.I)), rel.Bool(cat.I%2 == 1), rel.Text(fmt.Sprint(cat.I))}[i%3]
 		}
 		price := rel.Float(r.Float64() * 100)
 		if i%31 == 0 {
@@ -87,6 +90,9 @@ func TestBatchEngineMatchesOracle(t *testing.T) {
 		"SELECT COUNT(*) FROM items WHERE id < 1000",
 		"SELECT COUNT(*), SUM(price), AVG(price), MIN(price), MAX(price) FROM items",
 		"SELECT i.id, c.label FROM items i, cats c WHERE i.cat = c.cid AND c.label = 'c7'",
+		// Filtered GROUP BY over cat's INT, FLOAT, BOOL, NULL and TEXT values.
+		"SELECT cat, COUNT(*), SUM(price), MAX(id) FROM items WHERE cat >= 3 OR price < 20 GROUP BY cat",
+		"SELECT cat, price > 50, COUNT(*) FROM items WHERE 6 > cat GROUP BY cat, price > 50",
 		// Edge cases: empty input under agg/sort/limit, LIMIT 0, LIMIT
 		// beyond the table, LIMIT on a batch boundary.
 		"SELECT COUNT(*), SUM(price) FROM items WHERE id < 0",

@@ -208,6 +208,66 @@ func BenchmarkAggBatch(b *testing.B) {
 	b.ReportMetric(float64(scanRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
+// BenchmarkFilterGroupAgg is the shape of the referee's group_by_region
+// panel — SELECT region, COUNT(*), SUM(amount) FROM facts WHERE qty < 25
+// GROUP BY region — over 50k rows, serially and with two workers: a
+// column-vs-constant filter pushed into the scan, a single numeric group key.
+func BenchmarkFilterGroupAgg(b *testing.B) {
+	e := newBenchEnv(b)
+	tbl, err := e.cat.Create("facts", rel.NewSchema(
+		rel.Column{Name: "id", Typ: rel.TypeInt},
+		rel.Column{Name: "region", Typ: rel.TypeInt},
+		rel.Column{Name: "qty", Typ: rel.TypeInt},
+		rel.Column{Name: "amount", Typ: rel.TypeFloat},
+	))
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	rows := make([]rel.Row, scanRows)
+	for i := range rows {
+		rows[i] = rel.Row{rel.Int(int64(i)), rel.Int(int64(r.Intn(16))), rel.Int(int64(r.Intn(50))),
+			rel.Float(float64(r.Intn(4000)) * 0.25)}
+	}
+	ctx := &Ctx{Mgr: e.mgr, Txn: e.mgr.Begin(txn.Snapshot, false), Cat: e.cat}
+	if _, err := InsertBatch(ctx, tbl, rows); err != nil {
+		b.Fatal(err)
+	}
+	if err := e.mgr.Commit(ctx.Txn); err != nil {
+		b.Fatal(err)
+	}
+	region := &rel.ColRef{Idx: 1}
+	node := &plan.Agg{
+		Child: &plan.SeqScan{Base: plan.Base{Out: tbl.Schema}, Table: tbl,
+			Filter: &rel.BinOp{Kind: rel.OpLt, L: &rel.ColRef{Idx: 2}, R: &rel.Const{Val: rel.Int(25)}}},
+		GroupBy: []rel.Expr{region},
+		Items: []plan.AggItem{
+			{Key: region},
+			{Agg: &plan.AggSpec{Kind: plan.AggCount}},
+			{Agg: &plan.AggSpec{Kind: plan.AggSum, Arg: &rel.ColRef{Idx: 3}}},
+		},
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			ctx := e.readCtx()
+			ctx.Workers = workers
+			batch := rel.NewBatch(BatchSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				it, err := BuildBatch(node, ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := drainBatch(b, it, batch); got != 16 {
+					b.Fatalf("agg produced %d groups", got)
+				}
+			}
+			b.ReportMetric(float64(scanRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
+}
+
 // --- batch DML ---
 
 const dmlBenchRows = 100_000

@@ -56,7 +56,7 @@ func InsertBatch(ctx *Ctx, t *catalog.Table, rows []rel.Row) ([]storage.RowID, e
 // scratch, RowsPerPage long. Every heap scan — serial or morsel worker,
 // reading or about to write — takes a page through here: one heap lock, one
 // buffer-pool touch and one visibility call per page.
-func pageRows(ctx *Ctx, t *catalog.Table, pg uint32, filter rel.Expr, buf []*storage.Version, rows []rel.Row, ids *[]storage.RowID) ([]rel.Row, bool) {
+func pageRows(ctx *Ctx, t *catalog.Table, pg uint32, filter *pred, buf []*storage.Version, rows []rel.Row, ids *[]storage.RowID) ([]rel.Row, bool) {
 	n, ok := t.Heap.PageHeads(pg, buf)
 	if !ok {
 		return rows, false
@@ -67,12 +67,12 @@ func pageRows(ctx *Ctx, t *catalog.Table, pg uint32, filter rel.Expr, buf []*sto
 		idStart = len(*ids) - start
 	}
 	rows = ctx.Mgr.ReadPage(t.ID, pg, buf[:n], ctx.Txn, rows, ids)
-	if filter == nil {
+	if filter.e == nil {
 		return rows, true
 	}
 	k := start
 	for i := start; i < len(rows); i++ {
-		if !filter.Eval(rows[i]).AsBool() {
+		if !filter.keep(rows[i]) {
 			continue
 		}
 		rows[k] = rows[i]
@@ -150,6 +150,7 @@ func writePage(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, ids []storage.R
 // statement's own writes.
 func dmlScan(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, where rel.Expr) (int, error) {
 	total := 0
+	filter := compilePred(where)
 	buf := make([]*storage.Version, storage.RowsPerPage)
 	ids := make([]storage.RowID, 0, storage.RowsPerPage)
 	rows := make([]rel.Row, 0, storage.RowsPerPage)
@@ -157,7 +158,7 @@ func dmlScan(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, where rel.Expr) (
 	for pg := uint32(0); ; pg++ {
 		var ok bool
 		ids = ids[:0]
-		if rows, ok = pageRows(ctx, t, pg, where, buf, rows[:0], &ids); !ok {
+		if rows, ok = pageRows(ctx, t, pg, &filter, buf, rows[:0], &ids); !ok {
 			return total, nil
 		}
 		if len(ids) == 0 {
@@ -185,6 +186,7 @@ func dmlIndexScan(ctx *Ctx, n *plan.IndexScan, set map[int]rel.Expr) (int, error
 		return 0, err
 	}
 	total := 0
+	filter := compilePred(n.Filter)
 	var heads []*storage.Version
 	var ids []storage.RowID
 	var rows, news []rel.Row
@@ -193,7 +195,7 @@ func dmlIndexScan(ctx *Ctx, n *plan.IndexScan, set map[int]rel.Expr) (int, error
 		for end < len(all) && all[end].Page == all[start].Page {
 			end++
 		}
-		heads, ids, rows = indexFetch(ctx, n, all[start:end], heads, ids[:0], rows[:0])
+		heads, ids, rows = indexFetch(ctx, n, &filter, all[start:end], heads, ids[:0], rows[:0])
 		start = end
 		if len(ids) == 0 {
 			continue

@@ -36,6 +36,7 @@ type dmlPageRes struct {
 func dmlParallel(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, where rel.Expr, workers int) (int, error) {
 	ms := t.Heap.NewMorselSource(MorselPages)
 	results := make([][]dmlPageRes, ms.Morsels())
+	filter := compilePred(where)
 
 	var (
 		wg       sync.WaitGroup
@@ -69,7 +70,7 @@ func dmlParallel(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, where rel.Exp
 				var pages []dmlPageRes
 				for pg := lo; pg < hi && !stopped.Load(); pg++ {
 					ids = ids[:0]
-					rows, _ = pageRows(ctx, t, pg, where, buf, rows[:0], &ids)
+					rows, _ = pageRows(ctx, t, pg, &filter, buf, rows[:0], &ids)
 					if len(ids) == 0 {
 						continue
 					}

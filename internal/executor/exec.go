@@ -148,18 +148,15 @@ func indexRecheck(n *plan.IndexScan, row rel.Row) bool {
 
 // indexFetch reads the rows at ids (heap order, as indexScanIDs returns
 // them) that are visible to the context transaction and satisfy the scan's
-// probe and residual filter, appending them to rows and their RowIDs to
-// keep (aligned). Chain heads are resolved in one batched heap call: one
-// heap lock, and one buffer-pool touch per run of ids on the same page;
-// heads is scratch.
-func indexFetch(ctx *Ctx, n *plan.IndexScan, ids []storage.RowID, heads []*storage.Version, keep []storage.RowID, rows []rel.Row) ([]*storage.Version, []storage.RowID, []rel.Row) {
+// probe and its residual filter (n.Filter compiled), appending them to rows
+// and their RowIDs to keep (aligned). Chain heads are resolved in one
+// batched heap call: one heap lock, and one buffer-pool touch per run of ids
+// on the same page; heads is scratch.
+func indexFetch(ctx *Ctx, n *plan.IndexScan, filter *pred, ids []storage.RowID, heads []*storage.Version, keep []storage.RowID, rows []rel.Row) ([]*storage.Version, []storage.RowID, []rel.Row) {
 	heads = n.Table.Heap.Heads(ids, heads[:0])
 	for i, id := range ids {
 		row, visible := ctx.Mgr.ReadHead(n.Table.ID, id, heads[i], ctx.Txn)
-		if !visible || !indexRecheck(n, row) {
-			continue
-		}
-		if n.Filter != nil && !n.Filter.Eval(row).AsBool() {
+		if !visible || !indexRecheck(n, row) || !filter.keep(row) {
 			continue
 		}
 		keep = append(keep, id)

@@ -12,7 +12,7 @@ import (
 // across NextBatch calls, exactly like the hash join's emission path. With
 // this, no relational operator is left on the row-iterator adapter.
 type nlJoinBatch struct {
-	node        *plan.NLJoin
+	on          pred
 	left, right BatchIter
 	rightRows   []rel.Row
 	in          *rel.Batch // outer-side input scratch
@@ -43,7 +43,7 @@ func (j *nlJoinBatch) Open() error {
 
 // emitJoined appends l⋈r to pending via the slab, applying cond (which sees
 // the concatenated row). Every join emits its rows through it.
-func emitJoined(pending []rel.Row, slab []rel.Value, l, r rel.Row, cond rel.Expr) ([]rel.Row, []rel.Value) {
+func emitJoined(pending []rel.Row, slab []rel.Value, l, r rel.Row, cond *pred) ([]rel.Row, []rel.Value) {
 	width := len(l) + len(r)
 	if cap(slab)-len(slab) < width {
 		n := joinSlabValues
@@ -56,7 +56,7 @@ func emitJoined(pending []rel.Row, slab []rel.Value, l, r rel.Row, cond rel.Expr
 	slab = append(slab, l...)
 	slab = append(slab, r...)
 	joined := rel.Row(slab[start:len(slab):len(slab)])
-	if cond != nil && !cond.Eval(joined).AsBool() {
+	if !cond.keep(joined) {
 		return pending, slab[:start]
 	}
 	return append(pending, joined), slab
@@ -85,7 +85,7 @@ func (j *nlJoinBatch) NextBatch(dst *rel.Batch) (int, error) {
 		j.pendPos = 0
 		for _, l := range j.in.Rows {
 			for _, r := range j.rightRows {
-				j.pending, j.slab = emitJoined(j.pending, j.slab, l, r, j.node.On)
+				j.pending, j.slab = emitJoined(j.pending, j.slab, l, r, &j.on)
 			}
 		}
 	}
@@ -99,9 +99,10 @@ func (j *nlJoinBatch) Close() error { return j.left.Close() }
 // instead of per row — then resolves visibility once per RowID of each key's
 // posting list and emits joined rows through the shared slab/pending path.
 type indexJoinBatch struct {
-	ctx  *Ctx
-	node *plan.IndexJoin
-	left BatchIter
+	ctx              *Ctx
+	node             *plan.IndexJoin
+	filter, residual pred
+	left             BatchIter
 
 	in      *rel.Batch
 	keys    []rel.Value // non-null probe keys of the current batch
@@ -166,10 +167,10 @@ func (j *indexJoinBatch) NextBatch(dst *rel.Batch) (int, error) {
 				if !rel.Equal(row[j.node.Index.Col], key) {
 					continue
 				}
-				if j.node.Filter != nil && !j.node.Filter.Eval(row).AsBool() {
+				if !j.filter.keep(row) {
 					continue
 				}
-				j.pending, j.slab = emitJoined(j.pending, j.slab, l, row, j.node.Residual)
+				j.pending, j.slab = emitJoined(j.pending, j.slab, l, row, &j.residual)
 			}
 			start = j.offs[k]
 		}

@@ -141,8 +141,14 @@ func oracleAgg(n *plan.Agg, in []rel.Row) []rel.Row {
 		key := ""
 		for _, g := range n.GroupBy {
 			v := g.Eval(row)
-			if v.Typ == rel.TypeFloat && v.F == 0 {
-				v.F = 0 // -0 groups with 0, as = has it
+			if v.Typ == rel.TypeInt || v.Typ == rel.TypeFloat || v.Typ == rel.TypeBool {
+				// Numerically equal values (1, 1.0, TRUE; -0 and 0) group
+				// together, as = has it.
+				f := v.AsFloat()
+				if f == 0 {
+					f = 0
+				}
+				v = rel.Float(f)
 			}
 			key += fmt.Sprintf("%d/%d/%v/%q/%t;", v.Typ, v.I, v.F, v.S, v.B)
 		}

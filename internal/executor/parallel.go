@@ -16,6 +16,7 @@
 package executor
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,9 +44,9 @@ var parallelWorkerCount atomic.Int64
 func ParallelWorkers() int64 { return parallelWorkerCount.Load() }
 
 // pipeStage is one fused transform a worker applies to its morsel's rows.
-// Exactly one field is set: pred filters, exprs projects, probe hash-joins.
+// Exactly one is set: pred (pred.e) filters, exprs projects, probe joins.
 type pipeStage struct {
-	pred  rel.Expr
+	pred  pred
 	exprs []rel.Expr
 	probe *joinProbe
 }
@@ -53,10 +54,11 @@ type pipeStage struct {
 // scanPipeline is a compiled SeqScan→(Filter|Project)* plan subtree: the
 // unit of morsel parallelism. Workers execute the whole pipeline against
 // each morsel they claim, so filters and projections run in parallel with
-// the scan instead of serially above an exchange.
+// the scan instead of serially above an exchange. Its predicates are
+// compiled once, here, and shared read-only by every worker.
 type scanPipeline struct {
 	table  *catalog.Table
-	filter rel.Expr // SeqScan's pushed-down filter; may be nil
+	filter pred // SeqScan's pushed-down filter; zero keeps every row
 	stages []pipeStage
 }
 
@@ -66,13 +68,13 @@ type scanPipeline struct {
 func extractPipeline(n plan.Node) (*scanPipeline, bool) {
 	switch t := n.(type) {
 	case *plan.SeqScan:
-		return &scanPipeline{table: t.Table, filter: t.Filter}, true
+		return &scanPipeline{table: t.Table, filter: compilePred(t.Filter)}, true
 	case *plan.Filter:
 		p, ok := extractPipeline(t.Child)
 		if !ok {
 			return nil, false
 		}
-		p.stages = append(p.stages, pipeStage{pred: t.Pred})
+		p.stages = append(p.stages, pipeStage{pred: compilePred(t.Pred)})
 		return p, true
 	case *plan.Project:
 		p, ok := extractPipeline(t.Child)
@@ -127,25 +129,27 @@ func (ctx *Ctx) serialized() *Ctx {
 }
 
 // morselRows claims the next morsel and materializes its visible rows with
-// every pipeline stage applied. It returns idx=-1 once the source is
-// drained. The returned slice is freshly allocated per morsel — ownership
-// transfers to the receiver, which is what makes the exchange race-free.
-func (p *scanPipeline) morselRows(ctx *Ctx, ms *storage.MorselSource, buf []*storage.Version) (int, []rel.Row) {
+// every pipeline stage applied, appending them to rows[:0]. It returns
+// idx=-1 once the source is drained. Only the ordered exchange passes nil,
+// getting a fresh slice per morsel whose ownership goes to the consumer —
+// that is what makes the exchange race-free; the aggregation, sort and
+// join-build workers pass back one buffer of their own, morsel after morsel.
+func (p *scanPipeline) morselRows(ctx *Ctx, ms *storage.MorselSource, buf []*storage.Version, rows []rel.Row) (int, []rel.Row) {
 	idx, lo, hi, ok := ms.Next()
 	if !ok {
-		return -1, nil
+		return -1, rows
 	}
-	rows := make([]rel.Row, 0, int(hi-lo)*storage.RowsPerPage)
+	rows = slices.Grow(rows[:0], int(hi-lo)*storage.RowsPerPage)
 	for pg := lo; pg < hi; pg++ {
-		rows, _ = pageRows(ctx, p.table, pg, p.filter, buf, rows, nil)
+		rows, _ = pageRows(ctx, p.table, pg, &p.filter, buf, rows, nil)
 	}
 	for si := range p.stages {
 		st := &p.stages[si]
 		switch {
-		case st.pred != nil:
+		case st.pred.e != nil:
 			kept := rows[:0]
 			for _, row := range rows {
-				if st.pred.Eval(row).AsBool() {
+				if st.pred.keep(row) {
 					kept = append(kept, row)
 				}
 			}
@@ -252,7 +256,7 @@ func (s *parallelScan) worker(ms *storage.MorselSource) {
 			return
 		default:
 		}
-		idx, rows := s.pipe.morselRows(s.ctx, ms, buf)
+		idx, rows := s.pipe.morselRows(s.ctx, ms, buf, nil)
 		if idx < 0 {
 			return
 		}
@@ -339,10 +343,11 @@ func (a *parallelAgg) Open() error {
 			defer wg.Done()
 			acc := newAggAcc(a.node)
 			buf := make([]*storage.Version, storage.RowsPerPage)
-			var joined []rel.Row
+			var rows, joined []rel.Row
 			var slab []rel.Value
 			for {
-				idx, rows := a.pipe.morselRows(a.ctx, ms, buf)
+				var idx int
+				idx, rows = a.pipe.morselRows(a.ctx, ms, buf, rows)
 				if idx < 0 {
 					break
 				}
@@ -440,8 +445,10 @@ func (s *parallelSort) Open() error {
 			defer wg.Done()
 			run := &sortRun{keys: make([][]rel.Value, len(s.keys))}
 			buf := make([]*storage.Version, storage.RowsPerPage)
+			var rows []rel.Row
 			for {
-				idx, rows := s.pipe.morselRows(s.ctx, ms, buf)
+				var idx int
+				idx, rows = s.pipe.morselRows(s.ctx, ms, buf, rows)
 				if idx < 0 {
 					break
 				}
@@ -565,6 +572,7 @@ func (s *parallelSort) Close() error { return nil }
 type joinProbe struct {
 	ctx          *Ctx
 	node         *plan.HashJoin
+	residual     pred
 	buildPipe    *scanPipeline
 	buildWorkers int
 	right        BatchIter // serial build input; nil when buildPipe is set
@@ -572,7 +580,7 @@ type joinProbe struct {
 }
 
 func newJoinProbe(t *plan.HashJoin, ctx *Ctx) (*joinProbe, error) {
-	jp := &joinProbe{ctx: ctx, node: t}
+	jp := &joinProbe{ctx: ctx, node: t, residual: compilePred(t.Residual)}
 	if jp.buildPipe, jp.buildWorkers = parallelPipeline(t.R, ctx); jp.buildPipe == nil {
 		r, err := BuildBatch(t.R, ctx)
 		if err != nil {
@@ -620,7 +628,7 @@ func (jp *joinProbe) joinRow(out []rel.Row, slab []rel.Value, l rel.Row) ([]rel.
 	}
 	for _, r := range jp.table[key.Hash()] {
 		if rel.Equal(r[jp.node.RKey], key) {
-			out, slab = emitJoined(out, slab, l, r, jp.node.Residual)
+			out, slab = emitJoined(out, slab, l, r, &jp.residual)
 		}
 	}
 	return out, slab
@@ -668,8 +676,10 @@ func buildJoinTableParallel(ctx *Ctx, pipe *scanPipeline, rkey, workers int) map
 			defer wg.Done()
 			buf := make([]*storage.Version, storage.RowsPerPage)
 			local := make([]map[uint64][]buildEnt, joinStripeCount)
+			var rows []rel.Row
 			for {
-				idx, rows := pipe.morselRows(ctx, ms, buf)
+				var idx int
+				idx, rows = pipe.morselRows(ctx, ms, buf, rows)
 				if idx < 0 {
 					return
 				}

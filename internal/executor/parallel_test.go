@@ -3,6 +3,7 @@ package executor
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -62,8 +63,22 @@ func loadParallelFixture(t *testing.T, db *testDB) {
 	rows := make([]rel.Row, 0, 12000)
 	for i := 0; i < 12000; i++ {
 		cat := rel.Int(int64(r.Intn(7))) // heavy ties for sort/group
-		if i%29 == 0 {
+		// Column types are not enforced on write, so the INT column cat also
+		// holds numerically equal FLOATs (0 as -0), BOOLs and TEXT: grouping
+		// and filtering on it take both group-key paths and the predicate
+		// kernels' fallback.
+		switch {
+		case i%29 == 0:
 			cat = rel.Null()
+		case i%31 == 0:
+			cat = rel.Float(float64(cat.I))
+			if cat.F == 0 {
+				cat.F = math.Copysign(0, -1)
+			}
+		case i%43 == 0:
+			cat = rel.Bool(cat.I == 1)
+		case i%47 == 0:
+			cat = rel.Text(fmt.Sprint(cat.I))
 		}
 		price := rel.Float(float64(r.Intn(400)) * 0.5) // exact sums
 		if i%37 == 0 {
@@ -157,11 +172,18 @@ func TestParallelMatchesSerialExact(t *testing.T) {
 		// A cross-table WHERE predicate is a Filter between the aggregate and
 		// the join: aggBatch over the parallel join.
 		"SELECT c.label, COUNT(*), AVG(i.price) FROM items i JOIN cats c ON i.cat = c.cid WHERE i.price > c.cid * 20 GROUP BY c.label",
+		// Filtered GROUP BY over the mixed-type cat column: numeric keys,
+		// encoded keys (NULL, TEXT) and the partials' merge of both.
+		"SELECT cat, COUNT(*), SUM(price), MIN(id) FROM items WHERE cat < 5 OR price > 150 GROUP BY cat",
+		"SELECT cat, price, COUNT(*) FROM items WHERE 2 <= cat AND id > 900 GROUP BY cat, price",
 	}
 	queries = append(queries, fusedJoinAggQueries...)
 	for _, sql := range queries {
 		serial := runWorkers(t, db, sql, 1)
 		par := runWorkers(t, db, sql, 4)
+		if d := diffRows(serial, db.oracleRows(planFor(t, db, sql))); d != "" {
+			t.Fatalf("%q: serial vs oracle: %s", sql, d)
+		}
 		if len(serial) != len(par) {
 			t.Fatalf("%q: serial %d rows, parallel %d rows", sql, len(serial), len(par))
 		}
@@ -169,6 +191,68 @@ func TestParallelMatchesSerialExact(t *testing.T) {
 			if serial[i].String() != par[i].String() {
 				t.Fatalf("%q: position %d differs: serial %v parallel %v", sql, i, serial[i], par[i])
 			}
+		}
+	}
+}
+
+// TestGroupByNumericallyEqualKeys: GROUP BY puts numerically equal values —
+// INT 1, DOUBLE 1.0 and TRUE; 0 and -0 — in one group, as = and the hash
+// join do, on the single-key path and inside a multi-column key, serially
+// and across the partials of a parallel aggregation.
+func TestGroupByNumericallyEqualKeys(t *testing.T) {
+	db := newTestDB(t)
+	g := db.mustCreate("g",
+		rel.Column{Name: "id", Typ: rel.TypeInt},
+		rel.Column{Name: "x", Typ: rel.TypeFloat},
+		rel.Column{Name: "k", Typ: rel.TypeInt},
+	)
+	db.insert(g, rel.Row{rel.Int(1), rel.Int(1), rel.Int(0)}, rel.Row{rel.Int(2), rel.Float(1), rel.Int(0)},
+		rel.Row{rel.Int(3), rel.Float(2.5), rel.Int(0)})
+	if d := diffRows(db.query("SELECT x, COUNT(*) FROM g GROUP BY x"),
+		[]rel.Row{{rel.Int(1), rel.Int(2)}, {rel.Float(2.5), rel.Int(1)}}); d != "" {
+		t.Fatalf("GROUP BY x over 1, 1.0, 2.5: %s", d)
+	}
+	if got := db.query("SELECT COUNT(*) FROM g a JOIN g b ON a.x = b.x"); got[0][0].I != 5 {
+		t.Fatalf("the self-join on x matched %v pairs, want 5", got[0][0])
+	}
+	// The rule is =: numbers compare as float64, so INTs above 2^53 that
+	// round to one float64 (2^53 and 2^53+1) are equal and one group.
+	h := db.mustCreate("h", rel.Column{Name: "v", Typ: rel.TypeInt})
+	db.insert(h, rel.Row{rel.Int(1 << 53)}, rel.Row{rel.Int(1<<53 + 1)})
+	if got := db.query("SELECT COUNT(*) FROM h a JOIN h b ON a.v = b.v"); got[0][0].I != 4 {
+		t.Fatalf("the self-join on v matched %v pairs, want 4", got[0][0])
+	}
+	if d := diffRows(db.query("SELECT v, COUNT(*) FROM h GROUP BY v"),
+		[]rel.Row{{rel.Int(1 << 53), rel.Int(2)}}); d != "" {
+		t.Fatalf("GROUP BY v over 2^53, 2^53+1: %s", d)
+	}
+
+	// 6,000 more rows (47 pages with the three above, so Workers 4 runs
+	// partials): ones and zeros of every numeric type, 600 rows each, with a
+	// NULL and a TEXT '1' group that stay apart from them.
+	xs := []rel.Value{rel.Int(1), rel.Float(0), rel.Float(1), rel.Int(0), rel.Bool(true),
+		rel.Float(math.Copysign(0, -1)), rel.Bool(false), rel.Null(), rel.Text("1"), rel.Float(2.5)}
+	var rows []rel.Row
+	for i := 0; i < 6000; i++ {
+		rows = append(rows, rel.Row{rel.Int(int64(i)), xs[i%len(xs)], rel.Int(int64(i / len(xs) % 2))})
+	}
+	tx := db.ctx()
+	if _, err := InsertBatch(tx, g, rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.mgr.Commit(tx.Txn); err != nil {
+		t.Fatal(err)
+	}
+	// Groups in first-seen order, each shown by its first row's value.
+	want := []rel.Row{{rel.Int(1), rel.Int(2 + 3*600)}, {rel.Float(2.5), rel.Int(1 + 600)},
+		{rel.Float(0), rel.Int(4 * 600)}, {rel.Null(), rel.Int(600)}, {rel.Text("1"), rel.Int(600)}}
+	for _, workers := range []int{1, 4} {
+		if d := diffRows(runWorkers(t, db, "SELECT x, COUNT(*) FROM g GROUP BY x", workers), want); d != "" {
+			t.Fatalf("workers=%d: GROUP BY x: %s", workers, d)
+		}
+		// Inside a two-column key every x group splits by k alone.
+		if got := runWorkers(t, db, "SELECT x, k, COUNT(*) FROM g GROUP BY x, k", workers); len(got) != 2*len(want) {
+			t.Fatalf("workers=%d: GROUP BY x, k made %d groups, want %d: %v", workers, len(got), 2*len(want), got)
 		}
 	}
 }
