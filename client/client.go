@@ -352,7 +352,7 @@ func (c *Conn) simpleQuery(sql string) (*Rows, error) {
 	if err := c.sync(); err != nil {
 		return nil, err
 	}
-	rows := &Rows{conn: c, simple: true}
+	rows := &Rows{conn: c}
 	c.rows = rows
 	return rows, nil
 }
@@ -531,11 +531,10 @@ func (st *Stmt) Close() error {
 // chunk when a fetch-size-bounded portal suspends. Close before the chunk
 // is exhausted closes the server portal instead of transferring the rest.
 type Rows struct {
-	conn   *Conn
-	cols   []string
-	types  []rel.Type
-	fetch  uint32 // 0 = whole result in one Execute
-	simple bool   // simple-protocol response (RowDescription arrives in-band)
+	conn  *Conn
+	cols  []string
+	types []rel.Type
+	fetch uint32 // 0 = whole result in one Execute
 
 	batch []rel.Row
 	pos   int
@@ -593,22 +592,6 @@ func (r *Rows) Next() bool {
 			return false
 		}
 	}
-}
-
-// prime ensures column metadata is known before any row is consumed,
-// fetching the first response frames for statements whose RowDescription
-// arrives in-band (EXPLAIN, PREDICT). database/sql sizes its scan
-// destinations from Columns() before calling Next, so the driver primes
-// every cursor. Buffered rows are kept; no data is lost.
-func (r *Rows) prime() error {
-	if len(r.cols) > 0 || r.done || r.err != nil || r.pos < len(r.batch) || r.suspended {
-		return nil
-	}
-	if err := r.fill(); err != nil {
-		r.setErr(err)
-		return err
-	}
-	return nil
 }
 
 // fill reads frames until a DataBatch, CommandComplete or Suspended.

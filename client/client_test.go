@@ -132,9 +132,9 @@ func TestDatabaseSQLDriver(t *testing.T) {
 	}
 }
 
-// TestDatabaseSQLInBandColumns covers statements whose columns are only
-// announced in-band (EXPLAIN): the driver must prime the cursor so
-// database/sql sizes its destinations correctly instead of panicking.
+// TestDatabaseSQLInBandColumns covers a statement other than SELECT that
+// returns rows (EXPLAIN): Describe announces its columns from the plan, so
+// database/sql sizes its destinations correctly before the first row.
 func TestDatabaseSQLInBandColumns(t *testing.T) {
 	_, addr := startServer(t)
 	db, err := sql.Open("neurdb", addr)

@@ -85,13 +85,6 @@ func (s *sqlStmt) Query(args []driver.Value) (driver.Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Statements described as NoData may still announce columns in-band
-	// (EXPLAIN, PREDICT); fetch the first frames now so Columns() is
-	// accurate before database/sql sizes its scan destinations.
-	if err := rows.prime(); err != nil {
-		rows.Close()
-		return nil, err
-	}
 	return &sqlRows{rows: rows}, nil
 }
 

@@ -248,31 +248,22 @@ func (b *netBackend) run(sql string, out io.Writer) error {
 		return err
 	}
 	defer rows.Close()
-	// SELECT columns are known from Describe before any row; statements
-	// like EXPLAIN announce theirs in-band with the first batch, so the
-	// header prints as soon as it is known.
-	headerDone := false
-	header := func() {
-		if !headerDone {
-			if cols := rows.Columns(); len(cols) > 0 {
-				fmt.Fprintln(out, strings.Join(cols, " | "))
-			}
-			headerDone = true
-		}
+	// The columns are known from Describe, but the header waits for the
+	// first response: a statement that fails before producing anything (a
+	// PREDICT whose training fails) prints no header, as embedded.
+	more := rows.Next()
+	if err := rows.Err(); err != nil {
+		return err
 	}
-	if len(rows.Columns()) > 0 {
-		header()
+	if cols := rows.Columns(); len(cols) > 0 {
+		fmt.Fprintln(out, strings.Join(cols, " | "))
 	}
-	for rows.Next() {
-		header()
+	for ; more; more = rows.Next() {
 		fmt.Fprintln(out, rows.RowText())
 	}
 	if err := rows.Err(); err != nil {
 		return err
 	}
-	// A zero-row result may still have announced columns in-band (e.g. a
-	// PREDICT matching nothing): print the header the embedded path prints.
-	header()
 	if tag := rows.Tag(); tag != "" {
 		fmt.Fprintln(out, tag)
 	}
@@ -289,10 +280,16 @@ func (b *embedBackend) run(sql string, out io.Writer) error {
 		return err
 	}
 	defer rows.Close()
+	// Same order as netBackend: a stream that fails on its first batch
+	// prints no header on either path.
+	more := rows.Next()
+	if err := rows.Err(); err != nil {
+		return err
+	}
 	if cols := rows.Columns(); len(cols) > 0 {
 		fmt.Fprintln(out, strings.Join(cols, " | "))
 	}
-	for rows.Next() {
+	for ; more; more = rows.Next() {
 		fmt.Fprintln(out, rows.Row().String())
 	}
 	if err := rows.Err(); err != nil {

@@ -771,13 +771,11 @@ func (db *DB) StaleStatsView() optimizer.StatsView {
 	}
 }
 
-// observeWrite feeds the monitor after a write statement: the buffer pool's
-// dirty-page count ("pool.dirty", watched by the checkpoint/flush drift
-// detectors), the claim-stripe contention delta since the last observation
-// ("txn.stripe_wait"), and — when the statement rode the morsel-parallel
-// write path — the page count it dispatched ("dml.parallel_pages").
+// observeWrite feeds the monitor after a write statement: the claim-stripe
+// contention delta since the last observation ("txn.stripe_wait"), and —
+// when the statement rode the morsel-parallel write path — the page count it
+// dispatched ("dml.parallel_pages").
 func (s *Session) observeWrite(ctx *executor.Ctx) {
-	s.db.tracker.Observe("pool.dirty", float64(s.db.pool.DirtyPages()))
 	_, waits := s.db.mgr.StripeStats()
 	// Swap-then-compare tolerates racing sessions: a stale read at worst
 	// attributes the delta to the other session's observation, never twice.
@@ -859,7 +857,7 @@ func (s *Session) execExplain(sql string, ex *sqlparse.Explain) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Columns: []string{"plan"}}
+	res := &Result{Columns: explainSchema.Names()}
 	for _, line := range strings.Split(strings.TrimRight(plan.Explain(e.node), "\n"), "\n") {
 		res.Rows = append(res.Rows, rel.Row{rel.Text(line)})
 	}

@@ -247,9 +247,6 @@ func (db *DB) Checkpoint() error {
 	if err := l.RemoveThrough(sealed); err != nil {
 		return err
 	}
-	flushed := db.pool.FlushDirty()
-	db.tracker.Count("ckpt.pages", float64(flushed))
-	db.tracker.Observe("pool.dirty", float64(db.pool.DirtyPages()))
 	db.lastCkptWal.Store(l.Bytes())
 	return nil
 }

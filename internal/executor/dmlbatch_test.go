@@ -179,7 +179,7 @@ func TestBatchDMLMatchesRowCursorDML(t *testing.T) {
 				t.Fatalf("%s: row %d differs: batch %q row-cursor %q", st.name, i, gotB[i], gotR[i])
 			}
 		}
-		if lb, lr := tb.Heap.LiveRows(), tr.Heap.LiveRows(); lb != lr {
+		if lb, lr := liveChains(tb), liveChains(tr); lb != lr {
 			t.Fatalf("%s: live rows %d vs %d", st.name, lb, lr)
 		}
 		if rb, rr := tb.Stats.Rows(), tr.Stats.Rows(); rb != rr {

@@ -103,7 +103,7 @@ func TestParallelDMLMatchesSerialDML(t *testing.T) {
 					st.name, i, rowsS[i], rowsP[i])
 			}
 		}
-		if ls, lp := ts.Heap.LiveRows(), tp.Heap.LiveRows(); ls != lp {
+		if ls, lp := liveChains(ts), liveChains(tp); ls != lp {
 			t.Fatalf("%s: live rows %d vs %d", st.name, ls, lp)
 		}
 		if rs, rp := ts.Stats.Rows(), tp.Stats.Rows(); rs != rp {

@@ -84,6 +84,18 @@ func eachHead(t *catalog.Table, visit func(storage.RowID, *storage.Version)) {
 	})
 }
 
+// liveChains counts the chains of t whose head no committed delete has
+// ended and no abort has killed: what a quiescent heap holds as live rows.
+func liveChains(t *catalog.Table) int {
+	n := 0
+	eachHead(t, func(_ storage.RowID, head *storage.Version) {
+		if head.EndTS() == storage.InfinityTS {
+			n++
+		}
+	})
+	return n
+}
+
 func (db *testDB) insert(tbl *catalog.Table, rows ...rel.Row) {
 	db.t.Helper()
 	ctx := db.ctx()

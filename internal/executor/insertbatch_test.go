@@ -27,7 +27,7 @@ func batchRows(n, base int) []rel.Row {
 
 // TestInsertBatchMatchesOneRowBatches inserts the same rows as one batch and
 // as one batch per row and compares visible contents, index postings,
-// live-row accounting, and statistics row counts.
+// live chains, and statistics row counts.
 func TestInsertBatchMatchesOneRowBatches(t *testing.T) {
 	const n = 300 // spans multiple heap pages
 	dbBatch, dbRow := newTestDB(t), newTestDB(t)
@@ -56,7 +56,7 @@ func TestInsertBatchMatchesOneRowBatches(t *testing.T) {
 			t.Fatalf("row %d differs: batch %v, row-path %v", i, got[i], want[i])
 		}
 	}
-	if lb, lr := tb.Heap.LiveRows(), tr.Heap.LiveRows(); lb != lr {
+	if lb, lr := liveChains(tb), liveChains(tr); lb != lr {
 		t.Fatalf("live rows differ: batch %d, row-path %d", lb, lr)
 	}
 	if sb, sr := tb.Stats.Rows(), tr.Stats.Rows(); sb != sr {
@@ -104,7 +104,7 @@ func TestInsertBatchValidatesUpFront(t *testing.T) {
 	if got := db.query("SELECT id FROM ib"); len(got) != 0 {
 		t.Fatalf("failed batch left %d visible rows", len(got))
 	}
-	if live := tbl.Heap.LiveRows(); live != 0 {
+	if live := liveChains(tbl); live != 0 {
 		t.Fatalf("failed batch left live=%d", live)
 	}
 }

@@ -36,7 +36,10 @@ const MaxCondTokens = 9
 // BuildConditions encodes current system conditions: one token per table
 // (data statistics: row count, NDV, value span — and buffer residency) plus
 // a global buffer token. This is the model input that changes under drift,
-// giving the learned optimizer its adaptivity.
+// giving the learned optimizer its adaptivity. The buffer information (paper
+// Fig. 5) is three reads of the pool: its hit ratio and fill fraction in
+// the global token, and each table's resident fraction, which the pool
+// counts from its LRU membership when asked (one arena walk per table).
 func BuildConditions(tables []*catalog.Table, pool *storage.BufferPool) *nn.Matrix {
 	rows := make([][]float64, 0, MaxCondTokens)
 	global := make([]float64, CondFeatureDim)

@@ -260,7 +260,8 @@ type conn struct {
 	portals map[string]*portal
 
 	// canceled is set by Server.cancel from another goroutine; the
-	// streaming loops poll it between rows.
+	// streaming loops poll it between rows, and a Sync with no portal left
+	// open clears it.
 	canceled atomic.Bool
 
 	// skipToSync discards messages after an error until the client's Sync,
@@ -339,7 +340,12 @@ func (c *conn) run() {
 			c.closeMsg(m)
 		case *wire.Sync:
 			c.skipToSync = false
-			c.canceled.Store(false) // a cancel request dies with its sequence
+			// A cancel request dies with the last open portal, not with the
+			// first Sync: one that lands after a chunk's last row check must
+			// still stop the suspended portal when the client resumes it.
+			if len(c.portals) == 0 {
+				c.canceled.Store(false)
+			}
 			fatal = c.send(&wire.Ready{})
 		case *wire.Terminate:
 			return
@@ -486,17 +492,6 @@ func (c *conn) execute(m *wire.Execute) error {
 			return nil
 		}
 		p.rows = rows
-		// Non-SELECT statements that still return rows (EXPLAIN, PREDICT)
-		// announce their shape in-band: Describe cannot know it before
-		// execution.
-		if !p.stmt.IsSelect() {
-			if cols := rows.Columns(); len(cols) > 0 {
-				if err := c.send(&wire.RowDescription{Cols: rowsCols(rows)}); err != nil {
-					c.closePortalNamed(m.Portal, p)
-					return err
-				}
-			}
-		}
 	}
 	return c.stream(p, m.Portal, m.MaxRows)
 }
@@ -617,7 +612,10 @@ func (c *conn) closePortalNamed(name string, p *portal) {
 	delete(c.portals, name)
 }
 
-// describe reports metadata: RowDescription for SELECTs, NoData otherwise.
+// describe reports metadata from the compiled plan: RowDescription for every
+// statement that returns rows (SELECT, PREDICT, EXPLAIN), NoData otherwise.
+// Execute never announces columns; only the simple Query protocol, which has
+// no Describe, sends them in-band.
 func (c *conn) describe(m *wire.Describe) error {
 	var st *neurdb.Stmt
 	switch m.Kind {

@@ -188,7 +188,7 @@ func TestDescribeMetadata(t *testing.T) {
 	}
 	st.Close()
 
-	// Non-SELECT statements describe as NoData: no columns.
+	// Statements that return no rows describe as NoData: no columns.
 	dml, err := c.Prepare(`INSERT INTO m VALUES (?, ?, ?)`)
 	if err != nil {
 		t.Fatal(err)
@@ -200,6 +200,25 @@ func TestDescribeMetadata(t *testing.T) {
 		t.Fatalf("DML NumParams = %d", dml.NumParams())
 	}
 	dml.Close()
+
+	// Every statement that returns rows describes its shape before it runs:
+	// EXPLAIN's one plan column, PREDICT's prediction column.
+	mustExec(t, c, `CREATE TABLE p (id INT PRIMARY KEY, x DOUBLE, y DOUBLE)`)
+	for sql, want := range map[string]string{
+		`EXPLAIN SELECT id FROM m WHERE id = ?`:                       "plan",
+		`EXPLAIN UPDATE m SET ok = TRUE WHERE id = ?`:                 "plan",
+		`PREDICT VALUE OF y FROM p WHERE id > ? TRAIN ON x`:           "prediction",
+		`PREDICT CLASS OF y FROM p TRAIN ON x WITH id < ? VALUES (1)`: "prediction",
+	} {
+		st, err := c.Prepare(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if cols := st.Columns(); strings.Join(cols, ",") != want {
+			t.Fatalf("%s: Columns = %v, want [%s]", sql, cols, want)
+		}
+		st.Close()
+	}
 }
 
 // TestConcurrentConnections exercises independent sessions under -race:
@@ -413,6 +432,87 @@ func TestCancel(t *testing.T) {
 	if res.Affected != 1 {
 		t.Fatalf("post-cancel select affected = %d", res.Affected)
 	}
+}
+
+// TestCancelWhileSuspended pins the window TestCancel only hits by chance: a
+// Cancel that lands after a chunk's last row check but before that chunk's
+// Sync. The raw client stops between Execute and Sync, applies the Cancel
+// (the server closes the side connection once it has), then syncs and
+// resumes; the suspended portal must die with CANCELED every time.
+func TestCancelWhileSuspended(t *testing.T) {
+	db, addr := startServer(t, server.Config{})
+	if _, err := db.Exec(`CREATE TABLE n (id INT PRIMARY KEY)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(`INSERT INTO n VALUES (1),(2),(3),(4),(5),(6),(7),(8)`); err != nil {
+		t.Fatal(err)
+	}
+	netc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer netc.Close()
+	r := wire.NewReader(netc, 0)
+	w := wire.NewWriter(netc)
+	// send flushes msgs and reads replies through the one named by until.
+	send := func(until wire.Op, msgs ...wire.Msg) []wire.Msg {
+		t.Helper()
+		for _, m := range msgs {
+			w.WriteMsg(m)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var got []wire.Msg
+		for {
+			op, payload, err := r.ReadFrame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := wire.Decode(op, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, m)
+			if op == until {
+				return got
+			}
+		}
+	}
+	var key *wire.BackendKeyData
+	for _, m := range send(wire.OpReady, &wire.Startup{Version: wire.Version}) {
+		if k, ok := m.(*wire.BackendKeyData); ok {
+			key = k
+		}
+	}
+	send(wire.OpReady, &wire.Parse{SQL: `SELECT id FROM n`}, &wire.Bind{}, &wire.Sync{})
+	send(wire.OpSuspended, &wire.Execute{MaxRows: 2})
+
+	side, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := wire.NewWriter(side)
+	sw.WriteMsg(&wire.Cancel{ConnID: key.ConnID, Secret: key.Secret})
+	sw.Flush()
+	if _, _, err := wire.NewReader(side, 0).ReadFrame(); err == nil {
+		t.Fatal("cancel connection answered instead of closing")
+	}
+	side.Close()
+
+	send(wire.OpReady, &wire.Sync{})
+	for _, m := range send(wire.OpReady, &wire.Execute{MaxRows: 2}, &wire.Sync{}) {
+		switch m := m.(type) {
+		case *wire.Error:
+			if m.Code != wire.CodeCanceled {
+				t.Fatalf("resumed portal failed with %s, want CANCELED", m.Code)
+			}
+			return
+		case *wire.DataBatch:
+			t.Fatalf("resumed portal streamed %d more rows after Cancel", len(m.Rows))
+		}
+	}
+	t.Fatal("resumed portal ended without CANCELED")
 }
 
 func asClientError(err error, target **client.Error) bool {

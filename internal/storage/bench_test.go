@@ -8,7 +8,7 @@ import (
 // poolToucher abstracts the sharded pool and the legacy baseline so both
 // run the identical benchmark workload.
 type poolToucher interface {
-	Touch(table int, page uint32, write bool) bool
+	Touch(table int, page uint32) bool
 }
 
 // benchPoolCapacity and benchPoolPages put the 8-goroutine workload in the
@@ -40,7 +40,7 @@ func touchParallel(b *testing.B, p poolToucher) {
 				state ^= state << 13
 				state ^= state >> 7
 				state ^= state << 17
-				p.Touch(g, uint32(state)%benchPoolPages, false)
+				p.Touch(g, uint32(state)%benchPoolPages)
 			}
 		}(g)
 	}
@@ -50,7 +50,7 @@ func touchParallel(b *testing.B, p poolToucher) {
 // BenchmarkBufferPoolTouchParallel measures Touch throughput on the sharded
 // pool under 8-way concurrency with eviction churn.
 func BenchmarkBufferPoolTouchParallel(b *testing.B) {
-	touchParallel(b, NewShardedBufferPool(benchPoolCapacity, DefaultPoolShards))
+	touchParallel(b, newShardedBufferPool(benchPoolCapacity, defaultPoolShards))
 }
 
 // BenchmarkBufferPoolTouchParallelSingleMutex is the pre-sharding baseline:
@@ -62,10 +62,10 @@ func BenchmarkBufferPoolTouchParallelSingleMutex(b *testing.B) {
 // BenchmarkBufferPoolTouchSerial isolates single-threaded Touch cost on the
 // sharded pool (hit-dominated: working set fits).
 func BenchmarkBufferPoolTouchSerial(b *testing.B) {
-	p := NewShardedBufferPool(benchPoolCapacity, DefaultPoolShards)
+	p := newShardedBufferPool(benchPoolCapacity, defaultPoolShards)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.Touch(1, uint32(i%512), false)
+		p.Touch(1, uint32(i%512))
 	}
 }
 
@@ -75,6 +75,6 @@ func BenchmarkBufferPoolTouchSerialSingleMutex(b *testing.B) {
 	p := newLegacyBufferPool(benchPoolCapacity)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.Touch(1, uint32(i%512), false)
+		p.Touch(1, uint32(i%512))
 	}
 }

@@ -24,8 +24,8 @@ func (k pageKey) hash() uint64 {
 	return h
 }
 
-// DefaultPoolShards is the shard-count ceiling for NewBufferPool.
-const DefaultPoolShards = 16
+// defaultPoolShards is the shard-count ceiling for NewBufferPool.
+const defaultPoolShards = 16
 
 // minPagesPerShard keeps tiny pools unsharded: below this many pages per
 // shard, splitting the LRU changes eviction behaviour noticeably and buys no
@@ -40,102 +40,20 @@ type entry struct {
 	key        pageKey
 	hnext      int32 // next entry in the hash-bucket chain (-1 = end)
 	prev, next int32 // LRU neighbours (-1 = end); prev side is MRU
-	dirty      bool  // written since admission; cleared by eviction (write-back)
 }
 
 // poolShard is one independently locked exact-LRU region of the pool.
 // Hit/miss counters are atomics so stats reads never take the shard lock.
 type poolShard struct {
-	mu       sync.Mutex
-	capacity int
-	entries  []entry // arena, len = capacity; index is the entry id
-	buckets  []int32 // hash table: bucket -> first entry id (-1 = empty)
-	bmask    uint32
-	used     int   // arena slots in use; admission fills 0..capacity-1, then evicts
-	head     int32 // MRU entry (-1 = empty)
-	tail     int32 // LRU entry (-1 = empty)
-
-	// Per-table residency, merged on read. Catalog table ids are small
-	// sequential ints, so counts live in a dense slice grown on demand —
-	// a residency update is one indexed add, not a map operation on the
-	// admit/evict path. perTable is the fallback for out-of-range ids and
-	// deletes keys at zero so dead tables never accumulate.
-	counts   []int32
-	perTable map[int]int
-
-	// Dirty-page accounting mirrors residency: a write Touch marks the
-	// entry dirty (once), eviction models write-back and clears it. The
-	// dense/map split matches counts/perTable.
-	dirtyTotal  int
-	dirtyCounts []int32
-	dirtyPer    map[int]int
+	mu      sync.Mutex
+	entries []entry // arena, len = capacity; index is the entry id
+	buckets []int32 // hash table: bucket -> first entry id (-1 = empty)
+	bmask   uint32
+	used    int   // arena slots in use; admission fills 0..capacity-1, then evicts
+	head    int32 // MRU entry (-1 = empty)
+	tail    int32 // LRU entry (-1 = empty)
 
 	hits, misses atomic.Uint64
-}
-
-// maxDenseTableID bounds the dense residency slice (4 KiB per shard worst
-// case); ids beyond it fall back to the map.
-const maxDenseTableID = 1 << 10
-
-// tableAdd adjusts the residency count of a table by ±1.
-func (s *poolShard) tableAdd(table, delta int) {
-	if table >= 0 && table < len(s.counts) {
-		s.counts[table] += int32(delta)
-		return
-	}
-	if table >= 0 && table < maxDenseTableID {
-		s.counts = append(s.counts, make([]int32, table+1-len(s.counts))...)
-		s.counts[table] += int32(delta)
-		return
-	}
-	if n := s.perTable[table] + delta; n <= 0 {
-		delete(s.perTable, table)
-	} else {
-		s.perTable[table] = n
-	}
-}
-
-// residentPages returns the shard's resident page count for a table.
-func (s *poolShard) residentPages(table int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if table >= 0 && table < len(s.counts) {
-		return int(s.counts[table])
-	}
-	return s.perTable[table]
-}
-
-// dirtyAdd adjusts the dirty-page count of a table by ±1. Caller holds mu.
-func (s *poolShard) dirtyAdd(table, delta int) {
-	s.dirtyTotal += delta
-	if table >= 0 && table < len(s.dirtyCounts) {
-		s.dirtyCounts[table] += int32(delta)
-		return
-	}
-	if table >= 0 && table < maxDenseTableID {
-		s.dirtyCounts = append(s.dirtyCounts, make([]int32, table+1-len(s.dirtyCounts))...)
-		s.dirtyCounts[table] += int32(delta)
-		return
-	}
-	if n := s.dirtyPer[table] + delta; n <= 0 {
-		delete(s.dirtyPer, table)
-	} else {
-		s.dirtyPer[table] = n
-	}
-}
-
-// dirtyPages returns the shard's dirty page count, for one table (>= 0) or
-// in total (table < 0).
-func (s *poolShard) dirtyPages(table int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if table < 0 {
-		return s.dirtyTotal
-	}
-	if table < len(s.dirtyCounts) {
-		return int(s.dirtyCounts[table])
-	}
-	return s.dirtyPer[table]
 }
 
 func newPoolShard(capacity int) *poolShard {
@@ -144,42 +62,26 @@ func newPoolShard(capacity int) *poolShard {
 		nbuckets *= 2
 	}
 	s := &poolShard{
-		capacity: capacity,
-		entries:  make([]entry, capacity),
-		buckets:  make([]int32, nbuckets),
-		bmask:    uint32(nbuckets - 1),
+		entries: make([]entry, capacity),
+		buckets: make([]int32, nbuckets),
+		bmask:   uint32(nbuckets - 1),
+		head:    -1,
+		tail:    -1,
 	}
-	s.resetLocked()
-	return s
-}
-
-func (s *poolShard) resetLocked() {
 	for i := range s.buckets {
 		s.buckets[i] = -1
 	}
-	s.used = 0
-	s.head, s.tail = -1, -1
-	s.counts = s.counts[:0]
-	s.perTable = make(map[int]int)
-	s.dirtyTotal = 0
-	s.dirtyCounts = s.dirtyCounts[:0]
-	s.dirtyPer = make(map[int]int)
+	return s
 }
 
 // touch records an access within this shard: exact LRU with admission on
-// miss, identical semantics to the original single-mutex pool. A write
-// access marks the resident entry dirty; evicting a dirty page models the
-// write-back and clears the accounting.
-func (s *poolShard) touch(key pageKey, h uint64, write bool) bool {
+// miss, identical semantics to the original single-mutex pool.
+func (s *poolShard) touch(key pageKey, h uint64) bool {
 	s.mu.Lock()
 	b := uint32(h) & s.bmask
 	for i := s.buckets[b]; i >= 0; i = s.entries[i].hnext {
 		if s.entries[i].key == key {
 			s.moveToFront(i)
-			if write && !s.entries[i].dirty {
-				s.entries[i].dirty = true
-				s.dirtyAdd(key.table, 1)
-			}
 			s.mu.Unlock()
 			s.hits.Add(1)
 			return true
@@ -187,18 +89,13 @@ func (s *poolShard) touch(key pageKey, h uint64, write bool) bool {
 	}
 	// Miss: admit, evicting this shard's LRU entry if the arena is full.
 	var idx int32
-	if s.used < s.capacity {
+	if s.used < len(s.entries) {
 		idx = int32(s.used)
 		s.used++
 	} else {
 		idx = s.tail
-		victim := s.entries[idx]
 		s.unlink(idx)
-		s.bucketRemove(victim.key, idx)
-		s.tableAdd(victim.key.table, -1)
-		if victim.dirty {
-			s.dirtyAdd(victim.key.table, -1)
-		}
+		s.bucketRemove(s.entries[idx].key, idx)
 	}
 	e := &s.entries[idx]
 	e.key = key
@@ -206,17 +103,12 @@ func (s *poolShard) touch(key pageKey, h uint64, write bool) bool {
 	s.buckets[b] = idx
 	e.prev = -1
 	e.next = s.head
-	e.dirty = write
 	if s.head >= 0 {
 		s.entries[s.head].prev = idx
 	}
 	s.head = idx
 	if s.tail < 0 {
 		s.tail = idx
-	}
-	s.tableAdd(key.table, 1)
-	if write {
-		s.dirtyAdd(key.table, 1)
 	}
 	s.mu.Unlock()
 	s.misses.Add(1)
@@ -271,19 +163,27 @@ func (s *poolShard) bucketRemove(key pageKey, idx int32) {
 	}
 }
 
-func (s *poolShard) reset() {
+// residentPages counts the shard's resident pages of a table by walking the
+// used part of the arena: every slot below used holds a resident page.
+func (s *poolShard) residentPages(table int) int {
 	s.mu.Lock()
-	s.resetLocked()
-	s.mu.Unlock()
-	s.hits.Store(0)
-	s.misses.Store(0)
+	defer s.mu.Unlock()
+	n := 0
+	for i := range s.entries[:s.used] {
+		if s.entries[i].key.table == table {
+			n++
+		}
+	}
+	return n
 }
 
 // BufferPool is an LRU page cache accountant. All data actually lives in
 // process memory; the pool tracks which pages would be resident in a real
-// bounded buffer, producing the hit-ratio and per-table residency signals
-// that the learned query optimizer consumes as "buffer information"
-// (paper Fig. 5) and that the monitor watches for thrashing.
+// bounded buffer. It keeps two things: exact-LRU membership per shard and
+// atomic hit/miss counters. Those yield the "buffer information" the
+// learned query optimizer reads (paper Fig. 5: HitRatio, Len/Capacity,
+// ResidentFraction) and the Stats the benchmark reads; per-table residency
+// is computed when read, so the access path maintains no tallies.
 //
 // The pool is sharded by pageKey hash: each shard owns an independent mutex,
 // an exact-LRU arena, and a slice of the capacity, so concurrent scans do
@@ -297,33 +197,28 @@ type BufferPool struct {
 }
 
 // NewBufferPool creates a pool that holds at most capacity pages, sharded
-// up to DefaultPoolShards ways (fewer for small capacities, so tiny pools
+// up to defaultPoolShards ways (fewer for small capacities, so tiny pools
 // keep exact global-LRU behaviour).
 func NewBufferPool(capacity int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
 	shards := 1
-	for shards*2 <= DefaultPoolShards && capacity/(shards*2) >= minPagesPerShard {
+	for shards*2 <= defaultPoolShards && capacity/(shards*2) >= minPagesPerShard {
 		shards *= 2
 	}
-	return NewShardedBufferPool(capacity, shards)
+	return newShardedBufferPool(capacity, shards)
 }
 
-// NewShardedBufferPool creates a pool with an explicit shard count (rounded
+// newShardedBufferPool creates a pool with an explicit shard count (rounded
 // down to a power of two, clamped to [1, capacity]). A 1-shard pool behaves
 // exactly like the pre-sharding single-mutex implementation; tests use it
 // as the reference.
-func NewShardedBufferPool(capacity, shards int) *BufferPool {
+func newShardedBufferPool(capacity, shards int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > capacity {
-		shards = capacity
-	}
+	shards = max(min(shards, capacity), 1)
 	pow := 1
 	for pow*2 <= shards {
 		pow *= 2
@@ -343,35 +238,10 @@ func NewShardedBufferPool(capacity, shards int) *BufferPool {
 
 // Touch records an access to (table, page), returning true on a buffer hit.
 // Misses admit the page, evicting that shard's LRU page if at capacity.
-// Write accesses additionally mark the page dirty (see DirtyPages).
-func (b *BufferPool) Touch(table int, page uint32, write bool) bool {
+func (b *BufferPool) Touch(table int, page uint32) bool {
 	key := pageKey{table, page}
 	h := key.hash()
-	return b.shards[(h>>48)&b.mask].touch(key, h, write)
-}
-
-// DirtyPages returns how many resident pages carry unflushed writes: pages
-// admitted or re-touched with write=true and not yet evicted. Eviction
-// models the write-back, so capacity pressure drains the count — the
-// checkpoint/flush signal the monitor tracks as the "pool.dirty" series.
-func (b *BufferPool) DirtyPages() int {
-	total := 0
-	for _, s := range b.shards {
-		total += s.dirtyPages(-1)
-	}
-	return total
-}
-
-// DirtyTablePages returns how many of a table's resident pages are dirty.
-func (b *BufferPool) DirtyTablePages(table int) int {
-	if table < 0 {
-		return 0
-	}
-	total := 0
-	for _, s := range b.shards {
-		total += s.dirtyPages(table)
-	}
-	return total
+	return b.shards[(h>>48)&b.mask].touch(key, h)
 }
 
 // HitRatio returns hits/(hits+misses), or 1 when no accesses happened.
@@ -394,6 +264,8 @@ func (b *BufferPool) Stats() (hits, misses uint64) {
 }
 
 // ResidentPages returns how many pages of the table are currently cached.
+// It walks every shard's arena under that shard's lock, so it costs
+// O(capacity); the learned optimizer calls it once per table it ranks.
 func (b *BufferPool) ResidentPages(table int) int {
 	total := 0
 	for _, s := range b.shards {
@@ -408,18 +280,11 @@ func (b *BufferPool) ResidentFraction(table, totalPages int) float64 {
 	if totalPages <= 0 {
 		return 1
 	}
-	f := float64(b.ResidentPages(table)) / float64(totalPages)
-	if f > 1 {
-		f = 1
-	}
-	return f
+	return min(float64(b.ResidentPages(table))/float64(totalPages), 1)
 }
 
 // Capacity returns the configured page capacity.
 func (b *BufferPool) Capacity() int { return b.capacity }
-
-// Shards returns the number of independently locked LRU regions.
-func (b *BufferPool) Shards() int { return len(b.shards) }
 
 // Len returns the number of currently resident pages.
 func (b *BufferPool) Len() int {
@@ -430,11 +295,4 @@ func (b *BufferPool) Len() int {
 		s.mu.Unlock()
 	}
 	return total
-}
-
-// Reset clears residency and counters (used between benchmark phases).
-func (b *BufferPool) Reset() {
-	for _, s := range b.shards {
-		s.reset()
-	}
 }

@@ -1,11 +1,11 @@
 // Package storage implements the physical storage substrate: heap tables
-// organized as pages of MVCC version chains, and a buffer pool whose
-// residency statistics feed the learned query optimizer's "buffer info"
-// system-condition features (paper Fig. 5).
+// organized as pages of MVCC version chains, and a buffer pool that keeps
+// exact-LRU page membership and hit/miss counts. The learned query
+// optimizer's "buffer info" system-condition features (paper Fig. 5) are
+// read from those two; nothing else is tracked per access.
 package storage
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -41,7 +41,6 @@ type Heap struct {
 	pages   []*page
 	free    []RowID // slots of fully-dead chains available for reuse
 	pool    *BufferPool
-	live    int64 // approximate live row count
 }
 
 // NewHeap creates an empty heap for the given table id, attached to an
@@ -57,13 +56,6 @@ func (h *Heap) NumPages() int {
 	return len(h.pages)
 }
 
-// LiveRows returns the approximate number of live rows.
-func (h *Heap) LiveRows() int64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.live
-}
-
 // InsertBatch appends new version chains for all rows under one lock
 // acquisition, appending the assigned RowIDs to ids and the created chain
 // heads to heads (aligned). The buffer pool is touched once per distinct
@@ -75,7 +67,6 @@ func (h *Heap) InsertBatch(rows []rel.Row, xmin uint64, ids []RowID, heads []*Ve
 	lastTouched := uint32(math.MaxUint32)
 	for _, row := range rows {
 		v := NewVersion(row, xmin, nil)
-		h.live++
 		var id RowID
 		if n := len(h.free); n > 0 {
 			id = h.free[n-1]
@@ -90,7 +81,7 @@ func (h *Heap) InsertBatch(rows []rel.Row, xmin uint64, ids []RowID, heads []*Ve
 			id = RowID{Page: p.id, Slot: uint32(len(p.chains) - 1)}
 		}
 		if id.Page != lastTouched {
-			h.touch(id.Page, true)
+			h.touch(id.Page)
 			lastTouched = id.Page
 		}
 		ids = append(ids, id)
@@ -111,7 +102,7 @@ func (h *Heap) Heads(ids []RowID, dst []*Version) []*Version {
 	for _, id := range ids {
 		if id.Page != lastPage {
 			if int(id.Page) < len(h.pages) {
-				h.touch(id.Page, false)
+				h.touch(id.Page)
 			}
 			lastPage = id.Page
 		}
@@ -133,16 +124,7 @@ func (h *Heap) SetHead(id RowID, v *Version) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.pages[id.Page].chains[id.Slot] = v
-	h.touch(id.Page, true)
-}
-
-// NoteDeleteN decrements the live-row estimate by n in one acquisition:
-// commit and abort call it after tallying a run of deletes against the same
-// heap.
-func (h *Heap) NoteDeleteN(n int) {
-	h.mu.Lock()
-	h.live -= int64(n)
-	h.mu.Unlock()
+	h.touch(id.Page)
 }
 
 // PageHeads copies one page's chain heads into buf (entries may be nil for
@@ -159,7 +141,7 @@ func (h *Heap) PageHeads(pageID uint32, buf []*Version) (n int, ok bool) {
 	if int(pageID) >= len(h.pages) {
 		return 0, false
 	}
-	h.touch(pageID, false)
+	h.touch(pageID)
 	return copy(buf, h.pages[pageID].chains), true
 }
 
@@ -206,17 +188,10 @@ func (h *Heap) Vacuum(horizon uint64) int {
 	return reclaimed
 }
 
-func (h *Heap) touch(pageID uint32, write bool) {
+func (h *Heap) touch(pageID uint32) {
 	if h.pool != nil {
-		h.pool.Touch(h.TableID, pageID, write)
+		h.pool.Touch(h.TableID, pageID)
 	}
-}
-
-// String summarizes the heap for debugging.
-func (h *Heap) String() string {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return fmt.Sprintf("heap{table=%d pages=%d live=%d}", h.TableID, len(h.pages), h.live)
 }
 
 // MorselSource hands out disjoint page ranges ("morsels") of a heap to

@@ -34,7 +34,7 @@ func newLegacyBufferPool(capacity int) *legacyBufferPool {
 	}
 }
 
-func (b *legacyBufferPool) Touch(table int, page uint32, write bool) bool {
+func (b *legacyBufferPool) Touch(table int, page uint32) bool {
 	key := pageKey{table, page}
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -22,11 +22,8 @@ func (h *Heap) InstallAt(id RowID, row rel.Row, cts uint64) {
 	for int(id.Slot) >= len(p.chains) {
 		p.chains = append(p.chains, nil)
 	}
-	if p.chains[id.Slot] == nil {
-		h.live++
-	}
 	p.chains[id.Slot] = v
-	h.touch(id.Page, true)
+	h.touch(id.Page)
 }
 
 // ClearAt empties a slot during WAL replay ("clear slot" — the delete half
@@ -46,9 +43,8 @@ func (h *Heap) ClearAt(id RowID) {
 		return
 	}
 	if p.chains[id.Slot] != nil {
-		h.live--
 		p.chains[id.Slot] = nil
-		h.touch(id.Page, true)
+		h.touch(id.Page)
 	}
 }
 
@@ -68,28 +64,4 @@ func (h *Heap) RebuildFree() {
 			}
 		}
 	}
-}
-
-// FlushDirty models a checkpoint's write-back pass: every resident dirty
-// page is written out (accounting-wise) and its dirty bit cleared. Returns
-// the number of pages flushed — the "ckpt.pages" monitor series — and
-// drains the "pool.dirty" signal the checkpointer acts on.
-func (b *BufferPool) FlushDirty() int {
-	total := 0
-	for _, s := range b.shards {
-		s.mu.Lock()
-		n := 0
-		for i := 0; i < s.used; i++ {
-			if s.entries[i].dirty {
-				s.entries[i].dirty = false
-				n++
-			}
-		}
-		s.dirtyTotal = 0
-		s.dirtyCounts = s.dirtyCounts[:0]
-		s.dirtyPer = make(map[int]int)
-		s.mu.Unlock()
-		total += n
-	}
-	return total
 }

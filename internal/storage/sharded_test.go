@@ -26,7 +26,7 @@ func TestShardedPoolFeatureParity(t *testing.T) {
 		n := 20000
 		for i := 0; i < n; i++ {
 			table, page := trace(i)
-			if g, w := got.Touch(table, page, i%8 == 0), want.Touch(table, page, i%8 == 0); g != w {
+			if g, w := got.Touch(table, page), want.Touch(table, page); g != w {
 				t.Fatalf("%s: access %d (table=%d page=%d): hit=%v, legacy hit=%v", name, i, table, page, g, w)
 			}
 		}
@@ -51,62 +51,21 @@ func TestShardedPoolFeatureParity(t *testing.T) {
 
 	// 1 shard, eviction churn: 4 tables x 300 pages over 512 capacity.
 	r := rand.New(rand.NewSource(7))
-	check("1shard-churn", NewShardedBufferPool(512, 1), newLegacyBufferPool(512), 4,
+	check("1shard-churn", newShardedBufferPool(512, 1), newLegacyBufferPool(512), 4,
 		func(int) (int, uint32) { return r.Intn(4), uint32(r.Intn(300)) })
 
 	// 16 shards, resident working set: 4 tables x 50 pages in 1024 capacity.
 	r2 := rand.New(rand.NewSource(11))
-	check("16shard-resident", NewShardedBufferPool(1024, 16), newLegacyBufferPool(1024), 4,
+	check("16shard-resident", newShardedBufferPool(1024, 16), newLegacyBufferPool(1024), 4,
 		func(int) (int, uint32) { return r2.Intn(4), uint32(r2.Intn(50)) })
-}
-
-// TestPerTableResidencyNoLeak is the regression test for the eviction leak:
-// the old pool left zero-count perTable entries behind forever (and could
-// drive them negative). Dense table ids now use a counts slice (zero means
-// absent, nothing to leak); ids beyond maxDenseTableID take the map
-// fallback, which must delete keys at zero.
-func TestPerTableResidencyNoLeak(t *testing.T) {
-	p := NewShardedBufferPool(4, 1)
-	const big = maxDenseTableID + 1000
-	for i := 0; i < 100; i++ {
-		p.Touch(big+i, 0, false) // each table: one page, map fallback path
-	}
-	s := p.shards[0]
-	s.mu.Lock()
-	for table, n := range s.perTable {
-		if n <= 0 {
-			t.Fatalf("perTable[%d] = %d leaked after eviction", table, n)
-		}
-	}
-	entries := len(s.perTable)
-	s.mu.Unlock()
-	if entries > p.Capacity() {
-		t.Fatalf("%d perTable entries for capacity %d: zero-count keys leaked", entries, p.Capacity())
-	}
-	// Evicted tables report zero residency; the last ones stay resident.
-	if p.ResidentPages(big) != 0 {
-		t.Fatalf("evicted table still counted: %d", p.ResidentPages(big))
-	}
-	if p.ResidentPages(big+99) != 1 {
-		t.Fatalf("resident table lost: %d", p.ResidentPages(big+99))
-	}
-	// Dense-id churn keeps counts consistent too: no table may go negative.
-	for i := 0; i < 100; i++ {
-		p.Touch(i%10, uint32(i), false)
-	}
-	for table := 0; table < 10; table++ {
-		if p.ResidentPages(table) < 0 {
-			t.Fatalf("table %d residency negative", table)
-		}
-	}
 }
 
 // TestShardedPoolEviction exercises overflow across shards: residency never
 // exceeds capacity and per-table counts stay consistent with Len.
 func TestShardedPoolEviction(t *testing.T) {
-	p := NewShardedBufferPool(128, 8)
+	p := newShardedBufferPool(128, 8)
 	for i := 0; i < 10000; i++ {
-		p.Touch(i%5, uint32(i), false)
+		p.Touch(i%5, uint32(i))
 	}
 	if p.Len() > p.Capacity() {
 		t.Fatalf("len %d exceeds capacity %d", p.Len(), p.Capacity())
@@ -118,9 +77,31 @@ func TestShardedPoolEviction(t *testing.T) {
 	if sum != p.Len() {
 		t.Fatalf("per-table sum %d != len %d", sum, p.Len())
 	}
-	p.Reset()
-	if p.Len() != 0 || p.HitRatio() != 1 {
-		t.Fatal("reset failed")
+}
+
+// TestTouchAllocatesNothing pins that every Touch path of a sharded pool —
+// hit, admission into a free arena slot, and eviction of the LRU entry —
+// runs without a heap allocation.
+func TestTouchAllocatesNothing(t *testing.T) {
+	p := newShardedBufferPool(512, 8)
+	page := uint32(0)
+	miss := func() { p.Touch(1, page); page++ }
+	admit := testing.AllocsPerRun(100, miss)
+	if p.Len() != int(page) {
+		t.Fatalf("admission phase evicted: %d resident of %d admitted", p.Len(), page)
+	}
+	hit := testing.AllocsPerRun(100, func() { p.Touch(1, 0) })
+	for p.Len() < p.Capacity() {
+		miss()
+	}
+	evict := testing.AllocsPerRun(100, miss)
+	if hits, misses := p.Stats(); hits != 101 || misses != uint64(page) {
+		t.Fatalf("stats %d/%d, want 101 hits and %d misses", hits, misses, page)
+	}
+	for name, n := range map[string]float64{"admission": admit, "hit": hit, "eviction": evict} {
+		if n != 0 {
+			t.Errorf("%s path: %v allocations per Touch, want 0", name, n)
+		}
 	}
 }
 
@@ -131,7 +112,7 @@ func TestNewBufferPoolShardScaling(t *testing.T) {
 		{1, 1}, {2, 1}, {63, 1}, {64, 2}, {256, 8}, {4096, 16}, {1 << 20, 16},
 	}
 	for _, c := range cases {
-		if got := NewBufferPool(c.capacity).Shards(); got != c.shards {
+		if got := len(NewBufferPool(c.capacity).shards); got != c.shards {
 			t.Errorf("capacity %d: shards = %d, want %d", c.capacity, got, c.shards)
 		}
 	}
@@ -201,7 +182,7 @@ func TestScanBatchSlotIdentity(t *testing.T) {
 // verifies that page snapshots taken by scans cannot race with Vacuum's
 // slot writes, and that the sharded pool tolerates concurrent touches.
 func TestHeapConcurrentBatchScanStress(t *testing.T) {
-	pool := NewShardedBufferPool(256, 16)
+	pool := newShardedBufferPool(256, 16)
 	h := NewHeap(1, pool)
 	const writers = 4
 	var wg, writerWG sync.WaitGroup
@@ -218,7 +199,6 @@ func TestHeapConcurrentBatchScanStress(t *testing.T) {
 				if i%3 == 0 {
 					// Committed delete: eligible for vacuum.
 					v.SetEndTS(2)
-					h.NoteDeleteN(1)
 				}
 			}
 		}(g)
@@ -268,8 +248,8 @@ func TestHeapConcurrentBatchScanStress(t *testing.T) {
 	wg.Wait()
 
 	// Each writer inserts 500 rows and deletes the 167 with i%3==0.
-	want := int64(writers * (500 - 167))
-	if got := h.LiveRows(); got != want {
+	want := writers * (500 - 167)
+	if got := liveChains(h); got != want {
 		t.Fatalf("live rows = %d, want %d", got, want)
 	}
 	if pool.Len() > pool.Capacity() {

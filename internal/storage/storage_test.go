@@ -8,7 +8,7 @@ import (
 	"neurdb/internal/rel"
 )
 
-// The three helpers below are how these suites reach the heap one row at a
+// The helpers below are how these suites reach the heap one row at a
 // time: the heap itself is entered a batch (InsertBatch, Heads) or a page
 // (ScanBatch over PageHeads) at a time.
 
@@ -33,14 +33,26 @@ func scanRows(h *Heap, visit func(RowID, *Version) bool) {
 	})
 }
 
+// liveChains counts the chains whose head no deleter has stamped.
+func liveChains(h *Heap) int {
+	n := 0
+	scanRows(h, func(_ RowID, head *Version) bool {
+		if head.EndTS() == InfinityTS {
+			n++
+		}
+		return true
+	})
+	return n
+}
+
 func TestHeapInsertScan(t *testing.T) {
 	h := NewHeap(1, nil)
 	var ids []RowID
 	for i := 0; i < 300; i++ {
 		ids = append(ids, insertRow(h, rel.Row{rel.Int(int64(i))}, 1))
 	}
-	if h.LiveRows() != 300 {
-		t.Fatalf("live rows = %d", h.LiveRows())
+	if n := liveChains(h); n != 300 {
+		t.Fatalf("live rows = %d", n)
 	}
 	if h.NumPages() != 3 { // 300 rows at 128/page
 		t.Fatalf("pages = %d, want 3", h.NumPages())
@@ -101,7 +113,9 @@ func TestHeapVacuumAndSlotReuse(t *testing.T) {
 	v := headAt(h, id)
 	v.SetBeginTS(1)
 	v.SetEndTS(5) // deleted at ts 5
-	h.NoteDeleteN(1)
+	if n := liveChains(h); n != 0 {
+		t.Fatalf("live rows after delete = %d", n)
+	}
 	if n := h.Vacuum(10); n != 1 {
 		t.Fatalf("vacuum reclaimed %d, want 1", n)
 	}
@@ -130,9 +144,6 @@ func TestHeapVacuumAndSlotReuse(t *testing.T) {
 	if headAt(h, id3).Next() != nil {
 		t.Fatal("dead tail not trimmed")
 	}
-	if h.String() == "" {
-		t.Fatal("String empty")
-	}
 }
 
 func TestHeapConcurrentInsertScan(t *testing.T) {
@@ -156,22 +167,22 @@ func TestHeapConcurrentInsertScan(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if h.LiveRows() != 1600 {
-		t.Fatalf("live = %d", h.LiveRows())
+	if n := liveChains(h); n != 1600 {
+		t.Fatalf("live = %d", n)
 	}
 }
 
 func TestBufferPoolLRUAndStats(t *testing.T) {
 	p := NewBufferPool(2)
-	if p.Touch(1, 0, false) {
+	if p.Touch(1, 0) {
 		t.Fatal("first access must miss")
 	}
-	if !p.Touch(1, 0, false) {
+	if !p.Touch(1, 0) {
 		t.Fatal("second access must hit")
 	}
-	p.Touch(1, 1, false) // fills capacity
-	p.Touch(1, 2, false) // evicts LRU page 0
-	if p.Touch(1, 0, false) {
+	p.Touch(1, 1) // fills capacity
+	p.Touch(1, 2) // evicts LRU page 0
+	if p.Touch(1, 0) {
 		t.Fatal("page 0 should have been evicted")
 	}
 	hits, misses := p.Stats()
@@ -184,18 +195,17 @@ func TestBufferPoolLRUAndStats(t *testing.T) {
 	if got := p.HitRatio(); got <= 0 || got >= 1 {
 		t.Fatalf("hit ratio = %v", got)
 	}
-	p.Reset()
-	if p.Len() != 0 || p.HitRatio() != 1 {
-		t.Fatal("reset failed")
+	if fresh := NewBufferPool(2); fresh.Len() != 0 || fresh.HitRatio() != 1 {
+		t.Fatal("an untouched pool must be empty with hit ratio 1")
 	}
 }
 
 func TestBufferPoolResidency(t *testing.T) {
 	p := NewBufferPool(10)
 	for i := uint32(0); i < 4; i++ {
-		p.Touch(7, i, false)
+		p.Touch(7, i)
 	}
-	p.Touch(8, 0, false)
+	p.Touch(8, 0)
 	if p.ResidentPages(7) != 4 || p.ResidentPages(8) != 1 {
 		t.Fatal("per-table residency wrong")
 	}
@@ -216,10 +226,10 @@ func TestBufferPoolResidency(t *testing.T) {
 
 func TestBufferPoolEvictionUpdatesPerTable(t *testing.T) {
 	p := NewBufferPool(3)
-	p.Touch(1, 0, false)
-	p.Touch(1, 1, false)
-	p.Touch(2, 0, false)
-	p.Touch(2, 1, false) // evicts (1,0)
+	p.Touch(1, 0)
+	p.Touch(1, 1)
+	p.Touch(2, 0)
+	p.Touch(2, 1) // evicts (1,0)
 	if p.ResidentPages(1) != 1 || p.ResidentPages(2) != 2 {
 		t.Fatalf("per-table after eviction: t1=%d t2=%d", p.ResidentPages(1), p.ResidentPages(2))
 	}

@@ -617,8 +617,6 @@ func (m *Manager) Commit(t *Txn) error {
 	}
 
 	t.mu.Lock()
-	var delHeap *storage.Heap
-	delN := 0
 	for _, w := range t.writes {
 		switch w.kind {
 		case 'i':
@@ -628,19 +626,7 @@ func (m *Manager) Commit(t *Txn) error {
 			w.old.SetEndTS(cts)
 		case 'd':
 			w.old.SetEndTS(cts)
-			// Batch the dead-row accounting: one heap-counter bump per run
-			// of deletes on the same heap instead of one per row.
-			if w.heap != delHeap {
-				if delN > 0 {
-					delHeap.NoteDeleteN(delN)
-				}
-				delHeap, delN = w.heap, 0
-			}
-			delN++
 		}
-	}
-	if delN > 0 {
-		delHeap.NoteDeleteN(delN)
 	}
 	t.status = StatusCommitted
 	t.commitTS = cts
@@ -712,8 +698,6 @@ func (m *Manager) abortInternal(t *Txn, ssi bool) {
 	// concurrent claimer inspecting the same row. Consecutive records on
 	// the same stripe are undone under a single acquisition; as with
 	// claims, only one stripe is held at a time.
-	var delHeap *storage.Heap
-	delN := 0
 	for i := len(writes) - 1; i >= 0; {
 		si := stripeIndex(writes[i].heap.TableID, writes[i].id.Page)
 		m.withStripe(si, func() {
@@ -726,13 +710,6 @@ func (m *Manager) abortInternal(t *Txn, ssi bool) {
 					w.created.SetXMax(t.ID)
 					w.created.SetBeginTS(1)
 					w.created.SetEndTS(0)
-					if w.heap != delHeap {
-						if delN > 0 {
-							delHeap.NoteDeleteN(delN)
-						}
-						delHeap, delN = w.heap, 0
-					}
-					delN++
 				case 'u':
 					// Restore old head, clear claim.
 					w.heap.SetHead(w.id, w.old)
@@ -743,9 +720,6 @@ func (m *Manager) abortInternal(t *Txn, ssi bool) {
 				i--
 			}
 		})
-	}
-	if delN > 0 {
-		delHeap.NoteDeleteN(delN)
 	}
 
 	m.mu.Lock()

@@ -62,26 +62,27 @@ func (s *Session) Prepare(sql string) (*Stmt, error) {
 // NumParams returns the number of parameters the statement takes.
 func (st *Stmt) NumParams() int { return st.nParams }
 
-// IsSelect reports whether the prepared statement streams result rows (a
-// SELECT); replanning never changes that, so the plan Prepare compiled tells.
-func (st *Stmt) IsSelect() bool {
-	e := st.entry.Load()
-	return e != nil && e.streams
-}
+// explainSchema is EXPLAIN's result shape: one line of plan text per row.
+var explainSchema = rel.NewSchema(rel.Column{Name: "plan", Typ: rel.TypeText})
 
-// ResultSchema returns the typed result schema of a prepared SELECT,
-// revalidating the cached plan against the catalog first (DDL can change
-// the shape), and nil for other statements, whose shape the wire server
-// announces when they execute. It backs the server's Describe message.
+// ResultSchema returns the typed schema of the rows the statement returns,
+// known before it runs: the compiled plan's (revalidated against the catalog
+// first, since DDL can change the shape) for SELECT and PREDICT, EXPLAIN's
+// fixed one, and nil for statements that return no rows. It backs the
+// server's Describe message.
 func (st *Stmt) ResultSchema() (*rel.Schema, error) {
-	if !st.IsSelect() {
+	switch st.ast.(type) {
+	case *sqlparse.Explain:
+		return explainSchema, nil
+	case *sqlparse.Select, *sqlparse.Predict:
+		e, err := st.plan()
+		if err != nil {
+			return nil, err
+		}
+		return e.node.Schema(), nil
+	default: // writes, DDL, ANALYZE, transaction control and SET return no rows
 		return nil, nil
 	}
-	e, err := st.plan()
-	if err != nil {
-		return nil, err
-	}
-	return e.node.Schema(), nil
 }
 
 // Query executes the statement with the given arguments and returns a cursor
