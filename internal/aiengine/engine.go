@@ -253,6 +253,14 @@ func RunTask(conn io.ReadWriter, spec TaskSpec, src DataSource) (*TrainOutcome, 
 		select {
 		case err := <-senderDone:
 			if err != nil {
+				// A runtime that fails a batch sends its error and hangs up, so
+				// a write that fails is most often the symptom: report the
+				// runtime's error if it arrives before the connection's end.
+				for f := <-frames; f.err == nil; f = <-frames {
+					if f.typ == msgError {
+						return fail("runtime error", runtimeError(f.payload))
+					}
+				}
 				return fail("stream batches", err)
 			}
 			total = sent.Load()

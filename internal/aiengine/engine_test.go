@@ -2,6 +2,7 @@ package aiengine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -393,6 +394,61 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	if _, _, err := decodeBatch(append(buf, 1, 2, 3), nil); err == nil {
 		t.Fatal("oversized frame should error")
 	}
+}
+
+// TestBatchFrameSizeDoesNotOverflow is the regression test for a 12-byte
+// frame that crashed the runtime: 2³¹ rows of 2³⁰ columns need 2⁶⁴ bytes of
+// values, which wrapped to 0 in the size check, so the frame passed and the
+// matrix allocation panicked inside ServeTask's goroutine. Rows without
+// feature columns are refused as well: a model would size its output by them.
+func TestBatchFrameSizeDoesNotOverflow(t *testing.T) {
+	header := func(rows, xcols, ycols uint32) []byte {
+		buf := binary.LittleEndian.AppendUint32(nil, rows)
+		buf = binary.LittleEndian.AppendUint32(buf, xcols)
+		return binary.LittleEndian.AppendUint32(buf, ycols)
+	}
+	for _, buf := range [][]byte{
+		header(1<<31, 1<<30, 0),
+		header(1<<31, 0, 1<<30),
+		header(1<<32-1, 1<<32-1, 1<<32-1),
+		append(header(1<<29, 0, 1), make([]byte, 8)...),
+		header(1<<32-1, 0, 0),
+	} {
+		if x, _, err := decodeBatch(buf, nil); err == nil {
+			t.Fatalf("frame %x decoded to a %dx%d batch", buf, x.Rows, x.Cols)
+		}
+	}
+	if x, y, err := decodeBatch(header(0, 3, 1), nil); err != nil || x.Rows != 0 || y.Rows != 0 {
+		t.Fatalf("an empty batch: %v", err)
+	}
+}
+
+// FuzzBatchDecode: the runtime decodes batch frames from whatever connects
+// to it and the engine decodes ack frames from a runtime; neither decoder may
+// panic, and a frame either decodes to the values it holds or is refused.
+func FuzzBatchDecode(f *testing.F) {
+	x := nn.FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	f.Add(appendBatch(nil, x, nn.FromRows([][]float64{{9}, {8}})))
+	f.Add(appendBatch(nil, x, nil))
+	f.Add(appendBatch(nil, nn.NewMatrix(0, 3), nil))
+	f.Add(appendBatchAck(nil, BatchAck{Seq: 3, Loss: 0.5}))
+	f.Add(appendBatchAck(nil, BatchAck{Seq: 1, Preds: []float64{0.25, -1}}))
+	f.Add([]byte{0, 0, 0, 0x80, 0, 0, 0, 0x40, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		var ws nn.Workspace
+		if x, y, err := decodeBatch(buf, &ws); err == nil {
+			n := len(x.Data)
+			if y != nil {
+				n += len(y.Data)
+			}
+			if 12+8*n != len(buf) {
+				t.Fatalf("%d-byte frame decoded to %d values", len(buf), n)
+			}
+		}
+		if ack, err := decodeBatchAck(buf); err == nil && 16+8*len(ack.Preds) != len(buf) {
+			t.Fatalf("%d-byte ack decoded to %d predictions", len(buf), len(ack.Preds))
+		}
+	})
 }
 
 func TestBatchAckCodecRoundTrip(t *testing.T) {

@@ -148,21 +148,25 @@ func decodeBatch(buf []byte, ws *nn.Workspace) (x, y *nn.Matrix, err error) {
 	if len(buf) < 12 {
 		return nil, nil, fmt.Errorf("aiengine: short batch frame")
 	}
-	rows := int(binary.LittleEndian.Uint32(buf[0:]))
-	xcols := int(binary.LittleEndian.Uint32(buf[4:]))
-	ycols := int(binary.LittleEndian.Uint32(buf[8:]))
-	need := 12 + 8*rows*(xcols+ycols)
-	if len(buf) != need {
-		return nil, nil, fmt.Errorf("aiengine: batch frame size %d, want %d", len(buf), need)
+	rows := uint64(binary.LittleEndian.Uint32(buf[0:]))
+	xcols := uint64(binary.LittleEndian.Uint32(buf[4:]))
+	ycols := uint64(binary.LittleEndian.Uint32(buf[8:]))
+	// rows·(xcols+ycols) can overflow; the payload's value count divided by
+	// the columns cannot. Rows without feature columns are no batch.
+	vals, cols := uint64(len(buf)-12), xcols+ycols
+	fits := rows == 0 && vals == 0 ||
+		xcols > 0 && vals%8 == 0 && vals/8%cols == 0 && vals/8/cols == rows
+	if !fits {
+		return nil, nil, fmt.Errorf("aiengine: batch frame of %d bytes does not hold %d rows of %d+%d values", len(buf), rows, xcols, ycols)
 	}
-	x = ws.Get(rows, xcols)
+	x = ws.Get(int(rows), int(xcols))
 	off := 12
 	for i := range x.Data {
 		x.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 		off += 8
 	}
 	if ycols > 0 {
-		y = ws.Get(rows, ycols)
+		y = ws.Get(int(rows), int(ycols))
 		for i := range y.Data {
 			y.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 			off += 8

@@ -197,13 +197,6 @@ func (m *Model) TrainBatch(x, y *nn.Matrix, opt nn.Optimizer) float64 {
 	return loss
 }
 
-// EvalLoss computes the loss without updating parameters.
-func (m *Model) EvalLoss(x, y *nn.Matrix) float64 {
-	m.ws.Reset()
-	loss, _ := m.loss(m.forward(x), y)
-	return loss
-}
-
 // Predict returns predictions: probabilities for classification, values for
 // regression.
 func (m *Model) Predict(x *nn.Matrix) *nn.Matrix {
@@ -226,13 +219,6 @@ func (m *Model) Freeze(n int) {
 	m.Net.FreezeUpTo(n)
 	m.memo = nil
 }
-
-// FreezeForIncrementalUpdate freezes the representation prefix so only the
-// head layers train — the model manager then persists only those layers.
-func (m *Model) FreezeForIncrementalUpdate() { m.Freeze(FreezePrefixLayers) }
-
-// Unfreeze makes all layers trainable again.
-func (m *Model) Unfreeze() { m.Freeze(0) }
 
 // UseMemo lets the model take the frozen prefix's output from memo, under a
 // key made of the content hash of the frozen layers' weights as they are now:
@@ -259,24 +245,3 @@ func (m *Model) Restore(layers []nn.LayerWeights) error {
 	m.memo = nil
 	return nn.RestoreSequential(m.Net, layers)
 }
-
-// UpdatedLayers returns the snapshots of the non-frozen layers keyed by LID,
-// the payload of an incremental (partial) save.
-func (m *Model) UpdatedLayers() map[int]nn.LayerWeights {
-	out := make(map[int]nn.LayerWeights)
-	snaps := m.Snapshot()
-	for lid, layer := range m.Net.Layers {
-		frozen := false
-		params := layer.Params()
-		if len(params) > 0 {
-			frozen = params[0].Frozen
-		}
-		if !frozen && len(params) > 0 {
-			out[lid] = snaps[lid]
-		}
-	}
-	return out
-}
-
-// NumLayers is the LID-space size of the model.
-func (m *Model) NumLayers() int { return len(m.Net.Layers) }

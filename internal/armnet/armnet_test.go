@@ -103,12 +103,13 @@ func TestRegressionTrainingConverges(t *testing.T) {
 	if last >= first {
 		t.Fatalf("regression loss did not decrease: %.4f -> %.4f", first, last)
 	}
-	// EvalLoss does not change weights.
-	x, y := synthBatch(r, 32, 3, 24, false)
-	l1 := m.EvalLoss(x, y)
-	l2 := m.EvalLoss(x, y)
-	if l1 != l2 {
-		t.Fatal("EvalLoss must be deterministic and side-effect free")
+	// Predict does not change weights.
+	x, _ := synthBatch(r, 32, 3, 24, false)
+	p1 := append([]float64(nil), m.Predict(x).Data...)
+	for i, v := range m.Predict(x).Data {
+		if v != p1[i] {
+			t.Fatal("Predict must be deterministic and side-effect free")
+		}
 	}
 }
 
@@ -143,7 +144,7 @@ func TestClassificationPredictProbabilities(t *testing.T) {
 
 func TestFreezeForIncrementalUpdate(t *testing.T) {
 	m := New(3, 24, 4, 16, false, 6)
-	m.FreezeForIncrementalUpdate()
+	m.Freeze(FreezePrefixLayers)
 	embFrozen := m.Net.Layers[0].Params()[0].Frozen
 	gateFrozen := m.Net.Layers[1].Params()[0].Frozen
 	headFrozen := m.Net.Layers[4].Params()[0].Frozen
@@ -166,18 +167,7 @@ func TestFreezeForIncrementalUpdate(t *testing.T) {
 			t.Fatal("frozen embedding moved")
 		}
 	}
-	// UpdatedLayers returns only unfrozen parametered layers.
-	up := m.UpdatedLayers()
-	if _, ok := up[0]; ok {
-		t.Fatal("frozen embedding must not be in updated set")
-	}
-	if _, ok := up[2]; !ok {
-		t.Fatal("hidden layer missing from updated set")
-	}
-	if _, ok := up[4]; !ok {
-		t.Fatal("head missing from updated set")
-	}
-	m.Unfreeze()
+	m.Freeze(0)
 	if m.Net.Layers[0].Params()[0].Frozen {
 		t.Fatal("unfreeze failed")
 	}
@@ -185,8 +175,8 @@ func TestFreezeForIncrementalUpdate(t *testing.T) {
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	m := New(2, 16, 4, 8, false, 8)
-	if m.NumLayers() != 5 {
-		t.Fatalf("layers = %d", m.NumLayers())
+	if len(m.Net.Layers) != 5 {
+		t.Fatalf("layers = %d", len(m.Net.Layers))
 	}
 	snap := m.Snapshot()
 	x := nn.FromRows([][]float64{{3, 7}})
@@ -232,7 +222,7 @@ func gradsAfter(t *testing.T, freeze int, memo *PrefixMemo, x, y *nn.Matrix) *Mo
 func TestFreezeAwareBackwardMatchesFull(t *testing.T) {
 	x, y := synthBatch(rand.New(rand.NewSource(10)), 48, 3, 24, false)
 	full := gradsAfter(t, 0, nil, x, y)
-	for freeze := 0; freeze <= full.NumLayers(); freeze++ {
+	for freeze := 0; freeze <= len(full.Net.Layers); freeze++ {
 		for _, memo := range []*PrefixMemo{nil, NewPrefixMemo(PrefixMemoBytes)} {
 			m := gradsAfter(t, freeze, memo, x, y)
 			if memo != nil && freeze > 0 {
@@ -263,11 +253,11 @@ func TestMemoIsDroppedWhenThePrefixChanges(t *testing.T) {
 	memo := NewPrefixMemo(PrefixMemoBytes)
 	x, _ := synthBatch(rand.New(rand.NewSource(11)), 32, 3, 24, false)
 	a := New(3, 24, 4, 16, false, 1)
-	a.FreezeForIncrementalUpdate()
+	a.Freeze(FreezePrefixLayers)
 	a.UseMemo(memo)
 	want := append([]float64(nil), a.Predict(x).Data...)
 	b := New(3, 24, 4, 16, false, 2) // other weights, same shapes
-	b.FreezeForIncrementalUpdate()
+	b.Freeze(FreezePrefixLayers)
 	plain := append([]float64(nil), b.Predict(x).Data...)
 	b.UseMemo(memo)
 	for i, v := range b.Predict(x).Data {
@@ -288,7 +278,7 @@ func TestMemoIsDroppedWhenThePrefixChanges(t *testing.T) {
 		t.Fatal("Restore must drop the memo: its key was the old weights' hash")
 	}
 	a.UseMemo(memo)
-	a.Unfreeze()
+	a.Freeze(0)
 	if a.memo != nil {
 		t.Fatal("Freeze must drop the memo")
 	}
@@ -300,7 +290,7 @@ func TestPrefixMemoBound(t *testing.T) {
 	const limit = 8 << 10
 	memo := NewPrefixMemo(limit)
 	m := New(3, 96, 8, 32, false, 3)
-	m.FreezeForIncrementalUpdate()
+	m.Freeze(FreezePrefixLayers)
 	plain := New(3, 96, 8, 32, false, 3)
 	m.UseMemo(memo)
 	r := rand.New(rand.NewSource(12))
@@ -329,7 +319,7 @@ func TestPrefixMemoBound(t *testing.T) {
 // fine-tune step: 128 rows, three fields of 32 buckets, 32 hidden units.
 func fineTuneStep() (*Model, *PrefixMemo, *nn.Matrix, *nn.Matrix, nn.Optimizer) {
 	m := New(3, 96, 8, 32, false, 42)
-	m.FreezeForIncrementalUpdate()
+	m.Freeze(FreezePrefixLayers)
 	memo := NewPrefixMemo(PrefixMemoBytes)
 	m.UseMemo(memo)
 	x, y := synthBatch(rand.New(rand.NewSource(13)), 128, 3, 96, false)

@@ -97,7 +97,7 @@ func MatMulBT(a, b *Matrix) *Matrix {
 // MatMulAT returns aᵀ×b.
 func MatMulAT(a, b *Matrix) *Matrix {
 	out := NewMatrix(a.Cols, b.Cols)
-	MatMulATAcc(out, a, b)
+	MatMulATAcc(out, a, b, nil)
 	return out
 }
 
@@ -105,10 +105,19 @@ func MatMulAT(a, b *Matrix) *Matrix {
 // step can run on preallocated scratch (Workspace). dst must have the
 // result's shape and must not alias an operand. The allocating forms above
 // are wrappers over them: there is one implementation of each product.
+//
+// MatMulBiasInto and MatMulATAcc keep the textbook summation order: each
+// output element has one accumulator — +0, or dst's value for the
+// accumulating form — that adds a[i][k]·b[k][j] with k ascending. Both run on
+// mulAcc, whose 2×4 tile of accumulators stays in registers for the whole k
+// loop, so each element of a and b that is loaded feeds four or two products
+// rather than one. A product with a zero factor is added like any other: for
+// finite operands it leaves the sum as it was, because a sum that starts from
+// +0 — or from a dst that holds no −0 — is never −0.
 
 // MatMulBiasInto sets dst = a×b, plus bias (length b.Cols, may be nil) added
-// to every row — a Linear layer's forward in one pass over dst. The bias is
-// added after the products are summed, as AddRowVec(MatMul(a, b), bias) does.
+// to every row — a Linear layer's forward. The bias is added to each element
+// after its products are summed.
 func MatMulBiasInto(dst, a, b *Matrix, bias []float64) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("nn: MatMul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -117,23 +126,22 @@ func MatMulBiasInto(dst, a, b *Matrix, bias []float64) {
 	if bias != nil && len(bias) != b.Cols {
 		panic("nn: MatMulBiasInto bias length mismatch")
 	}
-	n := b.Cols
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := dst.Data[i*n : (i+1)*n]
-		clear(orow)
-		for k, av := range arow {
-			if av != 0 {
-				axpy(orow, av, b.Data[k*n:(k+1)*n])
-			}
-		}
+	clear(dst.Data)
+	mulAcc(dst, a, b)
+	if bias == nil {
+		return
+	}
+	for i := 0; i < dst.Rows; i++ {
+		orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
 		for j, bv := range bias {
 			orow[j] += bv
 		}
 	}
 }
 
-// MatMulBTInto sets dst = a×bᵀ.
+// MatMulBTInto sets dst = a×bᵀ: each element is dot's four-way sum, except
+// for an inner dimension of 1, where it is the one product plus +0 — the value
+// dot returns for it — written by an outer-product loop.
 func MatMulBTInto(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: MatMulBT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -143,6 +151,13 @@ func MatMulBTInto(dst, a, b *Matrix) {
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*n : (i+1)*n]
 		orow := dst.Data[i*b.Rows : (i+1)*b.Rows]
+		if n == 1 {
+			x, bcol := arow[0], b.Data[:len(orow)]
+			for j, y := range bcol {
+				orow[j] = x*y + 0
+			}
+			continue
+		}
 		for j := range orow {
 			orow[j] = dot(arow, b.Data[j*n:(j+1)*n])
 		}
@@ -150,39 +165,84 @@ func MatMulBTInto(dst, a, b *Matrix) {
 }
 
 // MatMulATAcc adds aᵀ×b into dst: a layer's weight gradient dW += Xᵀ·dy
-// without the intermediate product matrix.
-func MatMulATAcc(dst, a, b *Matrix) {
+// without the intermediate product matrix. aᵀ is packed into a scratch matrix
+// from ws (nil allocates it), so the tile reads both operands row by row.
+func MatMulATAcc(dst, a, b *Matrix, ws *Workspace) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("nn: MatMulAT shape mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	checkDst("MatMulAT", dst, a.Cols, b.Cols)
-	n := b.Cols
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
-		brow := b.Data[k*n : (k+1)*n]
-		for i, av := range arow {
-			if av != 0 {
-				axpy(dst.Data[i*n:(i+1)*n], av, brow)
-			}
+	at := ws.Get(a.Cols, a.Rows)
+	for r := 0; r < a.Rows; r++ {
+		for i, v := range a.Data[r*a.Cols : (r+1)*a.Cols] {
+			at.Data[i*a.Rows+r] = v
+		}
+	}
+	mulAcc(dst, at, b)
+}
+
+// mulAcc adds a×b into dst, element by element in the order stated above.
+// Rows go in pairs — an odd last row pairs with itself, computing and writing
+// the same values twice — and columns in fours, then one at a time.
+func mulAcc(dst, a, b *Matrix) {
+	k, n := a.Cols, b.Cols
+	if k == 0 {
+		return // nothing to add, and b has no rows to slice
+	}
+	for i := 0; i < a.Rows; i += 2 {
+		i1 := min(i+1, a.Rows-1)
+		a0, a1 := a.Data[i*k:(i+1)*k], a.Data[i1*k:(i1+1)*k]
+		d0, d1 := dst.Data[i*n:(i+1)*n], dst.Data[i1*n:(i1+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			tile2x4(d0[j:j+4], d1[j:j+4], a0, a1, b.Data[j:], n)
+		}
+		for ; j < n; j++ {
+			tile2x1(d0[j:], d1[j:], a0, a1, b.Data[j:], n)
 		}
 	}
 }
 
-// axpy adds a·x into y (same length). Each y[j] receives exactly one product
-// per call, so unrolling does not change any sum's order.
-func axpy(y []float64, a float64, x []float64) {
-	y = y[:len(x)]
-	j := 0
-	for ; j+4 <= len(x); j += 4 {
-		xs, ys := x[j:j+4:j+4], y[j:j+4:j+4]
-		ys[0] += a * xs[0]
-		ys[1] += a * xs[1]
-		ys[2] += a * xs[2]
-		ys[3] += a * xs[3]
+// tile2x4 adds rows a0 and a1 times columns 0-3 of b (row stride n) into
+// d0[0:4] and d1[0:4], its eight sums in registers throughout.
+func tile2x4(d0, d1, a0, a1, b []float64, n int) {
+	d0, d1, a1 = d0[:4], d1[:4], a1[:len(a0)]
+	s00, s01, s02, s03 := d0[0], d0[1], d0[2], d0[3]
+	s10, s11, s12, s13 := d1[0], d1[1], d1[2], d1[3]
+	off := 0
+	for kk, x0 := range a0 {
+		x1 := a1[kk]
+		bk := b[off : off+4 : off+4]
+		off += n
+		b0 := bk[0]
+		s00 += x0 * b0
+		s10 += x1 * b0
+		b1 := bk[1]
+		s01 += x0 * b1
+		s11 += x1 * b1
+		b2 := bk[2]
+		s02 += x0 * b2
+		s12 += x1 * b2
+		b3 := bk[3]
+		s03 += x0 * b3
+		s13 += x1 * b3
 	}
-	for ; j < len(x); j++ {
-		y[j] += a * x[j]
+	d0[0], d0[1], d0[2], d0[3] = s00, s01, s02, s03
+	d1[0], d1[1], d1[2], d1[3] = s10, s11, s12, s13
+}
+
+// tile2x1 is tile2x4 for one column: d0[0] and d1[0].
+func tile2x1(d0, d1, a0, a1, b []float64, n int) {
+	a1 = a1[:len(a0)]
+	s0, s1 := d0[0], d1[0]
+	off := 0
+	for kk, x0 := range a0 {
+		bv := b[off]
+		off += n
+		s0 += x0 * bv
+		s1 += a1[kk] * bv
 	}
+	d0[0], d1[0] = s0, s1
 }
 
 // dot returns x·y (same length) summed in four interleaved partial sums, so
@@ -228,48 +288,11 @@ func AddInPlace(a, b *Matrix) {
 	}
 }
 
-// Sub returns a-b elementwise.
-func Sub(a, b *Matrix) *Matrix {
-	checkSameShape("Sub", a, b)
-	out := NewMatrix(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return out
-}
-
-// Hadamard returns a⊙b elementwise.
-func Hadamard(a, b *Matrix) *Matrix {
-	checkSameShape("Hadamard", a, b)
-	out := NewMatrix(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return out
-}
-
 // Scale returns s·a.
 func Scale(a *Matrix, s float64) *Matrix {
 	out := NewMatrix(a.Rows, a.Cols)
 	for i := range a.Data {
 		out.Data[i] = a.Data[i] * s
-	}
-	return out
-}
-
-// AddRowVec adds vector v (length Cols) to every row of a, returning a new
-// matrix; the bias-add of a Linear layer.
-func AddRowVec(a *Matrix, v []float64) *Matrix {
-	if len(v) != a.Cols {
-		panic("nn: AddRowVec length mismatch")
-	}
-	out := NewMatrix(a.Rows, a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		orow := out.Row(i)
-		for j := range row {
-			orow[j] = row[j] + v[j]
-		}
 	}
 	return out
 }
@@ -336,30 +359,6 @@ func MeanRows(a *Matrix) *Matrix {
 	for j := range out.Data {
 		out.Data[j] *= inv
 	}
-	return out
-}
-
-// Concat stacks b to the right of a (same Rows).
-func Concat(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic("nn: Concat row mismatch")
-	}
-	out := NewMatrix(a.Rows, a.Cols+b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		copy(out.Row(i)[:a.Cols], a.Row(i))
-		copy(out.Row(i)[a.Cols:], b.Row(i))
-	}
-	return out
-}
-
-// VStack stacks b below a (same Cols).
-func VStack(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic("nn: VStack col mismatch")
-	}
-	out := NewMatrix(a.Rows+b.Rows, a.Cols)
-	copy(out.Data[:len(a.Data)], a.Data)
-	copy(out.Data[len(a.Data):], b.Data)
 	return out
 }
 

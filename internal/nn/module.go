@@ -82,7 +82,7 @@ func (l *Linear) Backward(dy *Matrix) *Matrix {
 // BackwardParams implements ParamBackward.
 func (l *Linear) BackwardParams(dy *Matrix) {
 	if !l.WP.Frozen {
-		MatMulATAcc(l.WP.Grad, l.lastX, dy)
+		MatMulATAcc(l.WP.Grad, l.lastX, dy, l.ws)
 	}
 	if !l.BP.Frozen {
 		for i := 0; i < dy.Rows; i++ {
@@ -134,56 +134,6 @@ func (l *ReLU) Backward(dy *Matrix) *Matrix {
 
 // Params implements Module.
 func (l *ReLU) Params() []*Param { return nil }
-
-// Sigmoid is the logistic activation.
-type Sigmoid struct{ lastY *Matrix }
-
-// Forward implements Module.
-func (l *Sigmoid) Forward(x *Matrix) *Matrix {
-	out := NewMatrix(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		out.Data[i] = 1 / (1 + math.Exp(-v))
-	}
-	l.lastY = out
-	return out
-}
-
-// Backward implements Module.
-func (l *Sigmoid) Backward(dy *Matrix) *Matrix {
-	out := NewMatrix(dy.Rows, dy.Cols)
-	for i, y := range l.lastY.Data {
-		out.Data[i] = dy.Data[i] * y * (1 - y)
-	}
-	return out
-}
-
-// Params implements Module.
-func (l *Sigmoid) Params() []*Param { return nil }
-
-// Tanh is the hyperbolic-tangent activation.
-type Tanh struct{ lastY *Matrix }
-
-// Forward implements Module.
-func (l *Tanh) Forward(x *Matrix) *Matrix {
-	out := NewMatrix(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		out.Data[i] = math.Tanh(v)
-	}
-	l.lastY = out
-	return out
-}
-
-// Backward implements Module.
-func (l *Tanh) Backward(dy *Matrix) *Matrix {
-	out := NewMatrix(dy.Rows, dy.Cols)
-	for i, y := range l.lastY.Data {
-		out.Data[i] = dy.Data[i] * (1 - y*y)
-	}
-	return out
-}
-
-// Params implements Module.
-func (l *Tanh) Params() []*Param { return nil }
 
 // Embedding maps integer ids (provided as float64 entries of the input) to
 // dense vectors. An input of shape n×k (k categorical fields) produces an

@@ -30,6 +30,7 @@ func (o *Adam) Step(params []*Param) {
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	b1, b2, lr, eps, wd := o.Beta1, o.Beta2, o.LR, o.Eps, o.WeightDecay
 	for _, p := range params {
 		if p.Frozen {
 			continue
@@ -41,16 +42,18 @@ func (o *Adam) Step(params []*Param) {
 			v = NewMatrix(p.W.Rows, p.W.Cols)
 			o.m[p], o.v[p] = m, v
 		}
-		for i := range p.W.Data {
-			g := p.Grad.Data[i]
-			if o.WeightDecay != 0 {
-				g += o.WeightDecay * p.W.Data[i]
+		w := p.W.Data
+		gs, ms, vs := p.Grad.Data[:len(w)], m.Data[:len(w)], v.Data[:len(w)]
+		for i, wi := range w {
+			g := gs[i]
+			if wd != 0 {
+				g += wd * wi
 			}
-			m.Data[i] = o.Beta1*m.Data[i] + (1-o.Beta1)*g
-			v.Data[i] = o.Beta2*v.Data[i] + (1-o.Beta2)*g*g
-			mHat := m.Data[i] / bc1
-			vHat := v.Data[i] / bc2
-			p.W.Data[i] -= o.LR * mHat / (math.Sqrt(vHat) + o.Eps)
+			ms[i] = b1*ms[i] + (1-b1)*g
+			vs[i] = b2*vs[i] + (1-b2)*g*g
+			mHat := ms[i] / bc1
+			vHat := vs[i] / bc2
+			w[i] = wi - lr*mHat/(math.Sqrt(vHat)+eps)
 		}
 	}
 }

@@ -103,7 +103,7 @@ func TestXORTrainingEndToEnd(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	model := NewSequential(
 		NewLinear(2, 8, r),
-		&Tanh{},
+		&ReLU{},
 		NewLinear(8, 1, r),
 	)
 	x := FromRows([][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}})
