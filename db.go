@@ -586,7 +586,7 @@ func (s *Session) run(e *planEntry, args []rel.Value) (*Rows, error) {
 		s.observeWrite(ctx)
 	}
 	if out.Predict != nil {
-		return newStaticRows(s.predictResult(node.(*plan.Predict), out.Predict)), nil
+		return newStaticRows(predictResult(node.(*plan.Predict), out.Predict)), nil
 	}
 	return newStaticRows(&Result{Affected: out.Affected, Message: fmt.Sprintf("%s %d", out.Tag, out.Affected)}), nil
 }
@@ -914,11 +914,8 @@ func parseTimeoutValue(v string) (time.Duration, error) {
 }
 
 // predictResult shapes a PREDICT outcome: one prediction per row (a class is
-// thresholded at 0.5); the final training loss goes to the monitor.
-func (s *Session) predictResult(n *plan.Predict, res *executor.PredictResult) *Result {
-	if res.Train != nil && len(res.Train.Losses) > 0 {
-		s.db.tracker.Observe("predict."+n.ModelName+".loss", res.Train.Losses[len(res.Train.Losses)-1])
-	}
+// thresholded at 0.5).
+func predictResult(n *plan.Predict, res *executor.PredictResult) *Result {
 	out := &Result{
 		Columns:     n.Schema().Names(),
 		Predictions: res.Predictions,

@@ -23,15 +23,13 @@ func main() {
 	store := models.NewStore()
 	engine := aiengine.NewEngine(store)
 
-	// Train on cluster C1 through the streaming protocol.
+	// Train on cluster C1 through the streaming loader.
 	gen := workload.NewAvazu(7)
 	gen.SetCluster(0)
 	loader := aiengine.NewStreamingLoader(
 		gen.NewBatchSource(batchSize, batchesPerCluster, 0),
 		workload.AvazuFeaturizer, 16)
-	out, err := engine.Train(spec, aiengine.TrainConfig{
-		Name: "ctr", BatchSize: batchSize, Window: 16, LR: 0.01,
-	}, loader)
+	out, err := engine.Train(spec, aiengine.TrainConfig{Name: "ctr", LR: 0.01}, loader)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,12 +1,15 @@
+// Package aiengine implements the paper's in-database AI ecosystem (§4.1): a
+// streaming data loader that overlaps data preparation with model
+// computation, and the model-manager operations (train / inference /
+// fine-tune) backed by the layered model store. A task is one call on its
+// caller's goroutine, and a stream, not a kind: it takes an optimization step
+// on every batch that carries labels and answers every batch that does not
+// with predictions.
 package aiengine
 
 import (
-	"errors"
 	"fmt"
-	"io"
-	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"neurdb/internal/armnet"
@@ -20,7 +23,7 @@ type Batch struct {
 	X, Y *nn.Matrix
 }
 
-// DataSource supplies batches to a dispatcher.
+// DataSource supplies batches to a task.
 type DataSource interface {
 	// Next returns the next batch, or ok=false when exhausted.
 	Next() (*Batch, bool)
@@ -103,220 +106,27 @@ func (s *SliceSource) Next() (*Batch, bool) {
 	return b, true
 }
 
-// Engine is the in-database AI engine: it owns the model store, connects
-// dispatchers to AI runtimes, and exposes the train / inference / fine-tune
-// operators that the executor's AI operators call.
+// Engine is the in-database AI engine: it owns the model store and exposes
+// the train / inference / fine-tune operators that the executor's AI
+// operators call. Each runs as one task on its caller's goroutine.
 type Engine struct {
 	Store *models.Store
 
-	mu    sync.Mutex
-	addrs []string
-	rr    int
-
-	// memo is the frozen-prefix memo of the in-process runtime; an external
-	// runtime node has its own.
+	// memo is the frozen-prefix memo every task of this engine shares.
 	memo *armnet.PrefixMemo
 }
 
-// NewEngine creates an engine backed by the given model store. With no
-// registered runtimes, tasks run on in-process runtime goroutines connected
-// through synchronous pipes.
+// NewEngine creates an engine backed by the given model store.
 func NewEngine(store *models.Store) *Engine {
 	return &Engine{Store: store, memo: armnet.NewPrefixMemo(armnet.PrefixMemoBytes)}
 }
 
-// AddRuntime registers an external runtime address (round-robin dispatch).
-func (e *Engine) AddRuntime(addr string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.addrs = append(e.addrs, addr)
-}
-
-// connect opens a task connection to a runtime.
-func (e *Engine) connect() (io.ReadWriteCloser, error) {
-	e.mu.Lock()
-	var addr string
-	if len(e.addrs) > 0 {
-		addr = e.addrs[e.rr%len(e.addrs)]
-		e.rr++
-	}
-	e.mu.Unlock()
-	if addr != "" {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, fmt.Errorf("aiengine: dial runtime %s: %w", addr, err)
-		}
-		return conn, nil
-	}
-	local, remote := net.Pipe()
-	go func() {
-		defer remote.Close()
-		ServeTask(remote, e.memo)
-	}()
-	return local, nil
-}
-
-// RunTask executes one task over a connection: handshake, windowed batch
-// streaming with credit-based flow control, finish, result. It returns what
-// the acks delivered — the loss of every labelled batch and the predictions
-// for every other, in stream order, as the outcome's Losses and Preds — and
-// the weights of the result frame, nil if no batch trained. It starts a
-// sender and a reader goroutine; on every return path the sender is released
-// at once and the reader as soon as the caller closes conn, which a caller
-// does whether the task succeeded or not.
-func RunTask(conn io.ReadWriter, spec TaskSpec, src DataSource) (*TrainOutcome, []nn.LayerWeights, error) {
-	fail := func(what string, err error) (*TrainOutcome, []nn.LayerWeights, error) {
-		return nil, nil, fmt.Errorf("aiengine: %s: %w", what, err)
-	}
-	payload, err := gobEncode(spec)
-	if err != nil {
-		return fail("encode handshake", err)
-	}
-	if err := writeFrame(conn, msgHandshake, payload); err != nil {
-		return fail("send handshake", err)
-	}
-	typ, payload, err := readFrame(conn)
-	if err != nil {
-		return fail("read handshake ack", err)
-	}
-	if typ == msgError {
-		return fail("runtime error", runtimeError(payload))
-	}
-	var ack HandshakeAck
-	if err := gobDecode(payload, &ack); err != nil {
-		return fail("decode handshake ack", err)
-	}
-	window := ack.Window
-	if window < 1 {
-		window = 1
-	}
-
-	// Credit-based pipelined streaming: the sender goroutine keeps up to
-	// `window` unacknowledged batches in flight while this goroutine drains
-	// acknowledgements.
-	credits := make(chan struct{}, window)
-	for i := 0; i < window; i++ {
-		credits <- struct{}{}
-	}
-	returned := make(chan struct{})
-	defer close(returned)
-	var sent atomic.Int64
-	senderDone := make(chan error, 1)
-	go func() {
-		var frame []byte // writeFrame is done with it when it returns
-		for {
-			b, ok := src.Next()
-			if !ok {
-				senderDone <- nil
-				return
-			}
-			select {
-			case <-credits:
-			case <-returned:
-				return
-			}
-			frame = appendBatch(frame[:0], b.X, b.Y)
-			if err := writeFrame(conn, msgBatch, frame); err != nil {
-				senderDone <- err
-				return
-			}
-			sent.Add(1)
-		}
-	}()
-
-	// A dedicated reader goroutine lets the main loop select between
-	// incoming frames and sender completion without blocking on either.
-	type inFrame struct {
-		typ     byte
-		payload []byte
-		err     error
-	}
-	frames := make(chan inFrame, 8) // decouples frame reads from ack handling; any size works
-	go func() {
-		for {
-			typ, payload, err := readFrame(conn)
-			select {
-			case frames <- inFrame{typ, payload, err}:
-			case <-returned:
-				return
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
-
-	out := &TrainOutcome{}
-	acked := int64(0)
-	total := int64(-1) // unknown until the sender finishes
-	for total < 0 || acked < total {
-		select {
-		case err := <-senderDone:
-			if err != nil {
-				// A runtime that fails a batch sends its error and hangs up, so
-				// a write that fails is most often the symptom: report the
-				// runtime's error if it arrives before the connection's end.
-				for f := <-frames; f.err == nil; f = <-frames {
-					if f.typ == msgError {
-						return fail("runtime error", runtimeError(f.payload))
-					}
-				}
-				return fail("stream batches", err)
-			}
-			total = sent.Load()
-		case f := <-frames:
-			if f.err != nil {
-				return fail("read ack", f.err)
-			}
-			switch f.typ {
-			case msgBatchAck:
-				ba, err := decodeBatchAck(f.payload)
-				if err != nil {
-					return nil, nil, err
-				}
-				if len(ba.Preds) == 0 {
-					out.Losses = append(out.Losses, ba.Loss)
-				}
-				out.Preds = append(out.Preds, ba.Preds...)
-				acked++
-				credits <- struct{}{}
-			case msgError:
-				return fail("runtime error", runtimeError(f.payload))
-			default:
-				return nil, nil, fmt.Errorf("aiengine: unexpected frame %d", f.typ)
-			}
-		}
-	}
-	if err := writeFrame(conn, msgFinish, nil); err != nil {
-		return fail("send finish", err)
-	}
-	f := <-frames
-	switch {
-	case f.err != nil:
-		return fail("read result", f.err)
-	case f.typ == msgError:
-		return fail("runtime error", runtimeError(f.payload))
-	case f.typ != msgResult:
-		return nil, nil, fmt.Errorf("aiengine: unexpected final frame %d", f.typ)
-	}
-	var res TaskResult
-	if err := gobDecode(f.payload, &res); err != nil {
-		return fail("decode result", err)
-	}
-	out.Batches = res.Batches
-	return out, res.Weights, nil
-}
-
-// runtimeError is the error a msgError frame carries.
-func runtimeError(payload []byte) error {
-	var msg string
-	_ = gobDecode(payload, &msg)
-	return errors.New(msg)
-}
-
 // TrainConfig parameterizes a training task.
 type TrainConfig struct {
-	Name      string // optional model-view name to bind
+	Name string // optional model-view name to bind
+	// BatchSize and Window are read by nothing: a source's batches are as
+	// large as it makes them, and a task has no window. They are kept only
+	// because the benchmark module sets them.
 	BatchSize int
 	Window    int
 	LR        float64
@@ -336,10 +146,10 @@ type TrainOutcome struct {
 	Throughput float64 // samples/sec
 }
 
-// Train runs a training task end to end: dispatch, stream, store the model,
-// optionally bind a view.
+// Train runs a training task end to end: stream, store the model, optionally
+// bind a view.
 func (e *Engine) Train(spec models.Spec, cfg TrainConfig, src DataSource) (*TrainOutcome, error) {
-	task := TaskSpec{Model: spec, Window: cfg.Window, LR: cfg.LR}
+	task := taskSpec{Model: spec, LR: cfg.LR}
 	return e.run(task, src, func(weights []nn.LayerWeights) (int, uint64, error) {
 		mid := e.Store.Register(cfg.Name, spec, len(weights))
 		ts, err := e.Store.SaveFull(mid, weights)
@@ -387,36 +197,30 @@ func (e *Engine) FineTune(mid int, ts uint64, freezeUpTo int, lr float64, src Da
 }
 
 // storedTask is the task that resumes stored model version (mid, ts).
-func (e *Engine) storedTask(mid int, ts uint64, freezeUpTo int, lr float64) (TaskSpec, error) {
+func (e *Engine) storedTask(mid int, ts uint64, freezeUpTo int, lr float64) (taskSpec, error) {
 	weights, _, err := e.Store.Load(mid, ts)
 	if err != nil {
-		return TaskSpec{}, err
+		return taskSpec{}, err
 	}
 	spec, err := e.Store.Spec(mid)
 	if err != nil {
-		return TaskSpec{}, err
+		return taskSpec{}, err
 	}
-	return TaskSpec{Model: spec, InitWeights: weights, FreezeUpTo: freezeUpTo, LR: lr, Window: 8}, nil
+	return taskSpec{Model: spec, InitWeights: weights, FreezeUpTo: freezeUpTo, LR: lr}, nil
 }
 
-// run is the one way a task executes: connect to a runtime, stream src — its
+// run is the one way a task executes: run src through the model — its
 // labelled batches train, the others come back as predictions — and hand the
 // trained weights to save, which stores them and returns the version. The
 // save comes last: a task that fails anywhere in its stream, predictions
 // included, stores nothing. A nil save is for a task that trains nothing.
-func (e *Engine) run(task TaskSpec, src DataSource, save func([]nn.LayerWeights) (mid int, ts uint64, err error)) (*TrainOutcome, error) {
-	conn, err := e.connect()
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
+func (e *Engine) run(task taskSpec, src DataSource, save func([]nn.LayerWeights) (mid int, ts uint64, err error)) (*TrainOutcome, error) {
 	start := time.Now()
-	counter := &countingSource{inner: src}
-	out, weights, err := RunTask(conn, task, counter)
+	out, weights, err := runTask(task, src, e.memo)
 	if err != nil {
 		return nil, err
 	}
-	out.Samples, out.Duration = counter.samples, time.Since(start)
+	out.Duration = time.Since(start)
 	if out.Duration > 0 {
 		out.Throughput = float64(out.Samples) / out.Duration.Seconds()
 	}
@@ -430,20 +234,6 @@ func (e *Engine) run(task TaskSpec, src DataSource, save func([]nn.LayerWeights)
 		return nil, err
 	}
 	return out, nil
-}
-
-// countingSource counts the rows of the labelled batches that pass through.
-type countingSource struct {
-	inner   DataSource
-	samples int
-}
-
-func (c *countingSource) Next() (*Batch, bool) {
-	b, ok := c.inner.Next()
-	if ok && b.Y != nil {
-		c.samples += b.X.Rows
-	}
-	return b, ok
 }
 
 // unlabelled strips the labels off a source's batches, which makes every one

@@ -2,11 +2,8 @@ package aiengine
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math/rand"
-	"net"
 	"runtime"
 	"strings"
 	"testing"
@@ -64,7 +61,7 @@ func TestTrainInProcessLossDecreases(t *testing.T) {
 	store := models.NewStore()
 	e := NewEngine(store)
 	src := &synthSource{r: rand.New(rand.NewSource(1)), batches: 60, size: 64, fields: 4, vocab: 32}
-	out, err := e.Train(testSpec(false), TrainConfig{Name: "m1", BatchSize: 64, Window: 8, LR: 0.01}, src)
+	out, err := e.Train(testSpec(false), TrainConfig{Name: "m1", LR: 0.01}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,30 +85,11 @@ func TestTrainInProcessLossDecreases(t *testing.T) {
 	}
 }
 
-func TestTrainOverRealTCP(t *testing.T) {
-	rt, addr, err := StartRuntime()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Stop()
-	store := models.NewStore()
-	e := NewEngine(store)
-	e.AddRuntime(addr)
-	src := &synthSource{r: rand.New(rand.NewSource(2)), batches: 20, size: 32, fields: 4, vocab: 32}
-	out, err := e.Train(testSpec(false), TrainConfig{BatchSize: 32, Window: 4, LR: 0.01}, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Batches != 20 {
-		t.Fatalf("batches = %d", out.Batches)
-	}
-}
-
 func TestInferenceMatchesTraining(t *testing.T) {
 	store := models.NewStore()
 	e := NewEngine(store)
 	src := &synthSource{r: rand.New(rand.NewSource(3)), batches: 80, size: 64, fields: 4, vocab: 32, cls: true}
-	out, err := e.Train(testSpec(true), TrainConfig{BatchSize: 64, Window: 8, LR: 0.02}, src)
+	out, err := e.Train(testSpec(true), TrainConfig{LR: 0.02}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +122,7 @@ func TestFineTunePersistsOnlyTailLayers(t *testing.T) {
 	store := models.NewStore()
 	e := NewEngine(store)
 	src := &synthSource{r: rand.New(rand.NewSource(5)), batches: 30, size: 64, fields: 4, vocab: 32}
-	out, err := e.Train(testSpec(false), TrainConfig{BatchSize: 64, Window: 8, LR: 0.01}, src)
+	out, err := e.Train(testSpec(false), TrainConfig{LR: 0.01}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,166 +291,67 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 }
 
+// TestProtocolErrors: what a task refuses — an unknown architecture, a stream
+// with nothing to train on for an operator that stores a model, and a batch
+// of another width than the model's — it refuses with an error, storing
+// nothing.
 func TestProtocolErrors(t *testing.T) {
-	// Runtime rejects unknown architecture via msgError.
-	local, remote := net.Pipe()
-	go func() {
-		defer remote.Close()
-		ServeTask(remote, nil)
-	}()
-	spec := TaskSpec{Model: models.Spec{Arch: "nope"}}
-	_, _, err := RunTask(local, spec, &SliceSource{})
-	if err == nil {
-		t.Fatal("unknown arch should error")
-	}
-	local.Close()
-
-	// A stream without a labelled batch trains nothing: the runtime returns
-	// no weights, and an operator that was to store a model refuses.
-	local2, remote2 := net.Pipe()
-	go func() {
-		defer remote2.Close()
-		ServeTask(remote2, nil)
-	}()
-	unlabelledOnly := func() *SliceSource { return &SliceSource{Batches: []*Batch{{X: nn.NewMatrix(8, 4)}}} }
-	out, weights, err := RunTask(local2, TaskSpec{Model: testSpec(false)}, unlabelledOnly())
-	if err != nil || weights != nil || len(out.Preds) != 8 || len(out.Losses) != 0 || out.Batches != 1 {
-		t.Fatalf("unlabelled stream: %+v, %d weight layers, %v", out, len(weights), err)
-	}
-	local2.Close()
 	e := NewEngine(models.NewStore())
+	if _, err := e.Train(models.Spec{Arch: "nope"}, TrainConfig{}, &SliceSource{}); err == nil || !strings.Contains(err.Error(), "unknown architecture") {
+		t.Fatalf("an unknown architecture: %v", err)
+	}
+
+	// A stream without a labelled batch trains nothing: an operator that was
+	// to store a model refuses, and an inference answers every row.
+	unlabelledOnly := func() *SliceSource { return &SliceSource{Batches: []*Batch{{X: nn.NewMatrix(8, 4)}}} }
 	if _, err := e.Train(testSpec(false), TrainConfig{Name: "empty"}, unlabelledOnly()); err == nil || !strings.Contains(err.Error(), "no labelled batch") {
 		t.Fatalf("training on an unlabelled stream: %v", err)
 	}
 	if _, ok := e.Store.FindViewByName("empty"); ok {
 		t.Fatal("a task that trained nothing bound a model view")
 	}
-
-	// A batch of another width than the model's is an error, not a panic
-	// inside a matrix product.
-	local3, remote3 := net.Pipe()
-	go func() {
-		defer remote3.Close()
-		ServeTask(remote3, nil)
-	}()
-	narrow := &SliceSource{Batches: []*Batch{{X: nn.NewMatrix(8, 2), Y: nn.NewMatrix(8, 1)}}}
-	_, _, err = RunTask(local3, TaskSpec{Model: testSpec(false)}, narrow)
-	if err == nil || !strings.Contains(err.Error(), "fields") {
-		t.Fatalf("a 2-field batch for a 4-field model: %v", err)
-	}
-	local3.Close()
-}
-
-func TestBatchCodecRoundTrip(t *testing.T) {
-	x := nn.FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	y := nn.FromRows([][]float64{{9}, {8}})
-	buf := appendBatch(nil, x, y)
-	x2, y2, err := decodeBatch(buf, nil)
+	out, err := e.Train(testSpec(false), TrainConfig{},
+		&synthSource{r: rand.New(rand.NewSource(8)), batches: 2, size: 16, fields: 4, vocab: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range x.Data {
-		if x2.Data[i] != x.Data[i] {
-			t.Fatal("x mismatch")
-		}
+	if preds, err := e.Infer(out.MID, 0, unlabelledOnly()); err != nil || len(preds) != 8 {
+		t.Fatalf("inference on an unlabelled stream: %d predictions, %v", len(preds), err)
 	}
-	for i := range y.Data {
-		if y2.Data[i] != y.Data[i] {
-			t.Fatal("y mismatch")
-		}
+
+	// A batch of another width than the model's is an error, not a panic
+	// inside a matrix product.
+	narrow := func() *SliceSource {
+		return &SliceSource{Batches: []*Batch{{X: nn.NewMatrix(8, 2), Y: nn.NewMatrix(8, 1)}}}
 	}
-	// No labels.
-	buf = appendBatch(nil, x, nil)
-	_, y3, err := decodeBatch(buf, nil)
-	if err != nil || y3 != nil {
-		t.Fatalf("no-label decode: %v %v", y3, err)
+	if _, err := e.Train(testSpec(false), TrainConfig{Name: "narrow"}, narrow()); err == nil || !strings.Contains(err.Error(), "fields") {
+		t.Fatalf("training a 4-field model on a 2-field batch: %v", err)
 	}
-	// Corrupt.
-	if _, _, err := decodeBatch(buf[:5], nil); err == nil {
-		t.Fatal("short frame should error")
+	if _, err := e.Infer(out.MID, 0, narrow()); err == nil || !strings.Contains(err.Error(), "fields") {
+		t.Fatalf("a 2-field batch for a 4-field model: %v", err)
 	}
-	if _, _, err := decodeBatch(append(buf, 1, 2, 3), nil); err == nil {
-		t.Fatal("oversized frame should error")
+	if _, ok := e.Store.FindViewByName("narrow"); ok || len(e.Store.Versions(out.MID)) != 1 {
+		t.Fatal("a task refused for its batch width stored a model")
 	}
 }
 
-// TestBatchFrameSizeDoesNotOverflow is the regression test for a 12-byte
-// frame that crashed the runtime: 2³¹ rows of 2³⁰ columns need 2⁶⁴ bytes of
-// values, which wrapped to 0 in the size check, so the frame passed and the
-// matrix allocation panicked inside ServeTask's goroutine. Rows without
-// feature columns are refused as well: a model would size its output by them.
-func TestBatchFrameSizeDoesNotOverflow(t *testing.T) {
-	header := func(rows, xcols, ycols uint32) []byte {
-		buf := binary.LittleEndian.AppendUint32(nil, rows)
-		buf = binary.LittleEndian.AppendUint32(buf, xcols)
-		return binary.LittleEndian.AppendUint32(buf, ycols)
+// TestTaskStartsOneGoroutine: a task runs on its caller's goroutine, so while
+// it streams the only goroutine it has added is the loader's own.
+func TestTaskStartsOneGoroutine(t *testing.T) {
+	e := NewEngine(models.NewStore())
+	base := runtime.NumGoroutine()
+	most := 0
+	src := &synthSource{r: rand.New(rand.NewSource(9)), batches: 16, size: 32, fields: 4, vocab: 32}
+	loader := NewStreamingLoader(&rowChunks{rows: make([]rel.Row, 16*32), size: 32}, func(rs []rel.Row) (*nn.Matrix, *nn.Matrix) {
+		most = max(most, runtime.NumGoroutine()) // the loader's goroutine calls this while the task runs
+		b, _ := src.Next()
+		return b.X, b.Y
+	}, 2)
+	if _, err := e.Train(testSpec(false), TrainConfig{}, loader); err != nil {
+		t.Fatal(err)
 	}
-	for _, buf := range [][]byte{
-		header(1<<31, 1<<30, 0),
-		header(1<<31, 0, 1<<30),
-		header(1<<32-1, 1<<32-1, 1<<32-1),
-		append(header(1<<29, 0, 1), make([]byte, 8)...),
-		header(1<<32-1, 0, 0),
-	} {
-		if x, _, err := decodeBatch(buf, nil); err == nil {
-			t.Fatalf("frame %x decoded to a %dx%d batch", buf, x.Rows, x.Cols)
-		}
-	}
-	if x, y, err := decodeBatch(header(0, 3, 1), nil); err != nil || x.Rows != 0 || y.Rows != 0 {
-		t.Fatalf("an empty batch: %v", err)
-	}
-}
-
-// FuzzBatchDecode: the runtime decodes batch frames from whatever connects
-// to it and the engine decodes ack frames from a runtime; neither decoder may
-// panic, and a frame either decodes to the values it holds or is refused.
-func FuzzBatchDecode(f *testing.F) {
-	x := nn.FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	f.Add(appendBatch(nil, x, nn.FromRows([][]float64{{9}, {8}})))
-	f.Add(appendBatch(nil, x, nil))
-	f.Add(appendBatch(nil, nn.NewMatrix(0, 3), nil))
-	f.Add(appendBatchAck(nil, BatchAck{Seq: 3, Loss: 0.5}))
-	f.Add(appendBatchAck(nil, BatchAck{Seq: 1, Preds: []float64{0.25, -1}}))
-	f.Add([]byte{0, 0, 0, 0x80, 0, 0, 0, 0x40, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, buf []byte) {
-		var ws nn.Workspace
-		if x, y, err := decodeBatch(buf, &ws); err == nil {
-			n := len(x.Data)
-			if y != nil {
-				n += len(y.Data)
-			}
-			if 12+8*n != len(buf) {
-				t.Fatalf("%d-byte frame decoded to %d values", len(buf), n)
-			}
-		}
-		if ack, err := decodeBatchAck(buf); err == nil && 16+8*len(ack.Preds) != len(buf) {
-			t.Fatalf("%d-byte ack decoded to %d predictions", len(buf), len(ack.Preds))
-		}
-	})
-}
-
-func TestBatchAckCodecRoundTrip(t *testing.T) {
-	for _, ack := range []BatchAck{
-		{Seq: 7, Loss: 0.125},
-		{Seq: 1 << 20, Preds: []float64{1.5, -2.25, 0}},
-	} {
-		buf := appendBatchAck(nil, ack)
-		got, err := decodeBatchAck(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Seq != ack.Seq || got.Loss != ack.Loss || fmt.Sprint(got.Preds) != fmt.Sprint(ack.Preds) {
-			t.Fatalf("round trip: %+v, want %+v", got, ack)
-		}
-		if _, err := decodeBatchAck(buf[:len(buf)-1]); err == nil {
-			t.Fatal("truncated ack should error")
-		}
-		if _, err := decodeBatchAck(append(buf, 0)); err == nil {
-			t.Fatal("oversized ack should error")
-		}
-	}
-	if _, err := decodeBatchAck(nil); err == nil {
-		t.Fatal("empty ack should error")
+	if most > base+1 {
+		t.Fatalf("%d goroutines while the task ran, %d before it: a task starts only the loader's", most, base)
 	}
 }
 
@@ -515,7 +394,7 @@ func memoTrace(t *testing.T, e *Engine, before func()) string {
 		before()
 		spec := testSpec(false)
 		spec.Vocab, spec.Seed = 3, int64(7+retrain)
-		tr, err := e.Train(spec, TrainConfig{BatchSize: 32, Window: 4, LR: 0.01}, src(seed, 12))
+		tr, err := e.Train(spec, TrainConfig{LR: 0.01}, src(seed, 12))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -593,7 +472,7 @@ func TestMemoSharedByConcurrentTasks(t *testing.T) {
 	for i := range mids {
 		spec := testSpec(false)
 		spec.Vocab, spec.Seed = 3, int64(20+i)
-		out, err := e.Train(spec, TrainConfig{BatchSize: 32, Window: 4, LR: 0.01},
+		out, err := e.Train(spec, TrainConfig{LR: 0.01},
 			&synthSource{r: rand.New(rand.NewSource(int64(i))), batches: 6, size: 32, fields: 4, vocab: 3})
 		if err != nil {
 			t.Fatal(err)
@@ -640,33 +519,11 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
-// failingRuntime acknowledges the handshake, takes in a full window of
-// batches — as a transport with buffers would — and answers the first with
-// msgError, like a runtime whose step failed. The sender is then out of
-// credits with no acknowledgement ever coming.
-func failingRuntime(conn io.ReadWriteCloser) {
-	defer conn.Close()
-	const window = 2
-	if _, _, err := readFrame(conn); err != nil {
-		return
-	}
-	ack, _ := gobEncode(HandshakeAck{Window: window})
-	_ = writeFrame(conn, msgHandshakeAck, ack)
-	for i := 0; i < window; i++ {
-		if _, _, err := readFrame(conn); err != nil {
-			return
-		}
-	}
-	msg, _ := gobEncode("step failed")
-	_ = writeFrame(conn, msgError, msg)
-}
-
-// TestFailedTaskLeaksNoGoroutine is the regression test for two leaks: a
-// task that fails mid-stream left RunTask's sender waiting for a credit for
-// ever, and a task that fails before streaming (an unknown model) left the
-// streaming loader's producer waiting on its channel, holding every
-// training row. A task that trains and then fails while predicting is the
-// third way to stop early; it must also store nothing.
+// TestFailedTaskLeaksNoGoroutine is the regression test for a leak: a task
+// that fails before streaming (an unknown model) left the streaming loader's
+// producer waiting on its channel, holding every training row. A task that
+// trains and then fails while predicting is the other way to stop early; it
+// must also store nothing.
 func TestFailedTaskLeaksNoGoroutine(t *testing.T) {
 	rows := make([]rel.Row, 4096)
 	for i := range rows {
@@ -675,19 +532,6 @@ func TestFailedTaskLeaksNoGoroutine(t *testing.T) {
 	feat := func(rs []rel.Row) (*nn.Matrix, *nn.Matrix) {
 		return nn.NewMatrix(len(rs), 1), nn.NewMatrix(len(rs), 1)
 	}
-	t.Run("runtime error mid-stream", func(t *testing.T) {
-		base := runtime.NumGoroutine()
-		loader := NewStreamingLoader(&rowChunks{rows: rows, size: 64}, feat, 4)
-		local, remote := net.Pipe()
-		go failingRuntime(remote)
-		_, _, err := RunTask(local, TaskSpec{Model: testSpec(false), Window: 2}, loader)
-		if err == nil {
-			t.Fatal("the runtime's error did not fail the task")
-		}
-		local.Close()
-		loader.Close()
-		waitGoroutines(t, base)
-	})
 	t.Run("unknown model", func(t *testing.T) {
 		base := runtime.NumGoroutine()
 		e := NewEngine(models.NewStore())
@@ -706,7 +550,7 @@ func TestFailedTaskLeaksNoGoroutine(t *testing.T) {
 		e := NewEngine(models.NewStore())
 		spec := testSpec(false)
 		spec.Fields = 1
-		first, err := e.Train(spec, TrainConfig{Window: 2},
+		first, err := e.Train(spec, TrainConfig{},
 			NewStreamingLoader(&rowChunks{rows: rows[:256], size: 64}, feat, 4))
 		if err != nil {
 			t.Fatal(err)
@@ -725,7 +569,7 @@ func TestFailedTaskLeaksNoGoroutine(t *testing.T) {
 			}, 4)
 		}
 		loader := stream()
-		if _, err := e.Train(spec, TrainConfig{Name: "m", Window: 2}, loader); err == nil || !strings.Contains(err.Error(), "fields") {
+		if _, err := e.Train(spec, TrainConfig{Name: "m"}, loader); err == nil || !strings.Contains(err.Error(), "fields") {
 			t.Fatalf("a training task whose predictions fail: %v", err)
 		}
 		loader.Close()
@@ -752,7 +596,7 @@ func TestInferPredictsLabelledBatches(t *testing.T) {
 	src := func(seed int64, n int) *synthSource {
 		return &synthSource{r: rand.New(rand.NewSource(seed)), batches: n, size: 32, fields: 4, vocab: 32}
 	}
-	out, err := e.Train(testSpec(false), TrainConfig{Window: 4}, src(1, 10))
+	out, err := e.Train(testSpec(false), TrainConfig{}, src(1, 10))
 	if err != nil {
 		t.Fatal(err)
 	}

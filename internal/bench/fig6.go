@@ -47,25 +47,18 @@ func RunFig6a(sc Scale) ([]Fig6aRow, error) {
 	// Workload E (Avazu CTR regression).
 	{
 		base, err := aiengine.BaselineTrain(avazuSpec(1),
-			aiengine.TrainConfig{BatchSize: sc.BatchSize, LR: 0.01},
+			aiengine.TrainConfig{LR: 0.01},
 			workload.NewAvazu(11).NewBatchSource(sc.BatchSize, sc.Fig6aBatches, 0),
 			workload.AvazuFeaturizer)
 		if err != nil {
 			return nil, err
 		}
-		rt, addr, err := aiengine.StartRuntime()
-		if err != nil {
-			return nil, err
-		}
 		store := models.NewStore()
 		engine := aiengine.NewEngine(store)
-		engine.AddRuntime(addr)
 		loader := aiengine.NewStreamingLoader(
 			workload.NewAvazu(11).NewBatchSource(sc.BatchSize, sc.Fig6aBatches, 0),
 			workload.AvazuFeaturizer, sc.Window)
-		neur, err := engine.Train(avazuSpec(1),
-			aiengine.TrainConfig{BatchSize: sc.BatchSize, Window: sc.Window, LR: 0.01}, loader)
-		rt.Stop()
+		neur, err := engine.Train(avazuSpec(1), aiengine.TrainConfig{LR: 0.01}, loader)
 		if err != nil {
 			return nil, err
 		}
@@ -75,25 +68,18 @@ func RunFig6a(sc Scale) ([]Fig6aRow, error) {
 	// Workload H (Diabetes classification).
 	{
 		base, err := aiengine.BaselineTrain(diabetesSpec(2),
-			aiengine.TrainConfig{BatchSize: sc.BatchSize, LR: 0.01},
+			aiengine.TrainConfig{LR: 0.01},
 			workload.NewDiabetes(12).NewSource(sc.BatchSize, sc.Fig6aBatches),
 			workload.DiabetesFeaturizer)
 		if err != nil {
 			return nil, err
 		}
-		rt, addr, err := aiengine.StartRuntime()
-		if err != nil {
-			return nil, err
-		}
 		store := models.NewStore()
 		engine := aiengine.NewEngine(store)
-		engine.AddRuntime(addr)
 		loader := aiengine.NewStreamingLoader(
 			workload.NewDiabetes(12).NewSource(sc.BatchSize, sc.Fig6aBatches),
 			workload.DiabetesFeaturizer, sc.Window)
-		neur, err := engine.Train(diabetesSpec(2),
-			aiengine.TrainConfig{BatchSize: sc.BatchSize, Window: sc.Window, LR: 0.01}, loader)
-		rt.Stop()
+		neur, err := engine.Train(diabetesSpec(2), aiengine.TrainConfig{LR: 0.01}, loader)
 		if err != nil {
 			return nil, err
 		}
@@ -145,24 +131,17 @@ func RunFig6b(sc Scale) ([]Fig6bPoint, error) {
 	var out []Fig6bPoint
 	for _, n := range sc.Fig6bBatchCounts {
 		base, err := aiengine.BaselineTrain(avazuSpec(1),
-			aiengine.TrainConfig{BatchSize: sc.BatchSize, LR: 0.01},
+			aiengine.TrainConfig{LR: 0.01},
 			workload.NewAvazu(21).NewBatchSource(sc.BatchSize, n, 0),
 			workload.AvazuFeaturizer)
 		if err != nil {
 			return nil, err
 		}
-		rt, addr, err := aiengine.StartRuntime()
-		if err != nil {
-			return nil, err
-		}
 		engine := aiengine.NewEngine(models.NewStore())
-		engine.AddRuntime(addr)
 		loader := aiengine.NewStreamingLoader(
 			workload.NewAvazu(21).NewBatchSource(sc.BatchSize, n, 0),
 			workload.AvazuFeaturizer, sc.Window)
-		neur, err := engine.Train(avazuSpec(1),
-			aiengine.TrainConfig{BatchSize: sc.BatchSize, Window: sc.Window, LR: 0.01}, loader)
-		rt.Stop()
+		neur, err := engine.Train(avazuSpec(1), aiengine.TrainConfig{LR: 0.01}, loader)
 		if err != nil {
 			return nil, err
 		}
@@ -232,8 +211,7 @@ func RunFig6c(sc Scale) (*Fig6cResult, error) {
 			loader := aiengine.NewStreamingLoader(
 				gen.NewBatchSource(sc.BatchSize, batchesPerCluster, 0),
 				workload.AvazuFeaturizer, sc.Window)
-			out, err := engine.Train(avazuSpec(3),
-				aiengine.TrainConfig{BatchSize: sc.BatchSize, Window: sc.Window, LR: 0.01}, loader)
+			out, err := engine.Train(avazuSpec(3), aiengine.TrainConfig{LR: 0.01}, loader)
 			if err != nil {
 				return nil, err
 			}
@@ -254,8 +232,7 @@ func RunFig6c(sc Scale) (*Fig6cResult, error) {
 		loader := aiengine.NewStreamingLoader(
 			gen.NewBatchSource(sc.BatchSize, batchesPerCluster, 0),
 			workload.AvazuFeaturizer, sc.Window)
-		out, err := engine.Train(avazuSpec(3),
-			aiengine.TrainConfig{BatchSize: sc.BatchSize, Window: sc.Window, LR: 0.01}, loader)
+		out, err := engine.Train(avazuSpec(3), aiengine.TrainConfig{LR: 0.01}, loader)
 		if err != nil {
 			return nil, err
 		}

@@ -124,10 +124,10 @@ const (
 )
 
 // RunPredict executes a PREDICT node end to end as one AI task: the rows to
-// train on stream to the runtime with their labels and train a new model (or
-// fine-tune the one bound to the target), the rows to predict follow without
-// labels and come back as predictions, and the model version is stored once
-// all of it succeeded.
+// train on stream through the model with their labels and train a new model
+// (or fine-tune the one bound to the target), the rows to predict follow
+// without labels and come back as predictions, and the model version is
+// stored once all of it succeeded.
 func RunPredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) (*PredictResult, error) {
 	fields := len(task.FeatureIdxs)
 	if fields == 0 {
@@ -214,7 +214,7 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) (*PredictRes
 			}
 		}
 		if src.predicting {
-			return x, nil // no labels: the runtime answers with predictions
+			return x, nil // no labels: the task answers with predictions
 		}
 		y = nn.NewMatrix(len(rows), 1)
 		for i, row := range rows {
@@ -242,10 +242,7 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) (*PredictRes
 			Arch: "armnet", Fields: fields, Vocab: fields * predictBuckets,
 			EmbDim: predictEmbDim, Hidden: predictHidden,
 			Classification: task.Classification, Seed: 42, Features: features,
-		}, aiengine.TrainConfig{
-			Name: task.ModelName, BatchSize: predictBatchSize,
-			Window: predictWindow, LR: predictLR,
-		}, loader)
+		}, aiengine.TrainConfig{Name: task.ModelName, LR: predictLR}, loader)
 	}
 	if err != nil {
 		return nil, err

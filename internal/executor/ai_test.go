@@ -18,7 +18,7 @@ import (
 	"neurdb/internal/txn"
 )
 
-// referencePredict is PREDICT as two tasks, the way it ran before the runtime
+// referencePredict is PREDICT as two tasks, the way it ran before a task
 // read a batch's purpose off the batch: Engine.Train or FineTune on the
 // training rows, the version stored, then Engine.Infer of the stored version
 // on the rows to predict, cut into batches of their own.
@@ -67,7 +67,7 @@ func referencePredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) ([]flo
 			Arch: "armnet", Fields: fields, Vocab: fields * predictBuckets,
 			EmbDim: predictEmbDim, Hidden: predictHidden,
 			Classification: task.Classification, Seed: 42,
-		}, aiengine.TrainConfig{Name: task.ModelName, BatchSize: predictBatchSize, Window: predictWindow, LR: predictLR}, loader)
+		}, aiengine.TrainConfig{Name: task.ModelName, LR: predictLR}, loader)
 	}
 	if err != nil {
 		return nil, err

@@ -15,8 +15,8 @@ import (
 	"neurdb/internal/nn"
 )
 
-// Spec describes a model architecture so a runtime can rebuild it from the
-// handshake alone.
+// Spec describes a model architecture: a task rebuilds the model from it
+// alone.
 type Spec struct {
 	Arch           string // "armnet" | "mlp"
 	Fields         int    // categorical fields per sample

@@ -1,96 +1,17 @@
 package neurdb
 
 import (
-	"encoding/binary"
 	"fmt"
-	"net"
+	"runtime"
 	"strings"
-	"sync"
 	"testing"
+	"time"
 
 	"neurdb/internal/aiengine"
 	"neurdb/internal/armnet"
+	"neurdb/internal/nn"
+	"neurdb/internal/rel"
 )
-
-// taskConn is what one connection to the test runtime carried: the sizes of
-// the handshake frames the dispatcher sent on it.
-type taskConn struct{ handshakes []int }
-
-// frameSniffer reads the streaming protocol's framing — [type, uint32 length,
-// payload] — off the bytes the runtime reads, noting every handshake frame
-// (type 1).
-type frameSniffer struct {
-	net.Conn
-	seen *taskConn
-	hdr  []byte
-	skip int // payload bytes left of the current frame
-}
-
-func (s *frameSniffer) Read(p []byte) (int, error) {
-	n, err := s.Conn.Read(p)
-	for b := p[:n]; len(b) > 0; {
-		if s.skip > 0 {
-			k := min(s.skip, len(b))
-			s.skip, b = s.skip-k, b[k:]
-			continue
-		}
-		s.hdr, b = append(s.hdr, b[0]), b[1:]
-		if len(s.hdr) == 5 {
-			s.skip = int(binary.LittleEndian.Uint32(s.hdr[1:]))
-			if s.hdr[0] == 1 {
-				s.seen.handshakes = append(s.seen.handshakes, s.skip)
-			}
-			s.hdr = s.hdr[:0]
-		}
-	}
-	return n, err
-}
-
-// startCountingRuntime is an external AI runtime node under the test's eyes:
-// a TCP listener that serves every connection with aiengine.ServeTask and
-// reports, once a task is over, what its connection carried.
-func startCountingRuntime(t *testing.T) (addr string, conns func() []*taskConn) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var (
-		mu   sync.Mutex
-		seen []*taskConn
-		wg   sync.WaitGroup
-		memo = armnet.NewPrefixMemo(armnet.PrefixMemoBytes)
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			tc := &taskConn{}
-			mu.Lock()
-			seen = append(seen, tc)
-			mu.Unlock()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer conn.Close()
-				aiengine.ServeTask(&frameSniffer{Conn: conn, seen: tc}, memo)
-			}()
-		}
-	}()
-	t.Cleanup(func() {
-		ln.Close()
-		wg.Wait()
-	})
-	return ln.Addr().String(), func() []*taskConn {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]*taskConn(nil), seen...)
-	}
-}
 
 // seedReviews creates review(id, a, b, c, score) with n labelled rows.
 func seedReviews(t *testing.T, db *DB, n int) {
@@ -109,16 +30,13 @@ func seedReviews(t *testing.T, db *DB, n int) {
 	mustExec(t, db, `ANALYZE review`)
 }
 
-// TestPredictIsOneTask: a PREDICT is one task on the runtime — one
-// connection, one handshake — over the real TCP framing, whether it trains
-// the model or fine-tunes it. The first statement's handshake carries no
-// weights (nothing is stored yet, nothing is loaded); each later one carries
-// the stored model once; and every statement stores exactly one version.
+// TestPredictIsOneTask: a PREDICT is one task, whether it trains the model or
+// fine-tunes it: it answers every row to predict, a statement with none only
+// trains, and every statement stores exactly one version. No loss series is
+// left in the monitor.
 func TestPredictIsOneTask(t *testing.T) {
 	db := openTest(t)
 	seedReviews(t, db, 1200)
-	addr, conns := startCountingRuntime(t)
-	db.AIEngine().AddRuntime(addr)
 
 	statements := []string{
 		`PREDICT VALUE OF score FROM review WHERE id >= 1000 AND id < 1150 TRAIN ON a, b, c WITH id < 1000`,
@@ -131,21 +49,6 @@ func TestPredictIsOneTask(t *testing.T) {
 		if want := []int{150, 150, 2, 0}[i]; len(res.Predictions) != want {
 			t.Fatalf("statement %d: %d predictions, want %d", i, len(res.Predictions), want)
 		}
-		seen := conns()
-		if len(seen) != i+1 {
-			t.Fatalf("statement %d: the runtime has served %d connections, want one per PREDICT", i, len(seen))
-		}
-		hs := seen[i].handshakes
-		if len(hs) != 1 {
-			t.Fatalf("statement %d: %d handshakes on its connection, want 1", i, len(hs))
-		}
-		// The default PREDICT model is ~9 KB of weights.
-		if i == 0 && hs[0] > 1<<10 {
-			t.Fatalf("the first PREDICT shipped a %d-byte handshake: it has no stored weights to send", hs[0])
-		}
-		if i > 0 && hs[0] < 4<<10 {
-			t.Fatalf("statement %d shipped a %d-byte handshake: a fine-tune sends the stored model", i, hs[0])
-		}
 		view, ok := db.ModelStore().FindViewByName("review.score")
 		if !ok {
 			t.Fatal("no model bound to review.score")
@@ -154,18 +57,19 @@ func TestPredictIsOneTask(t *testing.T) {
 			t.Fatalf("statement %d: %d stored versions, want %d", i, n, i+1)
 		}
 	}
+	if loss := db.Monitor().Mean("predict.review.score.loss"); loss != 0 {
+		t.Fatalf("a PREDICT left a loss series in the monitor: mean %g", loss)
+	}
 }
 
 // TestPredictRefusesOtherFeatureList: the model of table.target answers for
 // the feature columns it was trained on. A statement that lists others — as
-// many or fewer — is refused before it extracts a row or opens a task, with
+// many or fewer — is refused before it extracts a row or runs a task, with
 // both lists in the error; it stores nothing, and the original statement
 // keeps working.
 func TestPredictRefusesOtherFeatureList(t *testing.T) {
 	db := openTest(t)
 	seedReviews(t, db, 400)
-	addr, conns := startCountingRuntime(t)
-	db.AIEngine().AddRuntime(addr)
 
 	const original = `PREDICT VALUE OF score FROM review TRAIN ON a, b VALUES (1, 2)`
 	mustExec(t, db, original)
@@ -187,13 +91,87 @@ func TestPredictRefusesOtherFeatureList(t *testing.T) {
 	if n := len(db.ModelStore().Versions(view.MID)); n != 1 {
 		t.Fatalf("refused statements stored versions: %d, want 1", n)
 	}
-	if n := len(conns()); n != 1 {
-		t.Fatalf("refused statements opened tasks: %d connections, want 1", n)
-	}
 	if res := mustExec(t, db, original); len(res.Predictions) != 1 {
 		t.Fatalf("the original statement after the refusals: %d predictions", len(res.Predictions))
 	}
 	if v, _ := db.ModelStore().FindViewByName("review.score"); v.MID != view.MID || len(db.ModelStore().Versions(v.MID)) != 2 {
 		t.Fatal("the original statement did not fine-tune the model it trained")
 	}
+}
+
+// waitGoroutines waits for the goroutine count to come back to base.
+func waitGoroutines(t *testing.T, base int, after string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after %s, %d before:\n%s", runtime.NumGoroutine(), after, base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestPredictLeaksNoGoroutine: a PREDICT's task runs on the statement's
+// goroutine, next to the one its streaming loader starts, and leaves neither
+// behind — after twenty statements that succeed, and after a task whose
+// prediction batches fail while more are still queued. No statement makes a
+// prediction batch fail, so the failing task is the one a PREDICT runs, a
+// fine-tune of the model it stored, started on the database's engine.
+func TestPredictLeaksNoGoroutine(t *testing.T) {
+	db := openTest(t)
+	seedReviews(t, db, 1200)
+	base := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		lo := 10 * i
+		mustExec(t, db, fmt.Sprintf(`PREDICT VALUE OF score FROM review WHERE id >= %d AND id < %d TRAIN ON a, b, c WITH id >= %d AND id < %d`,
+			lo+1000, lo+1100, lo, lo+1000))
+	}
+	waitGoroutines(t, base, "twenty PREDICTs")
+
+	view, ok := db.ModelStore().FindViewByName("review.score")
+	if !ok {
+		t.Fatal("no model bound to review.score")
+	}
+	// Eight labelled batches train; the rest arrive without labels and one
+	// field too wide, which fails the first prediction with more batches
+	// queued behind it.
+	batches := 0
+	loader := aiengine.NewStreamingLoader(&rowChunks{rows: make([]rel.Row, 128*16), size: 128}, func(rs []rel.Row) (*nn.Matrix, *nn.Matrix) {
+		if batches++; batches > 8 {
+			return nn.NewMatrix(len(rs), 4), nil
+		}
+		x := nn.NewMatrix(len(rs), 3) // field f's ids are f*32 + bucket, as PREDICT's featurizer makes them
+		for i := range rs {
+			for f := 0; f < 3; f++ {
+				x.Set(i, f, float64(f*32+i%32))
+			}
+		}
+		return x, nn.NewMatrix(len(rs), 1)
+	}, 4)
+	_, err := db.AIEngine().FineTune(view.MID, 0, armnet.FreezePrefixLayers, 0.02, loader)
+	loader.Close()
+	if err == nil || !strings.Contains(err.Error(), "fields") {
+		t.Fatalf("a fine-tune whose prediction batches fail: %v", err)
+	}
+	waitGoroutines(t, base, "a task that failed while predicting")
+	if n := len(db.ModelStore().Versions(view.MID)); n != 20 {
+		t.Fatalf("%d stored versions after twenty PREDICTs and a failed task, want 20", n)
+	}
+}
+
+// rowChunks hands out rows in chunks of size.
+type rowChunks struct {
+	rows []rel.Row
+	size int
+}
+
+func (rc *rowChunks) Next() ([]rel.Row, bool) {
+	if len(rc.rows) == 0 {
+		return nil, false
+	}
+	n := min(rc.size, len(rc.rows))
+	chunk := rc.rows[:n]
+	rc.rows = rc.rows[n:]
+	return chunk, true
 }
