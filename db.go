@@ -7,9 +7,8 @@
 // optimizer and a vectorized, morsel-parallel executor) with the paper's
 // in-database AI ecosystem: AI operators in the executor (train / inference
 // / fine-tune), an AI engine with a streaming data protocol, a layered model
-// store with incremental updates, a monitor that triggers adaptation, and
-// fast-adaptive learned components (learned concurrency control and a
-// learned query optimizer).
+// store with incremental updates, and fast-adaptive learned components
+// (learned concurrency control and a learned query optimizer).
 //
 // Quick start:
 //
@@ -46,7 +45,6 @@ import (
 	"neurdb/internal/index"
 	"neurdb/internal/learnedopt"
 	"neurdb/internal/models"
-	"neurdb/internal/monitor"
 	"neurdb/internal/optimizer"
 	"neurdb/internal/plan"
 	"neurdb/internal/rel"
@@ -143,13 +141,12 @@ func DefaultConfig() Config {
 type DB struct {
 	mu sync.Mutex
 
-	cfg     Config
-	pool    *storage.BufferPool
-	cat     *catalog.Catalog
-	mgr     *txn.Manager
-	store   *models.Store
-	engine  *aiengine.Engine
-	tracker *monitor.Tracker
+	cfg    Config
+	pool   *storage.BufferPool
+	cat    *catalog.Catalog
+	mgr    *txn.Manager
+	store  *models.Store
+	engine *aiengine.Engine
 
 	// staleStats snapshots per-table statistics at ANALYZE time; the
 	// stale-cost planner uses them.
@@ -163,10 +160,6 @@ type DB struct {
 	// and ad-hoc Session.Exec/Query share the same (mode, SQL) key space.
 	plans *planCache
 
-	// stripeWaitSeen tracks the last txn.stripe_wait counter observed by
-	// the monitor, so each write statement reports only its delta.
-	stripeWaitSeen atomic.Uint64
-
 	// Durability state (nil/zero when Config.DataDir is empty).
 	wlog        *wal.Log
 	fs          vfs.FS     // filesystem the durability layer writes through
@@ -175,9 +168,6 @@ type DB struct {
 	stopCkpt    chan struct{}
 	ckptDone    chan struct{}
 	closed      atomic.Bool
-	// degradedSeen latches the first observation of WAL poison so the
-	// db.degraded gauge flips exactly once.
-	degradedSeen atomic.Bool
 
 	session *Session // implicit session for autocommit Exec
 }
@@ -211,7 +201,6 @@ func OpenDB(cfg Config) (*DB, error) {
 		mgr:        txn.NewManager(),
 		store:      store,
 		engine:     aiengine.NewEngine(store),
-		tracker:    monitor.NewTracker(),
 		staleStats: make(map[int]*stats.TableStats),
 		plans:      newPlanCache(),
 	}
@@ -239,9 +228,6 @@ func (db *DB) ModelStore() *models.Store { return db.store }
 // BufferPool exposes the buffer pool.
 func (db *DB) BufferPool() *storage.BufferPool { return db.pool }
 
-// Monitor exposes the metric tracker.
-func (db *DB) Monitor() *monitor.Tracker { return db.tracker }
-
 // Degraded reports whether the instance has degraded to read-only because
 // the write-ahead log poisoned. The operator story: established reads keep
 // working, writes fail with ErrReadOnly, and restarting the process (which
@@ -252,8 +238,7 @@ func (db *DB) Degraded() bool {
 }
 
 // writeErr is the write path's fail-stop check: nil while healthy, an
-// ErrReadOnly-wrapping error once the WAL has poisoned. The first failing
-// observation flips the db.degraded monitor gauge.
+// ErrReadOnly-wrapping error once the WAL has poisoned.
 func (db *DB) writeErr() error {
 	w := db.wlog
 	if w == nil {
@@ -262,9 +247,6 @@ func (db *DB) writeErr() error {
 	perr := w.Err()
 	if perr == nil {
 		return nil
-	}
-	if db.degradedSeen.CompareAndSwap(false, true) {
-		db.tracker.Observe("db.degraded", 1)
 	}
 	return fmt.Errorf("%w (cause: %v)", ErrReadOnly, perr)
 }
@@ -582,9 +564,6 @@ func (s *Session) run(e *planEntry, args []rel.Value) (*Rows, error) {
 	if err := done(err); err != nil {
 		return nil, err
 	}
-	if e.writes {
-		s.observeWrite(ctx)
-	}
 	if out.Predict != nil {
 		return newStaticRows(predictResult(node.(*plan.Predict), out.Predict)), nil
 	}
@@ -768,22 +747,6 @@ func (db *DB) StaleStatsView() optimizer.StatsView {
 			return snap
 		}
 		return t.Stats
-	}
-}
-
-// observeWrite feeds the monitor after a write statement: the claim-stripe
-// contention delta since the last observation ("txn.stripe_wait"), and —
-// when the statement rode the morsel-parallel write path — the page count it
-// dispatched ("dml.parallel_pages").
-func (s *Session) observeWrite(ctx *executor.Ctx) {
-	_, waits := s.db.mgr.StripeStats()
-	// Swap-then-compare tolerates racing sessions: a stale read at worst
-	// attributes the delta to the other session's observation, never twice.
-	if seen := s.db.stripeWaitSeen.Swap(waits); waits > seen {
-		s.db.tracker.Count("txn.stripe_wait", float64(waits-seen))
-	}
-	if ctx.DMLParallelPages > 0 {
-		s.db.tracker.Count("dml.parallel_pages", float64(ctx.DMLParallelPages))
 	}
 }
 

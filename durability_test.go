@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"neurdb/internal/vfs"
 	"neurdb/internal/wal"
 )
 
@@ -282,6 +283,106 @@ func TestBackgroundCheckpointer(t *testing.T) {
 	defer db2.Close()
 	if n := len(queryInts(t, db2, `SELECT id FROM t`)); n != 1 {
 		t.Fatalf("recovered %d rows, want 1", n)
+	}
+}
+
+// TestBackgroundCheckpointerRetriesAfterFailure: a checkpoint the background
+// loop fails to publish is retried on a later tick, and the instance keeps
+// every acked row across the failure and a reopen.
+func TestBackgroundCheckpointerRetriesAfterFailure(t *testing.T) {
+	dir := t.TempDir()
+	ffs := vfs.NewFaultFS(nil)
+	ffs.AddFault(vfs.Fault{Op: vfs.OpRename, Path: ".ckpt"}) // the first publication only
+	cfg := faultConfig(dir, ffs)
+	cfg.CheckpointInterval = 10 * time.Millisecond
+	db, err := OpenDB(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY)`)
+	for i := 0; i < 20; i++ {
+		mustExecArgs(t, db, `INSERT INTO t VALUES (?)`, i)
+	}
+	// renames counts the checkpoint publications that failed and succeeded.
+	renames := func() (failed, published int) {
+		for _, r := range ffs.Journal() {
+			if r.Op == vfs.OpRename && strings.HasSuffix(r.Path, ".ckpt") {
+				if r.Err != nil {
+					failed++
+				} else {
+					published++
+				}
+			}
+		}
+		return failed, published
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		failed, published := renames()
+		if failed > 0 && published > 0 {
+			break
+		}
+		if published > 0 {
+			t.Fatal("a checkpoint was published before the scripted failure fired")
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("background checkpointer: %d failed and %d published checkpoints, want a retry after the failure", failed, published)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if cks, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt")); len(cks) == 0 {
+		t.Fatal("the retried checkpoint is not on disk")
+	}
+	for i := 20; i < 30; i++ {
+		mustExecArgs(t, db, `INSERT INTO t VALUES (?)`, i)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	db2, err := OpenDB(durableConfig(dir))
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer db2.Close()
+	if n := len(queryInts(t, db2, `SELECT id FROM t`)); n != 30 {
+		t.Fatalf("recovered %d rows, want 30", n)
+	}
+}
+
+// TestWALStats: DB.WALStats reads the log's own counters — zeros without a
+// data directory; one commit per autocommit INSERT and at most one fsync per
+// commit under WalSync=commit.
+func TestWALStats(t *testing.T) {
+	mem := Open(DefaultConfig())
+	mustExec(t, mem, `CREATE TABLE t (id INT PRIMARY KEY)`)
+	mustExec(t, mem, `INSERT INTO t VALUES (1)`)
+	if b, r, c, f := mem.WALStats(); b != 0 || r != 0 || c != 0 || f != 0 {
+		t.Fatalf("in-memory WALStats = (%d, %d, %d, %d), want zeros", b, r, c, f)
+	}
+
+	cfg := durableConfig(t.TempDir())
+	cfg.WalSync = "commit"
+	db, err := OpenDB(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY)`)
+	bytes0, _, commits0, fsyncs0 := db.WALStats()
+	const n = 12
+	for i := 0; i < n; i++ {
+		mustExecArgs(t, db, `INSERT INTO t VALUES (?)`, i)
+	}
+	bytes, _, commits, fsyncs := db.WALStats()
+	if commits0 != 0 || commits != n {
+		t.Fatalf("commits %d -> %d over %d INSERTs, want 0 -> %d", commits0, commits, n, n)
+	}
+	if d := fsyncs - fsyncs0; d < 1 || d > n {
+		t.Fatalf("%d fsyncs for %d commits, want 1..%d", d, n, n)
+	}
+	if bytes <= bytes0 {
+		t.Fatalf("WAL bytes %d -> %d: INSERTs appended nothing", bytes0, bytes)
 	}
 }
 

@@ -125,9 +125,9 @@ type WireExpectations struct {
 // gate.
 type DurabilityExpectations struct {
 	// MinGroupSize32 is the floor on the mean number of commits one fsync
-	// makes durable at the top writer count, as the log reports it
-	// (wal.group_size): batching must put concurrent committers behind a
-	// shared fsync.
+	// makes durable at the top writer count, as the log counts it
+	// (DB.WALStats: Δcommits/Δfsyncs over the storm): batching must put
+	// concurrent committers behind a shared fsync.
 	MinGroupSize32 float64 `json:"min_group_size32"`
 	// MaxIntervalOverhead is the ceiling on wal-off over interval-sync
 	// throughput: WAL append plus a background fsync must stay within this

@@ -14,8 +14,9 @@ import (
 
 // DurabilityPoint is one writer-count measurement of the group-commit
 // experiment: the insert storm's acknowledged commits per second and how
-// many commits one fsync made durable, as the log itself reports it (the
-// monitor's wal.group_size series, sliding mean at the end of the storm).
+// many commits one fsync made durable, as the log itself counts them
+// (DB.WALStats: Δcommits/Δfsyncs over the storm, read while every writer is
+// still committing).
 type DurabilityPoint struct {
 	Writers   int
 	GroupTps  float64
@@ -77,7 +78,7 @@ func measureFsync() (float64, error) {
 // durabilityStorm opens a fresh database under cfg, loads the storm table,
 // and runs writers concurrent sessions each committing single-row inserts
 // serially for dur. Returns acknowledged commits per second and the mean
-// commits per fsync over the storm's last groups (0 without a WAL).
+// commits per fsync over the storm (0 without a WAL).
 func durabilityStorm(cfg neurdb.Config, writers int, dur time.Duration) (tps, groupSize float64, err error) {
 	db, err := neurdb.OpenDB(cfg)
 	if err != nil {
@@ -87,6 +88,7 @@ func durabilityStorm(cfg neurdb.Config, writers int, dur time.Duration) (tps, gr
 	if _, err := db.Exec(`CREATE TABLE storm (id INT PRIMARY KEY, payload TEXT)`); err != nil {
 		return 0, 0, err
 	}
+	_, _, commits0, fsyncs0 := db.WALStats()
 
 	payload := strings.Repeat("x", 64)
 	var stop atomic.Bool
@@ -110,7 +112,10 @@ func durabilityStorm(cfg neurdb.Config, writers int, dur time.Duration) (tps, gr
 		}(w)
 	}
 	time.Sleep(dur)
-	groupSize = db.Monitor().Mean("wal.group_size") // while every writer is still committing
+	_, _, commits1, fsyncs1 := db.WALStats() // while every writer is still committing
+	if fsyncs1 > fsyncs0 {
+		groupSize = float64(commits1-commits0) / float64(fsyncs1-fsyncs0)
+	}
 	stop.Store(true)
 	wg.Wait()
 	elapsed := time.Since(start)

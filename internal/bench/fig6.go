@@ -7,7 +7,6 @@ import (
 
 	"neurdb/internal/aiengine"
 	"neurdb/internal/models"
-	"neurdb/internal/monitor"
 	"neurdb/internal/workload"
 )
 
@@ -223,7 +222,7 @@ func RunFig6c(sc Scale) (*Fig6cResult, error) {
 	// Path 2: incremental updates over the *same* sample stream (one
 	// generator, sequential draws — identical data to path 1). Train fully
 	// on C1, then fine-tune the non-embedding layers on each subsequent
-	// cluster (drift detected by a loss-spike monitor in the harness loop).
+	// cluster as it arrives.
 	{
 		store := models.NewStore()
 		engine := aiengine.NewEngine(store)
@@ -237,24 +236,19 @@ func RunFig6c(sc Scale) (*Fig6cResult, error) {
 			return nil, err
 		}
 		res.LossInc = append(res.LossInc, out.Losses...)
-		tracker := monitor.NewTracker()
-		tracker.SetBaseline("loss", mean(out.Losses[len(out.Losses)/2:]))
 		for c := 1; c < workloadClusters; c++ {
 			gen.SetCluster(c)
 			ftLoader := aiengine.NewStreamingLoader(
 				gen.NewBatchSource(sc.BatchSize, batchesPerCluster, 0),
 				workload.AvazuFeaturizer, sc.Window)
-			// The monitor's spike trigger models detection; fine-tuning is
-			// the triggered adaptation: freeze embedding + interaction,
-			// adapt the head at a boosted learning rate.
+			// Fine-tuning is the adaptation to the new cluster: freeze
+			// embedding + interaction, adapt the head at a boosted learning
+			// rate.
 			ft, err := engine.FineTune(out.MID, 0, 2, 0.03, ftLoader)
 			if err != nil {
 				return nil, err
 			}
 			res.LossInc = append(res.LossInc, ft.Losses...)
-			for _, l := range ft.Losses {
-				tracker.Observe("loss", l)
-			}
 		}
 		res.StorageIncBytes = store.StorageBytes()
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"neurdb/internal/cc"
-	"neurdb/internal/monitor"
 	"neurdb/internal/workload"
 )
 
@@ -89,11 +88,11 @@ type Fig7bResult struct {
 }
 
 // RunFig7b runs the TPC-C drift schedule under both adaptive CC systems.
-// Both run the same monitor-driven loop: measure an interval, feed the
-// throughput tracker, and adapt when a drop is detected — NeurDB(CC) with
-// one two-phase adaptation (Bayesian-optimization filtering + RL
-// refinement), Polyjuice with one evolutionary generation per degraded
-// interval (its adaptation mechanism, which is why it recovers slower).
+// Both run the same loop: measure an interval and adapt when its throughput
+// falls below 70% of the baseline — NeurDB(CC) with one two-phase adaptation
+// (Bayesian-optimization filtering + RL refinement), Polyjuice with one
+// evolutionary generation per degraded interval (its adaptation mechanism,
+// which is why it recovers slower).
 func RunFig7b(sc Scale) (*Fig7bResult, error) {
 	phases := Fig7bPhases()
 	maxWh := 2
@@ -104,13 +103,11 @@ func RunFig7b(sc Scale) (*Fig7bResult, error) {
 	ndStore := cc.NewStore(workload.StoreSize(maxWh))
 	ndPolicy := cc.NewLearnedPolicy(1)
 	ndEngine := cc.NewEngine(ndStore, ndPolicy)
-	ndTracker := monitor.NewTracker()
 
 	// Polyjuice.
 	pjStore := cc.NewStore(workload.StoreSize(maxWh))
 	pjPolicy := cc.NewPolyjuice()
 	pjEngine := cc.NewEngine(pjStore, pjPolicy)
-	pjTracker := monitor.NewTracker()
 	pjTrainer := workloadPolyjuiceTrainer(sc)
 
 	ndGen := workload.NewTPCC(1)
@@ -132,46 +129,43 @@ func RunFig7b(sc Scale) (*Fig7bResult, error) {
 	ndStore.Reset()
 	pjStore.Reset()
 
+	// Throughput baselines (0 until set): the mean of the first phase's
+	// samples once half its intervals have run, reset after an adaptation.
+	var ndBase, pjBase float64
 	elapsed := 0.0
 	for pi, ph := range phases {
 		ndGen.SetWarehouses(ph.Warehouses)
 		pjGen.SetWarehouses(ph.Warehouses)
 		res.PhaseStarts = append(res.PhaseStarts, elapsed)
 		for i := 0; i < sc.Fig7bIntervals; i++ {
-			// NeurDB(CC): measure, monitor, adapt on drop.
+			// NeurDB(CC): measure, adapt on a drop below the baseline.
 			ndRes := ndEngine.Run(ndGen, ph.Threads, interval)
 			res.NeurDBCC = append(res.NeurDBCC, ndRes.Throughput)
-			ndTracker.Observe("tps", ndRes.Throughput)
-			// Bounded-spin latch waits that expired this interval: the
-			// deadlock-breaker firing, an early congestion signal alongside
-			// the abort rate.
-			ndTracker.Count("cc.latch_timeouts", float64(ndEngine.LatchTimeouts()))
-			if ndTracker.Baseline("tps") == 0 && pi == 0 && i >= sc.Fig7bIntervals/2 {
-				ndTracker.SetBaseline("tps", ndTracker.Mean("tps"))
+			if ndBase == 0 && pi == 0 && i >= sc.Fig7bIntervals/2 {
+				ndBase = mean(res.NeurDBCC)
 			}
-			if base := ndTracker.Baseline("tps"); base > 0 && ndRes.Throughput < base*0.7 {
+			if ndBase > 0 && ndRes.Throughput < ndBase*0.7 {
 				cur := ndEngine.Policy().(*cc.LearnedPolicy)
 				adapted := adapter.Adapt(ndEngine, ndGen, ph.Threads, cur)
 				ndEngine.SetPolicy(adapted)
 				res.NeurDBAdaptations++
 				// Rebaseline after adapting to the new phase.
-				ndTracker.SetBaseline("tps", ndRes.Throughput)
+				ndBase = ndRes.Throughput
 			}
 
-			// Polyjuice: measure, monitor, one EA generation on drop.
+			// Polyjuice: measure, one EA generation on a drop below the
+			// baseline.
 			pjRes := pjEngine.Run(pjGen, ph.Threads, interval)
 			res.Polyjuice = append(res.Polyjuice, pjRes.Throughput)
-			pjTracker.Observe("tps", pjRes.Throughput)
-			pjTracker.Count("cc.latch_timeouts", float64(pjEngine.LatchTimeouts()))
-			if pjTracker.Baseline("tps") == 0 && pi == 0 && i >= sc.Fig7bIntervals/2 {
-				pjTracker.SetBaseline("tps", pjTracker.Mean("tps"))
+			if pjBase == 0 && pi == 0 && i >= sc.Fig7bIntervals/2 {
+				pjBase = mean(res.Polyjuice)
 			}
-			if base := pjTracker.Baseline("tps"); base > 0 && pjRes.Throughput < base*0.7 {
+			if pjBase > 0 && pjRes.Throughput < pjBase*0.7 {
 				best, _ := pjTrainer.EvolveOnce(pjEngine, pjGen, ph.Threads, pjEngine.Policy().(*cc.PolyjuicePolicy))
 				pjEngine.SetPolicy(best)
 				res.PolyjuiceGenerations++
 				if res.PolyjuiceGenerations%6 == 0 {
-					pjTracker.SetBaseline("tps", pjRes.Throughput)
+					pjBase = pjRes.Throughput
 				}
 			}
 

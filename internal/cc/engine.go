@@ -96,8 +96,7 @@ type Engine struct {
 	// latchTimeouts counts bounded-spin waits that expired (ExclusiveWait /
 	// SharedWait / UpgradeWait exhausting their spin budget). A timeout is
 	// the engine's deadlock breaker, so a rising rate is the early-warning
-	// signal of latch-ordering pathologies; callers surface it as the
-	// cc.latch_timeouts monitor series.
+	// signal of latch-ordering pathologies.
 	latchTimeouts atomic.Uint64
 }
 

@@ -31,8 +31,8 @@ type Ctx struct {
 	// DMLParallelPages reports back how many heap pages the last DML
 	// statement processed through the morsel-parallel write path (0 when it
 	// ran serially). Written by the DML coordinator after its workers have
-	// joined, so a plain int is safe; the session layer feeds it to the
-	// monitor's dml.parallel_pages series.
+	// joined, so a plain int is safe. Tests read it to witness that a
+	// statement took the parallel path.
 	DMLParallelPages int
 }
 

@@ -9,9 +9,9 @@ import (
 
 // DetOrder enforces the byte-identical-output guarantee (PR 4/PR 5: parallel
 // execution equals serial, wire encodings are golden-file stable, WAL
-// checkpoints and monitor snapshots diff cleanly across runs): in the
-// determinism-critical packages, a `for range` over a map must not feed an
-// order-sensitive sink, because Go randomizes map iteration order per run.
+// checkpoints diff cleanly across runs): in the determinism-critical
+// packages, a `for range` over a map must not feed an order-sensitive sink,
+// because Go randomizes map iteration order per run.
 //
 // A map-range loop is reported when its body, in iteration order:
 //   - accumulates into a variable declared outside the loop via
@@ -34,7 +34,6 @@ var DetOrder = &Analyzer{
 		"neurdb/internal/executor",
 		"neurdb/internal/wire",
 		"neurdb/internal/wal",
-		"neurdb/internal/monitor",
 		"neurdb/internal/stats",
 	},
 	Run: runDetOrder,

@@ -60,8 +60,7 @@ type Server struct {
 	draining bool
 	ln       net.Listener
 
-	wg    sync.WaitGroup
-	stmts atomic.Int64 // live prepared statements across all connections
+	wg sync.WaitGroup
 }
 
 // New creates a server over db.
@@ -156,7 +155,6 @@ func (s *Server) register(netc net.Conn) (c *conn, full bool) {
 		return nil, false
 	}
 	if s.cfg.MaxConns > 0 && len(s.conns) >= s.cfg.MaxConns {
-		s.db.Monitor().Count("server.conns_refused", 1)
 		return nil, true
 	}
 	s.nextID++
@@ -173,7 +171,6 @@ func (s *Server) register(netc net.Conn) (c *conn, full bool) {
 	}
 	s.conns[c.id] = c
 	s.wg.Add(1) // balanced by wg.Done in the connection goroutine
-	s.db.Monitor().Observe("server.conns", float64(len(s.conns)))
 	return c, false
 }
 
@@ -210,9 +207,7 @@ func (s *Server) refuse(netc net.Conn) {
 func (s *Server) unregister(c *conn) {
 	s.mu.Lock()
 	delete(s.conns, c.id)
-	n := len(s.conns)
 	s.mu.Unlock()
-	s.db.Monitor().Observe("server.conns", float64(n))
 }
 
 // cancel flags the identified connection's in-flight (or next) query for
@@ -224,12 +219,6 @@ func (s *Server) cancel(id, secret uint64) {
 	if c != nil && c.secret == secret {
 		c.canceled.Store(true)
 	}
-}
-
-// noteStmts tracks the cross-connection prepared-statement count as the
-// "server.stmts" monitor series.
-func (s *Server) noteStmts(delta int) {
-	s.db.Monitor().Observe("server.stmts", float64(s.stmts.Add(int64(delta))))
 }
 
 // portal is one bound (and possibly suspended) execution of a prepared
@@ -277,7 +266,6 @@ func (c *conn) run() {
 		for name := range c.portals {
 			c.closePortal(name)
 		}
-		c.srv.noteStmts(-len(c.stmts))
 		for _, st := range c.stmts {
 			st.Close()
 		}
@@ -445,10 +433,8 @@ func (c *conn) parse(m *wire.Parse) {
 	}
 	if old, ok := c.stmts[m.Name]; ok { // unnamed statement: silent replace
 		old.Close()
-		c.srv.noteStmts(-1)
 	}
 	c.stmts[m.Name] = st
-	c.srv.noteStmts(1)
 	c.send(&wire.ParseComplete{NumParams: uint16(st.NumParams())})
 }
 
@@ -655,7 +641,6 @@ func (c *conn) closeMsg(m *wire.Close) {
 		if st, ok := c.stmts[m.Name]; ok {
 			st.Close()
 			delete(c.stmts, m.Name)
-			c.srv.noteStmts(-1)
 		}
 	case wire.KindPortal:
 		c.closePortal(m.Name)

@@ -622,29 +622,6 @@ func TestVersionNegotiation(t *testing.T) {
 	}
 }
 
-// TestMonitorSeries checks the server feeds connection and statement
-// gauges into the engine monitor.
-func TestMonitorSeries(t *testing.T) {
-	db, addr := startServer(t, server.Config{})
-	c, err := client.Connect(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, c, `CREATE TABLE g (id INT PRIMARY KEY)`)
-	st, err := c.Prepare(`SELECT id FROM g`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mean := db.Monitor().Mean("server.conns"); mean <= 0 {
-		t.Fatalf("server.conns mean = %g, want > 0", mean)
-	}
-	if mean := db.Monitor().Mean("server.stmts"); mean <= 0 {
-		t.Fatalf("server.stmts mean = %g, want > 0", mean)
-	}
-	st.Close()
-	c.Close()
-}
-
 // TestGracefulShutdown drains active connections: Shutdown returns once
 // clients disconnect and the listener refuses new work.
 func TestGracefulShutdown(t *testing.T) {

@@ -318,8 +318,8 @@ func bucketPosition(c ColumnStats, v float64, upper bool) float64 {
 
 // Divergence measures how far these statistics have drifted from a snapshot:
 // a symmetric histogram-mass difference in [0, 2] plus relative row-count
-// change. The monitor uses it to decide when the cost baseline's stats are
-// stale and when to refresh learned-model conditions.
+// change: the signal for when the cost baseline's stats are stale and when
+// learned-model conditions need a refresh.
 func Divergence(fresh, stale *TableStats) float64 {
 	fresh.mu.RLock()
 	defer fresh.mu.RUnlock()

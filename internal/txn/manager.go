@@ -182,8 +182,8 @@ type Manager struct {
 	stripes [WriteStripeCount]writeStripe
 
 	// stripeClaims/stripeWaits count stripe acquisitions and the subset
-	// that had to block (TryLock failed) — the txn.stripe_wait monitor
-	// series measures write-path contention from these.
+	// that had to block (TryLock failed): write-path contention, read
+	// through StripeStats.
 	stripeClaims atomic.Uint64
 	stripeWaits  atomic.Uint64
 
@@ -248,8 +248,8 @@ func stripeIndex(table int, page uint32) uint32 {
 	return (h ^ h>>16) % WriteStripeCount
 }
 
-// withStripe runs fn holding claim stripe si, counting contention for the
-// txn.stripe_wait series. It is the only code that touches a stripe's lock,
+// withStripe runs fn holding claim stripe si, counting contention for
+// StripeStats. It is the only code that touches a stripe's lock,
 // so every claim is taken here — one stripe per call, released before it
 // returns. Calling withStripe from inside fn (a second stripe) or while the
 // WAL commit gate is held panics under -tags=invariants.

@@ -49,12 +49,6 @@ func ParseSyncMode(s string) (SyncMode, error) {
 	}
 }
 
-// Metrics receives the log's monitor series; monitor.Tracker satisfies it.
-type Metrics interface {
-	Count(series string, n float64)
-	Observe(series string, v float64)
-}
-
 // Options configures Open.
 type Options struct {
 	// Dir is the data directory holding wal-*.log segments and checkpoints.
@@ -63,8 +57,6 @@ type Options struct {
 	Mode SyncMode
 	// Interval is the background fsync period for SyncInterval (default 2ms).
 	Interval time.Duration
-	// Metrics, when set, receives wal.bytes / wal.fsyncs / wal.group_size.
-	Metrics Metrics
 	// FS is the filesystem the log writes through (default vfs.OS). Tests
 	// pass a vfs.FaultFS here to script disk faults deterministically.
 	FS vfs.FS
@@ -88,10 +80,9 @@ var segmentMagic = [8]byte{'N', 'D', 'B', 'W', 'A', 'L', '0', '1'}
 // mu; Sync makes them durable according to the configured mode. The
 // checkpointer uses Gate/Rotate to cut the log at a quiescent point.
 type Log struct {
-	dir     string
-	fs      vfs.FS
-	mode    SyncMode
-	metrics Metrics
+	dir  string
+	fs   vfs.FS
+	mode SyncMode
 
 	// gate spans each commit's append-to-publish window (readers) and the
 	// checkpointer's cut (writer): while the checkpointer holds it, no
@@ -128,11 +119,10 @@ type Log struct {
 	stopTick chan struct{}
 	tickDone chan struct{}
 
-	bytes      atomic.Uint64 // payload+header bytes appended
-	fsyncs     atomic.Uint64
-	records    atomic.Uint64
-	commits    atomic.Uint64 // commit records appended (group-size numerator)
-	lastSynced uint64        // commits covered by previous fsyncs (syncMu)
+	bytes   atomic.Uint64 // payload+header bytes appended
+	fsyncs  atomic.Uint64
+	records atomic.Uint64
+	commits atomic.Uint64 // commit records appended (group-size numerator)
 }
 
 // Open creates or opens the log in opts.Dir, appending to a fresh segment
@@ -150,10 +140,9 @@ func Open(opts Options) (*Log, error) {
 		return nil, err
 	}
 	l := &Log{
-		dir:     opts.Dir,
-		fs:      fs,
-		mode:    opts.Mode,
-		metrics: opts.Metrics,
+		dir:  opts.Dir,
+		fs:   fs,
+		mode: opts.Mode,
 	}
 	l.syncCond = sync.NewCond(&l.syncMu)
 	segs, err := ListSegments(fs, opts.Dir)
@@ -330,9 +319,6 @@ func (l *Log) appendLocked(payload []byte) (uint64, error) {
 	l.appendLSN++
 	l.records.Add(1)
 	l.bytes.Add(uint64(len(payload) + recordHeaderLen))
-	if l.metrics != nil {
-		l.metrics.Count("wal.bytes", float64(len(payload)+recordHeaderLen))
-	}
 	return l.appendLSN, nil
 }
 
@@ -367,7 +353,7 @@ func (l *Log) Sync(lsn uint64) error {
 	l.syncing = true
 	l.syncMu.Unlock()
 
-	target, commits, err := l.flushAndSync()
+	target, err := l.flushAndSync()
 
 	l.syncMu.Lock()
 	l.syncing = false
@@ -377,13 +363,6 @@ func (l *Log) Sync(lsn uint64) error {
 	} else {
 		if target > l.syncedLSN {
 			l.syncedLSN = target
-		}
-		if l.metrics != nil && commits > l.lastSynced {
-			// Group size: commit records made durable by this one fsync.
-			l.metrics.Observe("wal.group_size", float64(commits-l.lastSynced))
-		}
-		if commits > l.lastSynced {
-			l.lastSynced = commits
 		}
 	}
 	l.syncCond.Broadcast()
@@ -408,7 +387,7 @@ func (l *Log) syncNow() error {
 	}
 	l.syncMu.Unlock()
 	l.ioMu.Lock()
-	target, commits, err := l.flushAndSync()
+	target, err := l.flushAndSync()
 	l.ioMu.Unlock()
 	l.syncMu.Lock()
 	if err != nil {
@@ -417,12 +396,6 @@ func (l *Log) syncNow() error {
 	} else {
 		if target > l.syncedLSN {
 			l.syncedLSN = target
-		}
-		if l.metrics != nil && commits > l.lastSynced {
-			l.metrics.Observe("wal.group_size", float64(commits-l.lastSynced))
-		}
-		if commits > l.lastSynced {
-			l.lastSynced = commits
 		}
 	}
 	l.syncCond.Broadcast()
@@ -443,25 +416,21 @@ func (l *Log) Err() error {
 }
 
 // flushAndSync pushes the user-space buffer to the OS and fsyncs the current
-// segment, returning the LSN and commit count the fsync covers.
-func (l *Log) flushAndSync() (lsn uint64, commits uint64, err error) {
+// segment, returning the LSN the fsync covers.
+func (l *Log) flushAndSync() (lsn uint64, err error) {
 	l.mu.Lock()
 	lsn = l.appendLSN
-	commits = l.commits.Load()
 	err = l.bw.Flush()
 	f := l.f
 	l.mu.Unlock()
 	if err != nil {
-		return lsn, commits, err
+		return lsn, err
 	}
 	if err := f.Sync(); err != nil {
-		return lsn, commits, err
+		return lsn, err
 	}
 	l.fsyncs.Add(1)
-	if l.metrics != nil {
-		l.metrics.Count("wal.fsyncs", 1)
-	}
-	return lsn, commits, nil
+	return lsn, nil
 }
 
 // Rotate seals the current segment (flush + fsync) and starts a new one,

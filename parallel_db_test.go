@@ -4,11 +4,43 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"neurdb/internal/executor"
+	"neurdb/internal/plan"
 )
+
+// execWritePages runs one autocommit write statement on s the way
+// Session.run does, but under an executor.Ctx of its own, and returns how
+// many heap pages the morsel-parallel write path processed (0 when the
+// statement ran serially).
+func execWritePages(s *Session, sql string, args ...any) (int, error) {
+	st, err := s.Prepare(sql)
+	if err != nil {
+		return 0, err
+	}
+	vals, err := convertArgs(st.nParams, args)
+	if err != nil {
+		return 0, err
+	}
+	e, err := st.plan()
+	if err != nil {
+		return 0, err
+	}
+	node := e.node
+	if e.hasParams {
+		node = plan.BindParams(node, vals)
+	}
+	tx, done, err := s.begin(false)
+	if err != nil {
+		return 0, err
+	}
+	ctx := &executor.Ctx{Mgr: s.db.mgr, Txn: tx, Cat: s.db.cat, Workers: s.effectiveWorkers()}
+	_, err = executor.Execute(node, ctx, s.db.engine)
+	return ctx.DMLParallelPages, done(err)
+}
 
 // loadParallelTable creates and fills a table large enough (several times
 // executor.MorselPages worth of heap pages) for queries over it to take the
@@ -275,6 +307,7 @@ func TestParallelDMLNoLostUpdates(t *testing.T) {
 	const itersPerWriter = 6
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
+	var parallelPages atomic.Int64 // pages the writers sent down the morsel-parallel write path
 
 	// Disjoint writers: each owns grp=w. Their row sets interleave on every
 	// heap page, so concurrent statements hammer shared claim stripes, but
@@ -286,10 +319,12 @@ func TestParallelDMLNoLostUpdates(t *testing.T) {
 			s := db.NewSession()
 			s.SetWorkers(4)
 			for i := 0; i < itersPerWriter; i++ {
-				if _, err := s.Exec(`UPDATE par SET a = a + 1, b = b - 1 WHERE grp = ?`, w); err != nil {
+				n, err := execWritePages(s, `UPDATE par SET a = a + 1, b = b - 1 WHERE grp = ?`, w)
+				if err != nil {
 					errs <- fmt.Errorf("disjoint writer %d: %w", w, err)
 					return
 				}
+				parallelPages.Add(int64(n))
 			}
 		}(w)
 	}
@@ -306,7 +341,8 @@ func TestParallelDMLNoLostUpdates(t *testing.T) {
 			s.SetWorkers(4)
 			for i := 0; i < 4; i++ {
 				for {
-					_, err := s.Exec(`UPDATE par SET a = a + 1, b = b - 1 WHERE grp = 9`)
+					n, err := execWritePages(s, `UPDATE par SET a = a + 1, b = b - 1 WHERE grp = 9`)
+					parallelPages.Add(int64(n))
 					if err == nil {
 						contestedMu.Lock()
 						contested++
@@ -367,8 +403,8 @@ func TestParallelDMLNoLostUpdates(t *testing.T) {
 	if got := res.Rows[0][0].AsInt(); got != 256 {
 		t.Fatalf("contested rows with committed count %d: %d, want 256", contested, got)
 	}
-	// The monitor recorded the parallel write path.
-	if db.Monitor().Total("dml.parallel_pages") == 0 {
-		t.Fatal("dml.parallel_pages counter never advanced")
+	// The writers rode the morsel-parallel write path.
+	if parallelPages.Load() == 0 {
+		t.Fatal("no write statement took the morsel-parallel write path")
 	}
 }

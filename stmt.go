@@ -137,14 +137,13 @@ func (st *Stmt) plan() (*planEntry, error) {
 
 // compile is the single place a statement becomes a plan: the shared cache's
 // entry for (optimizer mode, SQL text) while the catalog version it was
-// planned under still stands, a fresh plan — cached — otherwise. Cache
-// traffic feeds the monitor ("plancache.hit"); PlanCacheStats counts it plus
-// the statements' lock-free local revalidations.
+// planned under still stands, a fresh plan — cached — otherwise.
+// PlanCacheStats counts the cache's traffic plus the statements' lock-free
+// local revalidations.
 func (db *DB) compile(sql string, stmt sqlparse.Stmt) (*planEntry, error) {
 	key := planKey{mode: db.OptimizerModeNow(), sql: sql}
 	ver := db.cat.Version()
 	if e, ok := db.plans.get(key, ver); ok {
-		db.tracker.Observe("plancache.hit", 1)
 		return e, nil
 	}
 	node, err := db.optimizerFor(key.mode).PlanStmt(stmt, db.cat)
@@ -169,7 +168,6 @@ func (db *DB) compile(sql string, stmt sqlparse.Stmt) (*planEntry, error) {
 	// load: megabytes under a text that never repeats), so it is not cached.
 	if _, insert := node.(*plan.Insert); !insert || e.hasParams {
 		db.plans.put(e)
-		db.tracker.Observe("plancache.hit", 0)
 	}
 	return e, nil
 }

@@ -160,8 +160,11 @@ func TestUpdateChecksNotNull(t *testing.T) {
 			mustExec(t, db, `ANALYZE`)
 			mustExec(t, db, fmt.Sprintf(`SET workers = %d`, tc.workers))
 			if tc.workers > 1 {
-				mustExec(t, db, `UPDATE t SET k = k WHERE id >= 0`)
-				if db.Monitor().Total("dml.parallel_pages") == 0 {
+				n, err := execWritePages(db.session, `UPDATE t SET k = k WHERE id >= 0`)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n == 0 {
 					t.Fatal("a whole-table UPDATE did not take the morsel-parallel path")
 				}
 			}
