@@ -11,13 +11,14 @@ import (
 // aggAcc is a grouped-aggregation workspace: one slot table — columnar
 // accumulator arrays (one flat slice per accumulator kind, indexed
 // slot*nAgg+item) instead of per-group state objects — indexed by two hash
-// tables: a single numeric group-by value is keyed by its float64 bits,
-// everything else by the encoded group-by values. The aggregate argument
-// expressions are precompiled so plain column references skip interface
-// dispatch, numeric min/max comparisons run on cached float mirrors instead
-// of rel.Compare, the group-key buffer is reused across rows, and the string
-// table is probed with an allocation-free conversion — steady-state
-// accumulation allocates only when a new group appears.
+// tables: a single numeric group-by value is keyed by its float64 bits in a
+// keyTable (the one the hash join builds on), everything else by the encoded
+// group-by values in a Go map. The aggregate argument expressions are
+// precompiled so plain column references skip interface dispatch, numeric
+// min/max comparisons run on cached float mirrors instead of rel.Compare,
+// the group-key buffer is reused across rows, and the string table is probed
+// with an allocation-free conversion — steady-state accumulation allocates
+// only when a new group appears.
 //
 // The serial aggBatch operator owns one aggAcc; the morsel-parallel
 // aggregation gives each worker its own partial aggAcc and merges them with
@@ -31,9 +32,11 @@ type aggAcc struct {
 
 	specs   []aggArgSpec // aggregate items only, precompiled
 	keyCols []int        // group-by column fast path (-1 = general expr)
+	evalRow bool         // some key or argument is an expression: add needs whole rows
+	rowBuf  rel.Row      // add's scratch for a joined row under evalRow
 
 	slots     map[string]int // encoded group key -> slot
-	numSlots  map[uint64]int // single numeric group key's float64 bits -> slot
+	numSlots  keyTable       // single numeric group key's float64 bits -> slot+1
 	keys      []groupKey     // key per slot (merge lookups)
 	firsts    []rel.Row      // first row seen per slot (key-expression source)
 	firstSeen []uint64       // smallest sequence number seen per slot
@@ -76,28 +79,41 @@ func numericType(t rel.Type) bool {
 	return t == rel.TypeInt || t == rel.TypeFloat || t == rel.TypeBool
 }
 
+// pairCol is column c of the joined row l⋈r without building it; r is nil
+// for a plain row.
+func pairCol(l, r rel.Row, c int) rel.Value {
+	if c < len(l) {
+		return l[c]
+	}
+	return r[c-len(l)]
+}
+
+// numKey is the float value = compares a numeric value by, with -0 as 0:
+// 1, 1.0 and TRUE have one numKey, and so do INTs that round to one float64.
+// It takes a pointer so the hot loops pass no Value copy.
+func numKey(v *rel.Value) float64 {
+	if f := fastFloat(*v); f != 0 {
+		return f
+	}
+	return 0 // -0
+}
+
 // fastFloat is Value.AsFloat without the method-value copy for the types
 // the accumulator loop sees constantly.
 func fastFloat(v rel.Value) float64 {
-	switch v.Typ {
-	case rel.TypeInt:
+	if v.Typ == rel.TypeInt {
 		return float64(v.I)
-	case rel.TypeFloat:
-		return v.F
-	case rel.TypeBool:
-		if v.B {
-			return 1
-		}
-		return 0
-	default:
-		return v.AsFloat()
 	}
+	if v.Typ == rel.TypeFloat {
+		return v.F
+	}
+	return v.AsFloat()
 }
 
 // newAggAcc precompiles the aggregate items and group-by columns of node
 // into an empty accumulator.
 func newAggAcc(node *plan.Agg) *aggAcc {
-	a := &aggAcc{node: node, nAgg: len(node.Items), slots: make(map[string]int), numSlots: make(map[uint64]int)}
+	a := &aggAcc{node: node, nAgg: len(node.Items), slots: make(map[string]int), numSlots: newKeyTable(0)}
 	for i, item := range node.Items {
 		if item.Agg == nil {
 			continue
@@ -105,52 +121,55 @@ func newAggAcc(node *plan.Agg) *aggAcc {
 		sp := aggArgSpec{idx: i, arg: item.Agg.Arg, col: -1}
 		if sp.arg != nil {
 			sp.col = colOf(sp.arg)
+			a.evalRow = a.evalRow || sp.col < 0
 		}
 		a.specs = append(a.specs, sp)
 	}
 	for _, g := range node.GroupBy {
 		a.keyCols = append(a.keyCols, colOf(g))
+		a.evalRow = a.evalRow || colOf(g) < 0
 	}
 	return a
 }
 
-// slot returns the accumulator slot for the row's group, creating it on
-// first sight. A numeric (INT, FLOAT, BOOL) value is keyed by its float
-// value with -0 as 0, because = and the hash join treat numerically equal
-// values as equal: a lone one by its float64 bits in numSlots, one of
+// slot returns the accumulator slot for the group of the row l⋈r (r nil:
+// the row l), creating it on first sight. A numeric (INT, FLOAT, BOOL) value
+// is keyed by its numKey, because = and the hash join treat numerically
+// equal values as equal: a lone one by its float64 bits in numSlots, one of
 // several as a FLOAT inside the encoded key. Encoded keys are
 // rel.EncodeValue's self-delimiting encoding, so NULLs form a group and TEXT
 // never collides with a number. A new group keeps a copy of its first row:
-// callers may reuse row's backing array (the fused join aggregation does).
-func (a *aggAcc) slot(row rel.Row, seq uint64) int {
+// callers may reuse the rows' backing arrays (a join's slab does).
+func (a *aggAcc) slot(l, r rel.Row, seq uint64) int {
 	a.keyBuf = a.keyBuf[:0]
 	for k, g := range a.node.GroupBy {
 		var v rel.Value
 		if col := a.keyCols[k]; col >= 0 {
-			v = row[col]
+			v = pairCol(l, r, col)
 		} else {
-			v = g.Eval(row)
+			v = g.Eval(l)
 		}
 		if numericType(v.Typ) {
-			f := fastFloat(v)
-			if f == 0 {
-				f = 0 // -0
-			}
 			if len(a.keyCols) == 1 {
-				bits := math.Float64bits(f)
-				if s, ok := a.numSlots[bits]; ok {
-					return s
+				bits := math.Float64bits(numKey(&v))
+				if s := a.numSlots.get(bits); s != 0 {
+					return int(s - 1)
 				}
-				return a.addSlot(groupKey{num: bits, isNum: true}, row.Clone(), seq)
+				return a.addSlot(groupKey{num: bits, isNum: true}, concatRow(l, r), seq)
 			}
-			v = rel.Float(f)
+			v = rel.Float(numKey(&v))
 		}
 		a.keyBuf = rel.EncodeValue(a.keyBuf, v)
 	}
 	if s, ok := a.slots[string(a.keyBuf)]; ok {
 		return s
 	}
-	return a.addSlot(groupKey{str: string(a.keyBuf)}, row.Clone(), seq)
+	return a.addSlot(groupKey{str: string(a.keyBuf)}, concatRow(l, r), seq)
+}
+
+// concatRow is a fresh copy of the row l⋈r (r nil: of l).
+func concatRow(l, r rel.Row) rel.Row {
+	return append(append(make(rel.Row, 0, len(l)+len(r)), l...), r...)
 }
 
 // addSlot appends an empty slot for key, whose earliest row so far is first
@@ -158,7 +177,7 @@ func (a *aggAcc) slot(row rel.Row, seq uint64) int {
 func (a *aggAcc) addSlot(key groupKey, first rel.Row, seq uint64) int {
 	s := len(a.firsts)
 	if key.isNum {
-		a.numSlots[key.num] = s
+		*a.numSlots.ref(key.num) = int32(s + 1)
 	} else {
 		a.slots[key.str] = s
 	}
@@ -174,11 +193,18 @@ func (a *aggAcc) addSlot(key groupKey, first rel.Row, seq uint64) int {
 	return s
 }
 
-// add folds one row into its group's accumulators. seq must be monotone in
-// the input's heap order (the serial operator uses a running counter; the
-// parallel workers derive it from the morsel ordinal).
-func (a *aggAcc) add(row rel.Row, seq uint64) {
-	base := a.slot(row, seq) * a.nAgg
+// add folds the row l⋈r into its group's accumulators: a hash join's probe
+// row and build row, read column by column in place, or with r nil the
+// plain row l. A joined row is built only when some key or argument is an
+// expression. seq must be monotone in the input's heap order (the serial
+// operator uses a running counter; the parallel workers derive it from the
+// morsel ordinal).
+func (a *aggAcc) add(l, r rel.Row, seq uint64) {
+	if r != nil && a.evalRow {
+		a.rowBuf = append(append(a.rowBuf[:0], l...), r...)
+		l, r = a.rowBuf, nil
+	}
+	base := a.slot(l, r, seq) * a.nAgg
 	for s := range a.specs {
 		sp := &a.specs[s]
 		j := base + sp.idx
@@ -188,9 +214,9 @@ func (a *aggAcc) add(row rel.Row, seq uint64) {
 		}
 		var v rel.Value
 		if sp.col >= 0 {
-			v = row[sp.col]
+			v = pairCol(l, r, sp.col)
 		} else {
-			v = sp.arg.Eval(row)
+			v = sp.arg.Eval(l)
 		}
 		if v.Typ == rel.TypeNull {
 			continue
@@ -231,7 +257,8 @@ func (a *aggAcc) mergeFrom(src *aggAcc) {
 		var d int
 		var ok bool
 		if key.isNum {
-			d, ok = a.numSlots[key.num]
+			d = int(a.numSlots.get(key.num)) - 1
+			ok = d >= 0
 		} else {
 			d, ok = a.slots[key.str]
 		}
@@ -341,9 +368,7 @@ func (a *aggAcc) finalize() []rel.Row {
 type aggBatch struct {
 	node  *plan.Agg
 	child BatchIter
-
-	out []rel.Row
-	pos int
+	materialized
 }
 
 func (a *aggBatch) Open() error {
@@ -363,21 +388,10 @@ func (a *aggBatch) Open() error {
 			break
 		}
 		for _, row := range in.Rows {
-			acc.add(row, seq)
+			acc.add(row, nil, seq)
 			seq++
 		}
 	}
 	a.out = acc.finalize()
 	return nil
 }
-
-func (a *aggBatch) NextBatch(dst *rel.Batch) (int, error) {
-	dst.Reset()
-	for a.pos < len(a.out) && dst.Len() < BatchSize {
-		dst.Append(a.out[a.pos])
-		a.pos++
-	}
-	return dst.Len(), nil
-}
-
-func (a *aggBatch) Close() error { return nil }

@@ -75,14 +75,14 @@ func BuildBatch(n plan.Node, ctx *Ctx) (BatchIter, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &nlJoinBatch{on: compilePred(t.On), left: l, right: r, in: rel.NewBatch(0)}, nil
+		return &nlJoinBatch{on: compilePred(t.On), right: r, joinOutput: joinOutputOf(l)}, nil
 	case *plan.IndexJoin:
 		l, err := BuildBatch(t.L, ctx)
 		if err != nil {
 			return nil, err
 		}
 		return &indexJoinBatch{ctx: ctx, node: t, filter: compilePred(t.Filter), residual: compilePred(t.Residual),
-			left: l, in: rel.NewBatch(0)}, nil
+			joinOutput: joinOutputOf(l)}, nil
 	case *plan.Agg:
 		if pipe, w := parallelPipeline(t.Child, ctx); pipe != nil {
 			return &parallelAgg{ctx: ctx, node: t, pipe: pipe, workers: w}, nil
@@ -105,13 +105,13 @@ func BuildBatch(n plan.Node, ctx *Ctx) (BatchIter, error) {
 		return &aggBatch{node: t, child: c}, nil
 	case *plan.Sort:
 		if pipe, w := parallelPipeline(t.Child, ctx); pipe != nil {
-			return &parallelSort{ctx: ctx, keys: t.Keys, pipe: pipe, workers: w}, nil
+			return &parallelSort{sorter: sorter{keys: t.Keys}, ctx: ctx, pipe: pipe, workers: w}, nil
 		}
 		c, err := BuildBatch(t.Child, ctx)
 		if err != nil {
 			return nil, err
 		}
-		return &sortBatch{keys: t.Keys, child: c}, nil
+		return &sortBatch{sorter: sorter{keys: t.Keys}, child: c}, nil
 	case *plan.Limit:
 		cctx := ctx
 		if _, ok := extractPipeline(t.Child); ok {
@@ -124,6 +124,18 @@ func BuildBatch(n plan.Node, ctx *Ctx) (BatchIter, error) {
 		c, err := BuildBatch(t.Child, cctx)
 		if err != nil {
 			return nil, err
+		}
+		// Top-k: a sort under the limit, with at most a streaming
+		// projection between them, keeps only the first N rows.
+		sorted := c
+		if p, ok := c.(*projectBatch); ok {
+			sorted = p.child
+		}
+		switch s := sorted.(type) {
+		case *sortBatch:
+			s.limit = t.N
+		case *parallelSort:
+			s.limit = t.N
 		}
 		return &limitBatch{n: t.N, child: c}, nil
 	default:
@@ -148,7 +160,7 @@ func buildHashJoinBatch(t *plan.HashJoin, ctx *Ctx) (BatchIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &hashJoinBatch{probe: jp, left: l, in: rel.NewBatch(0)}, nil
+	return &hashJoinBatch{probe: jp, joinOutput: joinOutputOf(l)}, nil
 }
 
 // --- scans ---
@@ -274,62 +286,3 @@ func (p *projectBatch) NextBatch(dst *rel.Batch) (int, error) {
 }
 
 func (p *projectBatch) Close() error { return p.child.Close() }
-
-// --- joins ---
-
-// hashJoinBatch is the batched equi-join: Open builds the table (see
-// joinProbe.open), then each probe batch from the left produces its joined
-// rows in one pass. Joined rows overflowing the output batch are carried in
-// pending across calls.
-type hashJoinBatch struct {
-	probe     *joinProbe
-	left      BatchIter
-	in        *rel.Batch // probe-side input scratch
-	pending   []rel.Row  // joined rows awaiting emission
-	pendPos   int
-	slab      []rel.Value // arena joined rows are carved from
-	exhausted bool
-}
-
-// joinSlabValues sizes the output-row arena: joined rows are carved from a
-// shared value slab, so the join allocates once per slab instead of once
-// per output row. Emitted rows keep referencing retired slabs, which stay
-// alive for exactly as long as some consumer holds one of their rows.
-const joinSlabValues = 4096
-
-func (h *hashJoinBatch) Open() error {
-	if err := h.probe.open(); err != nil {
-		return err
-	}
-	return h.left.Open()
-}
-
-func (h *hashJoinBatch) NextBatch(dst *rel.Batch) (int, error) {
-	dst.Reset()
-	for dst.Len() < BatchSize {
-		if h.pendPos < len(h.pending) {
-			dst.Append(h.pending[h.pendPos])
-			h.pendPos++
-			continue
-		}
-		if h.exhausted {
-			break
-		}
-		n, err := h.left.NextBatch(h.in)
-		if err != nil {
-			return 0, err
-		}
-		if n == 0 {
-			h.exhausted = true
-			break
-		}
-		h.pending = h.pending[:0]
-		h.pendPos = 0
-		for _, l := range h.in.Rows {
-			h.pending, h.slab = h.probe.joinRow(h.pending, h.slab, l)
-		}
-	}
-	return dst.Len(), nil
-}
-
-func (h *hashJoinBatch) Close() error { return h.left.Close() }

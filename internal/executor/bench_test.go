@@ -132,10 +132,12 @@ func BenchmarkHashJoinBatch(b *testing.B) {
 
 // BenchmarkHashJoinAggBatch: GROUP BY a build-side column over the 20k x 2k
 // join, serially (aggBatch over hashJoinBatch) and with two workers (the
-// aggregation below the join: per-worker partials fed by the probe).
+// aggregation below the join: per-worker partials fed (probe row, build row)
+// pairs). rows/s counts probe rows.
 func BenchmarkHashJoinAggBatch(b *testing.B) {
+	const probeRows = 20_000
 	e := newBenchEnv(b)
-	probe := e.fill(b, "probe", 20_000, 2000)
+	probe := e.fill(b, "probe", probeRows, 2000)
 	build := e.fill(b, "build", 2000, 2000)
 	grp := &rel.ColRef{Idx: 4} // build.grp
 	node := &plan.Agg{
@@ -163,6 +165,7 @@ func BenchmarkHashJoinAggBatch(b *testing.B) {
 					b.Fatal("empty join aggregate")
 				}
 			}
+			b.ReportMetric(float64(probeRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 		})
 	}
 }
@@ -208,12 +211,10 @@ func BenchmarkAggBatch(b *testing.B) {
 	b.ReportMetric(float64(scanRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
-// BenchmarkFilterGroupAgg is the shape of the referee's group_by_region
-// panel — SELECT region, COUNT(*), SUM(amount) FROM facts WHERE qty < 25
-// GROUP BY region — over 50k rows, serially and with two workers: a
-// column-vs-constant filter pushed into the scan, a single numeric group key.
-func BenchmarkFilterGroupAgg(b *testing.B) {
-	e := newBenchEnv(b)
+// facts is a committed 50k-row table (id, region, qty, amount) shaped like
+// the referee's olap_dashboard facts: 16 regions, 50 quantities, amounts
+// that are multiples of 0.25.
+func (e *benchEnv) facts(b *testing.B) *catalog.Table {
 	tbl, err := e.cat.Create("facts", rel.NewSchema(
 		rel.Column{Name: "id", Typ: rel.TypeInt},
 		rel.Column{Name: "region", Typ: rel.TypeInt},
@@ -236,6 +237,16 @@ func BenchmarkFilterGroupAgg(b *testing.B) {
 	if err := e.mgr.Commit(ctx.Txn); err != nil {
 		b.Fatal(err)
 	}
+	return tbl
+}
+
+// BenchmarkFilterGroupAgg is the shape of the referee's group_by_region
+// panel — SELECT region, COUNT(*), SUM(amount) FROM facts WHERE qty < 25
+// GROUP BY region — over 50k rows, serially and with two workers: a
+// column-vs-constant filter pushed into the scan, a single numeric group key.
+func BenchmarkFilterGroupAgg(b *testing.B) {
+	e := newBenchEnv(b)
+	tbl := e.facts(b)
 	region := &rel.ColRef{Idx: 1}
 	node := &plan.Agg{
 		Child: &plan.SeqScan{Base: plan.Base{Out: tbl.Schema}, Table: tbl,
@@ -261,6 +272,41 @@ func BenchmarkFilterGroupAgg(b *testing.B) {
 				}
 				if got := drainBatch(b, it, batch); got != 16 {
 					b.Fatalf("agg produced %d groups", got)
+				}
+			}
+			b.ReportMetric(float64(scanRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
+}
+
+// BenchmarkOrderByLimit is the shape of the referee's order_by_limit panel
+// — SELECT id, amount FROM facts WHERE qty = 7 ORDER BY amount DESC LIMIT
+// 100 — over 50k rows (~1,000 pass the filter), serially and with two
+// workers: a top-k sort below the projection. rows/s counts scanned rows.
+func BenchmarkOrderByLimit(b *testing.B) {
+	e := newBenchEnv(b)
+	tbl := e.facts(b)
+	amount := &rel.ColRef{Idx: 3}
+	node := &plan.Limit{N: 100, Child: &plan.Project{
+		Exprs: []rel.Expr{&rel.ColRef{Idx: 0}, amount},
+		Child: &plan.Sort{Keys: []plan.SortKey{{E: amount, Desc: true}},
+			Child: &plan.SeqScan{Base: plan.Base{Out: tbl.Schema}, Table: tbl,
+				Filter: &rel.BinOp{Kind: rel.OpEq, L: &rel.ColRef{Idx: 2}, R: &rel.Const{Val: rel.Int(7)}}}},
+	}}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			ctx := e.readCtx()
+			ctx.Workers = workers
+			batch := rel.NewBatch(BatchSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				it, err := BuildBatch(node, ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := drainBatch(b, it, batch); got != 100 {
+					b.Fatalf("top-k produced %d rows", got)
 				}
 			}
 			b.ReportMetric(float64(scanRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")

@@ -250,7 +250,7 @@ func ScanBatches(ctx *Ctx, t *catalog.Table, visit func(*rel.Batch) error) error
 	pipe := &scanPipeline{table: t}
 	var it BatchIter
 	if w := pipelineWorkers(ctx, pipe); w > 1 {
-		it = newParallelScan(ctx, pipe, w)
+		it = &parallelScan{ctx: ctx, pipe: pipe, workers: w}
 	} else {
 		it = &seqScanBatch{ctx: ctx, node: &plan.SeqScan{Table: t}}
 	}

@@ -39,7 +39,6 @@ func dmlParallel(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, where rel.Exp
 	filter := compilePred(where)
 
 	var (
-		wg       sync.WaitGroup
 		stopped  atomic.Bool
 		errMu    sync.Mutex
 		firstErr error
@@ -53,43 +52,36 @@ func dmlParallel(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, where rel.Exp
 		stopped.Store(true)
 	}
 
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			parallelWorkerCount.Add(1)
-			defer parallelWorkerCount.Add(-1)
-			defer wg.Done()
-			buf := make([]*storage.Version, storage.RowsPerPage)
-			ids := make([]storage.RowID, 0, storage.RowsPerPage)
-			rows := make([]rel.Row, 0, storage.RowsPerPage)
-			for !stopped.Load() {
-				idx, lo, hi, ok := ms.Next()
-				if !ok {
+	fanOut(workers, func(int) {
+		buf := make([]*storage.Version, storage.RowsPerPage)
+		ids := make([]storage.RowID, 0, storage.RowsPerPage)
+		rows := make([]rel.Row, 0, storage.RowsPerPage)
+		for !stopped.Load() {
+			idx, lo, hi, ok := ms.Next()
+			if !ok {
+				return
+			}
+			var pages []dmlPageRes
+			for pg := lo; pg < hi && !stopped.Load(); pg++ {
+				ids = ids[:0]
+				rows, _ = pageRows(ctx, t, pg, &filter, buf, rows[:0], &ids)
+				if len(ids) == 0 {
+					continue
+				}
+				res := dmlPageRes{
+					ids:  append([]storage.RowID(nil), ids...),
+					olds: append([]rel.Row(nil), rows...),
+				}
+				var err error
+				if res.news, err = claimPage(ctx, t, set, res.ids, res.olds, nil); err != nil {
+					fail(err)
 					return
 				}
-				var pages []dmlPageRes
-				for pg := lo; pg < hi && !stopped.Load(); pg++ {
-					ids = ids[:0]
-					rows, _ = pageRows(ctx, t, pg, &filter, buf, rows[:0], &ids)
-					if len(ids) == 0 {
-						continue
-					}
-					res := dmlPageRes{
-						ids:  append([]storage.RowID(nil), ids...),
-						olds: append([]rel.Row(nil), rows...),
-					}
-					var err error
-					if res.news, err = claimPage(ctx, t, set, res.ids, res.olds, nil); err != nil {
-						fail(err)
-						return
-					}
-					pages = append(pages, res)
-				}
-				results[idx] = pages
+				pages = append(pages, res)
 			}
-		}()
-	}
-	wg.Wait()
+			results[idx] = pages
+		}
+	})
 	if firstErr != nil {
 		return 0, firstErr
 	}

@@ -1,25 +1,94 @@
 package executor
 
 import (
+	"math"
+
 	"neurdb/internal/plan"
 	"neurdb/internal/rel"
 	"neurdb/internal/storage"
 )
 
+// joinOutput is the emission side the three batch joins share: each batch
+// of the left (outer, probe) input is joined at once, its joined rows carved
+// from a shared value slab (see emitJoined) into pending, which NextBatch
+// drains across calls.
+type joinOutput struct {
+	left      BatchIter
+	in        *rel.Batch // left-side input scratch
+	pending   []rel.Row
+	pendPos   int
+	slab      []rel.Value
+	exhausted bool
+}
+
+// joinOutputOf is a joinOutput over the left input.
+func joinOutputOf(left BatchIter) joinOutput { return joinOutput{left: left, in: rel.NewBatch(0)} }
+
+// next fills dst from pending, calling join with the next left batch's rows
+// whenever pending runs dry; join appends their joined rows to pending.
+func (j *joinOutput) next(dst *rel.Batch, join func(in []rel.Row)) (int, error) {
+	dst.Reset()
+	for dst.Len() < BatchSize {
+		if j.pendPos < len(j.pending) {
+			dst.Append(j.pending[j.pendPos])
+			j.pendPos++
+			continue
+		}
+		if j.exhausted {
+			break
+		}
+		n, err := j.left.NextBatch(j.in)
+		if err != nil {
+			return 0, err
+		}
+		if n == 0 {
+			j.exhausted = true
+			break
+		}
+		j.pending, j.pendPos = j.pending[:0], 0
+		join(j.in.Rows)
+	}
+	return dst.Len(), nil
+}
+
+func (j *joinOutput) Close() error { return j.left.Close() }
+
+// joinSlabValues sizes the output-row arena: joined rows are carved from a
+// shared value slab, so a join allocates once per slab instead of once per
+// output row. Emitted rows keep referencing retired slabs, which stay alive
+// for exactly as long as some consumer holds one of their rows.
+const joinSlabValues = 4096
+
+// hashJoinBatch is the batched equi-join: Open builds the table (see
+// joinProbe.open), then each probe batch from the left produces its joined
+// rows in one pass.
+type hashJoinBatch struct {
+	probe *joinProbe
+	joinOutput
+}
+
+func (h *hashJoinBatch) Open() error {
+	if err := h.probe.open(); err != nil {
+		return err
+	}
+	return h.left.Open()
+}
+
+func (h *hashJoinBatch) NextBatch(dst *rel.Batch) (int, error) {
+	return h.next(dst, func(in []rel.Row) {
+		for _, l := range in {
+			h.pending, h.slab = h.probe.joinRow(h.pending, h.slab, l)
+		}
+	})
+}
+
 // nlJoinBatch is the batched nested-loop join: Open materializes the inner
-// (right) side once, then every outer batch rescans it in a tight loop —
-// joined rows are carved from a shared value slab and carried in pending
-// across NextBatch calls, exactly like the hash join's emission path. With
-// this, no relational operator is left on the row-iterator adapter.
+// (right) side once, then every outer batch rescans it in a tight loop.
 type nlJoinBatch struct {
-	on          pred
-	left, right BatchIter
-	rightRows   []rel.Row
-	in          *rel.Batch // outer-side input scratch
-	pending     []rel.Row
-	pendPos     int
-	slab        []rel.Value
-	exhausted   bool
+	on        pred
+	right     BatchIter
+	rightRows []rel.Row
+	joinOutput
 }
 
 func (j *nlJoinBatch) Open() error {
@@ -63,83 +132,38 @@ func emitJoined(pending []rel.Row, slab []rel.Value, l, r rel.Row, cond *pred) (
 }
 
 func (j *nlJoinBatch) NextBatch(dst *rel.Batch) (int, error) {
-	dst.Reset()
-	for dst.Len() < BatchSize {
-		if j.pendPos < len(j.pending) {
-			dst.Append(j.pending[j.pendPos])
-			j.pendPos++
-			continue
-		}
-		if j.exhausted {
-			break
-		}
-		n, err := j.left.NextBatch(j.in)
-		if err != nil {
-			return 0, err
-		}
-		if n == 0 {
-			j.exhausted = true
-			break
-		}
-		j.pending = j.pending[:0]
-		j.pendPos = 0
-		for _, l := range j.in.Rows {
+	return j.next(dst, func(in []rel.Row) {
+		for _, l := range in {
 			for _, r := range j.rightRows {
 				j.pending, j.slab = emitJoined(j.pending, j.slab, l, r, &j.on)
 			}
 		}
-	}
-	return dst.Len(), nil
+	})
 }
-
-func (j *nlJoinBatch) Close() error { return j.left.Close() }
 
 // indexJoinBatch probes the inner table's index for each outer batch in one
 // catalog.Index.LookupBatch call — one index-lock acquisition per batch
 // instead of per row — then resolves visibility once per RowID of each key's
-// posting list and emits joined rows through the shared slab/pending path.
+// posting list.
 type indexJoinBatch struct {
 	ctx              *Ctx
 	node             *plan.IndexJoin
 	filter, residual pred
-	left             BatchIter
 
-	in      *rel.Batch
 	keys    []rel.Value // non-null probe keys of the current batch
-	keyRows []int       // aligned index into in.Rows for each key
+	keyRows []int       // aligned index into the batch for each key
 	ids     []storage.RowID
 	offs    []int
 	heads   []*storage.Version // chain heads of one key's postings
-
-	pending   []rel.Row
-	pendPos   int
-	slab      []rel.Value
-	exhausted bool
+	joinOutput
 }
 
 func (j *indexJoinBatch) Open() error { return j.left.Open() }
 
 func (j *indexJoinBatch) NextBatch(dst *rel.Batch) (int, error) {
-	dst.Reset()
-	for dst.Len() < BatchSize {
-		if j.pendPos < len(j.pending) {
-			dst.Append(j.pending[j.pendPos])
-			j.pendPos++
-			continue
-		}
-		if j.exhausted {
-			break
-		}
-		n, err := j.left.NextBatch(j.in)
-		if err != nil {
-			return 0, err
-		}
-		if n == 0 {
-			j.exhausted = true
-			break
-		}
+	return j.next(dst, func(in []rel.Row) {
 		j.keys, j.keyRows = j.keys[:0], j.keyRows[:0]
-		for i, l := range j.in.Rows {
+		for i, l := range in {
 			key := l[j.node.LKey]
 			if key.IsNull() {
 				continue
@@ -148,11 +172,9 @@ func (j *indexJoinBatch) NextBatch(dst *rel.Batch) (int, error) {
 			j.keyRows = append(j.keyRows, i)
 		}
 		j.ids, j.offs = j.node.Index.LookupBatch(j.keys, j.ids[:0], j.offs[:0])
-		j.pending = j.pending[:0]
-		j.pendPos = 0
 		start := 0
 		for k, key := range j.keys {
-			l := j.in.Rows[j.keyRows[k]]
+			l := in[j.keyRows[k]]
 			// Each RowID once per probe key (see indexScanIDs): a row whose
 			// key moved away and back has two postings under it, and both
 			// would pass the recheck. The segment is ours to sort in place.
@@ -174,8 +196,129 @@ func (j *indexJoinBatch) NextBatch(dst *rel.Batch) (int, error) {
 			}
 			start = j.offs[k]
 		}
-	}
-	return dst.Len(), nil
+	})
 }
 
-func (j *indexJoinBatch) Close() error { return j.left.Close() }
+// --- the hash join's build table ---
+
+// keyTable is an open-addressing hash table from a 64-bit key to an int32
+// entry: the hash join's build table and the aggregate's numeric group slots
+// both use it. Entry 0 marks a free slot, so callers store index+1. A key's
+// home slot is its Fibonacci hash; collisions probe linearly, and the table
+// doubles before it is three quarters full.
+type keyTable struct {
+	slots []keySlot
+	shift uint // 64 - log2(len(slots))
+	n     int  // occupied slots
+}
+
+type keySlot struct {
+	key   uint64
+	entry int32
+}
+
+// newKeyTable returns a table that holds n keys without growing.
+func newKeyTable(n int) keyTable {
+	size, shift := 8, uint(61)
+	for size*3 < n*4 {
+		size, shift = size*2, shift-1
+	}
+	return keyTable{slots: make([]keySlot, size), shift: shift}
+}
+
+func (t *keyTable) home(key uint64) int { return int(key * 0x9e3779b97f4a7c15 >> t.shift) }
+
+// get returns key's entry, 0 when key is absent.
+func (t *keyTable) get(key uint64) int32 {
+	mask := len(t.slots) - 1
+	for i := t.home(key); ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.entry == 0 || s.key == key {
+			return s.entry
+		}
+	}
+}
+
+// ref returns key's entry for the caller to set, claiming a free slot (entry
+// 0, which the caller must overwrite) when key is absent. The pointer is
+// valid until the next ref.
+func (t *keyTable) ref(key uint64) *int32 {
+	if (t.n+1)*4 > len(t.slots)*3 {
+		old := t.slots
+		t.slots, t.shift, t.n = make([]keySlot, 2*len(old)), t.shift-1, 0
+		for _, s := range old {
+			if s.entry != 0 {
+				*t.ref(s.key) = s.entry
+			}
+		}
+	}
+	mask := len(t.slots) - 1
+	for i := t.home(key); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.entry == 0 {
+			s.key = key
+			t.n++
+			return &s.entry
+		}
+		if s.key == key {
+			return &s.entry
+		}
+	}
+}
+
+// joinTable is a hash join's build side: the build rows in build (heap)
+// order, a keyTable from each key to the first row holding it, and a next
+// chain through each key's rows in build order. A numeric key (INT, DOUBLE,
+// BOOL) is keyed by its numKey's float64 bits, so numerically equal keys
+// match by bit compare, exactly as = has it; a TEXT key by Value.Hash,
+// rechecked with rel.Equal. A NULL key is never linked: it joins nothing.
+type joinTable struct {
+	col   int // key column of the build rows
+	rows  []rel.Row
+	next  []int32 // next row (index+1) under the same table key; 0 ends the chain
+	heads keyTable
+}
+
+// tableKey is v's key in a joinTable.
+func tableKey(v *rel.Value) uint64 {
+	if numericType(v.Typ) {
+		return math.Float64bits(numKey(v))
+	}
+	return v.Hash()
+}
+
+func newJoinTable(rows []rel.Row, col int) *joinTable {
+	t := &joinTable{col: col, rows: rows, next: make([]int32, len(rows)), heads: newKeyTable(len(rows))}
+	// Linking back to front leaves every chain in build order.
+	for i := len(rows) - 1; i >= 0; i-- {
+		if key := rows[i][col]; !key.IsNull() {
+			head := t.heads.ref(tableKey(&key))
+			t.next[i], *head = *head, int32(i+1)
+		}
+	}
+	return t
+}
+
+// seek returns the first row, from chain entry e on, whose key equals the
+// probe key (as index+1; 0 when none). A chain holds one table key, which a
+// numeric key and a TEXT hash may share: a numeric probe takes the chain's
+// numeric rows, a TEXT probe the rows rel.Equal to it.
+func (t *joinTable) seek(e int32, key *rel.Value) int32 {
+	num := numericType(key.Typ)
+	for ; e != 0; e = t.next[e-1] {
+		if bk := &t.rows[e-1][t.col]; num && numericType(bk.Typ) || !num && rel.Equal(*bk, *key) {
+			return e
+		}
+	}
+	return 0
+}
+
+// first returns the first build row that joins a probe row with this key,
+// 0 when none does; after(e, key) the next one. Matches come in build order.
+func (t *joinTable) first(key *rel.Value) int32 {
+	if key.IsNull() {
+		return 0
+	}
+	return t.seek(t.heads.get(tableKey(key)), key)
+}
+
+func (t *joinTable) after(e int32, key *rel.Value) int32 { return t.seek(t.next[e-1], key) }

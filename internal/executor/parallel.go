@@ -3,10 +3,10 @@
 // scan→filter→project pipelines, with parallel implementations of
 // aggregation (per-worker partial accumulators merged in heap first-seen
 // order), sort (per-worker sorted runs + pairwise merge with a heap-order
-// tie break), and hash join (lock-striped parallel build, parallel probe).
+// tie break), and hash join (morsel-ordered parallel build, parallel probe).
 // An aggregate over a hash join with a parallel probe side aggregates below
-// the join: the probe is the last stage of the aggregation's pipeline and
-// each worker folds its matches into its partial, so no joined row is
+// the join: each worker probes with its morsel's rows and folds every
+// (probe row, build row) pair into its partial, so no joined row is
 // materialized. All parallel operators emit exactly the row sequence their
 // serial counterparts produce: morsels are re-sequenced in heap order by a
 // bounded ring of rendezvous slots, and partials carry heap-order sequence
@@ -17,7 +17,6 @@ package executor
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -100,10 +99,7 @@ func pipelineWorkers(ctx *Ctx, p *scanPipeline) int {
 	if pages < minParallelPages {
 		return 0
 	}
-	w := ctx.Workers
-	if m := (pages + MorselPages - 1) / MorselPages; w > m {
-		w = m
-	}
+	w := min(ctx.Workers, (pages+MorselPages-1)/MorselPages)
 	if w <= 1 {
 		return 0
 	}
@@ -132,8 +128,8 @@ func (ctx *Ctx) serialized() *Ctx {
 // every pipeline stage applied, appending them to rows[:0]. It returns
 // idx=-1 once the source is drained. Only the ordered exchange passes nil,
 // getting a fresh slice per morsel whose ownership goes to the consumer —
-// that is what makes the exchange race-free; the aggregation, sort and
-// join-build workers pass back one buffer of their own, morsel after morsel.
+// that is what makes the exchange race-free; the workers of eachMorsel pass
+// back one buffer of their own, morsel after morsel.
 func (p *scanPipeline) morselRows(ctx *Ctx, ms *storage.MorselSource, buf []*storage.Version, rows []rel.Row) (int, []rel.Row) {
 	idx, lo, hi, ok := ms.Next()
 	if !ok {
@@ -167,6 +163,37 @@ func (p *scanPipeline) morselRows(ctx *Ctx, ms *storage.MorselSource, buf []*sto
 		}
 	}
 	return idx, rows
+}
+
+// eachMorsel claims morsels of p until ms is drained, handing fn each one's
+// ordinal and rows. The rows slice is reused from morsel to morsel; the rows
+// in it are not.
+func (p *scanPipeline) eachMorsel(ctx *Ctx, ms *storage.MorselSource, fn func(idx int, rows []rel.Row)) {
+	buf := make([]*storage.Version, storage.RowsPerPage)
+	var rows []rel.Row
+	for {
+		var idx int
+		if idx, rows = p.morselRows(ctx, ms, buf, rows); idx < 0 {
+			return
+		}
+		fn(idx, rows)
+	}
+}
+
+// fanOut runs fn(0), …, fn(n-1) on n counted morsel workers and waits for
+// all of them.
+func fanOut(n int, fn func(w int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for w := 0; w < n; w++ {
+		go func() {
+			parallelWorkerCount.Add(1)
+			defer parallelWorkerCount.Add(-1)
+			defer wg.Done()
+			fn(w)
+		}()
+	}
+	wg.Wait()
 }
 
 // --- ordered exchange (parallel scan/filter/project) ---
@@ -206,10 +233,6 @@ type parallelScan struct {
 	closed  bool
 }
 
-func newParallelScan(ctx *Ctx, pipe *scanPipeline, workers int) *parallelScan {
-	return &parallelScan{ctx: ctx, pipe: pipe, workers: workers}
-}
-
 // tryParallelScan returns a morsel-parallel iterator when n is a pure
 // scan→filter→project pipeline over a heap large enough to split.
 func tryParallelScan(n plan.Node, ctx *Ctx) (BatchIter, bool) {
@@ -217,7 +240,7 @@ func tryParallelScan(n plan.Node, ctx *Ctx) (BatchIter, bool) {
 	if pipe == nil {
 		return nil, false
 	}
-	return newParallelScan(ctx, pipe, w), true
+	return &parallelScan{ctx: ctx, pipe: pipe, workers: w}, true
 }
 
 func (s *parallelScan) Open() error {
@@ -308,22 +331,21 @@ func (s *parallelScan) Close() error {
 //
 // When probe is set the pipeline is the probe side of a hash join and the
 // aggregate sits on the join: Open builds the table before any worker
-// starts, and each worker joins its morsel's rows a probe row at a time into
-// a reused scratch slab and folds every match into its partial — no joined
-// row is kept (aggAcc.slot clones a group's first one), re-sequenced or
-// aggregated on one goroutine. A match's sequence is morsel<<32 plus the
-// count of matches before it in the morsel; matches come in probe-row order,
-// then bucket (build) order, so the sequences order the joined rows exactly
-// as the serial join emits them and first-seen group order is the serial one.
+// starts, and each worker folds its morsel's matches into its partial as
+// (probe row, build row) pairs — no joined row is built unless a group keeps
+// it as its first row, or the join has a residual, which must see one (those
+// go through emitJoined's scratch slab). A match's sequence is morsel<<32
+// plus the count of matches before it in the morsel; matches come in
+// probe-row order, then build order, so the sequences order the joined rows
+// exactly as the serial join emits them and first-seen group order is the
+// serial one.
 type parallelAgg struct {
 	ctx     *Ctx
 	node    *plan.Agg
 	pipe    *scanPipeline
 	workers int
 	probe   *joinProbe // nil: aggregate the pipeline's rows
-
-	out []rel.Row
-	pos int
+	materialized
 }
 
 func (a *parallelAgg) Open() error {
@@ -334,43 +356,34 @@ func (a *parallelAgg) Open() error {
 	}
 	ms := a.pipe.table.Heap.NewMorselSource(MorselPages)
 	partials := make([]*aggAcc, a.workers)
-	var wg sync.WaitGroup
-	wg.Add(a.workers)
-	for w := 0; w < a.workers; w++ {
-		go func(w int) {
-			parallelWorkerCount.Add(1)
-			defer parallelWorkerCount.Add(-1)
-			defer wg.Done()
-			acc := newAggAcc(a.node)
-			buf := make([]*storage.Version, storage.RowsPerPage)
-			var rows, joined []rel.Row
-			var slab []rel.Value
-			for {
-				var idx int
-				idx, rows = a.pipe.morselRows(a.ctx, ms, buf, rows)
-				if idx < 0 {
-					break
-				}
-				seq := uint64(idx) << 32
-				if a.probe == nil {
-					for _, row := range rows {
-						acc.add(row, seq)
+	fanOut(a.workers, func(w int) {
+		acc := newAggAcc(a.node)
+		var joined []rel.Row
+		var slab []rel.Value
+		a.pipe.eachMorsel(a.ctx, ms, func(idx int, rows []rel.Row) {
+			seq := uint64(idx) << 32
+			for _, l := range rows {
+				switch jp := a.probe; {
+				case jp == nil:
+					acc.add(l, nil, seq)
+					seq++
+				case jp.residual.e == nil:
+					key := &l[jp.node.LKey]
+					for e := jp.table.first(key); e != 0; e = jp.table.after(e, key) {
+						acc.add(l, jp.table.rows[e-1], seq)
 						seq++
 					}
-					continue
-				}
-				for _, l := range rows {
-					joined, slab = a.probe.joinRow(joined[:0], slab[:0], l)
+				default:
+					joined, slab = jp.joinRow(joined[:0], slab[:0], l)
 					for _, row := range joined {
-						acc.add(row, seq)
+						acc.add(row, nil, seq)
 						seq++
 					}
 				}
 			}
-			partials[w] = acc
-		}(w)
-	}
-	wg.Wait()
+		})
+		partials[w] = acc
+	})
 	merged := partials[0]
 	for _, p := range partials[1:] {
 		merged.mergeFrom(p)
@@ -379,196 +392,63 @@ func (a *parallelAgg) Open() error {
 	return nil
 }
 
-func (a *parallelAgg) NextBatch(dst *rel.Batch) (int, error) {
-	dst.Reset()
-	for a.pos < len(a.out) && dst.Len() < BatchSize {
-		dst.Append(a.out[a.pos])
-		a.pos++
-	}
-	return dst.Len(), nil
-}
-
-func (a *parallelAgg) Close() error { return nil }
-
 // --- parallel sort ---
 
-// sortRun is one worker's share of a parallel sort: rows with precomputed
-// columnar key values, a heap-order sequence per row, and a sorted index
-// permutation over them.
-type sortRun struct {
-	rows []rel.Row
-	keys [][]rel.Value // [key][row]
-	seqs []uint64
-	idx  []int32
-}
-
 // parallelSort parallelizes key extraction and run sorting across workers,
-// then k-way-merges the runs. Ties on every sort key break on the row's
+// then merges the runs pairwise. Ties on every sort key break on the row's
 // heap-order sequence, which reproduces the serial operator's stable sort
-// exactly (stability there means heap order too).
+// exactly (stability there means heap order too). Under a limit each worker
+// keeps only its top rows (see sorter.add) and every merge stops at the
+// limit.
 type parallelSort struct {
+	sorter
 	ctx     *Ctx
-	keys    []plan.SortKey
 	pipe    *scanPipeline
 	workers int
-
-	out []rel.Row
-	pos int
-}
-
-// less orders (run a, position ai) against (run b, position bi) by the sort
-// keys with a heap-sequence tie break. Positions index the runs' idx
-// permutations' targets directly.
-func (s *parallelSort) less(a *sortRun, ai int32, b *sortRun, bi int32) bool {
-	for k := range s.keys {
-		c := rel.Compare(a.keys[k][ai], b.keys[k][bi])
-		if c == 0 {
-			continue
-		}
-		if s.keys[k].Desc {
-			return c > 0
-		}
-		return c < 0
-	}
-	return a.seqs[ai] < b.seqs[bi]
+	materialized
 }
 
 func (s *parallelSort) Open() error {
 	ms := s.pipe.table.Heap.NewMorselSource(MorselPages)
 	runs := make([]*sortRun, s.workers)
-	var wg sync.WaitGroup
-	wg.Add(s.workers)
-	for w := 0; w < s.workers; w++ {
-		go func(w int) {
-			parallelWorkerCount.Add(1)
-			defer parallelWorkerCount.Add(-1)
-			defer wg.Done()
-			run := &sortRun{keys: make([][]rel.Value, len(s.keys))}
-			buf := make([]*storage.Version, storage.RowsPerPage)
-			var rows []rel.Row
-			for {
-				var idx int
-				idx, rows = s.pipe.morselRows(s.ctx, ms, buf, rows)
-				if idx < 0 {
-					break
-				}
-				seq := uint64(idx) << 32
-				for _, row := range rows {
-					run.rows = append(run.rows, row)
-					run.seqs = append(run.seqs, seq)
-					seq++
-					for k := range s.keys {
-						run.keys[k] = append(run.keys[k], s.keys[k].E.Eval(row))
-					}
-				}
+	fanOut(s.workers, func(w int) {
+		run := s.newRun()
+		s.pipe.eachMorsel(s.ctx, ms, func(idx int, rows []rel.Row) {
+			seq := uint64(idx) << 32
+			for _, row := range rows {
+				s.add(run, row, seq)
+				seq++
 			}
-			run.idx = make([]int32, len(run.rows))
-			for i := range run.idx {
-				run.idx[i] = int32(i)
-			}
-			// The seq tie break makes the order total, so an unstable
-			// sort is deterministic here.
-			sort.Slice(run.idx, func(i, j int) bool {
-				return s.less(run, run.idx[i], run, run.idx[j])
-			})
-			runs[w] = run
-		}(w)
-	}
-	wg.Wait()
-
+		})
+		s.sortIdx(run)
+		runs[w] = run
+	})
 	// Merge the runs pairwise, tree-wise: each round halves the run count,
 	// with every pair merged on its own goroutine, so the merge does
 	// O(n log w) work across workers instead of O(n·w) on one. The seq tie
-	// break makes the order total, so every merge schedule — pairwise or
-	// the old k-way — produces the one sorted sequence: output identical.
+	// break makes the order total, so every merge schedule produces the one
+	// sorted sequence.
 	for len(runs) > 1 {
 		next := make([]*sortRun, (len(runs)+1)/2)
-		var mwg sync.WaitGroup
-		for i := 0; i+1 < len(runs); i += 2 {
-			mwg.Add(1)
-			go func(i int) {
-				parallelWorkerCount.Add(1)
-				defer parallelWorkerCount.Add(-1)
-				defer mwg.Done()
-				next[i/2] = s.mergeRuns(runs[i], runs[i+1])
-			}(i)
-		}
+		fanOut(len(runs)/2, func(i int) { next[i] = s.mergeRuns(runs[2*i], runs[2*i+1]) })
 		if len(runs)%2 == 1 {
 			next[len(next)-1] = runs[len(runs)-1]
 		}
-		mwg.Wait()
 		runs = next
 	}
-	final := runs[0]
-	s.out = make([]rel.Row, len(final.rows))
-	for i, p := range final.idx {
-		s.out[i] = final.rows[p]
-	}
+	s.out = s.sorted(runs[0])
 	return nil
 }
-
-// mergeRuns merges two sorted runs into one whose idx permutation is the
-// identity (rows, keys, and seqs are laid out in sorted order), so merged
-// runs compose with further merges and with the final extraction.
-func (s *parallelSort) mergeRuns(a, b *sortRun) *sortRun {
-	n := len(a.idx) + len(b.idx)
-	out := &sortRun{
-		rows: make([]rel.Row, 0, n),
-		seqs: make([]uint64, 0, n),
-		keys: make([][]rel.Value, len(s.keys)),
-		idx:  make([]int32, n),
-	}
-	for k := range out.keys {
-		out.keys[k] = make([]rel.Value, 0, n)
-	}
-	take := func(r *sortRun, p int32) {
-		out.rows = append(out.rows, r.rows[p])
-		out.seqs = append(out.seqs, r.seqs[p])
-		for k := range out.keys {
-			out.keys[k] = append(out.keys[k], r.keys[k][p])
-		}
-	}
-	ai, bi := 0, 0
-	for ai < len(a.idx) && bi < len(b.idx) {
-		if s.less(b, b.idx[bi], a, a.idx[ai]) {
-			take(b, b.idx[bi])
-			bi++
-		} else {
-			take(a, a.idx[ai])
-			ai++
-		}
-	}
-	for ; ai < len(a.idx); ai++ {
-		take(a, a.idx[ai])
-	}
-	for ; bi < len(b.idx); bi++ {
-		take(b, b.idx[bi])
-	}
-	for i := range out.idx {
-		out.idx[i] = int32(i)
-	}
-	return out
-}
-
-func (s *parallelSort) NextBatch(dst *rel.Batch) (int, error) {
-	dst.Reset()
-	for s.pos < len(s.out) && dst.Len() < BatchSize {
-		dst.Append(s.out[s.pos])
-		s.pos++
-	}
-	return dst.Len(), nil
-}
-
-func (s *parallelSort) Close() error { return nil }
 
 // --- parallel hash join ---
 
 // joinProbe is a hash join's build side and match logic, shared by the
 // three operators that probe it: the serial hashJoinBatch, the pipeline
-// stage of parallelHashJoin and the fused parallelAgg. open builds the table
-// — with a worker pool when the build side is a large-enough pipeline
-// (buildPipe), serially from the batch iterator right otherwise — before any
-// probe runs; afterwards it is read-only, so workers share it.
+// stage of parallelHashJoin and the fused parallelAgg. open builds the
+// joinTable — from a worker pool's morsels when the build side is a
+// large-enough pipeline (buildPipe), serially from the batch iterator right
+// otherwise — before any probe runs; afterwards it is read-only, so workers
+// share it.
 type joinProbe struct {
 	ctx          *Ctx
 	node         *plan.HashJoin
@@ -576,7 +456,7 @@ type joinProbe struct {
 	buildPipe    *scanPipeline
 	buildWorkers int
 	right        BatchIter // serial build input; nil when buildPipe is set
-	table        map[uint64][]rel.Row
+	table        *joinTable
 }
 
 func newJoinProbe(t *plan.HashJoin, ctx *Ctx) (*joinProbe, error) {
@@ -591,45 +471,46 @@ func newJoinProbe(t *plan.HashJoin, ctx *Ctx) (*joinProbe, error) {
 	return jp, nil
 }
 
-// open builds the probe table. Either way every bucket is in build (heap)
-// order, so probe match order does not depend on how the table was built.
+// open builds the join table over the build rows in build (heap) order:
+// parallel workers file each morsel's rows under its ordinal, and the
+// morsels are concatenated in order, so the table — and probe match order —
+// does not depend on how it was built.
 func (jp *joinProbe) open() error {
+	var rows []rel.Row
 	if jp.buildPipe != nil {
-		jp.table = buildJoinTableParallel(jp.ctx, jp.buildPipe, jp.node.RKey, jp.buildWorkers)
-		return nil
-	}
-	if err := jp.right.Open(); err != nil {
-		return err
-	}
-	defer jp.right.Close()
-	jp.table = make(map[uint64][]rel.Row)
-	build := rel.NewBatch(BatchSize)
-	for {
-		n, err := jp.right.NextBatch(build)
-		if err != nil || n == 0 {
+		ms := jp.buildPipe.table.Heap.NewMorselSource(MorselPages)
+		parts := make([][]rel.Row, ms.Morsels())
+		fanOut(jp.buildWorkers, func(int) {
+			jp.buildPipe.eachMorsel(jp.ctx, ms, func(idx int, morsel []rel.Row) { parts[idx] = slices.Clone(morsel) })
+		})
+		rows = slices.Concat(parts...)
+	} else {
+		if err := jp.right.Open(); err != nil {
 			return err
 		}
-		for _, row := range build.Rows {
-			if key := row[jp.node.RKey]; !key.IsNull() {
-				h := key.Hash()
-				jp.table[h] = append(jp.table[h], row)
+		defer jp.right.Close()
+		build := rel.NewBatch(BatchSize)
+		for {
+			n, err := jp.right.NextBatch(build)
+			if err != nil {
+				return err
 			}
+			if n == 0 {
+				break
+			}
+			rows = append(rows, build.Rows...)
 		}
 	}
+	jp.table = newJoinTable(rows, jp.node.RKey)
+	return nil
 }
 
 // joinRow appends to out, via emitJoined's slab, l⋈r for every build row r
-// that joins the probe row l: a NULL key joins nothing, the hash bucket is
-// rechecked with rel.Equal, and the residual must hold on the joined row.
+// that joins the probe row l and passes the residual.
 func (jp *joinProbe) joinRow(out []rel.Row, slab []rel.Value, l rel.Row) ([]rel.Row, []rel.Value) {
-	key := l[jp.node.LKey]
-	if key.IsNull() {
-		return out, slab
-	}
-	for _, r := range jp.table[key.Hash()] {
-		if rel.Equal(r[jp.node.RKey], key) {
-			out, slab = emitJoined(out, slab, l, r, &jp.residual)
-		}
+	key := &l[jp.node.LKey]
+	for e := jp.table.first(key); e != 0; e = jp.table.after(e, key) {
+		out, slab = emitJoined(out, slab, l, jp.table.rows[e-1], &jp.residual)
 	}
 	return out, slab
 }
@@ -643,123 +524,6 @@ func (jp *joinProbe) apply(in []rel.Row) []rel.Row {
 		out, slab = jp.joinRow(out, slab, l)
 	}
 	return out
-}
-
-// joinStripeCount is the lock striping of the parallel build table: hash
-// buckets are distributed over this many independently locked stripes.
-const joinStripeCount = 64
-
-// buildJoinTableParallel drains a build-side pipeline with a worker pool
-// into a lock-striped hash table, then flattens it into the plain probe
-// table with every bucket sorted by build (heap) sequence — probe match
-// order is therefore identical to a serial build.
-func buildJoinTableParallel(ctx *Ctx, pipe *scanPipeline, rkey, workers int) map[uint64][]rel.Row {
-	type buildEnt struct {
-		seq uint64
-		row rel.Row
-	}
-	type stripe struct {
-		mu sync.Mutex
-		m  map[uint64][]buildEnt
-	}
-	stripes := make([]*stripe, joinStripeCount)
-	for i := range stripes {
-		stripes[i] = &stripe{m: make(map[uint64][]buildEnt)}
-	}
-	ms := pipe.table.Heap.NewMorselSource(MorselPages)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			parallelWorkerCount.Add(1)
-			defer parallelWorkerCount.Add(-1)
-			defer wg.Done()
-			buf := make([]*storage.Version, storage.RowsPerPage)
-			local := make([]map[uint64][]buildEnt, joinStripeCount)
-			var rows []rel.Row
-			for {
-				var idx int
-				idx, rows = pipe.morselRows(ctx, ms, buf, rows)
-				if idx < 0 {
-					return
-				}
-				// Accumulate the morsel into worker-local stripe maps, then
-				// splice each touched stripe under one lock acquisition —
-				// per-morsel instead of per-row locking. The post-build
-				// bucket sort restores deterministic (seq) order, so splice
-				// interleaving across workers is irrelevant.
-				base := uint64(idx) << 32
-				for i, row := range rows {
-					key := row[rkey]
-					if key.IsNull() {
-						continue
-					}
-					h := key.Hash()
-					s := h % joinStripeCount
-					if local[s] == nil {
-						local[s] = make(map[uint64][]buildEnt)
-					}
-					local[s][h] = append(local[s][h], buildEnt{base + uint64(i), row})
-				}
-				for s, m := range local {
-					if m == nil {
-						continue
-					}
-					st := stripes[s]
-					st.mu.Lock()
-					for h, ents := range m {
-						st.m[h] = append(st.m[h], ents...)
-					}
-					st.mu.Unlock()
-					local[s] = nil
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	// Flatten: the per-bucket seq sort is embarrassingly parallel (stripes
-	// partition the hash space), so workers claim stripes from an atomic
-	// counter and sort concurrently; only the final map assembly — bucket
-	// pointers, no row data — runs single-threaded.
-	flat := make([]map[uint64][]rel.Row, joinStripeCount)
-	var nextStripe atomic.Int64
-	var swg sync.WaitGroup
-	swg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			parallelWorkerCount.Add(1)
-			defer parallelWorkerCount.Add(-1)
-			defer swg.Done()
-			for {
-				si := int(nextStripe.Add(1)) - 1
-				if si >= joinStripeCount {
-					return
-				}
-				st := stripes[si]
-				if len(st.m) == 0 {
-					continue
-				}
-				m := make(map[uint64][]rel.Row, len(st.m))
-				for h, ents := range st.m {
-					sort.Slice(ents, func(i, j int) bool { return ents[i].seq < ents[j].seq })
-					rows := make([]rel.Row, len(ents))
-					for i, e := range ents {
-						rows[i] = e.row
-					}
-					m[h] = rows
-				}
-				flat[si] = m
-			}
-		}()
-	}
-	swg.Wait()
-	table := make(map[uint64][]rel.Row)
-	for _, m := range flat {
-		for h, rows := range m {
-			table[h] = rows
-		}
-	}
-	return table
 }
 
 // parallelHashJoin is a hash join whose probe side is a morsel pipeline

@@ -408,3 +408,30 @@ func TestParallelDMLNoLostUpdates(t *testing.T) {
 		t.Fatal("no write statement took the morsel-parallel write path")
 	}
 }
+
+// TestLimitZeroReadsNothing: LIMIT 0 answers without running its input, as
+// PostgreSQL does. An ORDER BY … LIMIT 0 over a table past the parallel
+// threshold touches no heap page, serially and at four workers.
+func TestLimitZeroReadsNothing(t *testing.T) {
+	db := Open(DefaultConfig())
+	loadParallelTable(t, db, 6000)
+	for _, workers := range []int{1, 4} {
+		s := db.NewSession()
+		s.SetWorkers(workers)
+		for _, sql := range []string{
+			`SELECT id, val FROM big WHERE grp = 3 ORDER BY val DESC LIMIT 0`,
+			`SELECT grp, COUNT(*) FROM big GROUP BY grp LIMIT 0`,
+		} {
+			hits, misses := db.BufferPool().Stats()
+			res, err := s.Exec(sql)
+			if err != nil {
+				t.Fatalf("workers=%d %q: %v", workers, sql, err)
+			}
+			h, m := db.BufferPool().Stats()
+			if len(res.Rows) != 0 || h+m != hits+misses {
+				t.Fatalf("workers=%d %q: %d rows, %d page touches; want none of either",
+					workers, sql, len(res.Rows), h+m-hits-misses)
+			}
+		}
+	}
+}
