@@ -98,6 +98,12 @@ type Conn struct {
 	rows      *Rows // active cursor; must finish before the next command
 	closed    bool
 	fatal     error // sticky connection-level failure
+
+	// Reused by every Stmt.Query: the converted arguments and the Bind and
+	// Execute messages, encoded into the write buffer and then forgotten.
+	args []rel.Value
+	bind wire.Bind
+	exec wire.Execute
 }
 
 // Connect dials a NeurDB server with default options.
@@ -357,6 +363,13 @@ func (c *Conn) simpleQuery(sql string) (*Rows, error) {
 	return rows, nil
 }
 
+// execute sends Execute on the unnamed portal, bounded by maxRows, and Sync.
+func (c *Conn) execute(maxRows uint32) error {
+	c.exec = wire.Execute{Portal: "", MaxRows: maxRows}
+	c.w.WriteMsg(&c.exec)
+	return c.sync()
+}
+
 // sync terminates a pipelined sequence and flushes it to the server.
 func (c *Conn) sync() error {
 	if err := c.w.WriteMsg(&wire.Sync{}); err != nil {
@@ -393,7 +406,9 @@ func (c *Conn) fail(err error) error {
 // read decodes the next server frame. An oversized frame was already
 // discarded by the reader — the stream stays synchronized — so it surfaces
 // as a recoverable *wire.FrameTooLargeError instead of poisoning the
-// connection.
+// connection. A DataBatch or CommandComplete is the reader's own value,
+// valid until the next read: Rows keeps a batch's rows only while it walks
+// them, and hands the caller copies (Scan, Values, RowText).
 func (c *Conn) read() (wire.Msg, error) {
 	op, payload, err := c.r.ReadFrame()
 	if err != nil {
@@ -403,7 +418,7 @@ func (c *Conn) read() (wire.Msg, error) {
 		}
 		return nil, c.fail(err)
 	}
-	return wire.Decode(op, payload)
+	return c.r.Decode(op, payload)
 }
 
 // readUntilReady consumes server messages until Ready, dispatching each to
@@ -492,13 +507,15 @@ func (st *Stmt) query(args []any, fetch uint32) (*Rows, error) {
 	if err := c.ready(); err != nil {
 		return nil, err
 	}
-	vals, err := convertArgs(args)
+	vals, err := convertArgs(c.args[:0], args)
 	if err != nil {
 		return nil, err
 	}
-	c.w.WriteMsg(&wire.Bind{Portal: "", Stmt: st.name, Args: vals})
-	c.w.WriteMsg(&wire.Execute{Portal: "", MaxRows: fetch})
-	if err := c.sync(); err != nil {
+	c.bind = wire.Bind{Portal: "", Stmt: st.name, Args: vals}
+	c.w.WriteMsg(&c.bind)
+	clear(vals) // the encoded frame holds the values now; keep no TEXT alive
+	c.args, c.bind = vals[:0], wire.Bind{}
+	if err := c.execute(fetch); err != nil {
 		return nil, err
 	}
 	rows := &Rows{conn: c, cols: st.cols, types: st.types, fetch: fetch}
@@ -650,13 +667,8 @@ func (r *Rows) fill() error {
 
 // resume requests the next chunk of a suspended portal.
 func (r *Rows) resume() error {
-	c := r.conn
 	r.suspended = false
-	c.w.WriteMsg(&wire.Execute{Portal: "", MaxRows: r.fetch})
-	if err := c.sync(); err != nil {
-		return err
-	}
-	return nil
+	return r.conn.execute(r.fetch)
 }
 
 // finishStream consumes the trailing Ready and releases the connection.
@@ -794,20 +806,16 @@ func colTypes(cols []wire.ColDesc) []rel.Type {
 	return out
 }
 
-// convertArgs converts Go arguments to wire values through the engine's
-// shared conversion table (rel.FromGo), so binding behaves identically
-// embedded and over the wire.
-func convertArgs(args []any) ([]rel.Value, error) {
-	if len(args) == 0 {
-		return nil, nil
-	}
-	out := make([]rel.Value, len(args))
+// convertArgs appends Go arguments to dst as wire values through the
+// engine's shared conversion table (rel.FromGo), so binding behaves
+// identically embedded and over the wire.
+func convertArgs(dst []rel.Value, args []any) ([]rel.Value, error) {
 	for i, a := range args {
 		v, err := rel.FromGo(a)
 		if err != nil {
 			return nil, fmt.Errorf("neurdb: argument %d: %w", i+1, err)
 		}
-		out[i] = v
+		dst = append(dst, v)
 	}
-	return out, nil
+	return dst, nil
 }

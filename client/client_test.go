@@ -13,7 +13,7 @@ import (
 	"neurdb/internal/server"
 )
 
-func startServer(t *testing.T) (*neurdb.DB, string) {
+func startServer(t testing.TB) (*neurdb.DB, string) {
 	t.Helper()
 	db := neurdb.Open(neurdb.DefaultConfig())
 	srv := server.New(db, server.Config{})

@@ -2,6 +2,7 @@ package executor
 
 import (
 	"fmt"
+	"slices"
 
 	"neurdb/internal/plan"
 	"neurdb/internal/rel"
@@ -275,8 +276,14 @@ func (p *projectBatch) NextBatch(dst *rel.Batch) (int, error) {
 	if err != nil || n == 0 {
 		return 0, err
 	}
-	for _, row := range p.in.Rows {
-		out := make(rel.Row, len(p.exprs))
+	// One fresh slab per batch holds every output row: emitted rows stay
+	// valid after later refills, as the BatchIter contract requires, at one
+	// allocation per batch instead of one per row.
+	width := len(p.exprs)
+	slab := make([]rel.Value, len(p.in.Rows)*width)
+	dst.Rows = slices.Grow(dst.Rows, len(p.in.Rows))
+	for r, row := range p.in.Rows {
+		out := rel.Row(slab[r*width : (r+1)*width : (r+1)*width])
 		for i, e := range p.exprs {
 			out[i] = e.Eval(row)
 		}

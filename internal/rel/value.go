@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"time"
@@ -76,13 +77,17 @@ func (v Value) IsNull() bool { return v.Typ == TypeNull }
 // parameter-conversion table shared by the embedded client API and the wire
 // driver, so the same Go program binds identically in-process and over TCP.
 // []byte and time.Time arrive as TEXT (RFC 3339 for times); unsigned values
-// that overflow int64 are rejected rather than wrapped.
+// that overflow int64 are rejected rather than wrapped. A *Value binds the
+// value it points at, so a caller holding a []Value (the wire server) can
+// pass each one without boxing a copy.
 func FromGo(a any) (Value, error) {
 	switch v := a.(type) {
 	case nil:
 		return Null(), nil
 	case Value:
 		return v, nil
+	case *Value:
+		return *v, nil
 	case int:
 		return Int(int64(v)), nil
 	case int8:
@@ -122,7 +127,7 @@ func FromGo(a any) (Value, error) {
 	case time.Time:
 		return Text(v.Format(time.RFC3339Nano)), nil
 	default:
-		return Value{}, fmt.Errorf("unsupported parameter type %T", a)
+		return Value{}, fmt.Errorf("unsupported parameter type %v", reflect.TypeOf(a))
 	}
 }
 
@@ -232,7 +237,8 @@ func Assign(dest any, v Value) error {
 	case *bool:
 		*d = v.AsBool()
 	default:
-		return fmt.Errorf("unsupported Scan target %T", dest)
+		// reflect.TypeOf, unlike %T, lets dest stay on the caller's stack.
+		return fmt.Errorf("unsupported Scan target %v", reflect.TypeOf(dest))
 	}
 	return nil
 }

@@ -225,6 +225,10 @@ func (s *Server) cancel(id, secret uint64) {
 // statement.
 type portal struct {
 	stmt *neurdb.Stmt
+	// vals holds the bound values, copied out of the Bind message (which
+	// the reader reuses); args points at them one by one, the form
+	// Stmt.Query takes without boxing each value.
+	vals []rel.Value
 	args []any
 	rows *neurdb.Rows // nil until the first Execute
 	// pending buffers the row read ahead to distinguish "suspended with
@@ -256,6 +260,17 @@ type conn struct {
 	// skipToSync discards messages after an error until the client's Sync,
 	// so a pipelined sequence fails as a unit.
 	skipToSync bool
+
+	// Per-connection buffers of the steady-state round trip. unnamed backs
+	// the unnamed portal (the one the client driver and simple queries
+	// use), rebound in place; batch collects the rows of one DataBatch and
+	// is cleared after each send, so it pins no result rows between
+	// statements; batchMsg and doneMsg are the outgoing messages, encoded
+	// and forgotten within one send.
+	unnamed  portal
+	batch    []rel.Row
+	batchMsg wire.DataBatch
+	doneMsg  wire.CommandComplete
 }
 
 // run drives the connection to completion and releases everything it owns:
@@ -307,7 +322,10 @@ func (c *conn) run() {
 		if c.skipToSync && op != wire.OpSync && op != wire.OpTerminate {
 			continue
 		}
-		msg, err := wire.Decode(op, payload)
+		// Hot messages decode into the reader's own values, valid until the
+		// next ReadFrame: every handler below finishes with its message, or
+		// copies what it keeps, before the loop reads again.
+		msg, err := c.r.Decode(op, payload)
 		if err != nil {
 			c.sendError(wire.CodeProtocol, err.Error())
 			continue
@@ -451,13 +469,29 @@ func (c *conn) bind(m *wire.Bind) {
 			"statement %q takes %d parameters, Bind carried %d", m.Stmt, st.NumParams(), len(m.Args)))
 		return
 	}
-	args := make([]any, len(m.Args))
-	for i, v := range m.Args {
-		args[i] = v
-	}
 	c.closePortal(m.Portal) // rebinding an open portal closes its cursor
-	c.portals[m.Portal] = &portal{stmt: st, args: args}
+	p := c.newPortal(m.Portal)
+	p.stmt = st
+	p.vals = append(p.vals, m.Args...)
+	for i := range p.vals {
+		p.args = append(p.args, &p.vals[i])
+	}
+	c.portals[m.Portal] = p
 	c.send(&wire.BindComplete{})
+}
+
+// newPortal returns an empty portal for name, which the caller registers.
+// The unnamed portal reuses the connection's one, keeping its argument
+// slices; a named portal is fresh. The name must not be open.
+func (c *conn) newPortal(name string) *portal {
+	if name != "" {
+		return &portal{}
+	}
+	p := &c.unnamed
+	clear(p.vals)
+	clear(p.args)
+	*p = portal{vals: p.vals[:0], args: p.args[:0]}
+	return p
 }
 
 // execute runs (or resumes) a portal, streaming DataBatch frames flushed at
@@ -500,26 +534,14 @@ const (
 // — one socket write per round trip on the point-query hot path.
 func (c *conn) stream(p *portal, name string, maxRows uint32) error {
 	ncols := len(p.rows.Columns())
-	batch := make([]rel.Row, 0, batchRows)
-	size := 0 // encoded bytes of batch
-	// sendBatch frames the buffered rows; flush pushes mid-stream batches.
-	sendBatch := func(flush bool) error {
-		if len(batch) == 0 {
-			return nil
-		}
-		if err := c.send(&wire.DataBatch{NumCols: ncols, Rows: batch}); err != nil {
-			return err
-		}
-		batch, size = batch[:0], 0
-		if !flush {
-			return nil
-		}
-		return c.w.Flush()
+	if c.batch == nil {
+		c.batch = make([]rel.Row, 0, batchRows)
 	}
-
+	size := 0 // encoded bytes of c.batch
 	var n uint32
 	for maxRows == 0 || n < maxRows {
 		if c.canceled.Load() {
+			c.dropBatch()
 			c.closePortalNamed(name, p)
 			c.sendError(wire.CodeCanceled, "query canceled")
 			return nil
@@ -531,18 +553,19 @@ func (c *conn) stream(p *portal, name string, maxRows uint32) error {
 		case p.rows.Next():
 			row = p.rows.Row()
 		default: // drained (or failed)
-			if err := sendBatch(false); err != nil {
+			if err := c.sendBatch(ncols, false); err != nil {
 				c.closePortalNamed(name, p)
 				return err
 			}
 			return c.finishPortal(name, p)
 		}
-		batch = append(batch, row)
+		c.batch = append(c.batch, row)
 		size += wire.RowSize(row)
 		p.sent++
 		n++
-		if len(batch) >= batchRows || size >= batchBytes {
-			if err := sendBatch(true); err != nil {
+		if len(c.batch) >= batchRows || size >= batchBytes {
+			size = 0
+			if err := c.sendBatch(ncols, true); err != nil {
 				c.closePortalNamed(name, p)
 				return err
 			}
@@ -552,17 +575,39 @@ func (c *conn) stream(p *portal, name string, maxRows uint32) error {
 	// completion, so an exactly-drained portal completes in one Execute.
 	if p.rows.Next() {
 		p.pending, p.hasPend = p.rows.Row(), true
-		if err := sendBatch(false); err != nil {
+		if err := c.sendBatch(ncols, false); err != nil {
 			c.closePortalNamed(name, p)
 			return err
 		}
 		return c.send(&wire.Suspended{})
 	}
-	if err := sendBatch(false); err != nil {
+	if err := c.sendBatch(ncols, false); err != nil {
 		c.closePortalNamed(name, p)
 		return err
 	}
 	return c.finishPortal(name, p)
+}
+
+// sendBatch frames the buffered rows as one DataBatch, then empties the
+// buffer; flush pushes a mid-stream batch to the client at once.
+func (c *conn) sendBatch(ncols int, flush bool) error {
+	if len(c.batch) == 0 {
+		return nil
+	}
+	c.batchMsg = wire.DataBatch{NumCols: ncols, Rows: c.batch}
+	err := c.send(&c.batchMsg)
+	c.batchMsg = wire.DataBatch{}
+	c.dropBatch()
+	if err != nil || !flush {
+		return err
+	}
+	return c.w.Flush()
+}
+
+// dropBatch empties the row buffer without sending it, releasing its rows.
+func (c *conn) dropBatch() {
+	clear(c.batch)
+	c.batch = c.batch[:0]
 }
 
 // finishPortal completes a drained portal: surface the cursor error if any,
@@ -579,7 +624,8 @@ func (c *conn) finishPortal(name string, p *portal) error {
 	if affected == 0 {
 		affected = p.sent
 	}
-	return c.send(&wire.CommandComplete{Tag: tag, Affected: affected})
+	c.doneMsg = wire.CommandComplete{Tag: tag, Affected: affected}
+	return c.send(&c.doneMsg)
 }
 
 // closePortal closes the named portal's cursor (if open) and forgets it.
@@ -667,7 +713,8 @@ func (c *conn) simpleQuery(sql string) error {
 		}
 	}
 	c.closePortal("") // simple Query displaces the unnamed portal, like PG
-	p := &portal{rows: rows}
+	p := c.newPortal("")
+	p.rows = rows
 	c.portals[""] = p // registered so conn teardown closes it on fatal error
 	return c.stream(p, "", 0)
 }

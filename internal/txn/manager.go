@@ -158,10 +158,15 @@ type writeStripe struct {
 
 // Manager coordinates transactions over heaps.
 type Manager struct {
-	mu       sync.RWMutex
-	nextID   uint64
-	active   map[uint64]*Txn
-	statusOf map[uint64]Status // finished txns (bounded via pruning)
+	mu     sync.RWMutex
+	nextID uint64
+	active map[uint64]*Txn
+	// statusOf and commitOf record how each finished *writer* ended, for
+	// versions whose stamps a reader finds missing (committedAt). A
+	// transaction that wrote nothing records nothing: no version carries
+	// its ID. The writers' entries are never pruned, so both maps grow by
+	// one entry per finished writing transaction.
+	statusOf map[uint64]Status
 	commitOf map[uint64]uint64
 
 	// clock is the commit-timestamp clock: Begin snapshots it, Commit
@@ -562,7 +567,8 @@ func (m *Manager) flagReaders(table int, id storage.RowID, t *Txn) {
 // runs under the gate's read lock (so the checkpointer's exclusive cut sees
 // only fully published commits), and the call returns — acknowledging the
 // commit — only after Sync reports the record durable under the configured
-// policy. Read-only transactions skip all of it.
+// policy. A transaction that wrote nothing skips all of it and records
+// nothing in statusOf or commitOf.
 func (m *Manager) Commit(t *Txn) error {
 	t.mu.Lock()
 	if t.status != StatusActive {
@@ -633,8 +639,10 @@ func (m *Manager) Commit(t *Txn) error {
 	t.mu.Unlock()
 
 	m.mu.Lock()
-	m.statusOf[t.ID] = StatusCommitted
-	m.commitOf[t.ID] = cts
+	if nwrites > 0 {
+		m.statusOf[t.ID] = StatusCommitted
+		m.commitOf[t.ID] = cts
+	}
 	delete(m.active, t.ID)
 	m.commits++
 	m.mu.Unlock()
@@ -723,7 +731,9 @@ func (m *Manager) abortInternal(t *Txn, ssi bool) {
 	}
 
 	m.mu.Lock()
-	m.statusOf[t.ID] = StatusAborted
+	if len(writes) > 0 {
+		m.statusOf[t.ID] = StatusAborted
+	}
 	delete(m.active, t.ID)
 	m.aborts++
 	if ssi {

@@ -754,3 +754,42 @@ func TestConcurrentPageReadsDuringWrites(t *testing.T) {
 		t.Fatalf("writer failed: %v", writerErr)
 	}
 }
+
+// TestReadOnlyTxnsRecordNothing pins that a transaction without writes
+// leaves no trace in the finished-transaction maps, whether it commits or
+// aborts: no version carries its ID, so nothing ever asks how it finished.
+// Recording it would grow both maps by one entry per read-only statement.
+func TestReadOnlyTxnsRecordNothing(t *testing.T) {
+	m := NewManager()
+	h := newHeap()
+	w := m.Begin(Snapshot, false)
+	id, err := insertRow(m, h, rel.Row{rel.Int(1)}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Commit(w); err != nil {
+		t.Fatal(err)
+	}
+	statuses, commits := len(m.statusOf), len(m.commitOf)
+	for i := 0; i < 1000; i++ {
+		level := []IsolationLevel{Snapshot, Serializable}[i%2]
+		for _, commit := range []bool{true, false} {
+			r := m.Begin(level, i%4 < 2)
+			if _, ok := readRow(m, h, id, r); !ok {
+				t.Fatal("committed row not visible")
+			}
+			if !commit {
+				m.Abort(r)
+			} else if err := m.Commit(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(m.statusOf) != statuses || len(m.commitOf) != commits {
+		t.Fatalf("2,000 read-only transactions grew statusOf %d -> %d and commitOf %d -> %d",
+			statuses, len(m.statusOf), commits, len(m.commitOf))
+	}
+	if c, a, _, _ := m.Stats(); c != 1001 || a != 1000 {
+		t.Fatalf("stats: %d commits, %d aborts; want 1001 and 1000", c, a)
+	}
+}

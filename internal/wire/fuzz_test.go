@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"testing"
 
 	"neurdb/internal/rel"
@@ -22,7 +24,10 @@ func frame(op Op, payload []byte) []byte {
 // and the message decoder — the exact path a malicious or corrupted client
 // connection exercises on the server. Neither layer may panic; ReadFrame
 // must either produce a frame or a terminal error, and Decode must reject
-// malformed payloads with an error, never garbage.
+// malformed payloads with an error, never garbage. Every frame is decoded
+// twice, fresh and through the Reader's reusing Decode, and the two must
+// agree in every field and error: a reused message keeping a stale field,
+// argument or row of an earlier, larger one fails here.
 func FuzzFrameDecode(f *testing.F) {
 	seed := func(m Msg) []byte { return frame(m.op(), m.encode(nil)) }
 	f.Add(seed(&Startup{Version: Version, Options: map[string]string{"workers": "4"}}))
@@ -38,6 +43,23 @@ func FuzzFrameDecode(f *testing.F) {
 		seed(&Startup{Version: Version}),
 		seed(&Query{SQL: "CREATE TABLE t (id INT)"}),
 		seed(&Sync{}),
+	}, nil))
+	// Shrinking round-trip messages on one reader: the reused values must
+	// not keep anything of the larger ones before them.
+	f.Add(bytes.Join([][]byte{
+		seed(&Bind{Portal: "p", Stmt: "s1", Args: []rel.Value{rel.Text("long text value"), rel.Int(1), rel.Float(-0.0)}}),
+		seed(&Bind{Portal: "", Stmt: "s1", Args: []rel.Value{rel.Null()}}),
+		seed(&Bind{Portal: "", Stmt: "s2"}),
+		seed(&DataBatch{NumCols: 3, Rows: []rel.Row{
+			{rel.Int(1), rel.Text("wide"), rel.Bool(true)},
+			{rel.Int(2), rel.Null(), rel.Float(math.NaN())},
+		}}),
+		seed(&DataBatch{NumCols: 1, Rows: []rel.Row{{rel.Text("x")}}}),
+		seed(&DataBatch{NumCols: 2}),
+		seed(&CommandComplete{Tag: "UPDATE 3", Affected: 3}),
+		seed(&CommandComplete{Affected: 1}),
+		seed(&Execute{Portal: "p", MaxRows: 9}),
+		seed(&Execute{}),
 	}, nil))
 	// Pathological headers.
 	f.Add(frame(OpQuery, nil)[:3])                       // torn header
@@ -59,8 +81,16 @@ func FuzzFrameDecode(f *testing.F) {
 				}
 				t.Fatalf("unexpected ReadFrame error type: %v", err)
 			}
-			if _, err := Decode(op, payload); err != nil {
+			fresh, ferr := Decode(op, payload)
+			reused, rerr := r.Decode(op, payload)
+			if fmt.Sprint(ferr) != fmt.Sprint(rerr) {
+				t.Fatalf("op %q: fresh decode error %v, reusing decode error %v", byte(op), ferr, rerr)
+			}
+			if ferr != nil {
 				continue // malformed payloads are rejected, not crashed on
+			}
+			if f, g := fmt.Sprintf("%#v", fresh), fmt.Sprintf("%#v", reused); f != g {
+				t.Fatalf("op %q: reusing decode differs from fresh\nfresh:  %s\nreused: %s", byte(op), f, g)
 			}
 		}
 	})

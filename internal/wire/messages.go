@@ -415,18 +415,32 @@ func (d *dec) u64() uint64 {
 	return v
 }
 
-func (d *dec) str() string {
+// bytes reads a length-prefixed byte string, aliasing the payload.
+func (d *dec) bytes() []byte {
 	n := d.u32()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if uint32(len(d.b)) < n {
 		d.fail("short payload reading string of %d bytes", n)
-		return ""
+		return nil
 	}
-	s := string(d.b[:n])
+	b := d.b[:n]
 	d.b = d.b[n:]
-	return s
+	return b
+}
+
+func (d *dec) str() string { return string(d.bytes()) }
+
+// strLike reads a string into a field that may already hold it: when the
+// bytes equal prev, prev is returned instead of a fresh copy, so a reused
+// message repeating its statement name or completion tag allocates nothing.
+func (d *dec) strLike(prev string) string {
+	b := d.bytes()
+	if string(b) == prev {
+		return prev
+	}
+	return string(b)
 }
 
 func (d *dec) value() rel.Value {
@@ -452,8 +466,42 @@ func (d *dec) done() error {
 	return nil
 }
 
-// Decode parses a frame payload into its message.
-func Decode(op Op, payload []byte) (Msg, error) {
+// reused holds a Reader's decode targets for the opcodes of a steady-state
+// round trip (see Reader.Decode). args, rows and slab keep their backing
+// arrays across messages; the length each last had marks what the next
+// decode must clear, so a shorter message leaves no stale value reachable.
+type reused struct {
+	bind  Bind
+	exec  Execute
+	batch DataBatch
+	done  CommandComplete
+	args  []rel.Value
+	rows  []rel.Row
+	slab  []rel.Value
+}
+
+// maxReusedValues bounds the DataBatch value slab a Reader keeps between
+// messages: a full executor batch of a wide result fits (256 rows of 256
+// columns), while a frame claiming millions of values is decoded into
+// memory that is dropped with it.
+const maxReusedValues = 1 << 16
+
+// reuse returns n elements over buf's backing array, zeroing the rest of
+// buf's previous length, or a fresh slice when buf is too small.
+func reuse[T any](buf []T, n int) []T {
+	if buf == nil || n > cap(buf) {
+		return make([]T, n)
+	}
+	clear(buf[min(n, len(buf)):])
+	return buf[:n]
+}
+
+// Decode parses a frame payload into a freshly allocated message.
+func Decode(op Op, payload []byte) (Msg, error) { return decode(op, payload, nil) }
+
+// decode parses a frame payload. With into non-nil the hot opcodes decode
+// into its values; the result is the same message either way.
+func decode(op Op, payload []byte, into *reused) (Msg, error) {
 	d := &dec{b: payload}
 	var m Msg
 	switch op {
@@ -472,17 +520,47 @@ func Decode(op Op, payload []byte) (Msg, error) {
 	case OpParse:
 		m = &Parse{Name: d.str(), SQL: d.str()}
 	case OpBind:
-		b := &Bind{Portal: d.str(), Stmt: d.str()}
-		n := d.u16()
-		if d.err == nil && n > 0 {
-			b.Args = make([]rel.Value, n)
-			for i := range b.Args {
-				b.Args[i] = d.value()
+		// Each case allocates its message only when there is no reused one:
+		// a new(...) overwritten afterwards would still be allocated.
+		var b *Bind
+		var args []rel.Value
+		if into != nil {
+			b, args = &into.bind, into.args
+		} else {
+			b = new(Bind)
+		}
+		b.Portal = d.strLike(b.Portal)
+		b.Stmt = d.strLike(b.Stmt)
+		b.Args = nil
+		n := int(d.u16())
+		// Every encoded value takes at least one byte: a tiny frame cannot
+		// demand a large argument slice.
+		if d.err == nil && n > len(d.b) {
+			d.fail("Bind claims %d arguments but payload holds %d bytes", n, len(d.b))
+		}
+		if d.err == nil {
+			args = reuse(args, n)
+			for i := range args {
+				args[i] = d.value()
+			}
+			if n > 0 {
+				b.Args = args
+			}
+			if into != nil {
+				into.args = args
 			}
 		}
 		m = b
 	case OpExecute:
-		m = &Execute{Portal: d.str(), MaxRows: d.u32()}
+		var e *Execute
+		if into != nil {
+			e = &into.exec
+		} else {
+			e = new(Execute)
+		}
+		e.Portal = d.strLike(e.Portal)
+		e.MaxRows = d.u32()
+		m = e
 	case OpDescribe:
 		m = &Describe{Kind: d.u8(), Name: d.str()}
 	case OpClose:
@@ -521,31 +599,58 @@ func Decode(op Op, payload []byte) (Msg, error) {
 	case OpNoData:
 		m = &NoData{}
 	case OpDataBatch:
-		db := &DataBatch{}
+		var db *DataBatch
+		var rows []rel.Row
+		var slab []rel.Value
+		if into != nil {
+			db, rows, slab = &into.batch, into.rows, into.slab
+		} else {
+			db = new(DataBatch)
+		}
 		ncols := int(d.u16())
 		nrows := int(d.u32())
-		db.NumCols = ncols
+		db.NumCols, db.Rows = ncols, nil
 		// Validate the claimed cardinality against the actual payload
 		// before allocating: every encoded value is at least one byte, so
 		// a tiny frame cannot demand a huge allocation.
 		if minBytes := nrows * max(ncols, 1); d.err == nil && nrows > 0 && minBytes > len(d.b) {
 			d.fail("DataBatch claims %d rows x %d cols but payload holds %d bytes", nrows, ncols, len(d.b))
 		}
-		if d.err == nil && nrows > 0 {
-			db.Rows = make([]rel.Row, nrows)
-			for i := range db.Rows {
-				db.Rows[i] = make(rel.Row, ncols)
+		if d.err == nil {
+			// Rows are carved from one value slab; the column-major layout
+			// is inverted back into them value by value.
+			slab = reuse(slab, nrows*ncols)
+			rows = reuse(rows, nrows)
+			for r := range rows {
+				rows[r] = slab[r*ncols : (r+1)*ncols : (r+1)*ncols]
 			}
-			// Invert the column-major layout back into rows.
 			for c := 0; c < ncols; c++ {
 				for r := 0; r < nrows; r++ {
-					db.Rows[r][c] = d.value()
+					slab[r*ncols+c] = d.value()
+				}
+			}
+			if nrows > 0 {
+				db.Rows = rows
+			}
+			if into != nil {
+				into.rows, into.slab = rows, slab
+				if cap(slab) > maxReusedValues {
+					// An outsized batch is not kept for the connection's life.
+					into.rows, into.slab = nil, nil
 				}
 			}
 		}
 		m = db
 	case OpCommandComplete:
-		m = &CommandComplete{Tag: d.str(), Affected: d.u64()}
+		var cc *CommandComplete
+		if into != nil {
+			cc = &into.done
+		} else {
+			cc = new(CommandComplete)
+		}
+		cc.Tag = d.strLike(cc.Tag)
+		cc.Affected = d.u64()
+		m = cc
 	case OpSuspended:
 		m = &Suspended{}
 	default:

@@ -103,7 +103,9 @@ var ErrCorrupt = errors.New("wire: frame length exceeds absolute maximum; stream
 type Reader struct {
 	r        *bufio.Reader
 	maxFrame int
+	hdr      [5]byte
 	buf      []byte // reused payload buffer
+	msgs     reused // Decode's targets for the hot opcodes
 }
 
 // NewReader wraps r with the given payload ceiling (0 = DefaultMaxFrame).
@@ -127,12 +129,11 @@ func (r *Reader) Buffered() int { return r.r.Buffered() }
 // buffer valid until the next call. An oversized frame is discarded and
 // reported as *FrameTooLargeError; the caller may keep reading.
 func (r *Reader) ReadFrame() (Op, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	op := Op(hdr[0])
-	size := binary.BigEndian.Uint32(hdr[1:])
+	op := Op(r.hdr[0])
+	size := binary.BigEndian.Uint32(r.hdr[1:])
 	if size > AbsoluteMaxFrame {
 		return op, nil, ErrCorrupt
 	}
@@ -152,12 +153,25 @@ func (r *Reader) ReadFrame() (Op, []byte, error) {
 	return op, payload, nil
 }
 
+// Decode parses a frame payload as the package-level Decode does, except
+// that the steady-state round-trip messages that carry fields — Bind,
+// Execute, DataBatch and CommandComplete — are decoded into values the
+// Reader owns instead of fresh ones (Sync, Ready and BindComplete are empty
+// and allocate nothing either way). Such a message, and every
+// slice it holds (Bind.Args, DataBatch.Rows and the rows' values), is valid
+// until the next ReadFrame, the rule the payload already follows; a caller
+// that keeps any of it longer copies it. Strings (names, tags, TEXT values)
+// are always the message's own and may be kept.
+func (r *Reader) Decode(op Op, payload []byte) (Msg, error) {
+	return decode(op, payload, &r.msgs)
+}
+
 // Writer encodes frames onto a connection. Frames are buffered; Flush
 // pushes them to the peer (the server flushes at batch boundaries, the
 // client after each pipelined command sequence).
 type Writer struct {
 	w       *bufio.Writer
-	scratch []byte // reused payload build buffer
+	scratch []byte // reused frame build buffer
 }
 
 // NewWriter wraps w.
@@ -165,22 +179,16 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: bufio.NewWriterSize(w, 64<<10)}
 }
 
-// WriteFrame appends one frame to the buffer.
-func (w *Writer) WriteFrame(op Op, payload []byte) error {
-	var hdr [5]byte
-	hdr[0] = byte(op)
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.w.Write(payload)
-	return err
-}
-
-// WriteMsg encodes and frames one message.
+// WriteMsg encodes and frames one message: header and payload are built in
+// one reused buffer and handed to the connection buffer in one write. The
+// message is only read, so callers may pass a value they reuse.
 func (w *Writer) WriteMsg(m Msg) error {
-	w.scratch = m.encode(w.scratch[:0])
-	return w.WriteFrame(m.op(), w.scratch)
+	b := append(w.scratch[:0], byte(m.op()), 0, 0, 0, 0)
+	b = m.encode(b)
+	binary.BigEndian.PutUint32(b[1:5], uint32(len(b)-5))
+	w.scratch = b
+	_, err := w.w.Write(b)
+	return err
 }
 
 // Flush pushes buffered frames to the peer.
