@@ -9,8 +9,8 @@ import (
 	"log"
 
 	"neurdb/internal/aiengine"
+	"neurdb/internal/bench/workload"
 	"neurdb/internal/models"
-	"neurdb/internal/workload"
 )
 
 func main() {

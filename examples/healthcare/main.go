@@ -8,7 +8,7 @@ import (
 	"strings"
 
 	"neurdb"
-	"neurdb/internal/workload"
+	"neurdb/internal/bench/workload"
 )
 
 func main() {

@@ -10,10 +10,10 @@ import (
 	"strings"
 
 	"neurdb"
+	"neurdb/internal/bench/workload"
 	"neurdb/internal/executor"
 	"neurdb/internal/rel"
 	"neurdb/internal/txn"
-	"neurdb/internal/workload"
 )
 
 func main() {

@@ -1,9 +1,8 @@
-// Package bayesopt is a small Bayesian-optimization library in the TPE
-// (tree-structured Parzen estimator) style. The paper uses Bayesian
-// optimization twice: the filtering phase of learned-CC adaptation generates
-// candidate decision models with it, and the learned query optimizer's
-// pre-training synthesizes diverse data distributions and workloads with it.
-package bayesopt
+package cc
+
+// A small Bayesian optimizer in the TPE (tree-structured Parzen estimator)
+// style. Its one user is the filtering phase of the Adapter's two-phase
+// adaptation, which generates candidate decision models with it.
 
 import (
 	"math"
@@ -11,8 +10,8 @@ import (
 	"sort"
 )
 
-// Param is one continuous search dimension.
-type Param struct {
+// searchParam is one continuous search dimension.
+type searchParam struct {
 	Name   string
 	Lo, Hi float64
 }
@@ -22,9 +21,9 @@ type observation struct {
 	y float64
 }
 
-// Optimizer maximizes an objective over a box domain.
-type Optimizer struct {
-	Params []Param
+// bayesOpt maximizes an objective over a box domain.
+type bayesOpt struct {
+	Params []searchParam
 	// Gamma is the quantile split between "good" and "bad" observations.
 	Gamma float64
 	// Candidates is the number of TPE proposals scored per Suggest.
@@ -36,9 +35,9 @@ type Optimizer struct {
 	hist []observation
 }
 
-// New creates an optimizer over the given parameters.
-func New(params []Param, seed int64) *Optimizer {
-	return &Optimizer{
+// newBayesOpt creates an optimizer over the given parameters.
+func newBayesOpt(params []searchParam, seed int64) *bayesOpt {
+	return &bayesOpt{
 		Params:     params,
 		Gamma:      0.25,
 		Candidates: 24,
@@ -48,7 +47,7 @@ func New(params []Param, seed int64) *Optimizer {
 }
 
 // uniform samples the box uniformly.
-func (o *Optimizer) uniform() []float64 {
+func (o *bayesOpt) uniform() []float64 {
 	x := make([]float64, len(o.Params))
 	for i, p := range o.Params {
 		x[i] = p.Lo + o.rng.Float64()*(p.Hi-p.Lo)
@@ -57,7 +56,7 @@ func (o *Optimizer) uniform() []float64 {
 }
 
 // Suggest proposes the next point to evaluate.
-func (o *Optimizer) Suggest() []float64 {
+func (o *bayesOpt) Suggest() []float64 {
 	if len(o.hist) < 4 || o.rng.Float64() < o.Explore {
 		return o.uniform()
 	}
@@ -98,7 +97,7 @@ func (o *Optimizer) Suggest() []float64 {
 }
 
 // density is a Parzen-window (Gaussian KDE) estimate over a point set.
-func (o *Optimizer) density(obs []observation, x []float64) float64 {
+func (o *bayesOpt) density(obs []observation, x []float64) float64 {
 	if len(obs) == 0 {
 		return 1e-9
 	}
@@ -119,13 +118,13 @@ func (o *Optimizer) density(obs []observation, x []float64) float64 {
 }
 
 // Observe records the objective value at x (higher is better).
-func (o *Optimizer) Observe(x []float64, y float64) {
+func (o *bayesOpt) Observe(x []float64, y float64) {
 	cp := append([]float64(nil), x...)
 	o.hist = append(o.hist, observation{x: cp, y: y})
 }
 
 // Best returns the best observed point and value.
-func (o *Optimizer) Best() ([]float64, float64) {
+func (o *bayesOpt) Best() ([]float64, float64) {
 	if len(o.hist) == 0 {
 		return nil, math.Inf(-1)
 	}
@@ -139,4 +138,4 @@ func (o *Optimizer) Best() ([]float64, float64) {
 }
 
 // History returns the number of observations so far.
-func (o *Optimizer) History() int { return len(o.hist) }
+func (o *bayesOpt) History() int { return len(o.hist) }

@@ -1,4 +1,4 @@
-package bayesopt
+package cc
 
 import (
 	"math"
@@ -7,7 +7,7 @@ import (
 
 func TestOptimizerFindsQuadraticOptimum(t *testing.T) {
 	// Maximize -(x-0.7)² - (y+0.3)² over [-1,1]²; optimum at (0.7, -0.3).
-	opt := New([]Param{{Name: "x", Lo: -1, Hi: 1}, {Name: "y", Lo: -1, Hi: 1}}, 42)
+	opt := newBayesOpt([]searchParam{{Name: "x", Lo: -1, Hi: 1}, {Name: "y", Lo: -1, Hi: 1}}, 42)
 	obj := func(x []float64) float64 {
 		return -(x[0]-0.7)*(x[0]-0.7) - (x[1]+0.3)*(x[1]+0.3)
 	}
@@ -33,16 +33,16 @@ func TestOptimizerBeatsRandomSearch(t *testing.T) {
 	obj := func(x []float64) float64 {
 		return -math.Abs(x[0]-0.42)*10 - math.Abs(x[1]-0.13)*10
 	}
-	params := []Param{{Lo: 0, Hi: 1}, {Lo: 0, Hi: 1}}
+	params := []searchParam{{Lo: 0, Hi: 1}, {Lo: 0, Hi: 1}}
 
-	tpe := New(params, 7)
+	tpe := newBayesOpt(params, 7)
 	for i := 0; i < 80; i++ {
 		x := tpe.Suggest()
 		tpe.Observe(x, obj(x))
 	}
 	_, tpeBest := tpe.Best()
 
-	random := New(params, 7)
+	random := newBayesOpt(params, 7)
 	random.Explore = 1.0 // force uniform sampling
 	for i := 0; i < 80; i++ {
 		x := random.Suggest()
@@ -56,7 +56,7 @@ func TestOptimizerBeatsRandomSearch(t *testing.T) {
 }
 
 func TestSuggestionsStayInBounds(t *testing.T) {
-	opt := New([]Param{{Lo: 2, Hi: 3}, {Lo: -5, Hi: -4}}, 1)
+	opt := newBayesOpt([]searchParam{{Lo: 2, Hi: 3}, {Lo: -5, Hi: -4}}, 1)
 	for i := 0; i < 60; i++ {
 		x := opt.Suggest()
 		if x[0] < 2 || x[0] > 3 || x[1] < -5 || x[1] > -4 {
@@ -67,7 +67,7 @@ func TestSuggestionsStayInBounds(t *testing.T) {
 }
 
 func TestBestOnEmpty(t *testing.T) {
-	opt := New([]Param{{Lo: 0, Hi: 1}}, 1)
+	opt := newBayesOpt([]searchParam{{Lo: 0, Hi: 1}}, 1)
 	x, y := opt.Best()
 	if x != nil || !math.IsInf(y, -1) {
 		t.Fatal("empty best should be -inf")

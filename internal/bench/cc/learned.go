@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"neurdb/internal/bayesopt"
 )
 
 // Weights is the compressed linear decision model (the paper's "flattened
@@ -244,9 +242,9 @@ func applyMeta(base *LearnedPolicy, meta []float64, seed int64) *LearnedPolicy {
 	return c
 }
 
-// MetaParams returns the filtering-phase search space.
-func MetaParams() []bayesopt.Param {
-	return []bayesopt.Param{
+// metaParams returns the filtering-phase search space.
+func metaParams() []searchParam {
+	return []searchParam{
 		{Name: "b_opt", Lo: -1, Hi: 1},
 		{Name: "b_wait", Lo: -1, Hi: 1},
 		{Name: "b_nowait", Lo: -1, Hi: 1},
@@ -313,10 +311,10 @@ func (ad *Adapter) Adapt(e *Engine, gen Generator, threads int, base *LearnedPol
 	}
 
 	// Phase 1 — filtering: Bayesian-optimization candidate sweep.
-	bo := bayesopt.New(MetaParams(), ad.seed)
+	bo := newBayesOpt(metaParams(), ad.seed)
 	bestPolicy := base
 	bestScore := measure(base)
-	bo.Observe(make([]float64, len(MetaParams())), bestScore)
+	bo.Observe(make([]float64, len(metaParams())), bestScore)
 	for c := 0; c < ad.Candidates; c++ {
 		meta := bo.Suggest()
 		cand := applyMeta(base, meta, ad.seed+int64(c)+100)

@@ -7,6 +7,8 @@
 // an SSI-flavoured snapshot baseline ("PostgreSQL" in Fig. 7a), classic 2PL
 // and OCC references, the Polyjuice-style evolved policy table, and the
 // paper's learned contention-aware decision model with two-phase adaptation.
+// The YCSB and TPC-C-style generators that drive it live here too. Fig. 7 is
+// its one user; no request path links it.
 package cc
 
 import (

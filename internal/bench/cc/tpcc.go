@@ -1,10 +1,8 @@
-package workload
+package cc
 
 import (
 	"math/rand"
 	"sync/atomic"
-
-	"neurdb/internal/cc"
 )
 
 // TPCC is a TPC-C-style contention generator for the drift experiment
@@ -48,13 +46,13 @@ func (t *TPCC) SetWarehouses(w int) {
 // Warehouses returns the active warehouse count.
 func (t *TPCC) Warehouses() int { return int(t.warehouses.Load()) }
 
-// StoreSize returns the record count needed for up to maxWarehouses.
-func StoreSize(maxWarehouses int) int { return maxWarehouses * TPCCRecordsPerWarehouse }
+// TPCCStoreSize returns the record count needed for up to maxWarehouses.
+func TPCCStoreSize(maxWarehouses int) int { return maxWarehouses * TPCCRecordsPerWarehouse }
 
 func (t *TPCC) base(w int) int { return w * TPCCRecordsPerWarehouse }
 
-// Generate implements cc.Generator: 50/50 NewOrder / Payment.
-func (t *TPCC) Generate(r *rand.Rand, txn *cc.Txn) {
+// Generate implements Generator: 50/50 NewOrder / Payment.
+func (t *TPCC) Generate(r *rand.Rand, txn *Txn) {
 	w := r.Intn(t.Warehouses())
 	base := t.base(w)
 	txn.Ops = txn.Ops[:0]
@@ -65,9 +63,9 @@ func (t *TPCC) Generate(r *rand.Rand, txn *cc.Txn) {
 		d := r.Intn(t.districts)
 		c := r.Intn(t.customers)
 		txn.Ops = append(txn.Ops,
-			cc.Op{Key: base, Write: false},                  // warehouse
-			cc.Op{Key: base + 1 + d, Write: true, Delta: 1}, // district counter
-			cc.Op{Key: base + 11 + c, Write: false},         // customer
+			Op{Key: base, Write: false},                  // warehouse
+			Op{Key: base + 1 + d, Write: true, Delta: 1}, // district counter
+			Op{Key: base + 11 + c, Write: false},         // customer
 		)
 		seen := map[int]bool{}
 		for i := 0; i < 5; i++ {
@@ -79,7 +77,7 @@ func (t *TPCC) Generate(r *rand.Rand, txn *cc.Txn) {
 					break
 				}
 			}
-			txn.Ops = append(txn.Ops, cc.Op{Key: s, Write: true, Delta: -1})
+			txn.Ops = append(txn.Ops, Op{Key: s, Write: true, Delta: -1})
 		}
 	} else {
 		// Payment: bump warehouse YTD (very hot), district YTD, customer
@@ -88,13 +86,13 @@ func (t *TPCC) Generate(r *rand.Rand, txn *cc.Txn) {
 		d := r.Intn(t.districts)
 		c := r.Intn(t.customers)
 		txn.Ops = append(txn.Ops,
-			cc.Op{Key: base, Write: true, Delta: 10},         // warehouse YTD
-			cc.Op{Key: base + 1 + d, Write: true, Delta: 10}, // district YTD
-			cc.Op{Key: base + 11 + c, Write: true, Delta: -10},
+			Op{Key: base, Write: true, Delta: 10},         // warehouse YTD
+			Op{Key: base + 1 + d, Write: true, Delta: 10}, // district YTD
+			Op{Key: base + 11 + c, Write: true, Delta: -10},
 		)
 	}
 }
 
-// MaxOps is the maximum operation count per transaction (Polyjuice table
+// TPCCMaxOps is the maximum operation count per transaction (Polyjuice table
 // sizing).
-const MaxOps = 8
+const TPCCMaxOps = 8

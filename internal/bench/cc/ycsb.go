@@ -1,10 +1,8 @@
-package workload
+package cc
 
 import (
 	"math"
 	"math/rand"
-
-	"neurdb/internal/cc"
 )
 
 // YCSB generates the paper's micro-benchmark transactions: 5 selects and 5
@@ -56,8 +54,8 @@ func (y *YCSB) Key(r *rand.Rand) int {
 	return int(float64(y.Records) * math.Pow(y.eta*u-y.eta+1, y.alpha))
 }
 
-// Generate implements cc.Generator: 5 reads + 5 writes on distinct keys.
-func (y *YCSB) Generate(r *rand.Rand, txn *cc.Txn) {
+// Generate implements Generator: 5 reads + 5 writes on distinct keys.
+func (y *YCSB) Generate(r *rand.Rand, txn *Txn) {
 	txn.Type = 0
 	txn.Ops = txn.Ops[:0]
 	seen := make(map[int]bool, 10)
@@ -74,9 +72,9 @@ func (y *YCSB) Generate(r *rand.Rand, txn *cc.Txn) {
 		}
 	}
 	for i := 0; i < 5; i++ {
-		txn.Ops = append(txn.Ops, cc.Op{Key: pick(), Write: false})
+		txn.Ops = append(txn.Ops, Op{Key: pick(), Write: false})
 	}
 	for i := 0; i < 5; i++ {
-		txn.Ops = append(txn.Ops, cc.Op{Key: pick(), Write: true, Delta: 1})
+		txn.Ops = append(txn.Ops, Op{Key: pick(), Write: true, Delta: 1})
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"neurdb/internal/aiengine"
+	"neurdb/internal/bench/workload"
 	"neurdb/internal/models"
-	"neurdb/internal/workload"
 )
 
 // avazuSpec is the model shape for Workload E.
@@ -45,7 +45,7 @@ func RunFig6a(sc Scale) ([]Fig6aRow, error) {
 
 	// Workload E (Avazu CTR regression).
 	{
-		base, err := aiengine.BaselineTrain(avazuSpec(1),
+		base, err := BaselineTrain(avazuSpec(1),
 			aiengine.TrainConfig{LR: 0.01},
 			workload.NewAvazu(11).NewBatchSource(sc.BatchSize, sc.Fig6aBatches, 0),
 			workload.AvazuFeaturizer)
@@ -66,7 +66,7 @@ func RunFig6a(sc Scale) ([]Fig6aRow, error) {
 
 	// Workload H (Diabetes classification).
 	{
-		base, err := aiengine.BaselineTrain(diabetesSpec(2),
+		base, err := BaselineTrain(diabetesSpec(2),
 			aiengine.TrainConfig{LR: 0.01},
 			workload.NewDiabetes(12).NewSource(sc.BatchSize, sc.Fig6aBatches),
 			workload.DiabetesFeaturizer)
@@ -129,7 +129,7 @@ type Fig6bPoint struct {
 func RunFig6b(sc Scale) ([]Fig6bPoint, error) {
 	var out []Fig6bPoint
 	for _, n := range sc.Fig6bBatchCounts {
-		base, err := aiengine.BaselineTrain(avazuSpec(1),
+		base, err := BaselineTrain(avazuSpec(1),
 			aiengine.TrainConfig{LR: 0.01},
 			workload.NewAvazu(21).NewBatchSource(sc.BatchSize, n, 0),
 			workload.AvazuFeaturizer)

@@ -1,4 +1,4 @@
-package aiengine
+package bench
 
 import (
 	"fmt"
@@ -6,6 +6,8 @@ import (
 	"strings"
 	"time"
 
+	"neurdb/internal/aiengine"
+	"neurdb/internal/armnet"
 	"neurdb/internal/models"
 	"neurdb/internal/nn"
 	"neurdb/internal/rel"
@@ -16,19 +18,17 @@ import (
 // through the classic client path — the server serializes rows to the text
 // wire format, the client parses the text back into tensors — and the loop
 // is fully synchronous: no streaming, no overlap between data preparation
-// and training. The delta against Engine.Train is exactly the paper's
-// "in-database AI ecosystem vs. bolted-on runtime" comparison (Fig. 6).
-func BaselineTrain(spec models.Spec, cfg TrainConfig, src RowBatchSource, feat Featurizer) (*TrainOutcome, error) {
-	model, err := buildModel(spec)
-	if err != nil {
-		return nil, err
-	}
+// and training. The delta against aiengine.Engine.Train is exactly the
+// paper's "in-database AI ecosystem vs. bolted-on runtime" comparison
+// (Fig. 6).
+func BaselineTrain(spec models.Spec, cfg aiengine.TrainConfig, src aiengine.RowBatchSource, feat aiengine.Featurizer) (*aiengine.TrainOutcome, error) {
+	model := armnet.New(spec.Fields, spec.Vocab, spec.EmbDim, spec.Hidden, spec.Classification, spec.Seed)
 	lr := cfg.LR
 	if lr == 0 {
 		lr = 0.01
 	}
 	opt := nn.NewAdam(lr)
-	out := &TrainOutcome{}
+	out := &aiengine.TrainOutcome{}
 	start := time.Now()
 	for {
 		rows, ok := src.Next()
@@ -41,7 +41,7 @@ func BaselineTrain(spec models.Spec, cfg TrainConfig, src RowBatchSource, feat F
 		// Client side: parse the text back into rows, then featurize.
 		parsed, err := decodeRowsText(text, len(rows[0]))
 		if err != nil {
-			return nil, fmt.Errorf("aiengine: baseline decode: %w", err)
+			return nil, fmt.Errorf("bench: baseline decode: %w", err)
 		}
 		x, y := feat(parsed)
 		loss := model.TrainBatch(x, y, opt)

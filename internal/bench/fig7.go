@@ -5,8 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"neurdb/internal/cc"
-	"neurdb/internal/workload"
+	"neurdb/internal/bench/cc"
 )
 
 // Fig7aRow is one thread-count comparison (paper Fig. 7a).
@@ -22,7 +21,7 @@ type Fig7aRow struct {
 // RunFig7a compares the learned CC against the SSI baseline on the YCSB
 // micro-benchmark (5 selects + 5 updates per txn) at 4 and 16 threads.
 func RunFig7a(sc Scale) ([]Fig7aRow, error) {
-	gen := workload.NewYCSB(sc.YCSBRecords, 0.9)
+	gen := cc.NewYCSB(sc.YCSBRecords, 0.9)
 	var out []Fig7aRow
 	for _, threads := range []int{4, 16} {
 		store := cc.NewStore(sc.YCSBRecords)
@@ -100,18 +99,18 @@ func RunFig7b(sc Scale) (*Fig7bResult, error) {
 	res := &Fig7bResult{}
 
 	// NeurDB(CC).
-	ndStore := cc.NewStore(workload.StoreSize(maxWh))
+	ndStore := cc.NewStore(cc.TPCCStoreSize(maxWh))
 	ndPolicy := cc.NewLearnedPolicy(1)
 	ndEngine := cc.NewEngine(ndStore, ndPolicy)
 
 	// Polyjuice.
-	pjStore := cc.NewStore(workload.StoreSize(maxWh))
+	pjStore := cc.NewStore(cc.TPCCStoreSize(maxWh))
 	pjPolicy := cc.NewPolyjuice()
 	pjEngine := cc.NewEngine(pjStore, pjPolicy)
 	pjTrainer := workloadPolyjuiceTrainer(sc)
 
-	ndGen := workload.NewTPCC(1)
-	pjGen := workload.NewTPCC(1)
+	ndGen := cc.NewTPCC(1)
+	pjGen := cc.NewTPCC(1)
 
 	adapter := cc.NewAdapter(7)
 	adapter.EvalWindow = interval / 4
@@ -185,7 +184,7 @@ func RunFig7b(sc Scale) (*Fig7bResult, error) {
 }
 
 func workloadPolyjuiceTrainer(sc Scale) *cc.PolyjuiceTrainer {
-	tr := cc.NewPolyjuiceTrainer(2, workload.MaxOps, 3)
+	tr := cc.NewPolyjuiceTrainer(2, cc.TPCCMaxOps, 3)
 	tr.Interval = sc.Fig7bPhase / time.Duration(sc.Fig7bIntervals) / 6
 	return tr
 }

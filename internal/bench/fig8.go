@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"neurdb"
+	"neurdb/internal/bench/workload"
 	"neurdb/internal/executor"
 	"neurdb/internal/learnedopt"
 	"neurdb/internal/nn"
@@ -16,7 +17,6 @@ import (
 	"neurdb/internal/rel"
 	"neurdb/internal/sqlparse"
 	"neurdb/internal/txn"
-	"neurdb/internal/workload"
 )
 
 // Fig8Optimizers lists the compared systems in paper order, plus an Oracle
@@ -85,8 +85,8 @@ func RunFig8(sc Scale) (*Fig8Result, error) {
 	}
 
 	// --- Train models, then freeze.
-	bao := learnedopt.NewBao(5)
-	lero := learnedopt.NewLero(6)
+	bao := NewBao(5)
+	lero := NewLero(6)
 	trainBaselines(state0, bao, lero)
 	bao.Freeze()
 	lero.Freeze()
@@ -364,7 +364,7 @@ func (env *fig8Env) timePlan(p plan.Node) (float64, error) {
 }
 
 // trainBaselines fits Bao and Lero on the original-state measurements.
-func trainBaselines(state []*queryMeasurement, bao *learnedopt.Bao, lero *learnedopt.Lero) {
+func trainBaselines(state []*queryMeasurement, bao *Bao, lero *Lero) {
 	baoOpt := nn.NewAdam(0.005)
 	leroOpt := nn.NewAdam(0.005)
 	for pass := 0; pass < 40; pass++ {

@@ -1,4 +1,4 @@
-package learnedopt
+package bench
 
 import (
 	"math"

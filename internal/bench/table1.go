@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"neurdb"
+	"neurdb/internal/bench/workload"
 	"neurdb/internal/executor"
 	"neurdb/internal/rel"
 	"neurdb/internal/txn"
-	"neurdb/internal/workload"
 )
 
 // Table1Row is one AI-analytics query of the paper's Table 1, executed end

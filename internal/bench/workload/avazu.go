@@ -1,9 +1,9 @@
-// Package workload provides the paper's evaluation workloads, rebuilt as
-// deterministic synthetic generators (the substitution table in DESIGN.md):
-// an Avazu-style CTR stream with five drift clusters (Workload E), a
-// Diabetes-style classification set (Workload H), a YCSB micro-benchmark
-// and a TPC-C-style contention generator for the CC experiments, and a
-// STATS-style 8-table join schema with drift for the optimizer experiments.
+// Package workload provides the datasets of the paper's AI and optimizer
+// experiments, rebuilt as deterministic synthetic generators: an Avazu-style
+// CTR stream with five drift clusters (Workload E), a Diabetes-style
+// classification set (Workload H), and a STATS-style 8-table join schema
+// with drift for the optimizer experiments. The YCSB and TPC-C generators of
+// the CC experiments live with the testbed they drive, in internal/bench/cc.
 package workload
 
 import (

@@ -39,15 +39,6 @@ func (ix *Index) Insert(key rel.Value, id storage.RowID) {
 	}
 }
 
-// Delete removes a posting.
-func (ix *Index) Delete(key rel.Value, id storage.RowID) {
-	if ix.BT != nil {
-		ix.BT.Delete(key, id)
-	} else {
-		ix.Hash.Delete(key, id)
-	}
-}
-
 // Lookup probes for equal keys.
 func (ix *Index) Lookup(key rel.Value) []storage.RowID {
 	if ix.BT != nil {

@@ -46,22 +46,6 @@ func (s *Schema) Names() []string {
 	return out
 }
 
-// Clone returns a deep copy of the schema.
-func (s *Schema) Clone() *Schema {
-	cols := make([]Column, len(s.Cols))
-	copy(cols, s.Cols)
-	return &Schema{Cols: cols}
-}
-
-// Project returns a schema with only the given column indexes.
-func (s *Schema) Project(idx []int) *Schema {
-	cols := make([]Column, len(idx))
-	for i, j := range idx {
-		cols[i] = s.Cols[j]
-	}
-	return &Schema{Cols: cols}
-}
-
 // Concat returns the concatenation of two schemas (join output shape).
 func (s *Schema) Concat(o *Schema) *Schema {
 	cols := make([]Column, 0, len(s.Cols)+len(o.Cols))
@@ -138,15 +122,4 @@ func DecodeRow(src []byte) (Row, int, error) {
 		off += used
 	}
 	return row, off, nil
-}
-
-// FeatureVector converts a row to a float64 feature vector using the given
-// column indexes; NULLs become 0. This is the bridge between relational rows
-// and the AI engine's tensors.
-func (r Row) FeatureVector(idx []int) []float64 {
-	out := make([]float64, len(idx))
-	for i, j := range idx {
-		out[i] = r[j].AsFloat()
-	}
-	return out
 }

@@ -315,8 +315,6 @@ func Equal(a, b Value) bool {
 	return Compare(a, b) == 0
 }
 
-func isNumeric(t Type) bool { return t == TypeInt || t == TypeFloat || t == TypeBool }
-
 // Hash returns a 64-bit hash of the value, used by hash joins and the hash
 // index. Numerically equal int/float values hash identically.
 func (v Value) Hash() uint64 {

@@ -316,42 +316,6 @@ func bucketPosition(c ColumnStats, v float64, upper bool) float64 {
 	return n
 }
 
-// Divergence measures how far these statistics have drifted from a snapshot:
-// a symmetric histogram-mass difference in [0, 2] plus relative row-count
-// change: the signal for when the cost baseline's stats are stale and when
-// learned-model conditions need a refresh.
-func Divergence(fresh, stale *TableStats) float64 {
-	fresh.mu.RLock()
-	defer fresh.mu.RUnlock()
-	stale.mu.RLock()
-	defer stale.mu.RUnlock()
-	var d float64
-	if fresh.RowCount+stale.RowCount > 0 {
-		d += math.Abs(float64(fresh.RowCount-stale.RowCount)) /
-			float64(max64(fresh.RowCount+stale.RowCount, 1))
-	}
-	n := len(fresh.Cols)
-	if len(stale.Cols) < n {
-		n = len(stale.Cols)
-	}
-	for i := 0; i < n; i++ {
-		f, s := fresh.Cols[i], stale.Cols[i]
-		if f.Count == 0 || s.Count == 0 {
-			continue
-		}
-		// Compare means and ranges, scale-normalized.
-		fm := f.Sum / float64(max64(f.Count-f.NullCount, 1))
-		sm := s.Sum / float64(max64(s.Count-s.NullCount, 1))
-		scale := math.Max(math.Abs(fm)+math.Abs(sm), 1e-9)
-		d += math.Abs(fm-sm) / scale / float64(n)
-		rangeF := f.Max - f.Min
-		rangeS := s.Max - s.Min
-		rscale := math.Max(rangeF+rangeS, 1e-9)
-		d += math.Abs(rangeF-rangeS) / rscale / float64(n)
-	}
-	return d
-}
-
 func max64(a, b int64) int64 {
 	if a > b {
 		return a

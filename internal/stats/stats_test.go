@@ -201,33 +201,6 @@ func TestSnapshotIsIsolated(t *testing.T) {
 	}
 }
 
-func TestDivergenceGrowsWithDrift(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	base := uniformRows(5000, 2, r)
-	ts := NewTableStats(2)
-	ts.Rebuild(base)
-	snap := ts.Snapshot()
-	if d := Divergence(ts, snap); d > 1e-9 {
-		t.Fatalf("self-divergence = %v", d)
-	}
-	// Mild drift: insert a few shifted rows.
-	for i := 0; i < 500; i++ {
-		ts.NoteInsertBatch([]rel.Row{{rel.Float(200 + r.Float64()*10), rel.Float(50)}})
-	}
-	mild := Divergence(ts, snap)
-	if mild <= 0 {
-		t.Fatal("mild drift should produce positive divergence")
-	}
-	// Severe drift: shift the distribution far away.
-	for i := 0; i < 5000; i++ {
-		ts.NoteInsertBatch([]rel.Row{{rel.Float(10_000 + r.Float64()*100), rel.Float(-500)}})
-	}
-	severe := Divergence(ts, snap)
-	if severe <= mild {
-		t.Fatalf("severe (%v) should exceed mild (%v)", severe, mild)
-	}
-}
-
 func TestEquiDepthBoundsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

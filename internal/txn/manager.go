@@ -3,7 +3,7 @@
 // serializable mode based on rw-antidependency tracking in the spirit of
 // PostgreSQL's Serializable Snapshot Isolation (Ports & Grittner, VLDB'12).
 // This is the engine the paper's "PostgreSQL" baseline maps onto; the
-// high-throughput learned-CC testbed lives in internal/cc.
+// high-throughput learned-CC testbed of Fig. 7 lives in internal/bench/cc.
 package txn
 
 import (
