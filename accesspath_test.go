@@ -35,7 +35,7 @@ func explainText(t *testing.T, db *DB, sql string, args ...any) string {
 	t.Helper()
 	var lines []string
 	for _, row := range mustExecArgs(t, db, "EXPLAIN "+sql, args...).Rows {
-		lines = append(lines, row[0].S)
+		lines = append(lines, row[0].String())
 	}
 	return strings.Join(lines, "\n")
 }
@@ -64,10 +64,10 @@ func TestRangeIndexScanReturnsMovedRowOnce(t *testing.T) {
 				}
 				seen := map[int64]int64{}
 				for _, row := range res.Rows {
-					if _, dup := seen[row[0].I]; dup {
-						t.Fatalf("%s: row %d returned twice: %v", how, row[0].I, res.Rows)
+					if _, dup := seen[row[0].AsInt()]; dup {
+						t.Fatalf("%s: row %d returned twice: %v", how, row[0].AsInt(), res.Rows)
 					}
-					seen[row[0].I] = row[1].I
+					seen[row[0].AsInt()] = row[1].AsInt()
 				}
 				if len(seen) != 9 || seen[5] != 7 {
 					t.Fatalf("%s: rows %v", how, res.Rows)

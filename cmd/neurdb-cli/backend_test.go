@@ -14,11 +14,12 @@ import (
 
 // TestBackendsPrintAlike runs the same statements through the embedded
 // engine and through a wire server and requires the shell to print the same
-// thing: EXPLAIN, a PREDICT that returns rows, one that matches nothing and
-// one that fails. The wire path learns columns from Describe before
-// executing, so a statement that fails at execution must still print no
-// header, as embedded. Error lines are compared by engine message, since the
-// wire client prefixes its own.
+// thing: EXPLAIN, a PREDICT that returns rows, one that matches nothing, one
+// that fails, and a SELECT that fails on its first batch. Both paths know
+// the columns before executing, and both print the header only after the
+// first batch: a statement that fails at execution prints its error and no
+// header. Error lines are compared by engine message, since the wire client
+// prefixes its own.
 func TestBackendsPrintAlike(t *testing.T) {
 	srvDB := neurdb.Open(neurdb.DefaultConfig())
 	defer srvDB.Close()
@@ -61,6 +62,12 @@ INSERT INTO churn VALUES
 		{"predict rows", `PREDICT CLASS OF left_us FROM churn TRAIN ON plan, tickets VALUES (0, 0), (1, 9);`, "prediction\n0\n1\n", false},
 		{"predict nothing", `PREDICT CLASS OF left_us FROM churn WHERE id > 100 TRAIN ON plan, tickets WITH id < 15;`, "prediction\nPREDICT", false},
 		{"predict fails", `PREDICT CLASS OF left_us FROM churn WHERE id >= 15 TRAIN ON tickets WITH id < 15;`, "error: ", true},
+		// A 1ns statement timeout has passed by the first batch pull, so the
+		// SELECT fails on its first batch, after its columns are known.
+		{"timeout", `SET statement_timeout = '1ns';`, "SET statement_timeout\n", false},
+		{"select fails on its first batch", `SELECT id, plan FROM churn;`, "error: statement timeout exceeded\n", true},
+		{"timeout off", `SET statement_timeout = 0;`, "SET statement_timeout\n", false},
+		{"select after", `SELECT id FROM churn WHERE id = 3;`, "churn.id\n3\n", false},
 	}
 	for _, c := range cases {
 		out := map[string]string{}

@@ -26,7 +26,7 @@ func TestCreateInsertSelect(t *testing.T) {
 	mustExec(t, db, `CREATE TABLE users (id INT PRIMARY KEY, name TEXT, age INT)`)
 	mustExec(t, db, `INSERT INTO users VALUES (1, 'ann', 30), (2, 'bob', 25), (3, 'cat', 41)`)
 	res := mustExec(t, db, `SELECT name FROM users WHERE age >= 30 ORDER BY age DESC`)
-	if len(res.Rows) != 2 || res.Rows[0][0].S != "cat" || res.Rows[1][0].S != "ann" {
+	if len(res.Rows) != 2 || res.Rows[0][0].String() != "cat" || res.Rows[1][0].String() != "ann" {
 		t.Fatalf("rows: %v", res.Rows)
 	}
 	if res.Columns[0] != "users.name" {
@@ -148,7 +148,7 @@ func TestCreateIndexAndPlans(t *testing.T) {
 	res := mustExec(t, db, `EXPLAIN SELECT v FROM big WHERE id = 1500`)
 	var text strings.Builder
 	for _, row := range res.Rows {
-		text.WriteString(row[0].S)
+		text.WriteString(row[0].String())
 		text.WriteByte('\n')
 	}
 	if !strings.Contains(text.String(), "IndexScan") {

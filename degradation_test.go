@@ -77,8 +77,8 @@ func TestDegradedReadOnlyAfterFsyncFailure(t *testing.T) {
 		if err != nil {
 			t.Fatalf("read while degraded: %v", err)
 		}
-		if res.Rows[0][0].I != 10 {
-			t.Fatalf("read while degraded saw %d acked rows, want 10", res.Rows[0][0].I)
+		if res.Rows[0][0].AsInt() != 10 {
+			t.Fatalf("read while degraded saw %d acked rows, want 10", res.Rows[0][0].AsInt())
 		}
 	}
 

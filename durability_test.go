@@ -39,7 +39,7 @@ func queryInts(t *testing.T, db *DB, sql string) []int64 {
 	}
 	out := make([]int64, 0, len(res.Rows))
 	for _, r := range res.Rows {
-		out = append(out, r[0].I)
+		out = append(out, r[0].AsInt())
 	}
 	return out
 }
@@ -70,7 +70,7 @@ func TestReopenRecoversData(t *testing.T) {
 		t.Fatalf("recovered %d rows (%v...)", len(ids), ids[:min(len(ids), 5)])
 	}
 	res := mustExec(t, db2, `SELECT score FROM kv WHERE id = 7`)
-	if len(res.Rows) != 1 || res.Rows[0][0].F != 99.5 {
+	if len(res.Rows) != 1 || res.Rows[0][0].AsFloat() != 99.5 {
 		t.Fatalf("update lost: %+v", res.Rows)
 	}
 	// New writes after recovery must not collide with recovered state.
@@ -141,7 +141,7 @@ func TestDDLRecovery(t *testing.T) {
 	}
 	// Index contents must be rebuilt, not just definitions.
 	res := mustExec(t, db2, `SELECT id FROM keep WHERE tag = 'b'`)
-	if len(res.Rows) != 1 || res.Rows[0][0].I != 2 {
+	if len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 2 {
 		t.Fatalf("index lookup after recovery: %+v", res.Rows)
 	}
 }
@@ -180,7 +180,7 @@ func TestCheckpointBoundsReplay(t *testing.T) {
 		t.Fatalf("recovered ids: %v", ids)
 	}
 	res := mustExec(t, db2, `SELECT v FROM t WHERE id = 10`)
-	if len(res.Rows) != 1 || res.Rows[0][0].I != 7 {
+	if len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 7 {
 		t.Fatalf("post-checkpoint update lost: %+v", res.Rows)
 	}
 

@@ -55,7 +55,7 @@ func main() {
 		}
 		fmt.Printf("\n%s:\n", label)
 		for _, row := range res.Rows {
-			fmt.Println(" ", row[0].S)
+			fmt.Println(" ", row[0])
 		}
 	}
 	explain("plan before drift (fresh statistics)")

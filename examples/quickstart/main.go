@@ -87,7 +87,7 @@ func main() {
 	res := must(`EXPLAIN SELECT score FROM review WHERE id = 42`)
 	fmt.Println("plan:")
 	for _, row := range res.Rows {
-		fmt.Printf("  %s\n", row[0].S)
+		fmt.Printf("  %s\n", row[0])
 	}
 
 	// The paper's Listing 1: in-database AI analytics with PREDICT.

@@ -64,21 +64,17 @@ func encodeRowsText(rows []rel.Row) string {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
-			switch v.Typ {
+			switch v.Type() {
 			case rel.TypeNull:
 				sb.WriteString("\\N")
-			case rel.TypeFloat:
-				sb.WriteString(strconv.FormatFloat(v.F, 'g', -1, 64))
-			case rel.TypeInt:
-				sb.WriteString(strconv.FormatInt(v.I, 10))
 			case rel.TypeBool:
-				if v.B {
+				if v.AsBool() {
 					sb.WriteString("t")
 				} else {
 					sb.WriteString("f")
 				}
 			default:
-				sb.WriteString(v.S)
+				sb.WriteString(v.String())
 			}
 		}
 		sb.WriteByte('\n')

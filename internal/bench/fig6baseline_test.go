@@ -77,7 +77,7 @@ func TestTextRoundTrip(t *testing.T) {
 	if len(back) != 2 {
 		t.Fatalf("rows = %d", len(back))
 	}
-	if back[0][0].AsFloat() != 1 || back[0][1].AsFloat() != 2.5 || back[0][2].S != "abc" {
+	if back[0][0].AsFloat() != 1 || back[0][1].AsFloat() != 2.5 || back[0][2].String() != "abc" {
 		t.Fatalf("row0 = %v", back[0])
 	}
 	if !back[0][3].AsBool() || !back[0][4].IsNull() {

@@ -14,11 +14,11 @@ import (
 // tables: a single numeric group-by value is keyed by its float64 bits in a
 // keyTable (the one the hash join builds on), everything else by the encoded
 // group-by values in a Go map. The aggregate argument expressions are
-// precompiled so plain column references skip interface dispatch, numeric
-// min/max comparisons run on cached float mirrors instead of rel.Compare,
-// the group-key buffer is reused across rows, and the string table is probed
-// with an allocation-free conversion — steady-state accumulation allocates
-// only when a new group appears.
+// precompiled so plain column references skip interface dispatch, each item
+// updates only the accumulator its kind reads, min/max compare same-type
+// numbers inline (less), the group-key buffer is reused across rows, and the
+// string table is probed with an allocation-free conversion — steady-state
+// accumulation allocates only when a new group appears.
 //
 // The serial aggBatch operator owns one aggAcc; the morsel-parallel
 // aggregation gives each worker its own partial aggAcc and merges them with
@@ -45,10 +45,6 @@ type aggAcc struct {
 	sums []float64
 	mins []rel.Value
 	maxs []rel.Value
-	// minF/maxF mirror mins/maxs as floats while the running extreme is
-	// numeric, so the common comparison is one float compare.
-	minF []float64
-	maxF []float64
 
 	keyBuf []byte
 }
@@ -62,9 +58,10 @@ type groupKey struct {
 
 // aggArgSpec is one precompiled aggregate item.
 type aggArgSpec struct {
-	idx int      // position in node.Items (and in the accumulator stride)
-	arg rel.Expr // nil for COUNT(*)
-	col int      // column index when arg is a plain ColRef, else -1
+	idx  int          // position in node.Items (and in the accumulator stride)
+	kind plan.AggKind // which accumulator the item reads
+	arg  rel.Expr     // nil for COUNT(*)
+	col  int          // column index when arg is a plain ColRef, else -1
 }
 
 // colOf returns the column index of a plain column reference, or -1.
@@ -89,25 +86,51 @@ func pairCol(l, r rel.Row, c int) rel.Value {
 }
 
 // numKey is the float value = compares a numeric value by, with -0 as 0:
-// 1, 1.0 and TRUE have one numKey, and so do INTs that round to one float64.
-// It takes a pointer so the hot loops pass no Value copy.
-func numKey(v *rel.Value) float64 {
-	if f := fastFloat(*v); f != 0 {
-		return f
+// 1, 1.0 and TRUE have one numKey. ok is false for an INT that float64
+// cannot hold exactly: no DOUBLE equals it, so callers key it as the INT it
+// is. It takes a pointer so the hot loops pass no Value copy.
+func numKey(v *rel.Value) (f float64, ok bool) {
+	if v.Type() == rel.TypeFloat {
+		f = math.Float64frombits(v.Bits())
+	} else { // INT or BOOL: the payload is the int64 value
+		i := int64(v.Bits())
+		// float64(i) rounds to at most 2^63, which int64 cannot hold.
+		if f = float64(i); f >= 0x1p63 || int64(f) != i {
+			return 0, false
+		}
 	}
-	return 0 // -0
+	if f == 0 {
+		return 0, true // -0
+	}
+	return f, true
 }
 
-// fastFloat is Value.AsFloat without the method-value copy for the types
-// the accumulator loop sees constantly.
-func fastFloat(v rel.Value) float64 {
-	if v.Typ == rel.TypeInt {
-		return float64(v.I)
+// fastFloat is Value.AsFloat without the call for the types the
+// accumulator loop sees constantly.
+func fastFloat(v *rel.Value) float64 {
+	switch v.Type() {
+	case rel.TypeInt:
+		return float64(int64(v.Bits()))
+	case rel.TypeFloat:
+		return math.Float64frombits(v.Bits())
+	default:
+		return v.AsFloat()
 	}
-	if v.Typ == rel.TypeFloat {
-		return v.F
+}
+
+// less is rel.Compare(*x, *y) < 0, with two INTs or two DOUBLEs compared
+// inline.
+func less(x, y *rel.Value) bool {
+	switch t := x.Type(); {
+	case t != y.Type():
+		return rel.Compare(*x, *y) < 0
+	case t == rel.TypeInt:
+		return int64(x.Bits()) < int64(y.Bits())
+	case t == rel.TypeFloat:
+		return math.Float64frombits(x.Bits()) < math.Float64frombits(y.Bits())
+	default:
+		return rel.Compare(*x, *y) < 0
 	}
-	return v.AsFloat()
 }
 
 // newAggAcc precompiles the aggregate items and group-by columns of node
@@ -118,7 +141,7 @@ func newAggAcc(node *plan.Agg) *aggAcc {
 		if item.Agg == nil {
 			continue
 		}
-		sp := aggArgSpec{idx: i, arg: item.Agg.Arg, col: -1}
+		sp := aggArgSpec{idx: i, kind: item.Agg.Kind, arg: item.Agg.Arg, col: -1}
 		if sp.arg != nil {
 			sp.col = colOf(sp.arg)
 			a.evalRow = a.evalRow || sp.col < 0
@@ -136,7 +159,8 @@ func newAggAcc(node *plan.Agg) *aggAcc {
 // the row l), creating it on first sight. A numeric (INT, FLOAT, BOOL) value
 // is keyed by its numKey, because = and the hash join treat numerically
 // equal values as equal: a lone one by its float64 bits in numSlots, one of
-// several as a FLOAT inside the encoded key. Encoded keys are
+// several as a FLOAT inside the encoded key. An INT that float64 cannot
+// hold, which no DOUBLE equals, keeps its own INT encoding. Encoded keys are
 // rel.EncodeValue's self-delimiting encoding, so NULLs form a group and TEXT
 // never collides with a number. A new group keeps a copy of its first row:
 // callers may reuse the rows' backing arrays (a join's slab does).
@@ -149,15 +173,19 @@ func (a *aggAcc) slot(l, r rel.Row, seq uint64) int {
 		} else {
 			v = g.Eval(l)
 		}
-		if numericType(v.Typ) {
-			if len(a.keyCols) == 1 {
-				bits := math.Float64bits(numKey(&v))
+		if numericType(v.Type()) {
+			f, ok := numKey(&v)
+			switch {
+			case !ok: // an INT no DOUBLE equals: its own encoded key
+			case len(a.keyCols) == 1:
+				bits := math.Float64bits(f)
 				if s := a.numSlots.get(bits); s != 0 {
 					return int(s - 1)
 				}
 				return a.addSlot(groupKey{num: bits, isNum: true}, concatRow(l, r), seq)
+			default:
+				v = rel.Float(f)
 			}
-			v = rel.Float(numKey(&v))
 		}
 		a.keyBuf = rel.EncodeValue(a.keyBuf, v)
 	}
@@ -188,8 +216,6 @@ func (a *aggAcc) addSlot(key groupKey, first rel.Row, seq uint64) int {
 	a.sums = append(a.sums, make([]float64, a.nAgg)...)
 	a.mins = append(a.mins, make([]rel.Value, a.nAgg)...)
 	a.maxs = append(a.maxs, make([]rel.Value, a.nAgg)...)
-	a.minF = append(a.minF, make([]float64, a.nAgg)...)
-	a.maxF = append(a.maxF, make([]float64, a.nAgg)...)
 	return s
 }
 
@@ -218,32 +244,22 @@ func (a *aggAcc) add(l, r rel.Row, seq uint64) {
 		} else {
 			v = sp.arg.Eval(l)
 		}
-		if v.Typ == rel.TypeNull {
+		if v.IsNull() {
 			continue
 		}
 		a.cnts[j]++
-		f := fastFloat(v)
-		a.sums[j] += f
-		if a.cnts[j] == 1 {
-			a.mins[j], a.maxs[j] = v, v
-			a.minF[j], a.maxF[j] = f, f
-			continue
-		}
-		if numericType(v.Typ) && numericType(a.mins[j].Typ) {
-			// Numeric fast path: the float mirrors carry the ordering.
-			if f < a.minF[j] {
-				a.mins[j], a.minF[j] = v, f
+		switch sp.kind {
+		case plan.AggCount: // the count above is all it reads
+		case plan.AggSum, plan.AggAvg:
+			a.sums[j] += fastFloat(&v)
+		case plan.AggMin:
+			if a.cnts[j] == 1 || less(&v, &a.mins[j]) {
+				a.mins[j] = v
 			}
-			if f > a.maxF[j] {
-				a.maxs[j], a.maxF[j] = v, f
+		case plan.AggMax:
+			if a.cnts[j] == 1 || less(&a.maxs[j], &v) {
+				a.maxs[j] = v
 			}
-			continue
-		}
-		if rel.Compare(v, a.mins[j]) < 0 {
-			a.mins[j], a.minF[j] = v, f
-		}
-		if rel.Compare(v, a.maxs[j]) > 0 {
-			a.maxs[j], a.maxF[j] = v, f
 		}
 	}
 }
@@ -277,17 +293,16 @@ func (a *aggAcc) mergeFrom(src *aggAcc) {
 			if a.cnts[dj] == 0 {
 				a.cnts[dj] = src.cnts[sj]
 				a.sums[dj] = src.sums[sj]
-				a.mins[dj], a.minF[dj] = src.mins[sj], src.minF[sj]
-				a.maxs[dj], a.maxF[dj] = src.maxs[sj], src.maxF[sj]
+				a.mins[dj], a.maxs[dj] = src.mins[sj], src.maxs[sj]
 				continue
 			}
 			a.cnts[dj] += src.cnts[sj]
 			a.sums[dj] += src.sums[sj]
-			if rel.Compare(src.mins[sj], a.mins[dj]) < 0 {
-				a.mins[dj], a.minF[dj] = src.mins[sj], src.minF[sj]
+			if less(&src.mins[sj], &a.mins[dj]) {
+				a.mins[dj] = src.mins[sj]
 			}
-			if rel.Compare(src.maxs[sj], a.maxs[dj]) > 0 {
-				a.maxs[dj], a.maxF[dj] = src.maxs[sj], src.maxF[sj]
+			if less(&a.maxs[dj], &src.maxs[sj]) {
+				a.maxs[dj] = src.maxs[sj]
 			}
 		}
 	}

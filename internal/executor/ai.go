@@ -32,7 +32,7 @@ type fieldCodec struct {
 }
 
 func (c fieldCodec) encode(v rel.Value) int {
-	if !c.isNumeric || v.Typ == rel.TypeText {
+	if !c.isNumeric || v.Type() == rel.TypeText {
 		return int(v.Hash() % uint64(c.buckets))
 	}
 	f := v.AsFloat()

@@ -46,7 +46,7 @@ func TestBatchEngineMatchesOracle(t *testing.T) {
 		case i%23 == 0:
 			cat = rel.Null() // NULL group keys
 		case i%19 == 0: // what an unchecked write can leave in an INT column
-			cat = []rel.Value{rel.Float(float64(cat.I)), rel.Bool(cat.I%2 == 1), rel.Text(fmt.Sprint(cat.I))}[i%3]
+			cat = []rel.Value{rel.Float(float64(cat.AsInt())), rel.Bool(cat.AsInt()%2 == 1), rel.Text(fmt.Sprint(cat.AsInt()))}[i%3]
 		}
 		price := rel.Float(r.Float64() * 100)
 		if i%31 == 0 {

@@ -57,6 +57,21 @@ func (e *benchEnv) readCtx() *Ctx {
 
 const scanRows = 50_000
 
+// liveHeap is the heap in use after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// heapPerRow is the live heap a table load added since liveHeap returned
+// before, per stored row: versions, rows and their values. Benchmarks report
+// it as heap_B/row, the memory side of the value layout.
+func heapPerRow(before uint64, rows int) float64 {
+	return (float64(liveHeap()) - float64(before)) / float64(rows)
+}
+
 // drainBatch pulls a batch iterator dry, returning the row count.
 func drainBatch(b *testing.B, it BatchIter, batch *rel.Batch) int {
 	if err := it.Open(); err != nil {
@@ -136,9 +151,11 @@ func BenchmarkHashJoinBatch(b *testing.B) {
 // pairs). rows/s counts probe rows.
 func BenchmarkHashJoinAggBatch(b *testing.B) {
 	const probeRows = 20_000
+	before := liveHeap()
 	e := newBenchEnv(b)
 	probe := e.fill(b, "probe", probeRows, 2000)
 	build := e.fill(b, "build", 2000, 2000)
+	perRow := heapPerRow(before, probeRows+2000)
 	grp := &rel.ColRef{Idx: 4} // build.grp
 	node := &plan.Agg{
 		Child:   joinPlan(probe, build),
@@ -166,6 +183,7 @@ func BenchmarkHashJoinAggBatch(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(probeRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+			b.ReportMetric(perRow, "heap_B/row")
 		})
 	}
 }
@@ -245,8 +263,10 @@ func (e *benchEnv) facts(b *testing.B) *catalog.Table {
 // GROUP BY region — over 50k rows, serially and with two workers: a
 // column-vs-constant filter pushed into the scan, a single numeric group key.
 func BenchmarkFilterGroupAgg(b *testing.B) {
+	before := liveHeap()
 	e := newBenchEnv(b)
 	tbl := e.facts(b)
+	perRow := heapPerRow(before, scanRows)
 	region := &rel.ColRef{Idx: 1}
 	node := &plan.Agg{
 		Child: &plan.SeqScan{Base: plan.Base{Out: tbl.Schema}, Table: tbl,
@@ -275,6 +295,7 @@ func BenchmarkFilterGroupAgg(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(scanRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+			b.ReportMetric(perRow, "heap_B/row")
 		})
 	}
 }

@@ -204,7 +204,7 @@ func TestSelectStarAndWhere(t *testing.T) {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	rows = db.query("SELECT name FROM users WHERE age = 25")
-	if len(rows) != 1 || rows[0][0].S != "bob" {
+	if len(rows) != 1 || rows[0][0].String() != "bob" {
 		t.Fatalf("got %v", rows)
 	}
 }
@@ -222,11 +222,11 @@ func TestOrderByAndLimit(t *testing.T) {
 	db := newTestDB(t)
 	seedUsersPosts(db)
 	rows := db.query("SELECT name FROM users ORDER BY age DESC LIMIT 2")
-	if len(rows) != 2 || rows[0][0].S != "cat" || rows[1][0].S != "ann" {
+	if len(rows) != 2 || rows[0][0].String() != "cat" || rows[1][0].String() != "ann" {
 		t.Fatalf("got %v", rows)
 	}
 	rows = db.query("SELECT name FROM users ORDER BY age")
-	if rows[0][0].S != "bob" {
+	if rows[0][0].String() != "bob" {
 		t.Fatalf("asc order wrong: %v", rows)
 	}
 }
@@ -240,7 +240,7 @@ func TestJoinTwoTables(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, r := range rows {
-		names[r[0].S] = true
+		names[r[0].String()] = true
 	}
 	if !names["ann"] || !names["cat"] || names["bob"] {
 		t.Fatalf("wrong names: %v", names)
@@ -268,7 +268,7 @@ func TestThreeWayJoin(t *testing.T) {
 	_ = users
 	rows := db.query(`SELECT u.name FROM users u, posts p, comments c
 		WHERE u.id = p.owner AND p.id = c.post AND c.author = 3`)
-	if len(rows) != 1 || rows[0][0].S != "ann" {
+	if len(rows) != 1 || rows[0][0].String() != "ann" {
 		t.Fatalf("got %v", rows)
 	}
 }

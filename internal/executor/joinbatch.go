@@ -269,8 +269,11 @@ func (t *keyTable) ref(key uint64) *int32 {
 // order, a keyTable from each key to the first row holding it, and a next
 // chain through each key's rows in build order. A numeric key (INT, DOUBLE,
 // BOOL) is keyed by its numKey's float64 bits, so numerically equal keys
-// match by bit compare, exactly as = has it; a TEXT key by Value.Hash,
-// rechecked with rel.Equal. A NULL key is never linked: it joins nothing.
+// share a chain; an INT float64 cannot hold by a NaN pattern hashed from
+// its value (wideIntKey), which no number's numKey has. A TEXT key is keyed
+// by Value.Hash. seek rechecks every candidate with = (rel.Compare), since
+// keys of distinct values may collide. A NULL key is never linked: it joins
+// nothing.
 type joinTable struct {
 	col   int // key column of the build rows
 	rows  []rel.Row
@@ -280,10 +283,21 @@ type joinTable struct {
 
 // tableKey is v's key in a joinTable.
 func tableKey(v *rel.Value) uint64 {
-	if numericType(v.Typ) {
-		return math.Float64bits(numKey(v))
+	if !numericType(v.Type()) {
+		return v.Hash()
 	}
-	return v.Hash()
+	if f, ok := numKey(v); ok {
+		return math.Float64bits(f)
+	}
+	return wideIntKey(int64(v.Bits()))
+}
+
+// wideIntKey is the table key of an INT that float64 cannot hold: a
+// negative NaN whose 52-bit payload is a hash of i. Such INTs may share a
+// key with each other or with a NaN, never with another number.
+func wideIntKey(i int64) uint64 {
+	const negNaN = 0xfff0_0000_0000_0001 // sign, exponent and a nonzero payload
+	return negNaN | uint64(i)*0x9e3779b97f4a7c15>>12
 }
 
 func newJoinTable(rows []rel.Row, col int) *joinTable {
@@ -299,13 +313,14 @@ func newJoinTable(rows []rel.Row, col int) *joinTable {
 }
 
 // seek returns the first row, from chain entry e on, whose key equals the
-// probe key (as index+1; 0 when none). A chain holds one table key, which a
-// numeric key and a TEXT hash may share: a numeric probe takes the chain's
-// numeric rows, a TEXT probe the rows rel.Equal to it.
+// probe key (as index+1; 0 when none). A chain holds one table key, which
+// distinct values may share, so each candidate is rechecked: a build key of
+// the probe's type and payload is equal at once, any other by rel.Equal.
 func (t *joinTable) seek(e int32, key *rel.Value) int32 {
-	num := numericType(key.Typ)
 	for ; e != 0; e = t.next[e-1] {
-		if bk := &t.rows[e-1][t.col]; num && numericType(bk.Typ) || !num && rel.Equal(*bk, *key) {
+		bk := &t.rows[e-1][t.col]
+		samePayload := bk.Type() == key.Type() && bk.Bits() == key.Bits() && key.Type() != rel.TypeText
+		if samePayload || rel.Equal(*bk, *key) {
 			return e
 		}
 	}

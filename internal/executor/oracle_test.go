@@ -2,6 +2,7 @@ package executor
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -140,17 +141,21 @@ func oracleAgg(n *plan.Agg, in []rel.Row) []rel.Row {
 	for _, row := range in {
 		key := ""
 		for _, g := range n.GroupBy {
-			v := g.Eval(row)
-			if v.Typ == rel.TypeInt || v.Typ == rel.TypeFloat || v.Typ == rel.TypeBool {
-				// Numerically equal values (1, 1.0, TRUE; -0 and 0) group
-				// together, as = has it.
-				f := v.AsFloat()
-				if f == 0 {
-					f = 0
+			// Numerically equal values (1, 1.0, TRUE; -0 and 0) group
+			// together, as = has it: a number is keyed by its exact value,
+			// in decimal when it is an integer int64 can hold.
+			switch v := g.Eval(row); v.Type() {
+			case rel.TypeInt, rel.TypeBool:
+				key += fmt.Sprintf("n%d;", v.AsInt())
+			case rel.TypeFloat:
+				if f := v.AsFloat(); f == math.Trunc(f) && f >= -0x1p63 && f < 0x1p63 {
+					key += fmt.Sprintf("n%d;", int64(f))
+				} else {
+					key += fmt.Sprintf("n%v;", f)
 				}
-				v = rel.Float(f)
+			default:
+				key += fmt.Sprintf("%d/%q;", v.Type(), v.String())
 			}
-			key += fmt.Sprintf("%d/%d/%v/%q/%t;", v.Typ, v.I, v.F, v.S, v.B)
 		}
 		if _, seen := groups[key]; !seen {
 			order = append(order, key)

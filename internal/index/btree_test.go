@@ -67,7 +67,7 @@ func TestBTreeKeysSortedProperty(t *testing.T) {
 			return false
 		}
 		for _, k := range keys {
-			if !inserted[k.I] {
+			if !inserted[k.AsInt()] {
 				return false
 			}
 		}
@@ -86,7 +86,7 @@ func TestBTreeRange(t *testing.T) {
 	lo, hi := rel.Int(100), rel.Int(110)
 	var got []int64
 	bt.Range(&lo, &hi, func(k rel.Value, _ []storage.RowID) bool {
-		got = append(got, k.I)
+		got = append(got, k.AsInt())
 		return true
 	})
 	want := []int64{100, 102, 104, 106, 108, 110}
@@ -114,7 +114,7 @@ func TestBTreeRange(t *testing.T) {
 	lo2 := rel.Int(990)
 	var tail []int64
 	bt.Range(&lo2, nil, func(k rel.Value, _ []storage.RowID) bool {
-		tail = append(tail, k.I)
+		tail = append(tail, k.AsInt())
 		return true
 	})
 	if len(tail) != 5 || tail[0] != 990 {
@@ -138,24 +138,24 @@ func TestBTreeRangeSeekMatchesFilter(t *testing.T) {
 	keys := bt.Keys()
 	for trial := 0; trial < 2000; trial++ {
 		lo := rel.Int(int64(r.Intn(9200) - 100))
-		hi := rel.Int(lo.I + int64(r.Intn(400)) - 20) // sometimes below lo: empty
+		hi := rel.Int(lo.AsInt() + int64(r.Intn(400)) - 20) // sometimes below lo: empty
 		var want []int64
 		for _, k := range keys {
-			if k.I >= lo.I && k.I <= hi.I {
-				want = append(want, k.I)
+			if k.AsInt() >= lo.AsInt() && k.AsInt() <= hi.AsInt() {
+				want = append(want, k.AsInt())
 			}
 		}
 		var got []int64
 		bt.Range(&lo, &hi, func(k rel.Value, _ []storage.RowID) bool {
-			got = append(got, k.I)
+			got = append(got, k.AsInt())
 			return true
 		})
 		if len(got) != len(want) {
-			t.Fatalf("[%d,%d]: got %v, want %v", lo.I, hi.I, got, want)
+			t.Fatalf("[%d,%d]: got %v, want %v", lo.AsInt(), hi.AsInt(), got, want)
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("[%d,%d]: got %v, want %v", lo.I, hi.I, got, want)
+				t.Fatalf("[%d,%d]: got %v, want %v", lo.AsInt(), hi.AsInt(), got, want)
 			}
 		}
 	}
@@ -203,7 +203,7 @@ func TestBTreeMixedTypesOrdered(t *testing.T) {
 	bt.Insert(rel.Float(2.5), rid(4))
 	keys := bt.Keys()
 	// numeric class before text class; within class by value
-	if keys[0].AsFloat() != 2.5 || keys[1].AsFloat() != 5 || keys[2].S != "a" || keys[3].S != "b" {
+	if keys[0].AsFloat() != 2.5 || keys[1].AsFloat() != 5 || keys[2].String() != "a" || keys[3].String() != "b" {
 		t.Fatalf("mixed order wrong: %v", keys)
 	}
 }

@@ -93,8 +93,8 @@ func (c *Const) Eval(Row) Value { return c.Val }
 
 // String implements Expr.
 func (c *Const) String() string {
-	if c.Val.Typ == TypeText {
-		return "'" + c.Val.S + "'"
+	if c.Val.typ == TypeText {
+		return "'" + c.Val.s + "'"
 	}
 	return c.Val.String()
 }
@@ -223,24 +223,25 @@ func (b *BinOp) Eval(r Row) Value {
 }
 
 func arith(k BinOpKind, l, r Value) Value {
-	if l.Typ == TypeInt && r.Typ == TypeInt {
+	if l.typ == TypeInt && r.typ == TypeInt {
+		li, ri := int64(l.n), int64(r.n)
 		switch k {
 		case OpAdd:
-			return Int(l.I + r.I)
+			return Int(li + ri)
 		case OpSub:
-			return Int(l.I - r.I)
+			return Int(li - ri)
 		case OpMul:
-			return Int(l.I * r.I)
+			return Int(li * ri)
 		case OpDiv:
-			if r.I == 0 {
+			if ri == 0 {
 				return Null()
 			}
-			return Int(l.I / r.I)
+			return Int(li / ri)
 		case OpMod:
-			if r.I == 0 {
+			if ri == 0 {
 				return Null()
 			}
-			return Int(l.I % r.I)
+			return Int(li % ri)
 		}
 	}
 	lf, rf := l.AsFloat(), r.AsFloat()

@@ -55,7 +55,7 @@ func TestArithmetic(t *testing.T) {
 	}
 	for i, c := range cases {
 		got := c.e.Eval(row)
-		if got.Typ != c.want.Typ || (got.Typ != TypeNull && Compare(got, c.want) != 0) {
+		if got.Type() != c.want.Type() || (got.Type() != TypeNull && Compare(got, c.want) != 0) {
 			t.Errorf("case %d %s = %v, want %v", i, c.e, got, c.want)
 		}
 	}
@@ -90,7 +90,7 @@ func TestNotIsNullInList(t *testing.T) {
 // are Kleene's, NOT NULL is NULL.
 func TestThreeValuedLogic(t *testing.T) {
 	T, F, N := Bool(true), Bool(false), Null()
-	same := func(a, b Value) bool { return a.Typ == b.Typ && a.B == b.B }
+	same := func(a, b Value) bool { return a.Type() == b.Type() && a.AsBool() == b.AsBool() }
 	one, two, null := lit(Int(1)), lit(Int(2)), lit(Null())
 	in := func(e Expr, list ...Value) Expr { return &InList{E: e, List: list} }
 	for _, c := range []struct {
@@ -226,7 +226,7 @@ func TestRowHelpers(t *testing.T) {
 	r := Row{Int(1), Float(2.5), Text("9")}
 	cl := r.Clone()
 	cl[0] = Int(99)
-	if r[0].I != 1 {
+	if r[0].AsInt() != 1 {
 		t.Fatal("clone aliases")
 	}
 	if r.String() != "1, 2.5, 9" {

@@ -4,6 +4,7 @@
 package rel
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -46,32 +47,46 @@ func (t Type) String() string {
 	}
 }
 
-// Value is a single typed datum. The zero Value is NULL.
+// Value is a single typed datum in 32 bytes: one payload word n and a
+// string s behind the type tag. An INT is n as an int64, a DOUBLE n as its
+// math.Float64bits, a BOOL n as 0 or 1, and a TEXT is s; NULL carries
+// neither. The zero Value is NULL.
 type Value struct {
-	Typ Type
-	I   int64
-	F   float64
-	S   string
-	B   bool
+	s   string
+	n   uint64
+	typ Type
 }
 
 // Null returns the NULL value.
-func Null() Value { return Value{Typ: TypeNull} }
+func Null() Value { return Value{} }
 
 // Int wraps an int64 as a Value.
-func Int(v int64) Value { return Value{Typ: TypeInt, I: v} }
+func Int(v int64) Value { return Value{typ: TypeInt, n: uint64(v)} }
 
 // Float wraps a float64 as a Value.
-func Float(v float64) Value { return Value{Typ: TypeFloat, F: v} }
+func Float(v float64) Value { return Value{typ: TypeFloat, n: math.Float64bits(v)} }
 
 // Text wraps a string as a Value.
-func Text(v string) Value { return Value{Typ: TypeText, S: v} }
+func Text(v string) Value { return Value{typ: TypeText, s: v} }
 
 // Bool wraps a bool as a Value.
-func Bool(v bool) Value { return Value{Typ: TypeBool, B: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{typ: TypeBool, n: 1}
+	}
+	return Value{typ: TypeBool}
+}
+
+// Type returns the value's type; TypeNull for NULL.
+func (v Value) Type() Type { return v.typ }
+
+// Bits returns the payload word: an INT's int64, a DOUBLE's float64 bits, a
+// BOOL's 0 or 1, and 0 for NULL and TEXT. Kernels that have switched on Type
+// already read it instead of an As* conversion.
+func (v Value) Bits() uint64 { return v.n }
 
 // IsNull reports whether v is NULL.
-func (v Value) IsNull() bool { return v.Typ == TypeNull }
+func (v Value) IsNull() bool { return v.typ == TypeNull }
 
 // FromGo converts a native Go value into an engine Value — the single
 // parameter-conversion table shared by the embedded client API and the wire
@@ -134,18 +149,15 @@ func FromGo(a any) (Value, error) {
 // AsFloat converts numeric and boolean values to float64; text parses if
 // possible. It is the canonical featurization path for AI operators.
 func (v Value) AsFloat() float64 {
-	switch v.Typ {
+	switch v.typ {
 	case TypeInt:
-		return float64(v.I)
+		return float64(int64(v.n))
 	case TypeFloat:
-		return v.F
+		return math.Float64frombits(v.n)
 	case TypeBool:
-		if v.B {
-			return 1
-		}
-		return 0
+		return float64(v.n)
 	case TypeText:
-		f, err := strconv.ParseFloat(v.S, 64)
+		f, err := strconv.ParseFloat(v.s, 64)
 		if err != nil {
 			return 0
 		}
@@ -157,18 +169,13 @@ func (v Value) AsFloat() float64 {
 
 // AsInt converts the value to an int64 using truncation semantics.
 func (v Value) AsInt() int64 {
-	switch v.Typ {
-	case TypeInt:
-		return v.I
+	switch v.typ {
+	case TypeInt, TypeBool:
+		return int64(v.n)
 	case TypeFloat:
-		return int64(v.F)
-	case TypeBool:
-		if v.B {
-			return 1
-		}
-		return 0
+		return int64(math.Float64frombits(v.n))
 	case TypeText:
-		i, err := strconv.ParseInt(v.S, 10, 64)
+		i, err := strconv.ParseInt(v.s, 10, 64)
 		if err != nil {
 			return 0
 		}
@@ -180,15 +187,13 @@ func (v Value) AsInt() int64 {
 
 // AsBool converts the value to a boolean; non-zero numerics are true.
 func (v Value) AsBool() bool {
-	switch v.Typ {
-	case TypeBool:
-		return v.B
-	case TypeInt:
-		return v.I != 0
+	switch v.typ {
+	case TypeBool, TypeInt:
+		return v.n != 0
 	case TypeFloat:
-		return v.F != 0
+		return math.Float64frombits(v.n) != 0
 	case TypeText:
-		return v.S == "true" || v.S == "t" || v.S == "1"
+		return v.s == "true" || v.s == "t" || v.s == "1"
 	default:
 		return false
 	}
@@ -197,15 +202,15 @@ func (v Value) AsBool() bool {
 // GoValue returns the value's native Go representation (nil, int64,
 // float64, string or bool) — the inverse of FromGo for scan results.
 func (v Value) GoValue() any {
-	switch v.Typ {
+	switch v.typ {
 	case TypeInt:
-		return v.I
+		return int64(v.n)
 	case TypeFloat:
-		return v.F
+		return math.Float64frombits(v.n)
 	case TypeText:
-		return v.S
+		return v.s
 	case TypeBool:
-		return v.B
+		return v.n != 0
 	default:
 		return nil
 	}
@@ -245,17 +250,17 @@ func Assign(dest any, v Value) error {
 
 // String renders the value the way the CLI prints it.
 func (v Value) String() string {
-	switch v.Typ {
+	switch v.typ {
 	case TypeNull:
 		return "NULL"
 	case TypeInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case TypeFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case TypeText:
-		return v.S
+		return v.s
 	case TypeBool:
-		if v.B {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
@@ -280,8 +285,11 @@ func typeClass(t Type) int {
 // Compare orders two values. NULL sorts first; int/float/bool compare
 // numerically by value; text compares lexicographically; the classes
 // themselves are ordered NULL < numeric < text so Compare is a total order.
+// Numeric comparison is exact: two INTs compare as int64s, an INT and a
+// DOUBLE by their mathematical values (compareIntFloat), so distinct INTs
+// above 2^53 stay distinct. A NaN compares equal to every number.
 func Compare(a, b Value) int {
-	ca, cb := typeClass(a.Typ), typeClass(b.Typ)
+	ca, cb := typeClass(a.typ), typeClass(b.typ)
 	if ca != cb {
 		if ca < cb {
 			return -1
@@ -292,18 +300,58 @@ func Compare(a, b Value) int {
 	case 0:
 		return 0
 	case 1:
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
+		return compareNum(a, b)
 	default:
-		return strings.Compare(a.S, b.S)
+		return strings.Compare(a.s, b.s)
 	}
+}
+
+// compareNum is Compare for two numeric values. A BOOL's payload is its
+// int64 value 0 or 1, so it compares as an INT.
+func compareNum(a, b Value) int {
+	switch af, bf := a.typ == TypeFloat, b.typ == TypeFloat; {
+	case !af && !bf:
+		return cmp.Compare(int64(a.n), int64(b.n))
+	case !af:
+		return compareIntFloat(int64(a.n), math.Float64frombits(b.n))
+	case !bf:
+		return -compareIntFloat(int64(b.n), math.Float64frombits(a.n))
+	default:
+		return compareFloat(math.Float64frombits(a.n), math.Float64frombits(b.n))
+	}
+}
+
+// compareFloat orders two float64s with NaN equal to everything: neither
+// less nor greater is equal.
+func compareFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// compareIntFloat orders an int64 against a float64 by their exact values,
+// without rounding i to a float64 (which would make 2^53+1 equal 2^53).
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f: // NaN
+		return 0
+	case f >= 0x1p63:
+		return -1
+	case f < -0x1p63:
+		return 1
+	}
+	// |f| < 2^63 (or f = -2^63), so its integral part t is an exact int64.
+	t := int64(f)
+	if i != t {
+		return cmp.Compare(i, t)
+	}
+	// i = t, so f's fractional part, exact in float64, decides.
+	return compareFloat(0, f-float64(t))
 }
 
 // Equal reports whether two values compare equal. NULL never equals NULL
@@ -316,7 +364,9 @@ func Equal(a, b Value) bool {
 }
 
 // Hash returns a 64-bit hash of the value, used by hash joins and the hash
-// index. Numerically equal int/float values hash identically.
+// index. Values that compare equal hash identically: a numeric value hashes
+// by its float64 value (-0 as 0), so 1, 1.0 and TRUE share a hash, and an
+// INT float64 cannot hold shares one with the float it rounds to.
 func (v Value) Hash() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -324,7 +374,7 @@ func (v Value) Hash() uint64 {
 	)
 	h := uint64(offset64)
 	mix := func(b byte) { h = (h ^ uint64(b)) * prime64 }
-	switch v.Typ {
+	switch v.typ {
 	case TypeNull:
 		mix(0)
 	case TypeInt, TypeFloat, TypeBool:
@@ -338,8 +388,8 @@ func (v Value) Hash() uint64 {
 		}
 	case TypeText:
 		mix(4)
-		for i := 0; i < len(v.S); i++ {
-			mix(v.S[i])
+		for i := 0; i < len(v.s); i++ {
+			mix(v.s[i])
 		}
 	}
 	return h
@@ -347,29 +397,17 @@ func (v Value) Hash() uint64 {
 
 // EncodeValue appends a self-delimiting binary encoding of v to dst.
 func EncodeValue(dst []byte, v Value) []byte {
-	dst = append(dst, byte(v.Typ))
-	switch v.Typ {
+	dst = append(dst, byte(v.typ))
+	switch v.typ {
 	case TypeNull:
 		// The tag byte alone: NULL carries no payload.
-	case TypeInt:
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(v.I))
-		dst = append(dst, buf[:]...)
-	case TypeFloat:
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.F))
-		dst = append(dst, buf[:]...)
+	case TypeInt, TypeFloat:
+		dst = binary.LittleEndian.AppendUint64(dst, v.n)
 	case TypeText:
-		var buf [4]byte
-		binary.LittleEndian.PutUint32(buf[:], uint32(len(v.S)))
-		dst = append(dst, buf[:]...)
-		dst = append(dst, v.S...)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.s)))
+		dst = append(dst, v.s...)
 	case TypeBool:
-		if v.B {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = append(dst, byte(v.n))
 	}
 	return dst
 }

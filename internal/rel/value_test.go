@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
@@ -85,11 +86,29 @@ func TestCompareOrdering(t *testing.T) {
 		{Bool(false), Bool(true), -1},
 		{Bool(true), Bool(true), 0},
 		{Bool(false), Int(1), -1}, // bool is numeric: 0 < 1
+		// Exact at and beyond 2^53, where float64 stops holding every INT.
+		{Int(1 << 53), Int(1<<53 + 1), -1},
+		{Int(1<<53 + 1), Float(1 << 53), 1},
+		{Float(1<<53 + 2), Int(1<<53 + 1), 1},
+		{Int(math.MaxInt64), Float(0x1p63), -1},
+		{Int(math.MinInt64), Float(-0x1p63), 0},
+		{Int(math.MinInt64 + 1), Float(-0x1p63), 1},
+		{Int(-2), Float(-1.5), -1},
+		{Int(-1), Float(-1.5), 1},
+		{Int(math.MinInt64), Float(math.Inf(-1)), 1},
 	}
 	for _, c := range cases {
 		if got := Compare(c.a, c.b); got != c.want {
 			t.Errorf("Compare(%v,%v) = %d, want %d", c.a, c.b, got, c.want)
 		}
+	}
+}
+
+// TestValueIs32Bytes pins the layout: one payload word, a string header and
+// the type tag.
+func TestValueIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", n)
 	}
 }
 

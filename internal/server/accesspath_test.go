@@ -119,7 +119,7 @@ func TestIndexAndHeapScansAgreeOnEveryRoute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if strings.Contains(plan.Rows[len(plan.Rows)-1][0].S, "IndexScan") {
+		if strings.Contains(plan.Rows[len(plan.Rows)-1][0].String(), "IndexScan") {
 			indexScans++
 		}
 		check := func(route string, got []string) {

@@ -818,11 +818,11 @@ func (p *Parser) parseUnary() (Expr, error) {
 			return nil, err
 		}
 		if lit, ok := e.(*Lit); ok {
-			switch lit.Val.Typ {
+			switch lit.Val.Type() {
 			case rel.TypeInt:
-				return &Lit{Val: rel.Int(-lit.Val.I)}, nil
+				return &Lit{Val: rel.Int(-lit.Val.AsInt())}, nil
 			case rel.TypeFloat:
-				return &Lit{Val: rel.Float(-lit.Val.F)}, nil
+				return &Lit{Val: rel.Float(-lit.Val.AsFloat())}, nil
 			default:
 				// Non-numeric: keep the Unary node; eval rejects it.
 			}
@@ -965,11 +965,11 @@ func (p *Parser) parseLiteral() (rel.Value, error) {
 			if err != nil {
 				return rel.Value{}, err
 			}
-			switch v.Typ {
+			switch v.Type() {
 			case rel.TypeInt:
-				return rel.Int(-v.I), nil
+				return rel.Int(-v.AsInt()), nil
 			case rel.TypeFloat:
-				return rel.Float(-v.F), nil
+				return rel.Float(-v.AsFloat()), nil
 			default:
 				// Non-numeric: fall through to the error below.
 			}

@@ -107,13 +107,13 @@ func TestParseInsert(t *testing.T) {
 	if ins.Table != "t" || len(ins.Cols) != 2 || len(ins.Rows) != 2 {
 		t.Fatalf("bad insert: %+v", ins)
 	}
-	if lit := ins.Rows[1][0].(*Lit); lit.Val.I != 2 {
+	if lit := ins.Rows[1][0].(*Lit); lit.Val.AsInt() != 2 {
 		t.Fatal("row literal wrong")
 	}
 	// Positional insert with negative and null values.
 	s2 := mustParse(t, "INSERT INTO t VALUES (-3, NULL, 2.5, true)")
 	row := s2.(*Insert).Rows[0]
-	if row[0].(*Lit).Val.I != -3 || !row[1].(*Lit).Val.IsNull() || row[3].(*Lit).Val.B != true {
+	if row[0].(*Lit).Val.AsInt() != -3 || !row[1].(*Lit).Val.IsNull() || row[3].(*Lit).Val.AsBool() != true {
 		t.Fatal("positional values wrong")
 	}
 }

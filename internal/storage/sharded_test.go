@@ -133,7 +133,7 @@ func TestScanBatchVisitsAllRows(t *testing.T) {
 		pages++
 		for _, head := range heads {
 			if head != nil {
-				seen[head.Data[0].I] = true
+				seen[head.Data[0].AsInt()] = true
 			}
 		}
 		return true
@@ -229,7 +229,7 @@ func TestHeapConcurrentBatchScanStress(t *testing.T) {
 		for !stop.Load() {
 			id := RowID{Page: uint32(r.Intn(16)), Slot: uint32(r.Intn(RowsPerPage))}
 			if v := headAt(h, id); v != nil {
-				_ = v.Data[0].I
+				_ = v.Data[0].AsInt()
 			}
 		}
 	}()

@@ -59,7 +59,7 @@ func TestHeapInsertScan(t *testing.T) {
 	}
 	seen := map[int64]bool{}
 	scanRows(h, func(id RowID, v *Version) bool {
-		seen[v.Data[0].I] = true
+		seen[v.Data[0].AsInt()] = true
 		return true
 	})
 	if len(seen) != 300 {
@@ -67,7 +67,7 @@ func TestHeapInsertScan(t *testing.T) {
 	}
 	// Head returns the inserted version.
 	v := headAt(h, ids[42])
-	if v == nil || v.Data[0].I != 42 {
+	if v == nil || v.Data[0].AsInt() != 42 {
 		t.Fatal("Head wrong")
 	}
 	// Out-of-range Head is nil.
@@ -102,7 +102,7 @@ func TestHeapSetHeadAndVersionChain(t *testing.T) {
 	newer.SetBeginTS(10)
 	h.SetHead(id, newer)
 	got := headAt(h, id)
-	if got.Data[0].I != 2 || got.Next() != old {
+	if got.Data[0].AsInt() != 2 || got.Next() != old {
 		t.Fatal("SetHead chain wrong")
 	}
 }

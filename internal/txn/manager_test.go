@@ -81,7 +81,7 @@ func TestInsertVisibleAfterCommit(t *testing.T) {
 	// Visible to a new txn.
 	t3 := m.Begin(Snapshot, true)
 	row, ok := readRow(m, h, id, t3)
-	if !ok || row[0].I != 1 {
+	if !ok || row[0].AsInt() != 1 {
 		t.Fatal("committed insert invisible to new txn")
 	}
 }
@@ -102,21 +102,21 @@ func TestUpdatePreservesOldSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Writer sees own new value.
-	if row, ok := readRow(m, h, id, writer); !ok || row[0].I != 20 {
+	if row, ok := readRow(m, h, id, writer); !ok || row[0].AsInt() != 20 {
 		t.Fatal("writer does not see own update")
 	}
 	// Reader still sees the old value, before and after the commit.
-	if row, ok := readRow(m, h, id, reader); !ok || row[0].I != 10 {
+	if row, ok := readRow(m, h, id, reader); !ok || row[0].AsInt() != 10 {
 		t.Fatal("reader snapshot broken before commit")
 	}
 	if err := m.Commit(writer); err != nil {
 		t.Fatal(err)
 	}
-	if row, ok := readRow(m, h, id, reader); !ok || row[0].I != 10 {
+	if row, ok := readRow(m, h, id, reader); !ok || row[0].AsInt() != 10 {
 		t.Fatal("reader snapshot broken after commit")
 	}
 	after := m.Begin(Snapshot, true)
-	if row, ok := readRow(m, h, id, after); !ok || row[0].I != 20 {
+	if row, ok := readRow(m, h, id, after); !ok || row[0].AsInt() != 20 {
 		t.Fatal("new txn does not see update")
 	}
 }
@@ -197,7 +197,7 @@ func TestAbortRollsBack(t *testing.T) {
 	m.Abort(t1)
 
 	t2 := m.Begin(Snapshot, true)
-	if row, ok := readRow(m, h, id, t2); !ok || row[0].I != 1 {
+	if row, ok := readRow(m, h, id, t2); !ok || row[0].AsInt() != 1 {
 		t.Fatal("update not rolled back")
 	}
 	if _, ok := readRow(m, h, insID, t2); ok {
@@ -216,7 +216,7 @@ func TestAbortRollsBack(t *testing.T) {
 	}
 	m.Abort(t4)
 	t5 := m.Begin(Snapshot, false)
-	if row, ok := readRow(m, h, id, t5); !ok || row[0].I != 2 {
+	if row, ok := readRow(m, h, id, t5); !ok || row[0].AsInt() != 2 {
 		t.Fatal("aborted delete lost row")
 	}
 	if err := writeRow(m, h, id, nil, t5); err != nil {
@@ -239,12 +239,12 @@ func TestDoubleUpdateSameTxn(t *testing.T) {
 	if err := writeRow(m, h, id, rel.Row{rel.Int(3)}, t1); err != nil {
 		t.Fatal(err)
 	}
-	if row, ok := readRow(m, h, id, t1); !ok || row[0].I != 3 {
+	if row, ok := readRow(m, h, id, t1); !ok || row[0].AsInt() != 3 {
 		t.Fatal("second update not visible to self")
 	}
 	m.Commit(t1)
 	t2 := m.Begin(Snapshot, true)
-	if row, ok := readRow(m, h, id, t2); !ok || row[0].I != 3 {
+	if row, ok := readRow(m, h, id, t2); !ok || row[0].AsInt() != 3 {
 		t.Fatal("final value wrong")
 	}
 }
@@ -327,7 +327,7 @@ func TestSSIReadAfterCommittedWriteConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	// t1 reads the row: its snapshot excludes w's committed version.
-	if row, ok := readRow(m, h, id, t1); !ok || row[0].I != 1 {
+	if row, ok := readRow(m, h, id, t1); !ok || row[0].AsInt() != 1 {
 		t.Fatal("t1 should read old version")
 	}
 	t1.mu.Lock()
@@ -407,11 +407,11 @@ func TestConcurrentTransfersConserveTotal(t *testing.T) {
 					m.Abort(tx)
 					continue
 				}
-				if writeRow(m, h, ids[from], rel.Row{rel.Int(rf[0].I - amt)}, tx) != nil {
+				if writeRow(m, h, ids[from], rel.Row{rel.Int(rf[0].AsInt() - amt)}, tx) != nil {
 					m.Abort(tx)
 					continue
 				}
-				if writeRow(m, h, ids[to], rel.Row{rel.Int(rt[0].I + amt)}, tx) != nil {
+				if writeRow(m, h, ids[to], rel.Row{rel.Int(rt[0].AsInt() + amt)}, tx) != nil {
 					m.Abort(tx)
 					continue
 				}
@@ -428,7 +428,7 @@ func TestConcurrentTransfersConserveTotal(t *testing.T) {
 		if !ok {
 			t.Fatal("account disappeared")
 		}
-		sum += row[0].I
+		sum += row[0].AsInt()
 	}
 	if sum != total {
 		t.Fatalf("total = %d, want %d", sum, total)
@@ -466,7 +466,7 @@ func TestVacuumIntegration(t *testing.T) {
 		t.Fatalf("vacuum reclaimed %d, want 5", reclaimed)
 	}
 	tx := m.Begin(Snapshot, true)
-	if row, ok := readRow(m, h, id, tx); !ok || row[0].I != 4 {
+	if row, ok := readRow(m, h, id, tx); !ok || row[0].AsInt() != 4 {
 		t.Fatal("live version lost by vacuum")
 	}
 }
@@ -521,7 +521,7 @@ func TestUpdateBatchCommitAndAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	check := m.Begin(Snapshot, true)
-	if row, ok := readRow(m, h, ids[299], check); !ok || row[0].I != -299 {
+	if row, ok := readRow(m, h, ids[299], check); !ok || row[0].AsInt() != -299 {
 		t.Fatalf("batch update lost: %v", row)
 	}
 
@@ -623,7 +623,7 @@ func TestReadPageAlignsIDsAndRows(t *testing.T) {
 	for i, id := range gotIDs {
 		// Row payload must match what a point read at that id returns.
 		row, ok := readRow(m, h, id, tx)
-		if !ok || row[0].I != gotRows[i][0].I {
+		if !ok || row[0].AsInt() != gotRows[i][0].AsInt() {
 			t.Fatalf("id %v misaligned: point read %v, batch %v", id, row, gotRows[i])
 		}
 	}
@@ -642,7 +642,7 @@ func TestHeapHeadsResolvesChainsAndGaps(t *testing.T) {
 		t.Fatalf("got %d heads, want %d", len(heads), len(probe))
 	}
 	for i := range ids {
-		if heads[i] == nil || heads[i].Data[0].I != int64(i) {
+		if heads[i] == nil || heads[i].Data[0].AsInt() != int64(i) {
 			t.Fatalf("heads[%d] is not row %d's chain: %v", i, i, heads[i])
 		}
 	}

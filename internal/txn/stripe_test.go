@@ -113,7 +113,7 @@ func TestConcurrentBatchWritersDisjointPages(t *testing.T) {
 	check := m.Begin(Snapshot, true)
 	for i, id := range ids {
 		row, ok := readRow(m, h, id, check)
-		if !ok || row[0].I != int64(1000+i) {
+		if !ok || row[0].AsInt() != int64(1000+i) {
 			t.Fatalf("row %d lost or wrong after concurrent batch commit: %v", i, row)
 		}
 	}
@@ -169,7 +169,7 @@ func TestConcurrentWritersSamePageConflict(t *testing.T) {
 	}
 	for _, id := range ids[1:] {
 		row, ok := readRow(m, h, id, check)
-		if !ok || row[0].I != first[0].I {
+		if !ok || row[0].AsInt() != first[0].AsInt() {
 			t.Fatalf("torn batch: row %v = %v, first = %v", id, row, first)
 		}
 	}

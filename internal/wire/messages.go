@@ -326,13 +326,13 @@ func RowSize(r rel.Row) int {
 	n := 0
 	for _, v := range r {
 		n++ // type tag
-		switch v.Typ {
+		switch v.Type() {
 		case rel.TypeNull:
 			// The tag byte alone: NULL carries no payload.
 		case rel.TypeInt, rel.TypeFloat:
 			n += 8
 		case rel.TypeText:
-			n += 4 + len(v.S)
+			n += 4 + len(v.String())
 		case rel.TypeBool:
 			n++
 		}

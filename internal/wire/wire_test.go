@@ -127,8 +127,8 @@ func TestDataBatchColumnMajor(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode at %d: %v", pos, err)
 		}
-		if v.S != want {
-			t.Fatalf("value at offset %d = %q, want %q (layout not column-major)", pos, v.S, want)
+		if v.String() != want {
+			t.Fatalf("value at offset %d = %q, want %q (layout not column-major)", pos, v.String(), want)
 		}
 		pos += used
 	}

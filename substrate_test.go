@@ -120,7 +120,7 @@ func TestCreateIndexUnderConcurrentWriters(t *testing.T) {
 
 	byKey := map[int64][]int64{}
 	for _, row := range mustExec(t, db, `SELECT id, k FROM t`).Rows {
-		byKey[row[1].I] = append(byKey[row[1].I], row[0].I)
+		byKey[row[1].AsInt()] = append(byKey[row[1].AsInt()], row[0].AsInt())
 	}
 	for k := int64(0); k < keys; k++ {
 		q := fmt.Sprintf(`SELECT id FROM t WHERE k = %d`, k)
