@@ -255,6 +255,68 @@ func TestDifferentialWireVsEmbedded(t *testing.T) {
 	}
 }
 
+// TestGroupByWithoutAggregate: a GROUP BY with no aggregate call still
+// groups — each group once, NULLs as one group, in first-seen order —
+// embedded, prepared and over the wire.
+func TestGroupByWithoutAggregate(t *testing.T) {
+	ndb, addr := startServer(t)
+	for _, s := range []string{`CREATE TABLE e (g INT)`, `INSERT INTO e VALUES (3),(1),(2),(1),(NULL)`} {
+		if _, err := ndb.Exec(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const q = `SELECT g FROM e GROUP BY g`
+	const want = "e.g\n3\n1\n2\nNULL"
+	session := ndb.NewSession()
+	if got := embeddedResult(t, session, q); got != want {
+		t.Errorf("embedded: got %q, want %q", got, want)
+	}
+	st, err := session.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := st.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(rows.Columns(), "|")
+	for rows.Next() {
+		got += "\n" + rows.Row().String()
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("embedded prepared: got %q, want %q", got, want)
+	}
+	c, err := client.Connect(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	wrows, err := c.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := wireResult(t, wrows); got != want {
+		t.Errorf("wire: got %q, want %q", got, want)
+	}
+	wst, err := c.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wst.Close()
+	if wrows, err = wst.Query(); err != nil {
+		t.Fatal(err)
+	}
+	if got := wireResult(t, wrows); got != want {
+		t.Errorf("wire prepared: got %q, want %q", got, want)
+	}
+}
+
 func embeddedResult(t *testing.T, s *neurdb.Session, q string) string {
 	t.Helper()
 	rows, err := s.Query(q)

@@ -20,12 +20,11 @@ import (
 // string table is probed with an allocation-free conversion — steady-state
 // accumulation allocates only when a new group appears.
 //
-// The serial aggBatch operator owns one aggAcc; the morsel-parallel
-// aggregation gives each worker its own partial aggAcc and merges them with
-// mergeFrom. Every row carries a sequence number monotone in heap order, and
-// each slot remembers the smallest one it saw (firstSeen), so finalize can
-// emit groups in global first-seen order no matter how the input was split
-// across workers — the exact order the serial operator produces.
+// The aggregation operator gives each worker its own partial aggAcc and
+// merges them with mergeFrom. Every row carries a sequence number monotone
+// in heap order, and each slot remembers the smallest one it saw
+// (firstSeen), so finalize can emit groups in global first-seen order no
+// matter how the input was split across workers — the one-worker order.
 type aggAcc struct {
 	node *plan.Agg
 	nAgg int
@@ -34,6 +33,8 @@ type aggAcc struct {
 	keyCols []int        // group-by column fast path (-1 = general expr)
 	evalRow bool         // some key or argument is an expression: add needs whole rows
 	rowBuf  rel.Row      // add's scratch for a joined row under evalRow
+	joined  []rel.Row    // a residual join's matches of one probe row (parallelAgg's scratch)
+	slab    []rel.Value  // their values
 
 	slots     map[string]int // encoded group key -> slot
 	numSlots  keyTable       // single numeric group key's float64 bits -> slot+1
@@ -222,9 +223,8 @@ func (a *aggAcc) addSlot(key groupKey, first rel.Row, seq uint64) int {
 // add folds the row l⋈r into its group's accumulators: a hash join's probe
 // row and build row, read column by column in place, or with r nil the
 // plain row l. A joined row is built only when some key or argument is an
-// expression. seq must be monotone in the input's heap order (the serial
-// operator uses a running counter; the parallel workers derive it from the
-// morsel ordinal).
+// expression. seq must be monotone in the input's heap order (workers
+// derive it from the chunk ordinal).
 func (a *aggAcc) add(l, r rel.Row, seq uint64) {
 	if r != nil && a.evalRow {
 		a.rowBuf = append(append(a.rowBuf[:0], l...), r...)
@@ -376,37 +376,4 @@ func (a *aggAcc) finalize() []rel.Row {
 		out = append(out, row)
 	}
 	return out
-}
-
-// aggBatch is the serial vectorized aggregation operator: one aggAcc fed
-// batch-at-a-time in Open, drained batch-at-a-time afterwards.
-type aggBatch struct {
-	node  *plan.Agg
-	child BatchIter
-	materialized
-}
-
-func (a *aggBatch) Open() error {
-	if err := a.child.Open(); err != nil {
-		return err
-	}
-	defer a.child.Close()
-	acc := newAggAcc(a.node)
-	in := rel.NewBatch(BatchSize)
-	seq := uint64(0)
-	for {
-		n, err := a.child.NextBatch(in)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			break
-		}
-		for _, row := range in.Rows {
-			acc.add(row, nil, seq)
-			seq++
-		}
-	}
-	a.out = acc.finalize()
-	return nil
 }

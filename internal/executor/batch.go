@@ -2,7 +2,6 @@ package executor
 
 import (
 	"fmt"
-	"slices"
 
 	"neurdb/internal/plan"
 	"neurdb/internal/rel"
@@ -29,44 +28,22 @@ type BatchIter interface {
 	Close() error
 }
 
-// BuildBatch compiles a plan into a batch-iterator tree. Every operator
-// executes natively batch-at-a-time; when ctx.Workers > 1, subtrees that
-// form scan→filter→project pipelines over large-enough heaps run
-// morsel-parallel (see parallel.go), with per-plan serial fallbacks: small
-// tables stay serial, and a LIMIT directly over a streaming pipeline forces
-// its input serial because the short-circuit beats the fan-out.
+// BuildBatch compiles a plan into a batch-iterator tree. Filter, Project
+// and HashJoin nodes compile into the pipeline of their source (see
+// pipelineOf), which runs morsel-parallel on ctx.Workers workers when the
+// source is a large-enough heap and serially otherwise; Agg and Sort drain
+// their input pipeline the same way. A LIMIT directly over a scan pipeline
+// forces it serial because the short-circuit beats the fan-out.
 func BuildBatch(n plan.Node, ctx *Ctx) (BatchIter, error) {
 	switch t := n.(type) {
-	case *plan.SeqScan:
-		if it, ok := tryParallelScan(n, ctx); ok {
-			return it, nil
+	case *plan.SeqScan, *plan.Filter, *plan.Project, *plan.HashJoin:
+		p, err := pipelineOf(n, ctx)
+		if err != nil {
+			return nil, err
 		}
-		return &seqScanBatch{ctx: ctx, node: t, filter: compilePred(t.Filter)}, nil
+		return p.stream(), nil
 	case *plan.IndexScan:
 		return &indexScanBatch{ctx: ctx, node: t, filter: compilePred(t.Filter)}, nil
-	case *plan.Filter:
-		if it, ok := tryParallelScan(n, ctx); ok {
-			return it, nil
-		}
-		c, err := BuildBatch(t.Child, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &filterBatch{pred: compilePred(t.Pred), child: c}, nil
-	case *plan.Project:
-		if it, ok := tryParallelScan(n, ctx); ok {
-			return it, nil
-		}
-		c, err := BuildBatch(t.Child, ctx)
-		if err != nil {
-			return nil, err
-		}
-		// Scratch batches start empty and grow toward BatchSize on demand,
-		// so short results (prepared point lookups) skip the full-size
-		// allocation per execution.
-		return &projectBatch{exprs: t.Exprs, child: c, in: rel.NewBatch(0)}, nil
-	case *plan.HashJoin:
-		return buildHashJoinBatch(t, ctx)
 	case *plan.NLJoin:
 		l, err := BuildBatch(t.L, ctx)
 		if err != nil {
@@ -85,39 +62,22 @@ func BuildBatch(n plan.Node, ctx *Ctx) (BatchIter, error) {
 		return &indexJoinBatch{ctx: ctx, node: t, filter: compilePred(t.Filter), residual: compilePred(t.Residual),
 			joinOutput: joinOutputOf(l)}, nil
 	case *plan.Agg:
-		if pipe, w := parallelPipeline(t.Child, ctx); pipe != nil {
-			return &parallelAgg{ctx: ctx, node: t, pipe: pipe, workers: w}, nil
-		}
-		if j, ok := t.Child.(*plan.HashJoin); ok {
-			// Aggregation below the join: the probe workers fold their
-			// matches straight into per-worker partials.
-			if pipe, w := parallelPipeline(j.L, ctx); pipe != nil {
-				jp, err := newJoinProbe(j, ctx)
-				if err != nil {
-					return nil, err
-				}
-				return &parallelAgg{ctx: ctx, node: t, pipe: pipe, workers: w, probe: jp}, nil
-			}
-		}
-		c, err := BuildBatch(t.Child, ctx)
+		p, err := pipelineOf(t.Child, ctx)
 		if err != nil {
 			return nil, err
 		}
-		return &aggBatch{node: t, child: c}, nil
+		return &parallelAgg{pipeline: p, node: t}, nil
 	case *plan.Sort:
-		if pipe, w := parallelPipeline(t.Child, ctx); pipe != nil {
-			return &parallelSort{sorter: sorter{keys: t.Keys}, ctx: ctx, pipe: pipe, workers: w}, nil
-		}
-		c, err := BuildBatch(t.Child, ctx)
+		p, err := pipelineOf(t.Child, ctx)
 		if err != nil {
 			return nil, err
 		}
-		return &sortBatch{sorter: sorter{keys: t.Keys}, child: c}, nil
+		return &parallelSort{sorter: sorter{keys: t.Keys}, pipeline: p}, nil
 	case *plan.Limit:
 		cctx := ctx
-		if _, ok := extractPipeline(t.Child); ok {
-			// LIMIT directly over a streaming pipeline stops after N rows;
-			// a parallel scan would read far past them to re-sequence
+		if scanChain(t.Child) {
+			// LIMIT directly over a streaming scan stops after N rows; a
+			// parallel scan would read far past them to re-sequence
 			// morsels. Blocking children (sort/agg/joins) consume their
 			// whole input regardless, so they keep their parallelism.
 			cctx = ctx.serialized()
@@ -126,17 +86,16 @@ func BuildBatch(n plan.Node, ctx *Ctx) (BatchIter, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Top-k: a sort under the limit, with at most a streaming
-		// projection between them, keeps only the first N rows.
-		sorted := c
-		if p, ok := c.(*projectBatch); ok {
-			sorted = p.child
-		}
-		switch s := sorted.(type) {
-		case *sortBatch:
-			s.limit = t.N
-		case *parallelSort:
-			s.limit = t.N
+		// Top-k: a sort under the limit, with at most a projection between
+		// them, keeps only the first N rows.
+		switch below := t.Child.(type) {
+		case *plan.Sort:
+			c.(*parallelSort).limit = t.N
+		case *plan.Project:
+			if _, ok := below.Child.(*plan.Sort); ok {
+				c.(*pipeStream).src.(*parallelSort).limit = t.N
+			}
+		default: // no sort under the limit
 		}
 		return &limitBatch{n: t.N, child: c}, nil
 	default:
@@ -145,23 +104,21 @@ func BuildBatch(n plan.Node, ctx *Ctx) (BatchIter, error) {
 	}
 }
 
-// buildHashJoinBatch picks the hash-join shape: parallel probe when the
-// probe (left) side is a large-enough pipeline, serial batch join otherwise;
-// the build side degrades independently (see newJoinProbe).
-func buildHashJoinBatch(t *plan.HashJoin, ctx *Ctx) (BatchIter, error) {
-	jp, err := newJoinProbe(t, ctx)
-	if err != nil {
-		return nil, err
+// scanChain reports whether n is a SeqScan under Filter and Project nodes
+// only.
+func scanChain(n plan.Node) bool {
+	for {
+		switch t := n.(type) {
+		case *plan.SeqScan:
+			return true
+		case *plan.Filter:
+			n = t.Child
+		case *plan.Project:
+			n = t.Child
+		default:
+			return false
+		}
 	}
-	if pipe, w := parallelPipeline(t.L, ctx); pipe != nil {
-		pipe.stages = append(pipe.stages, pipeStage{probe: jp})
-		return &parallelHashJoin{parallelScan: parallelScan{ctx: ctx, pipe: pipe, workers: w}, probe: jp}, nil
-	}
-	l, err := BuildBatch(t.L, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &hashJoinBatch{probe: jp, joinOutput: joinOutputOf(l)}, nil
 }
 
 // --- scans ---
@@ -226,70 +183,3 @@ func (s *indexScanBatch) NextBatch(dst *rel.Batch) (int, error) {
 }
 
 func (s *indexScanBatch) Close() error { return nil }
-
-// --- row transforms ---
-
-// filterBatch compacts each child batch in place, pulling more batches until
-// at least one row survives or the input ends (so 0 still means EOF).
-type filterBatch struct {
-	pred  pred
-	child BatchIter
-}
-
-func (f *filterBatch) Open() error { return f.child.Open() }
-
-func (f *filterBatch) NextBatch(dst *rel.Batch) (int, error) {
-	for {
-		n, err := f.child.NextBatch(dst)
-		if err != nil {
-			return 0, err
-		}
-		if n == 0 {
-			return 0, nil
-		}
-		kept := dst.Rows[:0]
-		for _, row := range dst.Rows {
-			if f.pred.keep(row) {
-				kept = append(kept, row)
-			}
-		}
-		dst.Rows = kept
-		if dst.Len() > 0 {
-			return dst.Len(), nil
-		}
-	}
-}
-
-func (f *filterBatch) Close() error { return f.child.Close() }
-
-type projectBatch struct {
-	exprs []rel.Expr
-	child BatchIter
-	in    *rel.Batch
-}
-
-func (p *projectBatch) Open() error { return p.child.Open() }
-
-func (p *projectBatch) NextBatch(dst *rel.Batch) (int, error) {
-	dst.Reset()
-	n, err := p.child.NextBatch(p.in)
-	if err != nil || n == 0 {
-		return 0, err
-	}
-	// One fresh slab per batch holds every output row: emitted rows stay
-	// valid after later refills, as the BatchIter contract requires, at one
-	// allocation per batch instead of one per row.
-	width := len(p.exprs)
-	slab := make([]rel.Value, len(p.in.Rows)*width)
-	dst.Rows = slices.Grow(dst.Rows, len(p.in.Rows))
-	for r, row := range p.in.Rows {
-		out := rel.Row(slab[r*width : (r+1)*width : (r+1)*width])
-		for i, e := range p.exprs {
-			out[i] = e.Eval(row)
-		}
-		dst.Append(out)
-	}
-	return dst.Len(), nil
-}
-
-func (p *projectBatch) Close() error { return p.child.Close() }

@@ -150,8 +150,39 @@ func TestBatchSortOrderMatchesOracle(t *testing.T) {
 	}
 }
 
+// streamRows runs sql at one worker, requiring its root to be the serial
+// pipeline operator, and returns the rows it streams.
+func streamRows(t *testing.T, db *testDB, sql string) []rel.Row {
+	t.Helper()
+	ctx := &Ctx{Mgr: db.mgr, Txn: db.mgr.Begin(txn.Snapshot, true), Cat: db.cat, Workers: 1}
+	defer db.mgr.Abort(ctx.Txn)
+	it, err := BuildBatch(planFor(t, db, sql), ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := it.(*pipeStream); !ok {
+		t.Fatalf("%q built %T, want pipeStream", sql, it)
+	}
+	if err := it.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	var rows []rel.Row
+	batch := rel.NewBatch(BatchSize)
+	for {
+		n, err := it.NextBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			return rows
+		}
+		rows = append(rows, batch.Rows...)
+	}
+}
+
 // TestFilterBatchSkipsEmptyBatches: a highly selective filter must keep
-// pulling child batches rather than signalling a spurious end-of-stream
+// pulling source batches rather than signalling a spurious end-of-stream
 // when one batch filters down to zero rows.
 func TestFilterBatchSkipsEmptyBatches(t *testing.T) {
 	db := newTestDB(t)
@@ -163,14 +194,14 @@ func TestFilterBatchSkipsEmptyBatches(t *testing.T) {
 	db.insert(tbl, rows...)
 	// Exactly one row, deep in the table: every earlier batch is empty
 	// after filtering.
-	got := db.query("SELECT x FROM t WHERE x = 1999")
+	got := streamRows(t, db, "SELECT x FROM t WHERE x = 1999")
 	if len(got) != 1 || got[0][0].AsInt() != 1999 {
 		t.Fatalf("got %v", got)
 	}
 }
 
 // TestHashJoinBatchOverflow: one probe batch can produce far more than
-// BatchSize joined rows; the pending buffer must carry them across
+// BatchSize joined rows; the serial pipeline must carry them across
 // NextBatch calls without loss or duplication.
 func TestHashJoinBatchOverflow(t *testing.T) {
 	db := newTestDB(t)
@@ -185,7 +216,7 @@ func TestHashJoinBatchOverflow(t *testing.T) {
 	}
 	db.insert(l, lrows...)
 	db.insert(rr, rrows...)
-	rows := db.query("SELECT * FROM l, r WHERE l.k = r.k")
+	rows := streamRows(t, db, "SELECT * FROM l, r WHERE l.k = r.k")
 	if len(rows) != 40*50 {
 		t.Fatalf("join produced %d rows, want %d", len(rows), 40*50)
 	}

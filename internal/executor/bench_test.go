@@ -146,9 +146,9 @@ func BenchmarkHashJoinBatch(b *testing.B) {
 }
 
 // BenchmarkHashJoinAggBatch: GROUP BY a build-side column over the 20k x 2k
-// join, serially (aggBatch over hashJoinBatch) and with two workers (the
-// aggregation below the join: per-worker partials fed (probe row, build row)
-// pairs). rows/s counts probe rows.
+// join, serially and with two workers: the aggregation below the join, one
+// partial per worker fed (probe row, build row) pairs. rows/s counts probe
+// rows.
 func BenchmarkHashJoinAggBatch(b *testing.B) {
 	const probeRows = 20_000
 	before := liveHeap()

@@ -217,7 +217,7 @@ func dmlIndexScan(ctx *Ctx, n *plan.IndexScan, set map[int]rel.Expr) (int, error
 func dmlRows(ctx *Ctx, src plan.Node, set map[int]rel.Expr) (int, error) {
 	switch s := src.(type) {
 	case *plan.SeqScan:
-		if w := pipelineWorkers(ctx, &scanPipeline{table: s.Table}); w > 1 {
+		if w := heapWorkers(ctx, s.Table); w > 1 {
 			return dmlParallel(ctx, s.Table, set, s.Filter, w)
 		}
 		return dmlScan(ctx, s.Table, set, s.Filter)
@@ -241,18 +241,15 @@ func DeleteWhere(ctx *Ctx, src plan.Node) (int, error) {
 }
 
 // ScanBatches streams every row visible to the context transaction through
-// visit, batch-at-a-time, without ever materializing the full table. When
-// ctx.Workers allows it the batches are produced by the morsel-parallel
-// pipeline (in heap order); otherwise by the serial page scan. The batch
-// passed to visit is reused between calls — visit must copy what it keeps.
-// The benchmark referee's extraction probe streams a table through this.
+// visit, batch-at-a-time and in heap order, without ever materializing the
+// full table: the table's scan pipeline, morsel-parallel when ctx.Workers
+// and the table size allow. The batch passed to visit is reused between
+// calls — visit must copy what it keeps. The benchmark referee's extraction
+// probe streams a table through this.
 func ScanBatches(ctx *Ctx, t *catalog.Table, visit func(*rel.Batch) error) error {
-	pipe := &scanPipeline{table: t}
-	var it BatchIter
-	if w := pipelineWorkers(ctx, pipe); w > 1 {
-		it = &parallelScan{ctx: ctx, pipe: pipe, workers: w}
-	} else {
-		it = &seqScanBatch{ctx: ctx, node: &plan.SeqScan{Table: t}}
+	it, err := BuildBatch(&plan.SeqScan{Table: t}, ctx)
+	if err != nil {
+		return err
 	}
 	if err := it.Open(); err != nil {
 		it.Close()

@@ -512,13 +512,15 @@ func TestExplainOutput(t *testing.T) {
 	if !strings.Contains(out, "Project") || !strings.Contains(out, "Join") {
 		t.Fatalf("explain:\n%s", out)
 	}
-	if plan.Count(p) < 4 {
+	nodes := 0
+	plan.Walk(p, func(plan.Node, int) { nodes++ })
+	if nodes < 4 {
 		t.Fatalf("plan too small:\n%s", out)
 	}
 	// Feature encoding produces one token per operator.
 	toks := plan.EncodeTree(p)
-	if len(toks) != plan.Count(p) {
-		t.Fatalf("tokens %d vs nodes %d", len(toks), plan.Count(p))
+	if len(toks) != nodes {
+		t.Fatalf("tokens %d vs nodes %d", len(toks), nodes)
 	}
 	for _, tok := range toks {
 		if len(tok) != plan.NodeFeatureDim {

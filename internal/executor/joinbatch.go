@@ -59,29 +59,6 @@ func (j *joinOutput) Close() error { return j.left.Close() }
 // for exactly as long as some consumer holds one of their rows.
 const joinSlabValues = 4096
 
-// hashJoinBatch is the batched equi-join: Open builds the table (see
-// joinProbe.open), then each probe batch from the left produces its joined
-// rows in one pass.
-type hashJoinBatch struct {
-	probe *joinProbe
-	joinOutput
-}
-
-func (h *hashJoinBatch) Open() error {
-	if err := h.probe.open(); err != nil {
-		return err
-	}
-	return h.left.Open()
-}
-
-func (h *hashJoinBatch) NextBatch(dst *rel.Batch) (int, error) {
-	return h.next(dst, func(in []rel.Row) {
-		for _, l := range in {
-			h.pending, h.slab = h.probe.joinRow(h.pending, h.slab, l)
-		}
-	})
-}
-
 // nlJoinBatch is the batched nested-loop join: Open materializes the inner
 // (right) side once, then every outer batch rescans it in a tight loop.
 type nlJoinBatch struct {

@@ -20,8 +20,8 @@ var joinKeyValues = []rel.Value{
 }
 
 // TestJoinKeysMatchOracle is the hash join's key-semantics differential: the
-// serial hashJoinBatch (workers 1), the parallelHashJoin exchange and the
-// aggregate below the join (workers 2) must each return exactly the oracle's
+// probe stage, serially (workers 1) and in the exchange (workers 2), and the
+// aggregate below the join must each return exactly the oracle's
 // nested-loop result. Keys join when = holds (1 = 1.0 = TRUE, -0 = 0, TEXT
 // by string), NULL joins nothing on either side, and a probe row meets its
 // duplicate build keys in build order. The small build side is built
@@ -113,17 +113,17 @@ func checkParallelJoinShape(t *testing.T, db *testDB, n plan.Node, parallelBuild
 	if err != nil {
 		t.Fatal(err)
 	}
-	var jp *joinProbe
+	var p pipeline
 	switch it := it.(type) {
-	case *parallelHashJoin:
-		jp = it.probe
+	case *parallelScan:
+		p = it.pipeline
 	case *parallelAgg:
-		jp = it.probe
+		p = it.pipeline
 	}
-	if jp == nil {
+	if p.workers < 2 || p.stages[len(p.stages)-1].probe == nil {
 		t.Fatalf("workers=2 built %T, want a parallel probe", it)
 	}
-	if got := jp.buildPipe != nil; got != parallelBuild {
+	if got := p.stages[len(p.stages)-1].probe.build.workers > 1; got != parallelBuild {
 		t.Fatalf("parallel build = %v, want %v", got, parallelBuild)
 	}
 }

@@ -1,21 +1,26 @@
-// Morsel-driven intra-query parallelism (HyPer-style): a page-range
-// dispatcher over the heap feeds a worker pool that runs fused
-// scan→filter→project pipelines, with parallel implementations of
+// Morsel-driven intra-query parallelism (HyPer-style), and the one pipeline
+// every filter, projection and hash-join probe runs in. A pipeline is a
+// source — a heap read as page-range morsels, or any other operator's batch
+// iterator — and the stages its rows pass. A streaming pipeline over a heap
+// with more than one worker runs through an ordered exchange; every other
+// streaming pipeline runs serially (pipeStream). The blocking operators —
 // aggregation (per-worker partial accumulators merged in heap first-seen
 // order), sort (per-worker sorted runs + pairwise merge with a heap-order
-// tie break), and hash join (morsel-ordered parallel build, parallel probe).
-// An aggregate over a hash join with a parallel probe side aggregates below
-// the join: each worker probes with its morsel's rows and folds every
-// (probe row, build row) pair into its partial, so no joined row is
-// materialized. All parallel operators emit exactly the row sequence their
-// serial counterparts produce: morsels are re-sequenced in heap order by a
-// bounded ring of rendezvous slots, and partials carry heap-order sequence
-// numbers, so downstream operators — and differential tests — cannot tell
-// the paths apart (float SUM/AVG excepted: addition order over partials is
-// not associative, see docs/ARCHITECTURE.md).
+// tie break) and the hash join's build (morsels concatenated in heap order)
+// — drain their input pipeline on its workers; the serial case is the
+// one-worker run, on the caller's goroutine. An aggregate over a probe stage
+// aggregates below the join: it probes with each chunk's rows and folds
+// every (probe row, build row) pair into its partial, so no joined row is
+// materialized. Every worker count emits the same row sequence: morsels are
+// re-sequenced in heap order by a bounded ring of rendezvous slots, and
+// partials carry heap-order sequence numbers, so downstream operators — and
+// differential tests — cannot tell the worker counts apart (float SUM/AVG
+// excepted: addition order over partials is not associative, see
+// docs/ARCHITECTURE.md).
 package executor
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -42,7 +47,7 @@ var parallelWorkerCount atomic.Int64
 // ParallelWorkers reports how many morsel workers are currently running.
 func ParallelWorkers() int64 { return parallelWorkerCount.Load() }
 
-// pipeStage is one fused transform a worker applies to its morsel's rows.
+// pipeStage is one transform the stage loop applies to a chunk of rows.
 // Exactly one is set: pred (pred.e) filters, exprs projects, probe joins.
 type pipeStage struct {
 	pred  pred
@@ -50,70 +55,59 @@ type pipeStage struct {
 	probe *joinProbe
 }
 
-// scanPipeline is a compiled SeqScan→(Filter|Project)* plan subtree: the
-// unit of morsel parallelism. Workers execute the whole pipeline against
-// each morsel they claim, so filters and projections run in parallel with
-// the scan instead of serially above an exchange. Its predicates are
+// pipeline is a plan chain compiled for the stage loop: its source and the
+// stages applied to the source's rows, bottom up. Its predicates are
 // compiled once, here, and shared read-only by every worker.
-type scanPipeline struct {
-	table  *catalog.Table
-	filter pred // SeqScan's pushed-down filter; zero keeps every row
-	stages []pipeStage
+type pipeline struct {
+	ctx     *Ctx
+	scan    *plan.SeqScan // heap source; nil for an iterator source
+	filter  pred          // scan's pushed-down filter
+	workers int           // morsel workers of a heap source; 1 for an iterator
+	src     BatchIter     // iterator source
+	stages  []pipeStage
 }
 
-// extractPipeline compiles n into a scan pipeline, reporting ok=false when
-// the subtree contains anything but SeqScan/Filter/Project (index scans are
-// point reads, not page ranges; blocking operators split pipelines).
-func extractPipeline(n plan.Node) (*scanPipeline, bool) {
+// pipelineOf peels Filter, Project and HashJoin nodes off n — a HashJoin is
+// a probe stage over its left input — down to a source: a SeqScan, read as
+// heap morsels, or any other node, read through its BuildBatch iterator.
+func pipelineOf(n plan.Node, ctx *Ctx) (pipeline, error) {
+	var child plan.Node
+	var st pipeStage
 	switch t := n.(type) {
 	case *plan.SeqScan:
-		return &scanPipeline{table: t.Table, filter: compilePred(t.Filter)}, true
+		return pipeline{ctx: ctx, scan: t, filter: compilePred(t.Filter), workers: heapWorkers(ctx, t.Table)}, nil
 	case *plan.Filter:
-		p, ok := extractPipeline(t.Child)
-		if !ok {
-			return nil, false
-		}
-		p.stages = append(p.stages, pipeStage{pred: compilePred(t.Pred)})
-		return p, true
+		child, st = t.Child, pipeStage{pred: compilePred(t.Pred)}
 	case *plan.Project:
-		p, ok := extractPipeline(t.Child)
-		if !ok {
-			return nil, false
+		child, st = t.Child, pipeStage{exprs: t.Exprs}
+	case *plan.HashJoin:
+		jp, err := newJoinProbe(t, ctx)
+		if err != nil {
+			return pipeline{}, err
 		}
-		p.stages = append(p.stages, pipeStage{exprs: t.Exprs})
-		return p, true
+		child, st = t.L, pipeStage{probe: jp}
 	default:
-		// Blocking operators and point reads split pipelines.
-		return nil, false
+		src, err := BuildBatch(n, ctx)
+		return pipeline{ctx: ctx, workers: 1, src: src}, err
 	}
+	p, err := pipelineOf(child, ctx)
+	if err != nil {
+		return pipeline{}, err
+	}
+	p.stages = append(p.stages, st)
+	return p, nil
 }
 
-// pipelineWorkers decides the degree of parallelism for a pipeline under
-// ctx: 0 means stay serial (workers not requested, table too small), else
-// the worker count clamped to the morsel count.
-func pipelineWorkers(ctx *Ctx, p *scanPipeline) int {
-	if ctx == nil || ctx.Workers <= 1 || p == nil {
-		return 0
+// heapWorkers is the number of morsel workers a scan of t runs on under
+// ctx: ctx.Workers clamped to t's morsel count, or 1 — the caller's
+// goroutine — when workers were not requested or t is under
+// minParallelPages.
+func heapWorkers(ctx *Ctx, t *catalog.Table) int {
+	pages := t.Heap.NumPages()
+	if ctx.Workers <= 1 || pages < minParallelPages {
+		return 1
 	}
-	pages := p.table.Heap.NumPages()
-	if pages < minParallelPages {
-		return 0
-	}
-	w := min(ctx.Workers, (pages+MorselPages-1)/MorselPages)
-	if w <= 1 {
-		return 0
-	}
-	return w
-}
-
-// parallelPipeline returns the scan pipeline n compiles to and its worker
-// count when it runs morsel-parallel under ctx, else (nil, 0).
-func parallelPipeline(n plan.Node, ctx *Ctx) (*scanPipeline, int) {
-	p, _ := extractPipeline(n)
-	if w := pipelineWorkers(ctx, p); w > 1 {
-		return p, w
-	}
-	return nil, 0
+	return min(ctx.Workers, (pages+MorselPages-1)/MorselPages)
 }
 
 // serialized returns a context copy that forces serial execution below it
@@ -124,23 +118,60 @@ func (ctx *Ctx) serialized() *Ctx {
 	return &c
 }
 
-// morselRows claims the next morsel and materializes its visible rows with
-// every pipeline stage applied, appending them to rows[:0]. It returns
-// idx=-1 once the source is drained. Only the ordered exchange passes nil,
-// getting a fresh slice per morsel whose ownership goes to the consumer —
-// that is what makes the exchange race-free; the workers of eachMorsel pass
-// back one buffer of their own, morsel after morsel.
-func (p *scanPipeline) morselRows(ctx *Ctx, ms *storage.MorselSource, buf []*storage.Version, rows []rel.Row) (int, []rel.Row) {
+// stream is the pipeline as a streaming operator: the ordered exchange over
+// a heap with more than one worker, the bare heap scan when there is nothing
+// to apply, the serial stage loop otherwise.
+func (p *pipeline) stream() BatchIter {
+	if p.workers > 1 {
+		return &parallelScan{pipeline: *p}
+	}
+	src := p.src
+	if p.scan != nil {
+		src = &seqScanBatch{ctx: p.ctx, node: p.scan, filter: p.filter}
+		if len(p.stages) == 0 {
+			return src
+		}
+	}
+	return &pipeStream{src: src, stages: p.stages}
+}
+
+// openProbes builds every probe stage's table, bottom up, before any row
+// reaches it.
+func openProbes(stages []pipeStage) error {
+	for _, st := range stages {
+		if st.probe != nil {
+			if err := st.probe.open(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// readMorsel claims the next morsel of ms and appends its visible rows that
+// pass the scan filter to rows[:0]. It returns idx=-1 once ms is drained.
+// buf is the caller's chain-head scratch.
+func (p *pipeline) readMorsel(ms *storage.MorselSource, buf []*storage.Version, rows []rel.Row) (int, []rel.Row) {
 	idx, lo, hi, ok := ms.Next()
 	if !ok {
 		return -1, rows
 	}
 	rows = slices.Grow(rows[:0], int(hi-lo)*storage.RowsPerPage)
 	for pg := lo; pg < hi; pg++ {
-		rows, _ = pageRows(ctx, p.table, pg, &p.filter, buf, rows, nil)
+		rows, _ = pageRows(p.ctx, p.scan.Table, pg, &p.filter, buf, rows, nil)
 	}
-	for si := range p.stages {
-		st := &p.stages[si]
+	return idx, rows
+}
+
+// applyStages is the stage loop, the one code that filters, projects or
+// probes: it runs a chunk's rows through stages in order. A filter compacts
+// rows in place; a projection overwrites them in place with rows carved
+// from one slab per chunk; a probe returns a fresh slice of joined rows,
+// their values carved from *slab, which the caller keeps from chunk to
+// chunk (a carved row is never written again).
+func applyStages(stages []pipeStage, rows []rel.Row, slab *[]rel.Value) []rel.Row {
+	for si := range stages {
+		st := &stages[si]
 		switch {
 		case st.pred.e != nil:
 			kept := rows[:0]
@@ -151,10 +182,16 @@ func (p *scanPipeline) morselRows(ctx *Ctx, ms *storage.MorselSource, buf []*sto
 			}
 			rows = kept
 		case st.probe != nil:
-			rows = st.probe.apply(rows)
+			out := make([]rel.Row, 0, len(rows))
+			for _, l := range rows {
+				out, *slab = st.probe.joinRow(out, *slab, l)
+			}
+			rows = out
 		default:
+			width := len(st.exprs)
+			vals := make([]rel.Value, len(rows)*width)
 			for i, row := range rows {
-				out := make(rel.Row, len(st.exprs))
+				out := rel.Row(vals[i*width : (i+1)*width : (i+1)*width])
 				for j, e := range st.exprs {
 					out[j] = e.Eval(row)
 				}
@@ -162,27 +199,79 @@ func (p *scanPipeline) morselRows(ctx *Ctx, ms *storage.MorselSource, buf []*sto
 			}
 		}
 	}
-	return idx, rows
+	return rows
 }
 
-// eachMorsel claims morsels of p until ms is drained, handing fn each one's
-// ordinal and rows. The rows slice is reused from morsel to morsel; the rows
-// in it are not.
-func (p *scanPipeline) eachMorsel(ctx *Ctx, ms *storage.MorselSource, fn func(idx int, rows []rel.Row)) {
-	buf := make([]*storage.Version, storage.RowsPerPage)
-	var rows []rel.Row
-	for {
-		var idx int
-		if idx, rows = p.morselRows(ctx, ms, buf, rows); idx < 0 {
-			return
-		}
-		fn(idx, rows)
+// chunkSink is a blocking operator's side of drain. Each worker w calls
+// start before its first chunk, chunk for every chunk it runs and done
+// after its last one, all on its own goroutine — so per-worker state that
+// start allocates comes from that worker's allocator cache, and two
+// workers' hot fields do not share a cache line.
+type chunkSink interface {
+	start(w int)
+	chunk(w, idx int, rows []rel.Row)
+	done(w int)
+}
+
+// drain runs the pipeline to its end into a blocking operator. It builds
+// the probe stages' tables, then hands every chunk to sink on the worker
+// that runs it: the morsels of a heap source, which p.workers workers
+// share, or the batches of an iterator source, all drained on the caller's
+// goroutine as worker 0. A chunk's idx is its ordinal in source order — the
+// morsel's, or the batch's — and its rows have every stage but the last
+// skip applied. The rows slice is reused from chunk to chunk; the rows in
+// it are not.
+func (p *pipeline) drain(skip int, sink chunkSink) error {
+	if err := openProbes(p.stages); err != nil {
+		return err
 	}
+	stages := p.stages[:len(p.stages)-skip]
+	if p.scan == nil {
+		if err := p.src.Open(); err != nil {
+			return err
+		}
+		defer p.src.Close()
+		in := rel.NewBatch(BatchSize)
+		var slab []rel.Value
+		sink.start(0)
+		for idx := 0; ; idx++ {
+			n, err := p.src.NextBatch(in)
+			if err != nil {
+				return err
+			}
+			if n == 0 {
+				sink.done(0)
+				return nil
+			}
+			sink.chunk(0, idx, applyStages(stages, in.Rows, &slab))
+		}
+	}
+	ms := p.scan.Table.Heap.NewMorselSource(MorselPages)
+	fanOut(p.workers, func(w int) {
+		buf := make([]*storage.Version, storage.RowsPerPage)
+		var rows []rel.Row
+		var slab []rel.Value
+		sink.start(w)
+		for {
+			var idx int
+			if idx, rows = p.readMorsel(ms, buf, rows); idx < 0 {
+				sink.done(w)
+				return
+			}
+			sink.chunk(w, idx, applyStages(stages, rows, &slab))
+		}
+	})
+	return nil
 }
 
 // fanOut runs fn(0), …, fn(n-1) on n counted morsel workers and waits for
-// all of them.
+// all of them. One worker is the caller's goroutine: fanOut(1, fn) is
+// fn(0).
 func fanOut(n int, fn func(w int)) {
+	if n == 1 {
+		fn(0)
+		return
+	}
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for w := 0; w < n; w++ {
@@ -196,16 +285,52 @@ func fanOut(n int, fn func(w int)) {
 	wg.Wait()
 }
 
-// --- ordered exchange (parallel scan/filter/project) ---
+// --- streaming ---
+
+// pipeStream streams a pipeline on the caller's goroutine: each NextBatch
+// pulls source batches until the stages leave some rows, and hands those
+// out at most BatchSize at a time.
+type pipeStream struct {
+	src    BatchIter
+	stages []pipeStage
+	in     rel.Batch   // source batch scratch
+	out    []rel.Row   // the current source batch, stages applied
+	pos    int         // rows of out handed out
+	slab   []rel.Value // probe stages' join-values slab
+}
+
+func (s *pipeStream) Open() error {
+	if err := openProbes(s.stages); err != nil {
+		return err
+	}
+	return s.src.Open()
+}
+
+func (s *pipeStream) NextBatch(dst *rel.Batch) (int, error) {
+	dst.Reset()
+	for s.pos == len(s.out) {
+		n, err := s.src.NextBatch(&s.in)
+		if err != nil || n == 0 {
+			return 0, err
+		}
+		s.out, s.pos = applyStages(s.stages, s.in.Rows, &s.slab), 0
+	}
+	k := min(len(s.out)-s.pos, BatchSize)
+	dst.Rows = append(dst.Rows, s.out[s.pos:s.pos+k]...)
+	s.pos += k
+	return k, nil
+}
+
+func (s *pipeStream) Close() error { return s.src.Close() }
 
 type morselOut struct {
 	idx  int
 	rows []rel.Row
 }
 
-// parallelScan runs a scan pipeline on a worker pool and re-emits the
-// per-morsel results in morsel order, so consumers observe exactly the
-// serial scan's row sequence.
+// parallelScan is the ordered exchange: it runs a heap pipeline on a worker
+// pool and re-emits the per-morsel results in morsel order, so consumers
+// observe exactly the serial row sequence.
 //
 // The exchange is a ring of 2×workers rendezvous slots, each a 1-buffered
 // channel: the worker that produced morsel i sends to slots[i%len], which
@@ -218,9 +343,7 @@ type morselOut struct {
 // and exit, and Close joins them before returning so the caller can finalize
 // the read transaction safely.
 type parallelScan struct {
-	ctx     *Ctx
-	pipe    *scanPipeline
-	workers int
+	pipeline
 
 	slots   []chan morselOut
 	done    chan struct{}
@@ -233,29 +356,13 @@ type parallelScan struct {
 	closed  bool
 }
 
-// tryParallelScan returns a morsel-parallel iterator when n is a pure
-// scan→filter→project pipeline over a heap large enough to split.
-func tryParallelScan(n plan.Node, ctx *Ctx) (BatchIter, bool) {
-	pipe, w := parallelPipeline(n, ctx)
-	if pipe == nil {
-		return nil, false
-	}
-	return &parallelScan{ctx: ctx, pipe: pipe, workers: w}, true
-}
-
+// Open builds the probe stages' tables, then launches the worker pool.
 func (s *parallelScan) Open() error {
-	s.start()
-	return nil
-}
-
-// start launches the worker pool. It is split from Open so the parallel
-// hash join can populate its probe table first.
-func (s *parallelScan) start() {
-	if s.opened {
-		return
+	if err := openProbes(s.stages); err != nil {
+		return err
 	}
 	s.opened = true
-	ms := s.pipe.table.Heap.NewMorselSource(MorselPages)
+	ms := s.scan.Table.Heap.NewMorselSource(MorselPages)
 	s.morsels = ms.Morsels()
 	s.done = make(chan struct{})
 	s.slots = make([]chan morselOut, 2*s.workers)
@@ -266,25 +373,30 @@ func (s *parallelScan) start() {
 	for w := 0; w < s.workers; w++ {
 		go s.worker(ms)
 	}
+	return nil
 }
 
+// worker runs morsels through the stages. Each morsel's rows are a fresh
+// slice whose ownership goes to the consumer — that is what makes the
+// exchange race-free.
 func (s *parallelScan) worker(ms *storage.MorselSource) {
 	parallelWorkerCount.Add(1)
 	defer parallelWorkerCount.Add(-1)
 	defer s.wg.Done()
 	buf := make([]*storage.Version, storage.RowsPerPage)
+	var slab []rel.Value
 	for {
 		select {
 		case <-s.done:
 			return
 		default:
 		}
-		idx, rows := s.pipe.morselRows(s.ctx, ms, buf, nil)
+		idx, rows := s.readMorsel(ms, buf, nil)
 		if idx < 0 {
 			return
 		}
 		select {
-		case s.slots[idx%len(s.slots)] <- morselOut{idx, rows}:
+		case s.slots[idx%len(s.slots)] <- morselOut{idx, applyStages(s.stages, rows, &slab)}:
 		case <-s.done:
 			return
 		}
@@ -322,112 +434,97 @@ func (s *parallelScan) Close() error {
 	return nil
 }
 
-// --- parallel aggregation ---
+// --- blocking ---
 
-// parallelAgg aggregates a scan pipeline with per-worker partial
-// accumulators merged in a final step. Groups come out in global first-seen
-// heap order (each partial tracks the smallest row sequence per group), so
-// the output row order matches the serial aggBatch exactly.
+// parallelAgg aggregates a pipeline with one partial accumulator per worker,
+// merged in a final step. Groups come out in global first-seen order (each
+// partial tracks the smallest row sequence per group), whatever the worker
+// count.
 //
-// When probe is set the pipeline is the probe side of a hash join and the
-// aggregate sits on the join: Open builds the table before any worker
-// starts, and each worker folds its morsel's matches into its partial as
-// (probe row, build row) pairs — no joined row is built unless a group keeps
-// it as its first row, or the join has a residual, which must see one (those
-// go through emitJoined's scratch slab). A match's sequence is morsel<<32
-// plus the count of matches before it in the morsel; matches come in
-// probe-row order, then build order, so the sequences order the joined rows
-// exactly as the serial join emits them and first-seen group order is the
-// serial one.
+// When the pipeline ends in a probe stage the aggregate sits on the join:
+// each worker folds its chunks' matches into its partial as (probe row,
+// build row) pairs — no joined row is built unless a group keeps it as its
+// first row, or the join has a residual, which must see one (those go
+// through emitJoined's scratch slab). A match's sequence is chunk<<32 plus
+// the count of matches before it in the chunk; matches come in probe-row
+// order, then build order, so the sequences order the joined rows exactly
+// as the join emits them.
 type parallelAgg struct {
-	ctx     *Ctx
-	node    *plan.Agg
-	pipe    *scanPipeline
-	workers int
-	probe   *joinProbe // nil: aggregate the pipeline's rows
+	pipeline
+	node     *plan.Agg
+	fold     *joinProbe // the probe stage folded pairwise; nil: no join below
+	partials []*aggAcc  // one per worker
 	materialized
 }
 
 func (a *parallelAgg) Open() error {
-	if a.probe != nil {
-		if err := a.probe.open(); err != nil {
-			return err
-		}
+	skip := 0
+	if n := len(a.stages); n > 0 && a.stages[n-1].probe != nil {
+		a.fold, skip = a.stages[n-1].probe, 1
 	}
-	ms := a.pipe.table.Heap.NewMorselSource(MorselPages)
-	partials := make([]*aggAcc, a.workers)
-	fanOut(a.workers, func(w int) {
-		acc := newAggAcc(a.node)
-		var joined []rel.Row
-		var slab []rel.Value
-		a.pipe.eachMorsel(a.ctx, ms, func(idx int, rows []rel.Row) {
-			seq := uint64(idx) << 32
-			for _, l := range rows {
-				switch jp := a.probe; {
-				case jp == nil:
-					acc.add(l, nil, seq)
-					seq++
-				case jp.residual.e == nil:
-					key := &l[jp.node.LKey]
-					for e := jp.table.first(key); e != 0; e = jp.table.after(e, key) {
-						acc.add(l, jp.table.rows[e-1], seq)
-						seq++
-					}
-				default:
-					joined, slab = jp.joinRow(joined[:0], slab[:0], l)
-					for _, row := range joined {
-						acc.add(row, nil, seq)
-						seq++
-					}
-				}
-			}
-		})
-		partials[w] = acc
-	})
-	merged := partials[0]
-	for _, p := range partials[1:] {
+	a.partials = make([]*aggAcc, a.workers)
+	if err := a.drain(skip, a); err != nil {
+		return err
+	}
+	merged := a.partials[0]
+	for _, p := range a.partials[1:] {
 		merged.mergeFrom(p)
 	}
 	a.out = merged.finalize()
 	return nil
 }
 
-// --- parallel sort ---
+func (a *parallelAgg) start(w int) { a.partials[w] = newAggAcc(a.node) }
 
-// parallelSort parallelizes key extraction and run sorting across workers,
-// then merges the runs pairwise. Ties on every sort key break on the row's
-// heap-order sequence, which reproduces the serial operator's stable sort
-// exactly (stability there means heap order too). Under a limit each worker
-// keeps only its top rows (see sorter.add) and every merge stops at the
-// limit.
+func (a *parallelAgg) chunk(w, idx int, rows []rel.Row) {
+	acc := a.partials[w]
+	seq := uint64(idx) << 32
+	for _, l := range rows {
+		switch jp := a.fold; {
+		case jp == nil:
+			acc.add(l, nil, seq)
+			seq++
+		case jp.residual.e == nil:
+			key := &l[jp.node.LKey]
+			for e := jp.table.first(key); e != 0; e = jp.table.after(e, key) {
+				acc.add(l, jp.table.rows[e-1], seq)
+				seq++
+			}
+		default:
+			acc.joined, acc.slab = jp.joinRow(acc.joined[:0], acc.slab[:0], l)
+			for _, row := range acc.joined {
+				acc.add(row, nil, seq)
+				seq++
+			}
+		}
+	}
+}
+
+func (a *parallelAgg) done(int) {}
+
+// parallelSort extracts keys into one run per worker and sorts each run on
+// its worker, then merges the runs pairwise. Ties on every sort key break
+// on the row's heap-order sequence, which makes the order total and equal
+// to a stable sort's. Under a limit each worker keeps only its top rows
+// (see sorter.add) and every merge stops at the limit.
 type parallelSort struct {
 	sorter
-	ctx     *Ctx
-	pipe    *scanPipeline
-	workers int
+	pipeline
+	runs []*sortRun // one per worker
 	materialized
 }
 
 func (s *parallelSort) Open() error {
-	ms := s.pipe.table.Heap.NewMorselSource(MorselPages)
-	runs := make([]*sortRun, s.workers)
-	fanOut(s.workers, func(w int) {
-		run := s.newRun()
-		s.pipe.eachMorsel(s.ctx, ms, func(idx int, rows []rel.Row) {
-			seq := uint64(idx) << 32
-			for _, row := range rows {
-				s.add(run, row, seq)
-				seq++
-			}
-		})
-		s.sortIdx(run)
-		runs[w] = run
-	})
+	s.runs = make([]*sortRun, s.workers)
+	if err := s.drain(0, s); err != nil {
+		return err
+	}
 	// Merge the runs pairwise, tree-wise: each round halves the run count,
 	// with every pair merged on its own goroutine, so the merge does
 	// O(n log w) work across workers instead of O(n·w) on one. The seq tie
 	// break makes the order total, so every merge schedule produces the one
 	// sorted sequence.
+	runs := s.runs
 	for len(runs) > 1 {
 		next := make([]*sortRun, (len(runs)+1)/2)
 		fanOut(len(runs)/2, func(i int) { next[i] = s.mergeRuns(runs[2*i], runs[2*i+1]) })
@@ -440,70 +537,75 @@ func (s *parallelSort) Open() error {
 	return nil
 }
 
-// --- parallel hash join ---
+func (s *parallelSort) start(w int) { s.runs[w] = s.newRun() }
 
-// joinProbe is a hash join's build side and match logic, shared by the
-// three operators that probe it: the serial hashJoinBatch, the pipeline
-// stage of parallelHashJoin and the fused parallelAgg. open builds the
-// joinTable — from a worker pool's morsels when the build side is a
-// large-enough pipeline (buildPipe), serially from the batch iterator right
-// otherwise — before any probe runs; afterwards it is read-only, so workers
-// share it.
+func (s *parallelSort) chunk(w, idx int, rows []rel.Row) {
+	seq := uint64(idx) << 32
+	for _, row := range rows {
+		s.add(s.runs[w], row, seq)
+		seq++
+	}
+}
+
+func (s *parallelSort) done(w int) { s.sortIdx(s.runs[w]) }
+
+// joinProbe is a hash join's build side and match logic: a pipeline's probe
+// stage, or the pairs an aggregate above it folds. open drains the build
+// pipeline into the joinTable before any probe runs; afterwards the table
+// is read-only, so workers share it.
 type joinProbe struct {
-	ctx          *Ctx
-	node         *plan.HashJoin
-	residual     pred
-	buildPipe    *scanPipeline
-	buildWorkers int
-	right        BatchIter // serial build input; nil when buildPipe is set
-	table        *joinTable
+	node     *plan.HashJoin
+	residual pred
+	build    pipeline
+	parts    [][]buildChunk // open's chunks, per worker
+	table    *joinTable
+}
+
+// buildChunk is a copy of one chunk of a join's build rows.
+type buildChunk struct {
+	idx  int
+	rows []rel.Row
 }
 
 func newJoinProbe(t *plan.HashJoin, ctx *Ctx) (*joinProbe, error) {
-	jp := &joinProbe{ctx: ctx, node: t, residual: compilePred(t.Residual)}
-	if jp.buildPipe, jp.buildWorkers = parallelPipeline(t.R, ctx); jp.buildPipe == nil {
-		r, err := BuildBatch(t.R, ctx)
-		if err != nil {
-			return nil, err
-		}
-		jp.right = r
+	build, err := pipelineOf(t.R, ctx)
+	if err != nil {
+		return nil, err
 	}
-	return jp, nil
+	return &joinProbe{node: t, residual: compilePred(t.Residual), build: build}, nil
 }
 
-// open builds the join table over the build rows in build (heap) order:
-// parallel workers file each morsel's rows under its ordinal, and the
-// morsels are concatenated in order, so the table — and probe match order —
-// does not depend on how it was built.
+// open builds the join table over the build rows in source (heap) order:
+// each worker files its chunks under their ordinals, and the chunks are
+// concatenated in order, so the table — and probe match order — does not
+// depend on the worker count.
 func (jp *joinProbe) open() error {
-	var rows []rel.Row
-	if jp.buildPipe != nil {
-		ms := jp.buildPipe.table.Heap.NewMorselSource(MorselPages)
-		parts := make([][]rel.Row, ms.Morsels())
-		fanOut(jp.buildWorkers, func(int) {
-			jp.buildPipe.eachMorsel(jp.ctx, ms, func(idx int, morsel []rel.Row) { parts[idx] = slices.Clone(morsel) })
-		})
-		rows = slices.Concat(parts...)
-	} else {
-		if err := jp.right.Open(); err != nil {
-			return err
-		}
-		defer jp.right.Close()
-		build := rel.NewBatch(BatchSize)
-		for {
-			n, err := jp.right.NextBatch(build)
-			if err != nil {
-				return err
-			}
-			if n == 0 {
-				break
-			}
-			rows = append(rows, build.Rows...)
-		}
+	jp.parts = make([][]buildChunk, jp.build.workers)
+	if err := jp.build.drain(0, jp); err != nil {
+		return err
+	}
+	all := slices.Concat(jp.parts...)
+	jp.parts = nil
+	slices.SortFunc(all, func(a, b buildChunk) int { return cmp.Compare(a.idx, b.idx) })
+	n := 0
+	for _, c := range all {
+		n += len(c.rows)
+	}
+	rows := make([]rel.Row, 0, n)
+	for _, c := range all {
+		rows = append(rows, c.rows...)
 	}
 	jp.table = newJoinTable(rows, jp.node.RKey)
 	return nil
 }
+
+func (jp *joinProbe) start(int) {}
+
+func (jp *joinProbe) chunk(w, idx int, rows []rel.Row) {
+	jp.parts[w] = append(jp.parts[w], buildChunk{idx, slices.Clone(rows)})
+}
+
+func (jp *joinProbe) done(int) {}
 
 // joinRow appends to out, via emitJoined's slab, l⋈r for every build row r
 // that joins the probe row l and passes the residual.
@@ -513,31 +615,4 @@ func (jp *joinProbe) joinRow(out []rel.Row, slab []rel.Value, l rel.Row) ([]rel.
 		out, slab = emitJoined(out, slab, l, jp.table.rows[e-1], &jp.residual)
 	}
 	return out, slab
-}
-
-// apply is the pipeline stage: a morsel's joined rows, carved from a
-// morsel-local slab whose ownership goes with them.
-func (jp *joinProbe) apply(in []rel.Row) []rel.Row {
-	out := make([]rel.Row, 0, len(in))
-	var slab []rel.Value
-	for _, l := range in {
-		out, slab = jp.joinRow(out, slab, l)
-	}
-	return out
-}
-
-// parallelHashJoin is a hash join whose probe side is a morsel pipeline
-// ending in the probe stage: Open builds the table, then streams joined rows
-// through the embedded ordered exchange.
-type parallelHashJoin struct {
-	parallelScan
-	probe *joinProbe
-}
-
-func (j *parallelHashJoin) Open() error {
-	if err := j.probe.open(); err != nil {
-		return err
-	}
-	j.start()
-	return nil
 }

@@ -124,9 +124,9 @@ func loadParallelFixture(t *testing.T, db *testDB) {
 }
 
 // fusedJoinAggQueries are aggregates over a hash join whose probe side
-// (items) is large enough to run morsel-parallel: with Workers > 1 they run as
-// a parallelAgg that aggregates below the join. items.cat holds NULLs, cats
-// holds duplicate and NULL keys.
+// (items) is large enough to run morsel-parallel: at any worker count they
+// run as a parallelAgg that aggregates below the join. items.cat holds
+// NULLs, cats holds duplicate and NULL keys.
 var fusedJoinAggQueries = []string{
 	// Grouped on a build-side text column: a group's first row must not be
 	// the probe's reused scratch.
@@ -171,7 +171,7 @@ func TestParallelMatchesSerialExact(t *testing.T) {
 		"SELECT i.id, c.label FROM items i, cats c WHERE i.cat = c.cid AND c.label = 'c5'",
 		"SELECT c.label, i.id FROM cats c JOIN items i ON c.cid = i.cat WHERE c.cid = 2",
 		// A cross-table WHERE predicate is a Filter between the aggregate and
-		// the join: aggBatch over the parallel join.
+		// the join: the aggregate folds the pipeline's filtered joined rows.
 		"SELECT c.label, COUNT(*), AVG(i.price) FROM items i JOIN cats c ON i.cat = c.cid WHERE i.price > c.cid * 20 GROUP BY c.label",
 		// Filtered GROUP BY over the mixed-type cat column: numeric keys,
 		// encoded keys (NULL, TEXT) and the partials' merge of both.
@@ -281,38 +281,39 @@ func TestParallelOperatorSelection(t *testing.T) {
 	if _, ok := build("SELECT id FROM items WHERE price > 10").(*parallelScan); !ok {
 		t.Fatal("big scan→filter→project pipeline did not go parallel")
 	}
-	if _, ok := build("SELECT cat, COUNT(*) FROM items GROUP BY cat").(*parallelAgg); !ok {
+	if a, ok := build("SELECT cat, COUNT(*) FROM items GROUP BY cat").(*parallelAgg); !ok || a.workers == 1 {
 		t.Fatal("big aggregation did not go parallel")
 	}
 	it := build("SELECT id FROM items ORDER BY price")
-	proj, ok := it.(*projectBatch)
-	if !ok {
-		t.Fatalf("ORDER BY plan root is %T, want projectBatch", it)
+	proj, ok := it.(*pipeStream)
+	if !ok || len(proj.stages) != 1 || proj.stages[0].exprs == nil {
+		t.Fatalf("ORDER BY plan root is %T, want a projection's pipeStream", it)
 	}
-	if _, ok := proj.child.(*parallelSort); !ok {
-		t.Fatalf("big sort did not go parallel (child is %T)", proj.child)
+	if s, ok := proj.src.(*parallelSort); !ok || s.workers == 1 {
+		t.Fatalf("big sort did not go parallel (source is %T)", proj.src)
 	}
 	if _, ok := build("SELECT x FROM small").(*parallelScan); ok {
 		t.Fatal("two-row table went parallel; small tables must stay serial")
 	}
-	// An aggregate over a hash join with a parallel probe side aggregates
-	// below the join; a small probe side or one worker keeps aggBatch over
-	// the join.
+	// An aggregate over a hash join folds (probe row, build row) pairs below
+	// the join at any worker count: on the probe side's workers when it is
+	// big and Workers allows, on one worker otherwise. A join of two small
+	// tables stays on one worker.
 	for _, sql := range fusedJoinAggQueries {
-		if a, ok := build(sql).(*parallelAgg); !ok || a.probe == nil {
+		if a, ok := build(sql).(*parallelAgg); !ok || !foldsPairs(a) || a.workers == 1 {
 			t.Fatalf("%q did not build a parallelAgg below the join:\n%s", sql, plan.Explain(planFor(t, db, sql)))
 		}
 	}
-	if _, ok := build("SELECT c.label, COUNT(*) FROM cats c JOIN small s ON c.cid = s.x GROUP BY c.label").(*aggBatch); !ok {
+	if a, ok := build("SELECT c.label, COUNT(*) FROM cats c JOIN small s ON c.cid = s.x GROUP BY c.label").(*parallelAgg); !ok || a.workers != 1 {
 		t.Fatal("aggregate over a join of two small tables went parallel")
 	}
 	serial := &Ctx{Mgr: db.mgr, Txn: ctx.Txn, Cat: db.cat, Workers: 1}
-	if it, err := BuildBatch(planFor(t, db, fusedJoinAggQueries[0]), serial); err != nil {
-		t.Fatal(err)
-	} else if a, ok := it.(*aggBatch); !ok {
-		t.Fatalf("Workers 1 built %T, want aggBatch", it)
-	} else if _, ok := a.child.(*hashJoinBatch); !ok {
-		t.Fatalf("Workers 1 built aggBatch over %T, want hashJoinBatch", a.child)
+	for _, sql := range fusedJoinAggQueries {
+		if it, err := BuildBatch(planFor(t, db, sql), serial); err != nil {
+			t.Fatal(err)
+		} else if a, ok := it.(*parallelAgg); !ok || !foldsPairs(a) || a.workers != 1 {
+			t.Fatalf("Workers 1: %q built %T, want a one-worker parallelAgg below the join", sql, it)
+		}
 	}
 	// LIMIT directly over a streaming pipeline: the child must be the
 	// serial scan so the limit can short-circuit.
@@ -328,11 +329,18 @@ func TestParallelOperatorSelection(t *testing.T) {
 	if !ok {
 		t.Fatal("ORDER BY LIMIT plan did not build a limitBatch root")
 	}
-	if proj, ok := lim.child.(*projectBatch); !ok {
-		t.Fatalf("ORDER BY LIMIT child is %T, want projectBatch", lim.child)
-	} else if _, ok := proj.child.(*parallelSort); !ok {
-		t.Fatalf("sort under LIMIT lost its parallelism (got %T)", proj.child)
+	if proj, ok := lim.child.(*pipeStream); !ok {
+		t.Fatalf("ORDER BY LIMIT child is %T, want pipeStream", lim.child)
+	} else if s, ok := proj.src.(*parallelSort); !ok || s.workers == 1 {
+		t.Fatalf("sort under LIMIT lost its parallelism (got %T)", proj.src)
 	}
+}
+
+// foldsPairs reports whether a aggregates below a join: its pipeline ends
+// in a probe stage.
+func foldsPairs(a *parallelAgg) bool {
+	n := len(a.stages)
+	return n > 0 && a.stages[n-1].probe != nil
 }
 
 // TestParallelScanCancellation: closing a parallel iterator mid-stream must
@@ -396,11 +404,15 @@ func TestFusedJoinAggBuildError(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg, ok := it.(*parallelAgg)
-	if !ok || agg.probe == nil || agg.probe.right == nil {
-		t.Fatalf("want a parallelAgg below a serially built join, got %T", it)
+	if !ok || !foldsPairs(agg) || agg.workers == 1 {
+		t.Fatalf("want a parallelAgg below the join, got %T", it)
+	}
+	probe := agg.stages[len(agg.stages)-1].probe
+	if probe.build.workers != 1 {
+		t.Fatalf("the build side runs on %d workers, want 1", probe.build.workers)
 	}
 	fail := &failingBuild{workersAtFailure: -1}
-	agg.probe.right = fail
+	probe.build = pipeline{ctx: ctx, workers: 1, src: fail}
 	if err := it.Open(); err == nil || err.Error() != "build failed" {
 		t.Fatalf("Open: got %v, want the build error", err)
 	}

@@ -11,8 +11,8 @@ import (
 // sorter orders rows by a Sort node's keys, ties broken on each row's
 // heap-order sequence, which makes the order total and equal to a stable
 // sort's. With a limit it is a top-k: only the first limit rows of that
-// order are kept. The serial sortBatch fills one sortRun; parallelSort gives
-// each worker its own and merges them.
+// order are kept. parallelSort gives each worker its own sortRun and merges
+// them.
 type sorter struct {
 	keys  []plan.SortKey
 	limit int64 // > 0: keep the first limit rows (a LIMIT over the sort)
@@ -139,42 +139,6 @@ func (s *sorter) sorted(run *sortRun) []rel.Row {
 		out[i] = run.rows[p]
 	}
 	return out
-}
-
-// sortBatch is the serial vectorized sort: Open feeds the child's rows to
-// one sortRun — each sort-key expression evaluated once per row into
-// columnar key arrays, an index permutation sorted over them, rows never
-// moved — and NextBatch re-emits them in order.
-type sortBatch struct {
-	sorter
-	child BatchIter
-	materialized
-}
-
-func (s *sortBatch) Open() error {
-	if err := s.child.Open(); err != nil {
-		return err
-	}
-	defer s.child.Close()
-	run := s.newRun()
-	in := rel.NewBatch(BatchSize)
-	seq := uint64(0)
-	for {
-		n, err := s.child.NextBatch(in)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			break
-		}
-		for _, row := range in.Rows {
-			s.add(run, row, seq)
-			seq++
-		}
-	}
-	s.sortIdx(run)
-	s.out = s.sorted(run)
-	return nil
 }
 
 // limitBatch caps the stream at n rows by slicing batches: full batches

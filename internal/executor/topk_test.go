@@ -56,15 +56,12 @@ func topKLimit(t *testing.T, db *testDB, p plan.Node, workers int) int64 {
 		t.Fatalf("plan root built %T, want limitBatch", it)
 	}
 	sorted := lim.child
-	if proj, ok := sorted.(*projectBatch); ok {
-		sorted = proj.child
+	if proj, ok := sorted.(*pipeStream); ok {
+		sorted = proj.src
 	}
-	switch s := sorted.(type) {
-	case *sortBatch:
-		return s.limit
-	case *parallelSort:
-		return s.limit
+	s, ok := sorted.(*parallelSort)
+	if !ok {
+		t.Fatalf("no sort under the limit: %T", sorted)
 	}
-	t.Fatalf("no sort under the limit: %T", sorted)
-	return 0
+	return s.limit
 }

@@ -168,6 +168,9 @@ func Bind(sel *sqlparse.Select, cat *catalog.Catalog) (*Query, error) {
 		}
 		q.GroupBy = append(q.GroupBy, bound)
 	}
+	// A GROUP BY makes the query an aggregate even without an aggregate
+	// call: SELECT g FROM t GROUP BY g returns each group once.
+	q.HasAgg = q.HasAgg || len(q.GroupBy) > 0
 	for _, o := range sel.OrderBy {
 		bound, err := q.bindExpr(o.E)
 		if err != nil {

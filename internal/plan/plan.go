@@ -305,10 +305,3 @@ func walk(n Node, depth int, visit func(Node, int)) {
 		walk(c, depth+1, visit)
 	}
 }
-
-// Count returns the number of operators in the plan.
-func Count(n Node) int {
-	total := 0
-	Walk(n, func(Node, int) { total++ })
-	return total
-}

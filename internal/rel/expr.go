@@ -383,27 +383,6 @@ func ReferencedCols(e Expr, out map[int]bool) {
 	}
 }
 
-// ShiftCols returns a copy of the expression with every column index shifted
-// by delta; used when splitting join predicates across inputs.
-func ShiftCols(e Expr, delta int) Expr {
-	switch t := e.(type) {
-	case *ColRef:
-		return &ColRef{Idx: t.Idx + delta, Name: t.Name}
-	case *Const:
-		return t
-	case *BinOp:
-		return &BinOp{Kind: t.Kind, L: ShiftCols(t.L, delta), R: ShiftCols(t.R, delta)}
-	case *Not:
-		return &Not{E: ShiftCols(t.E, delta)}
-	case *IsNullExpr:
-		return &IsNullExpr{E: ShiftCols(t.E, delta), Negate: t.Negate}
-	case *InList:
-		return &InList{E: ShiftCols(t.E, delta), List: t.List}
-	default:
-		return e
-	}
-}
-
 // MapCols returns a copy of the expression with every column index rewritten
 // through f; used to retarget predicates when join trees permute column
 // layouts.
