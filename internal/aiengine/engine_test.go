@@ -112,9 +112,8 @@ func TestInferenceMatchesTraining(t *testing.T) {
 	if len(preds) != len(labels) {
 		t.Fatalf("preds %d labels %d", len(preds), len(labels))
 	}
-	auc := nn.AUC(preds, labels)
-	if auc < 0.75 {
-		t.Fatalf("AUC = %.3f, expected learning signal", auc)
+	if got := auc(preds, labels); got < 0.75 {
+		t.Fatalf("AUC = %.3f, expected learning signal", got)
 	}
 }
 
@@ -582,4 +581,32 @@ func avg(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
+}
+
+// auc is the area under the ROC curve of scores for binary labels: the share
+// of (positive, negative) pairs the scores order correctly, a tie counting
+// half. It is 0.5 when either class is absent.
+func auc(scores, labels []float64) float64 {
+	var right, pairs float64
+	for i, pos := range scores {
+		if labels[i] < 0.5 {
+			continue
+		}
+		for j, neg := range scores {
+			if labels[j] >= 0.5 {
+				continue
+			}
+			pairs++
+			switch {
+			case pos > neg:
+				right++
+			case pos == neg:
+				right += 0.5
+			}
+		}
+	}
+	if pairs == 0 {
+		return 0.5
+	}
+	return right / pairs
 }

@@ -131,8 +131,8 @@ func TestClassificationPredictProbabilities(t *testing.T) {
 	var scores, labels []float64
 	scores = append(scores, probs.Data...)
 	labels = append(labels, y.Data...)
-	if auc := nn.AUC(scores, labels); auc < 0.7 {
-		t.Fatalf("AUC = %.3f; model failed to learn", auc)
+	if got := auc(scores, labels); got < 0.7 {
+		t.Fatalf("AUC = %.3f; model failed to learn", got)
 	}
 	// Regression predict returns raw values (can exceed [0,1]).
 	reg := New(2, 8, 2, 4, false, 5)
@@ -362,4 +362,51 @@ func BenchmarkFineTuneStep(b *testing.B) {
 			sinkLoss = m.TrainBatch(x, y, opt)
 		}
 	})
+}
+
+// auc is the area under the ROC curve of scores for binary labels: the share
+// of (positive, negative) pairs the scores order correctly, a tie counting
+// half. It is 0.5 when either class is absent.
+func auc(scores, labels []float64) float64 {
+	var right, pairs float64
+	for i, pos := range scores {
+		if labels[i] < 0.5 {
+			continue
+		}
+		for j, neg := range scores {
+			if labels[j] >= 0.5 {
+				continue
+			}
+			pairs++
+			switch {
+			case pos > neg:
+				right++
+			case pos == neg:
+				right += 0.5
+			}
+		}
+	}
+	if pairs == 0 {
+		return 0.5
+	}
+	return right / pairs
+}
+
+func TestAUC(t *testing.T) {
+	// Perfect separation.
+	if got := auc([]float64{0.9, 0.8, 0.2, 0.1}, []float64{1, 1, 0, 0}); math.Abs(got-1) > 1e-9 {
+		t.Fatalf("perfect AUC = %v", got)
+	}
+	// Inverted.
+	if got := auc([]float64{0.1, 0.2, 0.8, 0.9}, []float64{1, 1, 0, 0}); math.Abs(got) > 1e-9 {
+		t.Fatalf("inverted AUC = %v", got)
+	}
+	// All ties → 0.5.
+	if got := auc([]float64{0.5, 0.5, 0.5, 0.5}, []float64{1, 0, 1, 0}); math.Abs(got-0.5) > 1e-9 {
+		t.Fatalf("tied AUC = %v", got)
+	}
+	// Degenerate single-class input.
+	if got := auc([]float64{0.5, 0.6}, []float64{1, 1}); got != 0.5 {
+		t.Fatalf("single-class AUC = %v", got)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"neurdb/internal/catalog"
@@ -117,7 +118,7 @@ func BenchmarkSeqScanBatch(b *testing.B) {
 
 func joinPlan(l, r *catalog.Table) *plan.HashJoin {
 	return &plan.HashJoin{
-		Base: plan.Base{Out: l.Schema.Concat(r.Schema)},
+		Base: plan.Base{Out: rel.NewSchema(slices.Concat(l.Schema.Cols, r.Schema.Cols)...)},
 		L:    &plan.SeqScan{Base: plan.Base{Out: l.Schema}, Table: l},
 		R:    &plan.SeqScan{Base: plan.Base{Out: r.Schema}, Table: r},
 		LKey: 1, RKey: 0,

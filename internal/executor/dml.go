@@ -1,8 +1,20 @@
+// UPDATE and DELETE run one claim-then-note loop (dmlRows) at any worker
+// count and from either access path. Its rows come in chunks: a heap scan's
+// page-range morsels, read on the same morsel workers as the read
+// operators, or an index scan's one chunk. The worker that reads a chunk
+// runs the statement on it — visibility, predicate, new-row computation and
+// the striped batch claim. Once every chunk is claimed, the coordinator
+// replays index postings and statistics notes in chunk order, so what an
+// index scan or a stats estimate sees cannot tell worker counts apart.
+// Claims may interleave across workers, which is safe: a claim only stamps
+// XMax and swaps the chain head, and commit order comes from the manager's
+// clock, not claim order.
 package executor
 
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"neurdb/internal/catalog"
 	"neurdb/internal/plan"
@@ -87,35 +99,46 @@ func pageRows(ctx *Ctx, t *catalog.Table, pg uint32, filter *pred, buf []*storag
 	return rows[:k], true
 }
 
-// claimPage writes the rows one page of a DML scan selected. DELETE (set is
-// nil) claims them; UPDATE computes each replacement from its old row — the
-// SET expressions see the old values — passes it through checkRow like any
-// row entering the heap, and claims the replacements, which it returns
-// appended to news[:0]. Neither UpdateBatch nor the write records it leaves
-// in the transaction keep that slice, only its rows, so a serial caller
-// passes the returned slice back in as scratch for the next page.
-func claimPage(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, ids []storage.RowID, olds, news []rel.Row) ([]rel.Row, error) {
+// dmlChunk is one chunk of a DML statement, filled by the worker that read
+// and claimed it and read by the coordinator once every worker is done: the
+// claimed RowIDs, the old rows and, for UPDATE, their replacements (nil for
+// DELETE), or the error that refused the claim.
+type dmlChunk struct {
+	ids  []storage.RowID
+	olds []rel.Row
+	news []rel.Row
+	err  error
+}
+
+// claim writes the chunk's rows. DELETE (set is nil) claims them; UPDATE
+// computes each replacement from its old row — the SET expressions see the
+// old values — passes it through checkRow like any row entering the heap,
+// and claims the replacements. The batch call claims page run by page run,
+// so one chunk's claims land in heap order.
+func (c *dmlChunk) claim(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr) {
 	if set == nil {
-		return nil, ctx.Mgr.DeleteBatch(t.Heap, ids, ctx.Txn)
+		c.err = ctx.Mgr.DeleteBatch(t.Heap, c.ids, ctx.Txn)
+		return
 	}
-	news = slices.Grow(news[:0], len(olds))
-	for _, old := range olds {
+	c.news = make([]rel.Row, 0, len(c.olds))
+	for _, old := range c.olds {
 		row := old.Clone()
 		for col, e := range set {
 			row[col] = e.Eval(old)
 		}
-		if err := checkRow(t, row); err != nil {
-			return nil, err
+		if c.err = checkRow(t, row); c.err != nil {
+			return
 		}
-		news = append(news, row)
+		c.news = append(c.news, row)
 	}
-	return news, ctx.Mgr.UpdateBatch(t.Heap, ids, news, ctx.Txn)
+	c.err = ctx.Mgr.UpdateBatch(t.Heap, c.ids, c.news, ctx.Txn)
 }
 
-// noteWritten follows a claimed page with what depends on it: index postings
-// and the statistics note (news is nil after a DELETE). Index maintenance is
-// lazy: an UPDATE posts a changed key and leaves the old posting behind,
-// a DELETE removes none — visibility and the recheck filter them on scan.
+// noteWritten follows a claimed chunk with what depends on it: index
+// postings and the statistics note (news is nil after a DELETE). Index
+// maintenance is lazy: an UPDATE posts a changed key and leaves the old
+// posting behind, a DELETE removes none — visibility and the recheck filter
+// them on scan.
 func noteWritten(t *catalog.Table, ids []storage.RowID, olds, news []rel.Row) {
 	if news == nil {
 		t.Stats.NoteDeleteBatch(olds)
@@ -131,101 +154,84 @@ func noteWritten(t *catalog.Table, ids []storage.RowID, olds, news []rel.Row) {
 	t.Stats.NoteUpdateBatch(olds, news)
 }
 
-// writePage is the serial step the two DML row sources share: claim the
-// rows one page contributed, then post and note them. news is claimPage's
-// scratch, returned for the next page.
-func writePage(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, ids []storage.RowID, olds, news []rel.Row) ([]rel.Row, error) {
-	news, err := claimPage(ctx, t, set, ids, olds, news)
-	if err != nil {
-		return nil, err
+// dmlMorsels reads a heap scan's morsels on heapWorkers workers, each worker
+// claiming the rows it read, and returns morsel i's outcome as chunk i. A
+// failed claim stops every worker before its next morsel. An update only
+// replaces chain heads on pages already read, and a delete frees no slot
+// mid-transaction, so the scan never meets the statement's own writes.
+func dmlMorsels(ctx *Ctx, s *plan.SeqScan, set map[int]rel.Expr) []dmlChunk {
+	p, _ := pipelineOf(s, ctx) // a SeqScan is a source and builds nothing
+	ms := s.Table.Heap.NewMorselSource(MorselPages)
+	chunks := make([]dmlChunk, ms.Morsels())
+	var failed atomic.Bool
+	fanOut(p.workers, func(int) {
+		buf := make([]*storage.Version, storage.RowsPerPage)
+		var ids []storage.RowID
+		var rows []rel.Row
+		for !failed.Load() {
+			var idx int
+			if idx, rows = p.readMorsel(ms, buf, rows, &ids); idx < 0 {
+				return
+			}
+			if len(ids) == 0 {
+				continue
+			}
+			c := &chunks[idx]
+			c.ids, c.olds = slices.Clone(ids), slices.Clone(rows)
+			if c.claim(ctx, s.Table, set); c.err != nil {
+				failed.Store(true)
+			}
+		}
+	})
+	if p.workers > 1 {
+		ctx.DMLParallelPages += ms.Pages()
 	}
-	noteWritten(t, ids, olds, news)
-	return news, nil
+	return chunks
 }
 
-// dmlScan drives the page-at-a-time DML loop over the heap. A page's rows
-// are written before the scan moves to the next page; updates only replace
-// chain heads on the page just visited (deletes free no slots
-// mid-transaction), so the page-snapshot scan never re-observes the
-// statement's own writes.
-func dmlScan(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, where rel.Expr) (int, error) {
-	total := 0
-	filter := compilePred(where)
-	buf := make([]*storage.Version, storage.RowsPerPage)
-	ids := make([]storage.RowID, 0, storage.RowsPerPage)
-	rows := make([]rel.Row, 0, storage.RowsPerPage)
-	news := make([]rel.Row, 0, storage.RowsPerPage)
-	for pg := uint32(0); ; pg++ {
-		var ok bool
-		ids = ids[:0]
-		if rows, ok = pageRows(ctx, t, pg, &filter, buf, rows[:0], &ids); !ok {
-			return total, nil
-		}
-		if len(ids) == 0 {
-			continue
-		}
-		var err error
-		if news, err = writePage(ctx, t, set, ids, rows, news); err != nil {
-			return 0, err
-		}
-		total += len(ids)
-	}
-}
-
-// dmlIndexScan is dmlScan's index-driven counterpart: the rows come from an
-// index probe instead of a pass over the heap. The posting list is
-// materialized before the first write, so the statement never chases its
-// own index insertions (the Halloween problem: "SET k = k + 10 WHERE k >= 5"
-// would otherwise meet every row again under its new key). Rows are then
-// fetched and written one heap page at a time, in heap order — the same
-// sequence of writePage calls dmlScan makes for the rows it selects, so
-// writes, index postings and statistics notes land identically.
-func dmlIndexScan(ctx *Ctx, n *plan.IndexScan, set map[int]rel.Expr) (int, error) {
-	all, err := indexScanIDs(n)
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	filter := compilePred(n.Filter)
-	var heads []*storage.Version
-	var ids []storage.RowID
-	var rows, news []rel.Row
-	for start := 0; start < len(all); {
-		end := start + 1
-		for end < len(all) && all[end].Page == all[start].Page {
-			end++
-		}
-		heads, ids, rows = indexFetch(ctx, n, &filter, all[start:end], heads, ids[:0], rows[:0])
-		start = end
-		if len(ids) == 0 {
-			continue
-		}
-		if news, err = writePage(ctx, n.Table, set, ids, rows, news); err != nil {
-			return 0, err
-		}
-		total += len(ids)
-	}
-	return total, nil
-}
-
-// dmlRows writes the rows the access node src selects, a page at a time. set
-// holds UPDATE's assignments and is nil for DELETE. src is what
-// optimizer.AccessPath returns: a SeqScan or an IndexScan over the target
-// table. A large-enough SeqScan is dispatched through the morsel-parallel
-// write path instead (see dmlParallel); results are identical either way. It
-// returns the number of rows written.
+// dmlRows is the one UPDATE and DELETE loop: it writes the rows the access
+// node src selects and returns their number. set holds UPDATE's assignments
+// and is nil for DELETE. src is what optimizer.AccessPath returns: a SeqScan
+// over the target table, read and claimed as heap morsels (dmlMorsels), or
+// an IndexScan, one chunk claimed on the caller's goroutine. The index
+// postings are materialized before the first write, so the statement never
+// chases its own index insertions (the Halloween problem: "SET k = k + 10
+// WHERE k >= 5" would otherwise meet every row again under its new key).
+//
+// Once every chunk is claimed, the index postings and statistics notes are
+// replayed in chunk order, which is heap order — and only if no chunk
+// failed, so a refused or conflicting statement leaves both as they were,
+// at any worker count and on either access path.
 func dmlRows(ctx *Ctx, src plan.Node, set map[int]rel.Expr) (int, error) {
+	var t *catalog.Table
+	var chunks []dmlChunk
 	switch s := src.(type) {
 	case *plan.SeqScan:
-		if w := heapWorkers(ctx, s.Table); w > 1 {
-			return dmlParallel(ctx, s.Table, set, s.Filter, w)
-		}
-		return dmlScan(ctx, s.Table, set, s.Filter)
+		t, chunks = s.Table, dmlMorsels(ctx, s, set)
 	case *plan.IndexScan:
-		return dmlIndexScan(ctx, s, set)
+		all, err := indexScanIDs(s)
+		if err != nil {
+			return 0, err
+		}
+		filter := compilePred(s.Filter)
+		var c dmlChunk
+		_, c.ids, c.olds = indexFetch(ctx, s, &filter, all, nil, nil, nil)
+		c.claim(ctx, s.Table, set)
+		t, chunks = s.Table, []dmlChunk{c}
 	default:
 		return 0, fmt.Errorf("executor: DML row source must be a table scan, got %T", src)
 	}
+	total := 0
+	for _, c := range chunks {
+		if c.err != nil {
+			return 0, c.err
+		}
+		total += len(c.ids)
+	}
+	for _, c := range chunks {
+		noteWritten(t, c.ids, c.olds, c.news)
+	}
+	return total, nil
 }
 
 // UpdateWhere updates the rows the access node src selects, setting columns

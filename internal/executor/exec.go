@@ -1,7 +1,8 @@
 // Package executor runs physical plans. Row-producing plans compile to one
 // tree of batch-at-a-time operators (BuildBatch), morsel-parallel where the
-// plan and the table size allow; INSERT, UPDATE and DELETE maintain indexes
-// and statistics page by page; PREDICT streams the rows of its two access
+// plan and the table size allow; INSERT maintains indexes and statistics
+// per batch, UPDATE and DELETE once every chunk of rows is claimed, so a
+// failed statement notes nothing; PREDICT streams the rows of its two access
 // nodes to the AI engine as one task — labelled batches train, unlabelled
 // batches predict (paper Fig. 1).
 package executor
@@ -29,8 +30,8 @@ type Ctx struct {
 	// callers that never opt in).
 	Workers int
 	// DMLParallelPages reports back how many heap pages the last DML
-	// statement processed through the morsel-parallel write path (0 when it
-	// ran serially). Written by the DML coordinator after its workers have
+	// statement wrote on more than one morsel worker (0 when it ran on
+	// one). Written by the DML coordinator after its workers have
 	// joined, so a plain int is safe. Tests read it to witness that a
 	// statement took the parallel path.
 	DMLParallelPages int

@@ -2,6 +2,7 @@ package executor
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"neurdb/internal/catalog"
@@ -62,7 +63,7 @@ func TestJoinKeysMatchOracle(t *testing.T) {
 
 	for _, build := range builds {
 		join := &plan.HashJoin{
-			Base: plan.Base{Out: probe.Schema.Concat(build.Schema)},
+			Base: plan.Base{Out: rel.NewSchema(slices.Concat(probe.Schema.Cols, build.Schema.Cols)...)},
 			L:    &plan.SeqScan{Base: plan.Base{Out: probe.Schema}, Table: probe},
 			R:    &plan.SeqScan{Base: plan.Base{Out: build.Schema}, Table: build},
 			LKey: 0, RKey: 0,

@@ -149,16 +149,20 @@ func openProbes(stages []pipeStage) error {
 }
 
 // readMorsel claims the next morsel of ms and appends its visible rows that
-// pass the scan filter to rows[:0]. It returns idx=-1 once ms is drained.
-// buf is the caller's chain-head scratch.
-func (p *pipeline) readMorsel(ms *storage.MorselSource, buf []*storage.Version, rows []rel.Row) (int, []rel.Row) {
+// pass the scan filter to rows[:0] and, when ids is non-nil, their RowIDs
+// to (*ids)[:0]. It returns idx=-1 once ms is drained. buf is the caller's
+// chain-head scratch.
+func (p *pipeline) readMorsel(ms *storage.MorselSource, buf []*storage.Version, rows []rel.Row, ids *[]storage.RowID) (int, []rel.Row) {
 	idx, lo, hi, ok := ms.Next()
 	if !ok {
 		return -1, rows
 	}
 	rows = slices.Grow(rows[:0], int(hi-lo)*storage.RowsPerPage)
+	if ids != nil {
+		*ids = slices.Grow((*ids)[:0], int(hi-lo)*storage.RowsPerPage)
+	}
 	for pg := lo; pg < hi; pg++ {
-		rows, _ = pageRows(p.ctx, p.scan.Table, pg, &p.filter, buf, rows, nil)
+		rows, _ = pageRows(p.ctx, p.scan.Table, pg, &p.filter, buf, rows, ids)
 	}
 	return idx, rows
 }
@@ -254,7 +258,7 @@ func (p *pipeline) drain(skip int, sink chunkSink) error {
 		sink.start(w)
 		for {
 			var idx int
-			if idx, rows = p.readMorsel(ms, buf, rows); idx < 0 {
+			if idx, rows = p.readMorsel(ms, buf, rows, nil); idx < 0 {
 				sink.done(w)
 				return
 			}
@@ -391,7 +395,7 @@ func (s *parallelScan) worker(ms *storage.MorselSource) {
 			return
 		default:
 		}
-		idx, rows := s.readMorsel(ms, buf, nil)
+		idx, rows := s.readMorsel(ms, buf, nil, nil)
 		if idx < 0 {
 			return
 		}

@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // MSELoss returns the mean-squared-error loss over all elements and the
 // gradient w.r.t. pred. Used by PREDICT VALUE OF (regression) tasks.
@@ -83,47 +80,4 @@ func SoftmaxCELoss(logits *Matrix, labels []int) (float64, *Matrix) {
 		grow[y] -= 1 / n
 	}
 	return loss / n, grad
-}
-
-// AUC computes the area under the ROC curve for binary targets given scores.
-// It is the paper's accuracy metric for CTR-style tasks.
-func AUC(scores []float64, labels []float64) float64 {
-	type pair struct {
-		s float64
-		y float64
-	}
-	pairs := make([]pair, len(scores))
-	var pos, neg float64
-	for i := range scores {
-		pairs[i] = pair{scores[i], labels[i]}
-		if labels[i] >= 0.5 {
-			pos++
-		} else {
-			neg++
-		}
-	}
-	if pos == 0 || neg == 0 {
-		return 0.5
-	}
-	// Rank-sum (Mann-Whitney) formulation with midranks for ties.
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].s < pairs[j].s })
-	ranks := make([]float64, len(pairs))
-	for i := 0; i < len(pairs); {
-		j := i
-		for j < len(pairs) && pairs[j].s == pairs[i].s {
-			j++
-		}
-		mid := float64(i+j+1) / 2 // average 1-based rank
-		for k := i; k < j; k++ {
-			ranks[k] = mid
-		}
-		i = j
-	}
-	var sumPos float64
-	for i, p := range pairs {
-		if p.y >= 0.5 {
-			sumPos += ranks[i]
-		}
-	}
-	return (sumPos - pos*(pos+1)/2) / (pos * neg)
 }

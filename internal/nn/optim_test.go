@@ -128,25 +128,6 @@ func TestXORTrainingEndToEnd(t *testing.T) {
 	}
 }
 
-func TestAUC(t *testing.T) {
-	// Perfect separation.
-	if got := AUC([]float64{0.9, 0.8, 0.2, 0.1}, []float64{1, 1, 0, 0}); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("perfect AUC = %v", got)
-	}
-	// Inverted.
-	if got := AUC([]float64{0.1, 0.2, 0.8, 0.9}, []float64{1, 1, 0, 0}); math.Abs(got) > 1e-9 {
-		t.Fatalf("inverted AUC = %v", got)
-	}
-	// All ties → 0.5.
-	if got := AUC([]float64{0.5, 0.5, 0.5, 0.5}, []float64{1, 0, 1, 0}); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("tied AUC = %v", got)
-	}
-	// Degenerate single-class input.
-	if got := AUC([]float64{0.5, 0.6}, []float64{1, 1}); got != 0.5 {
-		t.Fatalf("single-class AUC = %v", got)
-	}
-}
-
 func TestSerializeRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(30))
 	seq := NewSequential(NewLinear(3, 5, r), &ReLU{}, NewLinear(5, 2, r))

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,7 +38,7 @@ func samplePlan(t *testing.T) Node {
 	}
 	scan2 := &SeqScan{Base: Base{Out: tbl.Schema, EstRows: 100, EstCost: 10}, Table: tbl}
 	join := &HashJoin{
-		Base: Base{Out: tbl.Schema.Concat(tbl.Schema), EstRows: 50, EstCost: 40},
+		Base: Base{Out: rel.NewSchema(slices.Concat(tbl.Schema.Cols, tbl.Schema.Cols)...), EstRows: 50, EstCost: 40},
 		L:    scan, R: scan2, LKey: 0, RKey: 0,
 	}
 	return &Project{

@@ -194,10 +194,6 @@ func TestSchemaOps(t *testing.T) {
 	if s.Col(0).Name != "id" {
 		t.Fatal("col accessor wrong")
 	}
-	c := s.Concat(s)
-	if c.Arity() != 6 {
-		t.Fatal("concat wrong")
-	}
 	if got := s.String(); got != "(id BIGINT, name TEXT, score DOUBLE)" {
 		t.Fatalf("schema string: %s", got)
 	}

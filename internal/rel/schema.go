@@ -46,14 +46,6 @@ func (s *Schema) Names() []string {
 	return out
 }
 
-// Concat returns the concatenation of two schemas (join output shape).
-func (s *Schema) Concat(o *Schema) *Schema {
-	cols := make([]Column, 0, len(s.Cols)+len(o.Cols))
-	cols = append(cols, s.Cols...)
-	cols = append(cols, o.Cols...)
-	return &Schema{Cols: cols}
-}
-
 // String renders the schema as "(a BIGINT, b TEXT)".
 func (s *Schema) String() string {
 	var b strings.Builder
