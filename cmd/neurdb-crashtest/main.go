@@ -80,7 +80,7 @@ func main() {
 	}
 
 	// Phase 1: boot the victim and run the storm.
-	srv := startServer(*serverBin, addr, *dataDir, *walSync)
+	srv, srvExited := startServer(*serverBin, addr, *dataDir, *walSync)
 	setup, err := client.Connect(addr)
 	if err != nil {
 		fatal(2, "connect: %v", err)
@@ -132,17 +132,17 @@ func main() {
 	if err := srv.Process.Signal(syscall.SIGKILL); err != nil {
 		fatal(2, "SIGKILL: %v", err)
 	}
-	srv.Wait()
+	<-srvExited
 	wg.Wait()
 	tried, acked := j.counts()
 	fmt.Printf("crashtest: killed server after %d acked / %d attempted commits\n", acked, tried)
 
 	// Phase 3: restart on the same directory and verify recovery.
 	addr2 := freeAddr()
-	srv2 := startServer(*serverBin, addr2, *dataDir, *walSync)
+	srv2, srv2Exited := startServer(*serverBin, addr2, *dataDir, *walSync)
 	defer func() {
 		srv2.Process.Signal(syscall.SIGTERM)
-		srv2.Wait()
+		<-srv2Exited
 	}()
 	c, err := client.Connect(addr2)
 	if err != nil {
@@ -199,8 +199,10 @@ func main() {
 }
 
 // startServer spawns the server and waits for its listener (or its early
-// death, reported with captured output).
-func startServer(bin, addr, dataDir, walSync string) *exec.Cmd {
+// death, reported with captured output). The returned channel closes when
+// the server has exited: its one cmd.Wait runs here, and a second Wait
+// would block for ever on the output copy it already finished.
+func startServer(bin, addr, dataDir, walSync string) (*exec.Cmd, <-chan struct{}) {
 	cmd := exec.Command(bin, "-addr", addr, "-data", dataDir, "-wal-sync", walSync, "-grace", "2s")
 	var out strings.Builder
 	cmd.Stdout = &out
@@ -215,7 +217,7 @@ func startServer(bin, addr, dataDir, walSync string) *exec.Cmd {
 		conn, err := net.DialTimeout("tcp", addr, 200*time.Millisecond)
 		if err == nil {
 			conn.Close()
-			return cmd
+			return cmd, exited
 		}
 		select {
 		case <-exited:

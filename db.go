@@ -579,30 +579,29 @@ func (s *Session) execCreateTable(ct *sqlparse.CreateTable) (*Result, error) {
 		cols[i] = rel.Column{Name: strings.ToLower(c.Name), Typ: c.Typ, Unique: c.Unique, NotNull: c.NotNull}
 	}
 	schema := rel.NewSchema(cols...)
-	// With a WAL, the create runs under the exclusive commit gate so the DDL
-	// record is ordered before any commit record touching the new table: a
-	// racing insert cannot draw its timestamp (GateRLock) until the table's
-	// create record is in the log.
+	// The create runs under the commit lock so, with a WAL, the DDL record
+	// is ordered before any commit record touching the new table: a racing
+	// insert cannot commit until the table's create record is in the log.
 	w := s.db.wlog
-	if w != nil {
-		w.GateLock()
-	}
-	tbl, err := s.db.cat.Create(ct.Name, schema)
+	var tbl *catalog.Table
 	var lsn uint64
 	var aerr error
-	if err == nil && w != nil {
-		lsn, aerr = w.AppendDDL(wal.EncodeCreateTable(nil, tbl.ID, tbl.Name, schema))
-	}
-	if w != nil {
-		w.GateUnlock()
-	}
+	err := s.db.mgr.Quiesce(func(uint64) error {
+		var err error
+		tbl, err = s.db.cat.Create(ct.Name, schema)
+		if err == nil && w != nil {
+			if lsn, aerr = w.AppendDDL(wal.EncodeCreateTable(nil, tbl.ID, tbl.Name, schema)); aerr != nil {
+				// The append never reached the log; undo the in-memory
+				// create so both sides agree the table does not exist.
+				_ = s.db.cat.Drop(tbl.Name)
+			}
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
 	if aerr != nil {
-		// The append never reached the log; undo the in-memory create so
-		// both sides agree the table does not exist.
-		_ = s.db.cat.Drop(tbl.Name)
 		return nil, fmt.Errorf("neurdb: wal append: %w", aerr)
 	}
 	// Primary-key style columns get a B-tree automatically. Not logged:
@@ -625,22 +624,19 @@ func (s *Session) execDropTable(dt *sqlparse.DropTable) (*Result, error) {
 	if err := s.db.writeErr(); err != nil {
 		return nil, err
 	}
-	// Same gate discipline as CREATE TABLE: while the gate is held
-	// exclusively no commit is mid-flight, so every commit record on the
-	// table precedes the drop record in the log.
+	// Same discipline as CREATE TABLE: under the commit lock no commit is
+	// mid-flight, so every commit record on the table precedes the drop
+	// record in the log.
 	w := s.db.wlog
-	if w != nil {
-		w.GateLock()
-	}
-	err := s.db.cat.Drop(dt.Name)
 	var lsn uint64
 	var aerr error
-	if err == nil && w != nil {
-		lsn, aerr = w.AppendDDL(wal.EncodeDropTable(nil, strings.ToLower(dt.Name)))
-	}
-	if w != nil {
-		w.GateUnlock()
-	}
+	err := s.db.mgr.Quiesce(func(uint64) error {
+		err := s.db.cat.Drop(dt.Name)
+		if err == nil && w != nil {
+			lsn, aerr = w.AppendDDL(wal.EncodeDropTable(nil, strings.ToLower(dt.Name)))
+		}
+		return err
+	})
 	if err != nil {
 		if dt.IfExists {
 			return &Result{Message: "DROP TABLE (skipped)"}, nil
@@ -698,12 +694,15 @@ func (s *Session) execCreateIndex(ci *sqlparse.CreateIndex) (*Result, error) {
 	// New access path: invalidate cached plans.
 	s.db.cat.BumpVersion()
 	// The WAL record is metadata-only (replay rebuilds index contents from
-	// heap data), so ordering relative to commits is immaterial; the gate
-	// only orders it against a concurrent DROP TABLE.
+	// heap data), so ordering relative to commits is immaterial; the commit
+	// lock only orders it against a concurrent DROP TABLE.
 	if w := s.db.wlog; w != nil {
-		w.GateLock()
-		lsn, aerr := w.AppendDDL(wal.EncodeCreateIndex(nil, tbl.ID, ix.Name, col, ci.UseHash))
-		w.GateUnlock()
+		var lsn uint64
+		aerr := s.db.mgr.Quiesce(func(uint64) error {
+			var err error
+			lsn, err = w.AppendDDL(wal.EncodeCreateIndex(nil, tbl.ID, ix.Name, col, ci.UseHash))
+			return err
+		})
 		if aerr != nil {
 			return nil, fmt.Errorf("neurdb: wal append: %w", aerr)
 		}

@@ -190,13 +190,14 @@ func (db *DB) rebuildDerivedState() {
 
 // Checkpoint writes a transactionally consistent snapshot of the whole
 // database and truncates the WAL to the segments that postdate it. The cut
-// runs under the exclusive commit gate: rotate the log (sealing the old
-// segment with an fsync), read the commit clock, and list the tables — all
-// while no commit is between drawing its timestamp and publishing its
-// stamps. Everything committed at or before the cut lands in the snapshot;
-// everything after has its record in the new segment. The heap scan itself
-// runs outside the gate under manual snapshot visibility, so commits keep
-// flowing while the (potentially large) image is built and written.
+// runs under the commit lock (txn.Manager.Quiesce): rotate the log (sealing
+// the old segment with an fsync), read the commit clock, and list the
+// tables — all while no commit is between drawing its timestamp and
+// storing it. Everything committed at or before the cut lands in the
+// snapshot; everything after has its record in the new segment. The heap
+// scan itself runs outside the lock under manual snapshot visibility, so
+// commits keep flowing while the (potentially large) image is built and
+// written.
 //
 // Concurrent heap mutation during the scan is safe for commits (they only
 // prepend versions and stamp timestamps, both handled by the visibility
@@ -210,15 +211,19 @@ func (db *DB) Checkpoint() error {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
 
-	l.GateLock()
-	sealed, err := l.Rotate()
+	var sealed, snap uint64
+	var tables []*catalog.Table
+	err := db.mgr.Quiesce(func(clock uint64) error {
+		var err error
+		if sealed, err = l.Rotate(); err != nil {
+			return err
+		}
+		snap, tables = clock, db.cat.All()
+		return nil
+	})
 	if err != nil {
-		l.GateUnlock()
 		return err
 	}
-	snap := db.mgr.ClockNow()
-	tables := db.cat.All()
-	l.GateUnlock()
 
 	ck := &wal.Checkpoint{Seq: sealed, Clock: snap}
 	for _, tbl := range tables {

@@ -5,16 +5,17 @@ import (
 	"go/token"
 )
 
-// CommitGate enforces the WAL commit protocol (PR 7, internal/txn +
+// CommitGate enforces the WAL commit protocol (internal/txn +
 // internal/wal):
 //
-//   - a redo record is appended (AppendCommit) only inside a commit-gate
-//     read-lock window (GateRLock ... GateRUnlock), so a checkpoint cut
-//     under the exclusive gate never observes a half-published commit;
+//   - a redo record is appended (AppendCommit) only inside a commit-lock
+//     window (lockCommits ... unlockCommits), so records are appended in
+//     commit-timestamp order and a checkpoint cut under the same lock never
+//     observes a half-published commit;
 //   - no version stamp (SetBeginTS/SetEndTS) or status publication
-//     (.status / statusOf[...] = StatusCommitted) happens before the WAL
-//     append in a committing function — a transaction must never be
-//     observable before its redo record is in the log;
+//     (.status = StatusCommitted) happens before the WAL append in a
+//     committing function — a transaction must never be observable before
+//     its redo record is in the log;
 //   - a function that appends a commit record also calls Sync: the commit
 //     may only be acknowledged after the record is durable;
 //   - publishing StatusCommitted in a function that never appends at all
@@ -24,7 +25,7 @@ import (
 // source order — exact for the straight-line commit paths they guard.
 var CommitGate = &Analyzer{
 	Name:     "commitgate",
-	Doc:      "flag commit paths that stamp/publish before the gated WAL append or ack before Sync",
+	Doc:      "flag commit paths that stamp/publish before the WAL append under the commit lock or ack before Sync",
 	Packages: []string{"neurdb/internal/txn"},
 	Run:      runCommitGate,
 }
@@ -32,7 +33,7 @@ var CommitGate = &Analyzer{
 // gateEvent is one protocol-relevant occurrence inside a function body, in
 // source order.
 type gateEvent struct {
-	kind string // "rlock", "runlock", "append", "sync", "stamp", "publish"
+	kind string // "lock", "unlock", "append", "sync", "stamp", "publish"
 	pos  token.Pos
 }
 
@@ -63,10 +64,10 @@ func collectGateEvents(body *ast.BlockStmt) []gateEvent {
 		case *ast.CallExpr:
 			name, _ := selName(n)
 			switch name {
-			case "GateRLock":
-				events = append(events, gateEvent{"rlock", n.Pos()})
-			case "GateRUnlock":
-				events = append(events, gateEvent{"runlock", n.Pos()})
+			case "lockCommits":
+				events = append(events, gateEvent{"lock", n.Pos()})
+			case "unlockCommits":
+				events = append(events, gateEvent{"unlock", n.Pos()})
 			case "AppendCommit":
 				events = append(events, gateEvent{"append", n.Pos()})
 			case "Sync":
@@ -76,18 +77,8 @@ func collectGateEvents(body *ast.BlockStmt) []gateEvent {
 			}
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
-				published := false
-				switch l := lhs.(type) {
-				case *ast.SelectorExpr:
-					published = l.Sel.Name == "status"
-				case *ast.IndexExpr:
-					if sel, ok := l.X.(*ast.SelectorExpr); ok {
-						published = sel.Sel.Name == "statusOf"
-					} else if id, ok := l.X.(*ast.Ident); ok {
-						published = id.Name == "statusOf"
-					}
-				}
-				if !published || i >= len(n.Rhs) {
+				sel, ok := lhs.(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "status" || i >= len(n.Rhs) {
 					continue
 				}
 				if committedIdent(n.Rhs[i]) {
@@ -140,17 +131,17 @@ func runCommitGate(pass *Pass) error {
 			}
 
 			firstAppend := appendPos[0]
-			gateDepth := 0
+			lockDepth := 0
 			sawSync := false
 			for _, e := range events {
 				switch e.kind {
-				case "rlock":
-					gateDepth++
-				case "runlock":
-					gateDepth--
+				case "lock":
+					lockDepth++
+				case "unlock":
+					lockDepth--
 				case "append":
-					if gateDepth <= 0 {
-						pass.Reportf(e.pos, "AppendCommit outside a commit-gate RLock window; the append must happen under GateRLock so a checkpoint cut never sees a half-published commit")
+					if lockDepth <= 0 {
+						pass.Reportf(e.pos, "AppendCommit outside a commit-lock window; the append must happen under lockCommits so records follow commit order and a checkpoint cut never sees a half-published commit")
 					}
 				case "stamp", "publish":
 					if e.pos < firstAppend {

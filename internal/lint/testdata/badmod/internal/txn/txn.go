@@ -2,6 +2,8 @@
 // for the neurdb-lint fixture module.
 package txn
 
+import "sync"
+
 // Status mirrors the real transaction status enum.
 type Status uint8
 
@@ -28,8 +30,6 @@ func (t *Txn) SetEndTS(ts uint64) { t.end = ts }
 
 // CommitLog mirrors the real WAL commit surface.
 type CommitLog interface {
-	GateRLock()
-	GateRUnlock()
 	AppendCommit(cts uint64, ops []byte) (uint64, error)
 	Sync(lsn uint64) error
 }
@@ -37,40 +37,42 @@ type CommitLog interface {
 // Manager is a miniature transaction manager.
 type Manager struct {
 	log      CommitLog
-	statusOf map[uint64]Status
+	commitMu sync.Mutex
 }
 
-// commitClean is the blessed protocol: gated append, then stamps, then
-// publication, then durable sync — clean.
+func (m *Manager) lockCommits()   { m.commitMu.Lock() }
+func (m *Manager) unlockCommits() { m.commitMu.Unlock() }
+
+// commitClean is the blessed protocol: append under the commit lock, then
+// stamps, then publication, then durable sync — clean.
 func (m *Manager) commitClean(t *Txn, cts uint64) error {
-	m.log.GateRLock()
+	m.lockCommits()
 	lsn, err := m.log.AppendCommit(cts, nil)
 	if err != nil {
-		m.log.GateRUnlock()
+		m.unlockCommits()
 		return err
 	}
 	t.SetEndTS(cts)
+	m.unlockCommits()
 	t.status = StatusCommitted
-	m.statusOf[t.ID] = StatusCommitted
-	m.log.GateRUnlock()
 	return m.log.Sync(lsn)
 }
 
 // commitStampEarly stamps the transaction before its redo record exists.
 func (m *Manager) commitStampEarly(t *Txn, cts uint64) error {
 	t.SetEndTS(cts) // want commitgate:"before the WAL append"
-	m.log.GateRLock()
+	m.lockCommits()
 	lsn, err := m.log.AppendCommit(cts, nil)
-	m.log.GateRUnlock()
+	m.unlockCommits()
 	if err != nil {
 		return err
 	}
 	return m.log.Sync(lsn)
 }
 
-// commitNoGate appends outside the commit-gate window.
-func (m *Manager) commitNoGate(t *Txn, cts uint64) error {
-	lsn, err := m.log.AppendCommit(cts, nil) // want commitgate:"outside a commit-gate RLock window"
+// commitNoLock appends outside the commit-lock window.
+func (m *Manager) commitNoLock(t *Txn, cts uint64) error {
+	lsn, err := m.log.AppendCommit(cts, nil) // want commitgate:"outside a commit-lock window"
 	if err != nil {
 		return err
 	}
@@ -80,9 +82,9 @@ func (m *Manager) commitNoGate(t *Txn, cts uint64) error {
 
 // commitNoSync acknowledges without making the record durable.
 func (m *Manager) commitNoSync(t *Txn, cts uint64) error {
-	m.log.GateRLock()
+	m.lockCommits()
 	_, err := m.log.AppendCommit(cts, nil) // want commitgate:"never calls Sync"
-	m.log.GateRUnlock()
+	m.unlockCommits()
 	t.status = StatusCommitted
 	return err
 }

@@ -2,9 +2,15 @@
 
 package txn
 
-// In normal builds the stripe-discipline hooks compile to nothing; under
+// In normal builds the lock-discipline hooks compile to nothing; under
 // -tags=invariants they are the runtime assertions in invariants_on.go.
 
-func stripeEnter() {}
+type lockHolder struct{}
+
+func (*lockHolder) set() {}
+
+func (*lockHolder) clear() {}
+
+func stripeEnter(*lockHolder) {}
 
 func stripeExit() {}

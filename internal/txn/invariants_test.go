@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"neurdb/internal/rel"
-	"neurdb/internal/wal"
 )
 
 // mustPanic runs fn and fails the test unless fn panics with a message
@@ -42,46 +41,31 @@ func TestStripeReleaseUnheldPanics(t *testing.T) {
 	mustPanic(t, "unheld stripe release", "holds none", stripeExit)
 }
 
-// TestStripeUnderGatePanics: a claim (UpdateBatch) or an abort's undo taken
-// while this goroutine holds the WAL commit gate, in either mode, inverts
-// the stripe-then-gate lock order against the checkpointer.
-func TestStripeUnderGatePanics(t *testing.T) {
-	l, err := wal.Open(wal.Options{Dir: t.TempDir()})
-	if err != nil {
+// TestStripeUnderCommitLockPanics: a claim (UpdateBatch) or an abort's
+// undo taken while this goroutine holds the commit lock (here through
+// Quiesce) inverts the stripe-then-commit-lock order.
+func TestStripeUnderCommitLockPanics(t *testing.T) {
+	m := NewManager()
+	h := newHeap()
+	ids := seedBatchHeap(t, m, h, 2)
+	row := []rel.Row{{rel.Int(7)}}
+
+	underLock := func(fn func()) func() {
+		return func() {
+			_ = m.Quiesce(func(uint64) error {
+				fn()
+				return nil
+			})
+		}
+	}
+
+	tx := m.Begin(Snapshot, false)
+	mustPanic(t, "UpdateBatch under the commit lock", "commit lock",
+		underLock(func() { _ = m.UpdateBatch(h, ids[:1], row, tx) }))
+
+	tx = m.Begin(Snapshot, false)
+	if err := m.UpdateBatch(h, ids[1:], row, tx); err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	modes := []struct {
-		name         string
-		lock, unlock func()
-	}{
-		{"GateRLock", l.GateRLock, l.GateRUnlock},
-		{"GateLock", l.GateLock, l.GateUnlock},
-	}
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) {
-			m := NewManager()
-			h := newHeap()
-			ids := seedBatchHeap(t, m, h, 2)
-			row := []rel.Row{{rel.Int(7)}}
-
-			underGate := func(fn func()) func() {
-				return func() {
-					mode.lock()
-					defer mode.unlock()
-					fn()
-				}
-			}
-
-			tx := m.Begin(Snapshot, false)
-			mustPanic(t, "UpdateBatch under "+mode.name, "commit gate",
-				underGate(func() { _ = m.UpdateBatch(h, ids[:1], row, tx) }))
-
-			tx = m.Begin(Snapshot, false)
-			if err := m.UpdateBatch(h, ids[1:], row, tx); err != nil {
-				t.Fatal(err)
-			}
-			mustPanic(t, "Abort under "+mode.name, "commit gate", underGate(func() { m.Abort(tx) }))
-		})
-	}
+	mustPanic(t, "Abort under the commit lock", "commit lock", underLock(func() { m.Abort(tx) }))
 }

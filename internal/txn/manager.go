@@ -76,7 +76,6 @@ type Txn struct {
 
 	mu       sync.Mutex
 	status   Status
-	commitTS uint64
 	writes   []writeRec
 	reads    []rowKey          // registered SIREAD entries (serializable only)
 	inFrom   map[*Txn]struct{} // transactions with rw-antidependency into us
@@ -136,13 +135,6 @@ func (t *Txn) Status() Status {
 	return t.status
 }
 
-// CommitTS returns the commit timestamp (0 if not committed).
-func (t *Txn) CommitTS() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.commitTS
-}
-
 // WriteStripeCount is the number of independent claim locks the manager
 // partitions writers over. Claims hash (table, page) onto a stripe, so
 // writers touching disjoint page sets never contend; 64 matches the
@@ -161,20 +153,15 @@ type Manager struct {
 	mu     sync.RWMutex
 	nextID uint64
 	active map[uint64]*Txn
-	// statusOf and commitOf record how each finished *writer* ended, for
-	// versions whose stamps a reader finds missing (committedAt). A
-	// transaction that wrote nothing records nothing: no version carries
-	// its ID. The writers' entries are never pruned, so both maps grow by
-	// one entry per finished writing transaction.
-	statusOf map[uint64]Status
-	commitOf map[uint64]uint64
 
-	// clock is the commit-timestamp clock: Begin snapshots it, Commit
-	// advances it with one atomic add, so commit timestamps stay totally
-	// ordered without any lock. The stamp-before-publish discipline in
-	// Commit (version timestamps first, statusOf after) is what lets
-	// readers interpret a missing stamp as "not committed".
-	clock atomic.Uint64
+	// clock is the timestamp of the last commit whose stamps are all in
+	// place: Begin snapshots it, and a writing commit stores its timestamp
+	// here only after stamping its versions (see Commit). commitMu
+	// serializes those commits, and committer names its holder in
+	// invariants builds.
+	clock     atomic.Uint64
+	commitMu  sync.Mutex
+	committer lockHolder
 
 	// stripes partitions write claims (and their abort undo) by the row's
 	// (table, page): the per-row test-and-set of XMax and the head swap
@@ -182,8 +169,9 @@ type Manager struct {
 	// different pages are independent. A claim takes exactly one stripe at
 	// a time — batch claims lock per page run, never holding two stripes —
 	// so no lock ordering is needed and deadlock is impossible. Commit
-	// takes no stripes at all: it only stamps versions the transaction
-	// already claimed, and concurrent claimers observe the claim via XMax.
+	// takes no stripes at all (and no stripe is taken under the commit
+	// lock): it only stamps versions the transaction already claimed, and
+	// concurrent claimers observe the claim via XMax.
 	stripes [WriteStripeCount]writeStripe
 
 	// stripeClaims/stripeWaits count stripe acquisitions and the subset
@@ -203,17 +191,12 @@ type Manager struct {
 	commits, aborts, ssiAborts, wwAborts uint64
 }
 
-// CommitLog is the durability hook the WAL implements. The manager drives
-// it with a strict ordering protocol: GateRLock is held from the commit-
-// timestamp draw through in-memory publication (so a checkpoint cut under
-// the exclusive gate never observes a half-published commit), AppendCommit
-// happens before any stamp becomes visible (so a transaction can never be
-// observed — and built upon — before its redo record is in the log), and
-// Sync blocks the acknowledgment until the record is durable under the
-// configured policy.
+// CommitLog is the durability hook the WAL implements. The manager calls
+// AppendCommit under its commit lock before any stamp becomes visible (so
+// a transaction can never be observed — and built upon — before its redo
+// record is in the log), and Sync after the lock, blocking the
+// acknowledgment until the record is durable under the configured policy.
 type CommitLog interface {
-	GateRLock()
-	GateRUnlock()
 	AppendCommit(cts uint64, ops []wal.Op) (lsn uint64, err error)
 	Sync(lsn uint64) error
 	// Err reports the log's sticky poison state (nil while healthy). The
@@ -228,9 +211,28 @@ type CommitLog interface {
 // synchronization on the commit path.
 func (m *Manager) SetCommitLog(l CommitLog) { m.log = l }
 
-// ClockNow returns the current commit clock (the checkpoint cut reads it
-// under the exclusive commit gate).
-func (m *Manager) ClockNow() uint64 { return m.clock.Load() }
+// Quiesce runs fn under the commit lock, passing the clock: no commit is
+// between drawing its timestamp and storing it, so every commit at or
+// before clock is stamped (and logged) and no later one has begun. The
+// checkpoint cut and DDL, whose log records must fall between commit
+// records, run here.
+func (m *Manager) Quiesce(fn func(clock uint64) error) error {
+	m.lockCommits()
+	defer m.unlockCommits()
+	return fn(m.clock.Load())
+}
+
+// lockCommits and unlockCommits take and release the commit lock; under
+// -tags=invariants they also record its holder.
+func (m *Manager) lockCommits() {
+	m.commitMu.Lock()
+	m.committer.set()
+}
+
+func (m *Manager) unlockCommits() {
+	m.committer.clear()
+	m.commitMu.Unlock()
+}
 
 // RestoreClock fast-forwards the commit clock after WAL replay so new
 // commits stamp timestamps beyond every recovered version. Boot-time only.
@@ -239,11 +241,8 @@ func (m *Manager) RestoreClock(ts uint64) { m.clock.Store(ts) }
 // NewManager creates a transaction manager.
 func NewManager() *Manager {
 	return &Manager{
-		nextID:   0,
-		active:   make(map[uint64]*Txn),
-		statusOf: make(map[uint64]Status),
-		commitOf: make(map[uint64]uint64),
-		readers:  make(map[rowKey]map[*Txn]struct{}),
+		active:  make(map[uint64]*Txn),
+		readers: make(map[rowKey]map[*Txn]struct{}),
 	}
 }
 
@@ -256,10 +255,10 @@ func stripeIndex(table int, page uint32) uint32 {
 // withStripe runs fn holding claim stripe si, counting contention for
 // StripeStats. It is the only code that touches a stripe's lock,
 // so every claim is taken here — one stripe per call, released before it
-// returns. Calling withStripe from inside fn (a second stripe) or while the
-// WAL commit gate is held panics under -tags=invariants.
+// returns. Calling withStripe from inside fn (a second stripe) or under the
+// commit lock panics under -tags=invariants.
 func (m *Manager) withStripe(si uint32, fn func()) {
-	stripeEnter()
+	stripeEnter(&m.committer)
 	m.stripeClaims.Add(1)
 	if !m.stripes[si].mu.TryLock() {
 		m.stripeWaits.Add(1)
@@ -314,16 +313,6 @@ func (m *Manager) OldestActiveTS() uint64 {
 	return horizon
 }
 
-// committedAt reports whether xid committed, and its commit timestamp.
-func (m *Manager) committedAt(xid uint64) (uint64, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if s, ok := m.statusOf[xid]; ok && s == StatusCommitted {
-		return m.commitOf[xid], true
-	}
-	return 0, false
-}
-
 // visibleVersion walks the chain from head and returns the first version
 // visible to t under its snapshot, along with whether a newer committed
 // version was skipped (used for SSI out-conflict detection).
@@ -346,37 +335,18 @@ func (m *Manager) versionVisible(v *storage.Version, t *Txn) bool {
 	if v.XMin == t.ID {
 		return v.XMax() != t.ID
 	}
-	begin := v.BeginTS()
-	if begin == 0 {
-		// Creator not stamped: check status (it may have committed between
-		// our chain read and now; the stamp is applied before the status is
-		// published, so a missing stamp means not committed).
-		ts, ok := m.committedAt(v.XMin)
-		if !ok {
-			return false
-		}
-		begin = ts
-	}
-	if begin > t.StartTS {
+	// A commit stores the clock only after its stamps, so the snapshot
+	// holds exactly the commits whose stamps are in place: a missing stamp
+	// (0) is a creator outside the snapshot, as is one past StartTS.
+	if begin := v.BeginTS(); begin == 0 || begin > t.StartTS {
 		return false
 	}
-	// Deleted?
-	xmax := v.XMax()
-	if xmax == 0 {
-		return true
-	}
-	if xmax == t.ID {
+	if v.XMax() == t.ID {
 		return false // we deleted it ourselves
 	}
-	end := v.EndTS()
-	if end == storage.InfinityTS {
-		ts, ok := m.committedAt(xmax)
-		if !ok {
-			return true // deleter still active/aborted: still visible to us
-		}
-		end = ts
-	}
-	return end > t.StartTS
+	// Any other deleter hides the version only once its stamp is in the
+	// snapshot; an unstamped EndTS is InfinityTS.
+	return v.EndTS() > t.StartTS
 }
 
 // registerRead adds an SIREAD entry for the row.
@@ -397,8 +367,9 @@ func (m *Manager) registerRead(table int, id storage.RowID, t *Txn) {
 	m.readersMu.Unlock()
 }
 
-// flagConflict records a rw-antidependency from reader to the writer xid.
-func (m *Manager) flagConflict(reader *Txn, writerID uint64) {
+// flagConflict records a rw-antidependency from reader to the writer xid;
+// committed says whether the caller found the writer's stamp in place.
+func (m *Manager) flagConflict(reader *Txn, writerID uint64, committed bool) {
 	m.mu.RLock()
 	w := m.active[writerID]
 	m.mu.RUnlock()
@@ -408,7 +379,7 @@ func (m *Manager) flagConflict(reader *Txn, writerID uint64) {
 		return
 	}
 	// Writer already finished; if it committed, the out-edge is permanent.
-	if _, committed := m.committedAt(writerID); committed {
+	if committed {
 		reader.mu.Lock()
 		reader.outToOld = true
 		reader.mu.Unlock()
@@ -448,12 +419,10 @@ func (m *Manager) claimLocked(h *storage.Heap, id storage.RowID, head *storage.V
 	if vis == nil {
 		return writeRec{}, ErrWriteConflict // row gone or not yet visible
 	}
-	// First-updater-wins: if someone else already claimed this version.
+	// First-updater-wins: someone else already claimed this version, an
+	// active writer or one that committed after our snapshot.
 	if xmax := vis.XMax(); xmax != 0 && xmax != t.ID {
-		if _, committed := m.committedAt(xmax); committed {
-			return writeRec{}, ErrWriteConflict // deleter committed after our snapshot
-		}
-		return writeRec{}, ErrWriteConflict // concurrent active writer
+		return writeRec{}, ErrWriteConflict
 	}
 	// If the head is newer than our visible version, a concurrent writer
 	// already installed a successor: snapshot write conflict.
@@ -560,22 +529,23 @@ func (m *Manager) flagReaders(table int, id storage.RowID, t *Txn) {
 // Commit finalizes t. Under Serializable it aborts pivots (both in- and
 // out-conflicts), returning ErrSerializationFailure.
 //
-// With a CommitLog installed, writing transactions follow the WAL protocol:
-// the redo record is appended *before* the stamps are published (if T2 ever
-// reads T1's writes, T1's record precedes T2's in the log, so a log prefix
-// is always causally closed), the whole draw-append-stamp-publish window
-// runs under the gate's read lock (so the checkpointer's exclusive cut sees
-// only fully published commits), and the call returns — acknowledging the
-// commit — only after Sync reports the record durable under the configured
-// policy. A transaction that wrote nothing skips all of it and records
-// nothing in statusOf or commitOf.
+// A transaction that wrote something commits under the commit lock, in
+// four steps: draw cts = clock+1, append the redo record when a CommitLog
+// is installed, stamp the versions, store the clock. The clock therefore
+// never names a commit whose stamps are missing, and a snapshot holds
+// exactly the commits whose stamps it can see. The append precedes the
+// stamps: if T2 ever reads T1's writes, T1's record precedes T2's in the
+// log, so a log prefix is always causally closed. The call returns —
+// acknowledging the commit — only after Sync reports the record durable
+// under the configured policy. A transaction that wrote nothing draws no
+// timestamp and takes no lock.
 func (m *Manager) Commit(t *Txn) error {
 	t.mu.Lock()
 	if t.status != StatusActive {
 		t.mu.Unlock()
 		return ErrTxnFinished
 	}
-	nwrites := len(t.writes)
+	writes := t.writes
 	t.mu.Unlock()
 	if t.Level == Serializable && t.isPivot() {
 		m.abortInternal(t, true)
@@ -583,74 +553,59 @@ func (m *Manager) Commit(t *Txn) error {
 	}
 
 	log := m.log
-	logged := log != nil && nwrites > 0
-	if logged {
-		// Fail-stop: a poisoned log means the last fsync's pages may already
-		// be gone from the kernel, so no new commit can ever be made durable.
-		// Reject before any in-memory state changes; the first commit that
-		// *caused* the poison got the raw fsync error from Sync below, and
-		// every commit after it degrades to read-only here.
-		if perr := log.Err(); perr != nil {
-			m.abortInternal(t, false)
-			return fmt.Errorf("%w (cause: %v)", ErrReadOnly, perr)
-		}
-		log.GateRLock()
-	}
-
-	// Draw the commit timestamp from the atomic clock: total commit order
-	// without any global write lock. Stamping happens *before* the status
-	// is published below — a reader that sees StatusCommitted also sees the
-	// stamps (the m.mu release/acquire pair orders them), while a reader
-	// racing ahead of publication resolves the writer as in-progress via
-	// statusOf and ignores the version. No claim stripes are taken here:
-	// every version being stamped was claimed earlier (XMax set, head
-	// swapped), so concurrent claimers already observe the conflict through
-	// XMax regardless of commit timing.
-	cts := m.clock.Add(1)
-
+	logged := log != nil && len(writes) > 0
 	var lsn uint64
-	if logged {
-		var err error
-		lsn, err = log.AppendCommit(cts, t.redoOps())
-		if err != nil {
-			// Nothing reached the log (a failed buffered write leaves the
-			// on-disk prefix consistent), so rolling the in-memory claims
-			// back keeps both sides agreeing the transaction never happened.
-			log.GateRUnlock()
-			m.abortInternal(t, false)
-			return fmt.Errorf("txn: wal append: %w", err)
+	if len(writes) > 0 {
+		var ops []wal.Op
+		if logged {
+			// Fail-stop: a poisoned log means the last fsync's pages may
+			// already be gone from the kernel, so no new commit can ever be
+			// made durable. Reject before any in-memory state changes; the
+			// first commit that *caused* the poison got the raw fsync error
+			// from Sync below, and every commit after it degrades to
+			// read-only here.
+			if perr := log.Err(); perr != nil {
+				m.abortInternal(t, false)
+				return fmt.Errorf("%w (cause: %v)", ErrReadOnly, perr)
+			}
+			ops = t.redoOps()
 		}
+		// No claim stripes are taken here: every version being stamped was
+		// claimed earlier (XMax set, head swapped), so concurrent claimers
+		// already observe the conflict through XMax.
+		m.lockCommits()
+		cts := m.clock.Load() + 1
+		if logged {
+			var err error
+			if lsn, err = log.AppendCommit(cts, ops); err != nil {
+				// Nothing reached the log (a failed buffered write leaves the
+				// on-disk prefix consistent), so rolling the in-memory claims
+				// back keeps both sides agreeing the transaction never
+				// happened.
+				m.unlockCommits()
+				m.abortInternal(t, false)
+				return fmt.Errorf("txn: wal append: %w", err)
+			}
+		}
+		for _, w := range writes {
+			switch w.kind {
+			case 'i':
+				w.created.SetBeginTS(cts)
+			case 'u':
+				w.created.SetBeginTS(cts)
+				w.old.SetEndTS(cts)
+			case 'd':
+				w.old.SetEndTS(cts)
+			}
+		}
+		m.clock.Store(cts)
+		m.unlockCommits()
 	}
 
 	t.mu.Lock()
-	for _, w := range t.writes {
-		switch w.kind {
-		case 'i':
-			w.created.SetBeginTS(cts)
-		case 'u':
-			w.created.SetBeginTS(cts)
-			w.old.SetEndTS(cts)
-		case 'd':
-			w.old.SetEndTS(cts)
-		}
-	}
 	t.status = StatusCommitted
-	t.commitTS = cts
 	t.mu.Unlock()
-
-	m.mu.Lock()
-	if nwrites > 0 {
-		m.statusOf[t.ID] = StatusCommitted
-		m.commitOf[t.ID] = cts
-	}
-	delete(m.active, t.ID)
-	m.commits++
-	m.mu.Unlock()
-
-	if logged {
-		log.GateRUnlock()
-	}
-	m.unregisterReads(t)
+	m.finish(t, true, false)
 	if logged {
 		// Acknowledge only once the record is durable. The commit is
 		// already visible to other transactions — that is safe, because any
@@ -659,6 +614,25 @@ func (m *Manager) Commit(t *Txn) error {
 		return log.Sync(lsn)
 	}
 	return nil
+}
+
+// finish removes a finished t from the active set, counts how it ended and
+// drops its SIREAD entries.
+func (m *Manager) finish(t *Txn, committed, ssi bool) {
+	m.mu.Lock()
+	delete(m.active, t.ID)
+	switch {
+	case committed:
+		m.commits++
+	case ssi:
+		m.aborts++
+		m.ssiAborts++
+	default:
+		m.aborts++
+		m.wwAborts++
+	}
+	m.mu.Unlock()
+	m.unregisterReads(t)
 }
 
 // redoOps converts the write set into WAL redo operations: the full new row
@@ -714,10 +688,12 @@ func (m *Manager) abortInternal(t *Txn, ssi bool) {
 				switch w.kind {
 				case 'i':
 					// Mark the inserted version dead-before-birth so no
-					// snapshot sees it and vacuum can reclaim the slot.
+					// snapshot sees it and vacuum can reclaim the slot. The
+					// end stamp goes first: a reader that sees the begin
+					// stamp also sees the version ended.
 					w.created.SetXMax(t.ID)
-					w.created.SetBeginTS(1)
 					w.created.SetEndTS(0)
+					w.created.SetBeginTS(1)
 				case 'u':
 					// Restore old head, clear claim.
 					w.heap.SetHead(w.id, w.old)
@@ -730,20 +706,7 @@ func (m *Manager) abortInternal(t *Txn, ssi bool) {
 		})
 	}
 
-	m.mu.Lock()
-	if len(writes) > 0 {
-		m.statusOf[t.ID] = StatusAborted
-	}
-	delete(m.active, t.ID)
-	m.aborts++
-	if ssi {
-		m.ssiAborts++
-	} else {
-		m.wwAborts++
-	}
-	m.mu.Unlock()
-
-	m.unregisterReads(t)
+	m.finish(t, false, ssi)
 }
 
 // unregisterReads drops the txn's SIREAD entries.
@@ -831,13 +794,13 @@ func (m *Manager) ReadHead(table int, id storage.RowID, head *storage.Version, t
 		if skipped != nil {
 			// We read under a snapshot that excludes a committed newer
 			// version: rw-antidependency t -> writer(skipped).
-			m.flagConflict(t, skipped.XMin)
+			m.flagConflict(t, skipped.XMin, true)
 		}
 		// Also if the visible version carries an uncommitted deleter, the
 		// write already claimed it; reading still creates t -> deleter.
 		if v != nil {
 			if xmax := v.XMax(); xmax != 0 && xmax != t.ID {
-				m.flagConflict(t, xmax)
+				m.flagConflict(t, xmax, v.EndTS() != storage.InfinityTS)
 			}
 		}
 	}

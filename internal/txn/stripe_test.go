@@ -63,7 +63,7 @@ func TestSSIWriteSkewAcrossStripes(t *testing.T) {
 
 // TestConcurrentBatchWritersDisjointPages: writers batch-updating disjoint
 // page ranges must all succeed (no false conflicts across stripes), their
-// commit timestamps must be unique (the atomic clock totally orders
+// commit timestamps must be unique (the commit lock totally orders
 // commits), and every write must be durable — no lost updates.
 func TestConcurrentBatchWritersDisjointPages(t *testing.T) {
 	m := NewManager()
@@ -94,7 +94,7 @@ func TestConcurrentBatchWritersDisjointPages(t *testing.T) {
 				errs[p] = err
 				return
 			}
-			ctss[p] = tx.CommitTS()
+			ctss[p] = h.Heads(ids[lo:lo+1], nil)[0].BeginTS()
 		}(p)
 	}
 	wg.Wait()
@@ -186,16 +186,18 @@ func TestCommitClockMonotonic(t *testing.T) {
 		if tx.StartTS > last {
 			t.Fatalf("begin ts %d ran ahead of last commit ts %d", tx.StartTS, last)
 		}
-		if _, err := insertRow(m, h, rel.Row{rel.Int(int64(i))}, tx); err != nil {
+		id, err := insertRow(m, h, rel.Row{rel.Int(int64(i))}, tx)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Commit(tx); err != nil {
 			t.Fatal(err)
 		}
-		if tx.CommitTS() <= last {
-			t.Fatalf("commit ts %d not increasing past %d", tx.CommitTS(), last)
+		cts := h.Heads([]storage.RowID{id}, nil)[0].BeginTS()
+		if cts <= last {
+			t.Fatalf("commit ts %d not increasing past %d", cts, last)
 		}
-		last = tx.CommitTS()
+		last = cts
 	}
 }
 

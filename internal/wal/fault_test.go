@@ -29,9 +29,7 @@ func faultLog(t *testing.T, ffs *vfs.FaultFS, mode SyncMode) (*Log, string) {
 // appendSync appends one commit record and syncs it, returning the error
 // from whichever step failed first.
 func appendSync(l *Log, cts uint64) error {
-	l.GateRLock()
 	lsn, err := l.AppendCommit(cts, testOps(2))
-	l.GateRUnlock()
 	if err != nil {
 		return err
 	}

@@ -78,18 +78,12 @@ var segmentMagic = [8]byte{'N', 'D', 'B', 'W', 'A', 'L', '0', '1'}
 
 // Log is the write-ahead log. Appends go through an in-process buffer under
 // mu; Sync makes them durable according to the configured mode. The
-// checkpointer uses Gate/Rotate to cut the log at a quiescent point.
+// checkpointer cuts the log with Rotate at a point where no commit is in
+// flight (the transaction manager's Quiesce).
 type Log struct {
 	dir  string
 	fs   vfs.FS
 	mode SyncMode
-
-	// gate spans each commit's append-to-publish window (readers) and the
-	// checkpointer's cut (writer): while the checkpointer holds it, no
-	// commit is between drawing its timestamp and becoming visible, so a
-	// rotation under the gate cleanly splits records into "fully published,
-	// captured by the snapshot" and "later than the snapshot".
-	gate sync.RWMutex
 
 	mu        sync.Mutex // guards file, bw, seq/offset state
 	f         vfs.File
@@ -98,9 +92,10 @@ type Log struct {
 	appendLSN uint64 // records appended (monotonic, process-lifetime)
 	scratch   []byte // payload build buffer
 
-	// Group commit state: followers wait on cond until syncedLSN covers
-	// their record; one waiter at a time becomes leader, flushes + fsyncs,
-	// and publishes the new watermark.
+	// Group commit state: every fsync runs in syncLeader, one leader at a
+	// time. Followers wait on cond until syncedLSN covers their record; the
+	// leader flushes + fsyncs, runs any segment swap or close while still
+	// leader, and publishes the new watermark.
 	syncMu    sync.Mutex
 	syncCond  *sync.Cond
 	syncedLSN uint64
@@ -110,10 +105,6 @@ type Log struct {
 	// fail-stop check (Err) runs before every logged commit and must not
 	// contend with group-commit waiters on syncMu.
 	poison atomic.Pointer[error]
-
-	// ioMu serializes the non-leader fsync paths (the interval ticker,
-	// rotation, Close).
-	ioMu sync.Mutex
 
 	closed   atomic.Bool
 	stopTick chan struct{}
@@ -178,7 +169,7 @@ func (l *Log) tickLoop(iv time.Duration) {
 		case <-l.stopTick:
 			return
 		case <-t.C:
-			l.syncNow()
+			_ = l.syncLeader(0, nil) // a failure poisons the log; commits report it
 		}
 	}
 }
@@ -253,36 +244,10 @@ func ListSegments(fs vfs.FS, dir string) ([]SegmentRef, error) {
 	return out, nil
 }
 
-// GateRLock enters a commit window: held from commit-timestamp draw through
-// in-memory publication so the checkpointer can exclude half-published
-// commits from its cut.
-func (l *Log) GateRLock() {
-	l.gate.RLock()
-	gateEnter()
-}
-
-// GateRUnlock leaves a commit window.
-func (l *Log) GateRUnlock() {
-	gateExit()
-	l.gate.RUnlock()
-}
-
-// GateLock excludes all commit windows (checkpoint cut, DDL ordering).
-func (l *Log) GateLock() {
-	l.gate.Lock()
-	gateEnter()
-}
-
-// GateUnlock releases the exclusive gate.
-func (l *Log) GateUnlock() {
-	gateExit()
-	l.gate.Unlock()
-}
-
 // AppendCommit appends one committed transaction's redo record and returns
-// its LSN for Sync. The caller holds the gate (read side).
+// its LSN for Sync. The transaction manager calls it under its commit lock,
+// so records appear in commit-timestamp order.
 func (l *Log) AppendCommit(cts uint64, ops []Op) (uint64, error) {
-	assertGated()
 	l.mu.Lock()
 	l.scratch = encodeCommit(l.scratch[:0], cts, ops)
 	lsn, err := l.appendLocked(l.scratch)
@@ -294,8 +259,8 @@ func (l *Log) AppendCommit(cts uint64, ops []Op) (uint64, error) {
 }
 
 // AppendDDL appends a pre-encoded DDL payload (EncodeCreateTable and
-// friends). The caller holds the gate exclusively so the record is ordered
-// before any commit that touches the new object.
+// friends). The caller holds the transaction manager's commit lock
+// (Quiesce) so the record is ordered against every commit record.
 func (l *Log) AppendDDL(payload []byte) (uint64, error) {
 	l.mu.Lock()
 	lsn, err := l.appendLocked(payload)
@@ -327,23 +292,30 @@ func (l *Log) appendLocked(payload []byte) (uint64, error) {
 // wait; the leader's single fsync covers every record appended before it
 // flushed, so concurrent committers share the disk round trip.
 func (l *Log) Sync(lsn uint64) error {
-	switch l.mode {
-	case SyncOff, SyncInterval:
+	if l.mode != SyncCommit {
 		// Acknowledge immediately. Interval mode's ticker (or Close) will
 		// flush + fsync behind us; Off mode flushes opportunistically so the
 		// user-space buffer stays bounded.
 		return nil
 	}
+	return l.syncLeader(lsn, nil)
+}
+
+// syncLeader is the log's one fsync path: commits (Sync), the interval
+// ticker, Rotate and Close all go through it, so the segment a leader
+// fsyncs is never swapped or closed under it. It waits until no other
+// leader runs — or, for a commit (lsn > 0), until some leader's fsync
+// covers lsn or the log is poisoned — then flushes and fsyncs the current
+// segment, skipping the fsync on a poisoned log, and, still leader, runs
+// then (if non-nil) with the fsync's error, returning what then returns. A
+// failed fsync poisons the log; an error of then's own does not.
+func (l *Log) syncLeader(lsn uint64, then func(error) error) error {
 	l.syncMu.Lock()
 	for {
-		if l.syncErr != nil {
+		if lsn > 0 && (l.syncErr != nil || l.syncedLSN >= lsn) {
 			err := l.syncErr
 			l.syncMu.Unlock()
 			return err
-		}
-		if l.syncedLSN >= lsn {
-			l.syncMu.Unlock()
-			return nil
 		}
 		if !l.syncing {
 			break
@@ -351,52 +323,26 @@ func (l *Log) Sync(lsn uint64) error {
 		l.syncCond.Wait()
 	}
 	l.syncing = true
+	err := l.syncErr
 	l.syncMu.Unlock()
 
-	target, err := l.flushAndSync()
+	healthy := err == nil
+	var target uint64
+	if healthy {
+		target, err = l.flushAndSync()
+	}
+	serr := err
+	if then != nil {
+		err = then(err)
+	}
 
 	l.syncMu.Lock()
 	l.syncing = false
-	if err != nil {
-		l.syncErr = err
-		l.poison.CompareAndSwap(nil, &err)
-	} else {
-		if target > l.syncedLSN {
-			l.syncedLSN = target
-		}
-	}
-	l.syncCond.Broadcast()
-	l.syncMu.Unlock()
-	if err != nil {
-		return err
-	}
-	if target >= lsn {
-		return nil
-	}
-	// A racing append slipped past our flush; wait for the next leader.
-	return l.Sync(lsn)
-}
-
-// syncNow flushes and fsyncs immediately (interval ticker, rotation, Close).
-func (l *Log) syncNow() error {
-	l.syncMu.Lock()
-	if l.syncErr != nil {
-		err := l.syncErr
-		l.syncMu.Unlock()
-		return err
-	}
-	l.syncMu.Unlock()
-	l.ioMu.Lock()
-	target, err := l.flushAndSync()
-	l.ioMu.Unlock()
-	l.syncMu.Lock()
-	if err != nil {
-		l.syncErr = err
-		l.poison.CompareAndSwap(nil, &err)
-	} else {
-		if target > l.syncedLSN {
-			l.syncedLSN = target
-		}
+	if healthy && serr != nil {
+		l.syncErr = serr
+		l.poison.CompareAndSwap(nil, &serr)
+	} else if healthy && target > l.syncedLSN {
+		l.syncedLSN = target
 	}
 	l.syncCond.Broadcast()
 	l.syncMu.Unlock()
@@ -434,27 +380,32 @@ func (l *Log) flushAndSync() (lsn uint64, err error) {
 }
 
 // Rotate seals the current segment (flush + fsync) and starts a new one,
-// returning the sealed segment's sequence number. The caller holds the gate
-// exclusively, so no commit record straddles the boundary half-published.
+// returning the sealed segment's sequence number. The swap runs as the
+// fsync leader, so no commit's fsync is in flight on the sealed segment.
+// The caller holds the commit lock (Quiesce), so no commit record lands
+// on the wrong side of the boundary.
 func (l *Log) Rotate() (sealed uint64, err error) {
-	if err := l.syncNow(); err != nil {
-		return 0, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	sealed = l.seq
-	old := l.f
-	if err := l.openSegmentLocked(l.seq + 1); err != nil {
-		// The old segment stays current; appends continue into it.
-		l.f = old
-		l.bw.Reset(old)
-		return 0, err
-	}
-	// The sealed segment's bytes are already durable (syncNow above) and
-	// the rotation has committed — a descriptor-release failure here must
-	// not be reported as a failed rotation.
-	_ = old.Close()
-	return sealed, nil
+	err = l.syncLeader(0, func(err error) error {
+		if err != nil {
+			return err
+		}
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		old := l.f
+		if err := l.openSegmentLocked(l.seq + 1); err != nil {
+			// The old segment stays current; appends continue into it.
+			l.f = old
+			l.bw.Reset(old)
+			return err
+		}
+		sealed = l.seq - 1
+		// The sealed segment's bytes are already durable and the rotation
+		// has committed — a descriptor-release failure here must not be
+		// reported as a failed rotation.
+		_ = old.Close()
+		return nil
+	})
+	return sealed, err
 }
 
 // RemoveThrough deletes segments with sequence <= seq, oldest first. The
@@ -506,11 +457,12 @@ func (l *Log) Close() error {
 		close(l.stopTick)
 		<-l.tickDone
 	}
-	err := l.syncNow()
-	l.mu.Lock()
-	if ferr := l.f.Close(); err == nil {
-		err = ferr
-	}
-	l.mu.Unlock()
-	return err
+	return l.syncLeader(0, func(err error) error {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if ferr := l.f.Close(); err == nil {
+			err = ferr
+		}
+		return err
+	})
 }

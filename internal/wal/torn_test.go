@@ -19,14 +19,12 @@ func buildSegment(t *testing.T, dir string, n int) (path string, data []byte, la
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		l.GateRLock()
 		lsn, err := l.AppendCommit(uint64(i+1), []Op{{
 			Kind:  OpInsert,
 			Table: 1,
 			ID:    storage.RowID{Page: 0, Slot: uint32(i)},
 			Row:   rel.Row{rel.Int(int64(i)), rel.Text("torn-tail-probe")},
 		}})
-		l.GateRUnlock()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -92,9 +93,7 @@ func TestAppendSyncReplayRoundTrip(t *testing.T) {
 	}
 	const n = 20
 	for i := 0; i < n; i++ {
-		l.GateRLock()
 		lsn, err := l.AppendCommit(uint64(i+1), testOps(3))
-		l.GateRUnlock()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,9 +131,7 @@ func TestReplayAcrossSegmentsAndRemoveThrough(t *testing.T) {
 	}
 	var sealed uint64
 	for i := 0; i < 6; i++ {
-		l.GateRLock()
 		lsn, err := l.AppendCommit(uint64(i+1), testOps(1))
-		l.GateRUnlock()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,9 +139,7 @@ func TestReplayAcrossSegmentsAndRemoveThrough(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 1 || i == 3 {
-			l.GateLock()
 			sealed, err = l.Rotate()
-			l.GateUnlock()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,13 +192,11 @@ func TestGroupCommitConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				l.GateRLock()
 				ctrMu.Lock()
 				ctr++
 				cts := ctr
 				ctrMu.Unlock()
 				lsn, err := l.AppendCommit(cts, testOps(2))
-				l.GateRUnlock()
 				if err != nil {
 					errs <- err
 					return
@@ -246,9 +239,7 @@ func TestSyncIntervalEventuallyFsyncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.GateRLock()
 	lsn, err := l.AppendCommit(1, testOps(1))
-	l.GateRUnlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,19 +354,13 @@ func TestReplayHardErrorInSealedSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.GateRLock()
 	lsn, _ := l.AppendCommit(1, testOps(2))
-	l.GateRUnlock()
 	l.Sync(lsn)
-	l.GateLock()
 	sealed, err := l.Rotate()
-	l.GateUnlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.GateRLock()
 	lsn, _ = l.AppendCommit(2, testOps(2))
-	l.GateRUnlock()
 	l.Sync(lsn)
 	l.Close()
 
@@ -397,9 +382,7 @@ func TestOpenAppendsAfterExistingSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.GateRLock()
 	lsn, _ := l.AppendCommit(1, testOps(1))
-	l.GateRUnlock()
 	l.Sync(lsn)
 	l.Close()
 
@@ -407,9 +390,7 @@ func TestOpenAppendsAfterExistingSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2.GateRLock()
 	lsn, _ = l2.AppendCommit(2, testOps(1))
-	l2.GateRUnlock()
 	l2.Sync(lsn)
 	l2.Close()
 
@@ -430,9 +411,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	l.GateRLock()
 	_, err = l.AppendCommit(1, testOps(1))
-	l.GateRUnlock()
 	if err == nil {
 		t.Fatal("append after Close must fail")
 	}
@@ -448,5 +427,79 @@ func TestListSegmentsIgnoresStrangers(t *testing.T) {
 	segs, err := ListSegments(nil, dir)
 	if err != nil || len(segs) != 0 {
 		t.Fatalf("got %+v err=%v", segs, err)
+	}
+}
+
+// holdSyncFS wraps vfs.OS; once armed, the first Sync of a segment file
+// signals entered and blocks until release is closed.
+type holdSyncFS struct {
+	vfs.FS
+	hold             atomic.Bool
+	entered, release chan struct{}
+}
+
+type holdSyncFile struct {
+	vfs.File
+	fs *holdSyncFS
+}
+
+func (h *holdSyncFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	f, err := h.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &holdSyncFile{File: f, fs: h}, nil
+}
+
+func (f *holdSyncFile) Sync() error {
+	if f.fs.hold.CompareAndSwap(true, false) {
+		close(f.fs.entered)
+		<-f.fs.release
+	}
+	return f.File.Sync()
+}
+
+// TestRotateWaitsForLeaderSync: a Rotate that runs while a commit's group
+// leader is inside its fsync must wait for that fsync instead of closing
+// the segment under it. Closing it would fail the leader's fsync and
+// poison the log although the record was durable.
+func TestRotateWaitsForLeaderSync(t *testing.T) {
+	fs := &holdSyncFS{FS: vfs.OS, entered: make(chan struct{}), release: make(chan struct{})}
+	l, err := Open(Options{Dir: t.TempDir(), Mode: SyncCommit, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	lsn, err := l.AppendCommit(1, testOps(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.hold.Store(true)
+	synced := make(chan error, 1)
+	go func() { synced <- l.Sync(lsn) }()
+	<-fs.entered
+
+	rotated := make(chan error, 1)
+	go func() {
+		_, err := l.Rotate()
+		rotated <- err
+	}()
+	var rerr error
+	select {
+	case rerr = <-rotated:
+		t.Error("Rotate returned while the leader's fsync was in flight")
+		close(fs.release)
+	case <-time.After(100 * time.Millisecond):
+		close(fs.release)
+		rerr = <-rotated
+	}
+	if rerr != nil {
+		t.Fatalf("Rotate: %v", rerr)
+	}
+	if err := <-synced; err != nil {
+		t.Fatalf("leader's Sync: %v", err)
+	}
+	if err := l.Err(); err != nil {
+		t.Fatalf("log poisoned: %v", err)
 	}
 }

@@ -376,6 +376,9 @@ func TestRowsCloseMidStreamReleasesTxn(t *testing.T) {
 	if err := rows.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Only a commit that wrote moves the clock: a one-row write lets the
+	// horizon move past the closed reader's snapshot.
+	mustExec(t, db, `INSERT INTO kv VALUES (100000, 0, 0.5)`)
 	probe := db.mgr.Begin(txn.Snapshot, true)
 	after := db.mgr.OldestActiveTS()
 	db.mgr.Abort(probe)
