@@ -367,9 +367,9 @@ func (m *Manager) registerRead(table int, id storage.RowID, t *Txn) {
 	m.readersMu.Unlock()
 }
 
-// flagConflict records a rw-antidependency from reader to the writer xid;
-// committed says whether the caller found the writer's stamp in place.
-func (m *Manager) flagConflict(reader *Txn, writerID uint64, committed bool) {
+// flagConflict records a rw-antidependency from reader to the writer xid,
+// which created v (deleter false) or claimed it for deletion (deleter true).
+func (m *Manager) flagConflict(reader *Txn, writerID uint64, v *storage.Version, deleter bool) {
 	m.mu.RLock()
 	w := m.active[writerID]
 	m.mu.RUnlock()
@@ -379,11 +379,26 @@ func (m *Manager) flagConflict(reader *Txn, writerID uint64, committed bool) {
 		return
 	}
 	// Writer already finished; if it committed, the out-edge is permanent.
-	if committed {
+	if writerCommitted(v, writerID, deleter) {
 		reader.mu.Lock()
 		reader.outToOld = true
 		reader.mu.Unlock()
 	}
+}
+
+// writerCommitted reports whether the finished writer xid committed its
+// write of v. It reads v's stamps only once xid has left the active set:
+// finish runs after a commit's stamps and after an abort's undo, so the
+// stamps are final by then, whatever they were when the caller read v.
+func writerCommitted(v *storage.Version, xid uint64, deleter bool) bool {
+	if deleter {
+		// An abort clears the claim, and a later claimer puts its own xid
+		// there.
+		return v.XMax() == xid && v.EndTS() != storage.InfinityTS
+	}
+	// An aborted update's version is never stamped; an aborted insert's
+	// is stamped dead before birth (BeginTS 1, EndTS 0).
+	return v.BeginTS() != 0 && v.EndTS() >= v.BeginTS()
 }
 
 // InsertBatch adds rows as part of t with one heap lock acquisition and one
@@ -794,13 +809,13 @@ func (m *Manager) ReadHead(table int, id storage.RowID, head *storage.Version, t
 		if skipped != nil {
 			// We read under a snapshot that excludes a committed newer
 			// version: rw-antidependency t -> writer(skipped).
-			m.flagConflict(t, skipped.XMin, true)
+			m.flagConflict(t, skipped.XMin, skipped, false)
 		}
 		// Also if the visible version carries an uncommitted deleter, the
 		// write already claimed it; reading still creates t -> deleter.
 		if v != nil {
 			if xmax := v.XMax(); xmax != 0 && xmax != t.ID {
-				m.flagConflict(t, xmax, v.EndTS() != storage.InfinityTS)
+				m.flagConflict(t, xmax, v, true)
 			}
 		}
 	}

@@ -306,6 +306,70 @@ func TestSSIWriteSkewPrevented(t *testing.T) {
 	}
 }
 
+// TestSSIReadRacingWriterCommitFlagsOutEdge: a serializable read finds the
+// version it reads claimed by an active writer, and the writer commits and
+// leaves the active set before the read records the conflict. The out-edge
+// must still be recorded, from the stamps the commit left, or t1 below
+// commits a write skew. The test runs ReadHead's steps by hand with t2's
+// commit between them.
+func TestSSIReadRacingWriterCommitFlagsOutEdge(t *testing.T) {
+	m := NewManager()
+	h := newHeap()
+	ids := seedBatchHeap(t, m, h, 2)
+	x, y := ids[0], ids[1]
+
+	t1 := m.Begin(Serializable, false)
+	t2 := m.Begin(Serializable, false)
+	readRow(m, h, y, t2)
+	if err := writeRow(m, h, x, rel.Row{rel.Int(10)}, t2); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeRow(m, h, y, rel.Row{rel.Int(20)}, t1); err != nil {
+		t.Fatal(err) // t2 -> t1: t2 read y, t1 writes it
+	}
+
+	// t1 reads x: its visible version carries t2's claim...
+	v, _ := m.visibleVersion(h.Heads([]storage.RowID{x}, nil)[0], t1)
+	if v == nil || v.XMax() != t2.ID {
+		t.Fatal("t1 should see the old x, claimed by t2")
+	}
+	m.registerRead(h.TableID, x, t1)
+	// ...t2 commits, which only an out-edge from t1 would stop...
+	if err := m.Commit(t2); err != nil {
+		t.Fatal(err)
+	}
+	// ...and only then does the read record t1 -> t2.
+	m.flagConflict(t1, t2.ID, v, true)
+	if err := m.Commit(t1); !errors.Is(err, ErrSerializationFailure) {
+		t.Fatalf("t1 closes a write skew with committed t2; Commit returned %v", err)
+	}
+}
+
+// TestSSIReadOfAbortedInsertRecordsNoConflict: an aborted insert is stamped
+// dead before birth (BeginTS 1), so a snapshot taken at clock 0 skips it as
+// newer. Its writer aborted, so the skip is no rw-antidependency.
+func TestSSIReadOfAbortedInsertRecordsNoConflict(t *testing.T) {
+	m := NewManager()
+	h := newHeap()
+	r := m.Begin(Serializable, false)
+	w := m.Begin(Serializable, false)
+	id, err := insertRow(m, h, rel.Row{rel.Int(1)}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Abort(w)
+	if _, ok := readRow(m, h, id, r); ok {
+		t.Fatal("aborted insert visible")
+	}
+	r.mu.Lock()
+	outOld := r.outToOld
+	r.mu.Unlock()
+	if outOld {
+		t.Fatal("reading past an aborted insert recorded an out-conflict to a committed writer")
+	}
+	m.Abort(r)
+}
+
 func TestSSIReadAfterCommittedWriteConflict(t *testing.T) {
 	// Reader's snapshot skips a newer committed version: out-conflict to an
 	// already-committed writer must be recorded via outToOld.
@@ -792,16 +856,13 @@ func TestReadOnlyTxnsRecordNothing(t *testing.T) {
 }
 
 // heldLog is a CommitLog whose AppendCommit, once armed, signals entered and
-// blocks until release is closed. The gate methods are no-ops that only
-// keep the type a CommitLog wherever the interface still asks for them.
+// blocks until release is closed.
 type heldLog struct {
 	armed            bool
 	entered, release chan struct{}
 }
 
-func (l *heldLog) GateRLock()   {}
-func (l *heldLog) GateRUnlock() {}
-func (l *heldLog) Err() error   { return nil }
+func (l *heldLog) Err() error { return nil }
 func (l *heldLog) Sync(uint64) error {
 	return nil
 }
