@@ -82,3 +82,26 @@ func BenchmarkPointUpdateIndexed(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPointSelectIndexed times a prepared primary-key point SELECT over
+// 200,000 rows, kv_read's point statement.
+func BenchmarkPointSelectIndexed(b *testing.B) {
+	const n = 200_000
+	db := loadBenchKV(b, n)
+	st, err := db.Prepare(`SELECT val FROM kv WHERE id = ?`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := (i * 7919) % n
+		res, err := st.Exec(k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0].AsInt() != int64(k) {
+			b.Fatalf("point select of %d returned %v", k, res.Rows)
+		}
+	}
+}

@@ -3,12 +3,12 @@
 // an AI-powered Autonomous Database" (CIDR 2025).
 //
 // The engine combines a relational core (MVCC snapshot isolation + SSI,
-// heap storage with a buffer pool, B-tree/hash indexes, a cost-based
-// optimizer and a vectorized, morsel-parallel executor) with the paper's
-// in-database AI ecosystem: AI operators in the executor (train / inference
-// / fine-tune), an AI engine with a streaming data protocol, a layered model
-// store with incremental updates, and fast-adaptive learned components
-// (learned concurrency control and a learned query optimizer).
+// heap storage with a buffer pool, B-tree indexes, a cost-based optimizer
+// and a vectorized, morsel-parallel executor) with the paper's in-database
+// AI ecosystem: AI operators in the executor (train / inference /
+// fine-tune), an AI engine whose streaming data loader feeds each PREDICT's
+// one task, a layered model store with incremental updates, and a
+// fast-adaptive learned query optimizer.
 //
 // Quick start:
 //
@@ -122,7 +122,7 @@ type Config struct {
 	// has grown this many MiB since the last one (0 = no size trigger).
 	CheckpointWalMB int
 	// FS is the filesystem the durability layer writes through (default
-	// vfs.OS). Tests inject a vfs.FaultFS here to script disk faults.
+	// vfs.OS). Tests inject a vfstest.FaultFS here to script disk faults.
 	FS vfs.FS
 
 	// StatementTimeout bounds each streaming statement's execution time:
@@ -604,14 +604,6 @@ func (s *Session) execCreateTable(ct *sqlparse.CreateTable) (*Result, error) {
 	if aerr != nil {
 		return nil, fmt.Errorf("neurdb: wal append: %w", aerr)
 	}
-	// Primary-key style columns get a B-tree automatically. Not logged:
-	// replay recreates them from the schema's Unique flags.
-	for i, c := range cols {
-		if c.Unique {
-			// The table is new and the column names distinct, so is the name.
-			_ = tbl.AddIndex(&catalog.Index{Name: tbl.Name + "_" + c.Name, Col: i, BT: index.NewBTree()}, nil)
-		}
-	}
 	if w != nil {
 		if err := w.Sync(lsn); err != nil {
 			return nil, err
@@ -666,12 +658,7 @@ func (s *Session) execCreateIndex(ci *sqlparse.CreateIndex) (*Result, error) {
 	if col < 0 {
 		return nil, fmt.Errorf("neurdb: no column %q in %q", ci.Col, ci.Table)
 	}
-	ix := &catalog.Index{Name: ci.Name, Col: col}
-	if ci.UseHash {
-		ix.Hash = index.NewHashIndex()
-	} else {
-		ix.BT = index.NewBTree()
-	}
+	ix := &catalog.Index{Name: ci.Name, Col: col, BT: index.NewBTree()}
 	// Registered first, filled second, planned on last: see Table.AddIndex.
 	// The fill posts every version of every chain — whatever snapshot later
 	// probes the index finds its row, committed or still in flight when the
@@ -682,7 +669,7 @@ func (s *Session) execCreateIndex(ci *sqlparse.CreateIndex) (*Result, error) {
 			for v := head; v != nil; {
 				next := v.Next()
 				if next == nil || !rel.Equal(v.Data[col], next.Data[col]) {
-					ix.Insert(v.Data[col], id)
+					ix.BT.Insert(v.Data[col], id)
 				}
 				v = next
 			}
@@ -700,7 +687,7 @@ func (s *Session) execCreateIndex(ci *sqlparse.CreateIndex) (*Result, error) {
 		var lsn uint64
 		aerr := s.db.mgr.Quiesce(func(uint64) error {
 			var err error
-			lsn, err = w.AppendDDL(wal.EncodeCreateIndex(nil, tbl.ID, ix.Name, col, ci.UseHash))
+			lsn, err = w.AppendDDL(wal.EncodeCreateIndex(nil, tbl.ID, ix.Name, col))
 			return err
 		})
 		if aerr != nil {

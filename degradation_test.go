@@ -2,7 +2,7 @@ package neurdb
 
 // Degradation-path tests: WAL poison turning the instance read-only,
 // statement timeouts, and crash-point recovery — all driven deterministically
-// through Config.FS with a scripted vfs.FaultFS.
+// through Config.FS with a scripted vfstest.FaultFS.
 
 import (
 	"errors"
@@ -10,11 +10,11 @@ import (
 	"testing"
 	"time"
 
-	"neurdb/internal/vfs"
+	"neurdb/internal/vfs/vfstest"
 )
 
 // faultConfig is a durable config writing through the given FaultFS.
-func faultConfig(dir string, ffs *vfs.FaultFS) Config {
+func faultConfig(dir string, ffs *vfstest.FaultFS) Config {
 	cfg := DefaultConfig()
 	cfg.DataDir = dir
 	cfg.FS = ffs
@@ -28,7 +28,7 @@ func faultConfig(dir string, ffs *vfs.FaultFS) Config {
 // original error so the operator learns the tail was not durable.
 func TestDegradedReadOnlyAfterFsyncFailure(t *testing.T) {
 	dir := t.TempDir()
-	ffs := vfs.NewFaultFS(nil)
+	ffs := vfstest.NewFaultFS(nil)
 	db, err := OpenDB(faultConfig(dir, ffs))
 	if err != nil {
 		t.Fatal(err)
@@ -45,9 +45,9 @@ func TestDegradedReadOnlyAfterFsyncFailure(t *testing.T) {
 	}
 
 	// The disk dies under the next commit's fsync.
-	ffs.AddFault(vfs.Fault{Op: vfs.OpSync, Path: "wal-"})
+	ffs.AddFault(vfstest.Fault{Op: vfstest.OpSync, Path: "wal-"})
 	_, err = db.Exec(`INSERT INTO kv VALUES (100, 'doomed')`)
-	if !errors.Is(err, vfs.ErrIO) {
+	if !errors.Is(err, vfstest.ErrIO) {
 		t.Fatalf("failing commit: want the raw fsync error, got %v", err)
 	}
 
@@ -83,7 +83,7 @@ func TestDegradedReadOnlyAfterFsyncFailure(t *testing.T) {
 	}
 
 	// Close hands back the original device error, not a swallowed nil.
-	if err := db.Close(); !errors.Is(err, vfs.ErrIO) {
+	if err := db.Close(); !errors.Is(err, vfstest.ErrIO) {
 		t.Fatalf("Close() = %v, want the original fsync error", err)
 	}
 
@@ -112,7 +112,7 @@ func TestDegradedReadOnlyAfterFsyncFailure(t *testing.T) {
 func TestCrashPointAckedInRecovered(t *testing.T) {
 	for _, crashNth := range []int{5, 12, 30} {
 		dir := t.TempDir()
-		ffs := vfs.NewFaultFS(nil)
+		ffs := vfstest.NewFaultFS(nil)
 		db, err := OpenDB(faultConfig(dir, ffs))
 		if err != nil {
 			t.Fatal(err)
@@ -120,7 +120,7 @@ func TestCrashPointAckedInRecovered(t *testing.T) {
 		mustExec(t, db, `CREATE TABLE s (id INT PRIMARY KEY, v TEXT)`)
 		// Power fails at the crashNth-th WAL write after setup, tearing it
 		// after a few bytes; everything mutating after that freezes.
-		ffs.AddFault(vfs.Fault{Op: vfs.OpWrite, Path: "wal-", Nth: crashNth, Err: vfs.ErrNoSpace, Short: 5, Crash: true})
+		ffs.AddFault(vfstest.Fault{Op: vfstest.OpWrite, Path: "wal-", Nth: crashNth, Err: vfstest.ErrNoSpace, Short: 5, Crash: true})
 
 		var acked []int
 		for i := 0; i < 200; i++ {
@@ -157,7 +157,7 @@ func TestCrashPointAckedInRecovered(t *testing.T) {
 // checkpoint plus the retained WAL segments.
 func TestCheckpointFailureOldStateWins(t *testing.T) {
 	dir := t.TempDir()
-	ffs := vfs.NewFaultFS(nil)
+	ffs := vfstest.NewFaultFS(nil)
 	db, err := OpenDB(faultConfig(dir, ffs))
 	if err != nil {
 		t.Fatal(err)
@@ -172,8 +172,8 @@ func TestCheckpointFailureOldStateWins(t *testing.T) {
 	for i := 20; i < 40; i++ {
 		mustExecArgs(t, db, `INSERT INTO c VALUES (?)`, i)
 	}
-	ffs.AddFault(vfs.Fault{Op: vfs.OpRename, Path: ".ckpt"})
-	if err := db.Checkpoint(); !errors.Is(err, vfs.ErrIO) {
+	ffs.AddFault(vfstest.Fault{Op: vfstest.OpRename, Path: ".ckpt"})
+	if err := db.Checkpoint(); !errors.Is(err, vfstest.ErrIO) {
 		t.Fatalf("checkpoint under rename fault: got %v", err)
 	}
 	// The failed checkpoint must not have truncated the WAL or clobbered

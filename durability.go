@@ -47,7 +47,7 @@ func (db *DB) openDurable() error {
 				return err
 			}
 			for _, ix := range t.Indexes {
-				addIndexDef(tbl, ix.Name, ix.Col, ix.Hash)
+				addIndexDef(tbl, ix.Name, ix.Col)
 			}
 			for _, r := range t.Rows {
 				tbl.Heap.InstallAt(r.ID, r.Row, 1)
@@ -115,16 +115,9 @@ func (db *DB) applyRecord(rec *wal.Record) error {
 			}
 		}
 	case wal.RecCreateTable:
-		tbl, err := db.cat.Restore(rec.TableID, rec.Name, rec.Schema)
-		if err != nil {
+		// Restore builds the key indexes from the schema's Unique flags.
+		if _, err := db.cat.Restore(rec.TableID, rec.Name, rec.Schema); err != nil {
 			return err
-		}
-		// Auto unique indexes are not logged separately; recreate their
-		// definitions from the schema flags, as execCreateTable does.
-		for i, c := range rec.Schema.Cols {
-			if c.Unique {
-				addIndexDef(tbl, tbl.Name+"_"+c.Name, i, false)
-			}
 		}
 	case wal.RecDropTable:
 		// Ignore "does not exist": the checkpoint may already exclude it.
@@ -134,24 +127,18 @@ func (db *DB) applyRecord(rec *wal.Record) error {
 		if tbl == nil {
 			return nil // table dropped later in the log
 		}
-		addIndexDef(tbl, rec.Name, rec.Col, rec.Hash)
+		addIndexDef(tbl, rec.Name, rec.Col)
 	}
 	return nil
 }
 
 // addIndexDef registers an empty index definition during recovery. Contents
 // are rebuilt from heap data after replay (rebuildDerivedState), so only the
-// definition matters here — and both the checkpoint and a replayed create
-// record may describe the same index: the second registration is refused by
-// name, which is the outcome wanted.
-func addIndexDef(tbl *catalog.Table, name string, col int, hash bool) {
-	ix := &catalog.Index{Name: name, Col: col}
-	if hash {
-		ix.Hash = index.NewHashIndex()
-	} else {
-		ix.BT = index.NewBTree()
-	}
-	_ = tbl.AddIndex(ix, nil)
+// definition matters here — and the checkpoint, a replayed create record and
+// the table's own key indexes may describe the same index: the second
+// registration is refused by name, which is the outcome wanted.
+func addIndexDef(tbl *catalog.Table, name string, col int) {
+	_ = tbl.AddIndex(&catalog.Index{Name: name, Col: col, BT: index.NewBTree()}, nil)
 }
 
 // eachChain visits every version chain of h, head first, in heap order — the
@@ -180,7 +167,7 @@ func (db *DB) rebuildDerivedState() {
 		var rows []rel.Row
 		eachChain(tbl.Heap, func(id storage.RowID, head *storage.Version) {
 			for _, ix := range indexes {
-				ix.Insert(head.Data[ix.Col], id)
+				ix.BT.Insert(head.Data[ix.Col], id)
 			}
 			rows = append(rows, head.Data)
 		})
@@ -229,7 +216,7 @@ func (db *DB) Checkpoint() error {
 	for _, tbl := range tables {
 		ct := wal.CkptTable{ID: tbl.ID, Name: tbl.Name, Schema: tbl.Schema}
 		for _, ix := range tbl.Indexes() {
-			ct.Indexes = append(ct.Indexes, wal.IndexMeta{Name: ix.Name, Col: ix.Col, Hash: ix.Hash != nil})
+			ct.Indexes = append(ct.Indexes, wal.IndexMeta{Name: ix.Name, Col: ix.Col})
 		}
 		eachChain(tbl.Heap, func(id storage.RowID, head *storage.Version) {
 			if row, vis := visibleAt(head, snap); vis {

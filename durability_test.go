@@ -6,12 +6,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
-	"neurdb/internal/vfs"
+	"neurdb/internal/vfs/vfstest"
 	"neurdb/internal/wal"
 )
 
@@ -114,7 +115,6 @@ func TestDDLRecovery(t *testing.T) {
 	mustExec(t, db, `CREATE TABLE gone (id INT PRIMARY KEY)`)
 	mustExec(t, db, `INSERT INTO keep VALUES (1, 'a'), (2, 'b')`)
 	mustExec(t, db, `CREATE INDEX keep_tag ON keep (tag)`)
-	mustExec(t, db, `CREATE INDEX keep_tag_h ON keep (tag) USING HASH`)
 	mustExec(t, db, `DROP TABLE gone`)
 	db.Close()
 
@@ -134,7 +134,7 @@ func TestDDLRecovery(t *testing.T) {
 	for _, ix := range tbl.Indexes() {
 		names[ix.Name] = true
 	}
-	for _, want := range []string{"keep_id", "keep_tag", "keep_tag_h"} {
+	for _, want := range []string{"keep_id", "keep_tag"} {
 		if !names[want] {
 			t.Fatalf("index %s not recovered (have %v)", want, names)
 		}
@@ -144,6 +144,117 @@ func TestDDLRecovery(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 2 {
 		t.Fatalf("index lookup after recovery: %+v", res.Rows)
 	}
+}
+
+// TestRefusedCreateIndexLeavesNoTrace: USING names no method but btree. A
+// refused CREATE INDEX registers no index and logs no create-index record,
+// so the reopened database has none either.
+func TestRefusedCreateIndexLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDB(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, v INT)`)
+	for _, method := range []string{"gin", "hash", "HASH"} {
+		if _, err := db.Exec(`CREATE INDEX t_v ON t (v) USING ` + method); err == nil || !strings.Contains(err.Error(), "indexes are B-trees") {
+			t.Fatalf("USING %s: err %v, want the B-tree-only refusal", method, err)
+		}
+	}
+	mustExec(t, db, `CREATE INDEX t_v2 ON t (v) USING btree`)
+	indexNames := func(db *DB) string {
+		tbl, err := db.cat.Get("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, ix := range tbl.Indexes() {
+			names = append(names, ix.Name)
+		}
+		return fmt.Sprint(names)
+	}
+	if got := indexNames(db); got != "[t_id t_v2]" {
+		t.Fatalf("indexes %s, want [t_id t_v2]", got)
+	}
+	db.Close()
+	var logged []string
+	if _, err := wal.ReplaySegments(nil, dir, func(rec *wal.Record) error {
+		if rec.Kind == wal.RecCreateIndex {
+			logged = append(logged, rec.Name)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(logged) != "[t_v2]" {
+		t.Fatalf("create-index records %v, want [t_v2]", logged)
+	}
+	db2, err := OpenDB(durableConfig(dir))
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer db2.Close()
+	if got := indexNames(db2); got != "[t_id t_v2]" {
+		t.Fatalf("recovered indexes %s, want [t_id t_v2]", got)
+	}
+}
+
+// TestRecoverHashIndexesAsBTrees opens testdata/hash-index-datadir, a data
+// directory written by commit 3894e1e, the last version with hash indexes:
+// table h(id INT PRIMARY KEY, a INT, b INT) of 300 rows, where a and b each
+// hold 300 distinct values, with a hash index h_a in the checkpoint image and a
+// hash index h_b in a create-index record of the WAL after it. Both recover
+// as B-trees the planner uses for points and ranges, with the rows a heap
+// scan finds.
+func TestRecoverHashIndexesAsBTrees(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "hash-index-datadir"))); err != nil {
+		t.Fatal(err)
+	}
+	db, err := OpenDB(durableConfig(dir))
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer db.Close()
+	tbl, err := db.cat.Get("h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for col, want := range []string{"h_id", "h_a", "h_b"} {
+		if ix := tbl.IndexOn(col); ix == nil || ix.Name != want || ix.BT.Size() != 300 {
+			t.Fatalf("column %d: index %+v, want %s over 300 keys", col, ix, want)
+		}
+	}
+	for _, c := range []struct{ where, plan string }{
+		{"a = 21", "IndexScan(h, a=21)"},
+		{"a >= 20 AND a < 24", "IndexScan(h, a in [20,24]"},
+		{"b = 1011", "IndexScan(h, b=1011)"},
+		{"b >= 1100 AND b < 1104", "IndexScan(h, b in [1100,1104]"},
+	} {
+		q := "SELECT id, a, b FROM h WHERE " + c.where
+		if plan := explainText(t, db, q); !strings.Contains(plan, c.plan) {
+			t.Fatalf("%s: want %s...), got:\n%s", q, c.plan, plan)
+		}
+		// OR id < 0 adds no row and takes the index out of the plan.
+		seq := "SELECT id, a, b FROM h WHERE " + c.where + " OR id < 0"
+		if plan := explainText(t, db, seq); !strings.Contains(plan, "SeqScan(h") {
+			t.Fatalf("%s: want a SeqScan, got:\n%s", seq, plan)
+		}
+		got, want := sortedRows(mustExec(t, db, q)), sortedRows(mustExec(t, db, seq))
+		if got == "" || got != want {
+			t.Errorf("%s: index scan %s, heap scan %s", c.where, got, want)
+		}
+	}
+}
+
+// sortedRows renders a result's rows in sorted order.
+func sortedRows(res *Result) string {
+	rows := make([]string, len(res.Rows))
+	for i, row := range res.Rows {
+		rows[i] = fmt.Sprint(row)
+	}
+	sort.Strings(rows)
+	return strings.Join(rows, " ")
 }
 
 func TestCheckpointBoundsReplay(t *testing.T) {
@@ -291,8 +402,8 @@ func TestBackgroundCheckpointer(t *testing.T) {
 // every acked row across the failure and a reopen.
 func TestBackgroundCheckpointerRetriesAfterFailure(t *testing.T) {
 	dir := t.TempDir()
-	ffs := vfs.NewFaultFS(nil)
-	ffs.AddFault(vfs.Fault{Op: vfs.OpRename, Path: ".ckpt"}) // the first publication only
+	ffs := vfstest.NewFaultFS(nil)
+	ffs.AddFault(vfstest.Fault{Op: vfstest.OpRename, Path: ".ckpt"}) // the first publication only
 	cfg := faultConfig(dir, ffs)
 	cfg.CheckpointInterval = 10 * time.Millisecond
 	db, err := OpenDB(cfg)
@@ -306,7 +417,7 @@ func TestBackgroundCheckpointerRetriesAfterFailure(t *testing.T) {
 	// renames counts the checkpoint publications that failed and succeeded.
 	renames := func() (failed, published int) {
 		for _, r := range ffs.Journal() {
-			if r.Op == vfs.OpRename && strings.HasSuffix(r.Path, ".ckpt") {
+			if r.Op == vfstest.OpRename && strings.HasSuffix(r.Path, ".ckpt") {
 				if r.Err != nil {
 					failed++
 				} else {

@@ -10,10 +10,9 @@ import (
 // and comparing INTs through float64 made them one value — the filter
 // returned both rows, GROUP BY made one group and ORDER BY kept them in
 // heap order. INT comparison is exact on every route: the heap scan's
-// predicate kernel, the B-tree and the hash index, the aggregate's group key
-// and the sort.
+// predicate kernel, the B-tree, the aggregate's group key and the sort.
 func TestIntsAbove2To53StayDistinct(t *testing.T) {
-	for _, index := range []string{"", "CREATE INDEX b_id ON b (id)", "CREATE INDEX b_id ON b (id) USING HASH"} {
+	for _, index := range []string{"", "CREATE INDEX b_id ON b (id)"} {
 		name := index
 		if name == "" {
 			name = "no index"

@@ -15,48 +15,16 @@ import (
 	"neurdb/internal/storage"
 )
 
-// Index is a secondary index over one column; exactly one of BT/Hash is set.
+// Index is a secondary index over one column: a B-tree from the column's
+// values to the heap RowIDs holding them.
 type Index struct {
 	Name string
 	Col  int
 	BT   *index.BTree
-	Hash *index.HashIndex
 
 	// building is set while AddIndex runs the caller's backfill: writers
 	// maintain the index, the planner does not see it. Guarded by Table.mu.
 	building bool
-}
-
-// Ordered reports whether the index supports range scans.
-func (ix *Index) Ordered() bool { return ix.BT != nil }
-
-// Insert adds a posting.
-func (ix *Index) Insert(key rel.Value, id storage.RowID) {
-	if ix.BT != nil {
-		ix.BT.Insert(key, id)
-	} else {
-		ix.Hash.Insert(key, id)
-	}
-}
-
-// Lookup probes for equal keys.
-func (ix *Index) Lookup(key rel.Value) []storage.RowID {
-	if ix.BT != nil {
-		return ix.BT.Lookup(key)
-	}
-	return ix.Hash.Lookup(key)
-}
-
-// LookupBatch probes every key under one index-lock acquisition, appending
-// the postings to ids (flattened) and the per-key end offset to offs, so
-// ids[offs[k-1]:offs[k]] are key k's postings (offs[-1] reads as the initial
-// len(ids)). The batched index joins use it to pay one lock and zero
-// per-probe allocations per outer batch instead of per outer row.
-func (ix *Index) LookupBatch(keys []rel.Value, ids []storage.RowID, offs []int) ([]storage.RowID, []int) {
-	if ix.BT != nil {
-		return ix.BT.LookupBatch(keys, ids, offs)
-	}
-	return ix.Hash.LookupBatch(keys, ids, offs)
 }
 
 // Table bundles everything the engine knows about one relation.
@@ -79,22 +47,17 @@ func (t *Table) Indexes() []*Index {
 	return out
 }
 
-// IndexOn returns an index over the given column, preferring ordered ones,
+// IndexOn returns an index over the given column that the planner may use,
 // or nil.
 func (t *Table) IndexOn(col int) *Index {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var hash *Index
 	for _, ix := range t.indexes {
-		if ix.Col != col || ix.building {
-			continue
-		}
-		if ix.BT != nil {
+		if ix.Col == col && !ix.building {
 			return ix
 		}
-		hash = ix
 	}
-	return hash
+	return nil
 }
 
 // AddIndex registers ix under a name no other index of the table carries.
@@ -150,7 +113,8 @@ func New(pool *storage.BufferPool) *Catalog {
 }
 
 // Create registers a new table under a name no table carries, with column
-// names that are distinct.
+// names that are distinct. The table enters the registry with its key
+// indexes (newTable), so no writer can reach it before they exist.
 func (c *Catalog) Create(name string, schema *rel.Schema) (*Table, error) {
 	key := strings.ToLower(name)
 	for i, col := range schema.Cols {
@@ -164,13 +128,7 @@ func (c *Catalog) Create(name string, schema *rel.Schema) (*Table, error) {
 		return nil, fmt.Errorf("catalog: table %q already exists", name)
 	}
 	c.nextID++
-	t := &Table{
-		ID:     c.nextID,
-		Name:   key,
-		Schema: schema,
-		Heap:   storage.NewHeap(c.nextID, c.Pool),
-		Stats:  stats.NewTableStats(schema.Arity()),
-	}
+	t := c.newTable(c.nextID, key, schema)
 	c.tables[key] = t
 	c.version.Add(1)
 	return t, nil
@@ -194,16 +152,30 @@ func (c *Catalog) Restore(id int, name string, schema *rel.Schema) (*Table, erro
 	if id > c.nextID {
 		c.nextID = id
 	}
+	t := c.newTable(id, key, schema)
+	c.tables[key] = t
+	c.version.Add(1)
+	return t, nil
+}
+
+// newTable builds a table with an empty heap and one B-tree, named
+// table_column, on each PRIMARY KEY or UNIQUE column. These key indexes are
+// not logged on their own: Create and Restore build them from the schema's
+// Unique flags, and a checkpoint's listing of them is refused by name.
+func (c *Catalog) newTable(id int, name string, schema *rel.Schema) *Table {
 	t := &Table{
 		ID:     id,
-		Name:   key,
+		Name:   name,
 		Schema: schema,
 		Heap:   storage.NewHeap(id, c.Pool),
 		Stats:  stats.NewTableStats(schema.Arity()),
 	}
-	c.tables[key] = t
-	c.version.Add(1)
-	return t, nil
+	for i, col := range schema.Cols {
+		if col.Unique {
+			t.indexes = append(t.indexes, &Index{Name: name + "_" + col.Name, Col: i, BT: index.NewBTree()})
+		}
+	}
+	return t
 }
 
 // ByID resolves a table by id (nil if absent). WAL commit records name

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"fmt"
 	"testing"
 
 	"neurdb/internal/index"
@@ -74,45 +75,68 @@ func TestAllSortedByID(t *testing.T) {
 	}
 }
 
+// TestKeyIndexesBornWithTable: Create and Restore hand back a table whose
+// PRIMARY KEY and UNIQUE columns are already indexed, so the table is never
+// reachable without them.
+func TestKeyIndexesBornWithTable(t *testing.T) {
+	sch := rel.NewSchema(
+		rel.Column{Name: "id", Typ: rel.TypeInt, Unique: true},
+		rel.Column{Name: "v", Typ: rel.TypeFloat},
+		rel.Column{Name: "Code", Typ: rel.TypeText, Unique: true},
+	)
+	c := New(nil)
+	created, err := c.Create("T", sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := c.Restore(7, "r", sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tbl := range []*Table{created, restored} {
+		var names []string
+		for _, ix := range tbl.Indexes() {
+			names = append(names, ix.Name)
+		}
+		if fmt.Sprint(names) != fmt.Sprintf("[%s_id %s_Code]", tbl.Name, tbl.Name) {
+			t.Fatalf("%s: indexes %v", tbl.Name, names)
+		}
+		if tbl.IndexOn(0) == nil || tbl.IndexOn(1) != nil || tbl.IndexOn(2) == nil {
+			t.Fatalf("%s: IndexOn = %v %v %v", tbl.Name, tbl.IndexOn(0), tbl.IndexOn(1), tbl.IndexOn(2))
+		}
+	}
+}
+
 func TestIndexManagement(t *testing.T) {
 	c := New(nil)
-	tbl, _ := c.Create("t", schema())
+	tbl, _ := c.Create("t", rel.NewSchema(
+		rel.Column{Name: "id", Typ: rel.TypeInt},
+		rel.Column{Name: "v", Typ: rel.TypeFloat},
+	))
 	if tbl.IndexOn(0) != nil {
 		t.Fatal("no index expected")
 	}
-	hash := &Index{Name: "h", Col: 0, Hash: index.NewHashIndex()}
-	tbl.AddIndex(hash, nil)
-	if got := tbl.IndexOn(0); got != hash {
-		t.Fatal("hash index not found")
-	}
-	if hash.Ordered() {
-		t.Fatal("hash index is not ordered")
-	}
-	// Ordered index on the same column takes precedence.
 	bt := &Index{Name: "b", Col: 0, BT: index.NewBTree()}
 	tbl.AddIndex(bt, nil)
 	if got := tbl.IndexOn(0); got != bt {
-		t.Fatal("btree should win over hash")
+		t.Fatal("index not found")
 	}
-	if !bt.Ordered() {
-		t.Fatal("btree must be ordered")
-	}
-	if len(tbl.Indexes()) != 2 {
+	if len(tbl.Indexes()) != 1 {
 		t.Fatal("index list wrong")
 	}
 	// A name the table already has is refused, on any column.
 	if err := tbl.AddIndex(&Index{Name: "b", Col: 1, BT: index.NewBTree()}, nil); err == nil {
 		t.Fatal("duplicate index name should fail")
 	}
-	if len(tbl.Indexes()) != 2 {
+	if len(tbl.Indexes()) != 1 {
 		t.Fatal("refused index was registered")
 	}
 	// While its fill runs an index is maintained by writers (Indexes) and
 	// hidden from the planner (IndexOn); afterwards it is both.
 	late := &Index{Name: "late", Col: 1, BT: index.NewBTree()}
 	err := tbl.AddIndex(late, func() {
-		if n := len(tbl.Indexes()); n != 3 {
-			t.Errorf("during fill: %d indexes to maintain, want 3", n)
+		if n := len(tbl.Indexes()); n != 2 {
+			t.Errorf("during fill: %d indexes to maintain, want 2", n)
 		}
 		if tbl.IndexOn(1) != nil {
 			t.Error("during fill: the planner sees the half-built index")
@@ -120,13 +144,5 @@ func TestIndexManagement(t *testing.T) {
 	})
 	if err != nil || tbl.IndexOn(1) != late {
 		t.Fatalf("after fill: err %v, IndexOn(1) = %v", err, tbl.IndexOn(1))
-	}
-	// Insert/lookup through the unified interface.
-	id := storage.RowID{Page: 1, Slot: 2}
-	for _, ix := range tbl.Indexes() {
-		ix.Insert(rel.Int(5), id)
-		if got := ix.Lookup(rel.Int(5)); len(got) != 1 || got[0] != id {
-			t.Fatalf("lookup through %s failed", ix.Name)
-		}
 	}
 }

@@ -54,7 +54,7 @@ func InsertBatch(ctx *Ctx, t *catalog.Table, rows []rel.Row) ([]storage.RowID, e
 	}
 	for _, ix := range t.Indexes() {
 		for i, row := range rows {
-			ix.Insert(row[ix.Col], ids[i])
+			ix.BT.Insert(row[ix.Col], ids[i])
 		}
 	}
 	t.Stats.NoteInsertBatch(rows)
@@ -147,7 +147,7 @@ func noteWritten(t *catalog.Table, ids []storage.RowID, olds, news []rel.Row) {
 	for _, ix := range t.Indexes() {
 		for i, old := range olds {
 			if !rel.Equal(old[ix.Col], news[i][ix.Col]) {
-				ix.Insert(news[i][ix.Col], ids[i])
+				ix.BT.Insert(news[i][ix.Col], ids[i])
 			}
 		}
 	}

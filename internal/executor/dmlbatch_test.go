@@ -43,7 +43,7 @@ func updateWhereRowCursor(ctx *Ctx, t *catalog.Table, set map[int]rel.Expr, wher
 		}
 		for _, ix := range t.Indexes() {
 			if !rel.Equal(old[ix.Col], newRow[ix.Col]) {
-				ix.Insert(newRow[ix.Col], ids[i])
+				ix.BT.Insert(newRow[ix.Col], ids[i])
 			}
 		}
 		t.Stats.NoteUpdateBatch([]rel.Row{old}, []rel.Row{newRow})

@@ -85,16 +85,13 @@ func indexScanIDs(n *plan.IndexScan) ([]storage.RowID, error) {
 		}
 	}
 	var ids []storage.RowID
-	switch {
-	case n.Eq != nil:
-		ids = n.Index.Lookup(*n.Eq)
-	case n.Index.BT != nil:
+	if n.Eq != nil {
+		ids = n.Index.BT.Lookup(*n.Eq)
+	} else {
 		n.Index.BT.Range(n.Lo, n.Hi, func(_ rel.Value, got []storage.RowID) bool {
 			ids = append(ids, got...)
 			return true
 		})
-	default:
-		return nil, fmt.Errorf("executor: range scan over hash index %q", n.Index.Name)
 	}
 	// Lookup's slice belongs to the index; Range appended into ours.
 	return heapOrder(ids, n.Eq == nil), nil

@@ -25,7 +25,6 @@ func seedIndexedTable(t *testing.T, db *testDB, name string, n int) *catalog.Tab
 		rel.Column{Name: "k", Typ: rel.TypeInt},
 		rel.Column{Name: "v", Typ: rel.TypeInt},
 	)
-	tbl.AddIndex(&catalog.Index{Name: name + "_pkey", Col: 0, BT: index.NewBTree()}, nil)
 	tbl.AddIndex(&catalog.Index{Name: name + "_k", Col: 1, BT: index.NewBTree()}, nil)
 	rows := make([]rel.Row, n)
 	for i := range rows {

@@ -65,7 +65,7 @@ func TestInsertBatchMatchesOneRowBatches(t *testing.T) {
 	// Every id must be probeable through the index.
 	ix := tb.IndexOn(0)
 	for i := 0; i < n; i++ {
-		if len(ix.Lookup(rel.Int(int64(i)))) != 1 {
+		if len(ix.BT.Lookup(rel.Int(int64(i)))) != 1 {
 			t.Fatalf("index posting missing for id %d", i)
 		}
 	}

@@ -119,7 +119,7 @@ func (j *nlJoinBatch) NextBatch(dst *rel.Batch) (int, error) {
 }
 
 // indexJoinBatch probes the inner table's index for each outer batch in one
-// catalog.Index.LookupBatch call — one index-lock acquisition per batch
+// index.BTree.LookupBatch call — one index-lock acquisition per batch
 // instead of per row — then resolves visibility once per RowID of each key's
 // posting list.
 type indexJoinBatch struct {
@@ -148,7 +148,7 @@ func (j *indexJoinBatch) NextBatch(dst *rel.Batch) (int, error) {
 			j.keys = append(j.keys, key)
 			j.keyRows = append(j.keyRows, i)
 		}
-		j.ids, j.offs = j.node.Index.LookupBatch(j.keys, j.ids[:0], j.offs[:0])
+		j.ids, j.offs = j.node.Index.BT.LookupBatch(j.keys, j.ids[:0], j.offs[:0])
 		start := 0
 		for k, key := range j.keys {
 			l := in[j.keyRows[k]]

@@ -47,7 +47,7 @@ func randomPlans(t *testing.T, seed int64, covered map[string]bool) {
 	db := newTestDB(t)
 	sizes := []int{5200, 1100, 260} // t0 is past minParallelPages
 	for i, n := range sizes {
-		seedChurnedTable(t, db, r, fmt.Sprintf("t%d", i), n, i == 1)
+		seedChurnedTable(t, db, r, fmt.Sprintf("t%d", i), n)
 	}
 	// A writer that is still open while the queries run: its inserts, key
 	// changes and deletes are in the heap and the indexes, visible to nobody.
@@ -123,22 +123,16 @@ func randKey(r *rand.Rand) rel.Value {
 }
 
 // seedChurnedTable creates name(id, k, g, v) with n rows — id unique and
-// indexed (a hash index when hashID, else a B-tree), k B-tree-indexed with
-// NULLs, g a few groups with NULLs, v multiples of 0.5 (sums are exact in
-// any order) with NULLs — then churns it in committed transactions plus one
-// aborted one, and refreshes the statistics.
-func seedChurnedTable(t *testing.T, db *testDB, r *rand.Rand, name string, n int, hashID bool) {
+// indexed, k indexed with NULLs, g a few groups with NULLs, v multiples of
+// 0.5 (sums are exact in any order) with NULLs — then churns it in committed
+// transactions plus one aborted one, and refreshes the statistics.
+func seedChurnedTable(t *testing.T, db *testDB, r *rand.Rand, name string, n int) {
 	tbl := db.mustCreate(name,
 		rel.Column{Name: "id", Typ: rel.TypeInt, Unique: true},
 		rel.Column{Name: "k", Typ: rel.TypeInt},
 		rel.Column{Name: "g", Typ: rel.TypeInt},
 		rel.Column{Name: "v", Typ: rel.TypeFloat},
 	)
-	pkey := &catalog.Index{Name: name + "_pkey", Col: 0, BT: index.NewBTree()}
-	if hashID {
-		pkey = &catalog.Index{Name: name + "_pkey", Col: 0, Hash: index.NewHashIndex()}
-	}
-	tbl.AddIndex(pkey, nil)
 	tbl.AddIndex(&catalog.Index{Name: name + "_k", Col: 1, BT: index.NewBTree()}, nil)
 	rows := make([]rel.Row, n)
 	for i := range rows {

@@ -1,7 +1,7 @@
 // Package index provides the secondary-index substrate: an in-memory B+tree
-// for ordered/range access and a hash index for equality probes. Both map
-// column values to heap RowIDs; visibility is re-checked against the heap by
-// the executor, so index entries may lag deletes (lazy maintenance).
+// that serves equality probes and range scans alike. It maps column values
+// to heap RowIDs; visibility is re-checked against the heap by the executor,
+// so index entries may lag deletes (lazy maintenance).
 package index
 
 import (
@@ -165,9 +165,11 @@ func (t *BTree) Lookup(key rel.Value) []storage.RowID {
 	return nil
 }
 
-// LookupBatch probes every key under a single RLock, appending postings to
-// dst and per-key end offsets to offs (see catalog.Index.LookupBatch for the
-// flattened layout).
+// LookupBatch probes every key under a single RLock, appending the postings
+// to dst (flattened) and the per-key end offset to offs, so
+// dst[offs[k-1]:offs[k]] are key k's postings (offs[-1] reads as the initial
+// len(dst)). The batched index joins use it to pay one lock and zero
+// per-probe allocations per outer batch instead of per outer row.
 func (t *BTree) LookupBatch(keys []rel.Value, dst []storage.RowID, offs []int) ([]storage.RowID, []int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -265,83 +267,4 @@ func (t *BTree) Keys() []rel.Value {
 		return true
 	})
 	return out
-}
-
-// HashIndex is an equality-only index on one column.
-type HashIndex struct {
-	mu      sync.RWMutex
-	buckets map[uint64][]hashEntry
-	size    int
-}
-
-type hashEntry struct {
-	key rel.Value
-	id  storage.RowID
-}
-
-// NewHashIndex creates an empty hash index.
-func NewHashIndex() *HashIndex {
-	return &HashIndex{buckets: make(map[uint64][]hashEntry)}
-}
-
-// Insert adds a posting.
-func (h *HashIndex) Insert(key rel.Value, id storage.RowID) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	k := key.Hash()
-	h.buckets[k] = append(h.buckets[k], hashEntry{key, id})
-	h.size++
-}
-
-// Lookup returns RowIDs whose key equals the probe.
-func (h *HashIndex) Lookup(key rel.Value) []storage.RowID {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	var out []storage.RowID
-	for _, e := range h.buckets[key.Hash()] {
-		if rel.Equal(e.key, key) {
-			out = append(out, e.id)
-		}
-	}
-	return out
-}
-
-// LookupBatch probes every key under a single RLock, appending matches to
-// dst and per-key end offsets to offs (see catalog.Index.LookupBatch for the
-// flattened layout).
-func (h *HashIndex) LookupBatch(keys []rel.Value, dst []storage.RowID, offs []int) ([]storage.RowID, []int) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	for _, key := range keys {
-		for _, e := range h.buckets[key.Hash()] {
-			if rel.Equal(e.key, key) {
-				dst = append(dst, e.id)
-			}
-		}
-		offs = append(offs, len(dst))
-	}
-	return dst, offs
-}
-
-// Delete removes one posting matching (key, id); returns true if removed.
-func (h *HashIndex) Delete(key rel.Value, id storage.RowID) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	k := key.Hash()
-	bucket := h.buckets[k]
-	for i, e := range bucket {
-		if e.id == id && rel.Equal(e.key, key) {
-			h.buckets[k] = append(bucket[:i], bucket[i+1:]...)
-			h.size--
-			return true
-		}
-	}
-	return false
-}
-
-// Size returns the number of postings.
-func (h *HashIndex) Size() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.size
 }

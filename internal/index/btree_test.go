@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -43,6 +44,12 @@ func TestBTreeDuplicateKeys(t *testing.T) {
 	}
 	if got := len(bt.Lookup(rel.Int(7))); got != 10 {
 		t.Fatalf("postings = %d", got)
+	}
+	// A numerically equal FLOAT key is the same key: it joins the postings
+	// of INT 7 and finds them.
+	bt.Insert(rel.Float(7), rid(10))
+	if bt.Size() != 1 || len(bt.Lookup(rel.Float(7))) != 11 || len(bt.Lookup(rel.Int(7))) != 11 {
+		t.Fatalf("float 7: %d distinct keys, %d/%d postings", bt.Size(), len(bt.Lookup(rel.Float(7))), len(bt.Lookup(rel.Int(7))))
 	}
 }
 
@@ -240,79 +247,26 @@ func TestBTreeRandomizedAgainstMap(t *testing.T) {
 	}
 }
 
-func TestHashIndexBasics(t *testing.T) {
-	h := NewHashIndex()
-	for i := 0; i < 1000; i++ {
-		h.Insert(rel.Int(int64(i%100)), rid(i))
-	}
-	if h.Size() != 1000 {
-		t.Fatalf("size = %d", h.Size())
-	}
-	if got := len(h.Lookup(rel.Int(42))); got != 10 {
-		t.Fatalf("postings for 42 = %d", got)
-	}
-	if h.Lookup(rel.Int(5000)) != nil {
-		t.Fatal("missing key should be nil")
-	}
-	if !h.Delete(rel.Int(42), rid(42)) {
-		t.Fatal("delete failed")
-	}
-	if got := len(h.Lookup(rel.Int(42))); got != 9 {
-		t.Fatalf("postings after delete = %d", got)
-	}
-	if h.Delete(rel.Int(42), rid(42)) {
-		t.Fatal("double delete should fail")
-	}
-	// Int/Float numeric equality holds through the hash index.
-	h.Insert(rel.Float(7), rid(1))
-	found := h.Lookup(rel.Int(7))
-	var has bool
-	for _, p := range found {
-		if p == rid(1) {
-			has = true
-		}
-	}
-	if !has {
-		t.Fatal("numeric-equal key lookup failed")
-	}
-}
-
-func TestHashIndexTextKeys(t *testing.T) {
-	h := NewHashIndex()
-	h.Insert(rel.Text("alpha"), rid(1))
-	h.Insert(rel.Text("beta"), rid(2))
-	if got := h.Lookup(rel.Text("alpha")); len(got) != 1 || got[0] != rid(1) {
-		t.Fatalf("text lookup = %v", got)
-	}
-}
-
 // TestLookupBatchMatchesLookup: the batched probe must return, per key, the
-// exact postings (and order) of individual Lookup calls — for both index
-// kinds, including missing keys and duplicate-key postings.
+// exact postings (and order) of individual Lookup calls — for INT and TEXT
+// keys, including missing keys and duplicate-key postings.
 func TestLookupBatchMatchesLookup(t *testing.T) {
 	bt := NewBTree()
-	hx := NewHashIndex()
+	tt := NewBTree()
 	for i := 0; i < 500; i++ {
-		key := rel.Int(int64(i % 120)) // duplicates accumulate postings
 		id := storage.RowID{Page: uint32(i / 128), Slot: uint32(i % 128)}
-		bt.Insert(key, id)
-		hx.Insert(key, id)
+		bt.Insert(rel.Int(int64(i%120)), id) // duplicates accumulate postings
+		tt.Insert(rel.Text(fmt.Sprintf("k%03d", i%120)), id)
 	}
-	keys := []rel.Value{
-		rel.Int(0), rel.Int(7), rel.Int(7), // repeated probe key
-		rel.Int(119), rel.Int(500), // missing key
-		rel.Int(64),
-	}
-	check := func(name string, lookup func(rel.Value) []storage.RowID,
-		batch func([]rel.Value, []storage.RowID, []int) ([]storage.RowID, []int)) {
-		ids, offs := batch(keys, nil, nil)
+	check := func(name string, tr *BTree, keys []rel.Value) {
+		ids, offs := tr.LookupBatch(keys, nil, nil)
 		if len(offs) != len(keys) {
 			t.Fatalf("%s: %d offsets for %d keys", name, len(offs), len(keys))
 		}
 		start := 0
 		for k, key := range keys {
 			got := ids[start:offs[k]]
-			want := lookup(key)
+			want := tr.Lookup(key)
 			if len(got) != len(want) {
 				t.Fatalf("%s key %v: batch %d postings, single %d", name, key, len(got), len(want))
 			}
@@ -327,12 +281,23 @@ func TestLookupBatchMatchesLookup(t *testing.T) {
 			t.Fatalf("%s: %d postings not covered by offsets", name, len(ids)-start)
 		}
 	}
-	check("btree", bt.Lookup, bt.LookupBatch)
-	check("hash", hx.Lookup, hx.LookupBatch)
+	check("int", bt, []rel.Value{
+		rel.Int(0), rel.Int(7), rel.Int(7), // repeated probe key
+		rel.Int(119), rel.Int(500), // missing key
+		rel.Int(64),
+	})
+	check("text", tt, []rel.Value{
+		rel.Text("k000"), rel.Text("k007"), rel.Text("k007"),
+		rel.Text("k119"), rel.Text("k500"), rel.Text("k07"), // missing, and a prefix of a key
+		rel.Text("k064"),
+	})
+	if got := tt.Lookup(rel.Text("k007")); len(got) != 5 {
+		t.Fatalf("text key k007: %d postings, want 5", len(got))
+	}
 
 	// Appending into preloaded slices must not clobber the prefix.
 	pre := []storage.RowID{{Page: 9, Slot: 9}}
-	ids, offs := bt.LookupBatch(keys[:1], pre, []int{len(pre)})
+	ids, offs := bt.LookupBatch([]rel.Value{rel.Int(0)}, pre, []int{len(pre)})
 	if ids[0] != pre[0] || offs[0] != 1 || offs[1] != len(ids) {
 		t.Fatalf("batch append clobbered prefix: ids=%v offs=%v", ids, offs)
 	}

@@ -27,7 +27,7 @@ func addIndexedTable(t *testing.T, cat *catalog.Catalog, name string, n int) *ca
 	if err != nil {
 		t.Fatal(err)
 	}
-	byID, byK := index.NewBTree(), index.NewBTree()
+	byID, byK := tbl.IndexOn(0).BT, index.NewBTree() // id's key index came with the table
 	rows := make([]rel.Row, n)
 	for i := range rows {
 		rows[i] = rel.Row{rel.Int(int64(i)), rel.Int(int64(i)), rel.Int(int64(i % 50))}
@@ -37,7 +37,6 @@ func addIndexedTable(t *testing.T, cat *catalog.Catalog, name string, n int) *ca
 		byID.Insert(rows[i][0], id)
 		byK.Insert(rows[i][1], id)
 	}
-	tbl.AddIndex(&catalog.Index{Name: name + "_pkey", Col: 0, BT: byID}, nil)
 	tbl.AddIndex(&catalog.Index{Name: name + "_k", Col: 1, BT: byK}, nil)
 	tbl.Stats.Rebuild(rows)
 	return tbl

@@ -193,7 +193,7 @@ func (o *Optimizer) bestAccessPath(q *Query, ti int) subPlan {
 	if !o.Hints.NoIndexScan {
 		for _, p := range probes {
 			ix := t.IndexOn(p.col)
-			if ix == nil || (!p.eq.set() && !ix.Ordered()) {
+			if ix == nil {
 				continue
 			}
 			matched := math.Max(rows*p.sel, 0.5)

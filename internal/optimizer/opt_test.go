@@ -14,7 +14,8 @@ import (
 	"neurdb/internal/storage"
 )
 
-// buildCat creates two joined tables with data, stats and an FK index.
+// buildCat creates two joined tables with data, stats, their key indexes
+// and an FK index.
 func buildCat(t *testing.T) (*catalog.Catalog, *catalog.Table, *catalog.Table) {
 	t.Helper()
 	cat := catalog.New(storage.NewBufferPool(256))
@@ -40,13 +41,17 @@ func buildCat(t *testing.T) (*catalog.Catalog, *catalog.Table, *catalog.Table) {
 		row := rel.Row{rel.Int(int64(i)), rel.Int(int64(r.Intn(5000)))}
 		uRows = append(uRows, row)
 	}
-	users.Heap.InsertBatch(uRows, 1, nil, nil)
+	uIDs, _ := users.Heap.InsertBatch(uRows, 1, nil, nil)
+	for i, id := range uIDs {
+		users.IndexOn(0).BT.Insert(uRows[i][0], id)
+	}
 	for i := 0; i < 3000; i++ {
 		row := rel.Row{rel.Int(int64(i)), rel.Int(int64(r.Intn(1000))), rel.Int(int64(r.Intn(100)))}
 		pRows = append(pRows, row)
 	}
 	pIDs, _ := posts.Heap.InsertBatch(pRows, 1, nil, nil)
 	for i, id := range pIDs {
+		posts.IndexOn(0).BT.Insert(pRows[i][0], id)
 		ownerIdx.Insert(pRows[i][1], id)
 	}
 	posts.AddIndex(&catalog.Index{Name: "posts_owner", Col: 1, BT: ownerIdx}, nil)

@@ -14,7 +14,7 @@ import (
 	"neurdb"
 	"neurdb/client"
 	"neurdb/internal/server"
-	"neurdb/internal/vfs"
+	"neurdb/internal/vfs/vfstest"
 	"neurdb/internal/wire"
 )
 
@@ -193,7 +193,7 @@ func TestIdleTimeoutSeversConnection(t *testing.T) {
 func TestDegradedReadOnlyOverWire(t *testing.T) {
 	cfg := neurdb.DefaultConfig()
 	cfg.DataDir = t.TempDir()
-	ffs := vfs.NewFaultFS(nil)
+	ffs := vfstest.NewFaultFS(nil)
 	cfg.FS = ffs
 	db, err := neurdb.OpenDB(cfg)
 	if err != nil {
@@ -212,7 +212,7 @@ func TestDegradedReadOnlyOverWire(t *testing.T) {
 		mustExec(t, c, fmt.Sprintf(`INSERT INTO kv VALUES (%d, 'x')`, i))
 	}
 
-	ffs.AddFault(vfs.Fault{Op: vfs.OpSync, Path: "wal-"})
+	ffs.AddFault(vfstest.Fault{Op: vfstest.OpSync, Path: "wal-"})
 	if _, err := c.Exec(`INSERT INTO kv VALUES (100, 'doomed')`); err == nil {
 		t.Fatal("commit over failed fsync succeeded")
 	}

@@ -187,12 +187,12 @@ type CreateTable struct {
 
 func (*CreateTable) stmt() {}
 
-// CreateIndex is CREATE INDEX name ON table (col) [USING HASH].
+// CreateIndex is CREATE INDEX name ON table (col) [USING BTREE]. Every
+// index is a B-tree; USING names no other method.
 type CreateIndex struct {
-	Name    string
-	Table   string
-	Col     string
-	UseHash bool
+	Name  string
+	Table string
+	Col   string
 }
 
 func (*CreateIndex) stmt() {}

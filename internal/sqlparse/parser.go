@@ -251,15 +251,16 @@ func (p *Parser) parseCreate() (Stmt, error) {
 		if err := p.expect(")"); err != nil {
 			return nil, err
 		}
-		ci := &CreateIndex{Name: name, Table: table, Col: col}
 		if p.accept("USING") {
 			method, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
-			ci.UseHash = strings.EqualFold(method, "HASH")
+			if !strings.EqualFold(method, "BTREE") {
+				return nil, fmt.Errorf("sql: index method %q is not supported: indexes are B-trees (USING BTREE)", method)
+			}
 		}
-		return ci, nil
+		return &CreateIndex{Name: name, Table: table, Col: col}, nil
 	default:
 		return nil, fmt.Errorf("sql: CREATE must be followed by TABLE or INDEX")
 	}

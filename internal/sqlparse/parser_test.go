@@ -83,14 +83,26 @@ func TestParseCreateTable(t *testing.T) {
 }
 
 func TestParseCreateIndex(t *testing.T) {
-	s := mustParse(t, "CREATE INDEX idx_u ON users (id)")
-	ci := s.(*CreateIndex)
-	if ci.Name != "idx_u" || ci.Table != "users" || ci.Col != "id" || ci.UseHash {
-		t.Fatalf("bad index: %+v", ci)
+	for _, sql := range []string{
+		"CREATE INDEX idx_u ON users (id)",
+		"CREATE INDEX idx_u ON users (id) USING BTREE",
+		"CREATE INDEX idx_u ON users (id) USING btree",
+	} {
+		ci := mustParse(t, sql).(*CreateIndex)
+		if ci.Name != "idx_u" || ci.Table != "users" || ci.Col != "id" {
+			t.Fatalf("%s: bad index: %+v", sql, ci)
+		}
 	}
-	s2 := mustParse(t, "CREATE INDEX h ON users (id) USING HASH")
-	if !s2.(*CreateIndex).UseHash {
-		t.Fatal("hash flag missing")
+	// Every index is a B-tree: any other method is refused, not ignored.
+	for _, sql := range []string{
+		"CREATE INDEX h ON users (id) USING HASH",
+		"CREATE INDEX h ON users (id) USING hash",
+		"CREATE INDEX g ON users (id) USING gin",
+	} {
+		_, err := Parse(sql)
+		if err == nil || !strings.Contains(err.Error(), "indexes are B-trees") {
+			t.Fatalf("%s: err %v, want the B-tree-only refusal", sql, err)
+		}
 	}
 }
 

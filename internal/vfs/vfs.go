@@ -6,9 +6,9 @@
 // acknowledged write and its fsync) can be scripted deterministically in
 // tests instead of waited for in production.
 //
-// Two implementations ship: OS, a zero-cost passthrough to the os package,
-// and FaultFS (fault.go), which wraps any FS and injects scripted faults
-// while journaling every operation for assertions.
+// OS, a zero-cost passthrough to the os package, is the one implementation
+// a request path uses. Tests use vfstest.FaultFS, which wraps any FS and
+// injects scripted faults while journaling every operation for assertions.
 package vfs
 
 import (

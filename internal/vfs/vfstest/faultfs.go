@@ -1,4 +1,7 @@
-package vfs
+// Package vfstest holds FaultFS, a vfs.FS that wraps another and injects
+// scripted disk faults (EIO, ENOSPC, short writes, a simulated power loss)
+// while journaling every operation for assertions. Only tests link it.
+package vfstest
 
 import (
 	"errors"
@@ -8,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"syscall"
+
+	"neurdb/internal/vfs"
 )
 
 // Injectable errors. EIO/ENOSPC are the real syscall errnos so code and
@@ -86,7 +91,7 @@ type OpRecord struct {
 // the same faults. Safe for concurrent use; the journal preserves the
 // serialization order the mutex imposed.
 type FaultFS struct {
-	inner FS
+	inner vfs.FS
 
 	mu      sync.Mutex
 	faults  []*Fault
@@ -95,9 +100,9 @@ type FaultFS struct {
 }
 
 // NewFaultFS wraps inner (vfs.OS when nil).
-func NewFaultFS(inner FS) *FaultFS {
+func NewFaultFS(inner vfs.FS) *FaultFS {
 	if inner == nil {
-		inner = OS
+		inner = vfs.OS
 	}
 	return &FaultFS{inner: inner}
 }
@@ -183,7 +188,7 @@ func (f *FaultFS) record(op Op, path string, n int, err error) {
 	f.mu.Unlock()
 }
 
-func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
 	if err, _ := f.check(OpOpenFile, name); err != nil {
 		f.record(OpOpenFile, name, 0, err)
 		return nil, &os.PathError{Op: "open", Path: name, Err: err}
@@ -196,7 +201,7 @@ func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error
 	return &faultFile{fs: f, name: name, inner: inner}, nil
 }
 
-func (f *FaultFS) Open(name string) (File, error) {
+func (f *FaultFS) Open(name string) (vfs.File, error) {
 	if err, _ := f.check(OpOpen, name); err != nil {
 		f.record(OpOpen, name, 0, err)
 		return nil, &os.PathError{Op: "open", Path: name, Err: err}
@@ -265,7 +270,7 @@ func (f *FaultFS) MkdirAll(path string, perm os.FileMode) error {
 type faultFile struct {
 	fs    *FaultFS
 	name  string
-	inner File
+	inner vfs.File
 }
 
 func (ff *faultFile) Read(p []byte) (int, error) {

@@ -20,7 +20,6 @@ import (
 type IndexMeta struct {
 	Name string
 	Col  int
-	Hash bool
 }
 
 // CkptRow is one visible row image pinned to its physical slot.
@@ -114,11 +113,7 @@ func encodeCheckpoint(ck *Checkpoint) []byte {
 		for _, ix := range t.Indexes {
 			buf = appendString(buf, ix.Name)
 			buf = appendUint32(buf, uint32(ix.Col))
-			if ix.Hash {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
+			buf = append(buf, 0) // index kind: B-tree, as for a create-index record
 		}
 		buf = appendUint64(buf, uint64(len(t.Rows)))
 		for _, r := range t.Rows {
@@ -189,8 +184,8 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 			t.Indexes = append(t.Indexes, IndexMeta{
 				Name: d.str("index name"),
 				Col:  int(d.u32("index col")),
-				Hash: d.u8("index kind") != 0,
 			})
+			d.u8("index kind") // read as a B-tree, as for a create-index record
 		}
 		nrows := d.u64("row count")
 		if d.err != nil {

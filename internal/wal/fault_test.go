@@ -1,7 +1,7 @@
 package wal
 
 // Fault-injection coverage for the WAL: every error return in log.go,
-// checkpoint.go, and replay.go is driven by a scripted vfs.FaultFS, and the
+// checkpoint.go, and replay.go is driven by a scripted vfstest.FaultFS, and the
 // durability invariant — acknowledged commits survive recovery — is checked
 // under torn writes and ENOSPC. These tests complement crashtest (process
 // kills) with deterministic, single-process fault points.
@@ -12,11 +12,11 @@ import (
 
 	"neurdb/internal/rel"
 	"neurdb/internal/storage"
-	"neurdb/internal/vfs"
+	"neurdb/internal/vfs/vfstest"
 )
 
 // faultLog opens a log in a temp dir through the given FaultFS.
-func faultLog(t *testing.T, ffs *vfs.FaultFS, mode SyncMode) (*Log, string) {
+func faultLog(t *testing.T, ffs *vfstest.FaultFS, mode SyncMode) (*Log, string) {
 	t.Helper()
 	dir := t.TempDir()
 	l, err := Open(Options{Dir: dir, Mode: mode, FS: ffs})
@@ -37,25 +37,25 @@ func appendSync(l *Log, cts uint64) error {
 }
 
 func TestFaultOpenMkdirFails(t *testing.T) {
-	ffs := vfs.NewFaultFS(nil)
-	ffs.AddFault(vfs.Fault{Op: vfs.OpMkdirAll})
-	if _, err := Open(Options{Dir: t.TempDir() + "/wal", FS: ffs}); !errors.Is(err, vfs.ErrIO) {
+	ffs := vfstest.NewFaultFS(nil)
+	ffs.AddFault(vfstest.Fault{Op: vfstest.OpMkdirAll})
+	if _, err := Open(Options{Dir: t.TempDir() + "/wal", FS: ffs}); !errors.Is(err, vfstest.ErrIO) {
 		t.Fatalf("want EIO from MkdirAll, got %v", err)
 	}
 }
 
 func TestFaultOpenSegmentCreateFails(t *testing.T) {
-	ffs := vfs.NewFaultFS(nil)
-	ffs.AddFault(vfs.Fault{Op: vfs.OpOpenFile, Path: segmentPrefix})
-	if _, err := Open(Options{Dir: t.TempDir(), FS: ffs}); !errors.Is(err, vfs.ErrIO) {
+	ffs := vfstest.NewFaultFS(nil)
+	ffs.AddFault(vfstest.Fault{Op: vfstest.OpOpenFile, Path: segmentPrefix})
+	if _, err := Open(Options{Dir: t.TempDir(), FS: ffs}); !errors.Is(err, vfstest.ErrIO) {
 		t.Fatalf("want EIO from segment create, got %v", err)
 	}
 }
 
 func TestFaultOpenHeaderWriteFails(t *testing.T) {
-	ffs := vfs.NewFaultFS(nil)
-	ffs.AddFault(vfs.Fault{Op: vfs.OpWrite, Path: segmentPrefix, Err: vfs.ErrNoSpace})
-	if _, err := Open(Options{Dir: t.TempDir(), FS: ffs}); !errors.Is(err, vfs.ErrNoSpace) {
+	ffs := vfstest.NewFaultFS(nil)
+	ffs.AddFault(vfstest.Fault{Op: vfstest.OpWrite, Path: segmentPrefix, Err: vfstest.ErrNoSpace})
+	if _, err := Open(Options{Dir: t.TempDir(), FS: ffs}); !errors.Is(err, vfstest.ErrNoSpace) {
 		t.Fatalf("want ENOSPC from header write, got %v", err)
 	}
 }
@@ -64,17 +64,17 @@ func TestFaultOpenDirSyncFails(t *testing.T) {
 	// The first sync op during Open is the directory fsync that makes the
 	// new segment's directory entry durable (segment fsyncs only happen at
 	// commit time).
-	ffs := vfs.NewFaultFS(nil)
-	ffs.AddFault(vfs.Fault{Op: vfs.OpSync})
-	if _, err := Open(Options{Dir: t.TempDir(), FS: ffs}); !errors.Is(err, vfs.ErrIO) {
+	ffs := vfstest.NewFaultFS(nil)
+	ffs.AddFault(vfstest.Fault{Op: vfstest.OpSync})
+	if _, err := Open(Options{Dir: t.TempDir(), FS: ffs}); !errors.Is(err, vfstest.ErrIO) {
 		t.Fatalf("want EIO from dir sync, got %v", err)
 	}
 }
 
 func TestFaultListSegmentsReadDirFails(t *testing.T) {
-	ffs := vfs.NewFaultFS(nil)
-	ffs.AddFault(vfs.Fault{Op: vfs.OpReadDir})
-	if _, err := ListSegments(ffs, t.TempDir()); !errors.Is(err, vfs.ErrIO) {
+	ffs := vfstest.NewFaultFS(nil)
+	ffs.AddFault(vfstest.Fault{Op: vfstest.OpReadDir})
+	if _, err := ListSegments(ffs, t.TempDir()); !errors.Is(err, vfstest.ErrIO) {
 		t.Fatalf("want EIO from ReadDir, got %v", err)
 	}
 }
@@ -82,17 +82,17 @@ func TestFaultListSegmentsReadDirFails(t *testing.T) {
 // TestFaultAppendFlushFails drives the bw.Flush error path in flushAndSync:
 // the commit that hits it gets a clean error, and the failure is sticky.
 func TestFaultAppendFlushFails(t *testing.T) {
-	ffs := vfs.NewFaultFS(nil)
+	ffs := vfstest.NewFaultFS(nil)
 	// Write #1 on the segment is the header (during Open); write #2 is the
 	// first commit's buffer flush.
-	ffs.AddFault(vfs.Fault{Op: vfs.OpWrite, Path: segmentPrefix, Nth: 2})
+	ffs.AddFault(vfstest.Fault{Op: vfstest.OpWrite, Path: segmentPrefix, Nth: 2})
 	l, _ := faultLog(t, ffs, SyncCommit)
 	defer l.Close()
 
-	if err := appendSync(l, 1); !errors.Is(err, vfs.ErrIO) {
+	if err := appendSync(l, 1); !errors.Is(err, vfstest.ErrIO) {
 		t.Fatalf("want EIO from flush, got %v", err)
 	}
-	if err := l.Err(); !errors.Is(err, vfs.ErrIO) {
+	if err := l.Err(); !errors.Is(err, vfstest.ErrIO) {
 		t.Fatalf("log not poisoned after flush failure: Err() = %v", err)
 	}
 }
@@ -102,24 +102,24 @@ func TestFaultAppendFlushFails(t *testing.T) {
 // every later Sync sees the same sticky error even though the disk has
 // "recovered" (faults cleared).
 func TestFaultFsyncPoisonSticky(t *testing.T) {
-	ffs := vfs.NewFaultFS(nil)
-	ffs.AddFault(vfs.Fault{Op: vfs.OpSync, Path: segmentPrefix})
+	ffs := vfstest.NewFaultFS(nil)
+	ffs.AddFault(vfstest.Fault{Op: vfstest.OpSync, Path: segmentPrefix})
 	l, _ := faultLog(t, ffs, SyncCommit)
 	defer l.Close()
 
-	if err := appendSync(l, 1); !errors.Is(err, vfs.ErrIO) {
+	if err := appendSync(l, 1); !errors.Is(err, vfstest.ErrIO) {
 		t.Fatalf("want EIO from fsync, got %v", err)
 	}
 	ffs.ClearFaults() // the device comes back; the log must not trust it
-	if err := appendSync(l, 2); !errors.Is(err, vfs.ErrIO) {
+	if err := appendSync(l, 2); !errors.Is(err, vfstest.ErrIO) {
 		t.Fatalf("poison not sticky: second sync got %v", err)
 	}
-	if err := l.Err(); !errors.Is(err, vfs.ErrIO) {
+	if err := l.Err(); !errors.Is(err, vfstest.ErrIO) {
 		t.Fatalf("Err() = %v, want sticky EIO", err)
 	}
 	// Close reports the sticky error too — the caller's last chance to
 	// learn the tail was never durable.
-	if err := l.Close(); !errors.Is(err, vfs.ErrIO) {
+	if err := l.Close(); !errors.Is(err, vfstest.ErrIO) {
 		t.Fatalf("Close() = %v, want sticky EIO", err)
 	}
 }
@@ -128,16 +128,16 @@ func TestFaultFsyncPoisonSticky(t *testing.T) {
 // flush tears after a few bytes with ENOSPC. The unacknowledged commit is
 // torn; every commit acknowledged before it must replay.
 func TestFaultNoSpaceTornTailRecovery(t *testing.T) {
-	ffs := vfs.NewFaultFS(nil)
+	ffs := vfstest.NewFaultFS(nil)
 	// Writes on the segment: #1 header, #2..#4 commits 1..3, #5 commit 4
 	// (torn after 3 bytes — not even a whole record header).
-	ffs.AddFault(vfs.Fault{Op: vfs.OpWrite, Path: segmentPrefix, Nth: 5, Err: vfs.ErrNoSpace, Short: 3})
+	ffs.AddFault(vfstest.Fault{Op: vfstest.OpWrite, Path: segmentPrefix, Nth: 5, Err: vfstest.ErrNoSpace, Short: 3})
 	l, dir := faultLog(t, ffs, SyncCommit)
 
 	var acked []uint64
 	for cts := uint64(1); cts <= 4; cts++ {
 		if err := appendSync(l, cts); err != nil {
-			if !errors.Is(err, vfs.ErrNoSpace) {
+			if !errors.Is(err, vfstest.ErrNoSpace) {
 				t.Fatalf("commit %d: want ENOSPC, got %v", cts, err)
 			}
 			break
@@ -175,15 +175,15 @@ func TestFaultNoSpaceTornTailRecovery(t *testing.T) {
 // usable on the old segment: the new-segment create fails, appends continue,
 // and everything replays.
 func TestFaultRotateFails(t *testing.T) {
-	ffs := vfs.NewFaultFS(nil)
+	ffs := vfstest.NewFaultFS(nil)
 	// OpenFile #1 on wal- is the initial segment; #2 is the rotation target.
-	ffs.AddFault(vfs.Fault{Op: vfs.OpOpenFile, Path: segmentPrefix, Nth: 2})
+	ffs.AddFault(vfstest.Fault{Op: vfstest.OpOpenFile, Path: segmentPrefix, Nth: 2})
 	l, dir := faultLog(t, ffs, SyncCommit)
 
 	if err := appendSync(l, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Rotate(); !errors.Is(err, vfs.ErrIO) {
+	if _, err := l.Rotate(); !errors.Is(err, vfstest.ErrIO) {
 		t.Fatalf("want EIO from rotation, got %v", err)
 	}
 	// The old segment stayed current: more commits land and sync fine.
@@ -206,7 +206,7 @@ func TestFaultRotateFails(t *testing.T) {
 }
 
 func TestFaultRemoveThroughFails(t *testing.T) {
-	ffs := vfs.NewFaultFS(nil)
+	ffs := vfstest.NewFaultFS(nil)
 	l, _ := faultLog(t, ffs, SyncCommit)
 	defer l.Close()
 	if err := appendSync(l, 1); err != nil {
@@ -215,8 +215,8 @@ func TestFaultRemoveThroughFails(t *testing.T) {
 	if _, err := l.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	ffs.AddFault(vfs.Fault{Op: vfs.OpRemove, Path: segmentPrefix})
-	if err := l.RemoveThrough(1); !errors.Is(err, vfs.ErrIO) {
+	ffs.AddFault(vfstest.Fault{Op: vfstest.OpRemove, Path: segmentPrefix})
+	if err := l.RemoveThrough(1); !errors.Is(err, vfstest.ErrIO) {
 		t.Fatalf("want EIO from segment removal, got %v", err)
 	}
 	// The failed removal must not have left a gap: segment 1 is still there.
@@ -258,15 +258,15 @@ func testCheckpoint(seq uint64) *Checkpoint {
 func TestFaultCheckpointPublicationAtomic(t *testing.T) {
 	steps := []struct {
 		name  string
-		fault vfs.Fault
+		fault vfstest.Fault
 	}{
-		{"tmp-create", vfs.Fault{Op: vfs.OpOpenFile, Path: ".ckpt.tmp"}},
-		{"tmp-write", vfs.Fault{Op: vfs.OpWrite, Path: ".ckpt.tmp"}},
-		{"tmp-write-torn", vfs.Fault{Op: vfs.OpWrite, Path: ".ckpt.tmp", Err: vfs.ErrNoSpace, Short: 10}},
-		{"tmp-fsync", vfs.Fault{Op: vfs.OpSync, Path: ".ckpt.tmp"}},
-		{"tmp-close", vfs.Fault{Op: vfs.OpClose, Path: ".ckpt.tmp"}},
+		{"tmp-create", vfstest.Fault{Op: vfstest.OpOpenFile, Path: ".ckpt.tmp"}},
+		{"tmp-write", vfstest.Fault{Op: vfstest.OpWrite, Path: ".ckpt.tmp"}},
+		{"tmp-write-torn", vfstest.Fault{Op: vfstest.OpWrite, Path: ".ckpt.tmp", Err: vfstest.ErrNoSpace, Short: 10}},
+		{"tmp-fsync", vfstest.Fault{Op: vfstest.OpSync, Path: ".ckpt.tmp"}},
+		{"tmp-close", vfstest.Fault{Op: vfstest.OpClose, Path: ".ckpt.tmp"}},
 		// Rename is journaled under its destination (the final name).
-		{"rename", vfs.Fault{Op: vfs.OpRename, Path: checkpointSuffix}},
+		{"rename", vfstest.Fault{Op: vfstest.OpRename, Path: checkpointSuffix}},
 	}
 	for _, step := range steps {
 		t.Run(step.name, func(t *testing.T) {
@@ -274,10 +274,10 @@ func TestFaultCheckpointPublicationAtomic(t *testing.T) {
 			if err := WriteCheckpoint(nil, dir, testCheckpoint(1)); err != nil {
 				t.Fatalf("seed old checkpoint: %v", err)
 			}
-			ffs := vfs.NewFaultFS(nil)
+			ffs := vfstest.NewFaultFS(nil)
 			ffs.AddFault(step.fault)
 			err := WriteCheckpoint(ffs, dir, testCheckpoint(2))
-			if !errors.Is(err, step.fault.Err) && (step.fault.Err != nil || !errors.Is(err, vfs.ErrIO)) {
+			if !errors.Is(err, step.fault.Err) && (step.fault.Err != nil || !errors.Is(err, vfstest.ErrIO)) {
 				t.Fatalf("WriteCheckpoint under %v: got %v", step.fault, err)
 			}
 			ck, err := LoadCheckpoint(nil, dir)
@@ -299,10 +299,10 @@ func TestFaultCheckpointPublicationAtomic(t *testing.T) {
 		if err := WriteCheckpoint(nil, dir, testCheckpoint(1)); err != nil {
 			t.Fatal(err)
 		}
-		ffs := vfs.NewFaultFS(nil)
+		ffs := vfstest.NewFaultFS(nil)
 		// Sync #1 is the tmp-file fsync, #2 the directory fsync after rename.
-		ffs.AddFault(vfs.Fault{Op: vfs.OpSync, Nth: 2})
-		if err := WriteCheckpoint(ffs, dir, testCheckpoint(2)); !errors.Is(err, vfs.ErrIO) {
+		ffs.AddFault(vfstest.Fault{Op: vfstest.OpSync, Nth: 2})
+		if err := WriteCheckpoint(ffs, dir, testCheckpoint(2)); !errors.Is(err, vfstest.ErrIO) {
 			t.Fatalf("want EIO from dir sync, got %v", err)
 		}
 		ck, err := LoadCheckpoint(nil, dir)
@@ -322,21 +322,21 @@ func TestFaultCheckpointPublicationAtomic(t *testing.T) {
 // would publish an image a crash can leave torn under the final name.
 func TestFaultCheckpointPublicationOrder(t *testing.T) {
 	dir := t.TempDir()
-	ffs := vfs.NewFaultFS(nil)
+	ffs := vfstest.NewFaultFS(nil)
 	if err := WriteCheckpoint(ffs, dir, testCheckpoint(1)); err != nil {
 		t.Fatal(err)
 	}
 	final := checkpointPath(dir, 1)
 	tmp := final + ".tmp"
-	want := []vfs.OpRecord{
-		{Op: vfs.OpOpenFile, Path: tmp},
-		{Op: vfs.OpWrite, Path: tmp},
-		{Op: vfs.OpSync, Path: tmp},
-		{Op: vfs.OpClose, Path: tmp},
-		{Op: vfs.OpRename, Path: final}, // journaled under the destination
-		{Op: vfs.OpOpen, Path: dir},
-		{Op: vfs.OpSync, Path: dir},
-		{Op: vfs.OpClose, Path: dir},
+	want := []vfstest.OpRecord{
+		{Op: vfstest.OpOpenFile, Path: tmp},
+		{Op: vfstest.OpWrite, Path: tmp},
+		{Op: vfstest.OpSync, Path: tmp},
+		{Op: vfstest.OpClose, Path: tmp},
+		{Op: vfstest.OpRename, Path: final}, // journaled under the destination
+		{Op: vfstest.OpOpen, Path: dir},
+		{Op: vfstest.OpSync, Path: dir},
+		{Op: vfstest.OpClose, Path: dir},
 	}
 	got := ffs.Journal()
 	if len(got) != len(want) {
@@ -355,14 +355,14 @@ func TestFaultLoadCheckpointReadFails(t *testing.T) {
 	if err := WriteCheckpoint(nil, dir, testCheckpoint(1)); err != nil {
 		t.Fatal(err)
 	}
-	ffs := vfs.NewFaultFS(nil)
-	ffs.AddFault(vfs.Fault{Op: vfs.OpReadFile, Path: checkpointSuffix})
-	if _, err := LoadCheckpoint(ffs, dir); !errors.Is(err, vfs.ErrIO) {
+	ffs := vfstest.NewFaultFS(nil)
+	ffs.AddFault(vfstest.Fault{Op: vfstest.OpReadFile, Path: checkpointSuffix})
+	if _, err := LoadCheckpoint(ffs, dir); !errors.Is(err, vfstest.ErrIO) {
 		t.Fatalf("want EIO from checkpoint read, got %v", err)
 	}
-	ffs2 := vfs.NewFaultFS(nil)
-	ffs2.AddFault(vfs.Fault{Op: vfs.OpReadDir})
-	if _, err := LoadCheckpoint(ffs2, dir); !errors.Is(err, vfs.ErrIO) {
+	ffs2 := vfstest.NewFaultFS(nil)
+	ffs2.AddFault(vfstest.Fault{Op: vfstest.OpReadDir})
+	if _, err := LoadCheckpoint(ffs2, dir); !errors.Is(err, vfstest.ErrIO) {
 		t.Fatalf("want EIO from checkpoint listing, got %v", err)
 	}
 }
@@ -374,9 +374,9 @@ func TestFaultRemoveCheckpointsBeforeFails(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ffs := vfs.NewFaultFS(nil)
-	ffs.AddFault(vfs.Fault{Op: vfs.OpRemove, Path: checkpointSuffix})
-	if err := RemoveCheckpointsBefore(ffs, dir, 2); !errors.Is(err, vfs.ErrIO) {
+	ffs := vfstest.NewFaultFS(nil)
+	ffs.AddFault(vfstest.Fault{Op: vfstest.OpRemove, Path: checkpointSuffix})
+	if err := RemoveCheckpointsBefore(ffs, dir, 2); !errors.Is(err, vfstest.ErrIO) {
 		t.Fatalf("want EIO from checkpoint removal, got %v", err)
 	}
 	// The newest checkpoint is untouched either way.
@@ -398,9 +398,9 @@ func TestFaultReplayReadFails(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ffs := vfs.NewFaultFS(nil)
-	ffs.AddFault(vfs.Fault{Op: vfs.OpReadFile, Path: segmentPrefix})
-	if _, err := ReplaySegments(ffs, dir, func(*Record) error { return nil }); !errors.Is(err, vfs.ErrIO) {
+	ffs := vfstest.NewFaultFS(nil)
+	ffs.AddFault(vfstest.Fault{Op: vfstest.OpReadFile, Path: segmentPrefix})
+	if _, err := ReplaySegments(ffs, dir, func(*Record) error { return nil }); !errors.Is(err, vfstest.ErrIO) {
 		t.Fatalf("want EIO from segment read, got %v", err)
 	}
 }
@@ -411,8 +411,8 @@ func TestFaultReplayReadFails(t *testing.T) {
 // recovered from the surviving bytes.
 func TestFaultCrashPointAckedRecovered(t *testing.T) {
 	for _, crashNth := range []int{3, 6, 10} {
-		ffs := vfs.NewFaultFS(nil)
-		ffs.AddFault(vfs.Fault{Op: vfs.OpWrite, Path: segmentPrefix, Nth: crashNth, Err: vfs.ErrNoSpace, Short: 2, Crash: true})
+		ffs := vfstest.NewFaultFS(nil)
+		ffs.AddFault(vfstest.Fault{Op: vfstest.OpWrite, Path: segmentPrefix, Nth: crashNth, Err: vfstest.ErrNoSpace, Short: 2, Crash: true})
 		l, dir := faultLog(t, ffs, SyncCommit)
 
 		var acked []uint64

@@ -24,7 +24,7 @@ func FuzzWALDecode(f *testing.F) {
 		rel.Column{Name: "score", Typ: rel.TypeFloat},
 	)))
 	f.Add(EncodeDropTable(nil, "users"))
-	f.Add(EncodeCreateIndex(nil, 3, "users_score", 1, true))
+	f.Add(EncodeCreateIndex(nil, 3, "users_score", 1))
 	f.Add([]byte{})
 	f.Add([]byte{RecCommit})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})

@@ -58,7 +58,7 @@ type Options struct {
 	// Interval is the background fsync period for SyncInterval (default 2ms).
 	Interval time.Duration
 	// FS is the filesystem the log writes through (default vfs.OS). Tests
-	// pass a vfs.FaultFS here to script disk faults deterministically.
+	// pass a vfstest.FaultFS here to script disk faults deterministically.
 	FS vfs.FS
 }
 

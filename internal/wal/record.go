@@ -61,7 +61,6 @@ type Record struct {
 	Name    string      // table or index name
 	Schema  *rel.Schema // create-table only
 	Col     int         // create-index only
-	Hash    bool        // create-index only: hash instead of btree
 }
 
 // crcTable is the Castagnoli polynomial — hardware-accelerated on amd64 and
@@ -210,18 +209,15 @@ func EncodeDropTable(dst []byte, name string) []byte {
 	return appendString(dst, name)
 }
 
-// EncodeCreateIndex serializes a create-index DDL payload.
-func EncodeCreateIndex(dst []byte, tableID int, name string, col int, hash bool) []byte {
+// EncodeCreateIndex serializes a create-index DDL payload. Its last byte is
+// the index kind, always 0 (B-tree): earlier versions also wrote 1 for a
+// hash index, which is now read as a B-tree.
+func EncodeCreateIndex(dst []byte, tableID int, name string, col int) []byte {
 	dst = append(dst, RecCreateIndex)
 	dst = appendUint32(dst, uint32(tableID))
 	dst = appendString(dst, name)
 	dst = appendUint32(dst, uint32(col))
-	if hash {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	return dst
+	return append(dst, 0)
 }
 
 // maxOpsPerRecord bounds the op-count header so a corrupt record cannot
@@ -293,7 +289,7 @@ func DecodeRecord(payload []byte) (*Record, error) {
 		rec.TableID = int(d.u32("table id"))
 		rec.Name = d.str("index name")
 		rec.Col = int(d.u32("index col"))
-		rec.Hash = d.u8("index kind") != 0
+		d.u8("index kind") // every index is a B-tree, whatever kind was written
 	default:
 		return nil, fmt.Errorf("wal: unknown record kind %d", rec.Kind)
 	}

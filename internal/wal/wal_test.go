@@ -66,9 +66,18 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Fatalf("drop-table roundtrip: %+v err=%v", rec, err)
 	}
 
-	rec, err = DecodeRecord(EncodeCreateIndex(nil, 5, "users_name", 1, true))
-	if err != nil || rec.Kind != RecCreateIndex || rec.TableID != 5 || rec.Name != "users_name" || rec.Col != 1 || !rec.Hash {
-		t.Fatalf("create-index roundtrip: %+v err=%v", rec, err)
+	// The index-kind byte is written as 0; a 1, which earlier versions
+	// wrote for a hash index, decodes to the same B-tree definition.
+	ci := EncodeCreateIndex(nil, 5, "users_name", 1)
+	if ci[len(ci)-1] != 0 {
+		t.Fatalf("create-index kind byte %d, want 0", ci[len(ci)-1])
+	}
+	hashKind := append(ci[:len(ci)-1:len(ci)-1], 1)
+	for _, payload := range [][]byte{ci, hashKind} {
+		rec, err = DecodeRecord(payload)
+		if err != nil || rec.Kind != RecCreateIndex || rec.TableID != 5 || rec.Name != "users_name" || rec.Col != 1 {
+			t.Fatalf("create-index roundtrip: %+v err=%v", rec, err)
+		}
 	}
 }
 
@@ -273,8 +282,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			Name:   "m",
 			Schema: schema,
 			Indexes: []IndexMeta{
-				{Name: "m_id", Col: 0, Hash: false},
-				{Name: "m_v", Col: 1, Hash: true},
+				{Name: "m_id", Col: 0},
+				{Name: "m_v", Col: 1},
 			},
 			Rows: []CkptRow{
 				{ID: storage.RowID{Page: 0, Slot: 3}, Row: rel.Row{rel.Int(1), rel.Float(0.5)}},
