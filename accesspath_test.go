@@ -40,6 +40,33 @@ func explainText(t *testing.T, db *DB, sql string, args ...any) string {
 	return strings.Join(lines, "\n")
 }
 
+// TestTextPointQueryUsesIndex: ANALYZE counts a TEXT column's distinct
+// values by their text, so an equality on a unique TEXT column is priced at
+// one row and planned onto its B-tree. Counted by AsFloat, every such value
+// read as 0: one distinct value, selectivity 1, a SeqScan.
+func TestTextPointQueryUsesIndex(t *testing.T) {
+	db := openTest(t)
+	mustExec(t, db, `CREATE TABLE h (id INT PRIMARY KEY, b TEXT)`)
+	mustExec(t, db, `CREATE INDEX h_b ON h (b)`)
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO h VALUES ")
+	for i := 0; i < 3000; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, "(%d, 'k%04d')", i, i)
+	}
+	mustExec(t, db, sb.String())
+	mustExec(t, db, `ANALYZE h`)
+	got := explainText(t, db, `SELECT id FROM h WHERE b = 'k0011'`)
+	if !strings.Contains(got, "IndexScan(h, b=k0011)  (rows=1 ") {
+		t.Fatalf("EXPLAIN:\n%s\nwant IndexScan(h, b=k0011) at rows=1", got)
+	}
+	if res := mustExec(t, db, `SELECT id FROM h WHERE b = 'k0011'`); len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 11 {
+		t.Fatalf("rows %v, want [[11]]", res.Rows)
+	}
+}
+
 // TestRangeIndexScanReturnsMovedRowOnce is the regression test for
 // duplicate rows out of range index scans: after UPDATE t SET k = 7 WHERE
 // id = 5 the index holds row 5 under both 5 (stale) and 7 (live), and

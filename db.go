@@ -7,8 +7,10 @@
 // and a vectorized, morsel-parallel executor) with the paper's in-database
 // AI ecosystem: AI operators in the executor (train / inference /
 // fine-tune), an AI engine whose streaming data loader feeds each PREDICT's
-// one task, a layered model store with incremental updates, and a
-// fast-adaptive learned query optimizer.
+// one task, and a layered model store with incremental updates. Statements
+// are planned by the cost-based optimizer on live statistics; the paper's
+// fast-adaptive learned query optimizer lives in the Fig. 8 harness
+// (internal/bench/learnedopt), not on the request path.
 //
 // Quick start:
 //
@@ -43,13 +45,11 @@ import (
 	"neurdb/internal/catalog"
 	"neurdb/internal/executor"
 	"neurdb/internal/index"
-	"neurdb/internal/learnedopt"
 	"neurdb/internal/models"
 	"neurdb/internal/optimizer"
 	"neurdb/internal/plan"
 	"neurdb/internal/rel"
 	"neurdb/internal/sqlparse"
-	"neurdb/internal/stats"
 	"neurdb/internal/storage"
 	"neurdb/internal/txn"
 	"neurdb/internal/vfs"
@@ -72,29 +72,12 @@ var errTxnAborted = errors.New("neurdb: current transaction is aborted")
 // was stopped at a batch boundary.
 var ErrStatementTimeout = errors.New("statement timeout exceeded")
 
-// OptimizerMode selects how plans are chosen.
-type OptimizerMode string
-
-// Optimizer modes. CostMode plans with current statistics; StaleCostMode
-// plans with the statistics snapshot taken at the last ANALYZE (the
-// "PostgreSQL under drift" behaviour); LearnedMode uses the NeurDB learned
-// optimizer over candidate plans with live system conditions.
-const (
-	CostMode      OptimizerMode = "cost"
-	StaleCostMode OptimizerMode = "stale"
-	LearnedMode   OptimizerMode = "learned"
-)
-
 // Config parameterizes Open.
 type Config struct {
 	// BufferPoolPages bounds the page cache accounting.
 	BufferPoolPages int
 	// Serializable runs transactions under SSI instead of snapshot isolation.
 	Serializable bool
-	// Optimizer selects the planning mode (default CostMode).
-	Optimizer OptimizerMode
-	// Seed drives all model initialization for reproducibility.
-	Seed int64
 	// Workers caps intra-query parallelism: morsel-driven operators fan out
 	// to at most this many goroutines per query. 0 (the default) resolves
 	// to GOMAXPROCS at query time; 1 forces serial execution. Sessions can
@@ -134,13 +117,12 @@ type Config struct {
 
 // DefaultConfig returns a sensible configuration.
 func DefaultConfig() Config {
-	return Config{BufferPoolPages: 4096, Optimizer: CostMode, Seed: 1}
+	return Config{BufferPoolPages: 4096}
 }
 
-// DB is a NeurDB database instance.
+// DB is a NeurDB database instance. Its Config is fixed once OpenDB
+// returns; per-session settings live on Session.
 type DB struct {
-	mu sync.Mutex
-
 	cfg    Config
 	pool   *storage.BufferPool
 	cat    *catalog.Catalog
@@ -148,16 +130,9 @@ type DB struct {
 	store  *models.Store
 	engine *aiengine.Engine
 
-	// staleStats snapshots per-table statistics at ANALYZE time; the
-	// stale-cost planner uses them.
-	staleStats map[int]*stats.TableStats
-
-	// learned optimizer state (lazily trained by callers via LearnedQO).
-	learnedQO *learnedopt.Model
-
 	// plans caches compiled statements (every planned kind), shared across
 	// sessions and invalidated by the catalog version. Prepared statements
-	// and ad-hoc Session.Exec/Query share the same (mode, SQL) key space.
+	// and ad-hoc Session.Exec/Query share one key space: the SQL text.
 	plans *planCache
 
 	// Durability state (nil/zero when Config.DataDir is empty).
@@ -189,20 +164,16 @@ func OpenDB(cfg Config) (*DB, error) {
 	if cfg.BufferPoolPages <= 0 {
 		cfg.BufferPoolPages = 4096
 	}
-	if cfg.Optimizer == "" {
-		cfg.Optimizer = CostMode
-	}
 	pool := storage.NewBufferPool(cfg.BufferPoolPages)
 	store := models.NewStore()
 	db := &DB{
-		cfg:        cfg,
-		pool:       pool,
-		cat:        catalog.New(pool),
-		mgr:        txn.NewManager(),
-		store:      store,
-		engine:     aiengine.NewEngine(store),
-		staleStats: make(map[int]*stats.TableStats),
-		plans:      newPlanCache(),
+		cfg:    cfg,
+		pool:   pool,
+		cat:    catalog.New(pool),
+		mgr:    txn.NewManager(),
+		store:  store,
+		engine: aiengine.NewEngine(store),
+		plans:  newPlanCache(),
 	}
 	if cfg.DataDir != "" {
 		if err := db.openDurable(); err != nil {
@@ -249,49 +220,6 @@ func (db *DB) writeErr() error {
 		return nil
 	}
 	return fmt.Errorf("%w (cause: %v)", ErrReadOnly, perr)
-}
-
-// SetLearnedQO installs a trained learned-optimizer model used by
-// LearnedMode planning. Cached plans chosen by the previous model (or the
-// cost fallback) are invalidated so prepared statements replan with it.
-func (db *DB) SetLearnedQO(m *learnedopt.Model) {
-	db.mu.Lock()
-	db.learnedQO = m
-	db.mu.Unlock()
-	db.cat.BumpVersion()
-}
-
-// LearnedQO returns the installed learned optimizer (nil if none).
-func (db *DB) LearnedQO() *learnedopt.Model {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.learnedQO
-}
-
-// SetOptimizerMode switches planning behaviour at runtime.
-func (db *DB) SetOptimizerMode(m OptimizerMode) {
-	db.mu.Lock()
-	db.cfg.Optimizer = m
-	db.mu.Unlock()
-}
-
-// SetWorkers changes the database-wide intra-query parallelism cap at
-// runtime (0 = GOMAXPROCS at query time, 1 = serial). Sessions that called
-// Session.SetWorkers keep their override.
-func (db *DB) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	db.mu.Lock()
-	db.cfg.Workers = n
-	db.mu.Unlock()
-}
-
-// OptimizerModeNow returns the active mode.
-func (db *DB) OptimizerModeNow() OptimizerMode {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.cfg.Optimizer
 }
 
 // Result is the outcome of one statement.
@@ -405,9 +333,7 @@ func (s *Session) effectiveStatementTimeout() time.Duration {
 		return 0
 	}
 	if d == 0 {
-		s.db.mu.Lock()
 		d = s.db.cfg.StatementTimeout
-		s.db.mu.Unlock()
 	}
 	if d < 0 {
 		d = 0
@@ -422,9 +348,7 @@ func (s *Session) effectiveWorkers() int {
 	w := s.workers
 	s.mu.Unlock()
 	if w == 0 {
-		s.db.mu.Lock()
 		w = s.db.cfg.Workers
-		s.db.mu.Unlock()
 	}
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -700,40 +624,10 @@ func (s *Session) execCreateIndex(ci *sqlparse.CreateIndex) (*Result, error) {
 	return &Result{Message: "CREATE INDEX"}, nil
 }
 
-// PlanSelect builds the physical plan for a SELECT under the active
-// optimizer mode, bypassing the plan cache (exported for benchmarks).
+// PlanSelect builds the physical plan for a SELECT on live statistics,
+// bypassing the plan cache (exported for benchmarks).
 func (db *DB) PlanSelect(sel *sqlparse.Select) (plan.Node, error) {
-	return db.optimizerFor(db.OptimizerModeNow()).PlanStmt(sel, db.cat)
-}
-
-// optimizerFor returns the optimizer a mode calls for: the last ANALYZE's
-// statistics under StaleCostMode, live ones otherwise, plus — under
-// LearnedMode with a model installed — the learned ranking of SELECT plans.
-func (db *DB) optimizerFor(mode OptimizerMode) *optimizer.Optimizer {
-	o := optimizer.New()
-	if mode == StaleCostMode {
-		o.Stats = db.StaleStatsView()
-	}
-	if learned := db.LearnedQO(); mode == LearnedMode && learned != nil {
-		o.Rank = func(cands []plan.Node) int {
-			cond := learnedopt.BuildConditions(db.cat.All(), db.pool)
-			return learned.Choose(learnedopt.EncodeCandidates(cands), cond)
-		}
-	}
-	return o
-}
-
-// StaleStatsView returns a StatsView serving the snapshots captured at the
-// last ANALYZE (tables never analyzed fall back to live stats).
-func (db *DB) StaleStatsView() optimizer.StatsView {
-	return func(t *catalog.Table) *stats.TableStats {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		if snap, ok := db.staleStats[t.ID]; ok {
-			return snap
-		}
-		return t.Stats
-	}
+	return optimizer.New().PlanStmt(sel, db.cat)
 }
 
 func (s *Session) execTxnStmt(t *sqlparse.TxnStmt) (*Result, error) {
@@ -789,9 +683,6 @@ func (s *Session) execAnalyze(a *sqlparse.Analyze) (*Result, error) {
 			return nil, err
 		}
 		t.Stats.Rebuild(rows)
-		s.db.mu.Lock()
-		s.db.staleStats[t.ID] = t.Stats.Snapshot()
-		s.db.mu.Unlock()
 	}
 	// Fresh statistics change plan choice: invalidate cached plans.
 	s.db.cat.BumpVersion()
@@ -815,13 +706,6 @@ func (s *Session) execExplain(sql string, ex *sqlparse.Explain) (*Result, error)
 
 func (s *Session) execSet(st *sqlparse.SetStmt) (*Result, error) {
 	switch st.Key {
-	case "optimizer":
-		switch OptimizerMode(strings.ToLower(st.Value)) {
-		case CostMode, StaleCostMode, LearnedMode:
-			s.db.SetOptimizerMode(OptimizerMode(strings.ToLower(st.Value)))
-			return &Result{Message: "SET optimizer"}, nil
-		}
-		return nil, fmt.Errorf("neurdb: unknown optimizer mode %q", st.Value)
 	case "workers":
 		n, err := strconv.Atoi(st.Value)
 		if err != nil || n < 0 {

@@ -183,45 +183,19 @@ func TestJoinSQL(t *testing.T) {
 	}
 }
 
+// TestOptimizerModesSwitch: there is one planner, on live statistics, so
+// the optimizer-mode switch is gone — SET optimizer is refused like any
+// unknown key — while the settings that remain still take.
 func TestOptimizerModesSwitch(t *testing.T) {
 	db := openTest(t)
-	mustExec(t, db, `CREATE TABLE t (id INT)`)
-	mustExec(t, db, `SET optimizer = 'stale'`)
-	if db.OptimizerModeNow() != StaleCostMode {
-		t.Fatal("mode not switched")
+	for _, sql := range []string{`SET optimizer = 'cost'`, `SET nothing = '1'`} {
+		if _, err := db.Exec(sql); err == nil || !strings.Contains(err.Error(), "unknown setting") {
+			t.Fatalf("%s: err %v, want an unknown setting", sql, err)
+		}
 	}
-	mustExec(t, db, `SET optimizer = 'learned'`)
-	// LearnedMode without a trained model falls back to cost planning.
-	mustExec(t, db, `INSERT INTO t VALUES (1)`)
-	if res := mustExec(t, db, `SELECT * FROM t`); len(res.Rows) != 1 {
-		t.Fatal("learned-mode fallback broken")
-	}
-	if _, err := db.Exec(`SET optimizer = 'bogus'`); err == nil {
-		t.Fatal("bogus mode should fail")
-	}
-	if _, err := db.Exec(`SET nothing = '1'`); err == nil {
-		t.Fatal("unknown setting should fail")
-	}
-	mustExec(t, db, `SET optimizer = 'cost'`)
-}
-
-func TestStaleStatsViewServesSnapshots(t *testing.T) {
-	db := openTest(t)
-	mustExec(t, db, `CREATE TABLE t (v INT)`)
-	mustExec(t, db, `INSERT INTO t VALUES (1), (2), (3)`)
-	mustExec(t, db, `ANALYZE t`)
-	tbl, _ := db.Catalog().Get("t")
-	sv := db.StaleStatsView()
-	if sv(tbl).Rows() != 3 {
-		t.Fatal("snapshot rows wrong")
-	}
-	// Grow the table; the stale view must keep reporting 3.
-	mustExec(t, db, `INSERT INTO t VALUES (4), (5)`)
-	if sv(tbl).Rows() != 3 {
-		t.Fatal("stale view leaked fresh stats")
-	}
-	if tbl.Stats.Rows() != 5 {
-		t.Fatal("live stats wrong")
+	mustExec(t, db, `SET workers = 2`)
+	if got := db.session.effectiveWorkers(); got != 2 {
+		t.Fatalf("after SET workers = 2 the session runs %d workers", got)
 	}
 }
 

@@ -1,18 +1,22 @@
 // Learned query optimizer: builds the STATS-like schema, drifts the data,
 // and shows the stale-statistics cost planner picking a different (worse)
-// plan than live-condition planning — the effect the learned optimizer
+// plan than live-statistics planning — the effect the learned optimizer
 // exploits (paper Fig. 8).
 package main
 
 import (
 	"fmt"
 	"log"
-	"strings"
 
 	"neurdb"
 	"neurdb/internal/bench/workload"
+	"neurdb/internal/catalog"
 	"neurdb/internal/executor"
+	"neurdb/internal/optimizer"
+	"neurdb/internal/plan"
 	"neurdb/internal/rel"
+	"neurdb/internal/sqlparse"
+	"neurdb/internal/stats"
 	"neurdb/internal/txn"
 )
 
@@ -30,64 +34,64 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		tbl, _ := db.Catalog().Get(def.Name)
-		mgr := db.TxnManager()
-		tx := mgr.Begin(txn.Snapshot, false)
-		ctx := &executor.Ctx{Mgr: mgr, Txn: tx, Cat: db.Catalog()}
-		if _, err := executor.InsertBatch(ctx, tbl, sw.Rows(def.Name)); err != nil {
-			log.Fatal(err)
-		}
-		if err := mgr.Commit(tx); err != nil {
-			log.Fatal(err)
-		}
+		insert(db, def.Name, sw.Rows(def.Name))
 	}
 	if _, err := db.Exec("ANALYZE"); err != nil {
 		log.Fatal(err)
 	}
+	// The PostgreSQL-style planner keeps planning on the statistics of this
+	// ANALYZE while the data drifts.
+	snaps := make(map[int]*stats.TableStats)
+	for _, t := range db.Catalog().All() {
+		snaps[t.ID] = t.Stats.Snapshot()
+	}
+	stale := &optimizer.Optimizer{Stats: func(t *catalog.Table) *stats.TableStats { return snaps[t.ID] }}
 
 	query := sw.Queries()[0]
 	fmt.Println("query:", query)
+	parsed, err := sqlparse.Parse(query)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sel := parsed.(*sqlparse.Select)
 
-	explain := func(label string) {
-		res, err := db.Exec("EXPLAIN " + query)
+	show := func(label string, p plan.Node, err error) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\n%s:\n", label)
-		for _, row := range res.Rows {
-			fmt.Println(" ", row[0])
-		}
+		fmt.Printf("\n%s:\n%s", label, plan.Explain(p))
 	}
-	explain("plan before drift (fresh statistics)")
+	p, err := db.PlanSelect(sel)
+	show("plan before drift (fresh statistics)", p, err)
 
-	// Severe drift: the stale planner keeps the old statistics snapshot.
-	mgr := db.TxnManager()
+	// Severe drift. The inserts keep the live statistics current.
 	for _, def := range sw.Tables() {
-		rows := sw.DriftInserts(def.Name, workload.DriftSevere)
-		if len(rows) == 0 {
-			continue
-		}
-		tbl, _ := db.Catalog().Get(def.Name)
-		tx := mgr.Begin(txn.Snapshot, false)
-		ctx := &executor.Ctx{Mgr: mgr, Txn: tx, Cat: db.Catalog()}
-		if _, err := executor.InsertBatch(ctx, tbl, rows); err != nil {
-			log.Fatal(err)
-		}
-		if err := mgr.Commit(tx); err != nil {
-			log.Fatal(err)
+		if rows := sw.DriftInserts(def.Name, workload.DriftSevere); len(rows) > 0 {
+			insert(db, def.Name, rows)
 		}
 	}
 
-	if _, err := db.Exec("SET optimizer = 'stale'"); err != nil {
-		log.Fatal(err)
-	}
-	explain("PostgreSQL-style plan after severe drift (STALE statistics)")
-
-	if _, err := db.Exec("SET optimizer = 'cost'"); err != nil {
-		log.Fatal(err)
-	}
-	explain("plan after severe drift (LIVE statistics — what NeurDB's conditions see)")
+	p, err = stale.PlanStmt(sel, db.Catalog())
+	show("PostgreSQL-style plan after severe drift (STALE statistics)", p, err)
+	p, err = db.PlanSelect(sel)
+	show("plan after severe drift (LIVE statistics — what NeurDB's conditions see)", p, err)
 
 	fmt.Println("\nrun the full four-system comparison with: go run ./cmd/neurdb-bench -exp fig8")
-	_ = strings.TrimSpace("")
+}
+
+// insert loads rows into the named table in one committed transaction.
+func insert(db *neurdb.DB, table string, rows []rel.Row) {
+	tbl, err := db.Catalog().Get(table)
+	if err != nil {
+		log.Fatal(err)
+	}
+	mgr := db.TxnManager()
+	tx := mgr.Begin(txn.Snapshot, false)
+	ctx := &executor.Ctx{Mgr: mgr, Txn: tx, Cat: db.Catalog()}
+	if _, err := executor.InsertBatch(ctx, tbl, rows); err != nil {
+		log.Fatal(err)
+	}
+	if err := mgr.Commit(tx); err != nil {
+		log.Fatal(err)
+	}
 }

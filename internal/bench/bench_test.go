@@ -3,6 +3,8 @@ package bench
 import (
 	"testing"
 	"time"
+
+	"neurdb"
 )
 
 // tinyScale shrinks everything for CI smoke tests.
@@ -177,4 +179,34 @@ func TestRunFig8(t *testing.T) {
 		t.Fatal("empty render")
 	}
 	t.Logf("\n%s", RenderFig8(res))
+}
+
+// TestStaleStatsViewServesSnapshots: Fig. 8's "PostgreSQL" plans on the
+// statistics of its one ANALYZE. The view serves the row count as of that
+// ANALYZE, and later inserts, which move the live statistics, do not leak
+// into it.
+func TestStaleStatsViewServesSnapshots(t *testing.T) {
+	db := neurdb.Open(neurdb.DefaultConfig())
+	for _, sql := range []string{`CREATE TABLE t (v INT)`, `INSERT INTO t VALUES (1), (2), (3)`, `ANALYZE t`} {
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := db.Catalog().Get("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := snapshotStats(db.Catalog())
+	if got := sv(tbl).Rows(); got != 3 {
+		t.Fatalf("snapshot rows %d, want 3", got)
+	}
+	if _, err := db.Exec(`INSERT INTO t VALUES (4), (5)`); err != nil {
+		t.Fatal(err)
+	}
+	if got := sv(tbl).Rows(); got != 3 {
+		t.Fatalf("stale view leaked fresh stats: %d rows, want 3", got)
+	}
+	if got := tbl.Stats.Rows(); got != 5 {
+		t.Fatalf("live stats %d rows, want 5", got)
+	}
 }

@@ -8,14 +8,16 @@ import (
 	"time"
 
 	"neurdb"
+	"neurdb/internal/bench/learnedopt"
 	"neurdb/internal/bench/workload"
+	"neurdb/internal/catalog"
 	"neurdb/internal/executor"
-	"neurdb/internal/learnedopt"
 	"neurdb/internal/nn"
 	"neurdb/internal/optimizer"
 	"neurdb/internal/plan"
 	"neurdb/internal/rel"
 	"neurdb/internal/sqlparse"
+	"neurdb/internal/stats"
 	"neurdb/internal/txn"
 )
 
@@ -41,6 +43,9 @@ type fig8Env struct {
 	sw      *workload.Stats
 	queries []*sqlparse.Select
 	sc      Scale
+	// stale serves the statistics of the one ANALYZE, which the
+	// "PostgreSQL" system keeps planning on while the data drifts.
+	stale optimizer.StatsView
 }
 
 // RunFig8 reproduces the learned-query-optimizer drift experiment: 8 SPJ
@@ -68,6 +73,7 @@ func RunFig8(sc Scale) (*Fig8Result, error) {
 	if _, err := env.db.Exec("ANALYZE"); err != nil {
 		return nil, err
 	}
+	env.stale = snapshotStats(env.db.Catalog())
 
 	// --- State 0 (original): measure candidates; eval + training data.
 	state0, err := env.measureAll()
@@ -92,7 +98,6 @@ func RunFig8(sc Scale) (*Fig8Result, error) {
 	lero.Freeze()
 	ndModel := learnedopt.NewModel(16, 2, 7)
 	trainNeurDB(append(append([]*queryMeasurement{}, state0...), state05...), ndModel, sc.QOTrainPasses)
-	env.db.SetLearnedQO(ndModel)
 
 	// --- State 1 (mild): complete the mild drift; evaluate.
 	if err := env.applyInserts(workload.DriftMild, 0.5, 1.0); err != nil {
@@ -167,6 +172,17 @@ func RunFig8(sc Scale) (*Fig8Result, error) {
 		res.NeurDBReduction = 1 - ndSum/baseSum
 	}
 	return res, nil
+}
+
+// snapshotStats copies every table's statistics as they stand now and serves
+// the copies: a planner given the view keeps seeing them however the tables
+// change afterwards.
+func snapshotStats(cat *catalog.Catalog) optimizer.StatsView {
+	snaps := make(map[int]*stats.TableStats)
+	for _, t := range cat.All() {
+		snaps[t.ID] = t.Stats.Snapshot()
+	}
+	return func(t *catalog.Table) *stats.TableStats { return snaps[t.ID] }
 }
 
 // load creates the schema, indexes, and initial data.
@@ -282,7 +298,7 @@ func (env *fig8Env) measureAll() ([]*queryMeasurement, error) {
 		if err != nil {
 			return nil, err
 		}
-		staleCands, err := optimizer.EnumerateCandidates(q, env.db.StaleStatsView(), []float64{0.1, 10})
+		staleCands, err := optimizer.EnumerateCandidates(q, env.stale, []float64{0.1, 10})
 		if err != nil {
 			return nil, err
 		}

@@ -1,19 +1,17 @@
 // Package learnedopt implements the paper's fast-adaptive learned query
-// optimizer (§4.2, Fig. 5) and the two learned baselines of Figure 8:
+// optimizer (§4.2, Fig. 5), the "NeurDB" system of the Figure 8 harness: a
+// dual-module model. The *encoder* projects tree-linearized candidate-plan
+// tokens and system-condition tokens (buffer information + data
+// statistics) and fuses them with cross-attention; the *analyzer* runs
+// multi-head attention across the candidate embeddings and an MLP that
+// scores each candidate, selecting the plan best suited to the *current*
+// system conditions.
 //
-//   - NeurDB: a dual-module model. The *encoder* projects tree-linearized
-//     candidate-plan tokens and system-condition tokens (buffer information
-//   - data statistics) and fuses them with cross-attention; the *analyzer*
-//     runs multi-head attention across the candidate embeddings and an MLP
-//     that scores each candidate, selecting the plan best suited to the
-//     *current* system conditions.
-//   - Bao (Marcus et al., SIGMOD'21): hint-set arms scored by a stable value
-//     network over plan features — no system-condition input.
-//   - Lero (Zhu et al., VLDB'23): candidates from cardinality perturbation,
-//     ranked by a stable pairwise comparator.
-//
-// The cost-based optimizer planning on stale statistics plays the
-// "PostgreSQL" role.
+// It is figure-only code: the engine plans with the cost-based optimizer on
+// live statistics, and only the harness ranks candidates with this model.
+// Figure 8's other systems live beside it in internal/bench: Bao and Lero
+// (fig8baselines.go), and the cost-based optimizer planning on stale
+// statistics in the "PostgreSQL" role.
 package learnedopt
 
 import (

@@ -94,7 +94,11 @@ func RunParallel(sc Scale) (*ParallelResult, error) {
 
 	res := &ParallelResult{Rows: sc.ParallelRows, Iters: sc.ParallelIters, MaxProcs: runtime.GOMAXPROCS(0)}
 	for _, w := range []int{1, 2, 4} {
-		db.SetWorkers(w)
+		// The prepared statements run on the implicit session, which
+		// SET workers configures.
+		if _, err := db.Exec(fmt.Sprintf("SET workers = %d", w)); err != nil {
+			return nil, err
+		}
 		pt := ParallelPoint{Workers: w}
 		if pt.ScanAggNsPerOp, err = measure(scanAgg, 64); err != nil {
 			return nil, err

@@ -108,7 +108,9 @@ func RunParallelDML(sc Scale) (*ParallelDMLResult, error) {
 		if _, err := db.Exec(`ANALYZE`); err != nil {
 			return nil, err
 		}
-		db.SetWorkers(w)
+		if _, err := db.Exec(fmt.Sprintf("SET workers = %d", w)); err != nil {
+			return nil, err
+		}
 
 		vacuum := func() {
 			horizon := db.TxnManager().OldestActiveTS()

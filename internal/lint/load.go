@@ -10,6 +10,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -194,9 +195,10 @@ func (l *Loader) Load(path string) (*Package, error) {
 // LoadTests typechecks the test variants of the package at path, as `go
 // test` builds them: the package together with its in-package _test.go
 // files, and the external "path_test" package, which imports that variant
-// as path. Each returned Package's Files are only its _test.go files — the
-// production files are typechecked alongside but analyzed through Load's
-// package. A package without test files has no variants.
+// as path and every package that depends on path rebuilt against it. Each
+// returned Package's Files are only its _test.go files — the production
+// files are typechecked alongside but analyzed through Load's package. A
+// package without test files has no variants.
 func (l *Loader) LoadTests(path string) ([]*Package, error) {
 	pkg, err := l.Load(path)
 	if err != nil {
@@ -229,12 +231,10 @@ func (l *Loader) LoadTests(path string) ([]*Package, error) {
 		out = append(out, variant)
 	}
 	if len(external) > 0 {
-		imp := importerFunc(func(p string) (*types.Package, error) {
-			if p == path {
-				return variant.Pkg, nil
-			}
-			return l.Import(p)
-		})
+		imp := l
+		if variant != pkg {
+			imp = l.withVariant(path, variant)
+		}
 		x, err := l.check(path+"_test", external, imp)
 		if err != nil {
 			return nil, err
@@ -244,9 +244,37 @@ func (l *Loader) LoadTests(path string) ([]*Package, error) {
 	return out, nil
 }
 
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+// withVariant returns a loader on which path resolves to its test variant.
+// A package that imports path, directly or not, is typechecked afresh
+// against the variant, as `go test` rebuilds it; every other package this
+// loader has already checked is shared, so the variant and the packages
+// rebuilt on it agree on the types they have in common.
+func (l *Loader) withVariant(path string, variant *Package) *Loader {
+	v := &Loader{
+		Root:    l.Root,
+		Module:  l.Module,
+		fset:    l.fset,
+		stdlib:  l.stdlib,
+		cache:   map[string]*Package{path: variant},
+		loading: make(map[string]bool),
+	}
+	dependent := map[*types.Package]bool{l.cache[path].Pkg: true}
+	var dependsOnPath func(p *types.Package) bool
+	dependsOnPath = func(p *types.Package) bool {
+		d, ok := dependent[p]
+		if !ok {
+			d = slices.ContainsFunc(p.Imports(), dependsOnPath)
+			dependent[p] = d
+		}
+		return d
+	}
+	for p, pkg := range l.cache {
+		if !dependsOnPath(pkg.Pkg) {
+			v.cache[p] = pkg
+		}
+	}
+	return v
+}
 
 // Walk returns the import paths of every package under the module root, in
 // lexical order, skipping testdata, hidden directories, and directories with

@@ -140,6 +140,37 @@ func TestLoaderWalkSkips(t *testing.T) {
 	}
 }
 
+// TestLoadTestsRebuildsDependentsOnVariant: over testdata/variantmod, where
+// x has an in-package test file, y imports x and x's external test package
+// imports y. As go test does, LoadTests must typecheck y against x's test
+// variant, or y.New's x.T is another type than the x.T the external test
+// package sees.
+func TestLoadTestsRebuildsDependentsOnVariant(t *testing.T) {
+	l, err := lint.NewLoader("testdata/variantmod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.LoadTests("variantmod/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 2 || pkgs[0].Pkg.Path() != "variantmod/x" || pkgs[1].Pkg.Path() != "variantmod/x_test" {
+		t.Fatalf("got %d variants, want the in-package and the external test package", len(pkgs))
+	}
+	// The production packages stay as they were: y still sees production x.
+	y, err := l.Load("variantmod/y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := l.Load("variantmod/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := y.Pkg.Imports()[0]; got != x.Pkg {
+		t.Fatalf("production y imports %p, want production x %p", got, x.Pkg)
+	}
+}
+
 // FuzzLoadPackage: the loader must be panic-free on malformed Go source —
 // it runs over whatever a contributor's working tree contains, and a parse
 // or typecheck problem must surface as an error, never a crash. Errors are

@@ -1,9 +1,10 @@
 // Package optimizer turns parsed statements into physical plans (PlanStmt is
 // the entry point for every planned statement kind). It provides name binding, a histogram-driven cardinality model, a
 // PostgreSQL-style cost model, dynamic-programming join enumeration, and
-// hint-set candidate generation. The learned optimizers (internal/learnedopt)
-// consume its candidate plans; the cost-based path with (possibly stale)
-// statistics is the paper's "PostgreSQL" baseline in Figure 8.
+// hint-set candidate generation. The Figure 8 harness's learned optimizers
+// (internal/bench/learnedopt, Bao, Lero) consume its candidate plans; the
+// cost-based path with stale statistics is that figure's "PostgreSQL"
+// baseline.
 package optimizer
 
 import (

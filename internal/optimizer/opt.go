@@ -57,11 +57,6 @@ type Optimizer struct {
 	// CardScale perturbs join selectivity estimates; the Lero baseline
 	// generates candidates by sweeping it (e.g. 0.1, 1, 10).
 	CardScale float64
-	// Rank, when set, replaces the cost-based choice for SELECTs: PlanStmt
-	// enumerates candidate plans (hint sets and cardinality sweeps) and runs
-	// the one Rank picks — the learned optimizer's hook. Writes and PREDICT
-	// have a single access path and nothing to rank.
-	Rank func(cands []plan.Node) int
 }
 
 // New creates an optimizer with live statistics and default hints.

@@ -28,18 +28,7 @@ func (o *Optimizer) PlanStmt(stmt sqlparse.Stmt, cat *catalog.Catalog) (plan.Nod
 		if err != nil {
 			return nil, err
 		}
-		if o.Rank == nil {
-			return o.Plan(q)
-		}
-		cands, err := EnumerateCandidates(q, o.Stats, []float64{0.1, 10})
-		if err != nil {
-			return nil, err
-		}
-		nodes := make([]plan.Node, len(cands))
-		for i, c := range cands {
-			nodes[i] = c.Plan
-		}
-		return nodes[o.Rank(nodes)], nil
+		return o.Plan(q)
 	case *sqlparse.Insert:
 		return planInsert(t, cat)
 	case *sqlparse.Update:

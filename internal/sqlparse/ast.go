@@ -302,7 +302,7 @@ type Explain struct {
 
 func (*Explain) stmt() {}
 
-// SetStmt is SET key = value (engine knobs, e.g. optimizer mode).
+// SetStmt is SET key = value (session settings, e.g. workers).
 type SetStmt struct {
 	Key   string
 	Value string

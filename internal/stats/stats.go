@@ -70,10 +70,14 @@ func (ts *TableStats) Rebuild(rows []rel.Row) {
 	}
 	cols := make([]ColumnStats, arity)
 	vals := make([][]float64, arity)
-	distinct := make([]map[float64]struct{}, arity)
+	// Distinct values: numbers by their float value, TEXT by its text, since
+	// AsFloat reads every non-numeric text as 0.
+	nums := make([]map[float64]struct{}, arity)
+	texts := make([]map[string]struct{}, arity)
 	for i := range vals {
 		vals[i] = make([]float64, 0, len(rows))
-		distinct[i] = make(map[float64]struct{})
+		nums[i] = make(map[float64]struct{})
+		texts[i] = make(map[string]struct{})
 	}
 	for _, row := range rows {
 		for i := 0; i < arity && i < len(row); i++ {
@@ -83,15 +87,19 @@ func (ts *TableStats) Rebuild(rows []rel.Row) {
 			}
 			f := row[i].AsFloat()
 			vals[i] = append(vals[i], f)
-			if len(distinct[i]) < 1_000_000 {
-				distinct[i][f] = struct{}{}
+			if len(nums[i])+len(texts[i]) < 1_000_000 {
+				if row[i].Type() == rel.TypeText {
+					texts[i][row[i].String()] = struct{}{}
+				} else {
+					nums[i][f] = struct{}{}
+				}
 			}
 			cols[i].Sum += f
 		}
 	}
 	for i := range cols {
 		cols[i].Count = int64(len(vals[i])) + cols[i].NullCount
-		cols[i].Distinct = int64(len(distinct[i]))
+		cols[i].Distinct = int64(len(nums[i]) + len(texts[i]))
 		if len(vals[i]) == 0 {
 			continue
 		}

@@ -12,14 +12,14 @@ import (
 const DefaultPlanCacheSize = 256
 
 // planCache is a size-bounded LRU of compiled statements shared by every
-// session. Entries are keyed by (optimizer mode, SQL text) and stamped with
-// the catalog version they were planned under; a lookup whose stamp no longer
+// session. Entries are keyed by SQL text and stamped with the catalog
+// version they were planned under; a lookup whose stamp no longer
 // matches the live version evicts the entry, so DDL and ANALYZE (which bump
 // the version) invalidate stale plans without scanning the cache. A hit is a
 // lookup answered from the cache; a miss is a plan compiled into it.
 type planCache struct {
 	mu      sync.Mutex
-	entries map[planKey]*list.Element
+	entries map[string]*list.Element
 	lru     list.List // front = most recently used
 
 	hits   atomic.Uint64
@@ -28,9 +28,9 @@ type planCache struct {
 
 // planEntry is one cached plan. Entries are immutable after creation, so
 // statements may hold onto one and revalidate it with a lock-free catalog
-// version (and mode) compare instead of re-entering the cache.
+// version compare instead of re-entering the cache.
 type planEntry struct {
-	key       planKey
+	sql       string
 	node      plan.Node
 	columns   []string
 	hasParams bool // plan contains parameter references needing BindParams
@@ -40,22 +40,15 @@ type planEntry struct {
 }
 
 func newPlanCache() *planCache {
-	return &planCache{entries: make(map[planKey]*list.Element)}
+	return &planCache{entries: make(map[string]*list.Element)}
 }
 
-// planKey is the cache key: plans depend on the optimizer mode as well as
-// the statement text.
-type planKey struct {
-	mode OptimizerMode
-	sql  string
-}
-
-// get returns the cached entry for key if it was planned at catVer,
+// get returns the cached entry for sql if it was planned at catVer,
 // counting a hit; a stale entry is evicted.
-func (c *planCache) get(key planKey, catVer uint64) (*planEntry, bool) {
+func (c *planCache) get(sql string, catVer uint64) (*planEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	el, ok := c.entries[sql]
 	if ok {
 		e := el.Value.(*planEntry)
 		if e.catVer == catVer {
@@ -64,7 +57,7 @@ func (c *planCache) get(key planKey, catVer uint64) (*planEntry, bool) {
 			return e, true
 		}
 		c.lru.Remove(el)
-		delete(c.entries, key)
+		delete(c.entries, sql)
 	}
 	return nil, false
 }
@@ -75,19 +68,19 @@ func (c *planCache) put(e *planEntry) {
 	c.misses.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[e.key]; ok {
+	if el, ok := c.entries[e.sql]; ok {
 		el.Value = e
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.entries[e.key] = c.lru.PushFront(e)
+	c.entries[e.sql] = c.lru.PushFront(e)
 	for len(c.entries) > DefaultPlanCacheSize {
 		oldest := c.lru.Back()
 		if oldest == nil {
 			break
 		}
 		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*planEntry).key)
+		delete(c.entries, oldest.Value.(*planEntry).sql)
 	}
 }
 

@@ -278,10 +278,9 @@ func (p planView) contains(s string) bool { return strings.Contains(p.text, s) }
 // entryPlan reads the cached plan for sql (white-box).
 func entryPlan(t *testing.T, db *DB, sql string) planView {
 	t.Helper()
-	key := planKey{db.OptimizerModeNow(), sql}
 	db.plans.mu.Lock()
 	defer db.plans.mu.Unlock()
-	el, ok := db.plans.entries[key]
+	el, ok := db.plans.entries[sql]
 	if !ok {
 		t.Fatalf("no cached plan for %q", sql)
 	}

@@ -15,8 +15,8 @@ import (
 // Stmt is a statement parsed once and executed many times with per-call
 // parameter values ('?' or '$n' placeholders). A planned statement (SELECT,
 // INSERT, UPDATE, DELETE, PREDICT) is also bound and planned once: its plan
-// lives in the DB-wide plan cache, keyed by statement text and optimizer mode
-// and invalidated by catalog version (DDL and ANALYZE bump it). Session.Exec
+// lives in the DB-wide plan cache, keyed by statement text and invalidated
+// by catalog version (DDL and ANALYZE bump it). Session.Exec
 // and Query run through a throwaway Stmt, so there is one execution path. A
 // Stmt is safe for concurrent use.
 type Stmt struct {
@@ -26,8 +26,8 @@ type Stmt struct {
 	nParams int
 	closed  atomic.Bool
 	// entry is the statement-local view of the cached plan, revalidated on
-	// every execution against the catalog version and optimizer mode
-	// without taking the shared cache's lock (nil for utility statements).
+	// every execution against the catalog version without taking the
+	// shared cache's lock (nil for utility statements).
 	entry atomic.Pointer[planEntry]
 }
 
@@ -117,13 +117,13 @@ func (st *Stmt) Close() error {
 }
 
 // plan returns the statement's compiled plan. The fast path revalidates the
-// statement-local entry with a lock-free catalog-version and mode compare
-// (counting a cache hit), so concurrent prepared executions do not serialize
+// statement-local entry with a lock-free catalog-version compare (counting a
+// cache hit), so concurrent prepared executions do not serialize
 // on the shared cache's mutex; invalidation falls back to the shared cache,
 // which replans as needed.
 func (st *Stmt) plan() (*planEntry, error) {
 	db := st.s.db
-	if e := st.entry.Load(); e != nil && e.catVer == db.cat.Version() && e.key.mode == db.OptimizerModeNow() {
+	if e := st.entry.Load(); e != nil && e.catVer == db.cat.Version() {
 		db.plans.hits.Add(1)
 		return e, nil
 	}
@@ -136,22 +136,21 @@ func (st *Stmt) plan() (*planEntry, error) {
 }
 
 // compile is the single place a statement becomes a plan: the shared cache's
-// entry for (optimizer mode, SQL text) while the catalog version it was
-// planned under still stands, a fresh plan — cached — otherwise.
+// entry for the SQL text while the catalog version it was planned under
+// still stands, a fresh plan — cached — otherwise.
 // PlanCacheStats counts the cache's traffic plus the statements' lock-free
 // local revalidations.
 func (db *DB) compile(sql string, stmt sqlparse.Stmt) (*planEntry, error) {
-	key := planKey{mode: db.OptimizerModeNow(), sql: sql}
 	ver := db.cat.Version()
-	if e, ok := db.plans.get(key, ver); ok {
+	if e, ok := db.plans.get(sql, ver); ok {
 		return e, nil
 	}
-	node, err := db.optimizerFor(key.mode).PlanStmt(stmt, db.cat)
+	node, err := optimizer.New().PlanStmt(stmt, db.cat)
 	if err != nil {
 		return nil, err
 	}
 	e := &planEntry{
-		key:       key,
+		sql:       sql,
 		node:      node,
 		columns:   node.Schema().Names(),
 		hasParams: plan.HasParams(node),
