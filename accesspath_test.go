@@ -40,12 +40,10 @@ func explainText(t *testing.T, db *DB, sql string, args ...any) string {
 	return strings.Join(lines, "\n")
 }
 
-// TestTextPointQueryUsesIndex: ANALYZE counts a TEXT column's distinct
-// values by their text, so an equality on a unique TEXT column is priced at
-// one row and planned onto its B-tree. Counted by AsFloat, every such value
-// read as 0: one distinct value, selectivity 1, a SeqScan.
-func TestTextPointQueryUsesIndex(t *testing.T) {
-	db := openTest(t)
+// seedText creates h(id INT PRIMARY KEY, b TEXT) with a B-tree on b and
+// 3,000 rows b = 'k0000' … 'k2999', and analyzes it.
+func seedText(t *testing.T, db *DB) {
+	t.Helper()
 	mustExec(t, db, `CREATE TABLE h (id INT PRIMARY KEY, b TEXT)`)
 	mustExec(t, db, `CREATE INDEX h_b ON h (b)`)
 	var sb strings.Builder
@@ -58,12 +56,47 @@ func TestTextPointQueryUsesIndex(t *testing.T) {
 	}
 	mustExec(t, db, sb.String())
 	mustExec(t, db, `ANALYZE h`)
+}
+
+// TestTextPointQueryUsesIndex: ANALYZE counts a TEXT column's distinct
+// values by their text, so an equality on a unique TEXT column is priced at
+// one row and planned onto its B-tree. Counted by AsFloat, every such value
+// read as 0: one distinct value, selectivity 1, a SeqScan.
+func TestTextPointQueryUsesIndex(t *testing.T) {
+	db := openTest(t)
+	seedText(t, db)
 	got := explainText(t, db, `SELECT id FROM h WHERE b = 'k0011'`)
 	if !strings.Contains(got, "IndexScan(h, b=k0011)  (rows=1 ") {
 		t.Fatalf("EXPLAIN:\n%s\nwant IndexScan(h, b=k0011) at rows=1", got)
 	}
 	if res := mustExec(t, db, `SELECT id FROM h WHERE b = 'k0011'`); len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 11 {
 		t.Fatalf("rows %v, want [[11]]", res.Rows)
+	}
+}
+
+// TestTextRangeQueryUsesIndex: a literal TEXT range is priced like the
+// parameter range it spells, with the generic range selectivity, and so
+// planned onto the B-tree as the prepared form is. Statistics keep float
+// bounds only and read a non-numeric text as 0, so the histogram priced it
+// at selectivity 1: a SeqScan over all 3,000 rows.
+func TestTextRangeQueryUsesIndex(t *testing.T) {
+	db := openTest(t)
+	seedText(t, db)
+	const want = "IndexScan(h, b in [k2990,k2995], (h.b < 'k2995'))  (rows=15 "
+	sql := `SELECT id FROM h WHERE b >= 'k2990' AND b < 'k2995'`
+	if got := explainText(t, db, sql); !strings.Contains(got, want) {
+		t.Fatalf("EXPLAIN:\n%s\nwant %s", got, want)
+	}
+	if got := explainText(t, db, `SELECT id FROM h WHERE b >= ? AND b < ?`, "k2990", "k2995"); !strings.Contains(got, "IndexScan(h, b in [$1,$2], (h.b < $2))  (rows=15 ") {
+		t.Fatalf("prepared EXPLAIN:\n%s", got)
+	}
+	res := mustExec(t, db, sql)
+	var ids []int64
+	for _, row := range res.Rows {
+		ids = append(ids, row[0].AsInt())
+	}
+	if fmt.Sprint(ids) != "[2990 2991 2992 2993 2994]" {
+		t.Fatalf("rows %v, want ids 2990…2994", ids)
 	}
 }
 

@@ -159,19 +159,21 @@ func perRun(tb testing.TB, runs int, fn func()) (allocs, bytes float64) {
 // little above the measured values, so a change that puts a per-message or
 // per-row allocation back on the read path fails here.
 //
-// Measured per round trip (allocs, bytes; amd64), before and after the
+// Measured per round trip (allocs, bytes; amd64): before the
 // per-connection wire buffers, reusing decoders, slab-carved projections and
-// record-nothing read-only commits:
+// record-nothing read-only commits; after them; and since the executor binds
+// parameters as it compiles each operator instead of copying the cached plan
+// per execution:
 //
-//	prepared point SELECT      51,  8,543 B  ->  18,  1,144 B
-//	prepared 50-row range     283, 30,327 B  ->  46, 13,848 B
-//	ad-hoc point SELECT        68,  9,768 B  ->  47,  2,888 B
-//	prepared point UPDATE      53,  9,288 B  ->  25,  1,831 B
+//	prepared point SELECT      51,  8,543 B  ->  18,  1,144 B  ->  15,  1,104 B
+//	prepared 50-row range     283, 30,327 B  ->  46, 13,848 B  ->  42, 12,336 B
+//	ad-hoc point SELECT        68,  9,768 B  ->  47,  2,888 B  ->  47,  3,048 B
+//	prepared point UPDATE      53,  9,288 B  ->  25,  1,831 B  ->  22,  1,361 B
 //
-// The race detector adds about one allocation and 1.3 KB to the range.
+// The race detector adds a few dozen bytes to each.
 //
-// Most of what is left is the engine's per-statement state: the bound plan,
-// iterators, transaction and cursor, the index probe, and for the range the
+// Most of what is left is the engine's per-statement state: iterators,
+// transaction and cursor, the bound residual filter, and for the range the
 // projection slab that holds the result rows.
 func TestWireRoundTripAllocs(t *testing.T) {
 	if testing.Short() {
@@ -183,10 +185,10 @@ func TestWireRoundTripAllocs(t *testing.T) {
 		fn              func(*wireFixture, testing.TB)
 		maxAllocs, maxB float64
 	}{
-		{"PointSelect", (*wireFixture).pointSelect, 20, 1536},
-		{"Range50", (*wireFixture).range50, 50, 16384},
+		{"PointSelect", (*wireFixture).pointSelect, 17, 1344},
+		{"Range50", (*wireFixture).range50, 45, 14336},
 		{"AdhocPoint", (*wireFixture).adhocPoint, 52, 3584},
-		{"PointUpdate", (*wireFixture).pointUpdate, 28 + stripeAssertAllocs, 3072},
+		{"PointUpdate", (*wireFixture).pointUpdate, 24 + stripeAssertAllocs, 2048},
 	} {
 		allocs, bytes := perRun(t, 200, func() { tc.fn(f, t) })
 		t.Logf("%s: %.1f allocs, %.0f B per round trip", tc.name, allocs, bytes)

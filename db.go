@@ -410,7 +410,9 @@ func (s *Session) begin(readOnly bool) (*txn.Txn, func(error) error, error) {
 // execStmt is the one statement-kind dispatch, reached by every entry point
 // (Exec, Query, Stmt.Exec, Stmt.Query, ExecScript, the wire server's Query
 // and Execute). Planned statements all take one road: compile (or revalidate
-// the cached plan), bind, run; utility statements act directly. No default:
+// the cached plan), then run it with the call's arguments, which the
+// executor binds as it compiles each operator; utility statements act
+// directly. No default:
 // neurdb-lint fails a statement kind of the closed set with no arm here.
 func (s *Session) execStmt(st *Stmt, args []rel.Value) (*Rows, error) {
 	var res *Result
@@ -454,9 +456,6 @@ func (s *Session) execStmt(st *Stmt, args []rel.Value) (*Rows, error) {
 // re-checks because the poison can land mid-statement.
 func (s *Session) run(e *planEntry, args []rel.Value) (*Rows, error) {
 	node := e.node
-	if e.hasParams {
-		node = plan.BindParams(node, args)
-	}
 	if e.writes {
 		if err := s.db.writeErr(); err != nil {
 			return nil, err
@@ -466,7 +465,7 @@ func (s *Session) run(e *planEntry, args []rel.Value) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := &executor.Ctx{Mgr: s.db.mgr, Txn: tx, Cat: s.db.cat, Workers: s.effectiveWorkers()}
+	ctx := &executor.Ctx{Mgr: s.db.mgr, Txn: tx, Cat: s.db.cat, Workers: s.effectiveWorkers(), Args: args}
 	if e.streams {
 		it, err := executor.BuildBatch(node, ctx)
 		if err != nil {

@@ -26,8 +26,9 @@ import (
 // (firstSeen), so finalize can emit groups in global first-seen order no
 // matter how the input was split across workers — the one-worker order.
 type aggAcc struct {
-	node *plan.Agg
-	nAgg int
+	groupBy []rel.Expr     // bound; shared read-only with the other partials
+	items   []plan.AggItem // likewise
+	nAgg    int
 
 	specs   []aggArgSpec // aggregate items only, precompiled
 	keyCols []int        // group-by column fast path (-1 = general expr)
@@ -59,7 +60,7 @@ type groupKey struct {
 
 // aggArgSpec is one precompiled aggregate item.
 type aggArgSpec struct {
-	idx  int          // position in node.Items (and in the accumulator stride)
+	idx  int          // position in items (and in the accumulator stride)
 	kind plan.AggKind // which accumulator the item reads
 	arg  rel.Expr     // nil for COUNT(*)
 	col  int          // column index when arg is a plain ColRef, else -1
@@ -134,11 +135,29 @@ func less(x, y *rel.Value) bool {
 	}
 }
 
-// newAggAcc precompiles the aggregate items and group-by columns of node
-// into an empty accumulator.
-func newAggAcc(node *plan.Agg) *aggAcc {
-	a := &aggAcc{node: node, nAgg: len(node.Items), slots: make(map[string]int), numSlots: newKeyTable(0)}
-	for i, item := range node.Items {
+// bindItems binds each aggregate item's argument or key expression
+// (bindEach); an aggregate whose argument changes gets a spec of its own.
+func bindItems(ctx *Ctx, items []plan.AggItem) []plan.AggItem {
+	return bindEach(ctx, items, func(it plan.AggItem) rel.Expr {
+		if it.Agg != nil {
+			return it.Agg.Arg
+		}
+		return it.Key
+	}, func(it *plan.AggItem, e rel.Expr) {
+		if it.Agg != nil {
+			spec := *it.Agg
+			spec.Arg, it.Agg = e, &spec
+		} else {
+			it.Key = e
+		}
+	})
+}
+
+// newAggAcc precompiles the bound aggregate items and group-by expressions
+// of an Agg node into an empty accumulator.
+func newAggAcc(groupBy []rel.Expr, items []plan.AggItem) *aggAcc {
+	a := &aggAcc{groupBy: groupBy, items: items, nAgg: len(items), slots: make(map[string]int), numSlots: newKeyTable(0)}
+	for i, item := range items {
 		if item.Agg == nil {
 			continue
 		}
@@ -149,7 +168,7 @@ func newAggAcc(node *plan.Agg) *aggAcc {
 		}
 		a.specs = append(a.specs, sp)
 	}
-	for _, g := range node.GroupBy {
+	for _, g := range groupBy {
 		a.keyCols = append(a.keyCols, colOf(g))
 		a.evalRow = a.evalRow || colOf(g) < 0
 	}
@@ -167,7 +186,7 @@ func newAggAcc(node *plan.Agg) *aggAcc {
 // callers may reuse the rows' backing arrays (a join's slab does).
 func (a *aggAcc) slot(l, r rel.Row, seq uint64) int {
 	a.keyBuf = a.keyBuf[:0]
-	for k, g := range a.node.GroupBy {
+	for k, g := range a.groupBy {
 		var v rel.Value
 		if col := a.keyCols[k]; col >= 0 {
 			v = pairCol(l, r, col)
@@ -313,7 +332,7 @@ func (a *aggAcc) mergeFrom(src *aggAcc) {
 func (a *aggAcc) finalize() []rel.Row {
 	nAgg := a.nAgg
 	nGroups := len(a.firsts)
-	if nGroups == 0 && len(a.node.GroupBy) == 0 {
+	if nGroups == 0 && len(a.groupBy) == 0 {
 		a.firsts = append(a.firsts, nil)
 		a.firstSeen = append(a.firstSeen, 0)
 		a.cnts = make([]int64, nAgg)
@@ -334,7 +353,7 @@ func (a *aggAcc) finalize() []rel.Row {
 	for _, slot := range order {
 		base := slot * nAgg
 		row := make(rel.Row, nAgg)
-		for i, item := range a.node.Items {
+		for i, item := range a.items {
 			if item.Agg == nil {
 				if a.firsts[slot] == nil {
 					row[i] = rel.Null()

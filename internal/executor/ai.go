@@ -135,7 +135,8 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) (*PredictRes
 	}
 	// Inline rows are positional over FeatureIdxs; a short or long row would
 	// misalign every feature after the mismatch, so reject it up front.
-	for i, row := range task.Rows {
+	inline := ctx.valuesRows(task.Values)
+	for i, row := range inline {
 		if len(row) != fields {
 			return nil, fmt.Errorf("executor: inline predict row %d has %d values for %d feature columns",
 				i+1, len(row), fields)
@@ -187,8 +188,8 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) (*PredictRes
 	// which are already in feature order (arity checked above). With neither,
 	// the task degenerates to model training.
 	predictCols := task.FeatureIdxs
-	if len(task.Rows) > 0 {
-		src.then, predictCols = task.Rows, make([]int, fields)
+	if len(inline) > 0 {
+		src.then, predictCols = inline, make([]int, fields)
 		for f := range predictCols {
 			predictCols[f] = f
 		}

@@ -43,7 +43,7 @@ func BuildBatch(n plan.Node, ctx *Ctx) (BatchIter, error) {
 		}
 		return p.stream(), nil
 	case *plan.IndexScan:
-		return &indexScanBatch{ctx: ctx, node: t, filter: compilePred(t.Filter)}, nil
+		return &indexScanBatch{ctx: ctx, probe: newProbe(ctx, t), filter: compilePred(ctx, t.Filter)}, nil
 	case *plan.NLJoin:
 		l, err := BuildBatch(t.L, ctx)
 		if err != nil {
@@ -53,26 +53,27 @@ func BuildBatch(n plan.Node, ctx *Ctx) (BatchIter, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &nlJoinBatch{on: compilePred(t.On), right: r, joinOutput: joinOutputOf(l)}, nil
+		return &nlJoinBatch{on: compilePred(ctx, t.On), right: r, joinOutput: joinOutputOf(l)}, nil
 	case *plan.IndexJoin:
 		l, err := BuildBatch(t.L, ctx)
 		if err != nil {
 			return nil, err
 		}
-		return &indexJoinBatch{ctx: ctx, node: t, filter: compilePred(t.Filter), residual: compilePred(t.Residual),
+		return &indexJoinBatch{ctx: ctx, node: t, filter: compilePred(ctx, t.Filter), residual: compilePred(ctx, t.Residual),
 			joinOutput: joinOutputOf(l)}, nil
 	case *plan.Agg:
 		p, err := pipelineOf(t.Child, ctx)
 		if err != nil {
 			return nil, err
 		}
-		return &parallelAgg{pipeline: p, node: t}, nil
+		return &parallelAgg{pipeline: p, groupBy: ctx.bindExprs(t.GroupBy), items: bindItems(ctx, t.Items)}, nil
 	case *plan.Sort:
 		p, err := pipelineOf(t.Child, ctx)
 		if err != nil {
 			return nil, err
 		}
-		return &parallelSort{sorter: sorter{keys: t.Keys}, pipeline: p}, nil
+		keys := bindEach(ctx, t.Keys, func(k plan.SortKey) rel.Expr { return k.E }, func(k *plan.SortKey, e rel.Expr) { k.E = e })
+		return &parallelSort{sorter: sorter{keys: keys}, pipeline: p}, nil
 	case *plan.Limit:
 		cctx := ctx
 		if scanChain(t.Child) {
@@ -98,10 +99,12 @@ func BuildBatch(n plan.Node, ctx *Ctx) (BatchIter, error) {
 		default: // no sort under the limit
 		}
 		return &limitBatch{n: t.N, child: c}, nil
-	default:
-		// The write nodes and Predict do not stream: see Execute.
-		return nil, fmt.Errorf("executor: unsupported plan node %T", n)
+	case *plan.Insert, *plan.Update, *plan.Delete, *plan.Predict:
+		// These run to completion instead of streaming: see Execute. No
+		// default, on purpose: neurdb-lint fails a new node kind that
+		// neither dispatch lists.
 	}
+	return nil, fmt.Errorf("executor: %T does not stream rows; run it with Execute", n)
 }
 
 // scanChain reports whether n is a SeqScan under Filter and Project nodes
@@ -158,7 +161,7 @@ func (s *seqScanBatch) Close() error { return nil }
 // scan, and downstream operators get the dispatch amortization.
 type indexScanBatch struct {
 	ctx    *Ctx
-	node   *plan.IndexScan
+	probe  probe
 	filter pred
 	ids    []storage.RowID
 	pos    int
@@ -167,16 +170,15 @@ type indexScanBatch struct {
 }
 
 func (s *indexScanBatch) Open() error {
-	ids, err := indexScanIDs(s.node)
-	s.ids = ids
-	return err
+	s.ids = indexScanIDs(&s.probe)
+	return nil
 }
 
 func (s *indexScanBatch) NextBatch(dst *rel.Batch) (int, error) {
 	dst.Reset()
 	for dst.Len() < BatchSize && s.pos < len(s.ids) {
 		end := min(s.pos+BatchSize-dst.Len(), len(s.ids))
-		s.heads, s.kept, dst.Rows = indexFetch(s.ctx, s.node, &s.filter, s.ids[s.pos:end], s.heads, s.kept[:0], dst.Rows)
+		s.heads, s.kept, dst.Rows = indexFetch(s.ctx, &s.probe, &s.filter, s.ids[s.pos:end], s.heads, s.kept[:0], dst.Rows)
 		s.pos = end
 	}
 	return dst.Len(), nil

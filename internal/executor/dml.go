@@ -13,6 +13,7 @@ package executor
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync/atomic"
 
@@ -203,19 +204,17 @@ func dmlMorsels(ctx *Ctx, s *plan.SeqScan, set map[int]rel.Expr) []dmlChunk {
 // failed, so a refused or conflicting statement leaves both as they were,
 // at any worker count and on either access path.
 func dmlRows(ctx *Ctx, src plan.Node, set map[int]rel.Expr) (int, error) {
+	set = bindSet(ctx, set)
 	var t *catalog.Table
 	var chunks []dmlChunk
 	switch s := src.(type) {
 	case *plan.SeqScan:
 		t, chunks = s.Table, dmlMorsels(ctx, s, set)
 	case *plan.IndexScan:
-		all, err := indexScanIDs(s)
-		if err != nil {
-			return 0, err
-		}
-		filter := compilePred(s.Filter)
+		p := newProbe(ctx, s)
+		filter := compilePred(ctx, s.Filter)
 		var c dmlChunk
-		_, c.ids, c.olds = indexFetch(ctx, s, &filter, all, nil, nil, nil)
+		_, c.ids, c.olds = indexFetch(ctx, &p, &filter, indexScanIDs(&p), nil, nil, nil)
 		c.claim(ctx, s.Table, set)
 		t, chunks = s.Table, []dmlChunk{c}
 	default:
@@ -232,6 +231,24 @@ func dmlRows(ctx *Ctx, src plan.Node, set map[int]rel.Expr) (int, error) {
 		noteWritten(t, c.ids, c.olds, c.news)
 	}
 	return total, nil
+}
+
+// bindSet binds UPDATE's assignments, copying the map only when one of them
+// has a parameter.
+func bindSet(ctx *Ctx, set map[int]rel.Expr) map[int]rel.Expr {
+	var out map[int]rel.Expr
+	for col, e := range set {
+		if b := ctx.bind(e); b != e {
+			if out == nil {
+				out = maps.Clone(set)
+			}
+			out[col] = b
+		}
+	}
+	if out == nil {
+		return set
+	}
+	return out
 }
 
 // UpdateWhere updates the rows the access node src selects, setting columns

@@ -243,8 +243,7 @@ func TestFailedDMLLeavesStatsAlone(t *testing.T) {
 
 					src := seqSrc(tbl, nil)
 					if access == "IndexScan" {
-						zero := rel.Int(0)
-						src = &plan.IndexScan{Table: tbl, Index: tbl.IndexOn(0), Lo: &zero}
+						src = &plan.IndexScan{Table: tbl, Index: tbl.IndexOn(0), Lo: &rel.Const{Val: rel.Int(0)}}
 					}
 					if stmt == "conflicting DELETE" {
 						holder := db.ctx()

@@ -21,8 +21,9 @@ type Outcome struct {
 func Execute(n plan.Node, ctx *Ctx, eng *aiengine.Engine) (Outcome, error) {
 	switch t := n.(type) {
 	case *plan.Insert:
-		_, err := InsertBatch(ctx, t.Table, t.Rows)
-		return Outcome{Tag: "INSERT", Affected: len(t.Rows)}, err
+		rows := ctx.valuesRows(t.Values)
+		_, err := InsertBatch(ctx, t.Table, rows)
+		return Outcome{Tag: "INSERT", Affected: len(rows)}, err
 	case *plan.Update:
 		cnt, err := UpdateWhere(ctx, t.Child, t.Set)
 		return Outcome{Tag: "UPDATE", Affected: cnt}, err
@@ -32,7 +33,9 @@ func Execute(n plan.Node, ctx *Ctx, eng *aiengine.Engine) (Outcome, error) {
 	case *plan.Predict:
 		res, err := RunPredict(ctx, eng, t)
 		return Outcome{Tag: "PREDICT", Predict: res}, err
-	default:
-		return Outcome{}, fmt.Errorf("executor: %T streams rows; run it with BuildBatch", n)
+	case *plan.SeqScan, *plan.IndexScan, *plan.HashJoin, *plan.NLJoin, *plan.IndexJoin,
+		*plan.Filter, *plan.Project, *plan.Agg, *plan.Sort, *plan.Limit:
+		// These stream rows: see BuildBatch. No default, as there.
 	}
+	return Outcome{}, fmt.Errorf("executor: %T streams rows; run it with BuildBatch", n)
 }

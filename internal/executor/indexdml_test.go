@@ -147,10 +147,10 @@ func TestIndexDrivenUpdateTouchesEachRowOnce(t *testing.T) {
 	tbl := seedIndexedTable(t, db, "t", n)
 	byK := tbl.IndexOn(1)
 	bump := map[int]rel.Expr{1: &rel.BinOp{Kind: rel.OpAdd, L: &rel.ColRef{Idx: 1}, R: &rel.Const{Val: rel.Int(10)}}}
-	lo := rel.Int(5)
+	lo := &rel.Const{Val: rel.Int(5)}
 	for round := int64(1); round <= 2; round++ {
 		ctx := db.ctx()
-		cnt, err := UpdateWhere(ctx, &plan.IndexScan{Table: tbl, Index: byK, Lo: &lo}, bump)
+		cnt, err := UpdateWhere(ctx, &plan.IndexScan{Table: tbl, Index: byK, Lo: lo}, bump)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,13 +194,13 @@ func TestIndexScanReturnsMovedRowsOnce(t *testing.T) {
 	move(6, 1000) // away ...
 	move(6, 6)    // ... and back: postings (6, row 6) twice
 
-	hi, eq := rel.Int(8), rel.Int(6)
+	hi, eq := &rel.Const{Val: rel.Int(8)}, &rel.Const{Val: rel.Int(6)}
 	for _, c := range []struct {
 		node *plan.IndexScan
 		want []int64 // ids, in heap order
 	}{
-		{&plan.IndexScan{Table: tbl, Index: byK, Hi: &hi}, []int64{0, 1, 2, 4, 5, 6, 7, 8, 900}},
-		{&plan.IndexScan{Table: tbl, Index: byK, Eq: &eq}, []int64{6}},
+		{&plan.IndexScan{Table: tbl, Index: byK, Hi: hi}, []int64{0, 1, 2, 4, 5, 6, 7, 8, 900}},
+		{&plan.IndexScan{Table: tbl, Index: byK, Eq: eq}, []int64{6}},
 	} {
 		got := db.engineRows(c.node, 1)
 		if d := diffRows(got, db.oracleRows(c.node)); d != "" {
@@ -223,7 +223,7 @@ func TestIndexScanNullSemantics(t *testing.T) {
 	tbl := seedIndexedTable(t, db, "t", 300)
 	db.insert(tbl, rel.Row{rel.Int(1000), rel.Null(), rel.Int(0)})
 	byK := tbl.IndexOn(1)
-	null, hi := rel.Null(), rel.Int(3)
+	null, hi := &rel.Const{Val: rel.Null()}, &rel.Const{Val: rel.Int(3)}
 	count := func(n *plan.IndexScan) int {
 		t.Helper()
 		ctx := db.ctx()
@@ -234,13 +234,13 @@ func TestIndexScanNullSemantics(t *testing.T) {
 		}
 		return len(rows)
 	}
-	if got := count(&plan.IndexScan{Table: tbl, Index: byK, Hi: &hi}); got != 4 {
+	if got := count(&plan.IndexScan{Table: tbl, Index: byK, Hi: hi}); got != 4 {
 		t.Errorf("k <= 3 returned %d rows, want 4 (the NULL key must not match)", got)
 	}
-	if got := count(&plan.IndexScan{Table: tbl, Index: byK, Lo: &null}); got != 0 {
+	if got := count(&plan.IndexScan{Table: tbl, Index: byK, Lo: null}); got != 0 {
 		t.Errorf("k >= NULL returned %d rows", got)
 	}
-	if got := count(&plan.IndexScan{Table: tbl, Index: byK, Eq: &null}); got != 0 {
+	if got := count(&plan.IndexScan{Table: tbl, Index: byK, Eq: null}); got != 0 {
 		t.Errorf("k = NULL returned %d rows", got)
 	}
 }

@@ -28,9 +28,6 @@ func oracle(n plan.Node, ctx *Ctx) []rel.Row {
 	case *plan.SeqScan:
 		return oracleKeep(oracleVisible(ctx, n.Table), n.Filter)
 	case *plan.IndexScan:
-		if n.EqArg != 0 || n.LoArg != 0 || n.HiArg != 0 {
-			panic("oracle: unbound index-scan parameter")
-		}
 		rows := oracleKeep(oracleVisible(ctx, n.Table), n.Filter)
 		return slices.DeleteFunc(rows, func(row rel.Row) bool { return !oracleInProbe(n, row[n.Index.Col]) })
 	case *plan.HashJoin:
@@ -99,7 +96,14 @@ func oracleKeep(rows []rel.Row, pred rel.Expr) []rel.Row {
 // oracleInProbe: does key v satisfy the scan's probe? A NULL key or a NULL
 // bound satisfies no comparison.
 func oracleInProbe(n *plan.IndexScan, v rel.Value) bool {
-	for _, b := range []*rel.Value{n.Eq, n.Lo, n.Hi} {
+	bound := func(e rel.Expr) *rel.Value {
+		if e == nil {
+			return nil
+		}
+		return &e.(*rel.Const).Val // the oracle runs literal plans only
+	}
+	eq, lo, hi := bound(n.Eq), bound(n.Lo), bound(n.Hi)
+	for _, b := range []*rel.Value{eq, lo, hi} {
 		if b != nil && b.IsNull() {
 			return false
 		}
@@ -107,10 +111,10 @@ func oracleInProbe(n *plan.IndexScan, v rel.Value) bool {
 	switch {
 	case v.IsNull():
 		return false
-	case n.Eq != nil:
-		return rel.Compare(v, *n.Eq) == 0
+	case eq != nil:
+		return rel.Compare(v, *eq) == 0
 	default:
-		return (n.Lo == nil || rel.Compare(v, *n.Lo) >= 0) && (n.Hi == nil || rel.Compare(v, *n.Hi) <= 0)
+		return (lo == nil || rel.Compare(v, *lo) >= 0) && (hi == nil || rel.Compare(v, *hi) <= 0)
 	}
 }
 

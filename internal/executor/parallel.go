@@ -75,11 +75,11 @@ func pipelineOf(n plan.Node, ctx *Ctx) (pipeline, error) {
 	var st pipeStage
 	switch t := n.(type) {
 	case *plan.SeqScan:
-		return pipeline{ctx: ctx, scan: t, filter: compilePred(t.Filter), workers: heapWorkers(ctx, t.Table)}, nil
+		return pipeline{ctx: ctx, scan: t, filter: compilePred(ctx, t.Filter), workers: heapWorkers(ctx, t.Table)}, nil
 	case *plan.Filter:
-		child, st = t.Child, pipeStage{pred: compilePred(t.Pred)}
+		child, st = t.Child, pipeStage{pred: compilePred(ctx, t.Pred)}
 	case *plan.Project:
-		child, st = t.Child, pipeStage{exprs: t.Exprs}
+		child, st = t.Child, pipeStage{exprs: ctx.bindExprs(t.Exprs)}
 	case *plan.HashJoin:
 		jp, err := newJoinProbe(t, ctx)
 		if err != nil {
@@ -455,9 +455,10 @@ func (s *parallelScan) Close() error {
 // as the join emits them.
 type parallelAgg struct {
 	pipeline
-	node     *plan.Agg
-	fold     *joinProbe // the probe stage folded pairwise; nil: no join below
-	partials []*aggAcc  // one per worker
+	groupBy  []rel.Expr     // the node's, bound: every worker's partial reads them
+	items    []plan.AggItem // likewise
+	fold     *joinProbe     // the probe stage folded pairwise; nil: no join below
+	partials []*aggAcc      // one per worker
 	materialized
 }
 
@@ -478,7 +479,7 @@ func (a *parallelAgg) Open() error {
 	return nil
 }
 
-func (a *parallelAgg) start(w int) { a.partials[w] = newAggAcc(a.node) }
+func (a *parallelAgg) start(w int) { a.partials[w] = newAggAcc(a.groupBy, a.items) }
 
 func (a *parallelAgg) chunk(w, idx int, rows []rel.Row) {
 	acc := a.partials[w]
@@ -576,7 +577,7 @@ func newJoinProbe(t *plan.HashJoin, ctx *Ctx) (*joinProbe, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &joinProbe{node: t, residual: compilePred(t.Residual), build: build}, nil
+	return &joinProbe{node: t, residual: compilePred(ctx, t.Residual), build: build}, nil
 }
 
 // open builds the join table over the build rows in source (heap) order:

@@ -28,11 +28,11 @@ type pred struct {
 	isCmp bool          // the col op const kernel applies
 }
 
-// compilePred compiles e; callers do so once per operator, never per page or
-// per row.
-func compilePred(e rel.Expr) pred {
-	p := pred{e: e}
-	b, ok := e.(*rel.BinOp)
+// compilePred compiles e with the statement's arguments bound; callers do
+// so once per operator, never per page or per row.
+func compilePred(ctx *Ctx, e rel.Expr) pred {
+	p := pred{e: ctx.bind(e)}
+	b, ok := p.e.(*rel.BinOp)
 	if !ok {
 		return p
 	}

@@ -76,7 +76,10 @@ func randPredExpr(r *rand.Rand, depth int) rel.Expr {
 // TestCompiledPredMatchesEval is the definition of pred as a property:
 // compilePred(e).keep(row) == e.Eval(row).AsBool() over seeded random
 // expressions and rows. It also checks that the draw reaches the kernel in
-// both operand orders, so agreement is not agreement of two Evals.
+// both operand orders, so agreement is not agreement of two Evals. Each
+// expression is compiled a second time with every constant a parameter and
+// the constants as the statement's arguments: bound that way it must reach
+// the same kernel and decide every row alike.
 func TestCompiledPredMatchesEval(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
 	rows := make([]rel.Row, 400)
@@ -89,22 +92,47 @@ func TestCompiledPredMatchesEval(t *testing.T) {
 	kernels, flipped := 0, 0
 	for n := 0; n < 5000; n++ {
 		e := randPredExpr(r, r.Intn(4))
-		p := compilePred(e)
+		p := compilePred(&Ctx{}, e)
 		if p.isCmp {
 			kernels++
 			if _, constLeft := e.(*rel.BinOp).L.(*rel.Const); constLeft {
 				flipped++
 			}
 		}
+		var args []rel.Value
+		pe := paramize(e, &args)
+		bound := compilePred(&Ctx{Args: args}, pe)
+		if bound.isCmp != p.isCmp {
+			t.Fatalf("%s: kernel %v; as %s under %v: kernel %v", e, p.isCmp, pe, args, bound.isCmp)
+		}
 		for _, row := range rows {
-			if got, want := p.keep(row), e.Eval(row).AsBool(); got != want {
+			want := e.Eval(row).AsBool()
+			if got := p.keep(row); got != want {
 				t.Fatalf("%s on %v: compiled %v, Eval %v", e, row, got, want)
+			}
+			if got := bound.keep(row); got != want {
+				t.Fatalf("%s as %s under %v on %v: compiled %v, Eval %v", e, pe, args, row, got, want)
 			}
 		}
 	}
 	if kernels < 400 || flipped < 100 {
 		t.Fatalf("only %d comparison kernels (%d with the constant on the left) were drawn", kernels, flipped)
 	}
+}
+
+// paramize replaces every constant of e with a parameter, appending the
+// constant's value to *args.
+func paramize(e rel.Expr, args *[]rel.Value) rel.Expr {
+	switch t := e.(type) {
+	case *rel.Const:
+		*args = append(*args, t.Val)
+		return &rel.Param{Idx: len(*args) - 1}
+	case *rel.BinOp:
+		return &rel.BinOp{Kind: t.Kind, L: paramize(t.L, args), R: paramize(t.R, args)}
+	case *rel.Not:
+		return &rel.Not{E: paramize(t.E, args)}
+	}
+	return e
 }
 
 // TestCompilePredAllocations: a filter compiles to a value and allocates
@@ -115,9 +143,10 @@ func TestCompilePredAllocations(t *testing.T) {
 	lt := &rel.BinOp{Kind: rel.OpLt, L: &rel.ColRef{Idx: 0}, R: &rel.Const{Val: rel.Int(9)}}
 	ge := &rel.BinOp{Kind: rel.OpGe, L: &rel.ColRef{Idx: 0}, R: &rel.Const{Val: rel.Float(1.5)}}
 	and := &rel.BinOp{Kind: rel.OpAnd, L: ge, R: lt}
+	ctx := &Ctx{}
 	for _, e := range []rel.Expr{nil, lt, and} {
 		if n := testing.AllocsPerRun(100, func() {
-			p := compilePred(e)
+			p := compilePred(ctx, e)
 			if !p.keep(row) {
 				t.Fatalf("%v dropped %v", e, row)
 			}

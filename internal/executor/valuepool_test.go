@@ -47,7 +47,7 @@ func TestEdgePoolPredKernelMatchesEval(t *testing.T) {
 			for _, op := range cmpOps {
 				col, k := &rel.ColRef{Idx: 0}, &rel.Const{Val: b}
 				for _, e := range []rel.Expr{&rel.BinOp{Kind: op, L: col, R: k}, &rel.BinOp{Kind: op, L: k, R: col}} {
-					p := compilePred(e)
+					p := compilePred(&Ctx{}, e)
 					if got, want := p.keep(row), e.Eval(row).AsBool(); got != want {
 						t.Errorf("%v with col = %v %v: kernel %v, Eval %v", e, a, a.Type(), got, want)
 					}
@@ -62,10 +62,9 @@ func TestEdgePoolPredKernelMatchesEval(t *testing.T) {
 // aggregate's group slot on the single-key and the multi-column path —
 // Compare == 0 implies equal Hash, and Compare is a total order.
 func TestEdgePoolKeysMatchCompare(t *testing.T) {
-	single := newAggAcc(&plan.Agg{GroupBy: []rel.Expr{&rel.ColRef{Idx: 0}},
-		Items: []plan.AggItem{{Agg: &plan.AggSpec{Kind: plan.AggCount}}}})
-	multi := newAggAcc(&plan.Agg{GroupBy: []rel.Expr{&rel.ColRef{Idx: 0}, &rel.ColRef{Idx: 1}},
-		Items: []plan.AggItem{{Agg: &plan.AggSpec{Kind: plan.AggCount}}}})
+	count := []plan.AggItem{{Agg: &plan.AggSpec{Kind: plan.AggCount}}}
+	single := newAggAcc([]rel.Expr{&rel.ColRef{Idx: 0}}, count)
+	multi := newAggAcc([]rel.Expr{&rel.ColRef{Idx: 0}, &rel.ColRef{Idx: 1}}, count)
 	slots := func(v rel.Value) (int, int) {
 		return single.slot(rel.Row{v}, nil, 0), multi.slot(rel.Row{v, rel.Int(7)}, nil, 0)
 	}

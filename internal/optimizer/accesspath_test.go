@@ -1,7 +1,6 @@
 package optimizer
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -80,16 +79,16 @@ func checkProbe(t *testing.T, what string, n plan.Node, w wantProbe) {
 		t.Errorf("%s: got %s, want IndexScan", what, n.Label())
 		return
 	}
-	spell := func(v *rel.Value, arg int) string {
-		switch {
-		case v != nil:
-			return v.String()
-		case arg != 0:
-			return fmt.Sprintf("$%d", arg)
+	spell := func(e rel.Expr) string {
+		switch b := e.(type) {
+		case nil:
+			return ""
+		case *rel.Const:
+			return b.Val.String()
 		}
-		return ""
+		return e.String()
 	}
-	if got := [3]string{spell(is.Eq, is.EqArg), spell(is.Lo, is.LoArg), spell(is.Hi, is.HiArg)}; got != [3]string{w.eq, w.lo, w.hi} {
+	if got := [3]string{spell(is.Eq), spell(is.Lo), spell(is.Hi)}; got != [3]string{w.eq, w.lo, w.hi} {
 		t.Errorf("%s: probe eq/lo/hi = %q, want %q (%s)", what, got, [3]string{w.eq, w.lo, w.hi}, is.Label())
 	}
 	if (is.Filter == nil) != (w.residual == nil) {

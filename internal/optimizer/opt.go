@@ -215,8 +215,7 @@ func (o *Optimizer) bestAccessPath(q *Query, ti int) subPlan {
 			bestNode = &plan.IndexScan{
 				Base:  plan.Base{Out: out, EstRows: outRows, EstCost: cost},
 				Table: t, Index: ix,
-				Eq: eq.Val, Lo: lo.Val, Hi: hi.Val,
-				EqArg: eq.Arg, LoArg: lo.Arg, HiArg: hi.Arg,
+				Eq: eq.operand, Lo: lo.operand, Hi: hi.operand,
 				Filter: rel.CombineConjuncts(residual),
 			}
 		}
@@ -225,12 +224,14 @@ func (o *Optimizer) bestAccessPath(q *Query, ti int) subPlan {
 	return subPlan{node: bestNode, layout: []int{ti}, rows: r, cost: c}
 }
 
-// indexBound is one probe bound: either a literal value known at plan time
-// or a query parameter resolved at execution time (Arg is the 1-based
-// parameter ordinal; 0 means Val is set).
+// indexBound is one probe bound: the comparison's other operand, a literal
+// or a query parameter, which the plan's IndexScan holds as is. Val (the
+// literal's value) and Arg (the parameter's 1-based ordinal, 0 for a
+// literal) only price and rank it.
 type indexBound struct {
-	Val *rel.Value
-	Arg int
+	operand rel.Expr // a *rel.Const or a *rel.Param
+	Val     *rel.Value
+	Arg     int
 	// Strict marks a '<'/'>' bound.
 	Strict bool
 	// conj is the position, in the table's conjunct list, of the conjunct
@@ -240,6 +241,14 @@ type indexBound struct {
 
 // set reports whether the bound is present (value or parameter).
 func (b indexBound) set() bool { return b.Val != nil || b.Arg != 0 }
+
+// priced reports whether the histogram can price b as a range bound: it is
+// absent, or a literal that is not TEXT. A parameter's value is unknown at
+// plan time, and the statistics keep float bounds only, which read a
+// non-numeric text as 0.
+func (b indexBound) priced() bool {
+	return b.Arg == 0 && (b.Val == nil || b.Val.Type() != rel.TypeText)
+}
 
 // answers reports whether probing with b makes conjunct ci redundant: b came
 // from it and is inclusive, as the probe is.
@@ -270,8 +279,8 @@ func (b indexBound) tighter(cur indexBound, upper bool) bool {
 // colProbe is everything the conjunct list says about one column that an
 // index on it could answer: an equality, or a lower and/or an upper bound.
 // Parameter bounds let prepared statements keep their index scans across
-// executions (the PostgreSQL generic-plan shape); plan.BindParams fills in
-// the concrete values.
+// executions (the PostgreSQL generic-plan shape); the executor reads their
+// values from the statement's arguments when it compiles the scan.
 type colProbe struct {
 	col        int
 	eq, lo, hi indexBound
@@ -309,13 +318,13 @@ func comparison(e rel.Expr) (col int, kind rel.BinOpKind, bound indexBound, ok b
 	}
 	switch t := rhs.(type) {
 	case *rel.Const:
-		v := t.Val
-		bound.Val = &v
+		bound.Val = &t.Val
 	case *rel.Param:
 		bound.Arg = t.Idx + 1
 	default:
 		return 0, 0, bound, false
 	}
+	bound.operand = rhs
 	switch kind {
 	case rel.OpEq, rel.OpNe, rel.OpLe, rel.OpGe:
 	case rel.OpLt, rel.OpGt:
@@ -374,10 +383,10 @@ func mergeProbes(conjs []rel.Expr) (probes []colProbe, merged []bool) {
 
 // selectivity prices the probe. An equality is priced alone (range bounds
 // beside it cannot widen it). Literal bounds read the histogram — one
-// SelectivityRange call over [lo, hi] for a closed range; a parameter falls
-// back to the generic constants, or to 1/NDV for an equality (a uniform match
-// over the column's distinct values, with SelectivityEq's no-statistics
-// fallback).
+// SelectivityRange call over [lo, hi] for a closed range. A range with a
+// bound the histogram cannot price (see priced) falls back to the generic
+// constants, and a parameter equality to 1/NDV (a uniform match over the
+// column's distinct values, with SelectivityEq's no-statistics fallback).
 func (p colProbe) selectivity(ts *stats.TableStats) float64 {
 	switch {
 	case p.eq.Val != nil:
@@ -387,7 +396,7 @@ func (p colProbe) selectivity(ts *stats.TableStats) float64 {
 			return 1 / float64(d)
 		}
 		return 0.1
-	case p.lo.Arg != 0 || p.hi.Arg != 0:
+	case !p.lo.priced() || !p.hi.priced():
 		if p.lo.set() && p.hi.set() {
 			return genericRangeSel
 		}

@@ -1,7 +1,9 @@
 // Package plan defines physical query-plan trees shared by the cost-based
 // optimizer, the learned optimizers, and the executor, plus the feature
 // encoding that turns plans into token sequences for the learned optimizer's
-// tree-transformer encoder (paper Fig. 5).
+// tree-transformer encoder (paper Fig. 5). A plan is read-only once built:
+// every execution of a cached plan shares it, and the executor resolves its
+// query parameters (rel.Param) as it compiles each operator.
 package plan
 
 import (
@@ -63,41 +65,37 @@ type IndexScan struct {
 	Base
 	Table *catalog.Table
 	Index *catalog.Index
-	Eq    *rel.Value // equality probe (nil for range)
-	// Lo and Hi bound a range probe, inclusive at both ends. Either may be
-	// absent (a half-open range); with both set the scan reads only the keys
-	// in [Lo, Hi]. A strict SQL bound is probed inclusively and re-checked
-	// by Filter.
-	Lo, Hi *rel.Value
-	// EqArg/LoArg/HiArg are 1-based parameter ordinals for probe bounds
-	// supplied at execution time (0 = that bound is not a parameter), so a
-	// prepared point or range lookup keeps its index scan across
-	// executions. Each bound is independently a literal or a parameter.
-	// BindParams resolves them into Eq/Lo/Hi on the per-execution copy; the
-	// executor rejects plans where they are still unresolved.
-	EqArg, LoArg, HiArg int
-	Filter              rel.Expr // residual filter; may be nil
+	// Eq, Lo and Hi are the probe's bounds as the query spells them: a
+	// *rel.Const, or a *rel.Param the executor resolves from the
+	// statement's arguments, so a prepared lookup keeps its index scan
+	// across executions. Eq is an equality probe (nil for a range). Lo and
+	// Hi bound a range, inclusive at both ends; either may be absent (a
+	// half-open range). A strict SQL bound is probed inclusively and
+	// re-checked by Filter.
+	Eq, Lo, Hi rel.Expr
+	Filter     rel.Expr // residual filter; may be nil
 }
 
 // Children implements Node.
 func (*IndexScan) Children() []Node { return nil }
 
-// Label implements Node. An absent range bound prints as -inf or +inf.
+// Label implements Node. A literal bound prints unquoted, a parameter as
+// $n, an absent range bound as -inf or +inf.
 func (s *IndexScan) Label() string {
 	col := s.Table.Schema.Col(s.Index.Col).Name
-	bound := func(v *rel.Value, arg int, open string) string {
-		switch {
-		case v != nil:
-			return v.String()
-		case arg != 0:
-			return fmt.Sprintf("$%d", arg)
-		default:
+	bound := func(e rel.Expr, open string) string {
+		switch b := e.(type) {
+		case nil:
 			return open
+		case *rel.Const:
+			return b.Val.String()
+		default:
+			return e.String()
 		}
 	}
-	cond := fmt.Sprintf("%s in [%s,%s]", col, bound(s.Lo, s.LoArg, "-inf"), bound(s.Hi, s.HiArg, "+inf"))
-	if s.Eq != nil || s.EqArg != 0 {
-		cond = fmt.Sprintf("%s=%s", col, bound(s.Eq, s.EqArg, ""))
+	cond := fmt.Sprintf("%s in [%s,%s]", col, bound(s.Lo, "-inf"), bound(s.Hi, "+inf"))
+	if s.Eq != nil {
+		cond = fmt.Sprintf("%s=%s", col, bound(s.Eq, ""))
 	}
 	if s.Filter != nil {
 		return fmt.Sprintf("IndexScan(%s, %s, %s)", s.Table.Name, cond, s.Filter)

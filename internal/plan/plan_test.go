@@ -97,12 +97,12 @@ func TestEncodeTreeFeatures(t *testing.T) {
 
 func TestNodeLabelsAndKinds(t *testing.T) {
 	tbl := testTable(t)
-	v := rel.Int(3)
+	v := &rel.Const{Val: rel.Int(3)}
 	nodes := []Node{
 		&IndexScan{Base: Base{Out: tbl.Schema}, Table: tbl,
-			Index: &catalog.Index{Name: "i", Col: 0}, Eq: &v},
+			Index: &catalog.Index{Name: "i", Col: 0}, Eq: v},
 		&IndexScan{Base: Base{Out: tbl.Schema}, Table: tbl,
-			Index: &catalog.Index{Name: "i", Col: 0}, Lo: &v},
+			Index: &catalog.Index{Name: "i", Col: 0}, Lo: v},
 		&NLJoin{Base: Base{Out: tbl.Schema}, L: &SeqScan{Base: Base{Out: tbl.Schema}, Table: tbl},
 			R: &SeqScan{Base: Base{Out: tbl.Schema}, Table: tbl}},
 		&IndexJoin{Base: Base{Out: tbl.Schema}, L: &SeqScan{Base: Base{Out: tbl.Schema}, Table: tbl},
@@ -120,6 +120,22 @@ func TestNodeLabelsAndKinds(t *testing.T) {
 		}
 		if n.Schema() == nil {
 			t.Fatalf("%T has no schema", n)
+		}
+	}
+	// Probe bounds: a literal unquoted, a parameter as $n, an open end as
+	// an infinity.
+	ix := &catalog.Index{Name: "i", Col: 0}
+	for _, c := range []struct {
+		n    *IndexScan
+		want string
+	}{
+		{&IndexScan{Table: tbl, Index: ix, Eq: v}, "IndexScan(t, a=3)"},
+		{&IndexScan{Table: tbl, Index: ix, Eq: &rel.Const{Val: rel.Text("acme")}}, "IndexScan(t, a=acme)"},
+		{&IndexScan{Table: tbl, Index: ix, Lo: v}, "IndexScan(t, a in [3,+inf])"},
+		{&IndexScan{Table: tbl, Index: ix, Hi: &rel.Param{Idx: 1}}, "IndexScan(t, a in [-inf,$2])"},
+	} {
+		if got := c.n.Label(); got != c.want {
+			t.Errorf("label %q, want %q", got, c.want)
 		}
 	}
 	// Aggregate kind names.

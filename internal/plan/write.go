@@ -11,33 +11,18 @@ import (
 
 // Values is a VALUES list compiled to rows: constant cells are folded into
 // Rows at bind time, and only cells that depend on a parameter stay behind as
-// expressions (Holes) for BindParams. A literal-only list is just its data.
+// expressions (Holes), which the executor fills from the statement's
+// arguments on a copy of their rows. A literal-only list is just its data.
 type Values struct {
 	Rows  []rel.Row
 	Holes []Hole
 }
 
 // Hole is one parameter-dependent VALUES cell: E references no column.
+// Holes are in row order.
 type Hole struct {
 	Row, Col int
 	E        rel.Expr
-}
-
-// bind fills the holes from args. Rows without a hole are shared with the
-// cached plan; rows with one are copied first.
-func (v Values) bind(args []rel.Value) Values {
-	if len(v.Holes) == 0 {
-		return v
-	}
-	rows := append([]rel.Row(nil), v.Rows...)
-	copied := -1 // holes are in row order: one clone per row
-	for _, h := range v.Holes {
-		if h.Row != copied {
-			rows[h.Row], copied = rows[h.Row].Clone(), h.Row
-		}
-		rows[h.Row][h.Col] = rel.SubstParams(h.E, args).Eval(nil)
-	}
-	return Values{Rows: rows}
 }
 
 // Insert appends Values.Rows (full-width, in schema order) to Table. Like

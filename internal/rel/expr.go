@@ -101,9 +101,10 @@ func (c *Const) String() string {
 
 // Param is a query-parameter placeholder in a bound expression. Plans keep
 // Params in their expression trees so a prepared statement can be planned
-// once and executed many times; SubstParams (and plan.BindParams above it)
-// replace every Param with the call's argument value before execution.
-// Eval on an unsubstituted Param yields NULL — executors must only ever see
+// once and executed many times. The plan itself is never bound: as the
+// executor compiles each operator, it passes the expressions that operator
+// reads through SubstParams with the call's arguments. Eval on an
+// unsubstituted Param yields NULL — operators must only ever evaluate
 // substituted trees.
 type Param struct {
 	Idx int // zero-based parameter ordinal

@@ -1,9 +1,9 @@
 // Package stats maintains per-table, per-column statistics: row counts,
 // min/max, approximate distinct counts, and equi-depth histograms. ANALYZE
-// rebuilds them; DML maintains them incrementally so the learned query
-// optimizer can observe *current* data conditions while the cost-based
-// baseline plans on whatever snapshot its last ANALYZE captured — exactly
-// the staleness axis the paper's Figure 8 drift experiment exercises.
+// rebuilds them; between two ANALYZEs, INSERT, UPDATE and DELETE keep the
+// counts and bounds current, and every statement is planned on these live
+// statistics. Snapshot freezes a copy for a planner that must see stale ones
+// (the paper's Figure 8 drift experiment).
 package stats
 
 import (
@@ -26,8 +26,6 @@ type ColumnStats struct {
 	// Bounds are the equi-depth bucket upper bounds (len = buckets used).
 	// Each bucket holds ~Count/len(Bounds) values.
 	Bounds []float64
-	// Sum enables mean maintenance under incremental updates.
-	Sum float64
 }
 
 // TableStats holds statistics for all columns of a table.
@@ -94,7 +92,6 @@ func (ts *TableStats) Rebuild(rows []rel.Row) {
 					nums[i][f] = struct{}{}
 				}
 			}
-			cols[i].Sum += f
 		}
 	}
 	for i := range cols {
@@ -172,7 +169,6 @@ func (ts *TableStats) noteInsertLocked(row rel.Row) {
 			}
 		}
 		c.Count++
-		c.Sum += f
 	}
 }
 
@@ -200,12 +196,8 @@ func (ts *TableStats) noteDeleteLocked(row rel.Row) {
 		if c.Count > 0 {
 			c.Count--
 		}
-		if row[i].IsNull() {
-			if c.NullCount > 0 {
-				c.NullCount--
-			}
-		} else {
-			c.Sum -= row[i].AsFloat()
+		if row[i].IsNull() && c.NullCount > 0 {
+			c.NullCount--
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"neurdb/internal/executor"
-	"neurdb/internal/plan"
 )
 
 // execWritePages runs one autocommit write statement on s the way
@@ -29,16 +28,12 @@ func execWritePages(s *Session, sql string, args ...any) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	node := e.node
-	if e.hasParams {
-		node = plan.BindParams(node, vals)
-	}
 	tx, done, err := s.begin(false)
 	if err != nil {
 		return 0, err
 	}
-	ctx := &executor.Ctx{Mgr: s.db.mgr, Txn: tx, Cat: s.db.cat, Workers: s.effectiveWorkers()}
-	_, err = executor.Execute(node, ctx, s.db.engine)
+	ctx := &executor.Ctx{Mgr: s.db.mgr, Txn: tx, Cat: s.db.cat, Workers: s.effectiveWorkers(), Args: vals}
+	_, err = executor.Execute(e.node, ctx, s.db.engine)
 	return ctx.DMLParallelPages, done(err)
 }
 

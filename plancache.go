@@ -30,13 +30,12 @@ type planCache struct {
 // statements may hold onto one and revalidate it with a lock-free catalog
 // version compare instead of re-entering the cache.
 type planEntry struct {
-	sql       string
-	node      plan.Node
-	columns   []string
-	hasParams bool // plan contains parameter references needing BindParams
-	writes    bool // INSERT/UPDATE/DELETE: needs a read-write transaction
-	streams   bool // a row-producing tree the batch engine streams (SELECT)
-	catVer    uint64
+	sql     string
+	node    plan.Node
+	columns []string
+	writes  bool // INSERT/UPDATE/DELETE: needs a read-write transaction
+	streams bool // a row-producing tree the batch engine streams (SELECT)
+	catVer  uint64
 }
 
 func newPlanCache() *planCache {

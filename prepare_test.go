@@ -47,9 +47,46 @@ func rowsToSorted(res *Result) []string {
 	return out
 }
 
+// samePreparedAndDirect executes prepared with args three times (a cached
+// plan must stay correct on re-execution) and direct once per run, and
+// requires identical results, in any order.
+func samePreparedAndDirect(t *testing.T, db *DB, prepared string, args []any, direct string) {
+	t.Helper()
+	st, err := db.Prepare(prepared)
+	if err != nil {
+		t.Fatalf("Prepare(%q): %v", prepared, err)
+	}
+	for run := 0; run < 3; run++ {
+		got, err := st.Exec(args...)
+		if err != nil {
+			t.Fatalf("Stmt.Exec(%q, run %d): %v", prepared, run, err)
+		}
+		want := mustExec(t, db, direct)
+		g, w := rowsToSorted(got), rowsToSorted(want)
+		if len(g) != len(w) {
+			t.Fatalf("%q run %d: prepared %d rows, direct %d rows", prepared, run, len(g), len(w))
+		}
+		for i := range g {
+			if g[i] != w[i] {
+				t.Fatalf("%q run %d row %d: prepared %q, direct %q", prepared, run, i, g[i], w[i])
+			}
+		}
+	}
+	st.Close()
+	if _, err := st.Exec(args...); err == nil {
+		t.Fatalf("Exec on closed statement %q succeeded", prepared)
+	}
+}
+
 // TestPreparedVsDirectDifferential executes the same statements prepared
 // (with parameters) and direct (with literals) and requires identical
-// results, including NULL parameters and LIMIT 0.
+// results, including NULL parameters and LIMIT 0. Between them the cases put
+// a parameter in every slot an operator binds as it is compiled: scan and
+// index-scan filters, each probe bound, a projection, a join's ON condition,
+// an aggregate's group key, key item and argument, a sort key, UPDATE's SET.
+// The last ones run on a table of several morsels at four workers, so the
+// per-worker aggregate partials and the ordered exchange's workers read the
+// bound expressions.
 func TestPreparedVsDirectDifferential(t *testing.T) {
 	db := openTest(t)
 	seedKV(t, db, 1000)
@@ -63,45 +100,51 @@ func TestPreparedVsDirectDifferential(t *testing.T) {
 		{`SELECT val FROM kv WHERE id = ?`, []any{423}, `SELECT val FROM kv WHERE id = 423`},
 		{`SELECT id FROM kv WHERE id >= ? AND id < ?`, []any{100, 140}, `SELECT id FROM kv WHERE id >= 100 AND id < 140`},
 		{`SELECT id, val FROM kv WHERE grp = ? AND val > ?`, []any{3, 200.0}, `SELECT id, val FROM kv WHERE grp = 3 AND val > 200.0`},
+		// Upper-only index bound.
+		{`SELECT id FROM kv WHERE id <= ?`, []any{30}, `SELECT id FROM kv WHERE id <= 30`},
 		// NULL parameter: comparisons with NULL match nothing.
 		{`SELECT id FROM kv WHERE val = ?`, []any{nil}, `SELECT id FROM kv WHERE val = NULL`},
+		{`SELECT id FROM kv WHERE id < ?`, []any{nil}, `SELECT id FROM kv WHERE id < NULL`},
 		// Parameter in a projected expression.
 		{`SELECT id + ? FROM kv WHERE id < 5`, []any{1000}, `SELECT id + 1000 FROM kv WHERE id < 5`},
+		// Parameter in a join's ON condition (a filter over the hash join).
+		{`SELECT a.id, b.id FROM kv a JOIN kv b ON a.grp = b.id AND a.val > b.id + ? WHERE a.id < 60`, []any{20},
+			`SELECT a.id, b.id FROM kv a JOIN kv b ON a.grp = b.id AND a.val > b.id + 20 WHERE a.id < 60`},
 		// LIMIT 0 must return no rows and pull nothing.
 		{`SELECT id FROM kv WHERE grp = ? LIMIT 0`, []any{2}, `SELECT id FROM kv WHERE grp = 2 LIMIT 0`},
-		// Aggregation with a parameterized filter.
+		// Aggregation with a parameterized filter, argument and group key.
 		{`SELECT grp, COUNT(*), AVG(val) FROM kv WHERE id < ? GROUP BY grp`, []any{500}, `SELECT grp, COUNT(*), AVG(val) FROM kv WHERE id < 500 GROUP BY grp`},
-		// ORDER BY with a parameterized predicate.
+		{`SELECT SUM(val * ?) FROM kv`, []any{3}, `SELECT SUM(val * 3) FROM kv`},
+		{`SELECT grp + $1, COUNT(*) FROM kv GROUP BY grp + $1`, []any{10}, `SELECT grp + 10, COUNT(*) FROM kv GROUP BY grp + 10`},
+		// ORDER BY with a parameterized predicate, and with a parameterized key.
 		{`SELECT id FROM kv WHERE grp = ? ORDER BY id DESC LIMIT 10`, []any{5}, `SELECT id FROM kv WHERE grp = 5 ORDER BY id DESC LIMIT 10`},
+		{`SELECT id FROM kv ORDER BY val * ? LIMIT 3`, []any{-1}, `SELECT id FROM kv ORDER BY val * -1 LIMIT 3`},
 		// $n spelling, out of textual order.
 		{`SELECT id FROM kv WHERE id > $2 AND id < $1`, []any{20, 10}, `SELECT id FROM kv WHERE id > 10 AND id < 20`},
 	}
 	for _, tc := range cases {
-		st, err := db.Prepare(tc.prepared)
-		if err != nil {
-			t.Fatalf("Prepare(%q): %v", tc.prepared, err)
-		}
-		for run := 0; run < 3; run++ { // re-execution must stay correct
-			got, err := st.Exec(tc.args...)
-			if err != nil {
-				t.Fatalf("Stmt.Exec(%q, run %d): %v", tc.prepared, run, err)
-			}
-			want := mustExec(t, db, tc.direct)
-			g, w := rowsToSorted(got), rowsToSorted(want)
-			if len(g) != len(w) {
-				t.Fatalf("%q run %d: prepared %d rows, direct %d rows", tc.prepared, run, len(g), len(w))
-			}
-			for i := range g {
-				if g[i] != w[i] {
-					t.Fatalf("%q run %d row %d: prepared %q, direct %q", tc.prepared, run, i, g[i], w[i])
-				}
-			}
-		}
-		st.Close()
-		if _, err := st.Exec(tc.args...); err == nil {
-			t.Fatalf("Exec on closed statement %q succeeded", tc.prepared)
-		}
+		samePreparedAndDirect(t, db, tc.prepared, tc.args, tc.direct)
 	}
+
+	// UPDATE's SET and its index range, read back: the prepared statement on
+	// one database, its literal spelling on a twin.
+	twin := openTest(t)
+	seedKV(t, twin, 1000)
+	mustExec(t, twin, `ANALYZE kv`)
+	mustExecArgs(t, db, `UPDATE kv SET val = val + ? WHERE id >= ? AND id < ?`, 0.25, 100, 140)
+	mustExec(t, twin, `UPDATE kv SET val = val + 0.25 WHERE id >= 100 AND id < 140`)
+	if g, w := rowsToSorted(mustExec(t, db, `SELECT id, val FROM kv`)), rowsToSorted(mustExec(t, twin, `SELECT id, val FROM kv`)); strings.Join(g, ";") != strings.Join(w, ";") {
+		t.Fatal("prepared and literal UPDATE left different rows")
+	}
+
+	big := openTest(t)
+	seedKV(t, big, 5000) // 40 heap pages: three morsels
+	mustExec(t, big, `SET workers = 4`)
+	// SUM over integers: exact whatever the split across partials.
+	samePreparedAndDirect(t, big, `SELECT grp * ?, COUNT(*), SUM(grp * ?), MAX(val * ?) FROM kv WHERE id > ? GROUP BY grp * ?`,
+		[]any{2, 3, -1, 100, 2}, `SELECT grp * 2, COUNT(*), SUM(grp * 3), MAX(val * -1) FROM kv WHERE id > 100 GROUP BY grp * 2`)
+	samePreparedAndDirect(t, big, `SELECT id, val * ? FROM kv WHERE val > ?`, []any{2, 1000.0},
+		`SELECT id, val * 2 FROM kv WHERE val > 1000.0`)
 }
 
 // TestStreamingRowsMatchExec drives the cursor API over a multi-batch

@@ -150,11 +150,10 @@ func (db *DB) compile(sql string, stmt sqlparse.Stmt) (*planEntry, error) {
 		return nil, err
 	}
 	e := &planEntry{
-		sql:       sql,
-		node:      node,
-		columns:   node.Schema().Names(),
-		hasParams: plan.HasParams(node),
-		catVer:    ver,
+		sql:     sql,
+		node:    node,
+		columns: node.Schema().Names(),
+		catVer:  ver,
 	}
 	switch node.(type) {
 	case *plan.Insert, *plan.Update, *plan.Delete:
@@ -165,7 +164,7 @@ func (db *DB) compile(sql string, stmt sqlparse.Stmt) (*planEntry, error) {
 	}
 	// Admission: an INSERT without parameters is compiled to its rows (a bulk
 	// load: megabytes under a text that never repeats), so it is not cached.
-	if _, insert := node.(*plan.Insert); !insert || e.hasParams {
+	if ins, insert := node.(*plan.Insert); !insert || len(ins.Holes) > 0 {
 		db.plans.put(e)
 	}
 	return e, nil
