@@ -22,6 +22,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -265,10 +266,15 @@ func (c *Conn) pingOnce() error {
 
 // Cancel asks the server to cancel this connection's in-flight query. Like
 // PostgreSQL it opens a separate connection carrying the backend key, so it
-// may be called from another goroutine while this Conn is streaming.
+// may be called from another goroutine while this Conn is streaming. It
+// returns once the server has applied the cancel: the server closes the
+// side connection only after setting the flag, and Cancel reads until then
+// (as libpq's PQcancel does), so a fetch issued after Cancel returns fails
+// instead of racing the cancel for the rest of the result.
 func (c *Conn) Cancel() error {
-	// The side-channel dial honors the connection's own DialTimeout; the
-	// historical 5s bound only remains as the default for unset options.
+	// The side channel honors the connection's own DialTimeout, for the dial
+	// and again for the exchange; the historical 5s bound only remains as
+	// the default for unset options.
 	dialTimeout := c.opts.DialTimeout
 	if dialTimeout <= 0 {
 		dialTimeout = 5 * time.Second
@@ -278,11 +284,16 @@ func (c *Conn) Cancel() error {
 		return err
 	}
 	defer netc.Close()
+	_ = netc.SetDeadline(time.Now().Add(dialTimeout))
 	w := wire.NewWriter(netc)
 	if err := w.WriteMsg(&wire.Cancel{ConnID: c.connID, Secret: c.secret}); err != nil {
 		return err
 	}
-	return w.Flush()
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	_, err = io.Copy(io.Discard, netc) // nil at EOF: the server is done
+	return err
 }
 
 // Exec executes a statement and drains its result. With args it uses the
@@ -298,7 +309,8 @@ func (c *Conn) Exec(sql string, args ...any) (*Result, error) {
 
 // Query executes a statement and returns a streaming cursor. With args it
 // Parse/Bind/Executes the unnamed statement; without, it uses the simple
-// protocol (one round trip, no plan-cache reuse).
+// protocol (one round trip; the server still plans the text through the
+// shared plan cache, keyed by the text).
 func (c *Conn) Query(sql string, args ...any) (*Rows, error) {
 	if len(args) == 0 {
 		return c.simpleQuery(sql)

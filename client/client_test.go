@@ -2,15 +2,18 @@ package client_test
 
 import (
 	"database/sql"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"neurdb"
 	"neurdb/client"
 	"neurdb/internal/server"
+	"neurdb/internal/wire"
 )
 
 func startServer(t testing.TB) (*neurdb.DB, string) {
@@ -612,4 +615,79 @@ func TestUseAfterClose(t *testing.T) {
 			t.Fatalf("snapshot horizon did not advance after Close: pinned=%d after=%d", pinned, after)
 		}
 	})
+}
+
+// slowAcceptListener hands the server every connection after the first one
+// delay late: the first is the test's own, and each later one (a Cancel's
+// side connection) reaches the server only after the delay.
+type slowAcceptListener struct {
+	net.Listener
+	delay    time.Duration
+	accepted atomic.Int32
+}
+
+func (l *slowAcceptListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil && l.accepted.Add(1) > 1 {
+		time.Sleep(l.delay)
+	}
+	return c, err
+}
+
+// TestCancelWaitsForServer: Cancel returns only once the server has applied
+// the cancel, so the next chunk fetched after it fails with CANCELED. The
+// server here accepts the side connection 100 ms late; a Cancel that
+// returned as soon as its frame was flushed would let the caller drain the
+// whole result in that window.
+func TestCancelWaitsForServer(t *testing.T) {
+	db := neurdb.Open(neurdb.DefaultConfig())
+	if _, err := db.Exec(`CREATE TABLE n (id INT PRIMARY KEY)`); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO n VALUES (0)")
+	for i := 1; i < 5000; i++ {
+		fmt.Fprintf(&sb, ",(%d)", i)
+	}
+	if _, err := db.Exec(sb.String()); err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(db, server.Config{})
+	raw, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &slowAcceptListener{Listener: raw, delay: 100 * time.Millisecond}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Shutdown(2 * time.Second) })
+
+	const fetch = 100
+	c, err := client.ConnectOptions(ln.Addr().String(), client.Options{FetchSize: fetch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.Prepare(`SELECT id FROM n`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := st.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	if !rows.Next() {
+		t.Fatalf("no first row: %v", rows.Err())
+	}
+	if err := c.Cancel(); err != nil {
+		t.Fatal(err)
+	}
+	n := 1
+	for rows.Next() {
+		n++
+	}
+	var srvErr *client.Error
+	if !errors.As(rows.Err(), &srvErr) || srvErr.Code != wire.CodeCanceled || n > fetch {
+		t.Fatalf("after Cancel returned: %d rows (the first chunk holds %d), err %v", n, fetch, rows.Err())
+	}
 }

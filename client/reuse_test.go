@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"neurdb"
 	"neurdb/client"
@@ -235,9 +234,8 @@ func TestWireReuseAfterCancelAndError(t *testing.T) {
 	if err := c.Cancel(); err != nil {
 		t.Fatal(err)
 	}
-	// The cancel lands asynchronously; the suspended portal dies at the
-	// first resume after it does.
-	time.Sleep(20 * time.Millisecond)
+	// Cancel returns once the server has applied it; the suspended portal
+	// dies at its next resume.
 	n := 1
 	for rows.Next() {
 		n++

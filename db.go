@@ -2,7 +2,7 @@
 // scratch Go reproduction of "NeurDB: On the Design and Implementation of
 // an AI-powered Autonomous Database" (CIDR 2025).
 //
-// The engine combines a relational core (MVCC snapshot isolation + SSI,
+// The engine combines a relational core (MVCC snapshot isolation,
 // heap storage with a buffer pool, B-tree indexes, a cost-based optimizer
 // and a vectorized, morsel-parallel executor) with the paper's in-database
 // AI ecosystem: AI operators in the executor (train / inference /
@@ -76,8 +76,6 @@ var ErrStatementTimeout = errors.New("statement timeout exceeded")
 type Config struct {
 	// BufferPoolPages bounds the page cache accounting.
 	BufferPoolPages int
-	// Serializable runs transactions under SSI instead of snapshot isolation.
-	Serializable bool
 	// Workers caps intra-query parallelism: morsel-driven operators fan out
 	// to at most this many goroutines per query. 0 (the default) resolves
 	// to GOMAXPROCS at query time; 1 forces serial execution. Sessions can
@@ -376,18 +374,10 @@ func (s *Session) Query(sql string, args ...any) (*Rows, error) {
 	return st.Query(args...)
 }
 
-// level returns the configured isolation level.
-func (s *Session) level() txn.IsolationLevel {
-	if s.db.cfg.Serializable {
-		return txn.Serializable
-	}
-	return txn.Snapshot
-}
-
 // begin returns the session transaction, or a fresh autocommit one plus a
 // finalizer. An open transaction that a failed statement rolled back (see
 // run) takes no further statement.
-func (s *Session) begin(readOnly bool) (*txn.Txn, func(error) error, error) {
+func (s *Session) begin() (*txn.Txn, func(error) error, error) {
 	s.mu.Lock()
 	cur := s.txn
 	s.mu.Unlock()
@@ -397,7 +387,7 @@ func (s *Session) begin(readOnly bool) (*txn.Txn, func(error) error, error) {
 		}
 		return cur, func(err error) error { return err }, nil // caller-managed
 	}
-	t := s.db.mgr.Begin(s.level(), readOnly)
+	t := s.db.mgr.Begin(txn.Snapshot, false)
 	return t, func(err error) error {
 		if err != nil {
 			s.db.mgr.Abort(t)
@@ -461,7 +451,7 @@ func (s *Session) run(e *planEntry, args []rel.Value) (*Rows, error) {
 			return nil, err
 		}
 	}
-	tx, done, err := s.begin(!e.writes)
+	tx, done, err := s.begin()
 	if err != nil {
 		return nil, err
 	}
@@ -637,7 +627,7 @@ func (s *Session) execTxnStmt(t *sqlparse.TxnStmt) (*Result, error) {
 		if s.txn != nil {
 			return nil, fmt.Errorf("neurdb: transaction already open")
 		}
-		s.txn = s.db.mgr.Begin(s.level(), false)
+		s.txn = s.db.mgr.Begin(txn.Snapshot, false)
 		return &Result{Message: "BEGIN"}, nil
 	case "COMMIT":
 		if s.txn == nil {

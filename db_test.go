@@ -347,14 +347,3 @@ func TestExecScriptAndErrors(t *testing.T) {
 		t.Fatal("IF EXISTS should tolerate missing table")
 	}
 }
-
-func TestSerializableConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Serializable = true
-	db := Open(cfg)
-	mustExec(t, db, `CREATE TABLE t (a INT)`)
-	mustExec(t, db, `INSERT INTO t VALUES (1)`)
-	if res := mustExec(t, db, `SELECT * FROM t`); len(res.Rows) != 1 {
-		t.Fatal("serializable path broken")
-	}
-}

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 
-	"neurdb/internal/optimizer"
 	"neurdb/internal/rel"
-	"neurdb/internal/sqlparse"
 	"neurdb/internal/txn"
 )
 
@@ -236,53 +233,5 @@ func TestRunCrossesBatchBoundaries(t *testing.T) {
 	got := db.query("SELECT x FROM t")
 	if d := diffRows(got, rows); d != "" {
 		t.Fatalf("SELECT x FROM t over 700 rows: %s", d)
-	}
-}
-
-// TestSerializableBatchScanRegistersReads: the batch scan's serializable
-// path must keep SSI bookkeeping — classic write skew between two
-// serializable transactions still aborts one of them.
-func TestSerializableBatchScanRegistersReads(t *testing.T) {
-	db := newTestDB(t)
-	tbl := db.mustCreate("t",
-		rel.Column{Name: "id", Typ: rel.TypeInt},
-		rel.Column{Name: "v", Typ: rel.TypeInt},
-	)
-	db.insert(tbl, rel.Row{rel.Int(1), rel.Int(10)}, rel.Row{rel.Int(2), rel.Int(10)})
-
-	t1 := db.mgr.Begin(txn.Serializable, false)
-	t2 := db.mgr.Begin(txn.Serializable, false)
-	c1 := &Ctx{Mgr: db.mgr, Txn: t1, Cat: db.cat}
-	c2 := &Ctx{Mgr: db.mgr, Txn: t2, Cat: db.cat}
-
-	// Both read the whole table through the batch scan...
-	stmt, _ := sqlparse.Parse("SELECT * FROM t")
-	q, _ := optimizer.Bind(stmt.(*sqlparse.Select), db.cat)
-	p, _ := optimizer.New().Plan(q)
-	if _, err := Run(p, c1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(p, c2); err != nil {
-		t.Fatal(err)
-	}
-	// ...then each updates the row the other read (write skew).
-	w1 := &rel.BinOp{Kind: rel.OpEq, L: &rel.ColRef{Idx: 0}, R: &rel.Const{Val: rel.Int(1)}}
-	w2 := &rel.BinOp{Kind: rel.OpEq, L: &rel.ColRef{Idx: 0}, R: &rel.Const{Val: rel.Int(2)}}
-	if _, err := UpdateWhere(c1, seqSrc(tbl, w1), map[int]rel.Expr{1: &rel.Const{Val: rel.Int(0)}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := UpdateWhere(c2, seqSrc(tbl, w2), map[int]rel.Expr{1: &rel.Const{Val: rel.Int(0)}}); err != nil {
-		t.Fatal(err)
-	}
-	err1 := db.mgr.Commit(t1)
-	err2 := db.mgr.Commit(t2)
-	if err1 == nil && err2 == nil {
-		t.Fatal("write skew committed on both sides: batch scan lost SSI read registration")
-	}
-	if err1 != nil && !strings.Contains(err1.Error(), "serialization") {
-		t.Fatalf("unexpected t1 error: %v", err1)
-	}
-	if err2 != nil && !strings.Contains(err2.Error(), "serialization") {
-		t.Fatalf("unexpected t2 error: %v", err2)
 	}
 }

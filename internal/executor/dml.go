@@ -79,7 +79,7 @@ func pageRows(ctx *Ctx, t *catalog.Table, pg uint32, filter *pred, buf []*storag
 	if ids != nil {
 		idStart = len(*ids) - start
 	}
-	rows = ctx.Mgr.ReadPage(t.ID, pg, buf[:n], ctx.Txn, rows, ids)
+	rows = ctx.Mgr.ReadPage(pg, buf[:n], ctx.Txn, rows, ids)
 	if filter.e == nil {
 		return rows, true
 	}

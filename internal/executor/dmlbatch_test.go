@@ -23,7 +23,7 @@ import (
 // transaction that pass where, with their ids, in heap order.
 func selectRows(ctx *Ctx, t *catalog.Table, where rel.Expr) (ids []storage.RowID, rows []rel.Row) {
 	eachHead(t, func(id storage.RowID, head *storage.Version) {
-		row, visible := ctx.Mgr.ReadHead(t.ID, id, head, ctx.Txn)
+		row, visible := ctx.Mgr.ReadHead(head, ctx.Txn)
 		if visible && (where == nil || where.Eval(row).AsBool()) {
 			ids, rows = append(ids, id), append(rows, row)
 		}

@@ -233,7 +233,7 @@ func indexRecheck(p *probe, row rel.Row) bool {
 func indexFetch(ctx *Ctx, p *probe, filter *pred, ids []storage.RowID, heads []*storage.Version, keep []storage.RowID, rows []rel.Row) ([]*storage.Version, []storage.RowID, []rel.Row) {
 	heads = p.Table.Heap.Heads(ids, heads[:0])
 	for i, id := range ids {
-		row, visible := ctx.Mgr.ReadHead(p.Table.ID, id, heads[i], ctx.Txn)
+		row, visible := ctx.Mgr.ReadHead(heads[i], ctx.Txn)
 		if !visible || !indexRecheck(p, row) || !filter.keep(row) {
 			continue
 		}

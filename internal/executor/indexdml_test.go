@@ -54,7 +54,7 @@ func dumpTable(db *testDB, tbl *catalog.Table) (heap, postings []string, st any)
 	ctx := db.ctx()
 	defer db.mgr.Abort(ctx.Txn)
 	eachHead(tbl, func(id storage.RowID, head *storage.Version) {
-		row, ok := db.mgr.ReadHead(tbl.ID, id, head, ctx.Txn)
+		row, ok := db.mgr.ReadHead(head, ctx.Txn)
 		heap = append(heap, fmt.Sprintf("%v %v %v", id, ok, row))
 	})
 	for _, ix := range tbl.Indexes() {

@@ -157,8 +157,8 @@ func (j *indexJoinBatch) NextBatch(dst *rel.Batch) (int, error) {
 			// would pass the recheck. The segment is ours to sort in place.
 			ids := heapOrder(j.ids[start:j.offs[k]], true)
 			j.heads = j.node.Table.Heap.Heads(ids, j.heads[:0])
-			for i, id := range ids {
-				row, visible := j.ctx.Mgr.ReadHead(j.node.Table.ID, id, j.heads[i], j.ctx.Txn)
+			for _, head := range j.heads {
+				row, visible := j.ctx.Mgr.ReadHead(head, j.ctx.Txn)
 				if !visible {
 					continue
 				}

@@ -73,8 +73,8 @@ func oracle(n plan.Node, ctx *Ctx) []rel.Row {
 // oracleVisible is the table's rows visible to ctx.Txn, in heap order.
 func oracleVisible(ctx *Ctx, t *catalog.Table) []rel.Row {
 	var out []rel.Row
-	eachHead(t, func(id storage.RowID, head *storage.Version) {
-		if row, visible := ctx.Mgr.ReadHead(t.ID, id, head, ctx.Txn); visible {
+	eachHead(t, func(_ storage.RowID, head *storage.Version) {
+		if row, visible := ctx.Mgr.ReadHead(head, ctx.Txn); visible {
 			out = append(out, row)
 		}
 	})

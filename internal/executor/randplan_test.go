@@ -24,9 +24,9 @@ const randPlanQueries = 25 // per seed
 
 // TestRandomPlansMatchOracle: seeded random SELECTs over three multi-page
 // tables, each planned under every optimizer.StandardHintSets arm; every plan
-// must produce the oracle's row sequence serially, morsel-parallel (Workers
-// 4), under snapshot isolation and under SSI, and every arm of a query
-// without LIMIT the same multiset of rows. The tables hold NULL keys, deleted
+// must produce the oracle's row sequence serially and morsel-parallel
+// (Workers 4), and every arm of a query without LIMIT the same multiset of
+// rows. The tables hold NULL keys, deleted
 // rows, version chains, stale and doubled index postings (key-changing
 // updates, keys moved away and back), postings of an aborted and of a
 // still-open transaction.
@@ -86,20 +86,15 @@ func randomPlans(t *testing.T, seed int64, covered map[string]bool) {
 				want = db.oracleRows(p)
 				oracleOf[text] = want
 			}
-			for _, iso := range []struct {
-				name  string
-				level txn.IsolationLevel
-			}{{"snapshot", txn.Snapshot}, {"SSI", txn.Serializable}} {
-				for _, workers := range []int{1, 4} {
-					ctx := &Ctx{Mgr: db.mgr, Txn: db.mgr.Begin(iso.level, false), Cat: db.cat, Workers: workers}
-					got, err := Run(p, ctx)
-					db.mgr.Abort(ctx.Txn)
-					if err != nil {
-						fail(fmt.Sprintf("engine (%s, workers %d)", iso.name, workers), err.Error())
-					}
-					if d := diffRows(got, want); d != "" {
-						fail(fmt.Sprintf("engine (%s, workers %d) vs oracle", iso.name, workers), d)
-					}
+			for _, workers := range []int{1, 4} {
+				ctx := &Ctx{Mgr: db.mgr, Txn: db.mgr.Begin(txn.Snapshot, false), Cat: db.cat, Workers: workers}
+				got, err := Run(p, ctx)
+				db.mgr.Abort(ctx.Txn)
+				if err != nil {
+					fail(fmt.Sprintf("engine (workers %d)", workers), err.Error())
+				}
+				if d := diffRows(got, want); d != "" {
+					fail(fmt.Sprintf("engine (workers %d) vs oracle", workers), d)
 				}
 			}
 			if !strings.Contains(sql, "LIMIT") { // a LIMIT may cut different plans' orders differently

@@ -311,7 +311,7 @@ func tableState(t *testing.T, db *neurdb.DB) string {
 		for slot, head := range heads {
 			if head != nil {
 				id := storage.RowID{Page: pageID, Slot: uint32(slot)}
-				row, ok := mgr.ReadHead(tbl.ID, id, head, tx)
+				row, ok := mgr.ReadHead(head, tx)
 				fmt.Fprintf(&sb, "%v %v %v\n", id, ok, row)
 			}
 		}

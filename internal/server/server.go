@@ -698,8 +698,9 @@ func (c *conn) closeMsg(m *wire.Close) {
 }
 
 // simpleQuery runs one statement through the simple protocol: parse, plan
-// and execute in one shot, streaming the result. The plan cache is not
-// consulted — that is the extended protocol's job.
+// and execute in one shot, streaming the result. Session.Query plans the
+// text through the DB-wide plan cache, keyed by the text, so a repeated
+// ad-hoc statement reuses its plan as a prepared one does.
 func (c *conn) simpleQuery(sql string) error {
 	rows, err := c.session.Query(sql)
 	if err != nil {

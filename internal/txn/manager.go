@@ -1,9 +1,11 @@
 // Package txn implements the SQL engine's transaction manager: MVCC
-// snapshot isolation with first-updater-wins write conflicts, plus a
-// serializable mode based on rw-antidependency tracking in the spirit of
-// PostgreSQL's Serializable Snapshot Isolation (Ports & Grittner, VLDB'12).
-// This is the engine the paper's "PostgreSQL" baseline maps onto; the
-// high-throughput learned-CC testbed of Fig. 7 lives in internal/bench/cc.
+// snapshot isolation with first-updater-wins write conflicts, the engine's
+// one isolation level. Snapshot isolation admits write skew (two
+// transactions each read what the other writes and both commit); no
+// serializable level is offered. This is the engine the paper's
+// "PostgreSQL" baseline maps onto; the high-throughput learned-CC testbed
+// of Fig. 7, with its own SSI, 2PL, OCC and Polyjuice baselines, lives in
+// internal/bench/cc.
 package txn
 
 import (
@@ -31,10 +33,6 @@ const (
 // writer on the same row.
 var ErrWriteConflict = errors.New("txn: write-write conflict")
 
-// ErrSerializationFailure is returned when SSI detects a dangerous structure
-// (the transaction is a pivot with both in- and out-rw-antidependencies).
-var ErrSerializationFailure = errors.New("txn: serialization failure (SSI)")
-
 // ErrTxnFinished is returned when operating on a committed/aborted txn.
 var ErrTxnFinished = errors.New("txn: transaction already finished")
 
@@ -45,19 +43,12 @@ var ErrTxnFinished = errors.New("txn: transaction already finished")
 // replays the durable log prefix — is the only way back to writability.
 var ErrReadOnly = errors.New("txn: database is read-only (WAL poisoned; restart to recover)")
 
-// IsolationLevel selects the concurrency-control behaviour.
+// IsolationLevel names an isolation level for Begin. Snapshot is the only
+// one.
 type IsolationLevel uint8
 
-// Supported isolation levels.
-const (
-	Snapshot     IsolationLevel = iota // SI: first-updater-wins only
-	Serializable                       // SI + SSI rw-antidependency tracking
-)
-
-type rowKey struct {
-	table int
-	id    storage.RowID
-}
+// Snapshot is snapshot isolation with first-updater-wins.
+const Snapshot IsolationLevel = 0
 
 type writeRec struct {
 	heap    *storage.Heap
@@ -69,63 +60,12 @@ type writeRec struct {
 
 // Txn is a transaction handle.
 type Txn struct {
-	ID       uint64
-	StartTS  uint64
-	Level    IsolationLevel
-	ReadOnly bool
+	ID      uint64
+	StartTS uint64
 
-	mu       sync.Mutex
-	status   Status
-	writes   []writeRec
-	reads    []rowKey          // registered SIREAD entries (serializable only)
-	inFrom   map[*Txn]struct{} // transactions with rw-antidependency into us
-	outTo    map[*Txn]struct{} // transactions we have rw-antidependency out to
-	outToOld bool              // out-conflict to an already-committed writer
-}
-
-// noteIn records an incoming rw-antidependency from r (r read, we wrote).
-func (t *Txn) noteIn(r *Txn) {
-	t.mu.Lock()
-	if t.inFrom == nil {
-		t.inFrom = make(map[*Txn]struct{})
-	}
-	t.inFrom[r] = struct{}{}
-	t.mu.Unlock()
-}
-
-// noteOut records an outgoing rw-antidependency to w (we read, w wrote).
-func (t *Txn) noteOut(w *Txn) {
-	t.mu.Lock()
-	if t.outTo == nil {
-		t.outTo = make(map[*Txn]struct{})
-	}
-	t.outTo[w] = struct{}{}
-	t.mu.Unlock()
-}
-
-// isPivot reports whether t currently has both a live incoming and a live
-// outgoing rw-antidependency — the dangerous structure SSI aborts on.
-// Edges to aborted transactions do not count.
-func (t *Txn) isPivot() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	in := false
-	for c := range t.inFrom {
-		if c.Status() != StatusAborted {
-			in = true
-			break
-		}
-	}
-	out := t.outToOld
-	if !out {
-		for c := range t.outTo {
-			if c.Status() != StatusAborted {
-				out = true
-				break
-			}
-		}
-	}
-	return in && out
+	mu     sync.Mutex
+	status Status
+	writes []writeRec
 }
 
 // Status returns the transaction status.
@@ -180,15 +120,12 @@ type Manager struct {
 	stripeClaims atomic.Uint64
 	stripeWaits  atomic.Uint64
 
-	readersMu sync.Mutex
-	readers   map[rowKey]map[*Txn]struct{} // SIREAD registry
-
 	// log, when set, receives every writing transaction's redo record at
 	// commit (see Commit for the ordering protocol). Installed once at
 	// boot, before any transaction runs.
 	log CommitLog
 
-	commits, aborts, ssiAborts, wwAborts uint64
+	commits, aborts uint64
 }
 
 // CommitLog is the durability hook the WAL implements. The manager calls
@@ -240,10 +177,7 @@ func (m *Manager) RestoreClock(ts uint64) { m.clock.Store(ts) }
 
 // NewManager creates a transaction manager.
 func NewManager() *Manager {
-	return &Manager{
-		active:  make(map[uint64]*Txn),
-		readers: make(map[rowKey]map[*Txn]struct{}),
-	}
+	return &Manager{active: make(map[uint64]*Txn)}
 }
 
 // stripeIndex hashes a (table, page) pair onto a claim stripe.
@@ -275,28 +209,24 @@ func (m *Manager) StripeStats() (claims, waits uint64) {
 	return m.stripeClaims.Load(), m.stripeWaits.Load()
 }
 
-// Begin starts a transaction at the given isolation level.
+// Begin starts a snapshot-isolation transaction. Nothing reads either
+// argument: level can only be Snapshot, and a read-only transaction runs
+// exactly as a read-write one that writes nothing.
 func (m *Manager) Begin(level IsolationLevel, readOnly bool) *Txn {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.nextID++
-	t := &Txn{
-		ID:       m.nextID,
-		StartTS:  m.clock.Load(),
-		Level:    level,
-		ReadOnly: readOnly,
-		status:   StatusActive,
-	}
+	t := &Txn{ID: m.nextID, StartTS: m.clock.Load(), status: StatusActive}
 	m.active[t.ID] = t
 	return t
 }
 
-// Stats reports cumulative commit/abort counters; ssi and ww break down the
-// abort causes attributable to serialization failures and write conflicts.
-func (m *Manager) Stats() (commits, aborts, ssiAborts, wwAborts uint64) {
+// Stats reports cumulative commit and abort counts; ROLLBACK counts as an
+// abort.
+func (m *Manager) Stats() (commits, aborts uint64) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.commits, m.aborts, m.ssiAborts, m.wwAborts
+	return m.commits, m.aborts
 }
 
 // OldestActiveTS returns the snapshot horizon for vacuum: the minimum
@@ -314,20 +244,14 @@ func (m *Manager) OldestActiveTS() uint64 {
 }
 
 // visibleVersion walks the chain from head and returns the first version
-// visible to t under its snapshot, along with whether a newer committed
-// version was skipped (used for SSI out-conflict detection).
-func (m *Manager) visibleVersion(head *storage.Version, t *Txn) (*storage.Version, *storage.Version) {
-	var skippedNewer *storage.Version
+// visible to t under its snapshot, or nil.
+func (m *Manager) visibleVersion(head *storage.Version, t *Txn) *storage.Version {
 	for v := head; v != nil; v = v.Next() {
 		if m.versionVisible(v, t) {
-			return v, skippedNewer
-		}
-		// Track a committed newer version that our snapshot skips.
-		if bts := v.BeginTS(); bts != 0 && bts > t.StartTS {
-			skippedNewer = v
+			return v
 		}
 	}
-	return nil, skippedNewer
+	return nil
 }
 
 func (m *Manager) versionVisible(v *storage.Version, t *Txn) bool {
@@ -347,58 +271,6 @@ func (m *Manager) versionVisible(v *storage.Version, t *Txn) bool {
 	// Any other deleter hides the version only once its stamp is in the
 	// snapshot; an unstamped EndTS is InfinityTS.
 	return v.EndTS() > t.StartTS
-}
-
-// registerRead adds an SIREAD entry for the row.
-func (m *Manager) registerRead(table int, id storage.RowID, t *Txn) {
-	rk := rowKey{table, id}
-	m.readersMu.Lock()
-	set, ok := m.readers[rk]
-	if !ok {
-		set = make(map[*Txn]struct{})
-		m.readers[rk] = set
-	}
-	if _, dup := set[t]; !dup {
-		set[t] = struct{}{}
-		t.mu.Lock()
-		t.reads = append(t.reads, rk)
-		t.mu.Unlock()
-	}
-	m.readersMu.Unlock()
-}
-
-// flagConflict records a rw-antidependency from reader to the writer xid,
-// which created v (deleter false) or claimed it for deletion (deleter true).
-func (m *Manager) flagConflict(reader *Txn, writerID uint64, v *storage.Version, deleter bool) {
-	m.mu.RLock()
-	w := m.active[writerID]
-	m.mu.RUnlock()
-	if w != nil {
-		reader.noteOut(w)
-		w.noteIn(reader)
-		return
-	}
-	// Writer already finished; if it committed, the out-edge is permanent.
-	if writerCommitted(v, writerID, deleter) {
-		reader.mu.Lock()
-		reader.outToOld = true
-		reader.mu.Unlock()
-	}
-}
-
-// writerCommitted reports whether the finished writer xid committed its
-// write of v. It reads v's stamps only once xid has left the active set:
-// finish runs after a commit's stamps and after an abort's undo, so the
-// stamps are final by then, whatever they were when the caller read v.
-func writerCommitted(v *storage.Version, xid uint64, deleter bool) bool {
-	if deleter {
-		// An abort clears the claim, and a later claimer puts its own xid
-		// there.
-		return v.XMax() == xid && v.EndTS() != storage.InfinityTS
-	}
-	// An aborted update's version is never stamped; an aborted insert's
-	// is stamped dead before birth (BeginTS 1, EndTS 0).
-	return v.BeginTS() != 0 && v.EndTS() >= v.BeginTS()
 }
 
 // InsertBatch adds rows as part of t with one heap lock acquisition and one
@@ -430,7 +302,7 @@ func (m *Manager) claimLocked(h *storage.Heap, id storage.RowID, head *storage.V
 	if head == nil {
 		return writeRec{}, fmt.Errorf("txn: modify missing row %v", id)
 	}
-	vis, _ := m.visibleVersion(head, t)
+	vis := m.visibleVersion(head, t)
 	if vis == nil {
 		return writeRec{}, ErrWriteConflict // row gone or not yet visible
 	}
@@ -443,10 +315,6 @@ func (m *Manager) claimLocked(h *storage.Heap, id storage.RowID, head *storage.V
 	// already installed a successor: snapshot write conflict.
 	if vis != head && head.XMin != t.ID {
 		return writeRec{}, ErrWriteConflict
-	}
-	// SSI: readers of this row have rw-antidependency into us.
-	if t.Level == Serializable {
-		m.flagReaders(h.TableID, id, t)
 	}
 	// Claim.
 	vis.SetXMax(t.ID)
@@ -522,27 +390,7 @@ func (m *Manager) modifyBatch(h *storage.Heap, ids []storage.RowID, newRows []re
 	return firstErr
 }
 
-// flagReaders marks rw-antidependencies reader -> t for all registered
-// readers of the row.
-func (m *Manager) flagReaders(table int, id storage.RowID, t *Txn) {
-	rk := rowKey{table, id}
-	m.readersMu.Lock()
-	set := m.readers[rk]
-	var rs []*Txn
-	for r := range set {
-		if r != t {
-			rs = append(rs, r)
-		}
-	}
-	m.readersMu.Unlock()
-	for _, r := range rs {
-		r.noteOut(t)
-		t.noteIn(r)
-	}
-}
-
-// Commit finalizes t. Under Serializable it aborts pivots (both in- and
-// out-conflicts), returning ErrSerializationFailure.
+// Commit finalizes t.
 //
 // A transaction that wrote something commits under the commit lock, in
 // four steps: draw cts = clock+1, append the redo record when a CommitLog
@@ -562,10 +410,6 @@ func (m *Manager) Commit(t *Txn) error {
 	}
 	writes := t.writes
 	t.mu.Unlock()
-	if t.Level == Serializable && t.isPivot() {
-		m.abortInternal(t, true)
-		return ErrSerializationFailure
-	}
 
 	log := m.log
 	logged := log != nil && len(writes) > 0
@@ -580,7 +424,7 @@ func (m *Manager) Commit(t *Txn) error {
 			// from Sync below, and every commit after it degrades to
 			// read-only here.
 			if perr := log.Err(); perr != nil {
-				m.abortInternal(t, false)
+				m.Abort(t)
 				return fmt.Errorf("%w (cause: %v)", ErrReadOnly, perr)
 			}
 			ops = t.redoOps()
@@ -598,7 +442,7 @@ func (m *Manager) Commit(t *Txn) error {
 				// back keeps both sides agreeing the transaction never
 				// happened.
 				m.unlockCommits()
-				m.abortInternal(t, false)
+				m.Abort(t)
 				return fmt.Errorf("txn: wal append: %w", err)
 			}
 		}
@@ -620,7 +464,7 @@ func (m *Manager) Commit(t *Txn) error {
 	t.mu.Lock()
 	t.status = StatusCommitted
 	t.mu.Unlock()
-	m.finish(t, true, false)
+	m.finish(t, true)
 	if logged {
 		// Acknowledge only once the record is durable. The commit is
 		// already visible to other transactions — that is safe, because any
@@ -631,23 +475,16 @@ func (m *Manager) Commit(t *Txn) error {
 	return nil
 }
 
-// finish removes a finished t from the active set, counts how it ended and
-// drops its SIREAD entries.
-func (m *Manager) finish(t *Txn, committed, ssi bool) {
+// finish removes a finished t from the active set and counts how it ended.
+func (m *Manager) finish(t *Txn, committed bool) {
 	m.mu.Lock()
 	delete(m.active, t.ID)
-	switch {
-	case committed:
+	if committed {
 		m.commits++
-	case ssi:
+	} else {
 		m.aborts++
-		m.ssiAborts++
-	default:
-		m.aborts++
-		m.wwAborts++
 	}
 	m.mu.Unlock()
-	m.unregisterReads(t)
 }
 
 // redoOps converts the write set into WAL redo operations: the full new row
@@ -674,12 +511,8 @@ func (t *Txn) redoOps() []wal.Op {
 	return ops
 }
 
-// Abort rolls back t.
+// Abort rolls back t. Aborting a finished transaction does nothing.
 func (m *Manager) Abort(t *Txn) {
-	m.abortInternal(t, false)
-}
-
-func (m *Manager) abortInternal(t *Txn, ssi bool) {
 	t.mu.Lock()
 	if t.status != StatusActive {
 		t.mu.Unlock()
@@ -721,34 +554,7 @@ func (m *Manager) abortInternal(t *Txn, ssi bool) {
 		})
 	}
 
-	m.finish(t, false, ssi)
-}
-
-// unregisterReads drops the txn's SIREAD entries.
-//
-// This is a deliberate simplification of PostgreSQL SSI, which retains
-// SIREAD locks of committed transactions until all overlapping transactions
-// finish; dropping them at finish trades some anomaly coverage for
-// simplicity. Classic two-transaction write skew is still detected (both
-// participants are active when the conflicting writes happen).
-func (m *Manager) unregisterReads(t *Txn) {
-	t.mu.Lock()
-	reads := t.reads
-	t.reads = nil
-	t.mu.Unlock()
-	if len(reads) == 0 {
-		return
-	}
-	m.readersMu.Lock()
-	for _, rk := range reads {
-		if set, ok := m.readers[rk]; ok {
-			delete(set, t)
-			if len(set) == 0 {
-				delete(m.readers, rk)
-			}
-		}
-	}
-	m.readersMu.Unlock()
+	m.finish(t, false)
 }
 
 // ReadPage applies t's snapshot to one heap page's chain heads — the slice
@@ -756,23 +562,9 @@ func (m *Manager) unregisterReads(t *Txn) {
 // slot), nil entries (vacuumed chains) are skipped. Each visible row is
 // appended to dst and, when ids is non-nil, its RowID to *ids (aligned), so
 // DML can locate the versions it must claim without a second heap pass.
-// Per-row semantics are ReadHead's: a serializable read-write transaction
-// goes through it row by row (SIREAD registration, conflict flagging); every
-// other reader pays one manager call per page, with the common
-// single-version committed-and-live case decided inline.
-func (m *Manager) ReadPage(table int, pageID uint32, heads []*storage.Version, t *Txn, dst []rel.Row, ids *[]storage.RowID) []rel.Row {
-	if t.Level == Serializable && !t.ReadOnly {
-		for slot, head := range heads {
-			id := storage.RowID{Page: pageID, Slot: uint32(slot)}
-			if row, ok := m.ReadHead(table, id, head, t); ok {
-				dst = append(dst, row)
-				if ids != nil {
-					*ids = append(*ids, id)
-				}
-			}
-		}
-		return dst
-	}
+// Per-row semantics are ReadHead's; the common single-version
+// committed-and-live case is decided inline, so a page costs one call.
+func (m *Manager) ReadPage(pageID uint32, heads []*storage.Version, t *Txn, dst []rel.Row, ids *[]storage.RowID) []rel.Row {
 	start := t.StartTS
 	for slot, head := range heads {
 		if head == nil {
@@ -781,7 +573,7 @@ func (m *Manager) ReadPage(table int, pageID uint32, heads []*storage.Version, t
 		row := head.Data
 		// Fast path: creator committed within our snapshot, no deleter.
 		if bts := head.BeginTS(); head.XMin == t.ID || bts == 0 || bts > start || head.XMax() != 0 {
-			v, _ := m.visibleVersion(head, t)
+			v := m.visibleVersion(head, t)
 			if v == nil {
 				continue
 			}
@@ -796,29 +588,13 @@ func (m *Manager) ReadPage(table int, pageID uint32, heads []*storage.Version, t
 }
 
 // ReadHead returns the row of the chain under head that is visible to t, or
-// ok=false. id names the chain: under Serializable it is what the SIREAD
-// entry is registered on. Callers hold the head already — a scan from
-// PageHeads, an index fetch from Heads — so a read costs no heap lookup.
-func (m *Manager) ReadHead(table int, id storage.RowID, head *storage.Version, t *Txn) (rel.Row, bool) {
+// ok=false. Callers hold the head already — a scan from PageHeads, an index
+// fetch from Heads — so a read costs no heap lookup.
+func (m *Manager) ReadHead(head *storage.Version, t *Txn) (rel.Row, bool) {
 	if head == nil {
 		return nil, false
 	}
-	v, skipped := m.visibleVersion(head, t)
-	if t.Level == Serializable && !t.ReadOnly {
-		m.registerRead(table, id, t)
-		if skipped != nil {
-			// We read under a snapshot that excludes a committed newer
-			// version: rw-antidependency t -> writer(skipped).
-			m.flagConflict(t, skipped.XMin, skipped, false)
-		}
-		// Also if the visible version carries an uncommitted deleter, the
-		// write already claimed it; reading still creates t -> deleter.
-		if v != nil {
-			if xmax := v.XMax(); xmax != 0 && xmax != t.ID {
-				m.flagConflict(t, xmax, v, true)
-			}
-		}
-	}
+	v := m.visibleVersion(head, t)
 	if v == nil {
 		return nil, false
 	}

@@ -20,7 +20,7 @@ func newHeap() *storage.Heap { return storage.NewHeap(1, nil) }
 
 // readRow reads the row visible to t at id.
 func readRow(m *Manager, h *storage.Heap, id storage.RowID, t *Txn) (rel.Row, bool) {
-	return m.ReadHead(h.TableID, id, h.Heads([]storage.RowID{id}, nil)[0], t)
+	return m.ReadHead(h.Heads([]storage.RowID{id}, nil)[0], t)
 }
 
 // writeRow replaces the row visible to t at id with row, or deletes it when
@@ -48,7 +48,7 @@ func visibleRows(m *Manager, h *storage.Heap) int {
 	defer m.Commit(tx)
 	var rows []rel.Row
 	h.ScanBatch(func(pageID uint32, heads []*storage.Version) bool {
-		rows = m.ReadPage(h.TableID, pageID, heads, tx, rows, nil)
+		rows = m.ReadPage(pageID, heads, tx, rows, nil)
 		return true
 	})
 	return len(rows)
@@ -267,152 +267,9 @@ func TestFinishedTxnErrors(t *testing.T) {
 	}
 }
 
-func TestSSIWriteSkewPrevented(t *testing.T) {
-	// Classic write skew: t1 reads A and B, writes A; t2 reads A and B,
-	// writes B. Under SI both commit (non-serializable); under SSI at least
-	// one must abort.
-	m := NewManager()
-	h := newHeap()
-	setup := m.Begin(Serializable, false)
-	idA, _ := insertRow(m, h, rel.Row{rel.Int(50)}, setup)
-	idB, _ := insertRow(m, h, rel.Row{rel.Int(50)}, setup)
-	if err := m.Commit(setup); err != nil {
-		t.Fatal(err)
-	}
-
-	t1 := m.Begin(Serializable, false)
-	t2 := m.Begin(Serializable, false)
-	readRow(m, h, idA, t1)
-	readRow(m, h, idB, t1)
-	readRow(m, h, idA, t2)
-	readRow(m, h, idB, t2)
-	if err := writeRow(m, h, idA, rel.Row{rel.Int(-10)}, t1); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeRow(m, h, idB, rel.Row{rel.Int(-10)}, t2); err != nil {
-		t.Fatal(err)
-	}
-	err1 := m.Commit(t1)
-	err2 := m.Commit(t2)
-	if err1 == nil && err2 == nil {
-		t.Fatal("write skew committed on both sides under SSI")
-	}
-	if err1 != nil && err2 != nil {
-		t.Fatal("SSI aborted both sides; expected one survivor")
-	}
-	_, _, ssi, _ := m.Stats()
-	if ssi == 0 {
-		t.Fatal("ssi abort counter not incremented")
-	}
-}
-
-// TestSSIReadRacingWriterCommitFlagsOutEdge: a serializable read finds the
-// version it reads claimed by an active writer, and the writer commits and
-// leaves the active set before the read records the conflict. The out-edge
-// must still be recorded, from the stamps the commit left, or t1 below
-// commits a write skew. The test runs ReadHead's steps by hand with t2's
-// commit between them.
-func TestSSIReadRacingWriterCommitFlagsOutEdge(t *testing.T) {
-	m := NewManager()
-	h := newHeap()
-	ids := seedBatchHeap(t, m, h, 2)
-	x, y := ids[0], ids[1]
-
-	t1 := m.Begin(Serializable, false)
-	t2 := m.Begin(Serializable, false)
-	readRow(m, h, y, t2)
-	if err := writeRow(m, h, x, rel.Row{rel.Int(10)}, t2); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeRow(m, h, y, rel.Row{rel.Int(20)}, t1); err != nil {
-		t.Fatal(err) // t2 -> t1: t2 read y, t1 writes it
-	}
-
-	// t1 reads x: its visible version carries t2's claim...
-	v, _ := m.visibleVersion(h.Heads([]storage.RowID{x}, nil)[0], t1)
-	if v == nil || v.XMax() != t2.ID {
-		t.Fatal("t1 should see the old x, claimed by t2")
-	}
-	m.registerRead(h.TableID, x, t1)
-	// ...t2 commits, which only an out-edge from t1 would stop...
-	if err := m.Commit(t2); err != nil {
-		t.Fatal(err)
-	}
-	// ...and only then does the read record t1 -> t2.
-	m.flagConflict(t1, t2.ID, v, true)
-	if err := m.Commit(t1); !errors.Is(err, ErrSerializationFailure) {
-		t.Fatalf("t1 closes a write skew with committed t2; Commit returned %v", err)
-	}
-}
-
-// TestSSIReadOfAbortedInsertRecordsNoConflict: an aborted insert is stamped
-// dead before birth (BeginTS 1), so a snapshot taken at clock 0 skips it as
-// newer. Its writer aborted, so the skip is no rw-antidependency.
-func TestSSIReadOfAbortedInsertRecordsNoConflict(t *testing.T) {
-	m := NewManager()
-	h := newHeap()
-	r := m.Begin(Serializable, false)
-	w := m.Begin(Serializable, false)
-	id, err := insertRow(m, h, rel.Row{rel.Int(1)}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Abort(w)
-	if _, ok := readRow(m, h, id, r); ok {
-		t.Fatal("aborted insert visible")
-	}
-	r.mu.Lock()
-	outOld := r.outToOld
-	r.mu.Unlock()
-	if outOld {
-		t.Fatal("reading past an aborted insert recorded an out-conflict to a committed writer")
-	}
-	m.Abort(r)
-}
-
-func TestSSIReadAfterCommittedWriteConflict(t *testing.T) {
-	// Reader's snapshot skips a newer committed version: out-conflict to an
-	// already-committed writer must be recorded via outToOld.
-	m := NewManager()
-	h := newHeap()
-	setup := m.Begin(Serializable, false)
-	id, _ := insertRow(m, h, rel.Row{rel.Int(1)}, setup)
-	other, _ := insertRow(m, h, rel.Row{rel.Int(5)}, setup)
-	m.Commit(setup)
-
-	t1 := m.Begin(Serializable, false) // snapshot now
-	w := m.Begin(Serializable, false)
-	if err := writeRow(m, h, id, rel.Row{rel.Int(2)}, w); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Commit(w); err != nil {
-		t.Fatal(err)
-	}
-	// t1 reads the row: its snapshot excludes w's committed version.
-	if row, ok := readRow(m, h, id, t1); !ok || row[0].AsInt() != 1 {
-		t.Fatal("t1 should read old version")
-	}
-	t1.mu.Lock()
-	outOld := t1.outToOld
-	t1.mu.Unlock()
-	if !outOld {
-		t.Fatal("expected permanent out-conflict after reading under stale snapshot")
-	}
-	// Now give t1 an in-conflict too: t3 reads a row t1 then writes.
-	t3 := m.Begin(Serializable, false)
-	readRow(m, h, other, t3)
-	if err := writeRow(m, h, other, rel.Row{rel.Int(6)}, t1); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Commit(t1); !errors.Is(err, ErrSerializationFailure) {
-		t.Fatalf("pivot should abort, got %v", err)
-	}
-	m.Abort(t3)
-}
-
 func TestSnapshotLevelAllowsWriteSkew(t *testing.T) {
-	// Sanity check that Snapshot (non-serializable) permits write skew —
-	// this is the anomaly SSI exists to prevent.
+	// Snapshot isolation, the engine's one level, permits write skew: both
+	// sides read A and B, write different rows, and both commit.
 	m := NewManager()
 	h := newHeap()
 	setup := m.Begin(Snapshot, false)
@@ -495,7 +352,7 @@ func TestConcurrentTransfersConserveTotal(t *testing.T) {
 	if sum != total {
 		t.Fatalf("total = %d, want %d", sum, total)
 	}
-	commits, aborts, _, _ := m.Stats()
+	commits, aborts := m.Stats()
 	if commits == 0 {
 		t.Fatal("no commits recorded")
 	}
@@ -676,7 +533,7 @@ func TestReadPageAlignsIDsAndRows(t *testing.T) {
 	var gotIDs []storage.RowID
 	var gotRows []rel.Row
 	h.ScanBatch(func(pageID uint32, heads []*storage.Version) bool {
-		gotRows = m.ReadPage(1, pageID, heads, tx, gotRows, &gotIDs)
+		gotRows = m.ReadPage(pageID, heads, tx, gotRows, &gotIDs)
 		return true
 	})
 	if len(gotIDs) != 197 || len(gotRows) != 197 {
@@ -786,14 +643,14 @@ func TestConcurrentPageReadsDuringWrites(t *testing.T) {
 				pages := h.NumPages()
 				for pg := 0; pg < pages; pg++ {
 					n, _ := h.PageHeads(uint32(pg), buf)
-					rows = m.ReadPage(1, uint32(pg), buf[:n], tx, rows, nil)
+					rows = m.ReadPage(uint32(pg), buf[:n], tx, rows, nil)
 				}
 				first := len(rows)
 				// A second full pass under the same snapshot must agree.
 				rows = rows[:0]
 				for pg := 0; pg < pages; pg++ {
 					n, _ := h.PageHeads(uint32(pg), buf)
-					rows = m.ReadPage(1, uint32(pg), buf[:n], tx, rows, nil)
+					rows = m.ReadPage(uint32(pg), buf[:n], tx, rows, nil)
 				}
 				if len(rows) != first {
 					t.Errorf("snapshot drifted: first pass %d rows, second %d", first, len(rows))
@@ -833,9 +690,8 @@ func TestReadOnlyTxnsRecordNothing(t *testing.T) {
 	}
 	clock := m.clock.Load()
 	for i := 0; i < 1000; i++ {
-		level := []IsolationLevel{Snapshot, Serializable}[i%2]
 		for _, commit := range []bool{true, false} {
-			r := m.Begin(level, i%4 < 2)
+			r := m.Begin(Snapshot, true)
 			if _, ok := readRow(m, h, id, r); !ok {
 				t.Fatal("committed row not visible")
 			}
@@ -850,7 +706,7 @@ func TestReadOnlyTxnsRecordNothing(t *testing.T) {
 		t.Fatalf("2,000 read-only transactions left %d active and moved the clock %d -> %d",
 			len(m.active), clock, m.clock.Load())
 	}
-	if c, a, _, _ := m.Stats(); c != 1001 || a != 1000 {
+	if c, a := m.Stats(); c != 1001 || a != 1000 {
 		t.Fatalf("stats: %d commits, %d aborts; want 1001 and 1000", c, a)
 	}
 }

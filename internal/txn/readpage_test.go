@@ -19,11 +19,11 @@ import (
 //   - rows deleted before the reader began, and after (still visible to it);
 //   - rows updated by a commit after the reader began (it skips the head);
 //   - an open writer's update, delete and inserts; an aborted writer's;
-//   - unless the reader is read-only, its own update, delete and inserts.
+//   - the reader's own update, delete and inserts.
 //
-// Two calls with the same arguments build identical states, transaction ids
-// included, so what one read registers can be compared with another's.
-func readPageScenario(t *testing.T, seed int64, level IsolationLevel, readOnly bool) (*Manager, *storage.Heap, *Txn) {
+// Two calls with the same seed build identical states, transaction ids
+// included, so one read can be compared with another's.
+func readPageScenario(t *testing.T, seed int64) (*Manager, *storage.Heap, *Txn) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	m := NewManager()
@@ -78,87 +78,66 @@ func readPageScenario(t *testing.T, seed int64, level IsolationLevel, readOnly b
 	}
 	committed(group(12), group(12), 2) // chains, dead rows, two reused slots
 
-	reader := m.Begin(level, readOnly)
+	reader := m.Begin(Snapshot, false)
 
 	committed(group(12), group(12), 3)
-	open := m.Begin(level, false)
+	open := m.Begin(Snapshot, false)
 	write(open, group(8), group(8), 3)
-	aborted := m.Begin(level, false)
+	aborted := m.Begin(Snapshot, false)
 	write(aborted, group(8), group(8), 3)
 	m.Abort(aborted)
-	if !readOnly {
-		write(reader, group(8), group(8), 3)
-	}
+	write(reader, group(8), group(8), 3)
 	return m, h, reader
 }
 
 // TestReadPageAgreesWithReadHead is the property the folded ReadPage stands
-// on: for any page, under snapshot isolation and SSI, asking for RowIDs or
-// not changes nothing else, and both equal reading the page's heads one by
-// one through ReadHead — in rows, in order, and in what the read leaves
-// behind in the manager (SIREAD entries and rw-antidependency edges).
+// on: for any page, asking for RowIDs or not changes nothing else, and both
+// equal reading the page's heads one by one through ReadHead, in rows and
+// in order.
 func TestReadPageAgreesWithReadHead(t *testing.T) {
 	type outcome struct {
-		rows   []rel.Row
-		ids    []storage.RowID
-		reads  []rowKey
-		outTo  int
-		outOld bool
+		rows []rel.Row
+		ids  []storage.RowID
 	}
-	// read scans the whole heap with one of the three readers.
-	read := func(seed int64, level IsolationLevel, readOnly bool, how string) outcome {
-		m, h, tx := readPageScenario(t, seed, level, readOnly)
+	// read scans the whole heap one of three ways.
+	read := func(seed int64, how string) outcome {
+		m, h, tx := readPageScenario(t, seed)
 		var o outcome
 		h.ScanBatch(func(pageID uint32, heads []*storage.Version) bool {
 			switch how {
 			case "page+ids":
-				o.rows = m.ReadPage(h.TableID, pageID, heads, tx, o.rows, &o.ids)
+				o.rows = m.ReadPage(pageID, heads, tx, o.rows, &o.ids)
 			case "page":
-				o.rows = m.ReadPage(h.TableID, pageID, heads, tx, o.rows, nil)
+				o.rows = m.ReadPage(pageID, heads, tx, o.rows, nil)
 			case "heads":
 				for slot, head := range heads {
-					id := storage.RowID{Page: pageID, Slot: uint32(slot)}
-					if row, ok := m.ReadHead(h.TableID, id, head, tx); ok {
+					if row, ok := m.ReadHead(head, tx); ok {
 						o.rows = append(o.rows, row)
-						o.ids = append(o.ids, id)
+						o.ids = append(o.ids, storage.RowID{Page: pageID, Slot: uint32(slot)})
 					}
 				}
 			}
 			return true
 		})
-		tx.mu.Lock()
-		o.reads, o.outTo, o.outOld = slices.Clone(tx.reads), len(tx.outTo), tx.outToOld
-		tx.mu.Unlock()
 		return o
 	}
 	for seed := int64(1); seed <= 5; seed++ {
-		for _, mode := range []struct {
-			level    IsolationLevel
-			readOnly bool
-		}{{Snapshot, false}, {Snapshot, true}, {Serializable, false}, {Serializable, true}} {
-			name := fmt.Sprintf("seed=%d/level=%d/readOnly=%v", seed, mode.level, mode.readOnly)
-			withIDs := read(seed, mode.level, mode.readOnly, "page+ids")
-			without := read(seed, mode.level, mode.readOnly, "page")
-			perHead := read(seed, mode.level, mode.readOnly, "heads")
+		name := fmt.Sprintf("seed=%d", seed)
+		withIDs := read(seed, "page+ids")
+		without := read(seed, "page")
+		perHead := read(seed, "heads")
 
-			if len(perHead.rows) < 3*storage.RowsPerPage-40 || len(perHead.ids) != len(perHead.rows) {
-				t.Fatalf("%s: reference read %d rows, %d ids", name, len(perHead.rows), len(perHead.ids))
-			}
-			ssi := mode.level == Serializable && !mode.readOnly
-			if ssi != (len(perHead.reads) > 0) || ssi != (perHead.outTo > 0) || ssi != perHead.outOld {
-				t.Fatalf("%s: reference registered %d reads, %d out-edges, outToOld=%v",
-					name, len(perHead.reads), perHead.outTo, perHead.outOld)
-			}
-			if !reflect.DeepEqual(withIDs.ids, perHead.ids) {
-				t.Fatalf("%s: ReadPage ids differ from ReadHead's", name)
-			}
-			without.ids = perHead.ids // not asked for; everything else must match
-			for how, got := range map[string]outcome{"with ids": withIDs, "without ids": without} {
-				if !reflect.DeepEqual(got, perHead) {
-					t.Fatalf("%s: ReadPage %s differs from per-row ReadHead:\n got %d rows, %d reads, %d out-edges, outToOld=%v\nwant %d rows, %d reads, %d out-edges, outToOld=%v",
-						name, how, len(got.rows), len(got.reads), got.outTo, got.outOld,
-						len(perHead.rows), len(perHead.reads), perHead.outTo, perHead.outOld)
-				}
+		if len(perHead.rows) < 3*storage.RowsPerPage-40 || len(perHead.ids) != len(perHead.rows) {
+			t.Fatalf("%s: reference read %d rows, %d ids", name, len(perHead.rows), len(perHead.ids))
+		}
+		if !reflect.DeepEqual(withIDs.ids, perHead.ids) {
+			t.Fatalf("%s: ReadPage ids differ from ReadHead's", name)
+		}
+		without.ids = perHead.ids // not asked for; everything else must match
+		for how, got := range map[string]outcome{"with ids": withIDs, "without ids": without} {
+			if !reflect.DeepEqual(got, perHead) {
+				t.Fatalf("%s: ReadPage %s differs from per-row ReadHead: got %d rows, want %d",
+					name, how, len(got.rows), len(perHead.rows))
 			}
 		}
 	}

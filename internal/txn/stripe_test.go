@@ -1,7 +1,6 @@
 package txn
 
 import (
-	"errors"
 	"sync"
 	"testing"
 
@@ -14,51 +13,6 @@ import (
 func seedPages(t *testing.T, m *Manager, h *storage.Heap, pages int) []storage.RowID {
 	t.Helper()
 	return seedBatchHeap(t, m, h, pages*storage.RowsPerPage)
-}
-
-// TestSSIWriteSkewAcrossStripes is the striping regression demanded by the
-// writeMu removal: the classic write-skew pair, but with the two rows on
-// different heap pages so their claims go through different lock stripes.
-// SSI must still abort one side — the rw-antidependency bookkeeping lives
-// above the stripes.
-func TestSSIWriteSkewAcrossStripes(t *testing.T) {
-	m := NewManager()
-	h := newHeap()
-	ids := seedPages(t, m, h, 2)
-	idA, idB := ids[0], ids[storage.RowsPerPage] // page 0 and page 1
-	if idA.Page == idB.Page {
-		t.Fatal("test rows landed on the same page")
-	}
-	if stripeIndex(h.TableID, idA.Page) == stripeIndex(h.TableID, idB.Page) {
-		t.Skip("pages hash to the same stripe; pick different pages")
-	}
-
-	t1 := m.Begin(Serializable, false)
-	t2 := m.Begin(Serializable, false)
-	readRow(m, h, idA, t1)
-	readRow(m, h, idB, t1)
-	readRow(m, h, idA, t2)
-	readRow(m, h, idB, t2)
-	if err := writeRow(m, h, idA, rel.Row{rel.Int(-10)}, t1); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeRow(m, h, idB, rel.Row{rel.Int(-10)}, t2); err != nil {
-		t.Fatal(err)
-	}
-	err1 := m.Commit(t1)
-	err2 := m.Commit(t2)
-	if err1 == nil && err2 == nil {
-		t.Fatal("write skew committed on both sides across stripes")
-	}
-	if err1 != nil && err2 != nil {
-		t.Fatal("SSI aborted both sides; expected one survivor")
-	}
-	if err1 != nil && !errors.Is(err1, ErrSerializationFailure) {
-		t.Fatalf("unexpected error: %v", err1)
-	}
-	if err2 != nil && !errors.Is(err2, ErrSerializationFailure) {
-		t.Fatalf("unexpected error: %v", err2)
-	}
 }
 
 // TestConcurrentBatchWritersDisjointPages: writers batch-updating disjoint

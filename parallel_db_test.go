@@ -28,7 +28,7 @@ func execWritePages(s *Session, sql string, args ...any) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	tx, done, err := s.begin(false)
+	tx, done, err := s.begin()
 	if err != nil {
 		return 0, err
 	}

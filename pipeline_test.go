@@ -11,46 +11,40 @@ import (
 // under that key, both pass the recheck, and the join used to emit the pair
 // twice.
 func TestIndexJoinReturnsMovedRowOnce(t *testing.T) {
-	for _, serializable := range []bool{false, true} {
-		t.Run(fmt.Sprintf("serializable=%v", serializable), func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Serializable = serializable
-			db := Open(cfg)
-			mustExec(t, db, `CREATE TABLE i (id INT PRIMARY KEY, k INT)`)
-			mustExec(t, db, `CREATE INDEX ik ON i (k)`)
-			var sb strings.Builder
-			sb.WriteString("INSERT INTO i VALUES (0, 0)")
-			for n := 1; n < 20000; n++ {
-				fmt.Fprintf(&sb, ",(%d,%d)", n, n)
-			}
-			mustExec(t, db, sb.String())
-			mustExec(t, db, `CREATE TABLE o (id INT PRIMARY KEY, k INT)`)
-			mustExec(t, db, `INSERT INTO o VALUES (1, 7), (2, 9)`)
-			mustExec(t, db, `ANALYZE`)
-			mustExec(t, db, `UPDATE i SET k = 100000 WHERE id = 7`)
-			mustExec(t, db, `UPDATE i SET k = 7 WHERE id = 7`)
-
-			const q = `SELECT o.id, i.id FROM o JOIN i ON o.k = i.k`
-			if plan := explainText(t, db, q); !strings.Contains(plan, "IndexJoin(i, ") {
-				t.Fatalf("the repro needs the index join, got:\n%s", plan)
-			}
-			check := func(s *Session, how string) {
-				t.Helper()
-				res, err := s.Exec(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := fmt.Sprint(rowsToSorted(res)); got != "[1, 7 2, 9]" {
-					t.Fatalf("%s: join rows %s, want [1, 7 2, 9]", how, got)
-				}
-			}
-			s := db.NewSession()
-			check(s, "autocommit")
-			mustSession(t, s, `BEGIN`)
-			check(s, "in transaction")
-			mustSession(t, s, `COMMIT`)
-		})
+	db := openTest(t)
+	mustExec(t, db, `CREATE TABLE i (id INT PRIMARY KEY, k INT)`)
+	mustExec(t, db, `CREATE INDEX ik ON i (k)`)
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO i VALUES (0, 0)")
+	for n := 1; n < 20000; n++ {
+		fmt.Fprintf(&sb, ",(%d,%d)", n, n)
 	}
+	mustExec(t, db, sb.String())
+	mustExec(t, db, `CREATE TABLE o (id INT PRIMARY KEY, k INT)`)
+	mustExec(t, db, `INSERT INTO o VALUES (1, 7), (2, 9)`)
+	mustExec(t, db, `ANALYZE`)
+	mustExec(t, db, `UPDATE i SET k = 100000 WHERE id = 7`)
+	mustExec(t, db, `UPDATE i SET k = 7 WHERE id = 7`)
+
+	const q = `SELECT o.id, i.id FROM o JOIN i ON o.k = i.k`
+	if plan := explainText(t, db, q); !strings.Contains(plan, "IndexJoin(i, ") {
+		t.Fatalf("the repro needs the index join, got:\n%s", plan)
+	}
+	check := func(s *Session, how string) {
+		t.Helper()
+		res, err := s.Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(rowsToSorted(res)); got != "[1, 7 2, 9]" {
+			t.Fatalf("%s: join rows %s, want [1, 7 2, 9]", how, got)
+		}
+	}
+	s := db.NewSession()
+	check(s, "autocommit")
+	mustSession(t, s, `BEGIN`)
+	check(s, "in transaction")
+	mustSession(t, s, `COMMIT`)
 }
 
 func mustSession(t *testing.T, s *Session, sql string, args ...any) *Result {
@@ -79,26 +73,22 @@ func seedPredict(t *testing.T, s *Session) {
 // transaction like every other statement, so it sees the transaction's own
 // uncommitted rows; it used to open a snapshot of its own and see none.
 func TestPredictRunsInSessionTransaction(t *testing.T) {
-	for _, serializable := range []bool{false, true} {
-		cfg := DefaultConfig()
-		cfg.Serializable = serializable
-		db := Open(cfg)
-		s := db.NewSession()
-		seedPredict(t, s)
-		const predict = `PREDICT VALUE OF score FROM r TRAIN ON a`
-		mustSession(t, s, `BEGIN`)
-		mustSession(t, s, `INSERT INTO r VALUES (10, 4, NULL), (11, 5, NULL)`)
-		if res := mustSession(t, s, predict); len(res.Predictions) != 2 {
-			t.Fatalf("serializable=%v: %d predictions inside the transaction, want 2", serializable, len(res.Predictions))
-		}
-		// Another session does not see the uncommitted rows.
-		if res := mustSession(t, db.NewSession(), predict); len(res.Predictions) != 0 {
-			t.Fatalf("serializable=%v: another session predicted %d uncommitted rows", serializable, len(res.Predictions))
-		}
-		mustSession(t, s, `COMMIT`)
-		if res := mustSession(t, s, predict); len(res.Predictions) != 2 {
-			t.Fatalf("serializable=%v: %d predictions after COMMIT, want 2", serializable, len(res.Predictions))
-		}
+	db := openTest(t)
+	s := db.NewSession()
+	seedPredict(t, s)
+	const predict = `PREDICT VALUE OF score FROM r TRAIN ON a`
+	mustSession(t, s, `BEGIN`)
+	mustSession(t, s, `INSERT INTO r VALUES (10, 4, NULL), (11, 5, NULL)`)
+	if res := mustSession(t, s, predict); len(res.Predictions) != 2 {
+		t.Fatalf("%d predictions inside the transaction, want 2", len(res.Predictions))
+	}
+	// Another session does not see the uncommitted rows.
+	if res := mustSession(t, db.NewSession(), predict); len(res.Predictions) != 0 {
+		t.Fatalf("another session predicted %d uncommitted rows", len(res.Predictions))
+	}
+	mustSession(t, s, `COMMIT`)
+	if res := mustSession(t, s, predict); len(res.Predictions) != 2 {
+		t.Fatalf("%d predictions after COMMIT, want 2", len(res.Predictions))
 	}
 }
 

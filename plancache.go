@@ -33,7 +33,7 @@ type planEntry struct {
 	sql     string
 	node    plan.Node
 	columns []string
-	writes  bool // INSERT/UPDATE/DELETE: needs a read-write transaction
+	writes  bool // INSERT/UPDATE/DELETE: refused on a poisoned WAL
 	streams bool // a row-producing tree the batch engine streams (SELECT)
 	catVer  uint64
 }
