@@ -105,6 +105,12 @@ func TestTextRangeQueryUsesIndex(t *testing.T) {
 // id = 5 the index holds row 5 under both 5 (stale) and 7 (live), and
 // k <= 8 covers both.
 func TestRangeIndexScanReturnsMovedRowOnce(t *testing.T) {
+	// The subtest keeps the name of the snapshot-isolation arm from
+	// when the test also ran at a serializable level.
+	t.Run("serializable=false", testRangeIndexScanReturnsMovedRowOnce)
+}
+
+func testRangeIndexScanReturnsMovedRowOnce(t *testing.T) {
 	db := openTest(t)
 	seedMoved(t, db, 2000)
 	mustExec(t, db, `UPDATE t SET k = 7 WHERE id = 5`)
@@ -340,6 +346,12 @@ func TestIndexDrivenDMLConflicts(t *testing.T) {
 // postings in the index, inside a transaction that inserted the rows to
 // predict, with inline VALUES, with neither clause.
 func TestPredictAccessChildrenAgree(t *testing.T) {
+	// The subtest keeps the name of the snapshot-isolation arm from
+	// when the test also ran at a serializable level.
+	t.Run("serializable=false", testPredictAccessChildrenAgree)
+}
+
+func testPredictAccessChildrenAgree(t *testing.T) {
 	const windowed = `PREDICT VALUE OF score FROM r WHERE k >= ? AND k < ? TRAIN ON a, b WITH k >= ? AND k < ?`
 	run := func(t *testing.T, indexed bool) string {
 		db := openTest(t)
