@@ -39,24 +39,12 @@ type Options struct {
 	// result without transferring the tail); a negative value disables
 	// chunking and streams the whole result in one Execute.
 	FetchSize int
-	// DialTimeout bounds the TCP connect (0 = no timeout). Cancel's
-	// side-channel connection reuses the same bound.
-	DialTimeout time.Duration
 	// MaxFrame bounds incoming frame payloads (default wire.DefaultMaxFrame).
 	MaxFrame int
-	// RetryBackoff, when positive, retries transient connect failures
-	// (dial errors, the server's TOO_MANY_CONNS refusal) with capped
-	// exponential backoff starting at this delay. Only Connect and Ping
-	// ever retry: a statement is NEVER silently re-executed — the client
-	// cannot know whether the server applied it before the failure.
-	RetryBackoff time.Duration
-	// RetryAttempts caps the retries RetryBackoff performs (default 4;
-	// ignored while RetryBackoff is 0).
-	RetryAttempts int
 }
 
-// maxRetryBackoff caps the exponential backoff delay between retries.
-const maxRetryBackoff = 2 * time.Second
+// cancelTimeout bounds Cancel's side connection: its dial and its exchange.
+const cancelTimeout = 5 * time.Second
 
 // DefaultFetchSize is the default Stmt.Query chunk size: a few executor
 // batches per round trip amortizes protocol overhead while keeping early
@@ -92,7 +80,6 @@ type Conn struct {
 	secret uint64
 	addr   string
 	params map[string]string
-	opts   Options
 
 	fetchSize int
 	stmtSeq   int
@@ -111,52 +98,14 @@ type Conn struct {
 func Connect(addr string) (*Conn, error) { return ConnectOptions(addr, Options{}) }
 
 // ConnectOptions dials a NeurDB server and performs the startup handshake.
-// With Options.RetryBackoff set, transient failures (dial errors and the
-// server's at-capacity refusal) are retried with capped exponential backoff.
+// A failure is returned as is: a server at its connection cap answers with
+// an *Error whose Code is wire.CodeTooManyConns, and retrying is the
+// caller's choice.
 func ConnectOptions(addr string, o Options) (*Conn, error) {
 	if o.FetchSize == 0 {
 		o.FetchSize = DefaultFetchSize
 	}
-	c, err := connectOnce(addr, o)
-	for attempt := 0; err != nil && retryableConnect(err) && o.RetryBackoff > 0 && attempt < retryAttempts(o); attempt++ {
-		time.Sleep(backoffDelay(o.RetryBackoff, attempt))
-		c, err = connectOnce(addr, o)
-	}
-	return c, err
-}
-
-// retryAttempts resolves the retry budget.
-func retryAttempts(o Options) int {
-	if o.RetryAttempts > 0 {
-		return o.RetryAttempts
-	}
-	return 4
-}
-
-// backoffDelay is the capped exponential schedule: base, 2·base, 4·base, …
-func backoffDelay(base time.Duration, attempt int) time.Duration {
-	d := base << uint(attempt)
-	if d > maxRetryBackoff || d <= 0 {
-		d = maxRetryBackoff
-	}
-	return d
-}
-
-// retryableConnect reports whether a Connect failure is safe and useful to
-// retry: network-level dial/handshake errors and the server's typed
-// at-capacity refusal. A protocol-version mismatch or any other server
-// error is permanent.
-func retryableConnect(err error) bool {
-	var srvErr *Error
-	if errors.As(err, &srvErr) {
-		return srvErr.Code == wire.CodeTooManyConns
-	}
-	return true // dial / IO errors
-}
-
-// connectOnce performs one dial + startup handshake.
-func connectOnce(addr string, o Options) (*Conn, error) {
-	netc, err := net.DialTimeout("tcp", addr, o.DialTimeout)
+	netc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("neurdb: connect %s: %w", addr, err)
 	}
@@ -167,7 +116,6 @@ func connectOnce(addr string, o Options) (*Conn, error) {
 		addr:      addr,
 		params:    make(map[string]string),
 		fetchSize: o.FetchSize,
-		opts:      o,
 	}
 	if err := c.w.WriteMsg(&wire.Startup{Version: wire.Version}); err != nil {
 		netc.Close()
@@ -219,38 +167,7 @@ func (c *Conn) Close() error {
 }
 
 // Ping verifies the connection is alive with an empty command sequence.
-// With Options.RetryBackoff set, a failed round trip is retried over a
-// fresh connection (replacing this Conn's socket) — safe because an empty
-// Sync sequence executes nothing.
 func (c *Conn) Ping() error {
-	err := c.pingOnce()
-	if err == nil || c.opts.RetryBackoff <= 0 || c.closed {
-		return err
-	}
-	for attempt := 0; attempt < retryAttempts(c.opts); attempt++ {
-		time.Sleep(backoffDelay(c.opts.RetryBackoff, attempt))
-		nc, cerr := connectOnce(c.addr, c.opts)
-		if cerr != nil {
-			err = cerr
-			if !retryableConnect(cerr) {
-				return err
-			}
-			continue
-		}
-		// Adopt the fresh connection in place (old socket, server session,
-		// and cancellation credentials are gone; prepared statements on the
-		// old session are invalid, as after any reconnect).
-		c.netc.Close()
-		c.netc, c.r, c.w = nc.netc, nc.r, nc.w
-		c.connID, c.secret, c.params = nc.connID, nc.secret, nc.params
-		c.fatal, c.rows = nil, nil
-		return c.pingOnce()
-	}
-	return err
-}
-
-// pingOnce performs one empty Sync round trip.
-func (c *Conn) pingOnce() error {
 	if err := c.ready(); err != nil {
 		return err
 	}
@@ -272,19 +189,12 @@ func (c *Conn) pingOnce() error {
 // (as libpq's PQcancel does), so a fetch issued after Cancel returns fails
 // instead of racing the cancel for the rest of the result.
 func (c *Conn) Cancel() error {
-	// The side channel honors the connection's own DialTimeout, for the dial
-	// and again for the exchange; the historical 5s bound only remains as
-	// the default for unset options.
-	dialTimeout := c.opts.DialTimeout
-	if dialTimeout <= 0 {
-		dialTimeout = 5 * time.Second
-	}
-	netc, err := net.DialTimeout("tcp", c.addr, dialTimeout)
+	netc, err := net.DialTimeout("tcp", c.addr, cancelTimeout)
 	if err != nil {
 		return err
 	}
 	defer netc.Close()
-	_ = netc.SetDeadline(time.Now().Add(dialTimeout))
+	_ = netc.SetDeadline(time.Now().Add(cancelTimeout))
 	w := wire.NewWriter(netc)
 	if err := w.WriteMsg(&wire.Cancel{ConnID: c.connID, Secret: c.secret}); err != nil {
 		return err

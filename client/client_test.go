@@ -268,11 +268,74 @@ func TestGroupByWithoutAggregate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const q = `SELECT g FROM e GROUP BY g`
-	const want = "e.g\n3\n1\n2\nNULL"
+	onEveryRoute(t, ndb, addr, `SELECT g FROM e GROUP BY g`, "e.g\n3\n1\n2\nNULL")
+}
+
+// The three tests below pin expression rules docs/ARCHITECTURE.md states
+// under "Expression semantics", where NeurDB departs from PostgreSQL, on
+// every route. A later change may move any of them to PostgreSQL's rule.
+
+// exprTable opens a server over table n: one row of each sign, a zero row
+// and an all-NULL row.
+func exprTable(t *testing.T) (*neurdb.DB, string) {
+	t.Helper()
+	ndb, addr := startServer(t)
+	for _, s := range []string{
+		`CREATE TABLE n (id INT PRIMARY KEY, x INT, d DOUBLE, s TEXT)`,
+		`INSERT INTO n VALUES (1, 7, 2.5, 'b'), (2, NULL, NULL, NULL), (3, -3, -1.5, 'a'), (4, 0, 0.0, '10')`,
+	} {
+		if _, err := ndb.Exec(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ndb, addr
+}
+
+// TestDivisionByZeroIsNull: x / 0 and x % 0 are NULL, for INT and DOUBLE
+// alike, where PostgreSQL raises "division by zero".
+func TestDivisionByZeroIsNull(t *testing.T) {
+	ndb, addr := exprTable(t)
+	onEveryRoute(t, ndb, addr, `SELECT id, x / 0, x % 0, d / 0, d % 0, x / 2 FROM n WHERE id <> 2`,
+		"n.id|(n.x / 0)|(n.x % 0)|(n.d / 0)|(n.d % 0)|(n.x / 2)\n1, NULL, NULL, NULL, NULL, 3\n3, NULL, NULL, NULL, NULL, -1\n4, NULL, NULL, NULL, NULL, 0")
+}
+
+// TestNullSortsLowest: NULL sorts below every value — first under ORDER BY,
+// last under DESC — and the top-k path (ORDER BY ... LIMIT) agrees with the
+// full sort. PostgreSQL puts NULL last for ASC.
+func TestNullSortsLowest(t *testing.T) {
+	ndb, addr := exprTable(t)
+	for q, want := range map[string]string{
+		`SELECT id, x FROM n ORDER BY x`:              "n.id|n.x\n2, NULL\n3, -3\n4, 0\n1, 7",
+		`SELECT id, x FROM n ORDER BY x DESC`:         "n.id|n.x\n1, 7\n4, 0\n3, -3\n2, NULL",
+		`SELECT id, x FROM n ORDER BY x LIMIT 2`:      "n.id|n.x\n2, NULL\n3, -3",
+		`SELECT id, x FROM n ORDER BY x DESC LIMIT 2`: "n.id|n.x\n1, 7\n4, 0",
+		`SELECT id, x FROM n ORDER BY x DESC LIMIT 4`: "n.id|n.x\n1, 7\n4, 0\n3, -3\n2, NULL",
+	} {
+		onEveryRoute(t, ndb, addr, q, want)
+	}
+}
+
+// TestTextComparesAboveNumbers: a TEXT value compares greater than every
+// number, so s > 1 holds for every non-NULL s and s < 1 for none, where
+// PostgreSQL refuses to compare text with an integer.
+func TestTextComparesAboveNumbers(t *testing.T) {
+	ndb, addr := exprTable(t)
+	for q, want := range map[string]string{
+		`SELECT id, s FROM n WHERE s > 1`:       "n.id|n.s\n1, b\n3, a\n4, 10",
+		`SELECT id, s FROM n WHERE s > 1000000`: "n.id|n.s\n1, b\n3, a\n4, 10",
+		`SELECT id, s FROM n WHERE s < 1`:       "n.id|n.s",
+	} {
+		onEveryRoute(t, ndb, addr, q, want)
+	}
+}
+
+// onEveryRoute runs q embedded, embedded prepared, over the wire and wire
+// prepared, and checks each result against want.
+func onEveryRoute(t *testing.T, ndb *neurdb.DB, addr, q, want string) {
+	t.Helper()
 	session := ndb.NewSession()
 	if got := embeddedResult(t, session, q); got != want {
-		t.Errorf("embedded: got %q, want %q", got, want)
+		t.Errorf("embedded %q: got %q, want %q", q, got, want)
 	}
 	st, err := session.Prepare(q)
 	if err != nil {
@@ -293,7 +356,7 @@ func TestGroupByWithoutAggregate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Errorf("embedded prepared: got %q, want %q", got, want)
+		t.Errorf("embedded prepared %q: got %q, want %q", q, got, want)
 	}
 	c, err := client.Connect(addr)
 	if err != nil {
@@ -305,7 +368,7 @@ func TestGroupByWithoutAggregate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := wireResult(t, wrows); got != want {
-		t.Errorf("wire: got %q, want %q", got, want)
+		t.Errorf("wire %q: got %q, want %q", q, got, want)
 	}
 	wst, err := c.Prepare(q)
 	if err != nil {
@@ -316,7 +379,7 @@ func TestGroupByWithoutAggregate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := wireResult(t, wrows); got != want {
-		t.Errorf("wire prepared: got %q, want %q", got, want)
+		t.Errorf("wire prepared %q: got %q, want %q", q, got, want)
 	}
 }
 

@@ -245,31 +245,6 @@ func (db *DB) Query(sql string, args ...any) (*Rows, error) {
 	return db.session.Query(sql, args...)
 }
 
-// ExecScript runs a semicolon-separated script, returning the last result.
-// The script is parsed whole before anything runs, and takes no parameters.
-func (db *DB) ExecScript(sql string) (*Result, error) {
-	texts, err := sqlparse.SplitScript(sql)
-	if err != nil {
-		return nil, err
-	}
-	stmts := make([]*Stmt, len(texts))
-	for i, text := range texts {
-		if stmts[i], err = db.session.parse(text); err != nil {
-			return nil, err
-		}
-		if n := stmts[i].nParams; n > 0 {
-			return nil, fmt.Errorf("neurdb: script statement takes %d parameters; use Prepare/Exec with arguments", n)
-		}
-	}
-	var last *Result
-	for _, st := range stmts {
-		if last, err = st.Exec(); err != nil {
-			return nil, err
-		}
-	}
-	return last, nil
-}
-
 // Session is a connection-like context holding an optional open transaction.
 type Session struct {
 	db      *DB
@@ -398,7 +373,7 @@ func (s *Session) begin() (*txn.Txn, func(error) error, error) {
 }
 
 // execStmt is the one statement-kind dispatch, reached by every entry point
-// (Exec, Query, Stmt.Exec, Stmt.Query, ExecScript, the wire server's Query
+// (Exec, Query, Stmt.Exec, Stmt.Query, the wire server's Query
 // and Execute). Planned statements all take one road: compile (or revalidate
 // the cached plan), then run it with the call's arguments, which the
 // executor binds as it compiles each operator; utility statements act

@@ -308,18 +308,19 @@ func TestPredictReusesModelViaFineTune(t *testing.T) {
 	}
 }
 
+// TestExecScriptAndErrors keeps its name from when DB.ExecScript ran its
+// first three statements as one script.
 func TestExecScriptAndErrors(t *testing.T) {
 	db := openTest(t)
-	res, err := db.ExecScript(`
-		CREATE TABLE t (a INT);
-		INSERT INTO t VALUES (1), (2);
-		SELECT COUNT(*) FROM t;
-	`)
-	if err != nil {
-		t.Fatal(err)
+	var res *Result
+	for _, sql := range []string{`CREATE TABLE t (a INT)`, `INSERT INTO t VALUES (1), (2)`, `SELECT COUNT(*) FROM t`} {
+		var err error
+		if res, err = db.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if res.Rows[0][0].AsInt() != 2 {
-		t.Fatalf("script result: %v", res.Rows)
+		t.Fatalf("count: %v", res.Rows)
 	}
 	bad := []string{
 		`SELECT * FROM missing`,

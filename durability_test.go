@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"neurdb/internal/rel"
+	"neurdb/internal/storage"
 	"neurdb/internal/vfs/vfstest"
 	"neurdb/internal/wal"
 )
@@ -221,7 +223,14 @@ func TestRecoverHashIndexesAsBTrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	for col, want := range []string{"h_id", "h_a", "h_b"} {
-		if ix := tbl.IndexOn(col); ix == nil || ix.Name != want || ix.BT.Size() != 300 {
+		ix, keys := tbl.IndexOn(col), 0
+		if ix != nil {
+			ix.BT.Range(nil, nil, func(rel.Value, []storage.RowID) bool {
+				keys++
+				return true
+			})
+		}
+		if ix == nil || ix.Name != want || keys != 300 {
 			t.Fatalf("column %d: index %+v, want %s over 300 keys", col, ix, want)
 		}
 	}

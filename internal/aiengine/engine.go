@@ -91,6 +91,8 @@ func (l *StreamingLoader) Close() {
 }
 
 // SliceSource adapts a pre-materialized batch list to DataSource.
+//
+//neurdb:reserved direction 2
 type SliceSource struct {
 	Batches []*Batch
 	pos     int
@@ -127,9 +129,11 @@ type TrainConfig struct {
 	// BatchSize and Window are read by nothing: a source's batches are as
 	// large as it makes them, and a task has no window. They are kept only
 	// because the benchmark module sets them.
+	//neurdb:reserved direction 2
 	BatchSize int
-	Window    int
-	LR        float64
+	//neurdb:reserved direction 2
+	Window int
+	LR     float64
 }
 
 // TrainOutcome reports a completed task: the version it stored, the loss of
@@ -162,6 +166,8 @@ func (e *Engine) Train(spec models.Spec, cfg TrainConfig, src DataSource) (*Trai
 
 // Infer runs inference with model version (mid, ts); ts = 0 means latest. It
 // predicts every batch of src, labelled or not, and stores nothing.
+//
+//neurdb:reserved direction 2
 func (e *Engine) Infer(mid int, ts uint64, src DataSource) ([]float64, error) {
 	// An inference trains nothing, so any split is right: it takes the one
 	// fine-tunes use, which lets the two share memo entries.

@@ -77,7 +77,7 @@ func TestTrainInProcessLossDecreases(t *testing.T) {
 		t.Fatal("throughput not measured")
 	}
 	// Model stored and view bound.
-	if store.LatestTS(out.MID) != out.TS {
+	if vs := store.Versions(out.MID); len(vs) == 0 || vs[len(vs)-1] != out.TS {
 		t.Fatal("stored version mismatch")
 	}
 	if v, ok := store.FindViewByName("m1"); !ok || v.MID != out.MID {

@@ -139,13 +139,6 @@ func New(fields, vocab, embDim, hidden int, classification bool, seed int64) *Mo
 	return m
 }
 
-// Forward computes raw outputs (logits for classification, values for
-// regression) for a batch of field-id rows [n, Fields].
-func (m *Model) Forward(x *nn.Matrix) *nn.Matrix {
-	m.ws.Reset()
-	return m.forward(x)
-}
-
 // forward runs the model as frozen prefix → head. With nothing frozen the
 // prefix is empty and the head is the whole network.
 func (m *Model) forward(x *nn.Matrix) *nn.Matrix { return m.Net.ForwardHead(m.prefix(x)) }
@@ -187,7 +180,7 @@ func (m *Model) loss(out, y *nn.Matrix) (float64, *nn.Matrix) {
 // a fine-tune with the prefix Freeze set — and then pays for the head only:
 // backward stops at the lowest trainable layer, and the prefix is computed
 // only for rows the memo does not hold.
-func (m *Model) TrainBatch(x, y *nn.Matrix, opt nn.Optimizer) float64 {
+func (m *Model) TrainBatch(x, y *nn.Matrix, opt *nn.Adam) float64 {
 	m.ws.Reset()
 	opt.ZeroGrad(m.params)
 	loss, grad := m.loss(m.forward(x), y)

@@ -136,7 +136,7 @@ func TestClassificationPredictProbabilities(t *testing.T) {
 	}
 	// Regression predict returns raw values (can exceed [0,1]).
 	reg := New(2, 8, 2, 4, false, 5)
-	out := reg.Predict(nn.FromRows([][]float64{{1, 2}}))
+	out := reg.Predict(&nn.Matrix{Rows: 1, Cols: 2, Data: []float64{1, 2}})
 	if out.Rows != 1 || out.Cols != 1 {
 		t.Fatal("regression predict shape wrong")
 	}
@@ -179,8 +179,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("layers = %d", len(m.Net.Layers))
 	}
 	snap := m.Snapshot()
-	x := nn.FromRows([][]float64{{3, 7}})
-	before := m.Forward(x).At(0, 0)
+	x := &nn.Matrix{Rows: 1, Cols: 2, Data: []float64{3, 7}}
+	before := m.Predict(x).At(0, 0)
 	// Clobber weights, restore, verify output identical.
 	for _, l := range m.Net.Layers {
 		for _, p := range l.Params() {
@@ -192,7 +192,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := m.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	after := m.Forward(x).At(0, 0)
+	after := m.Predict(x).At(0, 0)
 	if before != after {
 		t.Fatalf("restore mismatch: %v vs %v", before, after)
 	}
@@ -317,7 +317,7 @@ func TestPrefixMemoBound(t *testing.T) {
 
 // fineTuneStep prepares a model, memo and batch shaped like one PREDICT
 // fine-tune step: 128 rows, three fields of 32 buckets, 32 hidden units.
-func fineTuneStep() (*Model, *PrefixMemo, *nn.Matrix, *nn.Matrix, nn.Optimizer) {
+func fineTuneStep() (*Model, *PrefixMemo, *nn.Matrix, *nn.Matrix, *nn.Adam) {
 	m := New(3, 96, 8, 32, false, 42)
 	m.Freeze(FreezePrefixLayers)
 	memo := NewPrefixMemo(PrefixMemoBytes)

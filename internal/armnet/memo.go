@@ -47,6 +47,8 @@ func NewPrefixMemo(limit int) *PrefixMemo {
 }
 
 // Stats returns how many rows lookups found and did not find.
+//
+//neurdb:reserved direction 1
 func (c *PrefixMemo) Stats() (hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

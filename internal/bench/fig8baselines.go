@@ -4,17 +4,18 @@ import (
 	"math"
 	"math/rand"
 
+	"neurdb/internal/bench/learnedopt"
 	"neurdb/internal/nn"
 	"neurdb/internal/plan"
 )
 
 // planFeatureDim is the pooled plan-feature width used by the Bao value
 // network and the Lero comparator: mean token + root estimates + size.
-const planFeatureDim = plan.NodeFeatureDim + 3
+const planFeatureDim = learnedopt.NodeFeatureDim + 3
 
 // PlanFeatures pools a plan into a fixed-width vector.
 func PlanFeatures(p plan.Node) []float64 {
-	toks := plan.EncodeTree(p)
+	toks := learnedopt.EncodeTree(p)
 	out := make([]float64, planFeatureDim)
 	for _, t := range toks {
 		for i, v := range t {
@@ -23,14 +24,14 @@ func PlanFeatures(p plan.Node) []float64 {
 	}
 	n := float64(len(toks))
 	if n > 0 {
-		for i := 0; i < plan.NodeFeatureDim; i++ {
+		for i := 0; i < learnedopt.NodeFeatureDim; i++ {
 			out[i] /= n
 		}
 	}
 	rows, cost := p.Estimates()
-	out[plan.NodeFeatureDim] = math.Log1p(rows) / 20
-	out[plan.NodeFeatureDim+1] = math.Log1p(cost) / 20
-	out[plan.NodeFeatureDim+2] = n / 16
+	out[learnedopt.NodeFeatureDim] = math.Log1p(rows) / 20
+	out[learnedopt.NodeFeatureDim+1] = math.Log1p(cost) / 20
+	out[learnedopt.NodeFeatureDim+2] = n / 16
 	return out
 }
 
@@ -59,7 +60,7 @@ func NewBao(seed int64) *Bao {
 
 // PredictRuntime returns the predicted log1p(runtime) for a plan.
 func (b *Bao) PredictRuntime(p plan.Node) float64 {
-	x := nn.FromRows([][]float64{PlanFeatures(p)})
+	x := learnedopt.FromRows([][]float64{PlanFeatures(p)})
 	return b.value.Forward(x).At(0, 0)
 }
 
@@ -78,15 +79,15 @@ func (b *Bao) Choose(cands []plan.Node) int {
 // Train fits the value network on (plan, runtimeSeconds) observations. Once
 // Freeze is called (the paper evaluates Bao's "stable model"), training
 // becomes a no-op.
-func (b *Bao) Train(p plan.Node, runtimeSeconds float64, opt nn.Optimizer) float64 {
+func (b *Bao) Train(p plan.Node, runtimeSeconds float64, opt *nn.Adam) float64 {
 	if b.frozen {
 		return 0
 	}
-	x := nn.FromRows([][]float64{PlanFeatures(p)})
-	target := nn.FromRows([][]float64{{math.Log1p(runtimeSeconds * 1000)}})
+	x := learnedopt.FromRows([][]float64{PlanFeatures(p)})
+	target := learnedopt.FromRows([][]float64{{math.Log1p(runtimeSeconds * 1000)}})
 	opt.ZeroGrad(b.value.Params())
 	pred := b.value.Forward(x)
-	loss, grad := nn.MSELoss(pred, target)
+	loss, grad := learnedopt.MSELoss(pred, target)
 	b.value.Backward(grad)
 	opt.Step(b.value.Params())
 	return loss
@@ -118,7 +119,7 @@ func NewLero(seed int64) *Lero {
 // prefer returns a logit > 0 when plan a is predicted faster than plan b.
 func (l *Lero) prefer(a, b plan.Node) float64 {
 	fa, fb := PlanFeatures(a), PlanFeatures(b)
-	x := nn.FromRows([][]float64{append(append([]float64{}, fa...), fb...)})
+	x := learnedopt.FromRows([][]float64{append(append([]float64{}, fa...), fb...)})
 	return l.comparator.Forward(x).At(0, 0)
 }
 
@@ -135,15 +136,15 @@ func (l *Lero) Choose(cands []plan.Node) int {
 
 // TrainPair teaches the comparator that `faster` beat `slower`. Both
 // orderings are trained for antisymmetry.
-func (l *Lero) TrainPair(faster, slower plan.Node, opt nn.Optimizer) float64 {
+func (l *Lero) TrainPair(faster, slower plan.Node, opt *nn.Adam) float64 {
 	if l.frozen {
 		return 0
 	}
 	ff, fs := PlanFeatures(faster), PlanFeatures(slower)
-	x1 := nn.FromRows([][]float64{append(append([]float64{}, ff...), fs...)})
-	x2 := nn.FromRows([][]float64{append(append([]float64{}, fs...), ff...)})
-	y1 := nn.FromRows([][]float64{{1}})
-	y2 := nn.FromRows([][]float64{{0}})
+	x1 := learnedopt.FromRows([][]float64{append(append([]float64{}, ff...), fs...)})
+	x2 := learnedopt.FromRows([][]float64{append(append([]float64{}, fs...), ff...)})
+	y1 := learnedopt.FromRows([][]float64{{1}})
+	y2 := learnedopt.FromRows([][]float64{{0}})
 	var total float64
 	for i, pair := range []struct {
 		x, y *nn.Matrix
@@ -151,7 +152,7 @@ func (l *Lero) TrainPair(faster, slower plan.Node, opt nn.Optimizer) float64 {
 		_ = i
 		opt.ZeroGrad(l.comparator.Params())
 		logits := l.comparator.Forward(pair.x)
-		loss, grad := nn.BCEWithLogitsLoss(logits, pair.y)
+		loss, grad := learnedopt.BCEWithLogitsLoss(logits, pair.y)
 		l.comparator.Backward(grad)
 		opt.Step(l.comparator.Params())
 		total += loss

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"neurdb/internal/bench/learnedopt"
 	"neurdb/internal/catalog"
 	"neurdb/internal/nn"
 	"neurdb/internal/plan"
@@ -47,7 +48,7 @@ func TestPlanFeatures(t *testing.T) {
 		t.Fatalf("op one-hot lost: %v", f)
 	}
 	f2 := PlanFeatures(fakePlan(tbl, 100000, 500000))
-	if f2[plan.NodeFeatureDim] <= f[plan.NodeFeatureDim] {
+	if f2[learnedopt.NodeFeatureDim] <= f[learnedopt.NodeFeatureDim] {
 		t.Fatal("row estimate feature not monotone")
 	}
 }

@@ -1,6 +1,10 @@
-package plan
+package learnedopt
 
-import "math"
+import (
+	"math"
+
+	"neurdb/internal/plan"
+)
 
 // NodeFeatureDim is the width of a plan-node token vector consumed by the
 // learned optimizer's tree-transformer encoder. Layout:
@@ -17,26 +21,26 @@ const NodeFeatureDim = 12
 const logScale = 1.0 / 20.0 // log1p values land roughly in [0, 1]
 
 // NodeFeatures encodes one operator as a feature vector.
-func NodeFeatures(n Node, depth int) []float64 {
+func NodeFeatures(n plan.Node, depth int) []float64 {
 	f := make([]float64, NodeFeatureDim)
 	switch t := n.(type) {
-	case *SeqScan:
+	case *plan.SeqScan:
 		f[0] = 1
 		f[10] = float64(t.Table.ID%16) / 16
 		f[11] = math.Log1p(float64(t.Table.Stats.Rows())) * logScale
-	case *IndexScan:
+	case *plan.IndexScan:
 		f[1] = 1
 		f[10] = float64(t.Table.ID%16) / 16
 		f[11] = math.Log1p(float64(t.Table.Stats.Rows())) * logScale
-	case *HashJoin:
+	case *plan.HashJoin:
 		f[2] = 1
-	case *NLJoin:
+	case *plan.NLJoin:
 		f[3] = 1
-	case *IndexJoin:
+	case *plan.IndexJoin:
 		f[4] = 1
 		f[10] = float64(t.Table.ID%16) / 16
 		f[11] = math.Log1p(float64(t.Table.Stats.Rows())) * logScale
-	case *Filter:
+	case *plan.Filter:
 		f[5] = 1
 	default:
 		f[6] = 1
@@ -51,9 +55,9 @@ func NodeFeatures(n Node, depth int) []float64 {
 // EncodeTree flattens a plan into a pre-order token sequence, one feature
 // vector per operator. The depth feature preserves tree structure for the
 // transformer (a standard tree-linearization trick).
-func EncodeTree(n Node) [][]float64 {
+func EncodeTree(n plan.Node) [][]float64 {
 	var out [][]float64
-	Walk(n, func(node Node, depth int) {
+	plan.Walk(n, func(node plan.Node, depth int) {
 		out = append(out, NodeFeatures(node, depth))
 	})
 	return out

@@ -18,7 +18,7 @@ func synthPlanTokens(r *rand.Rand, quality float64) [][]float64 {
 	n := 3 + r.Intn(4)
 	toks := make([][]float64, n)
 	for i := range toks {
-		t := make([]float64, plan.NodeFeatureDim)
+		t := make([]float64, NodeFeatureDim)
 		t[r.Intn(6)] = 1 // random op one-hot
 		t[7] = quality + r.Float64()*0.05
 		t[8] = quality * 0.8
@@ -37,7 +37,7 @@ func synthCond(r *rand.Rand) *nn.Matrix {
 		}
 		rows[i] = row
 	}
-	return nn.FromRows(rows)
+	return FromRows(rows)
 }
 
 func TestModelLearnsToPickCheapestCandidate(t *testing.T) {
@@ -160,7 +160,7 @@ func TestEncodeCandidates(t *testing.T) {
 	tbl := buildTestTable(t, nil)
 	cands := []plan.Node{fakePlan(tbl, 10, 10), fakePlan(tbl, 20, 20)}
 	toks := EncodeCandidates(cands)
-	if len(toks) != 2 || len(toks[0]) != 1 || len(toks[0][0]) != plan.NodeFeatureDim {
+	if len(toks) != 2 || len(toks[0]) != 1 || len(toks[0][0]) != NodeFeatureDim {
 		t.Fatalf("token encoding wrong: %d", len(toks))
 	}
 }

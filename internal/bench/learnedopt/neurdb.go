@@ -11,7 +11,10 @@
 // live statistics, and only the harness ranks candidates with this model.
 // Figure 8's other systems live beside it in internal/bench: Bao and Lero
 // (fig8baselines.go), and the cost-based optimizer planning on stale
-// statistics in the "PostgreSQL" role.
+// statistics in the "PostgreSQL" role. What only figure code trains with
+// lives here too, on top of nn's kernels: the attention blocks
+// (attention.go), the plan encoder (encode.go) and the allocating matrix
+// helpers and losses that Bao and Lero share (matrix.go).
 package learnedopt
 
 import (
@@ -78,7 +81,7 @@ func BuildConditions(tables []*catalog.Table, pool *storage.BufferPool) *nn.Matr
 		tok[7] = 1
 		rows = append(rows, tok)
 	}
-	return nn.FromRows(rows)
+	return FromRows(rows)
 }
 
 // Model is the dual-module learned optimizer.
@@ -87,8 +90,8 @@ type Model struct {
 
 	tokenProj *nn.Linear
 	condProj  *nn.Linear
-	cross     *nn.CrossAttention
-	analyzer  *nn.MultiHeadAttention
+	cross     *CrossAttention
+	analyzer  *MultiHeadAttention
 	mlp       *nn.Sequential
 }
 
@@ -97,10 +100,10 @@ func NewModel(d, heads int, seed int64) *Model {
 	r := rand.New(rand.NewSource(seed))
 	return &Model{
 		D: d, Heads: heads,
-		tokenProj: nn.NewLinear(plan.NodeFeatureDim, d, r),
+		tokenProj: nn.NewLinear(NodeFeatureDim, d, r),
 		condProj:  nn.NewLinear(CondFeatureDim, d, r),
-		cross:     nn.NewCrossAttention(d, heads, r),
-		analyzer:  nn.NewMultiHeadAttention(d, heads, r),
+		cross:     NewCrossAttention(d, heads, r),
+		analyzer:  NewMultiHeadAttention(d, heads, r),
 		mlp: nn.NewSequential(
 			nn.NewLinear(d, 2*d, r),
 			&nn.ReLU{},
@@ -123,14 +126,14 @@ func (m *Model) Params() []*nn.Param {
 // candidate's backward pass sees its own activations.
 func linearView(l *nn.Linear) *nn.Linear { return &nn.Linear{WP: l.WP, BP: l.BP} }
 
-func crossView(c *nn.CrossAttention) *nn.CrossAttention {
-	return &nn.CrossAttention{Dim: c.Dim, Heads: c.Heads, Wq: c.Wq, Wk: c.Wk, Wv: c.Wv, Wo: c.Wo}
+func crossView(c *CrossAttention) *CrossAttention {
+	return &CrossAttention{Dim: c.Dim, Heads: c.Heads, Wq: c.Wq, Wk: c.Wk, Wv: c.Wv, Wo: c.Wo}
 }
 
 // candState carries the per-candidate caches needed for backward.
 type candState struct {
 	tproj *nn.Linear
-	cview *nn.CrossAttention
+	cview *CrossAttention
 	rows  int
 }
 
@@ -141,18 +144,18 @@ func (m *Model) forward(tokens [][][]float64, cond *nn.Matrix) (*nn.Matrix, []ca
 	e := nn.NewMatrix(k, m.D)
 	states := make([]candState, k)
 	for i, tok := range tokens {
-		x := nn.FromRows(tok)
+		x := FromRows(tok)
 		tv := linearView(m.tokenProj)
 		cv := crossView(m.cross)
 		xp := tv.Forward(x)
 		f := cv.ForwardQKV(xp, condProj)
-		fused := nn.Add(xp, f) // residual
-		pooled := nn.MeanRows(fused)
+		fused := Add(xp, f) // residual
+		pooled := MeanRows(fused)
 		copy(e.Row(i), pooled.Row(0))
 		states[i] = candState{tproj: tv, cview: cv, rows: xp.Rows}
 	}
 	a := m.analyzer.Forward(e)
-	e2 := nn.Add(e, a) // residual
+	e2 := Add(e, a) // residual
 	scores := m.mlp.Forward(e2)
 	return scores, states, e, condProj
 }
@@ -186,7 +189,7 @@ type Example struct {
 
 // TrainExample runs one optimization step (softmax cross-entropy on the
 // best-candidate label) and returns the loss.
-func (m *Model) TrainExample(ex Example, opt nn.Optimizer) float64 {
+func (m *Model) TrainExample(ex Example, opt *nn.Adam) float64 {
 	if len(ex.Tokens) < 2 {
 		return 0
 	}
@@ -200,7 +203,7 @@ func (m *Model) TrainExample(ex Example, opt nn.Optimizer) float64 {
 	for i := 0; i < k; i++ {
 		logits.Set(0, i, scores.At(i, 0))
 	}
-	loss, dlogits := nn.SoftmaxCELoss(logits, []int{ex.Best})
+	loss, dlogits := SoftmaxCELoss(logits, []int{ex.Best})
 	dscores := nn.NewMatrix(k, 1)
 	for i := 0; i < k; i++ {
 		dscores.Set(i, 0, dlogits.At(0, i))
@@ -208,7 +211,7 @@ func (m *Model) TrainExample(ex Example, opt nn.Optimizer) float64 {
 
 	// Backward through analyzer + encoder.
 	de2 := m.mlp.Backward(dscores)
-	de := nn.Add(de2, m.analyzer.Backward(de2))
+	de := Add(de2, m.analyzer.Backward(de2))
 	var dcondSum *nn.Matrix
 	for i, st := range states {
 		dpooled := de.Row(i)
@@ -221,7 +224,7 @@ func (m *Model) TrainExample(ex Example, opt nn.Optimizer) float64 {
 			}
 		}
 		dxq, dcond := st.cview.BackwardQKV(dxf)
-		dx := nn.Add(dxf, dxq) // residual: fused = xp + f
+		dx := Add(dxf, dxq) // residual: fused = xp + f
 		st.tproj.Backward(dx)
 		if dcondSum == nil {
 			dcondSum = dcond
@@ -241,7 +244,7 @@ func (m *Model) TrainExample(ex Example, opt nn.Optimizer) float64 {
 func EncodeCandidates(cands []plan.Node) [][][]float64 {
 	out := make([][][]float64, len(cands))
 	for i, c := range cands {
-		out[i] = plan.EncodeTree(c)
+		out[i] = EncodeTree(c)
 	}
 	return out
 }

@@ -269,6 +269,8 @@ func DeleteWhere(ctx *Ctx, src plan.Node) (int, error) {
 // and the table size allow. The batch passed to visit is reused between
 // calls — visit must copy what it keeps. The benchmark referee's extraction
 // probe streams a table through this.
+//
+//neurdb:reserved direction 2
 func ScanBatches(ctx *Ctx, t *catalog.Table, visit func(*rel.Batch) error) error {
 	it, err := BuildBatch(&plan.SeqScan{Table: t}, ctx)
 	if err != nil {

@@ -516,16 +516,6 @@ func TestExplainOutput(t *testing.T) {
 	if nodes < 4 {
 		t.Fatalf("plan too small:\n%s", out)
 	}
-	// Feature encoding produces one token per operator.
-	toks := plan.EncodeTree(p)
-	if len(toks) != nodes {
-		t.Fatalf("tokens %d vs nodes %d", len(toks), nodes)
-	}
-	for _, tok := range toks {
-		if len(tok) != plan.NodeFeatureDim {
-			t.Fatal("feature width wrong")
-		}
-	}
 }
 
 func TestInListAndBetweenExecution(t *testing.T) {

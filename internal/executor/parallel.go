@@ -45,6 +45,8 @@ const minParallelPages = 2 * MorselPages
 var parallelWorkerCount atomic.Int64
 
 // ParallelWorkers reports how many morsel workers are currently running.
+//
+//neurdb:reserved direction 1
 func ParallelWorkers() int64 { return parallelWorkerCount.Load() }
 
 // pipeStage is one transform the stage loop applies to a chunk of rows.

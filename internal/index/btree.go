@@ -18,7 +18,6 @@ const btreeOrder = 64 // max keys per node
 type BTree struct {
 	mu   sync.RWMutex
 	root btNode
-	size int // distinct keys
 }
 
 type btNode interface {
@@ -43,13 +42,6 @@ func (*btLeaf) isLeaf() bool { return true }
 // NewBTree creates an empty tree.
 func NewBTree() *BTree {
 	return &BTree{root: &btLeaf{}}
-}
-
-// Size returns the number of distinct keys.
-func (t *BTree) Size() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.size
 }
 
 // Insert adds a posting for key.
@@ -80,7 +72,6 @@ func (t *BTree) insert(n btNode, key rel.Value, id storage.RowID) (rel.Value, bt
 		node.postings = append(node.postings, nil)
 		copy(node.postings[i+1:], node.postings[i:])
 		node.postings[i] = []storage.RowID{id}
-		t.size++
 		if len(node.keys) <= btreeOrder {
 			return rel.Value{}, nil
 		}
@@ -199,6 +190,8 @@ func (t *BTree) findLeaf(key rel.Value) *btLeaf {
 // Delete removes one posting matching (key, id). It returns true if removed.
 // Leaves are not rebalanced (lazy deletion): workloads here are
 // insert-mostly, and visibility is heap-checked anyway.
+//
+//neurdb:reserved direction 5
 func (t *BTree) Delete(key rel.Value, id storage.RowID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -214,7 +207,6 @@ func (t *BTree) Delete(key rel.Value, id storage.RowID) bool {
 			if len(leaf.postings[i]) == 0 {
 				leaf.keys = append(leaf.keys[:i], leaf.keys[i+1:]...)
 				leaf.postings = append(leaf.postings[:i], leaf.postings[i+1:]...)
-				t.size--
 			}
 			return true
 		}
@@ -257,14 +249,4 @@ func (t *BTree) Range(lo, hi *rel.Value, visit func(rel.Value, []storage.RowID) 
 			}
 		}
 	}
-}
-
-// Keys returns all keys in order (testing helper).
-func (t *BTree) Keys() []rel.Value {
-	var out []rel.Value
-	t.Range(nil, nil, func(k rel.Value, _ []storage.RowID) bool {
-		out = append(out, k)
-		return true
-	})
-	return out
 }

@@ -11,6 +11,16 @@ import (
 	"neurdb/internal/storage"
 )
 
+// allKeys returns the tree's keys in order, as Range visits them.
+func allKeys(bt *BTree) []rel.Value {
+	var out []rel.Value
+	bt.Range(nil, nil, func(k rel.Value, _ []storage.RowID) bool {
+		out = append(out, k)
+		return true
+	})
+	return out
+}
+
 func rid(n int) storage.RowID {
 	return storage.RowID{Page: uint32(n / 128), Slot: uint32(n % 128)}
 }
@@ -20,8 +30,8 @@ func TestBTreeInsertLookup(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		bt.Insert(rel.Int(int64(i)), rid(i))
 	}
-	if bt.Size() != 1000 {
-		t.Fatalf("size = %d", bt.Size())
+	if len(allKeys(bt)) != 1000 {
+		t.Fatalf("size = %d", len(allKeys(bt)))
 	}
 	for i := 0; i < 1000; i++ {
 		ps := bt.Lookup(rel.Int(int64(i)))
@@ -39,8 +49,8 @@ func TestBTreeDuplicateKeys(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		bt.Insert(rel.Int(7), rid(i))
 	}
-	if bt.Size() != 1 {
-		t.Fatalf("distinct keys = %d", bt.Size())
+	if len(allKeys(bt)) != 1 {
+		t.Fatalf("distinct keys = %d", len(allKeys(bt)))
 	}
 	if got := len(bt.Lookup(rel.Int(7))); got != 10 {
 		t.Fatalf("postings = %d", got)
@@ -48,8 +58,8 @@ func TestBTreeDuplicateKeys(t *testing.T) {
 	// A numerically equal FLOAT key is the same key: it joins the postings
 	// of INT 7 and finds them.
 	bt.Insert(rel.Float(7), rid(10))
-	if bt.Size() != 1 || len(bt.Lookup(rel.Float(7))) != 11 || len(bt.Lookup(rel.Int(7))) != 11 {
-		t.Fatalf("float 7: %d distinct keys, %d/%d postings", bt.Size(), len(bt.Lookup(rel.Float(7))), len(bt.Lookup(rel.Int(7))))
+	if len(allKeys(bt)) != 1 || len(bt.Lookup(rel.Float(7))) != 11 || len(bt.Lookup(rel.Int(7))) != 11 {
+		t.Fatalf("float 7: %d distinct keys, %d/%d postings", len(allKeys(bt)), len(bt.Lookup(rel.Float(7))), len(bt.Lookup(rel.Int(7))))
 	}
 }
 
@@ -64,7 +74,7 @@ func TestBTreeKeysSortedProperty(t *testing.T) {
 			inserted[k] = true
 			bt.Insert(rel.Int(k), rid(i))
 		}
-		keys := bt.Keys()
+		keys := allKeys(bt)
 		if len(keys) != len(inserted) {
 			return false
 		}
@@ -142,7 +152,7 @@ func TestBTreeRangeSeekMatchesFilter(t *testing.T) {
 	for i := 0; i < 3000; i += 1 + r.Intn(4) {
 		bt.Delete(rel.Int(int64(i*3)), rid(i))
 	}
-	keys := bt.Keys()
+	keys := allKeys(bt)
 	for trial := 0; trial < 2000; trial++ {
 		lo := rel.Int(int64(r.Intn(9200) - 100))
 		hi := rel.Int(lo.AsInt() + int64(r.Intn(400)) - 20) // sometimes below lo: empty
@@ -179,8 +189,8 @@ func TestBTreeDelete(t *testing.T) {
 	if bt.Lookup(rel.Int(50)) != nil {
 		t.Fatal("deleted key still present")
 	}
-	if bt.Size() != 99 {
-		t.Fatalf("size after delete = %d", bt.Size())
+	if len(allKeys(bt)) != 99 {
+		t.Fatalf("size after delete = %d", len(allKeys(bt)))
 	}
 	if bt.Delete(rel.Int(50), rid(50)) {
 		t.Fatal("double delete should fail")
@@ -208,7 +218,7 @@ func TestBTreeMixedTypesOrdered(t *testing.T) {
 	bt.Insert(rel.Int(5), rid(2))
 	bt.Insert(rel.Text("a"), rid(3))
 	bt.Insert(rel.Float(2.5), rid(4))
-	keys := bt.Keys()
+	keys := allKeys(bt)
 	// numeric class before text class; within class by value
 	if keys[0].AsFloat() != 2.5 || keys[1].AsFloat() != 5 || keys[2].String() != "a" || keys[3].String() != "b" {
 		t.Fatalf("mixed order wrong: %v", keys)
@@ -242,8 +252,8 @@ func TestBTreeRandomizedAgainstMap(t *testing.T) {
 			t.Fatalf("key %d: got %d postings, want %d", k, len(got), len(want))
 		}
 	}
-	if bt.Size() != len(ref) {
-		t.Fatalf("size %d vs ref %d", bt.Size(), len(ref))
+	if len(allKeys(bt)) != len(ref) {
+		t.Fatalf("size %d vs ref %d", len(allKeys(bt)), len(ref))
 	}
 }
 

@@ -1,7 +1,8 @@
-// Package lint implements neurdb-lint: a suite of syntactic, package-local
-// analyzers for the engine invariants that neither an API shape nor a
-// -tags=invariants runtime assertion can hold (docs/ARCHITECTURE.md
-// "Enforced invariants").
+// Package lint implements neurdb-lint: a suite of syntactic analyzers for
+// the engine invariants that neither an API shape nor a -tags=invariants
+// runtime assertion can hold (docs/ARCHITECTURE.md "Enforced invariants").
+// Most analyzers read one package at a time; reach reads a reference index
+// of the whole module, built once through the loader.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis — an
 // Analyzer owns a Run function over a typed, parsed package — but is built
@@ -132,5 +133,6 @@ func All() []*Analyzer {
 		AtomicMix,
 		ErrCmp,
 		Exhaustive,
+		Reach,
 	}
 }

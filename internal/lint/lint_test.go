@@ -79,3 +79,11 @@ func TestAnalyzerPinning(t *testing.T) {
 		t.Fatal("package matching must be path-segment exact")
 	}
 }
+
+// TestReach runs the module-wide check over a fixture module with a server
+// command: unreferenced and figure-only exports, a knob only a test sets and
+// stale or numberless reservations are findings; an interface method, an
+// interface-typed knob and a numbered reservation are not.
+func TestReach(t *testing.T) {
+	linttest.Run(t, "testdata/reachmod", lint.Reach, "neurdb/internal/srv")
+}

@@ -42,6 +42,8 @@ type Loader struct {
 	cache  map[string]*Package
 	// loading guards against import cycles.
 	loading map[string]bool
+	// reach is the module-wide reference index, built on first use.
+	reach *reachIndex
 }
 
 // NewLoader returns a loader for the module rooted at dir, reading the

@@ -198,15 +198,6 @@ func (s *Store) Versions(mid int) []uint64 {
 	return append([]uint64(nil), m.versions...)
 }
 
-// LatestTS returns the newest version timestamp (0 if none).
-func (s *Store) LatestTS(mid int) uint64 {
-	v := s.Versions(mid)
-	if len(v) == 0 {
-		return 0
-	}
-	return v[len(v)-1]
-}
-
 // StorageBytes reports total stored blob bytes — the metric that shows
 // incremental updates sharing frozen layers instead of duplicating them.
 func (s *Store) StorageBytes() int64 {

@@ -77,7 +77,7 @@ func TestPaperLayerSelectionRule(t *testing.T) {
 	if len(vs) != 2 || vs[0] != t1 || vs[1] != t2 {
 		t.Fatalf("versions: %v", vs)
 	}
-	if s.LatestTS(mid) != t2 {
+	if vs[len(vs)-1] != t2 {
 		t.Fatal("latest ts wrong")
 	}
 }
@@ -134,7 +134,7 @@ func TestStoreErrorPaths(t *testing.T) {
 	if _, err := s.SavePartial(mid, map[int]nn.LayerWeights{9: layer("x", 1)}); err == nil {
 		t.Fatal("out-of-range LID should error")
 	}
-	if s.Versions(99) != nil || s.LatestTS(99) != 0 {
+	if s.Versions(99) != nil {
 		t.Fatal("unknown mid versions should be empty")
 	}
 }

@@ -1,15 +1,15 @@
-// Package nn is a from-scratch, stdlib-only neural-network runtime used by
-// every learned component in the system: the in-database analytics models
-// (ARM-Net-lite), the learned concurrency-control decision model, and the
-// learned query optimizer's encoder/analyzer. It provides dense matrices,
-// differentiable modules with hand-written backward passes, losses,
-// optimizers with layer freezing (the substrate for the paper's incremental
-// model update), and weight serialization for the layered model store.
+// Package nn is a from-scratch, stdlib-only neural-network runtime: the
+// kernels PREDICT's models (ARM-Net-lite) train and infer on. It provides
+// dense matrices with destination-passing products, differentiable modules
+// with hand-written backward passes, losses, the Adam optimizer with layer
+// freezing (the substrate for the paper's incremental model update), and
+// weight serialization for the layered model store. Figure code builds on
+// it: the learned query optimizer's attention blocks live with that
+// optimizer in internal/bench/learnedopt.
 package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -23,29 +23,6 @@ type Matrix struct {
 // NewMatrix allocates a zeroed Rows×Cols matrix.
 func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// FromSlice wraps data (len rows*cols) without copying.
-func FromSlice(rows, cols int, data []float64) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("nn: FromSlice %dx%d needs %d values, got %d", rows, cols, rows*cols, len(data)))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}
-}
-
-// FromRows builds a matrix from row slices (all equal length).
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("nn: FromRows ragged input")
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
 }
 
 // Randn fills a new matrix with N(0, std²) entries from r.
@@ -66,13 +43,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns a view of row i (no copy).
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
 // Zero sets all elements to 0.
 func (m *Matrix) Zero() {
 	for i := range m.Data {
@@ -80,31 +50,9 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// MatMul returns a×b.
-func MatMul(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, b.Cols)
-	MatMulBiasInto(out, a, b, nil)
-	return out
-}
-
-// MatMulBT returns a×bᵀ.
-func MatMulBT(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, b.Rows)
-	MatMulBTInto(out, a, b)
-	return out
-}
-
-// MatMulAT returns aᵀ×b.
-func MatMulAT(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Cols, b.Cols)
-	MatMulATAcc(out, a, b, nil)
-	return out
-}
-
 // The kernels below write into a destination the caller owns, so a training
 // step can run on preallocated scratch (Workspace). dst must have the
-// result's shape and must not alias an operand. The allocating forms above
-// are wrappers over them: there is one implementation of each product.
+// result's shape and must not alias an operand.
 //
 // MatMulBiasInto and MatMulATAcc keep the textbook summation order: each
 // output element has one accumulator — +0, or dst's value for the
@@ -270,96 +218,12 @@ func checkDst(op string, dst *Matrix, rows, cols int) {
 	}
 }
 
-// Add returns a+b elementwise.
-func Add(a, b *Matrix) *Matrix {
-	checkSameShape("Add", a, b)
-	out := NewMatrix(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return out
-}
-
 // AddInPlace adds b into a.
 func AddInPlace(a, b *Matrix) {
 	checkSameShape("AddInPlace", a, b)
 	for i := range a.Data {
 		a.Data[i] += b.Data[i]
 	}
-}
-
-// Scale returns s·a.
-func Scale(a *Matrix, s float64) *Matrix {
-	out := NewMatrix(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * s
-	}
-	return out
-}
-
-// SoftmaxRows applies softmax independently to every row.
-func SoftmaxRows(a *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		orow := out.Row(i)
-		maxv := math.Inf(-1)
-		for _, v := range row {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(v - maxv)
-			orow[j] = e
-			sum += e
-		}
-		if sum == 0 {
-			sum = 1
-		}
-		for j := range orow {
-			orow[j] /= sum
-		}
-	}
-	return out
-}
-
-// SoftmaxBackwardRows computes the gradient of softmax applied row-wise:
-// dx = y ⊙ (dy - rowsum(dy ⊙ y)).
-func SoftmaxBackwardRows(y, dy *Matrix) *Matrix {
-	checkSameShape("SoftmaxBackwardRows", y, dy)
-	out := NewMatrix(y.Rows, y.Cols)
-	for i := 0; i < y.Rows; i++ {
-		yr, dyr, or := y.Row(i), dy.Row(i), out.Row(i)
-		var dot float64
-		for j := range yr {
-			dot += yr[j] * dyr[j]
-		}
-		for j := range yr {
-			or[j] = yr[j] * (dyr[j] - dot)
-		}
-	}
-	return out
-}
-
-// MeanRows returns the column-wise mean as a 1×Cols matrix.
-func MeanRows(a *Matrix) *Matrix {
-	out := NewMatrix(1, a.Cols)
-	if a.Rows == 0 {
-		return out
-	}
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		for j, v := range row {
-			out.Data[j] += v
-		}
-	}
-	inv := 1.0 / float64(a.Rows)
-	for j := range out.Data {
-		out.Data[j] *= inv
-	}
-	return out
 }
 
 func checkSameShape(op string, a, b *Matrix) {

@@ -2,14 +2,8 @@ package nn
 
 import "math"
 
-// Optimizer updates parameters from accumulated gradients. Frozen parameters
-// are always skipped, which implements the incremental-update contract.
-type Optimizer interface {
-	Step(params []*Param)
-	ZeroGrad(params []*Param)
-}
-
-// Adam is the Adam optimizer (Kingma & Ba).
+// Adam is the Adam optimizer (Kingma & Ba). Step skips frozen parameters,
+// which implements the incremental-update contract.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 	WeightDecay           float64
@@ -25,7 +19,7 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step updates the trainable parameters from their accumulated gradients.
 func (o *Adam) Step(params []*Param) {
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
@@ -58,10 +52,8 @@ func (o *Adam) Step(params []*Param) {
 	}
 }
 
-// ZeroGrad implements Optimizer.
-func (o *Adam) ZeroGrad(params []*Param) { zeroGrads(params) }
-
-func zeroGrads(params []*Param) {
+// ZeroGrad clears the parameters' gradients.
+func (o *Adam) ZeroGrad(params []*Param) {
 	for _, p := range params {
 		p.Grad.Zero()
 	}

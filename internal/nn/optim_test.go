@@ -15,7 +15,7 @@ func quadGrad(p *Param, target []float64) {
 }
 
 func TestAdamConvergesOnQuadratic(t *testing.T) {
-	p := NewParam("w", FromSlice(1, 3, []float64{5, -4, 2}))
+	p := NewParam("w", fromRows([][]float64{{5, -4, 2}}))
 	target := []float64{1, 2, 3}
 	opt := NewAdam(0.1)
 	for i := 0; i < 500; i++ {
@@ -31,8 +31,8 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 }
 
 func TestFrozenParamsDoNotMove(t *testing.T) {
-	p1 := NewParam("w1", FromSlice(1, 1, []float64{5}))
-	p2 := NewParam("w2", FromSlice(1, 1, []float64{5}))
+	p1 := NewParam("w1", fromRows([][]float64{{5}}))
+	p2 := NewParam("w2", fromRows([][]float64{{5}}))
 	p2.Frozen = true
 	opt := NewAdam(0.1)
 	for i := 0; i < 10; i++ {
@@ -52,7 +52,7 @@ func TestFrozenParamsDoNotMove(t *testing.T) {
 func TestWeightDecayShrinksWeights(t *testing.T) {
 	a := NewAdam(0.1)
 	a.WeightDecay = 0.5
-	q := NewParam("w", FromSlice(1, 1, []float64{10}))
+	q := NewParam("w", fromRows([][]float64{{10}}))
 	a.ZeroGrad([]*Param{q})
 	// zero task gradient: only decay applies
 	a.Step([]*Param{q})
@@ -106,15 +106,15 @@ func TestXORTrainingEndToEnd(t *testing.T) {
 		&ReLU{},
 		NewLinear(8, 1, r),
 	)
-	x := FromRows([][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}})
-	y := FromRows([][]float64{{0}, {1}, {1}, {0}})
+	x := fromRows([][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}})
+	y := fromRows([][]float64{{0}, {1}, {1}, {0}})
 	opt := NewAdam(0.05)
 	var loss float64
 	for i := 0; i < 800; i++ {
 		opt.ZeroGrad(model.Params())
 		logits := model.Forward(x)
-		var grad *Matrix
-		loss, grad = BCEWithLogitsLoss(logits, y)
+		grad := NewMatrix(logits.Rows, logits.Cols)
+		loss = BCEWithLogitsLossInto(grad, logits, y)
 		model.Backward(grad)
 		opt.Step(model.Params())
 	}
@@ -148,7 +148,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 		t.Fatal("layer snapshot changed in the round trip")
 	}
 	// Mutate, restore, compare.
-	orig := seq.Layers[0].Params()[0].W.Clone()
+	orig := seq.Layers[0].Params()[0].W.clone()
 	for i := range seq.Layers[0].Params()[0].W.Data {
 		seq.Layers[0].Params()[0].W.Data[i] = 99
 	}

@@ -793,6 +793,8 @@ type Candidate struct {
 // EnumerateCandidates produces a diverse candidate plan set: one plan per
 // hint set plus cardinality-perturbed variants — the filtering stage of the
 // filter-and-refine principle the learned optimizer's analyzer then refines.
+//
+//neurdb:reserved direction 16
 func EnumerateCandidates(q *Query, sv StatsView, cardScales []float64) ([]Candidate, error) {
 	if sv == nil {
 		sv = LiveStats

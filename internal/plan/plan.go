@@ -279,19 +279,15 @@ func (l *Limit) Children() []Node { return []Node{l.Child} }
 // Label implements Node.
 func (l *Limit) Label() string { return fmt.Sprintf("Limit(%d)", l.N) }
 
-// Explain renders the plan tree as indented text.
+// Explain renders the plan tree as indented text, one line per node in
+// Walk's order.
 func Explain(n Node) string {
 	var sb strings.Builder
-	explain(&sb, n, 0)
+	Walk(n, func(n Node, depth int) {
+		rows, cost := n.Estimates()
+		fmt.Fprintf(&sb, "%s%s  (rows=%.0f cost=%.1f)\n", strings.Repeat("  ", depth), n.Label(), rows, cost)
+	})
 	return sb.String()
-}
-
-func explain(sb *strings.Builder, n Node, depth int) {
-	rows, cost := n.Estimates()
-	fmt.Fprintf(sb, "%s%s  (rows=%.0f cost=%.1f)\n", strings.Repeat("  ", depth), n.Label(), rows, cost)
-	for _, c := range n.Children() {
-		explain(sb, c, depth+1)
-	}
 }
 
 // Walk visits the plan tree pre-order.

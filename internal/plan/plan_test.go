@@ -69,32 +69,6 @@ func TestExplainWalkCount(t *testing.T) {
 	}
 }
 
-func TestEncodeTreeFeatures(t *testing.T) {
-	p := samplePlan(t)
-	toks := EncodeTree(p)
-	if len(toks) != 4 { // the sample plan's nodes
-		t.Fatalf("token count %d, want 4", len(toks))
-	}
-	for _, tok := range toks {
-		if len(tok) != NodeFeatureDim {
-			t.Fatalf("feature dim %d", len(tok))
-		}
-	}
-	// Root is a Project → "other" one-hot at position 6, depth 0.
-	if toks[0][6] != 1 || toks[0][9] != 0 {
-		t.Fatalf("root token wrong: %v", toks[0])
-	}
-	// Second token is the hash join at depth 1.
-	if toks[1][2] != 1 || toks[1][9] == 0 {
-		t.Fatalf("join token wrong: %v", toks[1])
-	}
-	// Leaves carry table features.
-	leaf := toks[2]
-	if leaf[0] != 1 || leaf[11] <= 0 {
-		t.Fatalf("leaf token wrong: %v", leaf)
-	}
-}
-
 func TestNodeLabelsAndKinds(t *testing.T) {
 	tbl := testTable(t)
 	v := &rel.Const{Val: rel.Int(3)}

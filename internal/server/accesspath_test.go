@@ -240,8 +240,7 @@ func wireOutcome(rows *client.Rows, err error) (string, error) {
 }
 
 // writeRoutes opens every entry point, each on a database of its own:
-// Session.Exec, Prepare+Exec, ExecScript, and the wire's simple and extended
-// protocols.
+// Session.Exec, Prepare+Exec, and the wire's simple and extended protocols.
 func writeRoutes(t *testing.T) []route {
 	t.Helper()
 	embedded := func() *neurdb.DB { return neurdb.Open(neurdb.DefaultConfig()) }
@@ -254,7 +253,7 @@ func writeRoutes(t *testing.T) []route {
 		t.Cleanup(func() { c.Close() })
 		return db, c
 	}
-	execDB, prepDB, scriptDB := embedded(), embedded(), embedded()
+	execDB, prepDB := embedded(), embedded()
 	execSession := execDB.NewSession() // one session: a sequence may span BEGIN … COMMIT
 	simpleDB, simple := wire()
 	extDB, ext := wire()
@@ -274,9 +273,6 @@ func writeRoutes(t *testing.T) []route {
 				prepared[sql] = st
 			}
 			return embeddedOutcome(st.Exec(args...))
-		}},
-		{"ExecScript", scriptDB, func(sql string, args []any) (string, error) {
-			return embeddedOutcome(scriptDB.ExecScript("SET statement_timeout = 0; " + inline(sql, args) + ";"))
 		}},
 		{"wire simple", simpleDB, func(sql string, args []any) (string, error) {
 			return wireOutcome(simple.Query(inline(sql, args)))

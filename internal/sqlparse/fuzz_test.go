@@ -8,10 +8,9 @@ import (
 	"testing"
 )
 
-// FuzzParse feeds arbitrary text to the three entry points that see SQL from
-// outside the process — Parse, ParamCount over what it returns, SplitScript
-// and Parse over its pieces. Each must return a value or an error; none may
-// panic. The seed corpus is every string literal of parser_test.go (its
+// FuzzParse feeds arbitrary text to the entry points that see SQL from
+// outside the process — Parse and ParamCount over what it returns. Each must
+// return a value or an error; neither may panic. The seed corpus is every string literal of parser_test.go (its
 // statements, plus a few fragments), read from the source so it follows that
 // file.
 func FuzzParse(f *testing.F) {
@@ -33,15 +32,6 @@ func FuzzParse(f *testing.F) {
 				t.Fatalf("Parse(%q) returned neither a statement nor an error", src)
 			}
 			ParamCount(stmt)
-		}
-		pieces, err := SplitScript(src)
-		if err != nil {
-			return
-		}
-		for _, piece := range pieces {
-			if stmt, err := Parse(piece); err == nil {
-				ParamCount(stmt)
-			}
 		}
 	})
 }

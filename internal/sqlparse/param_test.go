@@ -83,12 +83,8 @@ func TestMixedPlaceholderStylesRejected(t *testing.T) {
 			t.Fatalf("Parse(%q) err = %v, want mixed-placeholder error", sql, err)
 		}
 	}
-	// Style state is per statement: a script's pieces may differ.
-	texts, err := SplitScript(`SELECT a FROM t WHERE a = ?; SELECT b FROM t WHERE b = $1`)
-	if err != nil || len(texts) != 2 {
-		t.Fatalf("per-statement styles in a script: %v (%d stmts)", err, len(texts))
-	}
-	for _, text := range texts {
+	// Style state is per statement: a script's statements may differ.
+	for _, text := range []string{`SELECT a FROM t WHERE a = ?`, `SELECT b FROM t WHERE b = $1`} {
 		stmt, err := Parse(text)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", text, err)
@@ -96,36 +92,6 @@ func TestMixedPlaceholderStylesRejected(t *testing.T) {
 		// '?' numbering also restarts per statement.
 		if p := stmt.(*Select).Where.(*Binary).R.(*Param); p.Idx != 0 {
 			t.Fatalf("%q parameter ordinal = %d", text, p.Idx)
-		}
-	}
-}
-
-func TestSplitScript(t *testing.T) {
-	src := `CREATE TABLE t (a INT); -- trailing comment
-INSERT INTO t VALUES (1), (2);
-SELECT 'semi; colon' FROM t;
-SELECT a FROM t`
-	stmts, err := SplitScript(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stmts) != 4 {
-		t.Fatalf("SplitScript produced %d statements, want 4: %#v", len(stmts), stmts)
-	}
-	if !strings.Contains(stmts[2], "semi; colon") {
-		t.Fatalf("semicolon inside string literal split the statement: %q", stmts[2])
-	}
-	// Every piece must parse on its own.
-	for _, s := range stmts {
-		if _, err := Parse(s); err != nil {
-			t.Fatalf("Parse(%q): %v", s, err)
-		}
-	}
-	// Empty input and bare semicolons produce nothing.
-	for _, empty := range []string{"", " ;; ", "-- just a comment"} {
-		got, err := SplitScript(empty)
-		if err != nil || len(got) != 0 {
-			t.Fatalf("SplitScript(%q) = %v, %v", empty, got, err)
 		}
 	}
 }

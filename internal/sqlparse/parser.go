@@ -35,38 +35,6 @@ func Parse(src string) (Stmt, error) {
 	return stmt, nil
 }
 
-// SplitScript splits a semicolon-separated script into individual statement
-// strings using the lexer, so semicolons inside string literals or comments
-// never split a statement. Empty segments are dropped. Callers that want to
-// execute statements one at a time (e.g. a streaming shell) use this and
-// feed each piece to Query/Exec (DB.ExecScript parses every piece first).
-func SplitScript(src string) ([]string, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	start := -1 // byte offset of the current statement's first token
-	for _, t := range toks {
-		switch {
-		case t.Kind == TokPunct && t.Text == ";":
-			if start >= 0 {
-				out = append(out, src[start:t.Pos])
-				start = -1
-			}
-		case t.Kind == TokEOF:
-			if start >= 0 {
-				out = append(out, src[start:t.Pos])
-			}
-		default:
-			if start < 0 {
-				start = t.Pos
-			}
-		}
-	}
-	return out, nil
-}
-
 func (p *Parser) peek() Token { return p.toks[p.pos] }
 
 func (p *Parser) next() Token {

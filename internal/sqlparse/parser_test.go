@@ -222,6 +222,19 @@ func TestParseAnalyzeExplainSet(t *testing.T) {
 	if _, ok := e.Inner.(*Select); !ok {
 		t.Fatal("explain inner wrong")
 	}
+	// EXPLAIN records where its inner statement starts, for every planned
+	// kind it wraps.
+	for _, inner := range []string{"SELECT * FROM t", "INSERT INTO t VALUES (1)", "UPDATE t SET a = 1",
+		"DELETE FROM t WHERE a = 1", "PREDICT VALUE OF a FROM t TRAIN ON *"} {
+		text := "\n\t\tEXPLAIN " + inner + ";\n\t"
+		e := mustParse(t, text).(*Explain)
+		if got := strings.TrimSpace(text[e.InnerPos:]); got != inner+";" {
+			t.Fatalf("inner statement text = %q, want %q", got, inner+";")
+		}
+	}
+	if _, err := Parse("SELECT * FROM t SELECT"); err == nil {
+		t.Fatal("missing semicolon should fail")
+	}
 	st := mustParse(t, "SET optimizer = 'learned'").(*SetStmt)
 	if st.Key != "optimizer" || st.Value != "learned" {
 		t.Fatal("set wrong")
@@ -327,33 +340,6 @@ func exprString(e Expr) string {
 		return t.Name + "(...)"
 	}
 	return "?"
-}
-
-func TestSplitScriptPiecesParse(t *testing.T) {
-	texts, err := SplitScript(`
-		CREATE TABLE t (a INT);
-		INSERT INTO t VALUES (1);
-		EXPLAIN SELECT * FROM t;
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(texts) != 3 {
-		t.Fatalf("script stmt count = %d", len(texts))
-	}
-	for _, text := range texts {
-		if _, err := Parse(text); err != nil {
-			t.Fatalf("Parse(%q): %v", text, err)
-		}
-	}
-	// EXPLAIN records where its inner statement starts.
-	ex, _ := Parse(texts[2])
-	if got := texts[2][ex.(*Explain).InnerPos:]; got != "SELECT * FROM t" {
-		t.Fatalf("inner statement text = %q", got)
-	}
-	if _, err := Parse("SELECT * FROM t SELECT"); err == nil {
-		t.Fatal("missing semicolon should fail")
-	}
 }
 
 func TestParseErrors(t *testing.T) {

@@ -245,6 +245,8 @@ func (b *BufferPool) Touch(table int, page uint32) bool {
 }
 
 // HitRatio returns hits/(hits+misses), or 1 when no accesses happened.
+//
+//neurdb:reserved direction 15
 func (b *BufferPool) HitRatio() float64 {
 	hits, misses := b.Stats()
 	total := hits + misses
@@ -276,6 +278,8 @@ func (b *BufferPool) ResidentPages(table int) int {
 
 // ResidentFraction returns the cached fraction of a table given its total
 // page count (1 if the table has no pages).
+//
+//neurdb:reserved direction 15
 func (b *BufferPool) ResidentFraction(table, totalPages int) float64 {
 	if totalPages <= 0 {
 		return 1
@@ -284,9 +288,13 @@ func (b *BufferPool) ResidentFraction(table, totalPages int) float64 {
 }
 
 // Capacity returns the configured page capacity.
+//
+//neurdb:reserved direction 15
 func (b *BufferPool) Capacity() int { return b.capacity }
 
 // Len returns the number of currently resident pages.
+//
+//neurdb:reserved direction 15
 func (b *BufferPool) Len() int {
 	total := 0
 	for _, s := range b.shards {

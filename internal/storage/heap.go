@@ -162,6 +162,8 @@ func (h *Heap) ScanBatch(visit func(pageID uint32, heads []*Version) bool) {
 // Vacuum removes versions whose EndTS <= horizon and frees fully-dead chains.
 // It returns the number of versions reclaimed. The horizon is the oldest
 // snapshot timestamp still active.
+//
+//neurdb:reserved direction 5
 func (h *Heap) Vacuum(horizon uint64) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -205,6 +205,8 @@ func (m *Manager) withStripe(si uint32, fn func()) {
 
 // StripeStats reports cumulative claim-stripe acquisitions and how many of
 // them had to wait for a concurrent writer on the same stripe.
+//
+//neurdb:reserved direction 1
 func (m *Manager) StripeStats() (claims, waits uint64) {
 	return m.stripeClaims.Load(), m.stripeWaits.Load()
 }
@@ -223,6 +225,8 @@ func (m *Manager) Begin(level IsolationLevel, readOnly bool) *Txn {
 
 // Stats reports cumulative commit and abort counts; ROLLBACK counts as an
 // abort.
+//
+//neurdb:reserved direction 1
 func (m *Manager) Stats() (commits, aborts uint64) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -231,6 +235,8 @@ func (m *Manager) Stats() (commits, aborts uint64) {
 
 // OldestActiveTS returns the snapshot horizon for vacuum: the minimum
 // StartTS among active transactions, or the current clock if none.
+//
+//neurdb:reserved direction 5
 func (m *Manager) OldestActiveTS() uint64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
