@@ -197,6 +197,54 @@ func TestParseUpdateDelete(t *testing.T) {
 	}
 }
 
+// TestSplitScriptPiecesParse cuts a script at its top-level semicolons by
+// the lexer's token positions, as a caller feeding statements one at a time
+// would, and checks each piece parses on its own while the whole script does
+// not: Parse takes one statement.
+func TestSplitScriptPiecesParse(t *testing.T) {
+	src := `
+		CREATE TABLE t (a INT);
+		INSERT INTO t VALUES ('semi; colon'); -- a comment; with a semicolon
+		EXPLAIN SELECT * FROM t;
+	`
+	toks, err := Tokenize(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var texts []string
+	start := -1
+	for _, tok := range toks {
+		switch {
+		case tok.Kind == TokPunct && tok.Text == ";" || tok.Kind == TokEOF:
+			if start >= 0 {
+				texts = append(texts, src[start:tok.Pos])
+				start = -1
+			}
+		case start < 0:
+			start = tok.Pos
+		}
+	}
+	if len(texts) != 3 {
+		t.Fatalf("script stmt count = %d: %q", len(texts), texts)
+	}
+	for _, text := range texts {
+		if _, err := Parse(text); err != nil {
+			t.Fatalf("Parse(%q): %v", text, err)
+		}
+	}
+	// EXPLAIN records where its inner statement starts within its piece.
+	ex := mustParse(t, texts[2]).(*Explain)
+	if got := texts[2][ex.InnerPos:]; got != "SELECT * FROM t" {
+		t.Fatalf("inner statement text = %q", got)
+	}
+	if _, err := Parse(src); err == nil {
+		t.Fatal("Parse of a three-statement script should fail")
+	}
+	if _, err := Parse("SELECT * FROM t SELECT"); err == nil {
+		t.Fatal("missing semicolon should fail")
+	}
+}
+
 func TestParseTxnStmts(t *testing.T) {
 	for src, kind := range map[string]string{
 		"BEGIN":             "BEGIN",
@@ -231,9 +279,6 @@ func TestParseAnalyzeExplainSet(t *testing.T) {
 		if got := strings.TrimSpace(text[e.InnerPos:]); got != inner+";" {
 			t.Fatalf("inner statement text = %q, want %q", got, inner+";")
 		}
-	}
-	if _, err := Parse("SELECT * FROM t SELECT"); err == nil {
-		t.Fatal("missing semicolon should fail")
 	}
 	st := mustParse(t, "SET optimizer = 'learned'").(*SetStmt)
 	if st.Key != "optimizer" || st.Value != "learned" {
