@@ -117,3 +117,31 @@ func TestConcatVStackMean(t *testing.T) {
 		t.Fatal("MeanRows of empty should be zero")
 	}
 }
+
+// TestMatrixHelpers keeps the checks the allocating helpers had in nn: Add and
+// Scale compute elementwise, and FromRows, Add and MatMul refuse shapes that
+// do not fit.
+func TestMatrixHelpers(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	a := nn.Randn(3, 4, 1, r)
+	b := nn.Randn(3, 4, 1, r)
+	sum, sc := Add(a, b), Scale(a, 2.5)
+	for i := range a.Data {
+		if sum.Data[i] != a.Data[i]+b.Data[i] || sc.Data[i] != 2.5*a.Data[i] {
+			t.Fatal("elementwise op wrong")
+		}
+	}
+	expectPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s should panic", name)
+			}
+		}()
+		f()
+	}
+	c, d := nn.NewMatrix(2, 3), nn.NewMatrix(4, 5)
+	expectPanic("FromRows", func() { FromRows([][]float64{{1, 2}, {3}}) })
+	expectPanic("Add", func() { Add(c, d) })
+	expectPanic("MatMul", func() { MatMul(c, d) })
+}

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"regexp"
 	"slices"
@@ -262,7 +263,9 @@ func collectRefs(node ast.Node, info *types.Info) declRefs {
 		case *ast.IncDecStmt:
 			field(n.X)
 		case *ast.UnaryExpr:
-			field(n.X)
+			if n.Op == token.AND {
+				field(n.X)
+			}
 		case *ast.CompositeLit:
 			st, ok := info.TypeOf(n).Underlying().(*types.Struct)
 			for i, elt := range n.Elts {

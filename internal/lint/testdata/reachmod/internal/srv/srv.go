@@ -6,6 +6,8 @@ import "fmt"
 type Config struct {
 	Port    int
 	Verbose bool // want reach:"knob srv\.Config\.Verbose is set by no request path"
+	// Quiet is only ever read, negated: reading is not setting.
+	Quiet bool // want reach:"knob srv\.Config\.Quiet is set by no request path"
 	// FS is a seam for test fakes, not a knob.
 	FS FS
 }
@@ -20,7 +22,7 @@ func (t Thing) String() string { return fmt.Sprint(t.N) }
 
 // Run is what the server calls.
 func Run(cfg Config) {
-	if cfg.Verbose {
+	if cfg.Verbose && !cfg.Quiet {
 		fmt.Println(Thing{N: cfg.Port}, Helper())
 	}
 }

