@@ -161,16 +161,17 @@ func perRun(tb testing.TB, runs int, fn func()) (allocs, bytes float64) {
 //
 // Measured per round trip (allocs, bytes; amd64): before the
 // per-connection wire buffers, reusing decoders, slab-carved projections and
-// record-nothing read-only commits; after them; and since the executor binds
+// record-nothing read-only commits; after them; since the executor binds
 // parameters as it compiles each operator instead of copying the cached plan
-// per execution:
+// per execution; and since a rel.Value is 16 bytes instead of 32:
 //
-//	prepared point SELECT      51,  8,543 B  ->  18,  1,144 B  ->  15,  1,104 B
-//	prepared 50-row range     283, 30,327 B  ->  46, 13,848 B  ->  42, 12,336 B
-//	ad-hoc point SELECT        68,  9,768 B  ->  47,  2,888 B  ->  47,  3,048 B
-//	prepared point UPDATE      53,  9,288 B  ->  25,  1,831 B  ->  22,  1,361 B
+//	prepared point SELECT      51,  8,543 B  ->  18,  1,144 B  ->  15,  1,104 B  ->  15,    992 B
+//	prepared 50-row range     283, 30,327 B  ->  46, 13,848 B  ->  42, 12,336 B  ->  42, 10,544 B
+//	ad-hoc point SELECT        68,  9,768 B  ->  47,  2,888 B  ->  47,  3,048 B  ->  47,  2,933 B
+//	prepared point UPDATE      53,  9,288 B  ->  25,  1,831 B  ->  22,  1,361 B  ->  22,  1,217 B
 //
-// The race detector adds a few dozen bytes to each.
+// The race detector adds a few dozen bytes to each, and -tags=invariants
+// (stripeAssertAllocs) a few hundred to the UPDATE.
 //
 // Most of what is left is the engine's per-statement state: iterators,
 // transaction and cursor, the bound residual filter, and for the range the
@@ -185,10 +186,10 @@ func TestWireRoundTripAllocs(t *testing.T) {
 		fn              func(*wireFixture, testing.TB)
 		maxAllocs, maxB float64
 	}{
-		{"PointSelect", (*wireFixture).pointSelect, 17, 1344},
-		{"Range50", (*wireFixture).range50, 45, 14336},
-		{"AdhocPoint", (*wireFixture).adhocPoint, 52, 3584},
-		{"PointUpdate", (*wireFixture).pointUpdate, 24 + stripeAssertAllocs, 2048},
+		{"PointSelect", (*wireFixture).pointSelect, 17, 1152},
+		{"Range50", (*wireFixture).range50, 45, 11264},
+		{"AdhocPoint", (*wireFixture).adhocPoint, 52, 3328},
+		{"PointUpdate", (*wireFixture).pointUpdate, 24 + stripeAssertAllocs, 1664},
 	} {
 		allocs, bytes := perRun(t, 200, func() { tc.fn(f, t) })
 		t.Logf("%s: %.1f allocs, %.0f B per round trip", tc.name, allocs, bytes)

@@ -93,8 +93,8 @@ func (c *Const) Eval(Row) Value { return c.Val }
 
 // String implements Expr.
 func (c *Const) String() string {
-	if c.Val.typ == TypeText {
-		return "'" + c.Val.s + "'"
+	if c.Val.Type() == TypeText {
+		return "'" + c.Val.str() + "'"
 	}
 	return c.Val.String()
 }
@@ -224,7 +224,7 @@ func (b *BinOp) Eval(r Row) Value {
 }
 
 func arith(k BinOpKind, l, r Value) Value {
-	if l.typ == TypeInt && r.typ == TypeInt {
+	if l.Type() == TypeInt && r.Type() == TypeInt {
 		li, ri := int64(l.n), int64(r.n)
 		switch k {
 		case OpAdd:

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Type identifies the type of a Value.
@@ -47,46 +48,89 @@ func (t Type) String() string {
 	}
 }
 
-// Value is a single typed datum in 32 bytes: one payload word n and a
-// string s behind the type tag. An INT is n as an int64, a DOUBLE n as its
-// math.Float64bits, a BOOL n as 0 or 1, and a TEXT is s; NULL carries
-// neither. The zero Value is NULL.
+// Value is a single typed datum in 16 bytes: a pointer p and a payload
+// word n. For NULL p is nil (the zero Value is NULL). An INT, DOUBLE or
+// BOOL points p at its type's byte in typeTag and keeps its payload in n:
+// an INT as an int64, a DOUBLE as its math.Float64bits, a BOOL as 0 or 1.
+// A TEXT points p at its bytes and keeps its length in n; an empty TEXT
+// points at typeTag[TypeText], so it is never NULL. A five-column row is
+// 80 bytes of values.
+//
+// The identity of a TEXT is therefore a pointer, and two equal strings may
+// have different ones. The leading [0]func() makes Value incomparable, so
+// == on a Value (or a struct, array or map key that holds one) does not
+// compile; compare with Compare or Equal, or by EncodeValue bytes.
 type Value struct {
-	s   string
-	n   uint64
-	typ Type
+	_ [0]func()
+	p unsafe.Pointer
+	n uint64
 }
+
+// typeTag holds one byte per type; the p of a non-TEXT, non-NULL Value
+// points at its type's byte, so Type is the offset from typeTag.
+var typeTag [5]byte
+
+// tagged returns the value of type t, which is neither NULL nor TEXT, with
+// payload n.
+func tagged(t Type, n uint64) Value { return Value{p: unsafe.Pointer(&typeTag[t]), n: n} }
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
 
 // Int wraps an int64 as a Value.
-func Int(v int64) Value { return Value{typ: TypeInt, n: uint64(v)} }
+func Int(v int64) Value { return tagged(TypeInt, uint64(v)) }
 
 // Float wraps a float64 as a Value.
-func Float(v float64) Value { return Value{typ: TypeFloat, n: math.Float64bits(v)} }
+func Float(v float64) Value { return tagged(TypeFloat, math.Float64bits(v)) }
 
-// Text wraps a string as a Value.
-func Text(v string) Value { return Value{typ: TypeText, s: v} }
+// Text wraps a string as a Value. The Value shares the string's bytes.
+func Text(v string) Value {
+	if len(v) == 0 {
+		return Value{p: unsafe.Pointer(&typeTag[TypeText])}
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), n: uint64(len(v))}
+}
 
 // Bool wraps a bool as a Value.
 func Bool(v bool) Value {
 	if v {
-		return Value{typ: TypeBool, n: 1}
+		return tagged(TypeBool, 1)
 	}
-	return Value{typ: TypeBool}
+	return tagged(TypeBool, 0)
 }
 
-// Type returns the value's type; TypeNull for NULL.
-func (v Value) Type() Type { return v.typ }
+// tag is p's offset from typeTag: the type of an INT, DOUBLE, BOOL or empty
+// TEXT, and len(typeTag) or more for anything else. No uintptr is turned
+// back into a pointer.
+func (v Value) tag() uintptr { return uintptr(v.p) - uintptr(unsafe.Pointer(&typeTag)) }
+
+// Type returns the value's type; TypeNull for NULL. A p inside typeTag
+// names its type by its offset; any other non-nil p is a TEXT's bytes.
+func (v Value) Type() Type {
+	if d := v.tag(); d < uintptr(len(typeTag)) {
+		return Type(d)
+	}
+	if v.p == nil {
+		return TypeNull
+	}
+	return TypeText
+}
+
+// str returns a TEXT's string; it is only called on a TEXT.
+func (v Value) str() string { return unsafe.String((*byte)(v.p), int(v.n)) }
 
 // Bits returns the payload word: an INT's int64, a DOUBLE's float64 bits, a
 // BOOL's 0 or 1, and 0 for NULL and TEXT. Kernels that have switched on Type
 // already read it instead of an As* conversion.
-func (v Value) Bits() uint64 { return v.n }
+func (v Value) Bits() uint64 {
+	if v.tag() < uintptr(len(typeTag)) {
+		return v.n // an empty TEXT's n is 0
+	}
+	return 0
+}
 
 // IsNull reports whether v is NULL.
-func (v Value) IsNull() bool { return v.typ == TypeNull }
+func (v Value) IsNull() bool { return v.p == nil }
 
 // FromGo converts a native Go value into an engine Value — the single
 // parameter-conversion table shared by the embedded client API and the wire
@@ -149,7 +193,7 @@ func FromGo(a any) (Value, error) {
 // AsFloat converts numeric and boolean values to float64; text parses if
 // possible. It is the canonical featurization path for AI operators.
 func (v Value) AsFloat() float64 {
-	switch v.typ {
+	switch v.Type() {
 	case TypeInt:
 		return float64(int64(v.n))
 	case TypeFloat:
@@ -157,7 +201,7 @@ func (v Value) AsFloat() float64 {
 	case TypeBool:
 		return float64(v.n)
 	case TypeText:
-		f, err := strconv.ParseFloat(v.s, 64)
+		f, err := strconv.ParseFloat(v.str(), 64)
 		if err != nil {
 			return 0
 		}
@@ -169,13 +213,13 @@ func (v Value) AsFloat() float64 {
 
 // AsInt converts the value to an int64 using truncation semantics.
 func (v Value) AsInt() int64 {
-	switch v.typ {
+	switch v.Type() {
 	case TypeInt, TypeBool:
 		return int64(v.n)
 	case TypeFloat:
 		return int64(math.Float64frombits(v.n))
 	case TypeText:
-		i, err := strconv.ParseInt(v.s, 10, 64)
+		i, err := strconv.ParseInt(v.str(), 10, 64)
 		if err != nil {
 			return 0
 		}
@@ -187,13 +231,14 @@ func (v Value) AsInt() int64 {
 
 // AsBool converts the value to a boolean; non-zero numerics are true.
 func (v Value) AsBool() bool {
-	switch v.typ {
+	switch v.Type() {
 	case TypeBool, TypeInt:
 		return v.n != 0
 	case TypeFloat:
 		return math.Float64frombits(v.n) != 0
 	case TypeText:
-		return v.s == "true" || v.s == "t" || v.s == "1"
+		s := v.str()
+		return s == "true" || s == "t" || s == "1"
 	default:
 		return false
 	}
@@ -202,13 +247,13 @@ func (v Value) AsBool() bool {
 // GoValue returns the value's native Go representation (nil, int64,
 // float64, string or bool) — the inverse of FromGo for scan results.
 func (v Value) GoValue() any {
-	switch v.typ {
+	switch v.Type() {
 	case TypeInt:
 		return int64(v.n)
 	case TypeFloat:
 		return math.Float64frombits(v.n)
 	case TypeText:
-		return v.s
+		return v.str()
 	case TypeBool:
 		return v.n != 0
 	default:
@@ -250,7 +295,7 @@ func Assign(dest any, v Value) error {
 
 // String renders the value the way the CLI prints it.
 func (v Value) String() string {
-	switch v.typ {
+	switch v.Type() {
 	case TypeNull:
 		return "NULL"
 	case TypeInt:
@@ -258,7 +303,7 @@ func (v Value) String() string {
 	case TypeFloat:
 		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case TypeText:
-		return v.s
+		return v.str()
 	case TypeBool:
 		if v.n != 0 {
 			return "true"
@@ -289,7 +334,7 @@ func typeClass(t Type) int {
 // DOUBLE by their mathematical values (compareIntFloat), so distinct INTs
 // above 2^53 stay distinct. A NaN compares equal to every number.
 func Compare(a, b Value) int {
-	ca, cb := typeClass(a.typ), typeClass(b.typ)
+	ca, cb := typeClass(a.Type()), typeClass(b.Type())
 	if ca != cb {
 		if ca < cb {
 			return -1
@@ -302,14 +347,14 @@ func Compare(a, b Value) int {
 	case 1:
 		return compareNum(a, b)
 	default:
-		return strings.Compare(a.s, b.s)
+		return strings.Compare(a.str(), b.str())
 	}
 }
 
 // compareNum is Compare for two numeric values. A BOOL's payload is its
 // int64 value 0 or 1, so it compares as an INT.
 func compareNum(a, b Value) int {
-	switch af, bf := a.typ == TypeFloat, b.typ == TypeFloat; {
+	switch af, bf := a.Type() == TypeFloat, b.Type() == TypeFloat; {
 	case !af && !bf:
 		return cmp.Compare(int64(a.n), int64(b.n))
 	case !af:
@@ -374,7 +419,7 @@ func (v Value) Hash() uint64 {
 	)
 	h := uint64(offset64)
 	mix := func(b byte) { h = (h ^ uint64(b)) * prime64 }
-	switch v.typ {
+	switch v.Type() {
 	case TypeNull:
 		mix(0)
 	case TypeInt, TypeFloat, TypeBool:
@@ -388,8 +433,9 @@ func (v Value) Hash() uint64 {
 		}
 	case TypeText:
 		mix(4)
-		for i := 0; i < len(v.s); i++ {
-			mix(v.s[i])
+		s := v.str()
+		for i := 0; i < len(s); i++ {
+			mix(s[i])
 		}
 	}
 	return h
@@ -397,15 +443,16 @@ func (v Value) Hash() uint64 {
 
 // EncodeValue appends a self-delimiting binary encoding of v to dst.
 func EncodeValue(dst []byte, v Value) []byte {
-	dst = append(dst, byte(v.typ))
-	switch v.typ {
+	t := v.Type()
+	dst = append(dst, byte(t))
+	switch t {
 	case TypeNull:
 		// The tag byte alone: NULL carries no payload.
 	case TypeInt, TypeFloat:
 		dst = binary.LittleEndian.AppendUint64(dst, v.n)
 	case TypeText:
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.s)))
-		dst = append(dst, v.s...)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(v.n))
+		dst = append(dst, v.str()...)
 	case TypeBool:
 		dst = append(dst, byte(v.n))
 	}

@@ -1,6 +1,8 @@
 package rel
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -104,11 +106,81 @@ func TestCompareOrdering(t *testing.T) {
 	}
 }
 
-// TestValueIs32Bytes pins the layout: one payload word, a string header and
-// the type tag.
-func TestValueIs32Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(Value{}); n != 32 {
-		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", n)
+// TestValueIs16Bytes pins the layout: a pointer and one payload word, and
+// no == (a TEXT's identity is the address of its bytes).
+func TestValueIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 16 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 16", n)
+	}
+	if reflect.TypeOf(Value{}).Comparable() {
+		t.Fatal("Value is comparable; == on a TEXT would compare addresses")
+	}
+}
+
+// TestValueLayoutContract checks every accessor at the edges of each type
+// against outputs recorded with the 32-byte {s string; n uint64; typ Type}
+// layout. AsInt of NaN and ±Inf is Go's float-to-int conversion, which the
+// platform defines, so those rows hold that conversion instead of a literal.
+func TestValueLayoutContract(t *testing.T) {
+	long := "prefix-middle-suffix"
+	cases := []struct {
+		name    string
+		v       Value
+		typ     Type
+		bits    uint64
+		null    bool
+		float   uint64 // math.Float64bits(AsFloat())
+		asInt   int64
+		asBool  bool
+		str     string
+		hash    uint64
+		enc     string
+		goValue string // fmt %T:%v of GoValue()
+	}{
+		{"null", Null(), TypeNull, 0x0, true, 0x0, 0, false, "NULL", 0xaf63bd4c8601b7df, "\x00", "<nil>:<nil>"},
+		{"int min", Int(math.MinInt64), TypeInt, 0x8000000000000000, false, 0xc3e0000000000000, math.MinInt64, true, "-9223372036854775808", 0xaae7753229e7c18c, "\x01\x00\x00\x00\x00\x00\x00\x00\x80", "int64:-9223372036854775808"},
+		{"int max", Int(math.MaxInt64), TypeInt, 0x7fffffffffffffff, false, 0x43e0000000000000, math.MaxInt64, true, "9223372036854775807", 0xaae7f53229e89b0c, "\x01\xff\xff\xff\xff\xff\xff\xff\x7f", "int64:9223372036854775807"},
+		{"double +0", Float(0), TypeFloat, 0x0, false, 0x0, 0, false, "0", 0xa8c7f832281a39c5, "\x02\x00\x00\x00\x00\x00\x00\x00\x00", "float64:0"},
+		{"double -0", Float(math.Copysign(0, -1)), TypeFloat, 0x8000000000000000, false, 0x8000000000000000, 0, false, "-0", 0xa8c7f832281a39c5, "\x02\x00\x00\x00\x00\x00\x00\x00\x80", "float64:-0"},
+		{"double NaN", Float(math.NaN()), TypeFloat, 0x7ff8000000000001, false, 0x7ff8000000000001, int64(math.NaN()), true, "NaN", 0x8d1818291ff72671, "\x02\x01\x00\x00\x00\x00\x00\xf8\x7f", "float64:NaN"},
+		{"double +Inf", Float(math.Inf(1)), TypeFloat, 0x7ff0000000000000, false, 0x7ff0000000000000, int64(math.Inf(1)), true, "+Inf", 0xaab1293229b9b0f8, "\x02\x00\x00\x00\x00\x00\x00\xf0\x7f", "float64:+Inf"},
+		{"double -Inf", Float(math.Inf(-1)), TypeFloat, 0xfff0000000000000, false, 0xfff0000000000000, int64(math.Inf(-1)), true, "-Inf", 0xaab1a93229ba8a78, "\x02\x00\x00\x00\x00\x00\x00\xf0\xff", "float64:-Inf"},
+		{"bool true", Bool(true), TypeBool, 0x1, false, 0x3ff0000000000000, 1, true, "true", 0xaab1693229ba1db8, "\x04\x01", "bool:true"},
+		{"bool false", Bool(false), TypeBool, 0x0, false, 0x0, 0, false, "false", 0xa8c7f832281a39c5, "\x04\x00", "bool:false"},
+		{"text empty", Text(""), TypeText, 0x0, false, 0x0, 0, false, "", 0xaf63b94c8601b113, "\x03\x00\x00\x00\x00", "string:"},
+		{"text NUL", Text("a\x00b\x00"), TypeText, 0x0, false, 0x0, 0, false, "a\x00b\x00", 0xf930e472d7d0e20, "\x03\x04\x00\x00\x00a\x00b\x00", "string:a\x00b\x00"},
+		{"text substring", Text(long[7:13]), TypeText, 0x0, false, 0x0, 0, false, "middle", 0x9b682afd3ad04f2e, "\x03\x06\x00\x00\x00middle", "string:middle"},
+	}
+	for _, c := range cases {
+		v := c.v
+		if v.Type() != c.typ || v.Bits() != c.bits || v.IsNull() != c.null {
+			t.Errorf("%s: Type %v Bits %#x IsNull %v, want %v %#x %v", c.name, v.Type(), v.Bits(), v.IsNull(), c.typ, c.bits, c.null)
+		}
+		if f := math.Float64bits(v.AsFloat()); f != c.float || v.AsInt() != c.asInt || v.AsBool() != c.asBool {
+			t.Errorf("%s: AsFloat bits %#x AsInt %d AsBool %v, want %#x %d %v", c.name, f, v.AsInt(), v.AsBool(), c.float, c.asInt, c.asBool)
+		}
+		if v.String() != c.str || v.Hash() != c.hash {
+			t.Errorf("%s: String %q Hash %#x, want %q %#x", c.name, v.String(), v.Hash(), c.str, c.hash)
+		}
+		if enc := string(EncodeValue(nil, v)); enc != c.enc {
+			t.Errorf("%s: EncodeValue %q, want %q", c.name, enc, c.enc)
+		}
+		if g := v.GoValue(); fmt.Sprintf("%T:%v", g, g) != c.goValue {
+			t.Errorf("%s: GoValue %T:%v, want %s", c.name, g, g, c.goValue)
+		}
+	}
+
+	// An empty TEXT is a value, not NULL.
+	if e := Text(""); e.IsNull() || e.Type() != TypeText || Equal(e, Null()) || Compare(e, Null()) != 1 {
+		t.Fatalf("Text(\"\") is %v, IsNull %v; want an empty TEXT", e.Type(), e.IsNull())
+	}
+	// Text copies nothing, but string(b) does: overwriting b leaves the
+	// value's bytes alone.
+	b := []byte("mutable")
+	v := Text(string(b))
+	copy(b, "XXXXXXX")
+	if v.String() != "mutable" || v.Hash() != Text("mutable").Hash() {
+		t.Fatalf("Text(string(b)) = %q after b was overwritten, want %q", v.String(), "mutable")
 	}
 }
 
@@ -161,7 +233,8 @@ func TestEncodeDecodeValueRoundTrip(t *testing.T) {
 		if err != nil || n != len(buf) {
 			return false
 		}
-		return reflect.DeepEqual(got, v)
+		// A Value is incomparable: its encoding holds its type and content.
+		return bytes.Equal(EncodeValue(nil, got), buf)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -205,7 +278,7 @@ func TestEncodeDecodeRowRoundTrip(t *testing.T) {
 			return false
 		}
 		for i := range row {
-			if !reflect.DeepEqual(got[i], row[i]) {
+			if !bytes.Equal(EncodeValue(nil, got[i]), EncodeValue(nil, row[i])) {
 				return false
 			}
 		}

@@ -89,8 +89,8 @@ func FuzzFrameDecode(f *testing.F) {
 			if ferr != nil {
 				continue // malformed payloads are rejected, not crashed on
 			}
-			if f, g := fmt.Sprintf("%#v", fresh), fmt.Sprintf("%#v", reused); f != g {
-				t.Fatalf("op %q: reusing decode differs from fresh\nfresh:  %s\nreused: %s", byte(op), f, g)
+			if !sameMsg(fresh, reused) {
+				t.Fatalf("op %q: reusing decode differs from fresh\nfresh:  %v\nreused: %v", byte(op), fresh, reused)
 			}
 		}
 	})

@@ -15,8 +15,9 @@ import (
 // checkpoint image and of the segment after it. The codecs encode a value by
 // its type, not by its in-memory layout, so these bytes must not move when
 // rel.Value does: the hashes were recorded with the five-field 48-byte
-// Value that preceded the 32-byte one. Workers = 1, because parallel DML
-// logs its redo ops in claim order.
+// Value that preceded the 32-byte one, and hold across the 32-byte to
+// 16-byte change too. Workers = 1, because parallel DML logs its redo ops
+// in claim order.
 func TestWALAndCheckpointBytesPinned(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
