@@ -1,9 +1,9 @@
 package executor
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -156,11 +156,33 @@ func (db *testDB) engineRows(p plan.Node, workers int) []rel.Row {
 	return rows
 }
 
+// sameRow reports whether two rows hold the same typed values: an INT 1 is
+// not a TEXT '1'. A rel.Value is incomparable (a TEXT's identity is the
+// address of its bytes), so rows are compared by their encodings, and a nil
+// row only equals a nil row.
+func sameRow(a, b rel.Row) bool {
+	return (a == nil) == (b == nil) && bytes.Equal(rel.EncodeRow(nil, a), rel.EncodeRow(nil, b))
+}
+
+// sameRows is sameRow over two row sequences; a nil sequence only equals a
+// nil one.
+func sameRows(a, b []rel.Row) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameRow(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // diffRows reports the first difference between two row sequences ("" when
-// they are the same sequence). Equality is typed: an INT 1 is not a TEXT '1'.
+// they are the same sequence), rows compared by sameRow.
 func diffRows(got, want []rel.Row) string {
 	for i := 0; i < len(got) && i < len(want); i++ {
-		if !reflect.DeepEqual(got[i], want[i]) {
+		if !sameRow(got[i], want[i]) {
 			return fmt.Sprintf("position %d: got %v, want %v", i, got[i], want[i])
 		}
 	}

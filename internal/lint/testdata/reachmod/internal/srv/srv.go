@@ -15,10 +15,13 @@ type Config struct {
 // FS is what Config.FS holds.
 type FS interface{ Open(name string) error }
 
-// Thing is reached from Run; String is reached through fmt.Stringer.
+// Thing is reached from Run; String is reached through fmt.Stringer and
+// GoString through fmt.GoStringer, which %#v calls.
 type Thing struct{ N int }
 
 func (t Thing) String() string { return fmt.Sprint(t.N) }
+
+func (t Thing) GoString() string { return fmt.Sprintf("srv.Thing{N: %d}", t.N) }
 
 // Run is what the server calls.
 func Run(cfg Config) {

@@ -6,6 +6,12 @@
 // weight serialization for the layered model store. Figure code builds on
 // it: the learned query optimizer's attention blocks live with that
 // optimizer in internal/bench/learnedopt.
+//
+// The matmul tile tile2x8 is the package's one piece of assembly: packed SSE2
+// on amd64 (matrix_amd64.s; SSE2 is amd64's baseline, so nothing is
+// dispatched at run time), and two calls of the Go tile2x4 on every other
+// GOARCH (matrix_other.go). Both round each product and add it in order, so
+// they compute the same bits.
 package nn
 
 import (
@@ -56,12 +62,15 @@ func (m *Matrix) Zero() {
 //
 // MatMulBiasInto and MatMulATAcc keep the textbook summation order: each
 // output element has one accumulator — +0, or dst's value for the
-// accumulating form — that adds a[i][k]·b[k][j] with k ascending. Both run on
-// mulAcc, whose 2×4 tile of accumulators stays in registers for the whole k
-// loop, so each element of a and b that is loaded feeds four or two products
-// rather than one. A product with a zero factor is added like any other: for
-// finite operands it leaves the sum as it was, because a sum that starts from
-// +0 — or from a dst that holds no −0 — is never −0.
+// accumulating form — that adds a[i][k]·b[k][j] with k ascending, each
+// product rounded before it is added (no FMA). Both run on mulAcc, whose 2×8
+// tile keeps sixteen accumulators in registers for the whole k loop, so each
+// element of a and b that is loaded feeds eight or two products rather than
+// one; on amd64 each MULPD and ADDPD computes two of them, lane by lane
+// exactly as the scalar MULSD and ADDSD. A product with a zero factor is
+// added like any other: for finite operands it leaves the sum as it was,
+// because a sum that starts from +0 — or from a dst that holds no −0 — is
+// never −0.
 
 // MatMulBiasInto sets dst = a×b, plus bias (length b.Cols, may be nil) added
 // to every row — a Linear layer's forward. The bias is added to each element
@@ -131,7 +140,10 @@ func MatMulATAcc(dst, a, b *Matrix, ws *Workspace) {
 
 // mulAcc adds a×b into dst, element by element in the order stated above.
 // Rows go in pairs — an odd last row pairs with itself, computing and writing
-// the same values twice — and columns in fours, then one at a time.
+// the same values twice — and columns in eights, then fours, then one at a
+// time. The slice expressions before each tile2x8 call are its bounds checks:
+// the assembly checks none, so a Matrix whose Data is shorter than its shape
+// panics here, never reads past a slice there.
 func mulAcc(dst, a, b *Matrix) {
 	k, n := a.Cols, b.Cols
 	if k == 0 {
@@ -142,6 +154,9 @@ func mulAcc(dst, a, b *Matrix) {
 		a0, a1 := a.Data[i*k:(i+1)*k], a.Data[i1*k:(i1+1)*k]
 		d0, d1 := dst.Data[i*n:(i+1)*n], dst.Data[i1*n:(i1+1)*n]
 		j := 0
+		for ; j+8 <= n; j += 8 {
+			tile2x8(d0[j:j+8], d1[j:j+8], a0, a1[:len(a0)], b.Data[j:(k-1)*n+j+8], n)
+		}
 		for ; j+4 <= n; j += 4 {
 			tile2x4(d0[j:j+4], d1[j:j+4], a0, a1, b.Data[j:], n)
 		}
@@ -152,7 +167,11 @@ func mulAcc(dst, a, b *Matrix) {
 }
 
 // tile2x4 adds rows a0 and a1 times columns 0-3 of b (row stride n) into
-// d0[0:4] and d1[0:4], its eight sums in registers throughout.
+// d0[0:4] and d1[0:4], its eight sums in registers throughout. It is the
+// column-remainder tile on amd64 and half of tile2x8 elsewhere. Each
+// float64(x * y) conversion rounds its product before the add: Go may fuse a
+// bare s += x * y into one FMA, as it does on arm64, which rounds once and so
+// would give other bits than the amd64 kernel.
 func tile2x4(d0, d1, a0, a1, b []float64, n int) {
 	d0, d1, a1 = d0[:4], d1[:4], a1[:len(a0)]
 	s00, s01, s02, s03 := d0[0], d0[1], d0[2], d0[3]
@@ -163,17 +182,17 @@ func tile2x4(d0, d1, a0, a1, b []float64, n int) {
 		bk := b[off : off+4 : off+4]
 		off += n
 		b0 := bk[0]
-		s00 += x0 * b0
-		s10 += x1 * b0
+		s00 += float64(x0 * b0)
+		s10 += float64(x1 * b0)
 		b1 := bk[1]
-		s01 += x0 * b1
-		s11 += x1 * b1
+		s01 += float64(x0 * b1)
+		s11 += float64(x1 * b1)
 		b2 := bk[2]
-		s02 += x0 * b2
-		s12 += x1 * b2
+		s02 += float64(x0 * b2)
+		s12 += float64(x1 * b2)
 		b3 := bk[3]
-		s03 += x0 * b3
-		s13 += x1 * b3
+		s03 += float64(x0 * b3)
+		s13 += float64(x1 * b3)
 	}
 	d0[0], d0[1], d0[2], d0[3] = s00, s01, s02, s03
 	d1[0], d1[1], d1[2], d1[3] = s10, s11, s12, s13
@@ -187,8 +206,8 @@ func tile2x1(d0, d1, a0, a1, b []float64, n int) {
 	for kk, x0 := range a0 {
 		bv := b[off]
 		off += n
-		s0 += x0 * bv
-		s1 += a1[kk] * bv
+		s0 += float64(x0 * bv)
+		s1 += float64(a1[kk] * bv)
 	}
 	d0[0], d1[0] = s0, s1
 }

@@ -26,15 +26,17 @@ func naiveMatMul(a, b *Matrix) *Matrix {
 }
 
 // naiveMulAcc adds a×b into dst the textbook way: per element, dst's value
-// plus a[i][k]·b[k][j] for k ascending. With skip it leaves out the products
-// whose a factor is zero, as the kernels did before they were tiled.
+// plus a[i][k]·b[k][j] for k ascending, each product rounded before it is
+// added (the conversion keeps Go from fusing the two into an FMA). With skip
+// it leaves out the products whose a factor is zero, as the kernels did
+// before they were tiled.
 func naiveMulAcc(dst, a, b *Matrix, skip bool) {
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < b.Cols; j++ {
 			s := dst.At(i, j)
 			for k := 0; k < a.Cols; k++ {
 				if !skip || a.At(i, k) != 0 {
-					s += a.At(i, k) * b.At(k, j)
+					s += float64(a.At(i, k) * b.At(k, j))
 				}
 			}
 			dst.Set(i, j, s)
@@ -75,13 +77,17 @@ func transpose(a *Matrix) *Matrix {
 
 // TestMatMulAgainstNaive is the kernels' differential test: over random
 // shapes that leave every tile remainder (odd rows, columns not a multiple of
-// four, an inner dimension of 1) and values that mix 0, −0, subnormals and
-// magnitudes from 1e-5 to 1e5, each product equals its naive loop bit for bit
-// — MatMulATAcc also when it accumulates onto a non-zero dst. It also states
-// what dropping the zero-factor skip changed: for finite operands and a dst
-// that holds no −0, nothing; a −0 in dst plus a zero product becomes +0.
+// eight or four, an inner dimension of 1, the weight gradient's 128) and
+// values that mix 0, −0, subnormals and magnitudes from 1e-5 to 1e5, each
+// product equals its naive loop bit for bit — MatMulATAcc also when it
+// accumulates onto a non-zero dst. The last trials also draw ±Inf and NaN:
+// an element that is NaN in the naive result must be NaN, every other one
+// equal bit for bit. It also states what dropping the zero-factor skip
+// changed: for finite operands and a dst that holds no −0, nothing; a −0 in
+// dst plus a zero product becomes +0.
 func TestMatMulAgainstNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(26))
+	nonFinite := false // set for the trials after the first 400
 	value := func() float64 {
 		switch r.Intn(8) {
 		case 0:
@@ -90,6 +96,19 @@ func TestMatMulAgainstNaive(t *testing.T) {
 			return math.Copysign(0, -1)
 		case 2:
 			return float64(r.Intn(1<<20)-1<<19) * math.SmallestNonzeroFloat64
+		case 3:
+			if !nonFinite {
+				break
+			}
+			// Rare enough that most sums over 128 terms stay finite.
+			switch r.Intn(256) {
+			case 0:
+				return math.Inf(1)
+			case 1:
+				return math.Inf(-1)
+			case 2:
+				return math.NaN()
+			}
 		}
 		return r.NormFloat64() * math.Pow(10, float64(r.Intn(11)-5))
 	}
@@ -104,15 +123,16 @@ func TestMatMulAgainstNaive(t *testing.T) {
 	}
 	same := func(what string, got, want *Matrix) {
 		t.Helper()
-		for i := range want.Data {
-			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("%s %dx%d: element %d is %v, want %v", what, got.Rows, got.Cols, i, got.Data[i], want.Data[i])
+		for i, w := range want.Data {
+			if g := got.Data[i]; math.IsNaN(w) && !math.IsNaN(g) || !math.IsNaN(w) && math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s %dx%d: element %d is %v, want %v", what, got.Rows, got.Cols, i, g, w)
 			}
 		}
 	}
-	dims := []int{1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33}
+	dims := []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 31, 32, 33, 64, 128}
 	var ws Workspace
-	for trial := 0; trial < 400; trial++ {
+	for trial := 0; trial < 600; trial++ {
+		nonFinite = trial >= 400
 		m, k, n := dims[r.Intn(len(dims))], dims[r.Intn(len(dims))], dims[r.Intn(len(dims))]
 		a, b, bias := fill(m, k, true), fill(k, n, true), fill(1, n, true).Data
 
@@ -126,7 +146,9 @@ func TestMatMulAgainstNaive(t *testing.T) {
 			skipped.Data[i] += bias[i%n]
 		}
 		same("MatMulBiasInto", got, want)
-		same("MatMulBiasInto vs zero skip", got, skipped)
+		if !nonFinite { // 0·Inf is NaN, which the skip left out
+			same("MatMulBiasInto vs zero skip", got, skipped)
+		}
 
 		bt := fill(n, k, true)
 		got = fill(m, n, true)
@@ -140,13 +162,15 @@ func TestMatMulAgainstNaive(t *testing.T) {
 		got = acc.clone()
 		MatMulATAcc(got, a, c, nil)
 		same("MatMulATAcc", got, want)
-		same("MatMulATAcc vs zero skip", got, skipped)
+		if !nonFinite {
+			same("MatMulATAcc vs zero skip", got, skipped)
+		}
 		ws.Reset() // the workspace's scratch holds the last trial's values
 		got = acc.clone()
 		MatMulATAcc(got, a, c, &ws)
 		same("MatMulATAcc(ws)", got, want)
 	}
-	negZero, ones := NewMatrix(1, 5), NewMatrix(1, 5) // a 4-column tile and a remainder
+	negZero, ones := NewMatrix(1, 13), NewMatrix(1, 13) // an 8- and a 4-column tile, and a remainder
 	for i := range negZero.Data {
 		negZero.Data[i], ones.Data[i] = math.Copysign(0, -1), 1
 	}
@@ -212,6 +236,15 @@ func TestShapePanics(t *testing.T) {
 	expectPanic("MatMulBTInto", func() { MatMulBTInto(NewMatrix(2, 4), a, b) })
 	expectPanic("MatMulATAcc", func() { MatMulATAcc(NewMatrix(3, 5), a, b, nil) })
 	expectPanic("AddInPlace", func() { AddInPlace(a, b) })
+	// A Data shorter than Rows×Cols panics in Go, before the 2×8 tile, which
+	// checks no bounds of its own, could read or write past it.
+	short := func(rows, cols int) *Matrix {
+		return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols-1)}
+	}
+	expectPanic("MatMulBiasInto with a short b", func() { MatMulBiasInto(NewMatrix(2, 8), NewMatrix(2, 4), short(4, 8), nil) })
+	expectPanic("MatMulBiasInto with a short a", func() { MatMulBiasInto(NewMatrix(2, 8), short(2, 4), NewMatrix(4, 8), nil) })
+	expectPanic("MatMulBiasInto with a short dst", func() { MatMulBiasInto(short(2, 8), NewMatrix(2, 4), NewMatrix(4, 8), nil) })
+	expectPanic("MatMulATAcc with a short b", func() { MatMulATAcc(NewMatrix(4, 8), NewMatrix(2, 4), short(2, 8), nil) })
 }
 
 // TestIntoKernelsMatchWrappers keeps its name from when the allocating
@@ -306,13 +339,15 @@ func TestWorkspaceReusesBuffers(t *testing.T) {
 
 // The kernel benchmarks run the head step's three shapes: the hidden layer's
 // forward (128×32 · 32×32), its weight gradient ((128×32)ᵀ · 128×32) and the
-// output layer's input gradient (128×1 · (32×1)ᵀ).
+// output layer's input gradient (128×1 · (32×1)ᵀ). Each reports its
+// multiply-adds per op, so ns/op over mul-adds/op is the time per product.
 func BenchmarkMatMulBiasInto(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	x, w, bias, dst := Randn(128, 32, 1, r), Randn(32, 32, 1, r), Randn(1, 32, 1, r).Data, NewMatrix(128, 32)
 	for b.Loop() {
 		MatMulBiasInto(dst, x, w, bias)
 	}
+	b.ReportMetric(128*32*32, "mul-adds/op")
 }
 
 func BenchmarkMatMulATAcc(b *testing.B) {
@@ -323,6 +358,7 @@ func BenchmarkMatMulATAcc(b *testing.B) {
 		ws.Reset()
 		MatMulATAcc(dst, x, dy, &ws)
 	}
+	b.ReportMetric(32*128*32, "mul-adds/op")
 }
 
 func BenchmarkMatMulBTInto(b *testing.B) {
@@ -331,4 +367,5 @@ func BenchmarkMatMulBTInto(b *testing.B) {
 	for b.Loop() {
 		MatMulBTInto(dst, dy, w)
 	}
+	b.ReportMetric(128*1*32, "mul-adds/op")
 }

@@ -314,6 +314,41 @@ func (v Value) String() string {
 	}
 }
 
+// GoString renders the value, for %#v, as the call that constructs it:
+// rel.Null(), rel.Int(42), rel.Float(-1.5), rel.Text("a\x00b"),
+// rel.Bool(true). A DOUBLE that no literal spells is written through package
+// math (math.Inf(1), math.Copysign(0, -1), math.NaN(), or
+// math.Float64frombits for any other NaN), so the string is exact.
+func (v Value) GoString() string {
+	switch v.Type() {
+	case TypeNull:
+		return "rel.Null()"
+	case TypeInt:
+		return "rel.Int(" + strconv.FormatInt(int64(v.n), 10) + ")"
+	case TypeFloat:
+		f, lit := math.Float64frombits(v.n), ""
+		switch {
+		case v.n == math.Float64bits(math.NaN()):
+			lit = "math.NaN()"
+		case math.IsNaN(f):
+			lit = "math.Float64frombits(0x" + strconv.FormatUint(v.n, 16) + ")"
+		case math.IsInf(f, 0):
+			lit = "math.Inf(" + strconv.Itoa(int(math.Copysign(1, f))) + ")"
+		case f == 0 && math.Signbit(f):
+			lit = "math.Copysign(0, -1)"
+		default:
+			lit = strconv.FormatFloat(f, 'g', -1, 64)
+		}
+		return "rel.Float(" + lit + ")"
+	case TypeText:
+		return "rel.Text(" + strconv.Quote(v.str()) + ")"
+	case TypeBool:
+		return "rel.Bool(" + strconv.FormatBool(v.n != 0) + ")"
+	default:
+		return "rel.Value(?)"
+	}
+}
+
 // typeClass buckets types so Compare is a total order: NULL sorts before
 // every numeric (int/float/bool compare by value) which sorts before text.
 func typeClass(t Type) int {

@@ -151,6 +151,22 @@ func TestValueLayoutContract(t *testing.T) {
 		{"text NUL", Text("a\x00b\x00"), TypeText, 0x0, false, 0x0, 0, false, "a\x00b\x00", 0xf930e472d7d0e20, "\x03\x04\x00\x00\x00a\x00b\x00", "string:a\x00b\x00"},
 		{"text substring", Text(long[7:13]), TypeText, 0x0, false, 0x0, 0, false, "middle", 0x9b682afd3ad04f2e, "\x03\x06\x00\x00\x00middle", "string:middle"},
 	}
+	// What %#v prints for each case: the constructor call, not the fields.
+	goStrings := map[string]string{
+		"null":           `rel.Null()`,
+		"int min":        `rel.Int(-9223372036854775808)`,
+		"int max":        `rel.Int(9223372036854775807)`,
+		"double +0":      `rel.Float(0)`,
+		"double -0":      `rel.Float(math.Copysign(0, -1))`,
+		"double NaN":     `rel.Float(math.NaN())`,
+		"double +Inf":    `rel.Float(math.Inf(1))`,
+		"double -Inf":    `rel.Float(math.Inf(-1))`,
+		"bool true":      `rel.Bool(true)`,
+		"bool false":     `rel.Bool(false)`,
+		"text empty":     `rel.Text("")`,
+		"text NUL":       `rel.Text("a\x00b\x00")`,
+		"text substring": `rel.Text("middle")`,
+	}
 	for _, c := range cases {
 		v := c.v
 		if v.Type() != c.typ || v.Bits() != c.bits || v.IsNull() != c.null {
@@ -168,6 +184,15 @@ func TestValueLayoutContract(t *testing.T) {
 		if g := v.GoValue(); fmt.Sprintf("%T:%v", g, g) != c.goValue {
 			t.Errorf("%s: GoValue %T:%v, want %s", c.name, g, g, c.goValue)
 		}
+		if g := fmt.Sprintf("%#v", v); g != goStrings[c.name] {
+			t.Errorf("%s: %%#v is %s, want %s", c.name, g, goStrings[c.name])
+		}
+	}
+	if g, want := fmt.Sprintf("%#v", Row{Int(1), Null(), Text("x")}), `rel.Row{rel.Int(1), rel.Null(), rel.Text("x")}`; g != want {
+		t.Errorf("%%#v of a row is %s, want %s", g, want)
+	}
+	if g, want := Float(1.5).GoString()+" "+Float(math.Float64frombits(0x7ff8000000000002)).GoString(), "rel.Float(1.5) rel.Float(math.Float64frombits(0x7ff8000000000002))"; g != want {
+		t.Errorf("GoString is %s, want %s", g, want)
 	}
 
 	// An empty TEXT is a value, not NULL.
