@@ -429,11 +429,7 @@ func testPredictAccessChildrenAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, l := range layers {
-				blob, err := nn.EncodeWeights(l)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fmt.Fprintf(&out, "model@%d %x\n", ts, blob)
+				fmt.Fprintf(&out, "model@%d %s\n", ts, weightBits(l))
 			}
 		}
 		return out.String()
@@ -442,6 +438,20 @@ func testPredictAccessChildrenAgree(t *testing.T) {
 	if indexed != scanned {
 		t.Fatalf("index-driven and scan-driven PREDICT disagree:\n%s", firstDiffLine(indexed, scanned))
 	}
+}
+
+// weightBits renders a stored layer exactly: its tensor shapes, then every
+// weight's float64 bits, tensor by tensor.
+func weightBits(lw nn.LayerWeights) string {
+	var b strings.Builder
+	fmt.Fprint(&b, lw.Shapes)
+	for _, d := range lw.Datas {
+		b.WriteString(" |")
+		for _, v := range d {
+			fmt.Fprintf(&b, " %016x", math.Float64bits(v))
+		}
+	}
+	return b.String()
 }
 
 // firstDiffLine shows the first line two outputs disagree on.

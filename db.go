@@ -467,35 +467,18 @@ func (s *Session) execCreateTable(ct *sqlparse.CreateTable) (*Result, error) {
 		cols[i] = rel.Column{Name: strings.ToLower(c.Name), Typ: c.Typ, Unique: c.Unique, NotNull: c.NotNull}
 	}
 	schema := rel.NewSchema(cols...)
-	// The create runs under the commit lock so, with a WAL, the DDL record
-	// is ordered before any commit record touching the new table: a racing
-	// insert cannot commit until the table's create record is in the log.
-	w := s.db.wlog
-	var tbl *catalog.Table
-	var lsn uint64
-	var aerr error
-	err := s.db.mgr.Quiesce(func(uint64) error {
-		var err error
-		tbl, err = s.db.cat.Create(ct.Name, schema)
-		if err == nil && w != nil {
-			if lsn, aerr = w.AppendDDL(wal.EncodeCreateTable(nil, tbl.ID, tbl.Name, schema)); aerr != nil {
-				// The append never reached the log; undo the in-memory
-				// create so both sides agree the table does not exist.
-				_ = s.db.cat.Drop(tbl.Name)
-			}
+	// Under the commit lock the create record is ordered before any commit
+	// record touching the new table: a racing insert cannot commit until the
+	// table's create record is in the log.
+	err := s.db.logDDL(func() ([]byte, func(), error) {
+		tbl, err := s.db.cat.Create(ct.Name, schema)
+		if err != nil {
+			return nil, nil, err
 		}
-		return err
+		return wal.EncodeCreateTable(nil, tbl.ID, tbl.Name, schema), func() { _, _ = s.db.cat.Drop(tbl.Name) }, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	if aerr != nil {
-		return nil, fmt.Errorf("neurdb: wal append: %w", aerr)
-	}
-	if w != nil {
-		if err := w.Sync(lsn); err != nil {
-			return nil, err
-		}
 	}
 	return &Result{Message: "CREATE TABLE"}, nil
 }
@@ -504,32 +487,19 @@ func (s *Session) execDropTable(dt *sqlparse.DropTable) (*Result, error) {
 	if err := s.db.writeErr(); err != nil {
 		return nil, err
 	}
-	// Same discipline as CREATE TABLE: under the commit lock no commit is
-	// mid-flight, so every commit record on the table precedes the drop
-	// record in the log.
-	w := s.db.wlog
-	var lsn uint64
-	var aerr error
-	err := s.db.mgr.Quiesce(func(uint64) error {
-		err := s.db.cat.Drop(dt.Name)
-		if err == nil && w != nil {
-			lsn, aerr = w.AppendDDL(wal.EncodeDropTable(nil, strings.ToLower(dt.Name)))
-		}
-		return err
+	// Under the commit lock no commit is mid-flight, so every commit record
+	// on the table precedes the drop record in the log.
+	missing := false
+	err := s.db.logDDL(func() ([]byte, func(), error) {
+		undo, err := s.db.cat.Drop(dt.Name)
+		missing = err != nil
+		return wal.EncodeDropTable(nil, strings.ToLower(dt.Name)), undo, err
 	})
+	if missing && dt.IfExists {
+		return &Result{Message: "DROP TABLE (skipped)"}, nil
+	}
 	if err != nil {
-		if dt.IfExists {
-			return &Result{Message: "DROP TABLE (skipped)"}, nil
-		}
 		return nil, err
-	}
-	if aerr != nil {
-		return nil, fmt.Errorf("neurdb: wal append: %w", aerr)
-	}
-	if w != nil {
-		if err := w.Sync(lsn); err != nil {
-			return nil, err
-		}
 	}
 	return &Result{Message: "DROP TABLE"}, nil
 }
@@ -548,44 +518,48 @@ func (s *Session) execCreateIndex(ci *sqlparse.CreateIndex) (*Result, error) {
 	}
 	ix := &catalog.Index{Name: ci.Name, Col: col, BT: index.NewBTree()}
 	// Registered first, filled second, planned on last: see Table.AddIndex.
-	// The fill posts every version of every chain — whatever snapshot later
-	// probes the index finds its row, committed or still in flight when the
-	// index was built — under the rule writers follow, one posting per key a
-	// chain has held. Postings are hints: visibility and the recheck decide.
-	err = tbl.AddIndex(ix, func() {
-		eachChain(tbl.Heap, func(id storage.RowID, head *storage.Version) {
-			for v := head; v != nil; {
-				next := v.Next()
-				if next == nil || !rel.Equal(v.Data[col], next.Data[col]) {
-					ix.BT.Insert(v.Data[col], id)
-				}
-				v = next
-			}
-		})
-	})
-	if err != nil {
+	// The fill runs outside the commit lock, beside writers.
+	if err := tbl.AddIndex(ix, func() { fillIndex(tbl.Heap, ix) }); err != nil {
 		return nil, err
 	}
-	// New access path: invalidate cached plans.
-	s.db.cat.BumpVersion()
 	// The WAL record is metadata-only (replay rebuilds index contents from
 	// heap data), so ordering relative to commits is immaterial; the commit
 	// lock only orders it against a concurrent DROP TABLE.
-	if w := s.db.wlog; w != nil {
-		var lsn uint64
-		aerr := s.db.mgr.Quiesce(func(uint64) error {
-			var err error
-			lsn, err = w.AppendDDL(wal.EncodeCreateIndex(nil, tbl.ID, ix.Name, col))
-			return err
-		})
-		if aerr != nil {
-			return nil, fmt.Errorf("neurdb: wal append: %w", aerr)
-		}
-		if err := w.Sync(lsn); err != nil {
-			return nil, err
-		}
+	err = s.db.logDDL(func() ([]byte, func(), error) {
+		return wal.EncodeCreateIndex(nil, tbl.ID, ix.Name, col), func() { tbl.DropIndex(ix) }, nil
+	})
+	// A new access path, or one withdrawn: invalidate cached plans.
+	s.db.cat.BumpVersion()
+	if err != nil {
+		return nil, err
 	}
 	return &Result{Message: "CREATE INDEX"}, nil
+}
+
+// logDDL runs one DDL statement's change under the commit lock and appends
+// the record it returns there, so the record is ordered against every commit
+// record. If the append fails, undo takes the change back: memory and log
+// agree the statement never happened. Like a commit, it returns once the
+// record is durable under the sync policy. Without a log it only runs the
+// change.
+func (db *DB) logDDL(change func() (record []byte, undo func(), err error)) error {
+	w := db.wlog
+	var lsn uint64
+	err := db.mgr.Quiesce(func(uint64) error {
+		record, undo, err := change()
+		if err != nil || w == nil {
+			return err
+		}
+		if lsn, err = w.AppendDDL(record); err != nil {
+			undo()
+			return fmt.Errorf("neurdb: wal append: %w", err)
+		}
+		return nil
+	})
+	if err != nil || w == nil {
+		return err
+	}
+	return w.Sync(lsn)
 }
 
 // PlanSelect builds the physical plan for a SELECT on live statistics,

@@ -7,6 +7,7 @@ package neurdb
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -104,6 +105,163 @@ func TestDegradedReadOnlyAfterFsyncFailure(t *testing.T) {
 		t.Fatal("recovered instance still degraded")
 	}
 	mustExec(t, db2, `INSERT INTO kv VALUES (200, 'alive')`)
+}
+
+// hasIndex reports whether table has an index named name.
+func hasIndex(t *testing.T, db *DB, table, name string) bool {
+	t.Helper()
+	tbl, err := db.Catalog().Get(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range tbl.Indexes() {
+		if ix.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// TestFailedWALAppendPoisons is the regression test for a write error in a
+// WAL append: it left the log's buffered writer failing for good while only
+// a failed fsync poisoned the log, so the instance never reported itself
+// degraded and every later write failed with the raw I/O error — DDL after
+// changing the catalog. One INSERT of 400 rows of ~1 KB makes a record
+// larger than the log's 256 KiB buffer, which goes straight to the file and
+// meets the fault.
+func TestFailedWALAppendPoisons(t *testing.T) {
+	dir := t.TempDir()
+	ffs := vfstest.NewFaultFS(nil)
+	db, err := OpenDB(faultConfig(dir, ffs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE TABLE kv (id INT PRIMARY KEY, name TEXT)`)
+	mustExec(t, db, `CREATE TABLE b (id INT, k INT)`)
+	mustExec(t, db, `INSERT INTO kv VALUES (1, 'acked')`)
+
+	ffs.AddFault(vfstest.Fault{Op: vfstest.OpWrite, Path: "wal-"})
+	var sb strings.Builder
+	sb.WriteString(`INSERT INTO kv VALUES `)
+	for i := 0; i < 400; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, "(%d, '%s')", 100+i, strings.Repeat("x", 1000))
+	}
+	if _, err := db.Exec(sb.String()); !errors.Is(err, vfstest.ErrIO) {
+		t.Fatalf("failing append: want the raw write error, got %v", err)
+	}
+	if !db.Degraded() {
+		t.Fatal("Degraded() = false after a failed WAL append")
+	}
+	for _, sql := range []string{
+		`INSERT INTO kv VALUES (2, 'rejected')`,
+		`DROP TABLE b`,
+		`CREATE INDEX b_k ON b (k)`,
+		`CREATE TABLE c (id INT)`,
+	} {
+		if _, err := db.Exec(sql); !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("%s after the failed append: want ErrReadOnly, got %v", sql, err)
+		}
+	}
+	if _, err := db.Catalog().Get("b"); err != nil {
+		t.Fatalf("the refused DROP TABLE dropped b: %v", err)
+	}
+	if hasIndex(t, db, "b", "b_k") {
+		t.Fatal("the refused CREATE INDEX left its index registered")
+	}
+	if ids := queryInts(t, db, `SELECT id FROM kv`); len(ids) != 1 {
+		t.Fatalf("read while degraded saw ids %v, want the one acked row", ids)
+	}
+	if err := db.Close(); !errors.Is(err, vfstest.ErrIO) {
+		t.Fatalf("Close() = %v, want the original write error", err)
+	}
+
+	db2, err := OpenDB(durableConfig(dir))
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer db2.Close()
+	if ids := queryInts(t, db2, `SELECT id FROM kv`); len(ids) != 1 || ids[0] != 1 {
+		t.Fatalf("recovered ids %v, want [1]", ids)
+	}
+	mustExec(t, db2, `DROP TABLE b`)
+}
+
+// fillWALBuffer commits one INSERT that leaves fewer than room bytes free in
+// the log's 256 KiB write buffer. With WalSync = off nothing flushes the
+// buffer before it is full, so the next record longer than room spills it:
+// that record's append makes the log's next write.
+func fillWALBuffer(t *testing.T, db *DB, room int) {
+	t.Helper()
+	const buffer = 256 << 10
+	mustExec(t, db, `CREATE TABLE filler (id INT, s TEXT)`)
+	before, _, _, _ := db.WALStats()
+	mustExecArgs(t, db, `INSERT INTO filler VALUES (1, ?)`, strings.Repeat("x", 20_000))
+	after, _, _, _ := db.WALStats()
+	overhead := int(after-before) - 20_000
+	mustExecArgs(t, db, `INSERT INTO filler VALUES (2, ?)`, strings.Repeat("x", buffer-int(after)-overhead-room/2))
+	if filled, _, _, _ := db.WALStats(); filled > buffer || buffer-filled >= uint64(room) {
+		t.Fatalf("the log holds %d bytes, want %d minus fewer than %d", filled, buffer, room)
+	}
+}
+
+// TestFailedDDLAppendChangesNothing is the regression test for DDL whose own
+// WAL append fails: the statement must leave memory as it found it, as the
+// log does. DROP TABLE used to leave the table dropped and CREATE INDEX the
+// index registered. Each statement's record is the append that spills the
+// log's buffer into a failing write.
+func TestFailedDDLAppendChangesNothing(t *testing.T) {
+	long := strings.Repeat("v", 100) // every record below is longer than fillWALBuffer's room
+	tableGone := func(t *testing.T, db *DB) {
+		if _, err := db.Catalog().Get("t_" + long); err == nil {
+			t.Fatal("the table exists")
+		}
+	}
+	tableKept := func(t *testing.T, db *DB) {
+		if ids := queryInts(t, db, `SELECT id FROM t_`+long); len(ids) != 1 {
+			t.Fatalf("the table holds ids %v, want its one row", ids)
+		}
+	}
+	for _, c := range []struct {
+		name, setup, stmt string
+		check             func(t *testing.T, db *DB)
+	}{
+		{"create table", "", `CREATE TABLE t_` + long + ` (id INT)`, tableGone},
+		{"drop table", `CREATE TABLE t_` + long + ` (id INT)`, `DROP TABLE t_` + long, tableKept},
+		{"drop table if exists", `CREATE TABLE t_` + long + ` (id INT)`, `DROP TABLE IF EXISTS t_` + long, tableKept},
+		{"create index", `CREATE TABLE t_` + long + ` (id INT)`, `CREATE INDEX ix_` + long + ` ON t_` + long + ` (id)`, func(t *testing.T, db *DB) {
+			if hasIndex(t, db, "t_"+long, "ix_"+long) {
+				t.Fatal("the index is registered")
+			}
+			tableKept(t, db)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ffs := vfstest.NewFaultFS(nil)
+			cfg := faultConfig(t.TempDir(), ffs)
+			cfg.WalSync = "off"
+			db, err := OpenDB(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close() // the poisoned log's Close reports the write error
+			if c.setup != "" {
+				mustExec(t, db, c.setup)
+				mustExec(t, db, `INSERT INTO t_`+long+` VALUES (1)`)
+			}
+			fillWALBuffer(t, db, 64)
+			ffs.AddFault(vfstest.Fault{Op: vfstest.OpWrite, Path: "wal-"})
+			if _, err := db.Exec(c.stmt); !errors.Is(err, vfstest.ErrIO) {
+				t.Fatalf("%s: want the write error, got %v", c.stmt, err)
+			}
+			c.check(t, db)
+			if !db.Degraded() {
+				t.Fatal("Degraded() = false after a failed DDL append")
+			}
+		})
+	}
 }
 
 // TestCrashPointAckedInRecovered runs an insert storm into a FaultFS with a

@@ -8,6 +8,7 @@ import (
 	"neurdb/internal/index"
 	"neurdb/internal/rel"
 	"neurdb/internal/storage"
+	"neurdb/internal/txn"
 	"neurdb/internal/vfs"
 	"neurdb/internal/wal"
 )
@@ -121,7 +122,7 @@ func (db *DB) applyRecord(rec *wal.Record) error {
 		}
 	case wal.RecDropTable:
 		// Ignore "does not exist": the checkpoint may already exclude it.
-		_ = db.cat.Drop(rec.Name)
+		_, _ = db.cat.Drop(rec.Name)
 	case wal.RecCreateIndex:
 		tbl := db.cat.ByID(rec.TableID)
 		if tbl == nil {
@@ -142,8 +143,8 @@ func addIndexDef(tbl *catalog.Table, name string, col int) {
 }
 
 // eachChain visits every version chain of h, head first, in heap order — the
-// walk recovery, the checkpointer and the CREATE INDEX fill share. It reads a
-// page at a time through the heap's one walker, so it may run beside writers.
+// walk recovery and the CREATE INDEX fill share. It reads a page at a time
+// through the heap's one walker, so it may run beside writers.
 func eachChain(h *storage.Heap, visit func(id storage.RowID, head *storage.Version)) {
 	h.ScanBatch(func(pageID uint32, heads []*storage.Version) bool {
 		for slot, head := range heads {
@@ -155,6 +156,24 @@ func eachChain(h *storage.Heap, visit func(id storage.RowID, head *storage.Versi
 	})
 }
 
+// fillIndex posts every version of every chain of h to ix under the rule
+// writers follow, one posting per key a chain has held: whatever snapshot
+// later probes the index finds its row, committed or still in flight when
+// the index was built. Postings are hints: visibility and the recheck
+// decide. CREATE INDEX fills its index with it, and so does recovery, where
+// every chain is one version.
+func fillIndex(h *storage.Heap, ix *catalog.Index) {
+	eachChain(h, func(id storage.RowID, head *storage.Version) {
+		for v := head; v != nil; {
+			next := v.Next()
+			if next == nil || !rel.Equal(v.Data[ix.Col], next.Data[ix.Col]) {
+				ix.BT.Insert(v.Data[ix.Col], id)
+			}
+			v = next
+		}
+	})
+}
+
 // rebuildDerivedState reconstructs everything replay does not maintain
 // directly: heap free lists (replay never frees slots in place — see
 // Heap.ClearAt), secondary index contents, and optimizer statistics. Runs
@@ -163,12 +182,11 @@ func eachChain(h *storage.Heap, visit func(id storage.RowID, head *storage.Versi
 func (db *DB) rebuildDerivedState() {
 	for _, tbl := range db.cat.All() {
 		tbl.Heap.RebuildFree()
-		indexes := tbl.Indexes()
+		for _, ix := range tbl.Indexes() {
+			fillIndex(tbl.Heap, ix)
+		}
 		var rows []rel.Row
-		eachChain(tbl.Heap, func(id storage.RowID, head *storage.Version) {
-			for _, ix := range indexes {
-				ix.BT.Insert(head.Data[ix.Col], id)
-			}
+		eachChain(tbl.Heap, func(_ storage.RowID, head *storage.Version) {
 			rows = append(rows, head.Data)
 		})
 		tbl.Stats.Rebuild(rows)
@@ -178,18 +196,16 @@ func (db *DB) rebuildDerivedState() {
 // Checkpoint writes a transactionally consistent snapshot of the whole
 // database and truncates the WAL to the segments that postdate it. The cut
 // runs under the commit lock (txn.Manager.Quiesce): rotate the log (sealing
-// the old segment with an fsync), read the commit clock, and list the
-// tables — all while no commit is between drawing its timestamp and
-// storing it. Everything committed at or before the cut lands in the
-// snapshot; everything after has its record in the new segment. The heap
-// scan itself runs outside the lock under manual snapshot visibility, so
-// commits keep flowing while the (potentially large) image is built and
-// written.
-//
-// Concurrent heap mutation during the scan is safe for commits (they only
-// prepend versions and stamp timestamps, both handled by the visibility
-// walk) but not for physical chain surgery: do not run Heap.Vacuum
-// concurrently with Checkpoint.
+// the old segment with an fsync), begin a read-only snapshot transaction,
+// and list the tables — all while no commit is between drawing its
+// timestamp and storing it, so the reader's snapshot is the cut. Everything
+// committed at or before it lands in the image; everything after has its
+// record in the new segment. The reader then reads every page outside the
+// lock, as any scan does, so commits keep flowing while the (potentially
+// large) image is built and written, and while it reads it holds the vacuum
+// horizon (OldestActiveTS) at the cut. It walks version chains unlocked, as
+// every reader does, so Heap.Vacuum, which unlinks versions, must not run
+// concurrently with it.
 func (db *DB) Checkpoint() error {
 	l := db.wlog
 	if l == nil {
@@ -198,33 +214,40 @@ func (db *DB) Checkpoint() error {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
 
-	var sealed, snap uint64
+	var sealed uint64
+	var reader *txn.Txn
 	var tables []*catalog.Table
-	err := db.mgr.Quiesce(func(clock uint64) error {
+	err := db.mgr.Quiesce(func(uint64) error {
 		var err error
 		if sealed, err = l.Rotate(); err != nil {
 			return err
 		}
-		snap, tables = clock, db.cat.All()
+		reader, tables = db.mgr.Begin(txn.Snapshot, true), db.cat.All()
 		return nil
 	})
 	if err != nil {
 		return err
 	}
 
-	ck := &wal.Checkpoint{Seq: sealed, Clock: snap}
+	ck := &wal.Checkpoint{Seq: sealed, Clock: reader.StartTS}
+	var rows []rel.Row
+	var ids []storage.RowID
 	for _, tbl := range tables {
 		ct := wal.CkptTable{ID: tbl.ID, Name: tbl.Name, Schema: tbl.Schema}
 		for _, ix := range tbl.Indexes() {
 			ct.Indexes = append(ct.Indexes, wal.IndexMeta{Name: ix.Name, Col: ix.Col})
 		}
-		eachChain(tbl.Heap, func(id storage.RowID, head *storage.Version) {
-			if row, vis := visibleAt(head, snap); vis {
-				ct.Rows = append(ct.Rows, wal.CkptRow{ID: id, Row: row})
+		tbl.Heap.ScanBatch(func(pageID uint32, heads []*storage.Version) bool {
+			ids = ids[:0]
+			rows = db.mgr.ReadPage(pageID, heads, reader, rows[:0], &ids)
+			for i, row := range rows {
+				ct.Rows = append(ct.Rows, wal.CkptRow{ID: ids[i], Row: row})
 			}
+			return true
 		})
 		ck.Tables = append(ck.Tables, ct)
 	}
+	db.mgr.Abort(reader)
 
 	if err := wal.WriteCheckpoint(l.FS(), l.Dir(), ck); err != nil {
 		return err
@@ -240,25 +263,6 @@ func (db *DB) Checkpoint() error {
 	}
 	db.lastCkptWal.Store(l.Bytes())
 	return nil
-}
-
-// visibleAt walks a version chain with an explicit snapshot timestamp: the
-// first version whose creator committed at or before snap is the snapshot's
-// row unless its deleter also committed at or before snap. Unstamped
-// versions (creator uncommitted, or committed after the checkpoint cut) are
-// skipped — their redo records live in post-cut segments.
-func visibleAt(head *storage.Version, snap uint64) (rel.Row, bool) {
-	for v := head; v != nil; v = v.Next() {
-		bts := v.BeginTS()
-		if bts == 0 || bts > snap {
-			continue
-		}
-		if v.EndTS() <= snap {
-			return nil, false // deleted within the snapshot; older versions are older still
-		}
-		return v.Data, true
-	}
-	return nil, false
 }
 
 // checkpointLoop is the background checkpointer: it fires on the configured

@@ -155,10 +155,10 @@ type TrainOutcome struct {
 func (e *Engine) Train(spec models.Spec, cfg TrainConfig, src DataSource) (*TrainOutcome, error) {
 	task := taskSpec{Model: spec, LR: cfg.LR}
 	return e.run(task, src, func(weights []nn.LayerWeights) (int, uint64, error) {
-		mid := e.Store.Register(cfg.Name, spec, len(weights))
+		mid := e.Store.Register(spec, len(weights))
 		ts, err := e.Store.SaveFull(mid, weights)
 		if err == nil && cfg.Name != "" {
-			err = e.Store.CreateView(cfg.Name, mid, 0)
+			err = e.Store.CreateView(cfg.Name, mid)
 		}
 		return mid, ts, err
 	})

@@ -3,6 +3,7 @@ package aiengine
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -180,6 +181,20 @@ func sameWeights(a, b nn.LayerWeights) bool {
 	return true
 }
 
+// weightBits renders a stored layer exactly: its tensor shapes, then every
+// weight's float64 bits, tensor by tensor.
+func weightBits(lw nn.LayerWeights) string {
+	var b strings.Builder
+	fmt.Fprint(&b, lw.Shapes)
+	for _, d := range lw.Datas {
+		b.WriteString(" |")
+		for _, v := range d {
+			fmt.Fprintf(&b, " %016x", math.Float64bits(v))
+		}
+	}
+	return b.String()
+}
+
 type rowChunks struct {
 	rows []rel.Row
 	size int
@@ -298,7 +313,7 @@ func TestTaskStartsOneGoroutine(t *testing.T) {
 // memoTrace runs one seeded sequence of tasks — train, then rounds of
 // fine-tune + inference, a full retrain, and more rounds on the new weights —
 // and returns everything a task can leave behind: losses, predictions and
-// the bytes of every stored layer version. before runs ahead of each task.
+// the float64 bits of every stored layer version. before runs ahead of each task.
 func memoTrace(t *testing.T, e *Engine, before func()) string {
 	t.Helper()
 	var out bytes.Buffer
@@ -321,11 +336,7 @@ func memoTrace(t *testing.T, e *Engine, before func()) string {
 				t.Fatal(err)
 			}
 			for _, l := range layers {
-				blob, err := nn.EncodeWeights(l)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fmt.Fprintf(&out, "%d@%d %x\n", mid, ts, blob)
+				fmt.Fprintf(&out, "%d@%d %s\n", mid, ts, weightBits(l))
 			}
 		}
 	}

@@ -81,7 +81,7 @@ func (g *GatedInteraction) preActivationGrads(dy *nn.Matrix) (dGate, dTrans *nn.
 	for i := range dy.Data {
 		gv, tv := g.lastG.Data[i], g.lastT.Data[i]
 		dGate.Data[i] = dy.Data[i] * tv * gv * (1 - gv)
-		dTrans.Data[i] = dy.Data[i] * gv * (1 - tv*tv)
+		dTrans.Data[i] = dy.Data[i] * gv * (1 - float64(tv*tv))
 	}
 	return dGate, dTrans
 }

@@ -5,6 +5,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,6 +86,14 @@ func (t *Table) AddIndex(ix *Index, fill func()) error {
 		t.mu.Unlock()
 	}
 	return nil
+}
+
+// DropIndex removes ix, the undo of AddIndex for an index whose log record
+// fails; the caller bumps the catalog version so no cached plan keeps it.
+func (t *Table) DropIndex(ix *Index) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.indexes = slices.DeleteFunc(slices.Clone(t.indexes), func(have *Index) bool { return have == ix })
 }
 
 // Catalog is the table registry.
@@ -202,17 +211,25 @@ func (c *Catalog) Get(name string) (*Table, error) {
 	return t, nil
 }
 
-// Drop removes a table.
-func (c *Catalog) Drop(name string) error {
+// Drop removes a table and returns the undo that puts the same table back,
+// for a drop whose log record fails. The caller keeps DDL serialized (the
+// commit lock), so no other table takes the name before the undo.
+func (c *Catalog) Drop(name string) (undo func(), err error) {
 	key := strings.ToLower(name)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.tables[key]; !ok {
-		return fmt.Errorf("catalog: table %q does not exist", name)
+	t, ok := c.tables[key]
+	if !ok {
+		return nil, fmt.Errorf("catalog: table %q does not exist", name)
 	}
 	delete(c.tables, key)
 	c.version.Add(1)
-	return nil
+	return func() {
+		c.mu.Lock()
+		c.tables[key] = t
+		c.version.Add(1)
+		c.mu.Unlock()
+	}, nil
 }
 
 // All returns all tables sorted by id (stable feature ordering for models).

@@ -46,13 +46,13 @@ func TestCreateGetDrop(t *testing.T) {
 		t.Fatal("refused create registered the table")
 	}
 	// Drop.
-	if err := c.Drop("t1"); err != nil {
+	if _, err := c.Drop("t1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Get("t1"); err == nil {
 		t.Fatal("dropped table should be gone")
 	}
-	if err := c.Drop("t1"); err == nil {
+	if _, err := c.Drop("t1"); err == nil {
 		t.Fatal("double drop should fail")
 	}
 }

@@ -96,7 +96,7 @@ func referencePredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) ([]flo
 }
 
 // storedLayers renders every stored version of the model bound to name, layer
-// blob by layer blob.
+// by layer, as weightBits.
 func storedLayers(t *testing.T, store *models.Store, name string) string {
 	t.Helper()
 	view, ok := store.FindViewByName(name)
@@ -110,14 +110,24 @@ func storedLayers(t *testing.T, store *models.Store, name string) string {
 			t.Fatal(err)
 		}
 		for lid, l := range layers {
-			blob, err := nn.EncodeWeights(l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&out, "%d/%d %x\n", ts, lid, blob)
+			fmt.Fprintf(&out, "%d/%d %s\n", ts, lid, weightBits(l))
 		}
 	}
 	return out.String()
+}
+
+// weightBits renders a stored layer exactly: its tensor shapes, then every
+// weight's float64 bits, tensor by tensor.
+func weightBits(lw nn.LayerWeights) string {
+	var b strings.Builder
+	fmt.Fprint(&b, lw.Shapes)
+	for _, d := range lw.Datas {
+		b.WriteString(" |")
+		for _, v := range d {
+			fmt.Fprintf(&b, " %016x", math.Float64bits(v))
+		}
+	}
+	return b.String()
 }
 
 // TestPredictIsItsTwoTaskReference: a PREDICT is one task — training batches,

@@ -1,8 +1,11 @@
-// The constants below were recorded on x86-64 without fused multiply-add.
-// Where the compiler may fuse a multiply and an add (GOAMD64=v3 and up, arm64
-// and others), the same code rounds differently and has numbers of its own.
+// The constants below were recorded on x86-64. Every product in internal/nn
+// and internal/armnet rounds on its own (float64(x*y)), so no GOAMD64 level
+// — nor arm64 — fuses a multiply-add there. The constants still depend on the
+// host: math.Exp's amd64 assembly takes a VFMADD path at run time on a CPU
+// with AVX and FMA, they were recorded on such a CPU, and with that path
+// forced off all six hashes differ.
 
-//go:build amd64 && !amd64.v3
+//go:build amd64
 
 package executor
 
@@ -26,11 +29,11 @@ import (
 // TestPredictGolden pins PREDICT's numbers: for a VALUE and a CLASS model —
 // trained by the first PREDICT, fine-tuned by the three after it, each of the
 // four predicting 300 rows — the SHA-256 of the predictions, of the training
-// losses and of every stored version's decoded layer weights, all as float64
-// bits, must equal the constants. They were recorded before the matrix kernels
-// were register-tiled, so a kernel that changes one rounding anywhere in
-// training or inference fails here. The weights are hashed decoded, not as
-// gob bytes: gob's type ids differ from process to process.
+// losses and of every stored version's layer weights, all as float64 bits,
+// must equal the constants. They were recorded before the matrix kernels were
+// register-tiled, so a kernel that changes one rounding anywhere in training
+// or inference fails here, and so does a stored version written after its
+// save.
 func TestPredictGolden(t *testing.T) {
 	want := map[string][3]string{
 		"VALUE": {

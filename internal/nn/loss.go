@@ -15,7 +15,7 @@ func MSELossInto(grad, pred, target *Matrix) float64 {
 	var loss float64
 	for i := range pred.Data {
 		d := pred.Data[i] - target.Data[i]
-		loss += d * d
+		loss += float64(d * d)
 		grad.Data[i] = 2 * d / n
 	}
 	return loss / n
@@ -36,7 +36,7 @@ func BCEWithLogitsLossInto(grad, logits, target *Matrix) float64 {
 	for i := range logits.Data {
 		z, y := logits.Data[i], target.Data[i]
 		// loss = max(z,0) - z*y + log(1+exp(-|z|))
-		loss += math.Max(z, 0) - z*y + math.Log1p(math.Exp(-math.Abs(z)))
+		loss += math.Max(z, 0) - float64(z*y) + math.Log1p(math.Exp(-math.Abs(z)))
 		p := 1 / (1 + math.Exp(-z))
 		grad.Data[i] = (p - y) / n
 	}

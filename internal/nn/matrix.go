@@ -111,7 +111,7 @@ func MatMulBTInto(dst, a, b *Matrix) {
 		if n == 1 {
 			x, bcol := arow[0], b.Data[:len(orow)]
 			for j, y := range bcol {
-				orow[j] = x*y + 0
+				orow[j] = float64(x*y) + 0
 			}
 			continue
 		}
@@ -220,13 +220,13 @@ func dot(x, y []float64) float64 {
 	k := 0
 	for ; k+4 <= len(x); k += 4 {
 		xs, ys := x[k:k+4:k+4], y[k:k+4:k+4]
-		s0 += xs[0] * ys[0]
-		s1 += xs[1] * ys[1]
-		s2 += xs[2] * ys[2]
-		s3 += xs[3] * ys[3]
+		s0 += float64(xs[0] * ys[0])
+		s1 += float64(xs[1] * ys[1])
+		s2 += float64(xs[2] * ys[2])
+		s3 += float64(xs[3] * ys[3])
 	}
 	for ; k < len(x); k++ {
-		s0 += x[k] * y[k]
+		s0 += float64(x[k] * y[k])
 	}
 	return (s0 + s1) + (s2 + s3)
 }

@@ -41,10 +41,10 @@ func (o *Adam) Step(params []*Param) {
 		for i, wi := range w {
 			g := gs[i]
 			if wd != 0 {
-				g += wd * wi
+				g += float64(wd * wi)
 			}
-			ms[i] = b1*ms[i] + (1-b1)*g
-			vs[i] = b2*vs[i] + (1-b2)*g*g
+			ms[i] = float64(b1*ms[i]) + float64((1-b1)*g)
+			vs[i] = float64(b2*vs[i]) + float64((1-b2)*g*g)
 			mHat := ms[i] / bc1
 			vHat := vs[i] / bc2
 			w[i] = wi - lr*mHat/(math.Sqrt(vHat)+eps)
@@ -70,7 +70,7 @@ func ClipGradNorm(params []*Param, max float64) float64 {
 			continue
 		}
 		for _, g := range p.Grad.Data {
-			total += g * g
+			total += float64(g * g)
 		}
 	}
 	norm := math.Sqrt(total)

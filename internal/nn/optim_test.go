@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -135,43 +134,62 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if len(snap) != 3 {
 		t.Fatalf("snapshot layer count = %d", len(snap))
 	}
-	// Round-trip through bytes.
-	blob, err := EncodeWeights(snap[0])
-	if err != nil {
-		t.Fatal(err)
+	sameBits := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
 	}
-	back, err := DecodeWeights(blob)
-	if err != nil {
-		t.Fatal(err)
+	// Every layer's snapshot holds each tensor's shape and bits; the ReLU has
+	// none.
+	for i, l := range seq.Layers {
+		params := l.Params()
+		if len(snap[i].Shapes) != len(params) || len(snap[i].Datas) != len(params) {
+			t.Fatalf("layer %d: %d shapes and %d tensors, want %d", i, len(snap[i].Shapes), len(snap[i].Datas), len(params))
+		}
+		for j, p := range params {
+			if snap[i].Shapes[j] != [2]int{p.W.Rows, p.W.Cols} || !sameBits(snap[i].Datas[j], p.W.Data) {
+				t.Fatalf("layer %d tensor %d: snapshot %v differs from the live %dx%d weights", i, j, snap[i].Shapes[j], p.W.Rows, p.W.Cols)
+			}
+		}
 	}
-	if !reflect.DeepEqual(back, snap[0]) || len(back.Datas) == 0 {
-		t.Fatal("layer snapshot changed in the round trip")
+	// Mutate, restore, compare: the snapshot is a copy, not the live weights.
+	live := seq.Layers[0].Params()[0].W
+	orig := live.clone()
+	for i := range live.Data {
+		live.Data[i] = 99
 	}
-	// Mutate, restore, compare.
-	orig := seq.Layers[0].Params()[0].W.clone()
-	for i := range seq.Layers[0].Params()[0].W.Data {
-		seq.Layers[0].Params()[0].W.Data[i] = 99
+	if !sameBits(snap[0].Datas[0], orig.Data) {
+		t.Fatal("writing the live weights changed the snapshot")
 	}
 	if err := RestoreSequential(seq, snap); err != nil {
 		t.Fatal(err)
 	}
-	for i := range orig.Data {
-		if seq.Layers[0].Params()[0].W.Data[i] != orig.Data[i] {
-			t.Fatal("restore did not recover original weights")
-		}
+	if !sameBits(live.Data, orig.Data) {
+		t.Fatal("restore did not recover original weights")
+	}
+	// Restore copies too: training after it leaves the snapshot alone.
+	live.Data[0] = 7
+	if !sameBits(snap[0].Datas[0], orig.Data) {
+		t.Fatal("writing restored weights changed the snapshot")
 	}
 	// Error paths.
 	if err := RestoreSequential(seq, snap[:1]); err == nil {
 		t.Fatal("layer-count mismatch should error")
 	}
-	bad := snap[0]
-	bad.Shapes = [][2]int{{1, 1}, {1, 1}}
-	bad.Datas = [][]float64{{0}, {0}}
-	if err := RestoreParams(bad, seq.Layers[0].Params()); err == nil {
+	bad := append([]LayerWeights(nil), snap...)
+	bad[0] = LayerWeights{Shapes: [][2]int{{1, 1}, {1, 1}}, Datas: [][]float64{{0}, {0}}}
+	if err := RestoreSequential(seq, bad); err == nil {
 		t.Fatal("shape mismatch should error")
 	}
-	if _, err := DecodeWeights([]byte("garbage")); err == nil {
-		t.Fatal("garbage decode should error")
+	bad[0] = LayerWeights{}
+	if err := RestoreSequential(seq, bad); err == nil {
+		t.Fatal("tensor-count mismatch should error")
 	}
 }
 

@@ -138,8 +138,8 @@ type CommitLog interface {
 	Sync(lsn uint64) error
 	// Err reports the log's sticky poison state (nil while healthy). The
 	// manager checks it before every logged commit as a fail-stop: once an
-	// fsync has failed, no further commit may become visible in memory,
-	// because its durability could never be guaranteed.
+	// append or an fsync has failed, no further commit may become visible in
+	// memory, because its durability could never be guaranteed.
 	Err() error
 }
 
@@ -443,10 +443,10 @@ func (m *Manager) Commit(t *Txn) error {
 		if logged {
 			var err error
 			if lsn, err = log.AppendCommit(cts, ops); err != nil {
-				// Nothing reached the log (a failed buffered write leaves the
-				// on-disk prefix consistent), so rolling the in-memory claims
-				// back keeps both sides agreeing the transaction never
-				// happened.
+				// Nothing of the record is replayed (a failed write leaves at
+				// most a torn tail, and it poisoned the log, so no record
+				// follows it), so rolling the in-memory claims back keeps both
+				// sides agreeing the transaction never happened.
 				m.unlockCommits()
 				m.Abort(t)
 				return fmt.Errorf("txn: wal append: %w", err)

@@ -97,6 +97,31 @@ func TestFaultAppendFlushFails(t *testing.T) {
 	}
 }
 
+// TestFaultAppendWritePoisons: a record larger than the 256 KiB buffer is
+// written straight to the segment by the append itself. When that write
+// fails, the append's error poisons the log as a failed flush does, with the
+// original error, and every later append fails.
+func TestFaultAppendWritePoisons(t *testing.T) {
+	ffs := vfstest.NewFaultFS(nil)
+	l, _ := faultLog(t, ffs, SyncCommit)
+	defer l.Close()
+	ffs.AddFault(vfstest.Fault{Op: vfstest.OpWrite, Path: segmentPrefix})
+
+	if _, err := l.AppendDDL(make([]byte, 300<<10)); !errors.Is(err, vfstest.ErrIO) {
+		t.Fatalf("want EIO from the append's write, got %v", err)
+	}
+	if err := l.Err(); !errors.Is(err, vfstest.ErrIO) {
+		t.Fatalf("log not poisoned after a failed append: Err() = %v", err)
+	}
+	ffs.ClearFaults()
+	if err := appendSync(l, 1); err == nil {
+		t.Fatal("an append after the failed one succeeded")
+	}
+	if err := l.Err(); !errors.Is(err, vfstest.ErrIO) {
+		t.Fatalf("Err() = %v, want the first error", err)
+	}
+}
+
 // TestFaultFsyncPoisonSticky is the core fail-stop property: one failed
 // fsync poisons the log permanently. The failing commit sees the raw error;
 // every later Sync sees the same sticky error even though the disk has

@@ -3,6 +3,7 @@ package wal
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -100,7 +101,7 @@ type Log struct {
 	syncCond  *sync.Cond
 	syncedLSN uint64
 	syncing   bool
-	syncErr   error // sticky: a failed fsync poisons the log
+	syncErr   error // sticky: a failed append or fsync poisons the log
 	// poison mirrors syncErr for lock-free reads: the commit path's
 	// fail-stop check (Err) runs before every logged commit and must not
 	// contend with group-commit waiters on syncMu.
@@ -252,10 +253,11 @@ func (l *Log) AppendCommit(cts uint64, ops []Op) (uint64, error) {
 	l.scratch = encodeCommit(l.scratch[:0], cts, ops)
 	lsn, err := l.appendLocked(l.scratch)
 	l.mu.Unlock()
-	if err == nil {
-		l.commits.Add(1)
+	if err != nil {
+		return 0, l.failAppend(err)
 	}
-	return lsn, err
+	l.commits.Add(1)
+	return lsn, nil
 }
 
 // AppendDDL appends a pre-encoded DDL payload (EncodeCreateTable and
@@ -265,12 +267,40 @@ func (l *Log) AppendDDL(payload []byte) (uint64, error) {
 	l.mu.Lock()
 	lsn, err := l.appendLocked(payload)
 	l.mu.Unlock()
-	return lsn, err
+	if err != nil {
+		return 0, l.failAppend(err)
+	}
+	return lsn, nil
+}
+
+// errClosed is an append's error after Close.
+var errClosed = errors.New("wal: log closed")
+
+// failAppend makes a failed append's write error the log's poison, as a
+// failed fsync's is: the buffered writer fails every later write, and the
+// segment may end in a torn record nothing may follow. It runs after mu is
+// released, because syncMu is taken before mu.
+func (l *Log) failAppend(err error) error {
+	if !errors.Is(err, errClosed) {
+		l.syncMu.Lock()
+		l.poisonLocked(err)
+		l.syncMu.Unlock()
+	}
+	return err
+}
+
+// poisonLocked makes err the log's sticky error unless it has one already.
+// The caller holds syncMu.
+func (l *Log) poisonLocked(err error) {
+	if l.syncErr == nil {
+		l.syncErr = err
+		l.poison.Store(&err)
+	}
 }
 
 func (l *Log) appendLocked(payload []byte) (uint64, error) {
 	if l.closed.Load() {
-		return 0, fmt.Errorf("wal: log closed")
+		return 0, errClosed
 	}
 	var hdr [recordHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
@@ -339,8 +369,7 @@ func (l *Log) syncLeader(lsn uint64, then func(error) error) error {
 	l.syncMu.Lock()
 	l.syncing = false
 	if healthy && serr != nil {
-		l.syncErr = serr
-		l.poison.CompareAndSwap(nil, &serr)
+		l.poisonLocked(serr)
 	} else if healthy && target > l.syncedLSN {
 		l.syncedLSN = target
 	}
@@ -350,10 +379,12 @@ func (l *Log) syncLeader(lsn uint64, then func(error) error) error {
 }
 
 // Err returns the sticky poison error, or nil while the log is healthy.
-// Once an fsync has failed the log never un-poisons: the kernel may have
-// dropped the dirty pages the failed fsync covered, so no later fsync can
-// retroactively make those records durable. Callers use this as a fail-stop
-// check before accepting new work; restart-and-recover is the only way back.
+// Once an append's write or an fsync has failed the log never un-poisons:
+// the kernel may have dropped the dirty pages the failed fsync covered, so no
+// later fsync can retroactively make those records durable, and a failed
+// write leaves the buffered writer failing and the segment possibly torn.
+// Callers use this as a fail-stop check before accepting new work;
+// restart-and-recover is the only way back.
 func (l *Log) Err() error {
 	if p := l.poison.Load(); p != nil {
 		return *p

@@ -58,6 +58,28 @@ func TestPredictIsOneTask(t *testing.T) {
 	}
 }
 
+// TestPredictVersionBytes pins what a PREDICT stores, 8 bytes per weight.
+// The first statement stores the whole default model over three fields (96
+// embedding rows of 8, the gated interaction's two 24×32 maps with biases,
+// the 32×32 hidden layer and the 32×1 head, with biases: 3,457 floats), and
+// each fine-tune after it only the layers it trained, the hidden layer and
+// the head: 32·32 + 32 + 32 + 1 = 1,089 floats, 8,712 bytes.
+func TestPredictVersionBytes(t *testing.T) {
+	db := openTest(t)
+	seedReviews(t, db, 1200)
+	const full, head = 8 * (96*8 + 2*(24*32+32) + 32*32 + 32 + 32 + 1), 8 * (32*32 + 32 + 32 + 1)
+	store := db.ModelStore()
+	before := store.StorageBytes()
+	for i := 0; i < 3; i++ {
+		mustExec(t, db, fmt.Sprintf(`PREDICT VALUE OF score FROM review WHERE id >= %d AND id < %d TRAIN ON a, b, c WITH id >= %d AND id < %d`,
+			1000+50*i, 1050+50*i, 50*i, 1000+50*i))
+		want := int64(full + i*head)
+		if got := store.StorageBytes() - before; got != want {
+			t.Fatalf("after PREDICT %d the store grew %d bytes, want %d", i, got, want)
+		}
+	}
+}
+
 // TestPredictRefusesOtherFeatureList: the model of table.target answers for
 // the feature columns it was trained on. A statement that lists others — as
 // many or fewer — is refused before it extracts a row or runs a task, with
