@@ -19,7 +19,6 @@ func benchScale() bench.Scale {
 		Fig6aBatches:     16,
 		Fig6bBatchCounts: []int{4, 8, 16},
 		Fig6cSwitchEvery: 1024,
-		Window:           16,
 
 		YCSBRecords:    50_000,
 		CCDuration:     250 * time.Millisecond,

@@ -247,7 +247,11 @@ func (db *DB) Checkpoint() error {
 		})
 		ck.Tables = append(ck.Tables, ct)
 	}
-	db.mgr.Abort(reader)
+	// The reader wrote nothing, so its commit only ends it; an abort would
+	// count every checkpoint as a failed transaction.
+	if err := db.mgr.Commit(reader); err != nil {
+		return err
+	}
 
 	if err := wal.WriteCheckpoint(l.FS(), l.Dir(), ck); err != nil {
 		return err

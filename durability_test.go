@@ -310,6 +310,28 @@ func TestCheckpointBoundsReplay(t *testing.T) {
 	}
 }
 
+// TestCheckpointCountsNoAbort: a checkpoint's snapshot reader ends like any
+// read-only transaction that succeeded, so the manager's abort count does not
+// move across a checkpoint.
+func TestCheckpointCountsNoAbort(t *testing.T) {
+	db, err := OpenDB(durableConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, v INT)`)
+	mustExec(t, db, `INSERT INTO t VALUES (1, 0), (2, 0)`)
+	_, aborts := db.mgr.Stats()
+	for i := 0; i < 3; i++ {
+		if err := db.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint: %v", err)
+		}
+	}
+	if _, after := db.mgr.Stats(); after != aborts {
+		t.Fatalf("three checkpoints moved the abort count %d -> %d", aborts, after)
+	}
+}
+
 func TestRecoveryIdempotentDoubleReplay(t *testing.T) {
 	// Two recoveries in a row (no writes in between) must converge to the
 	// same state: replay is pure redo over idempotent installs.

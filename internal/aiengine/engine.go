@@ -1,21 +1,17 @@
-// Package aiengine implements the paper's in-database AI ecosystem (§4.1): a
-// streaming data loader that overlaps data preparation with model
-// computation, and the model-manager operations (train / inference /
-// fine-tune) backed by the layered model store. A task is one call on its
-// caller's goroutine, and a stream, not a kind: it takes an optimization step
-// on every batch that carries labels and answers every batch that does not
-// with predictions.
+// Package aiengine implements the model-manager operations of the paper's
+// in-database AI ecosystem (§4.1): train, inference and fine-tune, backed by
+// the layered model store. A task is one call on its caller's goroutine, and
+// a stream, not a kind: it takes an optimization step on every batch that
+// carries labels and answers every batch that does not with predictions.
 package aiengine
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"neurdb/internal/armnet"
 	"neurdb/internal/models"
 	"neurdb/internal/nn"
-	"neurdb/internal/rel"
 )
 
 // Batch is one unit of streamed training/inference data.
@@ -23,71 +19,13 @@ type Batch struct {
 	X, Y *nn.Matrix
 }
 
-// DataSource supplies batches to a task.
+// DataSource supplies batches to a task. The task calls Next on its caller's
+// goroutine, so a source prepares each batch as it is asked for it, and it
+// reads a batch only until its next call: a source may refill one batch's
+// matrices for every call.
 type DataSource interface {
 	// Next returns the next batch, or ok=false when exhausted.
 	Next() (*Batch, bool)
-}
-
-// RowBatchSource supplies raw relational rows in batches (e.g. a table scan
-// or a workload generator).
-type RowBatchSource interface {
-	Next() ([]rel.Row, bool)
-}
-
-// Featurizer converts relational rows into model inputs (x) and labels (y).
-type Featurizer func([]rel.Row) (x, y *nn.Matrix)
-
-// StreamingLoader is the paper's streaming data loader: a prefetching
-// pipeline that featurizes row batches in a background goroutine so data
-// preparation overlaps model computation. Window controls the number of
-// prepared batches buffered ahead.
-type StreamingLoader struct {
-	ch   chan *Batch
-	done chan struct{}
-	stop sync.Once
-}
-
-// NewStreamingLoader starts the prefetch pipeline. Its goroutine ends when
-// src is exhausted or at Close, whichever comes first: a consumer that may
-// stop before draining the loader (a failed task) must call Close.
-func NewStreamingLoader(src RowBatchSource, feat Featurizer, window int) *StreamingLoader {
-	if window < 1 {
-		window = 1
-	}
-	// The buffer is the prefetch window: the batches prepared ahead of the consumer.
-	l := &StreamingLoader{ch: make(chan *Batch, window), done: make(chan struct{})}
-	go func() {
-		defer close(l.ch)
-		for {
-			rows, ok := src.Next()
-			if !ok {
-				return
-			}
-			x, y := feat(rows)
-			select {
-			case l.ch <- &Batch{X: x, Y: y}:
-			case <-l.done:
-				return
-			}
-		}
-	}()
-	return l
-}
-
-// Next implements DataSource.
-func (l *StreamingLoader) Next() (*Batch, bool) {
-	b, ok := <-l.ch
-	return b, ok
-}
-
-// Close stops the prefetch goroutine and returns once it has exited, dropping
-// whatever it had prepared. It may be called more than once, and after the
-// loader is drained.
-func (l *StreamingLoader) Close() {
-	l.stop.Do(func() { close(l.done) })
-	for range l.ch {
-	}
 }
 
 // SliceSource adapts a pre-materialized batch list to DataSource.

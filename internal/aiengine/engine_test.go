@@ -5,15 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"neurdb/internal/armnet"
 	"neurdb/internal/models"
 	"neurdb/internal/nn"
-	"neurdb/internal/rel"
 )
 
 // synthSource generates batches from a simple linear ground truth over
@@ -195,57 +192,6 @@ func weightBits(lw nn.LayerWeights) string {
 	return b.String()
 }
 
-type rowChunks struct {
-	rows []rel.Row
-	size int
-	pos  int
-}
-
-func (rc *rowChunks) Next() ([]rel.Row, bool) {
-	if rc.pos >= len(rc.rows) {
-		return nil, false
-	}
-	end := rc.pos + rc.size
-	if end > len(rc.rows) {
-		end = len(rc.rows)
-	}
-	chunk := rc.rows[rc.pos:end]
-	rc.pos = end
-	return chunk, true
-}
-
-func TestStreamingLoaderPrefetches(t *testing.T) {
-	rows := make([]rel.Row, 640)
-	for i := range rows {
-		rows[i] = rel.Row{rel.Int(int64(i % 32)), rel.Float(0.5)}
-	}
-	src := &rowChunks{rows: rows, size: 64}
-	feat := func(rs []rel.Row) (*nn.Matrix, *nn.Matrix) {
-		x := nn.NewMatrix(len(rs), 1)
-		y := nn.NewMatrix(len(rs), 1)
-		for i, row := range rs {
-			x.Set(i, 0, row[0].AsFloat())
-			y.Set(i, 0, row[1].AsFloat())
-		}
-		return x, y
-	}
-	loader := NewStreamingLoader(src, feat, 4)
-	count := 0
-	for {
-		b, ok := loader.Next()
-		if !ok {
-			break
-		}
-		if b.X.Rows != 64 {
-			t.Fatal("batch size wrong")
-		}
-		count++
-	}
-	if count != 10 {
-		t.Fatalf("loader produced %d batches", count)
-	}
-}
-
 // TestProtocolErrors: what a task refuses — an unknown architecture, a stream
 // with nothing to train on for an operator that stores a model, and a batch
 // of another width than the model's — it refuses with an error, storing
@@ -287,26 +233,6 @@ func TestProtocolErrors(t *testing.T) {
 	}
 	if _, ok := e.Store.FindViewByName("narrow"); ok || len(e.Store.Versions(out.MID)) != 1 {
 		t.Fatal("a task refused for its batch width stored a model")
-	}
-}
-
-// TestTaskStartsOneGoroutine: a task runs on its caller's goroutine, so while
-// it streams the only goroutine it has added is the loader's own.
-func TestTaskStartsOneGoroutine(t *testing.T) {
-	e := NewEngine(models.NewStore())
-	base := runtime.NumGoroutine()
-	most := 0
-	src := &synthSource{r: rand.New(rand.NewSource(9)), batches: 16, size: 32, fields: 4, vocab: 32}
-	loader := NewStreamingLoader(&rowChunks{rows: make([]rel.Row, 16*32), size: 32}, func(rs []rel.Row) (*nn.Matrix, *nn.Matrix) {
-		most = max(most, runtime.NumGoroutine()) // the loader's goroutine calls this while the task runs
-		b, _ := src.Next()
-		return b.X, b.Y
-	}, 2)
-	if _, err := e.Train(testSpec(false), TrainConfig{}, loader); err != nil {
-		t.Fatal(err)
-	}
-	if most > base+1 {
-		t.Fatalf("%d goroutines while the task ran, %d before it: a task starts only the loader's", most, base)
 	}
 }
 
@@ -455,88 +381,6 @@ func TestMemoSharedByConcurrentTasks(t *testing.T) {
 			t.Error(err)
 		}
 	}
-}
-
-// waitGoroutines waits for the goroutine count to come back to base.
-func waitGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines, %d before the failed task:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestFailedTaskLeaksNoGoroutine is the regression test for a leak: a task
-// that fails before streaming (an unknown model) left the streaming loader's
-// producer waiting on its channel, holding every training row. A task that
-// trains and then fails while predicting is the other way to stop early; it
-// must also store nothing.
-func TestFailedTaskLeaksNoGoroutine(t *testing.T) {
-	rows := make([]rel.Row, 4096)
-	for i := range rows {
-		rows[i] = rel.Row{rel.Int(int64(i % 32)), rel.Float(0.5)}
-	}
-	feat := func(rs []rel.Row) (*nn.Matrix, *nn.Matrix) {
-		return nn.NewMatrix(len(rs), 1), nn.NewMatrix(len(rs), 1)
-	}
-	t.Run("unknown model", func(t *testing.T) {
-		base := runtime.NumGoroutine()
-		e := NewEngine(models.NewStore())
-		loader := NewStreamingLoader(&rowChunks{rows: rows, size: 64}, feat, 4)
-		if _, err := e.FineTune(99, 0, armnet.FreezePrefixLayers, 0.02, loader); err == nil {
-			t.Fatal("fine-tuning an unknown model did not fail")
-		}
-		loader.Close()
-		loader.Close() // idempotent
-		if _, ok := loader.Next(); ok {
-			t.Fatal("a closed loader still yields batches")
-		}
-		waitGoroutines(t, base)
-	})
-	t.Run("prediction phase, after training", func(t *testing.T) {
-		e := NewEngine(models.NewStore())
-		spec := testSpec(false)
-		spec.Fields = 1
-		first, err := e.Train(spec, TrainConfig{},
-			NewStreamingLoader(&rowChunks{rows: rows[:256], size: 64}, feat, 4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := runtime.NumGoroutine()
-		// Eight labelled batches train; the rest arrive without labels and one
-		// field too wide, which fails the runtime's first prediction with more
-		// batches still queued behind it.
-		stream := func() *StreamingLoader {
-			calls := 0
-			return NewStreamingLoader(&rowChunks{rows: rows, size: 64}, func(rs []rel.Row) (*nn.Matrix, *nn.Matrix) {
-				if calls++; calls > 8 {
-					return nn.NewMatrix(len(rs), 2), nil
-				}
-				return feat(rs)
-			}, 4)
-		}
-		loader := stream()
-		if _, err := e.Train(spec, TrainConfig{Name: "m"}, loader); err == nil || !strings.Contains(err.Error(), "fields") {
-			t.Fatalf("a training task whose predictions fail: %v", err)
-		}
-		loader.Close()
-		if _, ok := e.Store.FindViewByName("m"); ok {
-			t.Fatal("a task that failed while predicting bound a model view")
-		}
-		loader = stream()
-		if _, err := e.FineTune(first.MID, 0, armnet.FreezePrefixLayers, 0.02, loader); err == nil || !strings.Contains(err.Error(), "fields") {
-			t.Fatalf("a fine-tune whose predictions fail: %v", err)
-		}
-		loader.Close()
-		if v := e.Store.Versions(first.MID); len(v) != 1 {
-			t.Fatalf("a fine-tune that failed while predicting stored a version: %v", v)
-		}
-		waitGoroutines(t, base)
-	})
 }
 
 // TestInferPredictsLabelledBatches: Infer answers every batch with

@@ -14,7 +14,6 @@ func tinyScale() Scale {
 		Fig6aBatches:     8,
 		Fig6bBatchCounts: []int{2, 4},
 		Fig6cSwitchEvery: 512,
-		Window:           8,
 
 		YCSBRecords:    20_000,
 		CCDuration:     80 * time.Millisecond,

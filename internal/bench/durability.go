@@ -75,10 +75,15 @@ func measureFsync() (float64, error) {
 	return float64(time.Since(start).Microseconds()) / iters, nil
 }
 
+// durabilityFsyncWait bounds how long a storm outlasts its duration while it
+// waits for the first fsync to complete.
+const durabilityFsyncWait = 5 * time.Second
+
 // durabilityStorm opens a fresh database under cfg, loads the storm table,
 // and runs writers concurrent sessions each committing single-row inserts
-// serially for dur. Returns acknowledged commits per second and the mean
-// commits per fsync over the storm (0 without a WAL).
+// serially for dur, or with a WAL until its first fsync has completed if that
+// takes longer. Returns acknowledged commits per second and the mean commits
+// per fsync over the storm (0 without a WAL).
 func durabilityStorm(cfg neurdb.Config, writers int, dur time.Duration) (tps, groupSize float64, err error) {
 	db, err := neurdb.OpenDB(cfg)
 	if err != nil {
@@ -113,6 +118,14 @@ func durabilityStorm(cfg neurdb.Config, writers int, dur time.Duration) (tps, gr
 	}
 	time.Sleep(dur)
 	_, _, commits1, fsyncs1 := db.WALStats() // while every writer is still committing
+	// On a slow disk one fsync can outlast the storm. Without a completed
+	// fsync there is no group to measure, so keep the writers committing
+	// until one completes, for at most durabilityFsyncWait.
+	deadline := time.Now().Add(durabilityFsyncWait)
+	for cfg.DataDir != "" && fsyncs1 == fsyncs0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		_, _, commits1, fsyncs1 = db.WALStats()
+	}
 	if fsyncs1 > fsyncs0 {
 		groupSize = float64(commits1-commits0) / float64(fsyncs1-fsyncs0)
 	}

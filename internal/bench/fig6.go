@@ -8,6 +8,8 @@ import (
 	"neurdb/internal/aiengine"
 	"neurdb/internal/bench/workload"
 	"neurdb/internal/models"
+	"neurdb/internal/nn"
+	"neurdb/internal/rel"
 )
 
 // avazuSpec is the model shape for Workload E.
@@ -37,9 +39,27 @@ type Fig6aRow struct {
 	TputSpeedup      float64 // paper: 1.96× (E), 2.92× (H)
 }
 
+// featurized is the NeurDB side's source, the same kind PREDICT's task reads:
+// each Next takes the workload's next rows and featurizes them in memory, on
+// the task's goroutine, with no text round trip.
+type featurized struct {
+	rows rowSource
+	feat func([]rel.Row) (x, y *nn.Matrix)
+}
+
+// Next implements aiengine.DataSource.
+func (f featurized) Next() (*aiengine.Batch, bool) {
+	rows, ok := f.rows.Next()
+	if !ok {
+		return nil, false
+	}
+	x, y := f.feat(rows)
+	return &aiengine.Batch{X: x, Y: y}, true
+}
+
 // RunFig6a measures end-to-end latency and training throughput of NeurDB's
-// in-database streaming path versus the PostgreSQL+P batch-loading baseline
-// for Workloads E and H.
+// in-database path versus the PostgreSQL+P batch-loading baseline for
+// Workloads E and H.
 func RunFig6a(sc Scale) ([]Fig6aRow, error) {
 	var out []Fig6aRow
 
@@ -54,10 +74,10 @@ func RunFig6a(sc Scale) ([]Fig6aRow, error) {
 		}
 		store := models.NewStore()
 		engine := aiengine.NewEngine(store)
-		loader := aiengine.NewStreamingLoader(
+		src := featurized{
 			workload.NewAvazu(11).NewBatchSource(sc.BatchSize, sc.Fig6aBatches, 0),
-			workload.AvazuFeaturizer, sc.Window)
-		neur, err := engine.Train(avazuSpec(1), aiengine.TrainConfig{LR: 0.01}, loader)
+			workload.AvazuFeaturizer}
+		neur, err := engine.Train(avazuSpec(1), aiengine.TrainConfig{LR: 0.01}, src)
 		if err != nil {
 			return nil, err
 		}
@@ -75,10 +95,10 @@ func RunFig6a(sc Scale) ([]Fig6aRow, error) {
 		}
 		store := models.NewStore()
 		engine := aiengine.NewEngine(store)
-		loader := aiengine.NewStreamingLoader(
+		src := featurized{
 			workload.NewDiabetes(12).NewSource(sc.BatchSize, sc.Fig6aBatches),
-			workload.DiabetesFeaturizer, sc.Window)
-		neur, err := engine.Train(diabetesSpec(2), aiengine.TrainConfig{LR: 0.01}, loader)
+			workload.DiabetesFeaturizer}
+		neur, err := engine.Train(diabetesSpec(2), aiengine.TrainConfig{LR: 0.01}, src)
 		if err != nil {
 			return nil, err
 		}
@@ -137,10 +157,10 @@ func RunFig6b(sc Scale) ([]Fig6bPoint, error) {
 			return nil, err
 		}
 		engine := aiengine.NewEngine(models.NewStore())
-		loader := aiengine.NewStreamingLoader(
+		src := featurized{
 			workload.NewAvazu(21).NewBatchSource(sc.BatchSize, n, 0),
-			workload.AvazuFeaturizer, sc.Window)
-		neur, err := engine.Train(avazuSpec(1), aiengine.TrainConfig{LR: 0.01}, loader)
+			workload.AvazuFeaturizer}
+		neur, err := engine.Train(avazuSpec(1), aiengine.TrainConfig{LR: 0.01}, src)
 		if err != nil {
 			return nil, err
 		}
@@ -207,10 +227,10 @@ func RunFig6c(sc Scale) (*Fig6cResult, error) {
 		gen := workload.NewAvazu(31)
 		for c := 0; c < workloadClusters; c++ {
 			gen.SetCluster(c)
-			loader := aiengine.NewStreamingLoader(
+			src := featurized{
 				gen.NewBatchSource(sc.BatchSize, batchesPerCluster, 0),
-				workload.AvazuFeaturizer, sc.Window)
-			out, err := engine.Train(avazuSpec(3), aiengine.TrainConfig{LR: 0.01}, loader)
+				workload.AvazuFeaturizer}
+			out, err := engine.Train(avazuSpec(3), aiengine.TrainConfig{LR: 0.01}, src)
 			if err != nil {
 				return nil, err
 			}
@@ -228,23 +248,23 @@ func RunFig6c(sc Scale) (*Fig6cResult, error) {
 		engine := aiengine.NewEngine(store)
 		gen := workload.NewAvazu(31)
 		gen.SetCluster(0)
-		loader := aiengine.NewStreamingLoader(
+		src := featurized{
 			gen.NewBatchSource(sc.BatchSize, batchesPerCluster, 0),
-			workload.AvazuFeaturizer, sc.Window)
-		out, err := engine.Train(avazuSpec(3), aiengine.TrainConfig{LR: 0.01}, loader)
+			workload.AvazuFeaturizer}
+		out, err := engine.Train(avazuSpec(3), aiengine.TrainConfig{LR: 0.01}, src)
 		if err != nil {
 			return nil, err
 		}
 		res.LossInc = append(res.LossInc, out.Losses...)
 		for c := 1; c < workloadClusters; c++ {
 			gen.SetCluster(c)
-			ftLoader := aiengine.NewStreamingLoader(
+			ftSrc := featurized{
 				gen.NewBatchSource(sc.BatchSize, batchesPerCluster, 0),
-				workload.AvazuFeaturizer, sc.Window)
+				workload.AvazuFeaturizer}
 			// Fine-tuning is the adaptation to the new cluster: freeze
 			// embedding + interaction, adapt the head at a boosted learning
 			// rate.
-			ft, err := engine.FineTune(out.MID, 0, 2, 0.03, ftLoader)
+			ft, err := engine.FineTune(out.MID, 0, 2, 0.03, ftSrc)
 			if err != nil {
 				return nil, err
 			}

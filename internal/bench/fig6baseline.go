@@ -13,15 +13,20 @@ import (
 	"neurdb/internal/rel"
 )
 
+// rowSource supplies a workload's rows in batches (the generators of
+// internal/bench/workload).
+type rowSource interface {
+	Next() ([]rel.Row, bool)
+}
+
 // BaselineTrain reproduces the paper's PostgreSQL+P baseline: an external
 // AI runtime that loads data from the database in batches. Each batch goes
 // through the classic client path — the server serializes rows to the text
-// wire format, the client parses the text back into tensors — and the loop
-// is fully synchronous: no streaming, no overlap between data preparation
-// and training. The delta against aiengine.Engine.Train is exactly the
-// paper's "in-database AI ecosystem vs. bolted-on runtime" comparison
-// (Fig. 6).
-func BaselineTrain(spec models.Spec, cfg aiengine.TrainConfig, src aiengine.RowBatchSource, feat aiengine.Featurizer) (*aiengine.TrainOutcome, error) {
+// wire format, the client parses the text back into tensors — before it
+// trains. The delta against aiengine.Engine.Train over a featurized source,
+// which takes the same rows with no text round trip, is the paper's
+// "in-database AI ecosystem vs. bolted-on runtime" comparison (Fig. 6).
+func BaselineTrain(spec models.Spec, cfg aiengine.TrainConfig, src rowSource, feat func([]rel.Row) (x, y *nn.Matrix)) (*aiengine.TrainOutcome, error) {
 	model := armnet.New(spec.Fields, spec.Vocab, spec.EmbDim, spec.Hidden, spec.Classification, spec.Seed)
 	lr := cfg.LR
 	if lr == 0 {

@@ -20,8 +20,6 @@ type Scale struct {
 	// Fig6cSwitchEvery is the samples-per-cluster before drift (paper:
 	// 81,920).
 	Fig6cSwitchEvery int
-	// Window is the streaming window in batches (paper default: 80).
-	Window int
 
 	// --- Fig 7 (learned CC) ---
 	// YCSBRecords is the table size (paper: 1M).
@@ -77,7 +75,6 @@ func DefaultScale() Scale {
 		Fig6aBatches:     30,
 		Fig6bBatchCounts: []int{5, 10, 20, 40, 80},
 		Fig6cSwitchEvery: 2048,
-		Window:           16,
 
 		YCSBRecords:    100_000,
 		CCDuration:     400 * time.Millisecond,
@@ -108,7 +105,6 @@ func FullScale() Scale {
 		Fig6aBatches:     80,
 		Fig6bBatchCounts: []int{20, 40, 80, 160, 320, 640},
 		Fig6cSwitchEvery: 81920,
-		Window:           80,
 
 		YCSBRecords:    1_000_000,
 		CCDuration:     5 * time.Second,

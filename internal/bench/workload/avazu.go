@@ -97,7 +97,7 @@ func (a *Avazu) Batch(n int) []rel.Row {
 	return out
 }
 
-// BatchSource adapts the generator to the AI engine's RowBatchSource:
+// BatchSource streams the generator's rows in batches:
 // totalBatches batches of batchSize records, switching clusters every
 // switchEvery samples (0 = never switch).
 type BatchSource struct {
@@ -113,7 +113,7 @@ func (a *Avazu) NewBatchSource(batchSize, totalBatches, switchEvery int) *BatchS
 	return &BatchSource{gen: a, batchSize: batchSize, remaining: totalBatches, switchEvery: switchEvery}
 }
 
-// Next implements aiengine.RowBatchSource.
+// Next returns the next batch of rows, or ok=false when exhausted.
 func (s *BatchSource) Next() ([]rel.Row, bool) {
 	if s.remaining <= 0 {
 		return nil, false

@@ -68,7 +68,7 @@ func (d *Diabetes) Batch(n int) []rel.Row {
 	return out
 }
 
-// DiabetesSource is a finite RowBatchSource over the generator.
+// DiabetesSource streams the generator's rows in a finite run of batches.
 type DiabetesSource struct {
 	gen       *Diabetes
 	batchSize int
@@ -80,7 +80,7 @@ func (d *Diabetes) NewSource(batchSize, totalBatches int) *DiabetesSource {
 	return &DiabetesSource{gen: d, batchSize: batchSize, remaining: totalBatches}
 }
 
-// Next implements aiengine.RowBatchSource.
+// Next returns the next batch of rows, or ok=false when exhausted.
 func (s *DiabetesSource) Next() ([]rel.Row, bool) {
 	if s.remaining <= 0 {
 		return nil, false

@@ -70,9 +70,10 @@ func buildCodecs(t *catalog.Table, featureIdxs []int, buckets int) []fieldCodec 
 	return out
 }
 
-// chunkSource yields fixed-size row batches from a slice for a number of
-// epochs, reshuffling between epochs, and then — once, in order — the rows
-// to predict.
+// chunkSource is a PREDICT task's aiengine.DataSource. It cuts fixed-size
+// chunks of the training rows for a number of epochs, reshuffling between
+// epochs, and then — once, in order — of the rows to predict, and featurizes
+// each chunk as the task asks for it, on the statement's goroutine.
 type chunkSource struct {
 	rows   []rel.Row
 	size   int
@@ -80,13 +81,15 @@ type chunkSource struct {
 	epochs int
 	rng    *rand.Rand
 	then   []rel.Row // rows to predict, chunked after the last epoch
-	// predicting is set once Next hands out chunks of then: the loader calls
-	// Next and the featurizer from one goroutine, so the featurizer reads it.
+	// predicting is set once the chunks come from then.
 	predicting bool
+	// featurize makes a chunk's batch: labelled while training, without
+	// labels once predicting, which asks the task for predictions.
+	featurize func(rows []rel.Row, predicting bool) *aiengine.Batch
 }
 
-// Next implements aiengine.RowBatchSource.
-func (c *chunkSource) Next() ([]rel.Row, bool) {
+// Next implements aiengine.DataSource.
+func (c *chunkSource) Next() (*aiengine.Batch, bool) {
 	if c.pos >= len(c.rows) {
 		switch {
 		case c.epochs > 1:
@@ -107,14 +110,13 @@ func (c *chunkSource) Next() ([]rel.Row, bool) {
 	}
 	chunk := c.rows[c.pos:end]
 	c.pos = end
-	return chunk, true
+	return c.featurize(chunk, c.predicting), true
 }
 
 // PREDICT's training and model shape: constants, not options — no statement
 // or setting ever chose them, and stored models assume exactly these values.
 const (
 	predictBatchSize = 128  // rows per training and inference batch
-	predictWindow    = 8    // streaming-loader window, in batches
 	predictLR        = 0.02 // learning rate, training and fine-tuning
 	predictBuckets   = 32   // featurization buckets per field
 	predictEmbDim    = 8
@@ -203,21 +205,26 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) (*PredictRes
 	}
 
 	codecs := buildCodecs(task.Table, task.FeatureIdxs, predictBuckets)
-	featurize := func(rows []rel.Row) (x, y *nn.Matrix) {
+	// The task is done with a batch when it asks for the next one, so every
+	// chunk is featurized into the same two matrices; each is overwritten
+	// whole.
+	var ws nn.Workspace
+	src.featurize = func(rows []rel.Row, predicting bool) *aiengine.Batch {
 		cols := task.FeatureIdxs
-		if src.predicting {
+		if predicting {
 			cols = predictCols
 		}
-		x = nn.NewMatrix(len(rows), fields)
+		ws.Reset()
+		x := ws.Get(len(rows), fields)
 		for i, row := range rows {
 			for f, col := range cols {
 				x.Set(i, f, float64(f*predictBuckets+codecs[f].encode(row[col])))
 			}
 		}
-		if src.predicting {
-			return x, nil // no labels: the task answers with predictions
+		if predicting {
+			return &aiengine.Batch{X: x}
 		}
-		y = nn.NewMatrix(len(rows), 1)
+		y := ws.Get(len(rows), 1)
 		for i, row := range rows {
 			tv := row[task.TargetIdx].AsFloat()
 			if task.Classification && tv > 0.5 {
@@ -227,23 +234,19 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) (*PredictRes
 			}
 			y.Set(i, 0, tv)
 		}
-		return x, y
+		return &aiengine.Batch{X: x, Y: y}
 	}
-	loader := aiengine.NewStreamingLoader(src, featurize, predictWindow)
-	// A task that fails stops reading: without this the prefetch goroutine
-	// would wait on its channel for ever, holding trainRows.
-	defer loader.Close()
 
 	var out *aiengine.TrainOutcome
 	if reuse {
 		// Incremental path: fine-tune the existing model on fresh data.
-		out, err = eng.FineTune(view.MID, 0, armnet.FreezePrefixLayers, predictLR, loader)
+		out, err = eng.FineTune(view.MID, 0, armnet.FreezePrefixLayers, predictLR, src)
 	} else {
 		out, err = eng.Train(models.Spec{
 			Arch: "armnet", Fields: fields, Vocab: fields * predictBuckets,
 			EmbDim: predictEmbDim, Hidden: predictHidden,
 			Classification: task.Classification, Seed: 42, Features: features,
-		}, aiengine.TrainConfig{Name: task.ModelName, LR: predictLR}, loader)
+		}, aiengine.TrainConfig{Name: task.ModelName, LR: predictLR}, src)
 	}
 	if err != nil {
 		return nil, err

@@ -39,7 +39,8 @@ func referencePredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) ([]flo
 		return x
 	}
 	tableCol := func(f int) int { return task.FeatureIdxs[f] }
-	featurize := func(rows []rel.Row) (*nn.Matrix, *nn.Matrix) {
+	// The source has no rows to predict, so every chunk it featurizes trains.
+	featurize := func(rows []rel.Row, _ bool) *aiengine.Batch {
 		y := nn.NewMatrix(len(rows), 1)
 		for i, row := range rows {
 			tv := row[task.TargetIdx].AsFloat()
@@ -50,24 +51,24 @@ func referencePredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) ([]flo
 			}
 			y.Set(i, 0, tv)
 		}
-		return encode(rows, tableCol), y
+		return &aiengine.Batch{X: encode(rows, tableCol), Y: y}
 	}
 	stepsPerEpoch := (len(trainRows) + predictBatchSize - 1) / predictBatchSize
-	loader := aiengine.NewStreamingLoader(&chunkSource{
+	src := &chunkSource{
 		rows: trainRows, size: predictBatchSize,
-		epochs: min(predictSteps/max(stepsPerEpoch, 1)+1, predictMaxEpochs),
-		rng:    rand.New(rand.NewSource(7)),
-	}, featurize, predictWindow)
-	defer loader.Close()
+		epochs:    min(predictSteps/max(stepsPerEpoch, 1)+1, predictMaxEpochs),
+		rng:       rand.New(rand.NewSource(7)),
+		featurize: featurize,
+	}
 	var out *aiengine.TrainOutcome
 	if view, ok := eng.Store.FindViewByName(task.ModelName); ok {
-		out, err = eng.FineTune(view.MID, 0, armnet.FreezePrefixLayers, predictLR, loader)
+		out, err = eng.FineTune(view.MID, 0, armnet.FreezePrefixLayers, predictLR, src)
 	} else {
 		out, err = eng.Train(models.Spec{
 			Arch: "armnet", Fields: fields, Vocab: fields * predictBuckets,
 			EmbDim: predictEmbDim, Hidden: predictHidden,
 			Classification: task.Classification, Seed: 42,
-		}, aiengine.TrainConfig{Name: task.ModelName, LR: predictLR}, loader)
+		}, aiengine.TrainConfig{Name: task.ModelName, LR: predictLR}, src)
 	}
 	if err != nil {
 		return nil, err
@@ -85,14 +86,14 @@ func referencePredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) ([]flo
 		}
 		inferX = encode(rows, tableCol)
 	}
-	src := &aiengine.SliceSource{}
+	inferSrc := &aiengine.SliceSource{}
 	for start := 0; start < inferX.Rows; start += predictBatchSize {
 		end := min(start+predictBatchSize, inferX.Rows)
 		sub := nn.NewMatrix(end-start, inferX.Cols)
 		copy(sub.Data, inferX.Data[start*inferX.Cols:end*inferX.Cols])
-		src.Batches = append(src.Batches, &aiengine.Batch{X: sub})
+		inferSrc.Batches = append(inferSrc.Batches, &aiengine.Batch{X: sub})
 	}
-	return eng.Infer(out.MID, 0, src)
+	return eng.Infer(out.MID, 0, inferSrc)
 }
 
 // storedLayers renders every stored version of the model bound to name, layer

@@ -184,7 +184,10 @@ func (s *Store) Load(mid int, ts uint64) ([]nn.LayerWeights, uint64, error) {
 	return out, ts, nil
 }
 
-// Versions returns the version timestamps of a model, ascending.
+// Versions returns the version timestamps of a model, ascending. The
+// benchmark's ai_predict counts a run's fine-tunes with it.
+//
+//neurdb:reserved direction 2
 func (s *Store) Versions(mid int) []uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -197,7 +200,10 @@ func (s *Store) Versions(mid int) []uint64 {
 
 // StorageBytes reports the bytes of every stored weight, 8 per float64 — the
 // metric that shows incremental updates sharing frozen layers instead of
-// duplicating them.
+// duplicating them. Fig. 6c's storage ratio reads it until models are rows
+// whose size the storage layer reports.
+//
+//neurdb:reserved direction 14
 func (s *Store) StorageBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -9,8 +9,8 @@ import (
 
 	"neurdb/internal/aiengine"
 	"neurdb/internal/armnet"
+	"neurdb/internal/models"
 	"neurdb/internal/nn"
-	"neurdb/internal/rel"
 )
 
 // seedReviews creates review(id, a, b, c, score) with n labelled rows.
@@ -130,12 +130,17 @@ func waitGoroutines(t *testing.T, base int, after string) {
 	}
 }
 
+// stream is a task's source that makes each batch as the task asks for it.
+type stream func() (*aiengine.Batch, bool)
+
+func (s stream) Next() (*aiengine.Batch, bool) { return s() }
+
 // TestPredictLeaksNoGoroutine: a PREDICT's task runs on the statement's
-// goroutine, next to the one its streaming loader starts, and leaves neither
-// behind — after twenty statements that succeed, and after a task whose
-// prediction batches fail while more are still queued. No statement makes a
-// prediction batch fail, so the failing task is the one a PREDICT runs, a
-// fine-tune of the model it stored, started on the database's engine.
+// goroutine and starts none of its own, so twenty statements that succeed,
+// and tasks that fail while predicting, leave runtime.NumGoroutine at its
+// baseline. No statement makes a prediction batch fail, so the failing tasks
+// are the ones a PREDICT runs — a training run and a fine-tune of the model
+// it stored — started on the database's engine, and neither stores anything.
 func TestPredictLeaksNoGoroutine(t *testing.T) {
 	db := openTest(t)
 	seedReviews(t, db, 1200)
@@ -151,45 +156,45 @@ func TestPredictLeaksNoGoroutine(t *testing.T) {
 	if !ok {
 		t.Fatal("no model bound to review.score")
 	}
-	// Eight labelled batches train; the rest arrive without labels and one
-	// field too wide, which fails the first prediction with more batches
-	// queued behind it.
-	batches := 0
-	loader := aiengine.NewStreamingLoader(&rowChunks{rows: make([]rel.Row, 128*16), size: 128}, func(rs []rel.Row) (*nn.Matrix, *nn.Matrix) {
-		if batches++; batches > 8 {
-			return nn.NewMatrix(len(rs), 4), nil
-		}
-		x := nn.NewMatrix(len(rs), 3) // field f's ids are f*32 + bucket, as PREDICT's featurizer makes them
-		for i := range rs {
-			for f := 0; f < 3; f++ {
-				x.Set(i, f, float64(f*32+i%32))
+	// Eight labelled batches train; the next arrives without labels and one
+	// field too wide, which fails the task's first prediction with more
+	// batches behind it. The source notes the goroutines alive as the task
+	// asks it for each batch.
+	most := 0
+	failing := func() stream {
+		batches := 0
+		return func() (*aiengine.Batch, bool) {
+			most = max(most, runtime.NumGoroutine())
+			if batches++; batches > 16 {
+				return nil, false
+			} else if batches > 8 {
+				return &aiengine.Batch{X: nn.NewMatrix(128, 4)}, true
 			}
+			x := nn.NewMatrix(128, 3) // field f's ids are f*32 + bucket, as PREDICT's featurizer makes them
+			for i := 0; i < x.Rows; i++ {
+				for f := 0; f < 3; f++ {
+					x.Set(i, f, float64(f*32+i%32))
+				}
+			}
+			return &aiengine.Batch{X: x, Y: nn.NewMatrix(128, 1)}, true
 		}
-		return x, nn.NewMatrix(len(rs), 1)
-	}, 4)
-	_, err := db.AIEngine().FineTune(view.MID, 0, armnet.FreezePrefixLayers, 0.02, loader)
-	loader.Close()
-	if err == nil || !strings.Contains(err.Error(), "fields") {
+	}
+	eng := db.AIEngine()
+	spec := models.Spec{Arch: "armnet", Fields: 3, Vocab: 3 * 32, EmbDim: 8, Hidden: 32, Seed: 42}
+	if _, err := eng.Train(spec, aiengine.TrainConfig{Name: "failed"}, failing()); err == nil || !strings.Contains(err.Error(), "fields") {
+		t.Fatalf("a training run whose prediction batches fail: %v", err)
+	}
+	if _, ok := db.ModelStore().FindViewByName("failed"); ok {
+		t.Fatal("a task that failed while predicting bound a model view")
+	}
+	if _, err := eng.FineTune(view.MID, 0, armnet.FreezePrefixLayers, 0.02, failing()); err == nil || !strings.Contains(err.Error(), "fields") {
 		t.Fatalf("a fine-tune whose prediction batches fail: %v", err)
 	}
-	waitGoroutines(t, base, "a task that failed while predicting")
 	if n := len(db.ModelStore().Versions(view.MID)); n != 20 {
-		t.Fatalf("%d stored versions after twenty PREDICTs and a failed task, want 20", n)
+		t.Fatalf("%d stored versions after twenty PREDICTs and a failed fine-tune, want 20", n)
 	}
-}
-
-// rowChunks hands out rows in chunks of size.
-type rowChunks struct {
-	rows []rel.Row
-	size int
-}
-
-func (rc *rowChunks) Next() ([]rel.Row, bool) {
-	if len(rc.rows) == 0 {
-		return nil, false
+	if most > base {
+		t.Fatalf("%d goroutines while a task ran, %d before it: a task starts none", most, base)
 	}
-	n := min(rc.size, len(rc.rows))
-	chunk := rc.rows[:n]
-	rc.rows = rc.rows[n:]
-	return chunk, true
+	waitGoroutines(t, base, "tasks that failed while predicting")
 }
