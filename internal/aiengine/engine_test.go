@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"neurdb/internal/armnet"
 	"neurdb/internal/models"
@@ -236,6 +238,46 @@ func TestProtocolErrors(t *testing.T) {
 	}
 }
 
+// funcSource prepares batch i when the task asks for it, on the task's
+// goroutine, as a PREDICT's source featurizes each chunk.
+type funcSource struct {
+	batches int
+	next    func(i int) *Batch
+	calls   int
+}
+
+func (s *funcSource) Next() (*Batch, bool) {
+	if s.calls >= s.batches {
+		return nil, false
+	}
+	s.calls++
+	return s.next(s.calls - 1), true
+}
+
+// TestTaskStartsOneGoroutine: a task runs on its caller's goroutine, the one
+// goroutine it uses, and its source prepares each batch there too, so while
+// it streams it has added no goroutine at all.
+func TestTaskStartsOneGoroutine(t *testing.T) {
+	e := NewEngine(models.NewStore())
+	base := runtime.NumGoroutine()
+	most := 0
+	synth := &synthSource{r: rand.New(rand.NewSource(9)), batches: 16, size: 32, fields: 4, vocab: 32}
+	src := &funcSource{batches: 16, next: func(int) *Batch {
+		most = max(most, runtime.NumGoroutine()) // called by the task while it runs
+		b, _ := synth.Next()
+		return b
+	}}
+	if _, err := e.Train(testSpec(false), TrainConfig{}, src); err != nil {
+		t.Fatal(err)
+	}
+	if src.calls != 16 {
+		t.Fatalf("the task asked for %d of 16 batches", src.calls)
+	}
+	if most > base {
+		t.Fatalf("%d goroutines while the task ran, %d before it: a task starts none", most, base)
+	}
+}
+
 // memoTrace runs one seeded sequence of tasks — train, then rounds of
 // fine-tune + inference, a full retrain, and more rounds on the new weights —
 // and returns everything a task can leave behind: losses, predictions and
@@ -381,6 +423,82 @@ func TestMemoSharedByConcurrentTasks(t *testing.T) {
 			t.Error(err)
 		}
 	}
+}
+
+// waitGoroutines waits for the goroutine count to come back to base.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before the failed task:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestFailedTaskLeaksNoGoroutine: a task that stops early — it fails before
+// streaming (an unknown model), or it trains and then fails while predicting
+// with more batches still to come — leaves no goroutine behind, reads no
+// batch past its failure, and stores nothing.
+func TestFailedTaskLeaksNoGoroutine(t *testing.T) {
+	const batches, size = 64, 64
+	labelled := func(int) *Batch { return &Batch{X: nn.NewMatrix(size, 1), Y: nn.NewMatrix(size, 1)} }
+	t.Run("unknown model", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		e := NewEngine(models.NewStore())
+		src := &funcSource{batches: batches, next: labelled}
+		if _, err := e.FineTune(99, 0, armnet.FreezePrefixLayers, 0.02, src); err == nil {
+			t.Fatal("fine-tuning an unknown model did not fail")
+		}
+		if src.calls != 0 {
+			t.Fatalf("a task that failed before streaming read %d batches", src.calls)
+		}
+		waitGoroutines(t, base)
+	})
+	t.Run("prediction phase, after training", func(t *testing.T) {
+		e := NewEngine(models.NewStore())
+		spec := testSpec(false)
+		spec.Fields = 1
+		first, err := e.Train(spec, TrainConfig{}, &funcSource{batches: 4, next: labelled})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := runtime.NumGoroutine()
+		// Eight labelled batches train; the rest arrive without labels and one
+		// field too wide, which fails the runtime's first prediction with more
+		// batches still to come behind it.
+		stream := func() *funcSource {
+			return &funcSource{batches: batches, next: func(i int) *Batch {
+				if i >= 8 {
+					return &Batch{X: nn.NewMatrix(size, 2)}
+				}
+				return labelled(i)
+			}}
+		}
+		src := stream()
+		if _, err := e.Train(spec, TrainConfig{Name: "m"}, src); err == nil || !strings.Contains(err.Error(), "fields") {
+			t.Fatalf("a training task whose predictions fail: %v", err)
+		}
+		if src.calls >= batches {
+			t.Fatalf("a task that failed while predicting read all %d batches", src.calls)
+		}
+		if _, ok := e.Store.FindViewByName("m"); ok {
+			t.Fatal("a task that failed while predicting bound a model view")
+		}
+		src = stream()
+		if _, err := e.FineTune(first.MID, 0, armnet.FreezePrefixLayers, 0.02, src); err == nil || !strings.Contains(err.Error(), "fields") {
+			t.Fatalf("a fine-tune whose predictions fail: %v", err)
+		}
+		if src.calls >= batches {
+			t.Fatalf("a fine-tune that failed while predicting read all %d batches", src.calls)
+		}
+		if v := e.Store.Versions(first.MID); len(v) != 1 {
+			t.Fatalf("a fine-tune that failed while predicting stored a version: %v", v)
+		}
+		waitGoroutines(t, base)
+	})
 }
 
 // TestInferPredictsLabelledBatches: Infer answers every batch with
