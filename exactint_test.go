@@ -2,8 +2,11 @@ package neurdb
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
+
+	"neurdb/internal/rel"
 )
 
 // TestIntsAbove2To53StayDistinct: 2^53 and 2^53+1 round to one float64,
@@ -56,6 +59,50 @@ func TestIntsAbove2To53StayDistinct(t *testing.T) {
 				}
 				if s := fmt.Sprint(got); s != c.want {
 					t.Errorf("%s %v: got %s, want %s", c.sql, c.args, s, c.want)
+				}
+			}
+		})
+	}
+}
+
+// TestIntMinLiteral: the literal -9223372036854775808 is the least INT. The
+// parser read 9223372036854775808 first, which is out of INT's range, so it
+// became a DOUBLE before its sign was applied: the INSERT stored
+// -9.223372036854776e+18. The literal is an INT in an INSERT, a comparison
+// and an IN list, embedded and prepared.
+func TestIntMinLiteral(t *testing.T) {
+	for _, route := range []string{"embedded", "prepared"} {
+		t.Run(route, func(t *testing.T) {
+			db := openTest(t)
+			exec := func(sql string) *Result {
+				t.Helper()
+				if route == "embedded" {
+					return mustExec(t, db, sql)
+				}
+				st, err := db.Prepare(sql)
+				if err != nil {
+					t.Fatalf("Prepare(%q): %v", sql, err)
+				}
+				defer st.Close()
+				res, err := st.Exec()
+				if err != nil {
+					t.Fatalf("Exec(%q): %v", sql, err)
+				}
+				return res
+			}
+			mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, x INT)`)
+			exec(`INSERT INTO t VALUES (1, -9223372036854775808), (2, -9223372036854775807)`)
+			for _, sql := range []string{
+				`SELECT x FROM t WHERE id = 1`,
+				`SELECT x FROM t WHERE x = -9223372036854775808`,
+				`SELECT x FROM t WHERE x IN (-9223372036854775808, 5)`,
+			} {
+				rows := exec(sql).Rows
+				if len(rows) != 1 {
+					t.Fatalf("%s: %d rows, want 1", sql, len(rows))
+				}
+				if v := rows[0][0]; v.Type() != rel.TypeInt || v.AsInt() != math.MinInt64 {
+					t.Errorf("%s: got %#v, want rel.Int(-9223372036854775808)", sql, v)
 				}
 			}
 		})

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenKind classifies lexer tokens.
@@ -30,14 +31,12 @@ type Token struct {
 	Pos  int    // byte offset in the input
 }
 
-// Lexer splits SQL text into tokens.
+// Lexer splits SQL text into tokens. The parser pulls them one at a time,
+// so no token array is built for the statement.
 type Lexer struct {
 	src string
 	pos int
 }
-
-// NewLexer creates a lexer over src.
-func NewLexer(src string) *Lexer { return &Lexer{src: src} }
 
 // Next returns the next token.
 func (l *Lexer) Next() (Token, error) {
@@ -47,12 +46,15 @@ func (l *Lexer) Next() (Token, error) {
 	}
 	start := l.pos
 	c := l.src[l.pos]
-	switch {
-	case isIdentStart(rune(c)):
-		for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-			l.pos++
+	if r, size := l.rune(); isIdentStart(r) {
+		for l.pos += size; l.pos < len(l.src); l.pos += size {
+			if r, size = l.rune(); !isIdentPart(r) {
+				break
+			}
 		}
 		return Token{Kind: TokIdent, Text: l.src[start:l.pos], Pos: start}, nil
+	}
+	switch {
 	case c >= '0' && c <= '9' || c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
 		seenDot := false
 		for l.pos < len(l.src) {
@@ -79,26 +81,7 @@ func (l *Lexer) Next() (Token, error) {
 		}
 		return Token{Kind: TokNumber, Text: l.src[start:l.pos], Pos: start}, nil
 	case c == '\'':
-		l.pos++
-		var sb strings.Builder
-		for {
-			if l.pos >= len(l.src) {
-				return Token{}, fmt.Errorf("sql: unterminated string literal at offset %d", start)
-			}
-			ch := l.src[l.pos]
-			if ch == '\'' {
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-					sb.WriteByte('\'') // escaped quote
-					l.pos += 2
-					continue
-				}
-				l.pos++
-				break
-			}
-			sb.WriteByte(ch)
-			l.pos++
-		}
-		return Token{Kind: TokString, Text: sb.String(), Pos: start}, nil
+		return l.stringLit()
 	case c == '?':
 		l.pos++
 		return Token{Kind: TokParam, Pos: start}, nil
@@ -114,17 +97,56 @@ func (l *Lexer) Next() (Token, error) {
 		return Token{Kind: TokParam, Text: l.src[digits:l.pos], Pos: start}, nil
 	default:
 		// multi-char operators first
-		for _, op := range []string{"<>", "<=", ">=", "!=", "=="} {
-			if strings.HasPrefix(l.src[l.pos:], op) {
-				l.pos += len(op)
+		if l.pos+1 < len(l.src) {
+			switch op := l.src[l.pos : l.pos+2]; op {
+			case "<>", "<=", ">=", "!=", "==":
+				l.pos += 2
 				return Token{Kind: TokPunct, Text: op, Pos: start}, nil
 			}
 		}
-		if strings.ContainsRune("()[],;=<>+-*/%.", rune(c)) {
+		if strings.IndexByte("()[],;=<>+-*/%.", c) >= 0 {
 			l.pos++
-			return Token{Kind: TokPunct, Text: string(c), Pos: start}, nil
+			return Token{Kind: TokPunct, Text: l.src[start:l.pos], Pos: start}, nil
 		}
-		return Token{}, fmt.Errorf("sql: unexpected character %q at offset %d", c, l.pos)
+		r, _ := l.rune()
+		return Token{}, fmt.Errorf("sql: unexpected character %q at offset %d", r, l.pos)
+	}
+}
+
+// rune decodes the character at the lexer's position, which is in range;
+// ASCII, the common case, takes no call.
+func (l *Lexer) rune() (rune, int) {
+	if c := l.src[l.pos]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[l.pos:])
+}
+
+// stringLit lexes a quoted literal; a doubled quote stands for one. The text
+// is copied out of the source, since a TEXT value it becomes may outlive the
+// statement.
+func (l *Lexer) stringLit() (Token, error) {
+	start := l.pos
+	escaped := false
+	for i := start + 1; ; i += 2 {
+		j := strings.IndexByte(l.src[i:], '\'')
+		if j < 0 {
+			l.pos = len(l.src)
+			return Token{}, fmt.Errorf("sql: unterminated string literal at offset %d", start)
+		}
+		i += j
+		if i+1 < len(l.src) && l.src[i+1] == '\'' {
+			escaped = true
+			continue
+		}
+		l.pos = i + 1
+		text := l.src[start+1 : i]
+		if escaped {
+			text = strings.ReplaceAll(text, "''", "'")
+		} else {
+			text = strings.Clone(text)
+		}
+		return Token{Kind: TokString, Text: text, Pos: start}, nil
 	}
 }
 
@@ -154,22 +176,18 @@ func (l *Lexer) skipSpaceAndComments() {
 	}
 }
 
-func isIdentStart(c rune) bool { return unicode.IsLetter(c) || c == '_' }
-func isIdentPart(c rune) bool  { return unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_' }
-func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
-
-// Tokenize lexes the full input (testing helper).
-func Tokenize(src string) ([]Token, error) {
-	l := NewLexer(src)
-	var out []Token
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.Kind == TokEOF {
-			return out, nil
-		}
+func isIdentStart(c rune) bool {
+	if c < utf8.RuneSelf {
+		return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_'
 	}
+	return unicode.IsLetter(c)
 }
+
+func isIdentPart(c rune) bool {
+	if c < utf8.RuneSelf {
+		return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '_'
+	}
+	return unicode.IsLetter(c) || unicode.IsDigit(c)
+}
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }

@@ -2,63 +2,96 @@ package sqlparse
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 
 	"neurdb/internal/rel"
 )
 
-// Parser is a recursive-descent SQL parser.
+// Parser is a recursive-descent SQL parser. It pulls tokens from its lexer
+// with one token of lookahead.
 type Parser struct {
-	toks      []Token
-	pos       int
-	qmarks    int  // '?' placeholders seen so far (they number left to right)
-	sawDollar bool // '$n' placeholder seen (styles must not mix)
+	lex       Lexer
+	tok       Token  // the lookahead token
+	lexErr    error  // the lexer's error; tok is then EOF
+	qmarks    int    // '?' placeholders seen so far (they number left to right)
+	sawDollar bool   // '$n' placeholder seen (styles must not mix)
+	lits      []Lit  // slab the statement's literals are carved from
+	exprs     []Expr // scratch stack tuples collect their elements on
 }
 
 // Parse parses a single SQL statement (an optional trailing semicolon is
-// allowed).
+// allowed). A lexing error anywhere in src is reported before any syntax
+// error.
 func Parse(src string) (Stmt, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
+	p := &Parser{lex: Lexer{src: src}}
+	p.advance()
 	stmt, err := p.parseStmt()
+	if err == nil {
+		p.accept(";")
+		if !p.atEOF() {
+			err = fmt.Errorf("sql: trailing input at %q", p.peek().Text)
+		}
+	}
+	if err != nil && p.lexErr == nil {
+		// Lex on: a lexing error after the syntax error wins.
+		for p.tok.Kind != TokEOF {
+			p.advance()
+		}
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
 	if err != nil {
 		return nil, err
-	}
-	p.accept(";")
-	if !p.atEOF() {
-		return nil, fmt.Errorf("sql: trailing input at %q", p.peek().Text)
 	}
 	return stmt, nil
 }
 
-func (p *Parser) peek() Token { return p.toks[p.pos] }
+// advance reads the next token into the lookahead. After a lexing error the
+// lookahead stays at EOF, so parsing stops.
+func (p *Parser) advance() {
+	t, err := p.lex.Next()
+	if err != nil {
+		p.lexErr = err
+		t = Token{Kind: TokEOF, Pos: len(p.lex.src)}
+	}
+	p.tok = t
+}
+
+func (p *Parser) peek() Token { return p.tok }
 
 func (p *Parser) next() Token {
-	t := p.toks[p.pos]
+	t := p.tok
 	if t.Kind != TokEOF {
-		p.pos++
+		p.advance()
 	}
 	return t
 }
 
-func (p *Parser) atEOF() bool { return p.peek().Kind == TokEOF }
+func (p *Parser) atEOF() bool { return p.tok.Kind == TokEOF }
 
 // accept consumes the next token if it matches the keyword or punctuation.
 func (p *Parser) accept(s string) bool {
-	t := p.peek()
-	if t.Kind == TokPunct && t.Text == s {
-		p.pos++
-		return true
-	}
-	if t.keyword(s) {
-		p.pos++
+	t := p.tok
+	if t.Kind == TokPunct && t.Text == s || t.keyword(s) {
+		p.advance()
 		return true
 	}
 	return false
+}
+
+// lit returns a literal carved from the statement's slab. The slab's chunks
+// double from 2 to 1,024 literals, so a short statement allocates little and
+// a bulk INSERT one chunk per 1,024 literals.
+func (p *Parser) lit(v rel.Value) *Lit {
+	if len(p.lits) == cap(p.lits) {
+		p.lits = make([]Lit, 0, min(max(2*cap(p.lits), 2), 1024))
+	}
+	p.lits = append(p.lits, Lit{Val: v})
+	return &p.lits[len(p.lits)-1]
 }
 
 // expect consumes a required keyword/punctuation.
@@ -74,7 +107,7 @@ func (p *Parser) ident() (string, error) {
 	if t.Kind != TokIdent {
 		return "", fmt.Errorf("sql: expected identifier, got %q at offset %d", t.Text, t.Pos)
 	}
-	p.pos++
+	p.advance()
 	return t.Text, nil
 }
 
@@ -315,19 +348,23 @@ func (p *Parser) parseExprTuple() ([]Expr, error) {
 	if err := p.expect("("); err != nil {
 		return nil, err
 	}
-	var out []Expr
+	// The elements collect on the scratch stack, and the tuple is sized
+	// once they are all known.
+	mark := len(p.exprs)
 	for {
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, e)
+		p.exprs = append(p.exprs, e)
 		if p.accept(",") {
 			continue
 		}
 		if err := p.expect(")"); err != nil {
 			return nil, err
 		}
+		out := slices.Clone(p.exprs[mark:])
+		p.exprs = p.exprs[:mark]
 		return out, nil
 	}
 }
@@ -782,23 +819,55 @@ func (p *Parser) parseMultiplicative() (Expr, error) {
 func (p *Parser) parseUnary() (Expr, error) {
 	if t := p.peek(); t.Kind == TokPunct && t.Text == "-" {
 		p.next()
+		if p.minInt64() {
+			return p.lit(rel.Int(math.MinInt64)), nil
+		}
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
+		// The operand's literal is this expression's own, so it is negated
+		// in place.
 		if lit, ok := e.(*Lit); ok {
-			switch lit.Val.Type() {
-			case rel.TypeInt:
-				return &Lit{Val: rel.Int(-lit.Val.AsInt())}, nil
-			case rel.TypeFloat:
-				return &Lit{Val: rel.Float(-lit.Val.AsFloat())}, nil
-			default:
-				// Non-numeric: keep the Unary node; eval rejects it.
+			if v, ok := negate(lit.Val); ok {
+				lit.Val = v
+				return lit, nil
 			}
+			// Non-numeric: keep the Unary node; eval rejects it.
 		}
 		return &Unary{Op: "-", E: e}, nil
 	}
 	return p.parsePrimary()
+}
+
+// minInt64 consumes the number token after a '-' if it is 2^63, whose
+// negation is the least INT although 2^63 alone is out of INT's range.
+func (p *Parser) minInt64() bool {
+	t := p.peek()
+	if t.Kind != TokNumber {
+		return false
+	}
+	if u, err := strconv.ParseUint(t.Text, 10, 64); err != nil || u != 1<<63 {
+		return false
+	}
+	p.next()
+	return true
+}
+
+// negate returns -v for a numeric v. -MinInt64 is out of INT's range, so it
+// is the DOUBLE 2^63, as the literal 9223372036854775808 is.
+func negate(v rel.Value) (rel.Value, bool) {
+	switch v.Type() {
+	case rel.TypeInt:
+		if v.AsInt() == math.MinInt64 {
+			return rel.Float(-float64(math.MinInt64)), true
+		}
+		return rel.Int(-v.AsInt()), true
+	case rel.TypeFloat:
+		return rel.Float(-v.AsFloat()), true
+	default:
+		return v, false
+	}
 }
 
 func (p *Parser) parsePrimary() (Expr, error) {
@@ -828,21 +897,21 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Lit{Val: v}, nil
+		return p.lit(v), nil
 	case TokString:
 		p.next()
-		return &Lit{Val: rel.Text(t.Text)}, nil
+		return p.lit(rel.Text(t.Text)), nil
 	case TokIdent:
-		switch strings.ToUpper(t.Text) {
-		case "NULL":
+		switch {
+		case t.keyword("NULL"):
 			p.next()
-			return &Lit{Val: rel.Null()}, nil
-		case "TRUE":
+			return p.lit(rel.Null()), nil
+		case t.keyword("TRUE"):
 			p.next()
-			return &Lit{Val: rel.Bool(true)}, nil
-		case "FALSE":
+			return p.lit(rel.Bool(true)), nil
+		case t.keyword("FALSE"):
 			p.next()
-			return &Lit{Val: rel.Bool(false)}, nil
+			return p.lit(rel.Bool(false)), nil
 		}
 		name, _ := p.ident()
 		// Function call?
@@ -930,29 +999,27 @@ func (p *Parser) parseLiteral() (rel.Value, error) {
 	case TokPunct:
 		if t.Text == "-" {
 			p.next()
+			if p.minInt64() {
+				return rel.Int(math.MinInt64), nil
+			}
 			v, err := p.parseLiteral()
 			if err != nil {
 				return rel.Value{}, err
 			}
-			switch v.Type() {
-			case rel.TypeInt:
-				return rel.Int(-v.AsInt()), nil
-			case rel.TypeFloat:
-				return rel.Float(-v.AsFloat()), nil
-			default:
-				// Non-numeric: fall through to the error below.
+			if neg, ok := negate(v); ok {
+				return neg, nil
 			}
 			return rel.Value{}, fmt.Errorf("sql: cannot negate %v", v)
 		}
 	case TokIdent:
-		switch strings.ToUpper(t.Text) {
-		case "NULL":
+		switch {
+		case t.keyword("NULL"):
 			p.next()
 			return rel.Null(), nil
-		case "TRUE":
+		case t.keyword("TRUE"):
 			p.next()
 			return rel.Bool(true), nil
-		case "FALSE":
+		case t.keyword("FALSE"):
 			p.next()
 			return rel.Bool(false), nil
 		}

@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -14,6 +15,22 @@ func mustParse(t *testing.T, src string) Stmt {
 		t.Fatalf("Parse(%q): %v", src, err)
 	}
 	return s
+}
+
+// Tokenize lexes the full input.
+func Tokenize(src string) ([]Token, error) {
+	l := &Lexer{src: src}
+	var out []Token
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+		if t.Kind == TokEOF {
+			return out, nil
+		}
+	}
 }
 
 func TestLexerBasics(t *testing.T) {
@@ -409,5 +426,88 @@ func TestParseTableOneAliasStyles(t *testing.T) {
 	s3 := mustParse(t, "SELECT a FROM tab")
 	if s3.(*Select).From[0].RefName() != "tab" {
 		t.Fatal("refname fallback wrong")
+	}
+}
+
+// TestParseMultiRowInsert: a multi-row INSERT, the shape every bulk load
+// takes. Each tuple is sized to its elements.
+func TestParseMultiRowInsert(t *testing.T) {
+	ins := mustParse(t, "INSERT INTO kv VALUES (1,2,3.5),(2,95,-0.5),(3,NULL,'it''s'),(-4, -5e-1, TRUE)").(*Insert)
+	want := [][]rel.Value{
+		{rel.Int(1), rel.Int(2), rel.Float(3.5)},
+		{rel.Int(2), rel.Int(95), rel.Float(-0.5)},
+		{rel.Int(3), rel.Null(), rel.Text("it's")},
+		{rel.Int(-4), rel.Float(-0.5), rel.Bool(true)},
+	}
+	if len(ins.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(ins.Rows), len(want))
+	}
+	for i, row := range ins.Rows {
+		if len(row) != len(want[i]) || cap(row) != len(row) {
+			t.Fatalf("row %d: len %d cap %d, want both %d", i, len(row), cap(row), len(want[i]))
+		}
+		for j, e := range row {
+			got := e.(*Lit).Val
+			if got.Type() != want[i][j].Type() || got.String() != want[i][j].String() {
+				t.Errorf("row %d col %d: got %#v, want %#v", i, j, got, want[i][j])
+			}
+		}
+	}
+}
+
+// TestParseIntMinLiteral: '-' followed by 9223372036854775808 is the least
+// INT, in an expression and in an IN list. 9223372036854775808 alone, and
+// the negation of the least INT, are out of INT's range and stay DOUBLEs.
+func TestParseIntMinLiteral(t *testing.T) {
+	ins := mustParse(t, "INSERT INTO t VALUES (1, -9223372036854775808)").(*Insert)
+	where := mustParse(t, "SELECT x FROM t WHERE x = -9223372036854775808").(*Select).Where.(*Binary)
+	in := mustParse(t, "SELECT x FROM t WHERE x IN (- 9223372036854775808, 5)").(*Select).Where.(*InList)
+	for name, v := range map[string]rel.Value{
+		"insert": ins.Rows[0][1].(*Lit).Val,
+		"where":  where.R.(*Lit).Val,
+		"in":     in.Vals[0],
+	} {
+		if v.Type() != rel.TypeInt || v.AsInt() != math.MinInt64 {
+			t.Errorf("%s: got %#v, want rel.Int(-9223372036854775808)", name, v)
+		}
+	}
+	for src, want := range map[string]float64{
+		"SELECT 9223372036854775808 FROM t":    9223372036854775808,
+		"SELECT - -9223372036854775808 FROM t": 9223372036854775808,
+		"SELECT -9223372036854775809 FROM t":   -9223372036854775809,
+	} {
+		v := mustParse(t, src).(*Select).Items[0].E.(*Lit).Val
+		if v.Type() != rel.TypeFloat || v.AsFloat() != want {
+			t.Errorf("%s: got %#v, want rel.Float(%g)", src, v, want)
+		}
+	}
+}
+
+// TestLexerNonASCIIIdent: identifiers are decoded as UTF-8, so a letter
+// outside ASCII is one character, not two bytes the lexer splits.
+func TestLexerNonASCIIIdent(t *testing.T) {
+	ct := mustParse(t, "CREATE TABLE café (naïve INT, 名前 TEXT, δ_1 DOUBLE)").(*CreateTable)
+	if ct.Name != "café" || ct.Cols[0].Name != "naïve" || ct.Cols[1].Name != "名前" || ct.Cols[2].Name != "δ_1" {
+		t.Fatalf("names: %q %+v", ct.Name, ct.Cols)
+	}
+	_, err := Parse("SELECT a € b FROM t")
+	if err == nil || err.Error() != "sql: unexpected character '€' at offset 9" {
+		t.Fatalf("err = %v, want the whole rune reported", err)
+	}
+}
+
+// TestParseErrorPrecedence: a lexing error anywhere in the text is the one
+// reported, even after a syntax error; otherwise the syntax error is.
+func TestParseErrorPrecedence(t *testing.T) {
+	for src, want := range map[string]string{
+		"SELECT FROM t WHERE x = 'a": "sql: unterminated string literal at offset 24",
+		"SELECT * FROM t @":          "sql: unexpected character '@' at offset 16",
+		"SELECT * FROM t; garbage":   `sql: trailing input at "garbage"`,
+		"SELECT * FROM t; x $":       "sql: expected parameter number after '$' at offset 19",
+		"SELECT * FROM t WHERE )":    `sql: unexpected token ")" at offset 22`,
+	} {
+		if _, err := Parse(src); err == nil || err.Error() != want {
+			t.Errorf("Parse(%q): err = %v, want %s", src, err, want)
+		}
 	}
 }

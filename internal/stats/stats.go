@@ -58,7 +58,13 @@ func (ts *TableStats) Snapshot() *TableStats {
 	return cp
 }
 
+// maxDistinct caps a column's distinct count, and so the size of its TEXT map.
+const maxDistinct = 1_000_000
+
 // Rebuild recomputes all statistics from a full pass over rows (ANALYZE).
+// Numbers count as distinct by their float value, from the sort the bounds
+// need anyway; TEXT counts by its text, since AsFloat reads every
+// non-numeric text as 0, and its AsFloat values join only the sort.
 func (ts *TableStats) Rebuild(rows []rel.Row) {
 	arity := 0
 	if len(rows) > 0 {
@@ -67,43 +73,51 @@ func (ts *TableStats) Rebuild(rows []rel.Row) {
 		arity = len(ts.Cols)
 	}
 	cols := make([]ColumnStats, arity)
-	vals := make([][]float64, arity)
-	// Distinct values: numbers by their float value, TEXT by its text, since
-	// AsFloat reads every non-numeric text as 0.
-	nums := make([]map[float64]struct{}, arity)
-	texts := make([]map[string]struct{}, arity)
-	for i := range vals {
-		vals[i] = make([]float64, 0, len(rows))
-		nums[i] = make(map[float64]struct{})
-		texts[i] = make(map[string]struct{})
-	}
-	for _, row := range rows {
-		for i := 0; i < arity && i < len(row); i++ {
-			if row[i].IsNull() {
-				cols[i].NullCount++
+	for i := range cols {
+		nums := make([]float64, 0, len(rows))
+		var texts map[string]struct{}
+		var textVals []float64
+		for _, row := range rows {
+			if i >= len(row) {
 				continue
 			}
-			f := row[i].AsFloat()
-			vals[i] = append(vals[i], f)
-			if len(nums[i])+len(texts[i]) < 1_000_000 {
-				if row[i].Type() == rel.TypeText {
-					texts[i][row[i].String()] = struct{}{}
-				} else {
-					nums[i][f] = struct{}{}
+			v := row[i]
+			switch {
+			case v.IsNull():
+				cols[i].NullCount++
+			case v.Type() == rel.TypeText:
+				if texts == nil {
+					texts = make(map[string]struct{})
 				}
+				if len(texts) < maxDistinct {
+					texts[v.String()] = struct{}{}
+				}
+				textVals = append(textVals, v.AsFloat())
+			default:
+				nums = append(nums, v.AsFloat())
 			}
 		}
-	}
-	for i := range cols {
-		cols[i].Count = int64(len(vals[i])) + cols[i].NullCount
-		cols[i].Distinct = int64(len(nums[i]) + len(texts[i]))
-		if len(vals[i]) == 0 {
+		sort.Float64s(nums)
+		distinct := len(texts)
+		for j, f := range nums {
+			// NaN equals nothing, so each NaN counts once, and -0 is 0.
+			if j == 0 || f != nums[j-1] {
+				distinct++
+			}
+		}
+		vals := nums
+		if len(textVals) > 0 {
+			vals = append(nums, textVals...)
+			sort.Float64s(vals)
+		}
+		cols[i].Count = int64(len(vals)) + cols[i].NullCount
+		cols[i].Distinct = int64(min(distinct, maxDistinct))
+		if len(vals) == 0 {
 			continue
 		}
-		sort.Float64s(vals[i])
-		cols[i].Min = vals[i][0]
-		cols[i].Max = vals[i][len(vals[i])-1]
-		cols[i].Bounds = equiDepthBounds(vals[i], HistogramBuckets)
+		cols[i].Min = vals[0]
+		cols[i].Max = vals[len(vals)-1]
+		cols[i].Bounds = equiDepthBounds(vals, HistogramBuckets)
 	}
 	ts.mu.Lock()
 	ts.RowCount = int64(len(rows))

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -324,5 +325,74 @@ func TestBatchNotesEmptyAreNoOps(t *testing.T) {
 	ts.NoteUpdateBatch(nil, nil)
 	if ts.Version != 0 || ts.Rows() != 0 {
 		t.Fatalf("empty batch mutated stats: v=%d rows=%d", ts.Version, ts.Rows())
+	}
+}
+
+// TestRebuildMatchesReference compares Rebuild with statistics computed here
+// the plain way: distinct numbers in a map keyed by float value (where -0 is
+// 0 and every NaN is a key of its own), distinct TEXT in a map keyed by text,
+// and min, max and bounds from the sorted values. The columns mix NULL, INT,
+// DOUBLE, BOOL and TEXT, including TEXT whose AsFloat equals a number in the
+// same column.
+func TestRebuildMatchesReference(t *testing.T) {
+	nan := math.NaN()
+	pool := [][]rel.Value{
+		{rel.Null(), rel.Int(0), rel.Int(1), rel.Int(-7), rel.Int(math.MaxInt64), rel.Int(math.MinInt64)},
+		{rel.Null(), rel.Float(0), rel.Float(math.Copysign(0, -1)), rel.Float(nan), rel.Float(2.5), rel.Float(math.Inf(-1)), rel.Float(math.Inf(1))},
+		{rel.Text("0"), rel.Text("-0"), rel.Text("abc"), rel.Text(""), rel.Text("2.5")},
+		{rel.Null(), rel.Int(0), rel.Float(0), rel.Text("0"), rel.Text("x"), rel.Bool(true), rel.Float(1), rel.Float(nan), rel.Int(3)},
+		{rel.Null()},
+	}
+	r := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 2, 31, 500} {
+		rows := make([]rel.Row, n)
+		for i := range rows {
+			row := make(rel.Row, len(pool))
+			for j, vals := range pool {
+				row[j] = vals[r.Intn(len(vals))]
+			}
+			rows[i] = row
+		}
+		ts := NewTableStats(len(pool))
+		ts.Rebuild(rows)
+		for j := range pool {
+			nums := map[float64]struct{}{}
+			texts := map[string]struct{}{}
+			var sorted []float64
+			var nulls int64
+			for _, row := range rows {
+				v := row[j]
+				switch {
+				case v.IsNull():
+					nulls++
+					continue
+				case v.Type() == rel.TypeText:
+					texts[v.String()] = struct{}{}
+				default:
+					nums[v.AsFloat()] = struct{}{}
+				}
+				sorted = append(sorted, v.AsFloat())
+			}
+			sort.Float64s(sorted)
+			want := ColumnStats{Count: int64(len(sorted)) + nulls, NullCount: nulls, Distinct: int64(len(nums) + len(texts))}
+			if len(sorted) > 0 {
+				want.Min, want.Max = sorted[0], sorted[len(sorted)-1]
+				buckets := min(HistogramBuckets, len(sorted))
+				for b := 0; b < buckets; b++ {
+					idx := (b+1)*len(sorted)/buckets - 1
+					want.Bounds = append(want.Bounds, sorted[idx])
+				}
+			}
+			got := ts.Col(j)
+			same := func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
+			ok := got.Count == want.Count && got.NullCount == want.NullCount && got.Distinct == want.Distinct &&
+				same(got.Min, want.Min) && same(got.Max, want.Max) && len(got.Bounds) == len(want.Bounds)
+			for b := 0; ok && b < len(want.Bounds); b++ {
+				ok = same(got.Bounds[b], want.Bounds[b])
+			}
+			if !ok {
+				t.Errorf("%d rows, column %d: got %+v, want %+v", n, j, got, want)
+			}
+		}
 	}
 }
