@@ -1,6 +1,7 @@
 package neurdb_test
 
 import (
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -52,16 +53,24 @@ func bulkRowsOf(n int) []rel.Row {
 	return rows
 }
 
-// TestBulkLoadAllocs pins what the two CPU-bound steps of a bulk load
-// allocate: parsing one 8,192-row INSERT, and ANALYZE's Rebuild over the
-// 200,000 rows. The ceilings sit a little above the measured values.
+// TestBulkLoadAllocs pins what a bulk load allocates: parsing one 8,192-row
+// INSERT, ANALYZE's statistics build over the 200,000 rows, the whole durable
+// load per loaded row, and the ANALYZE after it. The ceilings sit a little
+// above the measured values.
 //
 // Measured (amd64): the parse took 90,160 allocations while the lexer built
 // a token array for the whole text before parsing, every literal was its own
 // Lit and each tuple grew 1 -> 2 -> 4; with one token of lookahead, a literal
-// slab and tuples sized once it takes 8,248. Rebuild took 2,116 while it also
-// counted distinct numbers in a map, and takes 7 since it counts them from
-// the sort it already does.
+// slab and tuples sized once it took 8,248, and with constant tuples carved
+// as rows from a row slab it takes 103. The build took 2,116 while it also
+// counted distinct numbers in a map, and takes 9 since it counts them from
+// the sort it already does. The load took 4.2 allocations per row while the
+// parser made a Lit per literal, bindValues a row per tuple, the heap a
+// version per row and the index a node entry and a posting per key; with
+// constant rows, one version slab per page and an appending B-tree it takes
+// 0.088. ANALYZE took 43 allocations and 27.5 MB while it gathered the table
+// into one slice of rows; streaming batches into the builder it takes 21
+// and 4.8 MB, the column values the build sorts.
 func TestBulkLoadAllocs(t *testing.T) {
 	text := bulkInsertText(0, bulkChunk)
 	parse := testing.AllocsPerRun(5, func() {
@@ -71,25 +80,67 @@ func TestBulkLoadAllocs(t *testing.T) {
 	})
 	rows := bulkRowsOf(bulkRows)
 	ts := stats.NewTableStats(3)
-	rebuild := testing.AllocsPerRun(3, func() { ts.Rebuild(rows) })
-	t.Logf("parse of an 8,192-row INSERT: %.0f allocs; Rebuild over %d rows: %.0f allocs", parse, bulkRows, rebuild)
-	if parse > 8300 {
-		t.Errorf("parse of an 8,192-row INSERT: %.0f allocs, ceiling 8,300", parse)
+	rebuild := testing.AllocsPerRun(3, func() { ts.NewBuilder(len(rows)).Add(rows).Finish() })
+	perRow, analyze, analyzeB := loadAllocs(t)
+	t.Logf("parse of an 8,192-row INSERT: %.0f allocs; build over %d rows: %.0f allocs", parse, bulkRows, rebuild)
+	t.Logf("durable load: %.3f allocs per row; ANALYZE over %d rows: %.0f allocs, %.2f MB", perRow, bulkRows, analyze, analyzeB/1e6)
+	if parse > 120 {
+		t.Errorf("parse of an 8,192-row INSERT: %.0f allocs, ceiling 120", parse)
 	}
 	if rebuild > 10 {
-		t.Errorf("Rebuild over %d rows: %.0f allocs, ceiling 10", bulkRows, rebuild)
+		t.Errorf("build over %d rows: %.0f allocs, ceiling 10", bulkRows, rebuild)
 	}
+	if perRow > 0.1 {
+		t.Errorf("durable load: %.3f allocs per row, ceiling 0.1", perRow)
+	}
+	if analyze > 25 || analyzeB > 5.5e6 {
+		t.Errorf("ANALYZE over %d rows: %.0f allocs and %.2f MB, ceiling 25 and 5.5 MB", bulkRows, analyze, analyzeB/1e6)
+	}
+}
+
+// loadAllocs runs BenchmarkBulkLoad's load once and returns the allocations
+// of its CREATE TABLE and INSERTs per loaded row, and the allocations and
+// bytes of the ANALYZE after them.
+func loadAllocs(t *testing.T) (perRow, analyze, analyzeBytes float64) {
+	stmts := bulkStmts()
+	cfg := neurdb.DefaultConfig()
+	cfg.DataDir = t.TempDir()
+	cfg.WalSync = "commit"
+	db, err := neurdb.OpenDB(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var start, loaded, done runtime.MemStats
+	runtime.ReadMemStats(&start)
+	for _, sql := range stmts[:len(stmts)-1] {
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&loaded)
+	if _, err := db.Exec(stmts[len(stmts)-1]); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&done)
+	return float64(loaded.Mallocs-start.Mallocs) / bulkRows,
+		float64(done.Mallocs - loaded.Mallocs), float64(done.TotalAlloc - loaded.TotalAlloc)
+}
+
+// bulkStmts is kv_read's load: CREATE TABLE, the INSERTs, ANALYZE.
+func bulkStmts() []string {
+	stmts := []string{`CREATE TABLE kv (id INT PRIMARY KEY, grp INT, val DOUBLE)`}
+	for lo := 0; lo < bulkRows; lo += bulkChunk {
+		stmts = append(stmts, bulkInsertText(lo, min(lo+bulkChunk, bulkRows)))
+	}
+	return append(stmts, `ANALYZE kv`)
 }
 
 // BenchmarkBulkLoad is kv_read's setup run embedded: a durable database,
 // 200,000 rows in INSERTs of 8,192, then ANALYZE. The INSERT texts are built
 // before the timer starts.
 func BenchmarkBulkLoad(b *testing.B) {
-	stmts := []string{`CREATE TABLE kv (id INT PRIMARY KEY, grp INT, val DOUBLE)`}
-	for lo := 0; lo < bulkRows; lo += bulkChunk {
-		stmts = append(stmts, bulkInsertText(lo, min(lo+bulkChunk, bulkRows)))
-	}
-	stmts = append(stmts, `ANALYZE kv`)
+	stmts := bulkStmts()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -128,13 +179,14 @@ func BenchmarkBulkLoadParse(b *testing.B) {
 	}
 }
 
-// BenchmarkBulkLoadRebuild is ANALYZE's Rebuild over the 200,000 rows alone.
+// BenchmarkBulkLoadRebuild is ANALYZE's statistics build over the 200,000
+// rows alone.
 func BenchmarkBulkLoadRebuild(b *testing.B) {
 	rows := bulkRowsOf(bulkRows)
 	ts := stats.NewTableStats(3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ts.Rebuild(rows)
+		ts.NewBuilder(len(rows)).Add(rows).Finish()
 	}
 }

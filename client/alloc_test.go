@@ -170,6 +170,9 @@ func perRun(tb testing.TB, runs int, fn func()) (allocs, bytes float64) {
 //	ad-hoc point SELECT        68,  9,768 B  ->  47,  2,888 B  ->  47,  3,048 B  ->  47,  2,933 B
 //	prepared point UPDATE      53,  9,288 B  ->  25,  1,831 B  ->  22,  1,361 B  ->  22,  1,217 B
 //
+// Since the parser pulls one token at a time instead of lexing the whole
+// text first, the ad-hoc point SELECT reads 39 and 1,933 B.
+//
 // The race detector adds a few dozen bytes to each, and -tags=invariants
 // (stripeAssertAllocs) a few hundred to the UPDATE.
 //
@@ -188,7 +191,7 @@ func TestWireRoundTripAllocs(t *testing.T) {
 	}{
 		{"PointSelect", (*wireFixture).pointSelect, 17, 1152},
 		{"Range50", (*wireFixture).range50, 45, 11264},
-		{"AdhocPoint", (*wireFixture).adhocPoint, 52, 3328},
+		{"AdhocPoint", (*wireFixture).adhocPoint, 41, 2176},
 		{"PointUpdate", (*wireFixture).pointUpdate, 24 + stripeAssertAllocs, 1664},
 	} {
 		allocs, bytes := perRun(t, 200, func() { tc.fn(f, t) })

@@ -612,15 +612,23 @@ func (s *Session) execAnalyze(a *sqlparse.Analyze) (*Result, error) {
 	} else {
 		tables = s.db.cat.All()
 	}
+	// The tables are read in one read-only snapshot transaction, which
+	// commits once they are all read: an ANALYZE is no abort.
 	tx := s.db.mgr.Begin(txn.Snapshot, true)
-	defer s.db.mgr.Abort(tx)
 	ctx := &executor.Ctx{Mgr: s.db.mgr, Txn: tx, Cat: s.db.cat}
 	for _, t := range tables {
-		rows, err := executor.Run(&plan.SeqScan{Table: t}, ctx)
-		if err != nil {
+		b := t.Stats.NewBuilder(int(t.Stats.Rows()))
+		if err := executor.ScanBatches(ctx, t, func(batch *rel.Batch) error {
+			b.Add(batch.Rows)
+			return nil
+		}); err != nil {
+			s.db.mgr.Abort(tx)
 			return nil, err
 		}
-		t.Stats.Rebuild(rows)
+		b.Finish()
+	}
+	if err := s.db.mgr.Commit(tx); err != nil {
+		return nil, err
 	}
 	// Fresh statistics change plan choice: invalidate cached plans.
 	s.db.cat.BumpVersion()

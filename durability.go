@@ -161,18 +161,29 @@ func eachChain(h *storage.Heap, visit func(id storage.RowID, head *storage.Versi
 // later probes the index finds its row, committed or still in flight when
 // the index was built. Postings are hints: visibility and the recheck
 // decide. CREATE INDEX fills its index with it, and so does recovery, where
-// every chain is one version.
+// every chain is one version. The postings go in batches of fillBatch.
 func fillIndex(h *storage.Heap, ix *catalog.Index) {
+	rows := make([]rel.Row, 0, fillBatch)
+	ids := make([]storage.RowID, 0, fillBatch)
 	eachChain(h, func(id storage.RowID, head *storage.Version) {
 		for v := head; v != nil; {
 			next := v.Next()
 			if next == nil || !rel.Equal(v.Data[ix.Col], next.Data[ix.Col]) {
-				ix.BT.Insert(v.Data[ix.Col], id)
+				rows, ids = append(rows, v.Data), append(ids, id)
 			}
 			v = next
 		}
+		if len(rows) >= fillBatch {
+			ix.BT.InsertRows(rows, ix.Col, ids)
+			rows, ids = rows[:0], ids[:0]
+		}
 	})
+	ix.BT.InsertRows(rows, ix.Col, ids)
 }
+
+// fillBatch is how many rows fillIndex and rebuildDerivedState gather from
+// the heap before passing them on: eight pages' worth.
+const fillBatch = 8 * storage.RowsPerPage
 
 // rebuildDerivedState reconstructs everything replay does not maintain
 // directly: heap free lists (replay never frees slots in place — see
@@ -185,11 +196,15 @@ func (db *DB) rebuildDerivedState() {
 		for _, ix := range tbl.Indexes() {
 			fillIndex(tbl.Heap, ix)
 		}
-		var rows []rel.Row
+		b := tbl.Stats.NewBuilder(tbl.Heap.NumPages() * storage.RowsPerPage)
+		rows := make([]rel.Row, 0, fillBatch)
 		eachChain(tbl.Heap, func(_ storage.RowID, head *storage.Version) {
-			rows = append(rows, head.Data)
+			if rows = append(rows, head.Data); len(rows) == fillBatch {
+				b.Add(rows)
+				rows = rows[:0]
+			}
 		})
-		tbl.Stats.Rebuild(rows)
+		b.Add(rows).Finish()
 	}
 }
 

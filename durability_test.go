@@ -332,6 +332,27 @@ func TestCheckpointCountsNoAbort(t *testing.T) {
 	}
 }
 
+// TestAnalyzeCountsNoAbort: ANALYZE reads its tables in a read-only
+// transaction that commits, so three of them move the commit count and not
+// the abort count.
+func TestAnalyzeCountsNoAbort(t *testing.T) {
+	db, err := OpenDB(durableConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, v INT)`)
+	mustExec(t, db, `INSERT INTO t VALUES (1, 0), (2, 0)`)
+	commits, aborts := db.mgr.Stats()
+	for i := 0; i < 3; i++ {
+		mustExec(t, db, `ANALYZE t`)
+	}
+	if c, a := db.mgr.Stats(); a != aborts || c != commits+3 {
+		t.Fatalf("three ANALYZEs moved (commits, aborts) from (%d, %d) to (%d, %d), want (%d, %d)",
+			commits, aborts, c, a, commits+3, aborts)
+	}
+}
+
 func TestRecoveryIdempotentDoubleReplay(t *testing.T) {
 	// Two recoveries in a row (no writes in between) must converge to the
 	// same state: replay is pure redo over idempotent installs.

@@ -26,7 +26,7 @@ func buildTestTable(t *testing.T) *catalog.Table {
 		rows[i] = rel.Row{rel.Int(int64(i)), rel.Float(float64(i) * 0.5)}
 	}
 	tbl.Heap.InsertBatch(rows, 1, nil, nil)
-	tbl.Stats.Rebuild(rows)
+	tbl.Stats.NewBuilder(0).Add(rows).Finish()
 	return tbl
 }
 

@@ -54,9 +54,7 @@ func InsertBatch(ctx *Ctx, t *catalog.Table, rows []rel.Row) ([]storage.RowID, e
 		return nil, err
 	}
 	for _, ix := range t.Indexes() {
-		for i, row := range rows {
-			ix.BT.Insert(row[ix.Col], ids[i])
-		}
+		ix.BT.InsertRows(rows, ix.Col, ids)
 	}
 	t.Stats.NoteInsertBatch(rows)
 	return ids, nil
@@ -145,12 +143,16 @@ func noteWritten(t *catalog.Table, ids []storage.RowID, olds, news []rel.Row) {
 		t.Stats.NoteDeleteBatch(olds)
 		return
 	}
+	var rows []rel.Row
+	var rowIDs []storage.RowID
 	for _, ix := range t.Indexes() {
+		rows, rowIDs = rows[:0], rowIDs[:0]
 		for i, old := range olds {
 			if !rel.Equal(old[ix.Col], news[i][ix.Col]) {
-				ix.BT.Insert(news[i][ix.Col], ids[i])
+				rows, rowIDs = append(rows, news[i]), append(rowIDs, ids[i])
 			}
 		}
+		ix.BT.InsertRows(rows, ix.Col, rowIDs)
 	}
 	t.Stats.NoteUpdateBatch(olds, news)
 }
@@ -267,10 +269,9 @@ func DeleteWhere(ctx *Ctx, src plan.Node) (int, error) {
 // visit, batch-at-a-time and in heap order, without ever materializing the
 // full table: the table's scan pipeline, morsel-parallel when ctx.Workers
 // and the table size allow. The batch passed to visit is reused between
-// calls — visit must copy what it keeps. The benchmark referee's extraction
-// probe streams a table through this.
-//
-//neurdb:reserved direction 2
+// calls — visit must copy what it keeps. ANALYZE streams each table through
+// this into its statistics builder, and the benchmark referee's extraction
+// probe streams a table through it.
 func ScanBatches(ctx *Ctx, t *catalog.Table, visit func(*rel.Batch) error) error {
 	it, err := BuildBatch(&plan.SeqScan{Table: t}, ctx)
 	if err != nil {

@@ -240,7 +240,7 @@ func TestFailedDMLLeavesStatsAlone(t *testing.T) {
 					if err := db.mgr.Commit(ctx.Txn); err != nil {
 						t.Fatal(err)
 					}
-					tbl.Stats.Rebuild(rows)
+					tbl.Stats.NewBuilder(0).Add(rows).Finish()
 
 					src := seqSrc(tbl, nil)
 					if access == "IndexScan" {

@@ -359,7 +359,7 @@ func TestIndexScanPath(t *testing.T) {
 	}
 	// ANALYZE equivalent.
 	sctx := db.ctx()
-	users.Stats.Rebuild(scanAll(sctx, users))
+	users.Stats.NewBuilder(0).Add(scanAll(sctx, users)).Finish()
 	db.mgr.Abort(sctx.Txn)
 
 	// Verify plan uses the index.
@@ -392,11 +392,13 @@ func TestHintSetsProduceDifferentPlans(t *testing.T) {
 	// index on posts.owner enables index joins
 	bt := index.NewBTree()
 	posts.AddIndex(&catalog.Index{Name: "posts_owner", Col: 1, BT: bt}, func() {
-		eachHead(posts, func(id storage.RowID, head *storage.Version) { bt.Insert(head.Data[1], id) })
+		eachHead(posts, func(id storage.RowID, head *storage.Version) {
+			bt.InsertRows([]rel.Row{head.Data}, 1, []storage.RowID{id})
+		})
 	})
 	ctx := db.ctx()
-	users.Stats.Rebuild(scanAll(ctx, users))
-	posts.Stats.Rebuild(scanAll(ctx, posts))
+	users.Stats.NewBuilder(0).Add(scanAll(ctx, users)).Finish()
+	posts.Stats.NewBuilder(0).Add(scanAll(ctx, posts)).Finish()
 	db.mgr.Abort(ctx.Txn)
 
 	stmt, _ := sqlparse.Parse("SELECT u.name FROM users u JOIN posts p ON u.id = p.owner")

@@ -37,7 +37,7 @@ func seedIndexedTable(t *testing.T, db *testDB, name string, n int) *catalog.Tab
 	if err := db.mgr.Commit(ctx.Txn); err != nil {
 		t.Fatal(err)
 	}
-	tbl.Stats.Rebuild(rows)
+	tbl.Stats.NewBuilder(0).Add(rows).Finish()
 	return tbl
 }
 

@@ -487,8 +487,8 @@ func TestBatchJoinsMatchOracle(t *testing.T) {
 	db.insert(right, rrows...)
 	// Statistics make the index join costable (distinct counts drive the
 	// per-probe match estimate).
-	left.Stats.Rebuild(lrows)
-	right.Stats.Rebuild(rrows)
+	left.Stats.NewBuilder(0).Add(lrows).Finish()
+	right.Stats.NewBuilder(0).Add(rrows).Finish()
 
 	cases := []struct {
 		sql   string

@@ -147,7 +147,7 @@ func seedChurnedTable(t *testing.T, db *testDB, r *rand.Rand, name string, n int
 	if err := db.mgr.Commit(ctx.Txn); err != nil {
 		t.Fatal(err)
 	}
-	tbl.Stats.Rebuild(rows)
+	tbl.Stats.NewBuilder(0).Add(rows).Finish()
 	for i := 0; i < 4; i++ {
 		ctx := db.ctx()
 		churn(t, ctx, r, tbl, n, n/16)
@@ -158,7 +158,7 @@ func seedChurnedTable(t *testing.T, db *testDB, r *rand.Rand, name string, n int
 		}
 	}
 	sctx := db.ctx()
-	tbl.Stats.Rebuild(oracleVisible(sctx, tbl))
+	tbl.Stats.NewBuilder(0).Add(oracleVisible(sctx, tbl)).Finish()
 	db.mgr.Abort(sctx.Txn)
 }
 

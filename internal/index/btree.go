@@ -5,6 +5,7 @@
 package index
 
 import (
+	"slices"
 	"sync"
 
 	"neurdb/internal/rel"
@@ -13,11 +14,25 @@ import (
 
 const btreeOrder = 64 // max keys per node
 
+// postingChunk is the most RowIDs one posting slab chunk holds: 8 KB.
+const postingChunk = 1024
+
 // BTree is a B+tree keyed by rel.Value (ordered by rel.Compare) with RowID
 // postings. Duplicate keys accumulate postings on one leaf entry.
+//
+// Loads mostly arrive in key order, so the tree is shaped for rising keys, as
+// PostgreSQL's nbtree is: a key above the rightmost leaf's last key is
+// appended there without a descent, and a split of a rightmost node caused by
+// a key at its end leaves the left node full. A new key's one-RowID posting
+// is carved from a tree-owned slab as slab[k:k+1:k+1]; the capacity cap makes
+// a duplicate's append copy out, so a posting slice Lookup returned never
+// changes under a later insert, and one live posting pins at most one 8 KB
+// chunk.
 type BTree struct {
 	mu   sync.RWMutex
 	root btNode
+	last *btLeaf         // the rightmost leaf
+	slab []storage.RowID // the chunk new postings are carved from
 }
 
 type btNode interface {
@@ -39,26 +54,70 @@ type btLeaf struct {
 
 func (*btLeaf) isLeaf() bool { return true }
 
-// NewBTree creates an empty tree.
-func NewBTree() *BTree {
-	return &BTree{root: &btLeaf{}}
-}
-
-// Insert adds a posting for key.
-func (t *BTree) Insert(key rel.Value, id storage.RowID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	newKey, newNode := t.insert(t.root, key, id)
-	if newNode != nil {
-		t.root = &btInternal{
-			keys:     []rel.Value{newKey},
-			children: []btNode{t.root, newNode},
-		}
+// newLeaf returns a leaf holding keys and postings, sized for a full node
+// plus the key that splits it.
+func newLeaf(keys []rel.Value, postings [][]storage.RowID, next *btLeaf) *btLeaf {
+	return &btLeaf{
+		keys:     append(make([]rel.Value, 0, btreeOrder+1), keys...),
+		postings: append(make([][]storage.RowID, 0, btreeOrder+1), postings...),
+		next:     next,
 	}
 }
 
-// insert descends to the leaf; on split returns (separatorKey, rightNode).
-func (t *BTree) insert(n btNode, key rel.Value, id storage.RowID) (rel.Value, btNode) {
+// newInternal is newLeaf for an internal node.
+func newInternal(keys []rel.Value, children []btNode) *btInternal {
+	return &btInternal{
+		keys:     append(make([]rel.Value, 0, btreeOrder+1), keys...),
+		children: append(make([]btNode, 0, btreeOrder+2), children...),
+	}
+}
+
+// NewBTree creates an empty tree.
+func NewBTree() *BTree {
+	leaf := newLeaf(nil, nil, nil)
+	return &BTree{root: leaf, last: leaf}
+}
+
+// InsertRows posts ids[i] under rows[i][col] for every i, under one lock.
+func (t *BTree) InsertRows(rows []rel.Row, col int, ids []storage.RowID) {
+	if len(rows) == 0 {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i, row := range rows {
+		t.insert(row[col], ids[i])
+	}
+}
+
+// insert adds one posting; the caller holds the write lock.
+func (t *BTree) insert(key rel.Value, id storage.RowID) {
+	if l := t.last; len(l.keys) > 0 && len(l.keys) < btreeOrder && rel.Compare(key, l.keys[len(l.keys)-1]) > 0 {
+		// Every key of the tree is below key, and the rightmost leaf has
+		// room: a descent would end here.
+		l.keys = append(l.keys, key)
+		l.postings = append(l.postings, t.posting(id))
+		return
+	}
+	if sep, right := t.descend(t.root, true, key, id); right != nil {
+		t.root = newInternal([]rel.Value{sep}, []btNode{t.root, right})
+	}
+}
+
+// posting returns a one-RowID posting carved from the slab. Chunks double
+// from 8 to postingChunk RowIDs, so a small index allocates little.
+func (t *BTree) posting(id storage.RowID) []storage.RowID {
+	if len(t.slab) == cap(t.slab) {
+		t.slab = make([]storage.RowID, 0, min(max(2*cap(t.slab), 8), postingChunk))
+	}
+	t.slab = append(t.slab, id)
+	n := len(t.slab)
+	return t.slab[n-1 : n : n]
+}
+
+// descend inserts below n, the rightmost node of its level when rightmost is
+// set; on split it returns (separatorKey, rightNode).
+func (t *BTree) descend(n btNode, rightmost bool, key rel.Value, id storage.RowID) (rel.Value, btNode) {
 	switch node := n.(type) {
 	case *btLeaf:
 		i := lowerBound(node.keys, key)
@@ -66,53 +125,56 @@ func (t *BTree) insert(n btNode, key rel.Value, id storage.RowID) (rel.Value, bt
 			node.postings[i] = append(node.postings[i], id)
 			return rel.Value{}, nil
 		}
-		node.keys = append(node.keys, rel.Value{})
-		copy(node.keys[i+1:], node.keys[i:])
-		node.keys[i] = key
-		node.postings = append(node.postings, nil)
-		copy(node.postings[i+1:], node.postings[i:])
-		node.postings[i] = []storage.RowID{id}
+		node.keys = slices.Insert(node.keys, i, key)
+		node.postings = slices.Insert(node.postings, i, t.posting(id))
 		if len(node.keys) <= btreeOrder {
 			return rel.Value{}, nil
 		}
-		// Split leaf.
-		mid := len(node.keys) / 2
-		right := &btLeaf{
-			keys:     append([]rel.Value(nil), node.keys[mid:]...),
-			postings: append([][]storage.RowID(nil), node.postings[mid:]...),
-			next:     node.next,
-		}
+		mid := splitPoint(len(node.keys), rightmost && i == len(node.keys)-1)
+		right := newLeaf(node.keys[mid:], node.postings[mid:], node.next)
+		clear(node.keys[mid:])
+		clear(node.postings[mid:])
 		node.keys = node.keys[:mid]
 		node.postings = node.postings[:mid]
 		node.next = right
+		if right.next == nil {
+			t.last = right
+		}
 		return right.keys[0], right
 	case *btInternal:
 		i := upperBound(node.keys, key)
-		sep, newChild := t.insert(node.children[i], key, id)
+		sep, newChild := t.descend(node.children[i], rightmost && i == len(node.children)-1, key, id)
 		if newChild == nil {
 			return rel.Value{}, nil
 		}
-		node.keys = append(node.keys, rel.Value{})
-		copy(node.keys[i+1:], node.keys[i:])
-		node.keys[i] = sep
-		node.children = append(node.children, nil)
-		copy(node.children[i+2:], node.children[i+1:])
-		node.children[i+1] = newChild
+		node.keys = slices.Insert(node.keys, i, sep)
+		node.children = slices.Insert(node.children, i+1, newChild)
 		if len(node.keys) <= btreeOrder {
 			return rel.Value{}, nil
 		}
-		// Split internal.
-		mid := len(node.keys) / 2
+		// keys[mid] moves up; the right node keeps the keys after it (none
+		// after a split at the end, only the new child).
+		mid := splitPoint(len(node.keys), rightmost && i == len(node.keys)-1)
 		upKey := node.keys[mid]
-		right := &btInternal{
-			keys:     append([]rel.Value(nil), node.keys[mid+1:]...),
-			children: append([]btNode(nil), node.children[mid+1:]...),
-		}
+		right := newInternal(node.keys[mid+1:], node.children[mid+1:])
+		clear(node.keys[mid:])
+		clear(node.children[mid+1:])
 		node.keys = node.keys[:mid]
 		node.children = node.children[:mid+1]
 		return upKey, right
 	}
 	return rel.Value{}, nil
+}
+
+// splitPoint is where an overfull node of n keys splits: the left node keeps
+// keys[:splitPoint]. A rightmost node that overflowed at its end keeps every
+// key but the new one, since rising keys will not come back to it; any other
+// node splits in half.
+func splitPoint(n int, atEnd bool) int {
+	if atEnd {
+		return n - 1
+	}
+	return n / 2
 }
 
 // lowerBound returns the first index with keys[i] >= key.

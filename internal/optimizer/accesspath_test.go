@@ -32,12 +32,10 @@ func addIndexedTable(t *testing.T, cat *catalog.Catalog, name string, n int) *ca
 		rows[i] = rel.Row{rel.Int(int64(i)), rel.Int(int64(i)), rel.Int(int64(i % 50))}
 	}
 	ids, _ := tbl.Heap.InsertBatch(rows, 1, nil, nil)
-	for i, id := range ids {
-		byID.Insert(rows[i][0], id)
-		byK.Insert(rows[i][1], id)
-	}
+	byID.InsertRows(rows, 0, ids)
+	byK.InsertRows(rows, 1, ids)
 	tbl.AddIndex(&catalog.Index{Name: name + "_k", Col: 1, BT: byK}, nil)
-	tbl.Stats.Rebuild(rows)
+	tbl.Stats.NewBuilder(0).Add(rows).Finish()
 	return tbl
 }
 
@@ -233,7 +231,7 @@ func TestSelOfGenericAndNull(t *testing.T) {
 		}
 		rows[i] = rel.Row{rel.Int(int64(i)), note}
 	}
-	tbl.Stats.Rebuild(rows)
+	tbl.Stats.NewBuilder(0).Add(rows).Finish()
 	ts := tbl.Stats
 	id, note := &rel.ColRef{Idx: 0}, &rel.ColRef{Idx: 1}
 	near := func(what string, got, want float64) {

@@ -42,21 +42,17 @@ func buildCat(t *testing.T) (*catalog.Catalog, *catalog.Table, *catalog.Table) {
 		uRows = append(uRows, row)
 	}
 	uIDs, _ := users.Heap.InsertBatch(uRows, 1, nil, nil)
-	for i, id := range uIDs {
-		users.IndexOn(0).BT.Insert(uRows[i][0], id)
-	}
+	users.IndexOn(0).BT.InsertRows(uRows, 0, uIDs)
 	for i := 0; i < 3000; i++ {
 		row := rel.Row{rel.Int(int64(i)), rel.Int(int64(r.Intn(1000))), rel.Int(int64(r.Intn(100)))}
 		pRows = append(pRows, row)
 	}
 	pIDs, _ := posts.Heap.InsertBatch(pRows, 1, nil, nil)
-	for i, id := range pIDs {
-		posts.IndexOn(0).BT.Insert(pRows[i][0], id)
-		ownerIdx.Insert(pRows[i][1], id)
-	}
+	posts.IndexOn(0).BT.InsertRows(pRows, 0, pIDs)
+	ownerIdx.InsertRows(pRows, 1, pIDs)
 	posts.AddIndex(&catalog.Index{Name: "posts_owner", Col: 1, BT: ownerIdx}, nil)
-	users.Stats.Rebuild(uRows)
-	posts.Stats.Rebuild(pRows)
+	users.Stats.NewBuilder(0).Add(uRows).Finish()
+	posts.Stats.NewBuilder(0).Add(pRows).Finish()
 	return cat, users, posts
 }
 

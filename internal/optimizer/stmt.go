@@ -90,20 +90,43 @@ func columnOf(t *catalog.Table, name string) (int, error) {
 
 // bindValues compiles a VALUES list into rows of the given width, the i-th
 // value of each tuple landing at position at[i] (other cells stay NULL).
-// Every cell goes through the binder, in a scope with no columns. A cell
-// without a parameter is folded to its value here, so a bulk literal INSERT
-// costs one allocation per row.
-func bindValues(tuples [][]sqlparse.Expr, width int, at []int, arity func(row, got int) error) (plan.Values, error) {
-	vals := plan.Values{Rows: make([]rel.Row, len(tuples))}
+// Tuple i is rows[i] when the parser made it a row of literals, and exprs[i]
+// otherwise. A row is used as it is when the values cover the columns in
+// order, and scattered into a fresh row otherwise, so a bulk literal INSERT
+// binds without allocating. An expression tuple's cells go through the
+// binder, in a scope with no columns; a cell without a parameter is folded
+// to its value here.
+func bindValues(rows []rel.Row, exprs [][]sqlparse.Expr, width int, at []int, arity func(row, got int) error) (plan.Values, error) {
+	inOrder := len(at) == width && slices.IsSorted(at) // at holds no duplicates
+	if exprs == nil && inOrder {
+		for ri, row := range rows {
+			if len(row) != len(at) {
+				return plan.Values{Rows: rows}, arity(ri+1, len(row))
+			}
+		}
+		return plan.Values{Rows: rows}, nil
+	}
+	vals := plan.Values{Rows: make([]rel.Row, max(len(rows), len(exprs)))}
 	scope := &Query{Global: &rel.Schema{}}
-	for ri, tuple := range tuples {
+	for ri := range vals.Rows {
+		if ri < len(rows) && rows[ri] != nil {
+			if len(rows[ri]) != len(at) {
+				return vals, arity(ri+1, len(rows[ri]))
+			}
+			vals.Rows[ri] = rows[ri]
+			if !inOrder {
+				vals.Rows[ri] = nullRow(width)
+				for i, v := range rows[ri] {
+					vals.Rows[ri][at[i]] = v
+				}
+			}
+			continue
+		}
+		tuple := exprs[ri]
 		if len(tuple) != len(at) {
 			return vals, arity(ri+1, len(tuple))
 		}
-		row := make(rel.Row, width)
-		for i := range row {
-			row[i] = rel.Null()
-		}
+		row := nullRow(width)
 		for i, e := range tuple {
 			if lit, ok := e.(*sqlparse.Lit); ok {
 				row[at[i]] = lit.Val
@@ -122,6 +145,15 @@ func bindValues(tuples [][]sqlparse.Expr, width int, at []int, arity func(row, g
 		vals.Rows[ri] = row
 	}
 	return vals, nil
+}
+
+// nullRow returns a row of width NULLs.
+func nullRow(width int) rel.Row {
+	row := make(rel.Row, width)
+	for i := range row {
+		row[i] = rel.Null()
+	}
+	return row
 }
 
 // positions returns 0..n-1: VALUES given in column order.
@@ -152,7 +184,7 @@ func planInsert(ins *sqlparse.Insert, cat *catalog.Catalog) (plan.Node, error) {
 			at = append(at, ci)
 		}
 	}
-	vals, err := bindValues(ins.Rows, t.Schema.Arity(), at, func(_, got int) error {
+	vals, err := bindValues(ins.Rows, ins.Exprs, t.Schema.Arity(), at, func(_, got int) error {
 		return fmt.Errorf("optimizer: INSERT arity mismatch: %d values for %d columns", got, len(at))
 	})
 	n := float64(len(vals.Rows))
@@ -215,7 +247,7 @@ func (o *Optimizer) planPredict(pr *sqlparse.Predict, cat *catalog.Catalog) (pla
 	// Inline rows are positional over the feature columns; checking the arity
 	// here, where the statement is known, beats misaligning features deep in
 	// the featurizer.
-	n.Values, err = bindValues(pr.Values, len(features), positions(len(features)), func(row, got int) error {
+	n.Values, err = bindValues(nil, pr.Values, len(features), positions(len(features)), func(row, got int) error {
 		return fmt.Errorf("optimizer: PREDICT VALUES row %d has %d values for %d feature columns", row, got, len(features))
 	})
 	predicted := float64(len(n.Rows))

@@ -24,7 +24,7 @@ func testTable(t *testing.T) *catalog.Table {
 		rows[i] = rel.Row{rel.Int(int64(i)), rel.Int(int64(i % 7))}
 	}
 	tbl.Heap.InsertBatch(rows, 1, nil, nil)
-	tbl.Stats.Rebuild([]rel.Row{{rel.Int(1), rel.Int(2)}})
+	tbl.Stats.NewBuilder(0).Add([]rel.Row{{rel.Int(1), rel.Int(2)}}).Finish()
 	return tbl
 }
 

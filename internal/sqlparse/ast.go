@@ -131,7 +131,7 @@ func WalkExprs(s Stmt, f func(Expr)) {
 			walkExpr(o.E, f)
 		}
 	case *Insert:
-		for _, row := range t.Rows {
+		for _, row := range t.Exprs {
 			for _, e := range row {
 				walkExpr(e, f)
 			}
@@ -209,7 +209,11 @@ func (*DropTable) stmt() {}
 type Insert struct {
 	Table string
 	Cols  []string // empty = positional
-	Rows  [][]Expr
+	// Rows holds the VALUES tuples in order. A tuple whose elements are all
+	// literals is its row of values; any other tuple is nil here, and its
+	// elements are Exprs[i].
+	Rows  []rel.Row
+	Exprs [][]Expr // nil when every tuple is a row; else aligned with Rows
 }
 
 func (*Insert) stmt() {}

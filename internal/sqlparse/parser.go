@@ -14,12 +14,14 @@ import (
 // with one token of lookahead.
 type Parser struct {
 	lex       Lexer
-	tok       Token  // the lookahead token
-	lexErr    error  // the lexer's error; tok is then EOF
-	qmarks    int    // '?' placeholders seen so far (they number left to right)
-	sawDollar bool   // '$n' placeholder seen (styles must not mix)
-	lits      []Lit  // slab the statement's literals are carved from
-	exprs     []Expr // scratch stack tuples collect their elements on
+	tok       Token       // the lookahead token
+	lexErr    error       // the lexer's error; tok is then EOF
+	qmarks    int         // '?' placeholders seen so far (they number left to right)
+	sawDollar bool        // '$n' placeholder seen (styles must not mix)
+	lits      []Lit       // slab the statement's literals are carved from
+	rowSlab   []rel.Value // slab the statement's constant rows are carved from
+	vals      []rel.Value // scratch a constant tuple collects its values on
+	exprs     []Expr      // scratch stack tuples collect their elements on
 }
 
 // Parse parses a single SQL statement (an optional trailing semicolon is
@@ -92,6 +94,23 @@ func (p *Parser) lit(v rel.Value) *Lit {
 	}
 	p.lits = append(p.lits, Lit{Val: v})
 	return &p.lits[len(p.lits)-1]
+}
+
+// rowChunk is the most values one row slab chunk holds: 4 KB.
+const rowChunk = 256
+
+// row returns vals as a row carved from the statement's row slab, its
+// capacity capped at its length. Chunks double from 8 to rowChunk values, so
+// a short statement allocates little, one live row pins at most one chunk,
+// and a row longer than a chunk gets its own.
+func (p *Parser) row(vals []rel.Value) rel.Row {
+	n := len(vals)
+	if cap(p.rowSlab)-len(p.rowSlab) < n {
+		p.rowSlab = make([]rel.Value, 0, max(min(max(2*cap(p.rowSlab), 8), rowChunk), n))
+	}
+	k := len(p.rowSlab)
+	p.rowSlab = append(p.rowSlab, vals...)
+	return p.rowSlab[k : k+n : k+n]
 }
 
 // expect consumes a required keyword/punctuation.
@@ -331,12 +350,21 @@ func (p *Parser) parseInsert() (Stmt, error) {
 	if err := p.expect("VALUES"); err != nil {
 		return nil, err
 	}
+	// Every tuple opens with a '(', so their count bounds the tuples left;
+	// a '(' inside a string or an expression only makes the hint high.
+	ins.Rows = make([]rel.Row, 0, min(strings.Count(p.lex.src[p.lex.pos:], "(")+1, maxRowsHint))
 	for {
-		row, err := p.parseExprTuple()
+		row, exprs, err := p.parseTuple()
 		if err != nil {
 			return nil, err
 		}
+		if exprs != nil && ins.Exprs == nil {
+			ins.Exprs = make([][]Expr, len(ins.Rows), cap(ins.Rows))
+		}
 		ins.Rows = append(ins.Rows, row)
+		if ins.Exprs != nil {
+			ins.Exprs = append(ins.Exprs, exprs)
+		}
 		if !p.accept(",") {
 			break
 		}
@@ -344,29 +372,84 @@ func (p *Parser) parseInsert() (Stmt, error) {
 	return ins, nil
 }
 
-func (p *Parser) parseExprTuple() ([]Expr, error) {
+// maxRowsHint caps the capacity an INSERT's rows are first given.
+const maxRowsHint = 1 << 16
+
+// parseTuple parses a parenthesized VALUES tuple. A tuple whose elements
+// are all literals comes back as a row carved from the statement's row slab,
+// with nil exprs; any other tuple comes back as its expressions.
+func (p *Parser) parseTuple() (rel.Row, []Expr, error) {
 	if err := p.expect("("); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// The elements collect on the scratch stack, and the tuple is sized
-	// once they are all known.
-	mark := len(p.exprs)
+	// The elements collect on the scratch stacks, values while the tuple is
+	// constant and expressions after, and the tuple is sized once they are
+	// all known.
+	vmark, emark := len(p.vals), len(p.exprs)
+	constant := true
 	for {
-		e, err := p.parseExpr()
+		v, e, err := p.parseElement()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		p.exprs = append(p.exprs, e)
+		if lit, ok := e.(*Lit); ok {
+			v, e = lit.Val, nil
+		}
+		if constant && e != nil {
+			constant = false
+			for _, v := range p.vals[vmark:] {
+				p.exprs = append(p.exprs, p.lit(v))
+			}
+			p.vals = p.vals[:vmark]
+		}
+		switch {
+		case constant:
+			p.vals = append(p.vals, v)
+		case e == nil:
+			p.exprs = append(p.exprs, p.lit(v))
+		default:
+			p.exprs = append(p.exprs, e)
+		}
 		if p.accept(",") {
 			continue
 		}
 		if err := p.expect(")"); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		out := slices.Clone(p.exprs[mark:])
-		p.exprs = p.exprs[:mark]
-		return out, nil
+		if constant {
+			row := p.row(p.vals[vmark:])
+			p.vals = p.vals[:vmark]
+			return row, nil, nil
+		}
+		out := slices.Clone(p.exprs[emark:])
+		p.exprs = p.exprs[:emark]
+		return nil, out, nil
 	}
+}
+
+// parseElement parses one tuple element: a literal's value, or an
+// expression. A number or string token followed by ',' or ')' is a whole
+// element, so its value is taken without walking the expression grammar;
+// anything else resumes through parseExpr from the saved lexer and
+// lookahead. parseExpr may still return a *Lit (-5, NULL, (1)).
+func (p *Parser) parseElement() (rel.Value, Expr, error) {
+	t := p.tok
+	if t.Kind != TokNumber && t.Kind != TokString {
+		e, err := p.parseExpr()
+		return rel.Value{}, e, err
+	}
+	lex := p.lex
+	p.advance()
+	if n := p.tok; n.Kind == TokPunct && (n.Text == "," || n.Text == ")") {
+		if t.Kind == TokString {
+			return rel.Text(t.Text), nil, nil
+		}
+		v, err := number(t.Text)
+		return v, nil, err
+	}
+	p.lex, p.tok, p.lexErr = lex, t, nil
+	e, err := p.parseExpr()
+	return rel.Value{}, e, err
 }
 
 func (p *Parser) parseSelect() (Stmt, error) {
@@ -643,11 +726,17 @@ func (p *Parser) parsePredict() (Stmt, error) {
 	}
 	if p.accept("VALUES") {
 		for {
-			row, err := p.parseExprTuple()
+			row, exprs, err := p.parseTuple()
 			if err != nil {
 				return nil, err
 			}
-			pr.Values = append(pr.Values, row)
+			if row != nil {
+				exprs = make([]Expr, len(row))
+				for i, v := range row {
+					exprs[i] = p.lit(v)
+				}
+			}
+			pr.Values = append(pr.Values, exprs)
 			if !p.accept(",") {
 				break
 			}
@@ -977,22 +1066,7 @@ func (p *Parser) parseLiteral() (rel.Value, error) {
 	switch t.Kind {
 	case TokNumber:
 		p.next()
-		if strings.ContainsAny(t.Text, ".eE") {
-			f, err := strconv.ParseFloat(t.Text, 64)
-			if err != nil {
-				return rel.Value{}, fmt.Errorf("sql: bad number %q: %w", t.Text, err)
-			}
-			return rel.Float(f), nil
-		}
-		i, err := strconv.ParseInt(t.Text, 10, 64)
-		if err != nil {
-			f, ferr := strconv.ParseFloat(t.Text, 64)
-			if ferr != nil {
-				return rel.Value{}, fmt.Errorf("sql: bad number %q: %w", t.Text, err)
-			}
-			return rel.Float(f), nil
-		}
-		return rel.Int(i), nil
+		return number(t.Text)
 	case TokString:
 		p.next()
 		return rel.Text(t.Text), nil
@@ -1025,4 +1099,29 @@ func (p *Parser) parseLiteral() (rel.Value, error) {
 		}
 	}
 	return rel.Value{}, fmt.Errorf("sql: expected literal, got %q at offset %d", t.Text, t.Pos)
+}
+
+// number is the value of a number token: an INT when it has neither a '.'
+// nor an exponent and is in INT's range, and a DOUBLE otherwise. One pass
+// over the text decides which parse to try.
+func number(text string) (rel.Value, error) {
+	integral := true
+	for i := 0; i < len(text) && integral; i++ {
+		integral = text[i] != '.' && text[i] != 'e' && text[i] != 'E'
+	}
+	if integral {
+		i, err := strconv.ParseInt(text, 10, 64)
+		if err == nil {
+			return rel.Int(i), nil
+		}
+		if f, ferr := strconv.ParseFloat(text, 64); ferr == nil {
+			return rel.Float(f), nil
+		}
+		return rel.Value{}, fmt.Errorf("sql: bad number %q: %w", text, err)
+	}
+	f, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		return rel.Value{}, fmt.Errorf("sql: bad number %q: %w", text, err)
+	}
+	return rel.Float(f), nil
 }

@@ -136,13 +136,13 @@ func TestParseInsert(t *testing.T) {
 	if ins.Table != "t" || len(ins.Cols) != 2 || len(ins.Rows) != 2 {
 		t.Fatalf("bad insert: %+v", ins)
 	}
-	if lit := ins.Rows[1][0].(*Lit); lit.Val.AsInt() != 2 {
+	if ins.Rows[1][0].AsInt() != 2 || ins.Exprs != nil {
 		t.Fatal("row literal wrong")
 	}
 	// Positional insert with negative and null values.
 	s2 := mustParse(t, "INSERT INTO t VALUES (-3, NULL, 2.5, true)")
 	row := s2.(*Insert).Rows[0]
-	if row[0].(*Lit).Val.AsInt() != -3 || !row[1].(*Lit).Val.IsNull() || row[3].(*Lit).Val.AsBool() != true {
+	if row[0].AsInt() != -3 || !row[1].IsNull() || row[3].AsBool() != true {
 		t.Fatal("positional values wrong")
 	}
 }
@@ -446,8 +446,7 @@ func TestParseMultiRowInsert(t *testing.T) {
 		if len(row) != len(want[i]) || cap(row) != len(row) {
 			t.Fatalf("row %d: len %d cap %d, want both %d", i, len(row), cap(row), len(want[i]))
 		}
-		for j, e := range row {
-			got := e.(*Lit).Val
+		for j, got := range row {
 			if got.Type() != want[i][j].Type() || got.String() != want[i][j].String() {
 				t.Errorf("row %d col %d: got %#v, want %#v", i, j, got, want[i][j])
 			}
@@ -463,7 +462,7 @@ func TestParseIntMinLiteral(t *testing.T) {
 	where := mustParse(t, "SELECT x FROM t WHERE x = -9223372036854775808").(*Select).Where.(*Binary)
 	in := mustParse(t, "SELECT x FROM t WHERE x IN (- 9223372036854775808, 5)").(*Select).Where.(*InList)
 	for name, v := range map[string]rel.Value{
-		"insert": ins.Rows[0][1].(*Lit).Val,
+		"insert": ins.Rows[0][1],
 		"where":  where.R.(*Lit).Val,
 		"in":     in.Vals[0],
 	} {

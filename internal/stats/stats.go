@@ -61,22 +61,51 @@ func (ts *TableStats) Snapshot() *TableStats {
 // maxDistinct caps a column's distinct count, and so the size of its TEXT map.
 const maxDistinct = 1_000_000
 
-// Rebuild recomputes all statistics from a full pass over rows (ANALYZE).
-// Numbers count as distinct by their float value, from the sort the bounds
-// need anyway; TEXT counts by its text, since AsFloat reads every
-// non-numeric text as 0, and its AsFloat values join only the sort.
-func (ts *TableStats) Rebuild(rows []rel.Row) {
-	arity := 0
-	if len(rows) > 0 {
-		arity = len(rows[0])
-	} else {
-		arity = len(ts.Cols)
+// Builder recomputes a table's statistics from a full pass over its rows
+// (ANALYZE). Add takes the rows a batch at a time and Finish installs the
+// result, so no caller gathers the whole table: each batch is walked once
+// per column while it is in cache, and only its column values are kept, so
+// the caller may reuse the batch. Numbers count as distinct by their float
+// value, from the sort the bounds need anyway; TEXT counts by its text,
+// since AsFloat reads every non-numeric text as 0, and its AsFloat values
+// join only the sort.
+type Builder struct {
+	ts   *TableStats
+	hint int
+	rows int64
+	cols []colBuilder // one per column of the first row added
+}
+
+// colBuilder is one column's share of a Builder.
+type colBuilder struct {
+	nulls    int64
+	nums     []float64
+	texts    map[string]struct{}
+	textVals []float64
+}
+
+// NewBuilder starts a rebuild of ts. hint is the expected row count, which
+// sizes the column buffers.
+func (ts *TableStats) NewBuilder(hint int) *Builder {
+	return &Builder{ts: ts, hint: hint}
+}
+
+// Add folds a batch of rows into the build and returns b, so a one-batch
+// rebuild reads ts.NewBuilder(len(rows)).Add(rows).Finish(). The first row
+// added fixes the arity; a shorter row contributes only its columns.
+func (b *Builder) Add(rows []rel.Row) *Builder {
+	if len(rows) == 0 {
+		return b
 	}
-	cols := make([]ColumnStats, arity)
-	for i := range cols {
-		nums := make([]float64, 0, len(rows))
-		var texts map[string]struct{}
-		var textVals []float64
+	if b.cols == nil {
+		b.cols = make([]colBuilder, len(rows[0]))
+		for i := range b.cols {
+			b.cols[i].nums = make([]float64, 0, max(b.hint, len(rows)))
+		}
+	}
+	b.rows += int64(len(rows))
+	for i := range b.cols {
+		c := &b.cols[i]
 		for _, row := range rows {
 			if i >= len(row) {
 				continue
@@ -84,21 +113,35 @@ func (ts *TableStats) Rebuild(rows []rel.Row) {
 			v := row[i]
 			switch {
 			case v.IsNull():
-				cols[i].NullCount++
+				c.nulls++
 			case v.Type() == rel.TypeText:
-				if texts == nil {
-					texts = make(map[string]struct{})
+				if c.texts == nil {
+					c.texts = make(map[string]struct{})
 				}
-				if len(texts) < maxDistinct {
-					texts[v.String()] = struct{}{}
+				if len(c.texts) < maxDistinct {
+					c.texts[v.String()] = struct{}{}
 				}
-				textVals = append(textVals, v.AsFloat())
+				c.textVals = append(c.textVals, v.AsFloat())
 			default:
-				nums = append(nums, v.AsFloat())
+				c.nums = append(c.nums, v.AsFloat())
 			}
 		}
+	}
+	return b
+}
+
+// Finish installs the statistics of the rows added. With none added, every
+// column of ts is reset.
+func (b *Builder) Finish() {
+	arity := len(b.cols)
+	if b.cols == nil {
+		arity = len(b.ts.Cols)
+	}
+	cols := make([]ColumnStats, arity)
+	for i, c := range b.cols {
+		nums := c.nums
 		sort.Float64s(nums)
-		distinct := len(texts)
+		distinct := len(c.texts)
 		for j, f := range nums {
 			// NaN equals nothing, so each NaN counts once, and -0 is 0.
 			if j == 0 || f != nums[j-1] {
@@ -106,11 +149,12 @@ func (ts *TableStats) Rebuild(rows []rel.Row) {
 			}
 		}
 		vals := nums
-		if len(textVals) > 0 {
-			vals = append(nums, textVals...)
+		if len(c.textVals) > 0 {
+			vals = append(nums, c.textVals...)
 			sort.Float64s(vals)
 		}
-		cols[i].Count = int64(len(vals)) + cols[i].NullCount
+		cols[i].NullCount = c.nulls
+		cols[i].Count = int64(len(vals)) + c.nulls
 		cols[i].Distinct = int64(min(distinct, maxDistinct))
 		if len(vals) == 0 {
 			continue
@@ -119,8 +163,9 @@ func (ts *TableStats) Rebuild(rows []rel.Row) {
 		cols[i].Max = vals[len(vals)-1]
 		cols[i].Bounds = equiDepthBounds(vals, HistogramBuckets)
 	}
+	ts := b.ts
 	ts.mu.Lock()
-	ts.RowCount = int64(len(rows))
+	ts.RowCount = b.rows
 	ts.Cols = cols
 	ts.Version++
 	ts.mu.Unlock()

@@ -32,6 +32,11 @@ type page struct {
 	chains []*Version
 }
 
+// newPage returns an empty page with room for RowsPerPage chains.
+func newPage(id uint32) *page {
+	return &page{id: id, chains: make([]*Version, 0, RowsPerPage)}
+}
+
 // Heap is an append-only paged table of MVCC version chains. A table-level
 // RWMutex guards structure; version-field mutation is coordinated by the
 // transaction manager, which serializes writers per row.
@@ -61,22 +66,36 @@ func (h *Heap) NumPages() int {
 // heads to heads (aligned). The buffer pool is touched once per distinct
 // page written instead of once per row, so bulk loads and multi-VALUES
 // INSERT pay page-granular accounting like the batch read path.
+//
+// Rows that reuse a free slot get a version each. The rows appended to a
+// page get theirs from one slab of at most RowsPerPage versions (8 KB), so
+// a live version keeps at most its page's slab from being collected.
 func (h *Heap) InsertBatch(rows []rel.Row, xmin uint64, ids []RowID, heads []*Version) ([]RowID, []*Version) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	lastTouched := uint32(math.MaxUint32)
-	for _, row := range rows {
-		v := NewVersion(row, xmin, nil)
+	var slab []Version // the rest of the current page's slab
+	for i, row := range rows {
+		var v *Version
 		var id RowID
 		if n := len(h.free); n > 0 {
+			v = NewVersion(row, xmin, nil)
 			id = h.free[n-1]
 			h.free = h.free[:n-1]
 			h.pages[id.Page].chains[id.Slot] = v
 		} else {
 			if len(h.pages) == 0 || len(h.pages[len(h.pages)-1].chains) >= RowsPerPage {
-				h.pages = append(h.pages, &page{id: uint32(len(h.pages))})
+				h.pages = append(h.pages, newPage(uint32(len(h.pages))))
 			}
 			p := h.pages[len(h.pages)-1]
+			if len(slab) == 0 {
+				// Free slots are taken first, so the rows from here on fill
+				// this page's room in order.
+				slab = make([]Version, min(len(rows)-i, RowsPerPage-len(p.chains)))
+			}
+			v, slab = &slab[0], slab[1:]
+			v.Data, v.XMin = row, xmin
+			v.endTS.Store(InfinityTS)
 			p.chains = append(p.chains, v)
 			id = RowID{Page: p.id, Slot: uint32(len(p.chains) - 1)}
 		}

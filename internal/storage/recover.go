@@ -16,7 +16,7 @@ func (h *Heap) InstallAt(id RowID, row rel.Row, cts uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for int(id.Page) >= len(h.pages) {
-		h.pages = append(h.pages, &page{id: uint32(len(h.pages))})
+		h.pages = append(h.pages, newPage(uint32(len(h.pages))))
 	}
 	p := h.pages[id.Page]
 	for int(id.Slot) >= len(p.chains) {

@@ -11,6 +11,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -291,12 +292,11 @@ func (m *Manager) InsertBatch(h *storage.Heap, rows []rel.Row, t *Txn) ([]storag
 	}
 	ids, heads := h.InsertBatch(rows, t.ID,
 		make([]storage.RowID, 0, len(rows)), make([]*storage.Version, 0, len(rows)))
-	recs := make([]writeRec, len(ids))
-	for i, id := range ids {
-		recs[i] = writeRec{heap: h, id: id, created: heads[i], kind: 'i'}
-	}
 	t.mu.Lock()
-	t.writes = append(t.writes, recs...)
+	t.writes = slices.Grow(t.writes, len(ids))
+	for i, id := range ids {
+		t.writes = append(t.writes, writeRec{heap: h, id: id, created: heads[i], kind: 'i'})
+	}
 	t.mu.Unlock()
 	return ids, nil
 }
