@@ -68,9 +68,12 @@ func bulkRowsOf(n int) []rel.Row {
 // parser made a Lit per literal, bindValues a row per tuple, the heap a
 // version per row and the index a node entry and a posting per key; with
 // constant rows, one version slab per page and an appending B-tree it takes
-// 0.088. ANALYZE took 43 allocations and 27.5 MB while it gathered the table
-// into one slice of rows; streaming batches into the builder it takes 21
-// and 4.8 MB, the column values the build sorts.
+// 0.088. Its bytes per row were 334.7 while each commit built a []wal.Op of
+// its writes for the record encoder, and are 286.7 since the encoder reads
+// the write set in place; they are logged, not pinned, because a -race build
+// reads ~40 more. ANALYZE took 43 allocations and 27.5 MB while it gathered
+// the table into one slice of rows; streaming batches into the builder it
+// takes 21 and 4.8 MB, the column values the build sorts.
 func TestBulkLoadAllocs(t *testing.T) {
 	text := bulkInsertText(0, bulkChunk)
 	parse := testing.AllocsPerRun(5, func() {
@@ -81,17 +84,17 @@ func TestBulkLoadAllocs(t *testing.T) {
 	rows := bulkRowsOf(bulkRows)
 	ts := stats.NewTableStats(3)
 	rebuild := testing.AllocsPerRun(3, func() { ts.NewBuilder(len(rows)).Add(rows).Finish() })
-	perRow, analyze, analyzeB := loadAllocs(t)
+	perRow, perRowB, analyze, analyzeB := loadAllocs(t)
 	t.Logf("parse of an 8,192-row INSERT: %.0f allocs; build over %d rows: %.0f allocs", parse, bulkRows, rebuild)
-	t.Logf("durable load: %.3f allocs per row; ANALYZE over %d rows: %.0f allocs, %.2f MB", perRow, bulkRows, analyze, analyzeB/1e6)
+	t.Logf("durable load: %.4f allocs and %.1f bytes per row; ANALYZE over %d rows: %.0f allocs, %.2f MB", perRow, perRowB, bulkRows, analyze, analyzeB/1e6)
 	if parse > 120 {
 		t.Errorf("parse of an 8,192-row INSERT: %.0f allocs, ceiling 120", parse)
 	}
 	if rebuild > 10 {
 		t.Errorf("build over %d rows: %.0f allocs, ceiling 10", bulkRows, rebuild)
 	}
-	if perRow > 0.1 {
-		t.Errorf("durable load: %.3f allocs per row, ceiling 0.1", perRow)
+	if perRow > 0.09 {
+		t.Errorf("durable load: %.4f allocs per row, ceiling 0.09", perRow)
 	}
 	if analyze > 25 || analyzeB > 5.5e6 {
 		t.Errorf("ANALYZE over %d rows: %.0f allocs and %.2f MB, ceiling 25 and 5.5 MB", bulkRows, analyze, analyzeB/1e6)
@@ -99,9 +102,13 @@ func TestBulkLoadAllocs(t *testing.T) {
 }
 
 // loadAllocs runs BenchmarkBulkLoad's load once and returns the allocations
-// of its CREATE TABLE and INSERTs per loaded row, and the allocations and
-// bytes of the ANALYZE after them.
-func loadAllocs(t *testing.T) (perRow, analyze, analyzeBytes float64) {
+// and bytes of its CREATE TABLE and INSERTs per loaded row, and the
+// allocations and bytes of one ANALYZE after them. ANALYZE is measured as
+// testing.AllocsPerRun measures: one run to warm up, then the mean of five on
+// one P. A single run also counted what the runtime allocates after a GC
+// cycle that happened to end near it — fmt's printer pool refilled, the
+// unique package's cleanup — and read 21 to 28 allocations on unchanged code.
+func loadAllocs(t *testing.T) (perRow, perRowBytes, analyze, analyzeBytes float64) {
 	stmts := bulkStmts()
 	cfg := neurdb.DefaultConfig()
 	cfg.DataDir = t.TempDir()
@@ -119,12 +126,20 @@ func loadAllocs(t *testing.T) (perRow, analyze, analyzeBytes float64) {
 		}
 	}
 	runtime.ReadMemStats(&loaded)
-	if _, err := db.Exec(stmts[len(stmts)-1]); err != nil {
-		t.Fatal(err)
+	const runs = 5
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before runtime.MemStats
+	for i := 0; i <= runs; i++ {
+		if i == 1 {
+			runtime.ReadMemStats(&before)
+		}
+		if _, err := db.Exec(stmts[len(stmts)-1]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	runtime.ReadMemStats(&done)
-	return float64(loaded.Mallocs-start.Mallocs) / bulkRows,
-		float64(done.Mallocs - loaded.Mallocs), float64(done.TotalAlloc - loaded.TotalAlloc)
+	return float64(loaded.Mallocs-start.Mallocs) / bulkRows, float64(loaded.TotalAlloc-start.TotalAlloc) / bulkRows,
+		float64((done.Mallocs - before.Mallocs) / runs), float64(done.TotalAlloc-before.TotalAlloc) / runs
 }
 
 // bulkStmts is kv_read's load: CREATE TABLE, the INSERTs, ANALYZE.

@@ -307,8 +307,8 @@ func TestPrefixMemoBound(t *testing.T) {
 		if memo.size > limit {
 			t.Fatalf("memo holds %d bytes, bound %d", memo.size, limit)
 		}
-		emptied = emptied || len(memo.rows) < last
-		last = len(memo.rows)
+		emptied = emptied || memo.n < last
+		last = memo.n
 	}
 	if !emptied {
 		t.Fatal("the bound never forced a reset: the test is not exercising it")

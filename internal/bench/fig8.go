@@ -368,7 +368,7 @@ func (env *fig8Env) timePlan(p plan.Node) (float64, error) {
 		tx := env.db.TxnManager().Begin(txn.Snapshot, true)
 		ctx := &executor.Ctx{Mgr: env.db.TxnManager(), Txn: tx, Cat: env.db.Catalog()}
 		start := time.Now()
-		_, err := executor.Run(p, ctx)
+		_, err := runPlan(p, ctx)
 		env.db.TxnManager().Abort(tx)
 		if err != nil {
 			return 0, err
@@ -377,6 +377,30 @@ func (env *fig8Env) timePlan(p plan.Node) (float64, error) {
 	}
 	sort.Float64s(samples)
 	return samples[len(samples)/2], nil
+}
+
+// runPlan executes a row-producing plan to completion and returns all rows.
+func runPlan(n plan.Node, ctx *executor.Ctx) ([]rel.Row, error) {
+	it, err := executor.BuildBatch(n, ctx)
+	if err != nil {
+		return nil, err
+	}
+	if err := it.Open(); err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	var out []rel.Row
+	batch := rel.NewBatch(executor.BatchSize)
+	for {
+		cnt, err := it.NextBatch(batch)
+		if err != nil {
+			return nil, err
+		}
+		if cnt == 0 {
+			return out, nil
+		}
+		out = append(out, batch.Rows...)
+	}
 }
 
 // trainBaselines fits Bao and Lero on the original-state measurements.

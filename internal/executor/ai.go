@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 
 	"neurdb/internal/aiengine"
 	"neurdb/internal/armnet"
@@ -13,6 +14,7 @@ import (
 	"neurdb/internal/nn"
 	"neurdb/internal/plan"
 	"neurdb/internal/rel"
+	"neurdb/internal/storage"
 )
 
 // PredictResult reports a completed PREDICT.
@@ -70,47 +72,163 @@ func buildCodecs(t *catalog.Table, featureIdxs []int, buckets int) []fieldCodec 
 	return out
 }
 
-// chunkSource is a PREDICT task's aiengine.DataSource. It cuts fixed-size
-// chunks of the training rows for a number of epochs, reshuffling between
-// epochs, and then — once, in order — of the rows to predict, and featurizes
-// each chunk as the task asks for it, on the statement's goroutine.
-type chunkSource struct {
-	rows   []rel.Row
-	size   int
-	pos    int
-	epochs int
-	rng    *rand.Rand
-	then   []rel.Row // rows to predict, chunked after the last epoch
-	// predicting is set once the chunks come from then.
-	predicting bool
-	// featurize makes a chunk's batch: labelled while training, without
-	// labels once predicting, which asks the task for predictions.
-	featurize func(rows []rel.Row, predicting bool) *aiengine.Batch
+// predictBuffers hold what a PREDICT statement encodes its rows into: the
+// code matrix, the labels, the epoch's permutation, an index scan's RowIDs,
+// the access node's batch and the batch the task reads. predictFree hands
+// them from one statement to the next, so a steady-state PREDICT allocates
+// nothing of its window's size.
+type predictBuffers struct {
+	// codes is the statement's code matrix, row-major with one column per
+	// feature: the training rows in scan order, then the rows to predict.
+	codes  []float64
+	labels []float64 // one per training row
+	perm   []int     // the training rows in the current epoch's order
+	ids    []storage.RowID
+	rows   rel.Batch
+	// gx and gy hold a training batch's rows and labels, gathered through
+	// perm; x, y and batch are the batch the task reads.
+	gx, gy []float64
+	x, y   nn.Matrix
+	batch  aiengine.Batch
+	rng    *rand.Rand // reshuffles perm between epochs; reseeded per statement
 }
 
-// Next implements aiengine.DataSource.
-func (c *chunkSource) Next() (*aiengine.Batch, bool) {
-	if c.pos >= len(c.rows) {
-		switch {
-		case c.epochs > 1:
-			c.epochs--
-			c.pos = 0
-			c.rng.Shuffle(len(c.rows), func(i, j int) {
-				c.rows[i], c.rows[j] = c.rows[j], c.rows[i]
-			})
-		case len(c.then) > 0:
-			c.rows, c.then, c.pos, c.predicting = c.then, nil, 0, true
-		default:
-			return nil, false
+// predictFree is the free list of predictBuffers: a list under a lock rather
+// than a sync.Pool, whose per-P caches miss whenever a statement's goroutine
+// runs on another P than the last one's, and drop their contents at every
+// other GC. It keeps at most predictFreeSets sets, and none whose code matrix
+// outgrew predictKeepCodes values, so one PREDICT over a large table does not
+// pin its buffers for the life of the process.
+var predictFree struct {
+	sync.Mutex
+	sets []*predictBuffers
+}
+
+const (
+	predictFreeSets  = 4
+	predictKeepCodes = 1 << 20 // 8 MB: a window of ~250,000 rows of three features
+)
+
+func getPredictBuffers() *predictBuffers {
+	predictFree.Lock()
+	defer predictFree.Unlock()
+	n := len(predictFree.sets)
+	if n == 0 {
+		return new(predictBuffers)
+	}
+	b := predictFree.sets[n-1]
+	predictFree.sets = predictFree.sets[:n-1]
+	return b
+}
+
+// release returns b to the free list without the rows its batch pointed at.
+func (b *predictBuffers) release() {
+	clear(b.rows.Rows[:cap(b.rows.Rows)])
+	b.x, b.y, b.batch = nn.Matrix{}, nn.Matrix{}, aiengine.Batch{}
+	predictFree.Lock()
+	defer predictFree.Unlock()
+	if len(predictFree.sets) < predictFreeSets && cap(b.codes) <= predictKeepCodes {
+		predictFree.sets = append(predictFree.sets, b)
+	}
+}
+
+// encode runs access node n to completion and appends the feature codes of
+// every row keep accepts — the values at cols, through codecs — to the code
+// matrix, and its label to labels when label is set. An index scan collects
+// its RowIDs into b.ids.
+func (b *predictBuffers) encode(ctx *Ctx, n plan.Node, keep func(rel.Row) bool, cols []int, codecs []fieldCodec, label func(rel.Row) float64) error {
+	it, err := BuildBatch(n, ctx)
+	if err != nil {
+		return err
+	}
+	scan, _ := it.(*indexScanBatch)
+	if scan != nil {
+		scan.buf = b.ids
+	}
+	if err := it.Open(); err != nil {
+		return err
+	}
+	defer it.Close()
+	for {
+		cnt, err := it.NextBatch(&b.rows)
+		if err != nil || cnt == 0 {
+			if scan != nil {
+				b.ids = scan.buf
+			}
+			return err
+		}
+		for _, row := range b.rows.Rows {
+			if !keep(row) {
+				continue
+			}
+			b.appendCodes(row, cols, codecs)
+			if label != nil {
+				b.labels = append(b.labels, label(row))
+			}
 		}
 	}
-	end := c.pos + c.size
-	if end > len(c.rows) {
-		end = len(c.rows)
+}
+
+// appendCodes appends row's feature codes — the values at cols, through
+// codecs — to the code matrix.
+func (b *predictBuffers) appendCodes(row rel.Row, cols []int, codecs []fieldCodec) {
+	for f, col := range cols {
+		b.codes = append(b.codes, float64(f*predictBuckets+codecs[f].encode(row[col])))
 	}
-	chunk := c.rows[c.pos:end]
-	c.pos = end
-	return c.featurize(chunk, c.predicting), true
+}
+
+// windowSource is a PREDICT task's aiengine.DataSource over the statement's
+// code matrix. It hands out fixed-size batches of the training rows for a
+// number of epochs, each gathered through the permutation, which is
+// reshuffled between epochs, and then — once, in order — row ranges of the
+// rows to predict.
+type windowSource struct {
+	b      *predictBuffers
+	fields int
+	train  int // training rows: the code matrix's first rows
+	size   int
+	pos    int // next row: an index into perm while training, into the code matrix after
+	epochs int
+	// predicting is set once the batches come from the rows to predict.
+	predicting bool
+}
+
+// Next implements aiengine.DataSource. A batch is valid until the next call:
+// training batches are gathered into the same two matrices, and a batch to
+// predict is a view of the code matrix.
+func (c *windowSource) Next() (*aiengine.Batch, bool) {
+	b, f := c.b, c.fields
+	if !c.predicting && c.pos >= c.train {
+		if c.epochs > 1 {
+			c.epochs--
+			c.pos = 0
+			b.rng.Shuffle(len(b.perm), func(i, j int) { b.perm[i], b.perm[j] = b.perm[j], b.perm[i] })
+		} else {
+			c.predicting = true // pos is train: the rows to predict follow
+		}
+	}
+	if c.predicting {
+		total := len(b.codes) / f
+		if c.pos >= total {
+			return nil, false
+		}
+		end := min(c.pos+c.size, total)
+		b.x = nn.Matrix{Rows: end - c.pos, Cols: f, Data: b.codes[c.pos*f : end*f]}
+		b.batch = aiengine.Batch{X: &b.x}
+		c.pos = end
+		return &b.batch, true
+	}
+	rows := b.perm[c.pos:min(c.pos+c.size, c.train)]
+	c.pos += len(rows)
+	b.gx, b.gy = slices.Grow(b.gx[:0], len(rows)*f)[:len(rows)*f], slices.Grow(b.gy[:0], len(rows))[:len(rows)]
+	b.x = nn.Matrix{Rows: len(rows), Cols: f, Data: b.gx}
+	b.y = nn.Matrix{Rows: len(rows), Cols: 1, Data: b.gy}
+	for i, r := range rows {
+		copy(b.x.Data[i*f:(i+1)*f], b.codes[r*f:(r+1)*f])
+		b.y.Data[i] = b.labels[r]
+	}
+	b.batch = aiengine.Batch{X: &b.x, Y: &b.y}
+	return &b.batch, true
 }
 
 // PREDICT's training and model shape: constants, not options — no statement
@@ -166,75 +284,67 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) (*PredictRes
 	// Extraction: each row source is an access node (index or heap scan,
 	// chosen at plan time like a SELECT's) run through the batch engine, so a
 	// windowed PREDICT reads its window, not the table (paper Fig. 6a:
-	// extraction cost bounds adaptive training). What no clause spells stays
-	// here: a row trains only if it has a target, and with neither WHERE nor
-	// VALUES the rows to predict are the ones without.
-	trainRows, err := runKeeping(ctx, task.Train, func(row rel.Row) bool { return !row[task.TargetIdx].IsNull() })
+	// extraction cost bounds adaptive training). Each row is encoded as it
+	// streams past, into one code matrix, and no row outlives its batch. What
+	// no clause spells stays here: a row trains only if it has a target, and
+	// with neither WHERE nor VALUES the rows to predict are the ones without.
+	codecs := buildCodecs(task.Table, task.FeatureIdxs, predictBuckets)
+	b := getPredictBuffers()
+	defer b.release()
+	b.codes, b.labels = b.codes[:0], b.labels[:0]
+	label := func(row rel.Row) float64 {
+		tv := row[task.TargetIdx].AsFloat()
+		if task.Classification && tv > 0.5 {
+			tv = 1
+		} else if task.Classification {
+			tv = 0
+		}
+		return tv
+	}
+	err := b.encode(ctx, task.Train, func(row rel.Row) bool { return !row[task.TargetIdx].IsNull() },
+		task.FeatureIdxs, codecs, label)
 	if err != nil {
 		return nil, err
 	}
-	if len(trainRows) == 0 {
+	train := len(b.labels)
+	if train == 0 {
 		return nil, fmt.Errorf("executor: predict has no training rows in %s", task.Table.Name)
-	}
-	// Repeat the training data (reshuffled per epoch) until the step budget
-	// is spent: a small table gets many epochs, a large one a single pass.
-	// trainRows is freshly collected and not used for anything else, so the
-	// per-epoch reshuffle can permute it in place.
-	stepsPerEpoch := (len(trainRows) + predictBatchSize - 1) / predictBatchSize
-	src := &chunkSource{
-		rows: trainRows, size: predictBatchSize,
-		epochs: min(predictSteps/max(stepsPerEpoch, 1)+1, predictMaxEpochs),
-		rng:    rand.New(rand.NewSource(7)),
 	}
 	// The rows to predict: extracted like the training rows, or inline VALUES,
 	// which are already in feature order (arity checked above). With neither,
 	// the task degenerates to model training.
-	predictCols := task.FeatureIdxs
 	if len(inline) > 0 {
-		src.then, predictCols = inline, make([]int, fields)
-		for f := range predictCols {
-			predictCols[f] = f
+		cols := make([]int, fields)
+		for f := range cols {
+			cols[f] = f
+		}
+		for _, row := range inline {
+			b.appendCodes(row, cols, codecs)
 		}
 	} else if task.Infer != nil {
-		src.then, err = runKeeping(ctx, task.Infer, func(row rel.Row) bool {
-			return !task.NullTargets || row[task.TargetIdx].IsNull()
-		})
+		err := b.encode(ctx, task.Infer, func(row rel.Row) bool { return !task.NullTargets || row[task.TargetIdx].IsNull() },
+			task.FeatureIdxs, codecs, nil)
 		if err != nil {
 			return nil, err
 		}
 	}
-
-	codecs := buildCodecs(task.Table, task.FeatureIdxs, predictBuckets)
-	// The task is done with a batch when it asks for the next one, so every
-	// chunk is featurized into the same two matrices; each is overwritten
-	// whole.
-	var ws nn.Workspace
-	src.featurize = func(rows []rel.Row, predicting bool) *aiengine.Batch {
-		cols := task.FeatureIdxs
-		if predicting {
-			cols = predictCols
-		}
-		ws.Reset()
-		x := ws.Get(len(rows), fields)
-		for i, row := range rows {
-			for f, col := range cols {
-				x.Set(i, f, float64(f*predictBuckets+codecs[f].encode(row[col])))
-			}
-		}
-		if predicting {
-			return &aiengine.Batch{X: x}
-		}
-		y := ws.Get(len(rows), 1)
-		for i, row := range rows {
-			tv := row[task.TargetIdx].AsFloat()
-			if task.Classification && tv > 0.5 {
-				tv = 1
-			} else if task.Classification {
-				tv = 0
-			}
-			y.Set(i, 0, tv)
-		}
-		return &aiengine.Batch{X: x, Y: y}
+	// Repeat the training data (reshuffled per epoch) until the step budget
+	// is spent: a small table gets many epochs, a large one a single pass.
+	// The first epoch takes the rows in scan order; each reshuffle permutes
+	// the order the last one left.
+	b.perm = slices.Grow(b.perm[:0], train)[:train]
+	for i := range b.perm {
+		b.perm[i] = i
+	}
+	if b.rng == nil {
+		b.rng = rand.New(rand.NewSource(7))
+	} else {
+		b.rng.Seed(7) // the state rand.NewSource(7) starts in
+	}
+	stepsPerEpoch := (train + predictBatchSize - 1) / predictBatchSize
+	src := &windowSource{
+		b: b, fields: fields, train: train, size: predictBatchSize,
+		epochs: min(predictSteps/max(stepsPerEpoch, 1)+1, predictMaxEpochs),
 	}
 
 	var out *aiengine.TrainOutcome
@@ -252,17 +362,4 @@ func RunPredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) (*PredictRes
 		return nil, err
 	}
 	return &PredictResult{Predictions: out.Preds, Train: out, MID: out.MID, Reused: reuse}, nil
-}
-
-// runKeeping runs a row-producing plan to completion and returns the rows
-// keep accepts.
-func runKeeping(ctx *Ctx, n plan.Node, keep func(rel.Row) bool) ([]rel.Row, error) {
-	rows, err := Run(n, ctx)
-	kept := rows[:0]
-	for _, row := range rows {
-		if keep(row) {
-			kept = append(kept, row)
-		}
-	}
-	return kept, err
 }

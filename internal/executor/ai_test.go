@@ -18,6 +18,19 @@ import (
 	"neurdb/internal/txn"
 )
 
+// runKeeping runs a row-producing plan to completion and returns the rows
+// keep accepts.
+func runKeeping(ctx *Ctx, n plan.Node, keep func(rel.Row) bool) ([]rel.Row, error) {
+	rows, err := runAll(n, ctx)
+	kept := rows[:0]
+	for _, row := range rows {
+		if keep(row) {
+			kept = append(kept, row)
+		}
+	}
+	return kept, err
+}
+
 // referencePredict is PREDICT as two tasks, the way it ran before a task
 // read a batch's purpose off the batch: Engine.Train or FineTune on the
 // training rows, the version stored, then Engine.Infer of the stored version
@@ -39,8 +52,7 @@ func referencePredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) ([]flo
 		return x
 	}
 	tableCol := func(f int) int { return task.FeatureIdxs[f] }
-	// The source has no rows to predict, so every chunk it featurizes trains.
-	featurize := func(rows []rel.Row, _ bool) *aiengine.Batch {
+	labels := func(rows []rel.Row) *nn.Matrix {
 		y := nn.NewMatrix(len(rows), 1)
 		for i, row := range rows {
 			tv := row[task.TargetIdx].AsFloat()
@@ -51,14 +63,22 @@ func referencePredict(ctx *Ctx, eng *aiengine.Engine, task *plan.Predict) ([]flo
 			}
 			y.Set(i, 0, tv)
 		}
-		return &aiengine.Batch{X: encode(rows, tableCol), Y: y}
+		return y
 	}
+	// Repeat the training rows, reshuffled in place per epoch, until the
+	// step budget is spent, cutting each pass into batches.
 	stepsPerEpoch := (len(trainRows) + predictBatchSize - 1) / predictBatchSize
-	src := &chunkSource{
-		rows: trainRows, size: predictBatchSize,
-		epochs:    min(predictSteps/max(stepsPerEpoch, 1)+1, predictMaxEpochs),
-		rng:       rand.New(rand.NewSource(7)),
-		featurize: featurize,
+	epochs := min(predictSteps/max(stepsPerEpoch, 1)+1, predictMaxEpochs)
+	rng := rand.New(rand.NewSource(7))
+	src := &aiengine.SliceSource{}
+	for e := 0; e < epochs; e++ {
+		if e > 0 {
+			rng.Shuffle(len(trainRows), func(i, j int) { trainRows[i], trainRows[j] = trainRows[j], trainRows[i] })
+		}
+		for start := 0; start < len(trainRows); start += predictBatchSize {
+			rows := trainRows[start:min(start+predictBatchSize, len(trainRows))]
+			src.Batches = append(src.Batches, &aiengine.Batch{X: encode(rows, tableCol), Y: labels(rows)})
+		}
 	}
 	var out *aiengine.TrainOutcome
 	if view, ok := eng.Store.FindViewByName(task.ModelName); ok {

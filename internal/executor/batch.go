@@ -164,13 +164,19 @@ type indexScanBatch struct {
 	probe  probe
 	filter pred
 	ids    []storage.RowID
-	pos    int
-	heads  []*storage.Version // indexFetch scratch
-	kept   []storage.RowID    // indexFetch scratch (row identity is unused here)
+	// buf, when set before Open, is the slice a range probe collects its
+	// RowIDs into; Open leaves the grown slice there for its owner to keep.
+	buf   []storage.RowID
+	pos   int
+	heads []*storage.Version // indexFetch scratch
+	kept  []storage.RowID    // indexFetch scratch (row identity is unused here)
 }
 
 func (s *indexScanBatch) Open() error {
-	s.ids = indexScanIDs(&s.probe)
+	s.ids = indexScanIDs(&s.probe, s.buf[:0])
+	if s.probe.eq == nil { // an equality probe's RowIDs belong to the index
+		s.buf = s.ids
+	}
 	return nil
 }
 

@@ -216,7 +216,7 @@ func dmlRows(ctx *Ctx, src plan.Node, set map[int]rel.Expr) (int, error) {
 		p := newProbe(ctx, s)
 		filter := compilePred(ctx, s.Filter)
 		var c dmlChunk
-		_, c.ids, c.olds = indexFetch(ctx, &p, &filter, indexScanIDs(&p), nil, nil, nil)
+		_, c.ids, c.olds = indexFetch(ctx, &p, &filter, indexScanIDs(&p, nil), nil, nil, nil)
 		c.claim(ctx, s.Table, set)
 		t, chunks = s.Table, []dmlChunk{c}
 	default:

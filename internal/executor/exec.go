@@ -42,30 +42,6 @@ type Ctx struct {
 	DMLParallelPages int
 }
 
-// Run executes a row-producing plan to completion and returns all rows.
-func Run(n plan.Node, ctx *Ctx) ([]rel.Row, error) {
-	it, err := BuildBatch(n, ctx)
-	if err != nil {
-		return nil, err
-	}
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	var out []rel.Row
-	batch := rel.NewBatch(BatchSize)
-	for {
-		cnt, err := it.NextBatch(batch)
-		if err != nil {
-			return nil, err
-		}
-		if cnt == 0 {
-			return out, nil
-		}
-		out = append(out, batch.Rows...)
-	}
-}
-
 // bind is e with the statement's arguments in place of its parameters, or e
 // itself when it has none. Each operator binds the plan expressions it reads
 // once, as it is compiled.
@@ -158,13 +134,17 @@ func newProbe(ctx *Ctx, n *plan.IndexScan) probe {
 // lock and one buffer-pool touch per run of postings on the same page, and
 // gives index-driven DML the page-by-page order of the heap scan it
 // replaces.
-func indexScanIDs(p *probe) []storage.RowID {
+//
+// A range probe collects into dst, an empty slice whose array the caller
+// lends (nil allocates one), and returns it grown; an equality probe returns
+// the index's own slice, which no caller may write.
+func indexScanIDs(p *probe, dst []storage.RowID) []storage.RowID {
 	for _, b := range [...]*rel.Value{p.eq, p.lo, p.hi} {
 		if b != nil && b.IsNull() {
-			return nil // a comparison with NULL matches no row
+			return dst // a comparison with NULL matches no row
 		}
 	}
-	var ids []storage.RowID
+	ids := dst
 	if p.eq != nil {
 		ids = p.Index.BT.Lookup(*p.eq)
 	} else {

@@ -17,6 +17,30 @@ import (
 	"neurdb/internal/txn"
 )
 
+// runAll runs a row-producing plan to completion and returns all its rows.
+func runAll(n plan.Node, ctx *Ctx) ([]rel.Row, error) {
+	it, err := BuildBatch(n, ctx)
+	if err != nil {
+		return nil, err
+	}
+	if err := it.Open(); err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	var out []rel.Row
+	batch := rel.NewBatch(BatchSize)
+	for {
+		cnt, err := it.NextBatch(batch)
+		if err != nil {
+			return nil, err
+		}
+		if cnt == 0 {
+			return out, nil
+		}
+		out = append(out, batch.Rows...)
+	}
+}
+
 // testDB is an engine harness: catalog + txn manager with helpers to run
 // SQL end to end (parse → bind → optimize → execute).
 type testDB struct {
@@ -65,7 +89,7 @@ func insertRow(ctx *Ctx, t *catalog.Table, row rel.Row) (storage.RowID, error) {
 // order, through the serial scan whatever ctx.Workers says (what ANALYZE
 // reads).
 func scanAll(ctx *Ctx, t *catalog.Table) []rel.Row {
-	rows, err := Run(&plan.SeqScan{Table: t}, ctx.serialized())
+	rows, err := runAll(&plan.SeqScan{Table: t}, ctx.serialized())
 	if err != nil {
 		panic(err)
 	}
@@ -133,7 +157,7 @@ func (db *testDB) tryQuery(sql string) ([]rel.Row, error) {
 		return nil, err
 	}
 	ctx := &Ctx{Mgr: db.mgr, Txn: db.mgr.Begin(txn.Snapshot, true), Cat: db.cat}
-	return Run(p, ctx)
+	return runAll(p, ctx)
 }
 
 // oracleRows evaluates the plan on the reference interpreter (oracle_test.go)
@@ -149,7 +173,7 @@ func (db *testDB) engineRows(p plan.Node, workers int) []rel.Row {
 	db.t.Helper()
 	ctx := &Ctx{Mgr: db.mgr, Txn: db.mgr.Begin(txn.Snapshot, true), Cat: db.cat, Workers: workers}
 	defer db.mgr.Abort(ctx.Txn)
-	rows, err := Run(p, ctx)
+	rows, err := runAll(p, ctx)
 	if err != nil {
 		db.t.Fatalf("workers=%d: %v\n%s", workers, err, plan.Explain(p))
 	}
@@ -417,7 +441,7 @@ func TestHintSetsProduceDifferentPlans(t *testing.T) {
 	var counts []int
 	for _, c := range cands {
 		rctx := &Ctx{Mgr: db.mgr, Txn: db.mgr.Begin(txn.Snapshot, true), Cat: db.cat}
-		rows, err := Run(c.Plan, rctx)
+		rows, err := runAll(c.Plan, rctx)
 		if err != nil {
 			t.Fatalf("candidate %s failed: %v", c.Hint, err)
 		}
@@ -513,7 +537,7 @@ func TestSnapshotQueriesDontSeeLaterWrites(t *testing.T) {
 	stmt, _ := sqlparse.Parse("SELECT * FROM users")
 	q, _ := optimizer.Bind(stmt.(*sqlparse.Select), db.cat)
 	p, _ := optimizer.New().Plan(q)
-	rows, err := Run(p, readCtx)
+	rows, err := runAll(p, readCtx)
 	if err != nil {
 		t.Fatal(err)
 	}

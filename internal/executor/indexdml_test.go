@@ -228,7 +228,7 @@ func TestIndexScanNullSemantics(t *testing.T) {
 		t.Helper()
 		ctx := db.ctx()
 		defer db.mgr.Abort(ctx.Txn)
-		rows, err := Run(n, ctx)
+		rows, err := runAll(n, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func TestRandomIndexScansMatchSeqScans(t *testing.T) {
 		var got [2][]rel.Row
 		for j, o := range []*optimizer.Optimizer{optimizer.New(), {Hints: optimizer.HintSet{NoIndexScan: true}}} {
 			ctx := db.ctx()
-			rows, err := Run(o.AccessPath(tbl, where), ctx)
+			rows, err := runAll(o.AccessPath(tbl, where), ctx)
 			db.mgr.Abort(ctx.Txn)
 			if err != nil {
 				t.Fatal(err)

@@ -88,7 +88,7 @@ func randomPlans(t *testing.T, seed int64, covered map[string]bool) {
 			}
 			for _, workers := range []int{1, 4} {
 				ctx := &Ctx{Mgr: db.mgr, Txn: db.mgr.Begin(txn.Snapshot, false), Cat: db.cat, Workers: workers}
-				got, err := Run(p, ctx)
+				got, err := runAll(p, ctx)
 				db.mgr.Abort(ctx.Txn)
 				if err != nil {
 					fail(fmt.Sprintf("engine (workers %d)", workers), err.Error())

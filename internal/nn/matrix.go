@@ -7,11 +7,12 @@
 // it: the learned query optimizer's attention blocks live with that
 // optimizer in internal/bench/learnedopt.
 //
-// The matmul tile tile2x8 is the package's one piece of assembly: packed SSE2
-// on amd64 (matrix_amd64.s; SSE2 is amd64's baseline, so nothing is
-// dispatched at run time), and two calls of the Go tile2x4 on every other
-// GOARCH (matrix_other.go). Both round each product and add it in order, so
-// they compute the same bits.
+// The matmul's 4×8 tile, tile4x8, is the package's one piece of assembly: AVX
+// on amd64 (matrix_amd64.s), chosen once at init where CPUID and XGETBV say
+// the CPU and the OS support it. Every other host — an amd64 without AVX and
+// every other GOARCH — runs the Go tiles tile2x4 and tile2x1 over the same
+// elements. Both round each product and add it in order, so they compute the
+// same bits.
 package nn
 
 import (
@@ -43,7 +44,11 @@ func Randn(rows, cols int, std float64, r *rand.Rand) *Matrix {
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
-// Set assigns element (i, j).
+// Set assigns element (i, j). Nothing on a request path calls it since
+// PREDICT encodes its rows into a code matrix of its own; it is kept because
+// the benchmark module fills its batches with it.
+//
+//neurdb:reserved direction 2
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Row returns a view of row i (no copy).
@@ -63,14 +68,13 @@ func (m *Matrix) Zero() {
 // MatMulBiasInto and MatMulATAcc keep the textbook summation order: each
 // output element has one accumulator — +0, or dst's value for the
 // accumulating form — that adds a[i][k]·b[k][j] with k ascending, each
-// product rounded before it is added (no FMA). Both run on mulAcc, whose 2×8
-// tile keeps sixteen accumulators in registers for the whole k loop, so each
-// element of a and b that is loaded feeds eight or two products rather than
-// one; on amd64 each MULPD and ADDPD computes two of them, lane by lane
-// exactly as the scalar MULSD and ADDSD. A product with a zero factor is
-// added like any other: for finite operands it leaves the sum as it was,
-// because a sum that starts from +0 — or from a dst that holds no −0 — is
-// never −0.
+// product rounded before it is added (no FMA). Both run on mulAcc, whose
+// tiles keep their sums in registers for the whole k loop, so each element of
+// a and b that is loaded feeds several products rather than one: on amd64 with
+// AVX each VMULPD and VADDPD computes four of them, lane by lane exactly as the
+// scalar MULSD and ADDSD. A product with a zero factor is added like any
+// other: for finite operands it leaves the sum as it was, because a sum that
+// starts from +0 — or from a dst that holds no −0 — is never −0.
 
 // MatMulBiasInto sets dst = a×b, plus bias (length b.Cols, may be nil) added
 // to every row — a Linear layer's forward. The bias is added to each element
@@ -139,23 +143,23 @@ func MatMulATAcc(dst, a, b *Matrix, ws *Workspace) {
 }
 
 // mulAcc adds a×b into dst, element by element in the order stated above.
-// Rows go in pairs — an odd last row pairs with itself, computing and writing
-// the same values twice — and columns in eights, then fours, then one at a
-// time. The slice expressions before each tile2x8 call are its bounds checks:
-// the assembly checks none, so a Matrix whose Data is shorter than its shape
-// panics here, never reads past a slice there.
+// avxBlocks first covers what whole 4×8 AVX tiles can (nothing where useAVX is
+// off); the Go tiles then take the rest, rows in pairs — an odd last row pairs
+// with itself, computing and writing the same values twice — and columns in
+// fours, then one at a time. Each element is computed by exactly one tile.
 func mulAcc(dst, a, b *Matrix) {
 	k, n := a.Cols, b.Cols
 	if k == 0 {
 		return // nothing to add, and b has no rows to slice
 	}
+	rows4, cols8 := avxBlocks(dst, a, b)
 	for i := 0; i < a.Rows; i += 2 {
 		i1 := min(i+1, a.Rows-1)
 		a0, a1 := a.Data[i*k:(i+1)*k], a.Data[i1*k:(i1+1)*k]
 		d0, d1 := dst.Data[i*n:(i+1)*n], dst.Data[i1*n:(i1+1)*n]
 		j := 0
-		for ; j+8 <= n; j += 8 {
-			tile2x8(d0[j:j+8], d1[j:j+8], a0, a1[:len(a0)], b.Data[j:(k-1)*n+j+8], n)
+		if i < rows4 { // rows4 is a multiple of four, so i1 < rows4 too
+			j = cols8
 		}
 		for ; j+4 <= n; j += 4 {
 			tile2x4(d0[j:j+4], d1[j:j+4], a0, a1, b.Data[j:], n)
@@ -168,10 +172,10 @@ func mulAcc(dst, a, b *Matrix) {
 
 // tile2x4 adds rows a0 and a1 times columns 0-3 of b (row stride n) into
 // d0[0:4] and d1[0:4], its eight sums in registers throughout. It is the
-// column-remainder tile on amd64 and half of tile2x8 elsewhere. Each
+// remainder tile beside tile4x8 and the whole matmul without AVX. Each
 // float64(x * y) conversion rounds its product before the add: Go may fuse a
 // bare s += x * y into one FMA, as it does on arm64, which rounds once and so
-// would give other bits than the amd64 kernel.
+// would give other bits than the AVX tile.
 func tile2x4(d0, d1, a0, a1, b []float64, n int) {
 	d0, d1, a1 = d0[:4], d1[:4], a1[:len(a0)]
 	s00, s01, s02, s03 := d0[0], d0[1], d0[2], d0[3]

@@ -1,71 +1,72 @@
 #include "textflag.h"
 
-// func tile2x8(d0, d1, a0, a1, b []float64, n int)
+// func tile4x8(d, a, b []float64, k, n int)
 //
-// The packed SSE2 form of tile2x4 over eight columns: X0-X3 hold d0[0:8] and
-// X4-X7 hold d1[0:8], two sums each, for the whole k loop. Each k broadcasts
-// a0[k] and a1[k], loads b's row k (b[k*n : k*n+8]) and adds every product
-// into its own lane with one MULPD and one ADDPD, which round per lane exactly
-// as the scalar MULSD and ADDSD do. The caller has sliced d0, d1 and a1 to
-// length and b to end at (len(a0)-1)*n+8, so nothing here reads past a slice.
-// Both dst rows are loaded before the loop and stored after it, so d0 and d1
-// may be the same row, with a0 and a1 equal.
-TEXT ·tile2x8(SB), NOSPLIT, $0-128
-	MOVQ d0_base+0(FP), DI
-	MOVQ d1_base+24(FP), SI
-	MOVQ a0_base+48(FP), R8
-	MOVQ a0_len+56(FP), CX
-	MOVQ a1_base+72(FP), R9
-	MOVQ b_base+96(FP), DX
-	MOVQ n+120(FP), BX
-	SHLQ $3, BX // b's row stride in bytes
+// The AVX form of the Go tiles over four rows and eight columns: Y0-Y7 hold
+// the 32 sums, row r's columns 0-3 in Y(2r) and 4-7 in Y(2r+1), for the whole
+// k loop. Each k loads b's row k (b[k*n : k*n+8]) and broadcasts a[r*k+k] of
+// every row, and adds every product into its own lane with one VMULPD and one
+// VADDPD, which round per lane exactly as the scalar MULSD and ADDSD do: never
+// a fused multiply-add. The operands go in the order the scalar and SSE2 forms
+// use — b first in the product, the sum first in the add — so even a NaN
+// result carries the same payload. The caller has sliced d, a and b to
+// length, so nothing here reads past a slice.
+TEXT ·tile4x8(SB), NOSPLIT, $0-88
+	MOVQ d_base+0(FP), DI
+	MOVQ a_base+24(FP), R8
+	MOVQ b_base+48(FP), DX
+	MOVQ k+72(FP), CX
+	MOVQ n+80(FP), BX
+	SHLQ $3, BX // b's and d's row stride in bytes
 
-	MOVUPD 0(DI), X0
-	MOVUPD 16(DI), X1
-	MOVUPD 32(DI), X2
-	MOVUPD 48(DI), X3
-	MOVUPD 0(SI), X4
-	MOVUPD 16(SI), X5
-	MOVUPD 32(SI), X6
-	MOVUPD 48(SI), X7
+	LEAQ (R8)(CX*8), R10  // a's row 1
+	LEAQ (R10)(CX*8), R11 // a's row 2
+	LEAQ (R11)(CX*8), R12 // a's row 3
 
-	XORQ AX, AX
+	MOVQ    DI, SI
+	VMOVUPD 0(SI), Y0
+	VMOVUPD 32(SI), Y1
+	ADDQ    BX, SI
+	VMOVUPD 0(SI), Y2
+	VMOVUPD 32(SI), Y3
+	ADDQ    BX, SI
+	VMOVUPD 0(SI), Y4
+	VMOVUPD 32(SI), Y5
+	ADDQ    BX, SI
+	VMOVUPD 0(SI), Y6
+	VMOVUPD 32(SI), Y7
+
+	XORQ  AX, AX
 	TESTQ CX, CX
-	JEQ  done
+	JEQ   done
 
 loop:
-	MOVSD    (R8)(AX*8), X8
-	UNPCKLPD X8, X8 // a0[k] in both lanes
-	MOVSD    (R9)(AX*8), X9
-	UNPCKLPD X9, X9 // a1[k] in both lanes
-	MOVUPD   0(DX), X10
-	MOVUPD   16(DX), X11
-	MOVUPD   32(DX), X12
-	MOVUPD   48(DX), X13
+	VMOVUPD      0(DX), Y8
+	VMOVUPD      32(DX), Y9
+	VBROADCASTSD (R8)(AX*8), Y10
+	VBROADCASTSD (R10)(AX*8), Y11
+	VBROADCASTSD (R11)(AX*8), Y12
+	VBROADCASTSD (R12)(AX*8), Y13
 
-	MOVAPD X10, X14
-	MULPD  X8, X14
-	ADDPD  X14, X0
-	MULPD  X9, X10
-	ADDPD  X10, X4
+	VMULPD Y10, Y8, Y14
+	VADDPD Y14, Y0, Y0
+	VMULPD Y10, Y9, Y14
+	VADDPD Y14, Y1, Y1
 
-	MOVAPD X11, X14
-	MULPD  X8, X14
-	ADDPD  X14, X1
-	MULPD  X9, X11
-	ADDPD  X11, X5
+	VMULPD Y11, Y8, Y14
+	VADDPD Y14, Y2, Y2
+	VMULPD Y11, Y9, Y14
+	VADDPD Y14, Y3, Y3
 
-	MOVAPD X12, X14
-	MULPD  X8, X14
-	ADDPD  X14, X2
-	MULPD  X9, X12
-	ADDPD  X12, X6
+	VMULPD Y12, Y8, Y14
+	VADDPD Y14, Y4, Y4
+	VMULPD Y12, Y9, Y14
+	VADDPD Y14, Y5, Y5
 
-	MOVAPD X13, X14
-	MULPD  X8, X14
-	ADDPD  X14, X3
-	MULPD  X9, X13
-	ADDPD  X13, X7
+	VMULPD Y13, Y8, Y14
+	VADDPD Y14, Y6, Y6
+	VMULPD Y13, Y9, Y14
+	VADDPD Y14, Y7, Y7
 
 	ADDQ BX, DX
 	INCQ AX
@@ -73,12 +74,31 @@ loop:
 	JLT  loop
 
 done:
-	MOVUPD X0, 0(DI)
-	MOVUPD X1, 16(DI)
-	MOVUPD X2, 32(DI)
-	MOVUPD X3, 48(DI)
-	MOVUPD X4, 0(SI)
-	MOVUPD X5, 16(SI)
-	MOVUPD X6, 32(SI)
-	MOVUPD X7, 48(SI)
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ    BX, DI
+	VMOVUPD Y2, 0(DI)
+	VMOVUPD Y3, 32(DI)
+	ADDQ    BX, DI
+	VMOVUPD Y4, 0(DI)
+	VMOVUPD Y5, 32(DI)
+	ADDQ    BX, DI
+	VMOVUPD Y6, 0(DI)
+	VMOVUPD Y7, 32(DI)
+	VZEROUPPER
+	RET
+
+// func cpuidECX() uint32
+TEXT ·cpuidECX(SB), NOSPLIT, $0-4
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	MOVL CX, ret+0(FP)
+	RET
+
+// func xcr0() uint32
+TEXT ·xcr0(SB), NOSPLIT, $0-4
+	XORL   CX, CX
+	XGETBV
+	MOVL   AX, ret+0(FP)
 	RET

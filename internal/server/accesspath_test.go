@@ -36,13 +36,26 @@ func heapScanRows(t *testing.T, db *neurdb.DB, sql string) []string {
 	}
 	tx := db.TxnManager().Begin(txn.Snapshot, true)
 	defer db.TxnManager().Abort(tx)
-	rows, err := executor.Run(p, &executor.Ctx{Mgr: db.TxnManager(), Txn: tx, Cat: db.Catalog()})
+	it, err := executor.BuildBatch(p, &executor.Ctx{Mgr: db.TxnManager(), Txn: tx, Cat: db.Catalog()})
+	if err == nil {
+		err = it.Open()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = fmt.Sprint(r[0].AsInt(), r[1].AsInt())
+	defer it.Close()
+	var out []string
+	for batch := rel.NewBatch(executor.BatchSize); ; {
+		cnt, err := it.NextBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cnt == 0 {
+			break
+		}
+		for _, r := range batch.Rows {
+			out = append(out, fmt.Sprint(r[0].AsInt(), r[1].AsInt()))
+		}
 	}
 	sort.Strings(out)
 	return out

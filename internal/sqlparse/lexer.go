@@ -27,8 +27,12 @@ const (
 // Token is a lexical token with position information for error messages.
 type Token struct {
 	Kind TokenKind
-	Text string // identifiers are kept verbatim; keywords match case-insensitively
-	Pos  int    // byte offset in the input
+	// Punct is a one-byte punctuation token's byte, and 0 for every other
+	// token, two-byte operators included, so the parser matches ( ) , and
+	// the like with one byte compare.
+	Punct byte
+	Text  string // identifiers are kept verbatim; keywords match case-insensitively
+	Pos   int    // byte offset in the input
 }
 
 // Lexer splits SQL text into tokens. The parser pulls them one at a time,
@@ -106,7 +110,7 @@ func (l *Lexer) Next() (Token, error) {
 		}
 		if strings.IndexByte("()[],;=<>+-*/%.", c) >= 0 {
 			l.pos++
-			return Token{Kind: TokPunct, Text: l.src[start:l.pos], Pos: start}, nil
+			return Token{Kind: TokPunct, Punct: c, Text: l.src[start:l.pos], Pos: start}, nil
 		}
 		r, _ := l.rune()
 		return Token{}, fmt.Errorf("sql: unexpected character %q at offset %d", r, l.pos)

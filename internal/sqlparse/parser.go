@@ -32,7 +32,7 @@ func Parse(src string) (Stmt, error) {
 	p.advance()
 	stmt, err := p.parseStmt()
 	if err == nil {
-		p.accept(";")
+		p.acceptPunct(';')
 		if !p.atEOF() {
 			err = fmt.Errorf("sql: trailing input at %q", p.peek().Text)
 		}
@@ -75,10 +75,18 @@ func (p *Parser) next() Token {
 
 func (p *Parser) atEOF() bool { return p.tok.Kind == TokEOF }
 
-// accept consumes the next token if it matches the keyword or punctuation.
-func (p *Parser) accept(s string) bool {
-	t := p.tok
-	if t.Kind == TokPunct && t.Text == s || t.keyword(s) {
+// accept consumes the next token if it is the keyword kw.
+func (p *Parser) accept(kw string) bool {
+	if p.tok.keyword(kw) {
+		p.advance()
+		return true
+	}
+	return false
+}
+
+// acceptPunct consumes the next token if it is the one-byte punctuation c.
+func (p *Parser) acceptPunct(c byte) bool {
+	if p.tok.Punct == c {
 		p.advance()
 		return true
 	}
@@ -114,10 +122,21 @@ func (p *Parser) row(vals []rel.Value) rel.Row {
 }
 
 // expect consumes a required keyword/punctuation.
-func (p *Parser) expect(s string) error {
-	if p.accept(s) {
+func (p *Parser) expect(kw string) error {
+	if p.accept(kw) {
 		return nil
 	}
+	return p.expected(kw)
+}
+
+func (p *Parser) expectPunct(c byte) error {
+	if p.acceptPunct(c) {
+		return nil
+	}
+	return p.expected(string(c))
+}
+
+func (p *Parser) expected(s string) error {
 	return fmt.Errorf("sql: expected %q, got %q at offset %d", s, p.peek().Text, p.peek().Pos)
 }
 
@@ -179,7 +198,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect("="); err != nil {
+		if err := p.expectPunct('='); err != nil {
 			return nil, err
 		}
 		vt := p.next()
@@ -202,7 +221,7 @@ func (p *Parser) parseCreate() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect("("); err != nil {
+		if err := p.expectPunct('('); err != nil {
 			return nil, err
 		}
 		ct := &CreateTable{Name: name}
@@ -240,10 +259,10 @@ func (p *Parser) parseCreate() (Stmt, error) {
 			}
 		colDone:
 			ct.Cols = append(ct.Cols, def)
-			if p.accept(",") {
+			if p.acceptPunct(',') {
 				continue
 			}
-			if err := p.expect(")"); err != nil {
+			if err := p.expectPunct(')'); err != nil {
 				return nil, err
 			}
 			break
@@ -261,14 +280,14 @@ func (p *Parser) parseCreate() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect("("); err != nil {
+		if err := p.expectPunct('('); err != nil {
 			return nil, err
 		}
 		col, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(")"); err != nil {
+		if err := p.expectPunct(')'); err != nil {
 			return nil, err
 		}
 		if p.accept("USING") {
@@ -331,17 +350,17 @@ func (p *Parser) parseInsert() (Stmt, error) {
 		return nil, err
 	}
 	ins := &Insert{Table: table}
-	if p.accept("(") {
+	if p.acceptPunct('(') {
 		for {
 			col, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
 			ins.Cols = append(ins.Cols, col)
-			if p.accept(",") {
+			if p.acceptPunct(',') {
 				continue
 			}
-			if err := p.expect(")"); err != nil {
+			if err := p.expectPunct(')'); err != nil {
 				return nil, err
 			}
 			break
@@ -365,7 +384,7 @@ func (p *Parser) parseInsert() (Stmt, error) {
 		if ins.Exprs != nil {
 			ins.Exprs = append(ins.Exprs, exprs)
 		}
-		if !p.accept(",") {
+		if !p.acceptPunct(',') {
 			break
 		}
 	}
@@ -379,7 +398,7 @@ const maxRowsHint = 1 << 16
 // are all literals comes back as a row carved from the statement's row slab,
 // with nil exprs; any other tuple comes back as its expressions.
 func (p *Parser) parseTuple() (rel.Row, []Expr, error) {
-	if err := p.expect("("); err != nil {
+	if err := p.expectPunct('('); err != nil {
 		return nil, nil, err
 	}
 	// The elements collect on the scratch stacks, values while the tuple is
@@ -410,10 +429,10 @@ func (p *Parser) parseTuple() (rel.Row, []Expr, error) {
 		default:
 			p.exprs = append(p.exprs, e)
 		}
-		if p.accept(",") {
+		if p.acceptPunct(',') {
 			continue
 		}
-		if err := p.expect(")"); err != nil {
+		if err := p.expectPunct(')'); err != nil {
 			return nil, nil, err
 		}
 		if constant {
@@ -440,7 +459,7 @@ func (p *Parser) parseElement() (rel.Value, Expr, error) {
 	}
 	lex := p.lex
 	p.advance()
-	if n := p.tok; n.Kind == TokPunct && (n.Text == "," || n.Text == ")") {
+	if n := p.tok.Punct; n == ',' || n == ')' {
 		if t.Kind == TokString {
 			return rel.Text(t.Text), nil, nil
 		}
@@ -456,7 +475,7 @@ func (p *Parser) parseSelect() (Stmt, error) {
 	p.next() // SELECT
 	sel := &Select{Limit: -1}
 	for {
-		if p.accept("*") {
+		if p.acceptPunct('*') {
 			sel.Items = append(sel.Items, SelectItem{Star: true})
 		} else {
 			e, err := p.parseExpr()
@@ -476,7 +495,7 @@ func (p *Parser) parseSelect() (Stmt, error) {
 			}
 			sel.Items = append(sel.Items, item)
 		}
-		if !p.accept(",") {
+		if !p.acceptPunct(',') {
 			break
 		}
 	}
@@ -489,7 +508,7 @@ func (p *Parser) parseSelect() (Stmt, error) {
 			return nil, err
 		}
 		sel.From = append(sel.From, ref)
-		if !p.accept(",") {
+		if !p.acceptPunct(',') {
 			break
 		}
 	}
@@ -531,7 +550,7 @@ func (p *Parser) parseSelect() (Stmt, error) {
 				return nil, err
 			}
 			sel.GroupBy = append(sel.GroupBy, e)
-			if !p.accept(",") {
+			if !p.acceptPunct(',') {
 				break
 			}
 		}
@@ -552,7 +571,7 @@ func (p *Parser) parseSelect() (Stmt, error) {
 				p.accept("ASC")
 			}
 			sel.OrderBy = append(sel.OrderBy, item)
-			if !p.accept(",") {
+			if !p.acceptPunct(',') {
 				break
 			}
 		}
@@ -616,7 +635,7 @@ func (p *Parser) parseUpdate() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect("="); err != nil {
+		if err := p.expectPunct('='); err != nil {
 			return nil, err
 		}
 		e, err := p.parseExpr()
@@ -628,7 +647,7 @@ func (p *Parser) parseUpdate() (Stmt, error) {
 		}
 		up.Set[strings.ToLower(col)] = e
 		up.Cols = append(up.Cols, strings.ToLower(col))
-		if !p.accept(",") {
+		if !p.acceptPunct(',') {
 			break
 		}
 	}
@@ -703,7 +722,7 @@ func (p *Parser) parsePredict() (Stmt, error) {
 	if err := p.expect("ON"); err != nil {
 		return nil, err
 	}
-	if p.accept("*") {
+	if p.acceptPunct('*') {
 		pr.TrainAll = true
 	} else {
 		for {
@@ -712,7 +731,7 @@ func (p *Parser) parsePredict() (Stmt, error) {
 				return nil, err
 			}
 			pr.TrainCols = append(pr.TrainCols, col)
-			if !p.accept(",") {
+			if !p.acceptPunct(',') {
 				break
 			}
 		}
@@ -737,7 +756,7 @@ func (p *Parser) parsePredict() (Stmt, error) {
 				}
 			}
 			pr.Values = append(pr.Values, exprs)
-			if !p.accept(",") {
+			if !p.acceptPunct(',') {
 				break
 			}
 		}
@@ -824,7 +843,7 @@ func (p *Parser) parseComparison() (Expr, error) {
 	}
 	if t.keyword("IN") {
 		p.next()
-		if err := p.expect("("); err != nil {
+		if err := p.expectPunct('('); err != nil {
 			return nil, err
 		}
 		var vals []rel.Value
@@ -834,10 +853,10 @@ func (p *Parser) parseComparison() (Expr, error) {
 				return nil, err
 			}
 			vals = append(vals, lit)
-			if p.accept(",") {
+			if p.acceptPunct(',') {
 				continue
 			}
-			if err := p.expect(")"); err != nil {
+			if err := p.expectPunct(')'); err != nil {
 				return nil, err
 			}
 			break
@@ -872,7 +891,7 @@ func (p *Parser) parseAdditive() (Expr, error) {
 	}
 	for {
 		t := p.peek()
-		if t.Kind == TokPunct && (t.Text == "+" || t.Text == "-") {
+		if t.Punct == '+' || t.Punct == '-' {
 			p.next()
 			r, err := p.parseMultiplicative()
 			if err != nil {
@@ -892,7 +911,7 @@ func (p *Parser) parseMultiplicative() (Expr, error) {
 	}
 	for {
 		t := p.peek()
-		if t.Kind == TokPunct && (t.Text == "*" || t.Text == "/" || t.Text == "%") {
+		if t.Punct == '*' || t.Punct == '/' || t.Punct == '%' {
 			p.next()
 			r, err := p.parseUnary()
 			if err != nil {
@@ -906,7 +925,7 @@ func (p *Parser) parseMultiplicative() (Expr, error) {
 }
 
 func (p *Parser) parseUnary() (Expr, error) {
-	if t := p.peek(); t.Kind == TokPunct && t.Text == "-" {
+	if p.tok.Punct == '-' {
 		p.next()
 		if p.minInt64() {
 			return p.lit(rel.Int(math.MinInt64)), nil
@@ -1004,17 +1023,17 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		}
 		name, _ := p.ident()
 		// Function call?
-		if p.peek().Kind == TokPunct && p.peek().Text == "(" {
+		if p.tok.Punct == '(' {
 			p.next()
 			fc := &FuncCall{Name: strings.ToUpper(name)}
-			if p.accept("*") {
+			if p.acceptPunct('*') {
 				fc.Star = true
-				if err := p.expect(")"); err != nil {
+				if err := p.expectPunct(')'); err != nil {
 					return nil, err
 				}
 				return fc, nil
 			}
-			if p.accept(")") {
+			if p.acceptPunct(')') {
 				return fc, nil
 			}
 			for {
@@ -1023,10 +1042,10 @@ func (p *Parser) parsePrimary() (Expr, error) {
 					return nil, err
 				}
 				fc.Args = append(fc.Args, arg)
-				if p.accept(",") {
+				if p.acceptPunct(',') {
 					continue
 				}
-				if err := p.expect(")"); err != nil {
+				if err := p.expectPunct(')'); err != nil {
 					return nil, err
 				}
 				break
@@ -1034,7 +1053,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			return fc, nil
 		}
 		// Qualified column?
-		if p.peek().Kind == TokPunct && p.peek().Text == "." {
+		if p.tok.Punct == '.' {
 			p.next()
 			col, err := p.ident()
 			if err != nil {
@@ -1050,7 +1069,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expect(")"); err != nil {
+			if err := p.expectPunct(')'); err != nil {
 				return nil, err
 			}
 			return e, nil

@@ -66,7 +66,7 @@ type Txn struct {
 
 	mu     sync.Mutex
 	status Status
-	writes []writeRec
+	writes writeSet
 }
 
 // Status returns the transaction status.
@@ -135,7 +135,7 @@ type Manager struct {
 // record is in the log), and Sync after the lock, blocking the
 // acknowledgment until the record is durable under the configured policy.
 type CommitLog interface {
-	AppendCommit(cts uint64, ops []wal.Op) (lsn uint64, err error)
+	AppendCommit(cts uint64, ops wal.Ops) (lsn uint64, err error)
 	Sync(lsn uint64) error
 	// Err reports the log's sticky poison state (nil while healthy). The
 	// manager checks it before every logged commit as a fail-stop: once an
@@ -421,7 +421,6 @@ func (m *Manager) Commit(t *Txn) error {
 	logged := log != nil && len(writes) > 0
 	var lsn uint64
 	if len(writes) > 0 {
-		var ops []wal.Op
 		if logged {
 			// Fail-stop: a poisoned log means the last fsync's pages may
 			// already be gone from the kernel, so no new commit can ever be
@@ -433,7 +432,6 @@ func (m *Manager) Commit(t *Txn) error {
 				m.Abort(t)
 				return fmt.Errorf("%w (cause: %v)", ErrReadOnly, perr)
 			}
-			ops = t.redoOps()
 		}
 		// No claim stripes are taken here: every version being stamped was
 		// claimed earlier (XMax set, head swapped), so concurrent claimers
@@ -442,7 +440,10 @@ func (m *Manager) Commit(t *Txn) error {
 		cts := m.clock.Load() + 1
 		if logged {
 			var err error
-			if lsn, err = log.AppendCommit(cts, ops); err != nil {
+			// The encoder reads the write set in place. Nothing appends to
+			// it once Commit has begun, so it needs no lock; a pointer to the
+			// field, not to the local copy, keeps the header off the heap.
+			if lsn, err = log.AppendCommit(cts, &t.writes); err != nil {
 				// Nothing of the record is replayed (a failed write leaves at
 				// most a torn tail, and it poisoned the log, so no record
 				// follows it), so rolling the in-memory claims back keeps both
@@ -493,28 +494,30 @@ func (m *Manager) finish(t *Txn, committed bool) {
 	m.mu.Unlock()
 }
 
-// redoOps converts the write set into WAL redo operations: the full new row
-// image pinned to its physical slot, making replay an idempotent
-// install/clear.
-func (t *Txn) redoOps() []wal.Op {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ops := make([]wal.Op, len(t.writes))
-	for i, w := range t.writes {
-		op := wal.Op{Table: w.heap.TableID, ID: w.id}
-		switch w.kind {
-		case 'i':
-			op.Kind = wal.OpInsert
-			op.Row = w.created.Data
-		case 'u':
-			op.Kind = wal.OpUpdate
-			op.Row = w.created.Data
-		case 'd':
-			op.Kind = wal.OpDelete
-		}
-		ops[i] = op
+// writeSet is a transaction's writes, in the order it made them. As wal.Ops
+// it is the commit's redo operations, which the record encoder reads in
+// place: the full new row image pinned to its physical slot, making replay
+// an idempotent install/clear.
+type writeSet []writeRec
+
+// Len implements wal.Ops.
+func (w *writeSet) Len() int { return len(*w) }
+
+// At implements wal.Ops.
+func (w *writeSet) At(i int) wal.Op {
+	r := (*w)[i]
+	op := wal.Op{Table: r.heap.TableID, ID: r.id}
+	switch r.kind {
+	case 'i':
+		op.Kind = wal.OpInsert
+		op.Row = r.created.Data
+	case 'u':
+		op.Kind = wal.OpUpdate
+		op.Row = r.created.Data
+	case 'd':
+		op.Kind = wal.OpDelete
 	}
-	return ops
+	return op
 }
 
 // Abort rolls back t. Aborting a finished transaction does nothing.

@@ -723,7 +723,7 @@ func (l *heldLog) Sync(uint64) error {
 	return nil
 }
 
-func (l *heldLog) AppendCommit(uint64, []wal.Op) (uint64, error) {
+func (l *heldLog) AppendCommit(uint64, wal.Ops) (uint64, error) {
 	if l.armed {
 		close(l.entered)
 		<-l.release

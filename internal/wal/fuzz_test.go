@@ -12,12 +12,12 @@ import (
 // be a fixed point (re-encoding the decoded record yields the same bytes, so
 // replay and the original append agree on every field).
 func FuzzWALDecode(f *testing.F) {
-	f.Add(encodeCommit(nil, 1, []Op{
+	f.Add(encodeCommit(nil, 1, opList{
 		{Kind: OpInsert, Table: 1, ID: storage.RowID{Page: 0, Slot: 3}, Row: rel.Row{rel.Int(42), rel.Text("seed")}},
 		{Kind: OpUpdate, Table: 1, ID: storage.RowID{Page: 0, Slot: 3}, Row: rel.Row{rel.Int(43), rel.Null()}},
 		{Kind: OpDelete, Table: 2, ID: storage.RowID{Page: 7, Slot: 0}},
 	}))
-	f.Add(encodeCommit(nil, 0, nil))
+	f.Add(encodeCommit(nil, 0, opList(nil)))
 	f.Add(EncodeCreateTable(nil, 3, "users", rel.NewSchema(
 		rel.Column{Name: "id", Typ: rel.TypeInt, Unique: true, NotNull: true},
 		rel.Column{Name: "score", Typ: rel.TypeFloat},
@@ -37,7 +37,7 @@ func FuzzWALDecode(f *testing.F) {
 			t.Fatal("nil record with nil error")
 		}
 		if rec.Kind == RecCommit {
-			re := encodeCommit(nil, rec.CommitTS, rec.Ops)
+			re := encodeCommit(nil, rec.CommitTS, opList(rec.Ops))
 			rec2, err := DecodeRecord(re)
 			if err != nil {
 				t.Fatalf("re-encode of accepted record failed to decode: %v", err)

@@ -248,7 +248,7 @@ func ListSegments(fs vfs.FS, dir string) ([]SegmentRef, error) {
 // AppendCommit appends one committed transaction's redo record and returns
 // its LSN for Sync. The transaction manager calls it under its commit lock,
 // so records appear in commit-timestamp order.
-func (l *Log) AppendCommit(cts uint64, ops []Op) (uint64, error) {
+func (l *Log) AppendCommit(cts uint64, ops Ops) (uint64, error) {
 	l.mu.Lock()
 	l.scratch = encodeCommit(l.scratch[:0], cts, ops)
 	lsn, err := l.appendLocked(l.scratch)

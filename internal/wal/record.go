@@ -48,6 +48,14 @@ type Op struct {
 	Row   rel.Row // nil for deletes
 }
 
+// Ops is a commit's redo operations as the record encoder reads them: Len of
+// them, the i-th from At, so a write set is encoded in place, with no []Op
+// built for it.
+type Ops interface {
+	Len() int
+	At(i int) Op
+}
+
 // Record is one decoded WAL record.
 type Record struct {
 	Kind byte
@@ -166,11 +174,13 @@ func (d *decoder) row(what string) rel.Row {
 }
 
 // encodeCommit serializes a commit record payload.
-func encodeCommit(dst []byte, cts uint64, ops []Op) []byte {
+func encodeCommit(dst []byte, cts uint64, ops Ops) []byte {
 	dst = append(dst, RecCommit)
 	dst = appendUint64(dst, cts)
-	dst = appendUint32(dst, uint32(len(ops)))
-	for _, op := range ops {
+	n := ops.Len()
+	dst = appendUint32(dst, uint32(n))
+	for i := range n {
+		op := ops.At(i)
 		dst = append(dst, op.Kind)
 		dst = appendUint32(dst, uint32(op.Table))
 		dst = appendUint32(dst, op.ID.Page)

@@ -19,7 +19,7 @@ func buildSegment(t *testing.T, dir string, n int) (path string, data []byte, la
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		lsn, err := l.AppendCommit(uint64(i+1), []Op{{
+		lsn, err := l.AppendCommit(uint64(i+1), opList{{
 			Kind:  OpInsert,
 			Table: 1,
 			ID:    storage.RowID{Page: 0, Slot: uint32(i)},

@@ -16,8 +16,14 @@ import (
 	"neurdb/internal/vfs"
 )
 
-func testOps(n int) []Op {
-	ops := make([]Op, 0, n)
+// opList is a plain list of ops as wal.Ops.
+type opList []Op
+
+func (l opList) Len() int    { return len(l) }
+func (l opList) At(i int) Op { return l[i] }
+
+func testOps(n int) opList {
+	ops := make(opList, 0, n)
 	for i := 0; i < n; i++ {
 		ops = append(ops, Op{
 			Kind:  OpInsert,
@@ -63,7 +69,7 @@ func sameCkptRows(a, b []CkptRow) bool {
 }
 
 func TestRecordRoundTrip(t *testing.T) {
-	ops := []Op{
+	ops := opList{
 		{Kind: OpInsert, Table: 3, ID: storage.RowID{Page: 1, Slot: 2}, Row: rel.Row{rel.Int(7), rel.Text("x")}},
 		{Kind: OpUpdate, Table: 3, ID: storage.RowID{Page: 1, Slot: 2}, Row: rel.Row{rel.Int(8), rel.Null()}},
 		{Kind: OpDelete, Table: 4, ID: storage.RowID{Page: 9, Slot: 0}},

@@ -24,8 +24,8 @@ func reviewRow(id int) (x [3]float64, score float64) {
 	return x, (2+d)*x[0] + (1-d)*x[1]*x[1] - 1.5*x[2] + 0.5*x[0]*x[2]
 }
 
-func insertReviews(b *testing.B, db *neurdb.DB, lo, hi int) {
-	b.Helper()
+// reviewInsert is the INSERT of reviews [lo, hi).
+func reviewInsert(lo, hi int) string {
 	var sb strings.Builder
 	sb.WriteString("INSERT INTO review VALUES ")
 	for id := lo; id < hi; id++ {
@@ -35,8 +35,13 @@ func insertReviews(b *testing.B, db *neurdb.DB, lo, hi int) {
 		x, y := reviewRow(id)
 		fmt.Fprintf(&sb, "(%d, %g, %g, %g, %g)", id, x[0], x[1], x[2], y)
 	}
-	if _, err := db.Exec(sb.String()); err != nil {
-		b.Fatal(err)
+	return sb.String()
+}
+
+func insertReviews(tb testing.TB, db *neurdb.DB, lo, hi int) {
+	tb.Helper()
+	if _, err := db.Exec(reviewInsert(lo, hi)); err != nil {
+		tb.Fatal(err)
 	}
 }
 
